@@ -14,6 +14,7 @@
 //! `BENCH_index.json` summary at the repository root.
 
 use algebra::{Expr, JoinAlgo, Plan};
+use bench_harness::execute_with_indexes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use engine::Engine;
 use index::IndexCatalog;
@@ -69,9 +70,7 @@ fn bench_index_join(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(label, n), &plan, |b, plan| {
                 b.iter(|| {
                     if use_index {
-                        Engine::new()
-                            .execute_indexed(plan, &catalog, &indexes)
-                            .unwrap()
+                        execute_with_indexes(&Engine::new(), plan, &catalog, &indexes).unwrap()
                     } else {
                         Engine::new().execute(plan, &catalog).unwrap()
                     }

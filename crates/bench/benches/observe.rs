@@ -31,7 +31,7 @@
 //! info gauge and the process uptime metric.
 
 use algebra::{Expr, JoinAlgo, Plan};
-use bench_harness::{expofmt, meta::BenchMeta};
+use bench_harness::{execute_with_indexes, expofmt, meta::BenchMeta};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::random::{random_period_table, RandomTableSpec};
 use engine::Engine;
@@ -243,9 +243,7 @@ fn operator_decomposition(catalog: &Catalog, indexes: &IndexCatalog, plan: &Plan
     obs::reset_profile();
     obs::set_profiling(true);
     for _ in 0..3 {
-        Engine::new()
-            .execute_indexed(plan, catalog, indexes)
-            .unwrap();
+        execute_with_indexes(&Engine::new(), plan, catalog, indexes).unwrap();
     }
     obs::set_profiling(false);
     let stats = obs::profile_stats();
@@ -277,19 +275,13 @@ fn bench_observe(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
     obs::set_tracing(false);
     group.bench_function(BenchmarkId::new("tracing-off", PJ_ROWS), |b| {
-        b.iter(|| {
-            Engine::new()
-                .execute_indexed(&plan, &catalog, &indexes)
-                .unwrap()
-        })
+        b.iter(|| execute_with_indexes(&Engine::new(), &plan, &catalog, &indexes).unwrap())
     });
     obs::set_tracing(true);
     group.bench_function(BenchmarkId::new("tracing-on", PJ_ROWS), |b| {
         b.iter(|| {
             obs::reset_thread_trace();
-            Engine::new()
-                .execute_indexed(&plan, &catalog, &indexes)
-                .unwrap()
+            execute_with_indexes(&Engine::new(), &plan, &catalog, &indexes).unwrap()
         })
     });
     obs::set_tracing(false);

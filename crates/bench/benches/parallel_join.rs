@@ -10,6 +10,7 @@
 //! the two — a single-core container will honestly report ~1x).
 
 use algebra::{Expr, JoinAlgo, Plan, PlanNode};
+use bench_harness::execute_with_indexes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::random::{random_period_table, RandomTableSpec};
 use engine::Engine;
@@ -69,8 +70,7 @@ fn bench_parallel_join(c: &mut Criterion) {
 
     // Output size (and a cross-route sanity check) once, outside timing.
     let sequential_plan = with_algo(&plan, JoinAlgo::IndexSweep);
-    let output_pairs = Engine::new()
-        .execute_indexed(&sequential_plan, &catalog, &indexes)
+    let output_pairs = execute_with_indexes(&Engine::new(), &sequential_plan, &catalog, &indexes)
         .unwrap()
         .len();
 
@@ -81,20 +81,14 @@ fn bench_parallel_join(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("sequential", ROWS), |b| {
         b.iter(|| {
-            Engine::new()
-                .execute_indexed(&sequential_plan, &catalog, &indexes)
-                .unwrap()
+            execute_with_indexes(&Engine::new(), &sequential_plan, &catalog, &indexes).unwrap()
         })
     });
     let parallel_plan = with_algo(&plan, JoinAlgo::ParallelSweep);
     for &n in &THREAD_COUNTS {
         let engine = Engine::with_parallelism(n);
         group.bench_function(BenchmarkId::new("threads", n), |b| {
-            b.iter(|| {
-                engine
-                    .execute_indexed(&parallel_plan, &catalog, &indexes)
-                    .unwrap()
-            })
+            b.iter(|| execute_with_indexes(&engine, &parallel_plan, &catalog, &indexes).unwrap())
         });
     }
     group.finish();

@@ -4,8 +4,8 @@
 //! queries through the three evaluation routes of the paper's experiments:
 //!
 //! * **Seq** — our middleware: SQL → bind → `REWR` → engine (the paper's
-//!   PG-Seq / DBX-Seq / DBY-Seq, distinguished here by engine join strategy
-//!   and rewrite options),
+//!   PG-Seq / DBX-Seq / DBY-Seq, distinguished here by the rewrite options,
+//!   which carry the temporal-join hint),
 //! * **Nat** — the native-style baselines (alignment ≈ PG-Nat,
 //!   interval preservation ≈ ATSQL), paired with final coalescing as in
 //!   Section 10,
@@ -15,8 +15,9 @@
 pub mod expofmt;
 pub mod meta;
 
+use algebra::{JoinAlgo, Plan};
 use baseline::{BaselineKind, NativeEvaluator, PointwiseOracle};
-use engine::{Engine, EngineConfig, JoinStrategy};
+use engine::{Engine, ExecStats, NodeStats};
 use index::IndexCatalog;
 use rewrite::{RewriteOptions, SnapshotCompiler};
 use sql::{bind_statement, parse_statement, BoundStatement};
@@ -80,18 +81,19 @@ pub fn run_approach(
     let bound = bind_snapshot(sql_text, catalog)?;
     match approach {
         Approach::SeqHash | Approach::SeqMerge => {
-            let strategy = if approach == Approach::SeqMerge {
-                JoinStrategy::MergeInterval
+            // Without indexes the engine's automatic choice is the hash
+            // join; the merge route is pinned through the plan hint.
+            let options = if approach == Approach::SeqMerge {
+                RewriteOptions {
+                    temporal_join_algo: JoinAlgo::MergeInterval,
+                    ..options
+                }
             } else {
-                JoinStrategy::Hash
+                options
             };
             let compiler = SnapshotCompiler::with_options(domain, options);
             let plan = compiler.compile_statement(&bound, catalog)?;
-            Engine::with_config(EngineConfig {
-                join_strategy: strategy,
-                ..EngineConfig::default()
-            })
-            .execute(&plan, catalog)
+            Engine::new().execute(&plan, catalog)
         }
         Approach::SeqIndex => {
             // Index build cost is included here; benches that want to
@@ -126,7 +128,25 @@ pub fn run_indexed(
 ) -> Result<Table, String> {
     let compiler = SnapshotCompiler::with_options(domain, options);
     let plan = compiler.compile_statement(bound, catalog)?;
-    Engine::new().execute_indexed(&plan, catalog, indexes)
+    execute_with_indexes(&Engine::new(), &plan, catalog, indexes)
+}
+
+/// Executes a compiled plan over a prebuilt index registry, discarding the
+/// operator counters and per-node actuals the engine's general entry point
+/// reports.
+pub fn execute_with_indexes(
+    engine: &Engine,
+    plan: &Plan,
+    catalog: &Catalog,
+    indexes: &IndexCatalog,
+) -> Result<Table, String> {
+    engine.execute_analyzed(
+        plan,
+        catalog,
+        Some(indexes),
+        &mut ExecStats::default(),
+        &mut NodeStats::default(),
+    )
 }
 
 /// Runs the point-wise oracle (small domains only) returning `PERIODENC`

@@ -8,8 +8,7 @@ use crate::temporal::{agg_arg_types, temporal_aggregate, temporal_except_all};
 use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode, TimesliceAlgo};
 use index::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
-    parallel_sweep_join_presorted, sweep_join_presorted, try_parallel_sweep_join_presorted,
-    try_sweep_join_presorted, IndexCatalog,
+    try_parallel_sweep_join_presorted, try_sweep_join_presorted, IndexCatalog, TableIndex,
 };
 use snapshot_obs as obs;
 use std::collections::{BTreeMap, HashMap};
@@ -27,8 +26,11 @@ const CANCEL_CHECK_INTERVAL: u64 = 1024;
 /// the operators bump and the [`obs::CancelToken`] they check at batch
 /// boundaries. Shared (`Arc`) with the owning session's entry in the
 /// activity registry, so `snapshot_stat_progress` sees counters move
-/// while the statement runs and `.kill` can reach into the executor.
-#[derive(Debug, Clone)]
+/// while the statement runs and `.kill` can reach into the executor. The
+/// default context — what an engine built outside a session runs under —
+/// owns a private account and a token nobody else holds, so it never
+/// cancels.
+#[derive(Debug, Clone, Default)]
 pub struct ExecContext {
     account: Arc<obs::ResourceAccount>,
     token: Arc<obs::CancelToken>,
@@ -49,34 +51,30 @@ impl ExecContext {
     fn check(&self) -> Result<(), String> {
         self.token.check(&self.account)
     }
-}
 
-/// Join strategy for the non-temporal part of join conditions.
-///
-/// The paper's experiments observed PostgreSQL and DBY using hash joins on
-/// the non-temporal attributes, while DBX used merge joins over the interval
-/// overlap predicate; both strategies are available here so the benchmark
-/// harness can reproduce that comparison. [`JoinStrategy::IndexSweep`]
-/// additionally enables the endpoint-sweep temporal join of the `index`
-/// crate even for non-indexed inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinStrategy {
-    /// Hash join on equality conjuncts, residual predicate after (PG/DBY).
-    #[default]
-    Hash,
-    /// Forward-scan plane sweep over the interval overlap predicate (DBX),
-    /// falling back to hash when no overlap pattern is present.
-    MergeInterval,
-    /// Endpoint-sweep (sort-merge) temporal join over the interval overlap
-    /// predicate, falling back to hash when no overlap pattern is present.
-    IndexSweep,
+    /// A join has considered its `seen`-th candidate pair: every
+    /// [`CANCEL_CHECK_INTERVAL`] pairs the tally is flushed to the account
+    /// (so `snapshot_stat_progress` moves while the join runs) and the
+    /// token is polled. The caller owns the counter — a plain local for
+    /// sequential joins, one shared atomic for the slab workers.
+    fn pair_considered(&self, seen: u64) -> Result<(), String> {
+        if seen.is_multiple_of(CANCEL_CHECK_INTERVAL) {
+            self.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
+            self.check()?;
+        }
+        Ok(())
+    }
+
+    /// A join finished after `seen` pairs: account the tail that
+    /// [`ExecContext::pair_considered`] has not flushed yet.
+    fn pairs_done(&self, seen: u64) {
+        self.account.add_join_pairs(seen % CANCEL_CHECK_INTERVAL);
+    }
 }
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Join strategy.
-    pub join_strategy: JoinStrategy,
     /// Worker threads for parallel operators (currently the parallel
     /// endpoint-sweep temporal join). `0` and `1` both mean sequential
     /// execution; values above `1` make [`JoinAlgo::Auto`] prefer
@@ -216,90 +214,67 @@ pub fn resolve_parallelism(n: usize) -> usize {
 pub struct Engine {
     config: EngineConfig,
     /// Resource accounting + cooperative cancellation for the statement
-    /// being executed; `None` (engines built outside a session) keeps the
-    /// hot path at a single branch per operator.
-    ctx: Option<ExecContext>,
+    /// being executed.
+    ctx: ExecContext,
+}
+
+/// What one execution runs against and reports into; `run` threads a
+/// single `&mut` of it through the plan.
+struct ExecEnv<'a> {
+    catalog: &'a Catalog,
+    /// `None` pins every operator to its naive route.
+    indexes: Option<&'a IndexCatalog>,
+    stats: &'a mut ExecStats,
+    nodes: &'a mut NodeStats,
 }
 
 impl Engine {
-    /// Engine with default configuration (hash joins, sequential).
+    /// Engine with default configuration (sequential).
     pub fn new() -> Self {
         Engine::default()
     }
 
     /// Engine with explicit configuration.
     pub fn with_config(config: EngineConfig) -> Self {
-        Engine { config, ctx: None }
+        Engine {
+            config,
+            ctx: ExecContext::default(),
+        }
     }
 
-    /// Engine with default strategy and the given worker-thread count.
+    /// Engine with the given worker-thread count.
     pub fn with_parallelism(parallelism: usize) -> Self {
-        Engine::with_config(EngineConfig {
-            parallelism,
-            ..EngineConfig::default()
-        })
+        Engine::with_config(EngineConfig { parallelism })
     }
 
     /// Attach a per-statement execution context: operators bump its
     /// resource account and honor its cancellation token.
     pub fn with_context(mut self, ctx: ExecContext) -> Self {
-        self.ctx = Some(ctx);
+        self.ctx = ctx;
         self
     }
 
-    /// Executes a plan against a catalog, producing a result table.
+    /// Executes a plan on the naive routes only — no index is consulted,
+    /// which is what makes this the reference the differential tests and
+    /// `.verify on` compare the indexed routes against.
     pub fn execute(&self, plan: &Plan, catalog: &Catalog) -> Result<Table, String> {
-        let mut stats = ExecStats::default();
-        self.execute_with_stats(plan, catalog, &mut stats)
+        self.execute_analyzed(
+            plan,
+            catalog,
+            None,
+            &mut ExecStats::default(),
+            &mut NodeStats::default(),
+        )
     }
 
-    /// Executes a plan, recording per-operator counters.
-    pub fn execute_with_stats(
-        &self,
-        plan: &Plan,
-        catalog: &Catalog,
-        stats: &mut ExecStats,
-    ) -> Result<Table, String> {
-        let rows = self.run(plan, catalog, None, stats, None)?;
-        let mut table = Table::new(plan.schema.clone());
-        table.extend(rows);
-        Ok(table)
-    }
-
-    /// Executes a plan with a table-index registry: joins, timeslices, and
-    /// coalescing over indexed base tables dispatch to the `index` crate's
-    /// operators; everything else (and any stale index) falls back to the
-    /// naive paths.
-    pub fn execute_indexed(
-        &self,
-        plan: &Plan,
-        catalog: &Catalog,
-        indexes: &IndexCatalog,
-    ) -> Result<Table, String> {
-        let mut stats = ExecStats::default();
-        self.execute_indexed_with_stats(plan, catalog, indexes, &mut stats)
-    }
-
-    /// [`Engine::execute_indexed`], recording per-operator counters (the
-    /// indexed dispatches appear as `IndexSweepJoin`, `IndexTimeslice`, and
-    /// `IndexCoalesce`).
-    pub fn execute_indexed_with_stats(
-        &self,
-        plan: &Plan,
-        catalog: &Catalog,
-        indexes: &IndexCatalog,
-        stats: &mut ExecStats,
-    ) -> Result<Table, String> {
-        let rows = self.run(plan, catalog, Some(indexes), stats, None)?;
-        let mut table = Table::new(plan.schema.clone());
-        table.extend(rows);
-        Ok(table)
-    }
-
-    /// Executes a plan while collecting per-node actuals (row counts,
-    /// call counts, inclusive wall-clock) keyed by node identity — the
-    /// execution mode behind `EXPLAIN ANALYZE`. Pass `indexes` to take the
-    /// same dispatch routes as [`Engine::execute_indexed`].
+    /// Executes a plan, recording per-operator counters in `stats` and
+    /// per-node actuals (row counts, call counts, inclusive wall-clock,
+    /// keyed by node identity — what `EXPLAIN ANALYZE` prints) in `nodes`.
+    /// With `indexes`, joins, timeslices, and coalescing over indexed base
+    /// tables dispatch to the `index` crate's operators (they appear in
+    /// `stats` as `IndexSweepJoin`, `IndexTimeslice`, `IndexTimeRange`,
+    /// and `IndexCoalesce`); everything else, and any stale index, takes
+    /// the naive route.
     pub fn execute_analyzed(
         &self,
         plan: &Plan,
@@ -308,33 +283,32 @@ impl Engine {
         stats: &mut ExecStats,
         nodes: &mut NodeStats,
     ) -> Result<Table, String> {
-        let rows = self.run(plan, catalog, indexes, stats, Some(nodes))?;
+        let rows = self.run(
+            plan,
+            &mut ExecEnv {
+                catalog,
+                indexes,
+                stats,
+                nodes,
+            },
+        )?;
         let mut table = Table::new(plan.schema.clone());
         table.extend(rows);
         Ok(table)
     }
 
-    fn run(
-        &self,
-        plan: &Plan,
-        catalog: &Catalog,
-        indexes: Option<&IndexCatalog>,
-        stats: &mut ExecStats,
-        mut nodes: Option<&mut NodeStats>,
-    ) -> Result<Vec<Row>, String> {
-        // Per-node clock reads only in analyze mode; the span and profile
-        // guards are each a single relaxed atomic load when disabled.
-        let started = nodes.as_ref().map(|_| Instant::now());
+    fn run(&self, plan: &Plan, env: &mut ExecEnv<'_>) -> Result<Vec<Row>, String> {
+        let started = Instant::now();
+        // The span and profile guards are each a single relaxed atomic
+        // load when disabled.
         let mut span = obs::Span::enter(op_name(&plan.node));
         let _frame = obs::ProfileSpan::enter(op_name(&plan.node));
         // Operator boundary: a cancelled statement stops before producing
         // another node's output.
-        if let Some(ctx) = &self.ctx {
-            ctx.check()?;
-        }
+        self.ctx.check()?;
         let rows = match &plan.node {
             PlanNode::Scan { table } => {
-                let t = catalog.require(table)?;
+                let t = env.catalog.require(table)?;
                 if t.schema().arity() != plan.schema.arity() {
                     return Err(format!(
                         "table '{table}' changed since binding: arity {} vs {}",
@@ -345,18 +319,18 @@ impl Engine {
                 t.rows().to_vec()
             }
             PlanNode::VirtualScan { table } => {
-                crate::vtab::virtual_table_rows(table, catalog, indexes)?
+                crate::vtab::virtual_table_rows(table, env.catalog, env.indexes)?
             }
             PlanNode::Values { rows } => rows.clone(),
             PlanNode::Filter { input, predicate } => {
-                let input_rows = self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let input_rows = self.run(input, env)?;
                 input_rows
                     .into_iter()
                     .filter(|r| eval_predicate(predicate, r))
                     .collect()
             }
             PlanNode::Project { input, exprs } => {
-                let input_rows = self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let input_rows = self.run(input, env)?;
                 input_rows
                     .iter()
                     .map(|r| Row::new(exprs.iter().map(|e| eval_expr(e, r)).collect()))
@@ -368,31 +342,19 @@ impl Engine {
                 condition,
                 algo,
             } => {
-                let l = self.run(left, catalog, indexes, stats, nodes.as_deref_mut())?;
-                let r = self.run(right, catalog, indexes, stats, nodes.as_deref_mut())?;
-                self.join(
-                    JoinInputs {
-                        left_plan: left,
-                        right_plan: right,
-                        left_rows: &l,
-                        right_rows: &r,
-                    },
-                    condition,
-                    *algo,
-                    catalog,
-                    indexes,
-                    stats,
-                )?
+                let l = self.run(left, env)?;
+                let r = self.run(right, env)?;
+                self.join((left, &l), (right, &r), condition, *algo, env)?
             }
             PlanNode::Union { left, right } => {
-                let mut l = self.run(left, catalog, indexes, stats, nodes.as_deref_mut())?;
-                let r = self.run(right, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let mut l = self.run(left, env)?;
+                let r = self.run(right, env)?;
                 l.extend(r);
                 l
             }
             PlanNode::ExceptAll { left, right } => {
-                let l = self.run(left, catalog, indexes, stats, nodes.as_deref_mut())?;
-                let r = self.run(right, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let l = self.run(left, env)?;
+                let r = self.run(right, env)?;
                 except_all(l, &r)
             }
             PlanNode::Aggregate {
@@ -400,18 +362,17 @@ impl Engine {
                 group_cols,
                 aggs,
             } => {
-                let input_rows = self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let input_rows = self.run(input, env)?;
                 let arg_types = agg_arg_types(aggs, &input.schema)?;
                 hash_aggregate(&input_rows, group_cols, aggs, &arg_types)
             }
             PlanNode::Distinct { input } => {
-                let input_rows = self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let input_rows = self.run(input, env)?;
                 let set: std::collections::BTreeSet<Row> = input_rows.into_iter().collect();
                 set.into_iter().collect()
             }
             PlanNode::Sort { input, keys } => {
-                let mut input_rows =
-                    self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let mut input_rows = self.run(input, env)?;
                 input_rows.sort_by(|a, b| {
                     // lint:allow(cancellation) bounded by sort-key arity
                     for (e, asc) in keys {
@@ -430,91 +391,49 @@ impl Engine {
                 // Coalescing accelerator: a scan of an indexed period-last
                 // table has its per-group events presorted at index-build
                 // time; emit segments directly instead of re-sorting.
-                if let Some(accel) =
-                    indexed_scan(input, catalog, indexes)?.and_then(|(idx, _)| idx.coalesce())
+                if let Some(accel) = indexed_scan(input, env.catalog, env.indexes)?
+                    .and_then(|(idx, _)| idx.coalesce())
                 {
                     let rows = accel.coalesced_rows();
-                    stats.record("IndexCoalesce", rows.len());
-                    if let Some(ctx) = &self.ctx {
-                        ctx.account.add_index_probes(1);
-                    }
+                    env.stats.record("IndexCoalesce", rows.len());
+                    self.ctx.account.add_index_probes(1);
                     rows
                 } else {
-                    let input_rows =
-                        self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                    let input_rows = self.run(input, env)?;
                     let rows = coalesce_rows(&input_rows, input.schema.arity());
-                    stats.record("NaiveCoalesce", rows.len());
+                    env.stats.record("NaiveCoalesce", rows.len());
                     rows
                 }
             }
             PlanNode::Timeslice { input, at, algo } => {
-                // Indexed route: interval-tree stabbing on a scanned table
-                // whose period sits in the trailing two columns.
-                let indexed = (*algo != TimesliceAlgo::Linear)
-                    .then(|| indexed_scan(input, catalog, indexes))
-                    .transpose()?
-                    .flatten()
-                    .filter(|(idx, _)| {
-                        let n = input.schema.arity();
-                        n >= 2 && idx.period() == (n - 2, n - 1)
-                    });
-                if let Some((idx, table)) = indexed {
-                    let rows = idx.timeslice_rows(table, *at);
-                    stats.record("IndexTimeslice", rows.len());
-                    if let Some(ctx) = &self.ctx {
-                        ctx.account.add_index_probes(1);
-                    }
-                    rows
-                } else {
-                    let input_rows =
-                        self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
-                    let n = input.schema.arity();
-                    let rows: Vec<Row> = input_rows
-                        .into_iter()
-                        .filter(|r| r.int(n - 2) <= *at && *at < r.int(n - 1))
-                        .collect();
-                    stats.record("NaiveTimeslice", rows.len());
-                    rows
-                }
+                let at = *at;
+                self.period_filter(
+                    input,
+                    *algo,
+                    env,
+                    ("IndexTimeslice", "NaiveTimeslice"),
+                    |idx, table| idx.timeslice_rows(table, at),
+                    |ts, te| ts <= at && at < te,
+                )?
             }
             PlanNode::TimeRange { input, range, algo } => {
-                // Indexed route: interval-tree overlap probing on a scanned
-                // table whose period sits in the trailing two columns.
                 let (b, e) = *range;
-                let indexed = (*algo != TimesliceAlgo::Linear)
-                    .then(|| indexed_scan(input, catalog, indexes))
-                    .transpose()?
-                    .flatten()
-                    .filter(|(idx, _)| {
-                        let n = input.schema.arity();
-                        n >= 2 && idx.period() == (n - 2, n - 1)
-                    });
-                if let Some((idx, table)) = indexed {
-                    let rows = idx.overlapping_rows(table, b, e);
-                    stats.record("IndexTimeRange", rows.len());
-                    if let Some(ctx) = &self.ctx {
-                        ctx.account.add_index_probes(1);
-                    }
-                    rows
-                } else {
-                    let input_rows =
-                        self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
-                    let n = input.schema.arity();
-                    let rows: Vec<Row> = input_rows
-                        .into_iter()
-                        .filter(|r| r.int(n - 2) < e && b < r.int(n - 1))
-                        .collect();
-                    stats.record("NaiveTimeRange", rows.len());
-                    rows
-                }
+                self.period_filter(
+                    input,
+                    *algo,
+                    env,
+                    ("IndexTimeRange", "NaiveTimeRange"),
+                    |idx, table| idx.overlapping_rows(table, b, e),
+                    |ts, te| ts < e && b < te,
+                )?
             }
             PlanNode::Split {
                 left,
                 right,
                 group_cols,
             } => {
-                let l = self.run(left, catalog, indexes, stats, nodes.as_deref_mut())?;
-                let r = self.run(right, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let l = self.run(left, env)?;
+                let r = self.run(right, env)?;
                 split_rows(&l, &r, group_cols, left.schema.arity())
             }
             PlanNode::TemporalAggregate {
@@ -524,7 +443,7 @@ impl Engine {
                 add_gap_neutral,
                 domain,
             } => {
-                let input_rows = self.run(input, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let input_rows = self.run(input, env)?;
                 let arg_types = agg_arg_types(aggs, &input.schema)?;
                 temporal_aggregate(
                     &input_rows,
@@ -537,50 +456,81 @@ impl Engine {
                 )
             }
             PlanNode::TemporalExceptAll { left, right } => {
-                let l = self.run(left, catalog, indexes, stats, nodes.as_deref_mut())?;
-                let r = self.run(right, catalog, indexes, stats, nodes.as_deref_mut())?;
+                let l = self.run(left, env)?;
+                let r = self.run(right, env)?;
                 temporal_except_all(&l, &r, left.schema.arity())
             }
         };
         span.record_rows(rows.len() as u64);
-        stats.record(op_name(&plan.node), rows.len());
-        if let (Some(nodes), Some(started)) = (nodes, started) {
-            nodes.record(plan, rows.len(), started.elapsed());
+        env.stats.record(op_name(&plan.node), rows.len());
+        env.nodes.record(plan, rows.len(), started.elapsed());
+        let n = rows.len() as u64;
+        let account = &self.ctx.account;
+        account.add_rows_emitted(n);
+        // Approximate materialization: rows × arity × a 16-byte value.
+        account.add_bytes_materialized(n * plan.schema.arity() as u64 * 16);
+        if matches!(
+            plan.node,
+            PlanNode::Scan { .. } | PlanNode::VirtualScan { .. } | PlanNode::Values { .. }
+        ) {
+            account.add_rows_scanned(n);
         }
-        if let Some(ctx) = &self.ctx {
-            let n = rows.len() as u64;
-            ctx.account.add_rows_emitted(n);
-            // Approximate materialization: rows × arity × a 16-byte value.
-            ctx.account
-                .add_bytes_materialized(n * plan.schema.arity() as u64 * 16);
-            if matches!(
-                plan.node,
-                PlanNode::Scan { .. } | PlanNode::VirtualScan { .. } | PlanNode::Values { .. }
-            ) {
-                ctx.account.add_rows_scanned(n);
-            }
-            // Re-check after bumping so `max_rows_scanned` /
-            // `max_result_rows` trip at the node that crossed them.
-            ctx.check()?;
-        }
+        // Re-check after bumping so `max_rows_scanned` /
+        // `max_result_rows` trip at the node that crossed them.
+        self.ctx.check()?;
         Ok(rows)
     }
 
+    /// `Timeslice` / `TimeRange`: the rows of `input` whose period (the
+    /// trailing two columns) satisfies `keep(ts, te)`. A scanned table with
+    /// a fresh index over exactly those columns answers through `probe`
+    /// (an interval-tree stab or overlap probe) unless the plan pins the
+    /// linear route; anything else filters the materialized input.
+    /// `ops` names the indexed and the linear route in [`ExecStats`].
+    fn period_filter(
+        &self,
+        input: &Plan,
+        algo: TimesliceAlgo,
+        env: &mut ExecEnv<'_>,
+        ops: (&'static str, &'static str),
+        probe: impl FnOnce(&TableIndex, &Table) -> Vec<Row>,
+        keep: impl Fn(i64, i64) -> bool,
+    ) -> Result<Vec<Row>, String> {
+        let n = input.schema.arity();
+        let indexed = (algo != TimesliceAlgo::Linear)
+            .then(|| indexed_scan(input, env.catalog, env.indexes))
+            .transpose()?
+            .flatten()
+            .filter(|(idx, _)| n >= 2 && idx.period() == (n - 2, n - 1));
+        let (op, rows) = match indexed {
+            Some((idx, table)) => {
+                self.ctx.account.add_index_probes(1);
+                (ops.0, probe(idx, table))
+            }
+            None => {
+                let rows = self
+                    .run(input, env)?
+                    .into_iter()
+                    .filter(|r| keep(r.int(n - 2), r.int(n - 1)))
+                    .collect();
+                (ops.1, rows)
+            }
+        };
+        env.stats.record(op, rows.len());
+        Ok(rows)
+    }
+
+    /// Joins two materialized inputs; each side is `(plan, rows)` — the
+    /// plan carries the schema and reveals an indexed scan.
     fn join(
         &self,
-        inputs: JoinInputs<'_>,
+        (left_plan, left): (&Plan, &[Row]),
+        (right_plan, right): (&Plan, &[Row]),
         condition: &Expr,
         algo: JoinAlgo,
-        catalog: &Catalog,
-        indexes: Option<&IndexCatalog>,
-        stats: &mut ExecStats,
+        env: &mut ExecEnv<'_>,
     ) -> Result<Vec<Row>, String> {
-        let JoinInputs {
-            left_plan,
-            right_plan,
-            left_rows: left,
-            right_rows: right,
-        } = inputs;
+        let ctx = &self.ctx;
         let l_arity = left_plan.schema.arity();
         let r_arity = right_plan.schema.arity();
         let conjuncts = collect_conjuncts(condition);
@@ -594,204 +544,118 @@ impl Engine {
         // sweep a begin order over the wrong columns.
         let (l_index, r_index) = match overlap {
             Some((lts, lte, rts, rte)) => (
-                indexed_scan(left_plan, catalog, indexes)?
-                    .filter(|(idx, _)| idx.period() == (lts, lte)),
-                indexed_scan(right_plan, catalog, indexes)?
-                    .filter(|(idx, _)| idx.period() == (rts, rte)),
+                indexed_scan(left_plan, env.catalog, env.indexes)?
+                    .map(|(idx, _)| idx)
+                    .filter(|idx| idx.period() == (lts, lte)),
+                indexed_scan(right_plan, env.catalog, env.indexes)?
+                    .map(|(idx, _)| idx)
+                    .filter(|idx| idx.period() == (rts, rte)),
             ),
             None => (None, None),
         };
         let both_indexed = l_index.is_some() && r_index.is_some();
-        // Auto resolution: a pinned engine strategy routes every overlap
-        // join its way (that is how the harness compares routes); otherwise
-        // equality conjuncts win — a hash join touches only key matches,
-        // while the sweep would enumerate every temporally co-valid pair
-        // across all keys before the equality filter. The indexed sweep is
-        // the automatic choice only for *pure* overlap joins.
+        // Auto resolution: equality conjuncts win — a hash join touches
+        // only key matches, while the sweep would enumerate every
+        // temporally co-valid pair across all keys before the equality
+        // filter. The indexed sweep is the automatic choice only for
+        // *pure* overlap joins.
         let resolved = match algo {
-            JoinAlgo::Auto => {
-                let sweep_pinned = self.config.join_strategy == JoinStrategy::IndexSweep;
-                if overlap.is_some() && (sweep_pinned || (both_indexed && equi.is_empty())) {
-                    // A configured worker pool upgrades every Auto sweep
-                    // to the slab-parallel route (identical bag by the
-                    // credit rule; the differential tests enforce it).
-                    if self.config.parallelism > 1 {
-                        JoinAlgo::ParallelSweep
-                    } else {
-                        JoinAlgo::IndexSweep
-                    }
-                } else if overlap.is_some()
-                    && self.config.join_strategy == JoinStrategy::MergeInterval
-                {
-                    JoinAlgo::MergeInterval
-                } else if !equi.is_empty() {
-                    JoinAlgo::Hash
+            JoinAlgo::Auto if overlap.is_some() && both_indexed && equi.is_empty() => {
+                // A configured worker pool upgrades every Auto sweep to
+                // the slab-parallel route (identical bag by the credit
+                // rule; the differential tests enforce it).
+                if self.config.parallelism > 1 {
+                    JoinAlgo::ParallelSweep
                 } else {
-                    JoinAlgo::NestedLoop
+                    JoinAlgo::IndexSweep
                 }
             }
+            JoinAlgo::Auto if !equi.is_empty() => JoinAlgo::Hash,
+            JoinAlgo::Auto => JoinAlgo::NestedLoop,
             explicit => explicit,
         };
 
-        Ok(match resolved {
-            JoinAlgo::ParallelSweep if overlap.is_some() => {
-                let (lts, lte, rts, rte) = overlap.unwrap();
-                let l_sorted: Vec<&Row> = match &l_index {
-                    Some((idx, _)) => idx.events().begin_order().map(|i| &left[i]).collect(),
-                    None => sorted_by_begin(left, lts),
-                };
-                let r_sorted: Vec<&Row> = match &r_index {
-                    Some((idx, _)) => idx.events().begin_order().map(|i| &right[i]).collect(),
-                    None => sorted_by_begin(right, rts),
-                };
-                // Slab boundaries follow the elementary intervals of the
-                // join's endpoint domain; with both sides indexed they
-                // come out of the prebuilt event lists in O(n).
-                let boundaries = match (&l_index, &r_index) {
-                    (Some((li, _)), Some((ri, _))) => {
-                        elementary_boundaries_from_events(li.events(), ri.events())
-                    }
-                    _ => elementary_boundaries(&l_sorted, (lts, lte), &r_sorted, (rts, rte)),
-                };
-                let cuts = choose_cuts(&boundaries, self.config.parallelism.max(1));
-                // Slab workers share one pair counter; every worker checks
-                // the token each `CANCEL_CHECK_INTERVAL` pairs, so a kill
-                // or timeout lands mid-sweep on every thread. The tally is
-                // flushed to the resource account at the same cadence so
-                // `snapshot_stat_progress` moves while the join runs.
-                // Without a context the closure is the bare pair test —
-                // ctx-less execution (benches, ad-hoc Engine users) pays
-                // nothing for cancellability.
-                let (out, pstats) = match &self.ctx {
-                    Some(ctx) => {
-                        let pairs = AtomicU64::new(0);
-                        let (out, pstats) = try_parallel_sweep_join_presorted::<_, String, _>(
-                            &l_sorted,
-                            &r_sorted,
-                            (lts, lte),
-                            (rts, rte),
-                            &cuts,
-                            |lr, rr| {
-                                let seen = pairs.fetch_add(1, Ordering::Relaxed) + 1;
-                                if seen.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                                    ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                                    ctx.check()?;
-                                }
-                                let joined = lr.concat(rr);
-                                Ok(eval_predicate(condition, &joined).then_some(joined))
-                            },
-                        )?;
-                        ctx.account
-                            .add_join_pairs(pairs.load(Ordering::Relaxed) % CANCEL_CHECK_INTERVAL);
-                        ctx.account
-                            .add_index_probes(if both_indexed { 2 } else { 0 });
-                        (out, pstats)
-                    }
-                    None => parallel_sweep_join_presorted(
+        // A pair that passed a join's own matching still has to satisfy
+        // the full condition (residual conjuncts included).
+        let matched = |l: &Row, r: &Row| {
+            let joined = l.concat(r);
+            eval_predicate(condition, &joined).then_some(joined)
+        };
+
+        Ok(match (resolved, overlap) {
+            (JoinAlgo::IndexSweep | JoinAlgo::ParallelSweep, Some((lts, lte, rts, rte))) => {
+                let l_sorted = begin_sorted(left, l_index, lts);
+                let r_sorted = begin_sorted(right, r_index, rts);
+                ctx.account
+                    .add_index_probes(if both_indexed { 2 } else { 0 });
+                if resolved == JoinAlgo::ParallelSweep {
+                    // Slab boundaries follow the elementary intervals of
+                    // the join's endpoint domain; with both sides indexed
+                    // they come out of the prebuilt event lists in O(n).
+                    let boundaries = match (l_index, r_index) {
+                        (Some(li), Some(ri)) => {
+                            elementary_boundaries_from_events(li.events(), ri.events())
+                        }
+                        _ => elementary_boundaries(&l_sorted, (lts, lte), &r_sorted, (rts, rte)),
+                    };
+                    let cuts = choose_cuts(&boundaries, self.config.parallelism.max(1));
+                    // Slab workers share one pair counter, so a kill or
+                    // timeout lands mid-sweep on every thread.
+                    let pairs = AtomicU64::new(0);
+                    let (out, pstats) = try_parallel_sweep_join_presorted(
                         &l_sorted,
                         &r_sorted,
                         (lts, lte),
                         (rts, rte),
                         &cuts,
-                        |lr, rr| {
-                            let joined = lr.concat(rr);
-                            eval_predicate(condition, &joined).then_some(joined)
+                        |l, r| -> Result<_, String> {
+                            ctx.pair_considered(pairs.fetch_add(1, Ordering::Relaxed) + 1)?;
+                            Ok(matched(l, r))
                         },
-                    ),
-                };
-                stats.record("ParallelSweepJoin", out.len());
-                stats.record("ParallelSweepSlabs", pstats.slabs);
-                out
-            }
-            JoinAlgo::IndexSweep if overlap.is_some() => {
-                let (lts, lte, rts, rte) = overlap.unwrap();
-                // Indexed scans reuse the table's begin-sorted event list
-                // (scan output preserves table row order, so the index row
-                // ids address the materialized rows directly); other inputs
-                // are sorted on the fly.
-                let l_sorted: Vec<&Row> = match &l_index {
-                    Some((idx, _)) => idx.events().begin_order().map(|i| &left[i]).collect(),
-                    None => sorted_by_begin(left, lts),
-                };
-                let r_sorted: Vec<&Row> = match &r_index {
-                    Some((idx, _)) => idx.events().begin_order().map(|i| &right[i]).collect(),
-                    None => sorted_by_begin(right, rts),
-                };
-                let mut out = Vec::new();
-                // Same split as the parallel arm: the cancellation check
-                // and live pair tally only ride along when a context is
-                // attached; ctx-less sweeps keep the bare kernel closure.
-                match &self.ctx {
-                    Some(ctx) => {
-                        let mut pairs = 0u64;
-                        try_sweep_join_presorted(
-                            &l_sorted,
-                            &r_sorted,
-                            (lts, lte),
-                            (rts, rte),
-                            |lr, rr| -> Result<(), String> {
-                                pairs += 1;
-                                if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                                    ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                                    ctx.check()?;
-                                }
-                                let joined = lr.concat(rr);
-                                if eval_predicate(condition, &joined) {
-                                    out.push(joined);
-                                }
-                                Ok(())
-                            },
-                        )?;
-                        ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-                        ctx.account
-                            .add_index_probes(if both_indexed { 2 } else { 0 });
-                    }
-                    None => sweep_join_presorted(
+                    )?;
+                    ctx.pairs_done(pairs.load(Ordering::Relaxed));
+                    env.stats.record("ParallelSweepJoin", out.len());
+                    env.stats.record("ParallelSweepSlabs", pstats.slabs);
+                    out
+                } else {
+                    let mut out = Vec::new();
+                    let mut pairs = 0u64;
+                    try_sweep_join_presorted(
                         &l_sorted,
                         &r_sorted,
                         (lts, lte),
                         (rts, rte),
-                        |lr, rr| {
-                            let joined = lr.concat(rr);
-                            if eval_predicate(condition, &joined) {
-                                out.push(joined);
-                            }
+                        |l, r| -> Result<(), String> {
+                            pairs += 1;
+                            ctx.pair_considered(pairs)?;
+                            out.extend(matched(l, r));
+                            Ok(())
                         },
-                    ),
-                }
-                stats.record(
-                    if both_indexed {
+                    )?;
+                    ctx.pairs_done(pairs);
+                    let op = if both_indexed {
                         "IndexSweepJoin"
                     } else {
                         "SweepJoin"
-                    },
-                    out.len(),
-                );
+                    };
+                    env.stats.record(op, out.len());
+                    out
+                }
+            }
+            (JoinAlgo::MergeInterval, Some(period_cols)) => {
+                let out = merge_interval_join(left, right, period_cols, ctx, matched)?;
+                env.stats.record("MergeIntervalJoin", out.len());
                 out
             }
-            JoinAlgo::MergeInterval if overlap.is_some() => {
-                let (lts, lte, rts, rte) = overlap.unwrap();
-                let out = merge_interval_join(
-                    left,
-                    right,
-                    lts,
-                    lte,
-                    rts,
-                    rte,
-                    condition,
-                    self.ctx.as_ref(),
-                )?;
-                stats.record("MergeIntervalJoin", out.len());
-                out
-            }
-            JoinAlgo::Hash
-            | JoinAlgo::IndexSweep
-            | JoinAlgo::ParallelSweep
-            | JoinAlgo::MergeInterval
-                if !equi.is_empty() =>
-            {
-                let out = hash_join(left, right, &equi, condition, self.ctx.as_ref())?;
-                stats.record("HashJoin", out.len());
+            (
+                JoinAlgo::Hash
+                | JoinAlgo::IndexSweep
+                | JoinAlgo::ParallelSweep
+                | JoinAlgo::MergeInterval,
+                _,
+            ) if !equi.is_empty() => {
+                let out = hash_join(left, right, &equi, ctx, matched)?;
+                env.stats.record("HashJoin", out.len());
                 out
             }
             _ => {
@@ -800,36 +664,17 @@ impl Engine {
                 let mut pairs = 0u64;
                 for l in left {
                     for r in right {
-                        if let Some(ctx) = &self.ctx {
-                            pairs += 1;
-                            if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                                ctx.check()?;
-                            }
-                        }
-                        let joined = l.concat(r);
-                        if eval_predicate(condition, &joined) {
-                            out.push(joined);
-                        }
+                        pairs += 1;
+                        ctx.pair_considered(pairs)?;
+                        out.extend(matched(l, r));
                     }
                 }
-                if let Some(ctx) = &self.ctx {
-                    ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-                }
-                stats.record("NestedLoopJoin", out.len());
+                ctx.pairs_done(pairs);
+                env.stats.record("NestedLoopJoin", out.len());
                 out
             }
         })
     }
-}
-
-/// The materialized inputs of a join together with their plans (the plans
-/// carry the schemas and reveal indexed scans).
-struct JoinInputs<'a> {
-    left_plan: &'a Plan,
-    right_plan: &'a Plan,
-    left_rows: &'a [Row],
-    right_rows: &'a [Row],
 }
 
 /// When `plan` is a scan of a table with a fresh index, returns the index
@@ -839,7 +684,7 @@ fn indexed_scan<'a>(
     plan: &Plan,
     catalog: &'a Catalog,
     indexes: Option<&'a IndexCatalog>,
-) -> Result<Option<(&'a index::TableIndex, &'a Table)>, String> {
+) -> Result<Option<(&'a TableIndex, &'a Table)>, String> {
     let Some(reg) = indexes else {
         return Ok(None);
     };
@@ -853,11 +698,19 @@ fn indexed_scan<'a>(
     Ok(reg.get_fresh(table, t).map(|idx| (idx, t)))
 }
 
-/// Row references sorted ascending by the `ts` column.
-fn sorted_by_begin(rows: &[Row], ts: usize) -> Vec<&Row> {
-    let mut v: Vec<&Row> = rows.iter().collect();
-    v.sort_by_key(|r| r.int(ts));
-    v
+/// One side of a begin-ordered join, ascending by its `ts` column. An
+/// indexed scan reuses the table's begin-sorted event list (scan output
+/// preserves table row order, so the index row ids address the
+/// materialized rows directly); other inputs are sorted on the fly.
+fn begin_sorted<'r>(rows: &'r [Row], index: Option<&TableIndex>, ts: usize) -> Vec<&'r Row> {
+    match index {
+        Some(idx) => idx.events().begin_order().map(|i| &rows[i]).collect(),
+        None => {
+            let mut v: Vec<&Row> = rows.iter().collect();
+            v.sort_by_key(|r| r.int(ts));
+            v
+        }
+    }
 }
 
 fn op_name(node: &PlanNode) -> &'static str {
@@ -964,8 +817,8 @@ fn hash_join(
     left: &[Row],
     right: &[Row],
     keys: &[(usize, usize)],
-    condition: &Expr,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
+    matched: impl Fn(&Row, &Row) -> Option<Row>,
 ) -> Result<Vec<Row>, String> {
     // Build on the smaller side; probe with the larger.
     let build_left = left.len() <= right.len();
@@ -985,12 +838,10 @@ fn hash_join(
 
     let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::with_capacity(build.len());
     'build: for (n, row) in build.iter().enumerate() {
-        if let Some(ctx) = ctx {
-            // The build side can be arbitrarily large; poll the token at
-            // the same cadence as the probe phase's pair counting.
-            if (n as u64 + 1).is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                ctx.check()?;
-            }
+        // The build side can be arbitrarily large; poll the token at
+        // the same cadence as the probe phase's pair counting.
+        if (n as u64 + 1).is_multiple_of(CANCEL_CHECK_INTERVAL) {
+            ctx.check()?;
         }
         let mut key = Vec::with_capacity(build_keys.len());
         // lint:allow(cancellation) bounded by join-key arity
@@ -1017,71 +868,44 @@ fn hash_join(
         }
         if let Some(matches) = table.get(&key) {
             for m in matches {
-                if let Some(ctx) = ctx {
-                    pairs += 1;
-                    if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                        ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                        ctx.check()?;
-                    }
-                }
-                let joined = if build_left {
-                    m.concat(row)
+                pairs += 1;
+                ctx.pair_considered(pairs)?;
+                out.extend(if build_left {
+                    matched(m, row)
                 } else {
-                    row.concat(m)
-                };
-                if eval_predicate(condition, &joined) {
-                    out.push(joined);
-                }
+                    matched(row, m)
+                });
             }
         }
     }
-    if let Some(ctx) = ctx {
-        ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-    }
+    ctx.pairs_done(pairs);
     Ok(out)
 }
 
 /// Forward-scan plane sweep over interval overlap (Bouros & Mamoulis style):
-/// both sides sorted by interval begin; each overlapping pair is emitted
-/// exactly once, then filtered by the full join condition.
-#[allow(clippy::too_many_arguments)]
+/// both sides sorted by interval begin; each overlapping pair is considered
+/// exactly once, then filtered by the full join condition (`matched`).
 fn merge_interval_join(
     left: &[Row],
     right: &[Row],
-    lts: usize,
-    lte: usize,
-    rts: usize,
-    rte: usize,
-    condition: &Expr,
-    ctx: Option<&ExecContext>,
+    (lts, lte, rts, rte): (usize, usize, usize, usize),
+    ctx: &ExecContext,
+    matched: impl Fn(&Row, &Row) -> Option<Row>,
 ) -> Result<Vec<Row>, String> {
-    let mut l: Vec<&Row> = left.iter().collect();
-    let mut r: Vec<&Row> = right.iter().collect();
-    l.sort_by_key(|row| row.int(lts));
-    r.sort_by_key(|row| row.int(rts));
+    let l = begin_sorted(left, None, lts);
+    let r = begin_sorted(right, None, rts);
 
     let mut out = Vec::new();
     let mut pairs = 0u64;
-    let mut consider = |joined: Row, out: &mut Vec<Row>| -> Result<(), String> {
-        if let Some(ctx) = ctx {
-            pairs += 1;
-            if pairs.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                ctx.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
-                ctx.check()?;
-            }
-        }
-        if eval_predicate(condition, &joined) {
-            out.push(joined);
-        }
-        Ok(())
-    };
     let (mut i, mut j) = (0usize, 0usize);
     while i < l.len() && j < r.len() {
         if l[i].int(lts) <= r[j].int(rts) {
             let end = l[i].int(lte);
             let mut k = j;
             while k < r.len() && r[k].int(rts) < end {
-                consider(l[i].concat(r[k]), &mut out)?;
+                pairs += 1;
+                ctx.pair_considered(pairs)?;
+                out.extend(matched(l[i], r[k]));
                 k += 1;
             }
             i += 1;
@@ -1089,15 +913,15 @@ fn merge_interval_join(
             let end = r[j].int(rte);
             let mut k = i;
             while k < l.len() && l[k].int(lts) < end {
-                consider(l[k].concat(r[j]), &mut out)?;
+                pairs += 1;
+                ctx.pair_considered(pairs)?;
+                out.extend(matched(l[k], r[j]));
                 k += 1;
             }
             j += 1;
         }
     }
-    if let Some(ctx) = ctx {
-        ctx.account.add_join_pairs(pairs % CANCEL_CHECK_INTERVAL);
-    }
+    ctx.pairs_done(pairs);
     Ok(out)
 }
 
@@ -1187,6 +1011,27 @@ mod tests {
         works_catalog().get("works").unwrap().schema().clone()
     }
 
+    /// Runs `plan` through the general entry point (`indexes: None` pins
+    /// the naive routes) and returns the result with the operator counters.
+    fn run_with(
+        engine: &Engine,
+        plan: &Plan,
+        catalog: &Catalog,
+        indexes: Option<&IndexCatalog>,
+    ) -> (Table, ExecStats) {
+        let mut stats = ExecStats::default();
+        let out = engine
+            .execute_analyzed(
+                plan,
+                catalog,
+                indexes,
+                &mut stats,
+                &mut NodeStats::default(),
+            )
+            .unwrap();
+        (out, stats)
+    }
+
     #[test]
     fn scan_filter_project() {
         let c = works_catalog();
@@ -1242,18 +1087,14 @@ mod tests {
             .eq(Expr::col(5))
             .and(Expr::col(lts).lt(Expr::col(rte_g)))
             .and(Expr::col(rts_g).lt(Expr::col(lte)));
-        let plan =
-            Plan::scan("works", works_schema()).join(Plan::scan("works", works_schema()), cond);
+        let scan = || Plan::scan("works", works_schema());
+        let plan = scan().join(scan(), cond.clone());
+        let pinned = scan().join_with(scan(), cond, JoinAlgo::MergeInterval);
 
         let hash = Engine::new().execute(&plan, &c).unwrap().canonicalized();
-        let merge = Engine::with_config(EngineConfig {
-            join_strategy: JoinStrategy::MergeInterval,
-            ..EngineConfig::default()
-        })
-        .execute(&plan, &c)
-        .unwrap()
-        .canonicalized();
-        assert_eq!(hash, merge);
+        let (merge, stats) = run_with(&Engine::new(), &pinned, &c, None);
+        assert!(stats.get("MergeIntervalJoin").is_some(), "{stats:?}");
+        assert_eq!(hash, merge.canonicalized());
         assert!(
             hash.len() >= 4,
             "self overlap join must match each row with itself"
@@ -1331,10 +1172,7 @@ mod tests {
     fn stats_are_collected() {
         let c = works_catalog();
         let plan = Plan::scan("works", works_schema()).filter(Expr::col(1).eq(Expr::lit("SP")));
-        let mut stats = ExecStats::default();
-        Engine::new()
-            .execute_with_stats(&plan, &c, &mut stats)
-            .unwrap();
+        let (_, stats) = run_with(&Engine::new(), &plan, &c, None);
         assert_eq!(stats.get("Scan"), Some((1, 4)));
         assert_eq!(stats.get("Filter"), Some((1, 3)));
     }
@@ -1374,11 +1212,8 @@ mod tests {
         let plan = pure_overlap_self_join_plan();
 
         let naive = Engine::new().execute(&plan, &c).unwrap().canonicalized();
-        let mut stats = ExecStats::default();
-        let indexed = Engine::new()
-            .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-            .unwrap()
-            .canonicalized();
+        let (indexed, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
+        let indexed = indexed.canonicalized();
         assert_eq!(naive, indexed);
         assert!(
             stats.get("IndexSweepJoin").is_some(),
@@ -1395,11 +1230,8 @@ mod tests {
         let indexes = IndexCatalog::build_all(&c);
         let plan = equi_overlap_self_join_plan();
         let hash = Engine::new().execute(&plan, &c).unwrap().canonicalized();
-        let mut stats = ExecStats::default();
-        let indexed = Engine::new()
-            .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-            .unwrap()
-            .canonicalized();
+        let (indexed, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
+        let indexed = indexed.canonicalized();
         assert_eq!(hash, indexed);
         assert!(
             stats.get("IndexSweepJoin").is_none() && stats.get("SweepJoin").is_none(),
@@ -1417,11 +1249,8 @@ mod tests {
         c.register("works", t);
 
         let plan = pure_overlap_self_join_plan();
-        let mut stats = ExecStats::default();
-        let indexed = Engine::new()
-            .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-            .unwrap()
-            .canonicalized();
+        let (indexed, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
+        let indexed = indexed.canonicalized();
         assert!(
             stats.get("IndexSweepJoin").is_none(),
             "must not use stale index"
@@ -1446,11 +1275,8 @@ mod tests {
                 algebra::JoinAlgo::IndexSweep,
             )
         };
-        let mut stats = ExecStats::default();
-        let sweep = Engine::new()
-            .execute_with_stats(&plan, &c, &mut stats)
-            .unwrap()
-            .canonicalized();
+        let (sweep, stats) = run_with(&Engine::new(), &plan, &c, None);
+        let sweep = sweep.canonicalized();
         assert!(
             stats.get("SweepJoin").is_some(),
             "sort-on-the-fly sweep used"
@@ -1492,11 +1318,8 @@ mod tests {
             .and(Expr::col(rts_g).lt(Expr::col(lte)));
         let plan = Plan::scan("t", schema.clone()).join(Plan::scan("t", schema), cond);
         let naive = Engine::new().execute(&plan, &c).unwrap().canonicalized();
-        let mut stats = ExecStats::default();
-        let indexed = Engine::new()
-            .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-            .unwrap()
-            .canonicalized();
+        let (indexed, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
+        let indexed = indexed.canonicalized();
         assert_eq!(naive, indexed);
         assert!(
             stats.get("IndexSweepJoin").is_none(),
@@ -1509,16 +1332,13 @@ mod tests {
         let c = works_catalog();
         let indexes = IndexCatalog::build_all(&c);
         let plan = pure_overlap_self_join_plan();
-        let sequential = Engine::new()
-            .execute_indexed(&plan, &c, &indexes)
-            .unwrap()
+        let sequential = run_with(&Engine::new(), &plan, &c, Some(&indexes))
+            .0
             .canonicalized();
         for parallelism in [1usize, 2, 4, 8] {
-            let mut stats = ExecStats::default();
-            let parallel = Engine::with_parallelism(parallelism)
-                .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-                .unwrap()
-                .canonicalized();
+            let engine = Engine::with_parallelism(parallelism);
+            let (parallel, stats) = run_with(&engine, &plan, &c, Some(&indexes));
+            let parallel = parallel.canonicalized();
             assert_eq!(sequential, parallel, "parallelism {parallelism}");
             if parallelism > 1 {
                 assert!(
@@ -1552,11 +1372,8 @@ mod tests {
                 algebra::JoinAlgo::ParallelSweep,
             )
         };
-        let mut stats = ExecStats::default();
-        let parallel = Engine::with_parallelism(3)
-            .execute_with_stats(&plan, &c, &mut stats)
-            .unwrap()
-            .canonicalized();
+        let (parallel, stats) = run_with(&Engine::with_parallelism(3), &plan, &c, None);
+        let parallel = parallel.canonicalized();
         assert!(stats.get("ParallelSweepJoin").is_some(), "{stats:?}");
         let naive = Engine::new()
             .execute(&pure_overlap_self_join_plan(), &c)
@@ -1570,10 +1387,7 @@ mod tests {
             Expr::col(0).eq(Expr::col(4)),
             algebra::JoinAlgo::ParallelSweep,
         );
-        let mut stats = ExecStats::default();
-        Engine::with_parallelism(3)
-            .execute_with_stats(&equi, &c, &mut stats)
-            .unwrap();
+        let (_, stats) = run_with(&Engine::with_parallelism(3), &equi, &c, None);
         assert!(stats.get("ParallelSweepJoin").is_none(), "{stats:?}");
     }
 
@@ -1604,15 +1418,49 @@ mod tests {
         let err = engine.execute(&plan, &c).unwrap_err();
         assert!(err.contains("max_rows_scanned"), "{err}");
 
-        // Join pairs are accounted on the nested-loop path.
-        account.reset();
-        token.arm(None, None, None);
-        let join = Plan::scan("works", works_schema()).join(
-            Plan::scan("works", works_schema()),
-            Expr::binary(BinOp::Lt, Expr::col(0), Expr::col(4)),
-        );
-        engine.execute(&join, &c).unwrap();
-        assert_eq!(account.usage().join_pairs, 16, "4x4 pairs considered");
+        // Join pairs are accounted, and a pre-tripped token aborts, on
+        // every join route — each pinned by its plan hint over the same
+        // 4x4 self join. The condition carries an equality, the overlap
+        // pattern and a residual, so every hint reaches its own operator.
+        let indexes = IndexCatalog::build_all(&c);
+        let scan = || Plan::scan("works", works_schema());
+        let cond = Expr::col(1)
+            .eq(Expr::col(5))
+            .and(Expr::col(2).lt(Expr::col(7)))
+            .and(Expr::col(6).lt(Expr::col(3)))
+            .and(Expr::binary(BinOp::Lt, Expr::col(0), Expr::col(4)));
+        // Pairs each route considers: all 16, the 10 with equal skills, or
+        // the 10 whose periods overlap (Ann's second stint meets only
+        // itself); exactly one pair — (Ann, Sam) — passes the condition.
+        let routes = [
+            (JoinAlgo::NestedLoop, "NestedLoopJoin", 16),
+            (JoinAlgo::Hash, "HashJoin", 10),
+            (JoinAlgo::MergeInterval, "MergeIntervalJoin", 10),
+            (JoinAlgo::IndexSweep, "IndexSweepJoin", 10),
+            (JoinAlgo::ParallelSweep, "ParallelSweepJoin", 10),
+            (JoinAlgo::Auto, "HashJoin", 10),
+        ];
+        for (algo, op, pairs) in routes {
+            let join = scan().join_with(scan(), cond.clone(), algo);
+            for parallelism in [1, 3] {
+                let engine = Engine::with_parallelism(parallelism)
+                    .with_context(ExecContext::new(Arc::clone(&account), Arc::clone(&token)));
+                account.reset();
+                token.arm(None, None, None);
+                let (out, stats) = run_with(&engine, &join, &c, Some(&indexes));
+                assert_eq!(out.len(), 1, "{algo:?}");
+                assert!(stats.get(op).is_some(), "{algo:?}: {stats:?}");
+                assert_eq!(account.usage().join_pairs, pairs, "{algo:?} pairs");
+                token.cancel(obs::CancelKind::Killed);
+                let err = engine.execute(&join, &c).unwrap_err();
+                assert!(obs::is_cancel_error(&err), "{algo:?}: {err}");
+            }
+            // An engine built outside a session runs under its own default
+            // context: same route, never cancelled.
+            let (out, stats) = run_with(&Engine::new(), &join, &c, Some(&indexes));
+            assert_eq!(out.len(), 1, "{algo:?} under the default context");
+            assert!(stats.get(op).is_some(), "{algo:?}: {stats:?}");
+        }
     }
 
     #[test]
@@ -1622,10 +1470,7 @@ mod tests {
         for at in -1..25 {
             let plan = Plan::scan("works", works_schema()).timeslice(at);
             let linear = Engine::new().execute(&plan, &c).unwrap();
-            let mut stats = ExecStats::default();
-            let indexed = Engine::new()
-                .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-                .unwrap();
+            let (indexed, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
             assert_eq!(linear, indexed, "timeslice at {at}");
             assert!(
                 stats.get("IndexTimeslice").is_some(),
@@ -1640,10 +1485,7 @@ mod tests {
         let indexes = IndexCatalog::build_all(&c);
         let plan =
             Plan::scan("works", works_schema()).timeslice_with(9, algebra::TimesliceAlgo::Linear);
-        let mut stats = ExecStats::default();
-        let out = Engine::new()
-            .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-            .unwrap();
+        let (out, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
         assert!(stats.get("IndexTimeslice").is_none());
         assert_eq!(out.len(), 3); // Ann [3,10), Joe [8,16), Sam [8,16)
     }
@@ -1665,10 +1507,7 @@ mod tests {
                         &c,
                     )
                     .unwrap();
-                let mut stats = ExecStats::default();
-                let indexed = Engine::new()
-                    .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-                    .unwrap();
+                let (indexed, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
                 assert_eq!(linear, indexed, "time range [{b}, {e})");
                 assert!(
                     stats.get("IndexTimeRange").is_some(),
@@ -1684,10 +1523,7 @@ mod tests {
         let indexes = IndexCatalog::build_all(&c);
         let plan = Plan::scan("works", works_schema()).coalesce();
         let naive = Engine::new().execute(&plan, &c).unwrap();
-        let mut stats = ExecStats::default();
-        let accel = Engine::new()
-            .execute_indexed_with_stats(&plan, &c, &indexes, &mut stats)
-            .unwrap();
+        let (accel, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
         assert_eq!(naive, accel);
         assert!(
             stats.get("IndexCoalesce").is_some(),

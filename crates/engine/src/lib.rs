@@ -34,5 +34,5 @@ pub mod vtab;
 pub use eval::{eval_expr, eval_predicate, like_match};
 pub use exec::{
     explain_analyzed, resolve_parallelism, Engine, EngineConfig, ExecContext, ExecStats,
-    JoinStrategy, NodeActuals, NodeStats,
+    NodeActuals, NodeStats,
 };

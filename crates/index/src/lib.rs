@@ -16,7 +16,7 @@
 //!   coalescing accelerator ([`coalesce`]),
 //! * [`sweep_join`] / [`sweep_join_presorted`] — the `O(n log n + output)`
 //!   endpoint-sweep temporal join ([`join`]),
-//! * [`parallel_sweep_join_presorted`] — the same join partitioned into
+//! * [`try_parallel_sweep_join_presorted`] — the same join partitioned into
 //!   contiguous time slabs along elementary-interval boundaries and run on
 //!   scoped worker threads, with boundary-straddling duplicates suppressed
 //!   by an overlap-start credit rule ([`parallel`]),
@@ -48,6 +48,6 @@ pub use interval_tree::IntervalTree;
 pub use join::{sweep_join, sweep_join_presorted, try_sweep_join_presorted};
 pub use parallel::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
-    parallel_sweep_join_presorted, try_parallel_sweep_join_presorted, ParallelJoinStats,
+    try_parallel_sweep_join_presorted, ParallelJoinStats,
 };
 pub use table_index::{IndexCatalog, MaintenanceStats, TableIndex};

@@ -8,8 +8,8 @@
 //! interval endpoints of both inputs cut the time line into elementary
 //! intervals, and any grouping of those into `P` contiguous *slabs*
 //! partitions the endpoint domain. Each slab is handed to a scoped worker
-//! thread that runs the ordinary [`sweep_join_presorted`](crate::join::sweep_join_presorted) kernel over the
-//! rows overlapping the slab.
+//! thread that runs the ordinary [`try_sweep_join_presorted`] kernel over
+//! the rows overlapping the slab.
 //!
 //! A pair of intervals whose overlap straddles a slab cut would be found
 //! by both workers, so duplicates are suppressed by a *credit rule*: a
@@ -141,30 +141,13 @@ pub fn choose_cuts(boundaries: &[i64], slabs: usize) -> Vec<i64> {
 /// Output order is slab-major (deterministic for fixed cuts).
 ///
 /// With `cuts` empty this *is* the sequential sweep (no threads spawned).
-pub fn parallel_sweep_join_presorted<'a, R, F>(
-    left: &[&'a Row],
-    right: &[&'a Row],
-    lcols: (usize, usize),
-    rcols: (usize, usize),
-    cuts: &[i64],
-    map: F,
-) -> (Vec<R>, ParallelJoinStats)
-where
-    R: Send,
-    F: Fn(&'a Row, &'a Row) -> Option<R> + Sync,
-{
-    let infallible: Result<_, std::convert::Infallible> =
-        try_parallel_sweep_join_presorted(left, right, lcols, rcols, cuts, |l, r| Ok(map(l, r)));
-    let Ok(out) = infallible;
-    out
-}
-
-/// The fallible form of [`parallel_sweep_join_presorted`]: `map` may
-/// return an error (e.g. a cooperative-cancellation check tripping inside
-/// a slab worker), which aborts that slab's sweep immediately and fails
-/// the whole join. All workers are scoped, so every thread has finished
-/// before the first error is returned; with multiple failing slabs the
-/// lowest slab's error wins (deterministic for fixed cuts).
+///
+/// `map` may return an error (e.g. a cooperative-cancellation check
+/// tripping inside a slab worker), which aborts that slab's sweep
+/// immediately and fails the whole join. All workers are scoped, so every
+/// thread has finished before the first error is returned; with multiple
+/// failing slabs the lowest slab's error wins (deterministic for fixed
+/// cuts).
 pub fn try_parallel_sweep_join_presorted<'a, R, E, F>(
     left: &[&'a Row],
     right: &[&'a Row],
@@ -303,10 +286,11 @@ mod tests {
         l.sort_by_key(|row| row.int(lcols.0));
         r.sort_by_key(|row| row.int(rcols.0));
         let cuts = choose_cuts(&elementary_boundaries(&l, lcols, &r, rcols), slabs);
-        let (mut out, stats) =
-            parallel_sweep_join_presorted(&l, &r, lcols, rcols, &cuts, |a, b| {
-                Some((a.clone(), b.clone()))
+        let joined: Result<_, std::convert::Infallible> =
+            try_parallel_sweep_join_presorted(&l, &r, lcols, rcols, &cuts, |a, b| {
+                Ok(Some((a.clone(), b.clone())))
             });
+        let Ok((mut out, stats)) = joined;
         out.sort();
         (out, stats)
     }
@@ -411,7 +395,7 @@ mod tests {
             // well below the 1600 the full join would consider.
             assert!(pairs.load(Ordering::Relaxed) < 10 + slabs as u64 + 1);
         }
-        // And the infallible wrapper still agrees with the sequential path.
+        // And without errors the same kernel agrees with the sequential path.
         let (got, _) = parallel_pairs(&l, &l, (1, 2), (1, 2), 4);
         assert_eq!(got, sequential_pairs(&l, &l, (1, 2), (1, 2)));
     }

@@ -31,16 +31,15 @@ const ZONES: &[&str] = &[
     "crates/index/src/parallel.rs",
 ];
 
-/// Calls that count as reaching the token: `check` itself plus helpers
-/// that are known to poll it internally (emitters and the sweep kernels).
+/// Calls that count as reaching the token: `check` itself, the sweep
+/// kernels' fallible per-pair callback (`emit` — its error is how the
+/// caller's check aborts the sweep), and the fallible kernels that run it.
+/// The infallible `sweep_join` / `sweep_join_presorted` are deliberately
+/// absent: their callback cannot fail, so they never poll the token.
 const PROPAGATORS: &[&str] = &[
     "check",
     "emit",
-    "consider",
-    "sweep_join",
-    "sweep_join_presorted",
     "try_sweep_join_presorted",
-    "parallel_sweep_join",
     "try_parallel_sweep_join_presorted",
 ];
 

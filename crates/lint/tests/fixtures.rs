@@ -27,8 +27,10 @@ fn bad_tree_reports_every_rule_at_the_right_line() {
     let want: Vec<(&str, u32, &str)> = vec![
         // README cites a metric nothing registers.
         ("README.md", 3, "metric_hygiene"),
-        // A `for` loop that never reaches the cancel token.
+        // A `for` loop that never reaches the cancel token, and one whose
+        // only call is the infallible sweep kernel (which cannot poll it).
         ("crates/engine/src/exec.rs", 5, "cancellation"),
+        ("crates/engine/src/exec.rs", 12, "cancellation"),
         // Hand-rolled marker string; direct marker-constant comparison.
         ("crates/server/src/conn.rs", 4, "cancel_marker"),
         ("crates/server/src/conn.rs", 8, "cancel_marker"),

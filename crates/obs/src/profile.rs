@@ -164,6 +164,7 @@ mod tests {
 
     #[test]
     fn disabled_profiling_is_inert() {
+        let _guard = crate::testing::serial_guard();
         set_profiling(false);
         reset_profile();
         {
@@ -174,6 +175,7 @@ mod tests {
 
     #[test]
     fn self_time_excludes_children_and_paths_nest() {
+        let _guard = crate::testing::serial_guard();
         set_profiling(true);
         reset_profile();
         {
@@ -211,6 +213,7 @@ mod tests {
 
     #[test]
     fn sibling_frames_fold_into_one_path() {
+        let _guard = crate::testing::serial_guard();
         set_profiling(true);
         reset_profile();
         {

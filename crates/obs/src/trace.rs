@@ -283,6 +283,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _guard = crate::testing::serial_guard();
         set_tracing(false);
         reset_thread_trace();
         {
@@ -295,6 +296,7 @@ mod tests {
 
     #[test]
     fn spans_assemble_into_a_tree() {
+        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {
@@ -329,6 +331,7 @@ mod tests {
 
     #[test]
     fn sibling_order_is_enter_order() {
+        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {
@@ -344,6 +347,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_is_bounded() {
+        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {

@@ -164,8 +164,8 @@ pub struct SessionOptions {
     /// ([`snapshot_obs::slow_queries`], queryable as
     /// `snapshot_stat_slow_queries`) together with its phase split and
     /// `EXPLAIN ANALYZE`-style operator actuals. `None` (the default)
-    /// disables the log *and* the per-node actuals collection it implies;
-    /// set it via the shell's `--slow-ms` flag or `.slow` command.
+    /// disables the log *and* the per-statement rendering of those
+    /// actuals; set it via the shell's `--slow-ms` flag or `.slow` command.
     pub slow_query_ms: Option<u64>,
     /// Statement timeout, in milliseconds: a statement still executing
     /// past it is cooperatively cancelled at the next operator batch
@@ -733,29 +733,8 @@ impl Session {
         let SqlStatement::Query(q) = stmt else {
             return Err("only query statements have plans to explain".into());
         };
-        if self.txn.is_some() {
-            let Session {
-                txn,
-                options,
-                phases,
-                ..
-            } = self;
-            let txn = txn.as_ref().expect("checked");
-            return compile_query_timed(options, txn.catalog(), &q, phases, None);
-        }
-        let Session {
-            backend,
-            options,
-            phases,
-            ..
-        } = self;
-        match backend {
-            Backend::Owned(db) => compile_query_timed(options, db.catalog(), &q, phases, None),
-            Backend::Shared(shared) => {
-                let snap = shared.snapshot();
-                compile_query_timed(options, snap.catalog(), &q, phases, None)
-            }
-        }
+        let view = self.read_view();
+        compile_query_timed(&self.options, view.catalog(), &q, &mut self.phases, None)
     }
 
     /// Feed the global statement statistics and (past the threshold) the
@@ -834,11 +813,20 @@ impl Session {
                         Session::cancel_session(id),
                     )));
                 }
-                Ok(StatementResult::Rows(self.run_query(q)?))
+                Ok(StatementResult::Rows(self.run_query(q, false)?))
             }
-            SqlStatement::Explain { analyze, statement } => Ok(StatementResult::Rows(
-                self.run_explain(*analyze, statement)?,
-            )),
+            SqlStatement::Explain {
+                analyze: true,
+                statement,
+            } => Ok(StatementResult::Rows(self.run_query(statement, true)?)),
+            SqlStatement::Explain {
+                analyze: false,
+                statement,
+            } => {
+                let view = self.read_view();
+                let plan = compile_query(&self.options, view.catalog(), statement)?;
+                Ok(StatementResult::Rows(plan_text_table(&plan.explain())))
+            }
             SqlStatement::Begin => self.begin_txn(),
             SqlStatement::Commit => self.commit_txn(),
             SqlStatement::Rollback => self.rollback_txn(),
@@ -1250,173 +1238,138 @@ impl Session {
                 }
                 Ok(rows)
             }
-            InsertSource::Query(q) => Ok(self.run_query(q)?.rows().to_vec()),
+            InsertSource::Query(q) => Ok(self.run_query(q, false)?.rows().to_vec()),
         }
     }
 
-    /// Runs a query against this session's read context: the open
-    /// transaction's working state, the owned database, or a freshly
-    /// pinned committed snapshot (shared autocommit reads).
-    fn run_query(&mut self, stmt: &Statement) -> Result<Table, String> {
-        if self.txn.is_some() {
-            let Session {
-                txn,
-                options,
-                phases,
-                slow_actuals,
-                activity,
-                ..
-            } = self;
-            let txn = txn.as_mut().expect("checked");
-            let plan = compile_query_timed(options, txn.catalog(), stmt, phases, Some(activity))?;
-            if options.use_indexes {
-                activity.set_phase(obs::Phase::Index);
-                let started = Instant::now();
-                let _span = obs::Span::enter("session.index");
-                txn.refresh_indexes(&plan.referenced_tables());
-                phases.index_ns += started.elapsed().as_nanos() as u64;
-            }
-            return execute_plan(
-                options,
-                &plan,
-                txn.catalog(),
-                txn.indexes(),
-                phases,
-                slow_actuals,
-                Some(activity),
-            );
-        }
+    /// The one read route: compiles `stmt` against this session's read
+    /// state (see [`ReadState`]), repairs the indexes of the tables the
+    /// plan scans, and executes it. With `explain_analyze` the result is
+    /// not the rows but the plan as a one-column table of text lines, every
+    /// operator line carrying its actual row count, call count, and
+    /// inclusive wall-clock time; operators an accelerated route
+    /// short-circuited read `(never executed)`.
+    ///
+    /// The engine is derived from the session options per statement, so a
+    /// parallelism change applies to the very next one, and runs under the
+    /// session's resource account and cancellation token, so operators
+    /// bill their work to `snapshot_stat_progress` and observe kills,
+    /// timeouts, and resource limits at batch boundaries.
+    fn run_query(&mut self, stmt: &Statement, explain_analyze: bool) -> Result<Table, String> {
         let Session {
             backend,
+            txn,
             options,
             phases,
             slow_actuals,
             activity,
             ..
         } = self;
-        match backend {
-            Backend::Owned(db) => {
-                let plan =
-                    compile_query_timed(options, db.catalog(), stmt, phases, Some(activity))?;
-                if options.use_indexes {
-                    activity.set_phase(obs::Phase::Index);
-                    let started = Instant::now();
-                    let _span = obs::Span::enter("session.index");
-                    db.refresh_indexes(&plan.referenced_tables());
-                    phases.index_ns += started.elapsed().as_nanos() as u64;
-                }
-                execute_plan(
-                    options,
-                    &plan,
-                    db.catalog(),
-                    db.indexes(),
-                    phases,
-                    slow_actuals,
-                    Some(activity),
-                )
-            }
-            Backend::Shared(shared) => {
-                let mut snap = shared.snapshot();
-                let plan =
-                    compile_query_timed(options, snap.catalog(), stmt, phases, Some(activity))?;
-                if options.use_indexes {
-                    // Repair the *pinned* registry: the repaired entries
-                    // match the pinned tables exactly (version epochs),
-                    // never a newer committed state.
-                    activity.set_phase(obs::Phase::Index);
-                    let started = Instant::now();
-                    let _span = obs::Span::enter("session.index");
-                    snap.refresh_indexes(&plan.referenced_tables());
-                    phases.index_ns += started.elapsed().as_nanos() as u64;
-                }
-                execute_plan(
-                    options,
-                    &plan,
-                    snap.catalog(),
-                    snap.indexes(),
-                    phases,
-                    slow_actuals,
-                    Some(activity),
-                )
-            }
+        let mut state = match (txn.as_mut(), backend) {
+            (Some(txn), _) => ReadState::Txn(txn),
+            (None, Backend::Owned(db)) => ReadState::Owned(db),
+            (None, Backend::Shared(shared)) => ReadState::Pinned(shared.snapshot()),
+        };
+        let plan = compile_query_timed(options, state.catalog(), stmt, phases, Some(activity))?;
+        if options.use_indexes {
+            activity.set_phase(obs::Phase::Index);
+            let started = Instant::now();
+            let _span = obs::Span::enter("session.index");
+            state.refresh_indexes(&plan.referenced_tables());
+            phases.index_ns += started.elapsed().as_nanos() as u64;
+        }
+        activity.set_phase(obs::Phase::Execute);
+        let engine = Engine::with_config(EngineConfig {
+            parallelism: options.parallelism,
+        })
+        .with_context(ExecContext::new(activity.account(), activity.token()));
+        let catalog = state.catalog();
+        let started = Instant::now();
+        let mut stats = ExecStats::default();
+        let mut nodes = NodeStats::default();
+        let result = {
+            let _span = obs::Span::enter("session.execute");
+            let indexes = options.use_indexes.then(|| state.indexes());
+            engine
+                .execute_analyzed(&plan, catalog, indexes, &mut stats, &mut nodes)
+                .and_then(|executed| {
+                    if options.use_indexes && options.verify_indexed {
+                        // The cross-check runs sequentially on purpose:
+                        // divergence then implicates either index
+                        // invalidation or the parallel route, never both.
+                        let naive = Engine::new().execute(&plan, catalog)?;
+                        if naive.canonicalized() != executed.canonicalized() {
+                            return Err(format!(
+                                "indexed and naive results diverge: {} vs {} rows — index invalidation bug",
+                                executed.len(),
+                                naive.len()
+                            ));
+                        }
+                    }
+                    Ok(executed)
+                })
+        };
+        phases.execute_ns += started.elapsed().as_nanos() as u64;
+        if options.collect_metrics {
+            stats.publish_to_registry();
+        }
+        let executed = result?;
+        if explain_analyze {
+            let mut text = engine::explain_analyzed(&plan, &nodes);
+            text.push_str(&format!(
+                "(result: {} rows in {:.3} ms)\n",
+                executed.len(),
+                phases.execute_ns as f64 / 1e6
+            ));
+            return Ok(plan_text_table(&text));
+        }
+        if options.slow_query_ms.is_some() {
+            // Rendered only while the slow-query log is armed (a string per
+            // operator); the session attaches it if the statement turns
+            // out slow.
+            *slow_actuals = Some(engine::explain_analyzed(&plan, &nodes));
+        }
+        Ok(executed)
+    }
+}
+
+/// What a read runs against: a catalog, its index registry, and a way to
+/// repair that registry for the tables a plan scans.
+enum ReadState<'a> {
+    /// The open transaction's working state (its own writes included).
+    Txn(&'a mut Transaction),
+    /// The exclusively owned database.
+    Owned(&'a mut Database),
+    /// A committed snapshot pinned for this one read (shared autocommit).
+    /// Repairs go to the *pinned* registry: the repaired entries match the
+    /// pinned tables exactly (version epochs), never a newer committed
+    /// state.
+    Pinned(CatalogSnapshot),
+}
+
+impl ReadState<'_> {
+    fn catalog(&self) -> &Catalog {
+        match self {
+            ReadState::Txn(txn) => txn.catalog(),
+            ReadState::Owned(db) => db.catalog(),
+            ReadState::Pinned(snap) => snap.catalog(),
         }
     }
 
-    /// `EXPLAIN [ANALYZE]`: compiles the query against this session's
-    /// read context and returns the plan as a one-column table of text
-    /// lines. With `ANALYZE` the plan is also executed (same route the
-    /// bare query would take, including index refresh) and every operator
-    /// line carries its actual row count, call count, and inclusive
-    /// wall-clock time; operators an accelerated route short-circuited
-    /// read `(never executed)`.
-    fn run_explain(&mut self, analyze: bool, stmt: &Statement) -> Result<Table, String> {
-        let text = if !analyze {
-            let view = self.read_view();
-            compile_query(&self.options, view.catalog(), stmt)?.explain()
-        } else if self.txn.is_some() {
-            let Session {
-                txn,
-                options,
-                phases,
-                activity,
-                ..
-            } = self;
-            let txn = txn.as_mut().expect("checked");
-            let plan = compile_query_timed(options, txn.catalog(), stmt, phases, Some(activity))?;
-            if options.use_indexes {
-                txn.refresh_indexes(&plan.referenced_tables());
-            }
-            analyze_plan(
-                options,
-                &plan,
-                txn.catalog(),
-                txn.indexes(),
-                phases,
-                Some(activity),
-            )?
-        } else {
-            let Session {
-                backend,
-                options,
-                phases,
-                activity,
-                ..
-            } = self;
-            match backend {
-                Backend::Owned(db) => {
-                    let plan =
-                        compile_query_timed(options, db.catalog(), stmt, phases, Some(activity))?;
-                    if options.use_indexes {
-                        db.refresh_indexes(&plan.referenced_tables());
-                    }
-                    analyze_plan(
-                        options,
-                        &plan,
-                        db.catalog(),
-                        db.indexes(),
-                        phases,
-                        Some(activity),
-                    )?
-                }
-                Backend::Shared(shared) => {
-                    let mut snap = shared.snapshot();
-                    let plan =
-                        compile_query_timed(options, snap.catalog(), stmt, phases, Some(activity))?;
-                    if options.use_indexes {
-                        snap.refresh_indexes(&plan.referenced_tables());
-                    }
-                    analyze_plan(
-                        options,
-                        &plan,
-                        snap.catalog(),
-                        snap.indexes(),
-                        phases,
-                        Some(activity),
-                    )?
-                }
-            }
-        };
-        Ok(plan_text_table(&text))
+    fn indexes(&self) -> &IndexCatalog {
+        match self {
+            ReadState::Txn(txn) => txn.indexes(),
+            ReadState::Owned(db) => db.indexes(),
+            ReadState::Pinned(snap) => snap.indexes(),
+        }
+    }
+
+    fn refresh_indexes(&mut self, tables: &[String]) {
+        match self {
+            ReadState::Txn(txn) => txn.refresh_indexes(tables),
+            ReadState::Owned(db) => db.refresh_indexes(tables),
+            ReadState::Pinned(snap) => snap.refresh_indexes(tables),
+        }
     }
 }
 
@@ -1484,130 +1437,6 @@ fn compile_query_timed(
     let plan = compiler.compile_statement(&bound, catalog)?;
     phases.rewrite_ns += started.elapsed().as_nanos() as u64;
     Ok(plan)
-}
-
-/// Executes a compiled plan: indexed route (with optional naive
-/// cross-check) or naive-only when indexes are off. The engine is derived
-/// from the session options, so a parallelism change applies to the very
-/// next statement. Per-operator counters are published to the metrics
-/// registry once per statement when [`SessionOptions::collect_metrics`]
-/// is on. With the slow-query log armed
-/// ([`SessionOptions::slow_query_ms`]), execution additionally collects
-/// per-node actuals — the same dispatch routes, plus one clock read per
-/// operator — and leaves their rendering in `slow_actuals` for the
-/// session to attach if the statement turns out slow.
-#[allow(clippy::too_many_arguments)]
-fn execute_plan(
-    options: &SessionOptions,
-    plan: &Plan,
-    catalog: &Catalog,
-    indexes: &IndexCatalog,
-    phases: &mut PhaseTimings,
-    slow_actuals: &mut Option<String>,
-    activity: Option<&obs::ActivityHandle>,
-) -> Result<Table, String> {
-    if let Some(a) = activity {
-        a.set_phase(obs::Phase::Execute);
-    }
-    let engine = build_engine(options, activity);
-    let started = Instant::now();
-    let _span = obs::Span::enter("session.execute");
-    let mut stats = ExecStats::default();
-    let mut nodes = options.slow_query_ms.map(|_| NodeStats::default());
-    let result = match &mut nodes {
-        Some(nodes) => engine.execute_analyzed(
-            plan,
-            catalog,
-            options.use_indexes.then_some(indexes),
-            &mut stats,
-            nodes,
-        ),
-        None if !options.use_indexes => engine.execute_with_stats(plan, catalog, &mut stats),
-        None => engine.execute_indexed_with_stats(plan, catalog, indexes, &mut stats),
-    };
-    let result = result.and_then(|executed| {
-        if options.use_indexes && options.verify_indexed {
-            // The cross-check runs sequentially on purpose:
-            // divergence then implicates either index invalidation
-            // or the parallel route, never both.
-            let naive = Engine::new().execute(plan, catalog)?;
-            if naive.canonicalized() != executed.canonicalized() {
-                return Err(format!(
-                    "indexed and naive results diverge: {} vs {} rows — index invalidation bug",
-                    executed.len(),
-                    naive.len()
-                ));
-            }
-        }
-        Ok(executed)
-    });
-    phases.execute_ns += started.elapsed().as_nanos() as u64;
-    if options.collect_metrics {
-        stats.publish_to_registry();
-    }
-    if result.is_ok() {
-        if let Some(nodes) = &nodes {
-            *slow_actuals = Some(engine::explain_analyzed(plan, nodes));
-        }
-    }
-    result
-}
-
-/// [`execute_plan`] for `EXPLAIN ANALYZE`: executes with per-node actuals
-/// and renders the annotated plan (plus a result-cardinality footer)
-/// instead of returning the rows.
-fn analyze_plan(
-    options: &SessionOptions,
-    plan: &Plan,
-    catalog: &Catalog,
-    indexes: &IndexCatalog,
-    phases: &mut PhaseTimings,
-    activity: Option<&obs::ActivityHandle>,
-) -> Result<String, String> {
-    if let Some(a) = activity {
-        a.set_phase(obs::Phase::Execute);
-    }
-    let engine = build_engine(options, activity);
-    let started = Instant::now();
-    let mut stats = ExecStats::default();
-    let mut nodes = NodeStats::default();
-    let result = {
-        let _span = obs::Span::enter("session.execute");
-        engine.execute_analyzed(
-            plan,
-            catalog,
-            options.use_indexes.then_some(indexes),
-            &mut stats,
-            &mut nodes,
-        )?
-    };
-    phases.execute_ns += started.elapsed().as_nanos() as u64;
-    if options.collect_metrics {
-        stats.publish_to_registry();
-    }
-    let mut text = engine::explain_analyzed(plan, &nodes);
-    text.push_str(&format!(
-        "(result: {} rows in {:.3} ms)\n",
-        result.len(),
-        phases.execute_ns as f64 / 1e6
-    ));
-    Ok(text)
-}
-
-/// The per-statement engine: parallelism from the options, and — when the
-/// statement runs on behalf of a registered session — the session's
-/// resource account and cancellation token attached, so operators bill
-/// their work to `snapshot_stat_progress` and observe kills, timeouts,
-/// and resource limits at batch boundaries.
-fn build_engine(options: &SessionOptions, activity: Option<&obs::ActivityHandle>) -> Engine {
-    let engine = Engine::with_config(EngineConfig {
-        parallelism: options.parallelism,
-        ..EngineConfig::default()
-    });
-    match activity {
-        Some(a) => engine.with_context(ExecContext::new(a.account(), a.token())),
-        None => engine,
-    }
 }
 
 /// Recognizes `SELECT snapshot_cancel(<id>)` — a bare select with no

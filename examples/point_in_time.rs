@@ -9,12 +9,31 @@
 //! 2. runs a temporal join through the indexed endpoint sweep,
 //! 3. shows the engine falling back to the naive path after a mutation.
 
-use snapshot_semantics::engine::{Engine, ExecStats};
+use snapshot_semantics::algebra::Plan;
+use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
 use snapshot_semantics::index::IndexCatalog;
 use snapshot_semantics::rewrite::SnapshotCompiler;
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{row, Catalog, Schema, SqlType, Table};
 use snapshot_semantics::timeline::TimeDomain;
+
+/// Executes over the index registry; the returned [`ExecStats`] name the
+/// physical route each operator took.
+fn run(
+    plan: &Plan,
+    catalog: &Catalog,
+    indexes: &IndexCatalog,
+) -> Result<(Table, ExecStats), String> {
+    let mut stats = ExecStats::default();
+    let out = Engine::new().execute_analyzed(
+        plan,
+        catalog,
+        Some(indexes),
+        &mut stats,
+        &mut NodeStats::default(),
+    )?;
+    Ok((out, stats))
+}
 
 fn main() -> Result<(), String> {
     // The paper's running example: who works with which skill, when.
@@ -54,13 +73,7 @@ fn main() -> Result<(), String> {
     };
     for at in [4, 9, 17] {
         let point_plan = compiler.compile_timeslice(&plan, &catalog, at)?;
-        let mut stats = ExecStats::default();
-        let out = Engine::new().execute_indexed_with_stats(
-            &point_plan,
-            &catalog,
-            &indexes,
-            &mut stats,
-        )?;
+        let (out, stats) = run(&point_plan, &catalog, &indexes)?;
         let names: Vec<String> = out.rows().iter().map(|r| r.get(0).to_string()).collect();
         println!(
             "on duty at {at:>2}: {:<20} (IndexTimeslice: {:?})",
@@ -78,9 +91,7 @@ fn main() -> Result<(), String> {
     let stmt = parse_statement(join_sql)?;
     let bound = bind_statement(&stmt, &catalog)?;
     let join_plan = compiler.compile_statement(&bound, &catalog)?;
-    let mut stats = ExecStats::default();
-    let out =
-        Engine::new().execute_indexed_with_stats(&join_plan, &catalog, &indexes, &mut stats)?;
+    let (out, stats) = run(&join_plan, &catalog, &indexes)?;
     println!(
         "\ntemporal self-join: {} rows (IndexSweepJoin: {:?}, IndexCoalesce: {:?})",
         out.len(),
@@ -93,9 +104,7 @@ fn main() -> Result<(), String> {
     let mut works2 = catalog.get("works").unwrap().clone();
     works2.push(row!["Eve", "SP", 0, 2]);
     catalog.register("works", works2);
-    let mut stats = ExecStats::default();
-    let out2 =
-        Engine::new().execute_indexed_with_stats(&join_plan, &catalog, &indexes, &mut stats)?;
+    let (out2, stats) = run(&join_plan, &catalog, &indexes)?;
     println!(
         "after mutation:     {} rows (IndexSweepJoin: {:?} — stale index, naive fallback)",
         out2.len(),
@@ -105,9 +114,7 @@ fn main() -> Result<(), String> {
     // Index maintenance: rebuild the stale entry and the fast path returns.
     let mut indexes = indexes;
     indexes.ensure("works", catalog.get("works").unwrap());
-    let mut stats = ExecStats::default();
-    let out3 =
-        Engine::new().execute_indexed_with_stats(&join_plan, &catalog, &indexes, &mut stats)?;
+    let (out3, stats) = run(&join_plan, &catalog, &indexes)?;
     println!(
         "after ensure():     {} rows (IndexSweepJoin: {:?})",
         out3.len(),

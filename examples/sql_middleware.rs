@@ -8,7 +8,7 @@
 //! cargo run --example sql_middleware
 //! ```
 
-use snapshot_semantics::engine::{Engine, ExecStats};
+use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
 use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{row, Catalog, Schema, SqlType, Table};
@@ -65,7 +65,13 @@ fn main() -> Result<(), String> {
         println!("{}", indent(&naive.explain()));
 
         let mut stats = ExecStats::default();
-        let out = Engine::new().execute_with_stats(&optimized, &catalog, &mut stats)?;
+        let out = Engine::new().execute_analyzed(
+            &optimized,
+            &catalog,
+            None,
+            &mut stats,
+            &mut NodeStats::default(),
+        )?;
         println!("result ({} rows):", out.len());
         println!("{}", indent(&out.canonicalized().to_pretty_string()));
         println!("operator row counts:");

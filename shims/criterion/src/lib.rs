@@ -302,7 +302,10 @@ mod tests {
                 .measurement_time(Duration::from_millis(5));
             g.throughput(Throughput::Elements(10));
             g.bench_with_input(BenchmarkId::new("f", 10), &10u64, |b, &n| {
-                b.iter(|| (0..n).sum::<u64>());
+                // Opaque per element: an optimized build would otherwise
+                // fold the sum to a sub-nanosecond closed form, and samples
+                // (whole nanoseconds per iteration) would all read zero.
+                b.iter(|| (0..n).map(std::hint::black_box).sum::<u64>());
             });
             g.finish();
         }

@@ -6,12 +6,39 @@
 use snapshot_semantics::algebra::{Expr, JoinAlgo, Plan, TimesliceAlgo};
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::datagen::random::{random_period_table, RandomTableSpec};
-use snapshot_semantics::engine::{Engine, EngineConfig, ExecStats, JoinStrategy};
+use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
 use snapshot_semantics::index::IndexCatalog;
 use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table};
 use snapshot_semantics::timeline::TimeDomain;
+
+/// Runs `plan` through the engine's general entry point — over `indexes`,
+/// or on the naive routes when `None` — returning the result and the
+/// operator counters that name the physical routes taken.
+fn run_with_stats(
+    engine: &Engine,
+    plan: &Plan,
+    catalog: &Catalog,
+    indexes: Option<&IndexCatalog>,
+) -> (Table, ExecStats) {
+    let mut stats = ExecStats::default();
+    let out = engine
+        .execute_analyzed(
+            plan,
+            catalog,
+            indexes,
+            &mut stats,
+            &mut NodeStats::default(),
+        )
+        .unwrap();
+    (out, stats)
+}
+
+/// [`run_with_stats`] over an index registry, result only.
+fn run_indexed(engine: &Engine, plan: &Plan, catalog: &Catalog, indexes: &IndexCatalog) -> Table {
+    run_with_stats(engine, plan, catalog, Some(indexes)).0
+}
 
 fn random_catalog(seed: u64) -> (Catalog, TimeDomain) {
     let domain = TimeDomain::new(0, 30);
@@ -72,9 +99,7 @@ fn indexed_pipeline_matches_naive_and_oracle() {
                 );
                 let compiled = compiler.compile_statement(&bound, &catalog).unwrap();
                 let naive = Engine::new().execute(&compiled, &catalog).unwrap();
-                let indexed = Engine::new()
-                    .execute_indexed(&compiled, &catalog, &indexes)
-                    .unwrap();
+                let indexed = run_indexed(&Engine::new(), &compiled, &catalog, &indexes);
                 let mut naive_rows = naive.rows().to_vec();
                 let mut indexed_rows = indexed.rows().to_vec();
                 naive_rows.sort_unstable();
@@ -93,7 +118,8 @@ fn indexed_pipeline_matches_naive_and_oracle() {
 }
 
 /// Every join algorithm, indexed or not, produces the same bag on a raw
-/// interval-overlap join (no rewriting involved).
+/// interval-overlap join (no rewriting involved), and records the route it
+/// took under its established `ExecStats` name.
 #[test]
 fn join_algos_bag_equivalent() {
     for seed in 0..6 {
@@ -109,14 +135,37 @@ fn join_algos_bag_equivalent() {
             .and(Expr::col(lts).lt(Expr::col(rte_g)))
             .and(Expr::col(rts_g).lt(Expr::col(lte)));
 
+        const JOIN_OPS: [&str; 7] = [
+            "NestedLoopJoin",
+            "HashJoin",
+            "MergeIntervalJoin",
+            "SweepJoin",
+            "IndexSweepJoin",
+            "ParallelSweepJoin",
+            "ParallelSweepSlabs",
+        ];
         let mut reference: Option<Vec<Row>> = None;
-        for algo in [
-            JoinAlgo::NestedLoop,
-            JoinAlgo::Hash,
-            JoinAlgo::MergeInterval,
-            JoinAlgo::IndexSweep,
-            JoinAlgo::ParallelSweep,
-            JoinAlgo::Auto,
+        // Per hint: the operators recorded without and with indexes.
+        for (algo, naive_ops, indexed_ops) in [
+            (
+                JoinAlgo::NestedLoop,
+                &["NestedLoopJoin"][..],
+                &["NestedLoopJoin"][..],
+            ),
+            (JoinAlgo::Hash, &["HashJoin"], &["HashJoin"]),
+            (
+                JoinAlgo::MergeInterval,
+                &["MergeIntervalJoin"],
+                &["MergeIntervalJoin"],
+            ),
+            (JoinAlgo::IndexSweep, &["SweepJoin"], &["IndexSweepJoin"]),
+            (
+                JoinAlgo::ParallelSweep,
+                &["ParallelSweepJoin", "ParallelSweepSlabs"],
+                &["ParallelSweepJoin", "ParallelSweepSlabs"],
+            ),
+            // Equality keys present: Auto hashes, indexed or not.
+            (JoinAlgo::Auto, &["HashJoin"], &["HashJoin"]),
         ] {
             let plan = Plan::scan("r", schema.clone()).join_with(
                 Plan::scan("s", schema.clone()),
@@ -124,13 +173,21 @@ fn join_algos_bag_equivalent() {
                 algo,
             );
             for use_index in [false, true] {
-                let out = if use_index {
-                    Engine::new()
-                        .execute_indexed(&plan, &catalog, &indexes)
-                        .unwrap()
-                } else {
-                    Engine::new().execute(&plan, &catalog).unwrap()
-                };
+                let (out, stats) = run_with_stats(
+                    &Engine::new(),
+                    &plan,
+                    &catalog,
+                    use_index.then_some(&indexes),
+                );
+                let recorded: Vec<&str> = JOIN_OPS
+                    .into_iter()
+                    .filter(|op| stats.get(op).is_some())
+                    .collect();
+                let want = if use_index { indexed_ops } else { naive_ops };
+                assert_eq!(
+                    recorded, want,
+                    "seed {seed}, {algo:?}, use_index={use_index}"
+                );
                 let mut rows = out.rows().to_vec();
                 rows.sort_unstable();
                 match &reference {
@@ -148,8 +205,9 @@ fn join_algos_bag_equivalent() {
     }
 }
 
-/// The indexed timeslice equals the linear filter at every point of the
-/// domain, and the sweep route is actually taken.
+/// The indexed timeslice and time range equal their linear filters at every
+/// point of the domain, and each route is recorded under its established
+/// `ExecStats` name.
 #[test]
 fn timeslice_routes_agree_across_domain() {
     for seed in 0..4 {
@@ -159,25 +217,44 @@ fn timeslice_routes_agree_across_domain() {
         let mut indexed_hits = 0u64;
         for t in domain.points() {
             let at = t.value();
-            let linear = Engine::new()
-                .execute(
-                    &Plan::scan("r", schema.clone()).timeslice_with(at, TimesliceAlgo::Linear),
-                    &catalog,
-                )
-                .unwrap();
-            let mut stats = ExecStats::default();
-            let indexed = Engine::new()
-                .execute_indexed_with_stats(
-                    &Plan::scan("r", schema.clone()).timeslice(at),
-                    &catalog,
-                    &indexes,
-                    &mut stats,
-                )
-                .unwrap();
+            let (linear, linear_stats) = run_with_stats(
+                &Engine::new(),
+                &Plan::scan("r", schema.clone()).timeslice_with(at, TimesliceAlgo::Linear),
+                &catalog,
+                Some(&indexes),
+            );
+            assert!(linear_stats.get("NaiveTimeslice").is_some());
+            assert!(linear_stats.get("IndexTimeslice").is_none());
+            let (indexed, stats) = run_with_stats(
+                &Engine::new(),
+                &Plan::scan("r", schema.clone()).timeslice(at),
+                &catalog,
+                Some(&indexes),
+            );
             assert_eq!(linear, indexed, "seed {seed}, timeslice at {at}");
             if stats.get("IndexTimeslice").is_some() {
                 indexed_hits += 1;
             }
+            assert!(stats.get("NaiveTimeslice").is_none());
+
+            let scan = || Plan::scan("r", schema.clone());
+            let (range_linear, linear_stats) = run_with_stats(
+                &Engine::new(),
+                &scan().time_range_with(at, at + 5, TimesliceAlgo::Linear),
+                &catalog,
+                Some(&indexes),
+            );
+            let (range_indexed, stats) = run_with_stats(
+                &Engine::new(),
+                &scan().time_range(at, at + 5),
+                &catalog,
+                Some(&indexes),
+            );
+            assert_eq!(range_linear, range_indexed, "seed {seed}, range at {at}");
+            assert!(linear_stats.get("NaiveTimeRange").is_some());
+            assert!(linear_stats.get("IndexTimeRange").is_none());
+            assert!(stats.get("IndexTimeRange").is_some());
+            assert!(stats.get("NaiveTimeRange").is_none());
         }
         assert_eq!(
             indexed_hits,
@@ -206,9 +283,7 @@ fn compile_timeslice_matches_oracle_snapshots() {
             let compiler = SnapshotCompiler::new(domain);
             for at in [0i64, 7, 15, 29] {
                 let point_plan = compiler.compile_timeslice(plan, &catalog, at).unwrap();
-                let out = Engine::new()
-                    .execute_indexed(&point_plan, &catalog, &indexes)
-                    .unwrap();
+                let out = run_indexed(&Engine::new(), &point_plan, &catalog, &indexes);
                 let mut got = out.rows().to_vec();
                 got.sort_unstable();
                 // Slice the oracle's period encoding at `at`.
@@ -235,10 +310,7 @@ fn indexed_coalesce_matches_naive() {
             let schema = catalog.get(table).unwrap().schema().clone();
             let plan = Plan::scan(table, schema).coalesce();
             let naive = Engine::new().execute(&plan, &catalog).unwrap();
-            let mut stats = ExecStats::default();
-            let accel = Engine::new()
-                .execute_indexed_with_stats(&plan, &catalog, &indexes, &mut stats)
-                .unwrap();
+            let (accel, stats) = run_with_stats(&Engine::new(), &plan, &catalog, Some(&indexes));
             assert_eq!(naive, accel, "seed {seed}, table {table}");
             assert!(stats.get("IndexCoalesce").is_some());
         }
@@ -247,7 +319,7 @@ fn indexed_coalesce_matches_naive() {
 
 /// The indexed route survives the full Employee workload at a small scale,
 /// agreeing with the hash route query-by-query, including under the
-/// `IndexSweep` engine strategy for non-indexed intermediates.
+/// `IndexSweep` plan hint (sort-on-the-fly sweep) without any index.
 #[test]
 fn employee_workload_indexed_matches_hash() {
     let catalog = snapshot_semantics::datagen::employees::generate(0.0005, 42);
@@ -262,19 +334,22 @@ fn employee_workload_indexed_matches_hash() {
             .execute(&plan, &catalog)
             .unwrap()
             .canonicalized();
-        let indexed = Engine::new()
-            .execute_indexed(&plan, &catalog, &indexes)
+        let indexed = run_indexed(&Engine::new(), &plan, &catalog, &indexes).canonicalized();
+        assert_eq!(hash, indexed, "{name}: hash vs indexed");
+        let sweep_plan = SnapshotCompiler::with_options(
+            domain,
+            RewriteOptions {
+                temporal_join_algo: JoinAlgo::IndexSweep,
+                ..RewriteOptions::default()
+            },
+        )
+        .compile_statement(&bound, &catalog)
+        .unwrap();
+        let sweep = Engine::new()
+            .execute(&sweep_plan, &catalog)
             .unwrap()
             .canonicalized();
-        assert_eq!(hash, indexed, "{name}: hash vs indexed");
-        let sweep = Engine::with_config(EngineConfig {
-            join_strategy: JoinStrategy::IndexSweep,
-            ..EngineConfig::default()
-        })
-        .execute(&plan, &catalog)
-        .unwrap()
-        .canonicalized();
-        assert_eq!(hash, sweep, "{name}: hash vs sweep strategy");
+        assert_eq!(hash, sweep, "{name}: hash vs sweep hint");
     }
 }
 
@@ -323,9 +398,7 @@ fn parallel_pipeline_matches_sequential_and_oracle() {
             );
             let compiled = compiler.compile_statement(&bound, &catalog).unwrap();
             for p in parallelism_levels() {
-                let out = Engine::with_parallelism(p)
-                    .execute_indexed(&compiled, &catalog, &indexes)
-                    .unwrap();
+                let out = run_indexed(&Engine::with_parallelism(p), &compiled, &catalog, &indexes);
                 let mut rows = out.rows().to_vec();
                 rows.sort_unstable();
                 assert_eq!(rows, oracle, "seed {seed}, {sql}, parallelism {p}");
@@ -426,9 +499,7 @@ fn parallel_sweep_survives_slab_boundary_adversaries() {
         };
         let sequential = {
             let plan = overlap_join_plan(&catalog, JoinAlgo::IndexSweep);
-            let mut rows = Engine::new()
-                .execute_indexed(&plan, &catalog, &indexes)
-                .unwrap()
+            let mut rows = run_indexed(&Engine::new(), &plan, &catalog, &indexes)
                 .rows()
                 .to_vec();
             rows.sort_unstable();
@@ -439,17 +510,12 @@ fn parallel_sweep_survives_slab_boundary_adversaries() {
         for p in [1usize, 2, 3, 4, 8, 16, 64] {
             for use_index in [false, true] {
                 let plan = overlap_join_plan(&catalog, JoinAlgo::ParallelSweep);
-                let mut stats = ExecStats::default();
-                let engine = Engine::with_parallelism(p);
-                let out = if use_index {
-                    engine
-                        .execute_indexed_with_stats(&plan, &catalog, &indexes, &mut stats)
-                        .unwrap()
-                } else {
-                    engine
-                        .execute_with_stats(&plan, &catalog, &mut stats)
-                        .unwrap()
-                };
+                let (out, stats) = run_with_stats(
+                    &Engine::with_parallelism(p),
+                    &plan,
+                    &catalog,
+                    use_index.then_some(&indexes),
+                );
                 let mut rows = out.rows().to_vec();
                 rows.sort_unstable();
                 assert_eq!(
@@ -487,9 +553,7 @@ proptest! {
         let indexes = IndexCatalog::build_all(&catalog);
         let sequential = {
             let plan = overlap_join_plan(&catalog, JoinAlgo::IndexSweep);
-            let mut rows = Engine::new()
-                .execute_indexed(&plan, &catalog, &indexes)
-                .unwrap()
+            let mut rows = run_indexed(&Engine::new(), &plan, &catalog, &indexes)
                 .rows()
                 .to_vec();
             rows.sort_unstable();
@@ -497,9 +561,7 @@ proptest! {
         };
         let parallel = {
             let plan = overlap_join_plan(&catalog, JoinAlgo::ParallelSweep);
-            let mut rows = Engine::with_parallelism(parallelism)
-                .execute_indexed(&plan, &catalog, &indexes)
-                .unwrap()
+            let mut rows = run_indexed(&Engine::with_parallelism(parallelism), &plan, &catalog, &indexes)
                 .rows()
                 .to_vec();
             rows.sort_unstable();

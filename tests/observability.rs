@@ -213,6 +213,36 @@ fn phase_timings_split_per_statement() {
     assert_eq!(phases.execute_ns, 0, "phase report is per statement");
 }
 
+/// `EXPLAIN ANALYZE` takes the bare query's read route, index repair
+/// included: on a freshly mutated table its phase split reports the index
+/// phase just as the bare query's does — on an owned session, a shared
+/// one, and inside an open transaction.
+#[test]
+fn explain_analyze_reports_the_index_phase_like_the_bare_query() {
+    let shared = SharedDatabase::in_memory();
+    for (kind, mut session, in_txn) in [
+        ("owned", Session::default(), false),
+        ("shared", shared.session(), false),
+        ("in-transaction", Session::default(), true),
+    ] {
+        session
+            .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
+            .unwrap();
+        if in_txn {
+            session.execute("BEGIN").unwrap();
+        }
+        let query = "SEQ VT (SELECT count(*) AS c FROM t)";
+        for statement in [query.to_string(), format!("EXPLAIN ANALYZE {query}")] {
+            // Each statement meets indexes its predecessor's insert staled.
+            session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
+            session.execute(&statement).unwrap();
+            let phases = session.last_phase_timings();
+            assert!(phases.index_ns > 0, "{kind}: {statement}: {phases:?}");
+            assert!(phases.execute_ns > 0, "{kind}: {statement}: {phases:?}");
+        }
+    }
+}
+
 /// With `collect_metrics` on (the default), executed statements publish
 /// per-operator counters and per-phase histograms to the global registry.
 #[test]

@@ -6,8 +6,9 @@
 //! snapshot-equivalent to evaluating the query at every time point, while
 //! the native baselines must diverge exactly on the AG/BD-prone operators.
 
+use snapshot_semantics::algebra::JoinAlgo;
 use snapshot_semantics::baseline::bugs;
-use snapshot_semantics::engine::{Engine, EngineConfig, JoinStrategy};
+use snapshot_semantics::engine::Engine;
 use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::Catalog;
@@ -67,22 +68,17 @@ fn middleware_matches_oracle_on_random_databases() {
                 .unwrap();
             for fc in [true, false] {
                 for fs in [true, false] {
-                    for strategy in [JoinStrategy::Hash, JoinStrategy::MergeInterval] {
+                    for strategy in [JoinAlgo::Hash, JoinAlgo::MergeInterval] {
                         let compiler = SnapshotCompiler::with_options(
                             domain,
                             RewriteOptions {
                                 final_coalesce_only: fc,
                                 fused_split: fs,
-                                ..RewriteOptions::default()
+                                temporal_join_algo: strategy,
                             },
                         );
                         let compiled = compiler.compile_statement(&bound, &catalog).unwrap();
-                        let out = Engine::with_config(EngineConfig {
-                            join_strategy: strategy,
-                            ..EngineConfig::default()
-                        })
-                        .execute(&compiled, &catalog)
-                        .unwrap();
+                        let out = Engine::new().execute(&compiled, &catalog).unwrap();
                         // The optimized pipeline's final coalesce gives the
                         // canonical encoding; compare as snapshot histories
                         // and, when coalescing ran, bit-exactly.

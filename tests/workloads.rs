@@ -1,8 +1,9 @@
 //! The two evaluation workloads, run end to end at test scale, with the
 //! oracle validating results where feasible.
 
+use snapshot_semantics::algebra::JoinAlgo;
 use snapshot_semantics::baseline::bugs;
-use snapshot_semantics::engine::{Engine, EngineConfig, JoinStrategy};
+use snapshot_semantics::engine::Engine;
 use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::Catalog;
@@ -12,21 +13,24 @@ fn run(
     sql: &str,
     catalog: &Catalog,
     domain: TimeDomain,
-    strategy: JoinStrategy,
+    strategy: JoinAlgo,
     options: RewriteOptions,
 ) -> snapshot_semantics::storage::Table {
+    // The join route is pinned through the plan hint the rewriter stamps
+    // on its overlap joins.
+    let options = RewriteOptions {
+        temporal_join_algo: strategy,
+        ..options
+    };
     let stmt = parse_statement(sql).unwrap();
     let bound = bind_statement(&stmt, catalog).unwrap();
     let plan = SnapshotCompiler::with_options(domain, options)
         .compile_statement(&bound, catalog)
         .unwrap();
-    Engine::with_config(EngineConfig {
-        join_strategy: strategy,
-        ..EngineConfig::default()
-    })
-    .execute(&plan, catalog)
-    .unwrap()
-    .canonicalized()
+    Engine::new()
+        .execute(&plan, catalog)
+        .unwrap()
+        .canonicalized()
 }
 
 /// All ten Employee queries: every option/strategy combination produces the
@@ -40,11 +44,11 @@ fn employee_workload_options_agree() {
             sql,
             &catalog,
             domain,
-            JoinStrategy::Hash,
+            JoinAlgo::Hash,
             RewriteOptions::default(),
         );
         assert!(!reference.is_empty(), "{name} returned nothing");
-        for strategy in [JoinStrategy::Hash, JoinStrategy::MergeInterval] {
+        for strategy in [JoinAlgo::Hash, JoinAlgo::MergeInterval] {
             for fused in [true, false] {
                 let options = RewriteOptions {
                     final_coalesce_only: true,
@@ -82,7 +86,7 @@ fn employee_workload_matches_oracle_at_micro_scale() {
             sql,
             &catalog,
             domain,
-            JoinStrategy::Hash,
+            JoinAlgo::Hash,
             RewriteOptions::default(),
         );
         assert!(
@@ -106,14 +110,14 @@ fn tpcbih_workload_strategies_agree() {
             sql,
             &catalog,
             domain,
-            JoinStrategy::Hash,
+            JoinAlgo::Hash,
             RewriteOptions::default(),
         );
         let merge = run(
             sql,
             &catalog,
             domain,
-            JoinStrategy::MergeInterval,
+            JoinAlgo::MergeInterval,
             RewriteOptions::default(),
         );
         assert_eq!(
@@ -169,7 +173,7 @@ fn tpcbih_q1_spot_check() {
         sql,
         &catalog,
         domain,
-        JoinStrategy::Hash,
+        JoinAlgo::Hash,
         RewriteOptions::default(),
     );
 
