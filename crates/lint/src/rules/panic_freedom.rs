@@ -1,9 +1,10 @@
 //! Rule `panic_freedom`: recovery and wire-protocol code must be total.
 //!
-//! The WAL decode path runs against whatever bytes survived a crash, and
-//! the server's frame parser runs against whatever bytes a client sent. A
-//! panic in either turns "corrupt input" into "database won't start" or
-//! "connection thread dies without a response". Inside the zone files, any
+//! The WAL decode path runs against whatever bytes survived a crash, the
+//! recovery driver replays whatever statements that yields, and the
+//! server's frame parser runs against whatever bytes a client sent. A
+//! panic in any of them turns "corrupt input" into "database won't start"
+//! or "connection thread dies without a response". Inside the zone files, any
 //! non-test use of `.unwrap()` / `.expect(..)`, the panicking macros, or
 //! `[...]` indexing on a value is a finding; fallible alternatives
 //! (`get`, `strip_prefix`, `try_into`, pattern matching) always exist.
@@ -25,6 +26,7 @@ const ZONES: &[&str] = &[
     "crates/wal/src/persistence.rs",
     "crates/wal/src/checkpoint.rs",
     "crates/wal/src/dump.rs",
+    "crates/session/src/shared.rs",
     "crates/server/src/protocol.rs",
 ];
 

@@ -9,24 +9,19 @@
 //! incremental path whenever the table's checkpoint history allows it.
 
 use index::{IndexCatalog, MaintenanceStats};
-use snapshot_wal::Persistence;
 use storage::{Catalog, Row, Schema, SqlType, Table, Value};
 
-/// A live database: named tables plus their (lazily maintained) indexes,
-/// optionally backed by a durable database directory.
+/// An in-memory database: named tables plus their (lazily maintained)
+/// indexes. Tables are copy-on-write, so `clone()` is an independent fork
+/// that is cheap until either side mutates.
 ///
-/// Durability is *statement-level*: the session layer logs each executed
-/// DDL/DML statement to the attached [`Persistence`]'s write-ahead log and
-/// checkpoints the whole catalog periodically. Mutations applied through
-/// this type directly (bypassing `Session::execute`) are captured only at
-/// the next checkpoint; [`Database::register_table`] — the bulk-load entry
-/// point, which has no statement form — therefore checkpoints immediately
-/// when a directory is attached.
-#[derive(Debug, Default)]
+/// Durability is not a property of this type: a database directory is
+/// opened with [`crate::SharedDatabase::open_durable`], which logs every
+/// commit to the write-ahead log before publishing it.
+#[derive(Debug, Default, Clone)]
 pub struct Database {
     catalog: Catalog,
     indexes: IndexCatalog,
-    persistence: Option<Persistence>,
 }
 
 impl Database {
@@ -35,26 +30,10 @@ impl Database {
         Database::default()
     }
 
-    /// Forks the in-memory state into a fresh, *non-durable* database: the
-    /// fork shares no WAL or checkpoint files with the original (two
-    /// writers on one directory would corrupt each other's logs). Tables
-    /// are copy-on-write, so the fork is cheap until either side mutates.
-    ///
-    /// This replaces the old `Clone` impl, which silently dropped the
-    /// attached [`Persistence`] — an explicit name for an explicit
-    /// semantic.
-    pub fn fork_in_memory(&self) -> Database {
-        Database {
-            catalog: self.catalog.clone(),
-            indexes: self.indexes.clone(),
-            persistence: None,
-        }
-    }
-
     /// Decomposes the database for promotion into a shared, multi-session
     /// object (see `SharedDatabase`).
-    pub(crate) fn into_parts(self) -> (Catalog, IndexCatalog, Option<Persistence>) {
-        (self.catalog, self.indexes, self.persistence)
+    pub(crate) fn into_parts(self) -> (Catalog, IndexCatalog) {
+        (self.catalog, self.indexes)
     }
 
     /// A database over an existing catalog (indexes are built lazily, on
@@ -63,55 +42,7 @@ impl Database {
         Database {
             catalog,
             indexes: IndexCatalog::new(),
-            persistence: None,
         }
-    }
-
-    /// Attaches an opened database directory: subsequent logged statements
-    /// go to its WAL and checkpoints snapshot this catalog. The session
-    /// layer attaches *after* replaying the recovery tail, so replayed
-    /// statements are not re-logged.
-    pub fn attach_persistence(&mut self, persistence: Persistence) {
-        self.persistence = Some(persistence);
-    }
-
-    /// The attached database directory, when durable.
-    pub fn persistence(&self) -> Option<&Persistence> {
-        self.persistence.as_ref()
-    }
-
-    /// Whether a database directory is attached.
-    pub fn is_durable(&self) -> bool {
-        self.persistence.is_some()
-    }
-
-    /// Appends one executed statement to the WAL (no-op when in-memory).
-    pub(crate) fn log_statement(&mut self, sql: &str) -> Result<(), String> {
-        match &mut self.persistence {
-            Some(p) => p.log_statement(sql),
-            None => Ok(()),
-        }
-    }
-
-    /// Checkpoints now: writes the full catalog to a new `checkpoint.N`
-    /// and resets the WAL. Returns the checkpoint's sequence number, or
-    /// `None` for an in-memory database.
-    pub fn checkpoint(&mut self) -> Result<Option<u64>, String> {
-        match &mut self.persistence {
-            Some(p) => p.checkpoint(&self.catalog).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Checkpoints when the auto-checkpoint threshold
-    /// ([`snapshot_wal::PersistenceOptions::checkpoint_every`]) is reached.
-    pub(crate) fn auto_checkpoint(&mut self) -> Result<(), String> {
-        if let Some(p) = &mut self.persistence {
-            if p.should_checkpoint() {
-                p.checkpoint(&self.catalog)?;
-            }
-        }
-        Ok(())
     }
 
     /// The table namespace.
@@ -162,29 +93,15 @@ impl Database {
         self.catalog.remove(name).is_some()
     }
 
-    /// Registers (or replaces) a table wholesale — the bulk-load entry
+    /// Registers (or replaces) tables wholesale — the bulk-load entry
     /// point (`.load` in the shell). Any index on a replaced entry reads as
-    /// stale through the version epoch. Bulk loads have no statement form
-    /// the WAL could replay, so a durable database checkpoints immediately;
-    /// on a checkpoint error the in-memory load stands but the error is
-    /// returned (the on-disk state is then simply older).
-    pub fn register_table(&mut self, name: impl Into<String>, table: Table) -> Result<(), String> {
-        self.register_tables(std::iter::once((name.into(), table)))
-    }
-
-    /// Registers a batch of tables wholesale with a *single* checkpoint at
-    /// the end (see [`Database::register_table`]) — checkpoints serialize
-    /// the whole catalog, so one per batch, not one per table.
-    pub fn register_tables<I>(&mut self, tables: I) -> Result<(), String>
+    /// stale through the version epoch.
+    pub fn register_tables<I>(&mut self, tables: I)
     where
         I: IntoIterator<Item = (String, Table)>,
     {
         for (name, table) in tables {
             self.catalog.register(name, table);
-        }
-        match &mut self.persistence {
-            Some(p) => p.checkpoint(&self.catalog).map(|_| ()),
-            None => Ok(()),
         }
     }
 
@@ -212,17 +129,6 @@ impl Database {
         U: FnMut(&Row) -> Result<Row, String>,
     {
         update_where_in(&mut self.catalog, name, pred, update)
-    }
-
-    /// Appends one committed transaction's statements to the WAL as a
-    /// single atomic commit unit with one fsync (no-op when in-memory) —
-    /// call *before* [`Database::publish_transaction`], so a failure
-    /// cleanly aborts the commit.
-    pub(crate) fn log_transaction(&mut self, stmts: &[String]) -> Result<(), String> {
-        match &mut self.persistence {
-            Some(p) => p.log_transaction(stmts),
-            None => Ok(()),
-        }
     }
 
     /// Publishes a committed transaction's write set into this database

@@ -5,8 +5,8 @@
 //! language feature over a *live* database. This crate supplies the
 //! "live" part on top of every other layer of the reproduction:
 //!
-//! * [`Database`] — owns the [`storage::Catalog`] and the
-//!   [`index::IndexCatalog`], with validated mutation entry points; every
+//! * [`Database`] — the in-memory value: owns the [`storage::Catalog`] and
+//!   the [`index::IndexCatalog`], with validated mutation entry points; every
 //!   mutation bumps [`storage::Table::version`], so indexes invalidate
 //!   automatically and are repaired lazily (incrementally after pure
 //!   appends) right before the next indexed query,
@@ -20,13 +20,14 @@
 //!   as a library, shared by the `snapshot_db` shell and the network
 //!   server (both live in the `snapshot_server` crate).
 //!
-//! Sessions are durable when opened on a database directory
-//! ([`Session::open_durable`]): every executed DDL/DML statement is
-//! appended to a write-ahead log and the catalog is checkpointed
-//! periodically (see the `snapshot_wal` crate), so the database survives
-//! restarts — and crashes: recovery loads the newest valid checkpoint,
-//! replays the WAL tail through the same pipeline, and truncates torn
-//! tails instead of failing.
+//! A database is durable when opened on a database directory
+//! ([`SharedDatabase::open_durable`]): every commit — a bare DDL/DML
+//! statement is a single-statement one — is validated, appended to a
+//! write-ahead log as one unit, and only then published, and the catalog
+//! is checkpointed periodically (see the `snapshot_wal` crate), so the
+//! database survives restarts — and crashes: recovery loads the newest
+//! valid checkpoint, replays the WAL tail through the same pipeline, and
+//! truncates torn tails instead of failing.
 
 pub mod database;
 pub mod meta;

@@ -9,21 +9,23 @@
 //!
 //! A session runs against one of two backends:
 //!
-//! * **owned** — the session exclusively owns a [`Database`]
-//!   ([`Session::new`], [`Session::open_durable`]); bare statements apply
-//!   directly (autocommit, statement-level WAL), exactly as before PR 4.
+//! * **owned** — the session exclusively owns an in-memory [`Database`]
+//!   ([`Session::new`]); bare statements apply directly (autocommit).
 //! * **shared** — the session is one of many over a
 //!   [`crate::SharedDatabase`]; reads pin an MVCC snapshot, and every
 //!   write — bare or transactional — publishes through the transaction
-//!   manager's serialized, first-committer-wins commit path.
+//!   manager's serialized, first-committer-wins commit path. A durable
+//!   database ([`crate::SharedDatabase::open_durable`]) is always shared:
+//!   that commit path is where the write-ahead log sits.
 //!
 //! `BEGIN` / `COMMIT` / `ROLLBACK` work on both backends: statements
 //! inside a transaction run against a private copy-on-write snapshot
 //! (snapshot isolation — the transaction reads its own writes, nobody else
-//! does), `COMMIT` publishes them and logs them as *one* WAL commit unit
-//! with a single fsync (group commit), and `ROLLBACK` discards them — the
-//! catalog is bit-for-bit what it was at `BEGIN`. A failed `COMMIT`
-//! (write-write conflict, durability failure) rolls the transaction back.
+//! does), `COMMIT` validates them, logs them (when durable) as *one* WAL
+//! commit unit with a single fsync, and publishes them; `ROLLBACK`
+//! discards them — the catalog is bit-for-bit what it was at `BEGIN`. A
+//! failed `COMMIT` (write-write conflict, durability failure) rolls the
+//! transaction back.
 
 use crate::database::{
     conform_row, create_table_in, delete_where_in, insert_rows_in, update_where_in, Database,
@@ -34,14 +36,12 @@ use engine::{eval_expr, eval_predicate, Engine, EngineConfig, ExecContext, ExecS
 use index::{IndexCatalog, MaintenanceStats};
 use rewrite::{infer_domain, RewriteOptions, SnapshotCompiler};
 use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
-use snapshot_txn::{CatalogSnapshot, Transaction};
-use snapshot_wal::{Persistence, PersistenceOptions};
+use snapshot_txn::{CatalogSnapshot, CommitError, Transaction};
 use sql::{
     bind_scalar_expr, bind_statement, parse_sql_statement, split_script, AstExpr, ColumnDef,
     InsertSource, SqlStatement, Statement,
 };
 use std::fmt;
-use std::path::Path;
 use std::time::Instant;
 use storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
 
@@ -335,7 +335,7 @@ impl PhaseTimings {
 }
 
 /// What recovering a database directory found and did (see
-/// [`Session::open_durable`] / [`crate::SharedDatabase::open_durable`]).
+/// [`crate::SharedDatabase::open_durable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Sequence number of the checkpoint the catalog was loaded from
@@ -450,56 +450,6 @@ impl Session {
         obs::cancel_session(id)
     }
 
-    /// Opens a *durable* session on a database directory, recovering
-    /// whatever the directory holds: the newest valid checkpoint is
-    /// loaded, the WAL tail beyond it is replayed through the ordinary
-    /// parse → bind → execute pipeline (a torn or corrupt tail is
-    /// truncated to the longest valid prefix first, and an unterminated
-    /// transaction suffix is discarded entirely), and from then on every
-    /// executed DDL/DML statement is logged before the session reports it
-    /// done. An empty or missing directory starts an empty durable
-    /// database.
-    pub fn open_durable(
-        dir: &Path,
-        options: SessionOptions,
-        persistence: PersistenceOptions,
-    ) -> Result<(Session, RecoveryReport), String> {
-        let (persistence, recovery) = Persistence::open(dir, persistence)?;
-        let db = match recovery.catalog {
-            Some(catalog) => Database::from_catalog(catalog),
-            None => Database::new(),
-        };
-        let mut session = Session::with_options(db, options);
-        // Replay before attaching the log, so replayed statements are not
-        // logged a second time. Records were validated when first
-        // executed; a replay failure means the directory does not match
-        // this binary's dialect (or was tampered with) — surface it.
-        for record in &recovery.replay {
-            let stmt = parse_sql_statement(&record.sql)
-                .map_err(|e| format!("WAL replay: cannot parse record {}: {e}", record.lsn))?;
-            session
-                .apply_inner(&stmt, None)
-                .map_err(|e| format!("WAL replay failed at lsn {}: {e}", record.lsn))?;
-        }
-        // The persistence layer already discards unterminated transaction
-        // suffixes; a still-open transaction here would mean its filter
-        // and ours disagree — drop it rather than resume it.
-        session.txn = None;
-        let Backend::Owned(db) = &mut session.backend else {
-            unreachable!("open_durable builds an owned session");
-        };
-        db.attach_persistence(persistence);
-        Ok((
-            session,
-            RecoveryReport {
-                checkpoint_seq: recovery.checkpoint_seq,
-                replayed: recovery.replay.len(),
-                truncated_bytes: recovery.truncated_bytes,
-                discarded_uncommitted: recovery.discarded_uncommitted,
-            },
-        ))
-    }
-
     /// The underlying database (owned backends only: direct inspection,
     /// bulk loads through [`Database`]).
     ///
@@ -605,7 +555,10 @@ impl Session {
             return Err("cannot bulk-load inside a transaction".into());
         }
         match &mut self.backend {
-            Backend::Owned(db) => db.register_tables(tables),
+            Backend::Owned(db) => {
+                db.register_tables(tables);
+                Ok(())
+            }
             Backend::Shared(shared) => shared.register_tables(tables),
         }
     }
@@ -613,8 +566,8 @@ impl Session {
     /// Checkpoints the current committed state now (durable databases
     /// only; returns `None` in memory).
     pub fn checkpoint(&mut self) -> Result<Option<u64>, String> {
-        match &mut self.backend {
-            Backend::Owned(db) => db.checkpoint(),
+        match &self.backend {
+            Backend::Owned(_) => Ok(None),
             Backend::Shared(shared) => shared.checkpoint(),
         }
     }
@@ -655,11 +608,12 @@ impl Session {
         Ok(())
     }
 
-    /// Parses and executes one statement. On a durable session (see
-    /// [`Session::open_durable`]), a successful bare DDL/DML statement is
-    /// appended to the write-ahead log before this returns; statements
-    /// inside a transaction are buffered and logged as one atomic commit
-    /// unit (single fsync) at `COMMIT`.
+    /// Parses and executes one statement. On a durable database (see
+    /// [`crate::SharedDatabase::open_durable`]), a bare DDL/DML statement
+    /// is a single-statement commit unit, in the write-ahead log before it
+    /// is visible and before this returns; statements inside a transaction
+    /// are buffered and logged as one atomic commit unit (single fsync) at
+    /// `COMMIT`.
     pub fn execute(&mut self, sql: &str) -> Result<StatementResult, String> {
         let started = Instant::now();
         let stmt = {
@@ -683,8 +637,9 @@ impl Session {
     /// Parses and executes a `;`-separated script, stopping at the first
     /// error. The whole script is parsed up front, so a syntax error
     /// anywhere prevents any statement from running; execution errors stop
-    /// the script mid-way. Durable sessions log each successful DDL/DML
-    /// statement individually (or per commit unit, inside transactions).
+    /// the script mid-way. On a durable database each bare DDL/DML
+    /// statement is its own commit unit (inside transactions, the unit is
+    /// the transaction).
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, String> {
         let pieces = split_script(sql);
         let mut stmts = Vec::with_capacity(pieces.len());
@@ -708,15 +663,13 @@ impl Session {
         Ok(out)
     }
 
-    /// Executes one parsed statement.
-    ///
-    /// This is the raw pipeline entry point: it never records statement
-    /// *text* (there is none to record), so on a durable owned session a
-    /// mutation applied here is captured on disk only at the next
-    /// checkpoint, and inside a transaction it is applied but not part of
-    /// the WAL commit unit. Durable sessions should go through
-    /// [`Session::execute`] / [`Session::execute_script`].
-    pub fn execute_statement(&mut self, stmt: &SqlStatement) -> Result<StatementResult, String> {
+    /// Executes one parsed statement without recording its text — the
+    /// recovery-replay entry point: a replayed statement is already in the
+    /// log and must not be buffered for it again.
+    pub(crate) fn execute_statement(
+        &mut self,
+        stmt: &SqlStatement,
+    ) -> Result<StatementResult, String> {
         self.apply_inner(stmt, None)
     }
 
@@ -748,15 +701,20 @@ impl Session {
         let Some(threshold_ms) = self.options.slow_query_ms else {
             return;
         };
-        let total_ms = total_ns as f64 / 1e6;
-        if total_ms < threshold_ms as f64 {
-            return;
+        if total_ns as f64 / 1e6 >= threshold_ms as f64 {
+            self.record_slow_query(sql, rows, None);
         }
+    }
+
+    /// Appends the current statement to the slow-query log: its phase
+    /// split from [`Session::last_phase_timings`], the operator actuals
+    /// of its last plan execution, and why it was cancelled, if it was.
+    fn record_slow_query(&mut self, text: &str, rows: Option<u64>, cancelled: Option<String>) {
         let p = &self.phases;
         obs::record_slow_query(obs::SlowQuery {
             seq: 0, // assigned by the log
-            statement: clean_statement(sql),
-            total_ms,
+            statement: clean_statement(text),
+            total_ms: p.total_ns() as f64 / 1e6,
             parse_ms: p.parse_ns as f64 / 1e6,
             bind_ms: p.bind_ns as f64 / 1e6,
             rewrite_ms: p.rewrite_ns as f64 / 1e6,
@@ -765,7 +723,7 @@ impl Session {
             commit_ms: p.commit_ns as f64 / 1e6,
             rows,
             plan: self.slow_actuals.take(),
-            cancelled: None,
+            cancelled,
         });
     }
 
@@ -883,30 +841,17 @@ impl Session {
         }
         // Drop the open transaction (explicit or implicit): its pinned
         // snapshot is what everyone else still sees, so this is the whole
-        // rollback. A durable owned session is safe too — buffered
-        // statement text only reaches the WAL at COMMIT.
+        // rollback — buffered statement text only reaches the WAL at
+        // COMMIT.
         self.txn = None;
-        if self.options.slow_query_ms.is_none() {
-            return;
+        if self.options.slow_query_ms.is_some() {
+            let reason = kind.map_or("cancelled", |k| k.reason());
+            self.record_slow_query(
+                text.unwrap_or("<prepared statement>"),
+                None,
+                Some(reason.to_string()),
+            );
         }
-        let p = &self.phases;
-        obs::record_slow_query(obs::SlowQuery {
-            seq: 0, // assigned by the log
-            statement: clean_statement(text.unwrap_or("<prepared statement>")),
-            total_ms: p.total_ns() as f64 / 1e6,
-            parse_ms: p.parse_ns as f64 / 1e6,
-            bind_ms: p.bind_ns as f64 / 1e6,
-            rewrite_ms: p.rewrite_ns as f64 / 1e6,
-            index_ms: p.index_ns as f64 / 1e6,
-            execute_ms: p.execute_ns as f64 / 1e6,
-            commit_ms: p.commit_ns as f64 / 1e6,
-            rows: None,
-            plan: self.slow_actuals.take(),
-            cancelled: Some(
-                kind.map(|k| k.reason().to_string())
-                    .unwrap_or_else(|| "cancelled".into()),
-            ),
-        });
     }
 
     /// `BEGIN`: pin a snapshot and open a transaction over it.
@@ -929,14 +874,21 @@ impl Session {
         Ok(StatementResult::Began)
     }
 
-    /// `COMMIT`: validate, log the commit unit, publish. A failed commit
+    /// `COMMIT`: see [`Session::commit_open`].
+    fn commit_txn(&mut self) -> Result<StatementResult, String> {
+        let tables = self.commit_open().map_err(|e| e.to_string())?;
+        Ok(StatementResult::Committed { tables })
+    }
+
+    /// Commits the open transaction — validate, log the commit unit,
+    /// publish — and returns how many tables it published. A failed commit
     /// (conflict or durability error) rolls the transaction back — the
     /// committed state is untouched either way.
-    fn commit_txn(&mut self) -> Result<StatementResult, String> {
+    fn commit_open(&mut self) -> Result<usize, CommitError> {
         let txn = self
             .txn
             .take()
-            .ok_or_else(|| "no transaction is open".to_string())?;
+            .ok_or_else(|| CommitError::Failed("no transaction is open".into()))?;
         self.activity.set_phase(obs::Phase::Commit);
         let started = Instant::now();
         let _span = obs::Span::enter("session.commit");
@@ -945,7 +897,7 @@ impl Session {
             Backend::Shared(shared) => shared.commit(txn)?.published,
         };
         self.phases.commit_ns += started.elapsed().as_nanos() as u64;
-        Ok(StatementResult::Committed { tables })
+        Ok(tables)
     }
 
     /// `ROLLBACK`: drop the working state; the snapshot pinned at `BEGIN`
@@ -982,10 +934,9 @@ impl Session {
     }
 
     /// Executes a DDL/DML statement: against the open transaction if one
-    /// is open; otherwise directly on an owned database (autocommit with
-    /// statement-level WAL) or wrapped in an implicit single-statement
-    /// transaction on a shared one (with conflict retries — see
-    /// [`Session::shared_autocommit`]).
+    /// is open; otherwise directly on an owned database (autocommit) or
+    /// wrapped in an implicit single-statement transaction on a shared
+    /// one (with conflict retries — see [`Session::shared_autocommit`]).
     fn apply_mutation(
         &mut self,
         stmt: &SqlStatement,
@@ -994,28 +945,14 @@ impl Session {
         if self.txn.is_some() {
             return self.mutate_buffered(stmt, text);
         }
-        match &self.backend {
-            Backend::Owned(_) => {
-                // Owned autocommit: mutate directly, then write-ahead-log
-                // the statement (the mutation is already validated and
-                // applied — the pre-PR 4 contract, preserved).
-                let (result, written) = self.mutate(stmt)?;
-                let Backend::Owned(db) = &mut self.backend else {
-                    unreachable!()
-                };
-                if let Some(table) = written {
-                    db.note_write(&table);
-                }
-                if db.is_durable() {
-                    if let Some(text) = text {
-                        db.log_statement(&clean_statement(text))?;
-                        db.auto_checkpoint()?;
-                    }
-                }
-                Ok(result)
-            }
-            Backend::Shared(_) => self.shared_autocommit(stmt, text),
+        if matches!(self.backend, Backend::Shared(_)) {
+            return self.shared_autocommit(stmt, text);
         }
+        let (result, written) = self.mutate(stmt)?;
+        if let (Some(table), Backend::Owned(db)) = (written, &mut self.backend) {
+            db.note_write(&table);
+        }
+        Ok(result)
     }
 
     /// Applies one mutation inside the open transaction, recording the
@@ -1065,11 +1002,11 @@ impl Session {
             };
             self.txn = Some(txn);
             let outcome = match self.mutate_buffered(stmt, text) {
-                // `commit_txn` consumes the transaction, success or not.
-                Ok(result) => self.commit_txn().map(|_| result),
+                // `commit_open` consumes the transaction, success or not.
+                Ok(result) => self.commit_open().map(|_| result),
                 Err(e) => {
                     self.txn = None;
-                    Err(e)
+                    Err(CommitError::Failed(e))
                 }
             };
             match outcome {
@@ -1077,20 +1014,18 @@ impl Session {
                     self.retries.record(attempts);
                     return Ok(result);
                 }
-                Err(e)
-                    if snapshot_txn::is_conflict_error(&e) && attempts < CONFLICT_RETRY_LIMIT =>
-                {
+                Err(CommitError::Conflict(_)) if attempts < CONFLICT_RETRY_LIMIT => {
                     attempts += 1;
                     SESSION_RETRIES.inc();
                     conflict_backoff(attempts);
                 }
                 Err(e) => {
                     self.retries.record(attempts);
-                    if snapshot_txn::is_conflict_error(&e) {
+                    if matches!(e, CommitError::Conflict(_)) {
                         self.retries.gave_up += 1;
                         SESSION_RETRY_GIVE_UPS.inc();
                     }
-                    return Err(e);
+                    return Err(e.to_string());
                 }
             }
         }
@@ -1384,19 +1319,11 @@ fn apply_slow_log_capacity(options: &SessionOptions) {
 
 /// The owned-backend commit path: validate against the live database
 /// (first-committer-wins — the database can only have moved if the caller
-/// mutated it directly mid-transaction), write the commit unit to the WAL
-/// (one fsync), publish, auto-checkpoint.
-fn commit_owned(db: &mut Database, txn: Transaction) -> Result<usize, String> {
+/// mutated it directly mid-transaction), then publish.
+fn commit_owned(db: &mut Database, txn: Transaction) -> Result<usize, CommitError> {
     snapshot_txn::validate_first_committer_wins(&txn, db.catalog())?;
-    if txn.is_read_only() {
-        return Ok(0);
-    }
-    // WAL first: a commit unit that fails to log aborts cleanly, with the
-    // database untouched.
-    db.log_transaction(txn.statements())?;
     let published = txn.write_set().count();
     db.publish_transaction(txn.catalog(), txn.write_set());
-    db.auto_checkpoint()?;
     Ok(published)
 }
 
@@ -1532,8 +1459,8 @@ fn bind_where_in(
     Ok((schema, pred))
 }
 
-/// The canonical statement text for the write-ahead log: trimmed, no
-/// trailing `;`.
+/// The canonical statement text for the write-ahead log and the slow-query
+/// log: trimmed, no trailing `;`.
 fn clean_statement(text: &str) -> String {
     text.trim().trim_end_matches(';').trim_end().to_string()
 }

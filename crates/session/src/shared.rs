@@ -8,23 +8,29 @@
 //! transactions, or explicit `BEGIN`…`COMMIT` blocks — go through the
 //! serialized, first-committer-wins commit path.
 //!
-//! Durability composes at the commit boundary: the write-ahead log
-//! receives each transaction as one atomic commit unit (single fsync —
-//! group commit), written under the commit lock *after* conflict
-//! validation and *before* publication, so the log contains exactly the
-//! committed history in commit order. Recovery replays it through an
-//! ordinary session; an unterminated unit at the tail was already
-//! discarded by the persistence layer.
+//! Durability lives at the commit boundary, and only here — this is the
+//! one durable write path and the one recovery driver: the write-ahead
+//! log receives each transaction as one atomic commit unit (single
+//! fsync), written under the commit lock *after* conflict validation and
+//! *before* publication, so the log contains exactly the committed
+//! history in commit order and a unit that fails to log aborts cleanly.
+//! Recovery replays it through an ordinary session; an unterminated unit
+//! at the tail was already discarded by the persistence layer.
 
 use crate::database::Database;
 use crate::session::{RecoveryReport, Session, SessionOptions};
 use index::MaintenanceStats;
-use snapshot_txn::{CatalogSnapshot, CommitOutcome, Transaction, TxnManager};
+use snapshot_obs::LazyCounter;
+use snapshot_txn::{CatalogSnapshot, CommitError, CommitOutcome, Transaction, TxnManager};
 use snapshot_wal::{Persistence, PersistenceOptions};
 use sql::parse_sql_statement;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use storage::Table;
+
+/// Auto-checkpoints that failed after their commit was already logged and
+/// published (the commit stands; the next commit retries the checkpoint).
+static CHECKPOINT_FAILURES: LazyCounter = LazyCounter::new("wal_checkpoint_failures_total");
 
 #[derive(Debug)]
 struct Inner {
@@ -50,15 +56,14 @@ fn persistence_guard(inner: &Inner) -> snapshot_obs::LockGuard<'_, Option<Persis
 }
 
 impl SharedDatabase {
-    /// Promotes a database into a shared, multi-session object. An
-    /// attached [`Persistence`] comes along: commits log their unit to its
-    /// WAL and checkpoints snapshot the committed catalog.
+    /// Promotes an in-memory database into a shared, multi-session
+    /// object (durable ones come from [`SharedDatabase::open_durable`]).
     pub fn new(db: Database) -> Self {
-        let (catalog, indexes, persistence) = db.into_parts();
+        let (catalog, indexes) = db.into_parts();
         SharedDatabase {
             inner: Arc::new(Inner {
                 txns: TxnManager::new(catalog, indexes),
-                persistence: Mutex::new(persistence),
+                persistence: Mutex::new(None),
             }),
         }
     }
@@ -68,11 +73,15 @@ impl SharedDatabase {
         SharedDatabase::new(Database::new())
     }
 
-    /// Opens a *durable* shared database on a directory: recovery loads
-    /// the newest valid checkpoint and replays the WAL tail through an
-    /// ordinary session (commit units commit, the persistence layer
-    /// already discarded any unterminated suffix), then attaches the log
-    /// so every later commit is written ahead of publication.
+    /// Opens a *durable* shared database on a directory, recovering
+    /// whatever it holds: the newest valid checkpoint is loaded and the
+    /// WAL tail beyond it is replayed through an ordinary session — the
+    /// same parse → bind → execute pipeline as live traffic (a torn or
+    /// corrupt tail was truncated to the longest valid prefix and an
+    /// unterminated commit unit discarded by the persistence layer) — then
+    /// the log is attached, so every later commit is written ahead of
+    /// publication. An empty or missing directory starts an empty durable
+    /// database.
     pub fn open_durable(
         dir: &Path,
         options: SessionOptions,
@@ -85,6 +94,9 @@ impl SharedDatabase {
         };
         let shared = SharedDatabase::new(db); // no persistence yet: replay must not re-log
         let mut session = shared.session_with_options(options);
+        // Records were validated when first executed; a replay failure
+        // means the directory does not match this binary's dialect (or was
+        // tampered with) — surface it.
         for record in &recovery.replay {
             let stmt = parse_sql_statement(&record.sql)
                 .map_err(|e| format!("WAL replay: cannot parse record {}: {e}", record.lsn))?;
@@ -138,7 +150,7 @@ impl SharedDatabase {
 
     /// Commits a transaction: validate first-committer-wins, append the
     /// commit unit to the WAL (one fsync), publish, auto-checkpoint.
-    pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitOutcome, String> {
+    pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitOutcome, CommitError> {
         let inner = &*self.inner;
         let outcome =
             inner
@@ -147,7 +159,7 @@ impl SharedDatabase {
                     Some(p) => p.log_transaction(stmts),
                     None => Ok(()),
                 })?;
-        self.auto_checkpoint()?;
+        self.auto_checkpoint();
         Ok(outcome)
     }
 
@@ -171,17 +183,21 @@ impl SharedDatabase {
         })
     }
 
-    fn auto_checkpoint(&self) -> Result<(), String> {
+    /// Checkpoints when the threshold is reached. Runs after a commit is
+    /// logged and published, so a failure here must not fail that commit
+    /// (the client would retry an already-durable statement): it is
+    /// counted, and since a failed checkpoint leaves the statement count
+    /// since the last one untouched, the next commit tries again.
+    fn auto_checkpoint(&self) {
         // Cheap pre-check without the commit lock; the authoritative check
         // repeats under it.
         let due = match &*persistence_guard(&self.inner) {
             Some(p) => p.should_checkpoint(),
             None => false,
         };
-        if due {
-            self.checkpoint_serialized(true)?;
+        if due && self.checkpoint_serialized(true).is_err() {
+            CHECKPOINT_FAILURES.inc();
         }
-        Ok(())
     }
 
     /// Checkpoints the committed state now. Returns the checkpoint's

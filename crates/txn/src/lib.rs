@@ -38,7 +38,7 @@ pub mod snapshot;
 pub mod transaction;
 
 pub use manager::{
-    is_conflict_error, publish_write_set, validate_first_committer_wins, CommitOutcome, TxnManager,
+    publish_write_set, validate_first_committer_wins, CommitError, CommitOutcome, TxnManager,
 };
 pub use snapshot::CatalogSnapshot;
 pub use transaction::Transaction;

@@ -5,6 +5,7 @@ use crate::snapshot::CatalogSnapshot;
 use crate::transaction::Transaction;
 use index::IndexCatalog;
 use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
@@ -79,38 +80,48 @@ pub struct TxnManager {
     next_txn_id: AtomicU64,
 }
 
+/// Why a commit was refused. The two classes need different handling —
+/// a conflict lost a race and may succeed over a fresh snapshot, anything
+/// else will fail again — so the class is a type, not a phrase in the
+/// message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CommitError {
+    /// First-committer-wins refusal: the *retryable* class. Nothing about
+    /// the statements is invalid; the transaction merely raced.
+    Conflict(String),
+    /// Everything else (a durability failure): not retryable.
+    Failed(String),
+}
+
+impl fmt::Display for CommitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CommitError::Conflict(msg) | CommitError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// First-committer-wins validation of `txn` against `committed`: every
 /// conflict-set table (written, or read as a replay dependency) must still
 /// carry the version epoch the transaction pinned at `BEGIN`. Version
 /// epochs are globally unique, so a drop-and-recreate look-alike can never
 /// slip through. Shared by [`TxnManager::commit_with`] and the session
 /// layer's owned-database commit path.
-pub fn validate_first_committer_wins(txn: &Transaction, committed: &Catalog) -> Result<(), String> {
+pub fn validate_first_committer_wins(
+    txn: &Transaction,
+    committed: &Catalog,
+) -> Result<(), CommitError> {
     for name in txn.conflict_set() {
         let now = committed.get(name).map(Table::version);
         let pinned = txn.snapshot().catalog().get(name).map(Table::version);
         if now != pinned {
-            return Err(format!(
-                "{CONFLICT_ERROR_MARKER} on table '{name}': a concurrent transaction \
+            return Err(CommitError::Conflict(format!(
+                "write-write conflict on table '{name}': a concurrent transaction \
                  committed it first (first-committer-wins) — rollback and retry"
-            ));
+            )));
         }
     }
     Ok(())
-}
-
-/// The stable prefix of every first-committer-wins refusal (errors are
-/// plain strings throughout this workspace, so the class marker lives in
-/// the text).
-const CONFLICT_ERROR_MARKER: &str = "write-write conflict";
-
-/// Whether an error is the manager's first-committer-wins conflict
-/// refusal — the *retryable* failure class: the transaction lost a race,
-/// nothing about the statement itself is invalid, and re-running it over
-/// a fresh snapshot may well succeed. Everything else (validation errors,
-/// durability failures) is not retryable.
-pub fn is_conflict_error(error: &str) -> bool {
-    error.contains(CONFLICT_ERROR_MARKER)
 }
 
 /// Publishes a validated transaction's write set from its `working`
@@ -203,8 +214,13 @@ impl TxnManager {
     /// Commits a transaction: validate (first-committer-wins), make
     /// durable, publish. `durability` receives the buffered statement
     /// texts and is called only for validated, non-read-only commits; an
-    /// `Err` from it aborts the commit with the committed state untouched.
-    pub fn commit_with<F>(&self, txn: Transaction, durability: F) -> Result<CommitOutcome, String>
+    /// `Err` from it aborts the commit with the committed state untouched
+    /// and surfaces as [`CommitError::Failed`].
+    pub fn commit_with<F>(
+        &self,
+        txn: Transaction,
+        durability: F,
+    ) -> Result<CommitOutcome, CommitError>
     where
         F: FnOnce(&[String]) -> Result<(), String>,
     {
@@ -237,7 +253,7 @@ impl TxnManager {
             }
         }
         let (_, working, write_set, statements) = txn.into_parts();
-        durability(&statements)?;
+        durability(&statements).map_err(CommitError::Failed)?;
         // Publish: swap the written tables' Arc handles into the committed
         // catalog and repair their committed indexes, so later snapshots
         // pin fresh entries.
@@ -415,7 +431,8 @@ mod tests {
 
         mgr.commit_with(a, |_| Ok(())).unwrap();
         let err = mgr.commit_with(b, |_| Ok(())).unwrap_err();
-        assert!(err.contains("write-write conflict"), "{err}");
+        assert!(matches!(err, CommitError::Conflict(_)), "{err}");
+        assert!(err.to_string().contains("write-write conflict"), "{err}");
         // The winner's row is there; the loser's never lands.
         let state = mgr.snapshot();
         let names: Vec<String> = state
@@ -491,7 +508,7 @@ mod tests {
                 Err("disk on fire".into())
             })
             .unwrap_err();
-        assert!(err.contains("disk on fire"));
+        assert_eq!(err, CommitError::Failed("disk on fire".into()));
         assert_eq!(mgr.snapshot().catalog().get("works").unwrap().len(), 2);
         assert_eq!(mgr.commit_seq(), 0);
     }

@@ -111,11 +111,6 @@ impl Transaction {
         self.statements.push(sql);
     }
 
-    /// The buffered statement texts, in execution order.
-    pub fn statements(&self) -> &[String] {
-        &self.statements
-    }
-
     /// Tables written by this transaction, sorted.
     pub fn write_set(&self) -> impl Iterator<Item = &str> {
         self.write_set.iter().map(String::as_str)

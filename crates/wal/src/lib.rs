@@ -17,7 +17,7 @@
 //!   newest-valid-wins recovery and pruning,
 //! * [`persistence`] — [`Persistence`] ties both together for a database
 //!   directory: open → recover (checkpoint catalog + WAL tail to replay),
-//!   log statements, auto-checkpoint,
+//!   log commit units (a bare statement is a unit of one), checkpoint,
 //! * [`dump`] — [`dump_sql`], the catalog as a re-loadable SQL script
 //!   (logical backups, recovery debugging).
 //!

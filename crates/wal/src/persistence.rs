@@ -95,12 +95,12 @@ pub struct Persistence {
     next_checkpoint_seq: u64,
     /// Statements logged since the last checkpoint.
     since_checkpoint: usize,
-    /// Set when a WAL append failed after its statement was already
-    /// applied in memory: the log is now *behind* the live state. Logging
-    /// past the gap would write a tail that replays without the lost
-    /// statement — a silently wrong database — so further appends are
-    /// refused until a successful checkpoint re-captures the full live
-    /// state (clearing the poison).
+    /// Set when a WAL append failed in a way that may have left unknown
+    /// frames behind: the log tail no longer provably matches the
+    /// committed history. Appending past it could write a tail that
+    /// replays differently from what was published, so further appends
+    /// are refused until a successful checkpoint re-captures the full
+    /// committed state (clearing the poison).
     poisoned: Option<String>,
     /// Checkpoints newer than the loaded one that failed validation at
     /// open time. Deleted as soon as a fresh checkpoint supersedes them —
@@ -276,37 +276,6 @@ impl Persistence {
         self.since_checkpoint
     }
 
-    /// Appends one successfully executed statement to the WAL. On an
-    /// append failure the log is poisoned (see [`Persistence::is_poisoned`])
-    /// so no later statement can be logged past the gap; a successful
-    /// [`Persistence::checkpoint`] clears the poison.
-    pub fn log_statement(&mut self, sql: &str) -> Result<(), String> {
-        if let Some(why) = &self.poisoned {
-            return Err(format!(
-                "WAL is poisoned by an earlier append failure ({why}); the in-memory \
-                 state is ahead of the log — checkpoint to restore durability"
-            ));
-        }
-        if let Err(failure) = self.wal.append(self.next_lsn, sql) {
-            if !failure.rolled_back {
-                // An unknown — possibly complete — frame may sit at this
-                // LSN. Burn it: the next checkpoint's covered LSN then
-                // includes it, so it can never replay on top of a snapshot
-                // that already contains its statement.
-                self.next_lsn += 1;
-            }
-            self.poisoned = Some(failure.error.clone());
-            return Err(format!(
-                "{}; the statement is applied in memory but not logged — checkpoint \
-                 to restore durability, or restart to fall back to the logged prefix",
-                failure.error
-            ));
-        }
-        self.next_lsn += 1;
-        self.since_checkpoint += 1;
-        Ok(())
-    }
-
     /// Appends one committed transaction as a single atomic commit unit:
     /// the statements framed by [`TXN_BEGIN_MARKER`]/[`TXN_COMMIT_MARKER`]
     /// (a lone statement is logged bare — one record *is* already atomic),
@@ -317,9 +286,9 @@ impl Persistence {
     /// (WAL-ahead of the commit, not of each statement). On an error with
     /// the log rolled back, the commit can be cleanly aborted and
     /// durability is intact — nothing is poisoned. Only a failure that may
-    /// have left unknown frames behind poisons the log (the burned LSNs
-    /// are covered by the next checkpoint, exactly as for
-    /// [`Persistence::log_statement`]).
+    /// have left unknown frames behind poisons the log (see
+    /// [`Persistence::is_poisoned`]); the burned LSNs are covered by the
+    /// next checkpoint, so they can never replay on top of a snapshot.
     pub fn log_transaction(&mut self, stmts: &[String]) -> Result<(), String> {
         if stmts.is_empty() {
             return Ok(());
@@ -406,9 +375,8 @@ impl Persistence {
         // checkpoint is the same state. A crash before the reset is safe
         // (recovery filters lsn <= covered_lsn); one after it is too. The
         // reset also discards any partial frame left by a failed append,
-        // and since the snapshot captured the *live* catalog (including
-        // any statement that failed to log), durability is whole again:
-        // clear the poison.
+        // and the snapshot captured the full committed catalog, so
+        // durability is whole again: clear the poison.
         self.wal.reset()?;
         self.poisoned = None;
         checkpoint::prune(&self.dir, 2);
@@ -447,6 +415,11 @@ mod tests {
         dir
     }
 
+    /// A bare statement: a single-statement commit unit.
+    fn log_one(p: &mut Persistence, sql: &str) -> Result<(), String> {
+        p.log_transaction(&[sql.to_string()])
+    }
+
     fn catalog_with(n: i64) -> Catalog {
         let mut t = Table::new(Schema::of(&[("x", SqlType::Int)]));
         for i in 0..n {
@@ -473,8 +446,8 @@ mod tests {
         // Phase 1: WAL only.
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_statement("CREATE TABLE t (x INT)").unwrap();
-            p.log_statement("INSERT INTO t VALUES (0)").unwrap();
+            log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
         }
         // Phase 2: recovery sees both records; checkpoint covers them.
         {
@@ -487,7 +460,7 @@ mod tests {
             assert_eq!(p.next_lsn(), 3);
             p.checkpoint(&catalog_with(1)).unwrap();
             // Post-checkpoint statements form the new tail.
-            p.log_statement("INSERT INTO t VALUES (1)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (1)").unwrap();
         }
         // Phase 3: checkpoint + tail.
         let (p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
@@ -508,9 +481,9 @@ mod tests {
             ..PersistenceOptions::default()
         };
         let (mut p, _) = Persistence::open(&dir, opts).unwrap();
-        p.log_statement("INSERT INTO t VALUES (0)").unwrap();
+        log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
         assert!(!p.should_checkpoint());
-        p.log_statement("INSERT INTO t VALUES (1)").unwrap();
+        log_one(&mut p, "INSERT INTO t VALUES (1)").unwrap();
         assert!(p.should_checkpoint());
         p.checkpoint(&catalog_with(2)).unwrap();
         assert!(!p.should_checkpoint());
@@ -522,8 +495,7 @@ mod tests {
         let dir = tmp_dir("threshold_zero");
         let (mut p, _) = Persistence::open(&dir, zero).unwrap();
         for i in 0..100 {
-            p.log_statement(&format!("INSERT INTO t VALUES ({i})"))
-                .unwrap();
+            log_one(&mut p, &format!("INSERT INTO t VALUES ({i})")).unwrap();
         }
         assert!(!p.should_checkpoint(), "0 disables auto-checkpointing");
     }
@@ -532,8 +504,8 @@ mod tests {
     fn crash_between_checkpoint_and_wal_reset_is_harmless() {
         let dir = tmp_dir("crash_window");
         let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        p.log_statement("CREATE TABLE t (x INT)").unwrap();
-        p.log_statement("INSERT INTO t VALUES (0)").unwrap();
+        log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
+        log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
         // Simulate the crash window: write the checkpoint by hand (as
         // `checkpoint()` would) but leave the WAL un-reset.
         checkpoint::write_checkpoint(&dir, 1, 2, &catalog_with(1)).unwrap();
@@ -561,12 +533,12 @@ mod tests {
         let dir = tmp_dir("gap");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_statement("CREATE TABLE t (x INT)").unwrap();
-            p.log_statement("INSERT INTO t VALUES (0)").unwrap();
+            log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
             // Checkpoint #1 absorbs lsn 1..2 and resets the WAL...
             p.checkpoint(&catalog_with(1)).unwrap();
             // ...so lsn 3 is the only WAL record left.
-            p.log_statement("INSERT INTO t VALUES (1)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (1)").unwrap();
         }
         // The checkpoint rots: statements 1..2 now exist nowhere. Opening
         // must refuse (replaying only lsn 3 would be silently wrong).
@@ -581,9 +553,9 @@ mod tests {
         let dir = tmp_dir("corrupt_empty_wal");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_statement("CREATE TABLE t (x INT)").unwrap();
+            log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
             p.checkpoint(&catalog_with(0)).unwrap();
-            p.log_statement("INSERT INTO t VALUES (0)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
             p.checkpoint(&catalog_with(1)).unwrap(); // resets the WAL again
         }
         // Checkpoint #2 (the only copy of lsn 2) rots; the WAL is empty,
@@ -598,10 +570,10 @@ mod tests {
         let dir = tmp_dir("corrupt_bridged");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_statement("CREATE TABLE t (x INT)").unwrap();
+            log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
             p.checkpoint(&catalog_with(0)).unwrap();
-            p.log_statement("INSERT INTO t VALUES (0)").unwrap();
-            p.log_statement("INSERT INTO t VALUES (1)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (1)").unwrap();
             // Crash window: checkpoint #2 is written but the WAL was not
             // reset (records 2..3 still present).
             checkpoint::write_checkpoint(&dir, 2, 3, &catalog_with(2)).unwrap();
@@ -633,27 +605,29 @@ mod tests {
     }
 
     #[test]
-    fn oversized_statement_is_refused_and_poisons_until_checkpoint() {
+    fn oversized_statement_is_refused_before_writing_and_leaves_the_log_usable() {
         let dir = tmp_dir("oversized");
         let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        p.log_statement("CREATE TABLE t (x INT)").unwrap();
-        // A statement too large to frame is refused up front (nothing is
-        // written, so recovery can never mistake it for corruption), but
-        // the in-memory state it produced is now unlogged: poisoned.
+        log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
+        // A statement too large to frame is refused up front: nothing is
+        // written (recovery can never mistake it for corruption) and — the
+        // unit is logged *before* publication — nothing was applied, so
+        // the log is not behind anything and stays unpoisoned.
         let huge = "x".repeat((1 << 28) + 1);
-        let err = p.log_statement(&huge).unwrap_err();
+        let err = log_one(&mut p, &huge).unwrap_err();
         assert!(err.contains("frame limit"), "{err}");
-        assert!(p.is_poisoned());
-        let err = p.log_statement("INSERT INTO t VALUES (1)").unwrap_err();
-        assert!(err.contains("poisoned"), "{err}");
-        // A checkpoint captures the live state and restores durability.
-        p.checkpoint(&catalog_with(1)).unwrap();
+        assert!(err.contains("abort the commit"), "{err}");
         assert!(!p.is_poisoned());
-        p.log_statement("INSERT INTO t VALUES (1)").unwrap();
+        assert_eq!(p.next_lsn(), 2, "the refused unit burned no LSN");
+        // The next unit appends without a checkpoint in between.
+        log_one(&mut p, "INSERT INTO t VALUES (1)").unwrap();
         drop(p);
         let (_, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        assert_eq!(rec.checkpoint_seq, Some(1));
-        assert_eq!(rec.replay.len(), 1);
+        assert_eq!(rec.checkpoint_seq, None);
+        assert_eq!(
+            rec.replay.iter().map(|r| r.lsn).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
     }
 
     #[test]
@@ -692,7 +666,7 @@ mod tests {
         let dir = tmp_dir("torn_commit");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_statement("CREATE TABLE t (x INT)").unwrap();
+            log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
             p.log_transaction(&[
                 "INSERT INTO t VALUES (1)".to_string(),
                 "INSERT INTO t VALUES (2)".to_string(),
@@ -724,7 +698,7 @@ mod tests {
         {
             let (mut p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             assert_eq!(rec.discarded_uncommitted, 0, "already truncated away");
-            p.log_statement("INSERT INTO t VALUES (9)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (9)").unwrap();
         }
         let (_, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
         assert_eq!(
@@ -741,7 +715,7 @@ mod tests {
         let dir = tmp_dir("torn_body");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_statement("CREATE TABLE t (x INT)").unwrap();
+            log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
             // A committed unit, then a second unit torn mid-body.
             p.log_transaction(&[
                 "INSERT INTO t VALUES (1)".to_string(),
@@ -798,9 +772,9 @@ mod tests {
         let dir = tmp_dir("monotonic");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_statement("INSERT INTO t VALUES (0)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
             p.checkpoint(&catalog_with(1)).unwrap();
-            p.log_statement("INSERT INTO t VALUES (1)").unwrap();
+            log_one(&mut p, "INSERT INTO t VALUES (1)").unwrap();
             assert_eq!(p.next_lsn(), 3);
         }
         let (p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();

@@ -264,18 +264,21 @@ fn timeout_in_explicit_transaction_rolls_back_cleanly() {
     let _guard = snapshot_obs::testing::serial_guard();
     snapshot_obs::reset_slow_log();
     let dir = scratch_dir("txn_timeout");
-    let (mut session, _) = Session::open_durable(
+    let options = SessionOptions {
+        slow_query_ms: Some(0), // log everything, incl. cancellations
+        ..SessionOptions::default()
+    };
+    let (shared, _) = SharedDatabase::open_durable(
         &dir,
-        SessionOptions {
-            slow_query_ms: Some(0), // log everything, incl. cancellations
-            ..SessionOptions::default()
-        },
+        options,
         PersistenceOptions {
             sync: SyncPolicy::Always,
             checkpoint_every: 0,
         },
     )
     .unwrap();
+    let mut session = shared.session_with_options(options);
+    drop(shared); // the session holds the last handle on the directory
     session
         .execute("CREATE TABLE act_txn (x INT, ts INT, te INT) PERIOD (ts, te)")
         .unwrap();
@@ -317,7 +320,7 @@ fn timeout_in_explicit_transaction_rolls_back_cleanly() {
     // The WAL never saw the rolled-back transaction: reopening the
     // directory recovers only the committed statements.
     drop(session);
-    let (mut reopened, _) = Session::open_durable(
+    let (reopened, _) = SharedDatabase::open_durable(
         &dir,
         SessionOptions::default(),
         PersistenceOptions {
@@ -326,6 +329,7 @@ fn timeout_in_explicit_transaction_rolls_back_cleanly() {
         },
     )
     .unwrap();
+    let mut reopened = reopened.session();
     let rows = rows_of(
         &reopened
             .execute("SELECT count(*) AS c FROM act_txn WHERE x = -1")

@@ -9,7 +9,15 @@
 //! including when a checkpoint plus a WAL tail are on disk, and when the
 //! WAL tail is torn or bit-flipped (recover the longest valid prefix,
 //! never panic).
+//!
+//! Every directory is opened the way the binaries open it —
+//! `SharedDatabase::open_durable` — so these tests exercise the one
+//! durable write path (validate → log → publish) and the one recovery
+//! driver. The checkpoint counters are process globals: every test that
+//! can write a checkpoint takes `snapshot_obs::testing::serial_guard()`,
+//! which is what makes the counter deltas of the reuse test exact.
 
+use snapshot_obs::testing::serial_guard;
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::rewrite::infer_domain;
 use snapshot_semantics::session::{
@@ -42,16 +50,34 @@ fn durable_options() -> SessionOptions {
     }
 }
 
+/// Opens the directory the way every binary does — a durable
+/// [`SharedDatabase`] — and hands back one session over it (dropping the
+/// session drops the last handle, releasing the directory).
 fn open(dir: &std::path::Path, checkpoint_every: usize) -> (Session, RecoveryReport) {
-    Session::open_durable(
+    open_with(dir, SyncPolicy::Always, checkpoint_every)
+}
+
+fn open_with(
+    dir: &std::path::Path,
+    sync: SyncPolicy,
+    checkpoint_every: usize,
+) -> (Session, RecoveryReport) {
+    let (shared, report) = SharedDatabase::open_durable(
         dir,
         durable_options(),
         PersistenceOptions {
-            sync: SyncPolicy::Always,
+            sync,
             checkpoint_every,
         },
     )
-    .unwrap_or_else(|e| panic!("open_durable({}): {e}", dir.display()))
+    .unwrap_or_else(|e| panic!("open_durable({}): {e}", dir.display()));
+    (shared.session_with_options(durable_options()), report)
+}
+
+fn counter(name: &str) -> u64 {
+    snapshot_obs::registry()
+        .get_counter(name)
+        .map_or(0, |c| c.get())
 }
 
 /// Asserts that two catalogs are equal as multiset relations: same table
@@ -76,21 +102,9 @@ fn assert_catalogs_equal(got: &Catalog, want: &Catalog, ctx: &str) {
 /// cross-check on (session options enable `verify_indexed`): running them
 /// after recovery proves the rebuilt indexes are epoch-fresh and correct.
 fn assert_indexes_sound(session: &mut Session, ctx: &str) {
-    let names: Vec<String> = session
-        .database()
-        .catalog()
-        .table_names()
-        .map(String::from)
-        .collect();
-    for name in names {
-        if session
-            .database()
-            .catalog()
-            .get(&name)
-            .unwrap()
-            .period()
-            .is_none()
-        {
+    let view = session.read_view();
+    for name in view.catalog().table_names() {
+        if view.catalog().get(name).unwrap().period().is_none() {
             continue;
         }
         session
@@ -128,24 +142,25 @@ fn empty_wal_recovers_to_empty_database() {
     let (s, report) = open(&dir, 0);
     assert_eq!(report.replayed, 0);
     assert_eq!(report.truncated_bytes, 0);
-    assert_eq!(s.database().catalog().table_names().count(), 0);
+    assert_eq!(s.read_view().catalog().table_names().count(), 0);
 }
 
 #[test]
 fn checkpoint_only_recovery() {
+    let _guard = serial_guard();
     let dir = scratch_dir("ckpt_only");
     {
         let (mut s, _) = open(&dir, 0);
         for sql in SETUP {
             s.execute(sql).unwrap();
         }
-        assert_eq!(s.database_mut().checkpoint().unwrap(), Some(1));
+        assert_eq!(s.checkpoint().unwrap(), Some(1));
     }
     let (mut s, report) = open(&dir, 0);
     assert_eq!(report.checkpoint_seq, Some(1));
     assert_eq!(report.replayed, 0, "checkpoint covers the whole WAL");
     assert_catalogs_equal(
-        s.database().catalog(),
+        s.read_view().catalog(),
         &reference_catalog(SETUP),
         "checkpoint-only",
     );
@@ -165,7 +180,7 @@ fn wal_only_recovery() {
     assert_eq!(report.checkpoint_seq, None);
     assert_eq!(report.replayed, SETUP.len());
     assert_catalogs_equal(
-        s.database().catalog(),
+        s.read_view().catalog(),
         &reference_catalog(SETUP),
         "wal-only",
     );
@@ -190,18 +205,18 @@ fn torn_final_record_recovers_to_prefix() {
     assert_eq!(report.replayed, SETUP.len() - 1);
     assert!(report.truncated_bytes > 0);
     assert_catalogs_equal(
-        s.database().catalog(),
+        s.read_view().catalog(),
         &reference_catalog(&SETUP[..SETUP.len() - 1]),
         "torn tail",
     );
     assert_indexes_sound(&mut s, "torn tail");
     // The truncation is durable: reopening again is clean and identical
     // (the directory is single-opener — release the first session first).
-    let recovered = s.database().catalog().clone();
+    let recovered = s.read_view().catalog().clone();
     drop(s);
     let (s2, report) = open(&dir, 0);
     assert_eq!(report.truncated_bytes, 0);
-    assert_catalogs_equal(s2.database().catalog(), &recovered, "rescan");
+    assert_catalogs_equal(s2.read_view().catalog(), &recovered, "rescan");
 }
 
 #[test]
@@ -222,7 +237,7 @@ fn bit_flipped_crc_recovers_to_prefix() {
     let (mut s, report) = open(&dir, 0);
     assert_eq!(report.replayed, SETUP.len() - 1);
     assert_catalogs_equal(
-        s.database().catalog(),
+        s.read_view().catalog(),
         &reference_catalog(&SETUP[..SETUP.len() - 1]),
         "bit flip",
     );
@@ -246,7 +261,7 @@ fn failed_statements_are_not_logged() {
     let (s, report) = open(&dir, 0);
     assert_eq!(report.replayed, 2, "only the successful statements replay");
     assert_catalogs_equal(
-        s.database().catalog(),
+        s.read_view().catalog(),
         &reference_catalog(&SETUP[..2]),
         "failed statements",
     );
@@ -272,8 +287,7 @@ fn transaction_commit_units_replay_atomically_after_restart() {
     // CREATE + BEGIN marker + 3 statements + COMMIT marker.
     assert_eq!(report.replayed, 6);
     assert_eq!(report.discarded_uncommitted, 0);
-    let works = s.database().catalog().get("works").unwrap();
-    assert_eq!(works.len(), 2);
+    assert_eq!(s.read_view().catalog().get("works").unwrap().len(), 2);
     assert_indexes_sound(&mut s, "after transactional replay");
 }
 
@@ -293,7 +307,7 @@ fn rolled_back_transactions_never_reach_the_wal() {
     let (s, report) = open(&dir, 0);
     assert_eq!(report.replayed, 2, "CREATE + the bare INSERT only");
     let names: Vec<String> = s
-        .database()
+        .read_view()
         .catalog()
         .get("works")
         .unwrap()
@@ -312,7 +326,7 @@ fn crash_before_the_commit_marker_discards_the_whole_transaction() {
         s.execute(SETUP[0]).unwrap();
         s.execute("INSERT INTO works VALUES ('Ann', 'SP', 3, 10)")
             .unwrap();
-        let reference = s.database().catalog().clone();
+        let reference = s.read_view().catalog().clone();
         // A committed multi-statement transaction...
         s.execute("BEGIN").unwrap();
         s.execute("INSERT INTO works VALUES ('Joe', 'NS', 8, 16)")
@@ -333,7 +347,7 @@ fn crash_before_the_commit_marker_discards_the_whole_transaction() {
         assert_eq!(report.replayed, 2, "CREATE + bare INSERT");
         assert!(report.discarded_uncommitted >= 3, "BEGIN + 2 statements");
         assert_catalogs_equal(
-            s.database().catalog(),
+            s.read_view().catalog(),
             &reference,
             "torn commit marker rolls back to the pre-transaction state",
         );
@@ -346,7 +360,7 @@ fn crash_before_the_commit_marker_discards_the_whole_transaction() {
     let (s, report) = open(&dir, 0);
     assert_eq!(report.discarded_uncommitted, 0);
     assert_eq!(report.replayed, 3);
-    assert_eq!(s.database().catalog().get("works").unwrap().len(), 2);
+    assert_eq!(s.read_view().catalog().get("works").unwrap().len(), 2);
 }
 
 #[test]
@@ -372,11 +386,12 @@ fn noop_statements_inside_transactions_are_not_logged() {
     // CREATE + the lone effective INSERT (a single-statement unit is
     // logged bare — no markers); the two no-ops are absent.
     assert_eq!(report.replayed, 2);
-    assert_eq!(s.database().catalog().get("works").unwrap().len(), 1);
+    assert_eq!(s.read_view().catalog().get("works").unwrap().len(), 1);
 }
 
 #[test]
 fn checkpoint_during_an_open_transaction_captures_committed_state_only() {
+    let _guard = serial_guard();
     let dir = scratch_dir("ckpt_vs_txn");
     {
         let (shared, _) = SharedDatabase::open_durable(
@@ -475,6 +490,7 @@ fn shared_database_recovers_concurrent_commits() {
 
 #[test]
 fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
+    let _guard = serial_guard();
     let dir = scratch_dir("incr_ckpt");
     let (mut s, _) = open(&dir, 0);
     s.execute(SETUP[0]).unwrap();
@@ -483,29 +499,117 @@ fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
         .unwrap();
     s.execute("INSERT INTO works VALUES ('Ann', 'SP', 3, 10)")
         .unwrap();
-    s.database_mut().checkpoint().unwrap();
-    let p = s.database().persistence().unwrap();
-    assert_eq!(p.last_checkpoint_reuse().encoded, 2);
-    assert_eq!(p.last_checkpoint_reuse().reused, 0);
+    // How a checkpoint split its tables, read off the registry counters.
+    let split = || {
+        (
+            counter("wal_checkpoint_encoded_tables_total"),
+            counter("wal_checkpoint_reused_tables_total"),
+        )
+    };
+    let (encoded0, reused0) = split();
+    s.checkpoint().unwrap();
+    let (encoded1, reused1) = split();
+    assert_eq!(encoded1 - encoded0, 2);
+    assert_eq!(reused1 - reused0, 0);
 
     // Touch only `works`: `stable` must be spliced from the cache.
     s.execute("INSERT INTO works VALUES ('Joe', 'NS', 8, 16)")
         .unwrap();
-    s.database_mut().checkpoint().unwrap();
-    let p = s.database().persistence().unwrap();
-    assert_eq!(p.last_checkpoint_reuse().encoded, 1);
-    assert_eq!(p.last_checkpoint_reuse().reused, 1);
-    let reference = s.database().catalog().clone();
+    s.checkpoint().unwrap();
+    let (encoded2, reused2) = split();
+    assert_eq!(encoded2 - encoded1, 1);
+    assert_eq!(reused2 - reused1, 1);
+    let reference = s.read_view().catalog().clone();
     drop(s);
 
     let (mut s, report) = open(&dir, 0);
     assert_eq!(report.replayed, 0, "everything is in the checkpoint");
     assert_catalogs_equal(
-        s.database().catalog(),
+        s.read_view().catalog(),
         &reference,
         "incremental checkpoint recovers bit-exact",
     );
     assert_indexes_sound(&mut s, "after incremental-checkpoint recovery");
+}
+
+/// A failed *auto*-checkpoint runs after its commit was logged and
+/// published, so it must not turn that commit into a failed statement (a
+/// client that retries would double-insert): the commit stands, the
+/// failure is counted, and the next commit retries the checkpoint.
+#[test]
+fn failed_auto_checkpoint_does_not_fail_the_commit() {
+    let _guard = serial_guard();
+    let dir = scratch_dir("auto_ckpt_fail");
+    let (mut s, _) = open(&dir, 2);
+    s.execute("CREATE TABLE t (x INT)").unwrap();
+    assert_eq!(s.checkpoint().unwrap(), Some(1));
+    // The next checkpoint's temp file cannot be created: a directory is
+    // in its place.
+    let obstacle = dir.join("checkpoint.2.tmp");
+    std::fs::create_dir(&obstacle).unwrap();
+    let failures = counter("wal_checkpoint_failures_total");
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    // This one reaches the threshold; its auto-checkpoint fails.
+    s.execute("INSERT INTO t VALUES (2)")
+        .expect("a logged and published commit is not failed by its auto-checkpoint");
+    assert_eq!(s.read_view().catalog().get("t").unwrap().len(), 2);
+    assert_eq!(counter("wal_checkpoint_failures_total"), failures + 1);
+    // The explicit checkpoint still reports the error.
+    assert!(s.checkpoint().unwrap_err().contains("checkpoint.2.tmp"));
+
+    // Obstacle gone: the threshold is still reached, so the very next
+    // commit checkpoints.
+    std::fs::remove_dir(&obstacle).unwrap();
+    s.execute("INSERT INTO t VALUES (3)").unwrap();
+    assert_eq!(counter("wal_checkpoint_failures_total"), failures + 1);
+    drop(s);
+
+    let (s, report) = open(&dir, 2);
+    assert_eq!(report.checkpoint_seq, Some(2));
+    assert_eq!(report.replayed, 0, "the retried checkpoint covers it all");
+    let mut xs: Vec<i64> = s
+        .read_view()
+        .catalog()
+        .get("t")
+        .unwrap()
+        .rows()
+        .iter()
+        .map(|r| r.int(0))
+        .collect();
+    xs.sort_unstable();
+    assert_eq!(xs, vec![1, 2, 3]);
+}
+
+/// Both shapes of commit unit — a bare statement and a `BEGIN`…`COMMIT`
+/// block — survive a kill (drop without checkpoint) under both sync
+/// policies: reopening yields the uninterrupted in-memory run's catalog.
+#[test]
+fn every_commit_unit_shape_survives_a_kill_under_every_sync_policy() {
+    let mut unit = vec![SETUP[0], "BEGIN"];
+    unit.extend_from_slice(&SETUP[1..]);
+    unit.push("COMMIT");
+    for (shape, statements) in [("bare statements", SETUP), ("BEGIN…COMMIT unit", &unit[..])] {
+        for sync in [SyncPolicy::Always, SyncPolicy::OnCheckpoint] {
+            let ctx = format!("{shape}, {sync:?}");
+            let dir = scratch_dir("unit_shapes");
+            {
+                let (mut s, _) = open_with(&dir, sync, 0);
+                for sql in statements {
+                    s.execute(sql).unwrap();
+                }
+            } // kill
+            let (mut s, report) = open_with(&dir, sync, 0);
+            assert_eq!(report.checkpoint_seq, None, "{ctx}");
+            assert_eq!(report.discarded_uncommitted, 0, "{ctx}");
+            assert_catalogs_equal(
+                s.read_view().catalog(),
+                &reference_catalog(statements),
+                &ctx,
+            );
+            assert_indexes_sound(&mut s, &ctx);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 fn smoke_statements() -> Vec<String> {
@@ -529,6 +633,7 @@ fn smoke_statements() -> Vec<String> {
 /// write on the recovered directory.
 #[test]
 fn kill_and_restart_matches_uninterrupted_run_on_every_prefix() {
+    let _guard = serial_guard();
     let statements = smoke_statements();
     assert!(statements.len() >= 15, "smoke script shrank unexpectedly?");
     for k in 1..=statements.len() {
@@ -543,7 +648,7 @@ fn kill_and_restart_matches_uninterrupted_run_on_every_prefix() {
             }
         } // kill
         let (mut s, _) = open(&dir, 3);
-        assert_catalogs_equal(s.database().catalog(), &want, &format!("prefix {k}"));
+        assert_catalogs_equal(s.read_view().catalog(), &want, &format!("prefix {k}"));
         assert_indexes_sound(&mut s, &format!("prefix {k}"));
         drop(s);
 
@@ -556,7 +661,7 @@ fn kill_and_restart_matches_uninterrupted_run_on_every_prefix() {
         let (mut s, report) = open(&dir, 3);
         assert_eq!(report.truncated_bytes, 3, "prefix {k}: garbage truncated");
         assert_catalogs_equal(
-            s.database().catalog(),
+            s.read_view().catalog(),
             &want,
             &format!("prefix {k} after torn write"),
         );
@@ -711,7 +816,8 @@ fn random_statement(rng: &mut Prng) -> String {
 /// The point-wise oracle's canonical rows for a snapshot query (same
 /// machinery as `tests/session_dml.rs`).
 fn oracle_rows(session: &Session, query: &str) -> Vec<Row> {
-    let catalog = session.database().catalog();
+    let view = session.read_view();
+    let catalog = view.catalog();
     let stmt = parse_statement(query).unwrap();
     let bound = bind_statement(&stmt, catalog).unwrap();
     let BoundStatement::Snapshot { plan, .. } = &bound else {
@@ -772,6 +878,7 @@ proptest! {
     /// equal the uninterrupted in-memory run.
     #[test]
     fn random_batch_replay_matches_memory_and_oracle(seed in 1u64..u64::MAX) {
+        let _guard = serial_guard();
         let mut rng = Prng(seed);
         let statements: Vec<String> = std::iter::once(
             "CREATE TABLE works (name TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te)"
@@ -791,7 +898,7 @@ proptest! {
             }
         }
         let (mut s, _) = open(&dir, 4);
-        assert_catalogs_equal(s.database().catalog(), &want, "random batch");
+        assert_catalogs_equal(s.read_view().catalog(), &want, "random batch");
 
         // indexed == naive is enforced by verify_indexed; compare both
         // against the oracle explicitly.

@@ -378,12 +378,10 @@ fn autocommit_conflicts_are_retried_transparently() {
 }
 
 #[test]
-fn fork_in_memory_is_independent_and_non_durable() {
+fn a_cloned_database_is_an_independent_fork() {
     let mut s = Session::new(Database::new());
     s.execute_script(SETUP).unwrap();
-    let fork = s.database().fork_in_memory();
-    assert!(!fork.is_durable());
-    let mut forked = Session::new(fork);
+    let mut forked = Session::new(s.database().clone());
     forked.execute("DELETE FROM works").unwrap();
     assert_eq!(forked.database().catalog().get("works").unwrap().len(), 0);
     assert_eq!(
