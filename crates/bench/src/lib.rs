@@ -93,7 +93,7 @@ pub fn run_approach(
             };
             let compiler = SnapshotCompiler::with_options(domain, options);
             let plan = compiler.compile_statement(&bound, catalog)?;
-            Engine::new().execute(&plan, catalog)
+            Ok(Engine::new().execute(&plan, catalog)?)
         }
         Approach::SeqIndex => {
             // Index build cost is included here; benches that want to
@@ -140,13 +140,13 @@ pub fn execute_with_indexes(
     catalog: &Catalog,
     indexes: &IndexCatalog,
 ) -> Result<Table, String> {
-    engine.execute_analyzed(
+    Ok(engine.execute_analyzed(
         plan,
         catalog,
         Some(indexes),
         &mut ExecStats::default(),
         &mut NodeStats::default(),
-    )
+    )?)
 }
 
 /// Runs the point-wise oracle (small domains only) returning `PERIODENC`

@@ -10,7 +10,7 @@ use index::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
     try_parallel_sweep_join_presorted, try_sweep_join_presorted, IndexCatalog, TableIndex,
 };
-use snapshot_obs as obs;
+use snapshot_obs::{self as obs, StatementError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ impl ExecContext {
     }
 
     /// The cooperative check (see [`obs::CancelToken::check`]).
-    fn check(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), StatementError> {
         self.token.check(&self.account)
     }
 
@@ -57,7 +57,7 @@ impl ExecContext {
     /// (so `snapshot_stat_progress` moves while the join runs) and the
     /// token is polled. The caller owns the counter — a plain local for
     /// sequential joins, one shared atomic for the slab workers.
-    fn pair_considered(&self, seen: u64) -> Result<(), String> {
+    fn pair_considered(&self, seen: u64) -> Result<(), StatementError> {
         if seen.is_multiple_of(CANCEL_CHECK_INTERVAL) {
             self.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
             self.check()?;
@@ -257,7 +257,7 @@ impl Engine {
     /// Executes a plan on the naive routes only — no index is consulted,
     /// which is what makes this the reference the differential tests and
     /// `.verify on` compare the indexed routes against.
-    pub fn execute(&self, plan: &Plan, catalog: &Catalog) -> Result<Table, String> {
+    pub fn execute(&self, plan: &Plan, catalog: &Catalog) -> Result<Table, StatementError> {
         self.execute_analyzed(
             plan,
             catalog,
@@ -282,7 +282,7 @@ impl Engine {
         indexes: Option<&IndexCatalog>,
         stats: &mut ExecStats,
         nodes: &mut NodeStats,
-    ) -> Result<Table, String> {
+    ) -> Result<Table, StatementError> {
         let rows = self.run(
             plan,
             &mut ExecEnv {
@@ -297,7 +297,7 @@ impl Engine {
         Ok(table)
     }
 
-    fn run(&self, plan: &Plan, env: &mut ExecEnv<'_>) -> Result<Vec<Row>, String> {
+    fn run(&self, plan: &Plan, env: &mut ExecEnv<'_>) -> Result<Vec<Row>, StatementError> {
         let started = Instant::now();
         // The span and profile guards are each a single relaxed atomic
         // load when disabled.
@@ -314,7 +314,8 @@ impl Engine {
                         "table '{table}' changed since binding: arity {} vs {}",
                         t.schema().arity(),
                         plan.schema.arity()
-                    ));
+                    )
+                    .into());
                 }
                 t.rows().to_vec()
             }
@@ -495,7 +496,7 @@ impl Engine {
         ops: (&'static str, &'static str),
         probe: impl FnOnce(&TableIndex, &Table) -> Vec<Row>,
         keep: impl Fn(i64, i64) -> bool,
-    ) -> Result<Vec<Row>, String> {
+    ) -> Result<Vec<Row>, StatementError> {
         let n = input.schema.arity();
         let indexed = (algo != TimesliceAlgo::Linear)
             .then(|| indexed_scan(input, env.catalog, env.indexes))
@@ -529,7 +530,7 @@ impl Engine {
         condition: &Expr,
         algo: JoinAlgo,
         env: &mut ExecEnv<'_>,
-    ) -> Result<Vec<Row>, String> {
+    ) -> Result<Vec<Row>, StatementError> {
         let ctx = &self.ctx;
         let l_arity = left_plan.schema.arity();
         let r_arity = right_plan.schema.arity();
@@ -608,7 +609,7 @@ impl Engine {
                         (lts, lte),
                         (rts, rte),
                         &cuts,
-                        |l, r| -> Result<_, String> {
+                        |l, r| -> Result<_, StatementError> {
                             ctx.pair_considered(pairs.fetch_add(1, Ordering::Relaxed) + 1)?;
                             Ok(matched(l, r))
                         },
@@ -625,7 +626,7 @@ impl Engine {
                         &r_sorted,
                         (lts, lte),
                         (rts, rte),
-                        |l, r| -> Result<(), String> {
+                        |l, r| -> Result<(), StatementError> {
                             pairs += 1;
                             ctx.pair_considered(pairs)?;
                             out.extend(matched(l, r));
@@ -819,7 +820,7 @@ fn hash_join(
     keys: &[(usize, usize)],
     ctx: &ExecContext,
     matched: impl Fn(&Row, &Row) -> Option<Row>,
-) -> Result<Vec<Row>, String> {
+) -> Result<Vec<Row>, StatementError> {
     // Build on the smaller side; probe with the larger.
     let build_left = left.len() <= right.len();
     let (build, probe) = if build_left {
@@ -891,7 +892,7 @@ fn merge_interval_join(
     (lts, lte, rts, rte): (usize, usize, usize, usize),
     ctx: &ExecContext,
     matched: impl Fn(&Row, &Row) -> Option<Row>,
-) -> Result<Vec<Row>, String> {
+) -> Result<Vec<Row>, StatementError> {
     let l = begin_sorted(left, None, lts);
     let r = begin_sorted(right, None, rts);
 
@@ -1181,7 +1182,7 @@ mod tests {
     fn unknown_table_is_an_error() {
         let plan = Plan::scan("nope", works_schema());
         let err = Engine::new().execute(&plan, &Catalog::new()).unwrap_err();
-        assert!(err.contains("unknown table"));
+        assert!(matches!(&err, StatementError::Failed(m) if m.contains("unknown table")));
     }
 
     /// Equality on skill plus the rewriter's overlap pattern.
@@ -1391,6 +1392,10 @@ mod tests {
         assert!(stats.get("ParallelSweepJoin").is_none(), "{stats:?}");
     }
 
+    fn cancelled_as(err: &StatementError, expect: obs::CancelKind) -> bool {
+        matches!(err, StatementError::Cancelled { kind, .. } if *kind == expect)
+    }
+
     #[test]
     fn context_accounts_and_cancels() {
         let c = works_catalog();
@@ -1406,17 +1411,25 @@ mod tests {
         assert_eq!(usage.rows_emitted, 4 + 3, "scan + filter outputs");
         assert!(usage.bytes_materialized > 0);
 
-        // A pre-tripped token fails execution with the cancel marker, and
-        // the result is an error, not a partial table.
+        // A pre-tripped token fails execution as `Cancelled`, and the
+        // result is an error, not a partial table.
         token.cancel(obs::CancelKind::Killed);
         let err = engine.execute(&plan, &c).unwrap_err();
-        assert!(obs::is_cancel_error(&err), "{err}");
+        assert!(cancelled_as(&err, obs::CancelKind::Killed), "{err:?}");
+        assert_eq!(err.to_string(), "statement cancelled: killed by request");
 
         // A row-scan limit trips mid-plan.
         account.reset();
         token.arm(None, Some(2), None);
         let err = engine.execute(&plan, &c).unwrap_err();
-        assert!(err.contains("max_rows_scanned"), "{err}");
+        assert!(
+            cancelled_as(&err, obs::CancelKind::RowsScannedLimit),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "statement cancelled: max_rows_scanned (2) exceeded"
+        );
 
         // Join pairs are accounted, and a pre-tripped token aborts, on
         // every join route — each pinned by its plan hint over the same
@@ -1453,7 +1466,10 @@ mod tests {
                 assert_eq!(account.usage().join_pairs, pairs, "{algo:?} pairs");
                 token.cancel(obs::CancelKind::Killed);
                 let err = engine.execute(&join, &c).unwrap_err();
-                assert!(obs::is_cancel_error(&err), "{algo:?}: {err}");
+                assert!(
+                    cancelled_as(&err, obs::CancelKind::Killed),
+                    "{algo:?}: {err:?}"
+                );
             }
             // An engine built outside a session runs under its own default
             // context: same route, never cancelled.

@@ -3,12 +3,11 @@
 //! The workspace has invariants `rustc` and `clippy` cannot see — recovery
 //! decoders must never panic, locks must be taken in the declared order of
 //! `docs/lock_order.md`, long-running executor loops must poll the
-//! cancellation token, metric names must follow the naming scheme and stay
-//! in sync with `docs/metrics.md`, and cancel errors must be constructed in
-//! exactly one place. This crate enforces them with a purpose-built lexer
-//! ([`lexer`]) and a set of token-level rules ([`rules`]), run over the
-//! workspace's own sources by `cargo run -p snapshot_lint` (a required CI
-//! gate; see `docs/lint.md`).
+//! cancellation token, and metric names must follow the naming scheme and
+//! stay in sync with `docs/metrics.md`. This crate enforces them with a
+//! purpose-built lexer ([`lexer`]) and a set of token-level rules
+//! ([`rules`]), run over the workspace's own sources by
+//! `cargo run -p snapshot_lint` (a required CI gate; see `docs/lint.md`).
 //!
 //! Rules are deliberately syntactic: no type information, no macro
 //! expansion. That keeps them fast, dependency-free, and predictable — and
@@ -106,7 +105,6 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
         rules::panic_freedom::check(file, &mut findings);
         rules::cancellation::check(file, &mut findings);
         rules::locks::check_bare(file, &mut findings);
-        rules::cancel_marker::check(file, &mut findings);
     }
     rules::locks::check_order(root, &files, &mut findings);
     rules::metrics::check(root, &files, &mut findings);

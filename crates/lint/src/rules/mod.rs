@@ -4,9 +4,8 @@
 //! [`crate::run`] applies `lint:allow` suppressions afterwards, so rules
 //! only need to report what they see. Rule names (used in allow comments
 //! and JSON output) are the module names: `panic_freedom`, `cancellation`,
-//! `bare_lock`, `lock_order`, `metric_hygiene`, `cancel_marker`.
+//! `bare_lock`, `lock_order`, `metric_hygiene`.
 
-pub mod cancel_marker;
 pub mod cancellation;
 pub mod locks;
 pub mod metrics;

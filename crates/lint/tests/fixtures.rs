@@ -31,9 +31,6 @@ fn bad_tree_reports_every_rule_at_the_right_line() {
         // only call is the infallible sweep kernel (which cannot poll it).
         ("crates/engine/src/exec.rs", 5, "cancellation"),
         ("crates/engine/src/exec.rs", 12, "cancellation"),
-        // Hand-rolled marker string; direct marker-constant comparison.
-        ("crates/server/src/conn.rs", 4, "cancel_marker"),
-        ("crates/server/src/conn.rs", 8, "cancel_marker"),
         // Not snake_case; unknown prefix; uncataloged; kind clash;
         // non-literal name.
         ("crates/session/src/session.rs", 11, "metric_hygiene"),
@@ -93,6 +90,6 @@ fn cli_exit_codes_and_output_formats() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"rule\":\"cancel_marker\""));
+    assert!(json.contains("\"rule\":\"panic_freedom\""));
     assert!(json.contains("\"line\":4"));
 }

@@ -19,10 +19,10 @@
 //!   passes (`statement_timeout`), a resource limit trips
 //!   (`max_rows_scanned` / `max_result_rows`), or another session kills
 //!   it ([`cancel_session`], surfaced as `.kill <id>` and
-//!   `SELECT snapshot_cancel(<id>)`). The resulting error carries the
-//!   [`CANCEL_ERROR_MARKER`] so callers ([`is_cancel_error`]) can tell a
-//!   cancellation from a genuine statement failure — in particular the
-//!   session's conflict-retry loop must *not* retry a cancelled
+//!   `SELECT snapshot_cancel(<id>)`). The check returns
+//!   [`StatementError::Cancelled`], so callers tell a cancellation from a
+//!   genuine statement failure by matching the variant — in particular
+//!   the session's conflict-retry loop must *not* retry a cancelled
 //!   statement.
 //!
 //! Cancelled statements and timeouts are counted in the metrics registry
@@ -32,6 +32,7 @@
 use crate::metrics::{process_start, LazyCounter};
 use crate::stmtstats::fingerprint;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -39,16 +40,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 static STATEMENTS_CANCELLED: LazyCounter = LazyCounter::new("statements_cancelled_total");
 /// The `statement_timeout` subset of cancellations.
 static STATEMENT_TIMEOUTS: LazyCounter = LazyCounter::new("statement_timeouts_total");
-
-/// The substring every cancellation error carries (the counterpart of the
-/// transaction layer's conflict marker).
-pub const CANCEL_ERROR_MARKER: &str = "statement cancelled";
-
-/// Is `error` a cancellation (timeout, kill, resource limit)? Cancelled
-/// statements must not be retried: the statement was aborted on purpose.
-pub fn is_cancel_error(error: &str) -> bool {
-    error.contains(CANCEL_ERROR_MARKER)
-}
 
 /// Why a statement was cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +82,59 @@ impl CancelKind {
             CancelKind::RowsScannedLimit => "max_rows_scanned exceeded",
             CancelKind::ResultRowsLimit => "max_result_rows exceeded",
         }
+    }
+}
+
+/// Why a statement failed, for the callers that branch on it: the
+/// session (roll back and count a cancellation; retry a conflict), and
+/// the server (which wire frame to send). The class is fixed where it is
+/// known — [`CancelToken::check`] and commit validation — never re-read
+/// from the message. Everything below that path keeps `Result<_, String>`
+/// and converts with `?` into [`StatementError::Failed`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StatementError {
+    /// Cooperatively cancelled: timeout, kill, or resource limit. Never
+    /// retried — the statement was aborted on purpose.
+    Cancelled {
+        /// What tripped the token.
+        kind: CancelKind,
+        /// The tripped limit, spelled out (`statement timeout (5 ms)
+        /// exceeded`).
+        reason: String,
+    },
+    /// The commit lost a first-committer-wins race (or a replay
+    /// dependency moved); an autocommit statement may be retried.
+    Conflict(String),
+    /// Any other failure: parse, bind, constraint, I/O.
+    Failed(String),
+}
+
+impl fmt::Display for StatementError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StatementError::Cancelled { reason, .. } => {
+                write!(f, "statement cancelled: {reason}")
+            }
+            StatementError::Conflict(msg) | StatementError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for StatementError {
+    fn from(msg: String) -> Self {
+        StatementError::Failed(msg)
+    }
+}
+
+impl From<&str> for StatementError {
+    fn from(msg: &str) -> Self {
+        StatementError::Failed(msg.to_string())
+    }
+}
+
+impl From<StatementError> for String {
+    fn from(e: StatementError) -> String {
+        e.to_string()
     }
 }
 
@@ -258,31 +302,31 @@ impl CancelToken {
         CancelKind::from_code(self.cancelled.load(Ordering::Acquire))
     }
 
-    /// The cancellation error for `kind`, carrying
-    /// [`CANCEL_ERROR_MARKER`].
-    fn error(&self, kind: CancelKind) -> String {
-        match kind {
+    /// The cancellation error for `kind` (built only once tripped).
+    fn error(&self, kind: CancelKind) -> StatementError {
+        let reason = match kind {
             CancelKind::Timeout => format!(
-                "{CANCEL_ERROR_MARKER}: statement timeout ({} ms) exceeded",
+                "statement timeout ({} ms) exceeded",
                 self.timeout_ms.load(Ordering::Relaxed)
             ),
-            CancelKind::Killed => format!("{CANCEL_ERROR_MARKER}: killed by request"),
+            CancelKind::Killed => "killed by request".to_string(),
             CancelKind::RowsScannedLimit => format!(
-                "{CANCEL_ERROR_MARKER}: max_rows_scanned ({}) exceeded",
+                "max_rows_scanned ({}) exceeded",
                 self.max_rows_scanned.load(Ordering::Relaxed)
             ),
             CancelKind::ResultRowsLimit => format!(
-                "{CANCEL_ERROR_MARKER}: max_result_rows ({}) exceeded",
+                "max_result_rows ({}) exceeded",
                 self.max_result_rows.load(Ordering::Relaxed)
             ),
-        }
+        };
+        StatementError::Cancelled { kind, reason }
     }
 
     /// The cooperative check: returns the cancellation error if the token
     /// was tripped, the deadline passed, or `account` exceeds a limit.
     /// Cheap when nothing is armed — three relaxed loads and (only with a
     /// deadline armed) one clock read.
-    pub fn check(&self, account: &ResourceAccount) -> Result<(), String> {
+    pub fn check(&self, account: &ResourceAccount) -> Result<(), StatementError> {
         if let Some(kind) = self.cancel_kind() {
             return Err(self.error(kind));
         }
@@ -515,11 +559,6 @@ impl ActivityHandle {
         self.entry.in_txn.store(in_txn, Ordering::Relaxed);
     }
 
-    /// Why the current statement was cancelled, if it was.
-    pub fn cancel_kind(&self) -> Option<CancelKind> {
-        self.entry.token.cancel_kind()
-    }
-
     /// Stamp the peer address (`host:port`) of the network client this
     /// session serves. Shown as `remote_addr` in `snapshot_stat_activity`
     /// so `.kill <id>` / `snapshot_cancel(id)` work as an admin plane
@@ -649,12 +688,22 @@ mod tests {
         token.arm(None, None, None);
         assert!(token.check(&account).is_ok());
 
+        // Each trip is matched on its kind; the returned `to_string()`
+        // pins the user-visible text (shell, wire, CI greps) once per kind.
+        let tripped = |expect: CancelKind| {
+            let err = token.check(&account).unwrap_err();
+            assert!(
+                matches!(err, StatementError::Cancelled { kind, .. } if kind == expect),
+                "{err:?}"
+            );
+            assert_eq!(token.cancel_kind(), Some(expect));
+            err.to_string()
+        };
+
         // Explicit kill.
         token.cancel(CancelKind::Killed);
-        let err = token.check(&account).unwrap_err();
-        assert!(is_cancel_error(&err), "{err}");
-        assert!(err.contains("killed"), "{err}");
-        assert_eq!(token.cancel_kind(), Some(CancelKind::Killed));
+        let text = tripped(CancelKind::Killed);
+        assert_eq!(text, "statement cancelled: killed by request");
         // First reason sticks.
         token.cancel(CancelKind::Timeout);
         assert_eq!(token.cancel_kind(), Some(CancelKind::Killed));
@@ -666,21 +715,23 @@ mod tests {
         // An already-passed deadline trips as a timeout.
         token.arm(Some(1), None, None);
         std::thread::sleep(std::time::Duration::from_millis(3));
-        let err = token.check(&account).unwrap_err();
-        assert!(err.contains("timeout"), "{err}");
-        assert_eq!(token.cancel_kind(), Some(CancelKind::Timeout));
+        let text = tripped(CancelKind::Timeout);
+        assert_eq!(
+            text,
+            "statement cancelled: statement timeout (1 ms) exceeded"
+        );
 
         // Resource limits.
         token.arm(None, Some(10), None);
         account.reset();
         account.add_rows_scanned(11);
-        let err = token.check(&account).unwrap_err();
-        assert!(err.contains("max_rows_scanned"), "{err}");
+        let text = tripped(CancelKind::RowsScannedLimit);
+        assert_eq!(text, "statement cancelled: max_rows_scanned (10) exceeded");
         token.arm(None, None, Some(5));
         account.reset();
         account.add_rows_emitted(6);
-        let err = token.check(&account).unwrap_err();
-        assert!(err.contains("max_result_rows"), "{err}");
+        let text = tripped(CancelKind::ResultRowsLimit);
+        assert_eq!(text, "statement cancelled: max_result_rows (5) exceeded");
 
         token.disarm();
         assert!(token.check(&account).is_ok());
@@ -695,7 +746,9 @@ mod tests {
         h.begin_statement("SELECT 1", None, None, None);
         assert!(cancel_session(id), "active session: cancelled");
         let err = h.token().check(&h.account()).unwrap_err();
-        assert!(is_cancel_error(&err));
+        let killed =
+            matches!(err, StatementError::Cancelled { kind, .. } if kind == CancelKind::Killed);
+        assert!(killed, "{err:?}");
         h.end_statement();
         // The kill must not leak into the next statement.
         h.begin_statement("SELECT 2", None, None, None);

@@ -40,6 +40,9 @@
 //!   [`CancelToken`]s (statement timeouts, resource limits, explicit
 //!   kills). Feeds the `snapshot_stat_activity` and
 //!   `snapshot_stat_progress` virtual tables and the shell's `.activity`.
+//!   Also home of [`StatementError`], the one error type of the statement
+//!   path — it lives here because this is the lowest crate the engine,
+//!   the transaction manager, the session and the server all share.
 //!
 //! # Testing against process-global state
 //!
@@ -66,9 +69,9 @@ pub mod stmtstats;
 pub mod trace;
 
 pub use activity::{
-    cancel_session, is_cancel_error, note_cancellation, register_session, sessions_snapshot,
-    ActivityHandle, CancelKind, CancelToken, Phase, ResourceAccount, ResourceUsage,
-    SessionSnapshot, CANCEL_ERROR_MARKER,
+    cancel_session, note_cancellation, register_session, sessions_snapshot, ActivityHandle,
+    CancelKind, CancelToken, Phase, ResourceAccount, ResourceUsage, SessionSnapshot,
+    StatementError,
 };
 pub use lock::{LockGuard, ReadGuard, WriteGuard};
 pub use metrics::{

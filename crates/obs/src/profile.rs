@@ -178,6 +178,7 @@ mod tests {
         let _guard = crate::testing::serial_guard();
         set_profiling(true);
         reset_profile();
+        let wall = Instant::now();
         {
             let _root = ProfileSpan::enter("Aggregate");
             spin_for(200_000);
@@ -186,6 +187,7 @@ mod tests {
                 spin_for(400_000);
             }
         }
+        let wall_ns = wall.elapsed().as_nanos() as u64;
         set_profiling(false);
         let stats = profile_stats();
         let find = |p: &str| {
@@ -200,10 +202,13 @@ mod tests {
         assert_eq!(root.samples, 1);
         assert_eq!(child.samples, 1);
         assert!(child.self_ns >= 400_000, "child self time: {child:?}");
-        // Root's self time excludes the child's 400 µs.
+        // Root's self time excludes the child's 400 µs: the two self
+        // times fit in the wall time (a root that counted the child would
+        // overshoot it by those 400 µs). No absolute upper bound — a
+        // preempted spin would fail it.
         assert!(
-            root.self_ns >= 200_000 && root.self_ns < 400_000,
-            "root self time should exclude the child: {root:?}"
+            root.self_ns >= 200_000 && root.self_ns + child.self_ns <= wall_ns,
+            "root self time should exclude the child: {root:?} {child:?} wall {wall_ns}"
         );
         let folded = render_folded();
         assert!(folded.contains("Aggregate;Scan "));

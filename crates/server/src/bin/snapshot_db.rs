@@ -456,7 +456,7 @@ impl Shell {
                 }
                 Flow::Continue
             }
-            Err(e) => self.fail(&e),
+            Err(e) => self.fail(&e.to_string()),
         }
     }
 

@@ -25,7 +25,7 @@
 use crate::protocol::{read_frame, rowset_frames, write_frame, Frame, ReadError, PROTOCOL_VERSION};
 use snapshot_obs as obs;
 use snapshot_session::meta::{run_meta, MetaFlow};
-use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementResult};
+use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementError, StatementResult};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -455,10 +455,12 @@ fn executor_loop(
                             }
                         }
                         Err(e) => {
-                            let frame = if obs::is_cancel_error(&e) {
-                                Frame::Cancelled { reason: e }
-                            } else {
-                                Frame::Error { message: e }
+                            let frame = match e {
+                                StatementError::Cancelled { .. } => Frame::Cancelled {
+                                    reason: e.to_string(),
+                                },
+                                StatementError::Conflict(message)
+                                | StatementError::Failed(message) => Frame::Error { message },
                             };
                             if !send(stream, &frame) {
                                 return;

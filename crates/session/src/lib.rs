@@ -39,6 +39,9 @@ pub use session::{
     PhaseTimings, RecoveryReport, RetryStats, Session, SessionOptions, StatementResult,
 };
 pub use shared::SharedDatabase;
+// The error type of the statement path, re-exported so embedders can
+// match on it without depending on `snapshot_obs` directly.
+pub use snapshot_obs::{CancelKind, StatementError};
 // Concurrency surface, re-exported so tests and the shell need not depend
 // on `snapshot_txn` directly.
 pub use snapshot_txn::CatalogSnapshot;

@@ -227,13 +227,11 @@ fn parallel(
             .map(|_| {
                 let shared = shared.clone();
                 let options = *template;
-                scope.spawn(move || {
+                scope.spawn(move || -> Result<storage::Table, String> {
                     let mut session = shared.session_with_options(options);
-                    session.execute(sql).and_then(|r| {
-                        r.rows()
-                            .map(|t| t.canonicalized())
-                            .ok_or_else(|| "not a query".to_string())
-                    })
+                    let result = session.execute(sql)?;
+                    let rows = result.rows().ok_or("not a query")?;
+                    Ok(rows.canonicalized())
                 })
             })
             .collect();

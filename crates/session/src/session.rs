@@ -26,6 +26,11 @@
 //! discards them — the catalog is bit-for-bit what it was at `BEGIN`. A
 //! failed `COMMIT` (write-write conflict, durability failure) rolls the
 //! transaction back.
+//!
+//! What a failure does to the session is decided by the variant of its
+//! [`StatementError`], never by the message: `Cancelled` rolls the open
+//! transaction back and is counted, `Conflict` makes an autocommit
+//! statement retry, `Failed` leaves an open transaction open.
 
 use crate::database::{
     conform_row, create_table_in, delete_where_in, insert_rows_in, update_where_in, Database,
@@ -35,8 +40,8 @@ use algebra::Plan;
 use engine::{eval_expr, eval_predicate, Engine, EngineConfig, ExecContext, ExecStats, NodeStats};
 use index::{IndexCatalog, MaintenanceStats};
 use rewrite::{infer_domain, RewriteOptions, SnapshotCompiler};
-use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
-use snapshot_txn::{CatalogSnapshot, CommitError, Transaction};
+use snapshot_obs::{self as obs, LazyCounter, LazyHistogram, StatementError};
+use snapshot_txn::{CatalogSnapshot, Transaction};
 use sql::{
     bind_scalar_expr, bind_statement, parse_sql_statement, split_script, AstExpr, ColumnDef,
     InsertSource, SqlStatement, Statement,
@@ -169,7 +174,7 @@ pub struct SessionOptions {
     pub slow_query_ms: Option<u64>,
     /// Statement timeout, in milliseconds: a statement still executing
     /// past it is cooperatively cancelled at the next operator batch
-    /// boundary and surfaces a "statement cancelled" error. `None` (the
+    /// boundary and surfaces [`StatementError::Cancelled`]. `None` (the
     /// default) and `0` both mean no timeout. Set it per session via
     /// `SET statement_timeout = <ms>`, the shell's `--timeout-ms` flag,
     /// or `.timeout`.
@@ -398,32 +403,26 @@ impl Session {
 
     /// A session over an exclusively owned database, with explicit options.
     pub fn with_options(db: Database, options: SessionOptions) -> Self {
-        apply_slow_log_capacity(&options);
-        Session {
-            backend: Backend::Owned(Box::new(db)),
-            options,
-            txn: None,
-            next_owned_txn_id: 0,
-            retries: RetryStats::default(),
-            phases: PhaseTimings::default(),
-            slow_actuals: None,
-            activity: obs::register_session("owned"),
-        }
+        Session::over(Backend::Owned(Box::new(db)), "owned", options)
     }
 
     /// A session over a shared database (one of many — see
     /// [`SharedDatabase::session`]).
     pub(crate) fn from_shared(shared: SharedDatabase, options: SessionOptions) -> Self {
+        Session::over(Backend::Shared(shared), "shared", options)
+    }
+
+    fn over(backend: Backend, kind: &'static str, options: SessionOptions) -> Self {
         apply_slow_log_capacity(&options);
         Session {
-            backend: Backend::Shared(shared),
+            backend,
             options,
             txn: None,
             next_owned_txn_id: 0,
             retries: RetryStats::default(),
             phases: PhaseTimings::default(),
             slow_actuals: None,
-            activity: obs::register_session("shared"),
+            activity: obs::register_session(kind),
         }
     }
 
@@ -614,14 +613,47 @@ impl Session {
     /// is visible and before this returns; statements inside a transaction
     /// are buffered and logged as one atomic commit unit (single fsync) at
     /// `COMMIT`.
-    pub fn execute(&mut self, sql: &str) -> Result<StatementResult, String> {
+    pub fn execute(&mut self, sql: &str) -> Result<StatementResult, StatementError> {
         let started = Instant::now();
         let stmt = {
             let _span = obs::Span::enter("session.parse");
             parse_sql_statement(sql)?
         };
         let parse_ns = started.elapsed().as_nanos() as u64;
-        let result = self.apply_inner(&stmt, Some(sql));
+        self.execute_parsed(&stmt, sql, parse_ns)
+    }
+
+    /// Parses and executes a `;`-separated script, stopping at the first
+    /// error. The whole script is parsed up front, so a syntax error
+    /// anywhere prevents any statement from running; execution errors stop
+    /// the script mid-way. On a durable database each bare DDL/DML
+    /// statement is its own commit unit (inside transactions, the unit is
+    /// the transaction).
+    pub fn execute_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, StatementError> {
+        let pieces = split_script(sql);
+        let mut stmts = Vec::with_capacity(pieces.len());
+        for piece in &pieces {
+            let started = Instant::now();
+            let _span = obs::Span::enter("session.parse");
+            let stmt = parse_sql_statement(piece)?;
+            stmts.push((stmt, started.elapsed().as_nanos() as u64));
+        }
+        stmts
+            .iter()
+            .zip(&pieces)
+            .map(|((stmt, parse_ns), piece)| self.execute_parsed(stmt, piece, *parse_ns))
+            .collect()
+    }
+
+    /// Runs one parsed statement and does the post-statement bookkeeping
+    /// [`Session::execute`] and [`Session::execute_script`] share.
+    fn execute_parsed(
+        &mut self,
+        stmt: &SqlStatement,
+        sql: &str,
+        parse_ns: u64,
+    ) -> Result<StatementResult, StatementError> {
+        let result = self.apply_inner(stmt, Some(sql));
         // `apply_inner` reset the phase breakdown; fold the parse time in
         // afterwards so it survives the reset.
         self.phases.parse_ns = parse_ns;
@@ -634,42 +666,13 @@ impl Session {
         result
     }
 
-    /// Parses and executes a `;`-separated script, stopping at the first
-    /// error. The whole script is parsed up front, so a syntax error
-    /// anywhere prevents any statement from running; execution errors stop
-    /// the script mid-way. On a durable database each bare DDL/DML
-    /// statement is its own commit unit (inside transactions, the unit is
-    /// the transaction).
-    pub fn execute_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, String> {
-        let pieces = split_script(sql);
-        let mut stmts = Vec::with_capacity(pieces.len());
-        let mut parse_ns = Vec::with_capacity(pieces.len());
-        for piece in &pieces {
-            let started = Instant::now();
-            let _span = obs::Span::enter("session.parse");
-            stmts.push(parse_sql_statement(piece)?);
-            parse_ns.push(started.elapsed().as_nanos() as u64);
-        }
-        let mut out = Vec::with_capacity(stmts.len());
-        for ((stmt, piece), parse_ns) in stmts.iter().zip(&pieces).zip(parse_ns) {
-            out.push(self.apply_inner(stmt, Some(piece))?);
-            self.phases.parse_ns = parse_ns;
-            if self.options.collect_metrics {
-                self.phases.publish_to_registry();
-            }
-            let result = out.last().expect("just pushed");
-            self.observe_statement(piece, result);
-        }
-        Ok(out)
-    }
-
     /// Executes one parsed statement without recording its text — the
     /// recovery-replay entry point: a replayed statement is already in the
     /// log and must not be buffered for it again.
     pub(crate) fn execute_statement(
         &mut self,
         stmt: &SqlStatement,
-    ) -> Result<StatementResult, String> {
+    ) -> Result<StatementResult, StatementError> {
         self.apply_inner(stmt, None)
     }
 
@@ -729,13 +732,13 @@ impl Session {
 
     /// Routes one statement: transaction control, query, or mutation —
     /// bracketed by live-activity registration ([`snapshot_obs::activity`])
-    /// and followed by the cancellation unwind if the statement died with
-    /// a "statement cancelled" error.
+    /// and followed by the cancellation unwind if the statement died
+    /// [`StatementError::Cancelled`].
     fn apply_inner(
         &mut self,
         stmt: &SqlStatement,
         text: Option<&str>,
-    ) -> Result<StatementResult, String> {
+    ) -> Result<StatementResult, StatementError> {
         self.phases = PhaseTimings::default();
         self.slow_actuals = None;
         self.activity.begin_statement(
@@ -745,10 +748,8 @@ impl Session {
             self.options.max_result_rows,
         );
         let result = self.dispatch(stmt, text);
-        if let Err(e) = &result {
-            if obs::is_cancel_error(e) {
-                self.unwind_cancelled(text);
-            }
+        if let Err(StatementError::Cancelled { kind, .. }) = &result {
+            self.unwind_cancelled(*kind, text);
         }
         self.activity.set_in_txn(self.txn.is_some());
         self.activity.end_statement();
@@ -760,7 +761,7 @@ impl Session {
         &mut self,
         stmt: &SqlStatement,
         text: Option<&str>,
-    ) -> Result<StatementResult, String> {
+    ) -> Result<StatementResult, StatementError> {
         match stmt {
             SqlStatement::Query(q) => {
                 // `SELECT snapshot_cancel(<id>)` is a session-level verb,
@@ -786,7 +787,10 @@ impl Session {
                 Ok(StatementResult::Rows(plan_text_table(&plan.explain())))
             }
             SqlStatement::Begin => self.begin_txn(),
-            SqlStatement::Commit => self.commit_txn(),
+            SqlStatement::Commit => {
+                let tables = self.commit_open()?;
+                Ok(StatementResult::Committed { tables })
+            }
             SqlStatement::Rollback => self.rollback_txn(),
             SqlStatement::Set { name, value } => self.apply_set(name, value),
             _ => self.apply_mutation(stmt, text),
@@ -795,7 +799,7 @@ impl Session {
 
     /// `SET <option> = <value>`: session-scoped knobs for cancellation
     /// and the slow log. Numeric options accept `off` (or `0`) to clear.
-    fn apply_set(&mut self, name: &str, value: &str) -> Result<StatementResult, String> {
+    fn apply_set(&mut self, name: &str, value: &str) -> Result<StatementResult, StatementError> {
         let parsed = if value.eq_ignore_ascii_case("off") {
             None
         } else {
@@ -822,7 +826,7 @@ impl Session {
                 obs::set_slow_log_capacity(n as usize);
                 self.options.slow_log_capacity = obs::slow_log_capacity();
             }
-            other => return Err(format!("unknown session option '{other}'")),
+            other => return Err(format!("unknown session option '{other}'").into()),
         }
         Ok(StatementResult::Set {
             name: name.to_string(),
@@ -834,28 +838,24 @@ impl Session {
     /// registry, roll back whatever transaction it was running in (the
     /// WAL never saw its writes — statements are only logged at COMMIT),
     /// and stamp the slow log (when armed) with the cancellation reason.
-    fn unwind_cancelled(&mut self, text: Option<&str>) {
-        let kind = self.activity.cancel_kind();
-        if let Some(kind) = kind {
-            obs::note_cancellation(kind);
-        }
+    fn unwind_cancelled(&mut self, kind: obs::CancelKind, text: Option<&str>) {
+        obs::note_cancellation(kind);
         // Drop the open transaction (explicit or implicit): its pinned
         // snapshot is what everyone else still sees, so this is the whole
         // rollback — buffered statement text only reaches the WAL at
         // COMMIT.
         self.txn = None;
         if self.options.slow_query_ms.is_some() {
-            let reason = kind.map_or("cancelled", |k| k.reason());
             self.record_slow_query(
                 text.unwrap_or("<prepared statement>"),
                 None,
-                Some(reason.to_string()),
+                Some(kind.reason().to_string()),
             );
         }
     }
 
     /// `BEGIN`: pin a snapshot and open a transaction over it.
-    fn begin_txn(&mut self) -> Result<StatementResult, String> {
+    fn begin_txn(&mut self) -> Result<StatementResult, StatementError> {
         if self.txn.is_some() {
             return Err(
                 "a transaction is already open (nested transactions are not supported)".into(),
@@ -874,21 +874,12 @@ impl Session {
         Ok(StatementResult::Began)
     }
 
-    /// `COMMIT`: see [`Session::commit_open`].
-    fn commit_txn(&mut self) -> Result<StatementResult, String> {
-        let tables = self.commit_open().map_err(|e| e.to_string())?;
-        Ok(StatementResult::Committed { tables })
-    }
-
     /// Commits the open transaction — validate, log the commit unit,
     /// publish — and returns how many tables it published. A failed commit
     /// (conflict or durability error) rolls the transaction back — the
     /// committed state is untouched either way.
-    fn commit_open(&mut self) -> Result<usize, CommitError> {
-        let txn = self
-            .txn
-            .take()
-            .ok_or_else(|| CommitError::Failed("no transaction is open".into()))?;
+    fn commit_open(&mut self) -> Result<usize, StatementError> {
+        let txn = self.txn.take().ok_or("no transaction is open")?;
         self.activity.set_phase(obs::Phase::Commit);
         let started = Instant::now();
         let _span = obs::Span::enter("session.commit");
@@ -902,7 +893,7 @@ impl Session {
 
     /// `ROLLBACK`: drop the working state; the snapshot pinned at `BEGIN`
     /// is what everyone still sees, so there is nothing to undo.
-    fn rollback_txn(&mut self) -> Result<StatementResult, String> {
+    fn rollback_txn(&mut self) -> Result<StatementResult, StatementError> {
         if self.txn.take().is_none() {
             return Err("no transaction is open".into());
         }
@@ -941,7 +932,7 @@ impl Session {
         &mut self,
         stmt: &SqlStatement,
         text: Option<&str>,
-    ) -> Result<StatementResult, String> {
+    ) -> Result<StatementResult, StatementError> {
         if self.txn.is_some() {
             return self.mutate_buffered(stmt, text);
         }
@@ -966,7 +957,7 @@ impl Session {
         &mut self,
         stmt: &SqlStatement,
         text: Option<&str>,
-    ) -> Result<StatementResult, String> {
+    ) -> Result<StatementResult, StatementError> {
         let (result, written) = self.mutate(stmt)?;
         let txn = self.txn.as_mut().expect("caller opened the transaction");
         if let Some(table) = written {
@@ -993,7 +984,7 @@ impl Session {
         &mut self,
         stmt: &SqlStatement,
         text: Option<&str>,
-    ) -> Result<StatementResult, String> {
+    ) -> Result<StatementResult, StatementError> {
         let mut attempts = 0u32;
         loop {
             let txn = match &self.backend {
@@ -1001,31 +992,29 @@ impl Session {
                 Backend::Owned(_) => unreachable!("caller checked the backend"),
             };
             self.txn = Some(txn);
-            let outcome = match self.mutate_buffered(stmt, text) {
-                // `commit_open` consumes the transaction, success or not.
-                Ok(result) => self.commit_open().map(|_| result),
-                Err(e) => {
-                    self.txn = None;
-                    Err(CommitError::Failed(e))
-                }
-            };
+            let outcome = self
+                .mutate_buffered(stmt, text)
+                .and_then(|result| self.commit_open().map(|_| result));
+            // `commit_open` consumed the transaction; a failed mutation
+            // never got there and must not leak it.
+            self.txn = None;
             match outcome {
                 Ok(result) => {
                     self.retries.record(attempts);
                     return Ok(result);
                 }
-                Err(CommitError::Conflict(_)) if attempts < CONFLICT_RETRY_LIMIT => {
+                Err(StatementError::Conflict(_)) if attempts < CONFLICT_RETRY_LIMIT => {
                     attempts += 1;
                     SESSION_RETRIES.inc();
                     conflict_backoff(attempts);
                 }
                 Err(e) => {
                     self.retries.record(attempts);
-                    if matches!(e, CommitError::Conflict(_)) {
+                    if matches!(e, StatementError::Conflict(_)) {
                         self.retries.gave_up += 1;
                         SESSION_RETRY_GIVE_UPS.inc();
                     }
-                    return Err(e.to_string());
+                    return Err(e);
                 }
             }
         }
@@ -1035,7 +1024,10 @@ impl Session {
     /// the table name *actually written* (`None` when the statement turned
     /// out to be a no-op — those never enter a write set, so they can
     /// never conflict).
-    fn mutate(&mut self, stmt: &SqlStatement) -> Result<(StatementResult, Option<String>), String> {
+    fn mutate(
+        &mut self,
+        stmt: &SqlStatement,
+    ) -> Result<(StatementResult, Option<String>), StatementError> {
         match stmt {
             SqlStatement::CreateTable {
                 name,
@@ -1054,7 +1046,7 @@ impl Session {
             SqlStatement::DropTable { name, if_exists } => {
                 let existed = self.target_catalog_mut().remove(name).is_some();
                 if !existed && !if_exists {
-                    return Err(format!("unknown table '{name}'"));
+                    return Err(format!("unknown table '{name}'").into());
                 }
                 Ok((
                     StatementResult::Dropped {
@@ -1156,7 +1148,7 @@ impl Session {
     /// a query run through the full pipeline (against this session's
     /// current read context — inside a transaction, that includes its own
     /// uncommitted writes).
-    fn eval_insert_source(&mut self, source: &InsertSource) -> Result<Vec<Row>, String> {
+    fn eval_insert_source(&mut self, source: &InsertSource) -> Result<Vec<Row>, StatementError> {
         match source {
             InsertSource::Values(value_rows) => {
                 // Constant rows: bind against the empty schema (so stray
@@ -1190,7 +1182,11 @@ impl Session {
     /// session's resource account and cancellation token, so operators
     /// bill their work to `snapshot_stat_progress` and observe kills,
     /// timeouts, and resource limits at batch boundaries.
-    fn run_query(&mut self, stmt: &Statement, explain_analyze: bool) -> Result<Table, String> {
+    fn run_query(
+        &mut self,
+        stmt: &Statement,
+        explain_analyze: bool,
+    ) -> Result<Table, StatementError> {
         let Session {
             backend,
             txn,
@@ -1238,7 +1234,8 @@ impl Session {
                                 "indexed and naive results diverge: {} vs {} rows — index invalidation bug",
                                 executed.len(),
                                 naive.len()
-                            ));
+                            )
+                            .into());
                         }
                     }
                     Ok(executed)
@@ -1320,7 +1317,7 @@ fn apply_slow_log_capacity(options: &SessionOptions) {
 /// The owned-backend commit path: validate against the live database
 /// (first-committer-wins — the database can only have moved if the caller
 /// mutated it directly mid-transaction), then publish.
-fn commit_owned(db: &mut Database, txn: Transaction) -> Result<usize, CommitError> {
+fn commit_owned(db: &mut Database, txn: Transaction) -> Result<usize, StatementError> {
     snapshot_txn::validate_first_committer_wins(&txn, db.catalog())?;
     let published = txn.write_set().count();
     db.publish_transaction(txn.catalog(), txn.write_set());

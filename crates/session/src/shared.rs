@@ -20,8 +20,8 @@
 use crate::database::Database;
 use crate::session::{RecoveryReport, Session, SessionOptions};
 use index::MaintenanceStats;
-use snapshot_obs::LazyCounter;
-use snapshot_txn::{CatalogSnapshot, CommitError, CommitOutcome, Transaction, TxnManager};
+use snapshot_obs::{LazyCounter, StatementError};
+use snapshot_txn::{CatalogSnapshot, CommitOutcome, Transaction, TxnManager};
 use snapshot_wal::{Persistence, PersistenceOptions};
 use sql::parse_sql_statement;
 use std::path::Path;
@@ -150,7 +150,7 @@ impl SharedDatabase {
 
     /// Commits a transaction: validate first-committer-wins, append the
     /// commit unit to the WAL (one fsync), publish, auto-checkpoint.
-    pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitOutcome, CommitError> {
+    pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitOutcome, StatementError> {
         let inner = &*self.inner;
         let outcome =
             inner

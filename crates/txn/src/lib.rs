@@ -37,8 +37,6 @@ pub mod manager;
 pub mod snapshot;
 pub mod transaction;
 
-pub use manager::{
-    publish_write_set, validate_first_committer_wins, CommitError, CommitOutcome, TxnManager,
-};
+pub use manager::{publish_write_set, validate_first_committer_wins, CommitOutcome, TxnManager};
 pub use snapshot::CatalogSnapshot;
 pub use transaction::Transaction;

@@ -4,8 +4,7 @@
 use crate::snapshot::CatalogSnapshot;
 use crate::transaction::Transaction;
 use index::IndexCatalog;
-use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
-use std::fmt;
+use snapshot_obs::{self as obs, LazyCounter, LazyHistogram, StatementError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
@@ -80,42 +79,23 @@ pub struct TxnManager {
     next_txn_id: AtomicU64,
 }
 
-/// Why a commit was refused. The two classes need different handling —
-/// a conflict lost a race and may succeed over a fresh snapshot, anything
-/// else will fail again — so the class is a type, not a phrase in the
-/// message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommitError {
-    /// First-committer-wins refusal: the *retryable* class. Nothing about
-    /// the statements is invalid; the transaction merely raced.
-    Conflict(String),
-    /// Everything else (a durability failure): not retryable.
-    Failed(String),
-}
-
-impl fmt::Display for CommitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CommitError::Conflict(msg) | CommitError::Failed(msg) => f.write_str(msg),
-        }
-    }
-}
-
 /// First-committer-wins validation of `txn` against `committed`: every
 /// conflict-set table (written, or read as a replay dependency) must still
 /// carry the version epoch the transaction pinned at `BEGIN`. Version
 /// epochs are globally unique, so a drop-and-recreate look-alike can never
-/// slip through. Shared by [`TxnManager::commit_with`] and the session
-/// layer's owned-database commit path.
+/// slip through. A refusal is [`StatementError::Conflict`] — the
+/// *retryable* class: nothing about the statements is invalid, the
+/// transaction merely raced. Shared by [`TxnManager::commit_with`] and the
+/// session layer's owned-database commit path.
 pub fn validate_first_committer_wins(
     txn: &Transaction,
     committed: &Catalog,
-) -> Result<(), CommitError> {
+) -> Result<(), StatementError> {
     for name in txn.conflict_set() {
         let now = committed.get(name).map(Table::version);
         let pinned = txn.snapshot().catalog().get(name).map(Table::version);
         if now != pinned {
-            return Err(CommitError::Conflict(format!(
+            return Err(StatementError::Conflict(format!(
                 "write-write conflict on table '{name}': a concurrent transaction \
                  committed it first (first-committer-wins) — rollback and retry"
             )));
@@ -215,12 +195,12 @@ impl TxnManager {
     /// durable, publish. `durability` receives the buffered statement
     /// texts and is called only for validated, non-read-only commits; an
     /// `Err` from it aborts the commit with the committed state untouched
-    /// and surfaces as [`CommitError::Failed`].
+    /// and surfaces as [`StatementError::Failed`] (not retryable).
     pub fn commit_with<F>(
         &self,
         txn: Transaction,
         durability: F,
-    ) -> Result<CommitOutcome, CommitError>
+    ) -> Result<CommitOutcome, StatementError>
     where
         F: FnOnce(&[String]) -> Result<(), String>,
     {
@@ -253,7 +233,7 @@ impl TxnManager {
             }
         }
         let (_, working, write_set, statements) = txn.into_parts();
-        durability(&statements).map_err(CommitError::Failed)?;
+        durability(&statements)?;
         // Publish: swap the written tables' Arc handles into the committed
         // catalog and repair their committed indexes, so later snapshots
         // pin fresh entries.
@@ -431,7 +411,7 @@ mod tests {
 
         mgr.commit_with(a, |_| Ok(())).unwrap();
         let err = mgr.commit_with(b, |_| Ok(())).unwrap_err();
-        assert!(matches!(err, CommitError::Conflict(_)), "{err}");
+        assert!(matches!(err, StatementError::Conflict(_)), "{err}");
         assert!(err.to_string().contains("write-write conflict"), "{err}");
         // The winner's row is there; the loser's never lands.
         let state = mgr.snapshot();
@@ -508,7 +488,7 @@ mod tests {
                 Err("disk on fire".into())
             })
             .unwrap_err();
-        assert_eq!(err, CommitError::Failed("disk on fire".into()));
+        assert_eq!(err, StatementError::Failed("disk on fire".into()));
         assert_eq!(mgr.snapshot().catalog().get("works").unwrap().len(), 2);
         assert_eq!(mgr.commit_seq(), 0);
     }

@@ -9,8 +9,8 @@
 //! globals, so every test takes `snapshot_obs::testing::serial_guard()`.
 
 use snapshot_session::{
-    Database, PersistenceOptions, Session, SessionOptions, SharedDatabase, StatementResult,
-    SyncPolicy,
+    CancelKind, Database, PersistenceOptions, Session, SessionOptions, SharedDatabase,
+    StatementError, StatementResult, SyncPolicy,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,6 +32,11 @@ fn int(v: &Value) -> i64 {
         Value::Int(n) => *n,
         other => panic!("expected int, got {other:?}"),
     }
+}
+
+/// Whether `err` is a cancellation of exactly `expect`'s kind.
+fn cancelled_as(err: &StatementError, expect: CancelKind) -> bool {
+    matches!(err, StatementError::Cancelled { kind, .. } if *kind == expect)
 }
 
 fn counter(name: &str) -> u64 {
@@ -159,8 +164,8 @@ fn concurrent_statement_is_visible_and_killable() {
     );
 
     let (err, next_rows) = victim.join().unwrap();
-    assert!(err.contains("statement cancelled"), "{err}");
-    assert!(err.contains("killed by request"), "{err}");
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    assert_eq!(err.to_string(), "statement cancelled: killed by request");
     assert_eq!(next_rows.len(), 1);
     assert_eq!(
         int(&next_rows[0].values()[0]),
@@ -209,8 +214,11 @@ fn timeout_mid_parallel_sweep_leaves_session_consistent() {
     let err = session
         .execute("SEQ VT (SELECT count(*) AS c FROM act_par a JOIN act_par b ON a.x <> b.x)")
         .unwrap_err();
-    assert!(err.contains("statement cancelled"), "{err}");
-    assert!(err.contains("statement timeout"), "{err}");
+    assert!(cancelled_as(&err, CancelKind::Timeout), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "statement cancelled: statement timeout (5 ms) exceeded"
+    );
     assert!(
         counter("statement_timeouts_total") > timeouts_before,
         "timeout counted"
@@ -293,7 +301,7 @@ fn timeout_in_explicit_transaction_rolls_back_cleanly() {
     let err = session
         .execute("SELECT count(*) AS c FROM act_txn a JOIN act_txn b ON a.x <> b.x")
         .unwrap_err();
-    assert!(err.contains("statement timeout"), "{err}");
+    assert!(cancelled_as(&err, CancelKind::Timeout), "{err:?}");
     assert!(!session.in_transaction(), "transaction rolled back");
 
     // Not poisoned: the uncommitted insert is gone and new statements run.
@@ -360,12 +368,20 @@ fn resource_limits_cancel_with_specific_reasons() {
 
     session.execute("SET max_rows_scanned = 100").unwrap();
     let err = session.execute("SELECT x FROM act_lim").unwrap_err();
-    assert!(err.contains("max_rows_scanned (100) exceeded"), "{err}");
+    assert!(cancelled_as(&err, CancelKind::RowsScannedLimit), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "statement cancelled: max_rows_scanned (100) exceeded"
+    );
 
     session.execute("SET max_rows_scanned = off").unwrap();
     session.execute("SET max_result_rows = 100").unwrap();
     let err = session.execute("SELECT x FROM act_lim").unwrap_err();
-    assert!(err.contains("max_result_rows (100) exceeded"), "{err}");
+    assert!(cancelled_as(&err, CancelKind::ResultRowsLimit), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "statement cancelled: max_result_rows (100) exceeded"
+    );
 
     // Limits generous enough are not tripped; clearing restores defaults.
     session.execute("SET max_result_rows = off").unwrap();
@@ -380,5 +396,61 @@ fn resource_limits_cancel_with_specific_reasons() {
         counter("statements_cancelled_total"),
         cancelled_before + 2,
         "both limit trips counted once each"
+    );
+}
+
+/// Regression: an ordinary error whose *text* echoes the words
+/// "statement cancelled" (a bad `SET` value, a parse error quoting a
+/// literal) is `Failed`, not a cancellation — the open transaction stays
+/// open, nothing is counted, and the slow log carries no cancel reason.
+/// The class comes from the error's variant, never from its message.
+#[test]
+fn error_text_echoing_the_cancel_words_is_not_a_cancellation() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    snapshot_obs::reset_slow_log();
+    let shared = SharedDatabase::in_memory();
+    let mut session = shared.session_with_options(SessionOptions {
+        slow_query_ms: Some(0), // armed: a cancellation would be stamped
+        ..SessionOptions::default()
+    });
+    session
+        .execute("CREATE TABLE act_echo (x INT, ts INT, te INT) PERIOD (ts, te)")
+        .unwrap();
+    let cancelled_before = counter("statements_cancelled_total");
+
+    session.execute("BEGIN").unwrap();
+    session
+        .execute("INSERT INTO act_echo VALUES (2, 0, 10)")
+        .unwrap();
+    for echoing in [
+        "SET max_result_rows = 'statement cancelled'",
+        "SELECT x FROM act_echo 'statement cancelled'",
+    ] {
+        let err = session.execute(echoing).unwrap_err();
+        assert!(
+            matches!(&err, StatementError::Failed(m) if m.contains("statement cancelled")),
+            "{echoing}: {err:?}"
+        );
+        assert!(
+            session.in_transaction(),
+            "{echoing}: transaction still open"
+        );
+    }
+    assert_eq!(
+        session.execute("COMMIT").unwrap(),
+        StatementResult::Committed { tables: 1 }
+    );
+    let rows = rows_of(&session.execute("SELECT x FROM act_echo").unwrap());
+    assert_eq!(rows, vec![vec![Value::Int(2)]], "the insert survived");
+    assert_eq!(
+        counter("statements_cancelled_total"),
+        cancelled_before,
+        "nothing was cancelled"
+    );
+    assert!(
+        snapshot_obs::slow_queries()
+            .iter()
+            .all(|q| q.cancelled.is_none()),
+        "no slow-log entry carries a cancel reason"
     );
 }

@@ -205,9 +205,9 @@ fn virtual_tables_are_rejected_under_snapshot_semantics() {
     let err = session
         .execute("SEQ VT (SELECT count(*) AS c FROM snapshot_stat_statements)")
         .unwrap_err();
-    assert!(err.contains("not a temporal relation"), "{err}");
+    assert!(err.to_string().contains("not a temporal relation"), "{err}");
     let err = session.execute("SELECT x FROM no_such_table").unwrap_err();
-    assert!(err.contains("unknown table"), "{err}");
+    assert!(err.to_string().contains("unknown table"), "{err}");
 }
 
 /// The slow-query log captures threshold crossers with their phase split

@@ -381,6 +381,50 @@ fn server_timeout_default_propagates_and_is_overridable() {
         .expect("clean shutdown");
 }
 
+/// Regression: an ordinary error whose text echoes "statement cancelled"
+/// arrives as an `Error` frame, not a `Cancelled` one, and leaves the
+/// connection's transaction open — the server picks the frame from the
+/// error's variant, not from its message.
+#[test]
+fn error_echoing_the_cancel_words_is_an_error_frame_and_keeps_the_transaction() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    run_ok(
+        &mut client,
+        "CREATE TABLE srv_echo (x INT, ts INT, te INT) PERIOD (ts, te);",
+    );
+    run_ok(
+        &mut client,
+        "BEGIN; INSERT INTO srv_echo VALUES (2, 0, 10);",
+    );
+
+    let resp = client
+        .query("SET max_result_rows = 'statement cancelled';")
+        .expect("connection alive");
+    match &resp.error {
+        Some(RemoteError::Server(message)) => {
+            assert!(message.contains("statement cancelled"), "{message}")
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    assert!(resp.in_txn, "the Ready frame still reports the transaction");
+
+    let results = run_ok(&mut client, "COMMIT; SELECT x FROM srv_echo;");
+    assert!(
+        matches!(&results[0], RemoteResult::Done(s) if s == "COMMIT (1 table(s))"),
+        "{results:?}"
+    );
+    assert_eq!(first_rows(&results).rows()[0].values()[0], Value::Int(2));
+
+    client.shutdown_server().expect("shutdown request");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
 /// Acceptance: graceful shutdown with connected clients leaves a
 /// recoverable, WAL-consistent database directory — reopening it recovers
 /// exactly the committed rows.

@@ -277,10 +277,12 @@ fn errors_are_reported_and_atomic() {
     assert!(s
         .execute("CREATE TABLE works (x INT)")
         .unwrap_err()
+        .to_string()
         .contains("already exists"));
     assert!(s
         .execute("CREATE TABLE t (a TEXT, ts INT, te INT) PERIOD (a, te)")
         .unwrap_err()
+        .to_string()
         .contains("must be INT"));
 
     // INSERT validation: arity, types, period — all atomic.
@@ -288,14 +290,17 @@ fn errors_are_reported_and_atomic() {
     assert!(s
         .execute("INSERT INTO works VALUES ('X', 'SP', 1)")
         .unwrap_err()
+        .to_string()
         .contains("arity"));
     assert!(s
         .execute("INSERT INTO works VALUES ('X', 'SP', 1, 5), ('Y', 2, 3, 4)")
         .unwrap_err()
+        .to_string()
         .contains("does not fit"));
     assert!(s
         .execute("INSERT INTO works VALUES ('X', 'SP', 9, 4)")
         .unwrap_err()
+        .to_string()
         .contains("begin < end"));
     assert_eq!(s.database().catalog().get("works").unwrap(), &before);
 
@@ -303,6 +308,7 @@ fn errors_are_reported_and_atomic() {
     assert!(s
         .execute("UPDATE works SET te = 0 WHERE name = 'Ann'")
         .unwrap_err()
+        .to_string()
         .contains("begin < end"));
     assert_eq!(s.database().catalog().get("works").unwrap(), &before);
 
@@ -312,6 +318,7 @@ fn errors_are_reported_and_atomic() {
     assert!(s
         .execute("DELETE FROM works WHERE ts + 1")
         .unwrap_err()
+        .to_string()
         .contains("boolean"));
 }
 

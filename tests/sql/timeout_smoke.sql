@@ -24,3 +24,10 @@ SELECT count(*) AS survivors FROM cancel_ci;
 -- And the timeout was counted (the WHERE clause means this row only
 -- prints when the counter actually moved).
 SELECT name, value FROM snapshot_stat_metrics WHERE name = 'statement_timeouts_total' AND value > 0;
+-- An ordinary error whose text merely echoes the words "statement
+-- cancelled" is not a cancellation: the open transaction stays open and
+-- the COMMIT below publishes its insert (CI greps for the COMMIT line).
+BEGIN;
+INSERT INTO cancel_ci VALUES (2, 0, 10);
+SET max_result_rows = 'statement cancelled';
+COMMIT;
