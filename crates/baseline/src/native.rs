@@ -21,7 +21,7 @@
 
 use algebra::{BinOp, Expr, Plan, SnapshotNode, SnapshotPlan};
 use engine::coalesce::coalesce_rows;
-use engine::sliding::{Partial, SlidingAgg};
+use engine::sliding::SlidingAgg;
 use engine::split::split_rows;
 use engine::{eval_expr, eval_predicate};
 use std::collections::HashMap;
@@ -180,13 +180,7 @@ impl NativeEvaluator {
                             .collect()
                     });
                     for (a, s) in aggs.iter().zip(state.iter_mut()) {
-                        let mut p = Partial::new();
-                        let v = match &a.arg {
-                            Some(e) => eval_expr(e, r),
-                            None => Value::Int(1),
-                        };
-                        p.add_value(&v);
-                        s.add(&p);
+                        s.add(&engine::temporal::agg_arg(a, r));
                     }
                 }
                 let g = group_cols.len();

@@ -6,13 +6,45 @@
 //! multiplicity is constant, exactly that multiplicity of duplicate rows.
 //!
 //! The algorithm mirrors the paper's analytic-window SQL implementation
-//! (Section 9, after [Zhou et al.]): per value-equivalent group, count open
-//! intervals per endpoint (+m at begin, −m at end), detect changepoints
-//! where the count changes, and emit maximal constant segments. One sort per
-//! group: `O(n log n)` overall.
+//! (Section 9, after [Zhou et al.]) as one sorted pass — the shape
+//! [`crate::temporal`] shares: order the rows once so that value-equivalent
+//! ones form contiguous runs, then per run count open intervals per
+//! endpoint (+1 at begin, −1 at end) and emit maximal constant segments.
+//! Row order *is* the canonical output order (key, then begin), so the one
+//! sort also settles the encoding's row order, and a run whose intervals
+//! neither meet nor overlap — nearly every row of a join result or an
+//! `avg` aggregate — is already in normal form: its rows move to the
+//! output untouched. `O(n log n)` overall.
 
-use std::collections::HashMap;
+use crate::exec::CANCEL_CHECK_INTERVAL;
+use std::convert::Infallible;
 use storage::Row;
+
+/// Counts the input rows a normalisation kernel has taken up and polls the
+/// statement's cancellation check once per [`CANCEL_CHECK_INTERVAL`] of
+/// them.
+pub(crate) struct Poll<C> {
+    pub(crate) check: C,
+    /// Rows counted so far (start at 0).
+    pub(crate) rows: u64,
+}
+
+impl<E, C: FnMut() -> Result<(), E>> Poll<C> {
+    /// `n` more input rows are being processed.
+    pub(crate) fn check(&mut self, n: usize) -> Result<(), E> {
+        let due = self.rows / CANCEL_CHECK_INTERVAL;
+        self.rows += n as u64;
+        if self.rows / CANCEL_CHECK_INTERVAL != due {
+            (self.check)()?;
+        }
+        Ok(())
+    }
+}
+
+/// The cancellation check of a caller outside any statement: never fails.
+pub fn never() -> Result<(), Infallible> {
+    Ok(())
+}
 
 /// Coalesces a multiset of period rows.
 ///
@@ -20,69 +52,47 @@ use storage::Row;
 /// columns are everything before. The output is canonically ordered (sorted
 /// rows), making the encoding unique per Definition 4.5.
 pub fn coalesce_rows(rows: &[Row], arity: usize) -> Vec<Row> {
+    match try_coalesce_rows(rows.to_vec(), arity, never) {
+        Ok(rows) => rows,
+        Err(never) => match never {},
+    }
+}
+
+/// [`coalesce_rows`] over rows the caller gives up, polling `check` once
+/// per 1 024 input rows; its error aborts the pass.
+pub fn try_coalesce_rows<E>(
+    mut rows: Vec<Row>,
+    arity: usize,
+    check: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<Row>, E> {
     assert!(
         arity >= 2,
         "period rows need at least the two period columns"
     );
-    let data_cols = arity - 2;
-
-    // Group rows by their data columns.
-    let mut groups: HashMap<Vec<storage::Value>, Vec<(i64, i64)>> = HashMap::new();
-    for r in rows {
-        debug_assert_eq!(r.arity(), arity);
-        let key: Vec<storage::Value> = r.values()[..data_cols].to_vec();
-        groups
-            .entry(key)
-            .or_default()
-            .push((r.int(data_cols), r.int(data_cols + 1)));
-    }
-
+    let (ts, te) = (arity - 2, arity - 1);
+    let mut poll = Poll { check, rows: 0 };
+    rows.sort_unstable();
     let mut out: Vec<Row> = Vec::with_capacity(rows.len());
-    for (key, intervals) in groups {
-        // Events: +1 at begin, −1 at end, per duplicate interval.
-        let mut events: Vec<(i64, i64)> = Vec::with_capacity(intervals.len() * 2);
-        for (b, e) in intervals {
-            events.push((b, 1));
-            events.push((e, -1));
+    let mut events: Vec<(i64, i64)> = Vec::new();
+    for run in rows.chunk_by_mut(|a, b| a.values()[..ts] == b.values()[..ts]) {
+        poll.check(run.len())?;
+        // Begin-ordered, non-empty, and each interval ends before the next
+        // begins: nothing to merge or split.
+        if run.iter().all(|r| r.int(ts) < r.int(te))
+            && run.windows(2).all(|w| w[0].int(te) < w[1].int(ts))
+        {
+            out.extend(run.iter_mut().map(std::mem::take));
+            continue;
+        }
+        events.clear();
+        for r in run.iter() {
+            events.push((r.int(ts), 1));
+            events.push((r.int(te), -1));
         }
         events.sort_unstable();
-
-        let mut depth: i64 = 0;
-        let mut seg_start: i64 = 0;
-        let mut i = 0usize;
-        while i < events.len() {
-            let t = events[i].0;
-            let mut delta = 0;
-            while i < events.len() && events[i].0 == t {
-                delta += events[i].1;
-                i += 1;
-            }
-            if delta == 0 {
-                continue; // equal opens and closes: multiplicity unchanged
-            }
-            if depth > 0 {
-                // Close the maximal segment [seg_start, t) at depth `depth`.
-                emit(&mut out, &key, seg_start, t, depth);
-            }
-            depth += delta;
-            seg_start = t;
-        }
-        debug_assert_eq!(depth, 0, "unbalanced interval events");
+        index::coalesce::emit_coalesced(&run[0].values()[..ts], &events, &mut out);
     }
-    out.sort_unstable();
-    out
-}
-
-fn emit(out: &mut Vec<Row>, key: &[storage::Value], b: i64, e: i64, mult: i64) {
-    debug_assert!(b < e && mult > 0);
-    let mut values = Vec::with_capacity(key.len() + 2);
-    values.extend_from_slice(key);
-    values.push(storage::Value::Int(b));
-    values.push(storage::Value::Int(e));
-    let row = Row::new(values);
-    for _ in 0..mult {
-        out.push(row.clone());
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -152,6 +162,12 @@ mod tests {
                 row!["SP", 18, 20],
             ]
         );
+    }
+
+    #[test]
+    fn empty_intervals_vanish() {
+        let rows = vec![row!["a", 4, 4], row!["b", 1, 3], row!["b", 6, 6]];
+        assert_eq!(coalesce_rows(&rows, 3), vec![row!["b", 1, 3]]);
     }
 
     #[test]

@@ -1,26 +1,28 @@
 //! Plan execution.
 
-use crate::coalesce::coalesce_rows;
+use crate::coalesce::try_coalesce_rows;
 use crate::eval::{eval_expr, eval_predicate};
-use crate::sliding::{Partial, SlidingAgg};
+use crate::sliding::SlidingAgg;
 use crate::split::split_rows;
-use crate::temporal::{agg_arg_types, temporal_aggregate, temporal_except_all};
+use crate::temporal::{agg_arg, agg_arg_types, temporal_aggregate, temporal_except_all};
 use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode, TimesliceAlgo};
 use index::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
     try_parallel_sweep_join_presorted, try_sweep_join_presorted, IndexCatalog, TableIndex,
 };
 use snapshot_obs::{self as obs, StatementError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::{Catalog, Row, Table, Value};
 
-/// Join-pair interval between cooperative cancellation checks: frequent
-/// enough that a runaway join reacts within microseconds, rare enough
-/// that the per-pair cost is one counter bump.
-const CANCEL_CHECK_INTERVAL: u64 = 1024;
+/// Join pairs — or, in the linear operators, input rows — between
+/// cooperative cancellation checks: frequent enough that a runaway join
+/// reacts within microseconds, rare enough that the per-pair cost is one
+/// counter bump.
+pub(crate) const CANCEL_CHECK_INTERVAL: u64 = 1024;
 
 /// Per-statement execution context: the live [`obs::ResourceAccount`]
 /// the operators bump and the [`obs::CancelToken`] they check at batch
@@ -50,6 +52,15 @@ impl ExecContext {
     /// The cooperative check (see [`obs::CancelToken::check`]).
     fn check(&self) -> Result<(), StatementError> {
         self.token.check(&self.account)
+    }
+
+    /// A linear operator is at its `seen`-th input row: poll the token
+    /// every [`CANCEL_CHECK_INTERVAL`] rows.
+    fn row_considered(&self, seen: usize) -> Result<(), StatementError> {
+        if (seen as u64).is_multiple_of(CANCEL_CHECK_INTERVAL) {
+            self.check()?;
+        }
+        Ok(())
     }
 
     /// A join has considered its `seen`-th candidate pair: every
@@ -218,6 +229,31 @@ pub struct Engine {
     ctx: ExecContext,
 }
 
+/// Rows handed up the plan: a scan lends the catalog's (or the plan's)
+/// slice, every other operator owns what it built. Read-only consumers
+/// take the slice; consuming ones call `into_owned` (or [`retain`]).
+type Rows<'a> = Cow<'a, [Row]>;
+
+/// The rows of `rows` that satisfy `keep`: moved when owned, cloned — the
+/// survivors only — when lent.
+fn retain(
+    mut rows: Rows<'_>,
+    ctx: &ExecContext,
+    mut keep: impl FnMut(&Row) -> bool,
+) -> Result<Vec<Row>, StatementError> {
+    let mut out = Vec::new();
+    for n in 0..rows.len() {
+        ctx.row_considered(n + 1)?;
+        if keep(&rows[n]) {
+            out.push(match &mut rows {
+                Cow::Borrowed(lent) => lent[n].clone(),
+                Cow::Owned(own) => std::mem::take(&mut own[n]),
+            });
+        }
+    }
+    Ok(out)
+}
+
 /// What one execution runs against and reports into; `run` threads a
 /// single `&mut` of it through the plan.
 struct ExecEnv<'a> {
@@ -293,11 +329,11 @@ impl Engine {
             },
         )?;
         let mut table = Table::new(plan.schema.clone());
-        table.extend(rows);
+        table.extend(rows.into_owned());
         Ok(table)
     }
 
-    fn run(&self, plan: &Plan, env: &mut ExecEnv<'_>) -> Result<Vec<Row>, StatementError> {
+    fn run<'a>(&self, plan: &'a Plan, env: &mut ExecEnv<'a>) -> Result<Rows<'a>, StatementError> {
         let started = Instant::now();
         // The span and profile guards are each a single relaxed atomic
         // load when disabled.
@@ -306,7 +342,7 @@ impl Engine {
         // Operator boundary: a cancelled statement stops before producing
         // another node's output.
         self.ctx.check()?;
-        let rows = match &plan.node {
+        let rows: Rows<'a> = match &plan.node {
             PlanNode::Scan { table } => {
                 let t = env.catalog.require(table)?;
                 if t.schema().arity() != plan.schema.arity() {
@@ -317,18 +353,17 @@ impl Engine {
                     )
                     .into());
                 }
-                t.rows().to_vec()
+                Cow::Borrowed(t.rows())
             }
             PlanNode::VirtualScan { table } => {
-                crate::vtab::virtual_table_rows(table, env.catalog, env.indexes)?
+                crate::vtab::virtual_table_rows(table, env.catalog, env.indexes)?.into()
             }
-            PlanNode::Values { rows } => rows.clone(),
+            PlanNode::Values { rows } => Cow::Borrowed(&rows[..]),
             PlanNode::Filter { input, predicate } => {
-                let input_rows = self.run(input, env)?;
-                input_rows
-                    .into_iter()
-                    .filter(|r| eval_predicate(predicate, r))
-                    .collect()
+                retain(self.run(input, env)?, &self.ctx, |r| {
+                    eval_predicate(predicate, r)
+                })?
+                .into()
             }
             PlanNode::Project { input, exprs } => {
                 let input_rows = self.run(input, env)?;
@@ -346,17 +381,17 @@ impl Engine {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
                 self.join((left, &l), (right, &r), condition, *algo, env)?
+                    .into()
             }
             PlanNode::Union { left, right } => {
-                let mut l = self.run(left, env)?;
-                let r = self.run(right, env)?;
-                l.extend(r);
-                l
+                let mut l = self.run(left, env)?.into_owned();
+                l.extend(self.run(right, env)?.into_owned());
+                l.into()
             }
             PlanNode::ExceptAll { left, right } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                except_all(l, &r)
+                except_all(l, &r, &self.ctx)?.into()
             }
             PlanNode::Aggregate {
                 input,
@@ -365,15 +400,15 @@ impl Engine {
             } => {
                 let input_rows = self.run(input, env)?;
                 let arg_types = agg_arg_types(aggs, &input.schema)?;
-                hash_aggregate(&input_rows, group_cols, aggs, &arg_types)
+                hash_aggregate(&input_rows, group_cols, aggs, &arg_types, &self.ctx)?.into()
             }
             PlanNode::Distinct { input } => {
                 let input_rows = self.run(input, env)?;
-                let set: std::collections::BTreeSet<Row> = input_rows.into_iter().collect();
-                set.into_iter().collect()
+                let set: std::collections::BTreeSet<&Row> = input_rows.iter().collect();
+                set.into_iter().cloned().collect()
             }
             PlanNode::Sort { input, keys } => {
-                let mut input_rows = self.run(input, env)?;
+                let mut input_rows = self.run(input, env)?.into_owned();
                 input_rows.sort_by(|a, b| {
                     // lint:allow(cancellation) bounded by sort-key arity
                     for (e, asc) in keys {
@@ -386,7 +421,7 @@ impl Engine {
                     }
                     std::cmp::Ordering::Equal
                 });
-                input_rows
+                input_rows.into()
             }
             PlanNode::Coalesce { input } => {
                 // Coalescing accelerator: a scan of an indexed period-last
@@ -398,12 +433,13 @@ impl Engine {
                     let rows = accel.coalesced_rows();
                     env.stats.record("IndexCoalesce", rows.len());
                     self.ctx.account.add_index_probes(1);
-                    rows
+                    rows.into()
                 } else {
-                    let input_rows = self.run(input, env)?;
-                    let rows = coalesce_rows(&input_rows, input.schema.arity());
+                    let input_rows = self.run(input, env)?.into_owned();
+                    let rows =
+                        try_coalesce_rows(input_rows, input.schema.arity(), || self.ctx.check())?;
                     env.stats.record("NaiveCoalesce", rows.len());
-                    rows
+                    rows.into()
                 }
             }
             PlanNode::Timeslice { input, at, algo } => {
@@ -416,6 +452,7 @@ impl Engine {
                     |idx, table| idx.timeslice_rows(table, at),
                     |ts, te| ts <= at && at < te,
                 )?
+                .into()
             }
             PlanNode::TimeRange { input, range, algo } => {
                 let (b, e) = *range;
@@ -427,6 +464,7 @@ impl Engine {
                     |idx, table| idx.overlapping_rows(table, b, e),
                     |ts, te| ts < e && b < te,
                 )?
+                .into()
             }
             PlanNode::Split {
                 left,
@@ -435,7 +473,7 @@ impl Engine {
             } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                split_rows(&l, &r, group_cols, left.schema.arity())
+                split_rows(&l, &r, group_cols, left.schema.arity()).into()
             }
             PlanNode::TemporalAggregate {
                 input,
@@ -454,12 +492,14 @@ impl Engine {
                     &arg_types,
                     *add_gap_neutral,
                     *domain,
-                )
+                    || self.ctx.check(),
+                )?
+                .into()
             }
             PlanNode::TemporalExceptAll { left, right } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                temporal_except_all(&l, &r, left.schema.arity())
+                temporal_except_all(&l, &r, left.schema.arity(), || self.ctx.check())?.into()
             }
         };
         span.record_rows(rows.len() as u64);
@@ -488,11 +528,11 @@ impl Engine {
     /// (an interval-tree stab or overlap probe) unless the plan pins the
     /// linear route; anything else filters the materialized input.
     /// `ops` names the indexed and the linear route in [`ExecStats`].
-    fn period_filter(
+    fn period_filter<'a>(
         &self,
-        input: &Plan,
+        input: &'a Plan,
         algo: TimesliceAlgo,
-        env: &mut ExecEnv<'_>,
+        env: &mut ExecEnv<'a>,
         ops: (&'static str, &'static str),
         probe: impl FnOnce(&TableIndex, &Table) -> Vec<Row>,
         keep: impl Fn(i64, i64) -> bool,
@@ -509,11 +549,9 @@ impl Engine {
                 (ops.0, probe(idx, table))
             }
             None => {
-                let rows = self
-                    .run(input, env)?
-                    .into_iter()
-                    .filter(|r| keep(r.int(n - 2), r.int(n - 1)))
-                    .collect();
+                let rows = retain(self.run(input, env)?, &self.ctx, |r| {
+                    keep(r.int(n - 2), r.int(n - 1))
+                })?;
                 (ops.1, rows)
             }
         };
@@ -841,9 +879,7 @@ fn hash_join(
     'build: for (n, row) in build.iter().enumerate() {
         // The build side can be arbitrarily large; poll the token at
         // the same cadence as the probe phase's pair counting.
-        if (n as u64 + 1).is_multiple_of(CANCEL_CHECK_INTERVAL) {
-            ctx.check()?;
-        }
+        ctx.row_considered(n + 1)?;
         let mut key = Vec::with_capacity(build_keys.len());
         // lint:allow(cancellation) bounded by join-key arity
         for &i in &build_keys {
@@ -926,23 +962,23 @@ fn merge_interval_join(
     Ok(out)
 }
 
-fn except_all(left: Vec<Row>, right: &[Row]) -> Vec<Row> {
+fn except_all(
+    left: Rows<'_>,
+    right: &[Row],
+    ctx: &ExecContext,
+) -> Result<Vec<Row>, StatementError> {
     let mut counts: HashMap<&Row, usize> = HashMap::with_capacity(right.len());
-    // lint:allow(cancellation) single linear counting pass, no pair blowup
-    for r in right {
+    for (n, r) in right.iter().enumerate() {
+        ctx.row_considered(n + 1)?;
         *counts.entry(r).or_insert(0) += 1;
     }
-    left.into_iter()
-        .filter(|l| {
-            if let Some(c) = counts.get_mut(l) {
-                if *c > 0 {
-                    *c -= 1;
-                    return false;
-                }
-            }
-            true
-        })
-        .collect()
+    retain(left, ctx, |l| match counts.get_mut(l) {
+        Some(c) if *c > 0 => {
+            *c -= 1;
+            false
+        }
+        _ => true,
+    })
 }
 
 fn hash_aggregate(
@@ -950,7 +986,8 @@ fn hash_aggregate(
     group_cols: &[usize],
     aggs: &[algebra::AggExpr],
     arg_types: &[storage::SqlType],
-) -> Vec<Row> {
+    ctx: &ExecContext,
+) -> Result<Vec<Row>, StatementError> {
     let new_state = || -> Vec<SlidingAgg> {
         aggs.iter()
             .zip(arg_types)
@@ -958,31 +995,25 @@ fn hash_aggregate(
             .collect()
     };
     let mut groups: BTreeMap<Vec<Value>, Vec<SlidingAgg>> = BTreeMap::new();
-    // lint:allow(cancellation) single linear pass over already-checked input
-    for r in rows {
+    for (n, r) in rows.iter().enumerate() {
+        ctx.row_considered(n + 1)?;
         let key: Vec<Value> = group_cols.iter().map(|&i| r.get(i).clone()).collect();
         let state = groups.entry(key).or_insert_with(new_state);
         for (a, s) in aggs.iter().zip(state.iter_mut()) {
-            let mut p = Partial::new();
-            let v = match &a.arg {
-                Some(e) => eval_expr(e, r),
-                None => Value::Int(1),
-            };
-            p.add_value(&v);
-            s.add(&p);
+            s.add(&agg_arg(a, r));
         }
     }
     // Global aggregation produces one row even over empty input.
     if group_cols.is_empty() && groups.is_empty() {
         groups.insert(Vec::new(), new_state());
     }
-    groups
+    Ok(groups
         .into_iter()
         .map(|(mut key, state)| {
             key.extend(state.iter().map(|s| s.current()));
             Row::new(key)
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]

@@ -1,105 +1,15 @@
 //! Sliding aggregate state supporting add *and remove*.
 //!
 //! The fused temporal aggregation of Section 9 sweeps the time axis,
-//! maintaining the aggregate over the intervals active at the sweep
-//! position. `count`/`sum`/`avg` subtract directly; `min`/`max` keep a value
-//! multiset so arbitrary removal stays `O(log n)`.
+//! maintaining the aggregate over the rows active at the sweep position.
+//! The state is typed by its function: `count`/`sum`/`avg` are plain
+//! integer/float arithmetic and subtract directly; only `min`/`max` keep a
+//! value multiset, so arbitrary removal stays `O(log n)` for them and costs
+//! nothing for everyone else.
 
 use algebra::AggFunc;
 use std::collections::BTreeMap;
 use storage::{SqlType, Value};
-
-/// A partial aggregate contribution: what one (pre-aggregated) input unit
-/// adds to the sliding state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Partial {
-    /// Rows covered (for `count(*)`).
-    pub rows: i64,
-    /// Non-NULL argument values covered (for `count(e)`, `avg` denominator).
-    pub non_null: i64,
-    /// Sum of argument values (ints exact, doubles approximate).
-    pub sum_int: i64,
-    /// Sum for double arguments.
-    pub sum_double: f64,
-    /// Minimum argument value, when any.
-    pub min: Option<Value>,
-    /// Maximum argument value, when any.
-    pub max: Option<Value>,
-}
-
-impl Partial {
-    /// The neutral partial.
-    pub fn new() -> Self {
-        Partial {
-            rows: 0,
-            non_null: 0,
-            sum_int: 0,
-            sum_double: 0.0,
-            min: None,
-            max: None,
-        }
-    }
-
-    /// Folds one argument value (possibly NULL) into the partial.
-    pub fn add_value(&mut self, v: &Value) {
-        self.rows += 1;
-        if v.is_null() {
-            return;
-        }
-        self.non_null += 1;
-        match v {
-            Value::Int(i) => self.sum_int += i,
-            Value::Double(d) => self.sum_double += d,
-            _ => {}
-        }
-        if self
-            .min
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
-        {
-            self.min = Some(v.clone());
-        }
-        if self
-            .max
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
-        {
-            self.max = Some(v.clone());
-        }
-    }
-
-    /// Merges another partial into this one.
-    pub fn merge(&mut self, other: &Partial) {
-        self.rows += other.rows;
-        self.non_null += other.non_null;
-        self.sum_int += other.sum_int;
-        self.sum_double += other.sum_double;
-        if let Some(m) = &other.min {
-            if self
-                .min
-                .as_ref()
-                .is_none_or(|cur| m.sql_cmp(cur) == Some(std::cmp::Ordering::Less))
-            {
-                self.min = Some(m.clone());
-            }
-        }
-        if let Some(m) = &other.max {
-            if self
-                .max
-                .as_ref()
-                .is_none_or(|cur| m.sql_cmp(cur) == Some(std::cmp::Ordering::Greater))
-            {
-                self.max = Some(m.clone());
-            }
-        }
-    }
-}
-
-impl Default for Partial {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Sliding (add/remove) aggregate state for one aggregate function.
 #[derive(Debug)]
@@ -110,10 +20,9 @@ pub struct SlidingAgg {
     non_null: i64,
     sum_int: i64,
     sum_double: f64,
-    /// Multiset of partial minima (each active partial contributes one).
-    mins: BTreeMap<Value, u64>,
-    /// Multiset of partial maxima.
-    maxs: BTreeMap<Value, u64>,
+    /// Multiset of the active non-NULL values — touched by `Min`/`Max`
+    /// only, which read its first / last key.
+    extremes: BTreeMap<Value, u64>,
 }
 
 impl SlidingAgg {
@@ -126,52 +35,48 @@ impl SlidingAgg {
             non_null: 0,
             sum_int: 0,
             sum_double: 0.0,
-            mins: BTreeMap::new(),
-            maxs: BTreeMap::new(),
+            extremes: BTreeMap::new(),
         }
     }
 
-    /// Adds a partial to the active set.
-    pub fn add(&mut self, p: &Partial) {
-        self.rows += p.rows;
-        self.non_null += p.non_null;
-        self.sum_int += p.sum_int;
-        self.sum_double += p.sum_double;
-        if let Some(m) = &p.min {
-            *self.mins.entry(m.clone()).or_insert(0) += 1;
+    /// Adds one row's argument value (possibly NULL; `count(*)` passes any
+    /// non-NULL value) to the active set.
+    pub fn add(&mut self, v: &Value) {
+        self.rows += 1;
+        if v.is_null() {
+            return;
         }
-        if let Some(m) = &p.max {
-            *self.maxs.entry(m.clone()).or_insert(0) += 1;
+        self.non_null += 1;
+        match (&self.func, v) {
+            (AggFunc::Min | AggFunc::Max, _) => {
+                *self.extremes.entry(v.clone()).or_insert(0) += 1;
+            }
+            (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => self.sum_int += i,
+            (AggFunc::Sum | AggFunc::Avg, Value::Double(d)) => self.sum_double += d,
+            _ => {}
         }
     }
 
-    /// Removes a previously added partial.
-    pub fn remove(&mut self, p: &Partial) {
-        self.rows -= p.rows;
-        self.non_null -= p.non_null;
-        self.sum_int -= p.sum_int;
-        self.sum_double -= p.sum_double;
-        if let Some(m) = &p.min {
-            if let Some(c) = self.mins.get_mut(m) {
-                *c -= 1;
-                if *c == 0 {
-                    self.mins.remove(m);
+    /// Removes a previously added value.
+    pub fn remove(&mut self, v: &Value) {
+        self.rows -= 1;
+        if v.is_null() {
+            return;
+        }
+        self.non_null -= 1;
+        match (&self.func, v) {
+            (AggFunc::Min | AggFunc::Max, _) => {
+                if let Some(c) = self.extremes.get_mut(v) {
+                    *c -= 1;
+                    if *c == 0 {
+                        self.extremes.remove(v);
+                    }
                 }
             }
+            (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => self.sum_int -= i,
+            (AggFunc::Sum | AggFunc::Avg, Value::Double(d)) => self.sum_double -= d,
+            _ => {}
         }
-        if let Some(m) = &p.max {
-            if let Some(c) = self.maxs.get_mut(m) {
-                *c -= 1;
-                if *c == 0 {
-                    self.maxs.remove(m);
-                }
-            }
-        }
-    }
-
-    /// Whether any rows are active.
-    pub fn is_active(&self) -> bool {
-        self.rows > 0
     }
 
     /// The current aggregate value (SQL semantics: empty/all-NULL input
@@ -197,8 +102,13 @@ impl SlidingAgg {
                     Value::Double(total / self.non_null as f64)
                 }
             }
-            AggFunc::Min => self.mins.keys().next().cloned().unwrap_or(Value::Null),
-            AggFunc::Max => self.maxs.keys().next_back().cloned().unwrap_or(Value::Null),
+            AggFunc::Min => self.extremes.keys().next().cloned().unwrap_or(Value::Null),
+            AggFunc::Max => self
+                .extremes
+                .keys()
+                .next_back()
+                .cloned()
+                .unwrap_or(Value::Null),
         }
     }
 
@@ -217,72 +127,89 @@ impl SlidingAgg {
 mod tests {
     use super::*;
 
-    fn partial_of(vals: &[Value]) -> Partial {
-        let mut p = Partial::new();
+    fn state_of(func: AggFunc, ty: SqlType, vals: &[Value]) -> SlidingAgg {
+        let mut s = SlidingAgg::new(func, ty);
         for v in vals {
-            p.add_value(v);
+            s.add(v);
         }
-        p
+        s
     }
 
     #[test]
     fn count_and_sum_slide() {
-        let mut s = SlidingAgg::new(AggFunc::Sum, SqlType::Int);
-        let p1 = partial_of(&[Value::Int(10), Value::Int(20)]);
-        let p2 = partial_of(&[Value::Int(5)]);
-        s.add(&p1);
-        s.add(&p2);
+        let mut s = state_of(
+            AggFunc::Sum,
+            SqlType::Int,
+            &[Value::Int(10), Value::Int(20), Value::Int(5)],
+        );
         assert_eq!(s.current(), Value::Int(35));
-        s.remove(&p1);
+        s.remove(&Value::Int(10));
+        s.remove(&Value::Int(20));
         assert_eq!(s.current(), Value::Int(5));
-        s.remove(&p2);
+        s.remove(&Value::Int(5));
         assert_eq!(s.current(), Value::Null); // sum of empty = NULL
-        assert!(!s.is_active());
     }
 
     #[test]
     fn count_ignores_then_counts_nulls_properly() {
-        let mut c = SlidingAgg::new(AggFunc::Count, SqlType::Int);
-        let p = partial_of(&[Value::Int(1), Value::Null]);
-        c.add(&p);
+        let vals = [Value::Int(1), Value::Null];
+        let c = state_of(AggFunc::Count, SqlType::Int, &vals);
         assert_eq!(c.current(), Value::Int(1));
-        let mut cs = SlidingAgg::new(AggFunc::CountStar, SqlType::Int);
-        cs.add(&p);
+        let cs = state_of(AggFunc::CountStar, SqlType::Int, &vals);
         assert_eq!(cs.current(), Value::Int(2));
     }
 
     #[test]
     fn min_max_with_removal() {
-        let mut m = SlidingAgg::new(AggFunc::Min, SqlType::Int);
-        let p1 = partial_of(&[Value::Int(7)]);
-        let p2 = partial_of(&[Value::Int(3)]);
-        let p3 = partial_of(&[Value::Int(3)]);
-        m.add(&p1);
-        m.add(&p2);
-        m.add(&p3);
+        let vals = [Value::Int(7), Value::Int(3), Value::Int(3)];
+        let mut m = state_of(AggFunc::Min, SqlType::Int, &vals);
         assert_eq!(m.current(), Value::Int(3));
-        m.remove(&p2);
+        m.remove(&Value::Int(3));
         assert_eq!(m.current(), Value::Int(3)); // duplicate 3 still active
-        m.remove(&p3);
+        m.remove(&Value::Int(3));
         assert_eq!(m.current(), Value::Int(7));
+        let mut m = state_of(AggFunc::Max, SqlType::Int, &vals);
+        assert_eq!(m.current(), Value::Int(7));
+        m.remove(&Value::Int(7));
+        assert_eq!(m.current(), Value::Int(3));
+        m.remove(&Value::Int(3));
+        m.remove(&Value::Int(3));
+        assert_eq!(m.current(), Value::Null);
+        assert!(m.extremes.is_empty(), "drained multiset holds no entry");
+    }
+
+    /// The typed accumulators: only `Min`/`Max` ever touch the multiset.
+    #[test]
+    fn count_sum_avg_never_allocate_a_multiset_entry() {
+        let vals = [
+            Value::Int(4),
+            Value::Double(2.5),
+            Value::Null,
+            Value::Int(-1),
+        ];
+        for func in [
+            AggFunc::CountStar,
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+        ] {
+            let mut s = state_of(func.clone(), SqlType::Double, &vals);
+            assert!(s.extremes.is_empty(), "{func} filled the multiset");
+            s.remove(&vals[0]);
+            assert!(s.extremes.is_empty(), "{func} filled the multiset");
+        }
+        let m = state_of(AggFunc::Min, SqlType::Double, &vals);
+        assert_eq!(m.extremes.values().sum::<u64>(), 3, "one entry per value");
     }
 
     #[test]
     fn avg_mixed_int_double() {
-        let mut a = SlidingAgg::new(AggFunc::Avg, SqlType::Double);
-        a.add(&partial_of(&[Value::Int(1), Value::Double(2.0)]));
+        let a = state_of(
+            AggFunc::Avg,
+            SqlType::Double,
+            &[Value::Int(1), Value::Double(2.0)],
+        );
         assert_eq!(a.current(), Value::Double(1.5));
-    }
-
-    #[test]
-    fn partial_merge() {
-        let mut p = partial_of(&[Value::Int(1)]);
-        p.merge(&partial_of(&[Value::Int(5), Value::Null]));
-        assert_eq!(p.rows, 3);
-        assert_eq!(p.non_null, 2);
-        assert_eq!(p.sum_int, 6);
-        assert_eq!(p.min, Some(Value::Int(1)));
-        assert_eq!(p.max, Some(Value::Int(5)));
     }
 
     #[test]

@@ -5,15 +5,49 @@
 //! applying ordinary hash aggregation / bag difference. The paper found it
 //! "most effective to pre-aggregate the input before splitting and then
 //! compute the final aggregation results during the split step": that fused
-//! strategy is what these operators implement. The unfused path still exists
-//! (`Aggregate`/`ExceptAll` over `Split`) and the ablation benchmark
-//! compares the two.
+//! strategy is what these operators implement, in the one sorted pass
+//! [`crate::coalesce`] is built on — order row references once by group
+//! key, walk the contiguous runs, and per run sweep the endpoint events
+//! (one reused scratch buffer) through the elementary segments between
+//! them, adding each row's contribution at its begin and removing it at
+//! its end. Keys are compared by reference and cloned only into output
+//! rows; the output order is deterministic (group key, then time). The
+//! unfused path still exists (`Aggregate`/`ExceptAll` over `Split`) and the
+//! ablation benchmark compares the two.
 
+use crate::coalesce::Poll;
 use crate::eval::eval_expr;
-use crate::sliding::{Partial, SlidingAgg};
+use crate::sliding::SlidingAgg;
 use algebra::{AggExpr, AggFunc};
-use std::collections::HashMap;
 use storage::{Row, SqlType, Value};
+
+/// Walks the elementary segments between consecutive distinct times of
+/// `events`, which ascend by time: `apply` sees every event, `segment`
+/// every `[b, e)` with all events at or before `b` applied.
+fn sweep_segments<T: Copy, S>(
+    events: &[(i64, T)],
+    state: &mut S,
+    mut apply: impl FnMut(&mut S, T),
+    mut segment: impl FnMut(&S, i64, i64),
+) {
+    let mut i = 0usize;
+    // lint:allow(cancellation) linear in one run, whose rows the caller counted against its poll
+    while i < events.len() {
+        let t = events[i].0;
+        while i < events.len() && events[i].0 == t {
+            apply(state, events[i].1);
+            i += 1;
+        }
+        if let Some(&(next, _)) = events.get(i) {
+            segment(state, t, next);
+        }
+    }
+}
+
+/// The group-key values of `r`, by reference.
+fn group_key<'a>(r: &'a Row, group_cols: &'a [usize]) -> impl Iterator<Item = &'a Value> {
+    group_cols.iter().map(move |&i| r.get(i))
+}
 
 /// Fused snapshot aggregation.
 ///
@@ -22,8 +56,11 @@ use storage::{Row, SqlType, Value};
 /// `group ++ aggregates ++ [ts, te]`. With `add_gap_neutral` (global
 /// aggregation, `group_cols` empty), intervals of `[tmin, tmax)` not covered
 /// by any row still produce output — `count` reports 0 and other functions
-/// NULL, closing the aggregation gap (AG bug).
-pub fn temporal_aggregate(
+/// NULL, closing the aggregation gap (AG bug). `check` is polled once per
+/// 1 024 input rows and its error aborts the pass; outside a statement
+/// pass [`crate::coalesce::never`].
+#[allow(clippy::too_many_arguments)]
+pub fn temporal_aggregate<E>(
     rows: &[Row],
     arity: usize,
     group_cols: &[usize],
@@ -31,105 +68,103 @@ pub fn temporal_aggregate(
     arg_types: &[SqlType],
     add_gap_neutral: bool,
     domain: (i64, i64),
-) -> Vec<Row> {
+    check: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<Row>, E> {
     assert!(
         !add_gap_neutral || group_cols.is_empty(),
         "gap rows are only defined for aggregation without grouping"
     );
     let (ts, te) = (arity - 2, arity - 1);
+    let mut poll = Poll { check, rows: 0 };
+    let key = |r| group_key(r, group_cols);
+    let mut sorted: Vec<&Row> = rows.iter().collect();
+    sorted.sort_unstable_by(|a, b| key(a).cmp(key(b)));
 
-    // Partition by group key; pre-aggregate per (group, interval).
-    type Key = Vec<Value>;
-    let mut groups: HashMap<Key, HashMap<(i64, i64), Vec<Partial>>> = HashMap::new();
-    for r in rows {
-        let key: Key = group_cols.iter().map(|&i| r.get(i).clone()).collect();
-        let iv = (r.int(ts), r.int(te));
-        let partials = groups
-            .entry(key)
-            .or_default()
-            .entry(iv)
-            .or_insert_with(|| vec![Partial::new(); aggs.len()]);
-        for (a, p) in aggs.iter().zip(partials.iter_mut()) {
-            let v = match &a.arg {
-                Some(e) => eval_expr(e, r),
-                None => Value::Int(1), // count(*) counts rows
-            };
-            p.add_value(&v);
-        }
+    /// Marks the two domain-bound events of a global aggregation.
+    const ANCHOR: usize = usize::MAX;
+    struct Active {
+        aggs: Vec<SlidingAgg>,
+        rows: usize,
+        /// Inside `[domain.0, domain.1)`, where gaps are reported.
+        anchored: bool,
     }
-
-    if add_gap_neutral && groups.is_empty() {
-        // No input at all: the whole domain is one gap.
-        groups.insert(Vec::new(), HashMap::new());
-    }
-
+    // One event per endpoint: the row's position in its run, doubled, plus
+    // one for its end.
+    let mut events: Vec<(i64, usize)> = Vec::new();
+    // The run's argument values, one per (row, aggregate).
+    let mut args: Vec<Value> = Vec::new();
     let mut out = Vec::new();
-    for (key, intervals) in &groups {
-        // Events: (time, is_removal, interval-id). Additions at begin,
-        // removals at end; both processed between segment emissions.
-        let ivs: Vec<(&(i64, i64), &Vec<Partial>)> = intervals.iter().collect();
-        let mut events: Vec<(i64, bool, usize)> = Vec::with_capacity(ivs.len() * 2);
-        for (idx, ((b, e), _)) in ivs.iter().enumerate() {
-            events.push((*b, false, idx));
-            events.push((*e, true, idx));
+    let mut runs = sorted.chunk_by(|a, b| key(a).eq(key(b)));
+    // No input at all: the whole domain is one gap.
+    let mut empty = (add_gap_neutral && sorted.is_empty()).then_some(&[][..]);
+    while let Some(run) = runs.next().or_else(|| empty.take()) {
+        events.clear();
+        args.clear();
+        for (n, r) in run.iter().enumerate() {
+            poll.check(1)?;
+            events.push((r.int(ts), 2 * n));
+            events.push((r.int(te), 2 * n + 1));
+            args.extend(aggs.iter().map(|a| agg_arg(a, r)));
         }
         if add_gap_neutral {
             // Anchor the sweep at the domain bounds so leading/trailing gaps
             // are emitted too (the `∪ {(null, Tmin, Tmax)}` of Figure 4).
-            events.push((domain.0, false, usize::MAX));
-            events.push((domain.1, true, usize::MAX));
+            events.push((domain.0, ANCHOR));
+            events.push((domain.1, ANCHOR));
         }
-        events.sort_unstable_by_key(|(t, rem, _)| (*t, *rem));
-
-        let mut state: Vec<SlidingAgg> = aggs
-            .iter()
-            .zip(arg_types)
-            .map(|(a, ty)| SlidingAgg::new(a.func.clone(), *ty))
-            .collect();
-        let mut active = 0usize;
-        let mut anchored = false;
-        let mut prev_t = i64::MIN;
-        let mut i = 0usize;
-        while i < events.len() {
-            let t = events[i].0;
-            // Close the running segment [prev_t, t).
-            if prev_t < t {
-                if active > 0 {
-                    let mut values: Vec<Value> = key.clone();
-                    values.extend(state.iter().map(|s| s.current()));
-                    values.push(Value::Int(prev_t));
-                    values.push(Value::Int(t));
-                    out.push(Row::new(values));
-                } else if anchored && add_gap_neutral {
-                    let mut values: Vec<Value> = key.clone();
-                    values.extend(aggs.iter().map(|a| SlidingAgg::gap_value(&a.func)));
-                    values.push(Value::Int(prev_t));
-                    values.push(Value::Int(t));
-                    out.push(Row::new(values));
+        let mut active = Active {
+            aggs: aggs
+                .iter()
+                .zip(arg_types)
+                .map(|(a, ty)| SlidingAgg::new(a.func.clone(), *ty))
+                .collect(),
+            rows: 0,
+            anchored: false,
+        };
+        // Begins before ends at one instant: an empty `[t, t)` comes and goes.
+        events.sort_unstable_by_key(|&(t, tag)| (t, tag % 2));
+        sweep_segments(
+            &events,
+            &mut active,
+            |active, tag| {
+                if tag == ANCHOR {
+                    active.anchored = !active.anchored;
+                    return;
                 }
-            }
-            // Apply all events at t.
-            while i < events.len() && events[i].0 == t {
-                let (_, is_removal, idx) = events[i];
-                if idx == usize::MAX {
-                    anchored = !is_removal;
-                } else if is_removal {
-                    for (s, p) in state.iter_mut().zip(&ivs[idx].1[..]) {
-                        s.remove(p);
+                let (begins, values) = (tag % 2 == 0, &args[tag / 2 * aggs.len()..]);
+                for (s, v) in active.aggs.iter_mut().zip(values) {
+                    if begins {
+                        s.add(v);
+                    } else {
+                        s.remove(v);
                     }
-                    active -= 1;
+                }
+                active.rows = if begins {
+                    active.rows + 1
                 } else {
-                    for (s, p) in state.iter_mut().zip(&ivs[idx].1[..]) {
-                        s.add(p);
-                    }
-                    active += 1;
+                    active.rows - 1
+                };
+            },
+            |active, b, e| {
+                if active.rows == 0 && !active.anchored {
+                    return;
                 }
-                i += 1;
-            }
-            prev_t = t;
-        }
+                let mut values = Vec::with_capacity(group_cols.len() + aggs.len() + 2);
+                if let Some(r) = run.first() {
+                    values.extend(key(r).cloned());
+                }
+                if active.rows > 0 {
+                    values.extend(active.aggs.iter().map(SlidingAgg::current));
+                } else {
+                    values.extend(aggs.iter().map(|a| SlidingAgg::gap_value(&a.func)));
+                }
+                values.push(Value::Int(b));
+                values.push(Value::Int(e));
+                out.push(Row::new(values));
+            },
+        );
     }
-    out
+    Ok(out)
 }
 
 /// Fused snapshot bag difference (`EXCEPT ALL` under snapshot semantics).
@@ -139,71 +174,66 @@ pub fn temporal_aggregate(
 /// interval between the group's endpoints, emits
 /// `max(0, multiplicity_left − multiplicity_right)` copies — the monus of
 /// `N^T` (Theorem 7.1) evaluated on the interval refinement instead of
-/// per time point.
-pub fn temporal_except_all(left: &[Row], right: &[Row], arity: usize) -> Vec<Row> {
+/// per time point. `check` is polled like [`temporal_aggregate`]'s.
+pub fn temporal_except_all<E>(
+    left: &[Row],
+    right: &[Row],
+    arity: usize,
+    check: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<Row>, E> {
     let (ts, te) = (arity - 2, arity - 1);
-    type Key = Vec<Value>;
+    let mut poll = Poll { check, rows: 0 };
+    // Both sides in one list ordered by value-equivalence key; each entry
+    // remembers what it adds to (left, right) multiplicity.
+    let mut sorted: Vec<(&Row, [i64; 2])> = (left.iter().map(|r| (r, [1, 0])))
+        .chain(right.iter().map(|r| (r, [0, 1])))
+        .collect();
+    sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
-    // Per value-equivalent key: +1/−1 events for each side.
-    #[derive(Default)]
-    struct SideEvents {
-        left: Vec<(i64, i64)>,
-        right: Vec<(i64, i64)>,
-    }
-    let mut groups: HashMap<Key, SideEvents> = HashMap::new();
-    for r in left {
-        let key: Key = r.values()[..ts].to_vec();
-        let ev = groups.entry(key).or_default();
-        ev.left.push((r.int(ts), 1));
-        ev.left.push((r.int(te), -1));
-    }
-    for r in right {
-        let key: Key = r.values()[..ts].to_vec();
-        let ev = groups.entry(key).or_default();
-        ev.right.push((r.int(ts), 1));
-        ev.right.push((r.int(te), -1));
-    }
-
+    let mut events: Vec<(i64, [i64; 2])> = Vec::new();
     let mut out = Vec::new();
-    for (key, ev) in groups {
-        if ev.left.is_empty() {
-            continue; // nothing to subtract from
+    for run in sorted.chunk_by(|a, b| a.0.values()[..ts] == b.0.values()[..ts]) {
+        poll.check(run.len())?;
+        if let [(only, [1, 0])] = run {
+            // Nothing to subtract, nothing to split.
+            if only.int(ts) < only.int(te) {
+                out.push((*only).clone());
+            }
+            continue;
         }
-        let mut events: Vec<(i64, i64, i64)> = Vec::with_capacity(ev.left.len() + ev.right.len());
-        for (t, d) in ev.left {
-            events.push((t, d, 0));
+        events.clear();
+        for (r, [l, rt]) in run {
+            events.push((r.int(ts), [*l, *rt]));
+            events.push((r.int(te), [-l, -rt]));
         }
-        for (t, d) in ev.right {
-            events.push((t, 0, d));
-        }
-        events.sort_unstable_by_key(|(t, _, _)| *t);
-
-        let (mut lcount, mut rcount) = (0i64, 0i64);
-        let mut prev_t = i64::MIN;
-        let mut i = 0usize;
-        while i < events.len() {
-            let t = events[i].0;
-            if prev_t < t {
-                let mult = (lcount - rcount).max(0);
-                if mult > 0 {
-                    let mut values = key.clone();
-                    values.push(Value::Int(prev_t));
-                    values.push(Value::Int(t));
+        events.sort_unstable_by_key(|&(t, _)| t);
+        sweep_segments(
+            &events,
+            &mut [0i64; 2],
+            |mult, [l, r]| {
+                mult[0] += l;
+                mult[1] += r;
+            },
+            |mult, b, e| {
+                if mult[0] > mult[1] {
+                    let mut values = run[0].0.values()[..ts].to_vec();
+                    values.push(Value::Int(b));
+                    values.push(Value::Int(e));
                     let row = Row::new(values);
-                    for _ in 0..mult {
-                        out.push(row.clone());
-                    }
+                    out.extend(std::iter::repeat_n(row, (mult[0] - mult[1]) as usize));
                 }
-            }
-            while i < events.len() && events[i].0 == t {
-                lcount += events[i].1;
-                rcount += events[i].2;
-                i += 1;
-            }
-            prev_t = t;
-        }
+            },
+        );
     }
-    out
+    Ok(out)
+}
+
+/// What `agg` takes of `row`: its argument's value or, for `count(*)`,
+/// which counts rows, any non-NULL constant.
+pub fn agg_arg(agg: &AggExpr, row: &Row) -> Value {
+    agg.arg
+        .as_ref()
+        .map_or(Value::Int(1), |e| eval_expr(e, row))
 }
 
 /// Resolves the argument type of each aggregate against an input schema —
@@ -221,8 +251,28 @@ pub fn agg_arg_types(aggs: &[AggExpr], schema: &storage::Schema) -> Result<Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::never;
     use algebra::Expr;
     use storage::row;
+
+    /// The operators as a caller outside any statement sees them.
+    fn temporal_aggregate(
+        rows: &[Row],
+        arity: usize,
+        group_cols: &[usize],
+        aggs: &[AggExpr],
+        arg_types: &[SqlType],
+        add_gap_neutral: bool,
+        domain: (i64, i64),
+    ) -> Vec<Row> {
+        let (gap, check) = (add_gap_neutral, never);
+        super::temporal_aggregate(rows, arity, group_cols, aggs, arg_types, gap, domain, check)
+            .unwrap()
+    }
+
+    fn temporal_except_all(left: &[Row], right: &[Row], arity: usize) -> Vec<Row> {
+        super::temporal_except_all(left, right, arity, never).unwrap()
+    }
 
     /// Q_onduty, fused: count(*) over works SP rows with gap rows.
     #[test]
@@ -323,6 +373,22 @@ mod tests {
         let out = temporal_aggregate(&[], 2, &[], &aggs, &[SqlType::Int], true, (0, 24));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], row![0, 0, 24]);
+    }
+
+    /// An empty interval `[t, t)` holds at no time point: it opens no
+    /// segment of its own and leaves no value behind in the min/max multiset
+    /// (its endpoint still cuts the segment it falls into).
+    #[test]
+    fn empty_intervals_contribute_nothing() {
+        let rows = vec![row!["g", 1, 5, 5], row!["g", 7, 2, 8], row!["h", 9, 3, 3]];
+        let aggs = vec![AggExpr::new(AggFunc::Min, Expr::col(1), "lo")];
+        let out = temporal_aggregate(&rows, 4, &[0], &aggs, &[SqlType::Int], false, (0, 24));
+        assert_eq!(out, vec![row!["g", 7, 2, 5], row!["g", 7, 5, 8]]);
+        let left = vec![row!["x", 4, 4], row!["y", 0, 3], row!["y", 2, 2]];
+        assert_eq!(
+            temporal_except_all(&left, &[], 3),
+            vec![row!["y", 0, 2], row!["y", 2, 3]]
+        );
     }
 
     // ---- snapshot bag difference -----------------------------------

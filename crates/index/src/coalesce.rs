@@ -1,12 +1,13 @@
 //! Coalescing accelerator: precomputed per-group endpoint events.
 //!
-//! Multiset coalescing (paper Definition 8.2) groups rows by their data
-//! columns, sorts each group's interval endpoints, and emits maximal
-//! constant-multiplicity segments. The grouping and the sort dominate; both
-//! depend only on the stored rows, not on the query. A [`CoalesceIndex`]
-//! performs them once at index-build time, so every later coalesce of the
-//! table is a linear emission pass over presorted events instead of a fresh
-//! `O(n log n)` sort inside `engine::coalesce`.
+//! Multiset coalescing (paper Definition 8.2) orders rows so that
+//! value-equivalent ones are adjacent, sorts each such run's interval
+//! endpoints, and emits maximal constant-multiplicity segments
+//! ([`emit_coalesced`] — the one endpoint sweep `engine::coalesce` runs
+//! too). The ordering and the endpoint sort dominate; both depend only on
+//! the stored rows, not on the query. A [`CoalesceIndex`] performs them
+//! once at index-build time, so every later coalesce of the table is a
+//! linear emission pass over presorted events.
 
 use storage::{Row, Value};
 
@@ -28,20 +29,23 @@ impl CoalesceIndex {
     pub fn build(rows: &[Row], arity: usize) -> CoalesceIndex {
         assert!(arity >= 2, "period rows need the two period columns");
         let data_cols = arity - 2;
-        let mut groups: std::collections::HashMap<Vec<Value>, Vec<(i64, i64)>> =
-            std::collections::HashMap::new();
-        for r in rows {
-            debug_assert_eq!(r.arity(), arity);
-            let key = r.values()[..data_cols].to_vec();
-            let events = groups.entry(key).or_default();
-            events.push((r.int(data_cols), 1));
-            events.push((r.int(data_cols + 1), -1));
-        }
-        let mut groups: Vec<GroupEvents> = groups.into_iter().collect();
-        for (_, events) in &mut groups {
-            events.sort_unstable();
-        }
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        // Row order is (key, begin, end): one sort makes every
+        // value-equivalence group a contiguous run, runs ascending by key.
+        let mut sorted: Vec<&Row> = rows.iter().collect();
+        sorted.sort_unstable();
+        let groups = sorted
+            .chunk_by(|a, b| a.values()[..data_cols] == b.values()[..data_cols])
+            .map(|run| {
+                let mut events = Vec::with_capacity(run.len() * 2);
+                for r in run {
+                    debug_assert_eq!(r.arity(), arity);
+                    events.push((r.int(data_cols), 1));
+                    events.push((r.int(data_cols + 1), -1));
+                }
+                events.sort_unstable();
+                (run[0].values()[..data_cols].to_vec(), events)
+            })
+            .collect();
         CoalesceIndex {
             groups,
             rows: rows.len(),
@@ -107,43 +111,49 @@ impl CoalesceIndex {
         self.groups.len()
     }
 
-    /// Emits the coalesced multiset — identical output (including the
-    /// canonical sort) to `engine::coalesce::coalesce_rows` on the same
-    /// input, but without re-grouping or re-sorting.
+    /// Emits the coalesced multiset — row for row what
+    /// `engine::coalesce::coalesce_rows` returns on the same input (groups
+    /// ascend by key and a group's segments by time, which is the canonical
+    /// row order), without re-grouping or re-sorting.
     pub fn coalesced_rows(&self) -> Vec<Row> {
         let mut out: Vec<Row> = Vec::with_capacity(self.rows);
         for (key, events) in &self.groups {
-            let mut depth: i64 = 0;
-            let mut seg_start: i64 = 0;
-            let mut i = 0usize;
-            while i < events.len() {
-                let t = events[i].0;
-                let mut delta = 0;
-                while i < events.len() && events[i].0 == t {
-                    delta += events[i].1;
-                    i += 1;
-                }
-                if delta == 0 {
-                    continue; // equal opens and closes: multiplicity unchanged
-                }
-                if depth > 0 {
-                    let mut values = Vec::with_capacity(key.len() + 2);
-                    values.extend_from_slice(key);
-                    values.push(Value::Int(seg_start));
-                    values.push(Value::Int(t));
-                    let row = Row::new(values);
-                    for _ in 0..depth {
-                        out.push(row.clone());
-                    }
-                }
-                depth += delta;
-                seg_start = t;
-            }
-            debug_assert_eq!(depth, 0, "unbalanced interval events");
+            emit_coalesced(key, events, &mut out);
         }
-        out.sort_unstable();
         out
     }
+}
+
+/// The coalescing sweep over one value-equivalence group: `events` are the
+/// group's `(t, ±1)` interval endpoints in ascending `t` order; for every
+/// maximal interval of constant multiplicity `m > 0` pushes `m` copies of
+/// `key ++ [b, e]`, in time order.
+pub fn emit_coalesced(key: &[Value], events: &[(i64, i64)], out: &mut Vec<Row>) {
+    let mut depth: i64 = 0;
+    let mut seg_start: i64 = 0;
+    let mut i = 0usize;
+    while i < events.len() {
+        let t = events[i].0;
+        let mut delta = 0;
+        while i < events.len() && events[i].0 == t {
+            delta += events[i].1;
+            i += 1;
+        }
+        if delta == 0 {
+            continue; // equal opens and closes: multiplicity unchanged
+        }
+        if depth > 0 {
+            // Close the maximal segment [seg_start, t) at depth `depth`.
+            let mut values = Vec::with_capacity(key.len() + 2);
+            values.extend_from_slice(key);
+            values.push(Value::Int(seg_start));
+            values.push(Value::Int(t));
+            out.extend(std::iter::repeat_n(Row::new(values), depth as usize));
+        }
+        depth += delta;
+        seg_start = t;
+    }
+    debug_assert_eq!(depth, 0, "unbalanced interval events");
 }
 
 #[cfg(test)]
@@ -174,9 +184,7 @@ mod tests {
         let idx = CoalesceIndex::build(&rows, 3);
         assert_eq!(idx.group_count(), 2);
         let out = idx.coalesced_rows();
-        let mut sorted = out.clone();
-        sorted.sort();
-        assert_eq!(out, sorted, "output is canonically sorted");
+        assert!(out.is_sorted(), "output is canonically sorted");
     }
 
     #[test]

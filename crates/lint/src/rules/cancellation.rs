@@ -3,7 +3,8 @@
 //! Cooperative cancellation only works if every loop that can run long
 //! reaches `CancelToken::check` (directly, via a helper that checks, or
 //! via an enclosing loop that checks each iteration). This rule walks every
-//! `for` / `while` / `loop` in the executor and the index join/sweep
+//! `for` / `while` / `loop` in the executor, its normalisation kernels
+//! (coalesce, temporal aggregate / difference) and the index join/sweep
 //! kernels and demands one of:
 //!
 //! - the loop body (including nested calls to *local* functions, resolved
@@ -27,6 +28,8 @@ pub const RULE: &str = "cancellation";
 
 const ZONES: &[&str] = &[
     "crates/engine/src/exec.rs",
+    "crates/engine/src/coalesce.rs",
+    "crates/engine/src/temporal.rs",
     "crates/index/src/join.rs",
     "crates/index/src/parallel.rs",
 ];

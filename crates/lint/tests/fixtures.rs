@@ -27,6 +27,8 @@ fn bad_tree_reports_every_rule_at_the_right_line() {
     let want: Vec<(&str, u32, &str)> = vec![
         // README cites a metric nothing registers.
         ("README.md", 3, "metric_hygiene"),
+        // A normalisation kernel whose run walk never polls the check.
+        ("crates/engine/src/coalesce.rs", 5, "cancellation"),
         // A `for` loop that never reaches the cancel token, and one whose
         // only call is the infallible sweep kernel (which cannot poll it).
         ("crates/engine/src/exec.rs", 5, "cancellation"),

@@ -454,3 +454,54 @@ fn error_text_echoing_the_cancel_words_is_not_a_cancellation() {
         "no slow-log entry carries a cancel reason"
     );
 }
+
+/// Satellite: cancellation reaches *inside* the normalisation kernels a
+/// `SEQ VT … GROUP BY` spends its time in — not just the operator
+/// boundaries around them. Each kernel polls the statement's check once
+/// per 1 024 input rows: under a tripped token Coalesce,
+/// TemporalAggregate and TemporalExceptAll abort mid-pass with the
+/// token's typed error, an untripped one changes nothing, and an input
+/// shorter than one interval is never polled at all.
+#[test]
+fn tripped_token_aborts_inside_the_normalisation_kernels() {
+    use snapshot_semantics::algebra::AggExpr;
+    use snapshot_semantics::engine::coalesce::{coalesce_rows, try_coalesce_rows};
+    use snapshot_semantics::engine::temporal::{temporal_aggregate, temporal_except_all};
+    use storage::{row, Row, SqlType};
+
+    let rows = |n: i64| -> Vec<Row> { (0..n).map(|i| row![i % 7, i, i + 5]).collect() };
+    let (long, short) = (rows(3000), rows(1000));
+    let aggs = [AggExpr::count_star("c")];
+    let types = [SqlType::Int];
+    let account = snapshot_obs::ResourceAccount::default();
+    let token = snapshot_obs::CancelToken::default();
+    let check = || token.check(&account);
+    let aggregate =
+        |rows: &[Row]| temporal_aggregate(rows, 3, &[0], &aggs, &types, false, (0, 4000), check);
+
+    let coalesced = try_coalesce_rows(long.clone(), 3, check).unwrap();
+    assert_eq!(coalesced, coalesce_rows(&long, 3));
+    let aggregated = aggregate(&long).unwrap();
+    let diffed = temporal_except_all(&long, &short, 3, check).unwrap();
+
+    token.cancel(CancelKind::Killed);
+    let err = try_coalesce_rows(long.clone(), 3, check).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    let err = aggregate(&long).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    let err = temporal_except_all(&long, &short, 3, check).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    assert!(try_coalesce_rows(short.clone(), 3, check).is_ok());
+    assert!(aggregate(&short).is_ok());
+
+    token.disarm();
+    assert_eq!(
+        try_coalesce_rows(long.clone(), 3, check).unwrap(),
+        coalesced
+    );
+    assert_eq!(aggregate(&long).unwrap(), aggregated);
+    assert_eq!(
+        temporal_except_all(&long, &short, 3, check).unwrap(),
+        diffed
+    );
+}
