@@ -266,17 +266,32 @@ impl Expr {
     /// Rewrites every column reference through `f` (used when plans splice
     /// schemas together, e.g. shifting the right side of a join).
     pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> Expr {
+        self.replace_columns(&|i| Expr::Col(f(i)))
+    }
+
+    /// Substitutes `exprs[i]` for every column reference `#i`: the
+    /// expression `self` over the output of `Π_exprs`, restated over that
+    /// projection's input (how [`crate::Plan::project`] composes stacked
+    /// projections).
+    ///
+    /// # Panics
+    /// Panics when a referenced column has no expression in `exprs`.
+    pub fn substitute(&self, exprs: &[Expr]) -> Expr {
+        self.replace_columns(&|i| exprs[i].clone())
+    }
+
+    fn replace_columns(&self, f: &impl Fn(usize) -> Expr) -> Expr {
         match self {
-            Expr::Col(i) => Expr::Col(f(*i)),
+            Expr::Col(i) => f(*i),
             Expr::Lit(v) => Expr::Lit(v.clone()),
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
-                left: Box::new(left.map_columns(f)),
-                right: Box::new(right.map_columns(f)),
+                left: Box::new(left.replace_columns(f)),
+                right: Box::new(right.replace_columns(f)),
             },
-            Expr::Not(e) => Expr::Not(Box::new(e.map_columns(f))),
+            Expr::Not(e) => Expr::Not(Box::new(e.replace_columns(f))),
             Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.map_columns(f)),
+                expr: Box::new(expr.replace_columns(f)),
                 negated: *negated,
             },
             Expr::Case {
@@ -285,21 +300,21 @@ impl Expr {
             } => Expr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, r)| (c.map_columns(f), r.map_columns(f)))
+                    .map(|(c, r)| (c.replace_columns(f), r.replace_columns(f)))
                     .collect(),
-                else_expr: else_expr.as_ref().map(|e| Box::new(e.map_columns(f))),
+                else_expr: else_expr.as_ref().map(|e| Box::new(e.replace_columns(f))),
             },
             Expr::Like {
                 expr,
                 pattern,
                 negated,
             } => Expr::Like {
-                expr: Box::new(expr.map_columns(f)),
+                expr: Box::new(expr.replace_columns(f)),
                 pattern: pattern.clone(),
                 negated: *negated,
             },
-            Expr::Least(es) => Expr::Least(es.iter().map(|e| e.map_columns(f)).collect()),
-            Expr::Greatest(es) => Expr::Greatest(es.iter().map(|e| e.map_columns(f)).collect()),
+            Expr::Least(es) => Expr::Least(es.iter().map(|e| e.replace_columns(f)).collect()),
+            Expr::Greatest(es) => Expr::Greatest(es.iter().map(|e| e.replace_columns(f)).collect()),
         }
     }
 }
@@ -517,6 +532,21 @@ mod tests {
         let e = Expr::col(0).eq(Expr::col(2));
         let shifted = e.map_columns(&|i| i + 10);
         assert_eq!(shifted, Expr::col(10).eq(Expr::col(12)));
+    }
+
+    #[test]
+    fn substitute_inlines_the_inner_projection() {
+        let inner = [
+            Expr::col(3),
+            Expr::Greatest(vec![Expr::col(1), Expr::col(2)]),
+        ];
+        let outer = Expr::col(1).lt(Expr::col(0)).and(Expr::lit(true));
+        assert_eq!(
+            outer.substitute(&inner),
+            Expr::Greatest(vec![Expr::col(1), Expr::col(2)])
+                .lt(Expr::col(3))
+                .and(Expr::lit(true))
+        );
     }
 
     #[test]

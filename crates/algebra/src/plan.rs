@@ -95,6 +95,12 @@ pub enum PlanNode {
         condition: Expr,
         /// Physical-choice hint (index-aware when [`JoinAlgo::Auto`]).
         algo: JoinAlgo,
+        /// What a matching pair emits, over the same column positions as
+        /// `condition`. [`Plan::join`] starts it as every column in order
+        /// (the concatenation); a [`Plan::project`] over the join replaces
+        /// it, so the engine builds the projected row straight from the
+        /// pair.
+        output: Vec<Expr>,
     },
     /// `UNION ALL`.
     Union {
@@ -257,6 +263,16 @@ impl Plan {
     }
 
     /// Projection; output columns named by `names` (or synthesized).
+    ///
+    /// This constructor is the one place projections are absorbed, so the
+    /// binder, the rewriter and hand-built plans all get it: the input's
+    /// columns in order come back as the input node itself under the new
+    /// names, a projection over a `Project` composes into it
+    /// ([`Expr::substitute`]), and a projection over a `Join` becomes the
+    /// join's `output`. Composition never copies work: it happens only when
+    /// no computed inner expression is referenced twice, so the composed
+    /// expressions are no larger than the two lists together. Only what is
+    /// left is a `Project` node.
     pub fn project(self, exprs: Vec<Expr>, names: Vec<String>) -> Result<Plan, String> {
         assert_eq!(exprs.len(), names.len(), "one name per projection");
         let mut cols = Vec::with_capacity(exprs.len());
@@ -264,13 +280,7 @@ impl Plan {
             let ty = e.infer_type(&self.schema)?;
             cols.push(Column::new(n.clone(), ty));
         }
-        Ok(Plan {
-            node: PlanNode::Project {
-                input: Box::new(self),
-                exprs,
-            },
-            schema: Schema::new(cols),
-        })
+        Ok(self.projected(exprs, Schema::new(cols)))
     }
 
     /// Projection keeping input column names where the expression is a bare
@@ -282,13 +292,44 @@ impl Plan {
                 .map(|&i| self.schema.column(i).clone())
                 .collect(),
         );
-        Plan {
-            node: PlanNode::Project {
-                input: Box::new(self),
-                exprs: indices.iter().map(|&i| Expr::Col(i)).collect(),
+        self.projected(indices.iter().map(|&i| Expr::Col(i)).collect(), schema)
+    }
+
+    /// `Π_exprs(self)` with output `schema`, absorbed where it can be (see
+    /// [`Plan::project`]); `exprs` are already type-checked against `self`.
+    fn projected(self, exprs: Vec<Expr>, schema: Schema) -> Plan {
+        let compose = |inner: &[Expr]| exprs.iter().map(|e| e.substitute(inner)).collect();
+        let node = match self.node {
+            node if is_identity(&exprs, self.schema.arity()) => node,
+            PlanNode::Project {
+                input,
+                exprs: inner,
+            } if inlines_once(&exprs, &inner) => PlanNode::Project {
+                input,
+                exprs: compose(&inner),
             },
-            schema,
-        }
+            PlanNode::Join {
+                left,
+                right,
+                condition,
+                algo,
+                output,
+            } if inlines_once(&exprs, &output) => PlanNode::Join {
+                left,
+                right,
+                condition,
+                algo,
+                output: compose(&output),
+            },
+            node => PlanNode::Project {
+                input: Box::new(Plan {
+                    node,
+                    schema: self.schema,
+                }),
+                exprs,
+            },
+        };
+        Plan { node, schema }
     }
 
     /// Inner join; `condition` refers to the concatenated schema. The
@@ -306,6 +347,7 @@ impl Plan {
                 right: Box::new(right),
                 condition,
                 algo,
+                output: (0..schema.arity()).map(Expr::Col).collect(),
             },
             schema,
         }
@@ -560,18 +602,23 @@ impl Plan {
             }
             PlanNode::Values { rows } => format!("Values ({} rows)", rows.len()),
             PlanNode::Filter { predicate, .. } => format!("Filter {predicate}"),
-            PlanNode::Project { exprs, .. } => {
-                let es: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
-                format!("Project [{}]", es.join(", "))
-            }
+            PlanNode::Project { exprs, .. } => format!("Project [{}]", list(exprs)),
             PlanNode::Join {
-                condition, algo, ..
+                left,
+                right,
+                condition,
+                algo,
+                output,
             } => {
-                if *algo == JoinAlgo::Auto {
+                let mut label = if *algo == JoinAlgo::Auto {
                     format!("Join on {condition}")
                 } else {
                     format!("Join[{algo:?}] on {condition}")
+                };
+                if !is_identity(output, left.schema.arity() + right.schema.arity()) {
+                    label.push_str(&format!(" → [{}]", list(output)));
                 }
+                label
             }
             PlanNode::Union { .. } => "UnionAll".to_string(),
             PlanNode::ExceptAll { .. } => "ExceptAll".to_string(),
@@ -663,6 +710,32 @@ impl fmt::Display for Plan {
     }
 }
 
+/// Whether `exprs` are exactly the columns `#0 .. #arity` in order.
+fn is_identity(exprs: &[Expr], arity: usize) -> bool {
+    exprs.len() == arity && exprs.iter().enumerate().all(|(i, e)| *e == Expr::Col(i))
+}
+
+/// Whether substituting `inner` into `exprs` evaluates nothing twice: every
+/// inner expression that computes something (not a bare column or literal)
+/// is referenced at most once across `exprs`. Without this, each level of
+/// `SELECT x + x AS x FROM (…)` would double the composed expression.
+fn inlines_once(exprs: &[Expr], inner: &[Expr]) -> bool {
+    let mut refs = Vec::new();
+    for e in exprs {
+        e.referenced_columns(&mut refs);
+    }
+    let mut uses = vec![0usize; inner.len()];
+    refs.into_iter().all(|i| {
+        uses[i] += 1;
+        uses[i] == 1 || matches!(inner[i], Expr::Col(_) | Expr::Lit(_))
+    })
+}
+
+fn list(exprs: &[Expr]) -> String {
+    let es: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
+    es.join(", ")
+}
+
 fn check_union_compatible(a: &Schema, b: &Schema) -> Result<(), String> {
     if a.arity() != b.arity() {
         return Err(format!(
@@ -724,6 +797,132 @@ mod tests {
         let r = Plan::scan("b", works_schema());
         let j = l.join(r, Expr::col(1).eq(Expr::col(5)));
         assert_eq!(j.schema.arity(), 8);
+    }
+
+    #[test]
+    fn identity_projection_is_the_input_renamed() {
+        let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let p = Plan::scan("works", works_schema())
+            .project(
+                (0..4).map(Expr::col).collect(),
+                names(&["n", "s", "b", "e"]),
+            )
+            .unwrap();
+        assert!(matches!(&p.node, PlanNode::Scan { table } if table == "works"));
+        let got: Vec<&str> = p.schema.columns().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(got, ["n", "s", "b", "e"]);
+        assert_eq!(p.schema.column(2).ty, SqlType::Int);
+        // Same columns, other order or fewer of them: a real projection.
+        let swapped = Plan::scan("works", works_schema())
+            .project(vec![Expr::col(1), Expr::col(0)], names(&["s", "n"]))
+            .unwrap();
+        assert!(matches!(swapped.node, PlanNode::Project { .. }));
+        let prefix = Plan::scan("works", works_schema()).project_cols(&[0, 1]);
+        assert!(matches!(prefix.node, PlanNode::Project { .. }));
+        // Ill-typed expressions are still refused before anything is absorbed.
+        assert!(Plan::scan("works", works_schema())
+            .project(vec![Expr::col(7)], names(&["x"]))
+            .is_err());
+    }
+
+    #[test]
+    fn stacked_projections_compose_by_substitution() {
+        let e1 = vec![
+            Expr::col(3),
+            Expr::binary(BinOp::Sub, Expr::col(3), Expr::col(2)),
+        ];
+        let e2 = vec![
+            Expr::binary(BinOp::Add, Expr::col(1), Expr::col(0)),
+            Expr::col(0),
+        ];
+        let p = Plan::scan("works", works_schema())
+            .project(e1.clone(), vec!["te".into(), "len".into()])
+            .unwrap()
+            .project(e2.clone(), vec!["x".into(), "te".into()])
+            .unwrap();
+        let PlanNode::Project { input, exprs } = &p.node else {
+            panic!("expected one Project, got\n{p}")
+        };
+        assert!(matches!(input.node, PlanNode::Scan { .. }));
+        let want: Vec<Expr> = e2.iter().map(|e| e.substitute(&e1)).collect();
+        assert_eq!(exprs, &want);
+        assert_eq!(p.schema.column(0).name, "x");
+        assert_eq!(p.explain().matches("Project").count(), 1);
+    }
+
+    #[test]
+    fn composition_never_copies_a_computed_expression() {
+        let sum = |a, b| Expr::binary(BinOp::Add, Expr::col(a), Expr::col(b));
+        let names = |n: usize| (0..n).map(|i| format!("c{i}")).collect::<Vec<_>>();
+        // `SELECT y, y FROM (SELECT ts + te AS y …)`: inlining would compute
+        // the sum twice per row, so the inner `Project` stays.
+        let twice = Plan::scan("works", works_schema())
+            .project(vec![sum(2, 3)], names(1))
+            .unwrap()
+            .project_cols(&[0, 0]);
+        assert_eq!(twice.explain().matches("Project").count(), 2);
+        // A bare column or literal is free to repeat.
+        let free = Plan::scan("works", works_schema())
+            .project(vec![Expr::col(3), Expr::lit(1i64), sum(2, 3)], names(3))
+            .unwrap()
+            .project(vec![sum(0, 0), sum(1, 1), Expr::col(2)], names(3))
+            .unwrap();
+        let PlanNode::Project { input, exprs } = &free.node else {
+            panic!("expected one Project, got\n{free}")
+        };
+        assert!(matches!(input.node, PlanNode::Scan { .. }));
+        assert_eq!(exprs[0], sum(3, 3));
+        // Same rule over a join: the second reference keeps a `Project`.
+        let joined = Plan::scan("a", works_schema())
+            .join(Plan::scan("b", works_schema()), Expr::lit(true))
+            .project(vec![sum(2, 6)], names(1))
+            .unwrap()
+            .project(vec![sum(0, 0)], names(1))
+            .unwrap();
+        let PlanNode::Project { input, .. } = &joined.node else {
+            panic!("expected a Project over the join, got\n{joined}")
+        };
+        assert!(matches!(&input.node, PlanNode::Join { output, .. } if output == &[sum(2, 6)]));
+        // Stacked `x + x` used to double the expression per level; 64
+        // levels would never finish. Now the plan is one node per level.
+        let mut p = Plan::scan("works", works_schema()).project_cols(&[2]);
+        for _ in 0..64 {
+            p = p.project(vec![sum(0, 0)], names(1)).unwrap();
+        }
+        assert_eq!(p.explain().matches("Project [(#0 + #0)]").count(), 63);
+        assert_eq!(p.explain().matches("Project [(#2 + #2)]").count(), 1);
+    }
+
+    #[test]
+    fn projection_over_a_join_is_the_joins_output() {
+        let cond = Expr::col(1).eq(Expr::col(5));
+        let bare = Plan::scan("a", works_schema()).join(Plan::scan("b", works_schema()), cond);
+        assert_eq!(bare.node_label(), "Join on (#1 = #5)");
+        let es = vec![
+            Expr::col(0),
+            Expr::Greatest(vec![Expr::col(2), Expr::col(6)]),
+            Expr::Least(vec![Expr::col(3), Expr::col(7)]),
+        ];
+        let p = bare
+            .project(es.clone(), vec!["name".into(), "b".into(), "e".into()])
+            .unwrap();
+        let PlanNode::Join { output, .. } = &p.node else {
+            panic!("expected a Join, got\n{p}")
+        };
+        assert_eq!(output, &es);
+        assert_eq!(p.schema.arity(), 3);
+        assert_eq!(p.schema.column(1).ty, SqlType::Int);
+        assert_eq!(
+            p.node_label(),
+            "Join on (#1 = #5) → [#0, GREATEST(#2, #6), LEAST(#3, #7)]"
+        );
+        // A second projection composes into the same join.
+        let q = p.project_cols(&[2, 0]);
+        let PlanNode::Join { output, .. } = &q.node else {
+            panic!("expected a Join, got\n{q}")
+        };
+        assert_eq!(output, &[es[2].clone(), es[0].clone()]);
+        assert_eq!(q.children().len(), 2);
     }
 
     #[test]

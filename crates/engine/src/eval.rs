@@ -4,12 +4,41 @@ use algebra::{BinOp, Expr};
 use std::cmp::Ordering;
 use storage::{Row, Value};
 
+/// What an expression reads its columns from: a [`Row`], or a [`Pair`]
+/// of rows standing in for their concatenation.
+pub trait Columns {
+    /// The value at column `i`.
+    fn col(&self, i: usize) -> &Value;
+}
+
+impl Columns for Row {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        self.get(i)
+    }
+}
+
+/// A join candidate `(left, right)` viewed as `left ++ right` without
+/// building it: column `i` is `left[i]`, or `right[i - left.arity()]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Pair<'a>(pub &'a Row, pub &'a Row);
+
+impl Columns for Pair<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        match i.checked_sub(self.0.arity()) {
+            None => self.0.get(i),
+            Some(j) => self.1.get(j),
+        }
+    }
+}
+
 /// Evaluates an expression against a row. NULL propagates through
 /// arithmetic and comparisons; `AND`/`OR` use Kleene three-valued logic
 /// (with "unknown" represented as [`Value::Null`]).
-pub fn eval_expr(expr: &Expr, row: &Row) -> Value {
+pub fn eval_expr<C: Columns>(expr: &Expr, row: &C) -> Value {
     match expr {
-        Expr::Col(i) => row.get(*i).clone(),
+        Expr::Col(i) => row.col(*i).clone(),
         Expr::Lit(v) => v.clone(),
         Expr::Binary { op, left, right } => {
             let l = eval_expr(left, row);
@@ -94,7 +123,7 @@ pub fn eval_expr(expr: &Expr, row: &Row) -> Value {
 /// Evaluates a predicate: a row passes only when the expression evaluates to
 /// `TRUE` (NULL/unknown filters the row out, as in SQL `WHERE`).
 #[inline]
-pub fn eval_predicate(expr: &Expr, row: &Row) -> bool {
+pub fn eval_predicate<C: Columns>(expr: &Expr, row: &C) -> bool {
     eval_expr(expr, row) == Value::Bool(true)
 }
 
@@ -137,7 +166,7 @@ fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Value {
     }
 }
 
-fn fold_extreme(es: &[Expr], row: &Row, keep: Ordering) -> Value {
+fn fold_extreme<C: Columns>(es: &[Expr], row: &C, keep: Ordering) -> Value {
     // Postgres semantics: NULL arguments are ignored; all-NULL gives NULL.
     let mut best = Value::Null;
     for e in es {

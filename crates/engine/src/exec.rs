@@ -1,7 +1,7 @@
 //! Plan execution.
 
 use crate::coalesce::try_coalesce_rows;
-use crate::eval::{eval_expr, eval_predicate};
+use crate::eval::{eval_expr, eval_predicate, Pair};
 use crate::sliding::SlidingAgg;
 use crate::split::split_rows;
 use crate::temporal::{agg_arg, agg_arg_types, temporal_aggregate, temporal_except_all};
@@ -13,6 +13,7 @@ use index::{
 use snapshot_obs::{self as obs, StatementError};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -377,10 +378,11 @@ impl Engine {
                 right,
                 condition,
                 algo,
+                output,
             } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                self.join((left, &l), (right, &r), condition, *algo, env)?
+                self.join((left, &l), (right, &r), (condition, output), *algo, env)?
                     .into()
             }
             PlanNode::Union { left, right } => {
@@ -560,12 +562,13 @@ impl Engine {
     }
 
     /// Joins two materialized inputs; each side is `(plan, rows)` — the
-    /// plan carries the schema and reveals an indexed scan.
+    /// plan carries the schema and reveals an indexed scan. A pair that
+    /// satisfies `condition` emits one row: the `output` expressions over it.
     fn join(
         &self,
         (left_plan, left): (&Plan, &[Row]),
         (right_plan, right): (&Plan, &[Row]),
-        condition: &Expr,
+        (condition, output): (&Expr, &[Expr]),
         algo: JoinAlgo,
         env: &mut ExecEnv<'_>,
     ) -> Result<Vec<Row>, StatementError> {
@@ -615,10 +618,13 @@ impl Engine {
         };
 
         // A pair that passed a join's own matching still has to satisfy
-        // the full condition (residual conjuncts included).
+        // the full condition (residual conjuncts included); both it and
+        // the output row are evaluated on the borrowed pair, so a rejected
+        // pair allocates nothing and a surviving one allocates once.
         let matched = |l: &Row, r: &Row| {
-            let joined = l.concat(r);
-            eval_predicate(condition, &joined).then_some(joined)
+            let pair = Pair(l, r);
+            eval_predicate(condition, &pair)
+                .then(|| output.iter().map(|e| eval_expr(e, &pair)).collect::<Row>())
         };
 
         Ok(match (resolved, overlap) {
@@ -852,6 +858,54 @@ fn overlap_pattern(
     (has_l_lt_r && has_r_lt_l).then_some((lts, lte, rts_g - l_arity, rte_g - l_arity))
 }
 
+/// Identity [`Hasher`]: the map's keys already are [`key_hash`] mixes.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("Prehashed maps are keyed by u64 only")
+    }
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Hashes the key columns of `row` where they sit; `None` for a NULL key,
+/// which never joins. Values equal under SQL comparison hash alike — an
+/// integral `Double` as the `Int` it equals (the cast saturates, so doubles
+/// beyond `i64` merely collide); unequal ones may collide too, but which
+/// ones depends on `seed`, so colliding keys cannot be prepared offline.
+fn key_hash(row: &Row, cols: &[usize], seed: u64) -> Option<u64> {
+    let mut h = seed;
+    // lint:allow(cancellation) bounded by join-key arity
+    for &c in cols {
+        h = match row.get(c) {
+            Value::Null => return None,
+            Value::Bool(b) => h ^ *b as u64,
+            Value::Int(i) => h ^ *i as u64,
+            Value::Double(d) if d.fract() == 0.0 => h ^ *d as i64 as u64,
+            Value::Double(d) => h ^ d.to_bits(),
+            Value::Str(s) => s.bytes().fold(h ^ 0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3) // FNV-1a
+            }),
+        };
+        // splitmix64's finalizer: the map takes bucket and tag bits from
+        // both ends of the word, so every input bit has to reach both.
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+    }
+    Some(h)
+}
+
+/// Equi-join on `keys` (`(left, right)` column pairs). The hash table only
+/// nominates candidates: every pair whose key hashes agree goes to
+/// `matched`, which judges the whole condition — the equalities included —
+/// under SQL comparison.
 fn hash_join(
     left: &[Row],
     right: &[Row],
@@ -859,60 +913,47 @@ fn hash_join(
     ctx: &ExecContext,
     matched: impl Fn(&Row, &Row) -> Option<Row>,
 ) -> Result<Vec<Row>, StatementError> {
+    let (l_keys, r_keys): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
     // Build on the smaller side; probe with the larger.
     let build_left = left.len() <= right.len();
-    let (build, probe) = if build_left {
-        (left, right)
+    let ((build, build_keys), (probe, probe_keys)) = if build_left {
+        ((left, l_keys), (right, r_keys))
     } else {
-        (right, left)
+        ((right, r_keys), (left, l_keys))
     };
-    let build_keys: Vec<usize> = keys
-        .iter()
-        .map(|&(l, r)| if build_left { l } else { r })
-        .collect();
-    let probe_keys: Vec<usize> = keys
-        .iter()
-        .map(|&(l, r)| if build_left { r } else { l })
-        .collect();
 
-    let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::with_capacity(build.len());
-    'build: for (n, row) in build.iter().enumerate() {
+    // `heads[hash]` is the first build row with that hash, `next[row]` the
+    // one after it; rows go in last to first, so chains run in input order.
+    const END: usize = usize::MAX;
+    let seed = RandomState::new().hash_one(0u64);
+    let mut heads: HashMap<u64, usize, BuildHasherDefault<Prehashed>> =
+        HashMap::with_capacity_and_hasher(build.len(), Default::default());
+    let mut next = vec![END; build.len()];
+    for (n, row) in build.iter().enumerate().rev() {
         // The build side can be arbitrarily large; poll the token at
         // the same cadence as the probe phase's pair counting.
-        ctx.row_considered(n + 1)?;
-        let mut key = Vec::with_capacity(build_keys.len());
-        // lint:allow(cancellation) bounded by join-key arity
-        for &i in &build_keys {
-            let v = row.get(i);
-            if v.is_null() {
-                continue 'build; // NULL never joins
-            }
-            key.push(v.clone());
+        ctx.row_considered(build.len() - n)?;
+        if let Some(hash) = key_hash(row, &build_keys, seed) {
+            next[n] = heads.insert(hash, n).unwrap_or(END);
         }
-        table.entry(key).or_default().push(row);
     }
 
     let mut out = Vec::new();
     let mut pairs = 0u64;
-    'probe: for row in probe {
-        let mut key = Vec::with_capacity(probe_keys.len());
-        for &i in &probe_keys {
-            let v = row.get(i);
-            if v.is_null() {
-                continue 'probe;
-            }
-            key.push(v.clone());
-        }
-        if let Some(matches) = table.get(&key) {
-            for m in matches {
-                pairs += 1;
-                ctx.pair_considered(pairs)?;
-                out.extend(if build_left {
-                    matched(m, row)
-                } else {
-                    matched(row, m)
-                });
-            }
+    for row in probe {
+        let Some(hash) = key_hash(row, &probe_keys, seed) else {
+            continue;
+        };
+        let mut m = heads.get(&hash).copied().unwrap_or(END);
+        while m != END {
+            pairs += 1;
+            ctx.pair_considered(pairs)?;
+            out.extend(if build_left {
+                matched(&build[m], row)
+            } else {
+                matched(row, &build[m])
+            });
+            m = next[m];
         }
     }
     ctx.pairs_done(pairs);
@@ -1508,6 +1549,59 @@ mod tests {
             assert_eq!(out.len(), 1, "{algo:?} under the default context");
             assert!(stats.get(op).is_some(), "{algo:?}: {stats:?}");
         }
+    }
+
+    /// A join that took its parent's projection is still one `Join` to
+    /// every observer: operator counters, `EXPLAIN ANALYZE`, and a resource
+    /// account that sees each surviving pair once.
+    #[test]
+    fn fused_join_reports_as_one_join_node() {
+        let c = works_catalog();
+        let indexes = IndexCatalog::build_all(&c);
+        let scan = || Plan::scan("works", works_schema());
+        let cond = Expr::col(1)
+            .eq(Expr::col(5))
+            .and(Expr::col(2).lt(Expr::col(7)))
+            .and(Expr::col(6).lt(Expr::col(3)));
+        let output = vec![
+            Expr::col(0),
+            Expr::col(4),
+            Expr::Greatest(vec![Expr::col(2), Expr::col(6)]),
+            Expr::Least(vec![Expr::col(3), Expr::col(7)]),
+        ];
+        let names = ["l", "r", "ts", "te"].map(String::from).to_vec();
+        let plan = scan()
+            .join(scan(), cond)
+            .project(output, names)
+            .unwrap()
+            .coalesce();
+        let account = Arc::new(obs::ResourceAccount::default());
+        let engine = Engine::new().with_context(ExecContext::new(
+            Arc::clone(&account),
+            Arc::new(obs::CancelToken::default()),
+        ));
+        let (mut stats, mut nodes) = (ExecStats::default(), NodeStats::default());
+        let out = engine
+            .execute_analyzed(&plan, &c, Some(&indexes), &mut stats, &mut nodes)
+            .unwrap();
+        // Same-skill pairs with overlapping stints: Ann–Ann, Ann–Sam,
+        // Sam–Ann, Sam–Sam, Joe–Joe, and Ann's second stint with itself.
+        assert_eq!(out.len(), 6);
+        assert!(out.rows().contains(&row!["Ann", "Sam", 8, 10]), "{out}");
+        assert_eq!(stats.get("Join"), Some((1, 6)));
+        assert_eq!(stats.get("HashJoin"), Some((1, 6)));
+        assert_eq!(stats.get("Project"), None);
+        let text = explain_analyzed(&plan, &nodes);
+        assert!(
+            text.contains(
+                "  Join on (((#1 = #5) AND (#2 < #7)) AND (#6 < #3)) \
+                 → [#0, #4, GREATEST(#2, #6), LEAST(#3, #7)] (actual rows=6 calls=1 "
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("never executed"), "{text}");
+        // Two scans of 4, the join's 6, the coalesced 6 — no projected copies.
+        assert_eq!(account.usage().rows_emitted, 4 + 4 + 6 + 6);
     }
 
     #[test]

@@ -161,40 +161,25 @@ impl SnapshotCompiler {
             } => {
                 let stored = catalog.require(table)?;
                 let scan = Plan::scan(table.clone(), stored.schema().clone());
-                let n = stored.schema().arity();
-                let trailing_period = *period == (n.saturating_sub(2), n.saturating_sub(1));
-                // Keep the timeslice directly over the scan when the stored
-                // period already sits in the trailing columns (the indexed
-                // fast path); otherwise reshape to period-last first.
-                let sliced = if trailing_period {
-                    scan.timeslice(at)
-                } else {
-                    let mut exprs: Vec<Expr> = (0..n)
-                        .filter(|i| *i != period.0 && *i != period.1)
-                        .map(Expr::Col)
-                        .collect();
-                    exprs.push(Expr::Col(period.0));
-                    exprs.push(Expr::Col(period.1));
-                    let names: Vec<String> = (0..exprs.len()).map(|i| format!("__c{i}")).collect();
-                    scan.project(exprs, names)?.timeslice(at)
-                };
+                // Reshape to period-last for the timeslice. When the stored
+                // period already trails, `project` hands the bare scan back
+                // — the indexed fast path.
+                let kept: Vec<usize> = (0..stored.schema().arity())
+                    .filter(|i| *i != period.0 && *i != period.1)
+                    .collect();
+                let mut exprs: Vec<Expr> = kept.iter().map(|&i| Expr::Col(i)).collect();
+                exprs.push(Expr::Col(period.0));
+                exprs.push(Expr::Col(period.1));
+                let names: Vec<String> = (0..exprs.len()).map(|i| format!("__c{i}")).collect();
+                let sliced = scan.project(exprs, names)?.timeslice(at);
                 // Project to the visible data columns, in `data_cols` order.
                 let mut exprs = Vec::with_capacity(data_cols.len());
-                if trailing_period {
-                    exprs.extend(data_cols.iter().map(|&i| Expr::Col(i)));
-                } else {
-                    // After the reshape, data columns are the stored order
-                    // with the period columns removed.
-                    let kept: Vec<usize> = (0..n)
-                        .filter(|i| *i != period.0 && *i != period.1)
-                        .collect();
-                    for &want in data_cols {
-                        let pos = kept
-                            .iter()
-                            .position(|&k| k == want)
-                            .ok_or_else(|| format!("data column {want} is a period column"))?;
-                        exprs.push(Expr::Col(pos));
-                    }
+                for &want in data_cols {
+                    let pos = kept
+                        .iter()
+                        .position(|&k| k == want)
+                        .ok_or_else(|| format!("data column {want} is a period column"))?;
+                    exprs.push(Expr::Col(pos));
                 }
                 let names: Vec<String> = plan
                     .schema
@@ -271,29 +256,23 @@ impl SnapshotCompiler {
             } => {
                 let stored = catalog.require(table)?;
                 let scan = Plan::scan(table.clone(), stored.schema().clone());
-                let n = stored.schema().arity();
-                // Identity access (data columns in stored order, period
-                // already trailing): keep the bare scan. Besides skipping a
-                // full-copy projection, this is what lets the engine see
-                // indexed base tables underneath temporal joins, timeslices,
-                // and coalescing (`indexed_scan` matches `Scan` leaves only).
-                let identity = *period == (n - 2, n - 1) && data_cols.iter().copied().eq(0..n - 2);
-                let base = if identity {
-                    scan
-                } else {
-                    let mut exprs: Vec<Expr> = data_cols.iter().map(|&i| Expr::Col(i)).collect();
-                    exprs.push(Expr::Col(period.0));
-                    exprs.push(Expr::Col(period.1));
-                    let mut names: Vec<String> = plan
-                        .schema
-                        .columns()
-                        .iter()
-                        .map(|c| c.name.clone())
-                        .collect();
-                    names.push("__ts".into());
-                    names.push("__te".into());
-                    scan.project(exprs, names)?
-                };
+                // An identity access (data columns in stored order, period
+                // trailing) comes back from `project` as the bare scan, so
+                // the engine sees indexed base tables underneath temporal
+                // joins, timeslices, and coalescing (`indexed_scan` matches
+                // `Scan` leaves only).
+                let mut exprs: Vec<Expr> = data_cols.iter().map(|&i| Expr::Col(i)).collect();
+                exprs.push(Expr::Col(period.0));
+                exprs.push(Expr::Col(period.1));
+                let mut names: Vec<String> = plan
+                    .schema
+                    .columns()
+                    .iter()
+                    .map(|c| c.name.clone())
+                    .collect();
+                names.push("__ts".into());
+                names.push("__te".into());
+                let base = scan.project(exprs, names)?;
                 // REWR(R) = R: no coalescing on base access (Figure 4).
                 let Some((w0, w1)) = window else {
                     return Ok(base);
@@ -305,14 +284,12 @@ impl SnapshotCompiler {
                 let mut exprs: Vec<Expr> = (0..d).map(Expr::Col).collect();
                 exprs.push(Expr::Greatest(vec![Expr::Col(d), Expr::lit(w0)]));
                 exprs.push(Expr::Least(vec![Expr::Col(d + 1), Expr::lit(w1)]));
-                let mut names: Vec<String> = plan
+                let names = base
                     .schema
                     .columns()
                     .iter()
                     .map(|c| c.name.clone())
                     .collect();
-                names.push("__ts".into());
-                names.push("__te".into());
                 base.time_range(w0, w1).project(exprs, names)
             }
             SnapshotNode::Filter { input, predicate } => {
@@ -513,24 +490,14 @@ impl SnapshotCompiler {
 
 /// Derives the time domain `[Tmin, Tmax)` of a database from the period
 /// endpoints present in its tables (falls back to `[0, 1)` for an empty
-/// catalog).
+/// catalog). Each table keeps its own extent current
+/// ([`storage::Table::period_extent`]), so this reads one pair per table.
 pub fn infer_domain(catalog: &Catalog) -> TimeDomain {
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    for name in catalog.table_names().collect::<Vec<_>>() {
-        let table = catalog.get(name).unwrap();
-        if let Some((b, e)) = table.period() {
-            for row in table.rows() {
-                min = min.min(row.int(b));
-                max = max.max(row.int(e));
-            }
-        }
-    }
-    if min >= max {
-        TimeDomain::new(0, 1)
-    } else {
-        TimeDomain::new(min, max)
-    }
+    catalog
+        .table_names()
+        .filter_map(|name| catalog.get(name)?.period_extent())
+        .reduce(|(lo, hi), (b, e)| (lo.min(b), hi.max(e)))
+        .map_or(TimeDomain::new(0, 1), |(lo, hi)| TimeDomain::new(lo, hi))
 }
 
 #[cfg(test)]

@@ -42,10 +42,29 @@ pub struct Table {
     /// is what lets index maintenance extend an index incrementally instead
     /// of rebuilding — see [`Table::appended_since`].
     append_checkpoints: Vec<(u64, usize)>,
+    /// `(min begin, max end)` over the rows of a period table — derived
+    /// state, kept current by every mutation (see [`Table::period_extent`]);
+    /// [`NO_PERIODS`] while there is nothing to cover.
+    extent: (i64, i64),
 }
 
-// Equality ignores the version counter: two tables with the same schema,
-// rows, and period are the same relation regardless of mutation history.
+/// The extent of no periods at all: the identity of [`widen`].
+const NO_PERIODS: (i64, i64) = (i64::MAX, i64::MIN);
+
+/// `extent` widened to cover the period `[b, e)`.
+fn widen((lo, hi): (i64, i64), (b, e): (i64, i64)) -> (i64, i64) {
+    (lo.min(b), hi.max(e))
+}
+
+/// The period of a row already in a table whose period columns are
+/// `period`; [`NO_PERIODS`] (which widens nothing) when it has none.
+fn period_of(period: Option<(usize, usize)>, row: &Row) -> (i64, i64) {
+    period.map_or(NO_PERIODS, |(b, e)| (row.int(b), row.int(e)))
+}
+
+// Equality ignores the version counter (and the derived extent): two tables
+// with the same schema, rows, and period are the same relation regardless
+// of mutation history.
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema && self.rows == other.rows && self.period == other.period
@@ -62,6 +81,7 @@ impl Table {
             period: None,
             version,
             append_checkpoints: vec![(version, 0)],
+            extent: NO_PERIODS,
         }
     }
 
@@ -87,6 +107,7 @@ impl Table {
             period: Some((begin, end)),
             version,
             append_checkpoints: vec![(version, 0)],
+            extent: NO_PERIODS,
         }
     }
 
@@ -117,6 +138,16 @@ impl Table {
         self.version
     }
 
+    /// `(min begin, max end)` over all rows: the smallest interval covering
+    /// every stored period. `None` for an empty table and for a table
+    /// without a period. Maintained by the mutators — widened on append,
+    /// recomputed in the pass a delete, update or restore makes anyway —
+    /// so reading the time domain of a database costs O(tables), not
+    /// O(rows). Derived from the rows: not persisted, ignored by `==`.
+    pub fn period_extent(&self) -> Option<(i64, i64)> {
+        (self.extent != NO_PERIODS).then_some(self.extent)
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -134,6 +165,12 @@ impl Table {
     /// through it too); value-level ingestion policy — e.g. the session
     /// layer's NaN rejection — lives in the DML validators above storage.
     pub fn check_row(&self, row: &Row) -> Result<(), String> {
+        self.checked_period(row).map(|_| ())
+    }
+
+    /// [`Table::check_row`], handing back the period it had to read
+    /// ([`NO_PERIODS`] when the table has none).
+    fn checked_period(&self, row: &Row) -> Result<(i64, i64), String> {
         if row.arity() != self.schema.arity() {
             return Err(format!(
                 "row arity {} does not match schema arity {}",
@@ -141,20 +178,21 @@ impl Table {
                 self.schema.arity()
             ));
         }
-        if let Some((b, e)) = self.period {
-            let (vb, ve) = (row.get(b), row.get(e));
-            let (Some(ib), Some(ie)) = (vb.as_int(), ve.as_int()) else {
-                return Err(format!(
-                    "period endpoints must be non-NULL integers, got ({vb}, {ve})"
-                ));
-            };
-            if ib >= ie {
-                return Err(format!(
-                    "period tuple must satisfy begin < end, got [{ib}, {ie})"
-                ));
-            }
+        let Some((b, e)) = self.period else {
+            return Ok(NO_PERIODS);
+        };
+        let (vb, ve) = (row.get(b), row.get(e));
+        let (Some(ib), Some(ie)) = (vb.as_int(), ve.as_int()) else {
+            return Err(format!(
+                "period endpoints must be non-NULL integers, got ({vb}, {ve})"
+            ));
+        };
+        if ib >= ie {
+            return Err(format!(
+                "period tuple must satisfy begin < end, got [{ib}, {ie})"
+            ));
         }
-        Ok(())
+        Ok((ib, ie))
     }
 
     /// Refreshes the version after an append batch, checkpointing the new
@@ -183,8 +221,9 @@ impl Table {
     /// # Panics
     /// Panics on arity mismatch or (for period tables) `begin >= end`.
     pub fn push(&mut self, row: Row) {
-        if let Err(e) = self.check_row(&row) {
-            panic!("{e}");
+        match self.checked_period(&row) {
+            Ok(period) => self.extent = widen(self.extent, period),
+            Err(e) => panic!("{e}"),
         }
         self.rows.push(row);
         self.bump_append();
@@ -196,19 +235,25 @@ impl Table {
     /// Panics when any row fails [`Table::check_row`]; rows before the
     /// offending one stay appended.
     pub fn extend<I: IntoIterator<Item = Row>>(&mut self, rows: I) {
-        let mut appended = false;
+        let before = self.rows.len();
+        let mut extent = self.extent;
+        let mut refused = None;
         for r in rows {
-            if let Err(e) = self.check_row(&r) {
-                if appended {
-                    self.bump_append();
+            match self.checked_period(&r) {
+                Ok(period) => extent = widen(extent, period),
+                Err(e) => {
+                    refused = Some(e);
+                    break;
                 }
-                panic!("{e}");
             }
             self.rows.push(r);
-            appended = true;
         }
-        if appended {
+        self.extent = extent;
+        if self.rows.len() > before {
             self.bump_append();
+        }
+        if let Some(e) = refused {
+            panic!("{e}");
         }
     }
 
@@ -216,7 +261,15 @@ impl Table {
     /// A no-op delete leaves the version (and thus any index) untouched.
     pub fn delete_where<P: FnMut(&Row) -> bool>(&mut self, mut pred: P) -> usize {
         let before = self.rows.len();
-        self.rows.retain(|r| !pred(r));
+        let (period, mut extent) = (self.period, NO_PERIODS);
+        self.rows.retain(|r| {
+            let keep = !pred(r);
+            if keep {
+                extent = widen(extent, period_of(period, r));
+            }
+            keep
+        });
+        self.extent = extent;
         let removed = before - self.rows.len();
         if removed > 0 {
             self.bump_structural();
@@ -236,18 +289,24 @@ impl Table {
         U: FnMut(&Row) -> Result<Row, String>,
     {
         let mut replacements: Vec<(usize, Row)> = Vec::new();
+        let mut extent = NO_PERIODS;
         for (i, row) in self.rows.iter().enumerate() {
-            if pred(row) {
+            let period = if pred(row) {
                 let new_row = update(row)?;
-                self.check_row(&new_row)?;
+                let period = self.checked_period(&new_row)?;
                 replacements.push((i, new_row));
-            }
+                period
+            } else {
+                period_of(self.period, row)
+            };
+            extent = widen(extent, period);
         }
         let updated = replacements.len();
         for (i, new_row) in replacements {
             self.rows[i] = new_row;
         }
         if updated > 0 {
+            self.extent = extent;
             self.bump_structural();
         }
         Ok(updated)
@@ -316,15 +375,16 @@ impl Table {
                 ));
             }
         }
-        let table = Table {
+        let mut table = Table {
             schema,
             rows: Vec::new(),
             period,
             version,
             append_checkpoints,
+            extent: NO_PERIODS,
         };
         for row in &rows {
-            table.check_row(row)?;
+            table.extent = widen(table.extent, table.checked_period(row)?);
         }
         // Advance the global epoch source past the restored version so the
         // next construction or mutation anywhere in the process draws a

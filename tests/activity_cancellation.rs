@@ -238,6 +238,52 @@ fn timeout_mid_parallel_sweep_leaves_session_consistent() {
     assert_eq!(int(&rows[0][0]), n as i64, "oracle count after timeout");
 }
 
+/// A join that emits its parent's projection itself (`Coalesce ← Join`,
+/// no `Project` between them) still counts and polls every candidate
+/// pair: a timeout lands inside the hash route's chain walk — all 2 000
+/// rows share one key, so the table nominates n² pairs and the residual
+/// rejects almost none — and the session carries on.
+#[test]
+fn timeout_inside_a_fused_join_cancels_and_leaves_the_session_usable() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let n = 2000usize;
+    let mut session = Session::default();
+    session
+        .execute("CREATE TABLE act_fused (x INT, k INT, ts INT, te INT) PERIOD (ts, te)")
+        .unwrap();
+    let values: Vec<String> = (0..n).map(|i| format!("({i}, 7, 0, 1000000)")).collect();
+    session
+        .execute(&format!(
+            "INSERT INTO act_fused VALUES {}",
+            values.join(", ")
+        ))
+        .unwrap();
+    let query =
+        "SEQ VT (SELECT a.x, b.x AS y FROM act_fused a JOIN act_fused b ON a.k = b.k AND a.x <> b.x)";
+    let plan: Vec<String> = rows_of(&session.execute(&format!("EXPLAIN {query}")).unwrap())
+        .iter()
+        .map(|r| r[0].to_string())
+        .collect();
+    assert_eq!(plan.len(), 4, "Coalesce, Join, two scans: {plan:#?}");
+    assert!(plan[0].starts_with("Coalesce"), "{plan:#?}");
+    assert!(
+        plan[1].trim_start().starts_with("Join on ") && plan[1].contains(" → [#0, #4, GREATEST("),
+        "{plan:#?}"
+    );
+
+    session.execute("SET statement_timeout = 5").unwrap();
+    let err = session.execute(query).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Timeout), "{err:?}");
+
+    session.execute("SET statement_timeout = off").unwrap();
+    session.options_mut().verify_indexed = true;
+    session
+        .execute("DELETE FROM act_fused WHERE x >= 3")
+        .unwrap();
+    let rows = rows_of(&session.execute(query).unwrap());
+    assert_eq!(rows.len(), 6, "3 x 3 pairs minus the diagonal: {rows:?}");
+}
+
 /// Satellite: killing an idle or unknown session is a clean no-op — the
 /// verdict is `false` and nothing is poisoned.
 #[test]

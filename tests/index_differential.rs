@@ -56,6 +56,16 @@ fn random_catalog(seed: u64) -> (Catalog, TimeDomain) {
     (c, domain)
 }
 
+/// Every join hint the rewriter can stamp on its overlap joins.
+const JOIN_ALGOS: [JoinAlgo; 6] = [
+    JoinAlgo::Auto,
+    JoinAlgo::NestedLoop,
+    JoinAlgo::Hash,
+    JoinAlgo::MergeInterval,
+    JoinAlgo::IndexSweep,
+    JoinAlgo::ParallelSweep,
+];
+
 const QUERIES: &[&str] = &[
     "SEQ VT (SELECT * FROM r)",
     "SEQ VT (SELECT r.i0, s.s0 FROM r JOIN s ON r.i0 = s.i0)",
@@ -82,14 +92,7 @@ fn indexed_pipeline_matches_naive_and_oracle() {
             let oracle = PointwiseOracle::new(domain)
                 .eval_rows(plan, &catalog)
                 .unwrap();
-            for algo in [
-                JoinAlgo::Auto,
-                JoinAlgo::NestedLoop,
-                JoinAlgo::Hash,
-                JoinAlgo::MergeInterval,
-                JoinAlgo::IndexSweep,
-                JoinAlgo::ParallelSweep,
-            ] {
+            for algo in JOIN_ALGOS {
                 let compiler = SnapshotCompiler::with_options(
                     domain,
                     RewriteOptions {
@@ -351,6 +354,87 @@ fn employee_workload_indexed_matches_hash() {
             .canonicalized();
         assert_eq!(hash, sweep, "{name}: hash vs sweep hint");
     }
+}
+
+/// `INT = DOUBLE` equi-joins compare under SQL equality on every route.
+/// The hash route used to key its table on `Vec<Value>`, whose `Eq`/`Hash`
+/// is the *storage* order (type rank first), so `2 = 2.0` never met; the
+/// table is a candidate filter now and the condition the only judge.
+#[test]
+fn mixed_numeric_equi_join_keys_agree_on_every_route() {
+    use snapshot_semantics::storage::Value;
+    const BIG: i64 = 9_007_199_254_740_993; // 2^53 + 1: rounds to 2^53 as f64
+    let period = |name: &str, ty| {
+        let schema = Schema::of(&[(name, ty), ("ts", SqlType::Int), ("te", SqlType::Int)]);
+        Table::with_period(schema, 1, 2)
+    };
+    let mut a = period("x", SqlType::Int);
+    for x in [Value::Int(2), Value::Int(3), Value::Int(BIG), Value::Null] {
+        a.push(Row::new(vec![x, Value::Int(0), Value::Int(10)]));
+    }
+    let mut b = period("y", SqlType::Double);
+    for y in [2.0, 2.5, 9_007_199_254_740_992.0, f64::NAN, -0.0] {
+        b.push(row![y, 5, 15]);
+    }
+    b.push(Row::new(vec![Value::Null, Value::Int(5), Value::Int(15)]));
+    a.push(row![0, 2, 8]); // meets -0.0
+    let mut catalog = Catalog::new();
+    catalog.register("a", a);
+    catalog.register("b", b);
+    let indexes = IndexCatalog::build_all(&catalog);
+    let domain = TimeDomain::new(0, 20);
+    // `cmp_int_double` is exact: 2^53 + 1 is not 2^53; NULL and NaN meet nothing.
+    let want = vec![row![0, -0.0, 5, 8], row![2, 2.0, 5, 10]];
+
+    for from in ["a JOIN b ON a.x = b.y", "b JOIN a ON b.y = a.x"] {
+        let sql = format!("SEQ VT (SELECT a.x, b.y FROM {from})");
+        let bound = bind_statement(&parse_statement(&sql).unwrap(), &catalog).unwrap();
+        let BoundStatement::Snapshot { plan, .. } = &bound else {
+            panic!()
+        };
+        let oracle = PointwiseOracle::new(domain)
+            .eval_rows(plan, &catalog)
+            .unwrap();
+        assert_eq!(oracle, want, "oracle: {sql}");
+        for algo in JOIN_ALGOS {
+            let options = RewriteOptions {
+                temporal_join_algo: algo,
+                ..RewriteOptions::default()
+            };
+            let compiled = SnapshotCompiler::with_options(domain, options)
+                .compile_statement(&bound, &catalog)
+                .unwrap();
+            for use_index in [false, true] {
+                let (out, _) = run_with_stats(
+                    &Engine::with_parallelism(2),
+                    &compiled,
+                    &catalog,
+                    use_index.then_some(&indexes),
+                );
+                let got = out.canonicalized();
+                assert_eq!(got.rows(), oracle, "{sql}, {algo:?}, indexed={use_index}");
+            }
+        }
+    }
+
+    // The non-sequenced join (periods are plain columns, `Auto` hashes)
+    // agrees with the same predicate spelled so that only a nested loop
+    // can run it.
+    let run = |on: &str| {
+        let sql = format!("SELECT a.x, b.y FROM a JOIN b ON {on}");
+        let bound = bind_statement(&parse_statement(&sql).unwrap(), &catalog).unwrap();
+        let plan = SnapshotCompiler::new(domain)
+            .compile_statement(&bound, &catalog)
+            .unwrap();
+        let (out, stats) = run_with_stats(&Engine::new(), &plan, &catalog, None);
+        (out.canonicalized().rows().to_vec(), stats)
+    };
+    let (hashed, stats) = run("a.x = b.y");
+    assert!(stats.get("HashJoin").is_some());
+    let (looped, stats) = run("a.x <= b.y AND a.x >= b.y");
+    assert!(stats.get("NestedLoopJoin").is_some());
+    assert_eq!(hashed, vec![row![0, -0.0], row![2, 2.0]]);
+    assert_eq!(hashed, looped);
 }
 
 // ---------------------------------------------------------------------------

@@ -187,6 +187,46 @@ fn wal_only_recovery() {
     assert_indexes_sound(&mut s, "wal-only");
 }
 
+/// The time domain is derived from each table's period extent, which is
+/// not on disk: recovery has to rebuild it (checkpoint load through
+/// `Table::restore`, the WAL tail through the ordinary mutators), shrinking
+/// deletes and widening updates included. Observed the way a user sees it —
+/// the gap rows of a global snapshot count span `[Tmin, Tmax)`.
+#[test]
+fn time_domain_is_the_same_before_a_kill_and_after_recovery() {
+    let _guard = serial_guard();
+    let dir = scratch_dir("domain");
+    let query = "SEQ VT (SELECT count(*) AS c FROM works WHERE skill = 'SP')";
+    let before = {
+        let (mut s, _) = open(&dir, 0);
+        for sql in SETUP {
+            s.execute(sql).unwrap();
+        }
+        s.execute("CREATE TABLE wide (x INT, ts INT, te INT) PERIOD (ts, te)")
+            .unwrap();
+        s.execute("INSERT INTO wide VALUES (1, -100, 500), (2, 20, 40)")
+            .unwrap();
+        assert_eq!(s.checkpoint().unwrap(), Some(1));
+        // The tail the restart replays: the extent shrinks, then widens.
+        s.execute("DELETE FROM wide WHERE x = 1").unwrap();
+        s.execute("UPDATE wide SET te = te + 30 WHERE x = 2")
+            .unwrap();
+        assert_eq!(
+            infer_domain(s.read_view().catalog()),
+            snapshot_semantics::timeline::TimeDomain::new(3, 70)
+        );
+        session_rows(&mut s, query)
+    };
+    let int = |n: i64| Value::Int(n);
+    let gap = Row::new(vec![int(0), int(10), int(70)]);
+    assert!(before.contains(&gap), "gap row spans to Tmax: {before:?}");
+
+    let (mut s, report) = open(&dir, 0);
+    assert_eq!((report.checkpoint_seq, report.replayed), (Some(1), 2));
+    assert_eq!(session_rows(&mut s, query), before);
+    assert_eq!(session_rows(&mut s, query), oracle_rows(&s, query));
+}
+
 #[test]
 fn torn_final_record_recovers_to_prefix() {
     let dir = scratch_dir("torn");

@@ -37,6 +37,22 @@ EXPLAIN ANALYZE SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
 SEQ VT AS OF 9 (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
 SEQ VT BETWEEN 5 AND 12 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 
+-- A two-table snapshot join: the Join node emits REWR's projection
+-- (data columns plus the intersected period) itself — no Project above it.
+EXPLAIN ANALYZE SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill);
+
+-- Cross-type equi-join: INT = DOUBLE compares numerically on the hash
+-- route too (2 meets 2.0, not 2.5) — its table only nominates candidates,
+-- the join condition decides.
+CREATE TABLE ints (x INT, ts INT, te INT) PERIOD (ts, te);
+CREATE TABLE doubles (y DOUBLE, ts INT, te INT) PERIOD (ts, te);
+INSERT INTO ints VALUES (2, 0, 10);
+INSERT INTO doubles VALUES (2.0, 5, 15), (2.5, 5, 15);
+SELECT i.x, d.y FROM ints i JOIN doubles d ON i.x = d.y;
+SEQ VT (SELECT i.x, d.y FROM ints i JOIN doubles d ON i.x = d.y);
+DROP TABLE ints;
+DROP TABLE doubles;
+
 -- Mutate: appends take the incremental index path...
 INSERT INTO works VALUES ('Eve', 'SP', 0, 2), ('Pam', 'SP', 12, 19);
 .index

@@ -212,3 +212,173 @@ fn nan_is_rejected_at_ingestion_and_totally_ordered_in_sorts() {
     assert_eq!(xs[1], Value::Double(2.0));
     assert!(matches!(xs[2], Value::Double(d) if d.is_nan()));
 }
+
+/// The compiled plans of the Employee workload, pinned: every projection
+/// REWR and the binder put above a join, another projection, or the
+/// columns in order is absorbed where the plan is built
+/// (`Plan::project`). A `Project` chain sneaking back in changes these
+/// texts — and costs one full copy of an 18 k-row intermediate per link.
+#[test]
+fn employee_plans_have_no_project_chains() {
+    use snapshot_semantics::datagen::employees;
+    const SAL: &str = "Scan salaries (emp_no INT, salary INT, __ts INT, __te INT)";
+    const DEPT: &str = "Scan dept_emp (emp_no INT, dept_no TEXT, __ts INT, __te INT)";
+    const MGR: &str = "Scan dept_manager (emp_no INT, dept_no TEXT, __ts INT, __te INT)";
+    const EMP: &str = "Scan employees (emp_no INT, name TEXT, gender TEXT, __ts INT, __te INT)";
+    const TITLES: &str = "Scan titles (emp_no INT, title TEXT, __ts INT, __te INT)";
+    // The overlap join of two four-column tables on their first column.
+    const ON: &str = "Join on (((#0 = #4) AND (#2 < #7)) AND (#6 < #3))";
+    const PERIOD: &str = "GREATEST(#2, #6), LEAST(#3, #7)";
+    let want: [(&str, Vec<String>); 10] = [
+        (
+            "join-1",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                format!("  {ON} → [#0, #1, #5, {PERIOD}]"),
+                format!("    {SAL}"),
+                format!("    {DEPT}"),
+            ],
+        ),
+        (
+            "join-2",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                format!("  {ON} → [#0, #1, #5, {PERIOD}]"),
+                format!("    {SAL}"),
+                format!("    {TITLES}"),
+            ],
+        ),
+        (
+            "join-3",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  Project [#1, #4, #5]".into(),
+                "    Filter (#3 > 70000)".into(),
+                format!("      {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("        {MGR}"),
+                format!("        {SAL}"),
+            ],
+        ),
+        (
+            "join-4",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  Join on (((#0 = #6) AND (#4 < #10)) AND (#9 < #5)) → \
+                 [#0, #1, #3, #7, GREATEST(#4, #9), LEAST(#5, #10)]"
+                    .into(),
+                format!("    {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("      {MGR}"),
+                format!("      {SAL}"),
+                format!("    {EMP}"),
+            ],
+        ),
+        (
+            "agg-1",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  TemporalAggregate group=[#3] aggs=[avg(#1)]".into(),
+                format!("    {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("      {SAL}"),
+                format!("      {DEPT}"),
+            ],
+        ),
+        (
+            "agg-2",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  TemporalAggregate group=[] aggs=[avg(#3)] with-gaps".into(),
+                format!("    {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("      {MGR}"),
+                format!("      {SAL}"),
+            ],
+        ),
+        (
+            "agg-3",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  TemporalAggregate group=[] aggs=[count(*)] with-gaps".into(),
+                "    Filter (#1 > 21)".into(),
+                "      TemporalAggregate group=[#1] aggs=[count(*)]".into(),
+                format!("        {DEPT}"),
+            ],
+        ),
+        (
+            "agg-join",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  Project [#1, #9, #10]".into(),
+                "    Filter (#6 = #8)".into(),
+                "      Join on (((#4 = #9) AND (#7 < #12)) AND (#11 < #8)) → \
+                 [#0, #1, #2, #3, #4, #5, #6, #9, #10, GREATEST(#7, #11), LEAST(#8, #12)]"
+                    .into(),
+                "        Join on (((#0 = #7) AND (#5 < #10)) AND (#9 < #6)) → \
+                 [#0, #1, #2, #3, #4, #7, #8, GREATEST(#5, #9), LEAST(#6, #10)]"
+                    .into(),
+                "          Join on (((#0 = #5) AND (#3 < #8)) AND (#7 < #4)) → \
+                 [#0, #1, #2, #5, #6, GREATEST(#3, #7), LEAST(#4, #8)]"
+                    .into(),
+                format!("            {EMP}"),
+                format!("            {DEPT}"),
+                format!("          {SAL}"),
+                "        TemporalAggregate group=[#3] aggs=[max(#1)]".into(),
+                format!("          {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("            {SAL}"),
+                format!("            {DEPT}"),
+            ],
+        ),
+        (
+            "diff-1",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  TemporalExceptAll".into(),
+                "    Project [#0, #3, #4]".into(),
+                format!("      {EMP}"),
+                "    Project [#0, #2, #3]".into(),
+                format!("      {MGR}"),
+            ],
+        ),
+        (
+            "diff-2",
+            vec![
+                "Coalesce (multiset temporal)".into(),
+                "  TemporalExceptAll".into(),
+                format!("    {SAL}"),
+                format!("    {ON} → [#0, #5, {PERIOD}]"),
+                format!("      {MGR}"),
+                format!("      {SAL}"),
+            ],
+        ),
+    ];
+    let c = employees::generate(0.0002, 42);
+    let compiler = SnapshotCompiler::new(employees::domain());
+    let queries = employees::queries();
+    assert_eq!(queries.len(), want.len());
+    for ((name, sql), (want_name, lines)) in queries.iter().zip(&want) {
+        assert_eq!(name, want_name);
+        let bound = bind_statement(&parse_statement(sql).unwrap(), &c).unwrap();
+        let plan = compiler.compile_statement(&bound, &c).unwrap();
+        assert_eq!(plan.explain().trim_end(), lines.join("\n"), "{name}");
+    }
+}
+
+/// Absorbing projections must not copy work: `SELECT x + x AS x FROM (…)`
+/// nested 40 deep would, composed by blind substitution, bind into an
+/// expression of 2^40 leaves (and never return); it binds into one small
+/// `Project` per level and doubles a value 40 times. A computed column read
+/// twice keeps its own node, so it is also evaluated once per row.
+#[test]
+fn nested_self_referencing_projections_stay_linear() {
+    let mut sql = "SELECT ts AS x FROM works WHERE name = 'Joe'".to_string();
+    for level in 0..40 {
+        sql = format!("SELECT x + x AS x FROM ({sql}) s{level}");
+    }
+    assert_eq!(run(&sql).unwrap(), vec![row![8i64 << 40]]);
+    let c = catalog();
+    let bound = bind_statement(&parse_statement(&sql).unwrap(), &c).unwrap();
+    let plan = SnapshotCompiler::new(TimeDomain::new(0, 24))
+        .compile_statement(&bound, &c)
+        .unwrap();
+    let text = plan.explain();
+    assert_eq!(text.matches("Project").count(), 40, "{text}");
+    assert!(text.len() < 4096, "{} bytes of plan", text.len());
+}

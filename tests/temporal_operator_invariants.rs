@@ -7,12 +7,13 @@
 //! without aliasing the table.
 
 use proptest::prelude::*;
-use snapshot_semantics::algebra::{AggExpr, AggFunc, Expr, Plan};
+use snapshot_semantics::algebra::{AggExpr, AggFunc, BinOp, Expr, JoinAlgo, Plan, PlanNode};
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::engine::coalesce::{coalesce_rows, never};
 use snapshot_semantics::engine::split::split_rows;
-use snapshot_semantics::engine::{temporal, Engine};
-use snapshot_semantics::index::CoalesceIndex;
+use snapshot_semantics::engine::{eval_expr, eval_predicate, temporal, Pair};
+use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
+use snapshot_semantics::index::{CoalesceIndex, IndexCatalog};
 use snapshot_semantics::rewrite::SnapshotCompiler;
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table, Value};
@@ -379,5 +380,237 @@ fn employee_result_sequences_match_the_recorded_golden() {
             hash,
             "{name}: result order moved"
         );
+    }
+}
+
+// ---- absorbed projections and the pair evaluator --------------------------
+
+/// A deterministic die for growing expression trees (the offline proptest
+/// shim has no recursive strategies): splitmix64 over a proptest-drawn seed.
+struct Dice(u64);
+
+impl Dice {
+    fn roll(&mut self, sides: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % sides as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.roll(from.len())]
+    }
+}
+
+/// The columns a generated expression may read, by what `infer_type`
+/// accepts there.
+struct Cols {
+    numeric: Vec<usize>,
+    text: Vec<usize>,
+}
+
+/// Columns of `n` concatenated [`arb_bag`] rows `(ks, kd, v, ts, te)`.
+fn bag_cols(n: usize) -> Cols {
+    Cols {
+        numeric: (0..n)
+            .flat_map(|k| (1..5).map(move |i| 5 * k + i))
+            .collect(),
+        text: (0..n).map(|k| 5 * k).collect(),
+    }
+}
+
+/// A well-typed numeric expression: every `Expr` form that yields a number,
+/// NULL literals and division (by zero too) included.
+fn numeric_expr(d: &mut Dice, c: &Cols, depth: usize) -> Expr {
+    let sub = depth.saturating_sub(1);
+    match d.roll(if depth == 0 { 2 } else { 6 }) {
+        0 => Expr::col(d.pick(&c.numeric)),
+        1 if d.roll(5) == 0 => Expr::Lit(Value::Null),
+        1 => Expr::lit(d.roll(7) as i64 - 3),
+        2 => {
+            use BinOp::{Add, Div, Mul, Sub};
+            let (l, r) = (numeric_expr(d, c, sub), numeric_expr(d, c, sub));
+            Expr::binary(d.pick(&[Add, Sub, Mul, Div]), l, r)
+        }
+        3 => Expr::Least(vec![numeric_expr(d, c, sub), numeric_expr(d, c, sub)]),
+        4 => Expr::Greatest(vec![numeric_expr(d, c, sub), numeric_expr(d, c, sub)]),
+        _ => Expr::Case {
+            branches: vec![(bool_expr(d, c, sub), numeric_expr(d, c, sub))],
+            else_expr: (d.roll(2) == 0).then(|| Box::new(numeric_expr(d, c, sub))),
+        },
+    }
+}
+
+/// A well-typed predicate: comparisons, `IS [NOT] NULL`, `LIKE`, and the
+/// three-valued connectives over them.
+fn bool_expr(d: &mut Dice, c: &Cols, depth: usize) -> Expr {
+    use BinOp::{And, Eq, Geq, Gt, Leq, Lt, Neq, Or};
+    let sub = depth.saturating_sub(1);
+    match d.roll(if depth == 0 { 3 } else { 6 }) {
+        0 | 5 => {
+            let (l, r) = (numeric_expr(d, c, sub), numeric_expr(d, c, sub));
+            Expr::binary(d.pick(&[Eq, Neq, Lt, Leq, Gt, Geq]), l, r)
+        }
+        1 => Expr::IsNull {
+            expr: Box::new(Expr::col(d.roll(c.numeric.len() + c.text.len()))),
+            negated: d.roll(2) == 0,
+        },
+        2 if !c.text.is_empty() => Expr::Like {
+            expr: Box::new(Expr::col(d.pick(&c.text))),
+            pattern: d.pick(&["a%", "_", "%b", "c"]).to_string(),
+            negated: d.roll(2) == 0,
+        },
+        2 => Expr::lit(d.roll(2) == 0),
+        3 => {
+            let (l, r) = (bool_expr(d, c, sub), bool_expr(d, c, sub));
+            Expr::binary(d.pick(&[And, Or]), l, r)
+        }
+        _ => Expr::Not(Box::new(bool_expr(d, c, sub))),
+    }
+}
+
+fn names(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("c{i}")).collect()
+}
+
+fn count_nodes(plan: &Plan, is: fn(&PlanNode) -> bool) -> usize {
+    is(&plan.node) as usize
+        + plan
+            .children()
+            .into_iter()
+            .map(|c| count_nodes(c, is))
+            .sum::<usize>()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The evaluator reads a `Pair` exactly as it reads the concatenated
+    /// row — values of every type and NULL in every position, every
+    /// expression form.
+    #[test]
+    fn pair_view_evaluates_like_the_concatenation(
+        l in arb_bag(), r in arb_bag(), seed in 0u64..u64::MAX,
+    ) {
+        let mut dice = Dice(seed);
+        let cols = bag_cols(2);
+        let exprs: Vec<Expr> = (0..4)
+            .flat_map(|_| [numeric_expr(&mut dice, &cols, 3), bool_expr(&mut dice, &cols, 3)])
+            .collect();
+        for (l, r) in l.iter().zip(&r) {
+            let (pair, joined) = (Pair(l, r), l.concat(r));
+            for e in &exprs {
+                prop_assert_eq!(eval_expr(e, &pair), eval_expr(e, &joined), "{} on {}", e, joined);
+                prop_assert_eq!(eval_predicate(e, &pair), eval_predicate(e, &joined));
+            }
+        }
+    }
+
+    /// `scan.project(e1).project(e2)` is one `Project` — unless `e2` reads a
+    /// computed column of `e1` twice, which composing would evaluate twice —
+    /// and returns, row for row, what evaluating `e1` and then `e2` by hand
+    /// does.
+    #[test]
+    fn stacked_projections_execute_as_their_composition(
+        rows in arb_bag(), seed in 0u64..u64::MAX,
+    ) {
+        let mut dice = Dice(seed);
+        let e1: Vec<Expr> = (0..3).map(|_| numeric_expr(&mut dice, &bag_cols(1), 2)).collect();
+        let mid = Cols { numeric: vec![0, 1, 2], text: vec![] };
+        let e2: Vec<Expr> = (0..2).map(|_| numeric_expr(&mut dice, &mid, 2)).collect();
+        let catalog = bag_catalog(&rows, &[]);
+        let plan = Plan::scan("r", catalog.get("r").unwrap().schema().clone())
+            .project(e1.clone(), names(3))
+            .unwrap()
+            .project(e2.clone(), names(2))
+            .unwrap();
+        let mut refs = Vec::new();
+        e2.iter().for_each(|e| e.referenced_columns(&mut refs));
+        let copies = (0..3).any(|i| {
+            !matches!(e1[i], Expr::Col(_) | Expr::Lit(_))
+                && refs.iter().filter(|&&c| c == i).count() > 1
+        });
+        prop_assert_eq!(
+            count_nodes(&plan, |n| matches!(n, PlanNode::Project { .. })),
+            1 + copies as usize,
+            "{}", plan
+        );
+        let by_hand: Vec<Row> = rows
+            .iter()
+            .map(|r| e1.iter().map(|e| eval_expr(e, r)).collect::<Row>())
+            .map(|m| e2.iter().map(|e| eval_expr(e, &m)).collect::<Row>())
+            .collect();
+        let out = Engine::new().execute(&plan, &catalog).unwrap();
+        prop_assert_eq!(out.rows(), &by_hand[..]);
+    }
+
+    /// `join(l, r, θ).project(es)` is one `Join` node and returns the bag
+    /// of the two-step evaluation — every pair satisfying θ on the
+    /// concatenation, then `es` over it — on every join route, sequential
+    /// and with four workers, naive and indexed. θ carries an equality on
+    /// a key with NULLs, the overlap pattern, and a residual (`l.v <= r.v`
+    /// or a random predicate).
+    #[test]
+    fn fused_join_output_equals_join_then_project(
+        l in arb_bag(), r in arb_bag(), seed in 0u64..u64::MAX,
+    ) {
+        let mut dice = Dice(seed);
+        let cols = bag_cols(2);
+        let theta = Expr::col(0)
+            .eq(Expr::col(5))
+            .and(Expr::col(3).lt(Expr::col(9)))
+            .and(Expr::col(8).lt(Expr::col(4)))
+            .and(Expr::binary(
+                BinOp::Or,
+                Expr::binary(BinOp::Leq, Expr::col(2), Expr::col(7)),
+                bool_expr(&mut dice, &cols, 2),
+            ));
+        let mut es: Vec<Expr> = (0..2).map(|_| numeric_expr(&mut dice, &cols, 2)).collect();
+        es.push(Expr::col(5));
+        es.push(Expr::Greatest(vec![Expr::col(3), Expr::col(8)]));
+        es.push(Expr::Least(vec![Expr::col(4), Expr::col(9)]));
+
+        let mut two_step: Vec<Row> = l
+            .iter()
+            .flat_map(|l| r.iter().map(move |r| l.concat(r)))
+            .filter(|joined| eval_predicate(&theta, joined))
+            .map(|joined| es.iter().map(|e| eval_expr(e, &joined)).collect())
+            .collect();
+        two_step.sort_unstable();
+
+        let catalog = bag_catalog(&l, &r);
+        let indexes = IndexCatalog::build_all(&catalog);
+        let schema = catalog.get("r").unwrap().schema().clone();
+        for algo in [
+            JoinAlgo::Auto,
+            JoinAlgo::NestedLoop,
+            JoinAlgo::Hash,
+            JoinAlgo::MergeInterval,
+            JoinAlgo::IndexSweep,
+            JoinAlgo::ParallelSweep,
+        ] {
+            let plan = Plan::scan("r", schema.clone())
+                .join_with(Plan::scan("s", schema.clone()), theta.clone(), algo)
+                .project(es.clone(), names(es.len()))
+                .unwrap();
+            prop_assert!(matches!(plan.node, PlanNode::Join { .. }), "{}", plan);
+            for (workers, indexed) in [(1, false), (1, true), (4, false), (4, true)] {
+                let out = Engine::with_parallelism(workers)
+                    .execute_analyzed(
+                        &plan,
+                        &catalog,
+                        indexed.then_some(&indexes),
+                        &mut ExecStats::default(),
+                        &mut NodeStats::default(),
+                    )
+                    .unwrap();
+                let mut got = out.rows().to_vec();
+                got.sort_unstable();
+                prop_assert_eq!(
+                    &got, &two_step,
+                    "{:?}, {} workers, indexed={}\n{}", algo, workers, indexed, plan
+                );
+            }
+        }
     }
 }
