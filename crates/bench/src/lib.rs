@@ -1,7 +1,8 @@
-//! Shared machinery for the benchmark harness.
+//! The evaluation routes behind the `paper_tables` binary.
 //!
-//! The `paper_tables` binary and the criterion benches both run snapshot
-//! queries through the three evaluation routes of the paper's experiments:
+//! `paper_tables` runs snapshot queries through the three evaluation
+//! routes of the paper's experiments (performance numbers come from
+//! `snapshot_benchmark/`, not from here):
 //!
 //! * **Seq** — our middleware: SQL → bind → `REWR` → engine (the paper's
 //!   PG-Seq / DBX-Seq / DBY-Seq, distinguished here by the rewrite options,
@@ -12,10 +13,7 @@
 //! * **Oracle** — the point-wise ground truth, used to fill the bug columns
 //!   experimentally (small scales only).
 
-pub mod expofmt;
-pub mod meta;
-
-use algebra::{JoinAlgo, Plan};
+use algebra::JoinAlgo;
 use baseline::{BaselineKind, NativeEvaluator, PointwiseOracle};
 use engine::{Engine, ExecStats, NodeStats};
 use index::IndexCatalog;
@@ -80,7 +78,7 @@ pub fn run_approach(
 ) -> Result<Table, String> {
     let bound = bind_snapshot(sql_text, catalog)?;
     match approach {
-        Approach::SeqHash | Approach::SeqMerge => {
+        Approach::SeqHash | Approach::SeqMerge | Approach::SeqIndex => {
             // Without indexes the engine's automatic choice is the hash
             // join; the merge route is pinned through the plan hint.
             let options = if approach == Approach::SeqMerge {
@@ -93,14 +91,20 @@ pub fn run_approach(
             };
             let compiler = SnapshotCompiler::with_options(domain, options);
             let plan = compiler.compile_statement(&bound, catalog)?;
-            Ok(Engine::new().execute(&plan, catalog)?)
-        }
-        Approach::SeqIndex => {
-            // Index build cost is included here; benches that want to
-            // amortize it across queries should use [`run_indexed`] with a
-            // prebuilt registry.
+            if approach != Approach::SeqIndex {
+                return Ok(Engine::new().execute(&plan, catalog)?);
+            }
+            // Index build cost is included: the registry is built per call
+            // and the engine dispatches overlap joins to the endpoint sweep
+            // and coalescing to the accelerator wherever indexes apply.
             let indexes = IndexCatalog::build_all(catalog);
-            run_indexed(&bound, catalog, &indexes, domain, options)
+            Ok(Engine::new().execute_analyzed(
+                &plan,
+                catalog,
+                Some(&indexes),
+                &mut ExecStats::default(),
+                &mut NodeStats::default(),
+            )?)
         }
         Approach::NatAlignment | Approach::NatIntervalPreservation => {
             let BoundStatement::Snapshot { plan, .. } = &bound else {
@@ -114,39 +118,6 @@ pub fn run_approach(
             NativeEvaluator::new(kind).eval(plan, catalog)
         }
     }
-}
-
-/// Runs one bound snapshot statement through the rewriting with a prebuilt
-/// table index registry: the engine dispatches overlap joins to the
-/// endpoint sweep and coalescing to the accelerator wherever indexes apply.
-pub fn run_indexed(
-    bound: &BoundStatement,
-    catalog: &Catalog,
-    indexes: &IndexCatalog,
-    domain: TimeDomain,
-    options: RewriteOptions,
-) -> Result<Table, String> {
-    let compiler = SnapshotCompiler::with_options(domain, options);
-    let plan = compiler.compile_statement(bound, catalog)?;
-    execute_with_indexes(&Engine::new(), &plan, catalog, indexes)
-}
-
-/// Executes a compiled plan over a prebuilt index registry, discarding the
-/// operator counters and per-node actuals the engine's general entry point
-/// reports.
-pub fn execute_with_indexes(
-    engine: &Engine,
-    plan: &Plan,
-    catalog: &Catalog,
-    indexes: &IndexCatalog,
-) -> Result<Table, String> {
-    Ok(engine.execute_analyzed(
-        plan,
-        catalog,
-        Some(indexes),
-        &mut ExecStats::default(),
-        &mut NodeStats::default(),
-    )?)
 }
 
 /// Runs the point-wise oracle (small domains only) returning `PERIODENC`

@@ -1,17 +1,22 @@
-//! Bad-tree fixture: raw locking and inverted acquisition order.
+//! Bad-tree fixture: a raw lock, an undeclared name, a row constructed
+//! twice and (in the doc) a declared row nobody constructs.
 
-use std::sync::Mutex;
+use lock::Named;
 
-mod lock {
-    pub fn lock(_name: &str, _m: &str) {}
+pub struct Manager {
+    declared: Named<u32>,
+    raw: std::sync::Mutex<u32>,
+    undeclared: Named<u32>,
 }
 
-pub fn bare(m: &Mutex<u32>) -> u32 {
-    *m.lock().unwrap()
+pub fn manager() -> Manager {
+    Manager {
+        declared: Named::new("a.outer", 0),
+        raw: Default::default(),
+        undeclared: Named::new("c.undeclared", 0),
+    }
 }
 
-pub fn inverted() {
-    let _b = lock::lock("b.inner", "m2");
-    let _a = lock::lock("a.outer", "m1");
-    let _c = lock::lock("c.undeclared", "m3");
+pub fn twice() -> Named<u32> {
+    Named::new("a.outer", 1)
 }

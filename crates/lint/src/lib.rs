@@ -1,7 +1,7 @@
 //! `snapshot_lint`: workspace-invariant static analysis.
 //!
 //! The workspace has invariants `rustc` and `clippy` cannot see — recovery
-//! decoders must never panic, locks must be taken in the declared order of
+//! decoders must never panic, every lock must be a declared row of
 //! `docs/lock_order.md`, long-running executor loops must poll the
 //! cancellation token, and metric names must follow the naming scheme and
 //! stay in sync with `docs/metrics.md`. This crate enforces them with a
@@ -104,9 +104,8 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     for file in &files {
         rules::panic_freedom::check(file, &mut findings);
         rules::cancellation::check(file, &mut findings);
-        rules::locks::check_bare(file, &mut findings);
     }
-    rules::locks::check_order(root, &files, &mut findings);
+    rules::locks::check(root, &files, &mut findings);
     rules::metrics::check(root, &files, &mut findings);
 
     findings.retain(|f| {

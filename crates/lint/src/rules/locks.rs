@@ -1,249 +1,141 @@
-//! Rules `bare_lock` and `lock_order`: all locking goes through the named,
-//! ordered helpers.
+//! Rule `lock_order`: every lock is a declared `Named`/`NamedRw`.
 //!
-//! `bare_lock` flags any non-test `.lock()` / zero-argument `.read()` /
-//! `.write()` outside `crates/obs/src/lock.rs` — those bypass both poison
-//! recovery and the debug-build order tracker. New shared state must call
-//! `snapshot_obs::lock::{lock,read,write}("declared.name", &cell)`.
+//! `snapshot_obs::lock::{Named, NamedRw}` own a `Mutex`/`RwLock` together
+//! with its declared name and expose only the poison-recovering,
+//! rank-tracked accessors, so *how* a lock is taken is the type's business.
+//! What the type cannot see is the workspace as a whole; this rule checks
+//! the declarations against `docs/lock_order.md` (the table the runtime
+//! tracker embeds):
 //!
-//! `lock_order` reads the rank table in `docs/lock_order.md` (the same
-//! table `snapshot_obs::lock` embeds for its runtime checker) and checks
-//! every *named* acquisition site: the name must be declared, and whenever
-//! one acquisition is syntactically nested inside another's guard scope the
-//! outer lock's rank must be strictly smaller. Because ranks form a total
-//! order, any cycle necessarily contains an inverted edge, so checking
-//! edges against the table is also the cycle check. Guard scopes are
-//! tracked per block: a `let g = lock(..)` holds to the end of its
-//! enclosing block (or an explicit `drop(g)`); a non-bound acquisition is
-//! a temporary and releases immediately. Cross-function holds (a guard
-//! passed into or returned from a helper) are the runtime checker's job.
+//! - outside test code, the identifiers `Mutex` and `RwLock` appear only in
+//!   `crates/obs/src/lock.rs` — any other mention is a lock the tracker
+//!   would never see;
+//! - every `Named::new("name", ..)` / `NamedRw::new("name", ..)` names a
+//!   row of the table, with a literal;
+//! - every row has exactly one constructor (both directions, like
+//!   `metric_hygiene`: an undeclared lock fails, and so does a stale row).
+//!
+//! The *order* itself — no acquisition at or below a rank already held —
+//! is enforced at run time by the debug-build tracker in
+//! `snapshot_obs::lock`, which sees every acquisition of every test run,
+//! across function boundaries.
 
-use crate::lexer::Tok;
+use crate::lexer::{Tok, Token};
 use crate::rules::Finding;
 use crate::SourceFile;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-pub const BARE_RULE: &str = "bare_lock";
-pub const ORDER_RULE: &str = "lock_order";
+pub const RULE: &str = "lock_order";
 
-/// The one file allowed to call raw `Mutex`/`RwLock` methods: the helper
-/// implementation itself.
-const HELPER_IMPL: &str = "crates/obs/src/lock.rs";
+const DOC: &str = "docs/lock_order.md";
 
-pub fn check_bare(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.rel_path.ends_with(HELPER_IMPL) {
-        return;
-    }
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test || t.tok != Tok::Punct('.') {
-            continue;
-        }
-        let Some(Tok::Ident(method)) = toks.get(i + 1).map(|t| &t.tok) else {
-            continue;
-        };
-        if !matches!(method.as_str(), "lock" | "read" | "write") {
-            continue;
-        }
-        // Zero-argument call only: `.read()` on a File takes a buffer, and
-        // `.write(buf)` is io::Write — both have arguments.
-        if toks.get(i + 2).map(|t| &t.tok) != Some(&Tok::Punct('('))
-            || toks.get(i + 3).map(|t| &t.tok) != Some(&Tok::Punct(')'))
-        {
-            continue;
-        }
-        // `io::stdout().lock()` and friends are fine: that lock is
-        // process-stdio, not shared state, and cannot participate in the
-        // declared order.
-        let receiver_is_stdio = (1..=4).any(|back| {
-            i.checked_sub(back)
-                .and_then(|p| toks.get(p))
-                .is_some_and(|t| {
-                    matches!(&t.tok, Tok::Ident(id)
-                             if matches!(id.as_str(), "stdin" | "stdout" | "stderr"))
-                })
-        });
-        if receiver_is_stdio {
-            continue;
-        }
-        out.push(Finding {
-            file: file.rel_path.clone(),
-            line: t.line,
-            rule: BARE_RULE,
-            message: format!(
-                "raw `.{method}()` bypasses poison recovery and the lock-order tracker; \
-                 use `snapshot_obs::lock::{method}(\"<declared.name>\", ..)`"
-            ),
-        });
-    }
-}
+/// The one file allowed to name the raw lock types: the wrappers' home.
+const LOCK_IMPL: &str = "crates/obs/src/lock.rs";
 
 /// Parses the rank table out of `docs/lock_order.md`: rows shaped
-/// `| <rank> | `name` | ... |`.
-pub fn parse_ranks(doc: &str) -> BTreeMap<String, usize> {
-    let mut ranks = BTreeMap::new();
-    for line in doc.lines() {
+/// `| <rank> | `name` | ... |`, as `(name, line)`.
+pub fn declared_rows(doc: &str) -> Vec<(String, u32)> {
+    let mut rows = Vec::new();
+    for (idx, line) in doc.lines().enumerate() {
         let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-        if cells.len() < 3 {
+        if cells.len() < 3 || cells[1].parse::<usize>().is_err() {
             continue;
         }
-        if let Ok(rank) = cells[1].parse::<usize>() {
-            let name = cells[2].trim_matches('`');
-            if !name.is_empty() {
-                ranks.insert(name.to_string(), rank);
-            }
+        let name = cells[2].trim_matches('`');
+        if !name.is_empty() {
+            rows.push((name.to_string(), idx as u32 + 1));
         }
     }
-    ranks
+    rows
 }
 
-pub fn check_order(root: &Path, files: &[SourceFile], out: &mut Vec<Finding>) {
-    let doc_path = root.join("docs/lock_order.md");
-    let doc = match std::fs::read_to_string(&doc_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            out.push(Finding {
-                file: "docs/lock_order.md".to_string(),
-                line: 1,
-                rule: ORDER_RULE,
-                message: format!("cannot read the declared lock order: {e}"),
-            });
-            return;
-        }
-    };
-    let ranks = parse_ranks(&doc);
-    if ranks.is_empty() {
+pub fn check(root: &Path, files: &[SourceFile], out: &mut Vec<Finding>) {
+    let mut finding = |file: &str, line: u32, message: String| {
         out.push(Finding {
-            file: "docs/lock_order.md".to_string(),
-            line: 1,
-            rule: ORDER_RULE,
-            message: "no rank table rows found (expected `| <rank> | `name` | ... |`)".to_string(),
-        });
-        return;
+            file: file.to_string(),
+            line,
+            rule: RULE,
+            message,
+        })
+    };
+    let rows = match std::fs::read_to_string(root.join(DOC)) {
+        Ok(doc) => declared_rows(&doc),
+        Err(e) => return finding(DOC, 1, format!("cannot read the declared lock order: {e}")),
+    };
+    if rows.is_empty() {
+        let shape = "no rank table rows found (expected `| <rank> | `name` | ... |`)";
+        return finding(DOC, 1, shape.to_string());
     }
 
+    // Name → where its one constructor was seen.
+    let mut constructed: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
     for file in files {
-        check_file_order(file, &ranks, out);
-    }
-}
-
-/// A lock currently held in the static scan of one file.
-struct Held {
-    name: String,
-    /// The `let`-bound guard variable, if any (for `drop(g)` release).
-    guard: Option<String>,
-    /// Brace depth the binding lives at; leaving that block releases it.
-    depth: i32,
-}
-
-fn check_file_order(file: &SourceFile, ranks: &BTreeMap<String, usize>, out: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    let mut depth = 0i32;
-    let mut held: Vec<Held> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        match &t.tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                held.retain(|h| h.depth <= depth);
+        let toks = &file.lexed.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            let Tok::Ident(id) = &t.tok else { continue };
+            if t.in_test {
+                continue;
             }
-            // `drop(guard)` ends a hold early.
-            Tok::Ident(id)
-                if id == "drop"
-                    && toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('('))
-                    && toks.get(i + 3).map(|t| &t.tok) == Some(&Tok::Punct(')')) =>
-            {
-                if let Some(Tok::Ident(g)) = toks.get(i + 2).map(|t| &t.tok) {
-                    held.retain(|h| h.guard.as_deref() != Some(g.as_str()));
-                }
-            }
-            Tok::Ident(id) if !t.in_test && matches!(id.as_str(), "lock" | "read" | "write") => {
-                // Acquisition site: a path call through the helper module,
-                // `…lock::{lock,read,write}("name", ..)`. Requiring the
-                // `lock::` segment keeps `write!(..)`, `fs::write(..)` and
-                // io method calls out of the picture; `bare_lock` is what
-                // forces acquisitions into this shape in the first place.
-                let qualified = i >= 3
-                    && toks[i - 1].tok == Tok::Punct(':')
-                    && toks[i - 2].tok == Tok::Punct(':')
-                    && matches!(&toks[i - 3].tok, Tok::Ident(m) if m == "lock");
-                if !qualified {
-                    continue;
-                }
-                if toks.get(i + 1).map(|t| &t.tok) != Some(&Tok::Punct('(')) {
-                    continue;
-                }
-                let Some(Tok::Str(name)) = toks.get(i + 2).map(|t| &t.tok) else {
-                    continue;
-                };
-                let Some(&rank) = ranks.get(name) else {
-                    out.push(Finding {
-                        file: file.rel_path.clone(),
-                        line: t.line,
-                        rule: ORDER_RULE,
-                        message: format!("lock `{name}` is not declared in docs/lock_order.md"),
-                    });
-                    continue;
-                };
-                for h in &held {
-                    let outer = ranks.get(&h.name).copied().unwrap_or(usize::MAX);
-                    if outer >= rank {
-                        out.push(Finding {
-                            file: file.rel_path.clone(),
-                            line: t.line,
-                            rule: ORDER_RULE,
-                            message: format!(
-                                "acquires `{name}` (rank {rank}) while holding `{}` \
-                                 (rank {outer}); declared order requires strictly \
-                                 increasing ranks",
-                                h.name
+            match id.as_str() {
+                "Mutex" | "RwLock" if !file.rel_path.ends_with(LOCK_IMPL) => finding(
+                    &file.rel_path,
+                    t.line,
+                    format!(
+                        "raw `{id}` outside {LOCK_IMPL}: declare the lock in {DOC} and \
+                         hold it in a `snapshot_obs::lock::Named`/`NamedRw`"
+                    ),
+                ),
+                "Named" | "NamedRw" if is_constructor_call(toks, i) => {
+                    let Some(Tok::Str(name)) = toks.get(i + 5).map(|t| &t.tok) else {
+                        finding(
+                            &file.rel_path,
+                            t.line,
+                            format!("`{id}::new(..)` with a non-literal lock name"),
+                        );
+                        continue;
+                    };
+                    let Some((row, _)) = rows.iter().find(|(row, _)| row == name) else {
+                        finding(
+                            &file.rel_path,
+                            t.line,
+                            format!("lock `{name}` is not declared in {DOC}"),
+                        );
+                        continue;
+                    };
+                    if let Some((first_file, first_line)) = constructed.get(row.as_str()) {
+                        finding(
+                            &file.rel_path,
+                            t.line,
+                            format!(
+                                "lock `{name}` is already constructed at \
+                                 {first_file}:{first_line}; one row, one lock"
                             ),
-                        });
+                        );
+                    } else {
+                        constructed.insert(row, (&file.rel_path, t.line));
                     }
                 }
-                if let Some(guard) = let_binding_before(toks, i) {
-                    held.push(Held {
-                        name: name.clone(),
-                        guard: Some(guard),
-                        depth,
-                    });
-                }
-                // Non-bound acquisitions are temporaries: the guard drops
-                // at the end of the statement, so nothing stays held.
+                _ => {}
             }
-            _ => {}
+        }
+    }
+    for (name, line) in &rows {
+        if !constructed.contains_key(name.as_str()) {
+            finding(
+                DOC,
+                *line,
+                format!("declared lock `{name}` is constructed nowhere in the source tree"),
+            );
         }
     }
 }
 
-/// If the call at `call` (the `lock`/`read`/`write` ident) is the RHS of
-/// `let [mut] g = path::to::call(..)`, returns `g`.
-fn let_binding_before(toks: &[crate::lexer::Token], call: usize) -> Option<String> {
-    // Walk back over the path qualifier: `obs :: lock :: lock` etc.
-    let mut j = call;
-    while j >= 2 && toks[j - 1].tok == Tok::Punct(':') && toks[j - 2].tok == Tok::Punct(':') {
-        j -= 2;
-        if j >= 1 && matches!(toks[j - 1].tok, Tok::Ident(_)) {
-            j -= 1;
-        }
-    }
-    // Optional `*` / `&` sigils between `=` and the path don't bind guards.
-    if j < 3 || toks[j - 1].tok != Tok::Punct('=') {
-        return None;
-    }
-    let Tok::Ident(g) = &toks[j - 2].tok else {
-        return None;
-    };
-    let kw = |idx: usize| match toks.get(idx).map(|t| &t.tok) {
-        Some(Tok::Ident(id)) => Some(id.as_str()),
-        _ => None,
-    };
-    let is_let = kw(j - 3) == Some("let")
-        || (kw(j - 3) == Some("mut") && j >= 4 && kw(j - 4) == Some("let"));
-    if is_let && g != "_" {
-        Some(g.clone())
-    } else {
-        None
-    }
+/// `Named :: new (` starting at the type ident `at`.
+fn is_constructor_call(toks: &[Token], at: usize) -> bool {
+    let next = |k: usize| toks.get(at + k).map(|t| &t.tok);
+    next(1) == Some(&Tok::Punct(':'))
+        && next(2) == Some(&Tok::Punct(':'))
+        && matches!(next(3), Some(Tok::Ident(m)) if m == "new")
+        && next(4) == Some(&Tok::Punct('('))
 }

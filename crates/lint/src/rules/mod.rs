@@ -3,8 +3,8 @@
 //! Rules push [`Finding`]s into a shared vector; the driver in
 //! [`crate::run`] applies `lint:allow` suppressions afterwards, so rules
 //! only need to report what they see. Rule names (used in allow comments
-//! and JSON output) are the module names: `panic_freedom`, `cancellation`,
-//! `bare_lock`, `lock_order`, `metric_hygiene`.
+//! and JSON output): `panic_freedom`, `cancellation`, `lock_order`,
+//! `metric_hygiene`.
 
 pub mod cancellation;
 pub mod locks;

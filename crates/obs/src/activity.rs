@@ -29,12 +29,13 @@
 //! (`statements_cancelled_total`, `statement_timeouts_total`) by the
 //! session layer via [`note_cancellation`].
 
+use crate::lock::Named;
 use crate::metrics::{process_start, LazyCounter};
 use crate::stmtstats::fingerprint;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Every cancelled statement, whatever tripped it.
 static STATEMENTS_CANCELLED: LazyCounter = LazyCounter::new("statements_cancelled_total");
@@ -421,9 +422,9 @@ pub struct SessionEntry {
     in_txn: AtomicBool,
     phase: AtomicU8,
     /// Current (or most recent) statement text + fingerprint.
-    statement: Mutex<Option<(String, String)>>,
+    statement: Named<Option<(String, String)>>,
     /// Peer address for server-backed sessions (`None` for local ones).
-    remote_addr: Mutex<Option<String>>,
+    remote_addr: Named<Option<String>>,
     /// When the current statement started, ns since [`process_start`]
     /// (0 = never ran one).
     statement_started_ns: AtomicU64,
@@ -474,8 +475,8 @@ pub struct SessionSnapshot {
 type Registry = BTreeMap<u64, Arc<SessionEntry>>;
 
 fn registry() -> crate::lock::LockGuard<'static, Registry> {
-    static GLOBAL: OnceLock<Mutex<Registry>> = OnceLock::new();
-    crate::lock::lock("obs.activity.registry", GLOBAL.get_or_init(Mutex::default))
+    static GLOBAL: Named<Registry> = Named::new("obs.activity.registry", Registry::new());
+    GLOBAL.lock()
 }
 
 fn next_session_id() -> u64 {
@@ -522,8 +523,7 @@ impl ActivityHandle {
         max_result_rows: Option<u64>,
     ) {
         let fp = fingerprint(text);
-        *crate::lock::lock("obs.activity.statement", &self.entry.statement) =
-            Some((text.to_string(), fp));
+        *self.entry.statement.lock() = Some((text.to_string(), fp));
         self.entry
             .statement_started_ns
             .store(now_ns(), Ordering::Relaxed);
@@ -564,8 +564,7 @@ impl ActivityHandle {
     /// so `.kill <id>` / `snapshot_cancel(id)` work as an admin plane
     /// against remote connections.
     pub fn set_remote_addr(&self, addr: &str) {
-        *crate::lock::lock("obs.activity.remote_addr", &self.entry.remote_addr) =
-            Some(addr.to_string());
+        *self.entry.remote_addr.lock() = Some(addr.to_string());
     }
 }
 
@@ -582,8 +581,8 @@ pub fn register_session(backend: &'static str) -> ActivityHandle {
         state: AtomicU8::new(STATE_IDLE),
         in_txn: AtomicBool::new(false),
         phase: AtomicU8::new(Phase::Idle.code()),
-        statement: Mutex::new(None),
-        remote_addr: Mutex::new(None),
+        statement: Named::new("obs.activity.statement", None),
+        remote_addr: Named::new("obs.activity.remote_addr", None),
         statement_started_ns: AtomicU64::new(0),
         statements_run: AtomicUsize::new(0),
         account: Arc::new(ResourceAccount::default()),
@@ -616,13 +615,14 @@ pub fn sessions_snapshot() -> Vec<SessionSnapshot> {
     entries
         .iter()
         .map(|e| {
-            let (statement, fingerprint) =
-                crate::lock::lock("obs.activity.statement", &e.statement)
-                    .clone()
-                    .map(|(s, f)| (Some(s), Some(f)))
-                    .unwrap_or((None, None));
+            let (statement, fingerprint) = e
+                .statement
+                .lock()
+                .clone()
+                .map(|(s, f)| (Some(s), Some(f)))
+                .unwrap_or((None, None));
             let started = e.statement_started_ns.load(Ordering::Relaxed);
-            let remote_addr = crate::lock::lock("obs.activity.remote_addr", &e.remote_addr).clone();
+            let remote_addr = e.remote_addr.lock().clone();
             SessionSnapshot {
                 session_id: e.id,
                 backend: e.backend,

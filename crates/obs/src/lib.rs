@@ -73,7 +73,7 @@ pub use activity::{
     CancelKind, CancelToken, Phase, ResourceAccount, ResourceUsage, SessionSnapshot,
     StatementError,
 };
-pub use lock::{LockGuard, ReadGuard, WriteGuard};
+pub use lock::{LockGuard, Named, NamedRw, ReadGuard, WriteGuard};
 pub use metrics::{
     default_latency_bounds, process_start, refresh_process_metrics, registry, Counter, Gauge,
     Histogram, LazyCounter, LazyHistogram, MetricSample, MetricsRegistry,
@@ -98,8 +98,6 @@ pub use trace::{
 /// Test-support utilities; see the crate docs' *Testing against
 /// process-global state* section.
 pub mod testing {
-    use std::sync::{Mutex, OnceLock};
-
     /// A process-global lock serializing tests that need exclusive access
     /// to global observability state (absolute-value assertions, registry
     /// resets, tracing/profiling toggles). A panic while holding the
@@ -107,7 +105,7 @@ pub mod testing {
     /// as `obs.test_serial` (rank 0): it is held across whole test bodies,
     /// so it must be outermost in `docs/lock_order.md`.
     pub fn serial_guard() -> crate::lock::LockGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        crate::lock::lock("obs.test_serial", LOCK.get_or_init(Mutex::default))
+        static LOCK: crate::Named<()> = crate::Named::new("obs.test_serial", ());
+        LOCK.lock()
     }
 }

@@ -1,7 +1,9 @@
-//! Named, order-checked, poison-recovering lock acquisition.
+//! Named, order-checked, poison-recovering locks.
 //!
-//! Every long-lived `Mutex`/`RwLock` in the workspace is taken through
-//! [`lock()`], [`read()`], or [`write()`], passing the lock's declared name. The
+//! Every long-lived lock in the workspace is a [`Named<T>`] or
+//! [`NamedRw<T>`]: the type owns the `Mutex`/`RwLock` together with the
+//! name it is declared under, and its only accessors are
+//! [`Named::lock`], [`NamedRw::read`] and [`NamedRw::write`]. The
 //! declared order lives in `docs/lock_order.md`, embedded here via
 //! `include_str!` so the documentation and the runtime checker cannot
 //! diverge — editing the table *is* editing the checker.
@@ -12,9 +14,10 @@
 //! and only keep poison recovery: a panic while holding a lock must not
 //! cascade `PoisonError` panics into unrelated sessions or tests.
 //!
-//! The static half of this contract is `snapshot_lint`'s `lock-order` and
-//! `bare-lock` rules, which force acquisitions through these helpers and
-//! check the intra-function nesting graph against the same table.
+//! The static half of this contract is `snapshot_lint`'s `lock_order`
+//! rule: this file is the only non-test code that may name `Mutex` or
+//! `RwLock`, and the constructors' name literals and the table's rows
+//! must match one to one.
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
@@ -124,57 +127,109 @@ macro_rules! guard_type {
 }
 
 guard_type!(
-    /// RAII guard for [`lock`]; derefs to the protected value.
+    /// RAII guard for [`Named::lock`]; derefs to the protected value.
     LockGuard, MutexGuard, mut
 );
 guard_type!(
-    /// RAII guard for [`read`]; derefs to the protected value.
+    /// RAII guard for [`NamedRw::read`]; derefs to the protected value.
     ReadGuard, RwLockReadGuard,
 );
 guard_type!(
-    /// RAII guard for [`write()`]; derefs to the protected value.
+    /// RAII guard for [`NamedRw::write`]; derefs to the protected value.
     WriteGuard, RwLockWriteGuard, mut
 );
 
-/// Acquires `mutex` as the declared lock `name`, recovering from poison.
+/// A `Mutex` that owns its declared name: the only way in is [`Named::lock`].
 ///
-/// Panics in debug builds if `name` is undeclared or any lock of equal or
-/// higher rank is already held by this thread.
-pub fn lock<'a, T: ?Sized>(name: &'static str, mutex: &'a Mutex<T>) -> LockGuard<'a, T> {
+/// ```
+/// let cell = snapshot_obs::lock::Named::new("txn.commit", 0u32);
+/// *cell.lock() += 1;
+/// assert_eq!(*cell.lock(), 1);
+/// ```
+///
+/// The raw mutex is private to this module, so no other code can reach
+/// `std`'s poisoning `.lock()` or pair the name with a different cell:
+///
+/// ```compile_fail,E0616
+/// let cell = snapshot_obs::lock::Named::new("txn.commit", 0u32);
+/// let _raw = cell.inner.lock(); // field `inner` of `Named` is private
+/// ```
+#[derive(Debug)]
+pub struct Named<T> {
     #[cfg(debug_assertions)]
-    tracker::acquire(name);
-    #[cfg(not(debug_assertions))]
-    let _ = name;
-    LockGuard {
-        inner: mutex.lock().unwrap_or_else(PoisonError::into_inner),
+    name: &'static str,
+    inner: Mutex<T>,
+}
+
+impl<T> Named<T> {
+    /// Wraps `value` as the lock declared under `name` in
+    /// `docs/lock_order.md`.
+    pub const fn new(name: &'static str, value: T) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = name;
+        Named {
+            #[cfg(debug_assertions)]
+            name,
+            inner: Mutex::new(value),
+        }
+    }
+
+    /// Acquires the lock, recovering from poison.
+    ///
+    /// Panics in debug builds if the name is undeclared or any lock of
+    /// equal or higher rank is already held by this thread.
+    pub fn lock(&self) -> LockGuard<'_, T> {
         #[cfg(debug_assertions)]
-        name,
+        tracker::acquire(self.name);
+        LockGuard {
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            name: self.name,
+        }
     }
 }
 
-/// Acquires `rwlock` for reading as the declared lock `name`.
-pub fn read<'a, T: ?Sized>(name: &'static str, rwlock: &'a RwLock<T>) -> ReadGuard<'a, T> {
+/// An `RwLock` that owns its declared name; see [`Named`].
+#[derive(Debug)]
+pub struct NamedRw<T> {
     #[cfg(debug_assertions)]
-    tracker::acquire(name);
-    #[cfg(not(debug_assertions))]
-    let _ = name;
-    ReadGuard {
-        inner: rwlock.read().unwrap_or_else(PoisonError::into_inner),
-        #[cfg(debug_assertions)]
-        name,
-    }
+    name: &'static str,
+    inner: RwLock<T>,
 }
 
-/// Acquires `rwlock` for writing as the declared lock `name`.
-pub fn write<'a, T: ?Sized>(name: &'static str, rwlock: &'a RwLock<T>) -> WriteGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    tracker::acquire(name);
-    #[cfg(not(debug_assertions))]
-    let _ = name;
-    WriteGuard {
-        inner: rwlock.write().unwrap_or_else(PoisonError::into_inner),
+impl<T> NamedRw<T> {
+    /// Wraps `value` as the lock declared under `name` in
+    /// `docs/lock_order.md`.
+    pub const fn new(name: &'static str, value: T) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = name;
+        NamedRw {
+            #[cfg(debug_assertions)]
+            name,
+            inner: RwLock::new(value),
+        }
+    }
+
+    /// Acquires the lock for reading; same contract as [`Named::lock`].
+    pub fn read(&self) -> ReadGuard<'_, T> {
         #[cfg(debug_assertions)]
-        name,
+        tracker::acquire(self.name);
+        ReadGuard {
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            name: self.name,
+        }
+    }
+
+    /// Acquires the lock for writing; same contract as [`Named::lock`].
+    pub fn write(&self) -> WriteGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        tracker::acquire(self.name);
+        WriteGuard {
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            name: self.name,
+        }
     }
 }
 
@@ -197,33 +252,33 @@ mod tests {
 
     #[test]
     fn poisoned_lock_recovers() {
-        let m = std::sync::Arc::new(Mutex::new(7u32));
+        let m = std::sync::Arc::new(Named::new("obs.metrics", 7u32));
         let poisoner = std::sync::Arc::clone(&m);
         let _ = std::thread::spawn(move || {
             let _g = poisoner.lock();
             panic!("poison it");
         })
         .join();
-        assert!(m.is_poisoned());
-        assert_eq!(*lock("obs.metrics", &m), 7);
+        assert!(m.inner.is_poisoned());
+        assert_eq!(*m.lock(), 7);
     }
 
     #[test]
     fn in_order_nesting_is_allowed() {
-        let outer = Mutex::new(());
-        let inner = RwLock::new(());
-        let _a = lock("txn.commit", &outer);
-        let _b = read("txn.state", &inner);
+        let outer = Named::new("txn.commit", ());
+        let inner = NamedRw::new("txn.state", ());
+        let _a = outer.lock();
+        let _b = inner.read();
     }
 
     #[cfg(debug_assertions)]
     #[test]
     fn out_of_order_nesting_panics() {
         let result = std::thread::spawn(|| {
-            let outer = RwLock::new(());
-            let inner = Mutex::new(());
-            let _a = write("obs.metrics", &outer);
-            let _b = lock("txn.commit", &inner);
+            let outer = NamedRw::new("obs.metrics", ());
+            let inner = Named::new("txn.commit", ());
+            let _a = outer.write();
+            let _b = inner.lock();
         })
         .join();
         assert!(result.is_err(), "rank 1 after rank 11 must panic");
@@ -233,8 +288,8 @@ mod tests {
     #[test]
     fn undeclared_lock_panics() {
         let result = std::thread::spawn(|| {
-            let m = Mutex::new(());
-            let _g = lock("nope.not_declared", &m);
+            let m = Named::new("nope.not_declared", ());
+            let _g = m.lock();
         })
         .join();
         assert!(result.is_err(), "undeclared lock name must panic");
@@ -243,12 +298,12 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn release_reopens_the_rank_window() {
-        let a = Mutex::new(());
-        let b = Mutex::new(());
+        let a = Named::new("obs.slowlog", ());
+        let b = Named::new("server.conns", ());
         {
-            let _g = lock("obs.slowlog", &a);
+            let _g = a.lock();
         }
         // slowlog (8) released: taking server.conns (4) afterwards is legal.
-        let _g = lock("server.conns", &b);
+        let _g = b.lock();
     }
 }

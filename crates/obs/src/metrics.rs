@@ -4,10 +4,11 @@
 //! `RwLock` guards only the name → metric map, which hot paths touch once
 //! ever via the [`LazyCounter`]/[`LazyHistogram`] handle types.
 
+use crate::lock::NamedRw;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A monotonically increasing event counter.
@@ -268,25 +269,32 @@ pub struct MetricSample {
 /// Registration is get-or-create by name; re-registering a name with a
 /// different metric kind panics (a programming error, not a runtime
 /// condition — names are `&'static str` at every call site).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    metrics: RwLock<BTreeMap<String, Metric>>,
+    metrics: NamedRw<BTreeMap<String, Metric>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry::new()
+    }
 }
 
 impl MetricsRegistry {
     /// An empty registry. Most callers want the process-global
     /// [`registry()`] instead.
     pub fn new() -> Self {
-        MetricsRegistry::default()
+        MetricsRegistry {
+            metrics: NamedRw::new("obs.metrics", BTreeMap::new()),
+        }
     }
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(Metric::Counter(c)) = crate::lock::read("obs.metrics", &self.metrics).get(name)
-        {
+        if let Some(Metric::Counter(c)) = self.metrics.read().get(name) {
             return Arc::clone(c);
         }
-        let mut map = crate::lock::write("obs.metrics", &self.metrics);
+        let mut map = self.metrics.write();
         match map
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
@@ -298,10 +306,10 @@ impl MetricsRegistry {
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(Metric::Gauge(g)) = crate::lock::read("obs.metrics", &self.metrics).get(name) {
+        if let Some(Metric::Gauge(g)) = self.metrics.read().get(name) {
             return Arc::clone(g);
         }
-        let mut map = crate::lock::write("obs.metrics", &self.metrics);
+        let mut map = self.metrics.write();
         match map
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
@@ -319,12 +327,10 @@ impl MetricsRegistry {
     /// Get or create the histogram `name` with explicit bucket bounds
     /// (ignored if the histogram already exists).
     pub fn histogram_with(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        if let Some(Metric::Histogram(h)) =
-            crate::lock::read("obs.metrics", &self.metrics).get(name)
-        {
+        if let Some(Metric::Histogram(h)) = self.metrics.read().get(name) {
             return Arc::clone(h);
         }
-        let mut map = crate::lock::write("obs.metrics", &self.metrics);
+        let mut map = self.metrics.write();
         match map
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new(bounds.to_vec()))))
@@ -337,7 +343,7 @@ impl MetricsRegistry {
     /// Register the info metric `name` carrying `labels` (first writer
     /// wins; re-registering is a no-op, so callers can refresh freely).
     pub fn info(&self, name: &str, labels: &[(&str, &str)]) {
-        let mut map = crate::lock::write("obs.metrics", &self.metrics);
+        let mut map = self.metrics.write();
         map.entry(name.to_string()).or_insert_with(|| {
             Metric::Info(Arc::new(
                 labels
@@ -350,7 +356,7 @@ impl MetricsRegistry {
 
     /// Look up an existing counter without creating it.
     pub fn get_counter(&self, name: &str) -> Option<Arc<Counter>> {
-        match crate::lock::read("obs.metrics", &self.metrics).get(name) {
+        match self.metrics.read().get(name) {
             Some(Metric::Counter(c)) => Some(Arc::clone(c)),
             _ => None,
         }
@@ -358,7 +364,7 @@ impl MetricsRegistry {
 
     /// Look up an existing gauge without creating it.
     pub fn get_gauge(&self, name: &str) -> Option<Arc<Gauge>> {
-        match crate::lock::read("obs.metrics", &self.metrics).get(name) {
+        match self.metrics.read().get(name) {
             Some(Metric::Gauge(g)) => Some(Arc::clone(g)),
             _ => None,
         }
@@ -366,7 +372,7 @@ impl MetricsRegistry {
 
     /// Look up an existing histogram without creating it.
     pub fn get_histogram(&self, name: &str) -> Option<Arc<Histogram>> {
-        match crate::lock::read("obs.metrics", &self.metrics).get(name) {
+        match self.metrics.read().get(name) {
             Some(Metric::Histogram(h)) => Some(Arc::clone(h)),
             _ => None,
         }
@@ -375,7 +381,7 @@ impl MetricsRegistry {
     /// Zero every registered metric (keeps registrations). For benches and
     /// tests that attribute deltas between workload phases.
     pub fn reset(&self) {
-        for metric in crate::lock::read("obs.metrics", &self.metrics).values() {
+        for metric in self.metrics.read().values() {
             match metric {
                 Metric::Counter(c) => c.reset(),
                 Metric::Gauge(g) => g.reset(),
@@ -400,7 +406,8 @@ impl MetricsRegistry {
             p95: None,
             p99: None,
         };
-        crate::lock::read("obs.metrics", &self.metrics)
+        self.metrics
+            .read()
             .iter()
             .map(|(name, metric)| {
                 let mut s = MetricSample {
@@ -442,7 +449,7 @@ impl MetricsRegistry {
     /// samples for histograms.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        for (name, metric) in crate::lock::read("obs.metrics", &self.metrics).iter() {
+        for (name, metric) in self.metrics.read().iter() {
             match metric {
                 Metric::Counter(c) => {
                     let _ = writeln!(out, "# TYPE {name} counter");
@@ -466,7 +473,10 @@ impl MetricsRegistry {
                         }
                     }
                     let _ = writeln!(out, "{name}_sum {}", h.sum());
-                    let _ = writeln!(out, "{name}_count {}", h.count());
+                    // The bucket total just read, not a second load of the
+                    // count: an observation landing mid-render must not make
+                    // `_count` disagree with the `+Inf` bucket.
+                    let _ = writeln!(out, "{name}_count {cum}");
                 }
                 Metric::Info(labels) => {
                     let _ = writeln!(out, "# TYPE {name} gauge");

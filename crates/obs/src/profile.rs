@@ -16,11 +16,12 @@
 //! parallel sweep join spends in worker threads lands as self time of the
 //! join operator's frame, which is the per-operator share we want.
 
+use crate::lock::Named;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 static PROFILING: AtomicBool = AtomicBool::new(false);
@@ -62,8 +63,10 @@ struct Accumulator {
 }
 
 fn accumulator() -> crate::lock::LockGuard<'static, Accumulator> {
-    static GLOBAL: OnceLock<Mutex<Accumulator>> = OnceLock::new();
-    crate::lock::lock("obs.profile", GLOBAL.get_or_init(Mutex::default))
+    static GLOBAL: OnceLock<Named<Accumulator>> = OnceLock::new();
+    GLOBAL
+        .get_or_init(|| Named::new("obs.profile", Accumulator::default()))
+        .lock()
 }
 
 /// RAII guard for one operator frame; see the module docs.

@@ -13,9 +13,10 @@
 //! the tests read it back via [`slow_queries`]. Like all obs state it is
 //! in-memory only.
 
+use crate::lock::Named;
 use crate::metrics::LazyCounter;
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Default number of retained slow queries (oldest evicted beyond).
 pub const SLOW_LOG_CAPACITY: usize = 32;
@@ -71,8 +72,10 @@ impl Default for Log {
 }
 
 fn log() -> crate::lock::LockGuard<'static, Log> {
-    static GLOBAL: OnceLock<Mutex<Log>> = OnceLock::new();
-    crate::lock::lock("obs.slowlog", GLOBAL.get_or_init(Mutex::default))
+    static GLOBAL: OnceLock<Named<Log>> = OnceLock::new();
+    GLOBAL
+        .get_or_init(|| Named::new("obs.slowlog", Log::default()))
+        .lock()
 }
 
 /// Append one slow query to the ring (the `seq` field is assigned here;

@@ -14,9 +14,10 @@
 //! back via [`statement_stats`]. Stats live in memory only — they reset
 //! with the process, never with the database files.
 
+use crate::lock::Named;
 use crate::metrics::{default_latency_bounds, Histogram, LazyCounter};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Maximum number of distinct fingerprints retained (LRU eviction beyond).
 pub const FINGERPRINT_CAPACITY: usize = 256;
@@ -121,8 +122,10 @@ struct Collector {
 }
 
 fn collector() -> crate::lock::LockGuard<'static, Collector> {
-    static GLOBAL: OnceLock<Mutex<Collector>> = OnceLock::new();
-    crate::lock::lock("obs.stmtstats", GLOBAL.get_or_init(Mutex::default))
+    static GLOBAL: OnceLock<Named<Collector>> = OnceLock::new();
+    GLOBAL
+        .get_or_init(|| Named::new("obs.stmtstats", Collector::default()))
+        .lock()
 }
 
 /// Record one executed statement: `rows` is the result cardinality for

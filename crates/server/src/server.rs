@@ -29,7 +29,7 @@ use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementError, 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -70,7 +70,7 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 struct ServerState {
     shutting_down: AtomicBool,
-    conns: Mutex<Vec<ConnReg>>,
+    conns: obs::Named<Vec<ConnReg>>,
 }
 
 #[derive(Debug)]
@@ -81,18 +81,18 @@ struct ConnReg {
 
 impl ServerState {
     fn live_connections(&self) -> usize {
-        obs::lock::lock("server.conns", &self.conns).len()
+        self.conns.lock().len()
     }
 
     fn register(&self, session_id: u64, stream: TcpStream) {
-        obs::lock::lock("server.conns", &self.conns).push(ConnReg { session_id, stream });
+        self.conns.lock().push(ConnReg { session_id, stream });
         obs::registry()
             .gauge("server_connections_active")
             .set(self.live_connections() as i64);
     }
 
     fn deregister(&self, session_id: u64) {
-        obs::lock::lock("server.conns", &self.conns).retain(|c| c.session_id != session_id);
+        self.conns.lock().retain(|c| c.session_id != session_id);
         obs::registry()
             .gauge("server_connections_active")
             .set(self.live_connections() as i64);
@@ -155,7 +155,7 @@ impl Server {
             config,
             state: Arc::new(ServerState {
                 shutting_down: AtomicBool::new(false),
-                conns: Mutex::new(Vec::new()),
+                conns: obs::Named::new("server.conns", Vec::new()),
             }),
         })
     }
@@ -237,7 +237,7 @@ impl Server {
         // their sockets (the readers wake with EOF, the executors drop
         // their sessions).
         {
-            let conns = obs::lock::lock("server.conns", &state.conns);
+            let conns = state.conns.lock();
             for conn in conns.iter() {
                 obs::cancel_session(conn.session_id);
                 let _ = conn.stream.shutdown(Shutdown::Both);

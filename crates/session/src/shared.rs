@@ -25,7 +25,7 @@ use snapshot_txn::{CatalogSnapshot, CommitOutcome, Transaction, TxnManager};
 use snapshot_wal::{Persistence, PersistenceOptions};
 use sql::parse_sql_statement;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use storage::Table;
 
 /// Auto-checkpoints that failed after their commit was already logged and
@@ -37,8 +37,10 @@ struct Inner {
     txns: TxnManager,
     /// The database directory, when durable. Behind its own lock: the
     /// commit path appends under the transaction manager's commit lock,
-    /// checkpoints snapshot the committed catalog.
-    persistence: Mutex<Option<Persistence>>,
+    /// checkpoints snapshot the committed catalog. As in
+    /// [`snapshot_txn::manager`], poisoning means a panic elsewhere, not
+    /// inconsistent data: the lock type recovers the guard.
+    persistence: snapshot_obs::Named<Option<Persistence>>,
 }
 
 /// A shared, multi-session database handle (`Arc`-based; clone freely and
@@ -46,13 +48,6 @@ struct Inner {
 #[derive(Debug, Clone)]
 pub struct SharedDatabase {
     inner: Arc<Inner>,
-}
-
-/// See [`snapshot_txn::manager`]: poisoning means a panic elsewhere, not
-/// inconsistent data — the helper recovers the guard and enforces the
-/// declared order (`docs/lock_order.md`) in debug builds.
-fn persistence_guard(inner: &Inner) -> snapshot_obs::LockGuard<'_, Option<Persistence>> {
-    snapshot_obs::lock::lock("session.persistence", &inner.persistence)
 }
 
 impl SharedDatabase {
@@ -63,7 +58,7 @@ impl SharedDatabase {
         SharedDatabase {
             inner: Arc::new(Inner {
                 txns: TxnManager::new(catalog, indexes),
-                persistence: Mutex::new(None),
+                persistence: snapshot_obs::Named::new("session.persistence", None),
             }),
         }
     }
@@ -105,7 +100,7 @@ impl SharedDatabase {
                 .map_err(|e| format!("WAL replay failed at lsn {}: {e}", record.lsn))?;
         }
         drop(session);
-        *persistence_guard(&shared.inner) = Some(persistence);
+        *shared.inner.persistence.lock() = Some(persistence);
         Ok((
             shared,
             RecoveryReport {
@@ -140,7 +135,7 @@ impl SharedDatabase {
 
     /// Whether a database directory is attached.
     pub fn is_durable(&self) -> bool {
-        persistence_guard(&self.inner).is_some()
+        self.inner.persistence.lock().is_some()
     }
 
     /// Opens a transaction over a freshly pinned snapshot.
@@ -155,7 +150,7 @@ impl SharedDatabase {
         let outcome =
             inner
                 .txns
-                .commit_with(txn, |stmts| match &mut *persistence_guard(inner) {
+                .commit_with(txn, |stmts| match &mut *inner.persistence.lock() {
                     Some(p) => p.log_transaction(stmts),
                     None => Ok(()),
                 })?;
@@ -173,7 +168,7 @@ impl SharedDatabase {
     /// persistence — the same order as the commit path).
     fn checkpoint_serialized(&self, only_when_due: bool) -> Result<Option<u64>, String> {
         self.inner.txns.with_committed_serialized(|catalog, _| {
-            let mut guard = persistence_guard(&self.inner);
+            let mut guard = self.inner.persistence.lock();
             match &mut *guard {
                 Some(p) if !only_when_due || p.should_checkpoint() => {
                     p.checkpoint(catalog).map(Some)
@@ -191,7 +186,7 @@ impl SharedDatabase {
     fn auto_checkpoint(&self) {
         // Cheap pre-check without the commit lock; the authoritative check
         // repeats under it.
-        let due = match &*persistence_guard(&self.inner) {
+        let due = match &*self.inner.persistence.lock() {
             Some(p) => p.should_checkpoint(),
             None => false,
         };

@@ -6,7 +6,6 @@ use crate::transaction::Transaction;
 use index::IndexCatalog;
 use snapshot_obs::{self as obs, LazyCounter, LazyHistogram, StatementError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 use storage::{Catalog, Table};
 
@@ -73,9 +72,14 @@ pub struct CommitOutcome {
 ///   fails to log aborts the commit with the committed state untouched.
 #[derive(Debug)]
 pub struct TxnManager {
-    state: RwLock<Committed>,
+    // Poisoning only happens when a thread panicked mid-operation; the
+    // committed state is swapped atomically (publication builds the new
+    // handles before touching the guard), so the data is still consistent —
+    // the `obs::lock` types recover the guard instead of cascading panics
+    // through every session, and enforce `docs/lock_order.md` in debug.
+    state: obs::NamedRw<Committed>,
     /// Held for the whole validate → log → publish sequence.
-    commit_lock: Mutex<()>,
+    commit_lock: obs::Named<()>,
     next_txn_id: AtomicU64,
 }
 
@@ -137,38 +141,24 @@ impl TxnManager {
     /// A manager over an initial catalog (indexes are built lazily).
     pub fn new(catalog: Catalog, indexes: IndexCatalog) -> Self {
         TxnManager {
-            state: RwLock::new(Committed {
-                catalog,
-                indexes,
-                commit_seq: 0,
-            }),
-            commit_lock: Mutex::new(()),
+            state: obs::NamedRw::new(
+                "txn.state",
+                Committed {
+                    catalog,
+                    indexes,
+                    commit_seq: 0,
+                },
+            ),
+            commit_lock: obs::Named::new("txn.commit", ()),
             next_txn_id: AtomicU64::new(1),
         }
-    }
-
-    // Poisoning only happens when a thread panicked mid-operation; the
-    // committed state is swapped atomically (publication builds the new
-    // handles before touching the guard), so the data is still consistent —
-    // the obs::lock helpers recover the guard instead of cascading panics
-    // through every session, and enforce `docs/lock_order.md` in debug.
-    fn read_state(&self) -> obs::ReadGuard<'_, Committed> {
-        obs::lock::read("txn.state", &self.state)
-    }
-
-    fn write_state(&self) -> obs::WriteGuard<'_, Committed> {
-        obs::lock::write("txn.state", &self.state)
-    }
-
-    fn lock_commits(&self) -> obs::LockGuard<'_, ()> {
-        obs::lock::lock("txn.commit", &self.commit_lock)
     }
 
     /// Pins a snapshot of the current committed state.
     pub fn snapshot(&self) -> CatalogSnapshot {
         let _span = obs::Span::enter("txn.snapshot");
         let started = Instant::now();
-        let state = self.read_state();
+        let state = self.state.read();
         let snap = CatalogSnapshot::new(
             state.catalog.clone(),
             state.indexes.clone(),
@@ -188,7 +178,7 @@ impl TxnManager {
 
     /// The current commit sequence number.
     pub fn commit_seq(&self) -> u64 {
-        self.read_state().commit_seq
+        self.state.read().commit_seq
     }
 
     /// Commits a transaction: validate (first-committer-wins), make
@@ -216,7 +206,7 @@ impl TxnManager {
         }
         let _span = obs::Span::enter("txn.commit");
         let wait_started = Instant::now();
-        let _commit = self.lock_commits();
+        let _commit = self.commit_lock.lock();
         COMMIT_WAIT_SECONDS.observe_duration(wait_started.elapsed());
         // Validate against the committed state *now*. The commit lock
         // keeps it stable through publication; concurrent `begin`s only
@@ -224,7 +214,7 @@ impl TxnManager {
         {
             let _span = obs::Span::enter("txn.validate");
             let validate_started = Instant::now();
-            let state = self.read_state();
+            let state = self.state.read();
             let verdict = validate_first_committer_wins(&txn, &state.catalog);
             VALIDATE_SECONDS.observe_duration(validate_started.elapsed());
             if let Err(e) = verdict {
@@ -239,7 +229,7 @@ impl TxnManager {
         // pin fresh entries.
         let _pspan = obs::Span::enter("txn.publish");
         let publish_started = Instant::now();
-        let mut guard = self.write_state();
+        let mut guard = self.state.write();
         let state = &mut *guard;
         publish_write_set(
             &working,
@@ -270,7 +260,7 @@ impl TxnManager {
     /// read view; prefer [`TxnManager::snapshot`] for anything that
     /// outlives the call).
     pub fn with_committed<R>(&self, f: impl FnOnce(&Catalog, &IndexCatalog) -> R) -> R {
-        let state = self.read_state();
+        let state = self.state.read();
         f(&state.catalog, &state.indexes)
     }
 
@@ -286,8 +276,8 @@ impl TxnManager {
     /// takes — the same order as the commit path, so callers may lock
     /// their durability state inside `f`.
     pub fn with_committed_serialized<R>(&self, f: impl FnOnce(&Catalog, &IndexCatalog) -> R) -> R {
-        let _commit = self.lock_commits();
-        let state = self.read_state();
+        let _commit = self.commit_lock.lock();
+        let state = self.state.read();
         f(&state.catalog, &state.indexes)
     }
 
@@ -300,8 +290,8 @@ impl TxnManager {
     where
         I: IntoIterator<Item = (String, Table)>,
     {
-        let _commit = self.lock_commits();
-        let mut guard = self.write_state();
+        let _commit = self.commit_lock.lock();
+        let mut guard = self.state.write();
         let state = &mut *guard;
         let mut published = 0;
         for (name, table) in tables {
@@ -320,7 +310,7 @@ impl TxnManager {
     /// `None`) — the shared analogue of a session's explicit `.index`
     /// refresh. Readers that pinned older snapshots are unaffected.
     pub fn refresh_committed_indexes(&self, tables: Option<&[String]>) {
-        let mut guard = self.write_state();
+        let mut guard = self.state.write();
         let state = &mut *guard;
         let names: Vec<String> = match tables {
             Some(ts) => ts.to_vec(),

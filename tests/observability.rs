@@ -1,11 +1,15 @@
 //! Observability end-to-end tests: `EXPLAIN [ANALYZE]`, per-phase
-//! statement timings, and registry publication.
+//! statement timings, registry publication, the text exposition's format,
+//! and (ignored; release only) what recording spans costs.
 //!
 //! The differential heart of the suite replays the CI smoke script
 //! (`tests/sql/smoke.sql`, meta commands stripped) and, for every query
 //! statement, runs `EXPLAIN ANALYZE` against the same database state: the
 //! root operator's `actual rows=` annotation and the `(result: N rows …)`
 //! footer must both equal the cardinality the query actually returns.
+
+#[path = "support/expofmt.rs"]
+mod expofmt;
 
 use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementResult};
 use std::path::PathBuf;
@@ -291,6 +295,124 @@ fn statements_publish_to_the_global_registry() {
     // check the session-local signal too: phases were still measured.
     assert!(quiet.last_phase_timings().execute_ns > 0);
     let _ = (before, phases_before);
+}
+
+/// The registry's text exposition — the dump the shell's `.metrics`
+/// prints — is well-formed after a session has run a `SEQ VT` statement,
+/// and carries the statement, engine, cancellation and process families.
+#[test]
+fn exposition_parses_and_names_the_core_families() {
+    let mut session = SharedDatabase::in_memory().session();
+    session
+        .execute("CREATE TABLE expo (x INT, ts INT, te INT) PERIOD (ts, te)")
+        .unwrap();
+    session
+        .execute("INSERT INTO expo VALUES (1, 0, 5)")
+        .unwrap();
+    session
+        .execute("SEQ VT (SELECT count(*) AS c FROM expo)")
+        .unwrap();
+    snapshot_obs::refresh_process_metrics();
+    let exposition = snapshot_obs::registry().render_text();
+    expofmt::check_exposition(&exposition).expect("metrics exposition must parse");
+    for required in [
+        "txn_snapshot_seconds",
+        "session_execute_seconds",
+        "engine_scan_invocations_total",
+        "statements_cancelled_total",
+        "statement_timeouts_total",
+        "snapshot_build_info",
+        "snapshot_uptime_seconds",
+    ] {
+        assert!(
+            exposition.contains(required),
+            "exposition is missing {required}"
+        );
+    }
+}
+
+/// Recording a span per operator invocation may cost this much over the
+/// passive registry on the engine's hottest path, and no more.
+const SPAN_OVERHEAD_MAX_PCT: f64 = 8.0;
+
+/// A pure interval-overlap join of two indexed 30 000-row random period
+/// tables on the sequential endpoint sweep, timed with tracing off (the
+/// production default) and on, alternated in one process so drift hits
+/// both sides alike. A timing check, so it only means something in a
+/// release build: CI runs `cargo test --release --test observability --
+/// --ignored`.
+#[test]
+#[ignore = "timing check; run in release with -- --ignored"]
+fn span_overhead_on_the_sweep_join_stays_under_the_limit() {
+    use algebra::{Expr, JoinAlgo, Plan};
+    use datagen::random::{random_period_table, RandomTableSpec};
+    use engine::{Engine, ExecStats, NodeStats};
+
+    const ROWS: usize = 30_000;
+    const ROUNDS: usize = 11;
+    let _guard = snapshot_obs::testing::serial_guard();
+    let spec = RandomTableSpec {
+        rows: ROWS,
+        int_cols: 1,
+        str_cols: 1,
+        cardinality: 16,
+        domain: timeline::TimeDomain::new(0, 60_000),
+        max_len: 40,
+    };
+    let mut catalog = storage::Catalog::new();
+    catalog.register("r", random_period_table(&spec, 7));
+    catalog.register("s", random_period_table(&spec, 1031));
+    let indexes = index::IndexCatalog::build_all(&catalog);
+    let schema = catalog.get("r").unwrap().schema().clone();
+    let arity = schema.arity();
+    // r.ts < s.te AND s.ts < r.te over the concatenated pair.
+    let cond = Expr::col(arity - 2)
+        .lt(Expr::col(2 * arity - 1))
+        .and(Expr::col(2 * arity - 2).lt(Expr::col(arity - 1)));
+    let plan = Plan::scan("r", schema.clone()).join_with(
+        Plan::scan("s", schema),
+        cond,
+        JoinAlgo::IndexSweep,
+    );
+    let run = |tracing: bool| -> f64 {
+        snapshot_obs::set_tracing(tracing);
+        snapshot_obs::reset_thread_trace();
+        let started = std::time::Instant::now();
+        let out = Engine::new()
+            .execute_analyzed(
+                &plan,
+                &catalog,
+                Some(&indexes),
+                &mut ExecStats::default(),
+                &mut NodeStats::default(),
+            )
+            .unwrap();
+        let elapsed = started.elapsed().as_secs_f64();
+        assert!(!out.is_empty());
+        elapsed
+    };
+    let median = |mut samples: Vec<f64>| -> f64 {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+
+    run(false); // warm: caches hot, allocator grown
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        off.push(run(false));
+        on.push(run(true));
+    }
+    snapshot_obs::set_tracing(false);
+    snapshot_obs::reset_thread_trace();
+
+    let (off, on) = (median(off), median(on));
+    let pct = (on - off) / off * 100.0;
+    println!("span overhead: tracing-on {on:.4}s vs tracing-off {off:.4}s = {pct:.2}%");
+    assert!(
+        pct <= SPAN_OVERHEAD_MAX_PCT,
+        "span overhead {pct:.2}% exceeds the {SPAN_OVERHEAD_MAX_PCT:.1}% budget \
+         (tracing-on {on:.6}s vs tracing-off {off:.6}s)"
+    );
 }
 
 /// `EXPLAIN ANALYZE` of a query inside an open transaction sees the

@@ -425,6 +425,71 @@ fn error_echoing_the_cancel_words_is_an_error_frame_and_keeps_the_transaction() 
         .expect("clean shutdown");
 }
 
+/// The server accounts every operation it served: after N statements of a
+/// few shapes over two real connections, `snapshot_stat_statements` read
+/// *over the wire* reports at least N calls for them.
+#[test]
+fn statement_stats_over_the_wire_account_every_operation() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut clients = [
+        Client::connect(addr).expect("connect"),
+        Client::connect(addr).expect("connect"),
+    ];
+    run_ok(
+        &mut clients[0],
+        "CREATE TABLE srv_acct (name TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te);",
+    );
+    const SENT: i64 = 40;
+    for op in 0..SENT as usize {
+        let sql = match op % 4 {
+            0 => format!(
+                "INSERT INTO srv_acct VALUES ('p{op}', 'S{}', {op}, {});",
+                op % 3,
+                op + 5
+            ),
+            1 => "SEQ VT (SELECT skill, count(*) AS cnt FROM srv_acct GROUP BY skill);".to_string(),
+            2 => format!(
+                "UPDATE srv_acct SET skill = 'S9' WHERE name = 'p{}';",
+                op - 2
+            ),
+            _ => format!("SELECT name FROM srv_acct WHERE ts >= {op};"),
+        };
+        run_ok(&mut clients[op % 2], &sql);
+    }
+
+    let results = run_ok(
+        &mut clients[1],
+        "SELECT fingerprint, calls FROM snapshot_stat_statements;",
+    );
+    let accounted: Vec<(String, i64)> = first_rows(&results)
+        .rows()
+        .iter()
+        .filter_map(|r| match r.values() {
+            [Value::Str(fp), Value::Int(calls)] if fp.contains("srv_acct") => {
+                Some((fp.to_string(), *calls))
+            }
+            _ => None,
+        })
+        .collect();
+    // The four DML/query shapes (literals normalised away) plus the DDL.
+    assert!(accounted.len() >= 4, "{accounted:?}");
+    let calls: i64 = accounted.iter().map(|(_, calls)| calls).sum();
+    assert!(
+        calls >= SENT,
+        "server-side statement stats must cover the workload: \
+         {calls} accounted < {SENT} sent ({accounted:?})"
+    );
+
+    let [client, _] = clients;
+    client.shutdown_server().expect("shutdown request");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
 /// Acceptance: graceful shutdown with connected clients leaves a
 /// recoverable, WAL-consistent database directory — reopening it recovers
 /// exactly the committed rows.

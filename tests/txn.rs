@@ -197,6 +197,71 @@ fn disjoint_writers_both_commit() {
     assert_eq!(view.catalog().get("other").unwrap().len(), 1);
 }
 
+/// Write skew, pinned as today's behaviour (ROADMAP direction 5c). The
+/// registry's invariant "a set has at most one active version, whichever
+/// tier it lives in" spans both registry tables. Two publishers each check
+/// it on their own snapshot, find no active version of set 7, and activate
+/// one — in different tiers. Their write sets are disjoint, plain reads are
+/// not validated, so both commits succeed and the committed registry breaks
+/// the invariant neither transaction broke alone. This is what
+/// `snapshot_txn::manager` documents as "snapshot isolation, not
+/// serializability: write skew is admitted"; closing it means validating
+/// read sets in `validate_first_committer_wins`, and this test then flips.
+/// (Had both written the *same* table, first-committer-wins would have
+/// refused the second — see `first_committer_wins_and_loser_can_retry`.)
+#[test]
+fn write_skew_is_admitted_under_snapshot_isolation() {
+    const TIERS: [&str; 2] = ["reg_governed", "reg_operational"];
+    let shared = SharedDatabase::in_memory();
+    let mut a = shared.session();
+    let mut b = shared.session();
+    for tier in TIERS {
+        a.execute(&format!(
+            "CREATE TABLE {tier} (object_id INT, object_type TEXT, status TEXT, \
+             version INT, set_id INT, ts INT, te INT) PERIOD (ts, te)"
+        ))
+        .unwrap();
+        a.execute(&format!(
+            "INSERT INTO {tier} VALUES (1, 'view_def', 'deprecated', 1, 7, 0, 10)"
+        ))
+        .unwrap();
+    }
+    let active_versions = |s: &mut Session| -> i64 {
+        TIERS
+            .iter()
+            .map(|tier| {
+                let rows = query_rows(
+                    s,
+                    &format!(
+                        "SELECT count(*) AS c FROM {tier} \
+                         WHERE set_id = 7 AND status = 'active'"
+                    ),
+                );
+                rows[0].int(0)
+            })
+            .sum()
+    };
+
+    a.execute("BEGIN").unwrap();
+    b.execute("BEGIN").unwrap();
+    assert_eq!(active_versions(&mut a), 0, "A: set 7 has no active version");
+    assert_eq!(active_versions(&mut b), 0, "B: set 7 has no active version");
+    a.execute("INSERT INTO reg_governed VALUES (1, 'view_def', 'active', 2, 7, 10, 99)")
+        .unwrap();
+    b.execute("INSERT INTO reg_operational VALUES (1, 'view_def', 'active', 2, 7, 10, 99)")
+        .unwrap();
+    assert_eq!(active_versions(&mut a), 1, "A sees only its own activation");
+    assert_eq!(active_versions(&mut b), 1, "B sees only its own activation");
+    a.execute("COMMIT").unwrap();
+    b.execute("COMMIT").unwrap();
+
+    assert_eq!(
+        active_versions(&mut a),
+        2,
+        "both activations committed: the skew is admitted"
+    );
+}
+
 #[test]
 fn transaction_control_errors() {
     let mut s = Session::new(Database::new());
