@@ -8,9 +8,10 @@
 //! [`Client::query`] collects the whole sequence into [`RemoteResult`]s.
 
 use crate::protocol::{read_frame, write_frame, Frame, ReadError, PROTOCOL_VERSION};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-use storage::{Row, Schema, Table};
+use storage::Table;
 
 /// One statement's outcome, as seen over the wire.
 #[derive(Debug, Clone)]
@@ -67,10 +68,18 @@ pub struct QueryResponse {
     pub in_txn: bool,
 }
 
+/// Size of the client's read buffer: several whole [`Frame::RowBatch`]es.
+const READ_BUFFER: usize = 64 << 10;
+
 /// A connection to a `snapshot_server`, post-handshake.
 #[derive(Debug)]
 pub struct Client {
+    /// The write half.
     stream: TcpStream,
+    /// The read half: a clone of `stream` behind one buffer, so a frame's
+    /// header and payload — and the small frames around a result — come
+    /// out of one `read` instead of two each.
+    reader: BufReader<TcpStream>,
     /// The server-assigned session id (the one `snapshot_stat_activity`
     /// and `snapshot_cancel(id)` use).
     pub session_id: u64,
@@ -97,6 +106,7 @@ impl Client {
 
     fn handshake(mut stream: TcpStream) -> Result<Client, RemoteError> {
         let _ = stream.set_nodelay(true);
+        let mut reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
         write_frame(
             &mut stream,
             &Frame::Hello {
@@ -104,7 +114,7 @@ impl Client {
                 client: format!("snapshot_db/{}", env!("CARGO_PKG_VERSION")),
             },
         )?;
-        match read_frame(&mut stream)? {
+        match read_frame(&mut reader)? {
             (
                 Frame::Welcome {
                     protocol_version,
@@ -121,6 +131,7 @@ impl Client {
                 }
                 Ok(Client {
                     stream,
+                    reader,
                     session_id,
                     server,
                 })
@@ -176,7 +187,7 @@ impl Client {
     pub fn close(mut self) -> Result<(), RemoteError> {
         write_frame(&mut self.stream, &Frame::Close)?;
         loop {
-            match read_frame(&mut self.stream) {
+            match read_frame(&mut self.reader) {
                 Ok((Frame::Goodbye, _)) | Err(ReadError::Eof) => return Ok(()),
                 Ok(_) => continue, // drain whatever was still in flight
                 Err(e) => return Err(e.into()),
@@ -188,7 +199,7 @@ impl Client {
     pub fn shutdown_server(mut self) -> Result<(), RemoteError> {
         write_frame(&mut self.stream, &Frame::Shutdown)?;
         loop {
-            match read_frame(&mut self.stream) {
+            match read_frame(&mut self.reader) {
                 Ok((Frame::Goodbye, _)) | Err(ReadError::Eof) => return Ok(()),
                 Ok(_) => continue,
                 Err(ReadError::Io(_)) => return Ok(()), // racing the server's exit
@@ -200,46 +211,34 @@ impl Client {
     /// Read one response sequence: result sets / summaries / errors until
     /// the terminating `Ready` (or `Goodbye`, for `.quit` over Meta).
     fn collect_response(&mut self) -> Result<QueryResponse, RemoteError> {
-        struct PendingRows {
-            schema: Schema,
-            period: Option<(u32, u32)>,
-            acc: Vec<Row>,
-        }
         let mut results = Vec::new();
         let mut error = None;
-        let mut pending: Option<PendingRows> = None;
+        // The result set being streamed; batches land in it as they arrive.
+        let mut pending: Option<Table> = None;
         loop {
-            match read_frame(&mut self.stream)?.0 {
+            match read_frame(&mut self.reader)?.0 {
                 Frame::RowHeader { schema, period } => {
-                    pending = Some(PendingRows {
-                        schema,
-                        period,
-                        acc: Vec::new(),
+                    // `Frame::decode` has checked the pair against the schema.
+                    pending = Some(match period {
+                        Some((b, e)) => Table::with_period(schema, b as usize, e as usize),
+                        None => Table::new(schema),
                     });
                 }
-                Frame::RowBatch { rows } => match pending.as_mut() {
-                    Some(p) => p.acc.extend(rows),
-                    None => {
-                        return Err(RemoteError::Connection(
-                            "RowBatch without RowHeader".to_string(),
-                        ))
-                    }
-                },
+                Frame::RowBatch { rows } => pending
+                    .as_mut()
+                    .ok_or_else(|| "RowBatch without RowHeader".to_string())
+                    .and_then(|table| table.try_extend(rows))
+                    .map_err(RemoteError::Connection)?,
                 Frame::RowEnd { rows } => {
-                    let p = pending.take().ok_or_else(|| {
+                    let table = pending.take().ok_or_else(|| {
                         RemoteError::Connection("RowEnd without RowHeader".to_string())
                     })?;
-                    if p.acc.len() as u64 != rows {
+                    if table.len() as u64 != rows {
                         return Err(RemoteError::Connection(format!(
                             "row count mismatch: streamed {}, trailer says {rows}",
-                            p.acc.len()
+                            table.len()
                         )));
                     }
-                    let mut table = match p.period {
-                        Some((b, e)) => Table::with_period(p.schema, b as usize, e as usize),
-                        None => Table::new(p.schema),
-                    };
-                    table.extend(p.acc);
                     results.push(RemoteResult::Rows(table));
                 }
                 Frame::Done { summary } => results.push(RemoteResult::Done(summary)),

@@ -7,7 +7,9 @@
 //! CRC32-checked binary protocol (the same framing discipline as the
 //! write-ahead log in `snapshot_wal::codec`):
 //!
-//! * [`protocol`] — the frame types and their fallible wire codec,
+//! * [`protocol`] — the frame types, their fallible wire codec, and
+//!   [`protocol::write_rowset`], which streams a result set from borrowed
+//!   rows as column-block batches,
 //! * [`server`] — [`Server`]: accept loop, one session per connection,
 //!   per-statement row-batch streaming, cooperative cancellation of
 //!   statements whose client disappeared, graceful shutdown

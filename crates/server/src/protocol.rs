@@ -9,12 +9,22 @@
 //!
 //! and the payload is `[tag: u8][body]`, with the body encoded by the
 //! same bounds-checked little-endian codec the WAL uses
-//! ([`snapshot_wal::codec`]) — values, rows, and schemas go over the wire
-//! bit-identically to how they rest on disk. A frame longer than
+//! ([`snapshot_wal::codec`]) — values and schemas go over the wire
+//! bit-identically to how they rest on disk, and result rows travel as
+//! that codec's *column block* ([`snapshot_wal::codec::encode_columns`]):
+//! a result arrives sorted by (key, begin, end), so its columns are runs
+//! of equal strings and slowly rising integers, which a column block
+//! stores as runs and deltas (protocol version 2). A frame longer than
 //! [`MAX_FRAME`] is refused before allocation (a corrupt or hostile
 //! length prefix must not OOM the peer), a CRC mismatch is refused before
-//! decoding, and every decode path returns an error rather than
+//! decoding, a row batch claiming more rows than
+//! [`snapshot_wal::codec::MAX_BLOCK_ROWS`] is refused before its rows are
+//! allocated, and every decode path returns an error rather than
 //! panicking — the same standard the WAL codec is held to.
+//!
+//! Each frame is built once, header and payload in one buffer, and handed
+//! to the socket in one write; [`write_rowset`] streams a whole result
+//! that way from the borrowed rows of the executor's table.
 //!
 //! ## Conversation shape
 //!
@@ -35,15 +45,16 @@
 //!    sides drop the socket. [`Frame::Shutdown`] additionally asks the
 //!    whole server to shut down gracefully after the goodbye.
 
-use snapshot_wal::codec::{decode_schema, decode_value, encode_schema, encode_value};
+use snapshot_wal::codec::{decode_columns, decode_schema, encode_columns, encode_schema};
 use snapshot_wal::codec::{Reader, Writer};
 use snapshot_wal::crc32;
 use std::io::{Read, Write};
 use storage::{Row, Schema, Table};
 
 /// Protocol version spoken by this build; the handshake refuses a client
-/// whose version differs.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// whose version differs. (1 → 2: [`Frame::RowBatch`] became a column
+/// block.)
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard ceiling on one frame's payload size (matches the WAL's own
 /// guard): a corrupt length prefix must not trigger an absurd allocation.
@@ -107,7 +118,9 @@ pub enum Frame {
         /// The result's period column pair, if it is a period relation.
         period: Option<(u32, u32)>,
     },
-    /// A batch of result rows (at most [`ROW_BATCH`] per frame).
+    /// A batch of result rows, all of one arity ([`ROW_BATCH`] per frame
+    /// from the server; the decoder's ceiling is
+    /// [`snapshot_wal::codec::MAX_BLOCK_ROWS`]).
     RowBatch {
         /// The rows.
         rows: Vec<Row>,
@@ -154,10 +167,46 @@ const TAG_CANCELLED: u8 = 0x16;
 const TAG_READY: u8 = 0x17;
 const TAG_GOODBYE: u8 = 0x18;
 
+/// Length of the `[payload_len][crc32]` header in front of every payload.
+const HEADER_LEN: usize = 8;
+
+/// The period column pair of `table` as [`Frame::RowHeader`] carries it.
+fn wire_period(table: &Table) -> Option<(u32, u32)> {
+    table.period().map(|(b, e)| (b as u32, e as u32))
+}
+
+fn put_row_header(w: &mut Writer, schema: &Schema, period: Option<(u32, u32)>) {
+    w.put_u8(TAG_ROW_HEADER);
+    encode_schema(w, schema);
+    match period {
+        Some((b, e)) => {
+            w.put_u8(1);
+            w.put_u32(b);
+            w.put_u32(e);
+        }
+        None => w.put_u8(0),
+    }
+}
+
+fn put_row_batch(w: &mut Writer, rows: &[Row]) {
+    w.put_u8(TAG_ROW_BATCH);
+    encode_columns(w, rows);
+}
+
+fn put_row_end(w: &mut Writer, rows: u64) {
+    w.put_u8(TAG_ROW_END);
+    w.put_u64(rows);
+}
+
 impl Frame {
     /// Encode the payload (`[tag][body]`, without the length/CRC header).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn encode_into(&self, w: &mut Writer) {
         match self {
             Frame::Hello {
                 protocol_version,
@@ -196,32 +245,9 @@ impl Frame {
                 w.put_u8(TAG_DONE);
                 w.put_str(summary);
             }
-            Frame::RowHeader { schema, period } => {
-                w.put_u8(TAG_ROW_HEADER);
-                encode_schema(&mut w, schema);
-                match period {
-                    Some((b, e)) => {
-                        w.put_u8(1);
-                        w.put_u32(*b);
-                        w.put_u32(*e);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-            Frame::RowBatch { rows } => {
-                w.put_u8(TAG_ROW_BATCH);
-                w.put_u32(rows.len() as u32);
-                for row in rows {
-                    w.put_u32(row.arity() as u32);
-                    for v in row.values() {
-                        encode_value(&mut w, v);
-                    }
-                }
-            }
-            Frame::RowEnd { rows } => {
-                w.put_u8(TAG_ROW_END);
-                w.put_u64(*rows);
-            }
+            Frame::RowHeader { schema, period } => put_row_header(w, schema, *period),
+            Frame::RowBatch { rows } => put_row_batch(w, rows),
+            Frame::RowEnd { rows } => put_row_end(w, *rows),
             Frame::Error { message } => {
                 w.put_u8(TAG_ERROR);
                 w.put_str(message);
@@ -236,7 +262,6 @@ impl Frame {
             }
             Frame::Goodbye => w.put_u8(TAG_GOODBYE),
         }
-        w.into_bytes()
     }
 
     /// Decode a payload produced by [`Frame::encode`]. Fallible on every
@@ -271,38 +296,21 @@ impl Frame {
                 let schema = decode_schema(&mut r)?;
                 let period = match r.get_u8()? {
                     0 => None,
-                    1 => Some((r.get_u32()?, r.get_u32()?)),
+                    1 => {
+                        // Whoever reassembles the result builds a period
+                        // table from this pair: it must name two distinct
+                        // INT columns of the schema it came with.
+                        let (b, e) = (r.get_u32()?, r.get_u32()?);
+                        Table::check_period(&schema, b as usize, e as usize)?;
+                        Some((b, e))
+                    }
                     other => return Err(format!("invalid period flag {other}")),
                 };
                 Frame::RowHeader { schema, period }
             }
-            TAG_ROW_BATCH => {
-                let count = r.get_u32()? as usize;
-                // Guard against absurd counts before allocating (a row is
-                // at least 5 bytes: arity + one value tag).
-                if count > r.remaining() {
-                    return Err(format!(
-                        "row batch claims {count} rows in {} bytes",
-                        r.remaining()
-                    ));
-                }
-                let mut rows = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let arity = r.get_u32()? as usize;
-                    if arity > r.remaining() {
-                        return Err(format!(
-                            "row claims {arity} values in {} bytes",
-                            r.remaining()
-                        ));
-                    }
-                    let mut values = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        values.push(decode_value(&mut r)?);
-                    }
-                    rows.push(Row::new(values));
-                }
-                Frame::RowBatch { rows }
-            }
+            TAG_ROW_BATCH => Frame::RowBatch {
+                rows: decode_columns(&mut r)?,
+            },
             TAG_ROW_END => Frame::RowEnd { rows: r.get_u64()? },
             TAG_ERROR => Frame::Error {
                 message: r.get_str()?,
@@ -349,16 +357,51 @@ impl std::fmt::Display for ReadError {
     }
 }
 
+/// One frame's wire image (`len + crc + payload`) in `buf`'s allocation:
+/// the header's room is reserved first, `payload` writes behind it, and the
+/// length and checksum are patched in once they are known — the payload is
+/// never copied.
+fn frame_image(buf: Vec<u8>, payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::reusing(buf);
+    w.put_raw(&[0; HEADER_LEN]);
+    payload(&mut w);
+    let mut image = w.into_bytes();
+    if let Some((header, payload)) = image.split_first_chunk_mut::<HEADER_LEN>() {
+        debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
+        let [l0, l1, l2, l3] = (payload.len() as u32).to_le_bytes();
+        let [c0, c1, c2, c3] = crc32(payload).to_le_bytes();
+        *header = [l0, l1, l2, l3, c0, c1, c2, c3];
+    }
+    image
+}
+
 /// Write one frame (`len + crc + payload`); returns the bytes written.
 pub fn write_frame<W: Write>(out: &mut W, frame: &Frame) -> std::io::Result<usize> {
-    let payload = frame.encode();
-    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    out.write_all(&buf)?;
-    Ok(buf.len())
+    let image = frame_image(Vec::new(), |w| frame.encode_into(w));
+    out.write_all(&image)?;
+    Ok(image.len())
+}
+
+/// Stream `table` as one result set — `RowHeader`, [`ROW_BATCH`]-row
+/// `RowBatch`es, `RowEnd` — straight from its borrowed rows: every frame
+/// is encoded into one reused buffer and written with one `write_all`.
+/// Byte for byte what [`write_frame`] over [`rowset_frames`] sends, without
+/// cloning a row. Returns the bytes written; the first failed write ends
+/// the stream.
+pub fn write_rowset<W: Write>(out: &mut W, table: &Table) -> std::io::Result<usize> {
+    let mut buf = Vec::new();
+    let mut written = 0;
+    let mut send = |payload: &dyn Fn(&mut Writer)| -> std::io::Result<()> {
+        buf = frame_image(std::mem::take(&mut buf), payload);
+        written += buf.len();
+        out.write_all(&buf)
+    };
+    send(&|w| put_row_header(w, table.schema(), wire_period(table)))?;
+    for chunk in table.rows().chunks(ROW_BATCH) {
+        send(&|w| put_row_batch(w, chunk))?;
+    }
+    send(&|w| put_row_end(w, table.len() as u64))?;
+    Ok(written)
 }
 
 /// Read one frame; returns the frame and the bytes consumed.
@@ -403,13 +446,13 @@ pub fn read_frame<R: Read>(input: &mut R) -> Result<(Frame, usize), ReadError> {
     Ok((frame, 8 + payload.len()))
 }
 
-/// The frame sequence streaming `table` as one result set:
-/// `RowHeader`, `ROW_BATCH`-sized `RowBatch`es, `RowEnd`.
+/// The frame sequence [`write_rowset`] streams for `table`, as owned
+/// [`Frame`]s (which costs a clone of every row — for callers that want
+/// the frames themselves; the server does not).
 pub fn rowset_frames(table: &Table) -> Vec<Frame> {
-    let period = table.period().map(|(b, e)| (b as u32, e as u32));
     let mut frames = vec![Frame::RowHeader {
         schema: table.schema().clone(),
-        period,
+        period: wire_period(table),
     }];
     for chunk in table.rows().chunks(ROW_BATCH) {
         frames.push(Frame::RowBatch {
@@ -454,6 +497,35 @@ mod tests {
         ]
     }
 
+    /// `n` rows shaped like a coalesced result: string runs, a NULL run, a
+    /// double column, rising period endpoints.
+    fn run_rows(n: usize) -> Vec<Row> {
+        (0..n as i64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::str(["Ann", "Joe", "Žofie"][(i / 100) as usize % 3]),
+                    if i % 64 < 40 {
+                        Value::Null
+                    } else {
+                        Value::Double(i as f64 / 7.0)
+                    },
+                    Value::Int(2 * i),
+                    Value::Int(2 * i + 5),
+                ])
+            })
+            .collect()
+    }
+
+    fn run_table(n: usize, period: bool) -> Table {
+        let mut t = if period {
+            Table::with_period(sample_schema(), 2, 3)
+        } else {
+            Table::new(sample_schema())
+        };
+        t.extend(run_rows(n));
+        t
+    }
+
     /// One representative of every frame type, for exhaustive coverage.
     fn one_of_each() -> Vec<Frame> {
         vec![
@@ -493,6 +565,7 @@ mod tests {
                 rows: sample_rows(),
             },
             Frame::RowBatch { rows: Vec::new() },
+            Frame::RowBatch { rows: run_rows(40) },
             Frame::RowEnd { rows: 31337 },
             Frame::Error {
                 message: "unknown table 'nope'".into(),
@@ -542,6 +615,103 @@ mod tests {
         ));
         assert_eq!(frames.len(), 4, "header + 2 batches + end");
         assert!(matches!(frames[3], Frame::RowEnd { rows } if rows == (ROW_BATCH + 3) as u64));
+    }
+
+    /// What the server sends (`write_rowset`, from borrowed rows) is byte
+    /// for byte `write_frame` over `rowset_frames` — so a caller holding
+    /// the frames measures the bytes and frame count of the real path.
+    #[test]
+    fn write_rowset_is_write_frame_over_rowset_frames() {
+        for (n, period) in [
+            (0, true),
+            (1, false),
+            (ROW_BATCH, true),
+            (ROW_BATCH + 1, true),
+            (3 * ROW_BATCH + 17, false),
+        ] {
+            let table = run_table(n, period);
+            let mut streamed = Vec::new();
+            let wrote = write_rowset(&mut streamed, &table).unwrap();
+            assert_eq!(wrote, streamed.len());
+            let mut framed = Vec::new();
+            for frame in rowset_frames(&table).iter() {
+                write_frame(&mut framed, frame).unwrap();
+            }
+            assert_eq!(streamed, framed, "{n} rows");
+        }
+    }
+
+    /// Each batch stands alone: the deltas restart from 0 and a string run
+    /// ends at the batch boundary, so a frame decodes without its
+    /// neighbours — at exactly one batch and one row over.
+    #[test]
+    fn batches_at_the_row_batch_boundary_decode_alone() {
+        for n in [ROW_BATCH, ROW_BATCH + 1] {
+            let table = run_table(n, true);
+            let mut rows: Vec<Row> = Vec::new();
+            let frames = rowset_frames(&table);
+            assert_eq!(frames.len(), 2 + n.div_ceil(ROW_BATCH));
+            for frame in &frames {
+                let back = Frame::decode(&frame.encode()).unwrap();
+                assert_eq!(&back, frame);
+                if let Frame::RowBatch { rows: batch } = back {
+                    assert!(batch.len() <= ROW_BATCH);
+                    rows.extend(batch);
+                }
+            }
+            assert_eq!(rows, table.rows());
+        }
+    }
+
+    /// A `RowHeader` whose period is not two distinct INT columns of its
+    /// own schema is a decode error: the client builds a period table
+    /// from it.
+    #[test]
+    fn row_header_period_is_checked_against_its_schema() {
+        for (period, why) in [
+            ((7, 9), "out of range"),
+            ((2, 4), "out of range"),
+            ((0, 3), "must be INT"),
+            ((2, 2), "distinct"),
+        ] {
+            let payload = Frame::RowHeader {
+                schema: sample_schema(),
+                period: Some(period),
+            }
+            .encode();
+            let err = Frame::decode(&payload).unwrap_err();
+            assert!(err.contains(why), "{period:?}: {err}");
+        }
+    }
+
+    /// Run-length batches cost O(1) bytes per run, so bytes remaining no
+    /// longer bound the rows a frame may claim; the ceiling does.
+    #[test]
+    fn absurd_row_count_and_run_length_are_refused_before_allocation() {
+        let batch = |parts: &[u64], tail: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u8(TAG_ROW_BATCH);
+            for &p in parts {
+                w.put_varint(p);
+            }
+            w.put_raw(tail);
+            w.into_bytes()
+        };
+        // A 14-byte payload claiming 2^28 rows as one NULL run.
+        let bomb = batch(&[1 << 28, 1], &[2, 0x80, 0x80, 0x80, 0x80, 0x01, 0]);
+        assert_eq!(bomb.len(), 14);
+        assert!(Frame::decode(&bomb).unwrap_err().contains("ceiling"));
+        // Under the row ceiling, a run longer than the batch.
+        let overrun = batch(&[4, 1], &[2, 5, 0]);
+        assert!(Frame::decode(&overrun).unwrap_err().contains("run of 5"));
+        // An empty run would never finish the column.
+        let stall = batch(&[4, 1], &[2, 0, 0]);
+        assert!(Frame::decode(&stall).unwrap_err().contains("run of 0"));
+        // More columns than bytes; a varint that overflows; trailing bytes.
+        assert!(Frame::decode(&batch(&[1, 1 << 20], &[0, 0])).is_err());
+        assert!(Frame::decode(&batch(&[], &[0xFF; 11])).is_err());
+        let trailing = batch(&[1, 1], &[0, 2, 0]);
+        assert!(Frame::decode(&trailing).unwrap_err().contains("trailing"));
     }
 
     #[test]
@@ -631,7 +801,7 @@ mod tests {
         /// mis-decode into the original frame.
         #[test]
         fn prop_bit_flips_are_detected(
-            which in 0usize..4,
+            which in 0usize..5,
             text in ascii(40),
             byte_seed in 0u64..1_000_000_000,
             bit in 0usize..8,
@@ -640,7 +810,8 @@ mod tests {
                 0 => Frame::Query { sql: text.clone() },
                 1 => Frame::Done { summary: text.clone() },
                 2 => Frame::Error { message: text.clone() },
-                _ => Frame::Cancelled { reason: text.clone() },
+                3 => Frame::Cancelled { reason: text.clone() },
+                _ => Frame::RowBatch { rows: run_rows(text.len()) },
             };
             let mut wire = Vec::new();
             write_frame(&mut wire, &frame).unwrap();
@@ -660,6 +831,11 @@ mod tests {
         fn prop_garbage_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..200)) {
             let _ = Frame::decode(&bytes);
             let _ = read_frame(&mut bytes.as_slice());
+            // And as the body of a row batch, the one frame with structure
+            // a length prefix does not bound.
+            let mut batch = vec![TAG_ROW_BATCH];
+            batch.extend_from_slice(&bytes);
+            let _ = Frame::decode(&batch);
         }
     }
 }

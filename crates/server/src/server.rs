@@ -22,7 +22,7 @@
 //! checkpoint the database, and return — the `snapshot_server` binary
 //! then exits 0.
 
-use crate::protocol::{read_frame, rowset_frames, write_frame, Frame, ReadError, PROTOCOL_VERSION};
+use crate::protocol::{read_frame, write_frame, write_rowset, Frame, ReadError, PROTOCOL_VERSION};
 use snapshot_obs as obs;
 use snapshot_session::meta::{run_meta, MetaFlow};
 use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementError, StatementResult};
@@ -432,18 +432,10 @@ fn executor_loop(
             Msg::Frame(Frame::Query { sql }) => {
                 for piece in sql::split_script(&sql) {
                     match session.execute(&piece) {
-                        Ok(StatementResult::Rows(table)) => {
-                            let mut ok = true;
-                            for frame in rowset_frames(&table) {
-                                if !send(stream, &frame) {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            if !ok {
-                                return;
-                            }
-                        }
+                        Ok(StatementResult::Rows(table)) => match write_rowset(stream, &table) {
+                            Ok(n) => bytes_out.add(n as u64),
+                            Err(_) => return,
+                        },
                         Ok(other) => {
                             if !send(
                                 stream,

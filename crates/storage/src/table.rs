@@ -85,6 +85,26 @@ impl Table {
         }
     }
 
+    /// Whether columns `begin`/`end` of `schema` can hold a period: two
+    /// distinct, in-range `INT` columns. The check for a period pair that
+    /// arrives as data (a stored table, a wire header) rather than from
+    /// the program — [`Table::with_period`] panics where this errors.
+    pub fn check_period(schema: &Schema, begin: usize, end: usize) -> Result<(), String> {
+        if begin == end {
+            return Err("period begin and end must be distinct columns".into());
+        }
+        for idx in [begin, end] {
+            let col = schema
+                .columns()
+                .get(idx)
+                .ok_or_else(|| format!("period column {idx} out of range"))?;
+            if col.ty != SqlType::Int {
+                return Err(format!("period column '{}' must be INT", col.name));
+            }
+        }
+        Ok(())
+    }
+
     /// Creates an empty period table; `begin`/`end` are column indices.
     ///
     /// # Panics
@@ -235,14 +255,25 @@ impl Table {
     /// Panics when any row fails [`Table::check_row`]; rows before the
     /// offending one stay appended.
     pub fn extend<I: IntoIterator<Item = Row>>(&mut self, rows: I) {
+        if let Err(e) = self.try_extend(rows) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`Table::extend`] for rows that arrive as data (off the wire): the
+    /// first row failing [`Table::check_row`] is an error, not a panic;
+    /// rows before it stay appended.
+    pub fn try_extend<I: IntoIterator<Item = Row>>(&mut self, rows: I) -> Result<(), String> {
         let before = self.rows.len();
         let mut extent = self.extent;
-        let mut refused = None;
+        let mut refused = Ok(());
+        let rows = rows.into_iter();
+        self.rows.reserve(rows.size_hint().0);
         for r in rows {
             match self.checked_period(&r) {
                 Ok(period) => extent = widen(extent, period),
                 Err(e) => {
-                    refused = Some(e);
+                    refused = Err(e);
                     break;
                 }
             }
@@ -252,9 +283,7 @@ impl Table {
         if self.rows.len() > before {
             self.bump_append();
         }
-        if let Some(e) = refused {
-            panic!("{e}");
-        }
+        refused
     }
 
     /// Deletes every row matching `pred`, returning how many were removed.
@@ -341,18 +370,7 @@ impl Table {
         append_checkpoints: Vec<(u64, usize)>,
     ) -> Result<Table, String> {
         if let Some((b, e)) = period {
-            if b == e {
-                return Err("period begin and end must be distinct columns".into());
-            }
-            for idx in [b, e] {
-                let col = schema
-                    .columns()
-                    .get(idx)
-                    .ok_or_else(|| format!("period column {idx} out of range"))?;
-                if col.ty != SqlType::Int {
-                    return Err(format!("period column '{}' must be INT", col.name));
-                }
-            }
+            Table::check_period(&schema, b, e)?;
         }
         match append_checkpoints.last() {
             None => return Err("append-checkpoint history must not be empty".into()),

@@ -9,7 +9,14 @@
 //! Layout conventions: integers are little-endian; strings are a `u32`
 //! length followed by UTF-8 bytes; options are a `u8` presence flag;
 //! sequences are a `u32`/`u64` count followed by the elements.
+//!
+//! Beside the value-at-a-time table encoding sits a *column block*
+//! ([`encode_columns`] / [`decode_columns`]): one batch of rows written
+//! column by column — delta-coded integers, run-length strings and NULLs —
+//! which is what the wire protocol's `RowBatch` carries. This module is
+//! the only place that knows that layout.
 
+use std::sync::Arc;
 use storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
 
 /// Encoder: append-only byte buffer with fixed-width little-endian writers.
@@ -22,6 +29,14 @@ impl Writer {
     /// An empty writer.
     pub fn new() -> Self {
         Writer::default()
+    }
+
+    /// An empty writer that keeps `buf`'s allocation (its contents are
+    /// dropped): how a caller encoding many messages in a row pays for one
+    /// buffer, handing it back through [`Writer::into_bytes`] each time.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Writer { buf }
     }
 
     /// The encoded bytes.
@@ -52,6 +67,17 @@ impl Writer {
     /// Appends an `f64` as its IEEE-754 bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Appends an unsigned LEB128 varint: seven bits per byte, least
+    /// significant group first, the high bit set on every byte but the last
+    /// (1 byte below 128, at most 10).
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -92,7 +118,11 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let out = self.bytes.get(self.pos..self.pos + n).ok_or_else(|| {
+        // `checked_add`: `n` can be a decoded length as large as the input
+        // cares to claim.
+        let end = self.pos.checked_add(n);
+        let out = end.and_then(|end| self.bytes.get(self.pos..end));
+        let out = out.ok_or_else(|| {
             format!(
                 "truncated input: need {n} bytes at offset {}, have {}",
                 self.pos,
@@ -137,11 +167,39 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Reads a varint written by [`Writer::put_varint`]; an encoding that
+    /// does not fit 64 bits is an error.
+    pub fn get_varint(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        for shift in (0..u64::BITS).step_by(7) {
+            let byte = self.get_u8()?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                break; // the tenth byte has room for bit 63 only
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(format!("varint overflows 64 bits at offset {}", self.pos))
+    }
+
+    /// Reads a varint that counts something held in memory.
+    fn get_len(&mut self) -> Result<usize, String> {
+        let v = self.get_varint()?;
+        usize::try_from(v).map_err(|_| format!("length {v} exceeds the address space"))
+    }
+
+    /// Reads `len` bytes of UTF-8, borrowed from the input.
+    fn get_utf8(&mut self, len: usize) -> Result<&'a str, String> {
+        std::str::from_utf8(self.take(len)?).map_err(|e| format!("invalid UTF-8 string: {e}"))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, String> {
         let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
+        self.get_utf8(len).map(str::to_owned)
     }
 }
 
@@ -186,9 +244,173 @@ pub fn decode_value(r: &mut Reader) -> Result<Value, String> {
         },
         TAG_INT => Ok(Value::Int(r.get_i64()?)),
         TAG_DOUBLE => Ok(Value::Double(r.get_f64()?)),
-        TAG_STR => Ok(Value::str(r.get_str()?)),
+        TAG_STR => {
+            let len = r.get_u32()? as usize;
+            Ok(Value::Str(Arc::from(r.get_utf8(len)?)))
+        }
         other => Err(format!("invalid value tag {other}")),
     }
+}
+
+/// Ceiling on the rows of one column block, enforced by the decoder
+/// before it allocates. A run of any length costs a few bytes, so bytes
+/// remaining say nothing about how many rows a block may claim; a fixed
+/// ceiling does. (The server streams 256-row batches.)
+pub const MAX_BLOCK_ROWS: usize = 1 << 16;
+
+/// Ceiling on `rows × columns` of one column block, for the same reason:
+/// what the decoder allocates is bounded by this, not by the input.
+pub const MAX_BLOCK_VALUES: usize = 1 << 22;
+
+// Column kinds of a column block (part of the wire format).
+/// Every value is an `Int`: zig-zag varint deltas.
+const COL_INT: u8 = 0;
+/// Every value is a `Str`: runs of equal strings.
+const COL_STR: u8 = 1;
+/// Anything else: runs of [`encode_value`]s.
+const COL_ANY: u8 = 2;
+
+/// Zig-zag: small magnitudes of either sign become small unsigned numbers.
+fn zigzag(d: i64) -> u64 {
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
+/// Encodes a batch of rows column by column:
+///
+/// ```text
+/// [count: varint] [arity: varint] arity × ( [kind: u8] [column data] )
+/// ```
+///
+/// Each column's kind is chosen from the values it holds in *this* batch
+/// (a schema says `DOUBLE` where an aggregate over no rows says NULL):
+///
+/// * all `Int` → `count` zig-zag varints, each the wrapping difference
+///   from the value above it (the first from 0);
+/// * all `Str` → runs `[run: varint] [len: varint] [bytes]` of equal
+///   neighbours;
+/// * otherwise → runs `[run: varint] [encode_value]`, where only NULLs are
+///   gathered into runs longer than 1.
+///
+/// Runs are never empty and add up to `count`. The arity is the first
+/// row's; a [`Table`]'s rows all share it (a row short of it would encode
+/// NULLs there, values beyond it are not sent).
+pub fn encode_columns(w: &mut Writer, rows: &[Row]) {
+    let arity = rows.first().map_or(0, Row::arity);
+    debug_assert!(rows.iter().all(|r| r.arity() == arity));
+    w.put_varint(rows.len() as u64);
+    w.put_varint(arity as u64);
+    for c in 0..arity {
+        let column = || {
+            rows.iter()
+                .map(|r| r.values().get(c).unwrap_or(&Value::Null))
+        };
+        if column().all(|v| matches!(v, Value::Int(_))) {
+            w.put_u8(COL_INT);
+            let mut prev = 0i64;
+            for i in column().filter_map(Value::as_int) {
+                w.put_varint(zigzag(i.wrapping_sub(prev)));
+                prev = i;
+            }
+        } else if column().all(|v| matches!(v, Value::Str(_))) {
+            w.put_u8(COL_STR);
+            let mut strs = column().filter_map(Value::as_str).peekable();
+            while let Some(s) = strs.next() {
+                let mut run = 1u64;
+                while strs.next_if(|next| *next == s).is_some() {
+                    run += 1;
+                }
+                w.put_varint(run);
+                w.put_varint(s.len() as u64);
+                w.put_raw(s.as_bytes());
+            }
+        } else {
+            w.put_u8(COL_ANY);
+            let mut values = column().peekable();
+            while let Some(v) = values.next() {
+                let mut run = 1u64;
+                while v.is_null() && values.next_if(|next| next.is_null()).is_some() {
+                    run += 1;
+                }
+                w.put_varint(run);
+                encode_value(w, v);
+            }
+        }
+    }
+}
+
+/// Decodes a column block written by [`encode_columns`]. Total: a count
+/// above [`MAX_BLOCK_ROWS`], `count × arity` above [`MAX_BLOCK_VALUES`], an
+/// arity the remaining bytes cannot hold (a column costs at least its kind
+/// byte), an empty or overlong run, an unknown kind, an overflowing varint
+/// or invalid UTF-8 are errors, all found before the allocation they would
+/// size. The strings of one run share one `Arc<str>`.
+pub fn decode_columns(r: &mut Reader) -> Result<Vec<Row>, String> {
+    let count = r.get_len()?;
+    if count > MAX_BLOCK_ROWS {
+        return Err(format!(
+            "column block claims {count} rows, above the ceiling of {MAX_BLOCK_ROWS}"
+        ));
+    }
+    let arity = r.get_len()?;
+    if arity > r.remaining() {
+        return Err(format!(
+            "column block claims {arity} columns in {} bytes",
+            r.remaining()
+        ));
+    }
+    if count.saturating_mul(arity) > MAX_BLOCK_VALUES {
+        return Err(format!(
+            "column block claims {count} × {arity} values, above the ceiling of {MAX_BLOCK_VALUES}"
+        ));
+    }
+    let mut rows: Vec<Row> = (0..count)
+        .map(|_| Row::new(Vec::with_capacity(arity)))
+        .collect();
+    for _ in 0..arity {
+        match r.get_u8()? {
+            COL_INT => {
+                let mut prev = 0i64;
+                for row in &mut rows {
+                    prev = prev.wrapping_add(unzigzag(r.get_varint()?));
+                    row.0.push(Value::Int(prev));
+                }
+            }
+            COL_STR => fill_runs(r, &mut rows, |r| {
+                let len = r.get_len()?;
+                Ok(Value::Str(Arc::from(r.get_utf8(len)?)))
+            })?,
+            COL_ANY => fill_runs(r, &mut rows, decode_value)?,
+            other => return Err(format!("invalid column kind {other}")),
+        }
+    }
+    Ok(rows)
+}
+
+/// Appends one run-length column to `rows`: `[run: varint] [value]` until
+/// every row has its value, each run's value decoded once and cloned.
+fn fill_runs(
+    r: &mut Reader,
+    rows: &mut [Row],
+    mut value: impl FnMut(&mut Reader) -> Result<Value, String>,
+) -> Result<(), String> {
+    let mut rest = rows;
+    while !rest.is_empty() {
+        let run = r.get_len()?;
+        if run == 0 || run > rest.len() {
+            return Err(format!("run of {run} with {} row(s) left", rest.len()));
+        }
+        let v = value(r)?;
+        let (filled, tail) = rest.split_at_mut(run);
+        for row in filled {
+            row.0.push(v.clone());
+        }
+        rest = tail;
+    }
+    Ok(())
 }
 
 fn encode_type(w: &mut Writer, ty: SqlType) {
@@ -355,7 +577,219 @@ pub fn decode_catalog(r: &mut Reader) -> Result<Catalog, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use storage::row;
+
+    fn encoded_columns(rows: &[Row]) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode_columns(&mut w, rows);
+        w.into_bytes()
+    }
+
+    fn decoded_columns(bytes: &[u8]) -> Result<Vec<Row>, String> {
+        let mut r = Reader::new(bytes);
+        let rows = decode_columns(&mut r)?;
+        assert!(r.is_empty(), "decode must consume the full block");
+        Ok(rows)
+    }
+
+    /// One cell of a random batch. `mode` is the column's: 0 → all `Int`
+    /// (extremes next to each other, so deltas wrap), 1 → all `Str` from a
+    /// small pool (runs; each a fresh `Arc`), otherwise a mixture heavy in
+    /// NULLs and awkward doubles.
+    fn cell(mode: u8, pick: u8, n: i64) -> Value {
+        const STRS: [&str; 4] = ["", "Ann", "žluťoučký kůň 🐎", "Ann "];
+        const DOUBLES: [f64; 6] = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 2.5];
+        match (mode, pick % 8) {
+            (0, 0) => Value::Int(i64::MIN),
+            (0, 1) => Value::Int(i64::MAX),
+            (0, _) => Value::Int(n),
+            (1, p) => Value::str(STRS[p as usize % 4]),
+            (_, 0..=2) => Value::Null,
+            (_, 3) => Value::Int(n),
+            (_, 4) => Value::Double(DOUBLES[n.unsigned_abs() as usize % 6]),
+            (_, 5) => Value::Double(n as f64 / 3.0),
+            (_, 6) => Value::Bool(n % 2 == 0),
+            (_, _) => Value::str(STRS[n.unsigned_abs() as usize % 4]),
+        }
+    }
+
+    proptest! {
+        /// Any batch comes back as it went in — zero rows, zero-arity rows,
+        /// doubles by bit pattern — and no trailing byte is left.
+        #[test]
+        fn prop_column_blocks_round_trip(
+            count in 0usize..40,
+            modes in proptest::collection::vec(0u8..4, 0..5),
+            cells in proptest::collection::vec((0u8..8, -50i64..50), 200),
+        ) {
+            let arity = modes.len();
+            let rows: Vec<Row> = (0..count)
+                .map(|i| {
+                    modes
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &mode)| {
+                            let (pick, n) = cells[i * arity + c];
+                            cell(mode, pick, n)
+                        })
+                        .collect()
+                })
+                .collect();
+            let back = decoded_columns(&encoded_columns(&rows)).unwrap();
+            prop_assert_eq!(back.len(), rows.len());
+            for (a, b) in rows.iter().zip(&back) {
+                prop_assert_eq!(a.arity(), b.arity());
+                for (x, y) in a.values().iter().zip(b.values()) {
+                    match (x, y) {
+                        (Value::Double(x), Value::Double(y)) => {
+                            prop_assert_eq!(x.to_bits(), y.to_bits())
+                        }
+                        _ => prop_assert_eq!(x, y),
+                    }
+                }
+            }
+        }
+
+        /// Varints of every width round-trip.
+        #[test]
+        fn prop_varints_round_trip(v in 0u64..u64::MAX, shift in 0u32..64) {
+            for v in [v >> shift, u64::MAX >> shift, 1u64 << shift] {
+                let mut w = Writer::new();
+                w.put_varint(v);
+                let bytes = w.into_bytes();
+                prop_assert!(bytes.len() <= 10);
+                let mut r = Reader::new(&bytes);
+                prop_assert_eq!(r.get_varint().unwrap(), v);
+                prop_assert!(r.is_empty());
+            }
+        }
+
+        /// Garbage never panics the block decoder, whatever it claims.
+        #[test]
+        fn prop_garbage_column_blocks_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..120),
+        ) {
+            let _ = decode_columns(&mut Reader::new(&bytes));
+        }
+    }
+
+    #[test]
+    fn varint_overflow_and_truncation_are_errors() {
+        // Ten continuation bytes never end; an eleventh group has no bits left.
+        assert!(Reader::new(&[0xFF; 10]).get_varint().is_err());
+        // The tenth byte may carry bit 63 only.
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(Reader::new(&max).get_varint().unwrap(), u64::MAX);
+        let mut over = vec![0xFF; 9];
+        over.push(0x02);
+        assert!(Reader::new(&over)
+            .get_varint()
+            .unwrap_err()
+            .contains("overflows"));
+        assert!(Reader::new(&[0x80]).get_varint().is_err());
+        assert!(Reader::new(&[]).get_varint().is_err());
+    }
+
+    #[test]
+    fn extreme_integers_wrap_through_the_delta() {
+        let rows: Vec<Row> = [i64::MAX, i64::MIN, -1, i64::MIN, i64::MAX, 0, i64::MAX]
+            .into_iter()
+            .map(|i| row![i])
+            .collect();
+        assert_eq!(decoded_columns(&encoded_columns(&rows)).unwrap(), rows);
+    }
+
+    #[test]
+    fn a_sorted_result_shrinks_to_runs_and_deltas() {
+        // 200 rows of (key, begin, end) as a coalesced result has them: one
+        // byte per endpoint, one run for the key.
+        let rows: Vec<Row> = (0..200i64).map(|i| row!["Ann", 3 * i, 3 * i + 2]).collect();
+        let bytes = encoded_columns(&rows);
+        // count (2) + arity + kind, run (2), len, "Ann" + 2 × (kind + 200 deltas)
+        assert_eq!(bytes.len(), 3 + 1 + 2 + 1 + 3 + 2 * 201);
+        assert_eq!(decoded_columns(&bytes).unwrap(), rows);
+    }
+
+    #[test]
+    fn equal_strings_of_a_run_come_back_as_one_arc() {
+        // Different `Arc`s with equal content going in...
+        let rows: Vec<Row> = ["a", "a", "a", "b", "a"].map(|s| row![s, 1]).into();
+        let back = decoded_columns(&encoded_columns(&rows)).unwrap();
+        assert_eq!(back, rows);
+        let arc = |i: usize| match back[i].get(0) {
+            Value::Str(s) => Arc::clone(s),
+            other => panic!("string expected, got {other}"),
+        };
+        // ...one shared `Arc` per run coming out.
+        assert!(Arc::ptr_eq(&arc(0), &arc(1)) && Arc::ptr_eq(&arc(1), &arc(2)));
+        assert!(!Arc::ptr_eq(&arc(2), &arc(3)));
+    }
+
+    #[test]
+    fn null_runs_collapse_and_other_values_do_not() {
+        let mut rows: Vec<Row> = (0..100).map(|_| Row::new(vec![Value::Null])).collect();
+        rows.push(row![1.5]);
+        rows.push(row![1.5]);
+        let bytes = encoded_columns(&rows);
+        // count, arity, kind, (100, NULL), 2 × (1, tag + f64)
+        assert_eq!(bytes.len(), 3 + 2 + 2 * 10);
+        assert_eq!(decoded_columns(&bytes).unwrap(), rows);
+    }
+
+    /// Satellite: a few bytes must not be able to claim a mountain of rows.
+    #[test]
+    fn absurd_column_blocks_are_refused_before_allocation() {
+        let block = |parts: &[u64], tail: &[u8]| {
+            let mut w = Writer::new();
+            for &p in parts {
+                w.put_varint(p);
+            }
+            w.put_raw(tail);
+            w.into_bytes()
+        };
+        let err = |bytes: Vec<u8>| decoded_columns(&bytes).unwrap_err();
+        // 2^28 rows in a dozen bytes: over the row ceiling.
+        assert!(err(block(
+            &[1 << 28, 1],
+            &[COL_ANY, 0xFF, 0xFF, 0xFF, 0x7F, TAG_NULL]
+        ))
+        .contains("ceiling"));
+        assert!(err(block(&[u64::MAX, 0], &[])).contains("ceiling"));
+        // Exactly the ceiling is fine when the bytes back it up.
+        let at_ceiling = block(&[MAX_BLOCK_ROWS as u64, 0], &[]);
+        assert_eq!(decoded_columns(&at_ceiling).unwrap().len(), MAX_BLOCK_ROWS);
+        // More columns than bytes left.
+        assert!(err(block(&[1, 5], &[COL_INT, 0])).contains("columns"));
+        // Rows × columns over the value ceiling, each under its own.
+        let wide = block(&[MAX_BLOCK_ROWS as u64, 65], &[COL_INT; 80]);
+        assert!(err(wide).contains("values"));
+        // A run of 0, and a run past the rows left.
+        assert!(err(block(&[2, 1], &[COL_ANY, 0, TAG_NULL])).contains("run of 0"));
+        assert!(err(block(&[2, 1], &[COL_ANY, 3, TAG_NULL])).contains("run of 3"));
+        assert!(err(block(&[2, 1], &[COL_STR, 1, 0, 2, 0])).contains("run of 2"));
+        // An unknown column kind, invalid UTF-8, a string longer than the input.
+        assert!(err(block(&[1, 1], &[9, 0])).contains("column kind"));
+        assert!(err(block(&[1, 1], &[COL_STR, 1, 2, 0xC3, 0x28])).contains("UTF-8"));
+        assert!(err(block(
+            &[1, 1],
+            &[COL_STR, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, b'a']
+        ))
+        .contains("truncated"));
+        let mut huge_len = block(&[1, 1], &[COL_STR, 1]);
+        huge_len.extend_from_slice(&block(&[u64::MAX], b"a"));
+        assert!(err(huge_len).contains("truncated"));
+        // Truncation anywhere in a valid block.
+        let rows: Vec<Row> = (0..5i64).map(|i| row!["k", i, Value::Null, 0.5]).collect();
+        let bytes = encoded_columns(&rows);
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_columns(&mut Reader::new(&bytes[..cut])).is_err(),
+                "cut {cut}"
+            );
+        }
+    }
 
     fn sample_catalog() -> Catalog {
         let mut works = Table::with_period(

@@ -10,7 +10,8 @@
 //!
 //! * [`codec`] — length-/CRC-framed little-endian binary encoding of
 //!   values, rows, schemas, tables (including version epochs and
-//!   append-checkpoint histories), and catalogs,
+//!   append-checkpoint histories), and catalogs; plus the column block
+//!   the wire protocol ships result batches in,
 //! * [`log`] — the statement-level WAL ([`Wal`]): append with a
 //!   configurable [`SyncPolicy`], scan-with-truncation of torn tails,
 //! * [`checkpoint`] — atomic (temp file + rename) catalog snapshots with

@@ -4,22 +4,28 @@
 //! (`snapshot_cancel` from one client kills another's statement), the
 //! server-wide statement-timeout default propagates to every connection
 //! (and per-connection overrides clear it), graceful shutdown leaves a
-//! recoverable WAL-consistent database, and a socket killed mid-query
-//! leaves no ghost rows in `snapshot_stat_activity`.
+//! recoverable WAL-consistent database, a socket killed mid-query or
+//! mid-result leaves no ghost rows in `snapshot_stat_activity`, a
+//! multi-batch result arrives in the executor's row order with every byte
+//! accounted, and a server that sends a malformed result gets an `Err`
+//! from the client, not a panic.
 //!
 //! The activity registry and metrics are process globals, so every test
 //! takes `snapshot_obs::testing::serial_guard()`.
 
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::rewrite::infer_domain;
-use snapshot_semantics::server::protocol::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
+use snapshot_semantics::server::protocol::{
+    read_frame, write_frame, Frame, PROTOCOL_VERSION, ROW_BATCH,
+};
 use snapshot_semantics::server::{
     Client, RemoteError, RemoteResult, Server, ServerConfig, ServerHandle,
 };
+use snapshot_semantics::session::StatementResult;
 use snapshot_semantics::session::{PersistenceOptions, SessionOptions, SharedDatabase, SyncPolicy};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
-use snapshot_semantics::storage::{Catalog, Row, Table, Value};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use snapshot_semantics::storage::{Catalog, Row, Schema, SqlType, Table, Value};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -656,23 +662,25 @@ fn connection_limit_and_version_mismatch_are_refused_cleanly() {
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    // A wrong protocol version is answered with an Error frame.
-    let mut raw = TcpStream::connect(addr).expect("connect");
-    write_frame(
-        &mut raw,
-        &Frame::Hello {
-            protocol_version: PROTOCOL_VERSION + 1,
-            client: "time-traveller".to_string(),
-        },
-    )
-    .unwrap();
-    match read_frame(&mut raw) {
-        Ok((Frame::Error { message }, _)) => {
-            assert!(message.contains("protocol version mismatch"), "{message}")
+    // A wrong protocol version — the row-wise version 1 this server used
+    // to speak, or one from the future — is answered with an Error frame.
+    for version in [1, PROTOCOL_VERSION + 1] {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        write_frame(
+            &mut raw,
+            &Frame::Hello {
+                protocol_version: version,
+                client: "time-traveller".to_string(),
+            },
+        )
+        .unwrap();
+        match read_frame(&mut raw) {
+            Ok((Frame::Error { message }, _)) => {
+                assert!(message.contains("protocol version mismatch"), "{message}")
+            }
+            other => panic!("expected a version refusal, got {other:?}"),
         }
-        other => panic!("expected a version refusal, got {other:?}"),
     }
-    drop(raw);
 
     // The server is still healthy: a well-versioned client connects.
     let mut ok = Client::connect(addr).expect("healthy after refusals");
@@ -686,4 +694,289 @@ fn connection_limit_and_version_mismatch_are_refused_cleanly() {
         .join()
         .expect("server thread")
         .expect("clean shutdown");
+}
+
+/// Handshake a hand-driven connection; returns the session id it got and
+/// the size of the `Welcome` frame that carried it.
+fn raw_hello(raw: &mut TcpStream, client: &str) -> (u64, u64) {
+    write_frame(
+        raw,
+        &Frame::Hello {
+            protocol_version: PROTOCOL_VERSION,
+            client: client.to_string(),
+        },
+    )
+    .unwrap();
+    match read_frame(raw).expect("welcome") {
+        (Frame::Welcome { session_id, .. }, n) => (session_id, n as u64),
+        (other, _) => panic!("expected Welcome, got {other:?}"),
+    }
+}
+
+/// Poll `done` until it holds; panics with `what` after 30 s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A `SEQ VT` join whose result crosses four batch boundaries — string
+/// runs, NULLs and doubles straddling them — comes off a real socket as
+/// the *same row sequence* the in-process session produces (the order is
+/// part of the encoding's uniqueness, not just the bag), and
+/// `server_bytes_sent_total` moves by exactly the bytes the client read.
+#[test]
+fn multi_batch_result_arrives_in_order_with_every_byte_accounted() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let shared = SharedDatabase::in_memory();
+    let (addr, _handle, server) = start_server(shared.clone(), ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    run_ok(
+        &mut client,
+        "CREATE TABLE srv_emp (name TEXT, dept TEXT, pay DOUBLE, ts INT, te INT) PERIOD (ts, te);
+         CREATE TABLE srv_dept (dept TEXT, boss TEXT, ts INT, te INT) PERIOD (ts, te);",
+    );
+    let mut emp = String::from("INSERT INTO srv_emp VALUES ");
+    for i in 0..400 {
+        let pay = match i % 5 {
+            0 | 1 => "NULL".to_string(),
+            _ => format!("{}.25", 1000 + i),
+        };
+        let sep = if i == 0 { "" } else { ", " };
+        emp.push_str(&format!(
+            "{sep}('emp{:03}', 'D{}', {pay}, {}, {})",
+            i / 3,
+            i % 4,
+            i % 50,
+            i % 50 + 30
+        ));
+    }
+    let mut dept = String::from("INSERT INTO srv_dept VALUES ");
+    for d in 0..4 {
+        for k in 0..3 {
+            let sep = if d + k == 0 { "" } else { ", " };
+            dept.push_str(&format!(
+                "{sep}('D{d}', 'boss{k}', {}, {})",
+                20 * k,
+                20 * k + 45
+            ));
+        }
+    }
+    run_ok(&mut client, &format!("{emp}; {dept};"));
+    let sql =
+        "SEQ VT (SELECT e.name, e.pay, d.boss FROM srv_emp e JOIN srv_dept d ON e.dept = d.dept);";
+
+    let StatementResult::Rows(expected) = shared.session().execute(sql).expect("in-process") else {
+        panic!("rows expected")
+    };
+    assert!(
+        expected.len() > 4 * ROW_BATCH,
+        "the result must span more than four batches, got {} rows",
+        expected.len()
+    );
+    let column = |c: usize| expected.rows().iter().map(move |r| r.get(c));
+    assert!(column(1).any(Value::is_null) && column(1).any(|v| matches!(v, Value::Double(_))));
+
+    // Through `Client`: same rows, same order.
+    let results = run_ok(&mut client, sql);
+    assert_eq!(first_rows(&results).rows(), expected.rows());
+    assert_eq!(first_rows(&results).period(), expected.period());
+
+    // By hand, counting every byte of a connection: `Welcome`, then the
+    // response up to `Ready`.
+    let sent = snapshot_obs::registry().counter("server_bytes_sent_total");
+    let sent_before = sent.get();
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    let (_, mut consumed) = raw_hello(&mut raw, "byte-counter");
+    write_frame(&mut raw, &Frame::Query { sql: sql.into() }).unwrap();
+    let (mut batches, mut rows) = (0, Vec::new());
+    loop {
+        let (frame, n) = read_frame(&mut raw).expect("response frame");
+        consumed += n as u64;
+        match frame {
+            Frame::RowBatch { rows: batch } => {
+                batches += 1;
+                rows.extend(batch);
+            }
+            Frame::Ready { .. } => break,
+            Frame::RowHeader { .. } | Frame::RowEnd { .. } => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!(batches, expected.len().div_ceil(ROW_BATCH));
+    assert_eq!(rows, expected.rows());
+    // The server counts a frame after writing it, so the last add can trail
+    // the client's read of `Ready`; it must land on the byte.
+    wait_until("server_bytes_sent_total never caught up", || {
+        sent.get() - sent_before >= consumed
+    });
+    assert_eq!(sent.get() - sent_before, consumed);
+
+    drop(raw);
+    client.shutdown_server().expect("shutdown request");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+/// A client that vanishes in the middle of a multi-batch result: the
+/// server is parked in a write the client will never drain, the write
+/// fails, the connection thread exits and the session's activity row
+/// deregisters exactly once.
+#[test]
+fn client_dropped_mid_result_fails_the_stream_and_deregisters_once() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut setup = Client::connect(addr).expect("connect");
+    run_ok(&mut setup, "CREATE TABLE srv_wide (x INT, pad TEXT);");
+    // 300 rows of distinct 200-byte strings; the self-join below ships
+    // ~90 000 rows × 400 bytes that no run or delta shrinks — far more
+    // than the socket buffers between the two ends hold.
+    let mut insert = String::from("INSERT INTO srv_wide VALUES ");
+    for i in 0..300 {
+        let sep = if i == 0 { "" } else { ", " };
+        insert.push_str(&format!("{sep}({i}, '{}')", format!("{i:04}").repeat(50)));
+    }
+    run_ok(&mut setup, &insert);
+
+    let sent = snapshot_obs::registry().counter("server_bytes_sent_total");
+    let sent_before = sent.get();
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    let (session_id, welcome_bytes) = raw_hello(&mut raw, "half-reader");
+    write_frame(
+        &mut raw,
+        &Frame::Query {
+            sql: "SELECT a.pad, b.pad FROM srv_wide a JOIN srv_wide b ON a.x <> b.x;".into(),
+        },
+    )
+    .unwrap();
+    // Read into the result — header and two batches — then vanish.
+    for expected in ["RowHeader", "RowBatch", "RowBatch"] {
+        let (frame, _) = read_frame(&mut raw).expect("result frame");
+        assert!(format!("{frame:?}").starts_with(expected), "{frame:?}");
+    }
+    raw.shutdown(Shutdown::Both).unwrap();
+    drop(raw);
+
+    wait_until("ghost activity row after a mid-result drop", || {
+        !snapshot_obs::sessions_snapshot()
+            .iter()
+            .any(|s| s.session_id == session_id)
+    });
+    assert!(
+        snapshot_obs::sessions_snapshot()
+            .iter()
+            .any(|s| s.session_id == setup.session_id),
+        "the surviving connection keeps its row"
+    );
+    let gauge = snapshot_obs::registry().gauge("server_connections_active");
+    wait_until("torn connection never left the registry", || {
+        gauge.get() == 1
+    });
+    // Bytes are counted per completed result: a stream that failed midway
+    // added nothing, which is how the failure shows from outside.
+    assert_eq!(
+        sent.get() - sent_before,
+        welcome_bytes,
+        "write_rowset must have failed"
+    );
+
+    setup.shutdown_server().expect("shutdown request");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+/// A scripted stand-in for the server: handshakes, reads one request and
+/// answers it with `response`, then holds the socket until the client
+/// lets go. Returns the address to connect to.
+fn fake_server(response: Vec<Frame>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let thread = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let (hello, _) = read_frame(&mut stream).expect("hello");
+        assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
+        write_frame(
+            &mut stream,
+            &Frame::Welcome {
+                protocol_version: PROTOCOL_VERSION,
+                server: "fake".into(),
+                session_id: 1,
+            },
+        )
+        .unwrap();
+        let (request, _) = read_frame(&mut stream).expect("request");
+        assert!(matches!(request, Frame::Query { .. }), "{request:?}");
+        // The client may hang up at the first frame it refuses.
+        let _ = response
+            .iter()
+            .try_for_each(|frame| write_frame(&mut stream, frame).map(drop));
+        while read_frame(&mut stream).is_ok() {}
+    });
+    (addr, thread)
+}
+
+/// North-star 3 on the client's side of the wire: a buggy or hostile
+/// server cannot panic `Client`. A period naming columns the schema does
+/// not have, or a `STR` column; a batch of the wrong arity; a row whose
+/// period is empty — each is a `Connection` error and the process lives.
+#[test]
+fn malformed_results_are_connection_errors_not_panics() {
+    let schema = || {
+        Schema::of(&[
+            ("name", SqlType::Str),
+            ("ts", SqlType::Int),
+            ("te", SqlType::Int),
+        ])
+    };
+    let header = |period| Frame::RowHeader {
+        schema: schema(),
+        period: Some(period),
+    };
+    let batch = |values: Vec<Value>| Frame::RowBatch {
+        rows: vec![Row::new(values)],
+    };
+    let ann = || Value::str("Ann");
+    let scripts: Vec<(&str, Vec<Frame>)> = vec![
+        ("period out of range", vec![header((7, 9))]),
+        ("period on a STR column", vec![header((0, 2))]),
+        (
+            "batch of the wrong arity",
+            vec![header((1, 2)), batch(vec![ann(), Value::Int(3)])],
+        ),
+        (
+            "begin >= end",
+            vec![
+                header((1, 2)),
+                batch(vec![ann(), Value::Int(5), Value::Int(5)]),
+            ],
+        ),
+        (
+            "NULL period endpoint",
+            vec![
+                header((1, 2)),
+                batch(vec![ann(), Value::Null, Value::Int(5)]),
+            ],
+        ),
+    ];
+    for (what, mut response) in scripts {
+        // A trailer that agrees with the batches: nothing else is wrong.
+        let rows = response.len() as u64 - 1;
+        response.push(Frame::RowEnd { rows });
+        response.push(Frame::Ready { in_txn: false });
+        let (addr, fake) = fake_server(response);
+        let mut client = Client::connect(addr).expect("handshake with the fake");
+        match client.query("SELECT 1;") {
+            Err(RemoteError::Connection(_)) => {}
+            other => panic!("{what}: expected a connection error, got {other:?}"),
+        }
+        drop(client);
+        fake.join().expect("fake server thread");
+    }
 }
