@@ -250,16 +250,37 @@ impl Plan {
         }
     }
 
-    /// Filter.
+    /// Filter. Over a `Join` it is the join's condition: `predicate`,
+    /// restated over the pair through the join's `output`
+    /// ([`Expr::substitute`]), is `AND`ed onto `condition` — so a rejected
+    /// pair builds no row, and an equality or overlap among the filter's
+    /// conjuncts can pick the join's route. As in [`Plan::project`], only
+    /// while that reads no computed output expression twice.
     pub fn filter(self, predicate: Expr) -> Plan {
         let schema = self.schema.clone();
-        Plan {
-            node: PlanNode::Filter {
-                input: Box::new(self),
+        let node = match self.node {
+            PlanNode::Join {
+                left,
+                right,
+                condition,
+                algo,
+                output,
+            } if inlines_once(std::slice::from_ref(&predicate), &output) => PlanNode::Join {
+                left,
+                right,
+                condition: condition.and(predicate.substitute(&output)),
+                algo,
+                output,
+            },
+            node => PlanNode::Filter {
+                input: Box::new(Plan {
+                    node,
+                    schema: self.schema,
+                }),
                 predicate,
             },
-            schema,
-        }
+        };
+        Plan { node, schema }
     }
 
     /// Projection; output columns named by `names` (or synthesized).
@@ -923,6 +944,43 @@ mod tests {
         };
         assert_eq!(output, &[es[2].clone(), es[0].clone()]);
         assert_eq!(q.children().len(), 2);
+    }
+
+    #[test]
+    fn filter_over_a_join_is_the_joins_condition() {
+        let cond = Expr::col(1).eq(Expr::col(5));
+        let join = |output: Vec<Expr>| {
+            let n = output.len();
+            Plan::scan("a", works_schema())
+                .join(Plan::scan("b", works_schema()), cond.clone())
+                .project(output, (0..n).map(|i| format!("c{i}")).collect())
+                .unwrap()
+        };
+        let begin = Expr::Greatest(vec![Expr::col(2), Expr::col(6)]);
+        // The predicate is restated over the pair and joins the condition;
+        // schema and output stay what they were.
+        let p = join(vec![Expr::col(4), begin.clone()]).filter(
+            Expr::col(0)
+                .eq(Expr::lit("Ann"))
+                .and(Expr::col(1).lt(Expr::lit(9))),
+        );
+        assert_eq!(
+            p.node_label(),
+            "Join on ((#1 = #5) AND ((#4 = 'Ann') AND (GREATEST(#2, #6) < 9))) → \
+             [#4, GREATEST(#2, #6)]"
+        );
+        assert_eq!(p.schema.arity(), 2);
+        assert_eq!(p.schema.column(0).name, "c0");
+        // A computed output read twice would be computed twice per pair on
+        // top of the row's own copy: the Filter stays a node.
+        let twice = join(vec![begin]).filter(Expr::col(0).lt(Expr::col(0)));
+        let PlanNode::Filter { input, .. } = &twice.node else {
+            panic!("expected a Filter over the join, got\n{twice}")
+        };
+        assert!(matches!(&input.node, PlanNode::Join { condition, .. } if *condition == cond));
+        // Over anything else a filter is a Filter.
+        let scan = Plan::scan("a", works_schema()).filter(Expr::col(2).lt(Expr::lit(9)));
+        assert!(matches!(scan.node, PlanNode::Filter { .. }));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Plan execution.
 
 use crate::coalesce::try_coalesce_rows;
-use crate::eval::{eval_expr, eval_predicate, Pair};
+use crate::eval::{conjuncts, eval_expr, Pair, Prepared};
 use crate::sliding::SlidingAgg;
 use crate::split::split_rows;
 use crate::temporal::{agg_arg, agg_arg_types, temporal_aggregate, temporal_except_all};
@@ -361,16 +361,15 @@ impl Engine {
             }
             PlanNode::Values { rows } => Cow::Borrowed(&rows[..]),
             PlanNode::Filter { input, predicate } => {
-                retain(self.run(input, env)?, &self.ctx, |r| {
-                    eval_predicate(predicate, r)
-                })?
-                .into()
+                let predicate = Prepared::new(predicate);
+                retain(self.run(input, env)?, &self.ctx, |r| predicate.holds(r))?.into()
             }
             PlanNode::Project { input, exprs } => {
                 let input_rows = self.run(input, env)?;
+                let exprs: Vec<Prepared> = exprs.iter().map(Prepared::new).collect();
                 input_rows
                     .iter()
-                    .map(|r| Row::new(exprs.iter().map(|e| eval_expr(e, r)).collect()))
+                    .map(|r| exprs.iter().map(|e| e.value(r)).collect())
                     .collect()
             }
             PlanNode::Join {
@@ -575,7 +574,7 @@ impl Engine {
         let ctx = &self.ctx;
         let l_arity = left_plan.schema.arity();
         let r_arity = right_plan.schema.arity();
-        let conjuncts = collect_conjuncts(condition);
+        let conjuncts = conjuncts(condition);
         let equi = equi_keys(&conjuncts, l_arity);
         let overlap = overlap_pattern(&conjuncts, l_arity, r_arity);
 
@@ -619,12 +618,16 @@ impl Engine {
 
         // A pair that passed a join's own matching still has to satisfy
         // the full condition (residual conjuncts included); both it and
-        // the output row are evaluated on the borrowed pair, so a rejected
-        // pair allocates nothing and a surviving one allocates once.
+        // the output row are prepared once here and evaluated on the
+        // borrowed pair, so a rejected pair allocates nothing and a
+        // surviving one allocates once.
+        let condition = Prepared::new(condition);
+        let output: Vec<Prepared> = output.iter().map(Prepared::new).collect();
         let matched = |l: &Row, r: &Row| {
             let pair = Pair(l, r);
-            eval_predicate(condition, &pair)
-                .then(|| output.iter().map(|e| eval_expr(e, &pair)).collect::<Row>())
+            condition
+                .holds(&pair)
+                .then(|| output.iter().map(|e| e.value(&pair)).collect::<Row>())
         };
 
         Ok(match (resolved, overlap) {
@@ -778,25 +781,6 @@ fn op_name(node: &PlanNode) -> &'static str {
         PlanNode::TemporalAggregate { .. } => "TemporalAggregate",
         PlanNode::TemporalExceptAll { .. } => "TemporalExceptAll",
     }
-}
-
-fn collect_conjuncts(e: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    walk(e, &mut out);
-    out
 }
 
 /// Extracts `left_col = right_col` pairs from conjuncts.

@@ -31,7 +31,7 @@ pub mod split;
 pub mod temporal;
 pub mod vtab;
 
-pub use eval::{eval_expr, eval_predicate, like_match, Columns, Pair};
+pub use eval::{eval_expr, eval_predicate, like_match, Columns, Pair, Prepared};
 pub use exec::{
     explain_analyzed, resolve_parallelism, Engine, EngineConfig, ExecContext, ExecStats,
     NodeActuals, NodeStats,

@@ -18,6 +18,8 @@ pub struct SlidingAgg {
     arg_type: SqlType,
     rows: i64,
     non_null: i64,
+    /// Wrapping: a sum that leaves `i64` while a large row is active comes
+    /// back exactly once that row is removed.
     sum_int: i64,
     sum_double: f64,
     /// Multiset of the active non-NULL values — touched by `Min`/`Max`
@@ -51,7 +53,9 @@ impl SlidingAgg {
             (AggFunc::Min | AggFunc::Max, _) => {
                 *self.extremes.entry(v.clone()).or_insert(0) += 1;
             }
-            (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => self.sum_int += i,
+            (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => {
+                self.sum_int = self.sum_int.wrapping_add(*i)
+            }
             (AggFunc::Sum | AggFunc::Avg, Value::Double(d)) => self.sum_double += d,
             _ => {}
         }
@@ -73,7 +77,9 @@ impl SlidingAgg {
                     }
                 }
             }
-            (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => self.sum_int -= i,
+            (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => {
+                self.sum_int = self.sum_int.wrapping_sub(*i)
+            }
             (AggFunc::Sum | AggFunc::Avg, Value::Double(d)) => self.sum_double -= d,
             _ => {}
         }
@@ -148,6 +154,20 @@ mod tests {
         assert_eq!(s.current(), Value::Int(5));
         s.remove(&Value::Int(5));
         assert_eq!(s.current(), Value::Null); // sum of empty = NULL
+    }
+
+    /// A sum that leaves `i64` wraps instead of panicking, and is exact
+    /// again once the rows that pushed it out are gone.
+    #[test]
+    fn int_sum_wraps_and_comes_back() {
+        let big = Value::Int(i64::MAX);
+        let mut s = state_of(AggFunc::Sum, SqlType::Int, &[big.clone(), big.clone()]);
+        assert_eq!(s.current(), Value::Int(-2));
+        s.remove(&big);
+        assert_eq!(s.current(), big);
+        s.add(&Value::Int(i64::MIN));
+        s.remove(&big);
+        assert_eq!(s.current(), Value::Int(i64::MIN));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::database::{
 };
 use crate::shared::SharedDatabase;
 use algebra::Plan;
-use engine::{eval_expr, eval_predicate, Engine, EngineConfig, ExecContext, ExecStats, NodeStats};
+use engine::{eval_expr, Engine, EngineConfig, ExecContext, ExecStats, NodeStats, Prepared};
 use index::{IndexCatalog, MaintenanceStats};
 use rewrite::{infer_domain, RewriteOptions, SnapshotCompiler};
 use snapshot_obs::{self as obs, LazyCounter, LazyHistogram, StatementError};
@@ -1084,8 +1084,9 @@ impl Session {
                 where_clause,
             } => {
                 let (_, pred) = bind_where_in(self.target_catalog(), table, where_clause.as_ref())?;
+                let pred = pred.as_ref().map(Prepared::new);
                 let rows = delete_where_in(self.target_catalog_mut(), table, |r| {
-                    pred.as_ref().is_none_or(|p| eval_predicate(p, r))
+                    pred.as_ref().is_none_or(|p| p.holds(r))
                 })?;
                 Ok((
                     StatementResult::Deleted {
@@ -1107,7 +1108,10 @@ impl Session {
                     let idx = schema.resolve(None, col)?;
                     bound.push((idx, bind_scalar_expr(ast, &schema)?));
                 }
-                let matches = |r: &Row| pred.as_ref().is_none_or(|p| eval_predicate(p, r));
+                let pred = pred.as_ref().map(Prepared::new);
+                let assign: Vec<(usize, Prepared)> =
+                    bound.iter().map(|(i, e)| (*i, Prepared::new(e))).collect();
+                let matches = |r: &Row| pred.as_ref().is_none_or(|p| p.holds(r));
                 // One pass: evaluate the assignments and conform each
                 // replacement to the schema; `Table::update_where` folds in
                 // the arity/period check and applies atomically (any error
@@ -1120,8 +1124,8 @@ impl Session {
                     .clone();
                 let rows = update_where_in(self.target_catalog_mut(), table, matches, |r| {
                     let mut values = r.values().to_vec();
-                    for (idx, e) in &bound {
-                        values[*idx] = eval_expr(e, r);
+                    for (idx, e) in &assign {
+                        values[*idx] = e.value(r);
                     }
                     conform_row(&stored_schema, Row::new(values))
                 })?;

@@ -53,6 +53,23 @@ SEQ VT (SELECT i.x, d.y FROM ints i JOIN doubles d ON i.x = d.y);
 DROP TABLE ints;
 DROP TABLE doubles;
 
+-- A WHERE over a join is the join's condition (one Join node, no Filter),
+-- and a LIKE filter walks its pattern without decoding it per row.
+EXPLAIN SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill WHERE a.mach <> 'M2');
+SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill WHERE a.mach <> 'M2');
+SEQ VT (SELECT name, skill FROM works WHERE name LIKE '_a%');
+
+-- INT arithmetic is checked: a result outside i64 is NULL, as x / 0 is —
+-- not a wrapped number, and not a panic that takes the connection with it.
+-- A snapshot sum passing through the edge wraps and comes back exact.
+CREATE TABLE edge (a INT, ts INT, te INT) PERIOD (ts, te);
+INSERT INTO edge VALUES (9223372036854775807, 0, 10), (9223372036854775807, 5, 15);
+SEQ VT (SELECT (0 - a - 1) / (0 - 1) AS q FROM edge);
+SEQ VT (SELECT a + 1 AS inc FROM edge);
+SEQ VT (SELECT a * 2 AS dbl FROM edge);
+SEQ VT (SELECT sum(a) AS total FROM edge);
+DROP TABLE edge;
+
 -- Mutate: appends take the incremental index path...
 INSERT INTO works VALUES ('Eve', 'SP', 0, 2), ('Pam', 'SP', 12, 19);
 .index

@@ -4,7 +4,7 @@
 use snapshot_semantics::engine::Engine;
 use snapshot_semantics::rewrite::{infer_domain, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement};
-use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table};
+use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table, Value};
 use snapshot_semantics::timeline::TimeDomain;
 
 fn catalog() -> Catalog {
@@ -130,6 +130,63 @@ fn run_on(c: &Catalog, sql: &str) -> Result<Vec<Row>, String> {
     Ok(Engine::new().execute(&plan, c)?.rows().to_vec())
 }
 
+/// Regression: `Int` `+ - * /` used to wrap in release builds and panic in
+/// debug ones — and `i64::MIN / -1` panicked in both, taking a server's
+/// connection thread with it. A result outside `i64` is NULL, as `x / 0`
+/// is; a snapshot `sum` passing through the edge wraps and comes back.
+#[test]
+fn int_overflow_is_null_and_a_sliding_sum_survives_it() {
+    let schema = Schema::of(&[
+        ("a", SqlType::Int),
+        ("ts", SqlType::Int),
+        ("te", SqlType::Int),
+    ]);
+    let mut t = Table::with_period(schema, 1, 2);
+    t.push(row![i64::MAX, 0, 10]);
+    t.push(row![i64::MAX, 5, 15]);
+    let mut c = Catalog::new();
+    c.register("edge", t);
+
+    let null_over = |b, e| Row::new(vec![Value::Null, Value::Int(b), Value::Int(e)]);
+    for expr in [
+        "(0 - a - 1) / (0 - 1)",
+        "a + 1",
+        "a * 2",
+        "0 - a - 2",
+        "a / 0",
+    ] {
+        let rows = run_on(&c, &format!("SEQ VT (SELECT {expr} AS x FROM edge)")).unwrap();
+        assert_eq!(
+            rows,
+            vec![
+                null_over(0, 5),
+                null_over(5, 10),
+                null_over(5, 10),
+                null_over(10, 15)
+            ],
+            "{expr}"
+        );
+    }
+    assert_eq!(
+        run_on(&c, "SELECT a - 1 + 1 AS x FROM edge WHERE ts = 0").unwrap(),
+        vec![row![i64::MAX]]
+    );
+    // Overflow in a WHERE is unknown: the row is filtered out, not kept.
+    assert_eq!(
+        run_on(&c, "SELECT ts FROM edge WHERE a + 1 > 0 OR a + 1 <= 0").unwrap(),
+        Vec::<Row>::new()
+    );
+    assert_eq!(
+        run_on(&c, "SEQ VT (SELECT sum(a) AS total FROM edge)").unwrap(),
+        vec![
+            null_over(15, 24),
+            row![-2i64, 5, 10],
+            row![i64::MAX, 0, 5],
+            row![i64::MAX, 10, 15],
+        ]
+    );
+}
+
 /// Regression: mixed `Int`/`Double` comparisons used to widen the int
 /// with `as f64`, which is lossy above 2^53 — `9007199254740993` compared
 /// `Equal` to `9007199254740992.0`. The comparison is now exact.
@@ -252,11 +309,13 @@ fn employee_plans_have_no_project_chains() {
             "join-3",
             vec![
                 "Coalesce (multiset temporal)".into(),
-                "  Project [#1, #4, #5]".into(),
-                "    Filter (#3 > 70000)".into(),
-                format!("      {ON} → [#0, #1, #4, #5, {PERIOD}]"),
-                format!("        {MGR}"),
-                format!("        {SAL}"),
+                // The WHERE is the join's last conjunct, not a Filter.
+                format!(
+                    "  Join on ({} AND (#5 > 70000)) → [#1, {PERIOD}]",
+                    ON.strip_prefix("Join on ").unwrap()
+                ),
+                format!("    {MGR}"),
+                format!("    {SAL}"),
             ],
         ),
         (
@@ -306,24 +365,23 @@ fn employee_plans_have_no_project_chains() {
             "agg-join",
             vec![
                 "Coalesce (multiset temporal)".into(),
-                "  Project [#1, #9, #10]".into(),
-                "    Filter (#6 = #8)".into(),
-                "      Join on (((#4 = #9) AND (#7 < #12)) AND (#11 < #8)) → \
-                 [#0, #1, #2, #3, #4, #5, #6, #9, #10, GREATEST(#7, #11), LEAST(#8, #12)]"
+                // `s.salary = m.msal` is a second hash key of the top join.
+                "  Join on ((((#4 = #9) AND (#7 < #12)) AND (#11 < #8)) AND (#6 = #10)) → \
+                 [#1, GREATEST(#7, #11), LEAST(#8, #12)]"
                     .into(),
-                "        Join on (((#0 = #7) AND (#5 < #10)) AND (#9 < #6)) → \
+                "    Join on (((#0 = #7) AND (#5 < #10)) AND (#9 < #6)) → \
                  [#0, #1, #2, #3, #4, #7, #8, GREATEST(#5, #9), LEAST(#6, #10)]"
                     .into(),
-                "          Join on (((#0 = #5) AND (#3 < #8)) AND (#7 < #4)) → \
+                "      Join on (((#0 = #5) AND (#3 < #8)) AND (#7 < #4)) → \
                  [#0, #1, #2, #5, #6, GREATEST(#3, #7), LEAST(#4, #8)]"
                     .into(),
-                format!("            {EMP}"),
-                format!("            {DEPT}"),
-                format!("          {SAL}"),
-                "        TemporalAggregate group=[#3] aggs=[max(#1)]".into(),
-                format!("          {ON} → [#0, #1, #4, #5, {PERIOD}]"),
-                format!("            {SAL}"),
-                format!("            {DEPT}"),
+                format!("        {EMP}"),
+                format!("        {DEPT}"),
+                format!("      {SAL}"),
+                "    TemporalAggregate group=[#3] aggs=[max(#1)]".into(),
+                format!("      {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("        {SAL}"),
+                format!("        {DEPT}"),
             ],
         ),
         (

@@ -11,7 +11,7 @@ use snapshot_semantics::algebra::{AggExpr, AggFunc, BinOp, Expr, JoinAlgo, Plan,
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::engine::coalesce::{coalesce_rows, never};
 use snapshot_semantics::engine::split::split_rows;
-use snapshot_semantics::engine::{eval_expr, eval_predicate, temporal, Pair};
+use snapshot_semantics::engine::{eval_expr, eval_predicate, temporal, Pair, Prepared};
 use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
 use snapshot_semantics::index::{CoalesceIndex, IndexCatalog};
 use snapshot_semantics::rewrite::SnapshotCompiler;
@@ -482,8 +482,67 @@ fn count_nodes(plan: &Plan, is: fn(&PlanNode) -> bool) -> usize {
             .sum::<usize>()
 }
 
+/// Rows of four values drawn from everything a comparison can stumble on:
+/// NULL, `Int`s and `Double`s that are equal across types (`2`, `2.0`) or
+/// differ only beyond 2^53, the `i64` edges (so arithmetic overflows), NaN,
+/// strings and booleans (incomparable with numbers) — in every position.
+fn arb_edge_row() -> impl Strategy<Value = Row> {
+    let value = prop_oneof![
+        Just(Value::Null),
+        Just(Value::Int(2)),
+        Just(Value::Double(2.0)),
+        Just(Value::Int((1 << 53) + 1)),
+        Just(Value::Double((1u64 << 53) as f64)),
+        Just(Value::Int(i64::MAX)),
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(-1)),
+        Just(Value::Double(f64::NAN)),
+        Just(Value::Double(-0.5)),
+        Just(Value::str("a")),
+        Just(Value::str("2")),
+        Just(Value::Bool(true)),
+    ];
+    proptest::collection::vec(value, 4).prop_map(Row::new)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Prepared` is `eval_expr` / `eval_predicate`, on a `Row` and on a
+    /// `Pair`: over shallow expressions (the column/literal comparisons,
+    /// two-argument `LEAST`/`GREATEST` and bare columns it specialises),
+    /// deep ones (`CASE`, arithmetic, nested `AND`/`OR`/`NOT` — the
+    /// fallback), and `AND` chains of both whose last conjunct overflows
+    /// wherever the row holds an `i64` edge.
+    #[test]
+    fn prepared_evaluates_like_the_recursive_walk(
+        l in arb_edge_row(), r in arb_edge_row(), seed in 0u64..u64::MAX,
+    ) {
+        let mut dice = Dice(seed);
+        // The evaluator is dynamically typed, and so are these rows: what
+        // `Cols` calls a numeric column holds a string as often as not.
+        let cols = Cols { numeric: (0..6).collect(), text: vec![6, 7] };
+        let mut exprs = Vec::new();
+        for depth in 0..4 {
+            exprs.push(numeric_expr(&mut dice, &cols, depth));
+            exprs.push(bool_expr(&mut dice, &cols, depth));
+            let mut chain: Vec<Expr> =
+                (0..2 + depth).map(|k| bool_expr(&mut dice, &cols, k % 3)).collect();
+            let product =
+                Expr::binary(BinOp::Mul, Expr::col(dice.roll(8)), Expr::col(dice.roll(8)));
+            chain.push(product.lt(Expr::lit(0)));
+            exprs.push(Expr::conjunction(chain.clone()));
+            exprs.push(chain.into_iter().rev().reduce(|acc, e| e.and(acc)).unwrap());
+        }
+        let (pair, joined) = (Pair(&l, &r), l.concat(&r));
+        for e in &exprs {
+            let p = Prepared::new(e);
+            prop_assert_eq!(p.value(&joined), eval_expr(e, &joined), "{} on {}", e, joined);
+            prop_assert_eq!(p.value(&pair), eval_expr(e, &joined), "{} on pair {}", e, joined);
+            prop_assert_eq!(p.holds(&joined), eval_predicate(e, &joined), "{} on {}", e, joined);
+            prop_assert_eq!(p.holds(&pair), eval_predicate(e, &joined), "{} on pair {}", e, joined);
+        }
+    }
 
     /// The evaluator reads a `Pair` exactly as it reads the concatenated
     /// row — values of every type and NULL in every position, every
@@ -544,12 +603,13 @@ proptest! {
         prop_assert_eq!(out.rows(), &by_hand[..]);
     }
 
-    /// `join(l, r, θ).project(es)` is one `Join` node and returns the bag
-    /// of the two-step evaluation — every pair satisfying θ on the
-    /// concatenation, then `es` over it — on every join route, sequential
-    /// and with four workers, naive and indexed. θ carries an equality on
-    /// a key with NULLs, the overlap pattern, and a residual (`l.v <= r.v`
-    /// or a random predicate).
+    /// `join(l, r, θ).project(es).filter(p)` is one `Join` node and returns
+    /// the bag of the step-by-step evaluation — every pair satisfying θ on
+    /// the concatenation, then `es` over it, then `p` over that — on every
+    /// join route, sequential and with four workers, naive and indexed. θ
+    /// carries an equality on a key with NULLs, the overlap pattern, and a
+    /// residual (`l.v <= r.v` or a random predicate); `p` reads two computed
+    /// outputs and the intersected begin, once each.
     #[test]
     fn fused_join_output_equals_join_then_project(
         l in arb_bag(), r in arb_bag(), seed in 0u64..u64::MAX,
@@ -570,11 +630,18 @@ proptest! {
         es.push(Expr::Greatest(vec![Expr::col(3), Expr::col(8)]));
         es.push(Expr::Least(vec![Expr::col(4), Expr::col(9)]));
 
+        let p = Expr::binary(
+            BinOp::Or,
+            Expr::binary(BinOp::Leq, Expr::col(0), Expr::col(1)),
+            Expr::col(3).lt(Expr::lit(dice.roll(SPAN as usize) as i64)),
+        );
+
         let mut two_step: Vec<Row> = l
             .iter()
             .flat_map(|l| r.iter().map(move |r| l.concat(r)))
             .filter(|joined| eval_predicate(&theta, joined))
             .map(|joined| es.iter().map(|e| eval_expr(e, &joined)).collect())
+            .filter(|out: &Row| eval_predicate(&p, out))
             .collect();
         two_step.sort_unstable();
 
@@ -592,7 +659,8 @@ proptest! {
             let plan = Plan::scan("r", schema.clone())
                 .join_with(Plan::scan("s", schema.clone()), theta.clone(), algo)
                 .project(es.clone(), names(es.len()))
-                .unwrap();
+                .unwrap()
+                .filter(p.clone());
             prop_assert!(matches!(plan.node, PlanNode::Join { .. }), "{}", plan);
             for (workers, indexed) in [(1, false), (1, true), (4, false), (4, true)] {
                 let out = Engine::with_parallelism(workers)
