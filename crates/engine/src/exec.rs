@@ -426,10 +426,11 @@ impl Engine {
             }
             PlanNode::Coalesce { input } => {
                 // Coalescing accelerator: a scan of an indexed period-last
-                // table has its per-group events presorted at index-build
-                // time; emit segments directly instead of re-sorting.
+                // table has its per-group events presorted once per table
+                // version (on the first such coalesce); emit segments
+                // directly instead of re-sorting.
                 if let Some(accel) = indexed_scan(input, env.catalog, env.indexes)?
-                    .and_then(|(idx, _)| idx.coalesce())
+                    .and_then(|(idx, table)| idx.coalesce(table))
                 {
                     let rows = accel.coalesced_rows();
                     env.stats.record("IndexCoalesce", rows.len());

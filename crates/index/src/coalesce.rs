@@ -6,8 +6,9 @@
 //! ([`emit_coalesced`] — the one endpoint sweep `engine::coalesce` runs
 //! too). The ordering and the endpoint sort dominate; both depend only on
 //! the stored rows, not on the query. A [`CoalesceIndex`] performs them
-//! once at index-build time, so every later coalesce of the table is a
-//! linear emission pass over presorted events.
+//! once per table version — on the first coalesce that asks for it
+//! ([`crate::TableIndex::coalesce`]) — so every later coalesce of that
+//! version is a linear emission pass over presorted events.
 
 use storage::{Row, Value};
 
@@ -49,55 +50,6 @@ impl CoalesceIndex {
         CoalesceIndex {
             groups,
             rows: rows.len(),
-        }
-    }
-
-    /// The accelerator for the original rows plus `new_rows`: groups the
-    /// appended rows (sorting only *their* events) and merges the two
-    /// key-sorted group lists linearly — `O(groups + k log k)` instead of
-    /// re-grouping and re-sorting all `n + k` rows.
-    pub fn merged_with(&self, new_rows: &[Row], arity: usize) -> CoalesceIndex {
-        let fresh = CoalesceIndex::build(new_rows, arity);
-        let mut groups: Vec<GroupEvents> =
-            Vec::with_capacity(self.groups.len() + fresh.groups.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.groups.len() && j < fresh.groups.len() {
-            match self.groups[i].0.cmp(&fresh.groups[j].0) {
-                std::cmp::Ordering::Less => {
-                    groups.push(self.groups[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    groups.push(fresh.groups[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let key = self.groups[i].0.clone();
-                    let (a, b) = (&self.groups[i].1, &fresh.groups[j].1);
-                    let mut events = Vec::with_capacity(a.len() + b.len());
-                    let (mut x, mut y) = (0usize, 0usize);
-                    while x < a.len() && y < b.len() {
-                        if a[x] <= b[y] {
-                            events.push(a[x]);
-                            x += 1;
-                        } else {
-                            events.push(b[y]);
-                            y += 1;
-                        }
-                    }
-                    events.extend_from_slice(&a[x..]);
-                    events.extend_from_slice(&b[y..]);
-                    groups.push((key, events));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        groups.extend(self.groups[i..].iter().cloned());
-        groups.extend(fresh.groups[j..].iter().cloned());
-        CoalesceIndex {
-            groups,
-            rows: self.rows + new_rows.len(),
         }
     }
 
@@ -191,25 +143,5 @@ mod tests {
     fn empty_input() {
         let idx = CoalesceIndex::build(&[], 3);
         assert!(idx.coalesced_rows().is_empty());
-    }
-
-    #[test]
-    fn merged_with_matches_full_build() {
-        let old = vec![
-            row!["b", 5, 9],
-            row!["a", 1, 5],
-            row!["a", 3, 8],
-            row!["b", 2, 9],
-        ];
-        let new = vec![row!["a", 2, 4], row!["c", 0, 7], row!["b", 1, 2]];
-        let merged = CoalesceIndex::build(&old, 3).merged_with(&new, 3);
-        let mut all = old.clone();
-        all.extend(new);
-        assert_eq!(merged, CoalesceIndex::build(&all, 3));
-        assert_eq!(merged.rows(), 7);
-
-        // Merging nothing is the identity.
-        let base = CoalesceIndex::build(&old, 3);
-        assert_eq!(base.merged_with(&[], 3), base);
     }
 }

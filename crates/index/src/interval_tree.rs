@@ -44,23 +44,43 @@ impl IntervalTree {
             u32::try_from(intervals.len()).is_ok(),
             "IntervalTree supports at most u32::MAX intervals"
         );
-        let items: Vec<(i64, i64, u32)> = intervals
+        let mut by_begin: Vec<(i64, u32)> = (0..intervals.len() as u32)
+            .map(|id| (intervals[id as usize].0, id))
+            .collect();
+        by_begin.sort_unstable();
+        IntervalTree::from_begin_order(&by_begin, |id| intervals[id].1)
+    }
+
+    /// Builds the tree from `(begin, id)` pairs already in ascending order —
+    /// an [`crate::EventList::by_begin`] — reading each id's end through
+    /// `end_of`. Partitioning keeps that order, so no node re-sorts its
+    /// begins: the one sort is the caller's.
+    ///
+    /// # Panics
+    /// Panics when an interval is empty (`begin >= end`).
+    pub(crate) fn from_begin_order(
+        by_begin: &[(i64, u32)],
+        end_of: impl Fn(usize) -> i64,
+    ) -> IntervalTree {
+        debug_assert!(by_begin.is_sorted(), "begin order must ascend");
+        let items: Vec<(i64, i64, u32)> = by_begin
             .iter()
-            .enumerate()
-            .map(|(i, &(b, e))| {
-                assert!(b < e, "empty interval [{b}, {e}) at position {i}");
-                (b, e, i as u32)
+            .map(|&(b, id)| {
+                let e = end_of(id as usize);
+                assert!(b < e, "empty interval [{b}, {e}) at position {id}");
+                (b, e, id)
             })
             .collect();
         let mut tree = IntervalTree {
             nodes: Vec::new(),
             root: None,
-            len: intervals.len(),
+            len: by_begin.len(),
         };
         tree.root = tree.build_node(items);
         tree
     }
 
+    /// `items` ascend by `(begin, id)`, and so does every partition of them.
     fn build_node(&mut self, items: Vec<(i64, i64, u32)>) -> Option<u32> {
         if items.is_empty() {
             return None;
@@ -69,9 +89,7 @@ impl IntervalTree {
         // center contains it (begin <= center < end holds because
         // end > begin), so the node set is never empty and recursion always
         // shrinks.
-        let mut begins: Vec<i64> = items.iter().map(|&(b, _, _)| b).collect();
-        begins.sort_unstable();
-        let center = begins[begins.len() / 2];
+        let center = items[items.len() / 2].0;
 
         let mut here: Vec<(i64, i64, u32)> = Vec::new();
         let mut left_items: Vec<(i64, i64, u32)> = Vec::new();
@@ -89,9 +107,8 @@ impl IntervalTree {
         }
         debug_assert!(!here.is_empty(), "median-begin interval must stay here");
 
-        let mut by_begin: Vec<(i64, u32)> = here.iter().map(|&(b, _, id)| (b, id)).collect();
+        let by_begin: Vec<(i64, u32)> = here.iter().map(|&(b, _, id)| (b, id)).collect();
         let mut by_end: Vec<(i64, u32)> = here.iter().map(|&(_, e, id)| (e, id)).collect();
-        by_begin.sort_unstable();
         by_end.sort_unstable();
 
         let left = self.build_node(left_items);
@@ -275,6 +292,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shuffled_input_builds_the_same_tree_as_begin_sorted_input() {
+        // Deterministically shuffled intervals with tied begins and ends.
+        let mut intervals: Vec<(i64, i64)> =
+            (0..300).map(|i| (i % 37, i % 37 + 1 + i % 11)).collect();
+        let mut state = 0x2545F4914F6CDD1Du64;
+        for i in (1..intervals.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            intervals.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let shuffled = IntervalTree::build(&intervals);
+
+        // The same intervals renumbered in begin order (stable, so tied
+        // begins keep their relative order): mapped back to the shuffled
+        // ids, the tree is the same node for node.
+        let mut perm: Vec<usize> = (0..intervals.len()).collect();
+        perm.sort_by_key(|&i| intervals[i].0);
+        let sorted: Vec<(i64, i64)> = perm.iter().map(|&i| intervals[i]).collect();
+        let mut renumbered = IntervalTree::build(&sorted);
+        for node in &mut renumbered.nodes {
+            for (_, id) in node.by_begin.iter_mut().chain(node.by_end.iter_mut()) {
+                *id = perm[*id as usize] as u32;
+            }
+            node.by_end.sort_unstable();
+        }
+        assert_eq!(shuffled, renumbered);
+
+        // A begin order computed elsewhere — the `EventList` a `TableIndex`
+        // hands over — builds it too.
+        let rows: Vec<storage::Row> = intervals
+            .iter()
+            .map(|&(b, e)| storage::row![b, e])
+            .collect();
+        let events = crate::EventList::build(&rows, 0, 1);
+        assert_eq!(
+            shuffled,
+            IntervalTree::from_begin_order(events.by_begin(), |id| intervals[id].1)
+        );
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //! other). Maintenance is version-driven: [`IndexCatalog::ensure`] repairs
 //! a stale entry by *extending* it when the table's append-checkpoint
 //! history proves only appends happened since the indexed version
-//! ([`TableIndex::extend_appended`] — event lists and coalesce groups
-//! merge in `O(n + k log k)` instead of re-sorting; the static interval
-//! tree is still rebuilt), and by a full rebuild of everything otherwise
-//! (deletes, updates, replaced tables).
+//! ([`TableIndex::extend_appended`] — event lists merge in
+//! `O(n + k log k)` instead of re-sorting; the static interval tree is
+//! rebuilt from the merged begin order, sorting nothing of its own), and
+//! by a full rebuild otherwise (deletes, updates, replaced tables). The
+//! coalescing accelerator is never maintained: a bundle builds it on the
+//! first coalesce that asks ([`TableIndex::coalesce`]) and keeps it.
 
 pub mod coalesce;
 pub mod events;

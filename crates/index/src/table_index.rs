@@ -2,6 +2,7 @@
 
 use crate::{CoalesceIndex, EventList, IntervalTree};
 use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
+use std::sync::OnceLock;
 use storage::{Catalog, Row, Table};
 
 /// Index-maintenance telemetry: the repair split mirrors
@@ -17,21 +18,32 @@ static INCREMENTAL_SECONDS: LazyHistogram = LazyHistogram::new("index_incrementa
 /// * an [`EventList`] — sorted begin/end event lists, the sweep-line
 ///   backbone reused by the sort-merge temporal join,
 /// * an [`IntervalTree`] — `O(log n + k)` timeslice stabbing and overlap
-///   probes,
+///   probes, built from the event list's begin order,
 /// * a [`CoalesceIndex`] — presorted per-group events for the coalescing
 ///   accelerator (only when the period is stored in the trailing two
-///   columns, the engine's temporal-operator convention).
+///   columns, the engine's temporal-operator convention), built on first
+///   use by [`TableIndex::coalesce`] and cached: no build, extension or
+///   publish pays for it.
 ///
 /// An index is a snapshot of the table at one [`Table::version`];
 /// [`TableIndex::is_fresh`] detects staleness and [`IndexCatalog::ensure`]
 /// rebuilds on demand.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TableIndex {
     version: u64,
     period: (usize, usize),
     events: EventList,
     tree: IntervalTree,
-    coalesce: Option<CoalesceIndex>,
+    coalesce: OnceLock<Option<CoalesceIndex>>,
+}
+
+// Equality is the indexed state; whether the accelerator cache has been
+// filled is not part of it.
+impl PartialEq for TableIndex {
+    fn eq(&self, other: &Self) -> bool {
+        (self.version, self.period, &self.events, &self.tree)
+            == (other.version, other.period, &other.events, &other.tree)
+    }
 }
 
 impl TableIndex {
@@ -39,52 +51,40 @@ impl TableIndex {
     /// non-temporal tables (nothing to index).
     pub fn build(table: &Table) -> Option<TableIndex> {
         let (ts, te) = table.period()?;
+        let events = EventList::build(table.rows(), ts, te);
+        Some(TableIndex::over(table, (ts, te), events))
+    }
+
+    /// The bundle around a finished event list: the tree takes its begin
+    /// order, the accelerator waits for its first use.
+    fn over(table: &Table, (ts, te): (usize, usize), events: EventList) -> TableIndex {
         let rows = table.rows();
-        let events = EventList::build(rows, ts, te);
-        let intervals: Vec<(i64, i64)> = rows.iter().map(|r| (r.int(ts), r.int(te))).collect();
-        let tree = IntervalTree::build(&intervals);
-        let arity = table.schema().arity();
-        let coalesce = (arity >= 2 && (ts, te) == (arity - 2, arity - 1))
-            .then(|| CoalesceIndex::build(rows, arity));
-        Some(TableIndex {
+        let tree = IntervalTree::from_begin_order(events.by_begin(), |id| rows[id].int(te));
+        TableIndex {
             version: table.version(),
             period: (ts, te),
             events,
             tree,
-            coalesce,
-        })
+            coalesce: OnceLock::new(),
+        }
     }
 
     /// Incremental maintenance: the index for `table` given that this index
     /// covers exactly `table.rows()[0..old_len]` (i.e. only appends happened
     /// since it was built — the caller establishes this via
-    /// [`Table::appended_since`]). The endpoint event lists and the
-    /// coalescing accelerator *merge* the new rows' events into the existing
-    /// sorted structures instead of re-sorting everything; only the static
-    /// interval tree is rebuilt. Returns `None` when the table's period
-    /// moved or `old_len` is inconsistent — callers then fall back to
-    /// [`TableIndex::build`].
+    /// [`Table::appended_since`]). The endpoint event lists *merge* the new
+    /// rows' events into the existing sorted orders instead of re-sorting
+    /// everything; the static interval tree is rebuilt from the merged begin
+    /// order, and the coalescing accelerator from scratch on its next use.
+    /// Returns `None` when the table's period moved or `old_len` is
+    /// inconsistent — callers then fall back to [`TableIndex::build`].
     pub fn extend_appended(&self, table: &Table, old_len: usize) -> Option<TableIndex> {
         let (ts, te) = table.period()?;
         if (ts, te) != self.period || old_len != self.events.len() || old_len > table.len() {
             return None;
         }
-        let rows = table.rows();
-        let events = self.events.extended(rows, ts, te, old_len);
-        let intervals: Vec<(i64, i64)> = rows.iter().map(|r| (r.int(ts), r.int(te))).collect();
-        let tree = IntervalTree::build(&intervals);
-        let arity = table.schema().arity();
-        let coalesce = self
-            .coalesce
-            .as_ref()
-            .map(|c| c.merged_with(&rows[old_len..], arity));
-        Some(TableIndex {
-            version: table.version(),
-            period: self.period,
-            events,
-            tree,
-            coalesce,
-        })
+        let events = self.events.extended(table.rows(), ts, te, old_len);
+        Some(TableIndex::over(table, (ts, te), events))
     }
 
     /// Whether the index still matches the table contents (version-based:
@@ -113,9 +113,21 @@ impl TableIndex {
         &self.tree
     }
 
-    /// The coalescing accelerator (period-last tables only).
-    pub fn coalesce(&self) -> Option<&CoalesceIndex> {
-        self.coalesce.as_ref()
+    /// The coalescing accelerator of `table` (period-last tables only),
+    /// built on the first call and shared by every later one — including
+    /// other threads and snapshots pinning this bundle. `None` as well when
+    /// `table` is not the version this index covers.
+    pub fn coalesce(&self, table: &Table) -> Option<&CoalesceIndex> {
+        if !self.is_fresh(table) {
+            return None;
+        }
+        self.coalesce
+            .get_or_init(|| {
+                let arity = table.schema().arity();
+                (self.period == (arity - 2, arity - 1))
+                    .then(|| CoalesceIndex::build(table.rows(), arity))
+            })
+            .as_ref()
     }
 
     /// The timeslice at `t`: clones of all rows valid at `t`, in table
@@ -325,10 +337,52 @@ mod tests {
         let idx = TableIndex::build(&t).unwrap();
         assert_eq!(idx.period(), (2, 3));
         assert_eq!(idx.events().len(), 4);
-        assert!(idx.coalesce().is_some(), "trailing period: accelerator on");
+        assert!(
+            idx.coalesce.get().is_none(),
+            "the build skips the accelerator"
+        );
+        let fresh = idx.clone();
+        assert!(
+            idx.coalesce(&t).is_some(),
+            "trailing period: accelerator on"
+        );
+        assert!(idx.coalesce.get().is_some(), "first use fills the cache");
+        assert_eq!(idx, fresh, "equality ignores the cache");
+
+        let schema = Schema::of(&[
+            ("ts", SqlType::Int),
+            ("te", SqlType::Int),
+            ("name", SqlType::Str),
+        ]);
+        let mut leading = Table::with_period(schema, 0, 1);
+        leading.push(row![1, 2, "x"]);
+        let idx = TableIndex::build(&leading).unwrap();
+        assert!(
+            idx.coalesce(&leading).is_none(),
+            "period not last: no accelerator"
+        );
 
         let plain = Table::new(Schema::of(&[("x", SqlType::Int)]));
         assert!(TableIndex::build(&plain).is_none());
+    }
+
+    #[test]
+    fn concurrent_first_uses_share_one_accelerator() {
+        let t = works_table();
+        let idx = TableIndex::build(&t).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            [(); 2]
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        idx.coalesce(&t).unwrap().coalesced_rows()
+                    })
+                })
+                .map(|h| h.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, CoalesceIndex::build(t.rows(), 4).coalesced_rows());
     }
 
     #[test]

@@ -112,8 +112,9 @@ pub fn validate_first_committer_wins(
 /// catalog into `catalog`/`indexes`: written tables swap in by `Arc`
 /// handle (no row copying), dropped ones leave, and the published tables'
 /// indexes are repaired (incremental when the writes were pure appends) so
-/// the next reader finds them fresh. Shared by
-/// [`TxnManager::commit_with`] and the owned-database commit path.
+/// the next reader finds them fresh. Shared by the owned-database commit
+/// path and [`TxnManager::commit_with`], which applies it to a private copy
+/// of the committed state so the index builds hold no state lock.
 pub fn publish_write_set<'a>(
     working: &Catalog,
     write_set: impl Iterator<Item = &'a str>,
@@ -224,26 +225,36 @@ impl TxnManager {
         }
         let (_, working, write_set, statements) = txn.into_parts();
         durability(&statements)?;
-        // Publish: swap the written tables' Arc handles into the committed
-        // catalog and repair their committed indexes, so later snapshots
-        // pin fresh entries.
         let _pspan = obs::Span::enter("txn.publish");
         let publish_started = Instant::now();
-        let mut guard = self.state.write();
-        let state = &mut *guard;
-        publish_write_set(
-            &working,
-            write_set.iter().map(String::as_str),
-            &mut state.catalog,
-            &mut state.indexes,
-        );
-        state.commit_seq += 1;
+        let written = write_set.iter().map(String::as_str);
+        let commit_seq = self.publish(true, |c, i| publish_write_set(&working, written, c, i));
         PUBLISH_SECONDS.observe_duration(publish_started.elapsed());
         COMMITS.inc();
         Ok(CommitOutcome {
-            commit_seq: state.commit_seq,
+            commit_seq,
             published: write_set.len(),
         })
+    }
+
+    /// Publication in two steps; the caller holds the commit lock, so the
+    /// committed state cannot move between them. **Prepare:** `apply` runs
+    /// on a private copy of the committed catalog and index registry — the
+    /// `O(#tables)` handle copy a snapshot makes, under the read side of
+    /// `txn.state` — with no state lock held while it builds indexes.
+    /// **Swap:** the write side is taken only to install the copy's
+    /// handles (and bump `commit_seq` when `bump`). Returns the commit
+    /// sequence number after the swap.
+    fn publish(&self, bump: bool, apply: impl FnOnce(&mut Catalog, &mut IndexCatalog)) -> u64 {
+        let (mut catalog, mut indexes) = self.with_committed(|c, i| (c.clone(), i.clone()));
+        apply(&mut catalog, &mut indexes);
+        // Declared last, the guard drops first: the swapped-out maps (and
+        // any version no snapshot pins) are freed after the lock is gone.
+        let mut state = self.state.write();
+        std::mem::swap(&mut state.catalog, &mut catalog);
+        std::mem::swap(&mut state.indexes, &mut indexes);
+        state.commit_seq += u64::from(bump);
+        state.commit_seq
     }
 
     /// Rolls a transaction back. The committed state was never touched, so
@@ -291,36 +302,38 @@ impl TxnManager {
         I: IntoIterator<Item = (String, Table)>,
     {
         let _commit = self.commit_lock.lock();
-        let mut guard = self.state.write();
-        let state = &mut *guard;
         let mut published = 0;
-        for (name, table) in tables {
-            state.indexes.remove(&name);
-            state.catalog.register(name, table);
-            published += 1;
-        }
-        state.commit_seq += 1;
+        let commit_seq = self.publish(true, |catalog, indexes| {
+            for (name, table) in tables {
+                indexes.remove(&name);
+                catalog.register(name, table);
+                published += 1;
+            }
+        });
         CommitOutcome {
-            commit_seq: state.commit_seq,
+            commit_seq,
             published,
         }
     }
 
     /// Repairs the committed indexes of the named tables (every table when
     /// `None`) — the shared analogue of a session's explicit `.index`
-    /// refresh. Readers that pinned older snapshots are unaffected.
+    /// refresh, serialized against commits and published like one (without
+    /// a sequence number). Readers that pinned older snapshots are
+    /// unaffected.
     pub fn refresh_committed_indexes(&self, tables: Option<&[String]>) {
-        let mut guard = self.state.write();
-        let state = &mut *guard;
-        let names: Vec<String> = match tables {
-            Some(ts) => ts.to_vec(),
-            None => state.catalog.table_names().map(String::from).collect(),
-        };
-        for name in &names {
-            if let Some(table) = state.catalog.get(name) {
-                state.indexes.ensure(name, table);
+        let _commit = self.commit_lock.lock();
+        self.publish(false, |catalog, indexes| {
+            let names: Vec<String> = match tables {
+                Some(ts) => ts.to_vec(),
+                None => catalog.table_names().map(String::from).collect(),
+            };
+            for name in &names {
+                if let Some(table) = catalog.get(name) {
+                    indexes.ensure(name, table);
+                }
             }
-        }
+        });
     }
 }
 

@@ -51,8 +51,9 @@ fn main() -> Result<(), String> {
     let mut catalog = Catalog::new();
     catalog.register("works", works);
 
-    // One-time index construction: endpoint event lists, an interval tree,
-    // and the coalescing accelerator, per period table.
+    // One-time index construction: endpoint event lists and an interval
+    // tree per period table (the coalescing accelerator follows on the
+    // first coalesce that asks for it).
     let indexes = IndexCatalog::build_all(&catalog);
     println!(
         "indexed tables: {:?}\n",

@@ -81,6 +81,10 @@ DELETE FROM works WHERE te <= 2;
 .index
 SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
 
+-- A coalesce over the bare scan: the rebuilt index builds its coalescing
+-- accelerator here, on first use, not at the rebuild.
+SEQ VT (SELECT name, skill FROM works);
+
 -- Derived archive table via INSERT ... SELECT.
 CREATE TABLE early (name TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te);
 INSERT INTO early SELECT * FROM works WHERE ts < 10;

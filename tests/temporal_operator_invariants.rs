@@ -13,7 +13,7 @@ use snapshot_semantics::engine::coalesce::{coalesce_rows, never};
 use snapshot_semantics::engine::split::split_rows;
 use snapshot_semantics::engine::{eval_expr, eval_predicate, temporal, Pair, Prepared};
 use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
-use snapshot_semantics::index::{CoalesceIndex, IndexCatalog};
+use snapshot_semantics::index::{CoalesceIndex, IndexCatalog, TableIndex};
 use snapshot_semantics::rewrite::SnapshotCompiler;
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table, Value};
@@ -274,8 +274,8 @@ proptest! {
     }
 
     /// (b) Coalesce output is exactly sorted and a fixpoint; (c) the
-    /// accelerator — built whole or extended by an append — emits the same
-    /// rows in the same order.
+    /// accelerator — built whole, or asked of an index extended by an
+    /// append — emits the same rows in the same order.
     #[test]
     fn coalesce_is_sorted_idempotent_and_matches_the_accelerator(
         rows in arb_bag(),
@@ -286,8 +286,11 @@ proptest! {
         prop_assert_eq!(coalesce_rows(&out, 5), out.clone());
         prop_assert_eq!(CoalesceIndex::build(&rows, 5).coalesced_rows(), out.clone());
         let (old, new) = rows.split_at(cut.min(rows.len()));
-        let extended = CoalesceIndex::build(old, 5).merged_with(new, 5);
-        prop_assert_eq!(extended.coalesced_rows(), out);
+        let mut table = bag_catalog(old, &[]).get("r").unwrap().clone();
+        let before = TableIndex::build(&table).unwrap();
+        table.extend(new.iter().cloned());
+        let extended = before.extend_appended(&table, old.len()).unwrap();
+        prop_assert_eq!(extended.coalesce(&table).unwrap().coalesced_rows(), out);
     }
 
     /// (d) The fused operators' output order is a function of the input

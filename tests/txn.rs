@@ -7,13 +7,18 @@
 //! concurrency).
 
 use snapshot_semantics::baseline::PointwiseOracle;
+use snapshot_semantics::engine::Engine;
+use snapshot_semantics::index::IndexCatalog;
 use snapshot_semantics::rewrite::infer_domain;
 use snapshot_semantics::session::{
     Database, Session, SessionOptions, SharedDatabase, StatementError, StatementResult,
 };
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
-use snapshot_semantics::storage::{Catalog, Row};
+use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table};
+use snapshot_semantics::txn::TxnManager;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const SETUP: &str = "CREATE TABLE works (name TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te);
      INSERT INTO works VALUES
@@ -574,4 +579,102 @@ fn stress_concurrent_readers_match_the_oracle_on_their_pinned_snapshot() {
         commits.load(Ordering::Relaxed) > 0,
         "the writer must actually have committed during the stress run"
     );
+}
+
+/// Publication builds the written tables' indexes with no state lock held
+/// and takes the write side of `txn.state` only to swap handles: a reader
+/// parked inside `with_committed` (read side held) does not stop a
+/// concurrent commit from *building* — only from swapping. On a manager
+/// that builds under the write side, the build counter never moves while
+/// the reader holds on, and this test times out.
+#[test]
+fn a_commit_builds_its_indexes_while_a_reader_holds_the_state_lock() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let schema = Schema::of(&[
+        ("name", SqlType::Str),
+        ("ts", SqlType::Int),
+        ("te", SqlType::Int),
+    ]);
+    let mut works = Table::with_period(schema, 1, 2);
+    works.extend((0..500).map(|i| row![format!("w{i}"), i, i + 10]));
+    let mut catalog = Catalog::new();
+    catalog.register("works", works);
+    let mgr = TxnManager::new(catalog, IndexCatalog::new());
+    let full_builds = snapshot_obs::registry().counter("index_full_builds_total");
+    let seq_before = mgr.commit_seq();
+
+    let (held_tx, held_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let mgr = &mgr;
+    std::thread::scope(|s| {
+        // Dropped on unwind too, so a failed wait still frees the reader.
+        let release = release_tx;
+        let reader = s.spawn(move || {
+            mgr.with_committed(|_, _| {
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        });
+        held_rx.recv().unwrap();
+        let builds_before = full_builds.get();
+        let writer = s.spawn(move || {
+            let mut txn = mgr.begin();
+            let closed = txn
+                .catalog_mut()
+                .get_mut("works")
+                .unwrap()
+                .update_where(
+                    |r| r.int(1) < 8,
+                    |r| Ok(row![r.get(0).clone(), r.int(1), 20]),
+                )
+                .unwrap();
+            assert_eq!(closed, 8);
+            txn.record_write("works");
+            mgr.commit_with(txn, |_| Ok(()))
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while full_builds.get() == builds_before {
+            assert!(
+                Instant::now() < deadline,
+                "the commit did not build its index while a reader held txn.state"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(release);
+        reader.join().unwrap();
+        let outcome = writer.join().unwrap().expect("the commit returns");
+        assert_eq!(outcome.commit_seq, seq_before + 1);
+    });
+    assert_eq!(mgr.commit_seq(), seq_before + 1);
+    let snap = mgr.snapshot();
+    let works = snap.catalog().get("works").unwrap();
+    assert!(snap.indexes().get("works").unwrap().is_fresh(works));
+}
+
+/// The coalescing accelerator is built on first use, not at publish: after
+/// `INSERT` and `UPDATE` commits, the first coalesce over the bare scan
+/// still takes `IndexCoalesce` and returns the naive route's rows, in order.
+#[test]
+fn first_coalesce_after_dml_commits_takes_the_accelerator() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    const QUERY: &str = "SEQ VT (SELECT name, skill FROM works)";
+    let shared = SharedDatabase::in_memory();
+    let mut s = shared.session();
+    s.execute_script(SETUP).unwrap();
+    s.execute("INSERT INTO works VALUES ('Eve', 'SP', 0, 2), ('Ann', 'SP', 10, 14)")
+        .unwrap();
+    s.execute("UPDATE works SET te = 12 WHERE name = 'Joe'")
+        .unwrap();
+
+    let accelerated = snapshot_obs::registry().counter("engine_indexcoalesce_invocations_total");
+    let before = accelerated.get();
+    let result = s.execute(QUERY).unwrap();
+    assert_eq!(accelerated.get(), before + 1, "IndexCoalesce taken");
+
+    let plan = s.compile(QUERY).unwrap();
+    let naive = Engine::new()
+        .execute(&plan, shared.snapshot().catalog())
+        .unwrap();
+    assert_eq!(result.rows().unwrap().rows(), naive.rows());
+    assert_eq!(naive.len(), 5, "Ann's [3, 10) and [10, 14) coalesce");
 }
