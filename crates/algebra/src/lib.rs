@@ -13,7 +13,7 @@
 //! * [`PlanNode::TemporalAggregate`] / [`PlanNode::TemporalExceptAll`] — the
 //!   fused, pre-aggregating forms of the aggregation and difference rewrites
 //!   described in Section 9 (the unfused forms express the same queries via
-//!   `Aggregate`/`ExceptAll` over `Split`, and the benchmark harness
+//!   `Aggregate`/`ExceptAll` over `Split`, and `paper_tables ablation`
 //!   measures both).
 //!
 //! Temporal operators follow one convention: **the period columns are the

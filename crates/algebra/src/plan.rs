@@ -442,9 +442,14 @@ impl Plan {
         }
     }
 
-    /// Temporal multiset coalescing (period-last convention).
+    /// Temporal multiset coalescing (period-last convention) — absorbed over
+    /// the operators that already emit the coalesced encoding in canonical order.
     pub fn coalesce(self) -> Plan {
         assert_period_last(&self.schema);
+        use PlanNode::{Coalesce, TemporalAggregate, TemporalExceptAll};
+        if let TemporalAggregate { .. } | TemporalExceptAll { .. } | Coalesce { .. } = self.node {
+            return self;
+        }
         let schema = self.schema.clone();
         Plan {
             node: PlanNode::Coalesce {
@@ -1021,6 +1026,28 @@ mod tests {
     #[should_panic(expected = "period")]
     fn coalesce_requires_period_columns() {
         let _ = Plan::scan("x", Schema::of(&[("a", SqlType::Str)])).coalesce();
+    }
+
+    /// Over an operator that already emits the coalesced encoding, a
+    /// coalesce is that operator; over anything else it is a node.
+    #[test]
+    fn coalesce_is_absorbed_where_it_does_nothing() {
+        let scan = || Plan::scan("works", works_schema());
+        let aggregate = scan()
+            .temporal_aggregate(vec![1], vec![AggExpr::count_star("cnt")], false, (0, 24))
+            .unwrap();
+        let except = scan().temporal_except_all(scan()).unwrap();
+        let coalesced = scan().coalesce();
+        for p in [aggregate, except, coalesced] {
+            assert_eq!(p.clone().coalesce(), p);
+        }
+        let over_join = scan()
+            .join(scan(), Expr::lit(true))
+            .project_cols(&[0, 1, 2, 3]);
+        let PlanNode::Coalesce { input } = over_join.clone().coalesce().node else {
+            panic!("a coalesce over a join stays a node")
+        };
+        assert_eq!(*input, over_join);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl NativeEvaluator {
                             .collect()
                     });
                     for (a, s) in aggs.iter().zip(state.iter_mut()) {
-                        s.add(&engine::temporal::agg_arg(a, r));
+                        s.slide(&engine::temporal::agg_arg(a, r), 1);
                     }
                 }
                 let g = group_cols.len();

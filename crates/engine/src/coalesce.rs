@@ -12,9 +12,9 @@
 //! endpoint (+1 at begin, −1 at end) and emit maximal constant segments.
 //! Row order *is* the canonical output order (key, then begin), so the one
 //! sort also settles the encoding's row order, and a run whose intervals
-//! neither meet nor overlap — nearly every row of a join result or an
-//! `avg` aggregate — is already in normal form: its rows move to the
-//! output untouched. `O(n log n)` overall.
+//! neither meet nor overlap — nearly every row of a join result (the
+//! fused operators never reach here) — is already in normal form: its rows
+//! move to the output untouched. `O(n log n)` overall.
 
 use crate::exec::CANCEL_CHECK_INTERVAL;
 use std::convert::Infallible;

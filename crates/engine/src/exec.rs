@@ -1026,7 +1026,7 @@ fn hash_aggregate(
         let key: Vec<Value> = group_cols.iter().map(|&i| r.get(i).clone()).collect();
         let state = groups.entry(key).or_insert_with(new_state);
         for (a, s) in aggs.iter().zip(state.iter_mut()) {
-            s.add(&agg_arg(a, r));
+            s.slide(&agg_arg(a, r), 1);
         }
     }
     // Global aggregation produces one row even over empty input.

@@ -8,12 +8,12 @@
 //! strategy is what these operators implement, in the one sorted pass
 //! [`crate::coalesce`] is built on — order row references once by group
 //! key, walk the contiguous runs, and per run sweep the endpoint events
-//! (one reused scratch buffer) through the elementary segments between
-//! them, adding each row's contribution at its begin and removing it at
-//! its end. Keys are compared by reference and cloned only into output
-//! rows; the output order is deterministic (group key, then time). The
-//! unfused path still exists (`Aggregate`/`ExceptAll` over `Split`) and the
-//! ablation benchmark compares the two.
+//! through the elementary segments between them, adding each row's
+//! contribution at its begin and removing it at its end. A segment that
+//! meets the previous one with equal values extends it: the output is the
+//! coalesced encoding in canonical row order, and `algebra::Plan::coalesce`
+//! absorbs a coalesce above. The unfused path (`Aggregate`/`ExceptAll` over
+//! `Split`) remains for the paper's ablation (`paper_tables ablation`).
 
 use crate::coalesce::Poll;
 use crate::eval::eval_expr;
@@ -49,16 +49,35 @@ fn group_key<'a>(r: &'a Row, group_cols: &'a [usize]) -> impl Iterator<Item = &'
     group_cols.iter().map(move |&i| r.get(i))
 }
 
+/// The low bits of an order word: the segment's position in time order.
+const POSITION_BITS: u32 = 61;
+
+/// `v`'s place in `Value`'s order as one integer — type rank above the bits
+/// of an `Int` (sign flipped) or `Double` (in `total_cmp` order), else `None`.
+fn order_word(v: &Value) -> Option<u128> {
+    let (rank, bits) = match *v {
+        Value::Null => (0, 0),
+        Value::Int(i) => (2, (i as u64) ^ (1 << 63)),
+        Value::Double(d) => (
+            3,
+            d.to_bits() ^ ((d.to_bits() as i64 >> 63) as u64 | 1 << 63),
+        ),
+        Value::Bool(_) | Value::Str(_) => return None,
+    };
+    Some((rank as u128) << 64 | bits as u128)
+}
+
 /// Fused snapshot aggregation.
 ///
 /// `rows` carry the period in the last two columns. Produces, per group and
-/// per maximal interval between that group's endpoint events, one row
-/// `group ++ aggregates ++ [ts, te]`. With `add_gap_neutral` (global
-/// aggregation, `group_cols` empty), intervals of `[tmin, tmax)` not covered
-/// by any row still produce output — `count` reports 0 and other functions
-/// NULL, closing the aggregation gap (AG bug). `check` is polled once per
-/// 1 024 input rows and its error aborts the pass; outside a statement
-/// pass [`crate::coalesce::never`].
+/// per maximal interval over which its aggregates stay the same, one row
+/// `group ++ aggregates ++ [ts, te]`: the coalesced encoding, in canonical
+/// (sorted-row) order. With `add_gap_neutral` (global aggregation,
+/// `group_cols` empty), intervals of `[tmin, tmax)` not covered by any row
+/// still produce output — `count` reports 0 and other functions NULL,
+/// closing the aggregation gap (AG bug). `check` is polled once per 1 024
+/// input rows, then segments, and its error aborts the pass; outside a
+/// statement pass [`crate::coalesce::never`].
 #[allow(clippy::too_many_arguments)]
 pub fn temporal_aggregate<E>(
     rows: &[Row],
@@ -74,7 +93,7 @@ pub fn temporal_aggregate<E>(
         !add_gap_neutral || group_cols.is_empty(),
         "gap rows are only defined for aggregation without grouping"
     );
-    let (ts, te) = (arity - 2, arity - 1);
+    let (ts, te, k) = (arity - 2, arity - 1, aggs.len());
     let mut poll = Poll { check, rows: 0 };
     let key = |r| group_key(r, group_cols);
     let mut sorted: Vec<&Row> = rows.iter().collect();
@@ -84,7 +103,7 @@ pub fn temporal_aggregate<E>(
     const ANCHOR: usize = usize::MAX;
     struct Active {
         aggs: Vec<SlidingAgg>,
-        rows: usize,
+        rows: i64,
         /// Inside `[domain.0, domain.1)`, where gaps are reported.
         anchored: bool,
     }
@@ -93,6 +112,11 @@ pub fn temporal_aggregate<E>(
     let mut events: Vec<(i64, usize)> = Vec::new();
     // The run's argument values, one per (row, aggregate).
     let mut args: Vec<Value> = Vec::new();
+    // The run's maximal segments in time order, the `i`-th one's aggregates
+    // at `values[i * k..][..k]`.
+    let mut segments: Vec<(i64, i64)> = Vec::new();
+    let mut values: Vec<Value> = Vec::new();
+    let mut order: Vec<u128> = Vec::new();
     let mut out = Vec::new();
     let mut runs = sorted.chunk_by(|a, b| key(a).eq(key(b)));
     // No input at all: the whole domain is one gap.
@@ -100,6 +124,8 @@ pub fn temporal_aggregate<E>(
     while let Some(run) = runs.next().or_else(|| empty.take()) {
         events.clear();
         args.clear();
+        segments.clear();
+        values.clear();
         for (n, r) in run.iter().enumerate() {
             poll.check(1)?;
             events.push((r.int(ts), 2 * n));
@@ -121,8 +147,8 @@ pub fn temporal_aggregate<E>(
             rows: 0,
             anchored: false,
         };
-        // Begins before ends at one instant: an empty `[t, t)` comes and goes.
-        events.sort_unstable_by_key(|&(t, tag)| (t, tag % 2));
+        // An instant's events all apply (counts are signed) before its segment.
+        events.sort_unstable_by_key(|&(t, _)| t);
         sweep_segments(
             &events,
             &mut active,
@@ -131,38 +157,55 @@ pub fn temporal_aggregate<E>(
                     active.anchored = !active.anchored;
                     return;
                 }
-                let (begins, values) = (tag % 2 == 0, &args[tag / 2 * aggs.len()..]);
-                for (s, v) in active.aggs.iter_mut().zip(values) {
-                    if begins {
-                        s.add(v);
-                    } else {
-                        s.remove(v);
-                    }
+                let sign = 1 - 2 * (tag % 2) as i64;
+                for (s, v) in active.aggs.iter_mut().zip(&args[tag / 2 * k..]) {
+                    s.slide(v, sign);
                 }
-                active.rows = if begins {
-                    active.rows + 1
-                } else {
-                    active.rows - 1
-                };
+                active.rows += sign;
             },
             |active, b, e| {
                 if active.rows == 0 && !active.anchored {
                     return;
                 }
-                let mut values = Vec::with_capacity(group_cols.len() + aggs.len() + 2);
-                if let Some(r) = run.first() {
-                    values.extend(key(r).cloned());
-                }
+                let at = values.len();
                 if active.rows > 0 {
                     values.extend(active.aggs.iter().map(SlidingAgg::current));
                 } else {
                     values.extend(aggs.iter().map(|a| SlidingAgg::gap_value(&a.func)));
                 }
-                values.push(Value::Int(b));
-                values.push(Value::Int(e));
-                out.push(Row::new(values));
+                match segments.last_mut() {
+                    Some(last) if last.1 == b && values[at - k..at] == values[at..] => {
+                        last.1 = e;
+                        values.truncate(at);
+                    }
+                    _ => segments.push((b, e)),
+                }
             },
         );
+        poll.check(segments.len())?;
+        // Canonical order: by aggregates, then (distinct) begin. One non-string
+        // aggregate sorts as plain integers, its order word above the position.
+        order.clear();
+        if k == 1 {
+            let words = values.iter().zip(0..);
+            order.extend(words.map_while(|(v, i)| Some(order_word(v)? << POSITION_BITS | i)));
+        }
+        if order.len() == segments.len() {
+            order.sort_unstable();
+        } else {
+            order.clear();
+            order.extend(0..segments.len() as u128);
+            order.sort_unstable_by_key(|&i| (&values[i as usize * k..][..k], segments[i as usize]));
+        }
+        for &word in &order {
+            poll.check(1)?;
+            let i = (word & ((1 << POSITION_BITS) - 1)) as usize;
+            let mut row = Vec::with_capacity(group_cols.len() + k + 2);
+            row.extend(run.first().into_iter().flat_map(|r| key(r).cloned()));
+            row.extend_from_slice(&values[i * k..][..k]);
+            row.extend([Value::Int(segments[i].0), Value::Int(segments[i].1)]);
+            out.push(Row::new(row));
+        }
     }
     Ok(out)
 }
@@ -171,10 +214,10 @@ pub fn temporal_aggregate<E>(
 ///
 /// Both inputs carry the period in their last two columns and are
 /// union-compatible. For every value-equivalent row group and every maximal
-/// interval between the group's endpoints, emits
-/// `max(0, multiplicity_left − multiplicity_right)` copies — the monus of
-/// `N^T` (Theorem 7.1) evaluated on the interval refinement instead of
-/// per time point. `check` is polled like [`temporal_aggregate`]'s.
+/// interval over which `max(0, multiplicity_left − multiplicity_right)`
+/// stays the same, emits that many copies — the monus of `N^T` (Theorem
+/// 7.1) on the interval refinement instead of per time point, coalesced
+/// and in canonical order. `check` is polled like [`temporal_aggregate`]'s.
 pub fn temporal_except_all<E>(
     left: &[Row],
     right: &[Row],
@@ -191,6 +234,8 @@ pub fn temporal_except_all<E>(
     sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
     let mut events: Vec<(i64, [i64; 2])> = Vec::new();
+    // The run's maximal segments `(begin, end, copies)` in time order.
+    let mut segments: Vec<(i64, i64, i64)> = Vec::new();
     let mut out = Vec::new();
     for run in sorted.chunk_by(|a, b| a.0.values()[..ts] == b.0.values()[..ts]) {
         poll.check(run.len())?;
@@ -202,6 +247,7 @@ pub fn temporal_except_all<E>(
             continue;
         }
         events.clear();
+        segments.clear();
         for (r, [l, rt]) in run {
             events.push((r.int(ts), [*l, *rt]));
             events.push((r.int(te), [-l, -rt]));
@@ -214,16 +260,18 @@ pub fn temporal_except_all<E>(
                 mult[0] += l;
                 mult[1] += r;
             },
-            |mult, b, e| {
-                if mult[0] > mult[1] {
-                    let mut values = run[0].0.values()[..ts].to_vec();
-                    values.push(Value::Int(b));
-                    values.push(Value::Int(e));
-                    let row = Row::new(values);
-                    out.extend(std::iter::repeat_n(row, (mult[0] - mult[1]) as usize));
-                }
+            |mult, b, e| match segments.last_mut() {
+                _ if mult[0] <= mult[1] => {}
+                Some(last) if last.1 == b && last.2 == mult[0] - mult[1] => last.1 = e,
+                _ => segments.push((b, e, mult[0] - mult[1])),
             },
         );
+        for &(b, e, copies) in &segments {
+            poll.check(1)?;
+            let mut values = run[0].0.values()[..ts].to_vec();
+            values.extend([Value::Int(b), Value::Int(e)]);
+            out.extend(std::iter::repeat_n(Row::new(values), copies as usize));
+        }
     }
     Ok(out)
 }
@@ -376,18 +424,64 @@ mod tests {
     }
 
     /// An empty interval `[t, t)` holds at no time point: it opens no
-    /// segment of its own and leaves no value behind in the min/max multiset
-    /// (its endpoint still cuts the segment it falls into).
+    /// segment of its own and leaves no value behind in the min/max
+    /// multiset. Its endpoint cuts the segment it falls into during the
+    /// sweep, and the two halves, equal on both sides, merge again.
     #[test]
     fn empty_intervals_contribute_nothing() {
         let rows = vec![row!["g", 1, 5, 5], row!["g", 7, 2, 8], row!["h", 9, 3, 3]];
         let aggs = vec![AggExpr::new(AggFunc::Min, Expr::col(1), "lo")];
         let out = temporal_aggregate(&rows, 4, &[0], &aggs, &[SqlType::Int], false, (0, 24));
-        assert_eq!(out, vec![row!["g", 7, 2, 5], row!["g", 7, 5, 8]]);
+        assert_eq!(out, vec![row!["g", 7, 2, 8]]);
         let left = vec![row!["x", 4, 4], row!["y", 0, 3], row!["y", 2, 2]];
+        assert_eq!(temporal_except_all(&left, &[], 3), vec![row!["y", 0, 3]]);
+    }
+
+    /// Segments that meet with equal values are one row; the rows of a
+    /// group are in canonical order — by aggregate values, then time — for
+    /// a single numeric aggregate (sorted as integers), a string one and
+    /// several at once (sorted as values).
+    #[test]
+    fn output_is_coalesced_and_canonically_ordered() {
+        let rows = vec![
+            row!["g", 5, "b", 0, 10],
+            row!["g", 1, "a", 2, 4],
+            row!["g", 1, "a", 6, 8],
+            row!["g", -3, "c", 12, 14],
+        ];
+        let min = |col| AggExpr::new(AggFunc::Min, Expr::col(col), "lo");
+        let one = temporal_aggregate(&rows, 5, &[0], &[min(1)], &[SqlType::Int], false, (0, 24));
         assert_eq!(
-            temporal_except_all(&left, &[], 3),
-            vec![row!["y", 0, 2], row!["y", 2, 3]]
+            one,
+            vec![
+                row!["g", -3, 12, 14],
+                row!["g", 1, 2, 4],
+                row!["g", 1, 6, 8],
+                row!["g", 5, 0, 2],
+                row!["g", 5, 4, 6],
+                row!["g", 5, 8, 10],
+            ]
+        );
+        let types = [SqlType::Int, SqlType::Str];
+        let two = temporal_aggregate(&rows, 5, &[0], &[min(1), min(2)], &types, false, (0, 24));
+        let strings = temporal_aggregate(&rows, 5, &[0], &[min(2)], &types[1..], false, (0, 24));
+        for (out, k) in [(&two, 2), (&strings, 1)] {
+            assert_eq!(out, &crate::coalesce::coalesce_rows(out, k + 3));
+            assert_eq!(out.len(), 6);
+        }
+        // Adjacent copies of equal multiplicity are one segment.
+        let left = vec![row!["x", 0, 4], row!["x", 4, 9], row!["x", 2, 6]];
+        assert_eq!(
+            temporal_except_all(&left, &[row!["x", 3, 5]], 3),
+            vec![
+                row!["x", 0, 2],
+                row!["x", 2, 3],
+                row!["x", 2, 3],
+                row!["x", 3, 5],
+                row!["x", 5, 6],
+                row!["x", 5, 6],
+                row!["x", 6, 9],
+            ]
         );
     }
 

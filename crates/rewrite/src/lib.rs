@@ -13,10 +13,11 @@
 //!   difference can either materialize the split operator's output and
 //!   aggregate it (the literal Figure 4 reading) or use the engine's fused
 //!   operators that pre-aggregate per interval and compute final results
-//!   during the sweep.
+//!   during the sweep — coalesced, so the final `C` above them is absorbed
+//!   (`algebra::Plan::coalesce`).
 //!
 //! The defaults enable both, matching the configuration the paper evaluates;
-//! the ablation benchmark turns them off individually.
+//! `paper_tables ablation` turns them off individually.
 //!
 //! [`periodenc`] hosts the `PERIODENC`/`PERIODENC⁻¹` mappings between
 //! engine tables and the logical model of `snapshot_core`, used by the

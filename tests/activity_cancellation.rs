@@ -504,19 +504,24 @@ fn error_text_echoing_the_cancel_words_is_not_a_cancellation() {
 /// Satellite: cancellation reaches *inside* the normalisation kernels a
 /// `SEQ VT … GROUP BY` spends its time in — not just the operator
 /// boundaries around them. Each kernel polls the statement's check once
-/// per 1 024 input rows: under a tripped token Coalesce,
-/// TemporalAggregate and TemporalExceptAll abort mid-pass with the
-/// token's typed error, an untripped one changes nothing, and an input
-/// shorter than one interval is never polled at all.
+/// per 1 024 rows taken up (input rows; for the fused operators then the
+/// segments they order and emit): under a tripped token
+/// Coalesce, TemporalAggregate and TemporalExceptAll abort mid-pass with
+/// the token's typed error, an untripped one changes nothing, a pass
+/// shorter than one interval is never polled at all, and a cancel that
+/// arrives after the sweep — while segments are merged, ordered and
+/// emitted — still lands.
 #[test]
 fn tripped_token_aborts_inside_the_normalisation_kernels() {
     use snapshot_semantics::algebra::AggExpr;
     use snapshot_semantics::engine::coalesce::{coalesce_rows, try_coalesce_rows};
     use snapshot_semantics::engine::temporal::{temporal_aggregate, temporal_except_all};
+    use std::cell::Cell;
     use storage::{row, Row, SqlType};
 
     let rows = |n: i64| -> Vec<Row> { (0..n).map(|i| row![i % 7, i, i + 5]).collect() };
-    let (long, short) = (rows(3000), rows(1000));
+    // `short` is 300 rows, 300 disjoint segments and 300 output rows.
+    let (long, short) = (rows(3000), rows(300));
     let aggs = [AggExpr::count_star("c")];
     let types = [SqlType::Int];
     let account = snapshot_obs::ResourceAccount::default();
@@ -550,4 +555,32 @@ fn tripped_token_aborts_inside_the_normalisation_kernels() {
         temporal_except_all(&long, &short, 3, check).unwrap(),
         diffed
     );
+
+    // 3 000 disjoint, non-meeting rows of one group: the sweep takes them
+    // up in 1 024-row polls — two for the global count, one for the
+    // difference's single run — and the next poll comes after it. A token
+    // tripped by exactly that poll aborts the pass.
+    let spaced: Vec<Row> = (0..3000).map(|i| row![0, 2 * i, 2 * i + 1]).collect();
+    let polls = Cell::new(0);
+    let cancel_at = |n| {
+        polls.set(0);
+        token.disarm();
+        let (polls, token, account) = (&polls, &token, &account);
+        move || {
+            polls.set(polls.get() + 1);
+            if polls.get() == n {
+                token.cancel(CancelKind::Killed);
+            }
+            token.check(account)
+        }
+    };
+    let global = |rows: &[Row], check| {
+        temporal_aggregate(rows, 3, &[], &aggs, &types, true, (0, 6000), check)
+    };
+    let err = global(&spaced, cancel_at(3)).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    assert_eq!(polls.get(), 3, "the sweep polled twice before");
+    let err = temporal_except_all(&spaced, &[], 3, cancel_at(2)).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    assert_eq!(polls.get(), 2, "the sweep polled once before");
 }

@@ -53,6 +53,22 @@ SEQ VT (SELECT i.x, d.y FROM ints i JOIN doubles d ON i.x = d.y);
 DROP TABLE ints;
 DROP TABLE doubles;
 
+-- The fused aggregate and bag difference emit the coalesced encoding
+-- themselves: neither plan has a Coalesce line.
+EXPLAIN SEQ VT (SELECT skill, count(*) AS c FROM works GROUP BY skill);
+EXPLAIN SEQ VT (SELECT skill FROM assign EXCEPT ALL SELECT skill FROM works);
+
+-- A sequenced DOUBLE sum is exact, so it never drifts from its own
+-- snapshots: [5, 10) reports 0.4, as AS OF 6 does (adding 0.2 and taking
+-- it away again used to leave 0.4000000000000001 behind).
+CREATE TABLE d (y DOUBLE, ts INT, te INT) PERIOD (ts, te);
+INSERT INTO d VALUES (0.1, 0, 10), (0.2, 0, 5), (0.3, 5, 10), (0.7, 2, 3);
+SEQ VT (SELECT sum(y) AS total FROM d);
+SEQ VT AS OF 1 (SELECT sum(y) AS total FROM d);
+SEQ VT AS OF 4 (SELECT sum(y) AS total FROM d);
+SEQ VT AS OF 6 (SELECT sum(y) AS total FROM d);
+DROP TABLE d;
+
 -- A WHERE over a join is the join's condition (one Join node, no Filter),
 -- and a LIKE filter walks its pattern without decoding it per row.
 EXPLAIN SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill WHERE a.mach <> 'M2');

@@ -275,6 +275,9 @@ fn nan_is_rejected_at_ingestion_and_totally_ordered_in_sorts() {
 /// columns in order is absorbed where the plan is built
 /// (`Plan::project`). A `Project` chain sneaking back in changes these
 /// texts — and costs one full copy of an 18 k-row intermediate per link.
+/// Likewise the final `Coalesce` over a fused aggregate or difference,
+/// which emit the coalesced encoding themselves (`Plan::coalesce`): only
+/// the joins keep one.
 #[test]
 fn employee_plans_have_no_project_chains() {
     use snapshot_semantics::datagen::employees;
@@ -334,31 +337,28 @@ fn employee_plans_have_no_project_chains() {
         (
             "agg-1",
             vec![
-                "Coalesce (multiset temporal)".into(),
-                "  TemporalAggregate group=[#3] aggs=[avg(#1)]".into(),
-                format!("    {ON} → [#0, #1, #4, #5, {PERIOD}]"),
-                format!("      {SAL}"),
-                format!("      {DEPT}"),
+                "TemporalAggregate group=[#3] aggs=[avg(#1)]".into(),
+                format!("  {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("    {SAL}"),
+                format!("    {DEPT}"),
             ],
         ),
         (
             "agg-2",
             vec![
-                "Coalesce (multiset temporal)".into(),
-                "  TemporalAggregate group=[] aggs=[avg(#3)] with-gaps".into(),
-                format!("    {ON} → [#0, #1, #4, #5, {PERIOD}]"),
-                format!("      {MGR}"),
-                format!("      {SAL}"),
+                "TemporalAggregate group=[] aggs=[avg(#3)] with-gaps".into(),
+                format!("  {ON} → [#0, #1, #4, #5, {PERIOD}]"),
+                format!("    {MGR}"),
+                format!("    {SAL}"),
             ],
         ),
         (
             "agg-3",
             vec![
-                "Coalesce (multiset temporal)".into(),
-                "  TemporalAggregate group=[] aggs=[count(*)] with-gaps".into(),
-                "    Filter (#1 > 21)".into(),
-                "      TemporalAggregate group=[#1] aggs=[count(*)]".into(),
-                format!("        {DEPT}"),
+                "TemporalAggregate group=[] aggs=[count(*)] with-gaps".into(),
+                "  Filter (#1 > 21)".into(),
+                "    TemporalAggregate group=[#1] aggs=[count(*)]".into(),
+                format!("      {DEPT}"),
             ],
         ),
         (
@@ -387,23 +387,21 @@ fn employee_plans_have_no_project_chains() {
         (
             "diff-1",
             vec![
-                "Coalesce (multiset temporal)".into(),
-                "  TemporalExceptAll".into(),
-                "    Project [#0, #3, #4]".into(),
-                format!("      {EMP}"),
-                "    Project [#0, #2, #3]".into(),
-                format!("      {MGR}"),
+                "TemporalExceptAll".into(),
+                "  Project [#0, #3, #4]".into(),
+                format!("    {EMP}"),
+                "  Project [#0, #2, #3]".into(),
+                format!("    {MGR}"),
             ],
         ),
         (
             "diff-2",
             vec![
-                "Coalesce (multiset temporal)".into(),
-                "  TemporalExceptAll".into(),
+                "TemporalExceptAll".into(),
+                format!("  {SAL}"),
+                format!("  {ON} → [#0, #5, {PERIOD}]"),
+                format!("    {MGR}"),
                 format!("    {SAL}"),
-                format!("    {ON} → [#0, #5, {PERIOD}]"),
-                format!("      {MGR}"),
-                format!("      {SAL}"),
             ],
         ),
     ];

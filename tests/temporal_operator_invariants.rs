@@ -3,8 +3,9 @@
 //! fused temporal aggregation/difference (Section 9) — each checked against
 //! its defining point-wise semantics on random inputs — plus the contract
 //! of the sorted-run kernel they share: exact output order, determinism,
-//! the accelerator's row-for-row agreement, and scans that lend rows
-//! without aliasing the table.
+//! the accelerator's row-for-row agreement, scans that lend rows without
+//! aliasing the table, fused operators that emit the coalesced encoding
+//! themselves, and exact sliding sums of doubles.
 
 use proptest::prelude::*;
 use snapshot_semantics::algebra::{AggExpr, AggFunc, BinOp, Expr, JoinAlgo, Plan, PlanNode};
@@ -14,7 +15,7 @@ use snapshot_semantics::engine::split::split_rows;
 use snapshot_semantics::engine::{eval_expr, eval_predicate, temporal, Pair, Prepared};
 use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
 use snapshot_semantics::index::{CoalesceIndex, IndexCatalog, TableIndex};
-use snapshot_semantics::rewrite::SnapshotCompiler;
+use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table, Value};
 use snapshot_semantics::timeline::TimeDomain;
@@ -187,17 +188,60 @@ const SPAN: i64 = 16;
 /// lengths from a coarse grid (so identical, adjacent and nested intervals
 /// are the norm), and a third of the rows doubled outright.
 fn arb_bag() -> impl Strategy<Value = Vec<Row>> {
-    let key_s = prop_oneof![
-        Just(Value::Null),
-        Just(Value::str("a")),
-        Just(Value::str("b"))
-    ];
     let key_d = prop_oneof![
         Just(Value::Null),
         Just(Value::Double(0.5)),
         Just(Value::Double(-1.5))
     ];
-    let one = (key_s, key_d, 0i64..4, 0i64..SPAN - 1, 1i64..6, 0usize..3).prop_map(
+    bag_of(key_d, 1)
+}
+
+/// [`arb_bag`]'s shape with what merging equal values and ordering them
+/// stumbles on in `kd` — ±0.0, NaN, an `Int` next to an equal `Double` —
+/// and intervals that may be empty.
+fn arb_edge_bag() -> impl Strategy<Value = Vec<Row>> {
+    let key_d = prop_oneof![
+        Just(Value::Null),
+        Just(Value::Double(0.0)),
+        Just(Value::Double(-0.0)),
+        Just(Value::Double(f64::NAN)),
+        Just(Value::Double(1.0)),
+        Just(Value::Int(1)),
+        Just(Value::Double(0.5))
+    ];
+    bag_of(key_d, 0)
+}
+
+/// [`arb_bag`]'s shape with doubles of every magnitude in `kd` — sums that
+/// round, cancel and overflow, ±0.0, ±inf and NaN.
+fn arb_double_bag() -> impl Strategy<Value = Vec<Row>> {
+    let key_d = prop_oneof![
+        Just(Value::Double(0.1)),
+        Just(Value::Double(0.2)),
+        Just(Value::Double(0.3)),
+        Just(Value::Double(0.7)),
+        Just(Value::Double(1e16)),
+        Just(Value::Double(-1e16)),
+        Just(Value::Double(f64::MAX)),
+        Just(Value::Double(1e-300)),
+        Just(Value::Double(-0.0)),
+        Just(Value::Double(f64::INFINITY)),
+        Just(Value::Double(f64::NEG_INFINITY)),
+        Just(Value::Double(f64::NAN)),
+        Just(Value::Null)
+    ];
+    bag_of(key_d, 1)
+}
+
+/// Bags as [`arb_bag`] describes, with `kd` drawn from `key_d` and
+/// interval lengths from `min_len` up.
+fn bag_of(key_d: impl Strategy<Value = Value>, min_len: i64) -> impl Strategy<Value = Vec<Row>> {
+    let key_s = prop_oneof![
+        Just(Value::Null),
+        Just(Value::str("a")),
+        Just(Value::str("b"))
+    ];
+    let one = (key_s, key_d, 0i64..4, 0i64..SPAN - 1, min_len..6, 0usize..3).prop_map(
         |(ks, kd, v, b, len, copies)| {
             let (b, e) = (b / 2 * 2, (b / 2 * 2 + len).min(SPAN));
             let r = Row::new(vec![ks, kd, Value::Int(v), Value::Int(b), Value::Int(e)]);
@@ -258,6 +302,16 @@ const KERNEL_QUERIES: &[&str] = &[
     "SEQ VT (SELECT ks FROM r EXCEPT ALL SELECT ks FROM s)",
 ];
 
+/// Queries whose compiled plan is a fused kernel with nothing above it.
+const FUSED_QUERIES: &[&str] = &[
+    "SEQ VT (SELECT ks, kd, count(*) AS c, min(v) AS lo, max(ks) AS hi FROM r GROUP BY ks, kd)",
+    "SEQ VT (SELECT ks, sum(kd) AS s, avg(kd) AS a, max(kd) AS hi FROM r GROUP BY ks)",
+    "SEQ VT (SELECT kd, min(ks) AS lo FROM r GROUP BY kd)",
+    "SEQ VT (SELECT max(kd) AS hi FROM r)",
+    "SEQ VT (SELECT count(*) AS c, min(ks) AS lo, sum(kd) AS s FROM r)",
+    "SEQ VT (SELECT ks, kd, v FROM r EXCEPT ALL SELECT ks, kd, v FROM s)",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -294,8 +348,8 @@ proptest! {
     }
 
     /// (d) The fused operators' output order is a function of the input
-    /// bag: group key, then time — the same on every run and under any
-    /// input order.
+    /// bag: canonical row order (group key, aggregate values, then time) —
+    /// the same on every run and under any input order.
     #[test]
     fn fused_operators_are_deterministic(rows in arb_bag(), other in arb_bag()) {
         let aggs = vec![
@@ -312,9 +366,8 @@ proptest! {
         let out = agg(&rows);
         prop_assert_eq!(agg(&rows), out.clone());
         prop_assert_eq!(agg(&reversed), out.clone());
-        // (ks, kd) ascending, then ts: columns 0, 1 and 5 of the output.
-        let order = |r: &Row| (r.get(0).clone(), r.get(1).clone(), r.int(5));
-        prop_assert!(out.windows(2).all(|w| order(&w[0]) < order(&w[1])));
+        // Strictly ascending: no two rows share a group and a begin.
+        prop_assert!(out.windows(2).all(|w| w[0] < w[1]));
 
         let diff = temporal_except_all(&rows, &other, 5);
         prop_assert_eq!(temporal_except_all(&rows, &other, 5), diff.clone());
@@ -343,6 +396,84 @@ proptest! {
         prop_assert_eq!(catalog.get("r").unwrap().rows(), &rows[..]);
         let again = Engine::new().execute(&plan, &catalog).unwrap();
         prop_assert_eq!(again.rows(), &rows[..]);
+    }
+
+    /// (f) The fused kernels emit the coalesced encoding themselves, which
+    /// is why `Plan::coalesce` over them is them: each one's output is a
+    /// fixed point of `coalesce_rows`, row for row, and equals
+    /// `coalesce_rows` of the unfused `Aggregate` / `ExceptAll` over
+    /// `Split` — through NULL, ±0.0, NaN, `Int` beside `Double`, string
+    /// `min`/`max`, several aggregates at once, gap rows and empty
+    /// intervals.
+    #[test]
+    fn fused_kernels_emit_the_coalesced_encoding(r in arb_edge_bag(), s in arb_edge_bag()) {
+        // A table holds no empty period; the kernels meet them directly.
+        let nonempty = |rows: &[Row]| -> Vec<Row> {
+            rows.iter().filter(|r| r.int(3) < r.int(4)).cloned().collect()
+        };
+        let (r_held, s_held) = (nonempty(&r), nonempty(&s));
+        let catalog = bag_catalog(&r_held, &s_held);
+        let domain = TimeDomain::new(0, SPAN);
+        for sql in FUSED_QUERIES {
+            let bound = bind_statement(&parse_statement(sql).unwrap(), &catalog).unwrap();
+            let compile = |fused_split| {
+                let options = RewriteOptions { fused_split, ..RewriteOptions::default() };
+                SnapshotCompiler::with_options(domain, options)
+                    .compile_statement(&bound, &catalog)
+                    .unwrap()
+            };
+            let fused = compile(true);
+            prop_assert!(
+                matches!(
+                    fused.node,
+                    PlanNode::TemporalAggregate { .. } | PlanNode::TemporalExceptAll { .. }
+                ),
+                "{}", fused
+            );
+            let out = Engine::new().execute(&fused, &catalog).unwrap().rows().to_vec();
+            prop_assert_eq!(coalesce_rows(&out, fused.schema.arity()), out.clone(), "{}", sql);
+            // `Coalesce` over the literal Figure 4 rewriting.
+            let unfused = compile(false);
+            prop_assert!(matches!(unfused.node, PlanNode::Coalesce { .. }), "{}", unfused);
+            let want = Engine::new().execute(&unfused, &catalog).unwrap();
+            prop_assert_eq!(&out[..], want.rows(), "{}", sql);
+        }
+        // An empty interval holds at no time point: with or without them,
+        // each kernel returns one and the same coalesced encoding.
+        let aggs = [
+            AggExpr::count_star("c"),
+            AggExpr::new(AggFunc::Min, Expr::col(0), "lo"),
+            AggExpr::new(AggFunc::Sum, Expr::col(1), "s"),
+        ];
+        let types = [SqlType::Int, SqlType::Str, SqlType::Double];
+        for group in [&[0, 1][..], &[]] {
+            let agg = |rows: &[Row]| {
+                temporal_aggregate(rows, 5, group, &aggs, &types, group.is_empty(), (0, SPAN))
+            };
+            let out = agg(&r);
+            prop_assert_eq!(coalesce_rows(&out, group.len() + 5), out.clone());
+            prop_assert_eq!(agg(&r_held), out);
+        }
+        let diff = temporal_except_all(&r, &s, 5);
+        prop_assert_eq!(coalesce_rows(&diff, 5), diff.clone());
+        prop_assert_eq!(temporal_except_all(&r_held, &s_held, 5), diff);
+    }
+
+    /// (g) A sequenced `sum` / `avg` over doubles is, at every instant,
+    /// what the same aggregate over that instant's snapshot returns (the
+    /// point-wise oracle runs the non-temporal `Aggregate` once per time
+    /// point), bit for bit: adding and removing in sweep order drifts
+    /// nowhere.
+    #[test]
+    fn sequenced_double_sums_equal_their_snapshots(r in arb_double_bag()) {
+        let catalog = bag_catalog(&r, &[]);
+        for sql in [
+            "SEQ VT (SELECT ks, sum(kd) AS s, avg(kd) AS a FROM r GROUP BY ks)",
+            "SEQ VT (SELECT sum(kd) AS s, avg(kd) AS a FROM r)",
+        ] {
+            let (out, oracle) = engine_and_oracle(sql, &catalog);
+            prop_assert_eq!(out, oracle, "{}", sql);
+        }
     }
 }
 
