@@ -26,5 +26,5 @@ mod snapshot_plan;
 pub mod vtab;
 
 pub use expr::{AggExpr, AggFunc, BinOp, Expr};
-pub use plan::{JoinAlgo, Plan, PlanNode, TimesliceAlgo};
+pub use plan::{JoinAlgo, Plan, PlanNode};
 pub use snapshot_plan::{SnapshotNode, SnapshotPlan};

@@ -5,14 +5,14 @@ use crate::{AggExpr, Expr};
 use std::fmt;
 use storage::{Column, Row, Schema, SqlType};
 
-/// Physical-choice hint on a join: how the engine should evaluate it.
+/// Physical-choice hint on a join: which algorithm the engine runs.
 ///
-/// `Auto` lets the engine pick — indexed sweep when the condition contains
-/// the rewriter's interval-overlap pattern and both inputs are indexed
-/// scans, otherwise the configured strategy. The explicit variants pin one
-/// algorithm (with a safe fallback when the condition does not support it),
-/// which is how the benchmark harness and the differential tests compare
-/// routes.
+/// `Auto` lets the engine pick — the sweep for a pure interval-overlap
+/// join whose inputs are both indexed scans, the hash join when the
+/// condition has equality conjuncts, the nested loop otherwise. The
+/// explicit variants pin one algorithm (with a safe fallback when the
+/// condition does not support it), which is how the benchmark harness and
+/// the differential tests compare routes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinAlgo {
     /// Engine decides (index-aware).
@@ -22,31 +22,11 @@ pub enum JoinAlgo {
     NestedLoop,
     /// Force the hash join on equality conjuncts.
     Hash,
-    /// Force the forward-scan merge interval join.
-    MergeInterval,
-    /// Force the endpoint-sweep (sort-merge) temporal join, reusing table
-    /// event lists when the inputs are indexed scans.
-    IndexSweep,
-    /// Force the parallel endpoint-sweep temporal join: the endpoint
-    /// domain is partitioned into contiguous time slabs along
-    /// elementary-interval boundaries and swept on worker threads (the
-    /// engine's configured parallelism decides the slab count; with
-    /// parallelism 1 this degenerates to the sequential sweep).
-    ParallelSweep,
-}
-
-/// Physical-choice hint on a timeslice: how the engine should evaluate it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimesliceAlgo {
-    /// Engine decides: interval-tree stabbing when the input is an indexed
-    /// scan, linear filter otherwise.
-    #[default]
-    Auto,
-    /// Force the linear scan-and-filter evaluation.
-    Linear,
-    /// Force interval-tree stabbing (falls back to linear when no fresh
-    /// index is available).
-    Index,
+    /// Force the endpoint-sweep temporal join on the overlap pattern. An
+    /// indexed-scan input lends its table's begin order, any other input
+    /// is sorted on the fly; the engine's parallelism above 1 runs it
+    /// slab-parallel.
+    Sweep,
 }
 
 /// A logical plan node. See [`Plan`] for construction; every constructor
@@ -149,13 +129,12 @@ pub enum PlanNode {
     /// Point-in-time selection `τ_t` (period-last convention): keeps every
     /// row whose validity interval contains `at`. The schema is unchanged —
     /// projecting the period away afterwards yields the snapshot at `at`.
+    /// An indexed scan answers this with an interval-tree stab.
     Timeslice {
         /// Input plan (period-last convention).
         input: Box<Plan>,
         /// The time point.
         at: i64,
-        /// Physical-choice hint (index-aware when [`TimesliceAlgo::Auto`]).
-        algo: TimesliceAlgo,
     },
     /// Time-range selection (period-last convention): keeps every row whose
     /// validity interval overlaps the half-open window `[begin, end)`. The
@@ -168,8 +147,6 @@ pub enum PlanNode {
         input: Box<Plan>,
         /// The half-open query window `[begin, end)`.
         range: (i64, i64),
-        /// Physical-choice hint (index-aware when [`TimesliceAlgo::Auto`]).
-        algo: TimesliceAlgo,
     },
     /// The split operator `N_G(left, right)` (Def. 8.3): refines the
     /// intervals of `left` rows at all endpoints of `left ∪ right` rows in
@@ -459,37 +436,24 @@ impl Plan {
         }
     }
 
-    /// Point-in-time selection at `at` (period-last convention). The engine
-    /// picks the physical route ([`TimesliceAlgo::Auto`]).
+    /// Point-in-time selection at `at` (period-last convention).
     pub fn timeslice(self, at: i64) -> Plan {
-        self.timeslice_with(at, TimesliceAlgo::Auto)
-    }
-
-    /// Point-in-time selection with an explicit physical-choice hint.
-    pub fn timeslice_with(self, at: i64, algo: TimesliceAlgo) -> Plan {
         assert_period_last(&self.schema);
         let schema = self.schema.clone();
         Plan {
             node: PlanNode::Timeslice {
                 input: Box::new(self),
                 at,
-                algo,
             },
             schema,
         }
     }
 
     /// Time-range selection over `[begin, end)` (period-last convention).
-    /// The engine picks the physical route ([`TimesliceAlgo::Auto`]).
     ///
     /// # Panics
     /// Panics when the window is empty (`begin >= end`).
     pub fn time_range(self, begin: i64, end: i64) -> Plan {
-        self.time_range_with(begin, end, TimesliceAlgo::Auto)
-    }
-
-    /// Time-range selection with an explicit physical-choice hint.
-    pub fn time_range_with(self, begin: i64, end: i64, algo: TimesliceAlgo) -> Plan {
         assert_period_last(&self.schema);
         assert!(begin < end, "empty time range [{begin}, {end})");
         let schema = self.schema.clone();
@@ -497,7 +461,6 @@ impl Plan {
             node: PlanNode::TimeRange {
                 input: Box::new(self),
                 range: (begin, end),
-                algo,
             },
             schema,
         }
@@ -668,20 +631,8 @@ impl Plan {
                 format!("Sort [{}]", ks.join(", "))
             }
             PlanNode::Coalesce { .. } => "Coalesce (multiset temporal)".to_string(),
-            PlanNode::Timeslice { at, algo, .. } => {
-                if *algo == TimesliceAlgo::Auto {
-                    format!("Timeslice at {at}")
-                } else {
-                    format!("Timeslice[{algo:?}] at {at}")
-                }
-            }
-            PlanNode::TimeRange { range, algo, .. } => {
-                if *algo == TimesliceAlgo::Auto {
-                    format!("TimeRange [{}, {})", range.0, range.1)
-                } else {
-                    format!("TimeRange[{algo:?}] [{}, {})", range.0, range.1)
-                }
-            }
+            PlanNode::Timeslice { at, .. } => format!("Timeslice at {at}"),
+            PlanNode::TimeRange { range, .. } => format!("TimeRange [{}, {})", range.0, range.1),
             PlanNode::Split { group_cols, .. } => {
                 let gs: Vec<String> = group_cols.iter().map(|g| format!("#{g}")).collect();
                 format!("Split N_G group=[{}]", gs.join(","))

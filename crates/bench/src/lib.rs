@@ -27,10 +27,13 @@ use timeline::TimeDomain;
 pub enum Approach {
     /// Our rewriting with hash joins (PG-Seq / DBY-Seq analogue).
     SeqHash,
-    /// Our rewriting with the merge interval join (DBX-Seq analogue).
+    /// Our rewriting with every temporal join pinned to the endpoint sweep,
+    /// sorting its inputs on the fly — the merge interval join DBX-Seq
+    /// runs.
     SeqMerge,
-    /// Our rewriting over table indexes: endpoint-sweep joins and the
-    /// coalescing accelerator of the `index` crate (Timeline-Index-style).
+    /// Our rewriting over table indexes: the `index` crate's endpoint-sweep
+    /// joins and interval-tree timeslices wherever the engine picks them
+    /// (Timeline-Index-style).
     SeqIndex,
     /// Temporal alignment baseline (PG-Nat analogue).
     NatAlignment,
@@ -80,10 +83,10 @@ pub fn run_approach(
     match approach {
         Approach::SeqHash | Approach::SeqMerge | Approach::SeqIndex => {
             // Without indexes the engine's automatic choice is the hash
-            // join; the merge route is pinned through the plan hint.
+            // join; the sweep route is pinned through the plan hint.
             let options = if approach == Approach::SeqMerge {
                 RewriteOptions {
-                    temporal_join_algo: JoinAlgo::MergeInterval,
+                    temporal_join_algo: JoinAlgo::Sweep,
                     ..options
                 }
             } else {
@@ -95,8 +98,8 @@ pub fn run_approach(
                 return Ok(Engine::new().execute(&plan, catalog)?);
             }
             // Index build cost is included: the registry is built per call
-            // and the engine dispatches overlap joins to the endpoint sweep
-            // and coalescing to the accelerator wherever indexes apply.
+            // and the engine dispatches pure overlap joins to the endpoint
+            // sweep wherever indexes apply.
             let indexes = IndexCatalog::build_all(catalog);
             Ok(Engine::new().execute_analyzed(
                 &plan,

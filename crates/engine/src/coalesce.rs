@@ -18,7 +18,7 @@
 
 use crate::exec::CANCEL_CHECK_INTERVAL;
 use std::convert::Infallible;
-use storage::Row;
+use storage::{Row, Value};
 
 /// Counts the input rows a normalisation kernel has taken up and polls the
 /// statement's cancellation check once per [`CANCEL_CHECK_INTERVAL`] of
@@ -90,7 +90,27 @@ pub fn try_coalesce_rows<E>(
             events.push((r.int(te), -1));
         }
         events.sort_unstable();
-        index::coalesce::emit_coalesced(&run[0].values()[..ts], &events, &mut out);
+        // The endpoint sweep: for every maximal interval of constant
+        // multiplicity `m > 0`, `m` copies of `key ++ [b, e]`, in time order.
+        let key = &run[0].values()[..ts];
+        let (mut depth, mut seg_start) = (0i64, 0i64);
+        for at_t in events.chunk_by(|a, b| a.0 == b.0) {
+            let t = at_t[0].0;
+            let delta: i64 = at_t.iter().map(|e| e.1).sum();
+            if delta == 0 {
+                continue; // equal opens and closes: multiplicity unchanged
+            }
+            if depth > 0 {
+                let mut values = Vec::with_capacity(arity);
+                values.extend_from_slice(key);
+                values.push(Value::Int(seg_start));
+                values.push(Value::Int(t));
+                out.extend(std::iter::repeat_n(Row::new(values), depth as usize));
+            }
+            depth += delta;
+            seg_start = t;
+        }
+        debug_assert_eq!(depth, 0, "unbalanced interval events");
     }
     Ok(out)
 }
@@ -116,6 +136,28 @@ mod tests {
         // [1,5) and [5,9) with equal multiplicity merge into [1,9).
         let rows = vec![row!["a", 1, 5], row!["a", 5, 9]];
         assert_eq!(coalesce_rows(&rows, 3), vec![row!["a", 1, 9]]);
+    }
+
+    #[test]
+    fn multiple_groups_sorted_output() {
+        let rows = vec![
+            row!["b", 5, 9],
+            row!["a", 1, 5],
+            row!["a", 3, 8],
+            row!["b", 2, 9],
+        ];
+        assert_eq!(
+            coalesce_rows(&rows, 3),
+            vec![
+                row!["a", 1, 3],
+                row!["a", 3, 5],
+                row!["a", 3, 5],
+                row!["a", 5, 8],
+                row!["b", 2, 5],
+                row!["b", 5, 9],
+                row!["b", 5, 9],
+            ]
+        );
     }
 
     #[test]

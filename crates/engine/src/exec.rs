@@ -5,7 +5,7 @@ use crate::eval::{conjuncts, eval_expr, Pair, Prepared};
 use crate::sliding::SlidingAgg;
 use crate::split::split_rows;
 use crate::temporal::{agg_arg, agg_arg_types, temporal_aggregate, temporal_except_all};
-use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode, TimesliceAlgo};
+use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode};
 use index::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
     try_parallel_sweep_join_presorted, try_sweep_join_presorted, IndexCatalog, TableIndex,
@@ -87,11 +87,10 @@ impl ExecContext {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Worker threads for parallel operators (currently the parallel
-    /// endpoint-sweep temporal join). `0` and `1` both mean sequential
-    /// execution; values above `1` make [`JoinAlgo::Auto`] prefer
-    /// [`JoinAlgo::ParallelSweep`] wherever it would pick the sequential
-    /// sweep, and set the slab count of explicit `ParallelSweep` hints.
+    /// Worker threads for parallel operators (the endpoint-sweep temporal
+    /// join). `0` and `1` both mean sequential execution; above `1` every
+    /// sweep join — picked by [`JoinAlgo::Auto`] or pinned by
+    /// [`JoinAlgo::Sweep`] — runs slab-parallel with that many slabs at most.
     pub parallelism: usize,
 }
 
@@ -307,11 +306,10 @@ impl Engine {
     /// Executes a plan, recording per-operator counters in `stats` and
     /// per-node actuals (row counts, call counts, inclusive wall-clock,
     /// keyed by node identity — what `EXPLAIN ANALYZE` prints) in `nodes`.
-    /// With `indexes`, joins, timeslices, and coalescing over indexed base
-    /// tables dispatch to the `index` crate's operators (they appear in
-    /// `stats` as `IndexSweepJoin`, `IndexTimeslice`, `IndexTimeRange`,
-    /// and `IndexCoalesce`); everything else, and any stale index, takes
-    /// the naive route.
+    /// With `indexes`, joins and timeslices over indexed base tables
+    /// dispatch to the `index` crate's operators (they appear in `stats` as
+    /// `IndexSweepJoin`, `IndexTimeslice` and `IndexTimeRange`); everything
+    /// else, and any stale index, takes the naive route.
     pub fn execute_analyzed(
         &self,
         plan: &Plan,
@@ -425,30 +423,13 @@ impl Engine {
                 input_rows.into()
             }
             PlanNode::Coalesce { input } => {
-                // Coalescing accelerator: a scan of an indexed period-last
-                // table has its per-group events presorted once per table
-                // version (on the first such coalesce); emit segments
-                // directly instead of re-sorting.
-                if let Some(accel) = indexed_scan(input, env.catalog, env.indexes)?
-                    .and_then(|(idx, table)| idx.coalesce(table))
-                {
-                    let rows = accel.coalesced_rows();
-                    env.stats.record("IndexCoalesce", rows.len());
-                    self.ctx.account.add_index_probes(1);
-                    rows.into()
-                } else {
-                    let input_rows = self.run(input, env)?.into_owned();
-                    let rows =
-                        try_coalesce_rows(input_rows, input.schema.arity(), || self.ctx.check())?;
-                    env.stats.record("NaiveCoalesce", rows.len());
-                    rows.into()
-                }
+                let input_rows = self.run(input, env)?.into_owned();
+                try_coalesce_rows(input_rows, input.schema.arity(), || self.ctx.check())?.into()
             }
-            PlanNode::Timeslice { input, at, algo } => {
+            PlanNode::Timeslice { input, at } => {
                 let at = *at;
                 self.period_filter(
                     input,
-                    *algo,
                     env,
                     ("IndexTimeslice", "NaiveTimeslice"),
                     |idx, table| idx.timeslice_rows(table, at),
@@ -456,11 +437,10 @@ impl Engine {
                 )?
                 .into()
             }
-            PlanNode::TimeRange { input, range, algo } => {
+            PlanNode::TimeRange { input, range } => {
                 let (b, e) = *range;
                 self.period_filter(
                     input,
-                    *algo,
                     env,
                     ("IndexTimeRange", "NaiveTimeRange"),
                     |idx, table| idx.overlapping_rows(table, b, e),
@@ -527,23 +507,19 @@ impl Engine {
     /// `Timeslice` / `TimeRange`: the rows of `input` whose period (the
     /// trailing two columns) satisfies `keep(ts, te)`. A scanned table with
     /// a fresh index over exactly those columns answers through `probe`
-    /// (an interval-tree stab or overlap probe) unless the plan pins the
-    /// linear route; anything else filters the materialized input.
-    /// `ops` names the indexed and the linear route in [`ExecStats`].
+    /// (an interval-tree stab or overlap probe); anything else filters the
+    /// materialized input. `ops` names the indexed and the linear route in
+    /// [`ExecStats`].
     fn period_filter<'a>(
         &self,
         input: &'a Plan,
-        algo: TimesliceAlgo,
         env: &mut ExecEnv<'a>,
         ops: (&'static str, &'static str),
         probe: impl FnOnce(&TableIndex, &Table) -> Vec<Row>,
         keep: impl Fn(i64, i64) -> bool,
     ) -> Result<Vec<Row>, StatementError> {
         let n = input.schema.arity();
-        let indexed = (algo != TimesliceAlgo::Linear)
-            .then(|| indexed_scan(input, env.catalog, env.indexes))
-            .transpose()?
-            .flatten()
+        let indexed = indexed_scan(input, env.catalog, env.indexes)?
             .filter(|(idx, _)| n >= 2 && idx.period() == (n - 2, n - 1));
         let (op, rows) = match indexed {
             Some((idx, table)) => {
@@ -603,14 +579,7 @@ impl Engine {
         // *pure* overlap joins.
         let resolved = match algo {
             JoinAlgo::Auto if overlap.is_some() && both_indexed && equi.is_empty() => {
-                // A configured worker pool upgrades every Auto sweep to
-                // the slab-parallel route (identical bag by the credit
-                // rule; the differential tests enforce it).
-                if self.config.parallelism > 1 {
-                    JoinAlgo::ParallelSweep
-                } else {
-                    JoinAlgo::IndexSweep
-                }
+                JoinAlgo::Sweep
             }
             JoinAlgo::Auto if !equi.is_empty() => JoinAlgo::Hash,
             JoinAlgo::Auto => JoinAlgo::NestedLoop,
@@ -632,22 +601,25 @@ impl Engine {
         };
 
         Ok(match (resolved, overlap) {
-            (JoinAlgo::IndexSweep | JoinAlgo::ParallelSweep, Some((lts, lte, rts, rte))) => {
+            (JoinAlgo::Sweep, Some((lts, lte, rts, rte))) => {
                 let l_sorted = begin_sorted(left, l_index, lts);
                 let r_sorted = begin_sorted(right, r_index, rts);
                 ctx.account
                     .add_index_probes(if both_indexed { 2 } else { 0 });
-                if resolved == JoinAlgo::ParallelSweep {
-                    // Slab boundaries follow the elementary intervals of
-                    // the join's endpoint domain; with both sides indexed
-                    // they come out of the prebuilt event lists in O(n).
+                if self.config.parallelism > 1 {
+                    // A worker pool runs the sweep slab-parallel (the same
+                    // bag by the credit rule; the differential tests
+                    // enforce it). Slab boundaries follow the elementary
+                    // intervals of the join's endpoint domain; with both
+                    // sides indexed they come out of the prebuilt event
+                    // lists in O(n).
                     let boundaries = match (l_index, r_index) {
                         (Some(li), Some(ri)) => {
                             elementary_boundaries_from_events(li.events(), ri.events())
                         }
                         _ => elementary_boundaries(&l_sorted, (lts, lte), &r_sorted, (rts, rte)),
                     };
-                    let cuts = choose_cuts(&boundaries, self.config.parallelism.max(1));
+                    let cuts = choose_cuts(&boundaries, self.config.parallelism);
                     // Slab workers share one pair counter, so a kill or
                     // timeout lands mid-sweep on every thread.
                     let pairs = AtomicU64::new(0);
@@ -691,18 +663,7 @@ impl Engine {
                     out
                 }
             }
-            (JoinAlgo::MergeInterval, Some(period_cols)) => {
-                let out = merge_interval_join(left, right, period_cols, ctx, matched)?;
-                env.stats.record("MergeIntervalJoin", out.len());
-                out
-            }
-            (
-                JoinAlgo::Hash
-                | JoinAlgo::IndexSweep
-                | JoinAlgo::ParallelSweep
-                | JoinAlgo::MergeInterval,
-                _,
-            ) if !equi.is_empty() => {
+            (JoinAlgo::Hash | JoinAlgo::Sweep, _) if !equi.is_empty() => {
                 let out = hash_join(left, right, &equi, ctx, matched)?;
                 env.stats.record("HashJoin", out.len());
                 out
@@ -945,49 +906,6 @@ fn hash_join(
     Ok(out)
 }
 
-/// Forward-scan plane sweep over interval overlap (Bouros & Mamoulis style):
-/// both sides sorted by interval begin; each overlapping pair is considered
-/// exactly once, then filtered by the full join condition (`matched`).
-fn merge_interval_join(
-    left: &[Row],
-    right: &[Row],
-    (lts, lte, rts, rte): (usize, usize, usize, usize),
-    ctx: &ExecContext,
-    matched: impl Fn(&Row, &Row) -> Option<Row>,
-) -> Result<Vec<Row>, StatementError> {
-    let l = begin_sorted(left, None, lts);
-    let r = begin_sorted(right, None, rts);
-
-    let mut out = Vec::new();
-    let mut pairs = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < l.len() && j < r.len() {
-        if l[i].int(lts) <= r[j].int(rts) {
-            let end = l[i].int(lte);
-            let mut k = j;
-            while k < r.len() && r[k].int(rts) < end {
-                pairs += 1;
-                ctx.pair_considered(pairs)?;
-                out.extend(matched(l[i], r[k]));
-                k += 1;
-            }
-            i += 1;
-        } else {
-            let end = r[j].int(rte);
-            let mut k = i;
-            while k < l.len() && l[k].int(lts) < end {
-                pairs += 1;
-                ctx.pair_considered(pairs)?;
-                out.extend(matched(l[k], r[j]));
-                k += 1;
-            }
-            j += 1;
-        }
-    }
-    ctx.pairs_done(pairs);
-    Ok(out)
-}
-
 fn except_all(
     left: Rows<'_>,
     right: &[Row],
@@ -1134,29 +1052,6 @@ mod tests {
             .join(Plan::scan("t", schema), Expr::col(0).eq(Expr::col(1)));
         let out = Engine::new().execute(&plan, &c).unwrap();
         assert_eq!(out.len(), 1); // only (1,1)
-    }
-
-    #[test]
-    fn merge_interval_join_matches_hash() {
-        let c = works_catalog();
-        let (lts, lte) = (2, 3);
-        let (rts_g, rte_g) = (6, 7);
-        let cond = Expr::col(1)
-            .eq(Expr::col(5))
-            .and(Expr::col(lts).lt(Expr::col(rte_g)))
-            .and(Expr::col(rts_g).lt(Expr::col(lte)));
-        let scan = || Plan::scan("works", works_schema());
-        let plan = scan().join(scan(), cond.clone());
-        let pinned = scan().join_with(scan(), cond, JoinAlgo::MergeInterval);
-
-        let hash = Engine::new().execute(&plan, &c).unwrap().canonicalized();
-        let (merge, stats) = run_with(&Engine::new(), &pinned, &c, None);
-        assert!(stats.get("MergeIntervalJoin").is_some(), "{stats:?}");
-        assert_eq!(hash, merge.canonicalized());
-        assert!(
-            hash.len() >= 4,
-            "self overlap join must match each row with itself"
-        );
     }
 
     #[test]
@@ -1330,7 +1225,7 @@ mod tests {
             Plan::scan("works", works_schema()).join_with(
                 Plan::scan("works", works_schema()),
                 cond,
-                algebra::JoinAlgo::IndexSweep,
+                JoinAlgo::Sweep,
             )
         };
         let (sweep, stats) = run_with(&Engine::new(), &plan, &c, None);
@@ -1344,6 +1239,10 @@ mod tests {
             .unwrap()
             .canonicalized();
         assert_eq!(hash, sweep);
+        assert!(
+            hash.len() >= 4,
+            "self overlap join must match each row with itself"
+        );
     }
 
     #[test]
@@ -1415,8 +1314,9 @@ mod tests {
 
     #[test]
     fn explicit_parallel_sweep_hint_without_indexes() {
-        // The hint works on non-indexed inputs too (sort-on-the-fly), and
-        // falls back to hash when the condition has no overlap pattern.
+        // A worker pool runs a pinned sweep slab-parallel on non-indexed
+        // inputs too (sort-on-the-fly), and the hint falls back to hash
+        // when the condition has no overlap pattern.
         let c = works_catalog();
         let plan = {
             let (lts, lte) = (2, 3);
@@ -1427,7 +1327,7 @@ mod tests {
             Plan::scan("works", works_schema()).join_with(
                 Plan::scan("works", works_schema()),
                 cond,
-                algebra::JoinAlgo::ParallelSweep,
+                JoinAlgo::Sweep,
             )
         };
         let (parallel, stats) = run_with(&Engine::with_parallelism(3), &plan, &c, None);
@@ -1443,7 +1343,7 @@ mod tests {
         let equi = Plan::scan("works", works_schema()).join_with(
             Plan::scan("works", works_schema()),
             Expr::col(0).eq(Expr::col(4)),
-            algebra::JoinAlgo::ParallelSweep,
+            JoinAlgo::Sweep,
         );
         let (_, stats) = run_with(&Engine::with_parallelism(3), &equi, &c, None);
         assert!(stats.get("ParallelSweepJoin").is_none(), "{stats:?}");
@@ -1502,17 +1402,16 @@ mod tests {
         // Pairs each route considers: all 16, the 10 with equal skills, or
         // the 10 whose periods overlap (Ann's second stint meets only
         // itself); exactly one pair — (Ann, Sam) — passes the condition.
+        // The operator is the one at parallelism 1, then at 3.
         let routes = [
-            (JoinAlgo::NestedLoop, "NestedLoopJoin", 16),
-            (JoinAlgo::Hash, "HashJoin", 10),
-            (JoinAlgo::MergeInterval, "MergeIntervalJoin", 10),
-            (JoinAlgo::IndexSweep, "IndexSweepJoin", 10),
-            (JoinAlgo::ParallelSweep, "ParallelSweepJoin", 10),
-            (JoinAlgo::Auto, "HashJoin", 10),
+            (JoinAlgo::NestedLoop, ["NestedLoopJoin"; 2], 16),
+            (JoinAlgo::Hash, ["HashJoin"; 2], 10),
+            (JoinAlgo::Sweep, ["IndexSweepJoin", "ParallelSweepJoin"], 10),
+            (JoinAlgo::Auto, ["HashJoin"; 2], 10),
         ];
-        for (algo, op, pairs) in routes {
+        for (algo, ops, pairs) in routes {
             let join = scan().join_with(scan(), cond.clone(), algo);
-            for parallelism in [1, 3] {
+            for (parallelism, op) in [1, 3].into_iter().zip(ops) {
                 let engine = Engine::with_parallelism(parallelism)
                     .with_context(ExecContext::new(Arc::clone(&account), Arc::clone(&token)));
                 account.reset();
@@ -1529,10 +1428,10 @@ mod tests {
                 );
             }
             // An engine built outside a session runs under its own default
-            // context: same route, never cancelled.
+            // context: the sequential route, never cancelled.
             let (out, stats) = run_with(&Engine::new(), &join, &c, Some(&indexes));
             assert_eq!(out.len(), 1, "{algo:?} under the default context");
-            assert!(stats.get(op).is_some(), "{algo:?}: {stats:?}");
+            assert!(stats.get(ops[0]).is_some(), "{algo:?}: {stats:?}");
         }
     }
 
@@ -1606,33 +1505,13 @@ mod tests {
     }
 
     #[test]
-    fn timeslice_respects_linear_hint() {
-        let c = works_catalog();
-        let indexes = IndexCatalog::build_all(&c);
-        let plan =
-            Plan::scan("works", works_schema()).timeslice_with(9, algebra::TimesliceAlgo::Linear);
-        let (out, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
-        assert!(stats.get("IndexTimeslice").is_none());
-        assert_eq!(out.len(), 3); // Ann [3,10), Joe [8,16), Sam [8,16)
-    }
-
-    #[test]
     fn time_range_indexed_and_linear_agree() {
         let c = works_catalog();
         let indexes = IndexCatalog::build_all(&c);
         for b in -1..22 {
             for e in [b + 1, b + 4, b + 12] {
                 let plan = Plan::scan("works", works_schema()).time_range(b, e);
-                let linear = Engine::new()
-                    .execute(
-                        &Plan::scan("works", works_schema()).time_range_with(
-                            b,
-                            e,
-                            algebra::TimesliceAlgo::Linear,
-                        ),
-                        &c,
-                    )
-                    .unwrap();
+                let linear = Engine::new().execute(&plan, &c).unwrap();
                 let (indexed, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
                 assert_eq!(linear, indexed, "time range [{b}, {e})");
                 assert!(
@@ -1641,19 +1520,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn coalesce_over_indexed_scan_uses_accelerator() {
-        let c = works_catalog();
-        let indexes = IndexCatalog::build_all(&c);
-        let plan = Plan::scan("works", works_schema()).coalesce();
-        let naive = Engine::new().execute(&plan, &c).unwrap();
-        let (accel, stats) = run_with(&Engine::new(), &plan, &c, Some(&indexes));
-        assert_eq!(naive, accel);
-        assert!(
-            stats.get("IndexCoalesce").is_some(),
-            "accelerator must be taken"
-        );
     }
 }

@@ -4,10 +4,11 @@
 //! it executes the logical plans of the `algebra` crate over the period
 //! tables of the `storage` crate. It implements
 //!
-//! * the classic operators — filter, project, hash/nested-loop joins (plus a
-//!   merge interval join, the strategy the paper observed in system DBX),
-//!   union all, bag difference, hash aggregation, distinct, sort — with SQL
-//!   NULL semantics, and
+//! * the classic operators — filter, project, hash/nested-loop joins (plus
+//!   the `index` crate's endpoint-sweep join, which stands in for the merge
+//!   interval join the paper observed in system DBX), union all, bag
+//!   difference, hash aggregation, distinct, sort — with SQL NULL
+//!   semantics, and
 //! * the temporal operators of the paper's implementation layer:
 //!   multiset coalescing ([`coalesce`], Section 9's analytic-window
 //!   algorithm), the split operator `N_G` ([`split`], Definition 8.3), and
@@ -19,9 +20,9 @@
 //! simple lets the benchmark harness compare approaches rather than
 //! runtimes-of-substrates. The one multi-core path is opt-in and
 //! bag-equivalent to its sequential twin: with
-//! [`EngineConfig::parallelism`] above 1, interval-overlap joins take the
-//! slab-parallel endpoint sweep of the `index` crate (elementary-interval
-//! partitioning over scoped worker threads).
+//! [`EngineConfig::parallelism`] above 1, every sweep join runs
+//! slab-parallel (elementary-interval partitioning over scoped worker
+//! threads).
 
 pub mod coalesce;
 mod eval;

@@ -1,19 +1,18 @@
 //! Temporal index subsystem: sweep-line interval indexes for the snapshot
 //! engine.
 //!
-//! The paper's snapshot-reducible operators spend their runtime in three
-//! places: interval-overlap joins, timeslice/point-in-time lookups, and
-//! multiset coalescing. All three reduce to questions about sorted interval
-//! endpoints, so this crate builds — once per stored table — the structures
-//! that answer them without per-query sorting (in the spirit of the
-//! Timeline Index line of work the paper benchmarks against):
+//! Interval-overlap joins and timeslice/point-in-time lookups reduce to
+//! questions about sorted interval endpoints, so this crate builds, once
+//! per stored table, the structures that answer them without per-query
+//! sorting (in the spirit of the Timeline Index line of work the paper
+//! benchmarks against). Multiset coalescing is not served here: it runs
+//! over derived rows (join and window outputs), not over a stored table,
+//! so it stays one sorted pass in the engine.
 //!
 //! * [`EventList`] — begin- and end-sorted event lists, the sweep-line
 //!   backbone ([`events`]),
 //! * [`IntervalTree`] — a static centered interval tree for `O(log n + k)`
 //!   timeslice stabbing and overlap probes ([`interval_tree`]),
-//! * [`CoalesceIndex`] — presorted per-group endpoint events, the
-//!   coalescing accelerator ([`coalesce`]),
 //! * [`sweep_join`] / [`sweep_join_presorted`] — the `O(n log n + output)`
 //!   endpoint-sweep temporal join ([`join`]),
 //! * [`try_parallel_sweep_join_presorted`] — the same join partitioned into
@@ -33,18 +32,14 @@
 //! ([`TableIndex::extend_appended`] — event lists merge in
 //! `O(n + k log k)` instead of re-sorting; the static interval tree is
 //! rebuilt from the merged begin order, sorting nothing of its own), and
-//! by a full rebuild otherwise (deletes, updates, replaced tables). The
-//! coalescing accelerator is never maintained: a bundle builds it on the
-//! first coalesce that asks ([`TableIndex::coalesce`]) and keeps it.
+//! by a full rebuild otherwise (deletes, updates, replaced tables).
 
-pub mod coalesce;
 pub mod events;
 pub mod interval_tree;
 pub mod join;
 pub mod parallel;
 pub mod table_index;
 
-pub use coalesce::CoalesceIndex;
 pub use events::EventList;
 pub use interval_tree::IntervalTree;
 pub use join::{sweep_join, sweep_join_presorted, try_sweep_join_presorted};

@@ -1,13 +1,13 @@
 //! The slow-query log: a bounded, process-global ring of offenders.
 //!
 //! The session layer, when a statement's wall time crosses the session's
-//! configured threshold (`SessionOptions::slow_query_ms`, the shell's
-//! `.slow` command, or the `--slow-ms` flag), records a [`SlowQuery`] with
-//! the statement text, the per-phase time split, and — when available —
-//! the `EXPLAIN ANALYZE`-style operator actuals of the executed plan. The
-//! ring keeps the most recent [`SLOW_LOG_CAPACITY`] entries by default —
-//! configurable per process via [`set_slow_log_capacity`]
-//! (`SessionOptions::slow_log_capacity` / `SET slow_log_capacity`) — and
+//! configured threshold (`SessionOptions::slow_query_ms`, `SET
+//! slow_query_ms`, the shell's `.slow` command, or the `--slow-ms` flag),
+//! records a [`SlowQuery`] with the statement text, the per-phase time
+//! split, and — when available — the `EXPLAIN ANALYZE`-style operator
+//! actuals of the executed plan. The ring keeps the most recent
+//! [`SLOW_LOG_CAPACITY`] entries by default — configurable per process
+//! via [`set_slow_log_capacity`] (`SET slow_log_capacity`) — and
 //! every eviction is counted in `slow_log_evictions_total` rather than
 //! dropped silently. The `snapshot_stat_slow_queries` virtual table and
 //! the tests read it back via [`slow_queries`]. Like all obs state it is

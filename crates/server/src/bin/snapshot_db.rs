@@ -209,7 +209,6 @@ fn main() {
             Backend::Local {
                 session: Box::new(shared.session_with_options(options)),
                 shared,
-                options,
             }
         }
     };
@@ -331,9 +330,6 @@ enum Backend {
         /// The shared handle behind `session` — `.parallel` opens more
         /// sessions over it.
         shared: SharedDatabase,
-        /// The option template `.parallel` readers inherit;
-        /// `.timeout`/`.slow` keep it in sync with the live session.
-        options: SessionOptions,
     },
     Remote {
         client: Client,
@@ -497,13 +493,8 @@ impl Shell {
 
     fn run_meta(&mut self, meta: &str) -> Flow {
         match &mut self.backend {
-            Backend::Local {
-                session,
-                shared,
-                options,
-            } => {
-                let result = run_meta(meta, session, shared, options);
-                match result {
+            Backend::Local { session, shared } => {
+                match run_meta(meta, session, shared) {
                     Ok(outcome) => {
                         if outcome.flow == MetaFlow::Quit {
                             return Flow::Quit;

@@ -169,9 +169,10 @@ impl Client {
         self.collect_response()
     }
 
-    /// Set a session option by name (`statement_timeout`, `parallelism`,
-    /// `max_rows_scanned`, `max_result_rows`, `slow_query_ms`); the value
-    /// is a number or `off`.
+    /// Set a session option by name — exactly what SQL `SET name = value`
+    /// does (`Session::set_option` on the server): `statement_timeout`,
+    /// `parallelism`, `max_rows_scanned`, `max_result_rows`,
+    /// `slow_query_ms`, `slow_log_capacity`; the value is a number or `off`.
     pub fn set_option(&mut self, name: &str, value: &str) -> Result<QueryResponse, RemoteError> {
         write_frame(
             &mut self.stream,

@@ -381,15 +381,7 @@ fn serve_connection(
         }
     });
 
-    executor_loop(
-        &mut stream,
-        &mut session,
-        &shared,
-        &config,
-        &server,
-        rx,
-        &bytes_out,
-    );
+    executor_loop(&mut stream, &mut session, &shared, &server, rx, &bytes_out);
 
     // Teardown, in order: close the socket (unblocks the reader if it is
     // still alive), join the reader, then drop the session — its
@@ -406,14 +398,10 @@ fn executor_loop(
     stream: &mut TcpStream,
     session: &mut Session,
     shared: &SharedDatabase,
-    config: &ServerConfig,
     server: &ServerHandle,
     rx: Receiver<Msg>,
     bytes_out: &Arc<obs::Counter>,
 ) {
-    // The per-connection option template `.parallel` readers and bare
-    // `.timeout`/`.slow` state queries see; starts as the server default.
-    let mut template = config.options;
     let send = |stream: &mut TcpStream, frame: &Frame| -> bool {
         match write_frame(stream, frame) {
             Ok(n) => {
@@ -471,7 +459,7 @@ fn executor_loop(
                 }
             }
             Msg::Frame(Frame::Meta { command }) => {
-                match run_meta(&command, session, shared, &mut template) {
+                match run_meta(&command, session, shared) {
                     Ok(outcome) => {
                         if !send(
                             stream,
@@ -502,13 +490,10 @@ fn executor_loop(
                 }
             }
             Msg::Frame(Frame::SetOption { name, value }) => {
-                let response = match apply_option(session, &name, &value) {
-                    Ok(()) => {
-                        template = *session.options();
-                        Frame::Done {
-                            summary: format!("SET {name} = {value}"),
-                        }
-                    }
+                let response = match session.set_option(&name, &value) {
+                    Ok(()) => Frame::Done {
+                        summary: format!("SET {name} = {value}"),
+                    },
                     Err(e) => Frame::Error { message: e },
                 };
                 if !send(stream, &response)
@@ -560,33 +545,4 @@ fn executor_loop(
             }
         }
     }
-}
-
-/// Apply one wire-set session option ([`Frame::SetOption`]) — the same
-/// names `SET` accepts, without a round trip through the SQL parser.
-fn apply_option(session: &mut Session, name: &str, value: &str) -> Result<(), String> {
-    let parsed = if value.eq_ignore_ascii_case("off") {
-        None
-    } else {
-        Some(value.parse::<u64>().map_err(|_| {
-            format!("invalid value '{value}' for '{name}' (expected a number or 'off')")
-        })?)
-    };
-    let options = session.options_mut();
-    match name {
-        "statement_timeout" | "statement_timeout_ms" => {
-            options.statement_timeout_ms = parsed.filter(|&ms| ms > 0);
-        }
-        "max_rows_scanned" => options.max_rows_scanned = parsed.filter(|&n| n > 0),
-        "max_result_rows" => options.max_result_rows = parsed.filter(|&n| n > 0),
-        "slow_query_ms" => options.slow_query_ms = parsed,
-        "parallelism" => {
-            let n = parsed.ok_or_else(|| {
-                "parallelism must be a number (0 = one worker per hardware thread)".to_string()
-            })?;
-            options.parallelism = engine::resolve_parallelism(n as usize);
-        }
-        other => return Err(format!("unknown session option '{other}'")),
-    }
-    Ok(())
 }

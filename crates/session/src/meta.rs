@@ -13,7 +13,7 @@
 //! server, for remote sessions. The remote shell rewrites those to the
 //! bare (text-returning) form and writes the file client-side instead.
 
-use crate::session::{Session, SessionOptions};
+use crate::session::Session;
 use crate::shared::SharedDatabase;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,6 +74,7 @@ Meta commands:
   .slow [N|off]      log statements taking >= N ms (with phase split and
                      operator actuals) to the slow-query log, queryable as
                      snapshot_stat_slow_queries; bare .slow shows the state
+                     (also: SET slow_query_ms)
   .profile [on|off|FILE]
                      operator-level profiler: 'on' starts (resets) folded
                      stack collection, 'off' stops it, bare .profile prints
@@ -90,16 +91,13 @@ ordinary SELECTs, e.g.
 
 /// Execute one meta command (`meta` is the line without its leading dot).
 ///
-/// `session` is the command's target session, `shared` the database handle
-/// behind it (`.parallel` opens reader sessions over it), and `template`
-/// the option set those readers inherit — `.timeout`/`.slow` update it
-/// alongside the live session, exactly as the interactive shell always
-/// did.
+/// `session` is the command's target session and `shared` the database
+/// handle behind it (`.parallel` opens reader sessions over it, each with
+/// a copy of `session`'s options).
 pub fn run_meta(
     meta: &str,
     session: &mut Session,
     shared: &SharedDatabase,
-    template: &mut SessionOptions,
 ) -> Result<MetaOutcome, String> {
     let mut words = meta.split_whitespace();
     let cmd = words.next().unwrap_or("");
@@ -116,7 +114,7 @@ pub fn run_meta(
         "index" => refresh_index(session, words.next())?,
         "parallel" => {
             let rest = meta.strip_prefix("parallel").unwrap_or("").trim();
-            parallel(session, shared, template, rest)?
+            parallel(session, shared, rest)?
         }
         "explain" => {
             let rest = meta.strip_prefix("explain").unwrap_or("").trim();
@@ -127,8 +125,8 @@ pub fn run_meta(
         "metrics" => metrics(words.next())?,
         "activity" => activity(session),
         "kill" => kill(words.next())?,
-        "timeout" => timeout(session, template, words.next())?,
-        "slow" => slow(session, template, words.next())?,
+        "timeout" => timeout(session, words.next())?,
+        "slow" => slow(session, words.next())?,
         "profile" => profile(words.next())?,
         "trace" => match words.next() {
             Some("on") => {
@@ -192,12 +190,7 @@ fn show_tables(session: &Session) -> String {
 /// reader sessions over the shared database and checks that all of them
 /// (and the target session) agree: the multi-session object, demonstrated
 /// from the shell.
-fn parallel(
-    session: &mut Session,
-    shared: &SharedDatabase,
-    template: &SessionOptions,
-    rest: &str,
-) -> Result<String, String> {
+fn parallel(session: &mut Session, shared: &SharedDatabase, rest: &str) -> Result<String, String> {
     let (n_word, sql) = rest
         .split_once(char::is_whitespace)
         .ok_or("usage: .parallel N SELECT ...")?;
@@ -221,12 +214,12 @@ fn parallel(
         .ok_or("only query statements can run in parallel")?
         .canonicalized();
     let started = Instant::now();
+    let options = *session.options();
     let results: Vec<Result<storage::Table, String>> = std::thread::scope(|scope| {
         let sql = &sql;
         let handles: Vec<_> = (0..n)
             .map(|_| {
                 let shared = shared.clone();
-                let options = *template;
                 scope.spawn(move || -> Result<storage::Table, String> {
                     let mut session = shared.session_with_options(options);
                     let result = session.execute(sql)?;
@@ -398,70 +391,36 @@ fn kill(id: Option<&str>) -> Result<String, String> {
     }
 }
 
-/// `.timeout [N|off]` — set, clear, or show the statement timeout.
-/// Updates both the live session and the option template `.parallel`
-/// readers inherit.
-fn timeout(
-    session: &mut Session,
-    template: &mut SessionOptions,
-    arg: Option<&str>,
-) -> Result<String, String> {
-    match arg {
-        None => Ok(match template.statement_timeout_ms {
-            Some(ms) => format!("statement timeout: {ms} ms\n"),
-            None => "statement timeout: off\n".to_string(),
-        }),
-        Some("off") => {
-            session.options_mut().statement_timeout_ms = None;
-            template.statement_timeout_ms = None;
-            Ok("statement timeout: off\n".to_string())
-        }
-        Some(n) => match n.parse::<u64>() {
-            Ok(ms) if ms > 0 => {
-                session.options_mut().statement_timeout_ms = Some(ms);
-                template.statement_timeout_ms = Some(ms);
-                Ok(format!("statement timeout: {ms} ms\n"))
-            }
-            _ => Err("usage: .timeout [N|off] (N in milliseconds, > 0)".to_string()),
-        },
+/// `.timeout [N|off]` — set (as `SET statement_timeout` does), clear, or
+/// show the session's statement timeout.
+fn timeout(session: &mut Session, arg: Option<&str>) -> Result<String, String> {
+    if let Some(value) = arg {
+        session.set_option("statement_timeout", value)?;
     }
+    Ok(match session.options().statement_timeout_ms {
+        Some(ms) => format!("statement timeout: {ms} ms\n"),
+        None => "statement timeout: off\n".to_string(),
+    })
 }
 
-/// `.slow [N|off]` — set, clear, or show the slow-query threshold.
-/// Updates both the live session and the option template `.parallel`
-/// readers inherit.
-fn slow(
-    session: &mut Session,
-    template: &mut SessionOptions,
-    arg: Option<&str>,
-) -> Result<String, String> {
-    match arg {
-        None => {
-            let mut out = match template.slow_query_ms {
-                Some(ms) => format!("slow-query log: on (threshold {ms} ms)\n"),
-                None => "slow-query log: off\n".to_string(),
-            };
-            let logged = snapshot_obs::slow_queries().len();
-            let _ = writeln!(
-                out,
-                "{logged} entr(ies) logged — SELECT * FROM snapshot_stat_slow_queries;"
-            );
-            Ok(out)
-        }
-        Some("off") => {
-            session.options_mut().slow_query_ms = None;
-            template.slow_query_ms = None;
-            Ok("slow-query log: off\n".to_string())
-        }
-        Some(n) => match n.parse::<u64>() {
-            Ok(ms) => {
-                session.options_mut().slow_query_ms = Some(ms);
-                template.slow_query_ms = Some(ms);
-                Ok(format!("slow-query log: on (threshold {ms} ms)\n"))
-            }
-            Err(_) => Err("usage: .slow [N|off] (N in milliseconds)".to_string()),
-        },
+/// `.slow [N|off]` — set (as `SET slow_query_ms` does), clear, or show the
+/// session's slow-query threshold; bare `.slow` also counts the log.
+fn slow(session: &mut Session, arg: Option<&str>) -> Result<String, String> {
+    if let Some(value) = arg {
+        session.set_option("slow_query_ms", value)?;
     }
+    let mut out = match session.options().slow_query_ms {
+        Some(ms) => format!("slow-query log: on (threshold {ms} ms)\n"),
+        None => "slow-query log: off\n".to_string(),
+    };
+    if arg.is_none() {
+        let logged = snapshot_obs::slow_queries().len();
+        let _ = writeln!(
+            out,
+            "{logged} entr(ies) logged — SELECT * FROM snapshot_stat_slow_queries;"
+        );
+    }
+    Ok(out)
 }
 
 /// `.profile [on|off|FILE]` — control the operator-level profiler and
@@ -519,66 +478,94 @@ mod tests {
     use super::*;
     use crate::shared::SharedDatabase;
 
-    fn setup() -> (SharedDatabase, Session, SessionOptions) {
+    fn setup() -> (SharedDatabase, Session) {
         let shared = SharedDatabase::in_memory();
         let session = shared.session();
-        (shared, session, SessionOptions::default())
+        (shared, session)
     }
 
-    fn run(
-        meta: &str,
-        session: &mut Session,
-        shared: &SharedDatabase,
-        template: &mut SessionOptions,
-    ) -> String {
-        run_meta(meta, session, shared, template).unwrap().output
+    fn run(meta: &str, session: &mut Session, shared: &SharedDatabase) -> String {
+        run_meta(meta, session, shared).unwrap().output
     }
 
     #[test]
     fn tables_timeout_and_kill_render_like_the_shell() {
-        let (shared, mut session, mut template) = setup();
-        assert_eq!(
-            run("tables", &mut session, &shared, &mut template),
-            "(no tables)\n"
-        );
+        let (shared, mut session) = setup();
+        assert_eq!(run("tables", &mut session, &shared), "(no tables)\n");
         session
             .execute("CREATE TABLE works (name TEXT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
-        let out = run("tables", &mut session, &shared, &mut template);
+        let out = run("tables", &mut session, &shared);
         assert!(out.contains("works"), "{out}");
         assert!(out.contains("PERIOD (ts, te)"), "{out}");
 
-        let out = run("timeout 250", &mut session, &shared, &mut template);
+        let out = run("timeout 250", &mut session, &shared);
         assert_eq!(out, "statement timeout: 250 ms\n");
         assert_eq!(session.options().statement_timeout_ms, Some(250));
-        assert_eq!(template.statement_timeout_ms, Some(250));
-        let out = run("timeout off", &mut session, &shared, &mut template);
+        let out = run("timeout off", &mut session, &shared);
         assert_eq!(out, "statement timeout: off\n");
-        assert_eq!(template.statement_timeout_ms, None);
+        assert_eq!(session.options().statement_timeout_ms, None);
+        assert!(run_meta("timeout soon", &mut session, &shared).is_err());
 
-        let out = run("kill 999999999", &mut session, &shared, &mut template);
+        let out = run("kill 999999999", &mut session, &shared);
         assert!(out.contains("idle or unknown"), "{out}");
     }
 
+    /// `SET` and the meta commands share one option set: `.timeout` and
+    /// `.slow` report what `SET` left, and `.parallel` readers start from
+    /// the live session's options — here `slow_query_ms = 0`, which puts
+    /// the reference run and every reader into the slow-query log.
     #[test]
-    fn quit_signals_and_unknown_commands_error() {
-        let (shared, mut session, mut template) = setup();
-        let outcome = run_meta("quit", &mut session, &shared, &mut template).unwrap();
-        assert_eq!(outcome.flow, MetaFlow::Quit);
-        assert!(run_meta("nonsense", &mut session, &shared, &mut template).is_err());
-        assert!(run_meta("verify sideways", &mut session, &shared, &mut template).is_err());
-    }
+    fn meta_commands_see_what_set_left() {
+        let _guard = snapshot_obs::testing::serial_guard();
+        let (shared, mut session) = setup();
+        session.execute("SET statement_timeout = 250").unwrap();
+        let out = run("timeout", &mut session, &shared);
+        assert_eq!(out, "statement timeout: 250 ms\n");
+        session.execute("SET slow_query_ms = 0").unwrap();
+        let out = run("slow", &mut session, &shared);
+        assert!(
+            out.starts_with("slow-query log: on (threshold 0 ms)\n"),
+            "{out}"
+        );
 
-    #[test]
-    fn activity_marks_the_calling_session_and_dump_roundtrips() {
-        let (shared, mut session, mut template) = setup();
         session
             .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
         session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
-        let out = run("activity", &mut session, &shared, &mut template);
+        snapshot_obs::reset_slow_log();
+        let out = run("parallel 3 SELECT x FROM t", &mut session, &shared);
+        assert!(out.starts_with("3 concurrent reader(s) agree"), "{out}");
+        let logged = snapshot_obs::slow_queries()
+            .iter()
+            .filter(|q| q.statement.to_lowercase().contains("from t"))
+            .count();
+        assert_eq!(logged, 1 + 3, "the reference run and every reader");
+
+        let out = run("slow off", &mut session, &shared);
+        assert_eq!(out, "slow-query log: off\n");
+        snapshot_obs::reset_slow_log();
+    }
+
+    #[test]
+    fn quit_signals_and_unknown_commands_error() {
+        let (shared, mut session) = setup();
+        let outcome = run_meta("quit", &mut session, &shared).unwrap();
+        assert_eq!(outcome.flow, MetaFlow::Quit);
+        assert!(run_meta("nonsense", &mut session, &shared).is_err());
+        assert!(run_meta("verify sideways", &mut session, &shared).is_err());
+    }
+
+    #[test]
+    fn activity_marks_the_calling_session_and_dump_roundtrips() {
+        let (shared, mut session) = setup();
+        session
+            .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
+            .unwrap();
+        session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
+        let out = run("activity", &mut session, &shared);
         assert!(out.contains("(this shell)"), "{out}");
-        let dumped = run("dump", &mut session, &shared, &mut template);
+        let dumped = run("dump", &mut session, &shared);
         assert!(dumped.contains("CREATE TABLE t"), "{dumped}");
         assert!(dumped.contains("INSERT INTO t"), "{dumped}");
     }

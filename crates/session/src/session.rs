@@ -170,7 +170,8 @@ pub struct SessionOptions {
     /// `snapshot_stat_slow_queries`) together with its phase split and
     /// `EXPLAIN ANALYZE`-style operator actuals. `None` (the default)
     /// disables the log *and* the per-statement rendering of those
-    /// actuals; set it via the shell's `--slow-ms` flag or `.slow` command.
+    /// actuals; set it via `SET slow_query_ms = <ms>`, the shell's
+    /// `--slow-ms` flag or `.slow`.
     pub slow_query_ms: Option<u64>,
     /// Statement timeout, in milliseconds: a statement still executing
     /// past it is cooperatively cancelled at the next operator batch
@@ -185,12 +186,6 @@ pub struct SessionOptions {
     /// Resource limit: cancel a statement once its operators have emitted
     /// more than this many rows (`SET max_result_rows = <n>`).
     pub max_result_rows: Option<u64>,
-    /// Capacity of the process-wide slow-query ring
-    /// ([`snapshot_obs::slow_queries`]). Applied on session creation when
-    /// it differs from the built-in default
-    /// ([`snapshot_obs::SLOW_LOG_CAPACITY`]); overflow drops the oldest
-    /// entries and counts them in `slow_log_evictions_total`.
-    pub slow_log_capacity: usize,
 }
 
 impl Default for SessionOptions {
@@ -205,7 +200,6 @@ impl Default for SessionOptions {
             statement_timeout_ms: None,
             max_rows_scanned: None,
             max_result_rows: None,
-            slow_log_capacity: obs::SLOW_LOG_CAPACITY,
         }
     }
 }
@@ -413,7 +407,6 @@ impl Session {
     }
 
     fn over(backend: Backend, kind: &'static str, options: SessionOptions) -> Self {
-        apply_slow_log_capacity(&options);
         Session {
             backend,
             options,
@@ -792,14 +785,26 @@ impl Session {
                 Ok(StatementResult::Committed { tables })
             }
             SqlStatement::Rollback => self.rollback_txn(),
-            SqlStatement::Set { name, value } => self.apply_set(name, value),
+            SqlStatement::Set { name, value } => {
+                self.set_option(name, value)?;
+                Ok(StatementResult::Set {
+                    name: name.to_string(),
+                    value: value.to_string(),
+                })
+            }
             _ => self.apply_mutation(stmt, text),
         }
     }
 
-    /// `SET <option> = <value>`: session-scoped knobs for cancellation
-    /// and the slow log. Numeric options accept `off` (or `0`) to clear.
-    fn apply_set(&mut self, name: &str, value: &str) -> Result<StatementResult, StatementError> {
+    /// Sets one option by name — what SQL `SET <name> = <value>` and the
+    /// wire protocol's `SetOption` frame both run. Values are a number or
+    /// `off`. `off` clears `statement_timeout` (alias
+    /// `statement_timeout_ms`), `max_rows_scanned`, `max_result_rows` and
+    /// `slow_query_ms`; `0` clears the first three too, while
+    /// `slow_query_ms = 0` logs every statement. `parallelism = 0` means
+    /// one worker per hardware thread. `slow_log_capacity` resizes the
+    /// process-wide slow-query ring and takes a positive number.
+    pub fn set_option(&mut self, name: &str, value: &str) -> Result<(), String> {
         let parsed = if value.eq_ignore_ascii_case("off") {
             None
         } else {
@@ -807,31 +812,28 @@ impl Session {
                 format!("invalid value '{value}' for '{name}' (expected a number or 'off')")
             })?)
         };
+        let options = &mut self.options;
         match name {
             "statement_timeout" | "statement_timeout_ms" => {
-                self.options.statement_timeout_ms = parsed.filter(|&ms| ms > 0);
+                options.statement_timeout_ms = parsed.filter(|&ms| ms > 0);
             }
-            "max_rows_scanned" => self.options.max_rows_scanned = parsed.filter(|&n| n > 0),
-            "max_result_rows" => self.options.max_result_rows = parsed.filter(|&n| n > 0),
+            "max_rows_scanned" => options.max_rows_scanned = parsed.filter(|&n| n > 0),
+            "max_result_rows" => options.max_result_rows = parsed.filter(|&n| n > 0),
+            "slow_query_ms" => options.slow_query_ms = parsed,
             "parallelism" => {
-                let n = parsed.ok_or_else(|| {
-                    "parallelism must be a number (0 = one worker per hardware thread)".to_string()
-                })?;
-                self.options.parallelism = engine::resolve_parallelism(n as usize);
+                let n = parsed
+                    .ok_or("parallelism must be a number (0 = one worker per hardware thread)")?;
+                options.parallelism = engine::resolve_parallelism(n as usize);
             }
             "slow_log_capacity" => {
                 let n = parsed
                     .filter(|&n| n > 0)
-                    .ok_or_else(|| "slow_log_capacity must be a positive number".to_string())?;
+                    .ok_or("slow_log_capacity must be a positive number")?;
                 obs::set_slow_log_capacity(n as usize);
-                self.options.slow_log_capacity = obs::slow_log_capacity();
             }
-            other => return Err(format!("unknown session option '{other}'").into()),
+            other => return Err(format!("unknown session option '{other}'")),
         }
-        Ok(StatementResult::Set {
-            name: name.to_string(),
-            value: value.to_string(),
-        })
+        Ok(())
     }
 
     /// A statement died with a cancellation error: count it in the
@@ -1306,15 +1308,6 @@ impl ReadState<'_> {
             ReadState::Owned(db) => db.refresh_indexes(tables),
             ReadState::Pinned(snap) => snap.refresh_indexes(tables),
         }
-    }
-}
-
-/// Applies a non-default [`SessionOptions::slow_log_capacity`] to the
-/// process-wide slow-query ring on session creation (sessions built with
-/// the default leave the global setting alone).
-fn apply_slow_log_capacity(options: &SessionOptions) {
-    if options.slow_log_capacity > 0 && options.slow_log_capacity != obs::SLOW_LOG_CAPACITY {
-        obs::set_slow_log_capacity(options.slow_log_capacity);
     }
 }
 

@@ -52,8 +52,7 @@ fn main() -> Result<(), String> {
     catalog.register("works", works);
 
     // One-time index construction: endpoint event lists and an interval
-    // tree per period table (the coalescing accelerator follows on the
-    // first coalesce that asks for it).
+    // tree per period table.
     let indexes = IndexCatalog::build_all(&catalog);
     println!(
         "indexed tables: {:?}\n",
@@ -94,10 +93,9 @@ fn main() -> Result<(), String> {
     let join_plan = compiler.compile_statement(&bound, &catalog)?;
     let (out, stats) = run(&join_plan, &catalog, &indexes)?;
     println!(
-        "\ntemporal self-join: {} rows (IndexSweepJoin: {:?}, IndexCoalesce: {:?})",
+        "\ntemporal self-join: {} rows (IndexSweepJoin: {:?})",
         out.len(),
         stats.get("IndexSweepJoin"),
-        stats.get("IndexCoalesce"),
     );
 
     // 3. Mutate the table: the registered index is now stale, so the same

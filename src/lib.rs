@@ -11,7 +11,7 @@
 //!   snapshot/period K-relations (the paper's abstract + logical models),
 //! * [`storage`] — values, rows, schemas, period relations, catalog,
 //! * [`index`] — sweep-line interval indexes (endpoint event lists,
-//!   interval trees, coalescing accelerators) over stored period tables,
+//!   interval trees, the endpoint-sweep join) over stored period tables,
 //! * [`algebra`] — logical plans and scalar expressions,
 //! * [`engine`] — the embedded multiset execution engine,
 //! * [`sql`] — the SQL dialect with `SEQ VT (...)` snapshot blocks (plus

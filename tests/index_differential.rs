@@ -1,9 +1,9 @@
 //! Differential testing of the temporal index subsystem: every indexed
-//! route (sweep join, interval-tree timeslice, coalescing accelerator) must
-//! be bag-equivalent to the naive engine paths and to the point-wise
-//! oracle on randomized databases and the datagen workloads.
+//! route (sweep join, interval-tree timeslice and time range) must be
+//! bag-equivalent to the naive engine paths and to the point-wise oracle
+//! on randomized databases and the datagen workloads.
 
-use snapshot_semantics::algebra::{Expr, JoinAlgo, Plan, TimesliceAlgo};
+use snapshot_semantics::algebra::{Expr, JoinAlgo, Plan};
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::datagen::random::{random_period_table, RandomTableSpec};
 use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
@@ -57,13 +57,11 @@ fn random_catalog(seed: u64) -> (Catalog, TimeDomain) {
 }
 
 /// Every join hint the rewriter can stamp on its overlap joins.
-const JOIN_ALGOS: [JoinAlgo; 6] = [
+const JOIN_ALGOS: [JoinAlgo; 4] = [
     JoinAlgo::Auto,
     JoinAlgo::NestedLoop,
     JoinAlgo::Hash,
-    JoinAlgo::MergeInterval,
-    JoinAlgo::IndexSweep,
-    JoinAlgo::ParallelSweep,
+    JoinAlgo::Sweep,
 ];
 
 const QUERIES: &[&str] = &[
@@ -120,9 +118,10 @@ fn indexed_pipeline_matches_naive_and_oracle() {
     }
 }
 
-/// Every join algorithm, indexed or not, produces the same bag on a raw
-/// interval-overlap join (no rewriting involved), and records the route it
-/// took under its established `ExecStats` name.
+/// Every join algorithm, indexed or not, sequential or with a worker pool,
+/// produces the same bag on a raw interval-overlap join (no rewriting
+/// involved), and records the route it took under its established
+/// `ExecStats` name.
 #[test]
 fn join_algos_bag_equivalent() {
     for seed in 0..6 {
@@ -138,46 +137,42 @@ fn join_algos_bag_equivalent() {
             .and(Expr::col(lts).lt(Expr::col(rte_g)))
             .and(Expr::col(rts_g).lt(Expr::col(lte)));
 
-        const JOIN_OPS: [&str; 7] = [
+        const JOIN_OPS: [&str; 6] = [
             "NestedLoopJoin",
             "HashJoin",
-            "MergeIntervalJoin",
             "SweepJoin",
             "IndexSweepJoin",
             "ParallelSweepJoin",
             "ParallelSweepSlabs",
         ];
         let mut reference: Option<Vec<Row>> = None;
-        // Per hint: the operators recorded without and with indexes.
-        for (algo, naive_ops, indexed_ops) in [
+        // Per hint: the operators recorded at parallelism 1 without and
+        // with indexes, and at parallelism 3 (either way).
+        for (algo, naive_ops, indexed_ops, parallel_ops) in [
             (
                 JoinAlgo::NestedLoop,
                 &["NestedLoopJoin"][..],
                 &["NestedLoopJoin"][..],
+                &["NestedLoopJoin"][..],
             ),
-            (JoinAlgo::Hash, &["HashJoin"], &["HashJoin"]),
+            (JoinAlgo::Hash, &["HashJoin"], &["HashJoin"], &["HashJoin"]),
             (
-                JoinAlgo::MergeInterval,
-                &["MergeIntervalJoin"],
-                &["MergeIntervalJoin"],
-            ),
-            (JoinAlgo::IndexSweep, &["SweepJoin"], &["IndexSweepJoin"]),
-            (
-                JoinAlgo::ParallelSweep,
-                &["ParallelSweepJoin", "ParallelSweepSlabs"],
+                JoinAlgo::Sweep,
+                &["SweepJoin"],
+                &["IndexSweepJoin"],
                 &["ParallelSweepJoin", "ParallelSweepSlabs"],
             ),
             // Equality keys present: Auto hashes, indexed or not.
-            (JoinAlgo::Auto, &["HashJoin"], &["HashJoin"]),
+            (JoinAlgo::Auto, &["HashJoin"], &["HashJoin"], &["HashJoin"]),
         ] {
             let plan = Plan::scan("r", schema.clone()).join_with(
                 Plan::scan("s", schema.clone()),
                 cond.clone(),
                 algo,
             );
-            for use_index in [false, true] {
+            for (parallelism, use_index) in [(1, false), (1, true), (3, false), (3, true)] {
                 let (out, stats) = run_with_stats(
-                    &Engine::new(),
+                    &Engine::with_parallelism(parallelism),
                     &plan,
                     &catalog,
                     use_index.then_some(&indexes),
@@ -186,18 +181,20 @@ fn join_algos_bag_equivalent() {
                     .into_iter()
                     .filter(|op| stats.get(op).is_some())
                     .collect();
-                let want = if use_index { indexed_ops } else { naive_ops };
-                assert_eq!(
-                    recorded, want,
-                    "seed {seed}, {algo:?}, use_index={use_index}"
+                let want = match (parallelism, use_index) {
+                    (1, false) => naive_ops,
+                    (1, true) => indexed_ops,
+                    _ => parallel_ops,
+                };
+                let route = format!(
+                    "seed {seed}, {algo:?}, parallelism {parallelism}, use_index={use_index}"
                 );
+                assert_eq!(recorded, want, "{route}");
                 let mut rows = out.rows().to_vec();
                 rows.sort_unstable();
                 match &reference {
                     None => reference = Some(rows),
-                    Some(want) => {
-                        assert_eq!(want, &rows, "seed {seed}, {algo:?}, use_index={use_index}")
-                    }
+                    Some(want) => assert_eq!(want, &rows, "{route}"),
                 }
             }
         }
@@ -208,9 +205,9 @@ fn join_algos_bag_equivalent() {
     }
 }
 
-/// The indexed timeslice and time range equal their linear filters at every
-/// point of the domain, and each route is recorded under its established
-/// `ExecStats` name.
+/// The indexed timeslice and time range equal the naive route's linear
+/// filters (`Engine::execute`) at every point of the domain, and each
+/// route is recorded under its established `ExecStats` name.
 #[test]
 fn timeslice_routes_agree_across_domain() {
     for seed in 0..4 {
@@ -220,39 +217,22 @@ fn timeslice_routes_agree_across_domain() {
         let mut indexed_hits = 0u64;
         for t in domain.points() {
             let at = t.value();
-            let (linear, linear_stats) = run_with_stats(
-                &Engine::new(),
-                &Plan::scan("r", schema.clone()).timeslice_with(at, TimesliceAlgo::Linear),
-                &catalog,
-                Some(&indexes),
-            );
+            let plan = Plan::scan("r", schema.clone()).timeslice(at);
+            let (linear, linear_stats) = run_with_stats(&Engine::new(), &plan, &catalog, None);
             assert!(linear_stats.get("NaiveTimeslice").is_some());
             assert!(linear_stats.get("IndexTimeslice").is_none());
-            let (indexed, stats) = run_with_stats(
-                &Engine::new(),
-                &Plan::scan("r", schema.clone()).timeslice(at),
-                &catalog,
-                Some(&indexes),
-            );
+            let (indexed, stats) = run_with_stats(&Engine::new(), &plan, &catalog, Some(&indexes));
             assert_eq!(linear, indexed, "seed {seed}, timeslice at {at}");
             if stats.get("IndexTimeslice").is_some() {
                 indexed_hits += 1;
             }
             assert!(stats.get("NaiveTimeslice").is_none());
 
-            let scan = || Plan::scan("r", schema.clone());
-            let (range_linear, linear_stats) = run_with_stats(
-                &Engine::new(),
-                &scan().time_range_with(at, at + 5, TimesliceAlgo::Linear),
-                &catalog,
-                Some(&indexes),
-            );
-            let (range_indexed, stats) = run_with_stats(
-                &Engine::new(),
-                &scan().time_range(at, at + 5),
-                &catalog,
-                Some(&indexes),
-            );
+            let plan = Plan::scan("r", schema.clone()).time_range(at, at + 5);
+            let (range_linear, linear_stats) =
+                run_with_stats(&Engine::new(), &plan, &catalog, None);
+            let (range_indexed, stats) =
+                run_with_stats(&Engine::new(), &plan, &catalog, Some(&indexes));
             assert_eq!(range_linear, range_indexed, "seed {seed}, range at {at}");
             assert!(linear_stats.get("NaiveTimeRange").is_some());
             assert!(linear_stats.get("IndexTimeRange").is_none());
@@ -303,7 +283,8 @@ fn compile_timeslice_matches_oracle_snapshots() {
     }
 }
 
-/// The coalescing accelerator equals the naive coalesce on random tables.
+/// A coalesce over an indexed scan runs the one sorted-pass kernel and
+/// equals the naive route row for row on random tables.
 #[test]
 fn indexed_coalesce_matches_naive() {
     for seed in 0..6 {
@@ -313,16 +294,16 @@ fn indexed_coalesce_matches_naive() {
             let schema = catalog.get(table).unwrap().schema().clone();
             let plan = Plan::scan(table, schema).coalesce();
             let naive = Engine::new().execute(&plan, &catalog).unwrap();
-            let (accel, stats) = run_with_stats(&Engine::new(), &plan, &catalog, Some(&indexes));
-            assert_eq!(naive, accel, "seed {seed}, table {table}");
-            assert!(stats.get("IndexCoalesce").is_some());
+            let (indexed, stats) = run_with_stats(&Engine::new(), &plan, &catalog, Some(&indexes));
+            assert_eq!(naive, indexed, "seed {seed}, table {table}");
+            assert_eq!(stats.get("Coalesce"), Some((1, naive.len() as u64)));
         }
     }
 }
 
 /// The indexed route survives the full Employee workload at a small scale,
 /// agreeing with the hash route query-by-query, including under the
-/// `IndexSweep` plan hint (sort-on-the-fly sweep) without any index.
+/// `Sweep` plan hint (sort-on-the-fly sweep) without any index.
 #[test]
 fn employee_workload_indexed_matches_hash() {
     let catalog = snapshot_semantics::datagen::employees::generate(0.0005, 42);
@@ -342,7 +323,7 @@ fn employee_workload_indexed_matches_hash() {
         let sweep_plan = SnapshotCompiler::with_options(
             domain,
             RewriteOptions {
-                temporal_join_algo: JoinAlgo::IndexSweep,
+                temporal_join_algo: JoinAlgo::Sweep,
                 ..RewriteOptions::default()
             },
         )
@@ -457,8 +438,8 @@ fn parallelism_levels() -> Vec<usize> {
     }
 }
 
-/// The full SQL pipeline with the `ParallelSweep` rewrite hint equals the
-/// sequential routes and the point-wise oracle at every parallelism level.
+/// The full SQL pipeline with the `Sweep` rewrite hint equals the
+/// point-wise oracle at every parallelism level.
 #[test]
 fn parallel_pipeline_matches_sequential_and_oracle() {
     for seed in 0..3 {
@@ -476,7 +457,7 @@ fn parallel_pipeline_matches_sequential_and_oracle() {
             let compiler = SnapshotCompiler::with_options(
                 domain,
                 RewriteOptions {
-                    temporal_join_algo: JoinAlgo::ParallelSweep,
+                    temporal_join_algo: JoinAlgo::Sweep,
                     ..RewriteOptions::default()
                 },
             );
@@ -581,8 +562,8 @@ fn parallel_sweep_survives_slab_boundary_adversaries() {
             rows.sort_unstable();
             rows
         };
+        let plan = overlap_join_plan(&catalog, JoinAlgo::Sweep);
         let sequential = {
-            let plan = overlap_join_plan(&catalog, JoinAlgo::IndexSweep);
             let mut rows = run_indexed(&Engine::new(), &plan, &catalog, &indexes)
                 .rows()
                 .to_vec();
@@ -591,9 +572,8 @@ fn parallel_sweep_survives_slab_boundary_adversaries() {
         };
         assert_eq!(reference, sequential, "{name}: sequential sweep");
         // P far beyond the distinct endpoint count included.
-        for p in [1usize, 2, 3, 4, 8, 16, 64] {
+        for p in [2usize, 3, 4, 8, 16, 64] {
             for use_index in [false, true] {
-                let plan = overlap_join_plan(&catalog, JoinAlgo::ParallelSweep);
                 let (out, stats) = run_with_stats(
                     &Engine::with_parallelism(p),
                     &plan,
@@ -612,6 +592,73 @@ fn parallel_sweep_survives_slab_boundary_adversaries() {
                 );
             }
         }
+    }
+}
+
+/// A pinned `Sweep` runs slab-parallel exactly when the engine's
+/// parallelism is above 1, indexed or not — and so does a session's, whose
+/// default parallelism may come from `SNAPSHOT_PARALLELISM`: the session
+/// half asserts on the configured value, not on the environment.
+#[test]
+fn explicit_sweep_runs_slab_parallel_exactly_above_parallelism_one() {
+    use snapshot_semantics::session::{Database, Session, SessionOptions};
+    let mut catalog = Catalog::new();
+    catalog.register("r", interval_table(&[(0, 10), (5, 15), (20, 30)]));
+    catalog.register("s", interval_table(&[(3, 8), (12, 25), (40, 50)]));
+    let indexes = IndexCatalog::build_all(&catalog);
+    let plan = overlap_join_plan(&catalog, JoinAlgo::Sweep);
+    let reference = Engine::new()
+        .execute(&plan, &catalog)
+        .unwrap()
+        .canonicalized();
+    assert_eq!(reference.len(), 4);
+    for parallelism in 0..=4 {
+        for use_index in [false, true] {
+            let (out, stats) = run_with_stats(
+                &Engine::with_parallelism(parallelism),
+                &plan,
+                &catalog,
+                use_index.then_some(&indexes),
+            );
+            let route = format!("parallelism {parallelism}, use_index={use_index}: {stats:?}");
+            assert_eq!(out.canonicalized(), reference, "{route}");
+            let sequential = if use_index {
+                "IndexSweepJoin"
+            } else {
+                "SweepJoin"
+            };
+            let parallel = parallelism > 1;
+            assert_eq!(
+                stats.get("ParallelSweepJoin").is_some(),
+                parallel,
+                "{route}"
+            );
+            assert_eq!(stats.get(sequential).is_some(), !parallel, "{route}");
+        }
+    }
+
+    let _guard = snapshot_obs::testing::serial_guard();
+    let counter = snapshot_obs::registry().counter("engine_parallelsweepjoin_invocations_total");
+    let mut options = SessionOptions::default();
+    options.rewrite.temporal_join_algo = JoinAlgo::Sweep;
+    let mut session = Session::with_options(Database::from_catalog(catalog), options);
+    // The session's default first, then explicit settings either side of 1.
+    for set in [None, Some("1"), Some("3")] {
+        if let Some(n) = set {
+            session.set_option("parallelism", n).unwrap();
+        }
+        let before = counter.get();
+        let result = session
+            .execute("SEQ VT (SELECT r.id, s.id AS sid FROM r JOIN s ON r.id <= s.id)")
+            .unwrap();
+        assert!(!result.rows().unwrap().is_empty());
+        let parallel = session.options().parallelism > 1;
+        assert_eq!(
+            counter.get() - before,
+            u64::from(parallel),
+            "parallelism {}",
+            session.options().parallelism
+        );
     }
 }
 
@@ -635,8 +682,8 @@ proptest! {
         catalog.register("r", interval_table(&to_intervals(&r_rows)));
         catalog.register("s", interval_table(&to_intervals(&s_rows)));
         let indexes = IndexCatalog::build_all(&catalog);
+        let plan = overlap_join_plan(&catalog, JoinAlgo::Sweep);
         let sequential = {
-            let plan = overlap_join_plan(&catalog, JoinAlgo::IndexSweep);
             let mut rows = run_indexed(&Engine::new(), &plan, &catalog, &indexes)
                 .rows()
                 .to_vec();
@@ -644,7 +691,6 @@ proptest! {
             rows
         };
         let parallel = {
-            let plan = overlap_join_plan(&catalog, JoinAlgo::ParallelSweep);
             let mut rows = run_indexed(&Engine::with_parallelism(parallelism), &plan, &catalog, &indexes)
                 .rows()
                 .to_vec();

@@ -369,11 +369,8 @@ fn span_overhead_on_the_sweep_join_stays_under_the_limit() {
     let cond = Expr::col(arity - 2)
         .lt(Expr::col(2 * arity - 1))
         .and(Expr::col(2 * arity - 2).lt(Expr::col(arity - 1)));
-    let plan = Plan::scan("r", schema.clone()).join_with(
-        Plan::scan("s", schema),
-        cond,
-        JoinAlgo::IndexSweep,
-    );
+    let plan =
+        Plan::scan("r", schema.clone()).join_with(Plan::scan("s", schema), cond, JoinAlgo::Sweep);
     let run = |tracing: bool| -> f64 {
         snapshot_obs::set_tracing(tracing);
         snapshot_obs::reset_thread_trace();

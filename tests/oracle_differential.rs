@@ -68,7 +68,7 @@ fn middleware_matches_oracle_on_random_databases() {
                 .unwrap();
             for fc in [true, false] {
                 for fs in [true, false] {
-                    for strategy in [JoinAlgo::Hash, JoinAlgo::MergeInterval] {
+                    for strategy in [JoinAlgo::Hash, JoinAlgo::Sweep] {
                         let compiler = SnapshotCompiler::with_options(
                             domain,
                             RewriteOptions {

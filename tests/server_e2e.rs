@@ -3,7 +3,8 @@
 //! snapshots while a writer churns, cancellation crosses connections
 //! (`snapshot_cancel` from one client kills another's statement), the
 //! server-wide statement-timeout default propagates to every connection
-//! (and per-connection overrides clear it), graceful shutdown leaves a
+//! (and per-connection overrides clear it), SQL `SET` and the `SetOption`
+//! frame take the same names to the same effect, graceful shutdown leaves a
 //! recoverable WAL-consistent database, a socket killed mid-query or
 //! mid-result leaves no ghost rows in `snapshot_stat_activity`, a
 //! multi-batch result arrives in the executor's row order with every byte
@@ -381,6 +382,112 @@ fn server_timeout_default_propagates_and_is_overridable() {
 
     client.close().expect("clean close");
     fresh.shutdown_server().expect("shutdown request");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+/// SQL `SET` and the `SetOption` frame run one function: every option
+/// name, spelled either way, answers the same and leaves the same state —
+/// as `.timeout` / `.slow` report it, as the resource limits and the join
+/// route show it, and in the process-wide slow-log ring — and a bad name
+/// or value gets the same error on both paths.
+#[test]
+fn sql_set_and_set_option_frame_take_the_same_names() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut by_sql = Client::connect(addr).expect("connect");
+    let mut by_frame = Client::connect(addr).expect("connect");
+    run_ok(&mut by_sql, SETUP);
+
+    fn state(client: &mut Client) -> String {
+        let meta = |client: &mut Client, command: &str| match &client
+            .meta(command)
+            .expect("connection alive")
+            .results[..]
+        {
+            [RemoteResult::Done(text)] => text.lines().next().unwrap_or("").to_string(),
+            other => panic!(".{command}: {other:?}"),
+        };
+        let outcome = |client: &mut Client, sql: &str| {
+            let resp = client.query(sql).expect("connection alive");
+            resp.error.map(|e| e.to_string())
+        };
+        let parallel_joins =
+            snapshot_obs::registry().counter("engine_parallelsweepjoin_invocations_total");
+        let before = parallel_joins.get();
+        // A pure overlap self-join over indexed scans: the sweep, run
+        // slab-parallel exactly when the session's parallelism is above 1.
+        let join = outcome(
+            client,
+            "SEQ VT (SELECT a.name FROM works a JOIN works b ON a.name < b.name);",
+        );
+        format!(
+            "{} | {} | scan: {:?} | join: {join:?}, slab-parallel: {} | ring: {}",
+            meta(client, "timeout"),
+            meta(client, "slow"),
+            outcome(client, "SELECT name FROM works;"),
+            parallel_joins.get() > before,
+            snapshot_obs::slow_log_capacity(),
+        )
+    }
+
+    let default_ring = snapshot_obs::SLOW_LOG_CAPACITY.to_string();
+    let cases = [
+        ("statement_timeout", "60000"),
+        ("statement_timeout_ms", "0"),
+        ("statement_timeout", "250"),
+        ("statement_timeout", "off"),
+        ("slow_query_ms", "60000"),
+        ("slow_query_ms", "0"),
+        ("slow_query_ms", "off"),
+        ("max_rows_scanned", "2"),
+        ("max_rows_scanned", "off"),
+        ("max_result_rows", "2"),
+        ("max_result_rows", "0"),
+        ("parallelism", "1"),
+        ("parallelism", "3"),
+        ("slow_log_capacity", "7"),
+        ("slow_log_capacity", default_ring.as_str()),
+        // Refused on both paths, with one message.
+        ("no_such_option", "1"),
+        ("statement_timeout", "soon"),
+        ("parallelism", "off"),
+        ("slow_log_capacity", "0"),
+    ];
+    let mut refused = 0;
+    for (name, value) in cases {
+        let sql = by_sql
+            .query(&format!("SET {name} = {value};"))
+            .expect("connection alive");
+        let frame = by_frame.set_option(name, value).expect("connection alive");
+        let case = format!("{name} = {value}");
+        assert_eq!(
+            format!("{:?}", sql.results),
+            format!("{:?}", frame.results),
+            "{case}"
+        );
+        let error = sql.error.map(|e| e.to_string());
+        assert_eq!(error, frame.error.map(|e| e.to_string()), "{case}");
+        refused += usize::from(error.is_some());
+        assert_eq!(state(&mut by_sql), state(&mut by_frame), "{case}");
+    }
+    assert_eq!(refused, 4, "only the last four cases are refused");
+    assert_eq!(
+        by_sql
+            .set_option("no_such_option", "1")
+            .expect("connection alive")
+            .error
+            .map(|e| e.to_string())
+            .as_deref(),
+        Some("unknown session option 'no_such_option'")
+    );
+
+    snapshot_obs::reset_slow_log();
+    by_sql.close().expect("clean close");
+    by_frame.shutdown_server().expect("shutdown request");
     server
         .join()
         .expect("server thread")

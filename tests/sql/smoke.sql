@@ -123,5 +123,13 @@ UPDATE works SET te = te + 1 WHERE name = 'Kim';
 COMMIT;
 SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
 
+-- Session options: SET and the meta commands read and write one option set.
+SET statement_timeout = 60000;
+.timeout
+SET slow_query_ms = 60000;
+.slow
+SET statement_timeout = off;
+SET slow_query_ms = off;
+
 .parallel 4 SEQ VT (SELECT skill, count(*) AS c FROM works GROUP BY skill)
 .tables

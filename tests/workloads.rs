@@ -48,7 +48,7 @@ fn employee_workload_options_agree() {
             RewriteOptions::default(),
         );
         assert!(!reference.is_empty(), "{name} returned nothing");
-        for strategy in [JoinAlgo::Hash, JoinAlgo::MergeInterval] {
+        for strategy in [JoinAlgo::Hash, JoinAlgo::Sweep] {
             for fused in [true, false] {
                 let options = RewriteOptions {
                     final_coalesce_only: true,
@@ -113,16 +113,16 @@ fn tpcbih_workload_strategies_agree() {
             JoinAlgo::Hash,
             RewriteOptions::default(),
         );
-        let merge = run(
+        let sweep = run(
             sql,
             &catalog,
             domain,
-            JoinAlgo::MergeInterval,
+            JoinAlgo::Sweep,
             RewriteOptions::default(),
         );
         assert_eq!(
             rounded_rows(&hash),
-            rounded_rows(&merge),
+            rounded_rows(&sweep),
             "{name}: results diverge beyond FP tolerance"
         );
     }
