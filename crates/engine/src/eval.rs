@@ -1,6 +1,7 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 
 use algebra::{BinOp, Expr};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::str::Chars;
 use storage::{Row, Value};
@@ -292,6 +293,15 @@ impl<'e> Prepared<'e> {
         match &self.conjuncts[..] {
             [only] => only.value(row),
             _ => eval_expr(self.expr, row),
+        }
+    }
+
+    /// [`Prepared::value`], lent where it sits for a column or a literal.
+    #[inline]
+    pub fn lend<'r, C: Columns>(&'r self, row: &'r C) -> Cow<'r, Value> {
+        match &self.conjuncts[..] {
+            [Step::Operand(o)] => Cow::Borrowed(o.get(row)),
+            _ => Cow::Owned(self.value(row)),
         }
     }
 }

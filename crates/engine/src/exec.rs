@@ -4,7 +4,9 @@ use crate::coalesce::try_coalesce_rows;
 use crate::eval::{conjuncts, eval_expr, Pair, Prepared};
 use crate::sliding::SlidingAgg;
 use crate::split::split_rows;
-use crate::temporal::{agg_arg, agg_arg_types, temporal_aggregate, temporal_except_all};
+use crate::temporal::{
+    agg_arg, agg_arg_types, temporal_aggregate, temporal_aggregate_over, temporal_except_all,
+};
 use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode};
 use index::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
@@ -254,6 +256,10 @@ fn retain(
     Ok(out)
 }
 
+/// One plan node from [`Engine::enter`] to [`Engine::leave`]: its start,
+/// span and profile frame.
+type NodeGuard = (Instant, obs::Span, obs::ProfileSpan);
+
 /// What one execution runs against and reports into; `run` threads a
 /// single `&mut` of it through the plan.
 struct ExecEnv<'a> {
@@ -332,15 +338,46 @@ impl Engine {
         Ok(table)
     }
 
+    /// Opens `plan`'s node (span and profile guards are each a relaxed load
+    /// when disabled); a cancelled statement stops at the boundary.
+    fn enter(&self, plan: &Plan) -> Result<NodeGuard, StatementError> {
+        let name = op_name(&plan.node);
+        let node = (
+            Instant::now(),
+            obs::Span::enter(name),
+            obs::ProfileSpan::enter(name),
+        );
+        self.ctx.check().map(|()| node)
+    }
+
+    /// Closes `plan`'s node, which produced `rows` rows (a join: matched
+    /// pairs), then re-checks so a budget trips at the node that crossed it.
+    fn leave(
+        &self,
+        plan: &Plan,
+        env: &mut ExecEnv<'_>,
+        (started, mut span, _frame): NodeGuard,
+        rows: usize,
+    ) -> Result<(), StatementError> {
+        span.record_rows(rows as u64);
+        env.stats.record(op_name(&plan.node), rows);
+        env.nodes.record(plan, rows, started.elapsed());
+        let n = rows as u64;
+        let account = &self.ctx.account;
+        account.add_rows_emitted(n);
+        // Approximate materialization: rows × arity × a 16-byte value.
+        account.add_bytes_materialized(n * plan.schema.arity() as u64 * 16);
+        if matches!(
+            plan.node,
+            PlanNode::Scan { .. } | PlanNode::VirtualScan { .. } | PlanNode::Values { .. }
+        ) {
+            account.add_rows_scanned(n);
+        }
+        self.ctx.check()
+    }
+
     fn run<'a>(&self, plan: &'a Plan, env: &mut ExecEnv<'a>) -> Result<Rows<'a>, StatementError> {
-        let started = Instant::now();
-        // The span and profile guards are each a single relaxed atomic
-        // load when disabled.
-        let mut span = obs::Span::enter(op_name(&plan.node));
-        let _frame = obs::ProfileSpan::enter(op_name(&plan.node));
-        // Operator boundary: a cancelled statement stops before producing
-        // another node's output.
-        self.ctx.check()?;
+        let node = self.enter(plan)?;
         let rows: Rows<'a> = match &plan.node {
             PlanNode::Scan { table } => {
                 let t = env.catalog.require(table)?;
@@ -379,7 +416,10 @@ impl Engine {
             } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                self.join((left, &l), (right, &r), (condition, output), *algo, env)?
+                // A surviving pair allocates once: its output row.
+                let output: Vec<Prepared> = output.iter().map(Prepared::new).collect();
+                let row = |pair: Pair| Some(output.iter().map(|e| e.value(&pair)).collect::<Row>());
+                self.join((left, &l), (right, &r), condition, *algo, env, row)?
                     .into()
             }
             PlanNode::Union { left, right } => {
@@ -464,19 +504,33 @@ impl Engine {
                 add_gap_neutral,
                 domain,
             } => {
-                let input_rows = self.run(input, env)?;
                 let arg_types = agg_arg_types(aggs, &input.schema)?;
-                temporal_aggregate(
-                    &input_rows,
-                    input.schema.arity(),
-                    group_cols,
-                    aggs,
-                    &arg_types,
-                    *add_gap_neutral,
-                    *domain,
-                    || self.ctx.check(),
-                )?
-                .into()
+                let (gap, check) = (*add_gap_neutral, || self.ctx.check());
+                if let PlanNode::Join {
+                    left,
+                    right,
+                    condition,
+                    algo,
+                    output,
+                } = &input.node
+                {
+                    // The aggregate reads the matched pairs; the join is
+                    // still a node, but builds no row.
+                    let join = self.enter(input)?;
+                    let l = self.run(left, env)?;
+                    let r = self.run(right, env)?;
+                    let pairs = self.join((left, &l), (right, &r), condition, *algo, env, Some)?;
+                    self.leave(input, env, join, pairs.len())?;
+                    let spec = (&group_cols[..], &aggs[..], &arg_types[..]);
+                    temporal_aggregate_over(&pairs, output, spec, gap, *domain, check)?.into()
+                } else {
+                    let rows = self.run(input, env)?;
+                    let arity = input.schema.arity();
+                    temporal_aggregate(
+                        &rows, arity, group_cols, aggs, &arg_types, gap, *domain, check,
+                    )?
+                    .into()
+                }
             }
             PlanNode::TemporalExceptAll { left, right } => {
                 let l = self.run(left, env)?;
@@ -484,23 +538,7 @@ impl Engine {
                 temporal_except_all(&l, &r, left.schema.arity(), || self.ctx.check())?.into()
             }
         };
-        span.record_rows(rows.len() as u64);
-        env.stats.record(op_name(&plan.node), rows.len());
-        env.nodes.record(plan, rows.len(), started.elapsed());
-        let n = rows.len() as u64;
-        let account = &self.ctx.account;
-        account.add_rows_emitted(n);
-        // Approximate materialization: rows × arity × a 16-byte value.
-        account.add_bytes_materialized(n * plan.schema.arity() as u64 * 16);
-        if matches!(
-            plan.node,
-            PlanNode::Scan { .. } | PlanNode::VirtualScan { .. } | PlanNode::Values { .. }
-        ) {
-            account.add_rows_scanned(n);
-        }
-        // Re-check after bumping so `max_rows_scanned` /
-        // `max_result_rows` trip at the node that crossed them.
-        self.ctx.check()?;
+        self.leave(plan, env, node, rows.len())?;
         Ok(rows)
     }
 
@@ -539,15 +577,17 @@ impl Engine {
 
     /// Joins two materialized inputs; each side is `(plan, rows)` — the
     /// plan carries the schema and reveals an indexed scan. A pair that
-    /// satisfies `condition` emits one row: the `output` expressions over it.
-    fn join(
+    /// satisfies `condition` yields what `emit` makes of it: the join's
+    /// output row, or the pair itself for an aggregate that reads it.
+    fn join<'r, T: Send>(
         &self,
-        (left_plan, left): (&Plan, &[Row]),
-        (right_plan, right): (&Plan, &[Row]),
-        (condition, output): (&Expr, &[Expr]),
+        (left_plan, left): (&Plan, &'r [Row]),
+        (right_plan, right): (&Plan, &'r [Row]),
+        condition: &Expr,
         algo: JoinAlgo,
         env: &mut ExecEnv<'_>,
-    ) -> Result<Vec<Row>, StatementError> {
+        emit: impl Fn(Pair<'r>) -> Option<T> + Sync,
+    ) -> Result<Vec<T>, StatementError> {
         let ctx = &self.ctx;
         let l_arity = left_plan.schema.arity();
         let r_arity = right_plan.schema.arity();
@@ -587,17 +627,13 @@ impl Engine {
         };
 
         // A pair that passed a join's own matching still has to satisfy
-        // the full condition (residual conjuncts included); both it and
-        // the output row are prepared once here and evaluated on the
-        // borrowed pair, so a rejected pair allocates nothing and a
-        // surviving one allocates once.
+        // the full condition (residual conjuncts included), prepared once
+        // here and evaluated on the borrowed pair: a rejected pair
+        // allocates nothing.
         let condition = Prepared::new(condition);
-        let output: Vec<Prepared> = output.iter().map(Prepared::new).collect();
-        let matched = |l: &Row, r: &Row| {
+        let matched = |l: &'r Row, r: &'r Row| {
             let pair = Pair(l, r);
-            condition
-                .holds(&pair)
-                .then(|| output.iter().map(|e| e.value(&pair)).collect::<Row>())
+            condition.holds(&pair).then(|| emit(pair)).flatten()
         };
 
         Ok(match (resolved, overlap) {
@@ -852,13 +888,13 @@ fn key_hash(row: &Row, cols: &[usize], seed: u64) -> Option<u64> {
 /// nominates candidates: every pair whose key hashes agree goes to
 /// `matched`, which judges the whole condition — the equalities included —
 /// under SQL comparison.
-fn hash_join(
-    left: &[Row],
-    right: &[Row],
+fn hash_join<'r, T>(
+    left: &'r [Row],
+    right: &'r [Row],
     keys: &[(usize, usize)],
     ctx: &ExecContext,
-    matched: impl Fn(&Row, &Row) -> Option<Row>,
-) -> Result<Vec<Row>, StatementError> {
+    matched: impl Fn(&'r Row, &'r Row) -> Option<T>,
+) -> Result<Vec<T>, StatementError> {
     let (l_keys, r_keys): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
     // Build on the smaller side; probe with the larger.
     let build_left = left.len() <= right.len();
@@ -1454,11 +1490,8 @@ mod tests {
             Expr::Least(vec![Expr::col(3), Expr::col(7)]),
         ];
         let names = ["l", "r", "ts", "te"].map(String::from).to_vec();
-        let plan = scan()
-            .join(scan(), cond)
-            .project(output, names)
-            .unwrap()
-            .coalesce();
+        let join = scan().join(scan(), cond).project(output, names).unwrap();
+        let plan = join.clone().coalesce();
         let account = Arc::new(obs::ResourceAccount::default());
         let engine = Engine::new().with_context(ExecContext::new(
             Arc::clone(&account),
@@ -1486,6 +1519,36 @@ mod tests {
         assert!(!text.contains("never executed"), "{text}");
         // Two scans of 4, the join's 6, the coalesced 6 — no projected copies.
         assert_eq!(account.usage().rows_emitted, 4 + 4 + 6 + 6);
+
+        // An aggregate over the same join reads its six pairs: the join is
+        // the same node to every observer, and the aggregate equals the one
+        // over the rows the join builds.
+        let agg = |input: Plan| {
+            let arg = Expr::binary(BinOp::Sub, Expr::col(3), Expr::col(2));
+            let aggs = vec![AggExpr::new(AggFunc::Sum, arg, "len")];
+            input
+                .temporal_aggregate(vec![0], aggs, false, (0, 24))
+                .unwrap()
+        };
+        let plan = agg(join.clone());
+        let (mut stats, mut nodes) = (ExecStats::default(), NodeStats::default());
+        account.reset();
+        let out = engine
+            .execute_analyzed(&plan, &c, Some(&indexes), &mut stats, &mut nodes)
+            .unwrap();
+        let rows = Engine::new().execute(&join, &c).unwrap().rows().to_vec();
+        let values = Plan::values(join.schema.clone(), rows);
+        assert_eq!(out, Engine::new().execute(&agg(values), &c).unwrap());
+        assert_eq!(stats.get("Join"), Some((1, 6)));
+        assert_eq!(stats.get("HashJoin"), Some((1, 6)));
+        let text = explain_analyzed(&plan, &nodes);
+        assert!(
+            text.contains(" LEAST(#3, #7)] (actual rows=6 calls=1 "),
+            "{text}"
+        );
+        let usage = account.usage();
+        assert_eq!(usage.rows_emitted, 4 + 4 + 6 + out.len() as u64);
+        assert_eq!(usage.join_pairs, 10, "pairs with equal skills");
     }
 
     #[test]

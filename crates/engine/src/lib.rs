@@ -12,8 +12,9 @@
 //! * the temporal operators of the paper's implementation layer:
 //!   multiset coalescing ([`coalesce`], Section 9's analytic-window
 //!   algorithm), the split operator `N_G` ([`split`], Definition 8.3), and
-//!   the fused pre-aggregating forms of snapshot aggregation and snapshot
-//!   bag difference ([`temporal`], Section 9).
+//!   the fused pre-aggregating forms of snapshot bag difference and
+//!   snapshot aggregation ([`temporal`], Section 9) — the latter over
+//!   borrowed rows or a join's matched [`Pair`]s, never building a join row.
 //!
 //! The engine is in-memory and, by default, single-threaded: the paper's
 //! contribution is the *rewriting* and *encoding*, and keeping the substrate

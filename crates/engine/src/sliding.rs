@@ -3,10 +3,11 @@
 //! The fused temporal aggregation of Section 9 sweeps the time axis,
 //! maintaining the aggregate over the rows active at the sweep position.
 //! The state is typed by its function: `count` and integer `sum`/`avg` are
-//! integer arithmetic, `DOUBLE`s go into an exact sum (so a sliding sum is
-//! the `AS OF` snapshot's, bit for bit); only `min`/`max` keep a value
-//! multiset, so arbitrary removal stays `O(log n)` for them and costs
-//! nothing for everyone else.
+//! integer arithmetic (the sum in `i128`, so it is exact wherever it goes),
+//! `DOUBLE`s go into an exact sum (so a sliding sum is the `AS OF`
+//! snapshot's, bit for bit); only `min`/`max` keep a value multiset, so
+//! arbitrary removal stays `O(log n)` for them and costs nothing for
+//! everyone else.
 
 use algebra::AggFunc;
 use std::collections::BTreeMap;
@@ -19,9 +20,9 @@ pub struct SlidingAgg {
     arg_type: SqlType,
     rows: i64,
     non_null: i64,
-    /// Wrapping: a sum that leaves `i64` while a large row is active comes
-    /// back exactly once that row is removed.
-    sum_int: i64,
+    /// Exact: `sum` reports NULL while it lies outside `i64` and the value
+    /// again once the rows that pushed it out are removed; `avg` divides it.
+    sum_int: i128,
     sum_double: ExactSum,
     /// Multiset of the active non-NULL values — touched by `Min`/`Max`
     /// only, which read its first / last key.
@@ -60,7 +61,7 @@ impl SlidingAgg {
                 }
             }
             (AggFunc::Sum | AggFunc::Avg, Value::Int(i)) => {
-                self.sum_int = self.sum_int.wrapping_add(i.wrapping_mul(sign))
+                self.sum_int += i128::from(*i) * i128::from(sign)
             }
             (AggFunc::Sum | AggFunc::Avg, Value::Double(d)) => self.sum_double.add(*d, sign),
             _ => {}
@@ -76,7 +77,7 @@ impl SlidingAgg {
             AggFunc::Count => Value::Int(self.non_null),
             AggFunc::Sum | AggFunc::Avg if self.non_null == 0 => Value::Null,
             AggFunc::Sum if self.arg_type == SqlType::Double => Value::Double(total()),
-            AggFunc::Sum => Value::Int(self.sum_int),
+            AggFunc::Sum => i64::try_from(self.sum_int).map_or(Value::Null, Value::Int),
             AggFunc::Avg => Value::Double(total() / self.non_null as f64),
             AggFunc::Min => self.extremes.keys().next().cloned().unwrap_or(Value::Null),
             AggFunc::Max => self
@@ -193,18 +194,30 @@ mod tests {
         assert_eq!(s.current(), Value::Null); // sum of empty = NULL
     }
 
-    /// A sum that leaves `i64` wraps instead of panicking, and is exact
-    /// again once the rows that pushed it out are gone.
+    /// A sum outside `i64` is NULL — like `+` on `INT`s, not a wrapped
+    /// number — and exact again once the rows that pushed it out are gone;
+    /// `avg` divides the exact sum.
     #[test]
-    fn int_sum_wraps_and_comes_back() {
-        let big = Value::Int(i64::MAX);
-        let mut s = state_of(AggFunc::Sum, SqlType::Int, &[big.clone(), big.clone()]);
-        assert_eq!(s.current(), Value::Int(-2));
-        s.slide(&big, -1);
-        assert_eq!(s.current(), big);
-        s.slide(&Value::Int(i64::MIN), 1);
-        s.slide(&big, -1);
-        assert_eq!(s.current(), Value::Int(i64::MIN));
+    fn int_sum_outside_i64_is_null_and_comes_back() {
+        let (max, min) = (Value::Int(i64::MAX), Value::Int(i64::MIN));
+        let mut s = state_of(AggFunc::Sum, SqlType::Int, &[max.clone(), max.clone()]);
+        assert_eq!(s.current(), Value::Null);
+        s.slide(&max, -1);
+        assert_eq!(s.current(), max);
+        s.slide(&min, 1);
+        s.slide(&max, -1);
+        assert_eq!(s.current(), min);
+        s.slide(&Value::Int(-1), 1);
+        assert_eq!(s.current(), Value::Null);
+        let a = state_of(
+            AggFunc::Avg,
+            SqlType::Int,
+            &[max.clone(), max, Value::Int(10)],
+        );
+        assert_eq!(
+            a.current(),
+            Value::Double((2.0 * i64::MAX as f64 + 10.0) / 3.0)
+        );
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! coalesced encoding in canonical row order, and `algebra::Plan::coalesce`
 //! absorbs a coalesce above. The unfused path (`Aggregate`/`ExceptAll` over
 //! `Split`) remains for the paper's ablation (`paper_tables ablation`).
+//!
+//! The aggregate reads borrowed rows or, over a join, the matched pairs
+//! themselves through the join's `output`: no join row is ever built.
 
 use crate::coalesce::Poll;
-use crate::eval::eval_expr;
+use crate::eval::{eval_expr, Columns, Prepared};
 use crate::sliding::SlidingAgg;
-use algebra::{AggExpr, AggFunc};
+use algebra::{AggExpr, AggFunc, Expr};
+use std::borrow::Cow;
 use storage::{Row, SqlType, Value};
 
 /// Walks the elementary segments between consecutive distinct times of
@@ -42,11 +46,6 @@ fn sweep_segments<T: Copy, S>(
             segment(state, t, next);
         }
     }
-}
-
-/// The group-key values of `r`, by reference.
-fn group_key<'a>(r: &'a Row, group_cols: &'a [usize]) -> impl Iterator<Item = &'a Value> {
-    group_cols.iter().map(move |&i| r.get(i))
 }
 
 /// The low bits of an order word: the segment's position in time order.
@@ -89,15 +88,50 @@ pub fn temporal_aggregate<E>(
     domain: (i64, i64),
     check: impl FnMut() -> Result<(), E>,
 ) -> Result<Vec<Row>, E> {
+    let columns: Vec<Expr> = (0..arity).map(Expr::Col).collect();
+    let spec = (group_cols, aggs, arg_types);
+    temporal_aggregate_over(rows, &columns, spec, add_gap_neutral, domain, check)
+}
+
+/// [`temporal_aggregate`] over items whose input column `j` is
+/// `columns[j]` evaluated on the item — a row and the identity, or a
+/// join's matched [`crate::Pair`] and its `output`.
+pub(crate) fn temporal_aggregate_over<C: Columns, E>(
+    items: &[C],
+    columns: &[Expr],
+    (group_cols, aggs, arg_types): (&[usize], &[AggExpr], &[SqlType]),
+    add_gap_neutral: bool,
+    domain: (i64, i64),
+    check: impl FnMut() -> Result<(), E>,
+) -> Result<Vec<Row>, E> {
     assert!(
         !add_gap_neutral || group_cols.is_empty(),
         "gap rows are only defined for aggregation without grouping"
     );
-    let (ts, te, k) = (arity - 2, arity - 1, aggs.len());
+    let (arity, g, k) = (columns.len(), group_cols.len(), aggs.len());
     let mut poll = Poll { check, rows: 0 };
-    let key = |r| group_key(r, group_cols);
-    let mut sorted: Vec<&Row> = rows.iter().collect();
-    sorted.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+    // `count(*)` adds any non-NULL constant per row.
+    let (one, group) = (Expr::lit(1), group_cols.iter().map(|&g| &columns[g]));
+    let given = aggs.iter().map(|a| a.arg.as_ref().unwrap_or(&one));
+    let arg_exprs: Vec<Expr> = given.map(|e| e.substitute(columns)).collect();
+    let reads: Vec<Prepared> = group.chain(&arg_exprs).map(Prepared::new).collect();
+    let period = [arity - 2, arity - 1].map(|j| Prepared::new(&columns[j]));
+
+    // One pass lends item `n`'s group key and arguments at `lent[n * r..]`
+    // (evaluated once unless a bare column) and evaluates its period.
+    let r = reads.len();
+    let mut lent: Vec<Cow<Value>> = Vec::with_capacity(items.len() * r);
+    let mut periods: Vec<[i64; 2]> = Vec::with_capacity(items.len());
+    for item in items {
+        poll.check(1)?;
+        lent.extend(reads.iter().map(|e| e.lend(item)));
+        let endpoint = |p: &Prepared| p.value(item).as_int().expect("INT period");
+        periods.push(period.each_ref().map(endpoint));
+    }
+    let key = |n: usize| &lent[n * r..][..g];
+    let args = |n: usize| &lent[n * r + g..][..k];
+    let mut sorted: Vec<usize> = (0..items.len()).collect();
+    sorted.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
 
     /// Marks the two domain-bound events of a global aggregation.
     const ANCHOR: usize = usize::MAX;
@@ -107,30 +141,24 @@ pub fn temporal_aggregate<E>(
         /// Inside `[domain.0, domain.1)`, where gaps are reported.
         anchored: bool,
     }
-    // One event per endpoint: the row's position in its run, doubled, plus
-    // one for its end.
+    // One event per endpoint: the item, doubled, plus one for its end.
     let mut events: Vec<(i64, usize)> = Vec::new();
-    // The run's argument values, one per (row, aggregate).
-    let mut args: Vec<Value> = Vec::new();
     // The run's maximal segments in time order, the `i`-th one's aggregates
     // at `values[i * k..][..k]`.
     let mut segments: Vec<(i64, i64)> = Vec::new();
     let mut values: Vec<Value> = Vec::new();
     let mut order: Vec<u128> = Vec::new();
     let mut out = Vec::new();
-    let mut runs = sorted.chunk_by(|a, b| key(a).eq(key(b)));
+    let mut runs = sorted.chunk_by(|&a, &b| key(a).eq(key(b)));
     // No input at all: the whole domain is one gap.
     let mut empty = (add_gap_neutral && sorted.is_empty()).then_some(&[][..]);
     while let Some(run) = runs.next().or_else(|| empty.take()) {
         events.clear();
-        args.clear();
         segments.clear();
         values.clear();
-        for (n, r) in run.iter().enumerate() {
-            poll.check(1)?;
-            events.push((r.int(ts), 2 * n));
-            events.push((r.int(te), 2 * n + 1));
-            args.extend(aggs.iter().map(|a| agg_arg(a, r)));
+        for &n in run {
+            events.push((periods[n][0], 2 * n));
+            events.push((periods[n][1], 2 * n + 1));
         }
         if add_gap_neutral {
             // Anchor the sweep at the domain bounds so leading/trailing gaps
@@ -158,7 +186,7 @@ pub fn temporal_aggregate<E>(
                     return;
                 }
                 let sign = 1 - 2 * (tag % 2) as i64;
-                for (s, v) in active.aggs.iter_mut().zip(&args[tag / 2 * k..]) {
+                for (s, v) in active.aggs.iter_mut().zip(args(tag / 2)) {
                     s.slide(v, sign);
                 }
                 active.rows += sign;
@@ -197,11 +225,13 @@ pub fn temporal_aggregate<E>(
             order.extend(0..segments.len() as u128);
             order.sort_unstable_by_key(|&i| (&values[i as usize * k..][..k], segments[i as usize]));
         }
+        let group = run.first().map_or(&[][..], |&n| key(n));
+        out.reserve(order.len());
         for &word in &order {
             poll.check(1)?;
             let i = (word & ((1 << POSITION_BITS) - 1)) as usize;
-            let mut row = Vec::with_capacity(group_cols.len() + k + 2);
-            row.extend(run.first().into_iter().flat_map(|r| key(r).cloned()));
+            let mut row = Vec::with_capacity(g + k + 2);
+            row.extend(group.iter().map(|v| v.clone().into_owned()));
             row.extend_from_slice(&values[i * k..][..k]);
             row.extend([Value::Int(segments[i].0), Value::Int(segments[i].1)]);
             out.push(Row::new(row));

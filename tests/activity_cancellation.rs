@@ -584,3 +584,113 @@ fn tripped_token_aborts_inside_the_normalisation_kernels() {
     assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
     assert_eq!(polls.get(), 2, "the sweep polled once before");
 }
+
+/// A `SEQ VT` grouped aggregate over a join reads the join's matched pairs,
+/// and spends its time in two places: the join's pair phase and the
+/// aggregate's pass over the pairs. A token tripped in either aborts the
+/// statement there — mid-join (the join never finished, no aggregate ran),
+/// or after the join finished but before the aggregate emitted anything.
+#[test]
+fn tripped_token_aborts_an_aggregate_over_a_join_in_either_phase() {
+    use snapshot_semantics::engine::{Engine, ExecContext};
+    use snapshot_semantics::rewrite::SnapshotCompiler;
+    use snapshot_semantics::sql::{bind_statement, parse_statement};
+    use snapshot_semantics::storage::{row, Catalog, Schema, SqlType, Table};
+    use snapshot_semantics::timeline::TimeDomain;
+    use std::sync::Arc;
+
+    let _guard = snapshot_obs::testing::serial_guard();
+    let schema = Schema::of(&[
+        ("k", SqlType::Int),
+        ("x", SqlType::Int),
+        ("ts", SqlType::Int),
+        ("te", SqlType::Int),
+    ]);
+    // `hot`: 3 000 rows under one key, every period overlapping — the hash
+    // join nominates 9 M pairs and the condition rejects every one. `wide`:
+    // 60 000 rows, two per key, each meeting its partner — 120 000 pairs,
+    // all matched, grouped into 60 000 groups.
+    let (hot_n, wide_n) = (3000i64, 60_000i64);
+    let mut hot = Table::with_period(schema.clone(), 2, 3);
+    hot.extend((0..hot_n).map(|i| row![0, i, 0, 1_000_000]));
+    let mut wide = Table::with_period(schema, 2, 3);
+    wide.extend((0..wide_n).map(|i| row![i / 2, i, i, i + 3]));
+    let mut catalog = Catalog::new();
+    catalog.register("hot", hot);
+    catalog.register("wide", wide);
+    let compile = |sql: &str| {
+        let bound = bind_statement(&parse_statement(sql).unwrap(), &catalog).unwrap();
+        SnapshotCompiler::new(TimeDomain::new(0, 1_000_000))
+            .compile_statement(&bound, &catalog)
+            .unwrap()
+    };
+    let pair_phase = compile(
+        "SEQ VT (SELECT a.k, count(*) AS c FROM hot a JOIN hot b \
+         ON a.k = b.k AND a.x + b.x < 0 GROUP BY a.k)",
+    );
+    let sweep_phase = compile(
+        "SEQ VT (SELECT a.x, count(*) AS c, sum(b.x) AS total FROM wide a JOIN wide b \
+         ON a.k = b.k GROUP BY a.x)",
+    );
+
+    let account = Arc::new(snapshot_obs::ResourceAccount::default());
+    let token = Arc::new(snapshot_obs::CancelToken::default());
+    let engine = Engine::new().with_context(ExecContext::new(account.clone(), token.clone()));
+    // Runs `plan` while a watcher trips the token once `ready` holds of the
+    // account (and, for the sweep, a moment later, so the token is tripped
+    // inside the aggregate, not at the join's boundary).
+    let run_tripped =
+        |plan, ready: &(dyn Fn(snapshot_obs::ResourceUsage) -> bool + Sync), pause| {
+            account.reset();
+            token.arm(None, None, None);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let deadline = Instant::now() + Duration::from_secs(60);
+                    while !ready(account.usage()) {
+                        assert!(Instant::now() < deadline, "the statement never got there");
+                        std::hint::spin_loop();
+                    }
+                    std::thread::sleep(pause);
+                    token.cancel(CancelKind::Killed);
+                });
+                engine.execute(plan, &catalog)
+            })
+        };
+
+    // Untripped, for reference: the sweep-phase statement's join matches
+    // every pair it considers and the aggregate emits one row per group.
+    account.reset();
+    token.arm(None, None, None);
+    let whole = engine.execute(&sweep_phase, &catalog).unwrap();
+    let (scans, pairs) = (2 * wide_n as u64, 2 * wide_n as u64);
+    assert_eq!(account.usage().join_pairs, pairs);
+    assert_eq!(
+        account.usage().rows_emitted,
+        scans + pairs + whole.len() as u64
+    );
+
+    // Tripped during the pair phase: the join stops mid-way.
+    let err = run_tripped(&pair_phase, &|u| u.join_pairs > 0, Duration::ZERO).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    let usage = account.usage();
+    assert!(usage.join_pairs < (hot_n * hot_n) as u64, "{usage:?}");
+    assert_eq!(
+        usage.rows_emitted,
+        2 * hot_n as u64,
+        "only the scans finished"
+    );
+
+    // Tripped during the aggregate's pass: the join finished, the aggregate
+    // emitted nothing.
+    let joined = scans + pairs;
+    let ready = |u: snapshot_obs::ResourceUsage| u.rows_emitted >= joined;
+    let err = run_tripped(&sweep_phase, &ready, Duration::from_millis(2)).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    let usage = account.usage();
+    assert_eq!(usage.join_pairs, pairs, "the join finished");
+    assert_eq!(usage.rows_emitted, joined, "the aggregate emitted nothing");
+
+    // The same engine runs the statement to the same end once untripped.
+    token.arm(None, None, None);
+    assert_eq!(engine.execute(&sweep_phase, &catalog).unwrap(), whole);
+}

@@ -3,10 +3,11 @@
 //! bag-equivalent to the naive engine paths and to the point-wise oracle
 //! on randomized databases and the datagen workloads.
 
-use snapshot_semantics::algebra::{Expr, JoinAlgo, Plan};
+use snapshot_semantics::algebra::{Expr, JoinAlgo, Plan, PlanNode};
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::datagen::random::{random_period_table, RandomTableSpec};
-use snapshot_semantics::engine::{Engine, ExecStats, NodeStats};
+use snapshot_semantics::engine::coalesce::never;
+use snapshot_semantics::engine::{temporal, Engine, ExecStats, NodeStats};
 use snapshot_semantics::index::IndexCatalog;
 use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
@@ -202,6 +203,99 @@ fn join_algos_bag_equivalent() {
             !reference.unwrap().is_empty(),
             "seed {seed}: join produced no rows — the test would be vacuous"
         );
+    }
+}
+
+/// A grouped or global `SEQ VT` aggregate over a join reads the join's
+/// matched pairs on every route: each hint at parallelism 1 and 3, indexed
+/// and not, returns row for row what `temporal_aggregate` returns over the
+/// rows the naive engine builds for the join (and the oracle's encoding),
+/// and the join still reports as one `Join` node of that many rows under
+/// its route's name.
+#[test]
+fn aggregate_over_a_join_matches_the_aggregate_over_its_rows_on_every_route() {
+    const SQL: [&str; 4] = [
+        "SEQ VT (SELECT r.s0, count(*) AS c, sum(s.i0) AS total FROM r JOIN s ON r.i0 = s.i0 \
+         GROUP BY r.s0)",
+        "SEQ VT (SELECT count(*) AS c, max(s.s0) AS hi, avg(r.i0) AS mean \
+         FROM r JOIN s ON r.s0 = s.s0)",
+        // No equality: the sweep is Auto's choice over indexes.
+        "SEQ VT (SELECT r.i0, min(s.s0) AS lo FROM r JOIN s ON r.i0 < s.i0 GROUP BY r.i0)",
+        "SEQ VT (SELECT x.k, sum(x.v) AS total FROM \
+         (SELECT r.i0 + s.i0 AS k, r.i0 * 2 AS v FROM r JOIN s ON r.s0 = s.s0) x GROUP BY x.k)",
+    ];
+    const ROUTES: [&str; 5] = [
+        "NestedLoopJoin",
+        "HashJoin",
+        "SweepJoin",
+        "IndexSweepJoin",
+        "ParallelSweepJoin",
+    ];
+    for seed in 0..4 {
+        let (catalog, domain) = random_catalog(seed);
+        let indexes = IndexCatalog::build_all(&catalog);
+        for sql in SQL {
+            let bound = bind_statement(&parse_statement(sql).unwrap(), &catalog).unwrap();
+            let BoundStatement::Snapshot { plan: snapshot, .. } = &bound else {
+                panic!()
+            };
+            let oracle = PointwiseOracle::new(domain)
+                .eval_rows(snapshot, &catalog)
+                .unwrap();
+            for algo in JOIN_ALGOS {
+                let options = RewriteOptions {
+                    temporal_join_algo: algo,
+                    ..RewriteOptions::default()
+                };
+                let plan = SnapshotCompiler::with_options(domain, options)
+                    .compile_statement(&bound, &catalog)
+                    .unwrap();
+                let PlanNode::TemporalAggregate {
+                    input,
+                    group_cols,
+                    aggs,
+                    add_gap_neutral,
+                    domain,
+                } = &plan.node
+                else {
+                    panic!("{plan}")
+                };
+                assert!(matches!(input.node, PlanNode::Join { .. }), "{plan}");
+                let joined = Engine::new().execute(input, &catalog).unwrap();
+                let types = temporal::agg_arg_types(aggs, &input.schema).unwrap();
+                let want = temporal::temporal_aggregate(
+                    joined.rows(),
+                    input.schema.arity(),
+                    group_cols,
+                    aggs,
+                    &types,
+                    *add_gap_neutral,
+                    *domain,
+                    never,
+                )
+                .unwrap();
+                let mut sorted = want.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, oracle, "seed {seed}, {sql}");
+                for (parallelism, use_index) in [(1, false), (1, true), (3, false), (3, true)] {
+                    let route = format!(
+                        "seed {seed}, {sql}, {algo:?}, parallelism {parallelism}, \
+                         use_index={use_index}"
+                    );
+                    let (out, stats) = run_with_stats(
+                        &Engine::with_parallelism(parallelism),
+                        &plan,
+                        &catalog,
+                        use_index.then_some(&indexes),
+                    );
+                    assert_eq!(out.rows(), &want[..], "{route}");
+                    let pairs = joined.len() as u64;
+                    assert_eq!(stats.get("Join"), Some((1, pairs)), "{route}");
+                    let taken: Vec<_> = ROUTES.iter().filter_map(|op| stats.get(op)).collect();
+                    assert_eq!(taken, [(1, pairs)], "{route}: {stats:?}");
+                }
+            }
+        }
     }
 }
 

@@ -41,6 +41,11 @@ SEQ VT BETWEEN 5 AND 12 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 -- (data columns plus the intersected period) itself — no Project above it.
 EXPLAIN ANALYZE SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill);
 
+-- A grouped aggregate over a join reads the join's matched pairs and builds
+-- no join row, yet the Join is still a node: it reports the 5 pairs it
+-- matched, not "never executed".
+EXPLAIN ANALYZE SEQ VT (SELECT a.mach, count(*) AS c FROM works w JOIN assign a ON w.skill = a.skill GROUP BY a.mach);
+
 -- Cross-type equi-join: INT = DOUBLE compares numerically on the hash
 -- route too (2 meets 2.0, not 2.5) — its table only nominates candidates,
 -- the join condition decides.
@@ -77,7 +82,7 @@ SEQ VT (SELECT name, skill FROM works WHERE name LIKE '_a%');
 
 -- INT arithmetic is checked: a result outside i64 is NULL, as x / 0 is —
 -- not a wrapped number, and not a panic that takes the connection with it.
--- A snapshot sum passing through the edge wraps and comes back exact.
+-- A snapshot sum beyond the edge is NULL there and comes back exact.
 CREATE TABLE edge (a INT, ts INT, te INT) PERIOD (ts, te);
 INSERT INTO edge VALUES (9223372036854775807, 0, 10), (9223372036854775807, 5, 15);
 SEQ VT (SELECT (0 - a - 1) / (0 - 1) AS q FROM edge);
@@ -85,6 +90,15 @@ SEQ VT (SELECT a + 1 AS inc FROM edge);
 SEQ VT (SELECT a * 2 AS dbl FROM edge);
 SEQ VT (SELECT sum(a) AS total FROM edge);
 DROP TABLE edge;
+
+-- sum / avg over INT are exact: on [1, 4) the sum leaves i64 and is NULL
+-- (it used to wrap to -9223372036854775799), and avg divides the exact sum
+-- (4611686018427388000, not -4611686018427388000) — AS OF 2 agrees.
+CREATE TABLE sums (g TEXT, v INT, ts INT, te INT) PERIOD (ts, te);
+INSERT INTO sums VALUES ('x', 10, 0, 10), ('x', 9223372036854775807, 1, 4);
+SEQ VT (SELECT g, sum(v) AS total, avg(v) AS mean FROM sums GROUP BY g);
+SEQ VT AS OF 2 (SELECT g, sum(v) AS total, avg(v) AS mean FROM sums GROUP BY g);
+DROP TABLE sums;
 
 -- Mutate: appends take the incremental index path...
 INSERT INTO works VALUES ('Eve', 'SP', 0, 2), ('Pam', 'SP', 12, 19);
@@ -97,8 +111,7 @@ DELETE FROM works WHERE te <= 2;
 .index
 SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
 
--- A coalesce over the bare scan: the rebuilt index builds its coalescing
--- accelerator here, on first use, not at the rebuild.
+-- A coalesce over the bare scan (the sorted-pass kernel; no index route).
 SEQ VT (SELECT name, skill FROM works);
 
 -- Derived archive table via INSERT ... SELECT.

@@ -133,7 +133,8 @@ fn run_on(c: &Catalog, sql: &str) -> Result<Vec<Row>, String> {
 /// Regression: `Int` `+ - * /` used to wrap in release builds and panic in
 /// debug ones — and `i64::MIN / -1` panicked in both, taking a server's
 /// connection thread with it. A result outside `i64` is NULL, as `x / 0`
-/// is; a snapshot `sum` passing through the edge wraps and comes back.
+/// is; a snapshot `sum` passing beyond the edge is NULL there and comes
+/// back.
 #[test]
 fn int_overflow_is_null_and_a_sliding_sum_survives_it() {
     let schema = Schema::of(&[
@@ -179,8 +180,8 @@ fn int_overflow_is_null_and_a_sliding_sum_survives_it() {
     assert_eq!(
         run_on(&c, "SEQ VT (SELECT sum(a) AS total FROM edge)").unwrap(),
         vec![
+            null_over(5, 10),
             null_over(15, 24),
-            row![-2i64, 5, 10],
             row![i64::MAX, 0, 5],
             row![i64::MAX, 10, 15],
         ]
@@ -437,4 +438,40 @@ fn nested_self_referencing_projections_stay_linear() {
     let text = plan.explain();
     assert_eq!(text.matches("Project").count(), 40, "{text}");
     assert!(text.len() < 4096, "{} bytes of plan", text.len());
+}
+
+/// A grouped `SEQ VT` over a join reads the join's matched pairs and builds
+/// no join row — and the join is still a node to every observer: `agg-1`
+/// at N = 2 000, seed 7321, reports its `Join` with the 17 692 pairs it
+/// matched (never "never executed"), and the operator counters the session
+/// publishes as `engine_join_*` / `engine_hashjoin_*` see the same.
+#[test]
+fn aggregate_over_a_join_still_reports_the_join() {
+    use snapshot_semantics::datagen::employees;
+    use snapshot_semantics::engine::{explain_analyzed, ExecStats, NodeStats};
+    use snapshot_semantics::index::IndexCatalog;
+    let c = employees::generate(2000.0 / 300_000.0, 7321);
+    let (_, sql) = employees::queries()
+        .into_iter()
+        .find(|(name, _)| *name == "agg-1")
+        .unwrap();
+    let bound = bind_statement(&parse_statement(sql).unwrap(), &c).unwrap();
+    let plan = SnapshotCompiler::new(employees::domain())
+        .compile_statement(&bound, &c)
+        .unwrap();
+    let (mut stats, mut nodes) = (ExecStats::default(), NodeStats::default());
+    let indexes = IndexCatalog::build_all(&c);
+    let out = Engine::new()
+        .execute_analyzed(&plan, &c, Some(&indexes), &mut stats, &mut nodes)
+        .unwrap();
+    let text = explain_analyzed(&plan, &nodes);
+    let join = text.lines().nth(1).unwrap();
+    assert!(
+        join.starts_with("  Join on ") && join.contains(" (actual rows=17692 calls=1 "),
+        "{text}"
+    );
+    assert!(!text.contains("never executed"), "{text}");
+    assert_eq!(stats.get("Join"), Some((1, 17692)));
+    assert_eq!(stats.get("HashJoin"), Some((1, 17692)));
+    assert_eq!(stats.get("TemporalAggregate"), Some((1, out.len() as u64)));
 }

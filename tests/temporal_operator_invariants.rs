@@ -812,3 +812,138 @@ proptest! {
         }
     }
 }
+
+// ---- an aggregate over a join reads the matched pairs ---------------------
+
+/// Grouped and global aggregates over joins: NULL group keys, `INT = DOUBLE`
+/// and `DOUBLE = DOUBLE` keys (±0.0, NaN, an `Int` in a `DOUBLE` column),
+/// string `min`/`max`, several aggregates at once, gap rows, a computed
+/// group column and a computed argument.
+const PAIR_QUERIES: &[&str] = &[
+    "SEQ VT (SELECT r.ks, count(*) AS c, min(s.ks) AS lo, max(r.ks) AS hi, avg(r.v) AS mean \
+     FROM r JOIN s ON r.kd = s.kd GROUP BY r.ks)",
+    "SEQ VT (SELECT s.ks, r.kd, sum(r.v + 1) AS total, count(s.kd) AS n \
+     FROM r JOIN s ON r.ks = s.ks GROUP BY s.ks, r.kd)",
+    "SEQ VT (SELECT x.w, count(*) AS c, max(x.ks) AS hi \
+     FROM (SELECT r.v * 2 AS w, s.ks AS ks FROM r JOIN s ON r.ks = s.ks) x GROUP BY x.w)",
+    "SEQ VT (SELECT count(*) AS c, sum(s.v) AS total, min(r.ks) AS lo FROM r JOIN s ON r.v = s.kd)",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// (h) A `TemporalAggregate` over a `Join` reads the join's matched
+    /// pairs and builds no join row, on every join route — each hint,
+    /// sequential and with three workers, naive and indexed — and returns,
+    /// row for row, what `temporal_aggregate` returns over the rows the
+    /// naive engine builds for the join, which is the point-wise oracle's
+    /// unique encoding.
+    #[test]
+    fn aggregate_over_a_join_equals_the_aggregate_over_its_rows(
+        r in arb_edge_bag(), s in arb_edge_bag(),
+    ) {
+        let nonempty = |rows: Vec<Row>| -> Vec<Row> {
+            rows.into_iter().filter(|r| r.int(3) < r.int(4)).collect()
+        };
+        let catalog = bag_catalog(&nonempty(r), &nonempty(s));
+        let indexes = IndexCatalog::build_all(&catalog);
+        let domain = TimeDomain::new(0, SPAN);
+        for sql in PAIR_QUERIES {
+            let bound = bind_statement(&parse_statement(sql).unwrap(), &catalog).unwrap();
+            let BoundStatement::Snapshot { plan: snapshot, .. } = &bound else {
+                panic!("{sql} is not a snapshot query")
+            };
+            let oracle = PointwiseOracle::new(domain).eval_rows(snapshot, &catalog).unwrap();
+            for algo in [JoinAlgo::Auto, JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::Sweep] {
+                let options = RewriteOptions { temporal_join_algo: algo, ..RewriteOptions::default() };
+                let plan = SnapshotCompiler::with_options(domain, options)
+                    .compile_statement(&bound, &catalog)
+                    .unwrap();
+                let PlanNode::TemporalAggregate { input, group_cols, aggs, add_gap_neutral, domain } =
+                    &plan.node
+                else {
+                    panic!("{sql}: {plan}")
+                };
+                prop_assert!(matches!(input.node, PlanNode::Join { .. }), "{}", plan);
+                let joined = Engine::new().execute(input, &catalog).unwrap();
+                let types = temporal::agg_arg_types(aggs, &input.schema).unwrap();
+                let (arity, gap) = (input.schema.arity(), *add_gap_neutral);
+                let want = temporal::temporal_aggregate(
+                    joined.rows(), arity, group_cols, aggs, &types, gap, *domain, never,
+                )
+                .unwrap();
+                prop_assert_eq!(&want, &oracle, "{}", sql);
+                for (workers, indexed) in [(1, false), (1, true), (3, false), (3, true)] {
+                    let out = Engine::with_parallelism(workers)
+                        .execute_analyzed(
+                            &plan,
+                            &catalog,
+                            indexed.then_some(&indexes),
+                            &mut ExecStats::default(),
+                            &mut NodeStats::default(),
+                        )
+                        .unwrap();
+                    prop_assert_eq!(
+                        out.rows(), &want[..],
+                        "{:?}, {} workers, indexed={}\n{}", algo, workers, indexed, sql
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Regression: `sum` and `avg` over `INT` wrapped silently — with
+/// `i64::MAX` and 10 both active, `sum` reported `-9223372036854775799`
+/// and `avg` `-4611686018427388000`, sequenced and `AS OF` alike. The sum
+/// is exact now: NULL where it leaves `i64` (as `+` is), the value again
+/// where it comes back, and `avg` divides the exact sum. Sequenced ==
+/// `AS OF` == the point-wise oracle.
+#[test]
+fn int_sum_and_avg_beyond_i64_equal_their_snapshots() {
+    let schema = Schema::of(&[
+        ("g", SqlType::Str),
+        ("v", SqlType::Int),
+        ("ts", SqlType::Int),
+        ("te", SqlType::Int),
+    ]);
+    let mut t = Table::with_period(schema, 2, 3);
+    t.push(row!["x", 10, 0, 10]);
+    t.push(row!["x", i64::MAX, 1, 4]);
+    let mut catalog = Catalog::new();
+    catalog.register("a", t);
+    let query = "(SELECT g, sum(v) AS s, avg(v) AS m FROM a GROUP BY g)";
+    let (out, oracle) = engine_and_oracle(&format!("SEQ VT {query}"), &catalog);
+    let mean = (i64::MAX as f64 + 10.0) / 2.0;
+    let over = |b: i64, e: i64, s: Value, m: f64| {
+        Row::new(vec![
+            Value::str("x"),
+            s,
+            Value::Double(m),
+            Value::Int(b),
+            Value::Int(e),
+        ])
+    };
+    assert_eq!(
+        out,
+        vec![
+            over(1, 4, Value::Null, mean),
+            over(0, 1, Value::Int(10), 10.0),
+            over(4, 10, Value::Int(10), 10.0),
+        ]
+    );
+    assert_eq!(out, oracle);
+    for (at, want) in [(0, &out[1]), (2, &out[0]), (5, &out[2])] {
+        let sql = format!("SEQ VT AS OF {at} {query}");
+        let bound = bind_statement(&parse_statement(&sql).unwrap(), &catalog).unwrap();
+        let plan = SnapshotCompiler::new(TimeDomain::new(0, SPAN))
+            .compile_statement(&bound, &catalog)
+            .unwrap();
+        let snapshot = Engine::new().execute(&plan, &catalog).unwrap();
+        assert_eq!(
+            snapshot.rows(),
+            &[Row::new(want.values()[..3].to_vec())],
+            "{sql}"
+        );
+    }
+}
