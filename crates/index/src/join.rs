@@ -99,8 +99,9 @@ pub fn try_sweep_join_presorted<'a, E>(
 }
 
 /// Sweeps two unsorted sides: sorts both by begin, then runs
-/// [`sweep_join_presorted`].
-pub fn sweep_join<'a>(
+/// [`sweep_join_presorted`] — the unit tests' driver.
+#[cfg(test)]
+pub(crate) fn sweep_join<'a>(
     left: &'a [Row],
     right: &'a [Row],
     (lts, lte): (usize, usize),

@@ -13,8 +13,9 @@
 //!   backbone ([`events`]),
 //! * [`IntervalTree`] — a static centered interval tree for `O(log n + k)`
 //!   timeslice stabbing and overlap probes ([`interval_tree`]),
-//! * [`sweep_join`] / [`sweep_join_presorted`] — the `O(n log n + output)`
-//!   endpoint-sweep temporal join ([`join`]),
+//! * [`try_sweep_join_presorted`] / [`sweep_join_presorted`] — the
+//!   `O(n + output)` endpoint-sweep temporal join over begin-sorted sides
+//!   ([`join`]),
 //! * [`try_parallel_sweep_join_presorted`] — the same join partitioned into
 //!   contiguous time slabs along elementary-interval boundaries and run on
 //!   scoped worker threads, with boundary-straddling duplicates suppressed
@@ -42,7 +43,7 @@ pub mod table_index;
 
 pub use events::EventList;
 pub use interval_tree::IntervalTree;
-pub use join::{sweep_join, sweep_join_presorted, try_sweep_join_presorted};
+pub use join::{sweep_join_presorted, try_sweep_join_presorted};
 pub use parallel::{
     choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
     try_parallel_sweep_join_presorted, ParallelJoinStats,

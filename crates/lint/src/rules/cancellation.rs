@@ -37,8 +37,8 @@ const ZONES: &[&str] = &[
 /// Calls that count as reaching the token: `check` itself, the sweep
 /// kernels' fallible per-pair callback (`emit` — its error is how the
 /// caller's check aborts the sweep), and the fallible kernels that run it.
-/// The infallible `sweep_join` / `sweep_join_presorted` are deliberately
-/// absent: their callback cannot fail, so they never poll the token.
+/// The infallible `sweep_join_presorted` is deliberately absent: its
+/// callback cannot fail, so it never polls the token.
 const PROPAGATORS: &[&str] = &[
     "check",
     "emit",

@@ -145,28 +145,45 @@ struct Bound {
 fn bind_query(query: &QueryExpr, catalog: &Catalog, mode: Mode) -> Result<Bound, String> {
     match query {
         QueryExpr::Select(sel) => bind_select(sel, catalog, mode),
-        QueryExpr::UnionAll(l, r) => {
+        QueryExpr::UnionAll(l, r) | QueryExpr::ExceptAll(l, r) => {
             let lb = bind_query(l, catalog, mode)?;
             let rb = bind_query(r, catalog, mode)?;
-            let visible = lb.visible.clone();
-            Ok(Bound {
-                qb: lb.qb.union(rb.qb)?,
-                visible,
-            })
-        }
-        QueryExpr::ExceptAll(l, r) => {
-            let lb = bind_query(l, catalog, mode)?;
-            let rb = bind_query(r, catalog, mode)?;
-            let visible = lb.visible.clone();
-            Ok(Bound {
-                qb: lb.qb.except_all(rb.qb)?,
-                visible,
-            })
+            let (left, right) = widen_int_beside_double(lb.qb, rb.qb)?;
+            let qb = match query {
+                QueryExpr::UnionAll(..) => left.union(right)?,
+                _ => left.except_all(right)?,
+            };
+            let visible = qb.schema().clone();
+            Ok(Bound { qb, visible })
         }
         QueryExpr::SeqVt(..) => {
             Err("SEQ VT is only supported at the top level of a statement".into())
         }
     }
+}
+
+/// Where one side of a `UNION ALL` / `EXCEPT ALL` has an `INT` column and
+/// the other a `DOUBLE` one, the result column is `DOUBLE`: the `INT` side
+/// is widened (`x * 1.0`, exact up to 2^53), as storing an `INT` into a
+/// `DOUBLE` column widens it, so `2` and `2.0` are one value to the
+/// operators, which compare values by type as well. Equal types are left
+/// as they are.
+fn widen_int_beside_double(left: QB, right: QB) -> Result<(QB, QB), String> {
+    let (ls, rs) = (left.schema().clone(), right.schema().clone());
+    let widen = |qb: QB, mine: &Schema, theirs: &Schema| {
+        let int_vs_double =
+            |i: usize| (mine.column(i).ty, theirs.column(i).ty) == (SqlType::Int, SqlType::Double);
+        if mine.arity() != theirs.arity() || !(0..mine.arity()).any(int_vs_double) {
+            return Ok(qb); // the set operation reports any mismatch
+        }
+        let exprs = (0..mine.arity()).map(|i| match int_vs_double(i) {
+            true => Expr::binary(BinOp::Mul, Expr::col(i), Expr::lit(1.0)),
+            false => Expr::col(i),
+        });
+        let names = mine.columns().iter().map(|c| c.name.clone()).collect();
+        qb.project(exprs.collect(), names)
+    };
+    Ok((widen(left, &ls, &rs)?, widen(right, &rs, &ls)?))
 }
 
 fn bind_select(sel: &SelectStmt, catalog: &Catalog, mode: Mode) -> Result<Bound, String> {

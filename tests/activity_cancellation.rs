@@ -585,6 +585,39 @@ fn tripped_token_aborts_inside_the_normalisation_kernels() {
     assert_eq!(polls.get(), 2, "the sweep polled once before");
 }
 
+/// The bag difference sorts each side adaptively and merges the two, and
+/// both passes poll: over two large sorted sides (each sort one comparison
+/// per row, no fallback) a token tripped before the pass aborts it at the
+/// first poll, 1 024 rows into the left side's sort, before any run is
+/// taken up. Untripped, the same call returns the difference, polled over
+/// the two sorts (3 999 rows each), the merge (8 000), the runs (8 000) and
+/// the segments (4 000): 27 998 rows, 27 polls.
+#[test]
+fn tripped_token_aborts_a_difference_inside_its_sort() {
+    use snapshot_semantics::engine::temporal::temporal_except_all;
+    use std::cell::Cell;
+    use storage::{row, Row};
+
+    let side = |len: i64| -> Vec<Row> { (0..4000).map(|i| row![i, i, i + len]).collect() };
+    let (left, right) = (side(3), side(1));
+    let account = snapshot_obs::ResourceAccount::default();
+    let token = snapshot_obs::CancelToken::default();
+    let polls = Cell::new(0);
+    let check = || {
+        polls.set(polls.get() + 1);
+        token.check(&account)
+    };
+    let want: Vec<Row> = (0..4000).map(|i| row![i, i + 1, i + 3]).collect();
+    assert_eq!(temporal_except_all(&left, &right, 3, check).unwrap(), want);
+    assert_eq!(polls.get(), 27);
+
+    polls.set(0);
+    token.cancel(CancelKind::Killed);
+    let err = temporal_except_all(&left, &right, 3, check).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    assert_eq!(polls.get(), 1, "aborted at the first poll, inside the sort");
+}
+
 /// A `SEQ VT` grouped aggregate over a join reads the join's matched pairs,
 /// and spends its time in two places: the join's pair phase and the
 /// aggregate's pass over the pairs. A token tripped in either aborts the

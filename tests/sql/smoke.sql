@@ -58,6 +58,20 @@ SEQ VT (SELECT i.x, d.y FROM ints i JOIN doubles d ON i.x = d.y);
 DROP TABLE ints;
 DROP TABLE doubles;
 
+-- UNION ALL / EXCEPT ALL of an INT and a DOUBLE column: the result column
+-- is DOUBLE, so 7 and 7.0 are one value — 7.0 takes 7 away on [5, 10)
+-- (it used to take nothing away), and the union counts one 7 group.
+CREATE TABLE ints (x INT, ts INT, te INT) PERIOD (ts, te);
+CREATE TABLE doubles (y DOUBLE, ts INT, te INT) PERIOD (ts, te);
+INSERT INTO ints VALUES (7, 0, 10), (3, 0, 10);
+INSERT INTO doubles VALUES (7.0, 5, 15);
+SELECT x FROM ints EXCEPT ALL SELECT y FROM doubles;
+SEQ VT (SELECT x FROM ints EXCEPT ALL SELECT y FROM doubles);
+SEQ VT AS OF 6 (SELECT x FROM ints EXCEPT ALL SELECT y FROM doubles);
+SEQ VT (SELECT x, count(*) AS c FROM (SELECT x FROM ints UNION ALL SELECT y FROM doubles) u GROUP BY x);
+DROP TABLE ints;
+DROP TABLE doubles;
+
 -- The fused aggregate and bag difference emit the coalesced encoding
 -- themselves: neither plan has a Coalesce line.
 EXPLAIN SEQ VT (SELECT skill, count(*) AS c FROM works GROUP BY skill);

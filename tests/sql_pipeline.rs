@@ -227,6 +227,72 @@ fn int_double_comparisons_are_exact_beyond_2_53() {
     );
 }
 
+/// Regression: `UNION ALL` / `EXCEPT ALL` of an `INT` and a `DOUBLE` column
+/// kept the `INT` side's values in the result, so the kernels, which group
+/// by value and type, saw `2` and `2.0` as two rows: `2 EXCEPT ALL 2.0`
+/// subtracted nothing and a `GROUP BY` over the union counted two `2`
+/// groups. The result column is `DOUBLE` now, the `INT` side widened.
+/// Sequenced == `AS OF` 0/6/12 == the point-wise oracle, and the plain form
+/// agrees.
+#[test]
+fn int_beside_double_in_a_set_operation_is_one_value() {
+    use snapshot_semantics::baseline::PointwiseOracle;
+    use snapshot_semantics::sql::BoundStatement;
+    let schema = |name, ty| Schema::of(&[(name, ty), ("ts", SqlType::Int), ("te", SqlType::Int)]);
+    let mut ints = Table::with_period(schema("x", SqlType::Int), 1, 2);
+    ints.extend([row![2, 0, 10], row![3, 0, 10]]);
+    let mut doubles = Table::with_period(schema("y", SqlType::Double), 1, 2);
+    doubles.push(row![2.0, 5, 15]);
+    let mut c = Catalog::new();
+    c.register("ints", ints);
+    c.register("doubles", doubles);
+
+    let except = "(SELECT x FROM ints EXCEPT ALL SELECT y FROM doubles)";
+    let counts = "(SELECT x, count(*) AS c FROM \
+                  (SELECT x FROM ints UNION ALL SELECT y FROM doubles) u GROUP BY x)";
+    for (query, want) in [
+        (except, vec![row![2.0, 0, 5], row![3.0, 0, 10]]),
+        (
+            counts,
+            vec![
+                row![2.0, 1, 0, 5],
+                row![2.0, 1, 10, 15],
+                row![2.0, 2, 5, 10],
+                row![3.0, 1, 0, 10],
+            ],
+        ),
+    ] {
+        let sql = format!("SEQ VT {query}");
+        let out = run_on(&c, &sql).unwrap();
+        assert_eq!(out, want, "{sql}");
+        let bound = bind_statement(&parse_statement(&sql).unwrap(), &c).unwrap();
+        let BoundStatement::Snapshot { plan, .. } = &bound else {
+            panic!("{sql} is not a snapshot query")
+        };
+        let oracle = PointwiseOracle::new(TimeDomain::new(0, 24)).eval_rows(plan, &c);
+        assert_eq!(oracle.unwrap(), want, "{sql}");
+        for at in [0, 6, 12] {
+            let arity = want[0].arity() - 2;
+            let mut snapshot: Vec<Row> = want
+                .iter()
+                .filter(|r| r.int(arity) <= at && at < r.int(arity + 1))
+                .map(|r| Row::new(r.values()[..arity].to_vec()))
+                .collect();
+            let mut got = run_on(&c, &format!("SEQ VT AS OF {at} {query}")).unwrap();
+            snapshot.sort();
+            got.sort();
+            assert_eq!(got, snapshot, "AS OF {at} {query}");
+        }
+    }
+    assert_eq!(
+        run_on(&c, &except[1..except.len() - 1]).unwrap(),
+        vec![row![3.0]]
+    );
+    let mut plain = run_on(&c, &counts[1..counts.len() - 1]).unwrap();
+    plain.sort();
+    assert_eq!(plain, vec![row![2.0, 2], row![3.0, 1]]);
+}
+
 /// Regression + policy test for NaN: it is rejected at DML ingestion
 /// (the session's `conform_row` validator — storage primitives and bulk
 /// loads are below the policy), and a *computed* NaN — which can still flow

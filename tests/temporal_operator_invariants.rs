@@ -475,6 +475,47 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// (i) `Coalesce` and `TemporalExceptAll` sort adaptively: one bag
+    /// presented sorted, nearly sorted (every third pair of neighbours
+    /// swapped), reversed and shuffled gives one and the same row sequence,
+    /// the point-wise oracle's unique encoding.
+    #[test]
+    fn kernels_give_one_sequence_under_any_input_order(
+        r in arb_bag(), s in arb_bag(), seed in 0u64..u64::MAX,
+    ) {
+        let mut dice = Dice(seed);
+        let mut presented = |rows: &[Row]| -> Vec<Vec<Row>> {
+            let mut sorted = rows.to_vec();
+            sorted.sort();
+            let mut nearly = sorted.clone();
+            for i in (1..nearly.len()).step_by(3) {
+                nearly.swap(i - 1, i);
+            }
+            let reversed: Vec<Row> = sorted.iter().rev().cloned().collect();
+            let mut shuffled = rows.to_vec();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, dice.roll(i + 1));
+            }
+            vec![sorted, nearly, reversed, shuffled]
+        };
+        let catalog = bag_catalog(&r, &s);
+        let (_, coalesced) = engine_and_oracle("SEQ VT (SELECT * FROM r)", &catalog);
+        let (_, diffed) = engine_and_oracle(
+            "SEQ VT (SELECT ks, kd, v FROM r EXCEPT ALL SELECT ks, kd, v FROM s)",
+            &catalog,
+        );
+        let (rs, ss) = (presented(&r), presented(&s));
+        for (l, right) in rs.iter().zip(&ss) {
+            prop_assert_eq!(&coalesce_rows(l, 5), &coalesced);
+            prop_assert_eq!(&temporal_except_all(l, right, 5), &diffed);
+            prop_assert_eq!(&temporal_except_all(l, &ss[3], 5), &diffed);
+        }
+    }
+}
+
 /// FNV-1a over the rendered rows, in result order.
 fn sequence_hash(rows: &[Row]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
