@@ -16,6 +16,7 @@ use snapshot_obs::{self as obs, StatementError};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -141,7 +142,8 @@ impl ExecStats {
 /// [`Engine::execute_analyzed`] for `EXPLAIN ANALYZE`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeActuals {
-    /// Times the node produced its output (re-runs under retries add up).
+    /// Times the node ran, re-runs included; a run that a cancellation, a
+    /// budget or an error stopped counts too (its time, but no rows).
     pub calls: u64,
     /// Total rows produced across calls.
     pub rows: u64,
@@ -170,6 +172,31 @@ impl NodeStats {
     pub fn get(&self, plan: &Plan) -> Option<NodeActuals> {
         self.map.get(&plan_key(plan)).copied()
     }
+
+    /// Folds the executed nodes of `plan` into profile paths — operator
+    /// names from the root down → (samples: the calls, self time: `nanos`
+    /// minus the executed children's); nodes on one path add up.
+    pub fn profile(&self, plan: &Plan) -> BTreeMap<String, (u64, u64)> {
+        let mut paths: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut stack: Vec<String> = Vec::new();
+        walk(plan, 0, &mut |depth, node| {
+            stack.truncate(depth);
+            let name = op_name(&node.node);
+            let path = stack
+                .last()
+                .map_or(name.into(), |up| format!("{up};{name}"));
+            if let Some(a) = self.get(node) {
+                if let Some(up) = stack.last().and_then(|up| paths.get_mut(up)) {
+                    up.1 = up.1.saturating_sub(a.nanos);
+                }
+                let e = paths.entry(path.clone()).or_default();
+                e.0 += a.calls;
+                e.1 += a.nanos;
+            }
+            stack.push(path);
+        });
+        paths
+    }
 }
 
 fn plan_key(plan: &Plan) -> usize {
@@ -181,10 +208,11 @@ fn plan_key(plan: &Plan) -> usize {
 /// accelerated route short-circuited (e.g. the scan under an indexed
 /// timeslice).
 pub fn explain_analyzed(plan: &Plan, nodes: &NodeStats) -> String {
-    fn walk(out: &mut String, plan: &Plan, depth: usize, nodes: &NodeStats) {
+    let mut out = String::new();
+    walk(plan, 0, &mut |depth, node| {
         out.push_str(&"  ".repeat(depth));
-        out.push_str(&plan.node_label());
-        match nodes.get(plan) {
+        out.push_str(&node.node_label());
+        match nodes.get(node) {
             Some(a) => {
                 out.push_str(&format!(
                     " (actual rows={} calls={} time={:.3} ms)",
@@ -196,14 +224,18 @@ pub fn explain_analyzed(plan: &Plan, nodes: &NodeStats) -> String {
             None => out.push_str(" (never executed)"),
         }
         out.push('\n');
-        // lint:allow(cancellation) bounded by plan size
-        for child in plan.children() {
-            walk(out, child, depth + 1, nodes);
-        }
-    }
-    let mut out = String::new();
-    walk(&mut out, plan, 0, nodes);
+    });
     out
+}
+
+/// Visits `plan` and its descendants depth-first, each parent before its
+/// children, with its depth below `plan`.
+fn walk<'p>(plan: &'p Plan, depth: usize, visit: &mut impl FnMut(usize, &'p Plan)) {
+    visit(depth, plan);
+    // lint:allow(cancellation) bounded by plan size
+    for child in plan.children() {
+        walk(child, depth + 1, visit);
+    }
 }
 
 /// Resolves a user-facing parallelism setting to a worker count: `0`
@@ -256,9 +288,9 @@ fn retain(
     Ok(out)
 }
 
-/// One plan node from [`Engine::enter`] to [`Engine::leave`]: its start,
-/// span and profile frame.
-type NodeGuard = (Instant, obs::Span, obs::ProfileSpan);
+/// One plan node from [`Engine::enter`] to [`Engine::leave`]: its start
+/// and span.
+type NodeGuard = (Instant, obs::Span);
 
 /// What one execution runs against and reports into; `run` threads a
 /// single `&mut` of it through the plan.
@@ -324,44 +356,43 @@ impl Engine {
         stats: &mut ExecStats,
         nodes: &mut NodeStats,
     ) -> Result<Table, StatementError> {
-        let rows = self.run(
-            plan,
-            &mut ExecEnv {
-                catalog,
-                indexes,
-                stats,
-                nodes,
-            },
-        )?;
+        let env = &mut ExecEnv {
+            catalog,
+            indexes,
+            stats,
+            nodes,
+        };
+        let rows = self.run(plan, env).map(Cow::into_owned);
+        if obs::profiling_enabled() {
+            obs::record_profile(nodes.profile(plan));
+        }
         let mut table = Table::new(plan.schema.clone());
-        table.extend(rows.into_owned());
+        table.extend(rows?);
         Ok(table)
     }
 
-    /// Opens `plan`'s node (span and profile guards are each a relaxed load
-    /// when disabled); a cancelled statement stops at the boundary.
-    fn enter(&self, plan: &Plan) -> Result<NodeGuard, StatementError> {
-        let name = op_name(&plan.node);
-        let node = (
-            Instant::now(),
-            obs::Span::enter(name),
-            obs::ProfileSpan::enter(name),
-        );
-        self.ctx.check().map(|()| node)
+    /// Opens `plan`'s node (the span guard is a relaxed load when tracing
+    /// is off).
+    fn enter(&self, plan: &Plan) -> NodeGuard {
+        (Instant::now(), obs::Span::enter(op_name(&plan.node)))
     }
 
-    /// Closes `plan`'s node, which produced `rows` rows (a join: matched
-    /// pairs), then re-checks so a budget trips at the node that crossed it.
-    fn leave(
+    /// Closes `plan`'s node with its rows (a join: matched pairs) or the
+    /// error that stopped it, which counts only the call and time in
+    /// [`NodeStats`]; then re-checks so a budget trips at the node that
+    /// crossed it.
+    fn leave<T: Deref<Target = [E]>, E>(
         &self,
         plan: &Plan,
         env: &mut ExecEnv<'_>,
-        (started, mut span, _frame): NodeGuard,
-        rows: usize,
-    ) -> Result<(), StatementError> {
+        (started, mut span): NodeGuard,
+        out: Result<T, StatementError>,
+    ) -> Result<T, StatementError> {
+        let rows = out.as_ref().map_or(0, |out| out.len());
+        env.nodes.record(plan, rows, started.elapsed());
+        let out = out?;
         span.record_rows(rows as u64);
         env.stats.record(op_name(&plan.node), rows);
-        env.nodes.record(plan, rows, started.elapsed());
         let n = rows as u64;
         let account = &self.ctx.account;
         account.add_rows_emitted(n);
@@ -373,12 +404,19 @@ impl Engine {
         ) {
             account.add_rows_scanned(n);
         }
-        self.ctx.check()
+        self.ctx.check().map(|()| out)
     }
 
+    /// Runs `plan`'s node; a cancelled statement stops at its boundary.
     fn run<'a>(&self, plan: &'a Plan, env: &mut ExecEnv<'a>) -> Result<Rows<'a>, StatementError> {
-        let node = self.enter(plan)?;
-        let rows: Rows<'a> = match &plan.node {
+        let node = self.enter(plan);
+        let rows = self.ctx.check().and_then(|()| self.eval(plan, env));
+        self.leave(plan, env, node, rows)
+    }
+
+    /// `plan`'s own operator over its inputs' rows.
+    fn eval<'a>(&self, plan: &'a Plan, env: &mut ExecEnv<'a>) -> Result<Rows<'a>, StatementError> {
+        Ok(match &plan.node {
             PlanNode::Scan { table } => {
                 let t = env.catalog.require(table)?;
                 if t.schema().arity() != plan.schema.arity() {
@@ -516,11 +554,15 @@ impl Engine {
                 {
                     // The aggregate reads the matched pairs; the join is
                     // still a node, but builds no row.
-                    let join = self.enter(input)?;
-                    let l = self.run(left, env)?;
-                    let r = self.run(right, env)?;
-                    let pairs = self.join((left, &l), (right, &r), condition, *algo, env, Some)?;
-                    self.leave(input, env, join, pairs.len())?;
+                    let join = self.enter(input);
+                    let sides = self
+                        .ctx
+                        .check()
+                        .and_then(|()| Ok((self.run(left, env)?, self.run(right, env)?)));
+                    let pairs = sides.as_ref().map_err(Clone::clone).and_then(|(l, r)| {
+                        self.join((left, l), (right, r), condition, *algo, env, Some)
+                    });
+                    let pairs = self.leave(input, env, join, pairs)?;
                     let spec = (&group_cols[..], &aggs[..], &arg_types[..]);
                     temporal_aggregate_over(&pairs, output, spec, gap, *domain, check)?.into()
                 } else {
@@ -537,9 +579,7 @@ impl Engine {
                 let r = self.run(right, env)?;
                 temporal_except_all(&l, &r, left.schema.arity(), || self.ctx.check())?.into()
             }
-        };
-        self.leave(plan, env, node, rows.len())?;
-        Ok(rows)
+        })
     }
 
     /// `Timeslice` / `TimeRange`: the rows of `input` whose period (the
@@ -1583,5 +1623,70 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Executes `plan` over `works` with its indexes and folds the node
+    /// actuals: the profile's `(path, samples)` and its summed self time,
+    /// with the root's time.
+    fn profile_of(plan: &Plan) -> (Vec<(String, u64)>, u64, u64) {
+        let c = works_catalog();
+        let indexes = IndexCatalog::build_all(&c);
+        let mut nodes = NodeStats::default();
+        let mut stats = ExecStats::default();
+        Engine::new()
+            .execute_analyzed(plan, &c, Some(&indexes), &mut stats, &mut nodes)
+            .unwrap();
+        let profile = nodes.profile(plan);
+        let self_ns = profile.values().map(|&(_, self_ns)| self_ns).sum();
+        let paths = profile.into_iter().map(|(p, (n, _))| (p, n)).collect();
+        (paths, self_ns, nodes.get(plan).unwrap().nanos)
+    }
+
+    fn paths(expected: &[(&str, u64)]) -> Vec<(String, u64)> {
+        expected.iter().map(|&(p, n)| (p.to_string(), n)).collect()
+    }
+
+    /// A `TemporalAggregate` directly over a `Join`, whose pairs it reads.
+    fn aggregate_over_join() -> Plan {
+        let output = vec![Expr::col(0), Expr::col(2), Expr::col(7)];
+        let names = ["name", "ts", "te"].map(String::from).to_vec();
+        let join = equi_overlap_self_join_plan()
+            .project(output, names)
+            .unwrap();
+        let aggs = vec![AggExpr::new(AggFunc::Count, Expr::col(0), "n")];
+        join.temporal_aggregate(vec![0], aggs, false, (0, 24))
+            .unwrap()
+    }
+
+    #[test]
+    fn profile_self_times_sum_to_the_root_time() {
+        let scan = Plan::scan("works", works_schema());
+        for plan in [scan.clone(), scan.coalesce(), aggregate_over_join()] {
+            let (_, self_ns, root_ns) = profile_of(&plan);
+            assert_eq!(self_ns, root_ns, "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn profile_skips_the_scan_an_indexed_timeslice_never_runs() {
+        let plan = Plan::scan("works", works_schema()).timeslice(9);
+        assert_eq!(profile_of(&plan).0, paths(&[("Timeslice", 1)]));
+    }
+
+    #[test]
+    fn profile_folds_sibling_scans_into_one_path() {
+        let plan = equi_overlap_self_join_plan();
+        let expected = paths(&[("Join", 1), ("Join;Scan", 2)]);
+        assert_eq!(profile_of(&plan).0, expected);
+    }
+
+    #[test]
+    fn profile_paths_run_root_first_through_the_pair_route() {
+        let expected = paths(&[
+            ("TemporalAggregate", 1),
+            ("TemporalAggregate;Join", 1),
+            ("TemporalAggregate;Join;Scan", 2),
+        ]);
+        assert_eq!(profile_of(&aggregate_over_join()).0, expected);
     }
 }

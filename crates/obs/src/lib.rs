@@ -30,9 +30,9 @@
 //!   and total/mean/p95 latency in a bounded LRU.
 //! * [`slowlog`] — a bounded ring of statements that crossed the session's
 //!   slow-query threshold, with phase splits and operator actuals.
-//! * [`profile`] — the operator-level executor profiler:
-//!   [`ProfileSpan::enter`] maintains a per-thread operator stack and
-//!   attributes self wall time to folded stack paths
+//! * [`profile`] — the operator-level executor profiler: the engine folds
+//!   each statement's per-node actuals into operator stack paths with
+//!   self wall time and hands them to [`record_profile`]
 //!   ([`render_folded`] emits flamegraph-compatible output).
 //! * [`activity`] — the in-flight plane: a registry of live sessions and
 //!   their current statement (phase, start time, live [`ResourceAccount`]
@@ -79,8 +79,8 @@ pub use metrics::{
     Histogram, LazyCounter, LazyHistogram, MetricSample, MetricsRegistry,
 };
 pub use profile::{
-    profile_stats, profiling_enabled, render_folded, reset_profile, set_profiling, PathStat,
-    ProfileSpan,
+    profile_stats, profiling_enabled, record_profile, render_folded, reset_profile, set_profiling,
+    PathStat,
 };
 pub use slowlog::{
     record_slow_query, reset_slow_log, set_slow_log_capacity, slow_log_capacity, slow_queries,

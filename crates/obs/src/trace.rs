@@ -8,11 +8,12 @@
 //! thread-local, so instrumentation left in hot paths costs one predictable
 //! branch.
 //!
-//! The session layer brackets each statement with [`reset_thread_trace`] /
-//! [`take_thread_trace`]; the latter assembles the ring into a [`SpanTree`]
-//! (spans from worker threads of the parallel join land in *their* threads'
-//! rings and are not part of the statement's tree — the sequential spine is
-//! what the tree shows).
+//! The `snapshot_db` shell brackets each statement with
+//! [`reset_thread_trace`] / [`take_thread_trace`] (local sessions only; a
+//! server refuses `.trace`); the latter assembles the ring into a
+//! [`SpanTree`] (spans from worker threads of the parallel join land in
+//! *their* threads' rings and are not part of the statement's tree — the
+//! sequential spine is what the tree shows).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;

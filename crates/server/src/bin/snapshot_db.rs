@@ -350,7 +350,8 @@ struct Shell {
     /// Multi-line statement accumulator (REPL and scripts alike).
     pending: String,
     /// `.trace on` — print the span tree after every statement (embedded
-    /// backend only; a remote server traces into its own log).
+    /// backend only; a server refuses `.trace`, as no frame carries its
+    /// spans back).
     trace: bool,
 }
 

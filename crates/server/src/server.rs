@@ -459,7 +459,14 @@ fn executor_loop(
                 }
             }
             Msg::Frame(Frame::Meta { command }) => {
-                match run_meta(&command, session, shared) {
+                // Spans land in this thread's ring, which no frame carries
+                // back; switching the tracer on would only slow every
+                // connection.
+                let outcome = match command.split_whitespace().next() {
+                    Some("trace") => Err(".trace works in a local shell only".to_string()),
+                    _ => run_meta(&command, session, shared),
+                };
+                match outcome {
                     Ok(outcome) => {
                         if !send(
                             stream,

@@ -64,7 +64,7 @@ Meta commands:
   .verify on|off     cross-check indexed queries against the naive route
   .metrics [FILE]    dump the global metrics registry (Prometheus text
                      format) to stdout or FILE
-  .trace on|off      print the tracing-span tree after every statement
+  .trace on|off      print the span tree after every statement (local only)
   .activity          list live sessions (id, state, phase, statement,
                      elapsed, rows) — the snapshot_stat_activity view
   .kill ID           cooperatively cancel session ID's running statement
@@ -439,14 +439,10 @@ fn profile(arg: Option<&str>) -> Result<String, String> {
             snapshot_obs::set_profiling(false);
             Ok("profile: off\n".to_string())
         }
+        // Exactly the folded stacks, empty or not: a remote shell writes
+        // what bare `.profile` returns into its FILE.
         arg => {
             let text = snapshot_obs::render_folded();
-            if text.is_empty() {
-                return Ok(
-                    "(no profile samples — enable with .profile on, then run queries)\n"
-                        .to_string(),
-                );
-            }
             match arg {
                 Some(path) => {
                     std::fs::write(path, &text)

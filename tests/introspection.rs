@@ -316,3 +316,37 @@ fn profiler_self_times_sum_to_the_execute_phase() {
     assert!(first.rsplit_once(' ').unwrap().1.parse::<u64>().is_ok());
     snapshot_obs::reset_profile();
 }
+
+/// A statement a budget stops is still profiled: every node it entered
+/// counts its call, the scan that crossed the budget included.
+#[test]
+fn a_statement_stopped_by_a_budget_is_still_profiled() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    let mut session = Session::default();
+    for stmt in [
+        "CREATE TABLE intro_budget (x INT, ts INT, te INT) PERIOD (ts, te)",
+        "INSERT INTO intro_budget VALUES (1, 0, 5), (2, 3, 9), (3, 4, 6)",
+        "SET max_rows_scanned = 2",
+    ] {
+        session.execute(stmt).unwrap();
+    }
+    snapshot_obs::reset_profile();
+    snapshot_obs::set_profiling(true);
+    let stopped = session.execute("SEQ VT (SELECT count(*) AS c FROM intro_budget)");
+    snapshot_obs::set_profiling(false);
+    let err = stopped.expect_err("three rows scanned against a budget of two");
+    assert!(err.to_string().contains("max_rows_scanned"), "{err}");
+    let mut paths: Vec<(String, u64)> = snapshot_obs::profile_stats()
+        .into_iter()
+        .map(|s| (s.path, s.samples))
+        .collect();
+    paths.sort();
+    assert_eq!(
+        paths,
+        [
+            ("TemporalAggregate".to_string(), 1),
+            ("TemporalAggregate;Scan".to_string(), 1)
+        ]
+    );
+    snapshot_obs::reset_profile();
+}

@@ -8,8 +8,9 @@
 //! recoverable WAL-consistent database, a socket killed mid-query or
 //! mid-result leaves no ghost rows in `snapshot_stat_activity`, a
 //! multi-batch result arrives in the executor's row order with every byte
-//! accounted, and a server that sends a malformed result gets an `Err`
-//! from the client, not a panic.
+//! accounted, bare `.profile` returns exactly the folded stacks while
+//! `.trace` is refused, and a server that sends a malformed result gets an
+//! `Err` from the client, not a panic.
 //!
 //! The activity registry and metrics are process globals, so every test
 //! takes `snapshot_obs::testing::serial_guard()`.
@@ -488,6 +489,53 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
     snapshot_obs::reset_slow_log();
     by_sql.close().expect("clean close");
     by_frame.shutdown_server().expect("shutdown request");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+/// Over the wire, bare `.profile` returns exactly the folded stacks —
+/// nothing at all before anything was profiled — which is what the remote
+/// shell's `.profile FILE` writes; and the server refuses `.trace`, so the
+/// process-wide tracer stays off.
+#[test]
+fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
+    let _guard = snapshot_obs::testing::serial_guard();
+    snapshot_obs::reset_profile();
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    run_ok(&mut client, SETUP);
+    // The text a meta command returns, or its error.
+    fn meta(client: &mut Client, command: &str) -> Result<String, String> {
+        let resp = client.meta(command).expect("connection alive");
+        match (resp.error, &resp.results[..]) {
+            (Some(e), _) => Err(e.to_string()),
+            (None, [RemoteResult::Done(text)]) => Ok(text.clone()),
+            (None, other) => panic!(".{command}: {other:?}"),
+        }
+    }
+    assert_eq!(meta(&mut client, "profile"), Ok(String::new()));
+    meta(&mut client, "profile on").unwrap();
+    run_ok(&mut client, "SEQ VT (SELECT count(*) AS c FROM works);");
+    meta(&mut client, "profile off").unwrap();
+    let folded = meta(&mut client, "profile").unwrap();
+    assert_eq!(folded, snapshot_obs::render_folded());
+    assert!(
+        folded
+            .lines()
+            .any(|l| l.starts_with("TemporalAggregate;Scan ")),
+        "{folded}"
+    );
+    assert_eq!(
+        meta(&mut client, "trace on"),
+        Err(".trace works in a local shell only".to_string())
+    );
+    assert!(!snapshot_obs::tracing_enabled());
+
+    snapshot_obs::reset_profile();
+    client.shutdown_server().expect("shutdown request");
     server
         .join()
         .expect("server thread")

@@ -10,3 +10,4 @@ SEQ VT (SELECT count(*) AS c FROM intro_ci);
 .profile
 SELECT fingerprint, calls, total_time_ms FROM snapshot_stat_statements ORDER BY total_time_ms DESC;
 SELECT statement, total_ms, execute_ms FROM snapshot_stat_slow_queries ORDER BY total_ms DESC;
+.profile /tmp/intro.folded
