@@ -10,9 +10,10 @@
 //! Virtual tables are *not* temporal relations: they have no application
 //! period, cannot appear under snapshot (`SEQ VT`) semantics, and are
 //! shadowed by a real catalog table of the same name. Their contents come
-//! from in-memory process state (the metrics registry, the statement
-//! statistics collector, the slow-query log) and session-visible storage
-//! state (catalog, index catalog) at execution time — nothing persists.
+//! from the database's in-memory observability state (the metrics
+//! registry, the statement statistics collector, the slow-query log) and
+//! session-visible storage state (catalog, index catalog) at execution
+//! time — nothing persists.
 
 use storage::{Schema, SqlType};
 
@@ -102,7 +103,7 @@ pub fn virtual_table_schema(name: &str) -> Option<Schema> {
             ("incremental_builds", SqlType::Int),
         ],
         // One row per transaction-layer statistic (name/value pairs over
-        // the global registry's txn counters).
+        // the database registry's txn counters).
         "snapshot_stat_transactions" => &[("stat", SqlType::Str), ("value", SqlType::Double)],
         // One row per retained slow query, oldest first.
         "snapshot_stat_slow_queries" => &[

@@ -29,28 +29,35 @@ use storage::{Catalog, Row, Table, Value};
 pub(crate) const CANCEL_CHECK_INTERVAL: u64 = 1024;
 
 /// Per-statement execution context: the live [`obs::ResourceAccount`]
-/// the operators bump and the [`obs::CancelToken`] they check at batch
-/// boundaries. Shared (`Arc`) with the owning session's entry in the
-/// activity registry, so `snapshot_stat_progress` sees counters move
-/// while the statement runs and `.kill` can reach into the executor. The
-/// default context — what an engine built outside a session runs under —
-/// owns a private account and a token nobody else holds, so it never
-/// cancels.
+/// the operators bump, the [`obs::CancelToken`] they check at batch
+/// boundaries, and the database's [`obs::Obs`] (what the virtual tables
+/// read and the profiler folds into). The account and token are shared
+/// (`Arc`) with the owning session's entry in the activity registry, so
+/// `snapshot_stat_progress` sees counters move while the statement runs
+/// and `.kill` can reach into the executor. The default context — what an
+/// engine built outside a session runs under — owns a private account and
+/// a token nobody else holds, so it never cancels, and has no database:
+/// it profiles nothing and cannot read the observability tables.
 #[derive(Debug, Clone, Default)]
 pub struct ExecContext {
     account: Arc<obs::ResourceAccount>,
     token: Arc<obs::CancelToken>,
+    obs: Option<Arc<obs::Obs>>,
 }
 
 impl ExecContext {
-    /// Context over a session's shared account and token.
-    pub fn new(account: Arc<obs::ResourceAccount>, token: Arc<obs::CancelToken>) -> Self {
-        ExecContext { account, token }
-    }
-
-    /// The live resource counters.
-    pub fn account(&self) -> &obs::ResourceAccount {
-        &self.account
+    /// Context over a session's shared account and token, reporting into
+    /// its database's `obs`.
+    pub fn new(
+        account: Arc<obs::ResourceAccount>,
+        token: Arc<obs::CancelToken>,
+        obs: Option<Arc<obs::Obs>>,
+    ) -> Self {
+        ExecContext {
+            account,
+            token,
+            obs,
+        }
     }
 
     /// The cooperative check (see [`obs::CancelToken::check`]).
@@ -121,13 +128,12 @@ impl ExecStats {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Publish these counters into the global metrics registry as
+    /// Publish these counters into a database's metrics registry as
     /// `engine_<op>_invocations_total` / `engine_<op>_rows_total` (operator
     /// names lower-cased). The session layer calls this once per statement
     /// when metrics collection is on, so the per-operator hot path stays a
     /// plain `BTreeMap` bump.
-    pub fn publish_to_registry(&self) {
-        let reg = obs::registry();
+    pub fn publish_to_registry(&self, reg: &obs::MetricsRegistry) {
         // lint:allow(cancellation) bounded by the number of operator kinds
         for (op, (invocations, rows)) in self.iter() {
             let op = op.to_lowercase();
@@ -363,8 +369,8 @@ impl Engine {
             nodes,
         };
         let rows = self.run(plan, env).map(Cow::into_owned);
-        if obs::profiling_enabled() {
-            obs::record_profile(nodes.profile(plan));
+        if let Some(obs) = self.ctx.obs.as_deref().filter(|o| o.profile.enabled()) {
+            obs.profile.record(nodes.profile(plan));
         }
         let mut table = Table::new(plan.schema.clone());
         table.extend(rows?);
@@ -430,7 +436,8 @@ impl Engine {
                 Cow::Borrowed(t.rows())
             }
             PlanNode::VirtualScan { table } => {
-                crate::vtab::virtual_table_rows(table, env.catalog, env.indexes)?.into()
+                let obs = self.ctx.obs.as_deref().ok_or("no database to introspect")?;
+                crate::vtab::virtual_table_rows(table, env.catalog, env.indexes, obs)?.into()
             }
             PlanNode::Values { rows } => Cow::Borrowed(&rows[..]),
             PlanNode::Filter { input, predicate } => {
@@ -1435,8 +1442,11 @@ mod tests {
         let account = Arc::new(obs::ResourceAccount::default());
         let token = Arc::new(obs::CancelToken::default());
         token.arm(None, None, None);
-        let engine =
-            Engine::new().with_context(ExecContext::new(Arc::clone(&account), Arc::clone(&token)));
+        let engine = Engine::new().with_context(ExecContext::new(
+            Arc::clone(&account),
+            Arc::clone(&token),
+            None,
+        ));
         let plan = Plan::scan("works", works_schema()).filter(Expr::col(1).eq(Expr::lit("SP")));
         engine.execute(&plan, &c).unwrap();
         let usage = account.usage();
@@ -1488,8 +1498,11 @@ mod tests {
         for (algo, ops, pairs) in routes {
             let join = scan().join_with(scan(), cond.clone(), algo);
             for (parallelism, op) in [1, 3].into_iter().zip(ops) {
-                let engine = Engine::with_parallelism(parallelism)
-                    .with_context(ExecContext::new(Arc::clone(&account), Arc::clone(&token)));
+                let engine = Engine::with_parallelism(parallelism).with_context(ExecContext::new(
+                    Arc::clone(&account),
+                    Arc::clone(&token),
+                    None,
+                ));
                 account.reset();
                 token.arm(None, None, None);
                 let (out, stats) = run_with(&engine, &join, &c, Some(&indexes));
@@ -1536,6 +1549,7 @@ mod tests {
         let engine = Engine::new().with_context(ExecContext::new(
             Arc::clone(&account),
             Arc::new(obs::CancelToken::default()),
+            None,
         ));
         let (mut stats, mut nodes) = (ExecStats::default(), NodeStats::default());
         let out = engine

@@ -1,14 +1,14 @@
 //! Row production for the introspection virtual tables.
 //!
 //! The engine materializes `snapshot_stat_*` rows at execution time from
-//! two kinds of state: process-global observability (the metrics
-//! registry, statement statistics, slow-query log — all in `snapshot_obs`)
-//! and the session-visible storage state the engine already holds (the
-//! catalog snapshot and the index catalog). Schemas are fixed in
+//! two kinds of state: the database's observability state (its metrics
+//! registry, statement statistics, slow-query log and live sessions — one
+//! [`Obs`]) and the session-visible storage state the engine already holds
+//! (the catalog snapshot and the index catalog). Schemas are fixed in
 //! [`algebra::vtab`]; rows here must match them column for column.
 
 use index::IndexCatalog;
-use snapshot_obs as obs;
+use snapshot_obs::Obs;
 use storage::{Catalog, Row, Value};
 
 fn opt_f64(v: Option<f64>) -> Value {
@@ -23,15 +23,18 @@ fn opt_u64(v: Option<u64>) -> Value {
 ///
 /// `indexes` is the engine's index catalog when the session runs with
 /// indexes enabled; without it, `snapshot_stat_indexes` is simply empty.
+/// `obs` is the observability state of the database the session serves.
 pub fn virtual_table_rows(
     table: &str,
     catalog: &Catalog,
     indexes: Option<&IndexCatalog>,
+    obs: &Obs,
 ) -> Result<Vec<Row>, String> {
     match table {
         "snapshot_stat_metrics" => {
-            obs::refresh_process_metrics();
-            Ok(obs::registry()
+            let metrics = &obs.metrics;
+            metrics.refresh_process_metrics();
+            Ok(metrics
                 .snapshot()
                 .into_iter()
                 .map(|s| {
@@ -48,7 +51,9 @@ pub fn virtual_table_rows(
                 })
                 .collect())
         }
-        "snapshot_stat_statements" => Ok(obs::statement_stats()
+        "snapshot_stat_statements" => Ok(obs
+            .statements
+            .snapshot()
             .into_iter()
             .map(|s| {
                 Row::new(vec![
@@ -95,7 +100,9 @@ pub fn virtual_table_rows(
                 })
                 .collect())
         }
-        "snapshot_stat_activity" => Ok(obs::sessions_snapshot()
+        "snapshot_stat_activity" => Ok(obs
+            .activity
+            .snapshot()
             .into_iter()
             .map(|s| {
                 Row::new(vec![
@@ -121,7 +128,9 @@ pub fn virtual_table_rows(
                 ])
             })
             .collect()),
-        "snapshot_stat_progress" => Ok(obs::sessions_snapshot()
+        "snapshot_stat_progress" => Ok(obs
+            .activity
+            .snapshot()
             .into_iter()
             .map(|s| {
                 Row::new(vec![
@@ -137,11 +146,9 @@ pub fn virtual_table_rows(
             })
             .collect()),
         "snapshot_stat_transactions" => {
-            // Name/value pairs over the registry's transaction-layer
-            // counters. The engine has no session state, so this is the
-            // process-wide view — which is also what a shared database's
-            // sessions want to see.
-            let reg = obs::registry();
+            // Name/value pairs over the database registry's
+            // transaction-layer counters: every session's view.
+            let reg = &obs.metrics;
             let counter = |name: &str| reg.get_counter(name).map_or(0, |c| c.get()) as f64;
             let stats = [
                 ("snapshots", counter("txn_snapshots_total")),
@@ -156,7 +163,9 @@ pub fn virtual_table_rows(
                 .map(|(name, value)| Row::new(vec![Value::str(name), Value::Double(value)]))
                 .collect())
         }
-        "snapshot_stat_slow_queries" => Ok(obs::slow_queries()
+        "snapshot_stat_slow_queries" => Ok(obs
+            .slow_log
+            .entries()
             .into_iter()
             .map(|q| {
                 Row::new(vec![
@@ -208,20 +217,23 @@ mod tests {
     fn rows_match_the_declared_schemas() {
         let catalog = catalog_with_table();
         let indexes = IndexCatalog::build_all(&catalog);
+        let obs = Obs::default();
+        let _session = obs.activity.register("owned");
         for name in vtab::VIRTUAL_TABLES {
             let schema = vtab::virtual_table_schema(name).unwrap();
-            let rows = virtual_table_rows(name, &catalog, Some(&indexes)).unwrap();
+            let rows = virtual_table_rows(name, &catalog, Some(&indexes), &obs).unwrap();
             for row in &rows {
                 assert_eq!(row.arity(), schema.arity(), "arity of {name}");
             }
         }
-        assert!(virtual_table_rows("nope", &catalog, None).is_err());
+        assert!(virtual_table_rows("nope", &catalog, None, &obs).is_err());
     }
 
     #[test]
     fn stat_tables_reports_the_catalog_snapshot() {
         let catalog = catalog_with_table();
-        let rows = virtual_table_rows("snapshot_stat_tables", &catalog, None).unwrap();
+        let rows =
+            virtual_table_rows("snapshot_stat_tables", &catalog, None, &Obs::default()).unwrap();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.values()[0], Value::str("t"));
@@ -232,9 +244,11 @@ mod tests {
 
     #[test]
     fn stat_indexes_reports_freshness() {
+        let obs = Obs::default();
         let mut catalog = catalog_with_table();
         let indexes = IndexCatalog::build_all(&catalog);
-        let rows = virtual_table_rows("snapshot_stat_indexes", &catalog, Some(&indexes)).unwrap();
+        let rows =
+            virtual_table_rows("snapshot_stat_indexes", &catalog, Some(&indexes), &obs).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values()[1], Value::Bool(true), "fresh after build");
         // Mutate the table: the registered index goes stale but stays listed.
@@ -243,11 +257,14 @@ mod tests {
             Value::Int(3),
             Value::Int(9),
         ]));
-        let rows = virtual_table_rows("snapshot_stat_indexes", &catalog, Some(&indexes)).unwrap();
+        let rows =
+            virtual_table_rows("snapshot_stat_indexes", &catalog, Some(&indexes), &obs).unwrap();
         assert_eq!(rows[0].values()[1], Value::Bool(false), "stale after write");
         // And without an index catalog the table is empty, not an error.
-        assert!(virtual_table_rows("snapshot_stat_indexes", &catalog, None)
-            .unwrap()
-            .is_empty());
+        assert!(
+            virtual_table_rows("snapshot_stat_indexes", &catalog, None, &obs)
+                .unwrap()
+                .is_empty()
+        );
     }
 }

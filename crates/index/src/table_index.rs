@@ -1,16 +1,20 @@
 //! Per-table index bundles and the catalog-level index registry.
 
 use crate::{EventList, IntervalTree};
-use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
+use snapshot_obs::{self as obs, Counter, Histogram, MetricsRegistry};
+use std::sync::Arc;
 use storage::{Catalog, Row, Table};
 
-/// Index-maintenance telemetry: the repair split mirrors
-/// [`MaintenanceStats`] in the global registry, and the histograms time the
-/// two repair paths (an `ensure` hitting a fresh entry records nothing).
-static FULL_BUILDS: LazyCounter = LazyCounter::new("index_full_builds_total");
-static INCREMENTAL_BUILDS: LazyCounter = LazyCounter::new("index_incremental_builds_total");
-static FULL_BUILD_SECONDS: LazyHistogram = LazyHistogram::new("index_full_build_seconds");
-static INCREMENTAL_SECONDS: LazyHistogram = LazyHistogram::new("index_incremental_build_seconds");
+/// Index-maintenance telemetry in a database's registry: the repair split
+/// mirrors [`MaintenanceStats`], and the histograms time the two repair
+/// paths (an `ensure` hitting a fresh entry records nothing).
+#[derive(Debug)]
+struct IndexMetrics {
+    full_builds: Arc<Counter>,
+    incremental_builds: Arc<Counter>,
+    full_build_seconds: Arc<Histogram>,
+    incremental_build_seconds: Arc<Histogram>,
+}
 
 /// The full index bundle of one stored period table:
 ///
@@ -147,11 +151,14 @@ pub struct MaintenanceStats {
 /// cheap — an MVCC snapshot pins the index registry together with the
 /// catalog and keeps serving index-accelerated reads no matter how the
 /// committed registry evolves. Repairs ([`IndexCatalog::ensure`]) swap in
-/// a fresh `Arc`; pinned clones keep the entry they saw.
+/// a fresh `Arc`; pinned clones keep the entry they saw, and every clone
+/// records its repairs into the same registry.
 #[derive(Debug, Clone, Default)]
 pub struct IndexCatalog {
     indexes: std::collections::BTreeMap<String, std::sync::Arc<TableIndex>>,
     maintenance: MaintenanceStats,
+    /// `None` records nothing (a registry built outside any database).
+    metrics: Option<Arc<IndexMetrics>>,
 }
 
 // Equality compares the registered indexes only; the maintenance counters
@@ -166,6 +173,20 @@ impl IndexCatalog {
     /// An empty registry.
     pub fn new() -> Self {
         IndexCatalog::default()
+    }
+
+    /// An empty registry whose repairs are recorded in `metrics` (a
+    /// database's registry).
+    pub fn recording_into(metrics: &MetricsRegistry) -> Self {
+        IndexCatalog {
+            metrics: Some(Arc::new(IndexMetrics {
+                full_builds: metrics.counter("index_full_builds_total"),
+                incremental_builds: metrics.counter("index_incremental_builds_total"),
+                full_build_seconds: metrics.histogram("index_full_build_seconds"),
+                incremental_build_seconds: metrics.histogram("index_incremental_build_seconds"),
+            })),
+            ..IndexCatalog::default()
+        }
     }
 
     /// Builds indexes for every period table of the catalog.
@@ -223,14 +244,20 @@ impl IndexCatalog {
             };
             match built {
                 Some(idx) => {
+                    let m = self.metrics.as_deref();
                     if was_incremental {
                         self.maintenance.incremental_builds += 1;
-                        INCREMENTAL_BUILDS.inc();
-                        INCREMENTAL_SECONDS.observe_duration(started.elapsed());
+                        if let Some(m) = m {
+                            m.incremental_builds.inc();
+                            m.incremental_build_seconds
+                                .observe_duration(started.elapsed());
+                        }
                     } else {
                         self.maintenance.full_builds += 1;
-                        FULL_BUILDS.inc();
-                        FULL_BUILD_SECONDS.observe_duration(started.elapsed());
+                        if let Some(m) = m {
+                            m.full_builds.inc();
+                            m.full_build_seconds.observe_duration(started.elapsed());
+                        }
                     }
                     self.indexes
                         .insert(name.to_string(), std::sync::Arc::new(idx));

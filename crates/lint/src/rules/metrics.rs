@@ -6,8 +6,7 @@
 //! - `.counter("name")` / `.gauge(..)` / `.histogram(..)` /
 //!   `.histogram_with(..)` / `.info(..)` with a literal first argument;
 //! - the same with `&format!("engine_{op}_rows_total")` — the `{..}` hole
-//!   becomes a wildcard, matched against `<..>` placeholders in the docs;
-//! - `LazyCounter::new("name", ..)` / `LazyHistogram::new(..)`.
+//!   becomes a wildcard, matched against `<..>` placeholders in the docs.
 //!
 //! Checks: names are `[a-z][a-z0-9_]*` with a known subsystem prefix; a
 //! name is registered under at most one metric kind workspace-wide; every
@@ -35,9 +34,6 @@ const METHODS: &[(&str, &str)] = &[
     ("histogram_with", "histogram"),
     ("info", "info"),
 ];
-
-/// Lazy handle types whose `new` takes the metric name.
-const LAZY_TYPES: &[(&str, &str)] = &[("LazyCounter", "counter"), ("LazyHistogram", "histogram")];
 
 /// Allowed name prefixes, one per subsystem.
 const PREFIXES: &[&str] = &[
@@ -204,60 +200,37 @@ fn collect_registrations(file: &SourceFile, regs: &mut Vec<Registration>, out: &
     let toks = &file.lexed.tokens;
     let in_registry_impl = file.rel_path.ends_with(REGISTRY_IMPL);
     for (i, t) in toks.iter().enumerate() {
-        if t.in_test {
-            continue;
-        }
         // `.method("name", ..)` and the format! variant.
-        if t.tok == Tok::Punct('.') {
-            let Some(Tok::Ident(method)) = toks.get(i + 1).map(|t| &t.tok) else {
-                continue;
-            };
-            let Some(&(_, kind)) = METHODS.iter().find(|(m, _)| m == method) else {
-                continue;
-            };
-            if toks.get(i + 2).map(|t| &t.tok) != Some(&Tok::Punct('(')) {
-                continue;
-            }
-            match name_argument(toks, i + 3) {
-                Some((pattern, line)) => regs.push(Registration {
-                    pattern,
-                    kind,
-                    file: file.rel_path.clone(),
-                    line,
-                }),
-                None if in_registry_impl => {} // forwarding internals
-                None => out.push(Finding {
-                    file: file.rel_path.clone(),
-                    line: t.line,
-                    rule: RULE,
-                    message: format!(
-                        "`.{method}(..)` with a non-literal metric name; dynamic names \
-                         defeat the docs/metrics.md cross-check (use a literal or \
-                         `format!` with literal skeleton)"
-                    ),
-                }),
-            }
+        if t.in_test || t.tok != Tok::Punct('.') {
             continue;
         }
-        // `LazyCounter::new("name", ..)`.
-        if let Tok::Ident(ty) = &t.tok {
-            let Some(&(_, kind)) = LAZY_TYPES.iter().find(|(n, _)| n == ty) else {
-                continue;
-            };
-            if toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                && toks.get(i + 2).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                && matches!(toks.get(i + 3).map(|t| &t.tok), Some(Tok::Ident(m)) if m == "new")
-                && toks.get(i + 4).map(|t| &t.tok) == Some(&Tok::Punct('('))
-            {
-                if let Some((pattern, line)) = name_argument(toks, i + 5) {
-                    regs.push(Registration {
-                        pattern,
-                        kind,
-                        file: file.rel_path.clone(),
-                        line,
-                    });
-                }
-            }
+        let Some(Tok::Ident(method)) = toks.get(i + 1).map(|t| &t.tok) else {
+            continue;
+        };
+        let Some(&(_, kind)) = METHODS.iter().find(|(m, _)| m == method) else {
+            continue;
+        };
+        if toks.get(i + 2).map(|t| &t.tok) != Some(&Tok::Punct('(')) {
+            continue;
+        }
+        match name_argument(toks, i + 3) {
+            Some((pattern, line)) => regs.push(Registration {
+                pattern,
+                kind,
+                file: file.rel_path.clone(),
+                line,
+            }),
+            None if in_registry_impl => {} // forwarding internals
+            None => out.push(Finding {
+                file: file.rel_path.clone(),
+                line: t.line,
+                rule: RULE,
+                message: format!(
+                    "`.{method}(..)` with a non-literal metric name; dynamic names \
+                     defeat the docs/metrics.md cross-check (use a literal or \
+                     `format!` with literal skeleton)"
+                ),
+            }),
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Live activity: the in-flight observability and resource-governance
 //! plane.
 //!
-//! Three cooperating pieces, all process-global and std-only:
+//! Three cooperating pieces, std-only, owned by a database's
+//! [`crate::Obs`]:
 //!
-//! * **The activity registry** — every session registers an
-//!   entry ([`register_session`]) describing what it is doing *right now*:
+//! * **The activity registry** ([`Activity`]) — every session registers an
+//!   entry ([`Activity::register`]) describing what it is doing *right now*:
 //!   backend kind, transaction state, current statement text +
 //!   fingerprint, pipeline phase, start time, and live resource counters.
 //!   The `snapshot_stat_activity` / `snapshot_stat_progress` virtual
-//!   tables and the shell's `.activity` render [`sessions_snapshot`].
+//!   tables and the shell's `.activity` render [`Activity::snapshot`].
 //! * **[`ResourceAccount`]** — a handful of relaxed atomics the engine
 //!   bumps as it works (rows scanned/emitted, join pairs considered,
 //!   index probes, approximate bytes materialized). Cheap enough to stay
@@ -17,9 +18,9 @@
 //!   engine at operator and batch boundaries (including inside parallel
 //!   sweep-join workers). A statement dies when its wall-clock deadline
 //!   passes (`statement_timeout`), a resource limit trips
-//!   (`max_rows_scanned` / `max_result_rows`), or another session kills
-//!   it ([`cancel_session`], surfaced as `.kill <id>` and
-//!   `SELECT snapshot_cancel(<id>)`). The check returns
+//!   (`max_rows_scanned` / `max_result_rows`), or another session of the
+//!   same database kills it ([`Activity::cancel`], surfaced as `.kill <id>`
+//!   and `SELECT snapshot_cancel(<id>)`). The check returns
 //!   [`StatementError::Cancelled`], so callers tell a cancellation from a
 //!   genuine statement failure by matching the variant — in particular
 //!   the session's conflict-retry loop must *not* retry a cancelled
@@ -27,20 +28,15 @@
 //!
 //! Cancelled statements and timeouts are counted in the metrics registry
 //! (`statements_cancelled_total`, `statement_timeouts_total`) by the
-//! session layer via [`note_cancellation`].
+//! session layer via [`Activity::note_cancellation`].
 
 use crate::lock::Named;
-use crate::metrics::{process_start, LazyCounter};
+use crate::metrics::{process_start, Counter, MetricsRegistry};
 use crate::stmtstats::fingerprint;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Every cancelled statement, whatever tripped it.
-static STATEMENTS_CANCELLED: LazyCounter = LazyCounter::new("statements_cancelled_total");
-/// The `statement_timeout` subset of cancellations.
-static STATEMENT_TIMEOUTS: LazyCounter = LazyCounter::new("statement_timeouts_total");
 
 /// Why a statement was cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,15 +135,6 @@ impl From<StatementError> for String {
     }
 }
 
-/// Count one cancelled statement in the registry (called once per
-/// cancelled statement by the session layer, never per worker).
-pub fn note_cancellation(kind: CancelKind) {
-    STATEMENTS_CANCELLED.inc();
-    if kind == CancelKind::Timeout {
-        STATEMENT_TIMEOUTS.inc();
-    }
-}
-
 /// Nanoseconds since the process-wide epoch ([`process_start`]) — the
 /// base every activity timestamp and deadline is expressed in.
 fn now_ns() -> u64 {
@@ -241,12 +228,16 @@ impl ResourceAccount {
 /// Per-statement cooperative cancellation state. The session arms it at
 /// statement start ([`CancelToken::arm`]); the engine calls
 /// [`CancelToken::check`] at operator and batch boundaries; anybody with
-/// the session id can trip it through [`cancel_session`].
+/// the session id can kill the running statement through
+/// [`Activity::cancel`].
 #[derive(Debug, Default)]
 pub struct CancelToken {
-    /// Cancellation reason code (0 = not cancelled; see
-    /// [`CancelKind::code`]). The flag every check reads first.
-    cancelled: AtomicU8,
+    /// `epoch << 8 | code`: the statement epoch, bumped by every
+    /// [`CancelToken::arm`] and [`CancelToken::disarm`], and the
+    /// cancellation reason code (0 = not cancelled; see
+    /// [`CancelKind::code`]). One word, so a kill aimed at one statement
+    /// ([`CancelToken::kill`]) can never land on the next.
+    state: AtomicU64,
     /// Deadline in nanoseconds since [`process_start`] (0 = none).
     deadline_ns: AtomicU64,
     /// Statement timeout in milliseconds, kept for the error text.
@@ -258,16 +249,15 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// Re-arm for a new statement: clear any previous cancellation, set
-    /// the wall-clock deadline (`None` = no timeout) and resource limits
-    /// (`None` = unlimited).
+    /// Re-arm for a new statement: start a new epoch with no cancellation,
+    /// set the wall-clock deadline (`None` = no timeout) and resource
+    /// limits (`None` = unlimited).
     pub fn arm(
         &self,
         timeout_ms: Option<u64>,
         max_rows_scanned: Option<u64>,
         max_result_rows: Option<u64>,
     ) {
-        self.cancelled.store(0, Ordering::Release);
         let deadline = timeout_ms
             .filter(|&ms| ms > 0)
             .map(|ms| now_ns().saturating_add(ms.saturating_mul(1_000_000)))
@@ -279,28 +269,54 @@ impl CancelToken {
             .store(max_rows_scanned.unwrap_or(0), Ordering::Relaxed);
         self.max_result_rows
             .store(max_result_rows.unwrap_or(0), Ordering::Relaxed);
+        self.next_epoch();
     }
 
-    /// Disarm (statement finished): a later `.kill` must not poison the
-    /// session's *next* statement.
+    /// Disarm (statement finished): a new epoch, so a kill aimed at the
+    /// finished statement cannot poison the session's *next* one.
     pub fn disarm(&self) {
         self.deadline_ns.store(0, Ordering::Relaxed);
         self.max_rows_scanned.store(0, Ordering::Relaxed);
         self.max_result_rows.store(0, Ordering::Relaxed);
-        self.cancelled.store(0, Ordering::Release);
+        self.next_epoch();
     }
 
-    /// Trip the token with `kind`. First writer wins; later trips keep
-    /// the original reason.
+    /// `(epoch + 1) << 8`: the code bits all set, plus one, carry over.
+    fn next_epoch(&self) {
+        let next = |w| Some((w | 0xff) + 1);
+        let _ = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, next);
+    }
+
+    /// The current statement epoch (what [`CancelToken::kill`] targets).
+    pub fn epoch(&self) -> u64 {
+        self.state.load(Ordering::Acquire) >> 8
+    }
+
+    /// Trip the current statement with `kind`. First writer wins; later
+    /// trips keep the original reason.
     pub fn cancel(&self, kind: CancelKind) {
-        let _ =
-            self.cancelled
-                .compare_exchange(0, kind.code(), Ordering::AcqRel, Ordering::Acquire);
+        let trip = |w: u64| (w & 0xff == 0).then_some(w | u64::from(kind.code()));
+        let _ = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, trip);
+    }
+
+    /// Kill the statement of `epoch`: trips the token only while that
+    /// statement is still the current one and not yet cancelled. Returns
+    /// whether it did.
+    pub fn kill(&self, epoch: u64) -> bool {
+        let live = epoch << 8;
+        let killed = live | u64::from(CancelKind::Killed.code());
+        self.state
+            .compare_exchange(live, killed, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 
     /// Why the current statement was cancelled, if it was.
     pub fn cancel_kind(&self) -> Option<CancelKind> {
-        CancelKind::from_code(self.cancelled.load(Ordering::Acquire))
+        CancelKind::from_code(self.state.load(Ordering::Acquire) as u8)
     }
 
     /// The cancellation error for `kind` (built only once tripped).
@@ -413,9 +429,9 @@ const STATE_IDLE: u8 = 0;
 const STATE_ACTIVE: u8 = 1;
 
 /// One live session's registry entry. Shared (`Arc`) between the owning
-/// session, the engine's execution context, and snapshot readers.
+/// session's handle and snapshot readers.
 #[derive(Debug)]
-pub struct SessionEntry {
+struct SessionEntry {
     id: u64,
     backend: &'static str,
     state: AtomicU8,
@@ -432,13 +448,6 @@ pub struct SessionEntry {
     statements_run: AtomicUsize,
     account: Arc<ResourceAccount>,
     token: Arc<CancelToken>,
-}
-
-impl SessionEntry {
-    /// The session id (`.kill <id>` / `snapshot_cancel(<id>)` target).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// A point-in-time copy of one session's activity, as rendered by the
@@ -474,14 +483,16 @@ pub struct SessionSnapshot {
 
 type Registry = BTreeMap<u64, Arc<SessionEntry>>;
 
-fn registry() -> crate::lock::LockGuard<'static, Registry> {
-    static GLOBAL: Named<Registry> = Named::new("obs.activity.registry", Registry::new());
-    GLOBAL.lock()
-}
-
-fn next_session_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+/// A database's live-session registry, its session-id counter, and the
+/// cancellation counters (see the module docs).
+#[derive(Debug)]
+pub struct Activity {
+    sessions: Arc<Named<Registry>>,
+    next_id: AtomicU64,
+    /// Every cancelled statement, whatever tripped it.
+    cancelled: Arc<Counter>,
+    /// The `statement_timeout` subset of cancellations.
+    timeouts: Arc<Counter>,
 }
 
 /// The owning side of a registry entry, held by the session; dropping it
@@ -489,11 +500,12 @@ fn next_session_id() -> u64 {
 #[derive(Debug)]
 pub struct ActivityHandle {
     entry: Arc<SessionEntry>,
+    sessions: Arc<Named<Registry>>,
 }
 
 impl Drop for ActivityHandle {
     fn drop(&mut self) {
-        registry().remove(&self.entry.id);
+        self.sessions.lock().remove(&self.entry.id);
     }
 }
 
@@ -568,97 +580,121 @@ impl ActivityHandle {
     }
 }
 
-/// Register a new live session of the given backend kind; the returned
-/// handle deregisters it on drop. Touches the cancellation counters so
-/// they exist in the registry (and its exposition) from the first
-/// session on, not only after the first kill.
-pub fn register_session(backend: &'static str) -> ActivityHandle {
-    STATEMENTS_CANCELLED.add(0);
-    STATEMENT_TIMEOUTS.add(0);
-    let entry = Arc::new(SessionEntry {
-        id: next_session_id(),
-        backend,
-        state: AtomicU8::new(STATE_IDLE),
-        in_txn: AtomicBool::new(false),
-        phase: AtomicU8::new(Phase::Idle.code()),
-        statement: Named::new("obs.activity.statement", None),
-        remote_addr: Named::new("obs.activity.remote_addr", None),
-        statement_started_ns: AtomicU64::new(0),
-        statements_run: AtomicUsize::new(0),
-        account: Arc::new(ResourceAccount::default()),
-        token: Arc::new(CancelToken::default()),
-    });
-    registry().insert(entry.id, Arc::clone(&entry));
-    ActivityHandle { entry }
-}
-
-/// Kill the statement running in session `id`: trips its cancel token,
-/// and the statement unwinds at its next cooperative check. Returns
-/// `true` if a running statement was cancelled; killing an idle (or
-/// unknown) session is a clean no-op returning `false`.
-pub fn cancel_session(id: u64) -> bool {
-    let entry = match registry().get(&id) {
-        Some(e) => Arc::clone(e),
-        None => return false,
-    };
-    if entry.state.load(Ordering::Acquire) != STATE_ACTIVE {
-        return false;
+impl Activity {
+    /// An empty registry whose cancellation counters live in `metrics`.
+    pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
+        Activity {
+            sessions: Arc::new(Named::new("obs.activity.registry", Registry::new())),
+            next_id: AtomicU64::new(1),
+            cancelled: metrics.counter("statements_cancelled_total"),
+            timeouts: metrics.counter("statement_timeouts_total"),
+        }
     }
-    entry.token.cancel(CancelKind::Killed);
-    true
-}
 
-/// A point-in-time copy of every live session, ascending by session id.
-pub fn sessions_snapshot() -> Vec<SessionSnapshot> {
-    let entries: Vec<Arc<SessionEntry>> = registry().values().cloned().collect();
-    let now = now_ns();
-    entries
-        .iter()
-        .map(|e| {
-            let (statement, fingerprint) = e
-                .statement
-                .lock()
-                .clone()
-                .map(|(s, f)| (Some(s), Some(f)))
-                .unwrap_or((None, None));
-            let started = e.statement_started_ns.load(Ordering::Relaxed);
-            let remote_addr = e.remote_addr.lock().clone();
-            SessionSnapshot {
-                session_id: e.id,
-                backend: e.backend,
-                remote_addr,
-                state: if e.state.load(Ordering::Acquire) == STATE_ACTIVE {
-                    "active"
-                } else {
-                    "idle"
-                },
-                in_txn: e.in_txn.load(Ordering::Relaxed),
-                phase: Phase::from_code(e.phase.load(Ordering::Relaxed)),
-                statement,
-                fingerprint,
-                elapsed_ms: (started > 0).then(|| now.saturating_sub(started) as f64 / 1e6),
-                statements_run: e.statements_run.load(Ordering::Relaxed) as u64,
-                usage: e.account.usage(),
-            }
-        })
-        .collect()
+    /// Register a new live session of the given backend kind; the returned
+    /// handle deregisters it on drop.
+    pub fn register(&self, backend: &'static str) -> ActivityHandle {
+        let entry = Arc::new(SessionEntry {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            backend,
+            state: AtomicU8::new(STATE_IDLE),
+            in_txn: AtomicBool::new(false),
+            phase: AtomicU8::new(Phase::Idle.code()),
+            statement: Named::new("obs.activity.statement", None),
+            remote_addr: Named::new("obs.activity.remote_addr", None),
+            statement_started_ns: AtomicU64::new(0),
+            statements_run: AtomicUsize::new(0),
+            account: Arc::new(ResourceAccount::default()),
+            token: Arc::new(CancelToken::default()),
+        });
+        self.sessions.lock().insert(entry.id, Arc::clone(&entry));
+        ActivityHandle {
+            entry,
+            sessions: Arc::clone(&self.sessions),
+        }
+    }
+
+    /// Kill the statement running in session `id`: trips its cancel token,
+    /// and the statement unwinds at its next cooperative check. Returns
+    /// `true` if a running statement was cancelled; killing an idle (or
+    /// unknown) session is a clean no-op returning `false`, and so is a
+    /// kill that loses the race with the statement's end — it never lands
+    /// on the session's next statement.
+    pub fn cancel(&self, id: u64) -> bool {
+        let Some(entry) = self.sessions.lock().get(&id).cloned() else {
+            return false;
+        };
+        // Epoch first: if the state then says active, it is this statement's or older.
+        let epoch = entry.token.epoch();
+        entry.state.load(Ordering::Acquire) == STATE_ACTIVE && entry.token.kill(epoch)
+    }
+
+    /// Count one cancelled statement (called once per cancelled statement
+    /// by the session layer, never per worker).
+    pub fn note_cancellation(&self, kind: CancelKind) {
+        self.cancelled.inc();
+        if kind == CancelKind::Timeout {
+            self.timeouts.inc();
+        }
+    }
+
+    /// A point-in-time copy of every live session, ascending by session id.
+    pub fn snapshot(&self) -> Vec<SessionSnapshot> {
+        let entries: Vec<Arc<SessionEntry>> = self.sessions.lock().values().cloned().collect();
+        let now = now_ns();
+        entries
+            .iter()
+            .map(|e| {
+                let (statement, fingerprint) = e
+                    .statement
+                    .lock()
+                    .clone()
+                    .map(|(s, f)| (Some(s), Some(f)))
+                    .unwrap_or((None, None));
+                let started = e.statement_started_ns.load(Ordering::Relaxed);
+                let remote_addr = e.remote_addr.lock().clone();
+                SessionSnapshot {
+                    session_id: e.id,
+                    backend: e.backend,
+                    remote_addr,
+                    state: if e.state.load(Ordering::Acquire) == STATE_ACTIVE {
+                        "active"
+                    } else {
+                        "idle"
+                    },
+                    in_txn: e.in_txn.load(Ordering::Relaxed),
+                    phase: Phase::from_code(e.phase.load(Ordering::Relaxed)),
+                    statement,
+                    fingerprint,
+                    elapsed_ms: (started > 0).then(|| now.saturating_sub(started) as f64 / 1e6),
+                    statements_run: e.statements_run.load(Ordering::Relaxed) as u64,
+                    usage: e.account.usage(),
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn activity() -> Activity {
+        Activity::new(&MetricsRegistry::new())
+    }
+
     #[test]
     fn register_snapshot_deregister() {
-        let h = register_session("owned");
+        let activity = activity();
+        let h = activity.register("owned");
         let id = h.session_id();
-        let snap = sessions_snapshot();
+        let snap = activity.snapshot();
         let me = snap.iter().find(|s| s.session_id == id).expect("listed");
         assert_eq!(me.backend, "owned");
         assert_eq!(me.state, "idle");
         assert!(me.remote_addr.is_none());
         h.set_remote_addr("127.0.0.1:4777");
-        let snap = sessions_snapshot();
+        let snap = activity.snapshot();
         let me = snap.iter().find(|s| s.session_id == id).expect("listed");
         assert_eq!(me.remote_addr.as_deref(), Some("127.0.0.1:4777"));
         assert_eq!(me.phase, Phase::Idle);
@@ -666,7 +702,7 @@ mod tests {
         assert!(me.elapsed_ms.is_none());
         h.begin_statement("SELECT x FROM t WHERE y = 7", None, None, None);
         h.set_phase(Phase::Execute);
-        let snap = sessions_snapshot();
+        let snap = activity.snapshot();
         let me = snap.iter().find(|s| s.session_id == id).expect("listed");
         assert_eq!(me.state, "active");
         assert_eq!(me.phase, Phase::Execute);
@@ -678,7 +714,7 @@ mod tests {
         assert!(me.elapsed_ms.is_some());
         h.end_statement();
         drop(h);
-        assert!(!sessions_snapshot().iter().any(|s| s.session_id == id));
+        assert!(!activity.snapshot().iter().any(|s| s.session_id == id));
     }
 
     #[test]
@@ -739,12 +775,13 @@ mod tests {
 
     #[test]
     fn cancel_session_is_a_no_op_on_idle_and_unknown_sessions() {
-        let h = register_session("shared");
+        let activity = activity();
+        let h = activity.register("shared");
         let id = h.session_id();
-        assert!(!cancel_session(id), "idle session: no-op");
-        assert!(!cancel_session(u64::MAX), "unknown session: no-op");
+        assert!(!activity.cancel(id), "idle session: no-op");
+        assert!(!activity.cancel(u64::MAX), "unknown session: no-op");
         h.begin_statement("SELECT 1", None, None, None);
-        assert!(cancel_session(id), "active session: cancelled");
+        assert!(activity.cancel(id), "active session: cancelled");
         let err = h.token().check(&h.account()).unwrap_err();
         let killed =
             matches!(err, StatementError::Cancelled { kind, .. } if kind == CancelKind::Killed);
@@ -753,6 +790,33 @@ mod tests {
         // The kill must not leak into the next statement.
         h.begin_statement("SELECT 2", None, None, None);
         assert!(h.token().check(&h.account()).is_ok());
+        h.end_statement();
+    }
+
+    /// A kill aimed at a statement that has already ended must not land on
+    /// the session's next statement: the interleaving `Activity::cancel`
+    /// races against, driven by hand.
+    #[test]
+    fn a_stale_kill_misses_the_next_statement() {
+        let activity = activity();
+        let h = activity.register("shared");
+        let (token, account) = (h.token(), h.account());
+        h.begin_statement("SELECT 1", None, None, None);
+        let stale = token.epoch();
+        h.end_statement();
+        h.begin_statement("SELECT 2", None, None, None);
+        assert!(!token.kill(stale), "the statement it aimed at is gone");
+        assert!(token.check(&account).is_ok());
+        assert!(token.kill(token.epoch()), "the live statement is killable");
+        let err = token.check(&account).unwrap_err();
+        let killed =
+            matches!(err, StatementError::Cancelled { kind, .. } if kind == CancelKind::Killed);
+        assert!(killed, "{err:?}");
+        // Timeouts and limits still trip the current epoch.
+        h.end_statement();
+        h.begin_statement("SELECT 3", None, Some(1), None);
+        account.add_rows_scanned(2);
+        assert!(token.check(&account).is_err());
         h.end_statement();
     }
 

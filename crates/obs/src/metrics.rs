@@ -1,8 +1,9 @@
-//! The global metrics registry: counters, gauges, and latency histograms.
+//! A database's metrics registry: counters, gauges, and latency histograms.
 //!
 //! All recording paths are lock-free (relaxed atomics); the registry's
-//! `RwLock` guards only the name → metric map, which hot paths touch once
-//! ever via the [`LazyCounter`]/[`LazyHistogram`] handle types.
+//! `RwLock` guards only the name → metric map, which each component
+//! touches once, when its database is built, to resolve the handles it
+//! records into.
 
 use crate::lock::NamedRw;
 use std::collections::BTreeMap;
@@ -32,10 +33,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A signed instantaneous value (e.g. live sessions, pinned snapshots).
@@ -58,10 +55,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -134,14 +127,6 @@ impl Histogram {
         self.observe(d.as_secs_f64());
     }
 
-    /// Start a timer whose `Drop` records the elapsed time.
-    pub fn start_timer(self: &Arc<Self>) -> HistogramTimer {
-        HistogramTimer {
-            hist: Arc::clone(self),
-            start: Instant::now(),
-        }
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -208,26 +193,6 @@ impl Histogram {
             self.quantile(0.99)?,
         ))
     }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// RAII timer from [`Histogram::start_timer`]; records on drop.
-pub struct HistogramTimer {
-    hist: Arc<Histogram>,
-    start: Instant,
-}
-
-impl Drop for HistogramTimer {
-    fn drop(&mut self) {
-        self.hist.observe_duration(self.start.elapsed());
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -236,7 +201,7 @@ enum Metric {
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     /// A constant `1`-valued sample whose information lives in its labels
-    /// (the Prometheus `build_info` idiom). Set once, never reset.
+    /// (the Prometheus `build_info` idiom). Set once.
     Info(Arc<Vec<(String, String)>>),
 }
 
@@ -281,9 +246,9 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry. Most callers want the process-global
-    /// [`registry()`] instead.
+    /// An empty registry (every [`crate::Obs`] owns one).
     pub fn new() -> Self {
+        let _ = process_start(); // pin the uptime epoch at first telemetry
         MetricsRegistry {
             metrics: NamedRw::new("obs.metrics", BTreeMap::new()),
         }
@@ -362,35 +327,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Look up an existing gauge without creating it.
-    pub fn get_gauge(&self, name: &str) -> Option<Arc<Gauge>> {
-        match self.metrics.read().get(name) {
-            Some(Metric::Gauge(g)) => Some(Arc::clone(g)),
-            _ => None,
-        }
-    }
-
-    /// Look up an existing histogram without creating it.
-    pub fn get_histogram(&self, name: &str) -> Option<Arc<Histogram>> {
-        match self.metrics.read().get(name) {
-            Some(Metric::Histogram(h)) => Some(Arc::clone(h)),
-            _ => None,
-        }
-    }
-
-    /// Zero every registered metric (keeps registrations). For benches and
-    /// tests that attribute deltas between workload phases.
-    pub fn reset(&self) {
-        for metric in self.metrics.read().values() {
-            match metric {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-                Metric::Info(_) => {} // constant by design
-            }
-        }
-    }
-
     /// Read every registered metric into a flat, name-sorted sample list.
     /// Histograms report count/sum and p50/p95/p99 estimates instead of
     /// raw buckets — the shape the `snapshot_stat_metrics` virtual table
@@ -443,6 +379,30 @@ impl MetricsRegistry {
             .collect()
     }
 
+    /// Refresh the process-level metrics: the `snapshot_build_info` info
+    /// gauge (crate version + build profile in its labels) and the
+    /// `snapshot_uptime_seconds` gauge. Render points (the shell's
+    /// `.metrics`, the stat virtual tables) call this just before reading
+    /// so the exposition is current.
+    pub fn refresh_process_metrics(&self) {
+        self.info(
+            "snapshot_build_info",
+            &[
+                ("version", env!("CARGO_PKG_VERSION")),
+                (
+                    "profile",
+                    if cfg!(debug_assertions) {
+                        "debug"
+                    } else {
+                        "release"
+                    },
+                ),
+            ],
+        );
+        self.gauge("snapshot_uptime_seconds")
+            .set(process_start().elapsed().as_secs() as i64);
+    }
+
     /// Render every metric in Prometheus text exposition format: a
     /// `# TYPE` comment per family, plain `name value` samples for
     /// counters/gauges, and cumulative `_bucket{le="…"}`/`_sum`/`_count`
@@ -490,112 +450,12 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-global registry every instrumented layer reports into.
-pub fn registry() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let _ = process_start(); // pin the uptime epoch at first telemetry
-        MetricsRegistry::new()
-    })
-}
-
-/// The process's observability epoch: the instant the registry (or this
-/// function) was first touched. The base of `snapshot_uptime_seconds`.
+/// The process's observability epoch: the instant the first registry (or
+/// this function) was touched. The base of `snapshot_uptime_seconds` and
+/// of every activity timestamp.
 pub fn process_start() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
     *START.get_or_init(Instant::now)
-}
-
-/// Refresh the process-level metrics in the global registry: the
-/// `snapshot_build_info` info gauge (crate version + build profile in its
-/// labels) and the `snapshot_uptime_seconds` gauge. Render points (the
-/// shell's `.metrics`, the observe bench, the stat virtual tables) call
-/// this just before reading so the exposition is current.
-pub fn refresh_process_metrics() {
-    let reg = registry();
-    reg.info(
-        "snapshot_build_info",
-        &[
-            ("version", env!("CARGO_PKG_VERSION")),
-            (
-                "profile",
-                if cfg!(debug_assertions) {
-                    "debug"
-                } else {
-                    "release"
-                },
-            ),
-        ],
-    );
-    reg.gauge("snapshot_uptime_seconds")
-        .set(process_start().elapsed().as_secs() as i64);
-}
-
-/// A counter handle pinned in a `static`: resolves its registry entry on
-/// first use, after which every `inc`/`add` is a single relaxed atomic.
-pub struct LazyCounter {
-    name: &'static str,
-    cell: OnceLock<Arc<Counter>>,
-}
-
-impl LazyCounter {
-    /// Declare a handle for the global counter `name`.
-    pub const fn new(name: &'static str) -> Self {
-        LazyCounter {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn get(&self) -> &Counter {
-        self.cell.get_or_init(|| registry().counter(self.name))
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.get().inc();
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.get().add(n);
-    }
-}
-
-/// A histogram handle pinned in a `static` (default latency buckets);
-/// resolves its registry entry on first use.
-pub struct LazyHistogram {
-    name: &'static str,
-    cell: OnceLock<Arc<Histogram>>,
-}
-
-impl LazyHistogram {
-    /// Declare a handle for the global histogram `name`.
-    pub const fn new(name: &'static str) -> Self {
-        LazyHistogram {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn get(&self) -> &Arc<Histogram> {
-        self.cell.get_or_init(|| registry().histogram(self.name))
-    }
-
-    /// Record one observation (seconds for latency histograms).
-    pub fn observe(&self, v: f64) {
-        self.get().observe(v);
-    }
-
-    /// Record a duration, in seconds.
-    pub fn observe_duration(&self, d: Duration) {
-        self.get().observe_duration(d);
-    }
-
-    /// Start an RAII timer that records on drop.
-    pub fn start_timer(&self) -> HistogramTimer {
-        self.get().start_timer()
-    }
 }
 
 #[cfg(test)]
@@ -700,17 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_but_keeps_registrations() {
-        let reg = MetricsRegistry::new();
-        reg.counter("x_total").add(9);
-        reg.histogram_with("y_seconds", &[1.0]).observe(0.5);
-        reg.reset();
-        assert_eq!(reg.get_counter("x_total").unwrap().get(), 0);
-        assert_eq!(reg.get_histogram("y_seconds").unwrap().count(), 0);
-    }
-
-    #[test]
-    fn info_metric_renders_labels_and_survives_reset() {
+    fn info_metric_renders_labels_and_keeps_the_first() {
         let reg = MetricsRegistry::new();
         reg.info(
             "demo_build_info",
@@ -720,8 +570,6 @@ mod tests {
         let text = reg.render_text();
         assert!(text.contains("# TYPE demo_build_info gauge"));
         assert!(text.contains("demo_build_info{version=\"1.2.3\",profile=\"release\"} 1"));
-        reg.reset();
-        assert!(reg.render_text().contains("version=\"1.2.3\""));
     }
 
     #[test]
@@ -747,33 +595,12 @@ mod tests {
     }
 
     #[test]
-    fn process_metrics_refresh_into_the_global_registry() {
-        refresh_process_metrics();
-        let text = registry().render_text();
+    fn process_metrics_refresh_into_the_registry() {
+        let reg = MetricsRegistry::new();
+        reg.refresh_process_metrics();
+        let text = reg.render_text();
         assert!(text.contains("snapshot_build_info{version=\""));
         assert!(text.contains("# TYPE snapshot_uptime_seconds gauge"));
-        assert!(
-            registry()
-                .get_gauge("snapshot_uptime_seconds")
-                .unwrap()
-                .get()
-                >= 0
-        );
-    }
-
-    #[test]
-    fn lazy_handles_hit_the_global_registry() {
-        static C: LazyCounter = LazyCounter::new("obs_test_lazy_total");
-        static H: LazyHistogram = LazyHistogram::new("obs_test_lazy_seconds");
-        C.add(2);
-        H.observe(0.001);
-        assert!(registry().get_counter("obs_test_lazy_total").unwrap().get() >= 2);
-        assert!(
-            registry()
-                .get_histogram("obs_test_lazy_seconds")
-                .unwrap()
-                .count()
-                >= 1
-        );
+        assert!(reg.gauge("snapshot_uptime_seconds").get() >= 0);
     }
 }

@@ -1,4 +1,4 @@
-//! The slow-query log: a bounded, process-global ring of offenders.
+//! The slow-query log: a bounded ring of offenders, one per database.
 //!
 //! The session layer, when a statement's wall time crosses the session's
 //! configured threshold (`SessionOptions::slow_query_ms`, `SET
@@ -6,28 +6,25 @@
 //! records a [`SlowQuery`] with the statement text, the per-phase time
 //! split, and — when available — the `EXPLAIN ANALYZE`-style operator
 //! actuals of the executed plan. The ring keeps the most recent
-//! [`SLOW_LOG_CAPACITY`] entries by default — configurable per process
-//! via [`set_slow_log_capacity`] (`SET slow_log_capacity`) — and
-//! every eviction is counted in `slow_log_evictions_total` rather than
-//! dropped silently. The `snapshot_stat_slow_queries` virtual table and
-//! the tests read it back via [`slow_queries`]. Like all obs state it is
+//! [`SLOW_LOG_CAPACITY`] entries by default — configurable per database
+//! via [`SlowLog::set_capacity`] (`SET slow_log_capacity`) — and every
+//! eviction is counted in `slow_log_evictions_total` rather than dropped
+//! silently. The `snapshot_stat_slow_queries` virtual table and the tests
+//! read it back via [`SlowLog::entries`]. Like all obs state it is
 //! in-memory only.
 
 use crate::lock::Named;
-use crate::metrics::LazyCounter;
+use crate::metrics::{Counter, MetricsRegistry};
 use std::collections::VecDeque;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Default number of retained slow queries (oldest evicted beyond).
 pub const SLOW_LOG_CAPACITY: usize = 32;
 
-/// Entries pushed out of the ring by capacity pressure.
-static SLOW_LOG_EVICTIONS: LazyCounter = LazyCounter::new("slow_log_evictions_total");
-
 /// One logged slow statement.
 #[derive(Debug, Clone)]
 pub struct SlowQuery {
-    /// Monotone sequence number (process-global arrival order).
+    /// Monotone sequence number (arrival order in its database's log).
     pub seq: u64,
     /// The statement text as executed.
     pub statement: String,
@@ -55,67 +52,70 @@ pub struct SlowQuery {
     pub cancelled: Option<String>,
 }
 
+#[derive(Debug)]
 struct Log {
     ring: VecDeque<SlowQuery>,
     next_seq: u64,
     capacity: usize,
 }
 
-impl Default for Log {
-    fn default() -> Log {
-        Log {
+/// A database's slow-query ring and its eviction counter.
+#[derive(Debug)]
+pub struct SlowLog {
+    log: Named<Log>,
+    /// Entries pushed out of the ring by capacity pressure.
+    evictions: Arc<Counter>,
+}
+
+impl SlowLog {
+    /// An empty ring of [`SLOW_LOG_CAPACITY`] entries counting its
+    /// evictions in `metrics`.
+    pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
+        let log = Log {
             ring: VecDeque::new(),
             next_seq: 0,
             capacity: SLOW_LOG_CAPACITY,
+        };
+        SlowLog {
+            log: Named::new("obs.slowlog", log),
+            evictions: metrics.counter("slow_log_evictions_total"),
         }
     }
-}
 
-fn log() -> crate::lock::LockGuard<'static, Log> {
-    static GLOBAL: OnceLock<Named<Log>> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| Named::new("obs.slowlog", Log::default()))
-        .lock()
-}
-
-/// Append one slow query to the ring (the `seq` field is assigned here;
-/// the caller's value is ignored). Evictions under capacity pressure are
-/// counted in `slow_log_evictions_total`.
-pub fn record_slow_query(mut q: SlowQuery) {
-    let mut l = log();
-    q.seq = l.next_seq;
-    l.next_seq += 1;
-    while l.ring.len() >= l.capacity {
-        l.ring.pop_front();
-        SLOW_LOG_EVICTIONS.inc();
+    /// Append one slow query to the ring (the `seq` field is assigned
+    /// here; the caller's value is ignored). Evictions under capacity
+    /// pressure are counted in `slow_log_evictions_total`.
+    pub fn record(&self, mut q: SlowQuery) {
+        let mut l = self.log.lock();
+        q.seq = l.next_seq;
+        l.next_seq += 1;
+        while l.ring.len() >= l.capacity {
+            l.ring.pop_front();
+            self.evictions.inc();
+        }
+        l.ring.push_back(q);
     }
-    l.ring.push_back(q);
-}
 
-/// Resize the ring (process-global; clamped to ≥ 1). Shrinking below the
-/// current length evicts the oldest entries, counting them.
-pub fn set_slow_log_capacity(capacity: usize) {
-    let mut l = log();
-    l.capacity = capacity.max(1);
-    while l.ring.len() > l.capacity {
-        l.ring.pop_front();
-        SLOW_LOG_EVICTIONS.inc();
+    /// Resize the ring (clamped to ≥ 1). Shrinking below the current
+    /// length evicts the oldest entries, counting them.
+    pub fn set_capacity(&self, capacity: usize) {
+        let mut l = self.log.lock();
+        l.capacity = capacity.max(1);
+        while l.ring.len() > l.capacity {
+            l.ring.pop_front();
+            self.evictions.inc();
+        }
     }
-}
 
-/// The ring's current capacity.
-pub fn slow_log_capacity() -> usize {
-    log().capacity
-}
+    /// The ring's current capacity.
+    pub fn capacity(&self) -> usize {
+        self.log.lock().capacity
+    }
 
-/// Snapshot the retained slow queries, oldest first.
-pub fn slow_queries() -> Vec<SlowQuery> {
-    log().ring.iter().cloned().collect()
-}
-
-/// Clear the ring (benches and tests; the sequence keeps counting).
-pub fn reset_slow_log() {
-    log().ring.clear();
+    /// Snapshot the retained slow queries, oldest first.
+    pub fn entries(&self) -> Vec<SlowQuery> {
+        self.log.lock().ring.iter().cloned().collect()
+    }
 }
 
 #[cfg(test)]
@@ -141,13 +141,11 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_ordered() {
-        let _guard = crate::testing::serial_guard();
-        reset_slow_log();
-        set_slow_log_capacity(SLOW_LOG_CAPACITY);
+        let log = SlowLog::new(&MetricsRegistry::new());
         for i in 0..(SLOW_LOG_CAPACITY + 5) {
-            record_slow_query(entry(&format!("q{i}"), 10.0 + i as f64));
+            log.record(entry(&format!("q{i}"), 10.0 + i as f64));
         }
-        let got = slow_queries();
+        let got = log.entries();
         assert_eq!(got.len(), SLOW_LOG_CAPACITY);
         // Oldest entries were evicted; order is arrival order.
         assert_eq!(got.first().unwrap().statement, "q5");
@@ -158,34 +156,26 @@ mod tests {
         assert!(got.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(got[0].rows, Some(7));
         assert!(got[0].plan.as_deref().unwrap().contains("actual rows=7"));
-        reset_slow_log();
-        assert!(slow_queries().is_empty());
     }
 
     #[test]
     fn capacity_is_configurable_and_evictions_are_counted() {
-        let _guard = crate::testing::serial_guard();
-        reset_slow_log();
-        set_slow_log_capacity(4);
-        assert_eq!(slow_log_capacity(), 4);
-        let before = crate::registry().counter("slow_log_evictions_total").get();
+        let metrics = MetricsRegistry::new();
+        let log = SlowLog::new(&metrics);
+        log.set_capacity(4);
+        assert_eq!(log.capacity(), 4);
         for i in 0..6 {
-            record_slow_query(entry(&format!("c{i}"), 1.0));
+            log.record(entry(&format!("c{i}"), 1.0));
         }
-        let got = slow_queries();
+        let got = log.entries();
         assert_eq!(got.len(), 4);
         assert_eq!(got.first().unwrap().statement, "c2");
-        let after = crate::registry().counter("slow_log_evictions_total").get();
-        assert_eq!(after - before, 2, "two evictions counted");
+        let evictions = metrics.counter("slow_log_evictions_total");
+        assert_eq!(evictions.get(), 2, "two evictions counted");
         // Shrinking evicts (and counts) immediately; 0 clamps to 1.
-        set_slow_log_capacity(0);
-        assert_eq!(slow_log_capacity(), 1);
-        assert_eq!(slow_queries().len(), 1);
-        assert_eq!(
-            crate::registry().counter("slow_log_evictions_total").get() - after,
-            3
-        );
-        reset_slow_log();
-        set_slow_log_capacity(SLOW_LOG_CAPACITY);
+        log.set_capacity(0);
+        assert_eq!(log.capacity(), 1);
+        assert_eq!(log.entries().len(), 1);
+        assert_eq!(evictions.get(), 5);
     }
 }

@@ -1,32 +1,28 @@
 //! Statement fingerprint statistics (pg_stat_statements-style).
 //!
 //! Every executed statement is folded to a *fingerprint* — literals
-//! stripped, whitespace runs collapsed, case folded — and accumulated in a
-//! process-global, bounded collector keyed by fingerprint: calls, rows
+//! stripped, whitespace runs collapsed, case folded — and accumulated in
+//! its database's bounded collector ([`StatementStats`], owned by the
+//! database's [`crate::Obs`]) keyed by fingerprint: calls, rows
 //! returned, total wall time, and a latency [`Histogram`] for p95
 //! extraction. The collector is a least-recently-used map capped at
 //! [`FINGERPRINT_CAPACITY`] distinct fingerprints so a pathological
 //! workload of unique statement *shapes* (not unique literals — those
 //! share a fingerprint) cannot grow it without bound.
 //!
-//! The session layer calls [`record_statement`] after each successful
-//! statement; the `snapshot_stat_statements` virtual table and tests read
-//! back via [`statement_stats`]. Stats live in memory only — they reset
-//! with the process, never with the database files.
+//! The session layer calls [`StatementStats::record`] after each
+//! successful statement; the `snapshot_stat_statements` virtual table and
+//! tests read back via [`StatementStats::snapshot`]. Stats live in memory
+//! only — they start empty with every database value, never with the
+//! database files.
 
 use crate::lock::Named;
-use crate::metrics::{default_latency_bounds, Histogram, LazyCounter};
+use crate::metrics::{default_latency_bounds, Counter, Histogram, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Maximum number of distinct fingerprints retained (LRU eviction beyond).
 pub const FINGERPRINT_CAPACITY: usize = 256;
-
-/// Fingerprints evicted from the LRU under capacity pressure. A non-zero
-/// value means `snapshot_stat_statements` is missing shapes — the
-/// workload ran more than [`FINGERPRINT_CAPACITY`] distinct statement
-/// shapes and the coldest were dropped.
-static STMT_STATS_EVICTIONS: LazyCounter = LazyCounter::new("stmt_stats_evictions_total");
 
 /// Normalize a SQL statement into its fingerprint: string and numeric
 /// literals become `?`, whitespace runs collapse to one space, letters
@@ -90,7 +86,7 @@ pub fn fingerprint(sql: &str) -> String {
 }
 
 /// One fingerprint's accumulated statistics, as read back by
-/// [`statement_stats`].
+/// [`StatementStats::snapshot`].
 #[derive(Debug, Clone)]
 pub struct StatementStat {
     /// The normalized statement shape.
@@ -107,6 +103,7 @@ pub struct StatementStat {
     pub p95_seconds: Option<f64>,
 }
 
+#[derive(Debug)]
 struct Entry {
     calls: u64,
     rows: u64,
@@ -115,82 +112,93 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Collector {
     map: HashMap<String, Entry>,
     clock: u64,
 }
 
-fn collector() -> crate::lock::LockGuard<'static, Collector> {
-    static GLOBAL: OnceLock<Named<Collector>> = OnceLock::new();
-    GLOBAL
-        .get_or_init(|| Named::new("obs.stmtstats", Collector::default()))
-        .lock()
+/// A database's statement statistics: the LRU collector and its eviction
+/// counter.
+#[derive(Debug)]
+pub struct StatementStats {
+    collector: Named<Collector>,
+    /// Fingerprints evicted from the LRU under capacity pressure. A
+    /// non-zero value means `snapshot_stat_statements` is missing shapes —
+    /// the workload ran more than [`FINGERPRINT_CAPACITY`] distinct
+    /// statement shapes and the coldest were dropped.
+    evictions: Arc<Counter>,
 }
 
-/// Record one executed statement: `rows` is the result cardinality for
-/// queries (`None` for DML/DDL), `seconds` the statement's total wall time.
-pub fn record_statement(sql: &str, rows: Option<u64>, seconds: f64) {
-    let fp = fingerprint(sql);
-    if fp.is_empty() {
-        return;
-    }
-    let mut c = collector();
-    c.clock += 1;
-    let now = c.clock;
-    if !c.map.contains_key(&fp) && c.map.len() >= FINGERPRINT_CAPACITY {
-        if let Some(victim) = c
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
-        {
-            c.map.remove(&victim);
-            STMT_STATS_EVICTIONS.inc();
+impl StatementStats {
+    /// An empty collector counting its evictions in `metrics`.
+    pub(crate) fn new(metrics: &MetricsRegistry) -> Self {
+        StatementStats {
+            collector: Named::new("obs.stmtstats", Collector::default()),
+            evictions: metrics.counter("stmt_stats_evictions_total"),
         }
     }
-    let e = c.map.entry(fp).or_insert_with(|| Entry {
-        calls: 0,
-        rows: 0,
-        total_seconds: 0.0,
-        hist: Histogram::new(default_latency_bounds()),
-        last_used: now,
-    });
-    e.calls += 1;
-    e.rows += rows.unwrap_or(0);
-    e.total_seconds += seconds;
-    e.hist.observe(seconds);
-    e.last_used = now;
-}
 
-/// Snapshot every retained fingerprint, hottest (by total time) first;
-/// ties break on the fingerprint text so the order is deterministic.
-pub fn statement_stats() -> Vec<StatementStat> {
-    let c = collector();
-    let mut stats: Vec<StatementStat> = c
-        .map
-        .iter()
-        .map(|(fp, e)| StatementStat {
-            fingerprint: fp.clone(),
-            calls: e.calls,
-            rows: e.rows,
-            total_seconds: e.total_seconds,
-            mean_seconds: e.total_seconds / e.calls as f64,
-            p95_seconds: e.hist.quantile(0.95),
-        })
-        .collect();
-    stats.sort_by(|a, b| {
-        b.total_seconds
-            .partial_cmp(&a.total_seconds)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.fingerprint.cmp(&b.fingerprint))
-    });
-    stats
-}
+    /// Record one executed statement: `rows` is the result cardinality for
+    /// queries (`None` for DML/DDL), `seconds` the statement's total wall
+    /// time.
+    pub fn record(&self, sql: &str, rows: Option<u64>, seconds: f64) {
+        let fp = fingerprint(sql);
+        if fp.is_empty() {
+            return;
+        }
+        let mut c = self.collector.lock();
+        c.clock += 1;
+        let now = c.clock;
+        if !c.map.contains_key(&fp) && c.map.len() >= FINGERPRINT_CAPACITY {
+            if let Some(victim) = c
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+            {
+                c.map.remove(&victim);
+                self.evictions.inc();
+            }
+        }
+        let e = c.map.entry(fp).or_insert_with(|| Entry {
+            calls: 0,
+            rows: 0,
+            total_seconds: 0.0,
+            hist: Histogram::new(default_latency_bounds()),
+            last_used: now,
+        });
+        e.calls += 1;
+        e.rows += rows.unwrap_or(0);
+        e.total_seconds += seconds;
+        e.hist.observe(seconds);
+        e.last_used = now;
+    }
 
-/// Drop every retained fingerprint (benches and tests).
-pub fn reset_statement_stats() {
-    collector().map.clear();
+    /// Snapshot every retained fingerprint, hottest (by total time) first;
+    /// ties break on the fingerprint text so the order is deterministic.
+    pub fn snapshot(&self) -> Vec<StatementStat> {
+        let c = self.collector.lock();
+        let mut stats: Vec<StatementStat> = c
+            .map
+            .iter()
+            .map(|(fp, e)| StatementStat {
+                fingerprint: fp.clone(),
+                calls: e.calls,
+                rows: e.rows,
+                total_seconds: e.total_seconds,
+                mean_seconds: e.total_seconds / e.calls as f64,
+                p95_seconds: e.hist.quantile(0.95),
+            })
+            .collect();
+        stats.sort_by(|a, b| {
+            b.total_seconds
+                .partial_cmp(&a.total_seconds)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.fingerprint.cmp(&b.fingerprint))
+        });
+        stats
+    }
 }
 
 #[cfg(test)]
@@ -236,11 +244,12 @@ mod tests {
 
     #[test]
     fn collector_accumulates_and_is_bounded() {
-        reset_statement_stats();
-        record_statement("SELECT x FROM stmtstats_t WHERE y = 1", Some(3), 0.010);
-        record_statement("SELECT x FROM stmtstats_t WHERE y = 2", Some(5), 0.030);
-        let stats = statement_stats();
-        let s = stats
+        let metrics = MetricsRegistry::new();
+        let stats = StatementStats::new(&metrics);
+        stats.record("SELECT x FROM stmtstats_t WHERE y = 1", Some(3), 0.010);
+        stats.record("SELECT x FROM stmtstats_t WHERE y = 2", Some(5), 0.030);
+        let snap = stats.snapshot();
+        let s = snap
             .iter()
             .find(|s| s.fingerprint == "select x from stmtstats_t where y = ?")
             .expect("fingerprint present");
@@ -253,26 +262,19 @@ mod tests {
         // LRU bound: flooding with unique shapes never exceeds capacity,
         // the hot (recently touched) fingerprint survives, and every
         // eviction is counted.
-        let evicted_before = crate::registry()
-            .counter("stmt_stats_evictions_total")
-            .get();
         for i in 0..(2 * FINGERPRINT_CAPACITY) {
-            record_statement(&format!("SELECT c{i} FROM stmtstats_t"), None, 0.001);
-            record_statement("SELECT x FROM stmtstats_t WHERE y = 3", Some(1), 0.001);
+            stats.record(&format!("SELECT c{i} FROM stmtstats_t"), None, 0.001);
+            stats.record("SELECT x FROM stmtstats_t WHERE y = 3", Some(1), 0.001);
         }
-        let stats = statement_stats();
-        assert!(stats.len() <= FINGERPRINT_CAPACITY);
-        assert!(stats
+        let snap = stats.snapshot();
+        assert_eq!(snap.len(), FINGERPRINT_CAPACITY);
+        assert!(snap
             .iter()
             .any(|s| s.fingerprint == "select x from stmtstats_t where y = ?"));
-        assert!(
-            crate::registry()
-                .counter("stmt_stats_evictions_total")
-                .get()
-                > evicted_before,
-            "capacity-pressure evictions are counted"
+        assert_eq!(
+            metrics.counter("stmt_stats_evictions_total").get(),
+            (2 * FINGERPRINT_CAPACITY + 1 - FINGERPRINT_CAPACITY) as u64,
+            "every capacity-pressure eviction is counted"
         );
-        reset_statement_stats();
-        assert!(statement_stats().is_empty());
     }
 }

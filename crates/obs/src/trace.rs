@@ -2,11 +2,11 @@
 //!
 //! [`Span::enter`] is the only instrumentation call sites need: it returns
 //! an RAII guard that records `(name, depth, duration, rows)` into a
-//! bounded thread-local ring buffer when the guard drops. The global
-//! tracing switch is a single relaxed atomic — when off, `Span::enter`
-//! reads it and returns an inert guard without touching the clock or the
-//! thread-local, so instrumentation left in hot paths costs one predictable
-//! branch.
+//! bounded thread-local ring buffer when the guard drops. The switch
+//! ([`set_tracing`]) sits beside the ring it gates, per thread, because
+//! only the recording thread reads its spans back. When off, `Span::enter`
+//! reads it and returns an inert guard without touching the clock, so
+//! instrumentation left in hot paths costs one predictable branch.
 //!
 //! The `snapshot_db` shell brackets each statement with
 //! [`reset_thread_trace`] / [`take_thread_trace`] (local sessions only; a
@@ -18,22 +18,14 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-static TRACING: AtomicBool = AtomicBool::new(false);
 
 /// Ring capacity per thread; the oldest records are dropped beyond this.
 const RING_CAPACITY: usize = 4096;
 
-/// Globally enable or disable span recording.
+/// Enable or disable span recording on the calling thread.
 pub fn set_tracing(on: bool) {
-    TRACING.store(on, Ordering::Relaxed);
-}
-
-/// Is span recording enabled?
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
+    TRACE.with(|t| t.on.set(on));
 }
 
 /// One completed span, as stored in the ring buffer.
@@ -45,46 +37,40 @@ pub struct SpanRecord {
     pub seq: u64,
     /// Nesting depth at enter time (0 = root).
     pub depth: u32,
-    /// Start offset from the thread's trace epoch, in nanoseconds.
-    pub start_ns: u64,
     /// Duration, in nanoseconds (inclusive of children).
     pub dur_ns: u64,
     /// Row count annotation, if the span recorded one.
     pub rows: Option<u64>,
 }
 
-/// Per-thread trace state. The scalar fields live in `Cell`s so the
-/// enter-side hot path (seq/depth bump) is plain loads and stores with no
-/// `RefCell` borrow-flag traffic; only the ring push on drop borrows.
+/// Per-thread trace state: the gate and the ring it gates. The scalar
+/// fields live in `Cell`s so the enter-side hot path (gate read, seq/depth
+/// bump) is plain loads and stores with no `RefCell` borrow-flag traffic;
+/// only the ring push on drop borrows.
 struct ThreadTrace {
-    epoch: Cell<Instant>,
+    on: Cell<bool>,
     next_seq: Cell<u64>,
     depth: Cell<u32>,
     ring: RefCell<VecDeque<SpanRecord>>,
     dropped: Cell<u64>,
 }
 
-impl ThreadTrace {
-    fn new() -> Self {
+thread_local! {
+    static TRACE: ThreadTrace = const {
         ThreadTrace {
-            epoch: Cell::new(Instant::now()),
+            on: Cell::new(false),
             next_seq: Cell::new(0),
             depth: Cell::new(0),
             ring: RefCell::new(VecDeque::new()),
             dropped: Cell::new(0),
         }
-    }
+    };
 }
 
-thread_local! {
-    static TRACE: ThreadTrace = ThreadTrace::new();
-}
-
-/// Clear this thread's ring buffer and restart the trace epoch. Call at
-/// the start of the unit of work (e.g. one SQL statement).
+/// Clear this thread's ring buffer. Call at the start of the unit of work
+/// (e.g. one SQL statement).
 pub fn reset_thread_trace() {
     TRACE.with(|t| {
-        t.epoch.set(Instant::now());
         t.next_seq.set(0);
         t.depth.set(0);
         t.ring.borrow_mut().clear();
@@ -106,19 +92,20 @@ struct ActiveSpan {
 }
 
 impl Span {
-    /// Enter a span named `name`. When tracing is disabled this returns an
-    /// inert guard after one relaxed atomic load.
+    /// Enter a span named `name`. When tracing is off on this thread this
+    /// returns an inert guard after one thread-local load.
     pub fn enter(name: &'static str) -> Span {
-        if !tracing_enabled() {
+        let Some((seq, depth)) = TRACE.with(|t| {
+            t.on.get().then(|| {
+                let seq = t.next_seq.get();
+                t.next_seq.set(seq + 1);
+                let depth = t.depth.get();
+                t.depth.set(depth + 1);
+                (seq, depth)
+            })
+        }) else {
             return Span { active: None };
-        }
-        let (seq, depth) = TRACE.with(|t| {
-            let seq = t.next_seq.get();
-            t.next_seq.set(seq + 1);
-            let depth = t.depth.get();
-            t.depth.set(depth + 1);
-            (seq, depth)
-        });
+        };
         Span {
             active: Some(ActiveSpan {
                 name,
@@ -136,11 +123,6 @@ impl Span {
             a.rows = Some(rows);
         }
     }
-
-    /// Is this guard actually recording?
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
 }
 
 impl Drop for Span {
@@ -151,7 +133,6 @@ impl Drop for Span {
         let dur_ns = a.start.elapsed().as_nanos() as u64;
         TRACE.with(|t| {
             t.depth.set(t.depth.get().saturating_sub(1));
-            let start_ns = a.start.duration_since(t.epoch.get()).as_nanos() as u64;
             let mut ring = t.ring.borrow_mut();
             if ring.len() == RING_CAPACITY {
                 ring.pop_front();
@@ -161,7 +142,6 @@ impl Drop for Span {
                 name: a.name,
                 seq: a.seq,
                 depth: a.depth,
-                start_ns,
                 dur_ns,
                 rows: a.rows,
             });
@@ -284,12 +264,11 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
-        let _guard = crate::testing::serial_guard();
         set_tracing(false);
         reset_thread_trace();
         {
             let mut s = Span::enter("noop");
-            assert!(!s.is_active());
+            assert!(s.active.is_none());
             s.record_rows(3);
         }
         assert!(take_thread_trace().is_empty());
@@ -297,7 +276,6 @@ mod tests {
 
     #[test]
     fn spans_assemble_into_a_tree() {
-        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {
@@ -332,7 +310,6 @@ mod tests {
 
     #[test]
     fn sibling_order_is_enter_order() {
-        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {
@@ -348,7 +325,6 @@ mod tests {
 
     #[test]
     fn ring_buffer_is_bounded() {
-        let _guard = crate::testing::serial_guard();
         set_tracing(true);
         reset_thread_trace();
         {

@@ -501,7 +501,7 @@ impl Shell {
                             return Flow::Quit;
                         }
                         print!("{}", outcome.output);
-                        // The library toggles the global tracer; the shell
+                        // The library toggles this thread's tracer; the shell
                         // additionally prints the span tree per statement,
                         // so mirror the flag locally.
                         match meta.trim() {

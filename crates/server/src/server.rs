@@ -11,7 +11,7 @@
 //!   feeds the channel. Because it keeps reading *while* a statement
 //!   executes, a client that disappears mid-query is noticed immediately:
 //!   the reader trips the session's [`snapshot_obs::CancelToken`] (via
-//!   [`snapshot_obs::cancel_session`]) so the orphaned statement unwinds
+//!   [`snapshot_obs::Activity::cancel`]) so the orphaned statement unwinds
 //!   at its next cooperative check instead of running to completion —
 //!   and the executor then drops the session, deregistering its activity
 //!   entry exactly once.
@@ -64,13 +64,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared mutable server state: the shutdown flag and the live-connection
+/// Shared mutable server state: the shutdown flag, the live-connection
 /// registry (socket clones + session ids, so shutdown can cancel and
-/// close them).
+/// close them), and the server's handles into its database's registry.
 #[derive(Debug)]
 struct ServerState {
     shutting_down: AtomicBool,
     conns: obs::Named<Vec<ConnReg>>,
+    connections_active: Arc<obs::Gauge>,
+    bytes_in: Arc<obs::Counter>,
+    bytes_out: Arc<obs::Counter>,
 }
 
 #[derive(Debug)]
@@ -86,16 +89,12 @@ impl ServerState {
 
     fn register(&self, session_id: u64, stream: TcpStream) {
         self.conns.lock().push(ConnReg { session_id, stream });
-        obs::registry()
-            .gauge("server_connections_active")
-            .set(self.live_connections() as i64);
+        self.connections_active.set(self.live_connections() as i64);
     }
 
     fn deregister(&self, session_id: u64) {
         self.conns.lock().retain(|c| c.session_id != session_id);
-        obs::registry()
-            .gauge("server_connections_active")
-            .set(self.live_connections() as i64);
+        self.connections_active.set(self.live_connections() as i64);
     }
 }
 
@@ -148,15 +147,20 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let metrics = &shared.obs().metrics;
+        let state = Arc::new(ServerState {
+            shutting_down: AtomicBool::new(false),
+            conns: obs::Named::new("server.conns", Vec::new()),
+            connections_active: metrics.gauge("server_connections_active"),
+            bytes_in: metrics.counter("server_bytes_received_total"),
+            bytes_out: metrics.counter("server_bytes_sent_total"),
+        });
         Ok(Server {
             shared,
             listener,
             addr,
             config,
-            state: Arc::new(ServerState {
-                shutting_down: AtomicBool::new(false),
-                conns: obs::Named::new("server.conns", Vec::new()),
-            }),
+            state,
         })
     }
 
@@ -189,7 +193,7 @@ impl Server {
             state: Arc::clone(&state),
             addr,
         };
-        let connections_total = obs::registry().counter("server_connections_total");
+        let connections_total = shared.obs().metrics.counter("server_connections_total");
         let mut served: u64 = 0;
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for incoming in listener.incoming() {
@@ -239,7 +243,7 @@ impl Server {
         {
             let conns = state.conns.lock();
             for conn in conns.iter() {
-                obs::cancel_session(conn.session_id);
+                shared.obs().activity.cancel(conn.session_id);
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
         }
@@ -281,8 +285,7 @@ fn serve_connection(
         Ok(p) => p.to_string(),
         Err(_) => "unknown".to_string(),
     };
-    let bytes_in = obs::registry().counter("server_bytes_received_total");
-    let bytes_out = obs::registry().counter("server_bytes_sent_total");
+    let (bytes_in, bytes_out) = (&state.bytes_in, &state.bytes_out);
 
     // Handshake: the first frame must be a version-matched Hello.
     match read_frame(&mut stream) {
@@ -353,7 +356,8 @@ fn serve_connection(
     // busy, so a dead socket cancels the in-flight statement immediately.
     let (tx, rx): (Sender<Msg>, Receiver<Msg>) = channel();
     let reader = std::thread::spawn({
-        let bytes_in = bytes_in.clone();
+        let bytes_in = Arc::clone(bytes_in);
+        let obs = Arc::clone(shared.obs());
         let mut reader_stream = reader_stream;
         move || loop {
             match read_frame(&mut reader_stream) {
@@ -367,9 +371,9 @@ fn serve_connection(
                 Err(ReadError::Eof) | Err(ReadError::Io(_)) => {
                     // Peer torn away (or idle past the read timeout):
                     // cancel whatever the executor is running, then tell
-                    // it the connection is gone. `cancel_session` is a
-                    // no-op when the session is between statements.
-                    obs::cancel_session(session_id);
+                    // it the connection is gone. `cancel` is a no-op when
+                    // the session is between statements.
+                    obs.activity.cancel(session_id);
                     let _ = tx.send(Msg::Disconnect);
                     return;
                 }
@@ -381,7 +385,7 @@ fn serve_connection(
         }
     });
 
-    executor_loop(&mut stream, &mut session, &shared, &server, rx, &bytes_out);
+    executor_loop(&mut stream, &mut session, &shared, &server, rx, bytes_out);
 
     // Teardown, in order: close the socket (unblocks the reader if it is
     // still alive), join the reader, then drop the session — its
@@ -460,7 +464,7 @@ fn executor_loop(
             }
             Msg::Frame(Frame::Meta { command }) => {
                 // Spans land in this thread's ring, which no frame carries
-                // back; switching the tracer on would only slow every
+                // back; switching the tracer on would only slow this
                 // connection.
                 let outcome = match command.split_whitespace().next() {
                     Some("trace") => Err(".trace works in a local shell only".to_string()),

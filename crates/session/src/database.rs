@@ -9,19 +9,42 @@
 //! incremental path whenever the table's checkpoint history allows it.
 
 use index::{IndexCatalog, MaintenanceStats};
+use snapshot_obs::{Counter, Histogram, Obs};
+use std::sync::Arc;
 use storage::{Catalog, Row, Schema, SqlType, Table, Value};
+
+/// A database's observability: its [`Obs`] plus the handles the session
+/// layer records into, resolved once when the database is built.
+#[derive(Debug)]
+pub(crate) struct Telemetry {
+    pub(crate) obs: Arc<Obs>,
+    /// Per-phase latency, in [`crate::PhaseTimings`] order.
+    pub(crate) phases: [Arc<Histogram>; 6],
+    /// Implicit-transaction conflict retries across all sessions (each
+    /// session's [`crate::RetryStats`] stays the precise view).
+    pub(crate) retries: Arc<Counter>,
+    pub(crate) retry_give_ups: Arc<Counter>,
+}
 
 /// An in-memory database: named tables plus their (lazily maintained)
 /// indexes. Tables are copy-on-write, so `clone()` is an independent fork
-/// that is cheap until either side mutates.
+/// that is cheap until either side mutates; a clone shares the original's
+/// observability state (one [`Obs`], see [`crate::Session::obs`]).
 ///
 /// Durability is not a property of this type: a database directory is
 /// opened with [`crate::SharedDatabase::open_durable`], which logs every
 /// commit to the write-ahead log before publishing it.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,
     indexes: IndexCatalog,
+    pub(crate) telemetry: Arc<Telemetry>,
+}
+
+impl Default for Database {
+    fn default() -> Self {
+        Database::from_catalog(Catalog::new())
+    }
 }
 
 impl Database {
@@ -32,16 +55,32 @@ impl Database {
 
     /// Decomposes the database for promotion into a shared, multi-session
     /// object (see `SharedDatabase`).
-    pub(crate) fn into_parts(self) -> (Catalog, IndexCatalog) {
-        (self.catalog, self.indexes)
+    pub(crate) fn into_parts(self) -> (Catalog, IndexCatalog, Arc<Telemetry>) {
+        (self.catalog, self.indexes, self.telemetry)
     }
 
     /// A database over an existing catalog (indexes are built lazily, on
-    /// first indexed query).
+    /// first indexed query), with observability state of its own.
     pub fn from_catalog(catalog: Catalog) -> Self {
+        let obs = Obs::default();
+        let m = &obs.metrics;
+        let telemetry = Telemetry {
+            phases: [
+                m.histogram("session_parse_seconds"),
+                m.histogram("session_bind_seconds"),
+                m.histogram("session_rewrite_seconds"),
+                m.histogram("session_index_seconds"),
+                m.histogram("session_execute_seconds"),
+                m.histogram("session_commit_seconds"),
+            ],
+            retries: m.counter("session_retries_total"),
+            retry_give_ups: m.counter("session_retry_give_ups_total"),
+            obs: Arc::new(obs),
+        };
         Database {
             catalog,
-            indexes: IndexCatalog::new(),
+            indexes: IndexCatalog::recording_into(&telemetry.obs.metrics),
+            telemetry: Arc::new(telemetry),
         }
     }
 
@@ -151,12 +190,6 @@ impl Database {
                 self.indexes.ensure(name, table);
             }
         }
-    }
-
-    /// Repairs the indexes of every period table.
-    pub fn refresh_all_indexes(&mut self) {
-        let names: Vec<String> = self.catalog.table_names().map(String::from).collect();
-        self.refresh_indexes(&names);
     }
 }
 

@@ -35,10 +35,8 @@ pub mod session;
 pub mod shared;
 
 pub use database::Database;
-pub use session::{
-    PhaseTimings, RecoveryReport, RetryStats, Session, SessionOptions, StatementResult,
-};
-pub use shared::SharedDatabase;
+pub use session::{PhaseTimings, RetryStats, Session, SessionOptions, StatementResult};
+pub use shared::{RecoveryReport, SharedDatabase};
 // The error type of the statement path, re-exported so embedders can
 // match on it without depending on `snapshot_obs` directly.
 pub use snapshot_obs::{CancelKind, StatementError};

@@ -62,8 +62,8 @@ Meta commands:
                      EXPLAIN ANALYZE SQL statement for actual row counts
                      and per-operator timings)
   .verify on|off     cross-check indexed queries against the naive route
-  .metrics [FILE]    dump the global metrics registry (Prometheus text
-                     format) to stdout or FILE
+  .metrics [FILE]    dump the database's metrics registry (Prometheus
+                     text format) to stdout or FILE
   .trace on|off      print the span tree after every statement (local only)
   .activity          list live sessions (id, state, phase, statement,
                      elapsed, rows) — the snapshot_stat_activity view
@@ -122,12 +122,12 @@ pub fn run_meta(
         }
         "checkpoint" => checkpoint(session)?,
         "dump" => dump(session, words.next())?,
-        "metrics" => metrics(words.next())?,
+        "metrics" => metrics(session, words.next())?,
         "activity" => activity(session),
-        "kill" => kill(words.next())?,
+        "kill" => kill(session, words.next())?,
         "timeout" => timeout(session, words.next())?,
         "slow" => slow(session, words.next())?,
-        "profile" => profile(words.next())?,
+        "profile" => profile(session, words.next())?,
         "trace" => match words.next() {
             Some("on") => {
                 snapshot_obs::set_tracing(true);
@@ -337,13 +337,13 @@ fn explain(session: &mut Session, sql: &str) -> Result<String, String> {
     ))
 }
 
-/// `.activity` — list the live sessions of this process: who is running
+/// `.activity` — list the live sessions of this database: who is running
 /// what, since when, and how much work it has done (the shell rendering of
 /// `snapshot_stat_activity`). The command's own session is marked.
 fn activity(session: &Session) -> String {
     let own = session.session_id();
     let mut out = String::new();
-    for s in snapshot_obs::sessions_snapshot() {
+    for s in session.obs().activity.snapshot() {
         let marker = if s.session_id == own {
             " (this shell)"
         } else {
@@ -377,12 +377,12 @@ fn activity(session: &Session) -> String {
 }
 
 /// `.kill <id>` — cooperatively cancel the running statement of another
-/// session (same as `SELECT snapshot_cancel(<id>)`).
-fn kill(id: Option<&str>) -> Result<String, String> {
+/// session of the same database (same as `SELECT snapshot_cancel(<id>)`).
+fn kill(session: &Session, id: Option<&str>) -> Result<String, String> {
     let id: u64 = id
         .and_then(|w| w.parse().ok())
         .ok_or("usage: .kill <session-id> (see .activity)")?;
-    if Session::cancel_session(id) {
+    if session.obs().activity.cancel(id) {
         Ok(format!("session {id}: cancellation signalled\n"))
     } else {
         Ok(format!(
@@ -414,7 +414,7 @@ fn slow(session: &mut Session, arg: Option<&str>) -> Result<String, String> {
         None => "slow-query log: off\n".to_string(),
     };
     if arg.is_none() {
-        let logged = snapshot_obs::slow_queries().len();
+        let logged = session.obs().slow_log.entries().len();
         let _ = writeln!(
             out,
             "{logged} entr(ies) logged — SELECT * FROM snapshot_stat_slow_queries;"
@@ -423,26 +423,26 @@ fn slow(session: &mut Session, arg: Option<&str>) -> Result<String, String> {
     Ok(out)
 }
 
-/// `.profile [on|off|FILE]` — control the operator-level profiler and
-/// print or save its folded-stack output.
-fn profile(arg: Option<&str>) -> Result<String, String> {
+/// `.profile [on|off|FILE]` — control the database's operator-level
+/// profiler and print or save its folded-stack output.
+fn profile(session: &Session, arg: Option<&str>) -> Result<String, String> {
+    let profile = &session.obs().profile;
     match arg {
         Some("on") => {
-            snapshot_obs::reset_profile();
-            snapshot_obs::set_profiling(true);
+            profile.set_enabled(true);
             Ok(
                 "profile: on (folded operator stacks; .profile prints, .profile FILE saves)\n"
                     .to_string(),
             )
         }
         Some("off") => {
-            snapshot_obs::set_profiling(false);
+            profile.set_enabled(false);
             Ok("profile: off\n".to_string())
         }
         // Exactly the folded stacks, empty or not: a remote shell writes
         // what bare `.profile` returns into its FILE.
         arg => {
-            let text = snapshot_obs::render_folded();
+            let text = profile.render_folded();
             match arg {
                 Some(path) => {
                     std::fs::write(path, &text)
@@ -455,11 +455,12 @@ fn profile(arg: Option<&str>) -> Result<String, String> {
     }
 }
 
-/// `.metrics [FILE]` — dump the global registry in Prometheus text
+/// `.metrics [FILE]` — dump the database's registry in Prometheus text
 /// exposition format, to stdout or a file.
-fn metrics(file: Option<&str>) -> Result<String, String> {
-    snapshot_obs::refresh_process_metrics();
-    let text = snapshot_obs::registry().render_text();
+fn metrics(session: &Session, file: Option<&str>) -> Result<String, String> {
+    let registry = &session.obs().metrics;
+    registry.refresh_process_metrics();
+    let text = registry.render_text();
     match file {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| format!("cannot write '{path}': {e}"))?;
@@ -513,7 +514,6 @@ mod tests {
     /// the reference run and every reader into the slow-query log.
     #[test]
     fn meta_commands_see_what_set_left() {
-        let _guard = snapshot_obs::testing::serial_guard();
         let (shared, mut session) = setup();
         session.execute("SET statement_timeout = 250").unwrap();
         let out = run("timeout", &mut session, &shared);
@@ -529,10 +529,12 @@ mod tests {
             .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
         session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
-        snapshot_obs::reset_slow_log();
         let out = run("parallel 3 SELECT x FROM t", &mut session, &shared);
         assert!(out.starts_with("3 concurrent reader(s) agree"), "{out}");
-        let logged = snapshot_obs::slow_queries()
+        let logged = shared
+            .obs()
+            .slow_log
+            .entries()
             .iter()
             .filter(|q| q.statement.to_lowercase().contains("from t"))
             .count();
@@ -540,7 +542,6 @@ mod tests {
 
         let out = run("slow off", &mut session, &shared);
         assert_eq!(out, "slow-query log: off\n");
-        snapshot_obs::reset_slow_log();
     }
 
     #[test]

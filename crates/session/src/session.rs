@@ -34,19 +34,21 @@
 
 use crate::database::{
     conform_row, create_table_in, delete_where_in, insert_rows_in, update_where_in, Database,
+    Telemetry,
 };
 use crate::shared::SharedDatabase;
 use algebra::Plan;
 use engine::{eval_expr, Engine, EngineConfig, ExecContext, ExecStats, NodeStats, Prepared};
 use index::{IndexCatalog, MaintenanceStats};
 use rewrite::{infer_domain, RewriteOptions, SnapshotCompiler};
-use snapshot_obs::{self as obs, LazyCounter, LazyHistogram, StatementError};
+use snapshot_obs::{self as obs, Histogram, Obs, StatementError};
 use snapshot_txn::{CatalogSnapshot, Transaction};
 use sql::{
     bind_scalar_expr, bind_statement, parse_sql_statement, split_script, AstExpr, ColumnDef,
     InsertSource, SqlStatement, Statement,
 };
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 use storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
 
@@ -157,17 +159,17 @@ pub struct SessionOptions {
     pub parallelism: usize,
     /// Rewriting options for `SEQ VT` compilation.
     pub rewrite: RewriteOptions,
-    /// Publish per-statement engine operator counters to the global
-    /// metrics registry ([`snapshot_obs::registry`]), and feed the
-    /// statement fingerprint statistics behind `snapshot_stat_statements`.
+    /// Publish per-statement engine operator counters and phase timings to
+    /// the database's metrics registry, and feed its statement fingerprint
+    /// statistics behind `snapshot_stat_statements`.
     /// On by default — the publication is a handful of atomic adds once
     /// per statement, after execution, so the engine hot path never
     /// touches the registry.
     pub collect_metrics: bool,
     /// Slow-query threshold, in milliseconds: a statement whose total
-    /// wall time reaches it is recorded in the global slow-query log
-    /// ([`snapshot_obs::slow_queries`], queryable as
-    /// `snapshot_stat_slow_queries`) together with its phase split and
+    /// wall time reaches it is recorded in the database's slow-query log
+    /// (queryable as `snapshot_stat_slow_queries`) together with its phase
+    /// split and
     /// `EXPLAIN ANALYZE`-style operator actuals. `None` (the default)
     /// disables the log *and* the per-statement rendering of those
     /// actuals; set it via `SET slow_query_ms = <ms>`, the shell's
@@ -246,22 +248,6 @@ impl RetryStats {
 /// first-committer-wins race before the conflict is surfaced.
 const CONFLICT_RETRY_LIMIT: u32 = 6;
 
-/// Registry mirrors of [`RetryStats`], aggregated across all sessions of
-/// the process (the per-session struct stays the precise view).
-static SESSION_RETRIES: LazyCounter = LazyCounter::new("session_retries_total");
-static SESSION_RETRY_GIVE_UPS: LazyCounter = LazyCounter::new("session_retry_give_ups_total");
-
-// Per-phase latency histograms, fed once per statement from the session's
-// [`PhaseTimings`] when [`SessionOptions::collect_metrics`] is on. These
-// are what lets `benches/observe.rs` attribute workload time to pipeline
-// phases across many sessions and threads.
-static PHASE_PARSE: LazyHistogram = LazyHistogram::new("session_parse_seconds");
-static PHASE_BIND: LazyHistogram = LazyHistogram::new("session_bind_seconds");
-static PHASE_REWRITE: LazyHistogram = LazyHistogram::new("session_rewrite_seconds");
-static PHASE_INDEX: LazyHistogram = LazyHistogram::new("session_index_seconds");
-static PHASE_EXECUTE: LazyHistogram = LazyHistogram::new("session_execute_seconds");
-static PHASE_COMMIT: LazyHistogram = LazyHistogram::new("session_commit_seconds");
-
 /// Wall-clock nanoseconds the most recent statement spent in each phase
 /// of the pipeline. Zero for phases the statement never entered (a plain
 /// `INSERT` has no bind/rewrite phase; only transactional or autocommit
@@ -283,72 +269,50 @@ pub struct PhaseTimings {
     pub commit_ns: u64,
 }
 
+/// The phases of [`PhaseTimings`], in pipeline order.
+const PHASES: [&str; 6] = ["parse", "bind", "rewrite", "index", "execute", "commit"];
+
 impl PhaseTimings {
+    /// Each phase's nanoseconds, in [`PHASES`] order.
+    fn by_phase(&self) -> [u64; 6] {
+        [
+            self.parse_ns,
+            self.bind_ns,
+            self.rewrite_ns,
+            self.index_ns,
+            self.execute_ns,
+            self.commit_ns,
+        ]
+    }
+
     /// Sum of all recorded phases.
     pub fn total_ns(&self) -> u64 {
-        self.parse_ns
-            + self.bind_ns
-            + self.rewrite_ns
-            + self.index_ns
-            + self.execute_ns
-            + self.commit_ns
+        self.by_phase().iter().sum()
     }
 
     /// One-line rendering of the non-zero phases, e.g.
     /// `parse 0.012 ms · bind 0.034 ms · execute 1.400 ms`.
     pub fn render(&self) -> String {
-        let mut parts = Vec::new();
-        for (name, ns) in [
-            ("parse", self.parse_ns),
-            ("bind", self.bind_ns),
-            ("rewrite", self.rewrite_ns),
-            ("index", self.index_ns),
-            ("execute", self.execute_ns),
-            ("commit", self.commit_ns),
-        ] {
-            if ns > 0 {
-                parts.push(format!("{name} {:.3} ms", ns as f64 / 1e6));
-            }
-        }
+        let parts: Vec<String> = (PHASES.iter().zip(self.by_phase()))
+            .filter(|&(_, ns)| ns > 0)
+            .map(|(name, ns)| format!("{name} {:.3} ms", ns as f64 / 1e6))
+            .collect();
         if parts.is_empty() {
             return "(no phases recorded)".into();
         }
         parts.join(" · ")
     }
 
-    /// Feeds the non-zero phases into the per-phase registry histograms.
-    fn publish_to_registry(&self) {
-        for (hist, ns) in [
-            (&PHASE_PARSE, self.parse_ns),
-            (&PHASE_BIND, self.bind_ns),
-            (&PHASE_REWRITE, self.rewrite_ns),
-            (&PHASE_INDEX, self.index_ns),
-            (&PHASE_EXECUTE, self.execute_ns),
-            (&PHASE_COMMIT, self.commit_ns),
-        ] {
+    /// Feeds the non-zero phases into the database's per-phase latency
+    /// histograms (`session_<phase>_seconds`, in [`PHASES`] order), once
+    /// per statement when [`SessionOptions::collect_metrics`] is on.
+    fn publish(&self, hists: &[Arc<Histogram>; 6]) {
+        for (hist, ns) in hists.iter().zip(self.by_phase()) {
             if ns > 0 {
                 hist.observe(ns as f64 / 1e9);
             }
         }
     }
-}
-
-/// What recovering a database directory found and did (see
-/// [`crate::SharedDatabase::open_durable`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Sequence number of the checkpoint the catalog was loaded from
-    /// (`None` when the directory had no valid checkpoint).
-    pub checkpoint_seq: Option<u64>,
-    /// WAL statements replayed through the execution pipeline on top of
-    /// the checkpoint.
-    pub replayed: usize,
-    /// Bytes of torn/corrupt WAL tail truncated away during recovery.
-    pub truncated_bytes: u64,
-    /// WAL records of an unterminated transaction (a `BEGIN` whose
-    /// `COMMIT` never reached the log) that recovery discarded — the
-    /// transaction never committed, so none of it replays.
-    pub discarded_uncommitted: usize,
 }
 
 /// Where a session's statements read and write.
@@ -378,7 +342,9 @@ pub struct Session {
     /// only while the slow-query log is armed (see
     /// [`SessionOptions::slow_query_ms`]).
     slow_actuals: Option<String>,
-    /// This session's entry in the global live-activity registry
+    /// The database's observability state and session-layer handles.
+    telemetry: Arc<Telemetry>,
+    /// This session's entry in the database's live-activity registry
     /// (`snapshot_stat_activity`); dropping the session deregisters it.
     activity: obs::ActivityHandle,
 }
@@ -407,6 +373,10 @@ impl Session {
     }
 
     fn over(backend: Backend, kind: &'static str, options: SessionOptions) -> Self {
+        let telemetry = Arc::clone(match &backend {
+            Backend::Owned(db) => &db.telemetry,
+            Backend::Shared(shared) => shared.telemetry(),
+        });
         Session {
             backend,
             options,
@@ -415,8 +385,14 @@ impl Session {
             retries: RetryStats::default(),
             phases: PhaseTimings::default(),
             slow_actuals: None,
-            activity: obs::register_session(kind),
+            activity: telemetry.obs.activity.register(kind),
+            telemetry,
         }
+    }
+
+    /// The observability state of the database this session serves.
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.telemetry.obs
     }
 
     /// This session's id in the live-activity registry — what
@@ -433,13 +409,6 @@ impl Session {
     /// connections. Local sessions never call this and report NULL.
     pub fn set_remote_addr(&self, addr: &str) {
         self.activity.set_remote_addr(addr);
-    }
-
-    /// Cancels the current statement of session `id` process-wide (the
-    /// `.kill` entry point). Returns `false` when `id` is unknown or
-    /// idle — killing an idle session is a clean no-op.
-    pub fn cancel_session(id: u64) -> bool {
-        obs::cancel_session(id)
     }
 
     /// The underlying database (owned backends only: direct inspection,
@@ -652,7 +621,7 @@ impl Session {
         self.phases.parse_ns = parse_ns;
         if let Ok(r) = &result {
             if self.options.collect_metrics {
-                self.phases.publish_to_registry();
+                self.phases.publish(&self.telemetry.phases);
             }
             self.observe_statement(sql, r);
         }
@@ -686,13 +655,14 @@ impl Session {
         compile_query_timed(&self.options, view.catalog(), &q, &mut self.phases, None)
     }
 
-    /// Feed the global statement statistics and (past the threshold) the
-    /// slow-query log with one successfully executed statement.
+    /// Feed the database's statement statistics and (past the threshold)
+    /// its slow-query log with one successfully executed statement.
     fn observe_statement(&mut self, sql: &str, result: &StatementResult) {
         let total_ns = self.phases.total_ns();
         let rows = result.rows().map(|t| t.len() as u64);
         if self.options.collect_metrics {
-            obs::record_statement(sql, rows, total_ns as f64 / 1e9);
+            let seconds = total_ns as f64 / 1e9;
+            self.telemetry.obs.statements.record(sql, rows, seconds);
         }
         let Some(threshold_ms) = self.options.slow_query_ms else {
             return;
@@ -707,7 +677,7 @@ impl Session {
     /// of its last plan execution, and why it was cancelled, if it was.
     fn record_slow_query(&mut self, text: &str, rows: Option<u64>, cancelled: Option<String>) {
         let p = &self.phases;
-        obs::record_slow_query(obs::SlowQuery {
+        self.telemetry.obs.slow_log.record(obs::SlowQuery {
             seq: 0, // assigned by the log
             statement: clean_statement(text),
             total_ms: p.total_ns() as f64 / 1e6,
@@ -761,9 +731,8 @@ impl Session {
                 // not a query: intercept it before binding (the algebra
                 // has no scalar-function form for it).
                 if let Some(id) = cancel_request(q) {
-                    return Ok(StatementResult::Rows(cancel_result_table(
-                        Session::cancel_session(id),
-                    )));
+                    let signalled = self.telemetry.obs.activity.cancel(id);
+                    return Ok(StatementResult::Rows(cancel_result_table(signalled)));
                 }
                 Ok(StatementResult::Rows(self.run_query(q, false)?))
             }
@@ -803,7 +772,8 @@ impl Session {
     /// `slow_query_ms`; `0` clears the first three too, while
     /// `slow_query_ms = 0` logs every statement. `parallelism = 0` means
     /// one worker per hardware thread. `slow_log_capacity` resizes the
-    /// process-wide slow-query ring and takes a positive number.
+    /// database's slow-query ring (shared by all its sessions) and takes a
+    /// positive number.
     pub fn set_option(&mut self, name: &str, value: &str) -> Result<(), String> {
         let parsed = if value.eq_ignore_ascii_case("off") {
             None
@@ -829,7 +799,7 @@ impl Session {
                 let n = parsed
                     .filter(|&n| n > 0)
                     .ok_or("slow_log_capacity must be a positive number")?;
-                obs::set_slow_log_capacity(n as usize);
+                self.telemetry.obs.slow_log.set_capacity(n as usize);
             }
             other => return Err(format!("unknown session option '{other}'")),
         }
@@ -841,7 +811,7 @@ impl Session {
     /// WAL never saw its writes — statements are only logged at COMMIT),
     /// and stamp the slow log (when armed) with the cancellation reason.
     fn unwind_cancelled(&mut self, kind: obs::CancelKind, text: Option<&str>) {
-        obs::note_cancellation(kind);
+        self.telemetry.obs.activity.note_cancellation(kind);
         // Drop the open transaction (explicit or implicit): its pinned
         // snapshot is what everyone else still sees, so this is the whole
         // rollback — buffered statement text only reaches the WAL at
@@ -1007,14 +977,14 @@ impl Session {
                 }
                 Err(StatementError::Conflict(_)) if attempts < CONFLICT_RETRY_LIMIT => {
                     attempts += 1;
-                    SESSION_RETRIES.inc();
+                    self.telemetry.retries.inc();
                     conflict_backoff(attempts);
                 }
                 Err(e) => {
                     self.retries.record(attempts);
                     if matches!(e, StatementError::Conflict(_)) {
                         self.retries.gave_up += 1;
-                        SESSION_RETRY_GIVE_UPS.inc();
+                        self.telemetry.retry_give_ups.inc();
                     }
                     return Err(e);
                 }
@@ -1199,6 +1169,7 @@ impl Session {
             options,
             phases,
             slow_actuals,
+            telemetry,
             activity,
             ..
         } = self;
@@ -1216,10 +1187,15 @@ impl Session {
             phases.index_ns += started.elapsed().as_nanos() as u64;
         }
         activity.set_phase(obs::Phase::Execute);
+        let obs = Some(Arc::clone(&telemetry.obs));
         let engine = Engine::with_config(EngineConfig {
             parallelism: options.parallelism,
         })
-        .with_context(ExecContext::new(activity.account(), activity.token()));
+        .with_context(ExecContext::new(
+            activity.account(),
+            activity.token(),
+            obs.clone(),
+        ));
         let catalog = state.catalog();
         let started = Instant::now();
         let mut stats = ExecStats::default();
@@ -1234,7 +1210,10 @@ impl Session {
                         // The cross-check runs sequentially on purpose:
                         // divergence then implicates either index
                         // invalidation or the parallel route, never both.
-                        let naive = Engine::new().execute(&plan, catalog)?;
+                        let detached = ExecContext::new(Default::default(), Default::default(), obs);
+                        let naive = Engine::new()
+                            .with_context(detached)
+                            .execute(&plan, catalog)?;
                         if naive.canonicalized() != executed.canonicalized() {
                             return Err(format!(
                                 "indexed and naive results diverge: {} vs {} rows — index invalidation bug",
@@ -1249,7 +1228,7 @@ impl Session {
         };
         phases.execute_ns += started.elapsed().as_nanos() as u64;
         if options.collect_metrics {
-            stats.publish_to_registry();
+            stats.publish_to_registry(&telemetry.obs.metrics);
         }
         let executed = result?;
         if explain_analyze {

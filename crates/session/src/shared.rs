@@ -17,30 +17,86 @@
 //! Recovery replays it through an ordinary session; an unterminated unit
 //! at the tail was already discarded by the persistence layer.
 
-use crate::database::Database;
-use crate::session::{RecoveryReport, Session, SessionOptions};
+use crate::database::{Database, Telemetry};
+use crate::session::{Session, SessionOptions};
 use index::MaintenanceStats;
-use snapshot_obs::{LazyCounter, StatementError};
+use snapshot_obs::{Counter, Histogram, Obs, StatementError};
 use snapshot_txn::{CatalogSnapshot, CommitOutcome, Transaction, TxnManager};
-use snapshot_wal::{Persistence, PersistenceOptions};
+use snapshot_wal::{AppendReport, CheckpointReport, Persistence, PersistenceOptions};
 use sql::parse_sql_statement;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 use storage::Table;
-
-/// Auto-checkpoints that failed after their commit was already logged and
-/// published (the commit stands; the next commit retries the checkpoint).
-static CHECKPOINT_FAILURES: LazyCounter = LazyCounter::new("wal_checkpoint_failures_total");
 
 #[derive(Debug)]
 struct Inner {
     txns: TxnManager,
+    telemetry: Arc<Telemetry>,
     /// The database directory, when durable. Behind its own lock: the
     /// commit path appends under the transaction manager's commit lock,
     /// checkpoints snapshot the committed catalog. As in
     /// [`snapshot_txn::manager`], poisoning means a panic elsewhere, not
     /// inconsistent data: the lock type recovers the guard.
     persistence: snapshot_obs::Named<Option<Persistence>>,
+    // WAL and checkpoint telemetry in the database's registry, fed from
+    // what `Persistence` reports about each append and checkpoint.
+    append_seconds: Arc<Histogram>,
+    appended_frames: Arc<Counter>,
+    appended_bytes: Arc<Counter>,
+    fsync_seconds: Arc<Histogram>,
+    fsyncs: Arc<Counter>,
+    checkpoints: Arc<Counter>,
+    checkpoint_seconds: Arc<Histogram>,
+    checkpoint_reused: Arc<Counter>,
+    checkpoint_encoded: Arc<Counter>,
+    /// Auto-checkpoints that failed after their commit was already logged
+    /// and published (the commit stands; the next commit retries).
+    checkpoint_failures: Arc<Counter>,
+}
+
+impl Inner {
+    fn fsynced(&self, took: Option<Duration>) {
+        if let Some(took) = took {
+            self.fsyncs.inc();
+            self.fsync_seconds.observe_duration(took);
+        }
+    }
+
+    fn appended(&self, r: AppendReport) {
+        self.appended_frames.add(r.frames);
+        self.appended_bytes.add(r.bytes);
+        if r.frames > 0 {
+            self.append_seconds.observe_duration(r.elapsed);
+        }
+        self.fsynced(r.fsync);
+    }
+
+    fn checkpointed(&self, r: &CheckpointReport) {
+        self.fsynced(r.fsync);
+        self.checkpoints.inc();
+        self.checkpoint_reused.add(r.reuse.reused as u64);
+        self.checkpoint_encoded.add(r.reuse.encoded as u64);
+        self.checkpoint_seconds.observe_duration(r.elapsed);
+    }
+}
+
+/// What recovering a database directory found and did (see
+/// [`SharedDatabase::open_durable`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Sequence number of the checkpoint the catalog was loaded from
+    /// (`None` when the directory had no valid checkpoint).
+    pub checkpoint_seq: Option<u64>,
+    /// WAL statements replayed through the execution pipeline on top of
+    /// the checkpoint.
+    pub replayed: usize,
+    /// Bytes of torn/corrupt WAL tail truncated away during recovery.
+    pub truncated_bytes: u64,
+    /// WAL records of an unterminated transaction (a `BEGIN` whose
+    /// `COMMIT` never reached the log) that recovery discarded — the
+    /// transaction never committed, so none of it replays.
+    pub discarded_uncommitted: usize,
 }
 
 /// A shared, multi-session database handle (`Arc`-based; clone freely and
@@ -52,13 +108,26 @@ pub struct SharedDatabase {
 
 impl SharedDatabase {
     /// Promotes an in-memory database into a shared, multi-session
-    /// object (durable ones come from [`SharedDatabase::open_durable`]).
+    /// object (durable ones come from [`SharedDatabase::open_durable`]);
+    /// it keeps the database's observability state.
     pub fn new(db: Database) -> Self {
-        let (catalog, indexes) = db.into_parts();
+        let (catalog, indexes, telemetry) = db.into_parts();
+        let m = &telemetry.obs.metrics;
         SharedDatabase {
             inner: Arc::new(Inner {
-                txns: TxnManager::new(catalog, indexes),
+                txns: TxnManager::new(catalog, indexes, m),
                 persistence: snapshot_obs::Named::new("session.persistence", None),
+                append_seconds: m.histogram("wal_append_seconds"),
+                appended_frames: m.counter("wal_appended_frames_total"),
+                appended_bytes: m.counter("wal_appended_bytes_total"),
+                fsync_seconds: m.histogram("wal_fsync_seconds"),
+                fsyncs: m.counter("wal_fsyncs_total"),
+                checkpoints: m.counter("wal_checkpoints_total"),
+                checkpoint_seconds: m.histogram("wal_checkpoint_seconds"),
+                checkpoint_reused: m.counter("wal_checkpoint_reused_tables_total"),
+                checkpoint_encoded: m.counter("wal_checkpoint_encoded_tables_total"),
+                checkpoint_failures: m.counter("wal_checkpoint_failures_total"),
+                telemetry,
             }),
         }
     }
@@ -122,6 +191,16 @@ impl SharedDatabase {
         Session::from_shared(self.clone(), options)
     }
 
+    /// This database's observability state: metrics, live sessions,
+    /// statement statistics, slow log, profile.
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.inner.telemetry.obs
+    }
+
+    pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.inner.telemetry
+    }
+
     /// Pins a snapshot of the current committed state (readers never
     /// block; the snapshot never changes underneath its holder).
     pub fn snapshot(&self) -> CatalogSnapshot {
@@ -131,11 +210,6 @@ impl SharedDatabase {
     /// The current commit sequence number.
     pub fn commit_seq(&self) -> u64 {
         self.inner.txns.commit_seq()
-    }
-
-    /// Whether a database directory is attached.
-    pub fn is_durable(&self) -> bool {
-        self.inner.persistence.lock().is_some()
     }
 
     /// Opens a transaction over a freshly pinned snapshot.
@@ -151,7 +225,7 @@ impl SharedDatabase {
             inner
                 .txns
                 .commit_with(txn, |stmts| match &mut *inner.persistence.lock() {
-                    Some(p) => p.log_transaction(stmts),
+                    Some(p) => p.log_transaction(stmts).map(|r| inner.appended(r)),
                     None => Ok(()),
                 })?;
         self.auto_checkpoint();
@@ -171,7 +245,9 @@ impl SharedDatabase {
             let mut guard = self.inner.persistence.lock();
             match &mut *guard {
                 Some(p) if !only_when_due || p.should_checkpoint() => {
-                    p.checkpoint(catalog).map(Some)
+                    let report = p.checkpoint(catalog)?;
+                    self.inner.checkpointed(&report);
+                    Ok(Some(report.seq))
                 }
                 _ => Ok(None),
             }
@@ -191,7 +267,7 @@ impl SharedDatabase {
             None => false,
         };
         if due && self.checkpoint_serialized(true).is_err() {
-            CHECKPOINT_FAILURES.inc();
+            self.inner.checkpoint_failures.inc();
         }
     }
 

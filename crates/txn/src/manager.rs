@@ -4,23 +4,11 @@
 use crate::snapshot::CatalogSnapshot;
 use crate::transaction::Transaction;
 use index::IndexCatalog;
-use snapshot_obs::{self as obs, LazyCounter, LazyHistogram, StatementError};
+use snapshot_obs::{self as obs, Counter, Histogram, MetricsRegistry, StatementError};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use storage::{Catalog, Table};
-
-/// Transaction-manager telemetry. The histograms split the commit path
-/// into its contended pieces — mutex wait, validation, publication — and
-/// time the snapshot handout (the `O(#tables)` Arc-bump under the state
-/// read lock that ROADMAP suspects in the flat multi-reader throughput).
-static SNAPSHOTS: LazyCounter = LazyCounter::new("txn_snapshots_total");
-static SNAPSHOT_SECONDS: LazyHistogram = LazyHistogram::new("txn_snapshot_seconds");
-static COMMITS: LazyCounter = LazyCounter::new("txn_commits_total");
-static CONFLICTS: LazyCounter = LazyCounter::new("txn_conflicts_total");
-static ROLLBACKS: LazyCounter = LazyCounter::new("txn_rollbacks_total");
-static COMMIT_WAIT_SECONDS: LazyHistogram = LazyHistogram::new("txn_commit_wait_seconds");
-static VALIDATE_SECONDS: LazyHistogram = LazyHistogram::new("txn_validate_seconds");
-static PUBLISH_SECONDS: LazyHistogram = LazyHistogram::new("txn_publish_seconds");
 
 /// The committed state: what a new snapshot pins.
 #[derive(Debug)]
@@ -81,6 +69,16 @@ pub struct TxnManager {
     /// Held for the whole validate → log → publish sequence.
     commit_lock: obs::Named<()>,
     next_txn_id: AtomicU64,
+    // Telemetry in the database's registry; the histograms split the
+    // commit path (lock wait, validation, publication) and the snapshot.
+    snapshots: Arc<Counter>,
+    snapshot_seconds: Arc<Histogram>,
+    commits: Arc<Counter>,
+    conflicts: Arc<Counter>,
+    rollbacks: Arc<Counter>,
+    commit_wait_seconds: Arc<Histogram>,
+    validate_seconds: Arc<Histogram>,
+    publish_seconds: Arc<Histogram>,
 }
 
 /// First-committer-wins validation of `txn` against `committed`: every
@@ -139,8 +137,9 @@ pub fn publish_write_set<'a>(
 }
 
 impl TxnManager {
-    /// A manager over an initial catalog (indexes are built lazily).
-    pub fn new(catalog: Catalog, indexes: IndexCatalog) -> Self {
+    /// A manager over an initial catalog (indexes are built lazily),
+    /// recording into its database's `metrics`.
+    pub fn new(catalog: Catalog, indexes: IndexCatalog, metrics: &MetricsRegistry) -> Self {
         TxnManager {
             state: obs::NamedRw::new(
                 "txn.state",
@@ -152,6 +151,14 @@ impl TxnManager {
             ),
             commit_lock: obs::Named::new("txn.commit", ()),
             next_txn_id: AtomicU64::new(1),
+            snapshots: metrics.counter("txn_snapshots_total"),
+            snapshot_seconds: metrics.histogram("txn_snapshot_seconds"),
+            commits: metrics.counter("txn_commits_total"),
+            conflicts: metrics.counter("txn_conflicts_total"),
+            rollbacks: metrics.counter("txn_rollbacks_total"),
+            commit_wait_seconds: metrics.histogram("txn_commit_wait_seconds"),
+            validate_seconds: metrics.histogram("txn_validate_seconds"),
+            publish_seconds: metrics.histogram("txn_publish_seconds"),
         }
     }
 
@@ -166,8 +173,8 @@ impl TxnManager {
             state.commit_seq,
         );
         drop(state);
-        SNAPSHOTS.inc();
-        SNAPSHOT_SECONDS.observe_duration(started.elapsed());
+        self.snapshots.inc();
+        self.snapshot_seconds.observe_duration(started.elapsed());
         snap
     }
 
@@ -208,7 +215,8 @@ impl TxnManager {
         let _span = obs::Span::enter("txn.commit");
         let wait_started = Instant::now();
         let _commit = self.commit_lock.lock();
-        COMMIT_WAIT_SECONDS.observe_duration(wait_started.elapsed());
+        self.commit_wait_seconds
+            .observe_duration(wait_started.elapsed());
         // Validate against the committed state *now*. The commit lock
         // keeps it stable through publication; concurrent `begin`s only
         // read.
@@ -217,9 +225,10 @@ impl TxnManager {
             let validate_started = Instant::now();
             let state = self.state.read();
             let verdict = validate_first_committer_wins(&txn, &state.catalog);
-            VALIDATE_SECONDS.observe_duration(validate_started.elapsed());
+            self.validate_seconds
+                .observe_duration(validate_started.elapsed());
             if let Err(e) = verdict {
-                CONFLICTS.inc();
+                self.conflicts.inc();
                 return Err(e);
             }
         }
@@ -229,8 +238,9 @@ impl TxnManager {
         let publish_started = Instant::now();
         let written = write_set.iter().map(String::as_str);
         let commit_seq = self.publish(true, |c, i| publish_write_set(&working, written, c, i));
-        PUBLISH_SECONDS.observe_duration(publish_started.elapsed());
-        COMMITS.inc();
+        self.publish_seconds
+            .observe_duration(publish_started.elapsed());
+        self.commits.inc();
         Ok(CommitOutcome {
             commit_seq,
             published: write_set.len(),
@@ -263,7 +273,7 @@ impl TxnManager {
     /// in `txn_rollbacks_total` (explicit `ROLLBACK` statements and
     /// cancellation unwinds both land here).
     pub fn rollback(&self, txn: Transaction) {
-        ROLLBACKS.inc();
+        self.rollbacks.inc();
         drop(txn);
     }
 
@@ -357,7 +367,7 @@ mod tests {
     fn manager() -> TxnManager {
         let mut catalog = Catalog::new();
         catalog.register("works", works_table());
-        TxnManager::new(catalog, IndexCatalog::new())
+        TxnManager::new(catalog, IndexCatalog::new(), &MetricsRegistry::new())
     }
 
     #[test]

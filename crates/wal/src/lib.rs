@@ -39,8 +39,8 @@ pub use checkpoint::{
 };
 pub use crc::crc32;
 pub use dump::dump_sql;
-pub use log::{SyncPolicy, Wal, WalRecord, WalScan};
+pub use log::{AppendReport, SyncPolicy, Wal, WalRecord, WalScan};
 pub use persistence::{
-    Persistence, PersistenceOptions, Recovery, TXN_BEGIN_MARKER, TXN_COMMIT_MARKER,
-    TXN_ROLLBACK_MARKER,
+    CheckpointReport, Persistence, PersistenceOptions, Recovery, TXN_BEGIN_MARKER,
+    TXN_COMMIT_MARKER, TXN_ROLLBACK_MARKER,
 };

@@ -18,20 +18,11 @@
 
 use crate::codec::{Reader, Writer};
 use crate::crc::crc32;
-use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
+use snapshot_obs as obs;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
-
-/// WAL telemetry: append latency (write + any immediate sync), frame and
-/// byte volume, and the fsync count/latency (both the per-append syncs of
-/// [`SyncPolicy::Always`] and explicit [`Wal::sync`] calls).
-static APPEND_SECONDS: LazyHistogram = LazyHistogram::new("wal_append_seconds");
-static APPENDED_FRAMES: LazyCounter = LazyCounter::new("wal_appended_frames_total");
-static APPENDED_BYTES: LazyCounter = LazyCounter::new("wal_appended_bytes_total");
-static FSYNC_SECONDS: LazyHistogram = LazyHistogram::new("wal_fsync_seconds");
-static FSYNCS: LazyCounter = LazyCounter::new("wal_fsyncs_total");
+use std::time::{Duration, Instant};
 
 /// The WAL file's magic header.
 pub const WAL_MAGIC: &[u8; 8] = b"SNAPWAL\x01";
@@ -51,6 +42,20 @@ pub enum SyncPolicy {
     /// much cheaper per statement, but statements since the last sync can
     /// be lost to a power failure — never to a clean process exit.
     OnCheckpoint,
+}
+
+/// What one successful append did: the log's owner turns it into its
+/// database's WAL metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppendReport {
+    /// Frames appended.
+    pub frames: u64,
+    /// Bytes appended.
+    pub bytes: u64,
+    /// Append latency: the write plus any immediate sync.
+    pub elapsed: Duration,
+    /// The `fsync` latency, when the append synced ([`SyncPolicy::Always`]).
+    pub fsync: Option<Duration>,
 }
 
 /// Why a [`Wal::append`] failed, and whether the log was restored to its
@@ -176,17 +181,12 @@ impl Wal {
         &self.path
     }
 
-    /// The sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
-    }
-
     /// Appends one record; under [`SyncPolicy::Always`] the record is on
     /// stable storage when this returns. On failure, the log is rolled
     /// back to its pre-append length when possible (see
     /// [`AppendFailure::rolled_back`]), so no half-appended or
     /// written-but-unsynced frame can linger at the tail unnoticed.
-    pub fn append(&mut self, lsn: u64, sql: &str) -> Result<(), AppendFailure> {
+    pub fn append(&mut self, lsn: u64, sql: &str) -> Result<AppendReport, AppendFailure> {
         self.append_batch(lsn, &[sql])
     }
 
@@ -198,7 +198,11 @@ impl Wal {
     /// back to its pre-batch length when possible; `rolled_back == false`
     /// means an unknown number of the batch's frames may remain, and the
     /// caller must not reuse *any* of the batch's LSNs.
-    pub fn append_batch(&mut self, first_lsn: u64, sqls: &[&str]) -> Result<(), AppendFailure> {
+    pub fn append_batch(
+        &mut self,
+        first_lsn: u64,
+        sqls: &[&str],
+    ) -> Result<AppendReport, AppendFailure> {
         let _span = obs::Span::enter("wal.append");
         let append_started = Instant::now();
         let mut batch = Writer::new();
@@ -240,29 +244,19 @@ impl Wal {
             .write_all(&batch)
             .map_err(|e| format!("cannot append to WAL: {e}"));
         let result = result.and_then(|()| match self.sync {
-            SyncPolicy::Always => {
-                let _span = obs::Span::enter("wal.fsync");
-                let sync_started = Instant::now();
-                let r = self
-                    .file
-                    .sync_all()
-                    .map_err(|e| format!("cannot sync WAL: {e}"));
-                FSYNCS.inc();
-                FSYNC_SECONDS.observe_duration(sync_started.elapsed());
-                r
-            }
+            SyncPolicy::Always => self.fsync().map(Some),
             SyncPolicy::OnCheckpoint => {
                 self.dirty = true;
-                Ok(())
+                Ok(None)
             }
         });
         match result {
-            Ok(()) => {
-                APPENDED_FRAMES.add(sqls.len() as u64);
-                APPENDED_BYTES.add(batch_len);
-                APPEND_SECONDS.observe_duration(append_started.elapsed());
-                Ok(())
-            }
+            Ok(fsync) => Ok(AppendReport {
+                frames: sqls.len() as u64,
+                bytes: batch_len,
+                elapsed: append_started.elapsed(),
+                fsync,
+            }),
             Err(error) => {
                 let rolled_back = self
                     .file
@@ -293,19 +287,24 @@ impl Wal {
             .map_err(|e| format!("cannot truncate WAL to {offset} bytes: {e}"))
     }
 
-    /// Forces buffered appends to stable storage.
-    pub fn sync(&mut self) -> Result<(), String> {
-        if self.dirty {
-            let _span = obs::Span::enter("wal.fsync");
-            let started = Instant::now();
-            self.file
-                .sync_all()
-                .map_err(|e| format!("cannot sync WAL: {e}"))?;
-            FSYNCS.inc();
-            FSYNC_SECONDS.observe_duration(started.elapsed());
-            self.dirty = false;
+    /// Forces buffered appends to stable storage; returns the `fsync`
+    /// latency when there was anything to sync.
+    pub fn sync(&mut self) -> Result<Option<Duration>, String> {
+        if !self.dirty {
+            return Ok(None);
         }
-        Ok(())
+        let took = self.fsync()?;
+        self.dirty = false;
+        Ok(Some(took))
+    }
+
+    fn fsync(&mut self) -> Result<Duration, String> {
+        let _span = obs::Span::enter("wal.fsync");
+        let started = Instant::now();
+        self.file
+            .sync_all()
+            .map_err(|e| format!("cannot sync WAL: {e}"))?;
+        Ok(started.elapsed())
     }
 
     /// Resets the log to its empty (header-only) state — called after a

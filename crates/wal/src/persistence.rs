@@ -16,19 +16,11 @@
 //! stores and returns it.
 
 use crate::checkpoint::{self, CheckpointReuse, TableEncodeCache};
-use crate::log::{SyncPolicy, Wal, WalRecord};
-use snapshot_obs::{self as obs, LazyCounter, LazyHistogram};
+use crate::log::{AppendReport, SyncPolicy, Wal, WalRecord};
+use snapshot_obs as obs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use storage::Catalog;
-
-/// Checkpoint telemetry: end-to-end latency (sync + encode + reset +
-/// prune) and the incremental-encoding split (cache-spliced vs freshly
-/// serialized tables).
-static CHECKPOINTS: LazyCounter = LazyCounter::new("wal_checkpoints_total");
-static CHECKPOINT_SECONDS: LazyHistogram = LazyHistogram::new("wal_checkpoint_seconds");
-static CHECKPOINT_REUSED: LazyCounter = LazyCounter::new("wal_checkpoint_reused_tables_total");
-static CHECKPOINT_ENCODED: LazyCounter = LazyCounter::new("wal_checkpoint_encoded_tables_total");
 
 /// WAL marker framing the statements of a multi-statement transaction's
 /// commit unit (also the literal SQL the session replays on recovery).
@@ -44,6 +36,20 @@ pub const TXN_COMMIT_MARKER: &str = "COMMIT";
 /// Recognized for symmetry when scanning (rolled-back transactions are
 /// normally never logged at all).
 pub const TXN_ROLLBACK_MARKER: &str = "ROLLBACK";
+
+/// What one [`Persistence::checkpoint`] did: the owner turns it into its
+/// database's checkpoint metrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointReport {
+    /// The new checkpoint's sequence number.
+    pub seq: u64,
+    /// End-to-end latency: sync + encode + reset + prune.
+    pub elapsed: Duration,
+    /// How its tables split between cache reuse and fresh serialization.
+    pub reuse: CheckpointReuse,
+    /// The latency of the WAL `fsync` it forced, if the log was dirty.
+    pub fsync: Option<Duration>,
+}
 
 /// Durability configuration.
 #[derive(Debug, Clone, Copy)]
@@ -110,8 +116,6 @@ pub struct Persistence {
     /// Per-table encoding cache for incremental checkpoints (tables with
     /// an unchanged version epoch reuse their previous on-disk bytes).
     encode_cache: TableEncodeCache,
-    /// How the most recent checkpoint split its tables.
-    last_reuse: CheckpointReuse,
     /// Exclusive advisory lock on `DIR/lock`, held for this value's
     /// lifetime: two processes appending to one `wal.log` with independent
     /// LSN counters would corrupt the log, so the second opener is
@@ -241,7 +245,6 @@ impl Persistence {
             poisoned: None,
             invalid_checkpoints: cp_scan.invalid_newer,
             encode_cache: TableEncodeCache::new(),
-            last_reuse: CheckpointReuse::default(),
             _lock: lock,
         };
         Ok((
@@ -254,16 +257,6 @@ impl Persistence {
                 discarded_uncommitted,
             },
         ))
-    }
-
-    /// The database directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The durability options this directory was opened with.
-    pub fn options(&self) -> PersistenceOptions {
-        self.options
     }
 
     /// The LSN the next logged statement will get.
@@ -289,9 +282,9 @@ impl Persistence {
     /// have left unknown frames behind poisons the log (see
     /// [`Persistence::is_poisoned`]); the burned LSNs are covered by the
     /// next checkpoint, so they can never replay on top of a snapshot.
-    pub fn log_transaction(&mut self, stmts: &[String]) -> Result<(), String> {
+    pub fn log_transaction(&mut self, stmts: &[String]) -> Result<AppendReport, String> {
         if stmts.is_empty() {
-            return Ok(());
+            return Ok(AppendReport::default());
         }
         if let Some(why) = &self.poisoned {
             return Err(format!(
@@ -308,10 +301,10 @@ impl Persistence {
             frames.push(TXN_COMMIT_MARKER);
         }
         match self.wal.append_batch(self.next_lsn, &frames) {
-            Ok(()) => {
+            Ok(report) => {
                 self.next_lsn += frames.len() as u64;
                 self.since_checkpoint += stmts.len();
-                Ok(())
+                Ok(report)
             }
             Err(failure) if failure.rolled_back => Err(format!(
                 "{}; the transaction is not logged — abort the commit",
@@ -344,15 +337,14 @@ impl Persistence {
     }
 
     /// Writes a checkpoint of `catalog` covering everything logged so far,
-    /// resets the WAL, and prunes old checkpoint files. Returns the new
-    /// checkpoint's sequence number.
-    pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<u64, String> {
+    /// resets the WAL, and prunes old checkpoint files.
+    pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<CheckpointReport, String> {
         let _span = obs::Span::enter("wal.checkpoint");
         let started = Instant::now();
         // Everything below next_lsn is either in the WAL (synced below,
         // before the snapshot becomes the recovery source) or already
         // applied to `catalog`; the snapshot covers it all.
-        self.wal.sync()?;
+        let fsync = self.wal.sync()?;
         let seq = self.next_checkpoint_seq;
         let covered_lsn = self.next_lsn - 1;
         let (_, reuse) = checkpoint::write_checkpoint_with(
@@ -362,7 +354,6 @@ impl Persistence {
             catalog,
             &mut self.encode_cache,
         )?;
-        self.last_reuse = reuse;
         self.next_checkpoint_seq = seq + 1;
         self.since_checkpoint = 0;
         // Known-invalid checkpoints are superseded now; remove them so
@@ -380,24 +371,12 @@ impl Persistence {
         self.wal.reset()?;
         self.poisoned = None;
         checkpoint::prune(&self.dir, 2);
-        CHECKPOINTS.inc();
-        CHECKPOINT_REUSED.add(reuse.reused as u64);
-        CHECKPOINT_ENCODED.add(reuse.encoded as u64);
-        CHECKPOINT_SECONDS.observe_duration(started.elapsed());
-        Ok(seq)
-    }
-
-    /// How the most recent [`Persistence::checkpoint`] split its tables
-    /// between cache reuse and fresh serialization (all zeros before the
-    /// first checkpoint of this process).
-    pub fn last_checkpoint_reuse(&self) -> CheckpointReuse {
-        self.last_reuse
-    }
-
-    /// Forces pending WAL appends to stable storage (meaningful under
-    /// [`SyncPolicy::OnCheckpoint`]).
-    pub fn sync(&mut self) -> Result<(), String> {
-        self.wal.sync()
+        Ok(CheckpointReport {
+            seq,
+            elapsed: started.elapsed(),
+            reuse,
+            fsync,
+        })
     }
 }
 
@@ -417,7 +396,7 @@ mod tests {
 
     /// A bare statement: a single-statement commit unit.
     fn log_one(p: &mut Persistence, sql: &str) -> Result<(), String> {
-        p.log_transaction(&[sql.to_string()])
+        p.log_transaction(&[sql.to_string()]).map(|_| ())
     }
 
     fn catalog_with(n: i64) -> Catalog {
@@ -753,18 +732,16 @@ mod tests {
     fn incremental_checkpoint_reuse_is_observable() {
         let dir = tmp_dir("ckpt_reuse");
         let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        assert_eq!(p.last_checkpoint_reuse(), CheckpointReuse::default());
-        p.checkpoint(&catalog_with(3)).unwrap();
-        assert_eq!(p.last_checkpoint_reuse().encoded, 1);
-        assert_eq!(p.last_checkpoint_reuse().reused, 0);
+        let reuse = p.checkpoint(&catalog_with(3)).unwrap().reuse;
+        assert_eq!(reuse.encoded, 1);
+        assert_eq!(reuse.reused, 0);
         // A rebuilt look-alike table carries a *different* epoch, so it
         // must encode fresh — only an identical epoch may reuse.
         let c = catalog_with(5);
-        p.checkpoint(&c).unwrap();
-        assert_eq!(p.last_checkpoint_reuse().encoded, 1);
-        p.checkpoint(&c).unwrap();
-        assert_eq!(p.last_checkpoint_reuse().reused, 1);
-        assert_eq!(p.last_checkpoint_reuse().encoded, 0);
+        assert_eq!(p.checkpoint(&c).unwrap().reuse.encoded, 1);
+        let reuse = p.checkpoint(&c).unwrap().reuse;
+        assert_eq!(reuse.reused, 1);
+        assert_eq!(reuse.encoded, 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! cancelled statement unwinds cleanly — transaction rolled back, WAL
 //! untouched, session and indexes immediately usable.
 //!
-//! The activity registry and the cancellation counters are process
-//! globals, so every test takes `snapshot_obs::testing::serial_guard()`.
+//! The activity registry and the cancellation counters belong to the
+//! database a test builds, so the tests run in parallel.
 
 use snapshot_session::{
     CancelKind, Database, PersistenceOptions, Session, SessionOptions, SharedDatabase,
@@ -39,10 +39,8 @@ fn cancelled_as(err: &StatementError, expect: CancelKind) -> bool {
     matches!(err, StatementError::Cancelled { kind, .. } if *kind == expect)
 }
 
-fn counter(name: &str) -> u64 {
-    snapshot_obs::registry()
-        .get_counter(name)
-        .map_or(0, |c| c.get())
+fn counter(s: &Session, name: &str) -> u64 {
+    s.obs().metrics.get_counter(name).map_or(0, |c| c.get())
 }
 
 /// A fresh, empty scratch directory, unique per call.
@@ -77,14 +75,12 @@ fn bulk_insert(table: &str, n: usize) -> String {
 /// oracle).
 #[test]
 fn concurrent_statement_is_visible_and_killable() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let shared = SharedDatabase::in_memory();
     let mut monitor = shared.session();
     monitor
         .execute("CREATE TABLE act_kill (x INT, ts INT, te INT) PERIOD (ts, te)")
         .unwrap();
     monitor.execute(&bulk_insert("act_kill", 3000)).unwrap();
-    let cancelled_before = counter("statements_cancelled_total");
 
     // The victim: a quadratic nested-loop self-join (9M pairs) that only
     // a cancellation will end in reasonable time.
@@ -172,8 +168,9 @@ fn concurrent_statement_is_visible_and_killable() {
         10,
         "oracle count after kill"
     );
-    assert!(
-        counter("statements_cancelled_total") > cancelled_before,
+    assert_eq!(
+        counter(&monitor, "statements_cancelled_total"),
+        1,
         "kill counted"
     );
 
@@ -193,7 +190,6 @@ fn concurrent_statement_is_visible_and_killable() {
 /// indexed, naive, and oracle routes.
 #[test]
 fn timeout_mid_parallel_sweep_leaves_session_consistent() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let n = 2000usize;
     let mut session = Session::with_options(
         Database::new(),
@@ -206,7 +202,6 @@ fn timeout_mid_parallel_sweep_leaves_session_consistent() {
         .execute("CREATE TABLE act_par (x INT, ts INT, te INT) PERIOD (ts, te)")
         .unwrap();
     session.execute(&bulk_insert("act_par", n)).unwrap();
-    let timeouts_before = counter("statement_timeouts_total");
 
     session.execute("SET statement_timeout = 5").unwrap();
     // A snapshot self-join over all-overlapping periods: ~n^2 join pairs
@@ -219,8 +214,9 @@ fn timeout_mid_parallel_sweep_leaves_session_consistent() {
         err.to_string(),
         "statement cancelled: statement timeout (5 ms) exceeded"
     );
-    assert!(
-        counter("statement_timeouts_total") > timeouts_before,
+    assert_eq!(
+        counter(&session, "statement_timeouts_total"),
+        1,
         "timeout counted"
     );
 
@@ -245,7 +241,6 @@ fn timeout_mid_parallel_sweep_leaves_session_consistent() {
 /// rejects almost none — and the session carries on.
 #[test]
 fn timeout_inside_a_fused_join_cancels_and_leaves_the_session_usable() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let n = 2000usize;
     let mut session = Session::default();
     session
@@ -288,7 +283,6 @@ fn timeout_inside_a_fused_join_cancels_and_leaves_the_session_usable() {
 /// verdict is `false` and nothing is poisoned.
 #[test]
 fn killing_idle_or_unknown_sessions_is_a_noop() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let shared = SharedDatabase::in_memory();
     let mut active = shared.session();
     let idle = shared.session();
@@ -303,7 +297,8 @@ fn killing_idle_or_unknown_sessions_is_a_noop() {
         vec![vec![Value::Bool(false)]],
         "idle kill is a no-op"
     );
-    assert!(!Session::cancel_session(u64::MAX), "unknown id is a no-op");
+    let cancel = |id| active.obs().activity.cancel(id);
+    assert!(!cancel(u64::MAX), "unknown id is a no-op");
     // The idle session was not poisoned: its next statement runs.
     let mut idle = idle;
     idle.execute("SELECT name FROM snapshot_stat_tables")
@@ -315,8 +310,6 @@ fn killing_idle_or_unknown_sessions_is_a_noop() {
 /// session — and the cancellation is stamped into the slow-query log.
 #[test]
 fn timeout_in_explicit_transaction_rolls_back_cleanly() {
-    let _guard = snapshot_obs::testing::serial_guard();
-    snapshot_obs::reset_slow_log();
     let dir = scratch_dir("txn_timeout");
     let options = SessionOptions {
         slow_query_ms: Some(0), // log everything, incl. cancellations
@@ -404,14 +397,11 @@ fn timeout_in_explicit_transaction_rolls_back_cleanly() {
 /// with `SET ... = off`.
 #[test]
 fn resource_limits_cancel_with_specific_reasons() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let mut session = Session::default();
     session
         .execute("CREATE TABLE act_lim (x INT, ts INT, te INT) PERIOD (ts, te)")
         .unwrap();
     session.execute(&bulk_insert("act_lim", 5000)).unwrap();
-    let cancelled_before = counter("statements_cancelled_total");
-
     session.execute("SET max_rows_scanned = 100").unwrap();
     let err = session.execute("SELECT x FROM act_lim").unwrap_err();
     assert!(cancelled_as(&err, CancelKind::RowsScannedLimit), "{err:?}");
@@ -439,8 +429,8 @@ fn resource_limits_cancel_with_specific_reasons() {
     );
     assert_eq!(int(&rows[0][0]), 5000);
     assert_eq!(
-        counter("statements_cancelled_total"),
-        cancelled_before + 2,
+        counter(&session, "statements_cancelled_total"),
+        2,
         "both limit trips counted once each"
     );
 }
@@ -452,8 +442,6 @@ fn resource_limits_cancel_with_specific_reasons() {
 /// The class comes from the error's variant, never from its message.
 #[test]
 fn error_text_echoing_the_cancel_words_is_not_a_cancellation() {
-    let _guard = snapshot_obs::testing::serial_guard();
-    snapshot_obs::reset_slow_log();
     let shared = SharedDatabase::in_memory();
     let mut session = shared.session_with_options(SessionOptions {
         slow_query_ms: Some(0), // armed: a cancellation would be stamped
@@ -462,8 +450,6 @@ fn error_text_echoing_the_cancel_words_is_not_a_cancellation() {
     session
         .execute("CREATE TABLE act_echo (x INT, ts INT, te INT) PERIOD (ts, te)")
         .unwrap();
-    let cancelled_before = counter("statements_cancelled_total");
-
     session.execute("BEGIN").unwrap();
     session
         .execute("INSERT INTO act_echo VALUES (2, 0, 10)")
@@ -489,12 +475,15 @@ fn error_text_echoing_the_cancel_words_is_not_a_cancellation() {
     let rows = rows_of(&session.execute("SELECT x FROM act_echo").unwrap());
     assert_eq!(rows, vec![vec![Value::Int(2)]], "the insert survived");
     assert_eq!(
-        counter("statements_cancelled_total"),
-        cancelled_before,
+        counter(&session, "statements_cancelled_total"),
+        0,
         "nothing was cancelled"
     );
     assert!(
-        snapshot_obs::slow_queries()
+        session
+            .obs()
+            .slow_log
+            .entries()
             .iter()
             .all(|q| q.cancelled.is_none()),
         "no slow-log entry carries a cancel reason"
@@ -632,7 +621,6 @@ fn tripped_token_aborts_an_aggregate_over_a_join_in_either_phase() {
     use snapshot_semantics::timeline::TimeDomain;
     use std::sync::Arc;
 
-    let _guard = snapshot_obs::testing::serial_guard();
     let schema = Schema::of(&[
         ("k", SqlType::Int),
         ("x", SqlType::Int),
@@ -668,7 +656,7 @@ fn tripped_token_aborts_an_aggregate_over_a_join_in_either_phase() {
 
     let account = Arc::new(snapshot_obs::ResourceAccount::default());
     let token = Arc::new(snapshot_obs::CancelToken::default());
-    let engine = Engine::new().with_context(ExecContext::new(account.clone(), token.clone()));
+    let engine = Engine::new().with_context(ExecContext::new(account.clone(), token.clone(), None));
     // Runs `plan` while a watcher trips the token once `ready` holds of the
     // account (and, for the sweep, a moment later, so the token is tripped
     // inside the aggregate, not at the join's boundary).

@@ -731,11 +731,13 @@ fn explicit_sweep_runs_slab_parallel_exactly_above_parallelism_one() {
         }
     }
 
-    let _guard = snapshot_obs::testing::serial_guard();
-    let counter = snapshot_obs::registry().counter("engine_parallelsweepjoin_invocations_total");
     let mut options = SessionOptions::default();
     options.rewrite.temporal_join_algo = JoinAlgo::Sweep;
     let mut session = Session::with_options(Database::from_catalog(catalog), options);
+    let counter = session
+        .obs()
+        .metrics
+        .counter("engine_parallelsweepjoin_invocations_total");
     // The session's default first, then explicit settings either side of 1.
     for set in [None, Some("1"), Some("3")] {
         if let Some(n) = set {

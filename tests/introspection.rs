@@ -2,12 +2,12 @@
 //! statement fingerprint statistics, the slow-query log, and the
 //! operator-level profiler.
 //!
-//! Statement stats, the slow log, and the profiler are process globals
-//! (see the `snapshot_obs` crate docs), so every test here takes
-//! `snapshot_obs::testing::serial_guard()` — the documented convention
-//! for tests that read or toggle global observability state.
+//! Statement stats, the slow log, and the profiler belong to the database
+//! a test builds (see the `snapshot_obs` crate docs), so the tests run in
+//! parallel and assert exact values.
 
 use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementResult};
+use std::sync::Arc;
 use storage::Value;
 
 fn rows_of(result: &StatementResult) -> Vec<Vec<Value>> {
@@ -45,7 +45,6 @@ fn double(v: &Value) -> f64 {
 /// differentially verified against `snapshot_stat_statements`.
 #[test]
 fn stat_statements_differential_on_owned_session() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let mut session = Session::default();
     session
         .execute("CREATE TABLE intro_own (x INT, ts INT, te INT) PERIOD (ts, te)")
@@ -100,10 +99,10 @@ fn stat_statements_differential_on_owned_session() {
 }
 
 /// The same surface works on shared (MVCC) sessions, and statistics are
-/// process-global: statements from two sessions land in one collector.
+/// per database: statements from two of its sessions land in one
+/// collector.
 #[test]
 fn stat_statements_differential_on_shared_sessions() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let shared = SharedDatabase::in_memory();
     let mut writer = shared.session();
     writer
@@ -141,7 +140,6 @@ fn stat_statements_differential_on_shared_sessions() {
 /// against a user table), and a real table shadows a virtual name.
 #[test]
 fn stat_tables_and_indexes_compose_with_sql() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let mut session = Session::default();
     session
         .execute("CREATE TABLE intro_t (x INT, ts INT, te INT) PERIOD (ts, te)")
@@ -214,8 +212,6 @@ fn virtual_tables_are_rejected_under_snapshot_semantics() {
 /// and operator actuals, queryable through `snapshot_stat_slow_queries`.
 #[test]
 fn slow_query_log_captures_phase_split_and_actuals() {
-    let _guard = snapshot_obs::testing::serial_guard();
-    snapshot_obs::reset_slow_log();
     let mut session = Session::with_options(
         snapshot_session::Database::new(),
         SessionOptions {
@@ -232,7 +228,7 @@ fn slow_query_log_captures_phase_split_and_actuals() {
     session
         .execute("SEQ VT (SELECT count(*) AS c FROM intro_slow)")
         .unwrap();
-    let entries = snapshot_obs::slow_queries();
+    let entries = session.obs().slow_log.entries();
     let q = entries
         .iter()
         .find(|e| e.statement.contains("SEQ VT"))
@@ -259,13 +255,12 @@ fn slow_query_log_captures_phase_split_and_actuals() {
     );
     assert!(rows.iter().any(|r| text(&r[0]).contains("SEQ VT")));
     // A session without the threshold never logs.
-    snapshot_obs::reset_slow_log();
     let mut quiet = Session::default();
     quiet
         .execute("CREATE TABLE intro_quiet (x INT, ts INT, te INT) PERIOD (ts, te)")
         .unwrap();
     quiet.execute("SELECT x FROM intro_quiet").unwrap();
-    assert!(snapshot_obs::slow_queries().is_empty());
+    assert!(quiet.obs().slow_log.entries().is_empty());
 }
 
 /// The acceptance criterion for the profiler: folded-stack operator self
@@ -273,7 +268,6 @@ fn slow_query_log_captures_phase_split_and_actuals() {
 /// statements.
 #[test]
 fn profiler_self_times_sum_to_the_execute_phase() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let mut session = Session::default();
     session
         .execute("CREATE TABLE intro_prof (x INT, s TEXT, ts INT, te INT) PERIOD (ts, te)")
@@ -287,8 +281,9 @@ fn profiler_self_times_sum_to_the_execute_phase() {
         stmt.push_str(&format!("({i}, 's{}', {}, {})", i % 7, i % 97, i % 97 + 5));
     }
     session.execute(&stmt).unwrap();
-    snapshot_obs::reset_profile();
-    snapshot_obs::set_profiling(true);
+    let obs = Arc::clone(session.obs());
+    let profile = &obs.profile;
+    profile.set_enabled(true);
     let mut execute_ns = 0u64;
     for _ in 0..3 {
         session
@@ -296,8 +291,8 @@ fn profiler_self_times_sum_to_the_execute_phase() {
             .unwrap();
         execute_ns += session.last_phase_timings().execute_ns;
     }
-    snapshot_obs::set_profiling(false);
-    let stats = snapshot_obs::profile_stats();
+    profile.set_enabled(false);
+    let stats = profile.stats();
     assert!(!stats.is_empty());
     let folded_ns: u64 = stats.iter().map(|s| s.self_ns).sum();
     let ratio = folded_ns as f64 / execute_ns as f64;
@@ -311,17 +306,15 @@ fn profiler_self_times_sum_to_the_execute_phase() {
         stats.iter().any(|s| s.path.contains(';')),
         "nested operator paths present: {stats:?}"
     );
-    let folded = snapshot_obs::render_folded();
+    let folded = profile.render_folded();
     let first = folded.lines().next().expect("non-empty folded output");
     assert!(first.rsplit_once(' ').unwrap().1.parse::<u64>().is_ok());
-    snapshot_obs::reset_profile();
 }
 
 /// A statement a budget stops is still profiled: every node it entered
 /// counts its call, the scan that crossed the budget included.
 #[test]
 fn a_statement_stopped_by_a_budget_is_still_profiled() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let mut session = Session::default();
     for stmt in [
         "CREATE TABLE intro_budget (x INT, ts INT, te INT) PERIOD (ts, te)",
@@ -330,13 +323,15 @@ fn a_statement_stopped_by_a_budget_is_still_profiled() {
     ] {
         session.execute(stmt).unwrap();
     }
-    snapshot_obs::reset_profile();
-    snapshot_obs::set_profiling(true);
+    let obs = Arc::clone(session.obs());
+    let profile = &obs.profile;
+    profile.set_enabled(true);
     let stopped = session.execute("SEQ VT (SELECT count(*) AS c FROM intro_budget)");
-    snapshot_obs::set_profiling(false);
+    profile.set_enabled(false);
     let err = stopped.expect_err("three rows scanned against a budget of two");
     assert!(err.to_string().contains("max_rows_scanned"), "{err}");
-    let mut paths: Vec<(String, u64)> = snapshot_obs::profile_stats()
+    let mut paths: Vec<(String, u64)> = profile
+        .stats()
         .into_iter()
         .map(|s| (s.path, s.samples))
         .collect();
@@ -348,5 +343,4 @@ fn a_statement_stopped_by_a_budget_is_still_profiled() {
             ("TemporalAggregate;Scan".to_string(), 1)
         ]
     );
-    snapshot_obs::reset_profile();
 }

@@ -248,53 +248,36 @@ fn explain_analyze_reports_the_index_phase_like_the_bare_query() {
 }
 
 /// With `collect_metrics` on (the default), executed statements publish
-/// per-operator counters and per-phase histograms to the global registry.
+/// per-operator counters and per-phase histograms to their database's
+/// registry; with it off, nothing.
 #[test]
 fn statements_publish_to_the_global_registry() {
-    let reg = snapshot_obs::registry();
-    let counter_before = reg.counter("engine_scan_invocations_total").get();
-    let hist_before = reg.histogram("session_execute_seconds").count();
-    let mut session = Session::default();
-    session
-        .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
-        .unwrap();
-    session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
-    session
-        .execute("SEQ VT (SELECT count(*) AS c FROM t)")
-        .unwrap();
-    assert!(
-        reg.counter("engine_scan_invocations_total").get() > counter_before,
-        "scan invocations published"
-    );
-    assert!(
-        reg.histogram("session_execute_seconds").count() > hist_before,
-        "execute phase histogram fed"
-    );
-
-    // And with collect_metrics off, the same query publishes nothing new
-    // (tolerate concurrent tests bumping the globals: use a quiet counter
-    // name instead — the per-session opt-out simply skips publication).
-    let mut quiet = Session::with_options(
-        snapshot_session::Database::new(),
-        SessionOptions {
-            collect_metrics: false,
-            ..SessionOptions::default()
-        },
-    );
-    quiet
-        .execute("CREATE TABLE q (x INT, ts INT, te INT) PERIOD (ts, te)")
-        .unwrap();
-    quiet.execute("INSERT INTO q VALUES (1, 0, 5)").unwrap();
-    let before = reg.counter("engine_scan_invocations_total").get();
-    let phases_before = reg.histogram("session_execute_seconds").count();
-    quiet
-        .execute("SEQ VT (SELECT count(*) AS c FROM q)")
-        .unwrap();
-    // The quiet session itself added nothing; other tests may have. We
-    // can only assert this reliably when nothing else ran in between, so
-    // check the session-local signal too: phases were still measured.
-    assert!(quiet.last_phase_timings().execute_ns > 0);
-    let _ = (before, phases_before);
+    let published = |collect_metrics: bool| {
+        let mut session = Session::with_options(
+            snapshot_session::Database::new(),
+            SessionOptions {
+                collect_metrics,
+                ..SessionOptions::default()
+            },
+        );
+        session
+            .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
+            .unwrap();
+        session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
+        session
+            .execute("SEQ VT (SELECT count(*) AS c FROM t)")
+            .unwrap();
+        assert!(session.last_phase_timings().execute_ns > 0);
+        let reg = &session.obs().metrics;
+        (
+            reg.counter("engine_scan_invocations_total").get(),
+            reg.histogram("session_execute_seconds").count(),
+        )
+    };
+    let (scans, executes) = published(true);
+    assert!(scans > 0, "scan invocations published");
+    assert!(executes > 0, "execute phase histogram fed");
+    assert_eq!(published(false), (0, 0), "the opt-out publishes nothing");
 }
 
 /// The registry's text exposition — the dump the shell's `.metrics`
@@ -312,8 +295,9 @@ fn exposition_parses_and_names_the_core_families() {
     session
         .execute("SEQ VT (SELECT count(*) AS c FROM expo)")
         .unwrap();
-    snapshot_obs::refresh_process_metrics();
-    let exposition = snapshot_obs::registry().render_text();
+    let registry = &session.obs().metrics;
+    registry.refresh_process_metrics();
+    let exposition = registry.render_text();
     expofmt::check_exposition(&exposition).expect("metrics exposition must parse");
     for required in [
         "txn_snapshot_seconds",
@@ -350,7 +334,6 @@ fn span_overhead_on_the_sweep_join_stays_under_the_limit() {
 
     const ROWS: usize = 30_000;
     const ROUNDS: usize = 11;
-    let _guard = snapshot_obs::testing::serial_guard();
     let spec = RandomTableSpec {
         rows: ROWS,
         int_cols: 1,

@@ -13,11 +13,9 @@
 //! Every directory is opened the way the binaries open it —
 //! `SharedDatabase::open_durable` — so these tests exercise the one
 //! durable write path (validate → log → publish) and the one recovery
-//! driver. The checkpoint counters are process globals: every test that
-//! can write a checkpoint takes `snapshot_obs::testing::serial_guard()`,
-//! which is what makes the counter deltas of the reuse test exact.
+//! driver. Each opened directory is a database of its own, with its own
+//! checkpoint counters, so the tests run in parallel.
 
-use snapshot_obs::testing::serial_guard;
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::rewrite::infer_domain;
 use snapshot_semantics::session::{
@@ -74,10 +72,8 @@ fn open_with(
     (shared.session_with_options(durable_options()), report)
 }
 
-fn counter(name: &str) -> u64 {
-    snapshot_obs::registry()
-        .get_counter(name)
-        .map_or(0, |c| c.get())
+fn counter(s: &Session, name: &str) -> u64 {
+    s.obs().metrics.get_counter(name).map_or(0, |c| c.get())
 }
 
 /// Asserts that two catalogs are equal as multiset relations: same table
@@ -147,7 +143,6 @@ fn empty_wal_recovers_to_empty_database() {
 
 #[test]
 fn checkpoint_only_recovery() {
-    let _guard = serial_guard();
     let dir = scratch_dir("ckpt_only");
     {
         let (mut s, _) = open(&dir, 0);
@@ -194,7 +189,6 @@ fn wal_only_recovery() {
 /// the gap rows of a global snapshot count span `[Tmin, Tmax)`.
 #[test]
 fn time_domain_is_the_same_before_a_kill_and_after_recovery() {
-    let _guard = serial_guard();
     let dir = scratch_dir("domain");
     let query = "SEQ VT (SELECT count(*) AS c FROM works WHERE skill = 'SP')";
     let before = {
@@ -431,7 +425,6 @@ fn noop_statements_inside_transactions_are_not_logged() {
 
 #[test]
 fn checkpoint_during_an_open_transaction_captures_committed_state_only() {
-    let _guard = serial_guard();
     let dir = scratch_dir("ckpt_vs_txn");
     {
         let (shared, _) = SharedDatabase::open_durable(
@@ -530,7 +523,6 @@ fn shared_database_recovers_concurrent_commits() {
 
 #[test]
 fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
-    let _guard = serial_guard();
     let dir = scratch_dir("incr_ckpt");
     let (mut s, _) = open(&dir, 0);
     s.execute(SETUP[0]).unwrap();
@@ -539,26 +531,20 @@ fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
         .unwrap();
     s.execute("INSERT INTO works VALUES ('Ann', 'SP', 3, 10)")
         .unwrap();
-    // How a checkpoint split its tables, read off the registry counters.
-    let split = || {
-        (
-            counter("wal_checkpoint_encoded_tables_total"),
-            counter("wal_checkpoint_reused_tables_total"),
-        )
+    // How the checkpoints split their tables (encoded, reused), read off
+    // the database's counters.
+    let split = |s: &Session| {
+        let encoded = counter(s, "wal_checkpoint_encoded_tables_total");
+        (encoded, counter(s, "wal_checkpoint_reused_tables_total"))
     };
-    let (encoded0, reused0) = split();
     s.checkpoint().unwrap();
-    let (encoded1, reused1) = split();
-    assert_eq!(encoded1 - encoded0, 2);
-    assert_eq!(reused1 - reused0, 0);
+    assert_eq!(split(&s), (2, 0));
 
     // Touch only `works`: `stable` must be spliced from the cache.
     s.execute("INSERT INTO works VALUES ('Joe', 'NS', 8, 16)")
         .unwrap();
     s.checkpoint().unwrap();
-    let (encoded2, reused2) = split();
-    assert_eq!(encoded2 - encoded1, 1);
-    assert_eq!(reused2 - reused1, 1);
+    assert_eq!(split(&s), (3, 1));
     let reference = s.read_view().catalog().clone();
     drop(s);
 
@@ -578,7 +564,6 @@ fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
 /// failure is counted, and the next commit retries the checkpoint.
 #[test]
 fn failed_auto_checkpoint_does_not_fail_the_commit() {
-    let _guard = serial_guard();
     let dir = scratch_dir("auto_ckpt_fail");
     let (mut s, _) = open(&dir, 2);
     s.execute("CREATE TABLE t (x INT)").unwrap();
@@ -587,13 +572,13 @@ fn failed_auto_checkpoint_does_not_fail_the_commit() {
     // in its place.
     let obstacle = dir.join("checkpoint.2.tmp");
     std::fs::create_dir(&obstacle).unwrap();
-    let failures = counter("wal_checkpoint_failures_total");
+    let failures = counter(&s, "wal_checkpoint_failures_total");
     s.execute("INSERT INTO t VALUES (1)").unwrap();
     // This one reaches the threshold; its auto-checkpoint fails.
     s.execute("INSERT INTO t VALUES (2)")
         .expect("a logged and published commit is not failed by its auto-checkpoint");
     assert_eq!(s.read_view().catalog().get("t").unwrap().len(), 2);
-    assert_eq!(counter("wal_checkpoint_failures_total"), failures + 1);
+    assert_eq!(counter(&s, "wal_checkpoint_failures_total"), failures + 1);
     // The explicit checkpoint still reports the error.
     assert!(s.checkpoint().unwrap_err().contains("checkpoint.2.tmp"));
 
@@ -601,7 +586,7 @@ fn failed_auto_checkpoint_does_not_fail_the_commit() {
     // commit checkpoints.
     std::fs::remove_dir(&obstacle).unwrap();
     s.execute("INSERT INTO t VALUES (3)").unwrap();
-    assert_eq!(counter("wal_checkpoint_failures_total"), failures + 1);
+    assert_eq!(counter(&s, "wal_checkpoint_failures_total"), failures + 1);
     drop(s);
 
     let (s, report) = open(&dir, 2);
@@ -673,7 +658,6 @@ fn smoke_statements() -> Vec<String> {
 /// write on the recovered directory.
 #[test]
 fn kill_and_restart_matches_uninterrupted_run_on_every_prefix() {
-    let _guard = serial_guard();
     let statements = smoke_statements();
     assert!(statements.len() >= 15, "smoke script shrank unexpectedly?");
     for k in 1..=statements.len() {
@@ -918,7 +902,6 @@ proptest! {
     /// equal the uninterrupted in-memory run.
     #[test]
     fn random_batch_replay_matches_memory_and_oracle(seed in 1u64..u64::MAX) {
-        let _guard = serial_guard();
         let mut rng = Prng(seed);
         let statements: Vec<String> = std::iter::once(
             "CREATE TABLE works (name TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te)"

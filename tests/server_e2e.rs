@@ -12,8 +12,8 @@
 //! `.trace` is refused, and a server that sends a malformed result gets an
 //! `Err` from the client, not a panic.
 //!
-//! The activity registry and metrics are process globals, so every test
-//! takes `snapshot_obs::testing::serial_guard()`.
+//! Every test serves a database of its own, with its own activity table
+//! and metrics, so the tests run in parallel.
 
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::rewrite::infer_domain;
@@ -30,6 +30,7 @@ use snapshot_semantics::storage::{Catalog, Row, Schema, SqlType, Table, Value};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SETUP: &str = "CREATE TABLE works (name TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te);
@@ -52,6 +53,16 @@ fn start_server(
     let handle = server.handle();
     let thread = std::thread::spawn(move || server.run());
     (addr, handle, thread)
+}
+
+/// Ask the server to shut down through `client`, wait for it, and return
+/// how many connections it served.
+fn stop(client: Client, server: std::thread::JoinHandle<Result<u64, String>>) -> u64 {
+    client.shutdown_server().expect("shutdown request");
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown")
 }
 
 /// A fresh, empty scratch directory, unique per call.
@@ -127,7 +138,6 @@ fn oracle_rows_on(catalog: &Catalog, sql: &str) -> Vec<Row> {
 /// same transaction) — snapshot reducibility, through the socket.
 #[test]
 fn concurrent_remote_readers_are_bag_equal_to_the_oracle() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let (addr, handle, server) = start_server(SharedDatabase::in_memory(), ServerConfig::default());
     let mut setup = Client::connect(addr).expect("connect");
     run_ok(&mut setup, SETUP);
@@ -206,11 +216,7 @@ fn concurrent_remote_readers_are_bag_equal_to_the_oracle() {
         r.join().expect("reader thread");
     }
     writer.join().expect("writer thread");
-    setup.shutdown_server().expect("shutdown request");
-    let served = server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    let served = stop(setup, server);
     assert!(served >= 6, "all clients served, got {served}");
     assert!(handle.is_shutting_down());
 }
@@ -221,7 +227,6 @@ fn concurrent_remote_readers_are_bag_equal_to_the_oracle() {
 /// a Cancelled frame and its connection stays usable.
 #[test]
 fn snapshot_cancel_crosses_connections() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let (addr, handle, server) = start_server(SharedDatabase::in_memory(), ServerConfig::default());
     let mut monitor = Client::connect(addr).expect("connect");
     run_ok(
@@ -304,11 +309,7 @@ fn snapshot_cancel_crosses_connections() {
     let reported = victim.join().expect("victim thread");
     assert_eq!(reported as i64, victim_id, "killed the right session");
 
-    monitor.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(monitor, server);
     drop(handle);
 }
 
@@ -318,7 +319,6 @@ fn snapshot_cancel_crosses_connections() {
 /// overrides the default for that connection only.
 #[test]
 fn server_timeout_default_propagates_and_is_overridable() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let config = ServerConfig {
         options: SessionOptions {
             statement_timeout_ms: Some(5),
@@ -382,28 +382,24 @@ fn server_timeout_default_propagates_and_is_overridable() {
     assert!(resp.error.is_none());
 
     client.close().expect("clean close");
-    fresh.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(fresh, server);
 }
 
 /// SQL `SET` and the `SetOption` frame run one function: every option
 /// name, spelled either way, answers the same and leaves the same state —
 /// as `.timeout` / `.slow` report it, as the resource limits and the join
-/// route show it, and in the process-wide slow-log ring — and a bad name
+/// route show it, and in the database's slow-log ring — and a bad name
 /// or value gets the same error on both paths.
 #[test]
 fn sql_set_and_set_option_frame_take_the_same_names() {
-    let _guard = snapshot_obs::testing::serial_guard();
-    let (addr, _handle, server) =
-        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let shared = SharedDatabase::in_memory();
+    let obs = Arc::clone(shared.obs());
+    let (addr, _handle, server) = start_server(shared, ServerConfig::default());
     let mut by_sql = Client::connect(addr).expect("connect");
     let mut by_frame = Client::connect(addr).expect("connect");
     run_ok(&mut by_sql, SETUP);
 
-    fn state(client: &mut Client) -> String {
+    fn state(client: &mut Client, obs: &snapshot_obs::Obs) -> String {
         let meta = |client: &mut Client, command: &str| match &client
             .meta(command)
             .expect("connection alive")
@@ -416,8 +412,9 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
             let resp = client.query(sql).expect("connection alive");
             resp.error.map(|e| e.to_string())
         };
-        let parallel_joins =
-            snapshot_obs::registry().counter("engine_parallelsweepjoin_invocations_total");
+        let parallel_joins = obs
+            .metrics
+            .counter("engine_parallelsweepjoin_invocations_total");
         let before = parallel_joins.get();
         // A pure overlap self-join over indexed scans: the sweep, run
         // slab-parallel exactly when the session's parallelism is above 1.
@@ -431,7 +428,7 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
             meta(client, "slow"),
             outcome(client, "SELECT name FROM works;"),
             parallel_joins.get() > before,
-            snapshot_obs::slow_log_capacity(),
+            obs.slow_log.capacity(),
         )
     }
 
@@ -473,7 +470,11 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
         let error = sql.error.map(|e| e.to_string());
         assert_eq!(error, frame.error.map(|e| e.to_string()), "{case}");
         refused += usize::from(error.is_some());
-        assert_eq!(state(&mut by_sql), state(&mut by_frame), "{case}");
+        assert_eq!(
+            state(&mut by_sql, &obs),
+            state(&mut by_frame, &obs),
+            "{case}"
+        );
     }
     assert_eq!(refused, 4, "only the last four cases are refused");
     assert_eq!(
@@ -486,25 +487,19 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
         Some("unknown session option 'no_such_option'")
     );
 
-    snapshot_obs::reset_slow_log();
     by_sql.close().expect("clean close");
-    by_frame.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(by_frame, server);
 }
 
 /// Over the wire, bare `.profile` returns exactly the folded stacks —
 /// nothing at all before anything was profiled — which is what the remote
-/// shell's `.profile FILE` writes; and the server refuses `.trace`, so the
-/// process-wide tracer stays off.
+/// shell's `.profile FILE` writes; and the server refuses `.trace`, whose
+/// spans no frame could carry back.
 #[test]
 fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
-    let _guard = snapshot_obs::testing::serial_guard();
-    snapshot_obs::reset_profile();
-    let (addr, _handle, server) =
-        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let shared = SharedDatabase::in_memory();
+    let obs = Arc::clone(shared.obs());
+    let (addr, _handle, server) = start_server(shared, ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     run_ok(&mut client, SETUP);
     // The text a meta command returns, or its error.
@@ -521,7 +516,7 @@ fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
     run_ok(&mut client, "SEQ VT (SELECT count(*) AS c FROM works);");
     meta(&mut client, "profile off").unwrap();
     let folded = meta(&mut client, "profile").unwrap();
-    assert_eq!(folded, snapshot_obs::render_folded());
+    assert_eq!(folded, obs.profile.render_folded());
     assert!(
         folded
             .lines()
@@ -532,14 +527,8 @@ fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
         meta(&mut client, "trace on"),
         Err(".trace works in a local shell only".to_string())
     );
-    assert!(!snapshot_obs::tracing_enabled());
 
-    snapshot_obs::reset_profile();
-    client.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(client, server);
 }
 
 /// Regression: an ordinary error whose text echoes "statement cancelled"
@@ -548,7 +537,6 @@ fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
 /// error's variant, not from its message.
 #[test]
 fn error_echoing_the_cancel_words_is_an_error_frame_and_keeps_the_transaction() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let (addr, _handle, server) =
         start_server(SharedDatabase::in_memory(), ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
@@ -579,11 +567,7 @@ fn error_echoing_the_cancel_words_is_an_error_frame_and_keeps_the_transaction() 
     );
     assert_eq!(first_rows(&results).rows()[0].values()[0], Value::Int(2));
 
-    client.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(client, server);
 }
 
 /// The server accounts every operation it served: after N statements of a
@@ -591,7 +575,6 @@ fn error_echoing_the_cancel_words_is_an_error_frame_and_keeps_the_transaction() 
 /// *over the wire* reports at least N calls for them.
 #[test]
 fn statement_stats_over_the_wire_account_every_operation() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let (addr, _handle, server) =
         start_server(SharedDatabase::in_memory(), ServerConfig::default());
     let mut clients = [
@@ -644,11 +627,7 @@ fn statement_stats_over_the_wire_account_every_operation() {
     );
 
     let [client, _] = clients;
-    client.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(client, server);
 }
 
 /// Acceptance: graceful shutdown with connected clients leaves a
@@ -656,7 +635,6 @@ fn statement_stats_over_the_wire_account_every_operation() {
 /// exactly the committed rows.
 #[test]
 fn graceful_shutdown_leaves_a_recoverable_database() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let dir = scratch_dir("graceful");
     let persistence = PersistenceOptions {
         sync: SyncPolicy::Always,
@@ -674,11 +652,7 @@ fn graceful_shutdown_leaves_a_recoverable_database() {
 
     // An idle second connection rides through the drain.
     let idle = Client::connect(addr).expect("idle connects");
-    client.shutdown_server().expect("shutdown request");
-    let served = server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    let served = stop(client, server);
     assert_eq!(served, 2, "both connections counted");
     drop(idle);
 
@@ -700,18 +674,15 @@ fn graceful_shutdown_leaves_a_recoverable_database() {
 /// — no ghost rows linger in `snapshot_stat_activity`.
 #[test]
 fn killed_socket_mid_query_leaves_no_ghost_activity_rows() {
-    let _guard = snapshot_obs::testing::serial_guard();
-    let (addr, _handle, server) =
-        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let shared = SharedDatabase::in_memory();
+    let obs = Arc::clone(shared.obs());
+    let (addr, _handle, server) = start_server(shared, ServerConfig::default());
     let mut setup = Client::connect(addr).expect("connect");
     run_ok(
         &mut setup,
         "CREATE TABLE srv_ghost (x INT, ts INT, te INT) PERIOD (ts, te);",
     );
     run_ok(&mut setup, &bulk_insert("srv_ghost", 3000));
-    let cancelled_before = snapshot_obs::registry()
-        .get_counter("statements_cancelled_total")
-        .map_or(0, |c| c.get());
 
     // Speak the protocol by hand so we can vanish without a Close frame.
     let mut raw = TcpStream::connect(addr).expect("connect");
@@ -740,7 +711,9 @@ fn killed_socket_mid_query_leaves_no_ghost_activity_rows() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         assert!(Instant::now() < deadline, "statement never became active");
-        let live = snapshot_obs::sessions_snapshot()
+        let live = obs
+            .activity
+            .snapshot()
             .into_iter()
             .any(|s| s.session_id == session_id && s.state == "active");
         if live {
@@ -761,7 +734,7 @@ fn killed_socket_mid_query_leaves_no_ghost_activity_rows() {
             Instant::now() < deadline,
             "ghost activity row: session {session_id} still registered"
         );
-        let sessions = snapshot_obs::sessions_snapshot();
+        let sessions = obs.activity.snapshot();
         if !sessions.iter().any(|s| s.session_id == session_id) {
             assert!(
                 sessions.iter().any(|s| s.session_id == setup.session_id),
@@ -771,19 +744,101 @@ fn killed_socket_mid_query_leaves_no_ghost_activity_rows() {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    let cancelled_after = snapshot_obs::registry()
-        .get_counter("statements_cancelled_total")
-        .map_or(0, |c| c.get());
-    assert!(
-        cancelled_after > cancelled_before,
+    let cancelled = obs.metrics.counter("statements_cancelled_total").get();
+    assert_eq!(
+        cancelled, 1,
         "the orphaned statement was cancelled, not run to completion"
     );
 
-    setup.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(setup, server);
+}
+
+/// Two databases served from one process share no observability state:
+/// each server sees only its own database's sessions, cancellations,
+/// statement statistics, slow log, profile, slow-log capacity and commit
+/// counter.
+#[test]
+fn two_databases_in_one_process_share_no_observability_state() {
+    let (a, b) = (SharedDatabase::in_memory(), SharedDatabase::in_memory());
+    let (obs_a, obs_b) = (Arc::clone(a.obs()), Arc::clone(b.obs()));
+    let (addr_a, _handle_a, server_a) = start_server(a, ServerConfig::default());
+    let (addr_b, _handle_b, server_b) = start_server(b, ServerConfig::default());
+    // Session ids count per database: A has 1 and 2 (`busy`), B only 1.
+    let mut in_a = Client::connect(addr_a).expect("connect");
+    let mut busy = Client::connect(addr_a).expect("connect");
+    let mut in_b = Client::connect(addr_b).expect("connect");
+    let busy_id = busy.session_id;
+    let table = "CREATE TABLE iso_a (x INT, ts INT, te INT) PERIOD (ts, te)";
+    let rows = bulk_insert("iso_a", 2000);
+    run_ok(
+        &mut in_a,
+        &format!("{table}; {rows}; INSERT INTO iso_a VALUES (-1, 0, 5);"),
+    );
+    run_ok(&mut in_b, "CREATE TABLE iso_b (y INT);");
+    let column = |client: &mut Client, sql: &str| -> Vec<String> {
+        let results = run_ok(client, sql);
+        first_rows(&results)
+            .rows()
+            .iter()
+            .map(|r| r.get(0).to_string())
+            .collect()
+    };
+    let activity = "SELECT session_id FROM snapshot_stat_activity;";
+    assert_eq!(
+        column(&mut in_b, activity),
+        ["1"],
+        "B lists only its own session"
+    );
+    assert_eq!(column(&mut in_a, activity).len(), 2);
+
+    // B cannot cancel A's running statement, which completes.
+    let statement = std::thread::spawn(move || {
+        let sql = "SELECT count(*) AS c FROM iso_a a JOIN iso_a b ON a.x <> b.x;";
+        let count = first_rows(&run_ok(&mut busy, sql)).rows()[0].get(0).clone();
+        (busy, count)
+    });
+    wait_until("A's statement never became active", || {
+        let live = obs_a.activity.snapshot();
+        live.iter()
+            .any(|s| s.session_id == busy_id && s.state == "active")
+    });
+    let kill = format!("SELECT snapshot_cancel({busy_id});");
+    assert_eq!(column(&mut in_b, &kill), ["false"]);
+    let (busy, count) = statement.join().expect("A's statement thread");
+    assert_eq!(count, Value::Int(2001 * 2000), "A's statement completed");
+
+    // Statistics, slow log, profile and slow-log capacity stay in A.
+    for (name, value) in [("slow_query_ms", "0"), ("slow_log_capacity", "1")] {
+        in_a.set_option(name, value).expect("connection alive");
+    }
+    in_a.meta("profile on").expect("connection alive");
+    run_ok(&mut in_a, "SEQ VT (SELECT count(*) AS c FROM iso_a);");
+    // The one-entry ring still holds the query above when read first.
+    for sql in [
+        "SELECT statement FROM snapshot_stat_slow_queries;",
+        "SELECT fingerprint FROM snapshot_stat_statements;",
+    ] {
+        let mentions_a = |client| column(client, sql).iter().any(|v| v.contains("iso_a"));
+        assert!(mentions_a(&mut in_a) && !mentions_a(&mut in_b), "{sql}");
+    }
+    let profile = |client: &mut Client| format!("{:?}", client.meta("profile").unwrap().results);
+    assert!(profile(&mut in_a).contains("TemporalAggregate;Scan "));
+    assert_eq!(
+        profile(&mut in_b),
+        format!("{:?}", [RemoteResult::Done(String::new())])
+    );
+    let capacities = (obs_a.slow_log.capacity(), obs_b.slow_log.capacity());
+    assert_eq!(capacities, (1, snapshot_obs::SLOW_LOG_CAPACITY));
+    let commits = |obs: &snapshot_obs::Obs| obs.metrics.counter("txn_commits_total").get();
+    assert_eq!(
+        (commits(&obs_a), commits(&obs_b)),
+        (3, 1),
+        "A: 3 commits, B: 1"
+    );
+
+    busy.close().expect("clean close");
+    stop(in_a, server_a);
+    stop(in_b, server_b);
 }
 
 /// The connection limit refuses the surplus connection with a protocol
@@ -791,12 +846,13 @@ fn killed_socket_mid_query_leaves_no_ghost_activity_rows() {
 /// at the handshake.
 #[test]
 fn connection_limit_and_version_mismatch_are_refused_cleanly() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let config = ServerConfig {
         max_connections: 1,
         ..ServerConfig::default()
     };
-    let (addr, _handle, server) = start_server(SharedDatabase::in_memory(), config);
+    let shared = SharedDatabase::in_memory();
+    let gauge = shared.obs().metrics.gauge("server_connections_active");
+    let (addr, _handle, server) = start_server(shared, config);
     let first = Client::connect(addr).expect("first connection fits");
     let surplus = Client::connect(addr);
     match surplus {
@@ -807,7 +863,6 @@ fn connection_limit_and_version_mismatch_are_refused_cleanly() {
     // Free the one slot and wait for the server to deregister it, so the
     // next connection is refused for its *version*, not for capacity.
     drop(first.close());
-    let gauge = snapshot_obs::registry().gauge("server_connections_active");
     let deadline = Instant::now() + Duration::from_secs(10);
     while gauge.get() > 0 {
         assert!(
@@ -844,11 +899,7 @@ fn connection_limit_and_version_mismatch_are_refused_cleanly() {
         sorted_rows(first_rows(&results))[0].values()[0],
         Value::Int(0)
     );
-    ok.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    stop(ok, server);
 }
 
 /// Handshake a hand-driven connection; returns the session id it got and
@@ -881,18 +932,19 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 /// runs, NULLs and doubles straddling them — comes off a real socket as
 /// the *same row sequence* the in-process session produces (the order is
 /// part of the encoding's uniqueness, not just the bag), and
-/// `server_bytes_sent_total` moves by exactly the bytes the client read.
+/// `server_bytes_sent_total` counts exactly the bytes the client read.
 #[test]
 fn multi_batch_result_arrives_in_order_with_every_byte_accounted() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let shared = SharedDatabase::in_memory();
     let (addr, _handle, server) = start_server(shared.clone(), ServerConfig::default());
-    let mut client = Client::connect(addr).expect("connect");
-    run_ok(
-        &mut client,
+    // Loaded in process: the first connection's bytes are all the server
+    // sends, so the count below is exact without a racy baseline.
+    let mut load = shared.session();
+    load.execute_script(
         "CREATE TABLE srv_emp (name TEXT, dept TEXT, pay DOUBLE, ts INT, te INT) PERIOD (ts, te);
          CREATE TABLE srv_dept (dept TEXT, boss TEXT, ts INT, te INT) PERIOD (ts, te);",
-    );
+    )
+    .unwrap();
     let mut emp = String::from("INSERT INTO srv_emp VALUES ");
     for i in 0..400 {
         let pay = match i % 5 {
@@ -919,7 +971,7 @@ fn multi_batch_result_arrives_in_order_with_every_byte_accounted() {
             ));
         }
     }
-    run_ok(&mut client, &format!("{emp}; {dept};"));
+    load.execute_script(&format!("{emp}; {dept};")).unwrap();
     let sql =
         "SEQ VT (SELECT e.name, e.pay, d.boss FROM srv_emp e JOIN srv_dept d ON e.dept = d.dept);";
 
@@ -934,15 +986,9 @@ fn multi_batch_result_arrives_in_order_with_every_byte_accounted() {
     let column = |c: usize| expected.rows().iter().map(move |r| r.get(c));
     assert!(column(1).any(Value::is_null) && column(1).any(|v| matches!(v, Value::Double(_))));
 
-    // Through `Client`: same rows, same order.
-    let results = run_ok(&mut client, sql);
-    assert_eq!(first_rows(&results).rows(), expected.rows());
-    assert_eq!(first_rows(&results).period(), expected.period());
-
     // By hand, counting every byte of a connection: `Welcome`, then the
     // response up to `Ready`.
-    let sent = snapshot_obs::registry().counter("server_bytes_sent_total");
-    let sent_before = sent.get();
+    let sent = shared.obs().metrics.counter("server_bytes_sent_total");
     let mut raw = TcpStream::connect(addr).expect("connect");
     let (_, mut consumed) = raw_hello(&mut raw, "byte-counter");
     write_frame(&mut raw, &Frame::Query { sql: sql.into() }).unwrap();
@@ -965,16 +1011,17 @@ fn multi_batch_result_arrives_in_order_with_every_byte_accounted() {
     // The server counts a frame after writing it, so the last add can trail
     // the client's read of `Ready`; it must land on the byte.
     wait_until("server_bytes_sent_total never caught up", || {
-        sent.get() - sent_before >= consumed
+        sent.get() >= consumed
     });
-    assert_eq!(sent.get() - sent_before, consumed);
-
+    assert_eq!(sent.get(), consumed);
     drop(raw);
-    client.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+
+    // Through `Client`: same rows, same order.
+    let mut client = Client::connect(addr).expect("connect");
+    let results = run_ok(&mut client, sql);
+    assert_eq!(first_rows(&results).rows(), expected.rows());
+    assert_eq!(first_rows(&results).period(), expected.period());
+    stop(client, server);
 }
 
 /// A client that vanishes in the middle of a multi-batch result: the
@@ -983,11 +1030,13 @@ fn multi_batch_result_arrives_in_order_with_every_byte_accounted() {
 /// deregisters exactly once.
 #[test]
 fn client_dropped_mid_result_fails_the_stream_and_deregisters_once() {
-    let _guard = snapshot_obs::testing::serial_guard();
-    let (addr, _handle, server) =
-        start_server(SharedDatabase::in_memory(), ServerConfig::default());
-    let mut setup = Client::connect(addr).expect("connect");
-    run_ok(&mut setup, "CREATE TABLE srv_wide (x INT, pad TEXT);");
+    let shared = SharedDatabase::in_memory();
+    let obs = Arc::clone(shared.obs());
+    // Loaded in process, so the two welcomes below are all the bytes the
+    // server sends before the dropped stream.
+    let mut load = shared.session();
+    load.execute("CREATE TABLE srv_wide (x INT, pad TEXT)")
+        .unwrap();
     // 300 rows of distinct 200-byte strings; the self-join below ships
     // ~90 000 rows × 400 bytes that no run or delta shrinks — far more
     // than the socket buffers between the two ends hold.
@@ -996,10 +1045,12 @@ fn client_dropped_mid_result_fails_the_stream_and_deregisters_once() {
         let sep = if i == 0 { "" } else { ", " };
         insert.push_str(&format!("{sep}({i}, '{}')", format!("{i:04}").repeat(50)));
     }
-    run_ok(&mut setup, &insert);
+    load.execute(&insert).unwrap();
+    let (addr, _handle, server) = start_server(shared, ServerConfig::default());
+    let mut survivor = TcpStream::connect(addr).expect("connect");
+    let (survivor_id, survivor_bytes) = raw_hello(&mut survivor, "survivor");
 
-    let sent = snapshot_obs::registry().counter("server_bytes_sent_total");
-    let sent_before = sent.get();
+    let sent = obs.metrics.counter("server_bytes_sent_total");
     let mut raw = TcpStream::connect(addr).expect("connect");
     let (session_id, welcome_bytes) = raw_hello(&mut raw, "half-reader");
     write_frame(
@@ -1017,34 +1068,28 @@ fn client_dropped_mid_result_fails_the_stream_and_deregisters_once() {
     raw.shutdown(Shutdown::Both).unwrap();
     drop(raw);
 
+    let listed = |id| obs.activity.snapshot().iter().any(|s| s.session_id == id);
     wait_until("ghost activity row after a mid-result drop", || {
-        !snapshot_obs::sessions_snapshot()
-            .iter()
-            .any(|s| s.session_id == session_id)
+        !listed(session_id)
     });
     assert!(
-        snapshot_obs::sessions_snapshot()
-            .iter()
-            .any(|s| s.session_id == setup.session_id),
+        listed(survivor_id),
         "the surviving connection keeps its row"
     );
-    let gauge = snapshot_obs::registry().gauge("server_connections_active");
+    let gauge = obs.metrics.gauge("server_connections_active");
     wait_until("torn connection never left the registry", || {
         gauge.get() == 1
     });
     // Bytes are counted per completed result: a stream that failed midway
     // added nothing, which is how the failure shows from outside.
     assert_eq!(
-        sent.get() - sent_before,
-        welcome_bytes,
+        sent.get(),
+        survivor_bytes + welcome_bytes,
         "write_rowset must have failed"
     );
 
-    setup.shutdown_server().expect("shutdown request");
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean shutdown");
+    drop(survivor);
+    stop(Client::connect(addr).expect("connect"), server);
 }
 
 /// A scripted stand-in for the server: handshakes, reads one request and

@@ -589,7 +589,6 @@ fn stress_concurrent_readers_match_the_oracle_on_their_pinned_snapshot() {
 /// the reader holds on, and this test times out.
 #[test]
 fn a_commit_builds_its_indexes_while_a_reader_holds_the_state_lock() {
-    let _guard = snapshot_obs::testing::serial_guard();
     let schema = Schema::of(&[
         ("name", SqlType::Str),
         ("ts", SqlType::Int),
@@ -599,8 +598,9 @@ fn a_commit_builds_its_indexes_while_a_reader_holds_the_state_lock() {
     works.extend((0..500).map(|i| row![format!("w{i}"), i, i + 10]));
     let mut catalog = Catalog::new();
     catalog.register("works", works);
-    let mgr = TxnManager::new(catalog, IndexCatalog::new());
-    let full_builds = snapshot_obs::registry().counter("index_full_builds_total");
+    let metrics = snapshot_obs::MetricsRegistry::new();
+    let mgr = TxnManager::new(catalog, IndexCatalog::recording_into(&metrics), &metrics);
+    let full_builds = metrics.counter("index_full_builds_total");
     let seq_before = mgr.commit_seq();
 
     let (held_tx, held_rx) = mpsc::channel::<()>();
