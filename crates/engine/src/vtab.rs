@@ -7,7 +7,7 @@
 //! (the catalog snapshot and the index catalog). Schemas are fixed in
 //! [`algebra::vtab`]; rows here must match them column for column.
 
-use index::IndexCatalog;
+use index::{IndexCatalog, MaintenanceStats};
 use snapshot_obs::Obs;
 use storage::{Catalog, Row, Value};
 
@@ -83,7 +83,7 @@ pub fn virtual_table_rows(
             let Some(reg) = indexes else {
                 return Ok(Vec::new());
             };
-            let maint = reg.maintenance();
+            let maint = MaintenanceStats::read(&obs.metrics);
             Ok(reg
                 .table_names()
                 .map(|name| {

@@ -5,9 +5,9 @@ use snapshot_obs::{self as obs, Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
 use storage::{Catalog, Row, Table};
 
-/// Index-maintenance telemetry in a database's registry: the repair split
-/// mirrors [`MaintenanceStats`], and the histograms time the two repair
-/// paths (an `ensure` hitting a fresh entry records nothing).
+/// Index-maintenance telemetry in a database's registry: the two repair
+/// counters [`MaintenanceStats::read`] reports, and histograms timing the
+/// two repair paths (an `ensure` hitting a fresh entry records nothing).
 #[derive(Debug)]
 struct IndexMetrics {
     full_builds: Arc<Counter>,
@@ -25,7 +25,7 @@ struct IndexMetrics {
 ///
 /// An index is a snapshot of the table at one [`Table::version`];
 /// [`TableIndex::is_fresh`] detects staleness and [`IndexCatalog::ensure`]
-/// rebuilds on demand.
+/// repairs it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableIndex {
     version: u64,
@@ -129,15 +129,27 @@ impl TableIndex {
     }
 }
 
-/// Counters describing how [`IndexCatalog::ensure`] repaired stale entries
-/// — the observable split between full rebuilds and the append-only
-/// incremental fast path.
+/// How [`IndexCatalog::ensure`] has repaired stale entries across one
+/// database — the split between full rebuilds and the append-only
+/// incremental fast path, as its metrics registry counts them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Indexes built from scratch (first build, or structural mutation).
     pub full_builds: u64,
     /// Indexes extended in place after pure appends.
     pub incremental_builds: u64,
+}
+
+impl MaintenanceStats {
+    /// The repair counts recorded in `metrics` by every registry built
+    /// with [`IndexCatalog::recording_into`] it.
+    pub fn read(metrics: &MetricsRegistry) -> Self {
+        let count = |name| metrics.get_counter(name).map_or(0, |c| c.get());
+        MaintenanceStats {
+            full_builds: count("index_full_builds_total"),
+            incremental_builds: count("index_incremental_builds_total"),
+        }
+    }
 }
 
 /// The namespace of table indexes, mirroring [`storage::Catalog`].
@@ -150,19 +162,20 @@ pub struct MaintenanceStats {
 /// Entries are held behind [`std::sync::Arc`], so cloning the registry is
 /// cheap — an MVCC snapshot pins the index registry together with the
 /// catalog and keeps serving index-accelerated reads no matter how the
-/// committed registry evolves. Repairs ([`IndexCatalog::ensure`]) swap in
-/// a fresh `Arc`; pinned clones keep the entry they saw, and every clone
-/// records its repairs into the same registry.
+/// committed registry evolves. Only the registry's owner repairs it
+/// ([`IndexCatalog::ensure`], [`IndexCatalog::refresh`]): a shared
+/// database's transaction manager when it publishes tables, an owned
+/// database before its session's reads. Readers of a pinned clone never
+/// do; a stale entry just sends them down the naive route.
 #[derive(Debug, Clone, Default)]
 pub struct IndexCatalog {
     indexes: std::collections::BTreeMap<String, std::sync::Arc<TableIndex>>,
-    maintenance: MaintenanceStats,
     /// `None` records nothing (a registry built outside any database).
     metrics: Option<Arc<IndexMetrics>>,
 }
 
-// Equality compares the registered indexes only; the maintenance counters
-// are observability, not state.
+// Equality compares the registered indexes only; the metrics handles are
+// observability, not state.
 impl PartialEq for IndexCatalog {
     fn eq(&self, other: &Self) -> bool {
         self.indexes == other.indexes
@@ -192,13 +205,7 @@ impl IndexCatalog {
     /// Builds indexes for every period table of the catalog.
     pub fn build_all(catalog: &Catalog) -> Self {
         let mut reg = IndexCatalog::new();
-        for name in catalog.table_names().collect::<Vec<_>>() {
-            let table = catalog.get(name).unwrap();
-            if let Some(idx) = TableIndex::build(table) {
-                reg.indexes
-                    .insert(name.to_string(), std::sync::Arc::new(idx));
-            }
-        }
+        reg.refresh(catalog, catalog.table_names());
         reg
     }
 
@@ -223,7 +230,7 @@ impl IndexCatalog {
     /// *extended* ([`TableIndex::extend_appended`] — sorted structures
     /// merge instead of re-sorting); deletes, updates, and replaced tables
     /// fall back to a full [`TableIndex::build`]. The split is observable
-    /// via [`IndexCatalog::maintenance`].
+    /// via [`MaintenanceStats::read`].
     pub fn ensure(&mut self, name: &str, table: &Table) -> Option<&TableIndex> {
         let stale = self
             .indexes
@@ -244,20 +251,14 @@ impl IndexCatalog {
             };
             match built {
                 Some(idx) => {
-                    let m = self.metrics.as_deref();
-                    if was_incremental {
-                        self.maintenance.incremental_builds += 1;
-                        if let Some(m) = m {
-                            m.incremental_builds.inc();
-                            m.incremental_build_seconds
-                                .observe_duration(started.elapsed());
-                        }
-                    } else {
-                        self.maintenance.full_builds += 1;
-                        if let Some(m) = m {
-                            m.full_builds.inc();
-                            m.full_build_seconds.observe_duration(started.elapsed());
-                        }
+                    if let Some(m) = self.metrics.as_deref() {
+                        let (count, seconds) = if was_incremental {
+                            (&m.incremental_builds, &m.incremental_build_seconds)
+                        } else {
+                            (&m.full_builds, &m.full_build_seconds)
+                        };
+                        count.inc();
+                        seconds.observe_duration(started.elapsed());
                     }
                     self.indexes
                         .insert(name.to_string(), std::sync::Arc::new(idx));
@@ -270,14 +271,21 @@ impl IndexCatalog {
         self.indexes.get(name).map(std::sync::Arc::as_ref)
     }
 
+    /// Repairs the entries of `names` against `catalog` ([`IndexCatalog::ensure`]);
+    /// a name the catalog no longer holds loses its entry.
+    pub fn refresh<'a>(&mut self, catalog: &Catalog, names: impl IntoIterator<Item = &'a str>) {
+        for name in names {
+            if let Some(table) = catalog.get(name) {
+                self.ensure(name, table);
+            } else {
+                self.indexes.remove(name);
+            }
+        }
+    }
+
     /// Drops the index for `name` (table dropped or replaced).
     pub fn remove(&mut self, name: &str) -> Option<std::sync::Arc<TableIndex>> {
         self.indexes.remove(name)
-    }
-
-    /// How `ensure` repaired stale entries so far.
-    pub fn maintenance(&self) -> MaintenanceStats {
-        self.maintenance
     }
 
     /// Look up the registered index for `name` regardless of freshness
@@ -396,10 +404,11 @@ mod tests {
     #[test]
     fn append_only_mutations_take_the_incremental_path() {
         let mut t = works_table();
-        let mut c = Catalog::new();
-        c.register("works", t.clone());
-        let mut reg = IndexCatalog::build_all(&c);
-        assert_eq!(reg.maintenance(), MaintenanceStats::default());
+        let metrics = MetricsRegistry::new();
+        let mut reg = IndexCatalog::recording_into(&metrics);
+        reg.register("works", TableIndex::build(&t).unwrap());
+        let maintenance = || MaintenanceStats::read(&metrics);
+        assert_eq!(maintenance(), MaintenanceStats::default());
 
         // Pure appends: the repaired index must equal a full rebuild, via
         // the incremental path.
@@ -409,7 +418,7 @@ mod tests {
         assert_eq!(repaired, TableIndex::build(&t).unwrap());
         assert_eq!(repaired.version(), t.version());
         assert_eq!(
-            reg.maintenance(),
+            maintenance(),
             MaintenanceStats {
                 full_builds: 0,
                 incremental_builds: 1
@@ -432,7 +441,7 @@ mod tests {
         t.delete_where(|r| r.int(2) >= 18);
         reg.ensure("works", &t).unwrap();
         assert_eq!(
-            reg.maintenance(),
+            maintenance(),
             MaintenanceStats {
                 full_builds: 1,
                 incremental_builds: 1
@@ -444,17 +453,21 @@ mod tests {
     fn replaced_table_never_takes_the_incremental_path() {
         // A look-alike table replacing the catalog entry must not be
         // treated as "the indexed table plus appends".
-        let t = works_table();
-        let mut c = Catalog::new();
-        c.register("works", t.clone());
-        let mut reg = IndexCatalog::build_all(&c);
+        let metrics = MetricsRegistry::new();
+        let mut reg = IndexCatalog::recording_into(&metrics);
+        reg.register("works", TableIndex::build(&works_table()).unwrap());
 
         let mut replacement = works_table();
         replacement.push(row!["Eve", "SP", 0, 2]);
         let repaired = reg.ensure("works", &replacement).unwrap();
         assert_eq!(repaired.version(), replacement.version());
-        assert_eq!(reg.maintenance().full_builds, 1);
-        assert_eq!(reg.maintenance().incremental_builds, 0);
+        assert_eq!(
+            MaintenanceStats::read(&metrics),
+            MaintenanceStats {
+                full_builds: 1,
+                incremental_builds: 0
+            }
+        );
     }
 
     #[test]

@@ -377,7 +377,7 @@ pub enum Phase {
     Bind,
     /// `SEQ VT` rewrite / plan compilation.
     Rewrite,
-    /// Lazy index repair.
+    /// Index repair (owned databases only).
     Index,
     /// Plan execution.
     Execute,

@@ -4,9 +4,13 @@
 //! The storage layer stays index-agnostic and the index layer stays
 //! storage-agnostic (PR 1); this type is where the two meet. Every mutation
 //! goes through [`storage::Table`]'s version-bumping API, so indexes
-//! invalidate automatically, and [`Database::refresh_indexes`] repairs them
-//! lazily right before an indexed query — taking the append-only
+//! invalidate automatically. An owned database has one session, which
+//! repairs the scanned tables' indexes in place right before each indexed
+//! query ([`Database::refresh_indexes`]) — taking the append-only
 //! incremental path whenever the table's checkpoint history allows it.
+//! Once promoted into a [`crate::SharedDatabase`], the registry belongs to
+//! the transaction manager, which builds every index up front and repairs
+//! them as it publishes; its readers never repair.
 
 use index::{IndexCatalog, MaintenanceStats};
 use snapshot_obs::{Counter, Histogram, Obs};
@@ -59,8 +63,9 @@ impl Database {
         (self.catalog, self.indexes, self.telemetry)
     }
 
-    /// A database over an existing catalog (indexes are built lazily, on
-    /// first indexed query), with observability state of its own.
+    /// A database over an existing catalog (indexes are built on the first
+    /// indexed query, or all at once by [`crate::SharedDatabase::new`]),
+    /// with observability state of its own.
     pub fn from_catalog(catalog: Catalog) -> Self {
         let obs = Obs::default();
         let m = &obs.metrics;
@@ -110,9 +115,10 @@ impl Database {
     }
 
     /// How index maintenance repaired stale entries so far (full rebuilds
-    /// vs. append-only incremental extensions).
+    /// vs. append-only incremental extensions), across this database and
+    /// its clones (they share one metrics registry).
     pub fn index_maintenance(&self) -> MaintenanceStats {
-        self.indexes.maintenance()
+        MaintenanceStats::read(&self.telemetry.obs.metrics)
     }
 
     /// Creates a table. `period` names the two INT columns holding each
@@ -181,15 +187,12 @@ impl Database {
         snapshot_txn::publish_write_set(working, write_set, &mut self.catalog, &mut self.indexes);
     }
 
-    /// Repairs the indexes of the named tables (incremental when only
-    /// appends happened, full rebuild otherwise). Non-temporal and unknown
-    /// names are skipped.
+    /// Repairs the indexes of the named tables in place (incremental when
+    /// only appends happened, full rebuild otherwise). Non-temporal and
+    /// unknown names are left without an entry.
     pub fn refresh_indexes(&mut self, tables: &[String]) {
-        for name in tables {
-            if let Some(table) = self.catalog.get(name) {
-                self.indexes.ensure(name, table);
-            }
-        }
+        self.indexes
+            .refresh(&self.catalog, tables.iter().map(String::as_str));
     }
 }
 

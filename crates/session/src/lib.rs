@@ -8,8 +8,9 @@
 //! * [`Database`] — the in-memory value: owns the [`storage::Catalog`] and
 //!   the [`index::IndexCatalog`], with validated mutation entry points; every
 //!   mutation bumps [`storage::Table::version`], so indexes invalidate
-//!   automatically and are repaired lazily (incrementally after pure
-//!   appends) right before the next indexed query,
+//!   automatically and are repaired (incrementally after pure appends) by
+//!   the registry's owner: an owned database right before its session's
+//!   next indexed query, a [`SharedDatabase`] when it publishes tables,
 //! * [`Session`] — the `execute(sql) -> StatementResult` pipeline: DDL
 //!   (`CREATE TABLE ... PERIOD (b, e)`, `DROP TABLE`), non-sequenced DML
 //!   (`INSERT ... VALUES`/`... SELECT`, `DELETE`, `UPDATE`), and queries —

@@ -55,7 +55,9 @@ Meta commands:
   .help              this help
   .tables            list tables (rows, period, index state)
   .load employees N  load the synthetic Employees dataset (~N employees)
-  .index [t]         refresh the index of table t (all tables when omitted)
+  .index [t]         build the index of table t (all tables when omitted)
+                     on an owned database; a shared database's indexes
+                     are built when tables are published, so it reports 0
   .parallel N SQL    run a query on N concurrent reader sessions and check
                      they all agree (the shared-database demo)
   .explain SQL       show the compiled physical plan of a query (use the

@@ -1,19 +1,21 @@
 //! Sessions: the statement-level execution pipeline.
 //!
 //! [`Session::execute`] runs one SQL statement end-to-end: parse → (for
-//! queries) bind and `REWR`-compile → refresh the indexes of the scanned
-//! tables → execute, or (for DDL/DML) validate and apply the mutation
-//! through the storage layer's version-bumping API. This is the paper's
-//! middleware picture (Section 9) made operational: the `SEQ VT` language
-//! feature over a *live* database instead of a preloaded one.
+//! queries) bind and `REWR`-compile → (on an owned database) repair the
+//! indexes of the scanned tables → execute, or (for DDL/DML) validate and
+//! apply the mutation through the storage layer's version-bumping API.
+//! This is the paper's middleware picture (Section 9) made operational:
+//! the `SEQ VT` language feature over a *live* database instead of a
+//! preloaded one.
 //!
 //! A session runs against one of two backends:
 //!
 //! * **owned** — the session exclusively owns an in-memory [`Database`]
 //!   ([`Session::new`]); bare statements apply directly (autocommit).
 //! * **shared** — the session is one of many over a
-//!   [`crate::SharedDatabase`]; reads pin an MVCC snapshot, and every
-//!   write — bare or transactional — publishes through the transaction
+//!   [`crate::SharedDatabase`]; reads pin an MVCC snapshot (whose indexes
+//!   the transaction manager keeps fresh — a reader never repairs), and
+//!   every write — bare or transactional — publishes through the transaction
 //!   manager's serialized, first-committer-wins commit path. A durable
 //!   database ([`crate::SharedDatabase::open_durable`]) is always shared:
 //!   that commit path is where the write-ahead log sits.
@@ -25,7 +27,8 @@
 //! commit unit with a single fsync, and publishes them; `ROLLBACK`
 //! discards them — the catalog is bit-for-bit what it was at `BEGIN`. A
 //! failed `COMMIT` (write-write conflict, durability failure) rolls the
-//! transaction back.
+//! transaction back. Inside a transaction, a table it wrote is read on the
+//! naive routes until `COMMIT` (its pinned index is stale by version).
 //!
 //! What a failure does to the session is decided by the variant of its
 //! [`StatementError`], never by the message: `Cancelled` rolls the open
@@ -39,7 +42,7 @@ use crate::database::{
 use crate::shared::SharedDatabase;
 use algebra::Plan;
 use engine::{eval_expr, Engine, EngineConfig, ExecContext, ExecStats, NodeStats, Prepared};
-use index::{IndexCatalog, MaintenanceStats};
+use index::MaintenanceStats;
 use rewrite::{infer_domain, RewriteOptions, SnapshotCompiler};
 use snapshot_obs::{self as obs, Histogram, Obs, StatementError};
 use snapshot_txn::{CatalogSnapshot, Transaction};
@@ -144,8 +147,10 @@ impl fmt::Display for StatementResult {
 /// Session configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionOptions {
-    /// Route queries through the index registry (on by default; indexes
-    /// are refreshed lazily before each indexed query).
+    /// Route queries through the index registry (on by default). A shared
+    /// database's indexes are fresh whenever a table is published; an
+    /// owned database repairs the scanned tables' indexes in place before
+    /// each indexed query.
     pub use_indexes: bool,
     /// After every indexed query, re-execute on the naive route and fail
     /// on divergence — the end-to-end check that version-based index
@@ -261,7 +266,8 @@ pub struct PhaseTimings {
     pub bind_ns: u64,
     /// `SEQ VT` rewrite and physical-plan compilation.
     pub rewrite_ns: u64,
-    /// Lazy index repair of the scanned tables.
+    /// Index repair of the scanned tables (owned databases only: a shared
+    /// database's indexes are fresh when its tables are published).
     pub index_ns: u64,
     /// Plan execution (including any `.verify on` cross-check).
     pub execute_ns: u64,
@@ -446,21 +452,21 @@ impl Session {
     /// A consistent snapshot of what this session's next read would see:
     /// the open transaction's working state (its pinned snapshot plus its
     /// own writes), or the current committed/owned state. Cheap — tables
-    /// are `Arc`-shared, not copied.
+    /// are `Arc`-shared, not copied. The indexes are the owned database's
+    /// own registry, or on a shared one the pinned snapshot's.
     pub fn read_view(&self) -> CatalogSnapshot {
-        if let Some(txn) = &self.txn {
-            return CatalogSnapshot::new(
-                txn.catalog().clone(),
-                txn.indexes().clone(),
-                txn.snapshot().commit_seq(),
-            );
-        }
-        match &self.backend {
-            Backend::Owned(db) => {
-                CatalogSnapshot::new(db.catalog().clone(), db.indexes().clone(), 0)
+        let (catalog, indexes, commit_seq) = match (&self.txn, &self.backend) {
+            (None, Backend::Shared(shared)) => return shared.snapshot(),
+            (Some(txn), Backend::Shared(_)) => {
+                let pinned = txn.snapshot();
+                (txn.catalog(), pinned.indexes(), pinned.commit_seq())
             }
-            Backend::Shared(shared) => shared.snapshot(),
-        }
+            (txn, Backend::Owned(db)) => {
+                let catalog = txn.as_ref().map_or(db.catalog(), Transaction::catalog);
+                (catalog, db.indexes(), 0)
+            }
+        };
+        CatalogSnapshot::new(catalog.clone(), indexes.clone(), commit_seq)
     }
 
     /// Whether an explicit transaction is open.
@@ -533,38 +539,26 @@ impl Session {
         }
     }
 
-    /// How index maintenance repaired stale entries so far, on the state
-    /// this session reads (committed state for shared sessions).
+    /// How index maintenance has repaired stale entries so far, across
+    /// the database this session serves.
     pub fn index_maintenance(&self) -> MaintenanceStats {
-        match &self.backend {
-            Backend::Owned(db) => db.index_maintenance(),
-            Backend::Shared(shared) => shared.index_maintenance(),
-        }
+        MaintenanceStats::read(&self.telemetry.obs.metrics)
     }
 
-    /// Repairs the indexes of `table` (all tables when `None`) on the
-    /// state this session reads: the open transaction's working state, the
-    /// owned database, or the shared committed state.
+    /// Repairs the indexes of `table` (all tables when `None`) of an owned
+    /// database, in place. A shared database's indexes are fresh whenever
+    /// a table is published, so there this only checks the name.
     pub fn refresh_indexes(&mut self, table: Option<&str>) -> Result<(), String> {
-        let names: Vec<String> = {
-            let view = self.read_view();
-            match table {
-                Some(name) => {
-                    if view.catalog().get(name).is_none() {
-                        return Err(format!("unknown table '{name}'"));
-                    }
-                    vec![name.to_string()]
-                }
-                None => view.catalog().table_names().map(String::from).collect(),
+        let view = self.read_view();
+        let names: Vec<String> = match table {
+            Some(name) if view.catalog().get(name).is_none() => {
+                return Err(format!("unknown table '{name}'"))
             }
+            Some(name) => vec![name.to_string()],
+            None => view.catalog().table_names().map(String::from).collect(),
         };
-        if let Some(txn) = self.txn.as_mut() {
-            txn.refresh_indexes(&names);
-            return Ok(());
-        }
-        match &mut self.backend {
-            Backend::Owned(db) => db.refresh_indexes(&names),
-            Backend::Shared(shared) => shared.refresh_indexes(Some(&names)),
+        if let Backend::Owned(db) = &mut self.backend {
+            db.refresh_indexes(&names);
         }
         Ok(())
     }
@@ -652,7 +646,7 @@ impl Session {
             return Err("only query statements have plans to explain".into());
         };
         let view = self.read_view();
-        compile_query_timed(&self.options, view.catalog(), &q, &mut self.phases, None)
+        compile_query(&self.options, view.catalog(), &q, &mut self.phases, None)
     }
 
     /// Feed the database's statement statistics and (past the threshold)
@@ -734,18 +728,20 @@ impl Session {
                     let signalled = self.telemetry.obs.activity.cancel(id);
                     return Ok(StatementResult::Rows(cancel_result_table(signalled)));
                 }
-                Ok(StatementResult::Rows(self.run_query(q, false)?))
+                Ok(StatementResult::Rows(self.run_query(q, false)?.0))
             }
             SqlStatement::Explain {
                 analyze: true,
                 statement,
-            } => Ok(StatementResult::Rows(self.run_query(statement, true)?)),
+            } => Ok(StatementResult::Rows(self.run_query(statement, true)?.0)),
             SqlStatement::Explain {
                 analyze: false,
                 statement,
             } => {
                 let view = self.read_view();
-                let plan = compile_query(&self.options, view.catalog(), statement)?;
+                let (options, phases, activity) =
+                    (&self.options, &mut self.phases, Some(&self.activity));
+                let plan = compile_query(options, view.catalog(), statement, phases, activity)?;
                 Ok(StatementResult::Rows(plan_text_table(&plan.explain())))
             }
             SqlStatement::Begin => self.begin_txn(),
@@ -807,16 +803,13 @@ impl Session {
     }
 
     /// A statement died with a cancellation error: count it in the
-    /// registry, roll back whatever transaction it was running in (the
-    /// WAL never saw its writes — statements are only logged at COMMIT),
+    /// registry, roll back the explicit transaction it ran in, if any (the
+    /// WAL never saw its writes — statements are only logged at COMMIT;
+    /// an autocommit statement's implicit transaction is already gone),
     /// and stamp the slow log (when armed) with the cancellation reason.
     fn unwind_cancelled(&mut self, kind: obs::CancelKind, text: Option<&str>) {
         self.telemetry.obs.activity.note_cancellation(kind);
-        // Drop the open transaction (explicit or implicit): its pinned
-        // snapshot is what everyone else still sees, so this is the whole
-        // rollback — buffered statement text only reaches the WAL at
-        // COMMIT.
-        self.txn = None;
+        self.abort_txn();
         if self.options.slow_query_ms.is_some() {
             self.record_slow_query(
                 text.unwrap_or("<prepared statement>"),
@@ -866,10 +859,24 @@ impl Session {
     /// `ROLLBACK`: drop the working state; the snapshot pinned at `BEGIN`
     /// is what everyone still sees, so there is nothing to undo.
     fn rollback_txn(&mut self) -> Result<StatementResult, StatementError> {
-        if self.txn.take().is_none() {
+        if !self.abort_txn() {
             return Err("no transaction is open".into());
         }
         Ok(StatementResult::RolledBack)
+    }
+
+    /// Drops the open transaction, if any, and reports whether there was
+    /// one. On a shared database the transaction manager counts it in
+    /// `txn_rollbacks_total`; an owned database has no transaction
+    /// counters.
+    fn abort_txn(&mut self) -> bool {
+        let Some(txn) = self.txn.take() else {
+            return false;
+        };
+        if let Backend::Shared(shared) = &self.backend {
+            shared.rollback(txn);
+        }
+        true
     }
 
     /// The catalog the next mutation targets: the open transaction's
@@ -1029,15 +1036,12 @@ impl Session {
                 ))
             }
             SqlStatement::Insert { table, source } => {
-                let rows = self.eval_insert_source(source)?;
-                if let (InsertSource::Query(q), true) = (source, self.txn.is_some()) {
+                let (rows, sources) = self.eval_insert_source(source)?;
+                if let Some(txn) = self.txn.as_mut() {
                     // The inserted rows depend on the *source* tables'
                     // pinned state; record them as replay dependencies so
                     // commit validation refuses to log a statement whose
                     // WAL replay would read a different source.
-                    let sources =
-                        compile_query(&self.options, self.target_catalog(), q)?.referenced_tables();
-                    let txn = self.txn.as_mut().expect("checked");
                     for name in &sources {
                         txn.record_read(name);
                     }
@@ -1120,11 +1124,14 @@ impl Session {
         }
     }
 
-    /// Evaluates an `INSERT` source to rows: constant `VALUES` tuples, or
-    /// a query run through the full pipeline (against this session's
-    /// current read context — inside a transaction, that includes its own
-    /// uncommitted writes).
-    fn eval_insert_source(&mut self, source: &InsertSource) -> Result<Vec<Row>, StatementError> {
+    /// Evaluates an `INSERT` source to rows, plus the tables they were read
+    /// from: constant `VALUES` tuples (no tables), or a query run through
+    /// the full pipeline (against this session's current read context —
+    /// inside a transaction, that includes its own uncommitted writes).
+    fn eval_insert_source(
+        &mut self,
+        source: &InsertSource,
+    ) -> Result<(Vec<Row>, Vec<String>), StatementError> {
         match source {
             InsertSource::Values(value_rows) => {
                 // Constant rows: bind against the empty schema (so stray
@@ -1139,16 +1146,20 @@ impl Session {
                     }
                     rows.push(Row::new(values));
                 }
-                Ok(rows)
+                Ok((rows, Vec::new()))
             }
-            InsertSource::Query(q) => Ok(self.run_query(q, false)?.rows().to_vec()),
+            InsertSource::Query(q) => {
+                let (table, plan) = self.run_query(q, false)?;
+                Ok((table.rows().to_vec(), plan.referenced_tables()))
+            }
         }
     }
 
-    /// The one read route: compiles `stmt` against this session's read
-    /// state (see [`ReadState`]), repairs the indexes of the tables the
-    /// plan scans, and executes it. With `explain_analyze` the result is
-    /// not the rows but the plan as a one-column table of text lines, every
+    /// The one read route: compiles `stmt` against this session's
+    /// [`Session::read_view`], repairs the indexes of the tables the plan
+    /// scans when the database is owned, and executes it; returns the
+    /// result with the plan. With `explain_analyze` the result is not the
+    /// rows but the plan as a one-column table of text lines, every
     /// operator line carrying its actual row count, call count, and
     /// inclusive wall-clock time; operators an accelerated route
     /// short-circuited read `(never executed)`.
@@ -1162,10 +1173,19 @@ impl Session {
         &mut self,
         stmt: &Statement,
         explain_analyze: bool,
-    ) -> Result<Table, StatementError> {
+    ) -> Result<(Table, Plan), StatementError> {
+        let mut view = self.read_view();
+        let (options, phases, activity) = (&self.options, &mut self.phases, Some(&self.activity));
+        let plan = compile_query(options, view.catalog(), stmt, phases, activity)?;
+        if let (Backend::Owned(db), true) = (&mut self.backend, self.options.use_indexes) {
+            self.activity.set_phase(obs::Phase::Index);
+            let started = Instant::now();
+            let _span = obs::Span::enter("session.index");
+            db.refresh_indexes(&plan.referenced_tables());
+            view = self.read_view();
+            self.phases.index_ns += started.elapsed().as_nanos() as u64;
+        }
         let Session {
-            backend,
-            txn,
             options,
             phases,
             slow_actuals,
@@ -1173,19 +1193,6 @@ impl Session {
             activity,
             ..
         } = self;
-        let mut state = match (txn.as_mut(), backend) {
-            (Some(txn), _) => ReadState::Txn(txn),
-            (None, Backend::Owned(db)) => ReadState::Owned(db),
-            (None, Backend::Shared(shared)) => ReadState::Pinned(shared.snapshot()),
-        };
-        let plan = compile_query_timed(options, state.catalog(), stmt, phases, Some(activity))?;
-        if options.use_indexes {
-            activity.set_phase(obs::Phase::Index);
-            let started = Instant::now();
-            let _span = obs::Span::enter("session.index");
-            state.refresh_indexes(&plan.referenced_tables());
-            phases.index_ns += started.elapsed().as_nanos() as u64;
-        }
         activity.set_phase(obs::Phase::Execute);
         let obs = Some(Arc::clone(&telemetry.obs));
         let engine = Engine::with_config(EngineConfig {
@@ -1196,13 +1203,13 @@ impl Session {
             activity.token(),
             obs.clone(),
         ));
-        let catalog = state.catalog();
+        let catalog = view.catalog();
         let started = Instant::now();
         let mut stats = ExecStats::default();
         let mut nodes = NodeStats::default();
         let result = {
             let _span = obs::Span::enter("session.execute");
-            let indexes = options.use_indexes.then(|| state.indexes());
+            let indexes = options.use_indexes.then(|| view.indexes());
             engine
                 .execute_analyzed(&plan, catalog, indexes, &mut stats, &mut nodes)
                 .and_then(|executed| {
@@ -1238,7 +1245,7 @@ impl Session {
                 executed.len(),
                 phases.execute_ns as f64 / 1e6
             ));
-            return Ok(plan_text_table(&text));
+            return Ok((plan_text_table(&text), plan));
         }
         if options.slow_query_ms.is_some() {
             // Rendered only while the slow-query log is armed (a string per
@@ -1246,47 +1253,7 @@ impl Session {
             // out slow.
             *slow_actuals = Some(engine::explain_analyzed(&plan, &nodes));
         }
-        Ok(executed)
-    }
-}
-
-/// What a read runs against: a catalog, its index registry, and a way to
-/// repair that registry for the tables a plan scans.
-enum ReadState<'a> {
-    /// The open transaction's working state (its own writes included).
-    Txn(&'a mut Transaction),
-    /// The exclusively owned database.
-    Owned(&'a mut Database),
-    /// A committed snapshot pinned for this one read (shared autocommit).
-    /// Repairs go to the *pinned* registry: the repaired entries match the
-    /// pinned tables exactly (version epochs), never a newer committed
-    /// state.
-    Pinned(CatalogSnapshot),
-}
-
-impl ReadState<'_> {
-    fn catalog(&self) -> &Catalog {
-        match self {
-            ReadState::Txn(txn) => txn.catalog(),
-            ReadState::Owned(db) => db.catalog(),
-            ReadState::Pinned(snap) => snap.catalog(),
-        }
-    }
-
-    fn indexes(&self) -> &IndexCatalog {
-        match self {
-            ReadState::Txn(txn) => txn.indexes(),
-            ReadState::Owned(db) => db.indexes(),
-            ReadState::Pinned(snap) => snap.indexes(),
-        }
-    }
-
-    fn refresh_indexes(&mut self, tables: &[String]) {
-        match self {
-            ReadState::Txn(txn) => txn.refresh_indexes(tables),
-            ReadState::Owned(db) => db.refresh_indexes(tables),
-            ReadState::Pinned(snap) => snap.refresh_indexes(tables),
-        }
+        Ok((executed, plan))
     }
 }
 
@@ -1300,19 +1267,11 @@ fn commit_owned(db: &mut Database, txn: Transaction) -> Result<usize, StatementE
     Ok(published)
 }
 
-/// Compiles a query statement against a catalog.
+/// Compiles a query statement against a catalog, splitting the bind and
+/// rewrite wall-clock into the caller's phase breakdown (and, when the
+/// statement runs on behalf of a registered session, into its
+/// live-activity phase).
 fn compile_query(
-    options: &SessionOptions,
-    catalog: &Catalog,
-    stmt: &Statement,
-) -> Result<Plan, String> {
-    compile_query_timed(options, catalog, stmt, &mut PhaseTimings::default(), None)
-}
-
-/// [`compile_query`], splitting the bind and rewrite wall-clock into the
-/// caller's phase breakdown (and, when the statement runs on behalf of a
-/// registered session, into its live-activity phase).
-fn compile_query_timed(
     options: &SessionOptions,
     catalog: &Catalog,
     stmt: &Statement,

@@ -3,10 +3,12 @@
 //! [`SharedDatabase`] is the `Arc`-based handle that turns a [`Database`]
 //! into a multi-session object: any number of threads hold clones of the
 //! handle and open [`crate::Session`]s over it. Reads pin MVCC snapshots
-//! from the [`snapshot_txn::TxnManager`] (readers never block and never
-//! see in-flight writes); writes — bare statements wrapped in implicit
-//! transactions, or explicit `BEGIN`…`COMMIT` blocks — go through the
-//! serialized, first-committer-wins commit path.
+//! from the [`snapshot_txn::TxnManager`] (readers never block, never see
+//! in-flight writes, and never build an index: the manager builds them all
+//! when the database is promoted and repairs them as it publishes);
+//! writes — bare statements wrapped in implicit transactions, or explicit
+//! `BEGIN`…`COMMIT` blocks — go through the serialized,
+//! first-committer-wins commit path.
 //!
 //! Durability lives at the commit boundary, and only here — this is the
 //! one durable write path and the one recovery driver: the write-ahead
@@ -109,7 +111,8 @@ pub struct SharedDatabase {
 impl SharedDatabase {
     /// Promotes an in-memory database into a shared, multi-session
     /// object (durable ones come from [`SharedDatabase::open_durable`]);
-    /// it keeps the database's observability state.
+    /// it keeps the database's observability state, and every period
+    /// table's index is built here.
     pub fn new(db: Database) -> Self {
         let (catalog, indexes, telemetry) = db.into_parts();
         let m = &telemetry.obs.metrics;
@@ -217,6 +220,12 @@ impl SharedDatabase {
         self.inner.txns.begin()
     }
 
+    /// Rolls a transaction back: drops it and counts it in
+    /// `txn_rollbacks_total`.
+    pub(crate) fn rollback(&self, txn: Transaction) {
+        self.inner.txns.rollback(txn);
+    }
+
     /// Commits a transaction: validate first-committer-wins, append the
     /// commit unit to the WAL (one fsync), publish, auto-checkpoint.
     pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitOutcome, StatementError> {
@@ -279,8 +288,8 @@ impl SharedDatabase {
 
     /// Installs tables wholesale (the bulk-load path — no statement form):
     /// serialized against commits like a competing transaction that wins,
-    /// then checkpointed immediately when durable (the WAL cannot replay a
-    /// bulk load).
+    /// published with their indexes built, then checkpointed immediately
+    /// when durable (the WAL cannot replay a bulk load).
     pub fn register_tables<I>(&self, tables: I) -> Result<(), String>
     where
         I: IntoIterator<Item = (String, Table)>,
@@ -291,14 +300,11 @@ impl SharedDatabase {
 
     /// How committed-index maintenance repaired stale entries so far.
     pub fn index_maintenance(&self) -> MaintenanceStats {
-        self.inner
-            .txns
-            .with_committed(|_, indexes| indexes.maintenance())
+        MaintenanceStats::read(&self.inner.telemetry.obs.metrics)
     }
 
-    /// Repairs the committed indexes of the named tables (all when
-    /// `None`).
-    pub fn refresh_indexes(&self, tables: Option<&[String]>) {
-        self.inner.txns.refresh_committed_indexes(tables);
-    }
+    /// Does nothing: the committed indexes are fresh whenever a table is
+    /// published, so there is nothing to build on request. Kept so that
+    /// existing callers compile.
+    pub fn refresh_indexes(&self, _tables: Option<&[String]>) {}
 }

@@ -10,7 +10,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use storage::{Catalog, Table};
 
-/// The committed state: what a new snapshot pins.
+/// The committed state: what a new snapshot pins. Every period table's
+/// index in `indexes` is fresh (see [`TxnManager`]).
 #[derive(Debug)]
 struct Committed {
     catalog: Catalog,
@@ -58,6 +59,14 @@ pub struct CommitOutcome {
 ///   publication, still under the commit lock — the write-ahead log
 ///   receives only committable units, in commit order, and a unit that
 ///   fails to log aborts the commit with the committed state untouched.
+/// * **Indexes are fresh when published.** The manager owns the committed
+///   index registry and is its only writer: it builds every period
+///   table's index when it is constructed, and each publication
+///   ([`TxnManager::commit_with`], [`TxnManager::install_tables`]) repairs
+///   the indexes of the tables it publishes before they become visible. A
+///   pinned snapshot therefore never has to repair anything, and a
+///   transaction reads the tables it wrote — whose pinned indexes are
+///   stale by version — on the naive routes until it commits.
 #[derive(Debug)]
 pub struct TxnManager {
     // Poisoning only happens when a thread panicked mid-operation; the
@@ -108,11 +117,12 @@ pub fn validate_first_committer_wins(
 
 /// Publishes a validated transaction's write set from its `working`
 /// catalog into `catalog`/`indexes`: written tables swap in by `Arc`
-/// handle (no row copying), dropped ones leave, and the published tables'
-/// indexes are repaired (incremental when the writes were pure appends) so
-/// the next reader finds them fresh. Shared by the owned-database commit
-/// path and [`TxnManager::commit_with`], which applies it to a private copy
-/// of the committed state so the index builds hold no state lock.
+/// handle (no row copying), dropped ones leave with their index, and the
+/// published tables' indexes are repaired (incremental when the writes
+/// were pure appends) so the next reader finds them fresh. Shared by the
+/// owned-database commit path and [`TxnManager::commit_with`], which
+/// applies it to a private copy of the committed state so the index
+/// builds hold no state lock.
 pub fn publish_write_set<'a>(
     working: &Catalog,
     write_set: impl Iterator<Item = &'a str>,
@@ -125,21 +135,18 @@ pub fn publish_write_set<'a>(
             Some(table) => catalog.register_shared(name.to_string(), table.clone()),
             None => {
                 catalog.remove(name);
-                indexes.remove(name);
             }
         }
     }
-    for name in &names {
-        if let Some(table) = catalog.get(name) {
-            indexes.ensure(name, table);
-        }
-    }
+    indexes.refresh(catalog, names);
 }
 
 impl TxnManager {
-    /// A manager over an initial catalog (indexes are built lazily),
-    /// recording into its database's `metrics`.
-    pub fn new(catalog: Catalog, indexes: IndexCatalog, metrics: &MetricsRegistry) -> Self {
+    /// A manager over an initial catalog, recording into its database's
+    /// `metrics`. Brings every period table's entry in `indexes` up to
+    /// date first, so the first snapshot is already fully indexed.
+    pub fn new(catalog: Catalog, mut indexes: IndexCatalog, metrics: &MetricsRegistry) -> Self {
+        indexes.refresh(&catalog, catalog.table_names());
         TxnManager {
             state: obs::NamedRw::new(
                 "txn.state",
@@ -237,7 +244,7 @@ impl TxnManager {
         let _pspan = obs::Span::enter("txn.publish");
         let publish_started = Instant::now();
         let written = write_set.iter().map(String::as_str);
-        let commit_seq = self.publish(true, |c, i| publish_write_set(&working, written, c, i));
+        let commit_seq = self.publish(|c, i| publish_write_set(&working, written, c, i));
         self.publish_seconds
             .observe_duration(publish_started.elapsed());
         self.commits.inc();
@@ -253,9 +260,9 @@ impl TxnManager {
     /// `O(#tables)` handle copy a snapshot makes, under the read side of
     /// `txn.state` — with no state lock held while it builds indexes.
     /// **Swap:** the write side is taken only to install the copy's
-    /// handles (and bump `commit_seq` when `bump`). Returns the commit
-    /// sequence number after the swap.
-    fn publish(&self, bump: bool, apply: impl FnOnce(&mut Catalog, &mut IndexCatalog)) -> u64 {
+    /// handles and bump `commit_seq`. Returns the commit sequence number
+    /// after the swap.
+    fn publish(&self, apply: impl FnOnce(&mut Catalog, &mut IndexCatalog)) -> u64 {
         let (mut catalog, mut indexes) = self.with_committed(|c, i| (c.clone(), i.clone()));
         apply(&mut catalog, &mut indexes);
         // Declared last, the guard drops first: the swapped-out maps (and
@@ -263,15 +270,16 @@ impl TxnManager {
         let mut state = self.state.write();
         std::mem::swap(&mut state.catalog, &mut catalog);
         std::mem::swap(&mut state.indexes, &mut indexes);
-        state.commit_seq += u64::from(bump);
+        state.commit_seq += 1;
         state.commit_seq
     }
 
     /// Rolls a transaction back. The committed state was never touched, so
     /// this only drops the working catalog — kept as an explicit method
     /// because "rollback is free" is an API promise worth naming. Counted
-    /// in `txn_rollbacks_total` (explicit `ROLLBACK` statements and
-    /// cancellation unwinds both land here).
+    /// in `txn_rollbacks_total`: a session's explicit `ROLLBACK` and the
+    /// unwind of a statement cancelled inside `BEGIN` both land here (an
+    /// autocommit statement's implicit transaction is not counted).
     pub fn rollback(&self, txn: Transaction) {
         self.rollbacks.inc();
         drop(txn);
@@ -304,46 +312,27 @@ impl TxnManager {
 
     /// Installs tables wholesale into the committed state (the bulk-load
     /// path, which has no statement form): serialized against commits,
-    /// published as one commit. Concurrent transactions that wrote any of
-    /// these tables will fail their commit validation — exactly as if the
-    /// load were a competing transaction that committed first.
+    /// published as one commit with the installed tables' indexes built.
+    /// Concurrent transactions that wrote any of these tables will fail
+    /// their commit validation — exactly as if the load were a competing
+    /// transaction that committed first.
     pub fn install_tables<I>(&self, tables: I) -> CommitOutcome
     where
         I: IntoIterator<Item = (String, Table)>,
     {
         let _commit = self.commit_lock.lock();
-        let mut published = 0;
-        let commit_seq = self.publish(true, |catalog, indexes| {
+        let mut names = Vec::new();
+        let commit_seq = self.publish(|catalog, indexes| {
             for (name, table) in tables {
-                indexes.remove(&name);
-                catalog.register(name, table);
-                published += 1;
+                catalog.register(name.clone(), table);
+                names.push(name);
             }
+            indexes.refresh(catalog, names.iter().map(String::as_str));
         });
         CommitOutcome {
             commit_seq,
-            published,
+            published: names.len(),
         }
-    }
-
-    /// Repairs the committed indexes of the named tables (every table when
-    /// `None`) — the shared analogue of a session's explicit `.index`
-    /// refresh, serialized against commits and published like one (without
-    /// a sequence number). Readers that pinned older snapshots are
-    /// unaffected.
-    pub fn refresh_committed_indexes(&self, tables: Option<&[String]>) {
-        let _commit = self.commit_lock.lock();
-        self.publish(false, |catalog, indexes| {
-            let names: Vec<String> = match tables {
-                Some(ts) => ts.to_vec(),
-                None => catalog.table_names().map(String::from).collect(),
-            };
-            for name in &names {
-                if let Some(table) = catalog.get(name) {
-                    indexes.ensure(name, table);
-                }
-            }
-        });
     }
 }
 
@@ -520,7 +509,6 @@ mod tests {
     #[test]
     fn committed_indexes_are_refreshed_on_publish() {
         let mgr = manager();
-        mgr.refresh_committed_indexes(None);
         let before = mgr.snapshot();
         let works = before.catalog().get("works").unwrap();
         assert!(before.indexes().get_fresh("works", works).is_some());

@@ -11,12 +11,12 @@ use storage::Catalog;
 /// the pinned tables — identified by their globally unique version epochs
 /// — stay alive and bit-for-bit unchanged until the snapshot drops.
 ///
-/// The *index* view is lazily repairable: committed indexes may lag the
-/// committed tables (maintenance is lazy everywhere in this system), so a
-/// reader about to run an indexed query calls
-/// [`CatalogSnapshot::refresh_indexes`] on its own pinned registry. The
-/// repair is private to the snapshot — version epochs guarantee a repaired
-/// entry exactly matches the pinned table, never a newer committed one.
+/// A snapshot pinned from a [`crate::TxnManager`] holds a fully fresh index
+/// registry: the manager repairs indexes when it publishes tables, so a
+/// reader never repairs. [`CatalogSnapshot::refresh_indexes`] stays for
+/// callers that assemble a snapshot from an unrepaired registry; its
+/// repair is private to the snapshot, and version epochs guarantee a
+/// repaired entry matches the pinned table, never a newer committed one.
 #[derive(Debug, Clone)]
 pub struct CatalogSnapshot {
     catalog: Catalog,
@@ -52,13 +52,10 @@ impl CatalogSnapshot {
 
     /// Repairs the pinned indexes of the named tables against the pinned
     /// catalog (incremental after pure appends, full rebuild otherwise —
-    /// see [`IndexCatalog::ensure`]). Unknown and non-temporal names are
-    /// skipped.
+    /// see [`IndexCatalog::ensure`]). Unknown names lose their entry;
+    /// non-temporal ones have none.
     pub fn refresh_indexes(&mut self, tables: &[String]) {
-        for name in tables {
-            if let Some(table) = self.catalog.get(name) {
-                self.indexes.ensure(name, table);
-            }
-        }
+        self.indexes
+            .refresh(&self.catalog, tables.iter().map(String::as_str));
     }
 }

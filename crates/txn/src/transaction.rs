@@ -1,7 +1,6 @@
 //! Transactions: a pinned snapshot plus a private working catalog.
 
 use crate::snapshot::CatalogSnapshot;
-use index::IndexCatalog;
 use std::collections::BTreeSet;
 use storage::Catalog;
 
@@ -16,6 +15,11 @@ use storage::Catalog;
 /// *statement buffer* — the SQL texts the session layer logs as one atomic
 /// WAL commit unit on commit.
 ///
+/// A transaction keeps no index registry of its own and never repairs
+/// one: in a registry of committed tables, every table it wrote reads as
+/// stale (new version epoch), so its reads of those tables take the naive
+/// routes until `COMMIT` publishes them with repaired indexes.
+///
 /// Dropping a transaction (or explicit rollback) is the undo: the
 /// committed state was never touched, so discarding the working catalog
 /// restores exactly the pinned snapshot's world.
@@ -24,7 +28,6 @@ pub struct Transaction {
     id: u64,
     snapshot: CatalogSnapshot,
     working: Catalog,
-    working_indexes: IndexCatalog,
     write_set: BTreeSet<String>,
     /// Tables whose *contents* a logged statement depends on without
     /// writing them — today the source tables of `INSERT ... SELECT`.
@@ -40,12 +43,10 @@ impl Transaction {
     /// [`crate::TxnManager::begin`] for the shared, managed path).
     pub fn begin(id: u64, snapshot: CatalogSnapshot) -> Self {
         let working = snapshot.catalog().clone();
-        let working_indexes = snapshot.indexes().clone();
         Transaction {
             id,
             snapshot,
             working,
-            working_indexes,
             write_set: BTreeSet::new(),
             read_set: BTreeSet::new(),
             statements: Vec::new(),
@@ -77,24 +78,11 @@ impl Transaction {
         &mut self.working
     }
 
-    /// The working index registry (repaired lazily before indexed reads).
-    pub fn indexes(&self) -> &IndexCatalog {
-        &self.working_indexes
-    }
-
     /// Marks `name` as written by this transaction (created, dropped, or
     /// mutated): it joins the write set for conflict validation and
     /// publication.
     pub fn record_write(&mut self, name: &str) {
         self.write_set.insert(name.to_string());
-        // A written table's pinned index is stale by definition; drop it
-        // from the working registry so a later read in this transaction
-        // repairs against the working table, not the snapshot's.
-        // (`ensure` would detect the staleness anyway — this just keeps
-        // dropped tables from lingering.)
-        if self.working.get(name).is_none() {
-            self.working_indexes.remove(name);
-        }
     }
 
     /// Marks `name` as a *replay dependency*: a logged statement of this
@@ -126,17 +114,6 @@ impl Transaction {
     /// Whether the transaction has written nothing (commit is a no-op).
     pub fn is_read_only(&self) -> bool {
         self.write_set.is_empty()
-    }
-
-    /// Repairs the working indexes of the named tables against the working
-    /// catalog (the transaction-local analogue of
-    /// [`CatalogSnapshot::refresh_indexes`]).
-    pub fn refresh_indexes(&mut self, tables: &[String]) {
-        for name in tables {
-            if let Some(table) = self.working.get(name) {
-                self.working_indexes.ensure(name, table);
-            }
-        }
     }
 
     /// Decomposes the transaction for publication: `(snapshot, working

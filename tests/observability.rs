@@ -219,8 +219,9 @@ fn phase_timings_split_per_statement() {
 
 /// `EXPLAIN ANALYZE` takes the bare query's read route, index repair
 /// included: on a freshly mutated table its phase split reports the index
-/// phase just as the bare query's does — on an owned session, a shared
-/// one, and inside an open transaction.
+/// phase just as the bare query's does — on an owned session and inside
+/// an open transaction on one. A shared session reports none for either:
+/// its commits already repaired the index.
 #[test]
 fn explain_analyze_reports_the_index_phase_like_the_bare_query() {
     let shared = SharedDatabase::in_memory();
@@ -229,6 +230,7 @@ fn explain_analyze_reports_the_index_phase_like_the_bare_query() {
         ("shared", shared.session(), false),
         ("in-transaction", Session::default(), true),
     ] {
+        let repairs = kind != "shared";
         session
             .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
@@ -241,7 +243,11 @@ fn explain_analyze_reports_the_index_phase_like_the_bare_query() {
             session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
             session.execute(&statement).unwrap();
             let phases = session.last_phase_timings();
-            assert!(phases.index_ns > 0, "{kind}: {statement}: {phases:?}");
+            assert_eq!(
+                phases.index_ns > 0,
+                repairs,
+                "{kind}: {statement}: {phases:?}"
+            );
             assert!(phases.execute_ns > 0, "{kind}: {statement}: {phases:?}");
         }
     }
@@ -416,4 +422,38 @@ fn explain_analyze_inside_transaction_reads_own_writes() {
     );
     assert_eq!(number_after(&lines[0], "actual rows="), Some(actual));
     session.execute("ROLLBACK").unwrap();
+}
+
+/// `INSERT ... SELECT` binds its source once: on a shared database the
+/// statement runs in an implicit transaction, whose replay dependencies
+/// come from the plan the insert already compiled.
+#[test]
+fn insert_select_binds_its_source_once() {
+    fn count(nodes: &[snapshot_obs::SpanNode], name: &str) -> usize {
+        (nodes.iter())
+            .map(|n| usize::from(n.name == name) + count(&n.children, name))
+            .sum()
+    }
+    let shared = SharedDatabase::in_memory();
+    let mut session = shared.session();
+    session
+        .execute_script(
+            "CREATE TABLE a (x INT, ts INT, te INT) PERIOD (ts, te);
+             CREATE TABLE b (x INT, ts INT, te INT) PERIOD (ts, te);
+             INSERT INTO b VALUES (1, 0, 5), (2, 3, 9);",
+        )
+        .unwrap();
+    snapshot_obs::set_tracing(true);
+    snapshot_obs::reset_thread_trace();
+    let inserted = session.execute("INSERT INTO a SELECT x, ts, te FROM b");
+    let trace = snapshot_obs::take_thread_trace();
+    snapshot_obs::set_tracing(false);
+    assert_eq!(
+        inserted.unwrap(),
+        StatementResult::Inserted {
+            table: "a".into(),
+            rows: 2
+        }
+    );
+    assert_eq!(count(&trace.roots, "session.bind"), 1, "{}", trace.render());
 }

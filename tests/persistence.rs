@@ -162,6 +162,79 @@ fn checkpoint_only_recovery() {
     assert_indexes_sound(&mut s, "checkpoint-only");
 }
 
+/// Readers of a shared database never build an index: the transaction
+/// manager builds every period table's index when the shared database is
+/// created — by promotion, by recovery from a checkpoint-only directory —
+/// and when a bulk load installs tables. Three indexed reads of a
+/// 10 000-row table in each case move neither build counter, and each
+/// read takes the interval-tree stab.
+#[test]
+fn shared_readers_never_build_an_index() {
+    const ROWS: i64 = 10_000;
+    const QUERY: &str = "SEQ VT AS OF 500 (SELECT count(*) AS cnt FROM works)";
+    let works = || {
+        let schema = Schema::of(&[
+            ("name", SqlType::Str),
+            ("ts", SqlType::Int),
+            ("te", SqlType::Int),
+        ]);
+        let mut t = Table::with_period(schema, 1, 2);
+        t.extend((0..ROWS).map(|i| {
+            Row::new(vec![
+                Value::str(format!("w{i}")),
+                Value::Int(i % 1000),
+                Value::Int(i % 1000 + 50),
+            ])
+        }));
+        t
+    };
+    let three_reads_build_nothing = |shared: &SharedDatabase, ctx: &str| {
+        let mut s = shared.session();
+        let counts = |s: &Session| {
+            [
+                "index_full_builds_total",
+                "index_incremental_builds_total",
+                "engine_indextimeslice_invocations_total",
+            ]
+            .map(|name| counter(s, name))
+        };
+        let [full, incremental, stabs] = counts(&s);
+        for _ in 0..3 {
+            s.execute(QUERY).unwrap();
+        }
+        assert_eq!(
+            counts(&s),
+            [full, incremental, stabs + 3],
+            "{ctx}: [full builds, incremental builds, tree stabs]"
+        );
+    };
+
+    let mut catalog = Catalog::new();
+    catalog.register("works", works());
+    let promoted = SharedDatabase::new(Database::from_catalog(catalog));
+    three_reads_build_nothing(&promoted, "promoted");
+
+    let dir = scratch_dir("readers_never_build");
+    {
+        let (shared, _) =
+            SharedDatabase::open_durable(&dir, SessionOptions::default(), Default::default())
+                .unwrap();
+        shared
+            .register_tables([("works".to_string(), works())])
+            .unwrap();
+    }
+    let (recovered, report) =
+        SharedDatabase::open_durable(&dir, SessionOptions::default(), Default::default()).unwrap();
+    assert_eq!(report.replayed, 0, "checkpoint-only directory");
+    three_reads_build_nothing(&recovered, "recovered");
+
+    let loaded = SharedDatabase::in_memory();
+    loaded
+        .register_tables([("works".to_string(), works())])
+        .unwrap();
+    three_reads_build_nothing(&loaded, "bulk-loaded");
+}
+
 #[test]
 fn wal_only_recovery() {
     let dir = scratch_dir("wal_only");

@@ -14,7 +14,7 @@ use snapshot_semantics::session::{
     Database, Session, SessionOptions, SharedDatabase, StatementError, StatementResult,
 };
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
-use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table};
+use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table, Value};
 use snapshot_semantics::txn::TxnManager;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -327,7 +327,7 @@ fn insert_select_inside_a_transaction_reads_own_writes() {
 #[test]
 fn indexed_queries_stay_correct_inside_transactions() {
     // verify_indexed cross-checks every indexed query against the naive
-    // route — inside a transaction this exercises the *working* registry's
+    // route — inside a transaction this exercises the pinned registry's
     // version-based invalidation across uncommitted mutations.
     let shared = SharedDatabase::in_memory();
     let mut s = shared.session_with_options(SessionOptions {
@@ -336,7 +336,7 @@ fn indexed_queries_stay_correct_inside_transactions() {
     });
     s.execute_script(SETUP).unwrap();
     let q = "SEQ VT (SELECT skill, count(*) AS cnt FROM works GROUP BY skill)";
-    let _ = query_rows(&mut s, q); // build indexes pre-transaction
+    let _ = query_rows(&mut s, q); // an indexed read before the transaction
     s.execute("BEGIN").unwrap();
     s.execute("INSERT INTO works VALUES ('Eve', 'NS', 2, 9)")
         .unwrap();
@@ -672,4 +672,87 @@ fn first_coalesce_after_dml_commits_matches_the_naive_route() {
         .unwrap();
     assert_eq!(result.rows().unwrap().rows(), naive.rows());
     assert_eq!(naive.len(), 5, "Ann's [3, 10) and [10, 14) coalesce");
+}
+
+/// The reader contract on a shared database: inside a transaction, a table
+/// it wrote reads on the naive route (its pinned index is stale by
+/// version) and an untouched one on the index; after `COMMIT` the written
+/// table is indexed again. No read builds an index — only the commit does.
+#[test]
+fn a_transaction_reads_the_tables_it_wrote_on_the_naive_route() {
+    let shared = SharedDatabase::in_memory();
+    let mut s = shared.session_with_options(SessionOptions {
+        verify_indexed: true,
+        ..SessionOptions::default()
+    });
+    s.execute_script(
+        "CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te);
+         CREATE TABLE u (x INT, ts INT, te INT) PERIOD (ts, te);
+         INSERT INTO t VALUES (1, 0, 10), (2, 5, 15);
+         INSERT INTO u VALUES (3, 0, 10), (4, 5, 15);",
+    )
+    .unwrap();
+    let obs = std::sync::Arc::clone(shared.obs());
+    let counts = || {
+        [
+            "index_full_builds_total",
+            "index_incremental_builds_total",
+            "engine_indextimeslice_invocations_total",
+            "engine_naivetimeslice_invocations_total",
+        ]
+        .map(|name| obs.metrics.get_counter(name).map_or(0, |c| c.get()))
+    };
+    // Runs `sql` (cross-checked against the naive route) and names the
+    // timeslice route it took; asserts it built no index.
+    let route = |s: &mut Session, sql: &str| {
+        let [full, incremental, stabs, scans] = counts();
+        s.execute(sql).unwrap();
+        let after = counts();
+        assert_eq!([after[0], after[1]], [full, incremental], "{sql}: built");
+        match [after[2] - stabs, after[3] - scans] {
+            [1, 0] => "IndexTimeslice",
+            [0, 1] => "NaiveTimeslice",
+            other => panic!("{sql}: [index, naive] timeslices {other:?}"),
+        }
+    };
+    let (on_t, on_u) = (
+        "SEQ VT AS OF 6 (SELECT x FROM t)",
+        "SEQ VT AS OF 6 (SELECT x FROM u)",
+    );
+    s.execute("BEGIN").unwrap();
+    s.execute("INSERT INTO t VALUES (5, 2, 8)").unwrap();
+    assert_eq!(route(&mut s, on_t), "NaiveTimeslice");
+    assert_eq!(query_rows(&mut s, on_t).len(), 3, "reads its own write");
+    assert_eq!(route(&mut s, on_u), "IndexTimeslice");
+    s.execute("COMMIT").unwrap();
+    assert_eq!(route(&mut s, on_t), "IndexTimeslice");
+}
+
+/// On a shared database `ROLLBACK` is counted in `txn_rollbacks_total`
+/// (`snapshot_stat_transactions.rollbacks`), and so is the rollback of a
+/// transaction whose statement was cancelled.
+#[test]
+fn rollbacks_and_cancelled_transactions_are_counted() {
+    let shared = SharedDatabase::in_memory();
+    let mut s = shared.session();
+    s.execute_script(SETUP).unwrap();
+    let rollbacks = |s: &mut Session| {
+        let result = s
+            .execute("SELECT value FROM snapshot_stat_transactions WHERE stat = 'rollbacks'")
+            .unwrap();
+        result.rows().unwrap().rows()[0].get(0).clone()
+    };
+    s.execute("BEGIN").unwrap();
+    s.execute("INSERT INTO works VALUES ('Eve', 'SP', 0, 2)")
+        .unwrap();
+    s.execute("ROLLBACK").unwrap();
+    assert_eq!(rollbacks(&mut s), Value::Double(1.0));
+
+    s.execute("SET max_rows_scanned = 2").unwrap();
+    s.execute("BEGIN").unwrap();
+    let err = s.execute("SELECT name FROM works").unwrap_err();
+    assert!(matches!(err, StatementError::Cancelled { .. }), "{err:?}");
+    assert!(!s.in_transaction(), "the cancellation rolled back");
+    s.execute("SET max_rows_scanned = off").unwrap();
+    assert_eq!(rollbacks(&mut s), Value::Double(2.0));
 }
