@@ -31,13 +31,13 @@ pub(crate) const CANCEL_CHECK_INTERVAL: u64 = 1024;
 /// Per-statement execution context: the live [`obs::ResourceAccount`]
 /// the operators bump, the [`obs::CancelToken`] they check at batch
 /// boundaries, and the database's [`obs::Obs`] (what the virtual tables
-/// read and the profiler folds into). The account and token are shared
+/// read). The account and token are shared
 /// (`Arc`) with the owning session's entry in the activity registry, so
 /// `snapshot_stat_progress` sees counters move while the statement runs
 /// and `.kill` can reach into the executor. The default context — what an
 /// engine built outside a session runs under — owns a private account and
 /// a token nobody else holds, so it never cancels, and has no database:
-/// it profiles nothing and cannot read the observability tables.
+/// it cannot read the observability tables.
 #[derive(Debug, Clone, Default)]
 pub struct ExecContext {
     account: Arc<obs::ResourceAccount>,
@@ -369,9 +369,6 @@ impl Engine {
             nodes,
         };
         let rows = self.run(plan, env).map(Cow::into_owned);
-        if let Some(obs) = self.ctx.obs.as_deref().filter(|o| o.profile.enabled()) {
-            obs.profile.record(nodes.profile(plan));
-        }
         let mut table = Table::new(plan.schema.clone());
         table.extend(rows?);
         Ok(table)

@@ -31,7 +31,7 @@
 //!   and total/mean/p95 latency in a bounded LRU.
 //! * [`slowlog`] — a bounded ring of statements that crossed the session's
 //!   slow-query threshold, with phase splits and operator actuals.
-//! * [`profile`] — the operator-level executor profiler: the engine folds
+//! * [`profile`] — the operator-level executor profiler: the session folds
 //!   each statement's per-node actuals into operator stack paths with
 //!   self wall time and hands them to [`Profile::record`]
 //!   ([`Profile::render_folded`] emits flamegraph-compatible output).

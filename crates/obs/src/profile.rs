@@ -1,6 +1,6 @@
 //! Operator-level executor profiler: folded-stack wall-time attribution.
 //!
-//! After each statement the engine folds its per-node actuals into
+//! After each query the session folds its per-node actuals into
 //! operator stack paths — e.g. `Aggregate;Split;Scan` — each with its
 //! samples (the node's calls) and *self* time (the node's time minus its
 //! children's), and hands them to [`Profile::record`]. Paths accumulate in
@@ -8,7 +8,7 @@
 //! the folded-stack format flamegraph tooling consumes (`path value`, one
 //! line per path, values in microseconds of self time).
 //!
-//! Like tracing, profiling is off by default, and the engine folds
+//! Like tracing, profiling is off by default, and the session folds
 //! nothing while [`Profile::enabled`] is false. Attribution is wall-clock
 //! on the dispatching thread — time the parallel sweep join spends in
 //! worker threads lands as self time of the join operator, which is the

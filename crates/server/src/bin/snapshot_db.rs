@@ -185,17 +185,9 @@ fn main() {
                                 } else {
                                     String::new()
                                 };
-                                let discarded = if report.discarded_uncommitted > 0 {
-                                    format!(
-                                        ", {} uncommitted record(s) discarded",
-                                        report.discarded_uncommitted
-                                    )
-                                } else {
-                                    String::new()
-                                };
                                 println!(
-                                    "opened {dir}: {source} + {} replayed statement(s){torn}\
-                                     {discarded} — {tables} table(s), {rows} row(s)",
+                                    "opened {dir}: {source} + {} replayed statement(s){torn} \
+                                     — {tables} table(s), {rows} row(s)",
                                     report.replayed
                                 );
                             }

@@ -1234,8 +1234,19 @@ impl Session {
                 })
         };
         phases.execute_ns += started.elapsed().as_nanos() as u64;
+        // The statement's own counters, profile and actuals, whether it ran
+        // to the end or was stopped: never the `.verify` cross-check's.
         if options.collect_metrics {
             stats.publish_to_registry(&telemetry.obs.metrics);
+        }
+        if telemetry.obs.profile.enabled() {
+            telemetry.obs.profile.record(nodes.profile(&plan));
+        }
+        if options.slow_query_ms.is_some() && !explain_analyze {
+            // Rendered only while the slow-query log is armed (a string per
+            // operator); the session attaches it if the statement turns
+            // out slow or is cancelled.
+            *slow_actuals = Some(engine::explain_analyzed(&plan, &nodes));
         }
         let executed = result?;
         if explain_analyze {
@@ -1246,12 +1257,6 @@ impl Session {
                 phases.execute_ns as f64 / 1e6
             ));
             return Ok((plan_text_table(&text), plan));
-        }
-        if options.slow_query_ms.is_some() {
-            // Rendered only while the slow-query log is armed (a string per
-            // operator); the session attaches it if the statement turns
-            // out slow.
-            *slow_actuals = Some(engine::explain_analyzed(&plan, &nodes));
         }
         Ok((executed, plan))
     }

@@ -12,12 +12,12 @@
 //!
 //! Durability lives at the commit boundary, and only here — this is the
 //! one durable write path and the one recovery driver: the write-ahead
-//! log receives each transaction as one atomic commit unit (single
+//! log receives each transaction as one commit unit (one frame, one
 //! fsync), written under the commit lock *after* conflict validation and
 //! *before* publication, so the log contains exactly the committed
 //! history in commit order and a unit that fails to log aborts cleanly.
-//! Recovery replays it through an ordinary session; an unterminated unit
-//! at the tail was already discarded by the persistence layer.
+//! Recovery replays it through an ordinary session, a unit of several
+//! statements as one transaction; a torn unit never reaches it.
 
 use crate::database::{Database, Telemetry};
 use crate::session::{Session, SessionOptions};
@@ -25,7 +25,7 @@ use index::MaintenanceStats;
 use snapshot_obs::{Counter, Histogram, Obs, StatementError};
 use snapshot_txn::{CatalogSnapshot, CommitOutcome, Transaction, TxnManager};
 use snapshot_wal::{AppendReport, CheckpointReport, Persistence, PersistenceOptions};
-use sql::parse_sql_statement;
+use sql::{parse_sql_statement, SqlStatement};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,9 +66,9 @@ impl Inner {
     }
 
     fn appended(&self, r: AppendReport) {
-        self.appended_frames.add(r.frames);
-        self.appended_bytes.add(r.bytes);
-        if r.frames > 0 {
+        if r.bytes > 0 {
+            self.appended_frames.inc();
+            self.appended_bytes.add(r.bytes);
             self.append_seconds.observe_duration(r.elapsed);
         }
         self.fsynced(r.fsync);
@@ -93,12 +93,9 @@ pub struct RecoveryReport {
     /// WAL statements replayed through the execution pipeline on top of
     /// the checkpoint.
     pub replayed: usize,
-    /// Bytes of torn/corrupt WAL tail truncated away during recovery.
+    /// Bytes of torn/corrupt WAL tail truncated away during recovery (a
+    /// torn commit unit goes whole).
     pub truncated_bytes: u64,
-    /// WAL records of an unterminated transaction (a `BEGIN` whose
-    /// `COMMIT` never reached the log) that recovery discarded — the
-    /// transaction never committed, so none of it replays.
-    pub discarded_uncommitted: usize,
 }
 
 /// A shared, multi-session database handle (`Arc`-based; clone freely and
@@ -143,11 +140,13 @@ impl SharedDatabase {
     /// Opens a *durable* shared database on a directory, recovering
     /// whatever it holds: the newest valid checkpoint is loaded and the
     /// WAL tail beyond it is replayed through an ordinary session — the
-    /// same parse → bind → execute pipeline as live traffic (a torn or
-    /// corrupt tail was truncated to the longest valid prefix and an
-    /// unterminated commit unit discarded by the persistence layer) — then
-    /// the log is attached, so every later commit is written ahead of
-    /// publication. An empty or missing directory starts an empty durable
+    /// same parse → bind → execute pipeline as live traffic, a unit of
+    /// several statements as one transaction (a torn or corrupt tail was
+    /// truncated to the longest valid prefix of whole units by the
+    /// persistence layer) — then the log is attached, so every later
+    /// commit is written ahead of publication. A format-1 log is
+    /// checkpointed once it has replayed, which rewrites it in this build's
+    /// format. An empty or missing directory starts an empty durable
     /// database.
     pub fn open_durable(
         dir: &Path,
@@ -161,25 +160,38 @@ impl SharedDatabase {
         };
         let shared = SharedDatabase::new(db); // no persistence yet: replay must not re-log
         let mut session = shared.session_with_options(options);
-        // Records were validated when first executed; a replay failure
+        // Units were validated when first executed; a replay failure
         // means the directory does not match this binary's dialect (or was
         // tampered with) — surface it.
-        for record in &recovery.replay {
-            let stmt = parse_sql_statement(&record.sql)
-                .map_err(|e| format!("WAL replay: cannot parse record {}: {e}", record.lsn))?;
-            session
-                .execute_statement(&stmt)
-                .map_err(|e| format!("WAL replay failed at lsn {}: {e}", record.lsn))?;
+        for unit in &recovery.replay {
+            let parsed: Result<Vec<_>, _> =
+                unit.stmts.iter().map(|s| parse_sql_statement(s)).collect();
+            let mut stmts =
+                parsed.map_err(|e| format!("WAL replay: cannot parse lsn {}: {e}", unit.lsn))?;
+            if stmts.len() > 1 {
+                stmts.insert(0, SqlStatement::Begin);
+                stmts.push(SqlStatement::Commit);
+            }
+            for stmt in &stmts {
+                session
+                    .execute_statement(stmt)
+                    .map_err(|e| format!("WAL replay failed at lsn {}: {e}", unit.lsn))?;
+            }
         }
+        // A format-1 log's replay may end inside a transaction whose `COMMIT`
+        // marker was torn off; it dies with the session, and the upgrade
+        // checkpoint below drops its records from the log.
         drop(session);
         *shared.inner.persistence.lock() = Some(persistence);
+        if recovery.format < snapshot_wal::log::FORMAT {
+            shared.checkpoint()?;
+        }
         Ok((
             shared,
             RecoveryReport {
                 checkpoint_seq: recovery.checkpoint_seq,
-                replayed: recovery.replay.len(),
+                replayed: recovery.replay.iter().map(|u| u.stmts.len()).sum(),
                 truncated_bytes: recovery.truncated_bytes,
-                discarded_uncommitted: recovery.discarded_uncommitted,
             },
         ))
     }

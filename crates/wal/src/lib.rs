@@ -5,14 +5,15 @@
 //! any single query session; this crate supplies the "outlives" part for
 //! the reproduction. It is deliberately *logical* and *offline-friendly*:
 //! no crates.io dependencies (the codec is hand-rolled, CRC included), no
-//! page cache — the unit of durability is the validated SQL statement and
-//! the unit of checkpointing is the whole [`storage::Catalog`].
+//! page cache — the unit of durability is the commit unit (the SQL text of
+//! the statements one transaction wrote, in one WAL frame) and the unit of
+//! checkpointing is the whole [`storage::Catalog`].
 //!
 //! * [`codec`] — length-/CRC-framed little-endian binary encoding of
 //!   values, rows, schemas, tables (including version epochs and
 //!   append-checkpoint histories), and catalogs; plus the column block
 //!   the wire protocol ships result batches in,
-//! * [`log`] — the statement-level WAL ([`Wal`]): append with a
+//! * [`log`] — the WAL ([`Wal`]), one frame per commit unit: append with a
 //!   configurable [`SyncPolicy`], scan-with-truncation of torn tails,
 //! * [`checkpoint`] — atomic (temp file + rename) catalog snapshots with
 //!   newest-valid-wins recovery and pruning,
@@ -40,7 +41,4 @@ pub use checkpoint::{
 pub use crc::crc32;
 pub use dump::dump_sql;
 pub use log::{AppendReport, SyncPolicy, Wal, WalRecord, WalScan};
-pub use persistence::{
-    CheckpointReport, Persistence, PersistenceOptions, Recovery, TXN_BEGIN_MARKER,
-    TXN_COMMIT_MARKER, TXN_ROLLBACK_MARKER,
-};
+pub use persistence::{CheckpointReport, Persistence, PersistenceOptions, Recovery};

@@ -4,16 +4,16 @@
 //! On-disk layout of a database directory `DIR/`:
 //!
 //! ```text
-//! DIR/wal.log        — the logical write-ahead log (statement records)
+//! DIR/wal.log        — the logical write-ahead log (one frame per commit unit)
 //! DIR/checkpoint.N   — catalog snapshots, N strictly increasing
 //! ```
 //!
 //! [`Persistence::open`] recovers: load the newest checkpoint whose CRC
 //! validates (older ones are fallbacks), scan the WAL (truncating a torn
-//! tail), and hand back the statements with `lsn > covered_lsn` for the
-//! caller to replay through the ordinary execution pipeline. The session
-//! layer owns that pipeline, so this type never parses SQL — it only
-//! stores and returns it.
+//! tail — a unit is one frame, so a torn unit goes whole), and hand back
+//! the units with `lsn > covered_lsn` for the caller to replay through the
+//! ordinary execution pipeline. The session layer owns that pipeline, so
+//! this type never parses SQL — it only stores and returns it.
 
 use crate::checkpoint::{self, CheckpointReuse, TableEncodeCache};
 use crate::log::{AppendReport, SyncPolicy, Wal, WalRecord};
@@ -21,21 +21,6 @@ use snapshot_obs as obs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use storage::Catalog;
-
-/// WAL marker framing the statements of a multi-statement transaction's
-/// commit unit (also the literal SQL the session replays on recovery).
-pub const TXN_BEGIN_MARKER: &str = "BEGIN";
-/// Terminates a transaction's commit unit. A commit unit whose terminator
-/// never reached the log (crash or torn write mid-batch) is *discarded* by
-/// recovery: [`Persistence::open`] drops the trailing unterminated suffix
-/// and truncates the log back to the record boundary before its
-/// [`TXN_BEGIN_MARKER`], so an uncommitted transaction can never replay —
-/// not even partially, and not by later appends extending the dangling
-/// suffix into something that looks committed.
-pub const TXN_COMMIT_MARKER: &str = "COMMIT";
-/// Recognized for symmetry when scanning (rolled-back transactions are
-/// normally never logged at all).
-pub const TXN_ROLLBACK_MARKER: &str = "ROLLBACK";
 
 /// What one [`Persistence::checkpoint`] did: the owner turns it into its
 /// database's checkpoint metrics.
@@ -77,16 +62,17 @@ pub struct Recovery {
     pub catalog: Option<Catalog>,
     /// Sequence number of the loaded checkpoint.
     pub checkpoint_seq: Option<u64>,
-    /// WAL records not covered by the checkpoint, in log order — the
-    /// caller must replay these through its statement pipeline.
+    /// WAL units not covered by the checkpoint, in log order — the
+    /// caller must replay these through its statement pipeline, a unit of
+    /// several statements as one transaction.
     pub replay: Vec<WalRecord>,
     /// Bytes of torn/corrupt WAL tail that were truncated away.
     pub truncated_bytes: u64,
-    /// Records of an *unterminated* transaction at the log's tail (a
-    /// `BEGIN` marker with no `COMMIT`) that were discarded and truncated
-    /// away — the transaction never committed, so replaying any of it
-    /// would be wrong.
-    pub discarded_uncommitted: usize,
+    /// The log's format version as found. Below [`crate::log::FORMAT`] the
+    /// caller must checkpoint once the tail has replayed, before it logs
+    /// anything: that rewrites the log in this build's format (see
+    /// [`crate::log`]).
+    pub format: u8,
 }
 
 /// An open database directory: the WAL plus checkpoint bookkeeping.
@@ -95,11 +81,12 @@ pub struct Persistence {
     dir: PathBuf,
     options: PersistenceOptions,
     wal: Wal,
-    /// LSN to assign to the next logged statement.
+    /// LSN to assign to the next logged commit unit.
     next_lsn: u64,
     /// Sequence number for the next checkpoint file.
     next_checkpoint_seq: u64,
-    /// Statements logged since the last checkpoint.
+    /// Statements logged since the last checkpoint, the replayed tail's
+    /// included.
     since_checkpoint: usize,
     /// Set when a WAL append failed in a way that may have left unknown
     /// frames behind: the log tail no longer provably matches the
@@ -151,26 +138,18 @@ impl Persistence {
             Some(cp) => (cp.covered_lsn, Some(cp.seq), Some(cp.catalog)),
             None => (0, None, None),
         };
-        let (mut wal, scan) = Wal::open(&dir.join("wal.log"), options.sync)?;
-        // Records at or below the covered LSN are already in the
-        // checkpoint (a crash between checkpoint-rename and WAL-reset
-        // leaves such records behind; skipping them here makes that
-        // window harmless). LSNs increase through the log, so the kept
-        // records are a suffix of the scan.
-        let record_starts = scan.record_starts;
-        let skipped = scan
-            .records
-            .iter()
-            .take_while(|r| r.lsn <= covered_lsn)
-            .count();
-        let mut replay: Vec<WalRecord> = scan
+        let (wal, scan) = Wal::open(&dir.join("wal.log"), options.sync)?;
+        // Units at or below the covered LSN are already in the checkpoint
+        // (a crash between checkpoint-rename and WAL-reset leaves such
+        // units behind; skipping them here makes that window harmless).
+        let replay: Vec<WalRecord> = scan
             .records
             .into_iter()
             .filter(|r| r.lsn > covered_lsn)
             .collect();
-        // Statements are logged with consecutive LSNs, so the tail beyond
-        // the checkpoint must start at covered_lsn + 1 and step by one. A
-        // gap means acknowledged statements are gone — typically because a
+        // Units are logged with consecutive LSNs, so the tail beyond the
+        // checkpoint must start at covered_lsn + 1 and step by one. A gap
+        // means acknowledged commits are gone — typically because a
         // *newer* checkpoint (which absorbed them when the WAL was reset)
         // exists but no longer validates. Refusing to open is the only
         // honest answer: replaying across the gap would silently produce
@@ -178,7 +157,7 @@ impl Persistence {
         for (expected, r) in (covered_lsn.saturating_add(1)..).zip(replay.iter()) {
             if r.lsn != expected {
                 return Err(format!(
-                    "recovery would lose statements: WAL jumps from lsn {expected} to {} \
+                    "recovery would lose commits: WAL jumps from lsn {expected} to {} \
                      over checkpoint #{} (newer but invalid checkpoints: {:?}); refusing \
                      to open '{}'",
                     r.lsn,
@@ -202,34 +181,6 @@ impl Persistence {
                 dir.display()
             ));
         }
-        // A transaction reaches the log only as a whole commit unit
-        // (`BEGIN` … statements … `COMMIT`, one batched write). A crash —
-        // of the process mid-write, or of the storage tearing the batch —
-        // can still leave a prefix of a unit behind: a `BEGIN` whose
-        // terminator never made it. Those statements never committed;
-        // discard them and truncate the log back to the `BEGIN` record's
-        // boundary. (Merely skipping them at replay would not be enough:
-        // statements appended after this open would extend the dangling
-        // suffix, and the *next* recovery would replay them inside the
-        // unterminated transaction.)
-        let mut open_begin: Option<usize> = None;
-        for (i, r) in replay.iter().enumerate() {
-            match r.sql.as_str() {
-                TXN_BEGIN_MARKER => open_begin = Some(i),
-                TXN_COMMIT_MARKER | TXN_ROLLBACK_MARKER => open_begin = None,
-                _ => {}
-            }
-        }
-        let discarded_uncommitted = match open_begin
-            .and_then(|i| record_starts.get(skipped + i).map(|&offset| (i, offset)))
-        {
-            Some((i, offset)) => {
-                wal.truncate_to(offset)?;
-                let discarded = replay.split_off(i);
-                discarded.len()
-            }
-            None => 0,
-        };
         let last_lsn = replay.last().map(|r| r.lsn).unwrap_or(covered_lsn);
         let next_checkpoint_seq = checkpoint::list_checkpoints(dir)
             .last()
@@ -241,7 +192,7 @@ impl Persistence {
             wal,
             next_lsn: last_lsn + 1,
             next_checkpoint_seq,
-            since_checkpoint: replay.len(),
+            since_checkpoint: replay.iter().map(|r| r.stmts.len()).sum(),
             poisoned: None,
             invalid_checkpoints: cp_scan.invalid_newer,
             encode_cache: TableEncodeCache::new(),
@@ -254,34 +205,34 @@ impl Persistence {
                 checkpoint_seq,
                 replay,
                 truncated_bytes: scan.truncated_bytes,
-                discarded_uncommitted,
+                format: scan.format,
             },
         ))
     }
 
-    /// The LSN the next logged statement will get.
+    /// The LSN the next logged commit unit will get.
     pub fn next_lsn(&self) -> u64 {
         self.next_lsn
     }
 
-    /// Statements logged since the last checkpoint.
+    /// Statements logged since the last checkpoint, counting the tail
+    /// [`Persistence::open`] handed back for replay.
     pub fn since_checkpoint(&self) -> usize {
         self.since_checkpoint
     }
 
     /// Appends one committed transaction as a single atomic commit unit:
-    /// the statements framed by [`TXN_BEGIN_MARKER`]/[`TXN_COMMIT_MARKER`]
-    /// (a lone statement is logged bare — one record *is* already atomic),
-    /// written as one batch with **one** `fsync` under
-    /// [`SyncPolicy::Always`] — the group-commit path.
+    /// its statements in one frame under one LSN, written with **one**
+    /// `fsync` under [`SyncPolicy::Always`] — the group-commit path. An
+    /// empty transaction logs nothing.
     ///
     /// Contract: call this *before* publishing the transaction's effects
     /// (WAL-ahead of the commit, not of each statement). On an error with
     /// the log rolled back, the commit can be cleanly aborted and
     /// durability is intact — nothing is poisoned. Only a failure that may
-    /// have left unknown frames behind poisons the log (see
-    /// [`Persistence::is_poisoned`]); the burned LSNs are covered by the
-    /// next checkpoint, so they can never replay on top of a snapshot.
+    /// have left an unknown frame behind poisons the log (see
+    /// [`Persistence::is_poisoned`]); the burned LSN is covered by the
+    /// next checkpoint, so it can never replay on top of a snapshot.
     pub fn log_transaction(&mut self, stmts: &[String]) -> Result<AppendReport, String> {
         if stmts.is_empty() {
             return Ok(AppendReport::default());
@@ -292,17 +243,9 @@ impl Persistence {
                  checkpoint to restore durability"
             ));
         }
-        let mut frames: Vec<&str> = Vec::with_capacity(stmts.len() + 2);
-        if stmts.len() > 1 {
-            frames.push(TXN_BEGIN_MARKER);
-        }
-        frames.extend(stmts.iter().map(String::as_str));
-        if stmts.len() > 1 {
-            frames.push(TXN_COMMIT_MARKER);
-        }
-        match self.wal.append_batch(self.next_lsn, &frames) {
+        match self.wal.append(self.next_lsn, stmts) {
             Ok(report) => {
-                self.next_lsn += frames.len() as u64;
+                self.next_lsn += 1;
                 self.since_checkpoint += stmts.len();
                 Ok(report)
             }
@@ -311,10 +254,10 @@ impl Persistence {
                 failure.error
             )),
             Err(failure) => {
-                // Unknown frames may linger in the batch's LSN range; burn
-                // the whole range so nothing can ever be logged into it,
-                // and poison until a checkpoint re-covers it.
-                self.next_lsn += frames.len() as u64;
+                // An unknown frame may linger at this LSN; burn it so
+                // nothing can ever be logged under it, and poison until a
+                // checkpoint re-covers it.
+                self.next_lsn += 1;
                 self.poisoned = Some(failure.error.clone());
                 Err(format!(
                     "{}; the log tail is in an unknown state — checkpoint to restore \
@@ -609,123 +552,105 @@ mod tests {
         );
     }
 
-    #[test]
-    fn transaction_units_are_framed_and_singletons_stay_bare() {
-        let dir = tmp_dir("txn_frame");
-        {
-            let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            p.log_transaction(&[]).unwrap(); // empty: nothing logged
-            p.log_transaction(&["CREATE TABLE t (x INT)".to_string()])
-                .unwrap(); // singleton: bare record
-            p.log_transaction(&[
-                "INSERT INTO t VALUES (1)".to_string(),
-                "INSERT INTO t VALUES (2)".to_string(),
-            ])
-            .unwrap();
-            assert_eq!(p.next_lsn(), 6, "1 bare + (BEGIN + 2 + COMMIT)");
-            assert_eq!(p.since_checkpoint(), 3, "markers are not statements");
-        }
-        let (_, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        let sqls: Vec<&str> = rec.replay.iter().map(|r| r.sql.as_str()).collect();
-        assert_eq!(
-            sqls,
-            vec![
-                "CREATE TABLE t (x INT)",
-                TXN_BEGIN_MARKER,
-                "INSERT INTO t VALUES (1)",
-                "INSERT INTO t VALUES (2)",
-                TXN_COMMIT_MARKER,
-            ]
-        );
-        assert_eq!(rec.discarded_uncommitted, 0);
+    fn stmts(sqls: &[&str]) -> Vec<String> {
+        sqls.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn torn_commit_marker_discards_the_whole_transaction() {
-        let dir = tmp_dir("torn_commit");
+    fn transaction_units_are_framed_and_singletons_stay_bare() {
+        let dir = tmp_dir("txn_frame");
+        let txn = stmts(&["INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)"]);
+        {
+            let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+            p.log_transaction(&[]).unwrap(); // empty: nothing logged
+            log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
+            p.log_transaction(&txn).unwrap();
+            assert_eq!(p.next_lsn(), 3, "one LSN per unit");
+            assert_eq!(p.since_checkpoint(), 3, "statements, not units");
+        }
+        let (p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+        assert_eq!(
+            rec.replay,
+            vec![
+                WalRecord {
+                    lsn: 1,
+                    stmts: stmts(&["CREATE TABLE t (x INT)"])
+                },
+                WalRecord { lsn: 2, stmts: txn },
+            ]
+        );
+        assert_eq!(p.since_checkpoint(), 3, "the replayed tail counts");
+        assert_eq!(rec.format, crate::log::FORMAT);
+    }
+
+    /// Cutting the last unit's frame at any length loses exactly that
+    /// unit — never a part of it — and frees its LSN for the next one.
+    #[test]
+    fn a_torn_unit_is_discarded_whole_at_every_cut() {
+        let dir = tmp_dir("torn_unit");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
-            p.log_transaction(&[
-                "INSERT INTO t VALUES (1)".to_string(),
-                "INSERT INTO t VALUES (2)".to_string(),
-            ])
-            .unwrap();
         }
-        // Tear the COMMIT marker off the log (crash mid-batch): the whole
-        // transaction must vanish, not just the torn record.
         let wal_path = dir.join("wal.log");
+        let base = std::fs::read(&wal_path).unwrap();
+        {
+            let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+            p.log_transaction(&stmts(&["INSERT INTO t VALUES (1)", "DELETE FROM t"]))
+                .unwrap();
+        }
         let full = std::fs::read(&wal_path).unwrap();
-        std::fs::write(&wal_path, &full[..full.len() - 3]).unwrap();
-        {
-            let (p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+        for keep in 1..full.len() - base.len() {
+            std::fs::write(&wal_path, &full[..base.len() + keep]).unwrap();
+            {
+                let (mut p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+                let lsns: Vec<u64> = rec.replay.iter().map(|r| r.lsn).collect();
+                assert_eq!(lsns, vec![1], "cut at {keep}");
+                assert_eq!(rec.truncated_bytes, keep as u64);
+                assert_eq!(p.next_lsn(), 2);
+                log_one(&mut p, "INSERT INTO t VALUES (9)").unwrap();
+            }
+            let (_, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+            let tail: Vec<&[String]> = rec.replay.iter().map(|r| &r.stmts[..]).collect();
             assert_eq!(
-                rec.replay
-                    .iter()
-                    .map(|r| r.sql.as_str())
-                    .collect::<Vec<_>>(),
-                vec!["CREATE TABLE t (x INT)"]
+                tail,
+                vec![
+                    &stmts(&["CREATE TABLE t (x INT)"])[..],
+                    &stmts(&["INSERT INTO t VALUES (9)"])[..]
+                ],
+                "cut at {keep}"
             );
-            assert_eq!(rec.discarded_uncommitted, 3, "BEGIN + 2 statements");
-            assert!(rec.truncated_bytes > 0);
-            // The discarded LSNs are free again: the next unit starts
-            // right after the surviving prefix.
-            assert_eq!(p.next_lsn(), 2);
         }
-        // The truncation is persistent — and crucially, statements logged
-        // *after* the discard can never be captured by the dangling BEGIN.
-        {
-            let (mut p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-            assert_eq!(rec.discarded_uncommitted, 0, "already truncated away");
-            log_one(&mut p, "INSERT INTO t VALUES (9)").unwrap();
-        }
-        let (_, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        assert_eq!(
-            rec.replay
-                .iter()
-                .map(|r| r.sql.as_str())
-                .collect::<Vec<_>>(),
-            vec!["CREATE TABLE t (x INT)", "INSERT INTO t VALUES (9)"]
-        );
     }
 
     #[test]
     fn tearing_inside_a_transaction_body_discards_back_to_its_begin() {
         let dir = tmp_dir("torn_body");
+        let first = stmts(&["INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)"]);
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
             // A committed unit, then a second unit torn mid-body.
-            p.log_transaction(&[
-                "INSERT INTO t VALUES (1)".to_string(),
-                "INSERT INTO t VALUES (2)".to_string(),
-            ])
-            .unwrap();
-            p.log_transaction(&[
-                "INSERT INTO t VALUES (3)".to_string(),
-                "INSERT INTO t VALUES (4)".to_string(),
-            ])
+            p.log_transaction(&first).unwrap();
+            p.log_transaction(&stmts(&[
+                "INSERT INTO t VALUES (3)",
+                "INSERT INTO t VALUES (4)",
+            ]))
             .unwrap();
         }
         let wal_path = dir.join("wal.log");
         let full = std::fs::read(&wal_path).unwrap();
-        // Chop deep enough to lose the second unit's COMMIT and one
-        // statement, leaving BEGIN + one statement valid on disk.
+        // Chop into the second unit's first statement: its frame is
+        // 8 + 8 + 2 × 28 = 72 bytes long.
         std::fs::write(&wal_path, &full[..full.len() - 60]).unwrap();
         let (_, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        let sqls: Vec<&str> = rec.replay.iter().map(|r| r.sql.as_str()).collect();
+        let tail: Vec<&Vec<String>> = rec.replay.iter().map(|r| &r.stmts).collect();
         assert_eq!(
-            sqls,
-            vec![
-                "CREATE TABLE t (x INT)",
-                TXN_BEGIN_MARKER,
-                "INSERT INTO t VALUES (1)",
-                "INSERT INTO t VALUES (2)",
-                TXN_COMMIT_MARKER,
-            ],
+            tail,
+            vec![&stmts(&["CREATE TABLE t (x INT)"]), &first],
             "the committed unit survives; the torn one is gone entirely"
         );
-        assert!(rec.discarded_uncommitted > 0);
+        assert_eq!(rec.truncated_bytes, 12);
     }
 
     #[test]

@@ -344,3 +344,59 @@ fn a_statement_stopped_by_a_budget_is_still_profiled() {
         ]
     );
 }
+
+/// The `.verify on` naive cross-check re-runs each query on the naive
+/// route; the profile counts the statement once, not its cross-check too.
+#[test]
+fn verify_on_profiles_each_statement_once() {
+    let shared = SharedDatabase::in_memory();
+    let mut session = shared.session_with_options(SessionOptions {
+        verify_indexed: true,
+        ..SessionOptions::default()
+    });
+    for stmt in [
+        "CREATE TABLE intro_verify (x INT, ts INT, te INT) PERIOD (ts, te)",
+        "INSERT INTO intro_verify VALUES (1, 0, 5), (2, 3, 9), (1, 4, 6)",
+    ] {
+        session.execute(stmt).unwrap();
+    }
+    let profile = &shared.obs().profile;
+    profile.set_enabled(true);
+    session
+        .execute("SEQ VT (SELECT x, count(*) AS c FROM intro_verify GROUP BY x)")
+        .unwrap();
+    profile.set_enabled(false);
+    let root = profile
+        .stats()
+        .into_iter()
+        .find(|s| s.path == "TemporalAggregate")
+        .expect("the root path is profiled");
+    assert_eq!(root.samples, 1);
+}
+
+/// A query that a limit cancels mid-flight is slow-logged with the
+/// actuals of the operators it entered, not without a plan.
+#[test]
+fn a_cancelled_query_is_slow_logged_with_its_plan() {
+    let mut session = Session::default();
+    for stmt in [
+        "CREATE TABLE intro_cut (x INT, ts INT, te INT) PERIOD (ts, te)",
+        "INSERT INTO intro_cut VALUES (1, 0, 5), (2, 1, 6), (3, 2, 7), (4, 3, 8), (5, 4, 9)",
+        "SET slow_query_ms = 0",
+        "SET max_result_rows = 2",
+    ] {
+        session.execute(stmt).unwrap();
+    }
+    let err = session
+        .execute("SEQ VT (SELECT x FROM intro_cut)")
+        .unwrap_err();
+    assert!(err.to_string().contains("max_result_rows"), "{err}");
+    let entries = session.obs().slow_log.entries();
+    let entry = entries
+        .iter()
+        .find(|e| e.statement.contains("SEQ VT"))
+        .expect("the cancelled query is logged");
+    assert_eq!(entry.cancelled.as_deref(), Some("max_result_rows exceeded"));
+    let plan = entry.plan.as_deref().expect("operator actuals captured");
+    assert!(plan.contains("Scan") && plan.contains("calls=1"), "{plan}");
+}

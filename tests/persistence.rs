@@ -25,7 +25,7 @@ use snapshot_semantics::session::{
 use snapshot_semantics::sql::{self, bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{Catalog, Row, Schema, SqlType, Table, Value};
 use snapshot_semantics::wal::codec::{decode_catalog, encode_catalog, Reader, Writer};
-use snapshot_semantics::wal::dump_sql;
+use snapshot_semantics::wal::{dump_sql, Persistence};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -391,9 +391,9 @@ fn transaction_commit_units_replay_atomically_after_restart() {
         s.execute("COMMIT").unwrap();
     }
     let (mut s, report) = open(&dir, 0);
-    // CREATE + BEGIN marker + 3 statements + COMMIT marker.
-    assert_eq!(report.replayed, 6);
-    assert_eq!(report.discarded_uncommitted, 0);
+    // CREATE + the transaction's 3 statements.
+    assert_eq!(report.replayed, 4);
+    assert_eq!(report.truncated_bytes, 0);
     assert_eq!(s.read_view().catalog().get("works").unwrap().len(), 2);
     assert_indexes_sound(&mut s, "after transactional replay");
 }
@@ -442,7 +442,7 @@ fn crash_before_the_commit_marker_discards_the_whole_transaction() {
         s.execute("COMMIT").unwrap();
         reference
     };
-    // ...whose COMMIT marker is torn off by the crash: recovery must
+    // ...whose commit unit's frame is torn by the crash: recovery must
     // discard the *entire* unit — replaying its prefix (the INSERT
     // without the DELETE, or either alone) would be a state no client was
     // ever shown.
@@ -452,22 +452,218 @@ fn crash_before_the_commit_marker_discards_the_whole_transaction() {
     {
         let (mut s, report) = open(&dir, 0);
         assert_eq!(report.replayed, 2, "CREATE + bare INSERT");
-        assert!(report.discarded_uncommitted >= 3, "BEGIN + 2 statements");
+        assert!(report.truncated_bytes > 0, "the torn unit's frame");
         assert_catalogs_equal(
             s.read_view().catalog(),
             &reference,
             "torn commit marker rolls back to the pre-transaction state",
         );
         assert_indexes_sound(&mut s, "after discarding the torn unit");
-        // New statements appended after the discard can never be captured
-        // by the (now truncated) dangling BEGIN.
+        // New statements appended after the discard replay on their own.
         s.execute("INSERT INTO works VALUES ('After', 'SP', 2, 4)")
             .unwrap();
     }
     let (s, report) = open(&dir, 0);
-    assert_eq!(report.discarded_uncommitted, 0);
+    assert_eq!(report.truncated_bytes, 0);
     assert_eq!(report.replayed, 3);
     assert_eq!(s.read_view().catalog().get("works").unwrap().len(), 2);
+}
+
+/// The byte offsets at which `wal.log`'s frames end, walked by their
+/// length fields (`[magic: 8]`, then `[len: u32][crc: u32][payload]`).
+fn wal_frame_ends(dir: &std::path::Path) -> Vec<usize> {
+    let log = std::fs::read(dir.join("wal.log")).unwrap();
+    let mut ends = Vec::new();
+    let mut at = 8;
+    while at < log.len() {
+        at += 8 + u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        ends.push(at);
+    }
+    assert_eq!(at, log.len(), "the log ends on a frame boundary");
+    ends
+}
+
+/// A commit unit is one WAL frame: bare statements and `BEGIN`…`COMMIT`
+/// blocks alike, with no marker records around a transaction.
+#[test]
+fn wal_holds_exactly_one_frame_per_commit_unit() {
+    let dir = scratch_dir("one_frame");
+    let (mut s, _) = open(&dir, 0);
+    let script = [
+        SETUP[0],
+        "INSERT INTO works VALUES ('Ann', 'SP', 3, 10)",
+        "BEGIN",
+        "INSERT INTO works VALUES ('Joe', 'NS', 8, 16)",
+        "UPDATE works SET skill = 'WE' WHERE name = 'Joe'",
+        "DELETE FROM works WHERE name = 'Ann'",
+        "COMMIT",
+        "INSERT INTO works VALUES ('Sam', 'SP', 8, 16)",
+        "BEGIN",
+        "INSERT INTO works VALUES ('Eve', 'SP', 0, 2)",
+        "COMMIT",
+    ];
+    for sql in script {
+        s.execute(sql).unwrap();
+    }
+    drop(s);
+    // CREATE, INSERT, the 3-statement transaction, INSERT, the
+    // 1-statement transaction.
+    assert_eq!(wal_frame_ends(&dir).len(), 5);
+    let (s, report) = open(&dir, 0);
+    assert_eq!(report.replayed, 7, "statements, not frames");
+    assert_catalogs_equal(
+        s.read_view().catalog(),
+        &reference_catalog(&script),
+        "one frame per unit",
+    );
+}
+
+/// Cutting the last multi-statement unit's frame at any length recovers
+/// the state before that unit, and the log stays appendable.
+#[test]
+fn a_torn_last_unit_recovers_to_the_state_before_it_at_every_cut() {
+    let dir = scratch_dir("torn_every_cut");
+    let committed = [SETUP[0], "INSERT INTO works VALUES ('Ann', 'SP', 3, 10)"];
+    {
+        let (mut s, _) = open(&dir, 0);
+        for sql in committed {
+            s.execute(sql).unwrap();
+        }
+        s.execute("BEGIN").unwrap();
+        s.execute("INSERT INTO works VALUES ('Joe', 'NS', 8, 16)")
+            .unwrap();
+        s.execute("DELETE FROM works WHERE name = 'Ann'").unwrap();
+        s.execute("COMMIT").unwrap();
+    }
+    let ends = wal_frame_ends(&dir);
+    let (unit_start, unit_end) = (ends[ends.len() - 2], ends[ends.len() - 1]);
+    let full = std::fs::read(dir.join("wal.log")).unwrap();
+    let before = reference_catalog(&committed);
+    let after = "INSERT INTO works VALUES ('After', 'SP', 2, 4)";
+    for keep in 1..unit_end - unit_start {
+        let ctx = format!("cut at {keep} of {}", unit_end - unit_start);
+        std::fs::write(dir.join("wal.log"), &full[..unit_start + keep]).unwrap();
+        {
+            let (mut s, report) = open(&dir, 0);
+            assert_eq!(report.truncated_bytes, keep as u64, "{ctx}");
+            assert_eq!(report.replayed, committed.len(), "{ctx}");
+            assert_catalogs_equal(s.read_view().catalog(), &before, &ctx);
+            s.execute(after).unwrap();
+        }
+        let (s, report) = open(&dir, 0);
+        assert_eq!(report.replayed, committed.len() + 1, "{ctx}");
+        assert_eq!(report.truncated_bytes, 0, "{ctx}");
+        assert_catalogs_equal(
+            s.read_view().catalog(),
+            &reference_catalog(&[committed[0], committed[1], after]),
+            &ctx,
+        );
+    }
+}
+
+/// `RecoveryReport::replayed` and the auto-checkpoint count statements:
+/// neither counts a transaction's bracketing.
+#[test]
+fn recovery_counts_statements_and_the_next_checkpoint_comes_on_time() {
+    let dir = scratch_dir("stmt_counts");
+    {
+        let (mut s, _) = open(&dir, 0);
+        for sql in [
+            SETUP[0],
+            "BEGIN",
+            "INSERT INTO works VALUES ('Ann', 'SP', 3, 10)",
+            "INSERT INTO works VALUES ('Joe', 'NS', 8, 16)",
+            "COMMIT",
+        ] {
+            s.execute(sql).unwrap();
+        }
+    }
+    let (_, report) = open(&dir, 0);
+    assert_eq!(report.replayed, 3);
+
+    // A tail of k = 5 statements, 4 of them in two 2-statement units,
+    // under checkpoint_every = 8: the 3rd statement after the restart is
+    // the one that checkpoints.
+    let dir = scratch_dir("stmt_counts_checkpoint");
+    {
+        let (mut s, _) = open(&dir, 8);
+        s.execute(SETUP[0]).unwrap();
+        for pair in [["Ann", "Joe"], ["Sam", "Eve"]] {
+            s.execute("BEGIN").unwrap();
+            for name in pair {
+                s.execute(&format!("INSERT INTO works VALUES ('{name}', 'SP', 1, 9)"))
+                    .unwrap();
+            }
+            s.execute("COMMIT").unwrap();
+        }
+        assert_eq!(counter(&s, "wal_checkpoints_total"), 0);
+    }
+    let (mut s, report) = open(&dir, 8);
+    assert_eq!(report.replayed, 5);
+    for i in 0..3 {
+        assert_eq!(
+            counter(&s, "wal_checkpoints_total"),
+            0,
+            "after {i} statement(s)"
+        );
+        s.execute(&format!("INSERT INTO works VALUES ('x{i}', 'NS', 1, 2)"))
+            .unwrap();
+    }
+    assert_eq!(counter(&s, "wal_checkpoints_total"), 1);
+}
+
+/// A directory written in WAL format 1 (`tests/fixtures/wal_v1`, see its
+/// README): one statement per frame, `BEGIN`/`COMMIT` marker records,
+/// and a last transaction whose `COMMIT` marker is torn. It opens to the
+/// committed state, its log is rewritten as an empty format-2 log, and
+/// what runs next is logged after it under the LSNs that follow.
+#[test]
+fn a_format_1_directory_opens_to_its_committed_state_and_is_upgraded() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal_v1");
+    let dir = scratch_dir("wal_v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let committed = script_statements("tests/fixtures/wal_v1.sql");
+    let mut statements: Vec<&str> = committed.iter().map(String::as_str).collect();
+    {
+        let (mut s, report) = open(&dir, 0);
+        assert_eq!(report.checkpoint_seq, Some(1));
+        assert!(report.truncated_bytes > 0, "the torn COMMIT marker");
+        assert_catalogs_equal(
+            s.read_view().catalog(),
+            &reference_catalog(&statements),
+            "format-1 recovery",
+        );
+        assert_indexes_sound(&mut s, "format-1 recovery");
+        assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), b"SNAPWAL\x02");
+        statements.push("INSERT INTO works VALUES ('Next', 'NS', 5, 6)");
+        s.execute(statements[statements.len() - 1]).unwrap();
+    }
+    {
+        let (s, report) = open(&dir, 0);
+        assert_eq!(
+            (
+                report.checkpoint_seq,
+                report.replayed,
+                report.truncated_bytes
+            ),
+            (Some(2), 1, 0)
+        );
+        assert_catalogs_equal(
+            s.read_view().catalog(),
+            &reference_catalog(&statements),
+            "after the upgrade",
+        );
+    }
+    // checkpoint.1 covers LSNs 1..=3 and the format-1 tail that survived
+    // the tear holds 4..=13, so the upgrade checkpoint covers 13 and the
+    // next unit is 14.
+    let (_, recovery) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+    let lsns: Vec<u64> = recovery.replay.iter().map(|r| r.lsn).collect();
+    assert_eq!(lsns, vec![14]);
 }
 
 #[test]
@@ -580,7 +776,7 @@ fn shared_database_recovers_concurrent_commits() {
         },
     )
     .unwrap();
-    assert_eq!(report.discarded_uncommitted, 0);
+    assert_eq!(report.truncated_bytes, 0);
     let view = shared.snapshot();
     let mut names: Vec<String> = view
         .catalog()
@@ -698,7 +894,7 @@ fn every_commit_unit_shape_survives_a_kill_under_every_sync_policy() {
             } // kill
             let (mut s, report) = open_with(&dir, sync, 0);
             assert_eq!(report.checkpoint_seq, None, "{ctx}");
-            assert_eq!(report.discarded_uncommitted, 0, "{ctx}");
+            assert_eq!(report.truncated_bytes, 0, "{ctx}");
             assert_catalogs_equal(
                 s.read_view().catalog(),
                 &reference_catalog(statements),
@@ -711,10 +907,13 @@ fn every_commit_unit_shape_survives_a_kill_under_every_sync_policy() {
 }
 
 fn smoke_statements() -> Vec<String> {
-    let text = std::fs::read_to_string(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/sql/smoke.sql"),
-    )
-    .unwrap();
+    script_statements("tests/sql/smoke.sql")
+}
+
+/// The SQL statements of a checked-in script, meta commands stripped.
+fn script_statements(path: &str) -> Vec<String> {
+    let text =
+        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path)).unwrap();
     let sql_only: String = text
         .lines()
         .filter(|l| !l.trim().starts_with('.'))
