@@ -232,17 +232,28 @@ impl Plan {
     /// ([`Expr::substitute`]), is `AND`ed onto `condition` — so a rejected
     /// pair builds no row, and an equality or overlap among the filter's
     /// conjuncts can pick the join's route. As in [`Plan::project`], only
-    /// while that reads no computed output expression twice.
+    /// while that reads no computed output expression twice. Over a
+    /// `Project` whose columns it reads are all bare columns or literals it
+    /// moves below the projection (σ_p Π = Π σ_{p∘Π}), so it runs on the
+    /// projection's input and the projection builds only the survivors.
     pub fn filter(self, predicate: Expr) -> Plan {
         let schema = self.schema.clone();
         let node = match self.node {
+            PlanNode::Project { input, exprs }
+                if inlines(std::slice::from_ref(&predicate), &exprs, 0) =>
+            {
+                PlanNode::Project {
+                    input: Box::new(input.filter(predicate.substitute(&exprs))),
+                    exprs,
+                }
+            }
             PlanNode::Join {
                 left,
                 right,
                 condition,
                 algo,
                 output,
-            } if inlines_once(std::slice::from_ref(&predicate), &output) => PlanNode::Join {
+            } if inlines(std::slice::from_ref(&predicate), &output, 1) => PlanNode::Join {
                 left,
                 right,
                 condition: condition.and(predicate.substitute(&output)),
@@ -302,7 +313,7 @@ impl Plan {
             PlanNode::Project {
                 input,
                 exprs: inner,
-            } if inlines_once(&exprs, &inner) => PlanNode::Project {
+            } if inlines(&exprs, &inner, 1) => PlanNode::Project {
                 input,
                 exprs: compose(&inner),
             },
@@ -312,7 +323,7 @@ impl Plan {
                 condition,
                 algo,
                 output,
-            } if inlines_once(&exprs, &output) => PlanNode::Join {
+            } if inlines(&exprs, &output, 1) => PlanNode::Join {
                 left,
                 right,
                 condition,
@@ -692,11 +703,13 @@ fn is_identity(exprs: &[Expr], arity: usize) -> bool {
     exprs.len() == arity && exprs.iter().enumerate().all(|(i, e)| *e == Expr::Col(i))
 }
 
-/// Whether substituting `inner` into `exprs` evaluates nothing twice: every
-/// inner expression that computes something (not a bare column or literal)
-/// is referenced at most once across `exprs`. Without this, each level of
-/// `SELECT x + x AS x FROM (…)` would double the composed expression.
-fn inlines_once(exprs: &[Expr], inner: &[Expr]) -> bool {
+/// Whether substituting `inner` into `exprs` evaluates no inner expression
+/// that computes something (not a bare column or literal) more than `times`
+/// over: each is referenced at most `times` across `exprs`. With 1, nothing
+/// is evaluated twice — without it, each level of
+/// `SELECT x + x AS x FROM (…)` would double the composed expression; with
+/// 0, only bare columns and literals are read.
+fn inlines(exprs: &[Expr], inner: &[Expr], times: usize) -> bool {
     let mut refs = Vec::new();
     for e in exprs {
         e.referenced_columns(&mut refs);
@@ -704,7 +717,7 @@ fn inlines_once(exprs: &[Expr], inner: &[Expr]) -> bool {
     let mut uses = vec![0usize; inner.len()];
     refs.into_iter().all(|i| {
         uses[i] += 1;
-        uses[i] == 1 || matches!(inner[i], Expr::Col(_) | Expr::Lit(_))
+        uses[i] <= times || matches!(inner[i], Expr::Col(_) | Expr::Lit(_))
     })
 }
 
@@ -937,6 +950,107 @@ mod tests {
         // Over anything else a filter is a Filter.
         let scan = Plan::scan("a", works_schema()).filter(Expr::col(2).lt(Expr::lit(9)));
         assert!(matches!(scan.node, PlanNode::Filter { .. }));
+    }
+
+    #[test]
+    fn filter_moves_below_a_projection_of_bare_columns() {
+        let names = |n: usize| (0..n).map(|i| format!("c{i}")).collect::<Vec<_>>();
+        // The `AS OF` audit: the period-dropping projection, the WHERE over
+        // it, the SELECT list. The filter reads a bare column, so it runs
+        // under the projection, and the two projections compose into one.
+        let audit = Plan::scan("works", works_schema())
+            .timeslice(9)
+            .project_cols(&[0, 1])
+            .filter(Expr::col(1).eq(Expr::lit("SP")))
+            .project_cols(&[0]);
+        let text = audit.explain();
+        let shape: Vec<&str> = text.lines().map(str::trim_start).collect();
+        assert_eq!(
+            shape,
+            [
+                "Project [#0]",
+                "Filter (#1 = 'SP')",
+                "Timeslice at 9",
+                "Scan works (name TEXT, skill TEXT, ts INT, te INT)"
+            ]
+        );
+        assert_eq!(audit.schema.column(0).name, "name");
+        // A literal column is substituted like a bare one.
+        let lit = Plan::scan("works", works_schema())
+            .project(vec![Expr::col(0), Expr::lit(5i64)], names(2))
+            .unwrap()
+            .filter(Expr::col(1).lt(Expr::col(0)));
+        let PlanNode::Project { input, .. } = &lit.node else {
+            panic!("expected a Project over the filter, got\n{lit}")
+        };
+        assert_eq!(input.node_label(), "Filter (5 < #0)");
+        assert_eq!(lit.schema.column(1).name, "c1");
+    }
+
+    #[test]
+    fn filter_over_a_computed_column_stays_above_the_projection() {
+        // `SELECT ts + 1 AS y … WHERE y > 3`: below the projection the sum
+        // would be computed for the filter and again for the row.
+        let p = Plan::scan("works", works_schema())
+            .project(
+                vec![
+                    Expr::col(0),
+                    Expr::binary(BinOp::Add, Expr::col(2), Expr::lit(1i64)),
+                ],
+                vec!["name".into(), "y".into()],
+            )
+            .unwrap()
+            .filter(Expr::binary(BinOp::Gt, Expr::col(1), Expr::lit(3i64)));
+        let PlanNode::Filter { input, predicate } = &p.node else {
+            panic!("expected a Filter over the projection, got\n{p}")
+        };
+        assert_eq!(predicate.to_string(), "(#1 > 3)");
+        assert!(matches!(input.node, PlanNode::Project { .. }));
+        // Reading only the bare column of the same projection, it moves.
+        let bare = Plan::scan("works", works_schema())
+            .project(
+                vec![
+                    Expr::col(0),
+                    Expr::binary(BinOp::Add, Expr::col(2), Expr::lit(1i64)),
+                ],
+                vec!["name".into(), "y".into()],
+            )
+            .unwrap()
+            .filter(Expr::col(0).eq(Expr::lit("Ann")));
+        assert!(matches!(bare.node, PlanNode::Project { .. }), "{bare}");
+    }
+
+    #[test]
+    fn filter_over_a_projection_over_a_join_reaches_the_condition() {
+        let sum = Expr::binary(BinOp::Add, Expr::col(2), Expr::col(6));
+        let cond = Expr::col(1).eq(Expr::col(5));
+        // The outer projection reads the computed sum twice, so it stays a
+        // `Project` over the join; a filter on its bare column still goes
+        // through it into the join's condition.
+        let p = Plan::scan("a", works_schema())
+            .join(Plan::scan("b", works_schema()), cond.clone())
+            .project(
+                vec![sum.clone(), Expr::col(0)],
+                vec!["s".into(), "n".into()],
+            )
+            .unwrap()
+            .project(
+                vec![
+                    Expr::binary(BinOp::Add, Expr::col(0), Expr::col(0)),
+                    Expr::col(1),
+                ],
+                vec!["d".into(), "n".into()],
+            )
+            .unwrap()
+            .filter(Expr::col(1).eq(Expr::lit("Ann")));
+        let PlanNode::Project { input, .. } = &p.node else {
+            panic!("expected a Project over the join, got\n{p}")
+        };
+        let PlanNode::Join { condition, .. } = &input.node else {
+            panic!("expected the join under the projection, got\n{p}")
+        };
+        assert_eq!(*condition, cond.and(Expr::col(0).eq(Expr::lit("Ann"))));
+        assert_eq!(p.explain().lines().count(), 4, "{p}");
     }
 
     #[test]

@@ -412,13 +412,30 @@ impl Engine {
 
     /// Runs `plan`'s node; a cancelled statement stops at its boundary.
     fn run<'a>(&self, plan: &'a Plan, env: &mut ExecEnv<'a>) -> Result<Rows<'a>, StatementError> {
+        self.node(plan, env, Self::eval)
+    }
+
+    /// `plan`'s node: `eval` ([`Engine::eval`], or [`Engine::lent`] for an
+    /// operator that reads its input's rows as references) between
+    /// [`Engine::enter`] and [`Engine::leave`].
+    fn node<'a, T: Deref<Target = [E]>, E>(
+        &self,
+        plan: &'a Plan,
+        env: &mut ExecEnv<'a>,
+        eval: impl FnOnce(&Self, &'a Plan, &mut ExecEnv<'a>) -> Result<T, StatementError>,
+    ) -> Result<T, StatementError> {
         let node = self.enter(plan);
-        let rows = self.ctx.check().and_then(|()| self.eval(plan, env));
+        let rows = self.ctx.check().and_then(|()| eval(self, plan, env));
         self.leave(plan, env, node, rows)
     }
 
     /// `plan`'s own operator over its inputs' rows.
     fn eval<'a>(&self, plan: &'a Plan, env: &mut ExecEnv<'a>) -> Result<Rows<'a>, StatementError> {
+        if lent_stab(plan, env)?.is_some() {
+            // Nothing above lends: own the survivors.
+            let rows = self.lent(plan, env)?;
+            return Ok(rows.into_iter().cloned().collect::<Vec<_>>().into());
+        }
         Ok(match &plan.node {
             PlanNode::Scan { table } => {
                 let t = env.catalog.require(table)?;
@@ -442,12 +459,16 @@ impl Engine {
                 retain(self.run(input, env)?, &self.ctx, |r| predicate.holds(r))?.into()
             }
             PlanNode::Project { input, exprs } => {
-                let input_rows = self.run(input, env)?;
                 let exprs: Vec<Prepared> = exprs.iter().map(Prepared::new).collect();
-                input_rows
-                    .iter()
-                    .map(|r| exprs.iter().map(|e| e.value(r)).collect())
-                    .collect()
+                let row = |r: &Row| exprs.iter().map(|e| e.value(r)).collect();
+                if lent_stab(input, env)?.is_some() {
+                    self.node(input, env, Self::lent)?
+                        .into_iter()
+                        .map(row)
+                        .collect()
+                } else {
+                    self.run(input, env)?.iter().map(row).collect()
+                }
             }
             PlanNode::Join {
                 left,
@@ -510,25 +531,13 @@ impl Engine {
             }
             PlanNode::Timeslice { input, at } => {
                 let at = *at;
-                self.period_filter(
-                    input,
-                    env,
-                    ("IndexTimeslice", "NaiveTimeslice"),
-                    |idx, table| idx.timeslice_rows(table, at),
-                    |ts, te| ts <= at && at < te,
-                )?
-                .into()
+                self.period_filter(input, env, "NaiveTimeslice", |ts, te| ts <= at && at < te)?
+                    .into()
             }
             PlanNode::TimeRange { input, range } => {
                 let (b, e) = *range;
-                self.period_filter(
-                    input,
-                    env,
-                    ("IndexTimeRange", "NaiveTimeRange"),
-                    |idx, table| idx.overlapping_rows(table, b, e),
-                    |ts, te| ts < e && b < te,
-                )?
-                .into()
+                self.period_filter(input, env, "NaiveTimeRange", |ts, te| ts < e && b < te)?
+                    .into()
             }
             PlanNode::Split {
                 left,
@@ -586,37 +595,61 @@ impl Engine {
         })
     }
 
-    /// `Timeslice` / `TimeRange`: the rows of `input` whose period (the
-    /// trailing two columns) satisfies `keep(ts, te)`. A scanned table with
-    /// a fresh index over exactly those columns answers through `probe`
-    /// (an interval-tree stab or overlap probe); anything else filters the
-    /// materialized input. `ops` names the indexed and the linear route in
-    /// [`ExecStats`].
+    /// `Timeslice` / `TimeRange` on the linear route (`op` in
+    /// [`ExecStats`]): the rows of `input` whose period (the trailing two
+    /// columns) satisfies `keep(ts, te)`.
     fn period_filter<'a>(
         &self,
         input: &'a Plan,
         env: &mut ExecEnv<'a>,
-        ops: (&'static str, &'static str),
-        probe: impl FnOnce(&TableIndex, &Table) -> Vec<Row>,
+        op: &'static str,
         keep: impl Fn(i64, i64) -> bool,
     ) -> Result<Vec<Row>, StatementError> {
         let n = input.schema.arity();
-        let indexed = indexed_scan(input, env.catalog, env.indexes)?
-            .filter(|(idx, _)| n >= 2 && idx.period() == (n - 2, n - 1));
-        let (op, rows) = match indexed {
-            Some((idx, table)) => {
-                self.ctx.account.add_index_probes(1);
-                (ops.0, probe(idx, table))
-            }
-            None => {
-                let rows = retain(self.run(input, env)?, &self.ctx, |r| {
-                    keep(r.int(n - 2), r.int(n - 1))
-                })?;
-                (ops.1, rows)
-            }
-        };
+        let rows = retain(self.run(input, env)?, &self.ctx, |r| {
+            keep(r.int(n - 2), r.int(n - 1))
+        })?;
         env.stats.record(op, rows.len());
         Ok(rows)
+    }
+
+    /// The rows of `plan`, one that [`lent_stab`] answers, as references
+    /// into the pinned table: a `Timeslice` / `TimeRange` stabs the index
+    /// (an interval-tree stab or overlap probe), a `Filter` keeps the
+    /// survivors among its lent input. The operator above builds or clones
+    /// only what it keeps.
+    fn lent<'a>(
+        &self,
+        plan: &'a Plan,
+        env: &mut ExecEnv<'a>,
+    ) -> Result<Vec<&'a Row>, StatementError> {
+        if let PlanNode::Filter { input, predicate } = &plan.node {
+            let rows = self.node(input, env, Self::lent)?;
+            let predicate = Prepared::new(predicate);
+            let mut out = Vec::new();
+            for (n, r) in rows.into_iter().enumerate() {
+                self.ctx.row_considered(n + 1)?;
+                if predicate.holds(r) {
+                    out.push(r);
+                }
+            }
+            return Ok(out);
+        }
+        let (op, ids, table) = match (&plan.node, lent_stab(plan, env)?) {
+            (PlanNode::Timeslice { at, .. }, Some((idx, t))) => {
+                ("IndexTimeslice", idx.tree().stab(*at), t)
+            }
+            (PlanNode::TimeRange { range, .. }, Some((idx, t))) => (
+                "IndexTimeRange",
+                idx.tree().overlapping(range.0, range.1),
+                t,
+            ),
+            _ => unreachable!("only what `lent_stab` answers is lent"),
+        };
+        self.ctx.account.add_index_probes(1);
+        env.stats.record(op, ids.len());
+        let rows = table.rows();
+        Ok(ids.into_iter().map(|id| &rows[id]).collect())
     }
 
     /// Joins two materialized inputs; each side is `(plan, rows)` — the
@@ -786,6 +819,25 @@ fn indexed_scan<'a>(
         return Ok(None); // stale binding: let the naive path report it
     }
     Ok(reg.get_fresh(table, t).map(|idx| (idx, t)))
+}
+
+/// The index and table that answer `plan` through a stab: `plan` is a
+/// `Timeslice` / `TimeRange` over a scan with a fresh index over exactly
+/// its period columns (the trailing two), or a `Filter` over such a plan.
+/// Errors only when the scanned table vanished from the catalog.
+fn lent_stab<'a>(
+    plan: &Plan,
+    env: &ExecEnv<'a>,
+) -> Result<Option<(&'a TableIndex, &'a Table)>, String> {
+    match &plan.node {
+        PlanNode::Filter { input, .. } => lent_stab(input, env),
+        PlanNode::Timeslice { input, .. } | PlanNode::TimeRange { input, .. } => {
+            let n = input.schema.arity();
+            Ok(indexed_scan(input, env.catalog, env.indexes)?
+                .filter(|(idx, _)| n >= 2 && idx.period() == (n - 2, n - 1)))
+        }
+        _ => Ok(None),
+    }
 }
 
 /// One side of a begin-ordered join, ascending by its `ts` column. An

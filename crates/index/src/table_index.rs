@@ -100,7 +100,10 @@ impl TableIndex {
     }
 
     /// The timeslice at `t`: clones of all rows valid at `t`, in table
-    /// order. `O(log n + k)` via interval-tree stabbing.
+    /// order. `O(log n + k)` via interval-tree stabbing. The engine stabs
+    /// [`TableIndex::tree`] itself and lends the rows instead of cloning
+    /// them; this (and [`TableIndex::overlapping_rows`]) is the
+    /// benchmark's micro-measure of the stab.
     pub fn timeslice_rows(&self, table: &Table, t: i64) -> Vec<Row> {
         debug_assert!(self.is_fresh(table));
         let rows = table.rows();

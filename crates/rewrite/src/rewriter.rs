@@ -123,12 +123,14 @@ impl SnapshotCompiler {
         t1: i64,
         t2: i64,
     ) -> Result<Plan, String> {
-        if t1 > t2 {
+        // The half-open end saturates at `i64::MAX`, so `BETWEEN MAX AND
+        // MAX` is as empty as `t1 > t2`: no representable time point.
+        let window = (t1, t2.saturating_add(1));
+        if window.0 >= window.1 {
             return Err(format!(
                 "empty SEQ VT window: BETWEEN {t1} AND {t2} has no time points"
             ));
         }
-        let window = (t1, t2.saturating_add(1));
         let rewritten = self.rewr(plan, catalog, Some(window))?;
         Ok(if self.options.final_coalesce_only {
             rewritten.coalesce()
@@ -698,6 +700,47 @@ mod tests {
         let out = Engine::new().execute(&plan, &c).unwrap();
         assert_eq!(out.rows(), &[row![2]]); // Ann [3,10) and Sam [8,16)
         assert!(plan.explain().contains("Timeslice"));
+    }
+
+    #[test]
+    fn as_of_audit_filters_the_stab_under_one_projection() {
+        // `Project ← Filter ← Timeslice ← Scan`: the WHERE runs on the
+        // stabbed rows and one projection builds the survivors (the period
+        // drop and the SELECT list composed).
+        let c = catalog();
+        let stmt =
+            parse_statement("SEQ VT AS OF 9 (SELECT name FROM works WHERE skill = 'SP')").unwrap();
+        let bound = bind_statement(&stmt, &c).unwrap();
+        let plan = SnapshotCompiler::new(TimeDomain::new(0, 24))
+            .compile_statement(&bound, &c)
+            .unwrap();
+        let text = plan.explain();
+        let shape: Vec<&str> = text
+            .lines()
+            .map(|l| l.trim_start().split(' ').next().unwrap())
+            .collect();
+        assert_eq!(shape, ["Project", "Filter", "Timeslice", "Scan"], "{plan}");
+        let out = Engine::new().execute(&plan, &c).unwrap();
+        assert_eq!(out.rows(), &[row!["Ann"], row!["Sam"]]);
+    }
+
+    #[test]
+    fn between_at_the_end_of_time_is_an_empty_window() {
+        // `t2 + 1` saturates at i64::MAX: the half-open window is empty.
+        let c = catalog();
+        let stmt = parse_statement("SEQ VT (SELECT name FROM works)").unwrap();
+        let bound = bind_statement(&stmt, &c).unwrap();
+        let BoundStatement::Snapshot { plan, .. } = &bound else {
+            panic!()
+        };
+        let compiler = SnapshotCompiler::new(TimeDomain::new(0, 24));
+        let err = compiler
+            .compile_between(plan, &c, i64::MAX, i64::MAX)
+            .unwrap_err();
+        assert!(err.starts_with("empty SEQ VT window"), "{err}");
+        assert!(compiler
+            .compile_between(plan, &c, i64::MAX - 1, i64::MAX)
+            .is_ok());
     }
 
     #[test]

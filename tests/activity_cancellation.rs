@@ -715,3 +715,99 @@ fn tripped_token_aborts_an_aggregate_over_a_join_in_either_phase() {
     token.arm(None, None, None);
     assert_eq!(engine.execute(&sweep_phase, &catalog).unwrap(), whole);
 }
+
+/// An indexed `AS OF … WHERE` filters the stab's rows by reference, and
+/// that loop polls the token every 1 024 rows as every linear operator
+/// does: a kill that lands once the `Timeslice` has handed up its rows
+/// aborts the statement inside its `Filter`, which every row would pass —
+/// the stab's rows are the only rows emitted, and the filter reports its
+/// call but no rows. A scan budget
+/// counts scanned rows, which the stab does not read through a `Scan`: the
+/// indexed statement runs under a budget of 10 rows, the naive one trips
+/// at its `Scan`, having scanned the whole table.
+#[test]
+fn tripped_token_aborts_an_indexed_as_of_inside_its_filter() {
+    use snapshot_semantics::engine::{Engine, ExecContext, ExecStats, NodeStats};
+    use snapshot_semantics::index::IndexCatalog;
+    use snapshot_semantics::rewrite::SnapshotCompiler;
+    use snapshot_semantics::sql::{bind_statement, parse_statement};
+    use snapshot_semantics::storage::{Catalog, Row, Schema, SqlType, Table};
+    use snapshot_semantics::timeline::TimeDomain;
+    use std::sync::Arc;
+
+    // 100 000 rows live at 5, each with a 200-byte name that the LIKE
+    // pattern walks in full and never matches before `OR` lets the row
+    // pass: the filter takes a while.
+    let n = 100_000u64;
+    let schema = Schema::of(&[
+        ("k", SqlType::Int),
+        ("name", SqlType::Str),
+        ("ts", SqlType::Int),
+        ("te", SqlType::Int),
+    ]);
+    let mut table = Table::with_period(schema, 2, 3);
+    let name = "ab".repeat(100);
+    table.extend((0..n as i64).map(|i| {
+        Row::new(vec![
+            Value::Int(i),
+            Value::str(&name),
+            Value::Int(i % 5),
+            Value::Int(10),
+        ])
+    }));
+    let mut catalog = Catalog::new();
+    catalog.register("big", table);
+    let indexes = IndexCatalog::build_all(&catalog);
+    let sql = "SEQ VT AS OF 5 (SELECT k FROM big WHERE name LIKE '%a%b%c%' OR k >= 0)";
+    let bound = bind_statement(&parse_statement(sql).unwrap(), &catalog).unwrap();
+    let plan = SnapshotCompiler::new(TimeDomain::new(0, 10))
+        .compile_statement(&bound, &catalog)
+        .unwrap();
+    let filter = &plan.children()[0];
+    assert!(filter.node_label().starts_with("Filter "), "{plan}");
+
+    let account = Arc::new(snapshot_obs::ResourceAccount::default());
+    let token = Arc::new(snapshot_obs::CancelToken::default());
+    let engine = Engine::new().with_context(ExecContext::new(account.clone(), token.clone(), None));
+    let run = |nodes: &mut NodeStats| {
+        let mut stats = ExecStats::default();
+        engine.execute_analyzed(&plan, &catalog, Some(&indexes), &mut stats, nodes)
+    };
+
+    // Untripped: every row survives the filter.
+    token.arm(None, None, None);
+    assert_eq!(run(&mut NodeStats::default()).unwrap().len(), n as usize);
+
+    // Tripped once the stab's rows are up.
+    account.reset();
+    token.arm(None, None, None);
+    let mut nodes = NodeStats::default();
+    let err = std::thread::scope(|s| {
+        s.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while account.usage().rows_emitted < n {
+                assert!(Instant::now() < deadline, "the stab never finished");
+                std::hint::spin_loop();
+            }
+            token.cancel(CancelKind::Killed);
+        });
+        run(&mut nodes).unwrap_err()
+    });
+    assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
+    assert_eq!(account.usage().rows_emitted, n, "only the stab finished");
+    let actuals = nodes.get(filter).expect("the filter ran");
+    assert_eq!((actuals.calls, actuals.rows), (1, 0));
+
+    // A scan budget of 10 rows: the stab scans none.
+    account.reset();
+    token.arm(None, Some(10), None);
+    assert_eq!(run(&mut NodeStats::default()).unwrap().len(), n as usize);
+    assert_eq!(account.usage().rows_scanned, 0);
+    // The naive route reads the table through its `Scan` and trips there.
+    account.reset();
+    token.arm(None, Some(10), None);
+    let err = engine.execute(&plan, &catalog).unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::RowsScannedLimit), "{err:?}");
+    let usage = account.usage();
+    assert_eq!((usage.rows_scanned, usage.rows_emitted), (n, n));
+}

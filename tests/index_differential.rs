@@ -11,7 +11,7 @@ use snapshot_semantics::engine::{temporal, Engine, ExecStats, NodeStats};
 use snapshot_semantics::index::IndexCatalog;
 use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
-use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table};
+use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table, Value};
 use snapshot_semantics::timeline::TimeDomain;
 
 /// Runs `plan` through the engine's general entry point — over `indexes`,
@@ -755,6 +755,166 @@ fn explicit_sweep_runs_slab_parallel_exactly_above_parallelism_one() {
             "parallelism {}",
             session.options().parallelism
         );
+    }
+}
+
+/// A period table `r (k INT, x DOUBLE, name TEXT, ts, te)` for the lending
+/// routes: NULLs in every data column, integral doubles beside the ints (so
+/// `k = x` meets 2 and 2.0), and every fifth row a verbatim duplicate of an
+/// earlier one.
+fn lending_catalog(seed: u64) -> (Catalog, TimeDomain) {
+    let domain = TimeDomain::new(0, 40);
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = |n: u64| {
+        // xorshift64: deterministic per seed, no dependency.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let schema = Schema::of(&[
+        ("k", SqlType::Int),
+        ("x", SqlType::Double),
+        ("name", SqlType::Str),
+        ("ts", SqlType::Int),
+        ("te", SqlType::Int),
+    ]);
+    let mut table = Table::with_period(schema, 3, 4);
+    let mut rows: Vec<Row> = Vec::new();
+    for i in 0..80 {
+        if i % 5 == 4 {
+            let dup = rows[next(rows.len() as u64) as usize].clone();
+            rows.push(dup);
+            continue;
+        }
+        let k = match next(5) {
+            0 => Value::Null,
+            v => Value::Int(v as i64),
+        };
+        let x = match next(6) {
+            0 => Value::Null,
+            v if v % 2 == 0 => Value::Double(v as f64 / 2.0),
+            v => Value::Double(v as f64 + 0.5),
+        };
+        let name = match next(5) {
+            0 => Value::Null,
+            v => Value::str(["ann", "bob", "abe", "cy"][v as usize - 1]),
+        };
+        let ts = next(36) as i64;
+        let te = ts + 1 + next(10) as i64;
+        rows.push(Row::new(vec![k, x, name, Value::Int(ts), Value::Int(te)]));
+    }
+    table.extend(rows);
+    let mut catalog = Catalog::new();
+    catalog.register("r", table);
+    (catalog, domain)
+}
+
+/// `AS OF` / `BETWEEN` reads whose index stab lends its rows to the
+/// `Filter` and `Project` above it equal the naive route row for row and
+/// the point-wise oracle's snapshots, at parallelism 1 and 4, for `WHERE`
+/// predicates of every shape (`=`, `<>`, `LIKE`, `IS NULL`, `AND`/`OR`,
+/// mixed `INT`/`DOUBLE`, always false, always true) under bare and
+/// computed projections; and the stab is what `ExecStats` reports.
+#[test]
+fn lent_stab_routes_match_naive_and_oracle() {
+    const PREDICATES: &[&str] = &[
+        "k = 2",
+        "name <> 'bob'",
+        "name LIKE 'a%'",
+        "x IS NULL",
+        "k = 1 AND x > 1.5",
+        "k = 3 OR name = 'cy'",
+        "k = x",
+        "1 = 0",
+        "1 = 1",
+    ];
+    const PROJECTIONS: &[&str] = &["k, name", "k + 1 AS k1, x * 2 AS x2, name"];
+    for seed in 0..3 {
+        let (catalog, domain) = lending_catalog(seed);
+        let indexes = IndexCatalog::build_all(&catalog);
+        let periods: Vec<(i64, i64)> = catalog
+            .get("r")
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| (r.int(3), r.int(4)))
+            .collect();
+        let compiler = SnapshotCompiler::new(domain);
+        for predicate in PREDICATES {
+            for projection in PROJECTIONS {
+                let query = format!("(SELECT {projection} FROM r WHERE {predicate})");
+                let full = bind_statement(
+                    &parse_statement(&format!("SEQ VT {query}")).unwrap(),
+                    &catalog,
+                )
+                .unwrap();
+                let BoundStatement::Snapshot { plan, .. } = &full else {
+                    panic!()
+                };
+                let oracle = PointwiseOracle::new(domain)
+                    .eval_rows(plan, &catalog)
+                    .unwrap();
+                let arity = plan.schema.arity();
+                for (t1, t2) in [(0, 0), (9, 9), (17, 23), (30, 39), (5, 38)] {
+                    let (window, op, stabbed, mut want) = if t1 == t2 {
+                        let want: Vec<Row> = oracle
+                            .iter()
+                            .filter(|r| r.int(arity) <= t1 && t1 < r.int(arity + 1))
+                            .map(|r| Row::new(r.values()[..arity].to_vec()))
+                            .collect();
+                        let stabbed = periods.iter().filter(|&&(b, e)| b <= t1 && t1 < e).count();
+                        (format!("AS OF {t1}"), "IndexTimeslice", stabbed, want)
+                    } else {
+                        let want: Vec<Row> = oracle
+                            .iter()
+                            .filter(|r| r.int(arity) <= t2 && t1 < r.int(arity + 1))
+                            .map(|r| {
+                                let mut v = r.values()[..arity].to_vec();
+                                v.push(Value::Int(r.int(arity).max(t1)));
+                                v.push(Value::Int(r.int(arity + 1).min(t2 + 1)));
+                                Row::new(v)
+                            })
+                            .collect();
+                        let stabbed = periods.iter().filter(|&&(b, e)| b <= t2 && t1 < e).count();
+                        (
+                            format!("BETWEEN {t1} AND {t2}"),
+                            "IndexTimeRange",
+                            stabbed,
+                            want,
+                        )
+                    };
+                    want.sort_unstable();
+                    let sql = format!("SEQ VT {window} {query}");
+                    let bound = bind_statement(&parse_statement(&sql).unwrap(), &catalog).unwrap();
+                    let compiled = compiler.compile_statement(&bound, &catalog).unwrap();
+                    let naive = Engine::new().execute(&compiled, &catalog).unwrap();
+                    for p in [1, 4] {
+                        let (indexed, stats) = run_with_stats(
+                            &Engine::with_parallelism(p),
+                            &compiled,
+                            &catalog,
+                            Some(&indexes),
+                        );
+                        assert_eq!(
+                            indexed.rows(),
+                            naive.rows(),
+                            "indexed vs naive: seed {seed}, {sql}, parallelism {p}"
+                        );
+                        assert_eq!(
+                            stats.get(op),
+                            Some((1, stabbed as u64)),
+                            "seed {seed}, {sql}: {stats:?}"
+                        );
+                        assert_eq!(stats.get("NaiveTimeslice"), None, "{sql}");
+                        assert_eq!(stats.get("NaiveTimeRange"), None, "{sql}");
+                    }
+                    let mut got = naive.rows().to_vec();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "vs oracle: seed {seed}, {sql}");
+                }
+            }
+        }
     }
 }
 

@@ -570,6 +570,36 @@ fn error_echoing_the_cancel_words_is_an_error_frame_and_keeps_the_transaction() 
     stop(client, server);
 }
 
+/// A statement the compiler refuses — `BETWEEN i64::MAX AND i64::MAX`, a
+/// window with no representable time point, which used to panic and take
+/// the connection's thread with it — comes back as an `Error` frame, and
+/// the same connection answers its next query.
+#[test]
+fn empty_window_at_the_end_of_time_is_an_error_frame_and_the_connection_lives() {
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    run_ok(&mut client, SETUP);
+    let resp = client
+        .query(
+            "SEQ VT BETWEEN 9223372036854775807 AND 9223372036854775807 \
+             (SELECT name FROM works);",
+        )
+        .expect("connection alive");
+    match &resp.error {
+        Some(RemoteError::Server(message)) => {
+            assert!(message.contains("empty SEQ VT window"), "{message}")
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    let results = run_ok(
+        &mut client,
+        "SEQ VT AS OF 9 (SELECT name FROM works WHERE skill = 'SP');",
+    );
+    assert_eq!(first_rows(&results).len(), 2);
+    stop(client, server);
+}
+
 /// The server accounts every operation it served: after N statements of a
 /// few shapes over two real connections, `snapshot_stat_statements` read
 /// *over the wire* reports at least N calls for them.

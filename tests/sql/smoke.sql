@@ -35,6 +35,9 @@ EXPLAIN ANALYZE SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
 
 -- Point-in-time (timeslice pushdown) and range-restricted windows.
 SEQ VT AS OF 9 (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
+-- The stab lends its rows: the WHERE reads the Timeslice directly, and one
+-- Project above it builds only the rows that pass.
+EXPLAIN ANALYZE SEQ VT AS OF 9 (SELECT name FROM works WHERE skill = 'SP');
 SEQ VT BETWEEN 5 AND 12 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 
 -- A two-table snapshot join: the Join node emits REWR's projection

@@ -541,3 +541,32 @@ fn aggregate_over_a_join_still_reports_the_join() {
     assert_eq!(stats.get("HashJoin"), Some((1, 17692)));
     assert_eq!(stats.get("TemporalAggregate"), Some((1, out.len() as u64)));
 }
+
+/// `BETWEEN t AND i64::MAX` ends its half-open window at `i64::MAX`
+/// (`t2 + 1` saturates), so `BETWEEN i64::MAX AND i64::MAX` holds no
+/// representable time point: an "empty SEQ VT window" error like
+/// `BETWEEN 5 AND 4` — it used to panic building the empty range — and the
+/// session goes on; one point earlier the window answers.
+#[test]
+fn between_at_the_end_of_time_is_an_error_not_a_panic() {
+    use snapshot_semantics::session::{Session, StatementError};
+    let mut s = Session::default();
+    s.execute("CREATE TABLE w (name TEXT, ts INT, te INT) PERIOD (ts, te)")
+        .unwrap();
+    s.execute("INSERT INTO w VALUES ('Ann', 9223372036854775805, 9223372036854775807)")
+        .unwrap();
+    let err = s
+        .execute("SEQ VT BETWEEN 9223372036854775807 AND 9223372036854775807 (SELECT name FROM w)")
+        .unwrap_err();
+    assert!(
+        matches!(&err, StatementError::Failed(m) if m.starts_with("empty SEQ VT window")),
+        "{err:?}"
+    );
+    let out = s
+        .execute("SEQ VT BETWEEN 9223372036854775806 AND 9223372036854775807 (SELECT name FROM w)")
+        .unwrap();
+    assert_eq!(
+        out.rows().unwrap().rows(),
+        &[row!["Ann", i64::MAX - 1, i64::MAX]]
+    );
+}
