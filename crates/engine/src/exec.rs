@@ -294,10 +294,6 @@ fn retain(
     Ok(out)
 }
 
-/// One plan node from [`Engine::enter`] to [`Engine::leave`]: its start
-/// and span.
-type NodeGuard = (Instant, obs::Span);
-
 /// What one execution runs against and reports into; `run` threads a
 /// single `&mut` of it through the plan.
 struct ExecEnv<'a> {
@@ -374,12 +370,6 @@ impl Engine {
         Ok(table)
     }
 
-    /// Opens `plan`'s node (the span guard is a relaxed load when tracing
-    /// is off).
-    fn enter(&self, plan: &Plan) -> NodeGuard {
-        (Instant::now(), obs::Span::enter(op_name(&plan.node)))
-    }
-
     /// Closes `plan`'s node with its rows (a join: matched pairs) or the
     /// error that stopped it, which counts only the call and time in
     /// [`NodeStats`]; then re-checks so a budget trips at the node that
@@ -388,13 +378,12 @@ impl Engine {
         &self,
         plan: &Plan,
         env: &mut ExecEnv<'_>,
-        (started, mut span): NodeGuard,
+        started: Instant,
         out: Result<T, StatementError>,
     ) -> Result<T, StatementError> {
         let rows = out.as_ref().map_or(0, |out| out.len());
         env.nodes.record(plan, rows, started.elapsed());
         let out = out?;
-        span.record_rows(rows as u64);
         env.stats.record(op_name(&plan.node), rows);
         let n = rows as u64;
         let account = &self.ctx.account;
@@ -416,17 +405,17 @@ impl Engine {
     }
 
     /// `plan`'s node: `eval` ([`Engine::eval`], or [`Engine::lent`] for an
-    /// operator that reads its input's rows as references) between
-    /// [`Engine::enter`] and [`Engine::leave`].
+    /// operator that reads its input's rows as references), timed from
+    /// its start to [`Engine::leave`].
     fn node<'a, T: Deref<Target = [E]>, E>(
         &self,
         plan: &'a Plan,
         env: &mut ExecEnv<'a>,
         eval: impl FnOnce(&Self, &'a Plan, &mut ExecEnv<'a>) -> Result<T, StatementError>,
     ) -> Result<T, StatementError> {
-        let node = self.enter(plan);
+        let started = Instant::now();
         let rows = self.ctx.check().and_then(|()| eval(self, plan, env));
-        self.leave(plan, env, node, rows)
+        self.leave(plan, env, started, rows)
     }
 
     /// `plan`'s own operator over its inputs' rows.
@@ -567,7 +556,7 @@ impl Engine {
                 {
                     // The aggregate reads the matched pairs; the join is
                     // still a node, but builds no row.
-                    let join = self.enter(input);
+                    let started = Instant::now();
                     let sides = self
                         .ctx
                         .check()
@@ -575,7 +564,7 @@ impl Engine {
                     let pairs = sides.as_ref().map_err(Clone::clone).and_then(|(l, r)| {
                         self.join((left, l), (right, r), condition, *algo, env, Some)
                     });
-                    let pairs = self.leave(input, env, join, pairs)?;
+                    let pairs = self.leave(input, env, started, pairs)?;
                     let spec = (&group_cols[..], &aggs[..], &arg_types[..]);
                     temporal_aggregate_over(&pairs, output, spec, gap, *domain, check)?.into()
                 } else {

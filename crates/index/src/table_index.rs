@@ -1,7 +1,7 @@
 //! Per-table index bundles and the catalog-level index registry.
 
 use crate::{EventList, IntervalTree};
-use snapshot_obs::{self as obs, Counter, Histogram, MetricsRegistry};
+use snapshot_obs::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
 use storage::{Catalog, Row, Table};
 
@@ -241,7 +241,6 @@ impl IndexCatalog {
             .map(|idx| !idx.is_fresh(table))
             .unwrap_or(true);
         if stale {
-            let _span = obs::Span::enter("index.ensure");
             let started = std::time::Instant::now();
             let incremental = self.indexes.get(name).and_then(|idx| {
                 table

@@ -1,4 +1,4 @@
-//! Observability subsystem: metrics, tracing, and introspection state.
+//! Observability subsystem: metrics and introspection state.
 //!
 //! The runtime now spans seven layers (parse → bind → rewrite → indexed
 //! execute → txn → WAL → checkpoint) and this crate is their single
@@ -8,7 +8,7 @@
 //! dependency graph so that every layer (index, engine, txn, wal, session)
 //! can report into it.
 //!
-//! Six facilities, all but tracing owned by an [`Obs`] per database:
+//! Five facilities, all owned by an [`Obs`] per database:
 //!
 //! * [`metrics`] — a thread-safe [`MetricsRegistry`] of atomic
 //!   [`Counter`]s, [`Gauge`]s, and fixed-bucket latency [`Histogram`]s
@@ -19,13 +19,6 @@
 //!   switch to get wrong; each component resolves its handles once, when
 //!   its database is built, so the registry lock is never touched per
 //!   event.
-//! * [`trace`] — lightweight tracing spans: [`Span::enter`] returns an
-//!   RAII guard that, *when tracing is on for the calling thread*, records
-//!   its lifetime into a bounded per-thread ring buffer;
-//!   [`take_thread_trace`] assembles the buffer into a per-query span
-//!   tree. When tracing is off (the default) `Span::enter` is a single
-//!   thread-local load returning an inert guard — no clock read, no
-//!   allocation.
 //! * [`stmtstats`] — pg_stat_statements-style statement statistics:
 //!   normalized query [`fingerprint`]s with per-fingerprint calls, rows,
 //!   and total/mean/p95 latency in a bounded LRU.
@@ -52,8 +45,9 @@
 //! and profiler, its transaction manager, its server. Two databases in one
 //! process share no metric, session, statistic, log entry or switch, so a
 //! test that asserts an absolute value builds its own database and runs
-//! in parallel with every other test. Only tracing is per thread, not per
-//! database: the thread that turns it on is the one that reads it back.
+//! in parallel with every other test. What one statement did — its phase
+//! split, executed plan and commit split — is kept by the session that ran
+//! it, not here (the shell's `.trace` renders it).
 
 pub mod activity;
 pub mod lock;
@@ -61,7 +55,6 @@ pub mod metrics;
 pub mod profile;
 pub mod slowlog;
 pub mod stmtstats;
-pub mod trace;
 
 pub use activity::{
     Activity, ActivityHandle, CancelKind, CancelToken, Phase, ResourceAccount, ResourceUsage,
@@ -74,9 +67,6 @@ pub use metrics::{
 pub use profile::{PathStat, Profile};
 pub use slowlog::{SlowLog, SlowQuery, SLOW_LOG_CAPACITY};
 pub use stmtstats::{fingerprint, StatementStat, StatementStats, FINGERPRINT_CAPACITY};
-pub use trace::{
-    reset_thread_trace, set_tracing, take_thread_trace, Span, SpanNode, SpanRecord, SpanTree,
-};
 
 /// One database's observability state (see the crate docs' *Ownership*).
 #[derive(Debug)]

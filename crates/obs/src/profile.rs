@@ -8,9 +8,9 @@
 //! the folded-stack format flamegraph tooling consumes (`path value`, one
 //! line per path, values in microseconds of self time).
 //!
-//! Like tracing, profiling is off by default, and the session folds
-//! nothing while [`Profile::enabled`] is false. Attribution is wall-clock
-//! on the dispatching thread — time the parallel sweep join spends in
+//! Profiling is off by default, and the session folds nothing while
+//! [`Profile::enabled`] is false. Attribution is wall-clock on the
+//! dispatching thread — time the parallel sweep join spends in
 //! worker threads lands as self time of the join operator, which is the
 //! per-operator share we want.
 

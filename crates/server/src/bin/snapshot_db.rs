@@ -341,9 +341,9 @@ struct Shell {
     continue_on_error: bool,
     /// Multi-line statement accumulator (REPL and scripts alike).
     pending: String,
-    /// `.trace on` — print the span tree after every statement (embedded
-    /// backend only; a server refuses `.trace`, as no frame carries its
-    /// spans back).
+    /// `.trace on` — print each statement's record after it runs
+    /// (embedded backend only; a server refuses `.trace`, as no frame
+    /// carries a record back).
     trace: bool,
 }
 
@@ -417,9 +417,6 @@ impl Shell {
         };
         let started = Instant::now();
         let retries_before = session.conflict_retries().total;
-        if self.trace {
-            snapshot_obs::reset_thread_trace();
-        }
         match session.execute_script(sql) {
             Ok(results) => {
                 let elapsed = started.elapsed();
@@ -432,7 +429,7 @@ impl Shell {
                 // Per-phase breakdown of the buffer's last statement (the
                 // common case is one statement per buffer) — the split of
                 // the total above into parse/bind/rewrite/index/execute/
-                // commit, from the session's span-fed timings.
+                // commit, from the session's statement record.
                 if !self.quiet {
                     println!("  ({})", session.last_phase_timings().render());
                 }
@@ -441,7 +438,9 @@ impl Shell {
                     println!("(retried {retried} time(s) after write-write conflicts)");
                 }
                 if self.trace {
-                    print!("{}", snapshot_obs::take_thread_trace().render());
+                    for record in session.last_statements() {
+                        print!("{}", record.render());
+                    }
                 }
                 Flow::Continue
             }
@@ -493,9 +492,8 @@ impl Shell {
                             return Flow::Quit;
                         }
                         print!("{}", outcome.output);
-                        // The library toggles this thread's tracer; the shell
-                        // additionally prints the span tree per statement,
-                        // so mirror the flag locally.
+                        // The library only acknowledges `.trace`; the shell
+                        // keeps the switch and prints the records.
                         match meta.trim() {
                             "trace on" => self.trace = true,
                             "trace off" => self.trace = false,

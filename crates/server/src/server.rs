@@ -463,9 +463,8 @@ fn executor_loop(
                 }
             }
             Msg::Frame(Frame::Meta { command }) => {
-                // Spans land in this thread's ring, which no frame carries
-                // back; switching the tracer on would only slow this
-                // connection.
+                // `.trace` prints the records the local shell's session
+                // keeps; no frame carries them back to a remote shell.
                 let outcome = match command.split_whitespace().next() {
                     Some("trace") => Err(".trace works in a local shell only".to_string()),
                     _ => run_meta(&command, session, shared),

@@ -36,7 +36,9 @@ pub mod session;
 pub mod shared;
 
 pub use database::Database;
-pub use session::{PhaseTimings, RetryStats, Session, SessionOptions, StatementResult};
+pub use session::{
+    PhaseTimings, RetryStats, Session, SessionOptions, StatementRecord, StatementResult,
+};
 pub use shared::{RecoveryReport, SharedDatabase};
 // The error type of the statement path, re-exported so embedders can
 // match on it without depending on `snapshot_obs` directly.

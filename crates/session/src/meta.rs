@@ -66,7 +66,8 @@ Meta commands:
   .verify on|off     cross-check indexed queries against the naive route
   .metrics [FILE]    dump the database's metrics registry (Prometheus
                      text format) to stdout or FILE
-  .trace on|off      print the span tree after every statement (local only)
+  .trace on|off      after every statement print its phases, executed plan
+                     with actuals and commit split (local only)
   .activity          list live sessions (id, state, phase, statement,
                      elapsed, rows) — the snapshot_stat_activity view
   .kill ID           cooperatively cancel session ID's running statement
@@ -130,15 +131,11 @@ pub fn run_meta(
         "timeout" => timeout(session, words.next())?,
         "slow" => slow(session, words.next())?,
         "profile" => profile(session, words.next())?,
+        // The shell keeps the switch: it prints each statement's record
+        // (`Session::last_statements`) after running a buffer.
         "trace" => match words.next() {
-            Some("on") => {
-                snapshot_obs::set_tracing(true);
-                "trace: on (span tree printed after every statement)\n".to_string()
-            }
-            Some("off") => {
-                snapshot_obs::set_tracing(false);
-                "trace: off\n".to_string()
-            }
+            Some("on") => "trace: on (each statement's record printed after it runs)\n".to_string(),
+            Some("off") => "trace: off\n".to_string(),
             _ => return Err("usage: .trace on|off".to_string()),
         },
         "verify" => match words.next() {

@@ -39,7 +39,7 @@ use crate::database::{
     conform_row, create_table_in, delete_where_in, insert_rows_in, update_where_in, Database,
     Telemetry,
 };
-use crate::shared::SharedDatabase;
+use crate::shared::{CommitReport, SharedDatabase};
 use algebra::Plan;
 use engine::{eval_expr, Engine, EngineConfig, ExecContext, ExecStats, NodeStats, Prepared};
 use index::MaintenanceStats;
@@ -50,7 +50,7 @@ use sql::{
     bind_scalar_expr, bind_statement, parse_sql_statement, split_script, AstExpr, ColumnDef,
     InsertSource, SqlStatement, Statement,
 };
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Instant;
 use storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
@@ -174,10 +174,9 @@ pub struct SessionOptions {
     /// Slow-query threshold, in milliseconds: a statement whose total
     /// wall time reaches it is recorded in the database's slow-query log
     /// (queryable as `snapshot_stat_slow_queries`) together with its phase
-    /// split and
-    /// `EXPLAIN ANALYZE`-style operator actuals. `None` (the default)
-    /// disables the log *and* the per-statement rendering of those
-    /// actuals; set it via `SET slow_query_ms = <ms>`, the shell's
+    /// split and `EXPLAIN ANALYZE`-style operator actuals, rendered from
+    /// its [`StatementRecord`] only then. `None` (the default) disables
+    /// the log; set it via `SET slow_query_ms = <ms>`, the shell's
     /// `--slow-ms` flag or `.slow`.
     pub slow_query_ms: Option<u64>,
     /// Statement timeout, in milliseconds: a statement still executing
@@ -321,6 +320,67 @@ impl PhaseTimings {
     }
 }
 
+/// What one statement left behind, kept by its session until the
+/// session's next call ([`Session::last_statements`]): what the shell's
+/// `.trace` prints and what the slow-query log builds its entry from. Kept
+/// by move; nothing is rendered until asked.
+#[derive(Debug, Default)]
+pub struct StatementRecord {
+    /// The per-phase wall-clock split.
+    pub(crate) phases: PhaseTimings,
+    /// Query plans bound and compiled: one per query the statement ran
+    /// (an `INSERT ... SELECT` compiles its source; other DDL/DML none).
+    pub compiled: usize,
+    /// The plan the statement executed, with its per-node actuals. Boxed
+    /// before it ran, since [`NodeStats`] is keyed by node address.
+    pub executed: Option<(Box<Plan>, NodeStats)>,
+    /// A shared-database commit's split (`None` when nothing was
+    /// published).
+    pub(crate) commit: Option<CommitReport>,
+}
+
+impl StatementRecord {
+    /// The record as an indented tree, durations in milliseconds: one
+    /// `session.<phase>` line per phase the statement entered, the
+    /// executed plan's `EXPLAIN ANALYZE` lines under `session.execute`,
+    /// and the commit split under `session.commit`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (phase, ns) in PHASES.iter().zip(self.phases.by_phase()) {
+            if ns == 0 {
+                continue;
+            }
+            let _ = writeln!(out, "session.{phase} {:.3} ms", ns as f64 / 1e6);
+            if let (&"execute", Some((plan, nodes))) = (phase, &self.executed) {
+                for node in engine::explain_analyzed(plan, nodes).lines() {
+                    let _ = writeln!(out, "  {node}");
+                }
+            }
+            if let (&"commit", Some(c)) = (phase, &self.commit) {
+                let t = &c.outcome;
+                let append = t.durable.map(|a| a.elapsed);
+                let total = t.wait + t.validate + append.unwrap_or_default() + t.publish;
+                let split = [
+                    (1, "txn.commit", Some(total)),
+                    (2, "txn.wait", Some(t.wait)),
+                    (2, "txn.validate", Some(t.validate)),
+                    (2, "wal.append", append),
+                    (3, "wal.fsync", t.durable.and_then(|a| a.fsync)),
+                    (2, "txn.publish", Some(t.publish)),
+                    (1, "wal.checkpoint", c.checkpoint),
+                ];
+                for (depth, name, took) in split {
+                    if let Some(took) = took {
+                        let ms = took.as_secs_f64() * 1e3;
+                        let _ = writeln!(out, "{:w$}{name} {ms:.3} ms", "", w = depth * 2);
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 /// Where a session's statements read and write.
 #[derive(Debug)]
 enum Backend {
@@ -342,12 +402,10 @@ pub struct Session {
     next_owned_txn_id: u64,
     /// Conflict-retry bookkeeping for implicit transactions.
     retries: RetryStats,
-    /// Per-phase breakdown of the most recent statement.
-    phases: PhaseTimings,
-    /// Rendered operator actuals of the most recent plan execution, kept
-    /// only while the slow-query log is armed (see
-    /// [`SessionOptions::slow_query_ms`]).
-    slow_actuals: Option<String>,
+    /// The record of the statement running now.
+    record: StatementRecord,
+    /// The records of the statements the last call ran, in order.
+    records: Vec<StatementRecord>,
     /// The database's observability state and session-layer handles.
     telemetry: Arc<Telemetry>,
     /// This session's entry in the database's live-activity registry
@@ -389,8 +447,8 @@ impl Session {
             txn: None,
             next_owned_txn_id: 0,
             retries: RetryStats::default(),
-            phases: PhaseTimings::default(),
-            slow_actuals: None,
+            record: StatementRecord::default(),
+            records: Vec::new(),
             activity: telemetry.obs.activity.register(kind),
             telemetry,
         }
@@ -507,7 +565,15 @@ impl Session {
     /// the single total the shell used to report. Reset by every
     /// statement; phases a statement never entered stay zero.
     pub fn last_phase_timings(&self) -> PhaseTimings {
-        self.phases
+        self.records.last().map(|r| r.phases).unwrap_or_default()
+    }
+
+    /// The records of the statements the last [`Session::execute`],
+    /// [`Session::execute_script`] or [`Session::compile`] call ran, in
+    /// order (a statement that failed leaves one too, and ends the
+    /// script's).
+    pub fn last_statements(&self) -> &[StatementRecord] {
+        &self.records
     }
 
     /// Registers a batch of tables wholesale — the bulk-load entry point
@@ -570,11 +636,9 @@ impl Session {
     /// are buffered and logged as one atomic commit unit (single fsync) at
     /// `COMMIT`.
     pub fn execute(&mut self, sql: &str) -> Result<StatementResult, StatementError> {
+        self.records.clear();
         let started = Instant::now();
-        let stmt = {
-            let _span = obs::Span::enter("session.parse");
-            parse_sql_statement(sql)?
-        };
+        let stmt = parse_sql_statement(sql)?;
         let parse_ns = started.elapsed().as_nanos() as u64;
         self.execute_parsed(&stmt, sql, parse_ns)
     }
@@ -586,11 +650,11 @@ impl Session {
     /// statement is its own commit unit (inside transactions, the unit is
     /// the transaction).
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, StatementError> {
+        self.records.clear();
         let pieces = split_script(sql);
         let mut stmts = Vec::with_capacity(pieces.len());
         for piece in &pieces {
             let started = Instant::now();
-            let _span = obs::Span::enter("session.parse");
             let stmt = parse_sql_statement(piece)?;
             stmts.push((stmt, started.elapsed().as_nanos() as u64));
         }
@@ -601,24 +665,23 @@ impl Session {
             .collect()
     }
 
-    /// Runs one parsed statement and does the post-statement bookkeeping
-    /// [`Session::execute`] and [`Session::execute_script`] share.
+    /// Runs one parsed statement, does the post-statement bookkeeping
+    /// [`Session::execute`] and [`Session::execute_script`] share, and
+    /// keeps the statement's record.
     fn execute_parsed(
         &mut self,
         stmt: &SqlStatement,
         sql: &str,
         parse_ns: u64,
     ) -> Result<StatementResult, StatementError> {
-        let result = self.apply_inner(stmt, Some(sql));
-        // `apply_inner` reset the phase breakdown; fold the parse time in
-        // afterwards so it survives the reset.
-        self.phases.parse_ns = parse_ns;
+        let result = self.apply_inner(stmt, Some(sql), parse_ns);
         if let Ok(r) = &result {
             if self.options.collect_metrics {
-                self.phases.publish(&self.telemetry.phases);
+                self.record.phases.publish(&self.telemetry.phases);
             }
             self.observe_statement(sql, r);
         }
+        self.records.push(std::mem::take(&mut self.record));
         result
     }
 
@@ -629,7 +692,7 @@ impl Session {
         &mut self,
         stmt: &SqlStatement,
     ) -> Result<StatementResult, StatementError> {
-        self.apply_inner(stmt, None)
+        self.apply_inner(stmt, None, 0)
     }
 
     /// Compiles a query statement to its physical plan without executing it
@@ -638,21 +701,24 @@ impl Session {
     /// [`Session::last_phase_timings`] (parse/bind/rewrite; the other
     /// phases stay zero — nothing executed).
     pub fn compile(&mut self, sql: &str) -> Result<Plan, String> {
-        self.phases = PhaseTimings::default();
+        self.records.clear();
         let started = Instant::now();
         let stmt = parse_sql_statement(sql)?;
-        self.phases.parse_ns = started.elapsed().as_nanos() as u64;
+        let mut record = StatementRecord::default();
+        record.phases.parse_ns = started.elapsed().as_nanos() as u64;
         let SqlStatement::Query(q) = stmt else {
             return Err("only query statements have plans to explain".into());
         };
         let view = self.read_view();
-        compile_query(&self.options, view.catalog(), &q, &mut self.phases, None)
+        let plan = compile_query(&self.options, view.catalog(), &q, &mut record, None);
+        self.records.push(record);
+        plan
     }
 
     /// Feed the database's statement statistics and (past the threshold)
     /// its slow-query log with one successfully executed statement.
-    fn observe_statement(&mut self, sql: &str, result: &StatementResult) {
-        let total_ns = self.phases.total_ns();
+    fn observe_statement(&self, sql: &str, result: &StatementResult) {
+        let total_ns = self.record.phases.total_ns();
         let rows = result.rows().map(|t| t.len() as u64);
         if self.options.collect_metrics {
             let seconds = total_ns as f64 / 1e9;
@@ -666,11 +732,11 @@ impl Session {
         }
     }
 
-    /// Appends the current statement to the slow-query log: its phase
-    /// split from [`Session::last_phase_timings`], the operator actuals
-    /// of its last plan execution, and why it was cancelled, if it was.
-    fn record_slow_query(&mut self, text: &str, rows: Option<u64>, cancelled: Option<String>) {
-        let p = &self.phases;
+    /// Appends the current statement to the slow-query log from its
+    /// record: its phase split, the operator actuals of the plan it
+    /// executed, and why it was cancelled, if it was.
+    fn record_slow_query(&self, text: &str, rows: Option<u64>, cancelled: Option<String>) {
+        let p = &self.record.phases;
         self.telemetry.obs.slow_log.record(obs::SlowQuery {
             seq: 0, // assigned by the log
             statement: clean_statement(text),
@@ -682,7 +748,8 @@ impl Session {
             execute_ms: p.execute_ns as f64 / 1e6,
             commit_ms: p.commit_ns as f64 / 1e6,
             rows,
-            plan: self.slow_actuals.take(),
+            plan: (self.record.executed.as_ref())
+                .map(|(plan, nodes)| engine::explain_analyzed(plan, nodes)),
             cancelled,
         });
     }
@@ -690,14 +757,16 @@ impl Session {
     /// Routes one statement: transaction control, query, or mutation —
     /// bracketed by live-activity registration ([`snapshot_obs::activity`])
     /// and followed by the cancellation unwind if the statement died
-    /// [`StatementError::Cancelled`].
+    /// [`StatementError::Cancelled`]. The statement's record starts with
+    /// its parse time, so the unwind's slow-log entry counts it.
     fn apply_inner(
         &mut self,
         stmt: &SqlStatement,
         text: Option<&str>,
+        parse_ns: u64,
     ) -> Result<StatementResult, StatementError> {
-        self.phases = PhaseTimings::default();
-        self.slow_actuals = None;
+        self.record = StatementRecord::default();
+        self.record.phases.parse_ns = parse_ns;
         self.activity.begin_statement(
             text.unwrap_or("<prepared statement>"),
             self.options.statement_timeout_ms,
@@ -728,20 +797,20 @@ impl Session {
                     let signalled = self.telemetry.obs.activity.cancel(id);
                     return Ok(StatementResult::Rows(cancel_result_table(signalled)));
                 }
-                Ok(StatementResult::Rows(self.run_query(q, false)?.0))
+                Ok(StatementResult::Rows(self.run_query(q, false)?))
             }
             SqlStatement::Explain {
                 analyze: true,
                 statement,
-            } => Ok(StatementResult::Rows(self.run_query(statement, true)?.0)),
+            } => Ok(StatementResult::Rows(self.run_query(statement, true)?)),
             SqlStatement::Explain {
                 analyze: false,
                 statement,
             } => {
                 let view = self.read_view();
-                let (options, phases, activity) =
-                    (&self.options, &mut self.phases, Some(&self.activity));
-                let plan = compile_query(options, view.catalog(), statement, phases, activity)?;
+                let (options, record, activity) =
+                    (&self.options, &mut self.record, Some(&self.activity));
+                let plan = compile_query(options, view.catalog(), statement, record, activity)?;
                 Ok(StatementResult::Rows(plan_text_table(&plan.explain())))
             }
             SqlStatement::Begin => self.begin_txn(),
@@ -847,12 +916,16 @@ impl Session {
         let txn = self.txn.take().ok_or("no transaction is open")?;
         self.activity.set_phase(obs::Phase::Commit);
         let started = Instant::now();
-        let _span = obs::Span::enter("session.commit");
         let tables = match &mut self.backend {
             Backend::Owned(db) => commit_owned(db, txn)?,
-            Backend::Shared(shared) => shared.commit(txn)?.published,
+            Backend::Shared(shared) => {
+                let report = shared.commit(txn)?;
+                let published = report.outcome.published;
+                self.record.commit = (published > 0).then_some(report);
+                published
+            }
         };
-        self.phases.commit_ns += started.elapsed().as_nanos() as u64;
+        self.record.phases.commit_ns += started.elapsed().as_nanos() as u64;
         Ok(tables)
     }
 
@@ -1149,7 +1222,8 @@ impl Session {
                 Ok((rows, Vec::new()))
             }
             InsertSource::Query(q) => {
-                let (table, plan) = self.run_query(q, false)?;
+                let table = self.run_query(q, false)?;
+                let (plan, _) = (self.record.executed.as_ref()).expect("run_query keeps its plan");
                 Ok((table.rows().to_vec(), plan.referenced_tables()))
             }
         }
@@ -1157,12 +1231,13 @@ impl Session {
 
     /// The one read route: compiles `stmt` against this session's
     /// [`Session::read_view`], repairs the indexes of the tables the plan
-    /// scans when the database is owned, and executes it; returns the
-    /// result with the plan. With `explain_analyze` the result is not the
-    /// rows but the plan as a one-column table of text lines, every
-    /// operator line carrying its actual row count, call count, and
-    /// inclusive wall-clock time; operators an accelerated route
-    /// short-circuited read `(never executed)`.
+    /// scans when the database is owned, and executes it, keeping the plan
+    /// and its actuals in the statement's record (stopped or not). With
+    /// `explain_analyze` the result is not the rows but the plan as a
+    /// one-column table of text lines, every operator line carrying its
+    /// actual row count, call count, and inclusive wall-clock time;
+    /// operators an accelerated route short-circuited read
+    /// `(never executed)`.
     ///
     /// The engine is derived from the session options per statement, so a
     /// parallelism change applies to the very next one, and runs under the
@@ -1173,22 +1248,22 @@ impl Session {
         &mut self,
         stmt: &Statement,
         explain_analyze: bool,
-    ) -> Result<(Table, Plan), StatementError> {
+    ) -> Result<Table, StatementError> {
         let mut view = self.read_view();
-        let (options, phases, activity) = (&self.options, &mut self.phases, Some(&self.activity));
-        let plan = compile_query(options, view.catalog(), stmt, phases, activity)?;
+        let (options, record, activity) = (&self.options, &mut self.record, Some(&self.activity));
+        let plan = compile_query(options, view.catalog(), stmt, record, activity)?;
+        // Boxed before it runs: `NodeStats` is keyed by node address.
+        let plan = Box::new(plan);
         if let (Backend::Owned(db), true) = (&mut self.backend, self.options.use_indexes) {
             self.activity.set_phase(obs::Phase::Index);
             let started = Instant::now();
-            let _span = obs::Span::enter("session.index");
             db.refresh_indexes(&plan.referenced_tables());
             view = self.read_view();
-            self.phases.index_ns += started.elapsed().as_nanos() as u64;
+            self.record.phases.index_ns += started.elapsed().as_nanos() as u64;
         }
         let Session {
             options,
-            phases,
-            slow_actuals,
+            record,
             telemetry,
             activity,
             ..
@@ -1207,33 +1282,30 @@ impl Session {
         let started = Instant::now();
         let mut stats = ExecStats::default();
         let mut nodes = NodeStats::default();
-        let result = {
-            let _span = obs::Span::enter("session.execute");
-            let indexes = options.use_indexes.then(|| view.indexes());
-            engine
-                .execute_analyzed(&plan, catalog, indexes, &mut stats, &mut nodes)
-                .and_then(|executed| {
-                    if options.use_indexes && options.verify_indexed {
-                        // The cross-check runs sequentially on purpose:
-                        // divergence then implicates either index
-                        // invalidation or the parallel route, never both.
-                        let detached = ExecContext::new(Default::default(), Default::default(), obs);
-                        let naive = Engine::new()
-                            .with_context(detached)
-                            .execute(&plan, catalog)?;
-                        if naive.canonicalized() != executed.canonicalized() {
-                            return Err(format!(
-                                "indexed and naive results diverge: {} vs {} rows — index invalidation bug",
-                                executed.len(),
-                                naive.len()
-                            )
-                            .into());
-                        }
+        let indexes = options.use_indexes.then(|| view.indexes());
+        let result = engine
+            .execute_analyzed(&plan, catalog, indexes, &mut stats, &mut nodes)
+            .and_then(|executed| {
+                if options.use_indexes && options.verify_indexed {
+                    // The cross-check runs sequentially on purpose:
+                    // divergence then implicates either index
+                    // invalidation or the parallel route, never both.
+                    let detached = ExecContext::new(Default::default(), Default::default(), obs);
+                    let naive = Engine::new()
+                        .with_context(detached)
+                        .execute(&plan, catalog)?;
+                    if naive.canonicalized() != executed.canonicalized() {
+                        return Err(format!(
+                            "indexed and naive results diverge: {} vs {} rows — index invalidation bug",
+                            executed.len(),
+                            naive.len()
+                        )
+                        .into());
                     }
-                    Ok(executed)
-                })
-        };
-        phases.execute_ns += started.elapsed().as_nanos() as u64;
+                }
+                Ok(executed)
+            });
+        record.phases.execute_ns += started.elapsed().as_nanos() as u64;
         // The statement's own counters, profile and actuals, whether it ran
         // to the end or was stopped: never the `.verify` cross-check's.
         if options.collect_metrics {
@@ -1242,23 +1314,18 @@ impl Session {
         if telemetry.obs.profile.enabled() {
             telemetry.obs.profile.record(nodes.profile(&plan));
         }
-        if options.slow_query_ms.is_some() && !explain_analyze {
-            // Rendered only while the slow-query log is armed (a string per
-            // operator); the session attaches it if the statement turns
-            // out slow or is cancelled.
-            *slow_actuals = Some(engine::explain_analyzed(&plan, &nodes));
-        }
+        let (plan, nodes) = &*record.executed.insert((plan, nodes));
         let executed = result?;
         if explain_analyze {
-            let mut text = engine::explain_analyzed(&plan, &nodes);
+            let mut text = engine::explain_analyzed(plan, nodes);
             text.push_str(&format!(
                 "(result: {} rows in {:.3} ms)\n",
                 executed.len(),
-                phases.execute_ns as f64 / 1e6
+                record.phases.execute_ns as f64 / 1e6
             ));
-            return Ok((plan_text_table(&text), plan));
+            return Ok(plan_text_table(&text));
         }
-        Ok((executed, plan))
+        Ok(executed)
     }
 }
 
@@ -1272,34 +1339,31 @@ fn commit_owned(db: &mut Database, txn: Transaction) -> Result<usize, StatementE
     Ok(published)
 }
 
-/// Compiles a query statement against a catalog, splitting the bind and
-/// rewrite wall-clock into the caller's phase breakdown (and, when the
-/// statement runs on behalf of a registered session, into its
-/// live-activity phase).
+/// Compiles a query statement against a catalog, counting the plan in the
+/// caller's statement record and splitting the bind and rewrite wall-clock
+/// into its phases (and, when the statement runs on behalf of a registered
+/// session, into its live-activity phase).
 fn compile_query(
     options: &SessionOptions,
     catalog: &Catalog,
     stmt: &Statement,
-    phases: &mut PhaseTimings,
+    record: &mut StatementRecord,
     activity: Option<&obs::ActivityHandle>,
 ) -> Result<Plan, String> {
     if let Some(a) = activity {
         a.set_phase(obs::Phase::Bind);
     }
+    record.compiled += 1;
     let started = Instant::now();
-    let bound = {
-        let _span = obs::Span::enter("session.bind");
-        bind_statement(stmt, catalog)?
-    };
-    phases.bind_ns += started.elapsed().as_nanos() as u64;
+    let bound = bind_statement(stmt, catalog)?;
+    record.phases.bind_ns += started.elapsed().as_nanos() as u64;
     if let Some(a) = activity {
         a.set_phase(obs::Phase::Rewrite);
     }
     let started = Instant::now();
-    let _span = obs::Span::enter("session.rewrite");
     let compiler = SnapshotCompiler::with_options(infer_domain(catalog), options.rewrite);
     let plan = compiler.compile_statement(&bound, catalog)?;
-    phases.rewrite_ns += started.elapsed().as_nanos() as u64;
+    record.phases.rewrite_ns += started.elapsed().as_nanos() as u64;
     Ok(plan)
 }
 

@@ -98,6 +98,18 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
 }
 
+/// A shared-database commit, split as its parts measured it for their
+/// histograms: the transaction manager's lock wait, validation and
+/// publication, the WAL append (with its fsync) a durable database made,
+/// and the auto-checkpoint the commit ran, if it ran one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CommitReport {
+    /// The transaction manager's split, carrying the WAL append.
+    pub(crate) outcome: CommitOutcome<Option<AppendReport>>,
+    /// How long the auto-checkpoint took.
+    pub(crate) checkpoint: Option<Duration>,
+}
+
 /// A shared, multi-session database handle (`Arc`-based; clone freely and
 /// move clones across threads).
 #[derive(Debug, Clone)]
@@ -240,17 +252,22 @@ impl SharedDatabase {
 
     /// Commits a transaction: validate first-committer-wins, append the
     /// commit unit to the WAL (one fsync), publish, auto-checkpoint.
-    pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitOutcome, StatementError> {
+    pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitReport, StatementError> {
         let inner = &*self.inner;
         let outcome =
             inner
                 .txns
                 .commit_with(txn, |stmts| match &mut *inner.persistence.lock() {
-                    Some(p) => p.log_transaction(stmts).map(|r| inner.appended(r)),
-                    None => Ok(()),
+                    Some(p) => p.log_transaction(stmts).map(|r| {
+                        inner.appended(r);
+                        Some(r)
+                    }),
+                    None => Ok(None),
                 })?;
-        self.auto_checkpoint();
-        Ok(outcome)
+        Ok(CommitReport {
+            outcome,
+            checkpoint: self.auto_checkpoint(),
+        })
     }
 
     /// Checkpoints under [`snapshot_txn::TxnManager::with_committed_serialized`]:
@@ -261,41 +278,52 @@ impl SharedDatabase {
     /// not yet contain it, losing an acknowledged transaction on recovery.
     /// The persistence mutex is taken *inside* (commit lock → state lock →
     /// persistence — the same order as the commit path).
-    fn checkpoint_serialized(&self, only_when_due: bool) -> Result<Option<u64>, String> {
+    fn checkpoint_serialized(
+        &self,
+        only_when_due: bool,
+    ) -> Result<Option<CheckpointReport>, String> {
         self.inner.txns.with_committed_serialized(|catalog, _| {
             let mut guard = self.inner.persistence.lock();
             match &mut *guard {
                 Some(p) if !only_when_due || p.should_checkpoint() => {
                     let report = p.checkpoint(catalog)?;
                     self.inner.checkpointed(&report);
-                    Ok(Some(report.seq))
+                    Ok(Some(report))
                 }
                 _ => Ok(None),
             }
         })
     }
 
-    /// Checkpoints when the threshold is reached. Runs after a commit is
-    /// logged and published, so a failure here must not fail that commit
-    /// (the client would retry an already-durable statement): it is
-    /// counted, and since a failed checkpoint leaves the statement count
-    /// since the last one untouched, the next commit tries again.
-    fn auto_checkpoint(&self) {
+    /// Checkpoints when the threshold is reached, and returns how long
+    /// that took. Runs after a commit is logged and published, so a
+    /// failure here must not fail that commit (the client would retry an
+    /// already-durable statement): it is counted, and since a failed
+    /// checkpoint leaves the statement count since the last one untouched,
+    /// the next commit tries again.
+    fn auto_checkpoint(&self) -> Option<Duration> {
         // Cheap pre-check without the commit lock; the authoritative check
         // repeats under it.
         let due = match &*self.inner.persistence.lock() {
             Some(p) => p.should_checkpoint(),
             None => false,
         };
-        if due && self.checkpoint_serialized(true).is_err() {
-            self.inner.checkpoint_failures.inc();
+        if !due {
+            return None;
+        }
+        match self.checkpoint_serialized(true) {
+            Ok(report) => report.map(|r| r.elapsed),
+            Err(_) => {
+                self.inner.checkpoint_failures.inc();
+                None
+            }
         }
     }
 
     /// Checkpoints the committed state now. Returns the checkpoint's
     /// sequence number, or `None` for an in-memory database.
     pub fn checkpoint(&self) -> Result<Option<u64>, String> {
-        self.checkpoint_serialized(false)
+        Ok(self.checkpoint_serialized(false)?.map(|r| r.seq))
     }
 
     /// Installs tables wholesale (the bulk-load path — no statement form):

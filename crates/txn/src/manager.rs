@@ -7,7 +7,7 @@ use index::IndexCatalog;
 use snapshot_obs::{self as obs, Counter, Histogram, MetricsRegistry, StatementError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use storage::{Catalog, Table};
 
 /// The committed state: what a new snapshot pins. Every period table's
@@ -19,15 +19,26 @@ struct Committed {
     commit_seq: u64,
 }
 
-/// What a successful commit published.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitOutcome {
+/// What a successful commit published, and where its time went: the
+/// split the commit-path histograms observe, plus the report `D` of the
+/// durability callback (see [`TxnManager::commit_with`]). A read-only
+/// commit and a bulk install measure nothing (zero durations).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommitOutcome<D = ()> {
     /// The commit sequence number this transaction became (snapshots with
     /// `commit_seq >= this` see its writes).
     pub commit_seq: u64,
     /// Tables published (write-set size; `0` for a read-only commit, which
     /// does not consume a sequence number).
     pub published: usize,
+    /// Waiting for the commit lock.
+    pub wait: Duration,
+    /// First-committer-wins validation.
+    pub validate: Duration,
+    /// What the durability callback returned.
+    pub durable: D,
+    /// Publication, index repair included.
+    pub publish: Duration,
 }
 
 /// The shared transaction manager over one committed catalog.
@@ -171,7 +182,6 @@ impl TxnManager {
 
     /// Pins a snapshot of the current committed state.
     pub fn snapshot(&self) -> CatalogSnapshot {
-        let _span = obs::Span::enter("txn.snapshot");
         let started = Instant::now();
         let state = self.state.read();
         let snap = CatalogSnapshot::new(
@@ -198,59 +208,59 @@ impl TxnManager {
 
     /// Commits a transaction: validate (first-committer-wins), make
     /// durable, publish. `durability` receives the buffered statement
-    /// texts and is called only for validated, non-read-only commits; an
-    /// `Err` from it aborts the commit with the committed state untouched
-    /// and surfaces as [`StatementError::Failed`] (not retryable).
-    pub fn commit_with<F>(
+    /// texts and is called only for validated, non-read-only commits; what
+    /// it returns comes back as [`CommitOutcome::durable`] (`D::default()`
+    /// for a read-only commit). An `Err` from it aborts the commit with
+    /// the committed state untouched and surfaces as
+    /// [`StatementError::Failed`] (not retryable).
+    pub fn commit_with<F, D>(
         &self,
         txn: Transaction,
         durability: F,
-    ) -> Result<CommitOutcome, StatementError>
+    ) -> Result<CommitOutcome<D>, StatementError>
     where
-        F: FnOnce(&[String]) -> Result<(), String>,
+        F: FnOnce(&[String]) -> Result<D, String>,
+        D: Default,
     {
         if txn.is_read_only() {
             // Nothing to validate, log, or publish; the snapshot simply
             // unpins. (Statements cannot have been buffered: only writes
             // are.)
-            let commit_seq = txn.snapshot().commit_seq();
             return Ok(CommitOutcome {
-                commit_seq,
-                published: 0,
+                commit_seq: txn.snapshot().commit_seq(),
+                ..CommitOutcome::default()
             });
         }
-        let _span = obs::Span::enter("txn.commit");
-        let wait_started = Instant::now();
+        let started = Instant::now();
         let _commit = self.commit_lock.lock();
-        self.commit_wait_seconds
-            .observe_duration(wait_started.elapsed());
+        let wait = started.elapsed();
+        self.commit_wait_seconds.observe_duration(wait);
         // Validate against the committed state *now*. The commit lock
         // keeps it stable through publication; concurrent `begin`s only
         // read.
-        {
-            let _span = obs::Span::enter("txn.validate");
-            let validate_started = Instant::now();
-            let state = self.state.read();
-            let verdict = validate_first_committer_wins(&txn, &state.catalog);
-            self.validate_seconds
-                .observe_duration(validate_started.elapsed());
-            if let Err(e) = verdict {
-                self.conflicts.inc();
-                return Err(e);
-            }
+        let started = Instant::now();
+        let verdict = validate_first_committer_wins(&txn, &self.state.read().catalog);
+        let validate = started.elapsed();
+        self.validate_seconds.observe_duration(validate);
+        if let Err(e) = verdict {
+            self.conflicts.inc();
+            return Err(e);
         }
         let (_, working, write_set, statements) = txn.into_parts();
-        durability(&statements)?;
-        let _pspan = obs::Span::enter("txn.publish");
-        let publish_started = Instant::now();
+        let durable = durability(&statements)?;
+        let started = Instant::now();
         let written = write_set.iter().map(String::as_str);
         let commit_seq = self.publish(|c, i| publish_write_set(&working, written, c, i));
-        self.publish_seconds
-            .observe_duration(publish_started.elapsed());
+        let publish = started.elapsed();
+        self.publish_seconds.observe_duration(publish);
         self.commits.inc();
         Ok(CommitOutcome {
             commit_seq,
             published: write_set.len(),
+            wait,
+            validate,
+            durable,
+            publish,
         })
     }
 
@@ -332,6 +342,7 @@ impl TxnManager {
         CommitOutcome {
             commit_seq,
             published: names.len(),
+            ..CommitOutcome::default()
         }
     }
 }
@@ -487,7 +498,7 @@ mod tests {
         let err = mgr
             .commit_with(txn, |stmts| {
                 assert_eq!(stmts.len(), 1);
-                Err("disk on fire".into())
+                Err::<(), _>("disk on fire".into())
             })
             .unwrap_err();
         assert_eq!(err, StatementError::Failed("disk on fire".into()));
@@ -499,7 +510,7 @@ mod tests {
     fn read_only_commit_is_free_and_skips_durability() {
         let mgr = manager();
         let txn = mgr.begin();
-        let outcome = mgr
+        let outcome: CommitOutcome = mgr
             .commit_with(txn, |_| panic!("durability must not run"))
             .unwrap();
         assert_eq!(outcome.published, 0);

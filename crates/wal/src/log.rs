@@ -21,7 +21,6 @@
 
 use crate::codec::{Reader, Writer};
 use crate::crc::crc32;
-use snapshot_obs as obs;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -197,7 +196,6 @@ impl Wal {
     /// [`AppendFailure::rolled_back`]), so no half-appended or
     /// written-but-unsynced frame can linger at the tail unnoticed.
     pub fn append(&mut self, lsn: u64, stmts: &[String]) -> Result<AppendReport, AppendFailure> {
-        let _span = obs::Span::enter("wal.append");
         let append_started = Instant::now();
         let mut payload = Writer::new();
         payload.put_u64(lsn);
@@ -274,7 +272,6 @@ impl Wal {
     }
 
     fn fsync(&mut self) -> Result<Duration, String> {
-        let _span = obs::Span::enter("wal.fsync");
         let started = Instant::now();
         self.file
             .sync_all()

@@ -17,7 +17,6 @@
 
 use crate::checkpoint::{self, CheckpointReuse, TableEncodeCache};
 use crate::log::{AppendReport, SyncPolicy, Wal, WalRecord};
-use snapshot_obs as obs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use storage::Catalog;
@@ -282,7 +281,6 @@ impl Persistence {
     /// Writes a checkpoint of `catalog` covering everything logged so far,
     /// resets the WAL, and prunes old checkpoint files.
     pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<CheckpointReport, String> {
-        let _span = obs::Span::enter("wal.checkpoint");
         let started = Instant::now();
         // Everything below next_lsn is either in the WAL (synced below,
         // before the snapshot becomes the recovery source) or already

@@ -435,6 +435,41 @@ fn resource_limits_cancel_with_specific_reasons() {
     );
 }
 
+/// Regression: a cancelled statement's slow-log entry keeps its parse
+/// time — the entry is built from a record that has it from the start —
+/// so its total is the sum of all six phases.
+#[test]
+fn a_cancelled_statements_slow_log_entry_counts_its_parse() {
+    let mut session = Session::with_options(
+        Database::new(),
+        SessionOptions {
+            slow_query_ms: Some(0), // log everything, incl. cancellations
+            ..SessionOptions::default()
+        },
+    );
+    session
+        .execute("CREATE TABLE act_parse (x INT, ts INT, te INT) PERIOD (ts, te)")
+        .unwrap();
+    session.execute(&bulk_insert("act_parse", 5000)).unwrap();
+    session.execute("SET max_rows_scanned = 100").unwrap();
+    let err = session.execute("SELECT x FROM act_parse").unwrap_err();
+    assert!(cancelled_as(&err, CancelKind::RowsScannedLimit), "{err:?}");
+
+    let entries = session.obs().slow_log.entries();
+    let q = entries
+        .iter()
+        .find(|q| q.cancelled.is_some())
+        .expect("the cancellation is logged");
+    assert_eq!(q.statement, "SELECT x FROM act_parse");
+    assert!(q.parse_ms > 0.0, "parse time kept: {q:?}");
+    let phases = q.parse_ms + q.bind_ms + q.rewrite_ms + q.index_ms + q.execute_ms + q.commit_ms;
+    assert!(
+        (q.total_ms - phases).abs() < 1e-9,
+        "total {} ms is the sum of its phases, {phases} ms",
+        q.total_ms
+    );
+}
+
 /// Regression: an ordinary error whose *text* echoes the words
 /// "statement cancelled" (a bad `SET` value, a parse error quoting a
 /// literal) is `Failed`, not a cancellation — the open transaction stays

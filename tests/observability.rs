@@ -1,6 +1,6 @@
 //! Observability end-to-end tests: `EXPLAIN [ANALYZE]`, per-phase
 //! statement timings, registry publication, the text exposition's format,
-//! and (ignored; release only) what recording spans costs.
+//! and the statement records the shell's `.trace` prints.
 //!
 //! The differential heart of the suite replays the CI smoke script
 //! (`tests/sql/smoke.sql`, meta commands stripped) and, for every query
@@ -11,7 +11,9 @@
 #[path = "support/expofmt.rs"]
 mod expofmt;
 
-use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementResult};
+use snapshot_session::{
+    PersistenceOptions, Session, SessionOptions, SharedDatabase, StatementRecord, StatementResult,
+};
 use std::path::PathBuf;
 use storage::Value;
 
@@ -321,86 +323,6 @@ fn exposition_parses_and_names_the_core_families() {
     }
 }
 
-/// Recording a span per operator invocation may cost this much over the
-/// passive registry on the engine's hottest path, and no more.
-const SPAN_OVERHEAD_MAX_PCT: f64 = 8.0;
-
-/// A pure interval-overlap join of two indexed 30 000-row random period
-/// tables on the sequential endpoint sweep, timed with tracing off (the
-/// production default) and on, alternated in one process so drift hits
-/// both sides alike. A timing check, so it only means something in a
-/// release build: CI runs `cargo test --release --test observability --
-/// --ignored`.
-#[test]
-#[ignore = "timing check; run in release with -- --ignored"]
-fn span_overhead_on_the_sweep_join_stays_under_the_limit() {
-    use algebra::{Expr, JoinAlgo, Plan};
-    use datagen::random::{random_period_table, RandomTableSpec};
-    use engine::{Engine, ExecStats, NodeStats};
-
-    const ROWS: usize = 30_000;
-    const ROUNDS: usize = 11;
-    let spec = RandomTableSpec {
-        rows: ROWS,
-        int_cols: 1,
-        str_cols: 1,
-        cardinality: 16,
-        domain: timeline::TimeDomain::new(0, 60_000),
-        max_len: 40,
-    };
-    let mut catalog = storage::Catalog::new();
-    catalog.register("r", random_period_table(&spec, 7));
-    catalog.register("s", random_period_table(&spec, 1031));
-    let indexes = index::IndexCatalog::build_all(&catalog);
-    let schema = catalog.get("r").unwrap().schema().clone();
-    let arity = schema.arity();
-    // r.ts < s.te AND s.ts < r.te over the concatenated pair.
-    let cond = Expr::col(arity - 2)
-        .lt(Expr::col(2 * arity - 1))
-        .and(Expr::col(2 * arity - 2).lt(Expr::col(arity - 1)));
-    let plan =
-        Plan::scan("r", schema.clone()).join_with(Plan::scan("s", schema), cond, JoinAlgo::Sweep);
-    let run = |tracing: bool| -> f64 {
-        snapshot_obs::set_tracing(tracing);
-        snapshot_obs::reset_thread_trace();
-        let started = std::time::Instant::now();
-        let out = Engine::new()
-            .execute_analyzed(
-                &plan,
-                &catalog,
-                Some(&indexes),
-                &mut ExecStats::default(),
-                &mut NodeStats::default(),
-            )
-            .unwrap();
-        let elapsed = started.elapsed().as_secs_f64();
-        assert!(!out.is_empty());
-        elapsed
-    };
-    let median = |mut samples: Vec<f64>| -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-
-    run(false); // warm: caches hot, allocator grown
-    let (mut off, mut on) = (Vec::new(), Vec::new());
-    for _ in 0..ROUNDS {
-        off.push(run(false));
-        on.push(run(true));
-    }
-    snapshot_obs::set_tracing(false);
-    snapshot_obs::reset_thread_trace();
-
-    let (off, on) = (median(off), median(on));
-    let pct = (on - off) / off * 100.0;
-    println!("span overhead: tracing-on {on:.4}s vs tracing-off {off:.4}s = {pct:.2}%");
-    assert!(
-        pct <= SPAN_OVERHEAD_MAX_PCT,
-        "span overhead {pct:.2}% exceeds the {SPAN_OVERHEAD_MAX_PCT:.1}% budget \
-         (tracing-on {on:.6}s vs tracing-off {off:.6}s)"
-    );
-}
-
 /// `EXPLAIN ANALYZE` of a query inside an open transaction sees the
 /// transaction's own uncommitted writes.
 #[test]
@@ -426,14 +348,9 @@ fn explain_analyze_inside_transaction_reads_own_writes() {
 
 /// `INSERT ... SELECT` binds its source once: on a shared database the
 /// statement runs in an implicit transaction, whose replay dependencies
-/// come from the plan the insert already compiled.
+/// come from the plan the insert already compiled and ran.
 #[test]
 fn insert_select_binds_its_source_once() {
-    fn count(nodes: &[snapshot_obs::SpanNode], name: &str) -> usize {
-        (nodes.iter())
-            .map(|n| usize::from(n.name == name) + count(&n.children, name))
-            .sum()
-    }
     let shared = SharedDatabase::in_memory();
     let mut session = shared.session();
     session
@@ -443,11 +360,7 @@ fn insert_select_binds_its_source_once() {
              INSERT INTO b VALUES (1, 0, 5), (2, 3, 9);",
         )
         .unwrap();
-    snapshot_obs::set_tracing(true);
-    snapshot_obs::reset_thread_trace();
     let inserted = session.execute("INSERT INTO a SELECT x, ts, te FROM b");
-    let trace = snapshot_obs::take_thread_trace();
-    snapshot_obs::set_tracing(false);
     assert_eq!(
         inserted.unwrap(),
         StatementResult::Inserted {
@@ -455,5 +368,137 @@ fn insert_select_binds_its_source_once() {
             rows: 2
         }
     );
-    assert_eq!(count(&trace.roots, "session.bind"), 1, "{}", trace.render());
+    let [record] = session.last_statements() else {
+        panic!("one statement, one record");
+    };
+    assert_eq!(record.compiled, 1, "{}", record.render());
+    assert!(record.executed.is_some(), "the source's plan ran");
+}
+
+/// A durable shared database in a fresh scratch directory, unique per
+/// test.
+fn durable_database(name: &str) -> (SharedDatabase, PathBuf) {
+    let dir = std::env::temp_dir().join(format!(
+        "snapshot_observability_{}_{name}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (shared, _) = SharedDatabase::open_durable(
+        &dir,
+        SessionOptions::default(),
+        PersistenceOptions::default(),
+    )
+    .unwrap();
+    (shared, dir)
+}
+
+/// A plan line without its wall-clock, which differs between runs.
+fn without_time(line: &str) -> String {
+    match line.find(" time=") {
+        Some(at) => format!("{})", &line[..at]),
+        None => line.to_string(),
+    }
+}
+
+/// `.trace` over a `SEQ VT` join: the statement's block lists every node
+/// of the executed plan under `session.execute`, with the same operator
+/// lines and `actual rows=` as `EXPLAIN ANALYZE` of the same query.
+#[test]
+fn trace_block_lists_the_executed_plan_like_explain_analyze() {
+    let (shared, dir) = durable_database("trace_join");
+    let mut session = shared.session();
+    session
+        .execute_script(
+            "CREATE TABLE works (name TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te);
+             CREATE TABLE assign (mach TEXT, skill TEXT, ts INT, te INT) PERIOD (ts, te);
+             INSERT INTO works VALUES ('Ann', 'SP', 3, 10), ('Joe', 'NS', 8, 16),
+                                      ('Sam', 'SP', 8, 16), ('Ann', 'SP', 18, 20);
+             INSERT INTO assign VALUES ('M1', 'SP', 3, 12), ('M2', 'SP', 6, 14),
+                                       ('M3', 'NS', 3, 16);",
+        )
+        .unwrap();
+    let query = "SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill)";
+    session.execute(query).unwrap();
+    let [record] = session.last_statements() else {
+        panic!("one statement, one record");
+    };
+    let block = record.render();
+    let phases: Vec<&str> = (block.lines())
+        .filter(|l| !l.starts_with(' '))
+        .map(|l| l.split(' ').next().unwrap())
+        .collect();
+    assert_eq!(
+        phases,
+        [
+            "session.parse",
+            "session.bind",
+            "session.rewrite",
+            "session.execute"
+        ],
+        "{block}"
+    );
+    let nodes: Vec<String> = (block.lines())
+        .skip_while(|l| !l.starts_with("session.execute "))
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .map(|l| without_time(&l[2..]))
+        .collect();
+
+    let analyzed = plan_lines(
+        &session
+            .execute(&format!("EXPLAIN ANALYZE {query}"))
+            .unwrap(),
+    );
+    let (footer, analyzed) = analyzed.split_last().unwrap();
+    assert!(footer.starts_with("(result: "), "{footer}");
+    let analyzed: Vec<String> = analyzed.iter().map(|l| without_time(l)).collect();
+    assert_eq!(nodes, analyzed, "{block}");
+    assert!(
+        nodes.iter().any(|n| n.trim_start().starts_with("Join")),
+        "{block}"
+    );
+    let rows: Vec<Option<u64>> = nodes
+        .iter()
+        .map(|n| number_after(n, "actual rows="))
+        .collect();
+    assert_eq!(rows[0], Some(5), "{block}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `.trace` over a `BEGIN; INSERT …; COMMIT;` buffer on a durable
+/// database prints one block per statement, and COMMIT's block carries
+/// the commit split: lock wait, validation, WAL append with its fsync,
+/// publication.
+#[test]
+fn trace_of_a_transaction_prints_a_block_per_statement_and_the_commit_split() {
+    let (shared, dir) = durable_database("trace_commit");
+    let mut session = shared.session();
+    session
+        .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
+        .unwrap();
+    session
+        .execute_script("BEGIN; INSERT INTO t VALUES (1, 0, 5); COMMIT;")
+        .unwrap();
+    let blocks: Vec<String> = (session.last_statements().iter())
+        .map(StatementRecord::render)
+        .collect();
+    assert_eq!(blocks.len(), 3, "{blocks:#?}");
+    assert!(blocks.iter().all(|b| b.starts_with("session.parse ")));
+    assert!(!blocks[1].contains("session.commit"), "{}", blocks[1]);
+    let commit = &blocks[2];
+    for name in [
+        "session.commit",
+        "txn.wait",
+        "txn.validate",
+        "wal.append",
+        "wal.fsync",
+        "txn.publish",
+    ] {
+        let line = format!("{name} ");
+        assert!(
+            commit.lines().any(|l| l.trim_start().starts_with(&line)),
+            "no {name} line in\n{commit}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -494,7 +494,7 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
 /// Over the wire, bare `.profile` returns exactly the folded stacks —
 /// nothing at all before anything was profiled — which is what the remote
 /// shell's `.profile FILE` writes; and the server refuses `.trace`, whose
-/// spans no frame could carry back.
+/// statement records no frame could carry back.
 #[test]
 fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
     let shared = SharedDatabase::in_memory();
