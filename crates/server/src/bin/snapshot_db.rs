@@ -415,37 +415,33 @@ impl Shell {
         let Backend::Local { session, .. } = &mut self.backend else {
             unreachable!("execute_local on a remote backend");
         };
-        let started = Instant::now();
+        let (quiet, started) = (self.quiet, Instant::now());
         let retries_before = session.conflict_retries().total;
-        match session.execute_script(sql) {
-            Ok(results) => {
-                let elapsed = started.elapsed();
-                for r in &results {
-                    if let (false, StatementResult::Rows(t)) = (self.quiet, r) {
-                        print!("{}", t.to_pretty_string());
-                    }
-                    println!("{r} [{:.3} ms]", elapsed.as_secs_f64() * 1e3);
-                }
-                // Per-phase breakdown of the buffer's last statement (the
-                // common case is one statement per buffer) — the split of
-                // the total above into parse/bind/rewrite/index/execute/
-                // commit, from the session's statement record.
-                if !self.quiet {
-                    println!("  ({})", session.last_phase_timings().render());
-                }
-                let retried = session.conflict_retries().total - retries_before;
-                if retried > 0 {
-                    println!("(retried {retried} time(s) after write-write conflicts)");
-                }
-                if self.trace {
-                    for record in session.last_statements() {
-                        print!("{}", record.render());
-                    }
-                }
-                Flow::Continue
+        // Results print as their statements complete, as over `--connect`.
+        let outcome = session.run_script(sql, |r| {
+            if let (false, StatementResult::Rows(t)) = (quiet, &r) {
+                print!("{}", t.to_pretty_string());
             }
-            Err(e) => self.fail(&e.to_string()),
+            println!("{r} [{:.3} ms]", started.elapsed().as_secs_f64() * 1e3);
+            true
+        });
+        if let Err(e) = outcome {
+            return self.fail(&e.to_string());
         }
+        // The phase split of the buffer's last statement, from its record.
+        if !quiet {
+            println!("  ({})", session.last_phase_timings().render());
+        }
+        let retried = session.conflict_retries().total - retries_before;
+        if retried > 0 {
+            println!("(retried {retried} time(s) after write-write conflicts)");
+        }
+        if self.trace {
+            for record in session.last_statements() {
+                print!("{}", record.render());
+            }
+        }
+        Flow::Continue
     }
 
     fn execute_remote(&mut self, sql: &str) -> Flow {

@@ -118,7 +118,8 @@ fn main() {
     let shared = match &db_dir {
         Some(dir) => {
             // Recovery replays through a session built from the server's
-            // option template — the same options every connection gets.
+            // option template, but a replayed statement arms none of its
+            // limits and reports to none of its sinks.
             match SharedDatabase::open_durable(Path::new(dir), config.options, persistence) {
                 Ok((shared, report)) => {
                     if !quiet {

@@ -422,35 +422,36 @@ fn executor_loop(
         };
         match msg {
             Msg::Frame(Frame::Query { sql }) => {
-                for piece in sql::split_script(&sql) {
-                    match session.execute(&piece) {
-                        Ok(StatementResult::Rows(table)) => match write_rowset(stream, &table) {
-                            Ok(n) => bytes_out.add(n as u64),
-                            Err(_) => return,
+                // Each result is streamed as its statement completes; a
+                // failed write means the client is gone and stops the script.
+                let mut alive = true;
+                let outcome = session.run_script(&sql, |result| {
+                    let written = match result {
+                        StatementResult::Rows(table) => write_rowset(stream, &table),
+                        other => write_frame(
+                            stream,
+                            &Frame::Done {
+                                summary: other.to_string(),
+                            },
+                        ),
+                    };
+                    alive = written.map(|n| bytes_out.add(n as u64)).is_ok();
+                    alive
+                });
+                if !alive {
+                    return;
+                }
+                if let Err(e) = outcome {
+                    let frame = match e {
+                        StatementError::Cancelled { .. } => Frame::Cancelled {
+                            reason: e.to_string(),
                         },
-                        Ok(other) => {
-                            if !send(
-                                stream,
-                                &Frame::Done {
-                                    summary: other.to_string(),
-                                },
-                            ) {
-                                return;
-                            }
+                        StatementError::Conflict(message) | StatementError::Failed(message) => {
+                            Frame::Error { message }
                         }
-                        Err(e) => {
-                            let frame = match e {
-                                StatementError::Cancelled { .. } => Frame::Cancelled {
-                                    reason: e.to_string(),
-                                },
-                                StatementError::Conflict(message)
-                                | StatementError::Failed(message) => Frame::Error { message },
-                            };
-                            if !send(stream, &frame) {
-                                return;
-                            }
-                            break; // scripts stop at the first error
-                        }
+                    };
+                    if !send(stream, &frame) {
+                        return;
                     }
                 }
                 if !send(

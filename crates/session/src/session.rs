@@ -334,6 +334,9 @@ pub struct StatementRecord {
     /// The plan the statement executed, with its per-node actuals. Boxed
     /// before it ran, since [`NodeStats`] is keyed by node address.
     pub executed: Option<(Box<Plan>, NodeStats)>,
+    /// The engine's operator counters over every plan the statement ran
+    /// (a conflict retry runs an `INSERT ... SELECT` source again).
+    pub(crate) stats: ExecStats,
     /// A shared-database commit's split (`None` when nothing was
     /// published).
     pub(crate) commit: Option<CommitReport>,
@@ -569,9 +572,9 @@ impl Session {
     }
 
     /// The records of the statements the last [`Session::execute`],
-    /// [`Session::execute_script`] or [`Session::compile`] call ran, in
-    /// order (a statement that failed leaves one too, and ends the
-    /// script's).
+    /// [`Session::run_script`] (or [`Session::execute_script`]) or
+    /// [`Session::compile`] call ran, in order (a statement that failed
+    /// leaves one too, and ends the script's).
     pub fn last_statements(&self) -> &[StatementRecord] {
         &self.records
     }
@@ -640,16 +643,31 @@ impl Session {
         let started = Instant::now();
         let stmt = parse_sql_statement(sql)?;
         let parse_ns = started.elapsed().as_nanos() as u64;
-        self.execute_parsed(&stmt, sql, parse_ns)
+        self.apply_inner(&stmt, Some(sql), parse_ns)
     }
 
     /// Parses and executes a `;`-separated script, stopping at the first
-    /// error. The whole script is parsed up front, so a syntax error
-    /// anywhere prevents any statement from running; execution errors stop
-    /// the script mid-way. On a durable database each bare DDL/DML
-    /// statement is its own commit unit (inside transactions, the unit is
-    /// the transaction).
+    /// error: the collecting form of [`Session::run_script`].
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<StatementResult>, StatementError> {
+        let mut results = Vec::new();
+        self.run_script(sql, |result| {
+            results.push(result);
+            true
+        })?;
+        Ok(results)
+    }
+
+    /// Runs a `;`-separated script: the one script loop. The whole script
+    /// is parsed first, so a syntax error anywhere runs nothing; then each
+    /// statement runs in order and hands its result to `each`. The first
+    /// error, or `each` returning `false`, stops the script. On a durable
+    /// database each bare DDL/DML statement is its own commit unit (inside
+    /// transactions, the unit is the transaction).
+    pub fn run_script(
+        &mut self,
+        sql: &str,
+        mut each: impl FnMut(StatementResult) -> bool,
+    ) -> Result<(), StatementError> {
         self.records.clear();
         let pieces = split_script(sql);
         let mut stmts = Vec::with_capacity(pieces.len());
@@ -658,31 +676,12 @@ impl Session {
             let stmt = parse_sql_statement(piece)?;
             stmts.push((stmt, started.elapsed().as_nanos() as u64));
         }
-        stmts
-            .iter()
-            .zip(&pieces)
-            .map(|((stmt, parse_ns), piece)| self.execute_parsed(stmt, piece, *parse_ns))
-            .collect()
-    }
-
-    /// Runs one parsed statement, does the post-statement bookkeeping
-    /// [`Session::execute`] and [`Session::execute_script`] share, and
-    /// keeps the statement's record.
-    fn execute_parsed(
-        &mut self,
-        stmt: &SqlStatement,
-        sql: &str,
-        parse_ns: u64,
-    ) -> Result<StatementResult, StatementError> {
-        let result = self.apply_inner(stmt, Some(sql), parse_ns);
-        if let Ok(r) = &result {
-            if self.options.collect_metrics {
-                self.record.phases.publish(&self.telemetry.phases);
+        for ((stmt, parse_ns), piece) in stmts.iter().zip(&pieces) {
+            if !each(self.apply_inner(stmt, Some(piece), *parse_ns)?) {
+                break;
             }
-            self.observe_statement(sql, r);
         }
-        self.records.push(std::mem::take(&mut self.record));
-        result
+        Ok(())
     }
 
     /// Executes one parsed statement without recording its text — the
@@ -715,50 +714,12 @@ impl Session {
         plan
     }
 
-    /// Feed the database's statement statistics and (past the threshold)
-    /// its slow-query log with one successfully executed statement.
-    fn observe_statement(&self, sql: &str, result: &StatementResult) {
-        let total_ns = self.record.phases.total_ns();
-        let rows = result.rows().map(|t| t.len() as u64);
-        if self.options.collect_metrics {
-            let seconds = total_ns as f64 / 1e9;
-            self.telemetry.obs.statements.record(sql, rows, seconds);
-        }
-        let Some(threshold_ms) = self.options.slow_query_ms else {
-            return;
-        };
-        if total_ns as f64 / 1e6 >= threshold_ms as f64 {
-            self.record_slow_query(sql, rows, None);
-        }
-    }
-
-    /// Appends the current statement to the slow-query log from its
-    /// record: its phase split, the operator actuals of the plan it
-    /// executed, and why it was cancelled, if it was.
-    fn record_slow_query(&self, text: &str, rows: Option<u64>, cancelled: Option<String>) {
-        let p = &self.record.phases;
-        self.telemetry.obs.slow_log.record(obs::SlowQuery {
-            seq: 0, // assigned by the log
-            statement: clean_statement(text),
-            total_ms: p.total_ns() as f64 / 1e6,
-            parse_ms: p.parse_ns as f64 / 1e6,
-            bind_ms: p.bind_ns as f64 / 1e6,
-            rewrite_ms: p.rewrite_ns as f64 / 1e6,
-            index_ms: p.index_ns as f64 / 1e6,
-            execute_ms: p.execute_ns as f64 / 1e6,
-            commit_ms: p.commit_ns as f64 / 1e6,
-            rows,
-            plan: (self.record.executed.as_ref())
-                .map(|(plan, nodes)| engine::explain_analyzed(plan, nodes)),
-            cancelled,
-        });
-    }
-
     /// Routes one statement: transaction control, query, or mutation —
-    /// bracketed by live-activity registration ([`snapshot_obs::activity`])
-    /// and followed by the cancellation unwind if the statement died
-    /// [`StatementError::Cancelled`]. The statement's record starts with
-    /// its parse time, so the unwind's slow-log entry counts it.
+    /// bracketed by live-activity registration ([`snapshot_obs::activity`]),
+    /// followed by the cancellation unwind if the statement died
+    /// [`StatementError::Cancelled`], then reported and kept. A statement
+    /// without text is a replayed one, already committed history: it arms
+    /// no client limit, reports nothing and leaves no record.
     fn apply_inner(
         &mut self,
         stmt: &SqlStatement,
@@ -767,19 +728,76 @@ impl Session {
     ) -> Result<StatementResult, StatementError> {
         self.record = StatementRecord::default();
         self.record.phases.parse_ns = parse_ns;
+        let limits = text.map(|_| &self.options);
         self.activity.begin_statement(
-            text.unwrap_or("<prepared statement>"),
-            self.options.statement_timeout_ms,
-            self.options.max_rows_scanned,
-            self.options.max_result_rows,
+            text.unwrap_or("<replayed statement>"),
+            limits.and_then(|o| o.statement_timeout_ms),
+            limits.and_then(|o| o.max_rows_scanned),
+            limits.and_then(|o| o.max_result_rows),
         );
         let result = self.dispatch(stmt, text);
         if let Err(StatementError::Cancelled { kind, .. }) = &result {
-            self.unwind_cancelled(*kind, text);
+            // The WAL never saw an explicit transaction's writes: they are
+            // logged at COMMIT.
+            self.telemetry.obs.activity.note_cancellation(*kind);
+            self.abort_txn();
         }
         self.activity.set_in_txn(self.txn.is_some());
         self.activity.end_statement();
+        if let Some(text) = text {
+            self.report(text, &result);
+            self.records.push(std::mem::take(&mut self.record));
+        }
         result
+    }
+
+    /// Reports a client statement from its record, the one place that feeds
+    /// the metrics, profile, statement statistics and slow-query log: the
+    /// executed plan's counters and profile however it ended (never the
+    /// `.verify` cross-check's), phases and statistics on success, and a
+    /// slow-log entry on success past the threshold or on a cancellation
+    /// while the log is armed.
+    fn report(&self, text: &str, result: &Result<StatementResult, StatementError>) {
+        let (t, record, options) = (&*self.telemetry, &self.record, &self.options);
+        if let Some((plan, nodes)) = &record.executed {
+            if options.collect_metrics {
+                record.stats.publish_to_registry(&t.obs.metrics);
+            }
+            if t.obs.profile.enabled() {
+                t.obs.profile.record(nodes.profile(plan));
+            }
+        }
+        let (p, total_ms) = (&record.phases, record.phases.total_ns() as f64 / 1e6);
+        let rows = |r: &StatementResult| r.rows().map(|table| table.len() as u64);
+        if let (Ok(r), true) = (result, options.collect_metrics) {
+            p.publish(&t.phases);
+            t.obs
+                .statements
+                .record(text, rows(r), p.total_ns() as f64 / 1e9);
+        }
+        let threshold = options.slow_query_ms;
+        let (rows, cancelled) = match result {
+            Ok(r) if threshold.is_some_and(|ms| total_ms >= ms as f64) => (rows(r), None),
+            Err(StatementError::Cancelled { kind, .. }) if threshold.is_some() => {
+                (None, Some(kind.reason().to_string()))
+            }
+            _ => return,
+        };
+        t.obs.slow_log.record(obs::SlowQuery {
+            seq: 0, // assigned by the log
+            statement: clean_statement(text),
+            total_ms,
+            parse_ms: p.parse_ns as f64 / 1e6,
+            bind_ms: p.bind_ns as f64 / 1e6,
+            rewrite_ms: p.rewrite_ns as f64 / 1e6,
+            index_ms: p.index_ns as f64 / 1e6,
+            execute_ms: p.execute_ns as f64 / 1e6,
+            commit_ms: p.commit_ns as f64 / 1e6,
+            rows,
+            plan: (record.executed.as_ref())
+                .map(|(plan, nodes)| engine::explain_analyzed(plan, nodes)),
+            cancelled,
+        });
     }
 
     /// The statement router proper (see [`Session::apply_inner`]).
@@ -869,23 +887,6 @@ impl Session {
             other => return Err(format!("unknown session option '{other}'")),
         }
         Ok(())
-    }
-
-    /// A statement died with a cancellation error: count it in the
-    /// registry, roll back the explicit transaction it ran in, if any (the
-    /// WAL never saw its writes — statements are only logged at COMMIT;
-    /// an autocommit statement's implicit transaction is already gone),
-    /// and stamp the slow log (when armed) with the cancellation reason.
-    fn unwind_cancelled(&mut self, kind: obs::CancelKind, text: Option<&str>) {
-        self.telemetry.obs.activity.note_cancellation(kind);
-        self.abort_txn();
-        if self.options.slow_query_ms.is_some() {
-            self.record_slow_query(
-                text.unwrap_or("<prepared statement>"),
-                None,
-                Some(kind.reason().to_string()),
-            );
-        }
     }
 
     /// `BEGIN`: pin a snapshot and open a transaction over it.
@@ -1280,11 +1281,10 @@ impl Session {
         ));
         let catalog = view.catalog();
         let started = Instant::now();
-        let mut stats = ExecStats::default();
         let mut nodes = NodeStats::default();
         let indexes = options.use_indexes.then(|| view.indexes());
         let result = engine
-            .execute_analyzed(&plan, catalog, indexes, &mut stats, &mut nodes)
+            .execute_analyzed(&plan, catalog, indexes, &mut record.stats, &mut nodes)
             .and_then(|executed| {
                 if options.use_indexes && options.verify_indexed {
                     // The cross-check runs sequentially on purpose:
@@ -1306,14 +1306,6 @@ impl Session {
                 Ok(executed)
             });
         record.phases.execute_ns += started.elapsed().as_nanos() as u64;
-        // The statement's own counters, profile and actuals, whether it ran
-        // to the end or was stopped: never the `.verify` cross-check's.
-        if options.collect_metrics {
-            stats.publish_to_registry(&telemetry.obs.metrics);
-        }
-        if telemetry.obs.profile.enabled() {
-            telemetry.obs.profile.record(nodes.profile(&plan));
-        }
         let (plan, nodes) = &*record.executed.insert((plan, nodes));
         let executed = result?;
         if explain_analyze {

@@ -159,7 +159,9 @@ impl SharedDatabase {
     /// commit is written ahead of publication. A format-1 log is
     /// checkpointed once it has replayed, which rewrites it in this build's
     /// format. An empty or missing directory starts an empty durable
-    /// database.
+    /// database. The replay runs with `options`' routes and parallelism,
+    /// but a replayed statement arms none of their limits and reports
+    /// nothing: recovery never depends on client policy.
     pub fn open_durable(
         dir: &Path,
         options: SessionOptions,

@@ -612,6 +612,61 @@ fn recovery_counts_statements_and_the_next_checkpoint_comes_on_time() {
     assert_eq!(counter(&s, "wal_checkpoints_total"), 1);
 }
 
+/// A directory whose WAL tail ends in an `INSERT ... SELECT` that scans and
+/// emits several rows of a multi-row table.
+fn insert_select_tail(name: &str) -> PathBuf {
+    let dir = scratch_dir(name);
+    let (mut s, _) = open(&dir, 0);
+    for sql in [
+        "CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)",
+        "INSERT INTO t VALUES (1, 0, 5), (2, 1, 6), (3, 2, 7), (4, 3, 8)",
+        "CREATE TABLE u (x INT, ts INT, te INT) PERIOD (ts, te)",
+        "INSERT INTO u SELECT x, ts, te FROM t WHERE x > 1",
+    ] {
+        s.execute(sql).unwrap();
+    }
+    dir
+}
+
+/// A replayed statement is committed history: the client limits of the
+/// options a directory is opened with never refuse it, so the directory
+/// opens under `max_rows_scanned = 1` / `max_result_rows = 1` to the state
+/// it opens to without them.
+#[test]
+fn replay_runs_under_no_client_limit() {
+    let dir = insert_select_tail("replay_limits");
+    let want = dump_sql(open(&dir, 0).0.read_view().catalog());
+    let limited = SessionOptions {
+        max_rows_scanned: Some(1),
+        max_result_rows: Some(1),
+        ..durable_options()
+    };
+    let (shared, report) =
+        SharedDatabase::open_durable(&dir, limited, PersistenceOptions::default())
+            .unwrap_or_else(|e| panic!("open_durable under client limits: {e}"));
+    assert_eq!(report.replayed, 4);
+    assert_eq!(dump_sql(shared.snapshot().catalog()), want);
+    assert!(want.contains("INSERT INTO u"), "the tail filled u:\n{want}");
+}
+
+/// Replay is not client work: a database no client has queried since the
+/// restart shows no engine operator invocations and no statement phases.
+#[test]
+fn replay_reports_no_engine_work_and_no_statement() {
+    let dir = insert_select_tail("replay_counters");
+    let (s, report) = open(&dir, 0);
+    assert_eq!(report.replayed, 4);
+    let reported: Vec<String> = (s.obs().metrics.snapshot().into_iter())
+        .filter(|m| {
+            let engine = m.name.starts_with("engine_") && m.name.ends_with("_invocations_total");
+            let phase = m.name.starts_with("session_") && m.name.ends_with("_seconds");
+            (engine && m.value != Some(0.0)) || (phase && m.count != Some(0))
+        })
+        .map(|m| m.name)
+        .collect();
+    assert!(reported.is_empty(), "replay reported {reported:?}");
+}
+
 /// A directory written in WAL format 1 (`tests/fixtures/wal_v1`, see its
 /// README): one statement per frame, `BEGIN`/`COMMIT` marker records,
 /// and a last transaction whose `COMMIT` marker is torn. It opens to the

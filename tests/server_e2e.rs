@@ -9,8 +9,9 @@
 //! mid-result leaves no ghost rows in `snapshot_stat_activity`, a
 //! multi-batch result arrives in the executor's row order with every byte
 //! accounted, bare `.profile` returns exactly the folded stacks while
-//! `.trace` is refused, and a server that sends a malformed result gets an
-//! `Err` from the client, not a panic.
+//! `.trace` is refused, a server that sends a malformed result gets an
+//! `Err` from the client, not a panic, and a script that fails means the
+//! same over the wire as in process.
 //!
 //! Every test serves a database of its own, with its own activity table
 //! and metrics, so the tests run in parallel.
@@ -1209,4 +1210,70 @@ fn malformed_results_are_connection_errors_not_panics() {
         drop(client);
         fake.join().expect("fake server thread");
     }
+}
+
+/// A script means the same over the wire as through the session's loop in
+/// process: it is parsed whole before any statement runs, so a syntax
+/// error in its last statement runs nothing; a run-time failure stops it,
+/// and the results of the statements before it are streamed before its
+/// `Error`.
+#[test]
+fn a_script_means_the_same_over_the_wire_and_in_process() {
+    const SYNTAX: &str =
+        "CREATE TABLE se_one (x INT); INSERT INTO se_one VALUES (1); SELEC x FROM se_one;";
+    const RUNTIME: &str = "CREATE TABLE se_two (x INT); INSERT INTO se_two VALUES (1), (2); \
+         INSERT INTO se_missing VALUES (3); INSERT INTO se_two VALUES (4);";
+    let remote = SharedDatabase::in_memory();
+    let (addr, _handle, server) = start_server(remote.clone(), ServerConfig::default());
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw_hello(&mut raw, "script-semantics");
+    let mut wire = |sql: &str| {
+        write_frame(&mut raw, &Frame::Query { sql: sql.into() }).unwrap();
+        let mut reply = Vec::new();
+        loop {
+            match read_frame(&mut raw).expect("response frame").0 {
+                Frame::Done { summary } => reply.push(format!("Done {summary}")),
+                Frame::Error { message } => reply.push(format!("Error {message}")),
+                Frame::Ready { .. } => return reply,
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    };
+    let local = SharedDatabase::in_memory();
+    let mut session = local.session();
+    let mut in_process = |sql: &str| {
+        let mut reply = Vec::new();
+        let outcome = session.run_script(sql, |r| {
+            reply.push(format!("Done {r}"));
+            true
+        });
+        if let Err(e) = outcome {
+            reply.push(format!("Error {e}"));
+        }
+        reply
+    };
+
+    let syntax = wire(SYNTAX);
+    assert!(
+        matches!(syntax.as_slice(), [e] if e.starts_with("Error ")),
+        "{syntax:?}"
+    );
+    assert_eq!(syntax, in_process(SYNTAX));
+    let runtime = wire(RUNTIME);
+    assert!(
+        matches!(runtime.as_slice(), [create, insert, e]
+            if create == "Done CREATE TABLE se_two"
+                && insert == "Done INSERT 2 INTO se_two"
+                && e.starts_with("Error ")),
+        "{runtime:?}"
+    );
+    assert_eq!(runtime, in_process(RUNTIME));
+    for db in [&remote, &local] {
+        let view = db.snapshot();
+        assert!(view.catalog().get("se_one").is_none());
+        // The fourth statement never ran.
+        assert_eq!(view.catalog().get("se_two").map(|t| t.len()), Some(2));
+    }
+    drop(raw);
+    stop(Client::connect(addr).expect("connect"), server);
 }
