@@ -28,8 +28,8 @@
 //! missing or stale, so both routes stay live and comparable (the
 //! differential tests and the `baseline` oracle validate them against each
 //! other). Maintenance is version-driven: [`IndexCatalog::ensure`] repairs
-//! a stale entry by *extending* it when the table's append-checkpoint
-//! history proves only appends happened since the indexed version
+//! a stale entry by *extending* it when the table's append history
+//! proves only appends happened since the indexed version
 //! ([`TableIndex::extend_appended`] — event lists merge in
 //! `O(n + k log k)` instead of re-sorting; the static interval tree is
 //! rebuilt from the merged begin order, sorting nothing of its own), and

@@ -9,12 +9,15 @@
 //!
 //! and the payload is `[tag: u8][body]`, with the body encoded by the
 //! same bounds-checked little-endian codec the WAL uses
-//! ([`snapshot_wal::codec`]) — values and schemas go over the wire
-//! bit-identically to how they rest on disk, and result rows travel as
-//! that codec's *column block* ([`snapshot_wal::codec::encode_columns`]):
-//! a result arrives sorted by (key, begin, end), so its columns are runs
-//! of equal strings and slowly rising integers, which a column block
-//! stores as runs and deltas (protocol version 2). A frame longer than
+//! ([`snapshot_wal::codec`]). A result set travels as that codec's row
+//! set: the [`Frame::RowHeader`] body is its row header
+//! ([`snapshot_wal::codec::encode_row_header`]) and each
+//! [`Frame::RowBatch`] body one *column block*
+//! ([`snapshot_wal::codec::encode_columns`]) — byte for byte how a
+//! checkpoint stores a table. A result arrives sorted by (key, begin,
+//! end), so its columns are runs of equal strings and slowly rising
+//! integers, which a column block stores as runs and deltas (protocol
+//! version 2). A frame longer than
 //! [`MAX_FRAME`] is refused before allocation (a corrupt or hostile
 //! length prefix must not OOM the peer), a CRC mismatch is refused before
 //! decoding, a row batch claiming more rows than
@@ -45,11 +48,13 @@
 //!    sides drop the socket. [`Frame::Shutdown`] additionally asks the
 //!    whole server to shut down gracefully after the goodbye.
 
-use snapshot_wal::codec::{decode_columns, decode_schema, encode_columns, encode_schema};
-use snapshot_wal::codec::{Reader, Writer};
+use snapshot_wal::codec::{blocks, decode_columns, decode_row_header, encode_columns};
+use snapshot_wal::codec::{encode_row_header, header_period, Reader, Writer};
 use snapshot_wal::crc32;
 use std::io::{Read, Write};
 use storage::{Row, Schema, Table};
+
+pub use snapshot_wal::codec::ROW_BATCH;
 
 /// Protocol version spoken by this build; the handshake refuses a client
 /// whose version differs. (1 → 2: [`Frame::RowBatch`] became a column
@@ -59,9 +64,6 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// Hard ceiling on one frame's payload size (matches the WAL's own
 /// guard): a corrupt length prefix must not trigger an absurd allocation.
 pub const MAX_FRAME: u32 = 1 << 28;
-
-/// Rows per [`Frame::RowBatch`] when streaming a result set.
-pub const ROW_BATCH: usize = 256;
 
 /// One protocol message. See the module docs for the conversation shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,9 +120,10 @@ pub enum Frame {
         /// The result's period column pair, if it is a period relation.
         period: Option<(u32, u32)>,
     },
-    /// A batch of result rows, all of one arity ([`ROW_BATCH`] per frame
-    /// from the server; the decoder's ceiling is
-    /// [`snapshot_wal::codec::MAX_BLOCK_ROWS`]).
+    /// A batch of result rows, all of one arity
+    /// ([`snapshot_wal::codec::block_rows`] per frame from the server —
+    /// [`ROW_BATCH`] unless the rows are very wide; the decoder's ceiling
+    /// is [`snapshot_wal::codec::MAX_BLOCK_ROWS`]).
     RowBatch {
         /// The rows.
         rows: Vec<Row>,
@@ -170,22 +173,9 @@ const TAG_GOODBYE: u8 = 0x18;
 /// Length of the `[payload_len][crc32]` header in front of every payload.
 const HEADER_LEN: usize = 8;
 
-/// The period column pair of `table` as [`Frame::RowHeader`] carries it.
-fn wire_period(table: &Table) -> Option<(u32, u32)> {
-    table.period().map(|(b, e)| (b as u32, e as u32))
-}
-
 fn put_row_header(w: &mut Writer, schema: &Schema, period: Option<(u32, u32)>) {
     w.put_u8(TAG_ROW_HEADER);
-    encode_schema(w, schema);
-    match period {
-        Some((b, e)) => {
-            w.put_u8(1);
-            w.put_u32(b);
-            w.put_u32(e);
-        }
-        None => w.put_u8(0),
-    }
+    encode_row_header(w, schema, period);
 }
 
 fn put_row_batch(w: &mut Writer, rows: &[Row]) {
@@ -293,19 +283,7 @@ impl Frame {
                 summary: r.get_str()?,
             },
             TAG_ROW_HEADER => {
-                let schema = decode_schema(&mut r)?;
-                let period = match r.get_u8()? {
-                    0 => None,
-                    1 => {
-                        // Whoever reassembles the result builds a period
-                        // table from this pair: it must name two distinct
-                        // INT columns of the schema it came with.
-                        let (b, e) = (r.get_u32()?, r.get_u32()?);
-                        Table::check_period(&schema, b as usize, e as usize)?;
-                        Some((b, e))
-                    }
-                    other => return Err(format!("invalid period flag {other}")),
-                };
+                let (schema, period) = decode_row_header(&mut r)?;
                 Frame::RowHeader { schema, period }
             }
             TAG_ROW_BATCH => Frame::RowBatch {
@@ -382,8 +360,9 @@ pub fn write_frame<W: Write>(out: &mut W, frame: &Frame) -> std::io::Result<usiz
     Ok(image.len())
 }
 
-/// Stream `table` as one result set — `RowHeader`, [`ROW_BATCH`]-row
-/// `RowBatch`es, `RowEnd` — straight from its borrowed rows: every frame
+/// Stream `table` as one result set — `RowHeader`, `RowBatch`es of
+/// [`snapshot_wal::codec::block_rows`] rows, `RowEnd` — straight from its
+/// borrowed rows: every frame
 /// is encoded into one reused buffer and written with one `write_all`.
 /// Byte for byte what [`write_frame`] over [`rowset_frames`] sends, without
 /// cloning a row. Returns the bytes written; the first failed write ends
@@ -396,9 +375,9 @@ pub fn write_rowset<W: Write>(out: &mut W, table: &Table) -> std::io::Result<usi
         written += buf.len();
         out.write_all(&buf)
     };
-    send(&|w| put_row_header(w, table.schema(), wire_period(table)))?;
-    for chunk in table.rows().chunks(ROW_BATCH) {
-        send(&|w| put_row_batch(w, chunk))?;
+    send(&|w| put_row_header(w, table.schema(), header_period(table)))?;
+    for block in blocks(table) {
+        send(&|w| put_row_batch(w, block))?;
     }
     send(&|w| put_row_end(w, table.len() as u64))?;
     Ok(written)
@@ -452,11 +431,11 @@ pub fn read_frame<R: Read>(input: &mut R) -> Result<(Frame, usize), ReadError> {
 pub fn rowset_frames(table: &Table) -> Vec<Frame> {
     let mut frames = vec![Frame::RowHeader {
         schema: table.schema().clone(),
-        period: wire_period(table),
+        period: header_period(table),
     }];
-    for chunk in table.rows().chunks(ROW_BATCH) {
+    for block in blocks(table) {
         frames.push(Frame::RowBatch {
-            rows: chunk.to_vec(),
+            rows: block.to_vec(),
         });
     }
     frames.push(Frame::RowEnd {
@@ -661,6 +640,35 @@ mod tests {
             }
             assert_eq!(rows, table.rows());
         }
+    }
+
+    /// A checkpoint stores a table in the wire's layout: after the table's
+    /// name come its `RowHeader` body, the block count and each `RowBatch`
+    /// body, byte for byte.
+    #[test]
+    fn a_checkpointed_table_is_its_row_header_then_its_row_batches() {
+        let table = run_table(3 * ROW_BATCH + 17, true);
+        let mut catalog = storage::Catalog::new();
+        catalog.register("t", table.clone());
+        let dir = std::env::temp_dir().join(format!("snapshot_layout_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = snapshot_wal::write_checkpoint(&dir, 1, 0, &catalog).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        // Magic, format, CRC and body length; seq and covered LSN; the
+        // table count; the name "t".
+        let table_at = 24 + 16 + 4 + 4 + 1;
+        let payloads: Vec<Vec<u8>> = rowset_frames(&table).iter().map(Frame::encode).collect();
+        let (header, rest) = payloads.split_first().unwrap();
+        let batches = &rest[..rest.len() - 1];
+        assert_eq!(batches.len(), 4);
+        let mut want = Writer::new();
+        want.put_raw(&header[1..]);
+        want.put_varint(batches.len() as u64);
+        for batch in batches {
+            want.put_raw(&batch[1..]);
+        }
+        assert_eq!(&file[table_at..], want.into_bytes().as_slice());
     }
 
     /// A `RowHeader` whose period is not two distinct INT columns of its

@@ -156,9 +156,10 @@ impl SharedDatabase {
     /// several statements as one transaction (a torn or corrupt tail was
     /// truncated to the longest valid prefix of whole units by the
     /// persistence layer) — then the log is attached, so every later
-    /// commit is written ahead of publication. A format-1 log is
-    /// checkpointed once it has replayed, which rewrites it in this build's
-    /// format. An empty or missing directory starts an empty durable
+    /// commit is written ahead of publication. A directory holding a file
+    /// older than this build's format (a format-1 log or checkpoint) is
+    /// checkpointed once its tail has replayed, which rewrites both in this
+    /// build's formats. An empty or missing directory starts an empty durable
     /// database. The replay runs with `options`' routes and parallelism,
     /// but a replayed statement arms none of their limits and reports
     /// nothing: recovery never depends on client policy.
@@ -197,7 +198,7 @@ impl SharedDatabase {
         // checkpoint below drops its records from the log.
         drop(session);
         *shared.inner.persistence.lock() = Some(persistence);
-        if recovery.format < snapshot_wal::log::FORMAT {
+        if recovery.outdated {
             shared.checkpoint()?;
         }
         Ok((

@@ -16,10 +16,10 @@ fn next_version() -> u64 {
     VERSION_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
-/// How many append checkpoints a table keeps (see
+/// How many append states a table keeps (see
 /// [`Table::appended_since`]): an index older than this many append batches
 /// falls back to a full rebuild.
-const MAX_APPEND_CHECKPOINTS: usize = 64;
+const MAX_APPEND_STATES: usize = 64;
 
 /// A stored relation: a schema, a multiset of rows (duplicates are separate
 /// rows, as in SQL), and an optional *period specification* naming the two
@@ -37,11 +37,11 @@ pub struct Table {
     version: u64,
     /// Recent `(version, len)` states reachable from the current state by
     /// *removing appended rows only*: entry `(v, l)` means "at version `v`
-    /// this table was exactly `rows[0..l]`". Appends push a checkpoint;
+    /// this table was exactly `rows[0..l]`". Appends push a state;
     /// structural mutations (sort, delete, update) clear the history. This
     /// is what lets index maintenance extend an index incrementally instead
     /// of rebuilding — see [`Table::appended_since`].
-    append_checkpoints: Vec<(u64, usize)>,
+    appends: Vec<(u64, usize)>,
     /// `(min begin, max end)` over the rows of a period table — derived
     /// state, kept current by every mutation (see [`Table::period_extent`]);
     /// [`NO_PERIODS`] while there is nothing to cover.
@@ -80,7 +80,7 @@ impl Table {
             rows: Vec::new(),
             period: None,
             version,
-            append_checkpoints: vec![(version, 0)],
+            appends: vec![(version, 0)],
             extent: NO_PERIODS,
         }
     }
@@ -126,7 +126,7 @@ impl Table {
             rows: Vec::new(),
             period: Some((begin, end)),
             version,
-            append_checkpoints: vec![(version, 0)],
+            appends: vec![(version, 0)],
             extent: NO_PERIODS,
         }
     }
@@ -161,7 +161,7 @@ impl Table {
     /// `(min begin, max end)` over all rows: the smallest interval covering
     /// every stored period. `None` for an empty table and for a table
     /// without a period. Maintained by the mutators — widened on append,
-    /// recomputed in the pass a delete, update or restore makes anyway —
+    /// recomputed in the pass a delete or update makes anyway —
     /// so reading the time domain of a database costs O(tables), not
     /// O(rows). Derived from the rows: not persisted, ignored by `==`.
     pub fn period_extent(&self) -> Option<(i64, i64)> {
@@ -215,25 +215,23 @@ impl Table {
         Ok((ib, ie))
     }
 
-    /// Refreshes the version after an append batch, checkpointing the new
+    /// Refreshes the version after an append batch, recording the new
     /// state so indexes can catch up incrementally.
     fn bump_append(&mut self) {
         self.version = next_version();
-        self.append_checkpoints
-            .push((self.version, self.rows.len()));
-        if self.append_checkpoints.len() > MAX_APPEND_CHECKPOINTS {
-            let excess = self.append_checkpoints.len() - MAX_APPEND_CHECKPOINTS;
-            self.append_checkpoints.drain(..excess);
+        self.appends.push((self.version, self.rows.len()));
+        if self.appends.len() > MAX_APPEND_STATES {
+            let excess = self.appends.len() - MAX_APPEND_STATES;
+            self.appends.drain(..excess);
         }
     }
 
     /// Refreshes the version after a structural mutation (anything that is
-    /// not a pure append): the checkpoint history restarts here.
+    /// not a pure append): the append history restarts here.
     fn bump_structural(&mut self) {
         self.version = next_version();
-        self.append_checkpoints.clear();
-        self.append_checkpoints
-            .push((self.version, self.rows.len()));
+        self.appends.clear();
+        self.appends.push((self.version, self.rows.len()));
     }
 
     /// Appends a row.
@@ -341,84 +339,14 @@ impl Table {
         Ok(updated)
     }
 
-    /// The append-checkpoint history: recent `(version, len)` states
-    /// reachable from the current state by removing appended rows only (the
-    /// last entry is always the current `(version, len)`). Exposed so the
-    /// durability layer can serialize tables losslessly — see
-    /// [`Table::restore`].
-    pub fn append_checkpoints(&self) -> &[(u64, usize)] {
-        &self.append_checkpoints
-    }
-
-    /// Rebuilds a table from serialized state (the durability layer's
-    /// decode path): schema, period spec, rows, the version epoch it was
-    /// saved at, and its append-checkpoint history.
-    ///
-    /// Every row is re-validated against the schema and period spec, and
-    /// the checkpoint history must be well-formed (non-empty, lengths
-    /// non-decreasing and bounded by the row count, versions strictly
-    /// increasing, last entry equal to the current `(version, len)` state).
-    /// The process-wide version-epoch counter is advanced past the restored
-    /// version, so versions stay globally unique: a table created *after* a
-    /// restore can never collide with a restored epoch, which keeps
-    /// version-based index staleness checks sound across restarts.
-    pub fn restore(
-        schema: Schema,
-        period: Option<(usize, usize)>,
-        rows: Vec<Row>,
-        version: u64,
-        append_checkpoints: Vec<(u64, usize)>,
-    ) -> Result<Table, String> {
-        if let Some((b, e)) = period {
-            Table::check_period(&schema, b, e)?;
-        }
-        match append_checkpoints.last() {
-            None => return Err("append-checkpoint history must not be empty".into()),
-            Some(&(v, len)) => {
-                if v != version || len != rows.len() {
-                    return Err(format!(
-                        "last append checkpoint ({v}, {len}) does not match current \
-                         state ({version}, {})",
-                        rows.len()
-                    ));
-                }
-            }
-        }
-        for pair in append_checkpoints.windows(2) {
-            let ((v0, l0), (v1, l1)) = (pair[0], pair[1]);
-            if v0 >= v1 || l0 > l1 {
-                return Err(format!(
-                    "append checkpoints must be strictly version-increasing with \
-                     non-decreasing lengths: ({v0}, {l0}) then ({v1}, {l1})"
-                ));
-            }
-        }
-        let mut table = Table {
-            schema,
-            rows: Vec::new(),
-            period,
-            version,
-            append_checkpoints,
-            extent: NO_PERIODS,
-        };
-        for row in &rows {
-            table.extent = widen(table.extent, table.checked_period(row)?);
-        }
-        // Advance the global epoch source past the restored version so the
-        // next construction or mutation anywhere in the process draws a
-        // strictly larger value.
-        VERSION_EPOCH.fetch_max(version.saturating_add(1), Ordering::Relaxed);
-        Ok(Table { rows, ..table })
-    }
-
     /// When the table state at `version` was exactly the current
     /// `rows[0..l]` and only appends happened since, returns `Some(l)`;
     /// otherwise `None` (structural change, unknown version, or history
-    /// trimmed past `MAX_APPEND_CHECKPOINTS` append batches). Versions are
-    /// globally unique, so a checkpoint hit can never be a look-alike from
-    /// another table or a diverged clone.
+    /// trimmed past `MAX_APPEND_STATES` append batches). Versions are
+    /// globally unique, so a hit can never be a look-alike from another
+    /// table or a diverged clone.
     pub fn appended_since(&self, version: u64) -> Option<usize> {
-        self.append_checkpoints
+        self.appends
             .iter()
             .find(|&&(v, _)| v == version)
             .map(|&(_, len)| len)
@@ -650,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn append_checkpoints_track_pure_appends() {
+    fn append_history_tracks_pure_appends() {
         let mut t = Table::with_period(works_schema(), 2, 3);
         t.push(row!["Ann", "SP", 3, 10]);
         let v1 = t.version();
@@ -666,82 +594,17 @@ mod tests {
         // A structural mutation invalidates the history...
         t.delete_where(|r| r.get(0) == &Value::str("Eve"));
         assert_eq!(t.appended_since(v1), None);
-        // ...but the post-mutation state checkpoints again.
+        // ...but the post-mutation state is recorded again.
         let v2 = t.version();
         t.push(row!["Zed", "NS", 1, 3]);
         assert_eq!(t.appended_since(v2), Some(3));
 
-        // Divergent clones do not see each other's append checkpoints.
+        // Divergent clones do not see each other's append states.
         let (mut a, mut b) = (t.clone(), t.clone());
         a.push(row!["A1", "SP", 2, 4]);
         b.push(row!["B1", "SP", 2, 4]);
         assert_eq!(b.appended_since(a.version()), None);
         assert_eq!(a.appended_since(b.version()), None);
-    }
-
-    #[test]
-    fn restore_rebuilds_state_and_advances_the_epoch() {
-        let mut t = Table::with_period(works_schema(), 2, 3);
-        t.push(row!["Ann", "SP", 3, 10]);
-        t.push(row!["Joe", "NS", 8, 16]);
-
-        let r = Table::restore(
-            t.schema().clone(),
-            t.period(),
-            t.rows().to_vec(),
-            t.version(),
-            t.append_checkpoints().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(r, t);
-        assert_eq!(r.version(), t.version());
-        assert_eq!(r.append_checkpoints(), t.append_checkpoints());
-        // The incremental-maintenance contract survives the round trip.
-        let v_first = t.append_checkpoints()[1].0;
-        assert_eq!(r.appended_since(v_first), t.appended_since(v_first));
-
-        // The global epoch resumes strictly above every restored version.
-        let fresh = Table::new(works_schema());
-        assert!(fresh.version() > r.version());
-
-        // Malformed inputs are rejected, not panicked on.
-        assert!(
-            Table::restore(works_schema(), Some((2, 2)), vec![], 1, vec![(1, 0)])
-                .unwrap_err()
-                .contains("distinct")
-        );
-        assert!(
-            Table::restore(works_schema(), Some((0, 3)), vec![], 1, vec![(1, 0)])
-                .unwrap_err()
-                .contains("must be INT")
-        );
-        assert!(
-            Table::restore(works_schema(), Some((2, 9)), vec![], 1, vec![(1, 0)])
-                .unwrap_err()
-                .contains("out of range")
-        );
-        assert!(Table::restore(works_schema(), None, vec![], 1, vec![])
-            .unwrap_err()
-            .contains("must not be empty"));
-        assert!(
-            Table::restore(works_schema(), None, vec![], 5, vec![(5, 3)])
-                .unwrap_err()
-                .contains("does not match")
-        );
-        assert!(
-            Table::restore(works_schema(), None, vec![], 5, vec![(7, 0), (5, 0)])
-                .unwrap_err()
-                .contains("version-increasing")
-        );
-        assert!(Table::restore(
-            works_schema(),
-            Some((2, 3)),
-            vec![row!["Ann", "SP", 9, 4]],
-            5,
-            vec![(5, 1)]
-        )
-        .unwrap_err()
-        .contains("begin < end"));
     }
 
     #[test]

@@ -1,15 +1,25 @@
 //! Checkpoint files: durable snapshots of the full catalog.
 //!
 //! A checkpoint `DIR/checkpoint.N` holds the complete
-//! [`storage::Catalog`] — schemas, period specs, rows, version epochs,
-//! append-checkpoint histories — plus the LSN up to which the WAL is
-//! *covered* (already reflected in the snapshot). The file layout is
+//! [`storage::Catalog`] — each table's schema, period pair and rows — plus
+//! the LSN up to which the WAL is *covered* (already reflected in the
+//! snapshot). The file layout is
 //!
 //! ```text
 //! [8-byte magic "SNAPCKPT"][format version: u32][crc32(body): u32]
 //! [body_len: u64][body]
-//! body = [seq: u64][covered_lsn: u64][catalog]
+//! body  = [seq: u64][covered_lsn: u64][tables: u32] table*
+//! table = [name: str][row header][blocks: varint] column block*
 //! ```
+//!
+//! A table rests in the layout the wire protocol streams a result in
+//! ([`crate::codec`]): the row header is a `RowHeader` frame's body and
+//! each column block a `RowBatch` frame's body, [`crate::codec::block_rows`]
+//! rows to a block. Nothing about a table's history is stored: a loaded
+//! table is built afresh and draws fresh version epochs. Format 1 (rows
+//! value by value, after each table's version epoch and append history) is
+//! still read, and a directory whose newest checkpoint is in it is
+//! checkpointed at once on open, which leaves format 2 behind.
 //!
 //! Checkpoints are written atomically: encode to `checkpoint.N.tmp`,
 //! `fsync`, rename over the final name, `fsync` the directory. A crash at
@@ -28,12 +38,15 @@ use storage::{Catalog, Table};
 /// The checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"SNAPCKPT";
 
-/// On-disk format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version (1 → 2: tables as row sets of column blocks,
+/// without version epochs or append histories).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A decoded checkpoint.
 #[derive(Debug)]
 pub struct Checkpoint {
+    /// The format version the file was written in.
+    pub format: u32,
     /// Checkpoint sequence number (the `N` in `checkpoint.N`).
     pub seq: u64,
     /// WAL records with `lsn <= covered_lsn` are already reflected in
@@ -65,19 +78,10 @@ pub struct CheckpointReuse {
 /// single-file), but re-serializing an unchanged multi-million-row table on
 /// every checkpoint is wasted work. The cache keeps each table's encoded
 /// block keyed by its [`storage::Table::version`] epoch: version epochs are
-/// globally unique and refreshed by every mutation, so an epoch match
-/// proves the cached bytes still describe the table exactly, and the block
-/// is spliced into the new checkpoint verbatim. The produced bytes are
-/// identical to a from-scratch encoding — the on-disk format (and
-/// [`FORMAT_VERSION`]) is unchanged.
-///
-/// The cache is sound only for one catalog *lineage* (one database
-/// directory): it trusts that a `(name, version)` pair never names two
-/// different contents, which the process-wide epoch counter guarantees for
-/// tables that live and mutate in this process, and which
-/// [`storage::Table::restore`] preserves across restarts by advancing the
-/// counter past every restored epoch. Do not feed one cache catalogs from
-/// two unrelated databases.
+/// drawn from one process-wide counter and refreshed by every mutation, so
+/// an epoch match proves the cached bytes still describe the table
+/// exactly, and the block is spliced into the new checkpoint verbatim. The
+/// produced bytes are identical to a from-scratch encoding.
 #[derive(Debug, Default)]
 pub struct TableEncodeCache {
     entries: BTreeMap<String, (u64, Vec<u8>)>,
@@ -89,10 +93,10 @@ impl TableEncodeCache {
         TableEncodeCache::default()
     }
 
-    /// Encodes `catalog` into `w` — byte-identical to
-    /// [`crate::codec::encode_catalog`] — reusing cached blocks for tables
-    /// whose version epoch is unchanged, and refreshing the cache with
-    /// every block written. Entries for dropped tables are evicted.
+    /// Encodes `catalog` into `w` — table count, then each table's name and
+    /// [`encode_table`] block in name order — reusing cached blocks for
+    /// tables whose version epoch is unchanged, and refreshing the cache
+    /// with every block written. Entries for dropped tables are evicted.
     pub fn encode_catalog(&mut self, w: &mut Writer, catalog: &Catalog) -> CheckpointReuse {
         let tables: Vec<(&str, &Table)> = catalog
             .table_names()
@@ -134,15 +138,18 @@ fn encode(
     body.put_u64(seq);
     body.put_u64(covered_lsn);
     let reuse = cache.encode_catalog(&mut body, catalog);
-    let body = body.into_bytes();
-    let mut out = Writer::new();
-    out.put_u32(FORMAT_VERSION);
-    out.put_u32(crc32(&body));
-    out.put_u64(body.len() as u64);
-    let mut bytes = CHECKPOINT_MAGIC.to_vec();
-    bytes.extend_from_slice(&out.into_bytes());
-    bytes.extend_from_slice(&body);
-    (bytes, reuse)
+    (framed(FORMAT_VERSION, &body.into_bytes()), reuse)
+}
+
+/// The file bytes of a checkpoint in `format` whose body is `body`.
+fn framed(format: u32, body: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_raw(CHECKPOINT_MAGIC);
+    w.put_u32(format);
+    w.put_u32(crc32(body));
+    w.put_u64(body.len() as u64);
+    w.put_raw(body);
+    w.into_bytes()
 }
 
 /// Parses and validates checkpoint file bytes.
@@ -155,10 +162,11 @@ fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
         });
     };
     let mut r = Reader::new(after_magic);
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
+    let format = r.get_u32()?;
+    if !(1..=FORMAT_VERSION).contains(&format) {
         return Err(format!(
-            "unsupported checkpoint format version {version} (expected {FORMAT_VERSION})"
+            "unsupported checkpoint format version {format} (this build reads 1 to \
+             {FORMAT_VERSION})"
         ));
     }
     let crc = r.get_u32()?;
@@ -178,7 +186,7 @@ fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
     let mut r = Reader::new(body);
     let seq = r.get_u64()?;
     let covered_lsn = r.get_u64()?;
-    let catalog = decode_catalog(&mut r)?;
+    let catalog = decode_catalog(&mut r, format)?;
     if !r.is_empty() {
         return Err(format!(
             "checkpoint has {} bytes of trailing garbage",
@@ -186,6 +194,7 @@ fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
         ));
     }
     Ok(Checkpoint {
+        format,
         seq,
         covered_lsn,
         catalog,
@@ -308,7 +317,13 @@ pub fn prune(dir: &Path, keep_newest: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storage::{row, Schema, SqlType, Table};
+    use proptest::prelude::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use storage::{row, Row, Schema, SqlType, Table, Value};
+
+    /// Magic, format version, CRC and body length: what precedes the body.
+    const HEADER_LEN: usize = 8 + 4 + 4 + 8;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -343,10 +358,11 @@ mod tests {
         let cp = read_checkpoint(&path).unwrap();
         assert_eq!(cp.seq, 3);
         assert_eq!(cp.covered_lsn, 17);
+        assert_eq!(cp.format, FORMAT_VERSION);
         assert_eq!(cp.catalog.get("works"), catalog.get("works"));
-        assert_eq!(
-            cp.catalog.get("works").unwrap().version(),
-            catalog.get("works").unwrap().version()
+        // A loaded table is built afresh: it draws a fresh epoch.
+        assert!(
+            cp.catalog.get("works").unwrap().version() > catalog.get("works").unwrap().version()
         );
     }
 
@@ -407,10 +423,7 @@ mod tests {
         assert_eq!(fs::read(&p2).unwrap(), fs::read(&fresh).unwrap());
         let cp = read_checkpoint(&p2).unwrap();
         assert_eq!(cp.catalog.get("works"), catalog.get("works"));
-        assert_eq!(
-            cp.catalog.get("other").unwrap().version(),
-            catalog.get("other").unwrap().version()
-        );
+        assert_eq!(cp.catalog.get("other"), catalog.get("other"));
 
         // Unchanged catalog: everything reuses. Dropped tables evict.
         let (_, reuse) = write_checkpoint_with(&dir, 3, 9, &catalog, &mut cache).unwrap();
@@ -432,6 +445,210 @@ mod tests {
         );
         let cp = read_checkpoint(&p4).unwrap();
         assert!(cp.catalog.get("other").is_none());
+    }
+
+    /// Tracks the largest single allocation each thread asks for, so the
+    /// fuzz test below can bound what corrupt bytes make the decoder
+    /// allocate.
+    struct Tracking;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+    }
+
+    // SAFETY: every call forwards to `System` unchanged; `note` only
+    // touches a const-initialised thread-local `Cell`, which never
+    // allocates.
+    unsafe impl GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Tracking = Tracking;
+
+    /// A catalog whose first table's first column holds runs of strings,
+    /// so the first column block's row count, arity and first run length
+    /// sit at known offsets.
+    fn fuzz_catalog() -> Catalog {
+        let mut t = Table::with_period(
+            Schema::of(&[
+                ("name", SqlType::Str),
+                ("pay", SqlType::Double),
+                ("ts", SqlType::Int),
+                ("te", SqlType::Int),
+            ]),
+            2,
+            3,
+        );
+        t.extend((0..300i64).map(|i| {
+            let pay = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Double(i as f64 / 4.0)
+            };
+            Row::new(vec![
+                Value::str(["Ann", "Joe"][(i / 100) as usize % 2]),
+                pay,
+                Value::Int(i),
+                Value::Int(i + 5),
+            ])
+        }));
+        let mut c = Catalog::new();
+        c.register("a_works", t);
+        c.register("other", Table::new(Schema::of(&[("x", SqlType::Bool)])));
+        c
+    }
+
+    /// The length of the varint at the start of `bytes`.
+    fn varint_len(bytes: &[u8]) -> usize {
+        bytes
+            .iter()
+            .position(|b| b & 0x80 == 0)
+            .map_or(bytes.len(), |i| i + 1)
+    }
+
+    /// `body` with the varint at `at` replaced by `v`.
+    fn with_varint(body: &[u8], at: usize, v: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_raw(&body[..at]);
+        w.put_varint(v);
+        w.put_raw(&body[at + varint_len(&body[at..])..]);
+        w.into_bytes()
+    }
+
+    /// Reads `bytes` as a checkpoint file, returning the result and the
+    /// largest single allocation the read made.
+    fn read_bytes(dir: &Path, bytes: &[u8]) -> (Result<Checkpoint, String>, usize) {
+        let path = checkpoint_path(dir, 1);
+        fs::write(&path, bytes).unwrap();
+        LARGEST.with(|m| m.set(0));
+        let read = read_checkpoint(&path);
+        (read, LARGEST.with(Cell::get))
+    }
+
+    /// The body offsets a structural mutation edits: for format 2 the
+    /// first table's block count, and its first block's row count, arity
+    /// and first run length (the string column's); for the format-1
+    /// fixture, its one table's row count, which precedes the one row's
+    /// three tagged `INT`s.
+    fn offsets(format: u32, body: &[u8]) -> [usize; 4] {
+        if format == 1 {
+            return [body.len() - 3 * 9 - 8; 4];
+        }
+        let works = fuzz_catalog();
+        let works = works.get("a_works").unwrap();
+        let mut header = Writer::new();
+        crate::codec::encode_row_header(
+            &mut header,
+            works.schema(),
+            crate::codec::header_period(works),
+        );
+        // seq, covered LSN, table count, the name, the header.
+        let blocks = 8 + 8 + 4 + 4 + "a_works".len() + header.into_bytes().len();
+        let count = blocks + varint_len(&body[blocks..]);
+        let arity = count + varint_len(&body[count..]);
+        let run = arity + varint_len(&body[arity..]) + 1;
+        [blocks, count, arity, run]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Corrupt checkpoint files are refused, never panic, and never
+        /// make the decoder allocate past the block ceilings (or a small
+        /// multiple of the input). The body CRC is recomputed after a
+        /// mutation of the body, so it reaches the decoder; a flipped bit
+        /// may then decode to another valid catalog, every other mutation
+        /// must be an error. The same runs over a format-1 file, whose
+        /// structural mutation inflates its row count.
+        #[test]
+        fn prop_corrupt_checkpoint_files_are_refused(
+            format_1 in 0u8..4,
+            mutation in 0usize..9,
+            at in 0usize..1 << 20,
+            bit in 0u8..8,
+            big in 0usize..5,
+        ) {
+            let dir = tmp_dir("fuzz");
+            let (format, body) = if format_1 == 0 {
+                let v1 = include_bytes!("../../../tests/fixtures/ckpt_v1_epoch_max/checkpoint.1");
+                (1, v1[HEADER_LEN..].to_vec())
+            } else {
+                let file = encode(1, 0, &fuzz_catalog(), &mut TableEncodeCache::new()).0;
+                (FORMAT_VERSION, file[HEADER_LEN..].to_vec())
+            };
+            prop_assert!(read_bytes(&dir, &framed(format, &body)).0.is_ok());
+            let big = [1, 1 << 16, (1 << 16) + 1, 1 << 22, u64::MAX][big];
+            let file = match mutation {
+                0 => {
+                    let mut body = body.clone();
+                    let at = at % body.len();
+                    body[at] ^= 1 << bit;
+                    framed(format, &body)
+                }
+                1 => {
+                    let mut file = framed(format, &body);
+                    let at = at % file.len();
+                    file[at] ^= 1 << bit;
+                    file
+                }
+                2 => framed(format, &body[..at % body.len()]),
+                3 => {
+                    let file = framed(format, &body);
+                    file[..at % file.len()].to_vec()
+                }
+                4..=7 if format == 1 => {
+                    let mut body = body.clone();
+                    let rows = offsets(format, &body)[0];
+                    body[rows..rows + 8].copy_from_slice(&big.saturating_add(1).to_le_bytes());
+                    framed(format, &body)
+                }
+                4..=7 => {
+                    let at = offsets(format, &body)[mutation - 4];
+                    let was = Reader::new(&body[at..]).get_varint().unwrap();
+                    framed(format, &with_varint(&body, at, was.saturating_add(big)))
+                }
+                _ => {
+                    let mut file = framed(format, &body);
+                    let len = big.saturating_add(body.len() as u64);
+                    file[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+                    file
+                }
+            };
+            let (read, largest) = read_bytes(&dir, &file);
+            let bound = (file.len() * std::mem::size_of::<Value>())
+                .max(crate::codec::MAX_BLOCK_ROWS * std::mem::size_of::<Row>());
+            prop_assert!(
+                largest <= bound,
+                "allocated {} bytes for a {}-byte file",
+                largest,
+                file.len()
+            );
+            if mutation != 0 {
+                prop_assert!(read.is_err(), "mutation {} at {} decoded", mutation, at);
+            }
+        }
     }
 
     #[test]

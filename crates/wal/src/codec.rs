@@ -10,11 +10,14 @@
 //! length followed by UTF-8 bytes; options are a `u8` presence flag;
 //! sequences are a `u32`/`u64` count followed by the elements.
 //!
-//! Beside the value-at-a-time table encoding sits a *column block*
-//! ([`encode_columns`] / [`decode_columns`]): one batch of rows written
-//! column by column — delta-coded integers, run-length strings and NULLs —
-//! which is what the wire protocol's `RowBatch` carries. This module is
-//! the only place that knows that layout.
+//! Rows travel and rest as *column blocks* ([`encode_columns`] /
+//! [`decode_columns`]): one batch of rows written column by column —
+//! delta-coded integers, run-length strings and NULLs. A row set is a
+//! header ([`encode_row_header`]: schema and period pair) followed by
+//! blocks of [`block_rows`] rows each; the wire protocol's `RowHeader` /
+//! `RowBatch` frames carry exactly these bodies, and a checkpoint stores
+//! each table the same way ([`encode_table`]). This module is the only
+//! place that knows those layouts.
 
 use std::sync::Arc;
 use storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
@@ -255,12 +258,28 @@ pub fn decode_value(r: &mut Reader) -> Result<Value, String> {
 /// Ceiling on the rows of one column block, enforced by the decoder
 /// before it allocates. A run of any length costs a few bytes, so bytes
 /// remaining say nothing about how many rows a block may claim; a fixed
-/// ceiling does. (The server streams 256-row batches.)
+/// ceiling does.
 pub const MAX_BLOCK_ROWS: usize = 1 << 16;
 
 /// Ceiling on `rows × columns` of one column block, for the same reason:
 /// what the decoder allocates is bounded by this, not by the input.
 pub const MAX_BLOCK_VALUES: usize = 1 << 22;
+
+/// Rows per column block of a row set, unless its rows are too wide for
+/// that many (see [`block_rows`]).
+pub const ROW_BATCH: usize = 256;
+
+/// Rows per column block for rows of `arity` columns: [`ROW_BATCH`], or as
+/// many as fit [`MAX_BLOCK_VALUES`] (at least one). Every writer of blocks
+/// cuts by this rule, so [`decode_columns`] accepts every block written.
+pub fn block_rows(arity: usize) -> usize {
+    (MAX_BLOCK_VALUES / arity.max(1)).clamp(1, ROW_BATCH)
+}
+
+/// `table`'s rows cut into column blocks by [`block_rows`].
+pub fn blocks(table: &Table) -> std::slice::Chunks<'_, Row> {
+    table.rows().chunks(block_rows(table.schema().arity()))
+}
 
 // Column kinds of a column block (part of the wire format).
 /// Every value is an `Int`: zig-zag varint deltas.
@@ -433,7 +452,7 @@ fn decode_type(r: &mut Reader) -> Result<SqlType, String> {
 }
 
 /// Encodes a schema (column names, optional qualifiers, types).
-pub fn encode_schema(w: &mut Writer, schema: &Schema) {
+fn encode_schema(w: &mut Writer, schema: &Schema) {
     w.put_u32(schema.arity() as u32);
     for c in schema.columns() {
         w.put_str(&c.name);
@@ -449,7 +468,7 @@ pub fn encode_schema(w: &mut Writer, schema: &Schema) {
 }
 
 /// Decodes a schema.
-pub fn decode_schema(r: &mut Reader) -> Result<Schema, String> {
+fn decode_schema(r: &mut Reader) -> Result<Schema, String> {
     let arity = r.get_u32()? as usize;
     let mut columns = Vec::with_capacity(arity.min(1024));
     for _ in 0..arity {
@@ -468,60 +487,111 @@ pub fn decode_schema(r: &mut Reader) -> Result<Schema, String> {
     Ok(Schema::new(columns))
 }
 
-/// Encodes a full table: schema, period spec, version epoch, append
-/// checkpoints, and rows.
-pub fn encode_table(w: &mut Writer, table: &Table) {
-    encode_schema(w, table.schema());
-    match table.period() {
+/// `table`'s period column pair as a row-set header carries it.
+pub fn header_period(table: &Table) -> Option<(u32, u32)> {
+    table.period().map(|(b, e)| (b as u32, e as u32))
+}
+
+/// Encodes the header of a row set: its schema, then a period flag and,
+/// when set, the period's `u32` column pair.
+pub fn encode_row_header(w: &mut Writer, schema: &Schema, period: Option<(u32, u32)>) {
+    encode_schema(w, schema);
+    match period {
         Some((b, e)) => {
             w.put_u8(1);
-            w.put_u64(b as u64);
-            w.put_u64(e as u64);
+            w.put_u32(b);
+            w.put_u32(e);
         }
         None => w.put_u8(0),
     }
-    w.put_u64(table.version());
-    let checkpoints = table.append_checkpoints();
-    w.put_u32(checkpoints.len() as u32);
-    for &(v, len) in checkpoints {
-        w.put_u64(v);
-        w.put_u64(len as u64);
-    }
-    w.put_u64(table.len() as u64);
-    for row in table.rows() {
-        for v in row.values() {
-            encode_value(w, v);
-        }
-    }
 }
 
-/// Decodes a table encoded by [`encode_table`], restoring its version
-/// epoch and append-checkpoint history (the process-wide epoch counter is
-/// advanced past every restored version, keeping staleness checks sound).
-pub fn decode_table(r: &mut Reader) -> Result<Table, String> {
+/// Decodes a header written by [`encode_row_header`]. A period pair must
+/// name two distinct `INT` columns of the schema it came with, since
+/// whoever reads the rows builds a period table from it.
+pub fn decode_row_header(r: &mut Reader) -> Result<(Schema, Option<(u32, u32)>), String> {
     let schema = decode_schema(r)?;
     let period = match r.get_u8()? {
         0 => None,
         1 => {
-            let b = r.get_u64()? as usize;
-            let e = r.get_u64()? as usize;
-            if b >= schema.arity() || e >= schema.arity() {
-                return Err(format!(
-                    "period columns ({b}, {e}) out of range for arity {}",
-                    schema.arity()
-                ));
-            }
+            let (b, e) = (r.get_u32()?, r.get_u32()?);
+            Table::check_period(&schema, b as usize, e as usize)?;
             Some((b, e))
         }
         other => return Err(format!("invalid period flag {other}")),
     };
-    let version = r.get_u64()?;
-    let n_checkpoints = r.get_u32()? as usize;
-    let mut checkpoints = Vec::with_capacity(n_checkpoints.min(1024));
-    for _ in 0..n_checkpoints {
-        let v = r.get_u64()?;
-        let len = r.get_u64()? as usize;
-        checkpoints.push((v, len));
+    Ok((schema, period))
+}
+
+/// Encodes a full table as a row set: the [`encode_row_header`] body, the
+/// block count, and the [`blocks`] as column blocks.
+pub fn encode_table(w: &mut Writer, table: &Table) {
+    encode_row_header(w, table.schema(), header_period(table));
+    let blocks = blocks(table);
+    w.put_varint(blocks.len() as u64);
+    for block in blocks {
+        encode_columns(w, block);
+    }
+}
+
+/// Decodes a table written by [`encode_table`] (checkpoint `format` 2), or
+/// by format 1 (schema, `u64` period pair, version epoch and append
+/// history — read and dropped — then the rows value by value). Either way
+/// the table is built afresh, so it draws fresh version epochs.
+pub fn decode_table(r: &mut Reader, format: u32) -> Result<Table, String> {
+    if format == 1 {
+        return decode_table_v1(r);
+    }
+    let (schema, period) = decode_row_header(r)?;
+    let arity = schema.arity();
+    let mut rows = Vec::new();
+    for _ in 0..r.get_len()? {
+        let block = decode_columns(r)?;
+        if block.is_empty() || block.len() > block_rows(arity) {
+            return Err(format!(
+                "a block of {} rows, outside 1..={} for arity {arity}",
+                block.len(),
+                block_rows(arity)
+            ));
+        }
+        rows.extend(block);
+    }
+    table_of(schema, period.map(|(b, e)| (b as usize, e as usize)), rows)
+}
+
+/// A table of `schema` and `period` holding `rows`, every one checked.
+fn table_of(
+    schema: Schema,
+    period: Option<(usize, usize)>,
+    rows: Vec<Row>,
+) -> Result<Table, String> {
+    let mut table = match period {
+        Some((b, e)) => {
+            Table::check_period(&schema, b, e)?;
+            Table::with_period(schema, b, e)
+        }
+        None => Table::new(schema),
+    };
+    table.try_extend(rows)?;
+    Ok(table)
+}
+
+/// The format-1 table layout, which only a directory written before
+/// checkpoint format 2 holds.
+fn decode_table_v1(r: &mut Reader) -> Result<Table, String> {
+    let schema = decode_schema(r)?;
+    let period = match r.get_u8()? {
+        0 => None,
+        1 => {
+            let b = usize::try_from(r.get_u64()?).map_err(|e| e.to_string())?;
+            let e = usize::try_from(r.get_u64()?).map_err(|e| e.to_string())?;
+            Some((b, e))
+        }
+        other => return Err(format!("invalid period flag {other}")),
+    };
+    let _epoch = r.get_u64()?;
+    for _ in 0..r.get_u32()? {
+        let _history = (r.get_u64()?, r.get_u64()?);
     }
     let n_rows = r.get_u64()? as usize;
     // Guard against absurd counts from corrupt input before allocating:
@@ -536,39 +606,21 @@ pub fn decode_table(r: &mut Reader) -> Result<Table, String> {
     }
     let mut rows = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
-        let mut values = Vec::with_capacity(schema.arity());
-        for _ in 0..schema.arity() {
-            values.push(decode_value(r)?);
-        }
-        rows.push(Row::new(values));
+        let values: Result<Vec<Value>, String> =
+            (0..schema.arity()).map(|_| decode_value(r)).collect();
+        rows.push(Row::new(values?));
     }
-    Table::restore(schema, period, rows, version, checkpoints)
+    table_of(schema, period, rows)
 }
 
-/// Encodes a catalog: table count, then `(name, table)` pairs in the
-/// catalog's (sorted) iteration order.
-pub fn encode_catalog(w: &mut Writer, catalog: &Catalog) {
-    // Collect the pairs first so the count prefix stays exact even if a
-    // listed name were ever to miss its table (impossible today — both
-    // come from the same map — but the encoder must not be able to panic).
-    let tables: Vec<(&str, &Table)> = catalog
-        .table_names()
-        .filter_map(|name| catalog.get(name).map(|t| (name, t)))
-        .collect();
-    w.put_u32(tables.len() as u32);
-    for (name, table) in tables {
-        w.put_str(name);
-        encode_table(w, table);
-    }
-}
-
-/// Decodes a catalog encoded by [`encode_catalog`].
-pub fn decode_catalog(r: &mut Reader) -> Result<Catalog, String> {
+/// Decodes a catalog of checkpoint `format`: table count, then `(name,
+/// table)` pairs.
+pub fn decode_catalog(r: &mut Reader, format: u32) -> Result<Catalog, String> {
     let n = r.get_u32()? as usize;
     let mut catalog = Catalog::new();
     for _ in 0..n {
         let name = r.get_str()?;
-        let table = decode_table(r)?;
+        let table = decode_table(r, format)?;
         catalog.register(name, table);
     }
     Ok(catalog)
@@ -825,12 +877,17 @@ mod tests {
         c
     }
 
-    fn roundtrip(catalog: &Catalog) -> Catalog {
+    /// A catalog as a checkpoint body holds it.
+    fn encoded_catalog(catalog: &Catalog) -> Vec<u8> {
         let mut w = Writer::new();
-        encode_catalog(&mut w, catalog);
-        let bytes = w.into_bytes();
+        crate::checkpoint::TableEncodeCache::new().encode_catalog(&mut w, catalog);
+        w.into_bytes()
+    }
+
+    fn roundtrip(catalog: &Catalog) -> Catalog {
+        let bytes = encoded_catalog(catalog);
         let mut r = Reader::new(&bytes);
-        let decoded = decode_catalog(&mut r).unwrap();
+        let decoded = decode_catalog(&mut r, 2).unwrap();
         assert!(r.is_empty(), "decode must consume the full encoding");
         decoded
     }
@@ -844,12 +901,7 @@ mod tests {
         for name in names {
             let (a, b) = (catalog.get(name).unwrap(), decoded.get(name).unwrap());
             assert_eq!(a, b, "{name}: schema/rows/period");
-            assert_eq!(a.version(), b.version(), "{name}: version epoch");
-            assert_eq!(
-                a.append_checkpoints(),
-                b.append_checkpoints(),
-                "{name}: append checkpoints"
-            );
+            assert_eq!(a.period_extent(), b.period_extent(), "{name}: extent");
         }
     }
 
@@ -876,12 +928,10 @@ mod tests {
 
     #[test]
     fn truncated_input_errors_instead_of_panicking() {
-        let mut w = Writer::new();
-        encode_catalog(&mut w, &sample_catalog());
-        let bytes = w.into_bytes();
-        for cut in [0, 1, 3, bytes.len() / 2, bytes.len() - 1] {
+        let bytes = encoded_catalog(&sample_catalog());
+        for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            assert!(decode_catalog(&mut r).is_err(), "cut at {cut}");
+            assert!(decode_catalog(&mut r, 2).is_err(), "cut at {cut}");
         }
     }
 
@@ -899,6 +949,7 @@ mod tests {
         // With a normal schema, and with a zero-arity schema (whose rows
         // cost zero payload bytes — the guard must not be voided by it).
         for schema in [Schema::of(&[("x", SqlType::Int)]), Schema::default()] {
+            // Format 1: a row count.
             let mut w = Writer::new();
             encode_schema(&mut w, &schema);
             w.put_u8(0); // no period
@@ -909,7 +960,53 @@ mod tests {
             w.put_u64(u64::MAX); // absurd row count
             let bytes = w.into_bytes();
             let mut r = Reader::new(&bytes);
-            assert!(decode_table(&mut r).unwrap_err().contains("row count"));
+            assert!(decode_table(&mut r, 1).unwrap_err().contains("row count"));
+            // Format 2: a block count, and a block longer than the rule.
+            let mut w = Writer::new();
+            encode_row_header(&mut w, &schema, None);
+            let header = w.into_bytes();
+            let mut w = Writer::new();
+            w.put_raw(&header);
+            w.put_varint(u64::MAX);
+            let bytes = w.into_bytes();
+            let err = decode_table(&mut Reader::new(&bytes), 2).unwrap_err();
+            assert!(err.contains("truncated"), "{err}");
+            let mut w = Writer::new();
+            w.put_raw(&header);
+            w.put_varint(1);
+            let long: Vec<Row> = (0..ROW_BATCH as i64 + 1)
+                .map(|i| Row::new((0..schema.arity()).map(|_| Value::Int(i)).collect()))
+                .collect();
+            encode_columns(&mut w, &long);
+            let bytes = w.into_bytes();
+            let err = decode_table(&mut Reader::new(&bytes), 2).unwrap_err();
+            assert!(err.contains("a block of 257 rows"), "{err}");
         }
+    }
+
+    /// The block rule keeps every block of a wide row set under the value
+    /// ceiling, and a row set of any width decodes.
+    #[test]
+    fn wide_tables_are_cut_into_blocks_their_decoder_accepts() {
+        assert_eq!(block_rows(0), ROW_BATCH);
+        assert_eq!(block_rows(4), ROW_BATCH);
+        assert_eq!(block_rows(MAX_BLOCK_VALUES / ROW_BATCH), ROW_BATCH);
+        assert_eq!(block_rows(20_000), 209);
+        assert_eq!(block_rows(MAX_BLOCK_VALUES + 1), 1);
+        let arity = 20_000;
+        let schema = Schema::new(
+            (0..arity)
+                .map(|c| Column::new(format!("c{c}"), SqlType::Int))
+                .collect(),
+        );
+        let mut t = Table::new(schema);
+        t.extend((0..210).map(|r| Row::new((0..arity).map(|c| Value::Int(r + c)).collect())));
+        assert_eq!(blocks(&t).map(<[Row]>::len).collect::<Vec<_>>(), [209, 1]);
+        let mut w = Writer::new();
+        encode_table(&mut w, &t);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(decode_table(&mut r, 2).unwrap(), t);
+        assert!(r.is_empty());
     }
 }

@@ -10,9 +10,8 @@
 //! checkpointing is the whole [`storage::Catalog`].
 //!
 //! * [`codec`] — length-/CRC-framed little-endian binary encoding of
-//!   values, rows, schemas, tables (including version epochs and
-//!   append-checkpoint histories), and catalogs; plus the column block
-//!   the wire protocol ships result batches in,
+//!   values, schemas and row sets: a row header and column blocks, which
+//!   the wire protocol ships results in and a checkpoint stores tables in,
 //! * [`log`] — the WAL ([`Wal`]), one frame per commit unit: append with a
 //!   configurable [`SyncPolicy`], scan-with-truncation of torn tails,
 //! * [`checkpoint`] — atomic (temp file + rename) catalog snapshots with

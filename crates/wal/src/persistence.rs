@@ -67,11 +67,12 @@ pub struct Recovery {
     pub replay: Vec<WalRecord>,
     /// Bytes of torn/corrupt WAL tail that were truncated away.
     pub truncated_bytes: u64,
-    /// The log's format version as found. Below [`crate::log::FORMAT`] the
-    /// caller must checkpoint once the tail has replayed, before it logs
-    /// anything: that rewrites the log in this build's format (see
-    /// [`crate::log`]).
-    pub format: u8,
+    /// The directory holds a file older than this build's format: a log
+    /// below [`crate::log::FORMAT`] or a loaded checkpoint below
+    /// [`checkpoint::FORMAT_VERSION`]. The caller must then checkpoint once
+    /// the tail has replayed, before it logs anything: that rewrites both
+    /// in this build's formats.
+    pub outdated: bool,
 }
 
 /// An open database directory: the WAL plus checkpoint bookkeeping.
@@ -133,9 +134,9 @@ impl Persistence {
             ));
         }
         let cp_scan = checkpoint::scan_checkpoints(dir);
-        let (covered_lsn, checkpoint_seq, catalog) = match cp_scan.newest_valid {
-            Some(cp) => (cp.covered_lsn, Some(cp.seq), Some(cp.catalog)),
-            None => (0, None, None),
+        let (covered_lsn, checkpoint_seq, catalog, cp_format) = match cp_scan.newest_valid {
+            Some(cp) => (cp.covered_lsn, Some(cp.seq), Some(cp.catalog), cp.format),
+            None => (0, None, None, checkpoint::FORMAT_VERSION),
         };
         let (wal, scan) = Wal::open(&dir.join("wal.log"), options.sync)?;
         // Units at or below the covered LSN are already in the checkpoint
@@ -204,7 +205,8 @@ impl Persistence {
                 checkpoint_seq,
                 replay,
                 truncated_bytes: scan.truncated_bytes,
-                format: scan.format,
+                outdated: scan.format < crate::log::FORMAT
+                    || cp_format < checkpoint::FORMAT_VERSION,
             },
         ))
     }
@@ -578,7 +580,7 @@ mod tests {
             ]
         );
         assert_eq!(p.since_checkpoint(), 3, "the replayed tail counts");
-        assert_eq!(rec.format, crate::log::FORMAT);
+        assert!(!rec.outdated);
     }
 
     /// Cutting the last unit's frame at any length loses exactly that

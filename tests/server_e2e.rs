@@ -27,7 +27,7 @@ use snapshot_semantics::server::{
 use snapshot_semantics::session::StatementResult;
 use snapshot_semantics::session::{PersistenceOptions, SessionOptions, SharedDatabase, SyncPolicy};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
-use snapshot_semantics::storage::{Catalog, Row, Schema, SqlType, Table, Value};
+use snapshot_semantics::storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1052,6 +1052,38 @@ fn multi_batch_result_arrives_in_order_with_every_byte_accounted() {
     let results = run_ok(&mut client, sql);
     assert_eq!(first_rows(&results).rows(), expected.rows());
     assert_eq!(first_rows(&results).period(), expected.period());
+    stop(client, server);
+}
+
+/// A result 20 000 columns wide: a 256-row batch of it would hold more
+/// values than a column block may, so the server cuts fewer rows per
+/// batch and all 300 rows arrive intact.
+#[test]
+fn a_result_20000_columns_wide_arrives_intact() {
+    let (arity, n) = (20_000, 300);
+    let wide = |r: usize| Row::new((0..arity).map(|c| Value::Int((r * 7 + c) as i64)).collect());
+    let schema = Schema::new(
+        (0..arity)
+            .map(|c| Column::new(format!("c{c}"), SqlType::Int))
+            .collect(),
+    );
+    let mut table = Table::new(schema);
+    table.extend((0..n).map(wide));
+    let shared = SharedDatabase::in_memory();
+    shared
+        .register_tables([("srv_wide20k".to_string(), table)])
+        .unwrap();
+    let (addr, _handle, server) = start_server(shared, ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let results = run_ok(&mut client, "SELECT * FROM srv_wide20k");
+    let got = first_rows(&results);
+    assert_eq!(got.len(), n);
+    assert!(got
+        .rows()
+        .iter()
+        .enumerate()
+        .all(|(r, row)| *row == wide(r)));
+    drop(results);
     stop(client, server);
 }
 
