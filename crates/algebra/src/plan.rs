@@ -24,8 +24,8 @@ pub enum JoinAlgo {
     Hash,
     /// Force the endpoint-sweep temporal join on the overlap pattern. An
     /// indexed-scan input lends its table's begin order, any other input
-    /// is sorted on the fly; the engine's parallelism above 1 runs it
-    /// slab-parallel.
+    /// is sorted on the fly; it runs on the calling thread like every
+    /// other operator.
     Sweep,
 }
 

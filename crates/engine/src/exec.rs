@@ -8,16 +8,12 @@ use crate::temporal::{
     agg_arg, agg_arg_types, temporal_aggregate, temporal_aggregate_over, temporal_except_all,
 };
 use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode};
-use index::{
-    choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
-    try_parallel_sweep_join_presorted, try_sweep_join_presorted, IndexCatalog, TableIndex,
-};
+use index::{try_sweep_join_presorted, IndexCatalog, TableIndex};
 use snapshot_obs::{self as obs, StatementError};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::{Catalog, Row, Table, Value};
@@ -77,8 +73,7 @@ impl ExecContext {
     /// A join has considered its `seen`-th candidate pair: every
     /// [`CANCEL_CHECK_INTERVAL`] pairs the tally is flushed to the account
     /// (so `snapshot_stat_progress` moves while the join runs) and the
-    /// token is polled. The caller owns the counter — a plain local for
-    /// sequential joins, one shared atomic for the slab workers.
+    /// token is polled. The caller owns the counter.
     fn pair_considered(&self, seen: u64) -> Result<(), StatementError> {
         if seen.is_multiple_of(CANCEL_CHECK_INTERVAL) {
             self.account.add_join_pairs(CANCEL_CHECK_INTERVAL);
@@ -97,10 +92,8 @@ impl ExecContext {
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Worker threads for parallel operators (the endpoint-sweep temporal
-    /// join). `0` and `1` both mean sequential execution; above `1` every
-    /// sweep join — picked by [`JoinAlgo::Auto`] or pinned by
-    /// [`JoinAlgo::Sweep`] — runs slab-parallel with that many slabs at most.
+    /// Read by nothing: every statement runs on the calling thread. Kept
+    /// only so existing callers of [`Engine::with_config`] still build.
     pub parallelism: usize,
 }
 
@@ -244,26 +237,10 @@ fn walk<'p>(plan: &'p Plan, depth: usize, visit: &mut impl FnMut(usize, &'p Plan
     }
 }
 
-/// Resolves a user-facing parallelism setting to a worker count: `0`
-/// means one worker per hardware thread (the convention shared by the
-/// shell's `--parallelism 0`, the `SNAPSHOT_PARALLELISM` environment
-/// variable, and the test harness), anything else passes through.
-pub fn resolve_parallelism(n: usize) -> usize {
-    if n == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        n
-    }
-}
-
-/// The in-memory plan executor. Operators run on the calling thread,
-/// except the parallel sweep join, which fans slab workers out over
-/// `std::thread::scope` when [`EngineConfig::parallelism`] asks for it.
+/// The in-memory plan executor. Every operator runs on the calling
+/// thread.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
-    config: EngineConfig,
     /// Resource accounting + cooperative cancellation for the statement
     /// being executed.
     ctx: ExecContext,
@@ -305,22 +282,14 @@ struct ExecEnv<'a> {
 }
 
 impl Engine {
-    /// Engine with default configuration (sequential).
+    /// Engine with default configuration.
     pub fn new() -> Self {
         Engine::default()
     }
 
-    /// Engine with explicit configuration.
-    pub fn with_config(config: EngineConfig) -> Self {
-        Engine {
-            config,
-            ctx: ExecContext::default(),
-        }
-    }
-
-    /// Engine with the given worker-thread count.
-    pub fn with_parallelism(parallelism: usize) -> Self {
-        Engine::with_config(EngineConfig { parallelism })
+    /// The same engine as [`Engine::new`]: `config` is ignored.
+    pub fn with_config(_config: EngineConfig) -> Self {
+        Engine::default()
     }
 
     /// Attach a per-statement execution context: operators bump its
@@ -645,14 +614,14 @@ impl Engine {
     /// plan carries the schema and reveals an indexed scan. A pair that
     /// satisfies `condition` yields what `emit` makes of it: the join's
     /// output row, or the pair itself for an aggregate that reads it.
-    fn join<'r, T: Send>(
+    fn join<'r, T>(
         &self,
         (left_plan, left): (&Plan, &'r [Row]),
         (right_plan, right): (&Plan, &'r [Row]),
         condition: &Expr,
         algo: JoinAlgo,
         env: &mut ExecEnv<'_>,
-        emit: impl Fn(Pair<'r>) -> Option<T> + Sync,
+        emit: impl Fn(Pair<'r>) -> Option<T>,
     ) -> Result<Vec<T>, StatementError> {
         let ctx = &self.ctx;
         let l_arity = left_plan.schema.arity();
@@ -702,90 +671,46 @@ impl Engine {
             condition.holds(&pair).then(|| emit(pair)).flatten()
         };
 
-        Ok(match (resolved, overlap) {
+        let (op, out) = match (resolved, overlap) {
             (JoinAlgo::Sweep, Some((lts, lte, rts, rte))) => {
                 let l_sorted = begin_sorted(left, l_index, lts);
                 let r_sorted = begin_sorted(right, r_index, rts);
                 ctx.account
                     .add_index_probes(if both_indexed { 2 } else { 0 });
-                if self.config.parallelism > 1 {
-                    // A worker pool runs the sweep slab-parallel (the same
-                    // bag by the credit rule; the differential tests
-                    // enforce it). Slab boundaries follow the elementary
-                    // intervals of the join's endpoint domain; with both
-                    // sides indexed they come out of the prebuilt event
-                    // lists in O(n).
-                    let boundaries = match (l_index, r_index) {
-                        (Some(li), Some(ri)) => {
-                            elementary_boundaries_from_events(li.events(), ri.events())
-                        }
-                        _ => elementary_boundaries(&l_sorted, (lts, lte), &r_sorted, (rts, rte)),
-                    };
-                    let cuts = choose_cuts(&boundaries, self.config.parallelism);
-                    // Slab workers share one pair counter, so a kill or
-                    // timeout lands mid-sweep on every thread.
-                    let pairs = AtomicU64::new(0);
-                    let (out, pstats) = try_parallel_sweep_join_presorted(
-                        &l_sorted,
-                        &r_sorted,
-                        (lts, lte),
-                        (rts, rte),
-                        &cuts,
-                        |l, r| -> Result<_, StatementError> {
-                            ctx.pair_considered(pairs.fetch_add(1, Ordering::Relaxed) + 1)?;
-                            Ok(matched(l, r))
-                        },
-                    )?;
-                    ctx.pairs_done(pairs.load(Ordering::Relaxed));
-                    env.stats.record("ParallelSweepJoin", out.len());
-                    env.stats.record("ParallelSweepSlabs", pstats.slabs);
-                    out
-                } else {
-                    let mut out = Vec::new();
-                    let mut pairs = 0u64;
-                    try_sweep_join_presorted(
-                        &l_sorted,
-                        &r_sorted,
-                        (lts, lte),
-                        (rts, rte),
-                        |l, r| -> Result<(), StatementError> {
-                            pairs += 1;
-                            ctx.pair_considered(pairs)?;
-                            out.extend(matched(l, r));
-                            Ok(())
-                        },
-                    )?;
-                    ctx.pairs_done(pairs);
-                    let op = if both_indexed {
-                        "IndexSweepJoin"
-                    } else {
-                        "SweepJoin"
-                    };
-                    env.stats.record(op, out.len());
-                    out
-                }
-            }
-            (JoinAlgo::Hash | JoinAlgo::Sweep, _) if !equi.is_empty() => {
-                let out = hash_join(left, right, &equi, ctx, matched)?;
-                env.stats.record("HashJoin", out.len());
-                out
-            }
-            _ => {
-                // Nested loop fallback.
                 let mut out = Vec::new();
                 let mut pairs = 0u64;
-                for l in left {
-                    for r in right {
+                let swept = try_sweep_join_presorted(
+                    &l_sorted,
+                    &r_sorted,
+                    (lts, lte),
+                    (rts, rte),
+                    |l, r| -> Result<(), StatementError> {
                         pairs += 1;
                         ctx.pair_considered(pairs)?;
                         out.extend(matched(l, r));
-                    }
-                }
+                        Ok(())
+                    },
+                );
                 ctx.pairs_done(pairs);
-                env.stats.record("NestedLoopJoin", out.len());
-                out
+                let op = if both_indexed {
+                    "IndexSweepJoin"
+                } else {
+                    "SweepJoin"
+                };
+                (op, swept.map(|()| out))
             }
-        })
+            (JoinAlgo::Hash | JoinAlgo::Sweep, _) if !equi.is_empty() => {
+                ("HashJoin", hash_join(left, right, &equi, ctx, matched))
+            }
+            _ => (
+                "NestedLoopJoin",
+                nested_loop_join(left, right, ctx, matched),
+            ),
+        };
+        // A route that a cancellation stopped still counts its call, with no
+        // rows — as its node does in `NodeStats`.
+        env.stats.record(op, out.as_ref().map_or(0, Vec::len));
+        out
     }
 }
 
@@ -967,6 +892,26 @@ fn key_hash(row: &Row, cols: &[usize], seed: u64) -> Option<u64> {
         h ^= h >> 31;
     }
     Some(h)
+}
+
+/// Every pair of `left` × `right` goes to `matched`.
+fn nested_loop_join<'r, T>(
+    left: &'r [Row],
+    right: &'r [Row],
+    ctx: &ExecContext,
+    matched: impl Fn(&'r Row, &'r Row) -> Option<T>,
+) -> Result<Vec<T>, StatementError> {
+    let mut out = Vec::new();
+    let mut pairs = 0u64;
+    for l in left {
+        for r in right {
+            pairs += 1;
+            ctx.pair_considered(pairs)?;
+            out.extend(matched(l, r));
+        }
+    }
+    ctx.pairs_done(pairs);
+    Ok(out)
 }
 
 /// Equi-join on `keys` (`(left, right)` column pairs). The hash table only
@@ -1367,6 +1312,46 @@ mod tests {
     }
 
     #[test]
+    fn explicit_parallel_sweep_hint_without_indexes() {
+        // A pinned sweep sorts non-indexed inputs on the fly when the
+        // condition is a pure overlap plus a residual, and the hint falls
+        // back to hash when the condition has no overlap pattern. (The
+        // name predates the removal of the slab-parallel sweep; the one
+        // sequential sweep now serves the hint.)
+        let c = works_catalog();
+        let plan = {
+            let (lts, lte) = (2, 3);
+            let (rts_g, rte_g) = (6, 7);
+            let cond = Expr::binary(BinOp::Lt, Expr::col(0), Expr::col(4))
+                .and(Expr::col(lts).lt(Expr::col(rte_g)))
+                .and(Expr::col(rts_g).lt(Expr::col(lte)));
+            Plan::scan("works", works_schema()).join_with(
+                Plan::scan("works", works_schema()),
+                cond,
+                JoinAlgo::Sweep,
+            )
+        };
+        let (sweep, stats) = run_with(&Engine::new(), &plan, &c, None);
+        let sweep = sweep.canonicalized();
+        assert!(stats.get("SweepJoin").is_some(), "{stats:?}");
+        let naive = Engine::new()
+            .execute(&pure_overlap_self_join_plan(), &c)
+            .unwrap()
+            .canonicalized();
+        assert_eq!(naive, sweep);
+
+        // Equality-only condition: no overlap pattern, hash fallback.
+        let equi = Plan::scan("works", works_schema()).join_with(
+            Plan::scan("works", works_schema()),
+            Expr::col(0).eq(Expr::col(4)),
+            JoinAlgo::Sweep,
+        );
+        let (_, stats) = run_with(&Engine::new(), &equi, &c, None);
+        assert!(stats.get("SweepJoin").is_none(), "{stats:?}");
+        assert!(stats.get("HashJoin").is_some(), "{stats:?}");
+    }
+
+    #[test]
     fn index_on_non_sweep_columns_is_not_used_for_the_sweep() {
         // The table's declared period is columns (0, 1), but the overlap
         // pattern always sweeps the trailing two columns (2, 3) of each
@@ -1403,71 +1388,6 @@ mod tests {
             stats.get("IndexSweepJoin").is_none(),
             "mismatched period columns must not drive the sweep: {stats:?}"
         );
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_and_is_dispatched() {
-        let c = works_catalog();
-        let indexes = IndexCatalog::build_all(&c);
-        let plan = pure_overlap_self_join_plan();
-        let sequential = run_with(&Engine::new(), &plan, &c, Some(&indexes))
-            .0
-            .canonicalized();
-        for parallelism in [1usize, 2, 4, 8] {
-            let engine = Engine::with_parallelism(parallelism);
-            let (parallel, stats) = run_with(&engine, &plan, &c, Some(&indexes));
-            let parallel = parallel.canonicalized();
-            assert_eq!(sequential, parallel, "parallelism {parallelism}");
-            if parallelism > 1 {
-                assert!(
-                    stats.get("ParallelSweepJoin").is_some(),
-                    "Auto must route to the parallel sweep at parallelism \
-                     {parallelism}: {stats:?}"
-                );
-            } else {
-                assert!(
-                    stats.get("IndexSweepJoin").is_some(),
-                    "parallelism 1 keeps the sequential sweep: {stats:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_parallel_sweep_hint_without_indexes() {
-        // A worker pool runs a pinned sweep slab-parallel on non-indexed
-        // inputs too (sort-on-the-fly), and the hint falls back to hash
-        // when the condition has no overlap pattern.
-        let c = works_catalog();
-        let plan = {
-            let (lts, lte) = (2, 3);
-            let (rts_g, rte_g) = (6, 7);
-            let cond = Expr::binary(BinOp::Lt, Expr::col(0), Expr::col(4))
-                .and(Expr::col(lts).lt(Expr::col(rte_g)))
-                .and(Expr::col(rts_g).lt(Expr::col(lte)));
-            Plan::scan("works", works_schema()).join_with(
-                Plan::scan("works", works_schema()),
-                cond,
-                JoinAlgo::Sweep,
-            )
-        };
-        let (parallel, stats) = run_with(&Engine::with_parallelism(3), &plan, &c, None);
-        let parallel = parallel.canonicalized();
-        assert!(stats.get("ParallelSweepJoin").is_some(), "{stats:?}");
-        let naive = Engine::new()
-            .execute(&pure_overlap_self_join_plan(), &c)
-            .unwrap()
-            .canonicalized();
-        assert_eq!(naive, parallel);
-
-        // Equality-only condition: no overlap pattern, hash fallback.
-        let equi = Plan::scan("works", works_schema()).join_with(
-            Plan::scan("works", works_schema()),
-            Expr::col(0).eq(Expr::col(4)),
-            JoinAlgo::Sweep,
-        );
-        let (_, stats) = run_with(&Engine::with_parallelism(3), &equi, &c, None);
-        assert!(stats.get("ParallelSweepJoin").is_none(), "{stats:?}");
     }
 
     fn cancelled_as(err: &StatementError, expect: obs::CancelKind) -> bool {
@@ -1526,39 +1446,31 @@ mod tests {
         // Pairs each route considers: all 16, the 10 with equal skills, or
         // the 10 whose periods overlap (Ann's second stint meets only
         // itself); exactly one pair — (Ann, Sam) — passes the condition.
-        // The operator is the one at parallelism 1, then at 3.
         let routes = [
-            (JoinAlgo::NestedLoop, ["NestedLoopJoin"; 2], 16),
-            (JoinAlgo::Hash, ["HashJoin"; 2], 10),
-            (JoinAlgo::Sweep, ["IndexSweepJoin", "ParallelSweepJoin"], 10),
-            (JoinAlgo::Auto, ["HashJoin"; 2], 10),
+            (JoinAlgo::NestedLoop, "NestedLoopJoin", 16),
+            (JoinAlgo::Hash, "HashJoin", 10),
+            (JoinAlgo::Sweep, "IndexSweepJoin", 10),
+            (JoinAlgo::Auto, "HashJoin", 10),
         ];
-        for (algo, ops, pairs) in routes {
+        for (algo, op, pairs) in routes {
             let join = scan().join_with(scan(), cond.clone(), algo);
-            for (parallelism, op) in [1, 3].into_iter().zip(ops) {
-                let engine = Engine::with_parallelism(parallelism).with_context(ExecContext::new(
-                    Arc::clone(&account),
-                    Arc::clone(&token),
-                    None,
-                ));
-                account.reset();
-                token.arm(None, None, None);
-                let (out, stats) = run_with(&engine, &join, &c, Some(&indexes));
-                assert_eq!(out.len(), 1, "{algo:?}");
-                assert!(stats.get(op).is_some(), "{algo:?}: {stats:?}");
-                assert_eq!(account.usage().join_pairs, pairs, "{algo:?} pairs");
-                token.cancel(obs::CancelKind::Killed);
-                let err = engine.execute(&join, &c).unwrap_err();
-                assert!(
-                    cancelled_as(&err, obs::CancelKind::Killed),
-                    "{algo:?}: {err:?}"
-                );
-            }
+            account.reset();
+            token.arm(None, None, None);
+            let (out, stats) = run_with(&engine, &join, &c, Some(&indexes));
+            assert_eq!(out.len(), 1, "{algo:?}");
+            assert!(stats.get(op).is_some(), "{algo:?}: {stats:?}");
+            assert_eq!(account.usage().join_pairs, pairs, "{algo:?} pairs");
+            token.cancel(obs::CancelKind::Killed);
+            let err = engine.execute(&join, &c).unwrap_err();
+            assert!(
+                cancelled_as(&err, obs::CancelKind::Killed),
+                "{algo:?}: {err:?}"
+            );
             // An engine built outside a session runs under its own default
-            // context: the sequential route, never cancelled.
+            // context, never cancelled.
             let (out, stats) = run_with(&Engine::new(), &join, &c, Some(&indexes));
             assert_eq!(out.len(), 1, "{algo:?} under the default context");
-            assert!(stats.get(ops[0]).is_some(), "{algo:?}: {stats:?}");
+            assert!(stats.get(op).is_some(), "{algo:?}: {stats:?}");
         }
     }
 

@@ -16,14 +16,11 @@
 //!   snapshot aggregation ([`temporal`], Section 9) — the latter over
 //!   borrowed rows or a join's matched [`Pair`]s, never building a join row.
 //!
-//! The engine is in-memory and, by default, single-threaded: the paper's
-//! contribution is the *rewriting* and *encoding*, and keeping the substrate
-//! simple lets the benchmark harness compare approaches rather than
-//! runtimes-of-substrates. The one multi-core path is opt-in and
-//! bag-equivalent to its sequential twin: with
-//! [`EngineConfig::parallelism`] above 1, every sweep join runs
-//! slab-parallel (elementary-interval partitioning over scoped worker
-//! threads).
+//! The engine is in-memory and single-threaded: a statement runs every
+//! operator on its caller's thread, and concurrency comes from sessions.
+//! The paper's contribution is the *rewriting* and *encoding*, and keeping
+//! the substrate simple lets the benchmark harness compare approaches
+//! rather than runtimes-of-substrates.
 
 pub mod coalesce;
 mod eval;
@@ -35,6 +32,5 @@ pub mod vtab;
 
 pub use eval::{eval_expr, eval_predicate, like_match, Columns, Pair, Prepared};
 pub use exec::{
-    explain_analyzed, resolve_parallelism, Engine, EngineConfig, ExecContext, ExecStats,
-    NodeActuals, NodeStats,
+    explain_analyzed, Engine, EngineConfig, ExecContext, ExecStats, NodeActuals, NodeStats,
 };

@@ -16,10 +16,6 @@
 //! * [`try_sweep_join_presorted`] / [`sweep_join_presorted`] — the
 //!   `O(n + output)` endpoint-sweep temporal join over begin-sorted sides
 //!   ([`join`]),
-//! * [`try_parallel_sweep_join_presorted`] — the same join partitioned into
-//!   contiguous time slabs along elementary-interval boundaries and run on
-//!   scoped worker threads, with boundary-straddling duplicates suppressed
-//!   by an overlap-start credit rule ([`parallel`]),
 //! * [`TableIndex`] / [`IndexCatalog`] — per-table bundles and the
 //!   registry the engine consults at dispatch time ([`table_index`]).
 //!
@@ -38,14 +34,9 @@
 pub mod events;
 pub mod interval_tree;
 pub mod join;
-pub mod parallel;
 pub mod table_index;
 
 pub use events::EventList;
 pub use interval_tree::IntervalTree;
 pub use join::{sweep_join_presorted, try_sweep_join_presorted};
-pub use parallel::{
-    choose_cuts, elementary_boundaries, elementary_boundaries_from_events,
-    try_parallel_sweep_join_presorted, ParallelJoinStats,
-};
 pub use table_index::{IndexCatalog, MaintenanceStats, TableIndex};

@@ -31,7 +31,6 @@ const ZONES: &[&str] = &[
     "crates/engine/src/coalesce.rs",
     "crates/engine/src/temporal.rs",
     "crates/index/src/join.rs",
-    "crates/index/src/parallel.rs",
 ];
 
 /// Calls that count as reaching the token: `check` itself, the sweep
@@ -39,12 +38,7 @@ const ZONES: &[&str] = &[
 /// caller's check aborts the sweep), and the fallible kernels that run it.
 /// The infallible `sweep_join_presorted` is deliberately absent: its
 /// callback cannot fail, so it never polls the token.
-const PROPAGATORS: &[&str] = &[
-    "check",
-    "emit",
-    "try_sweep_join_presorted",
-    "try_parallel_sweep_join_presorted",
-];
+const PROPAGATORS: &[&str] = &["check", "emit", "try_sweep_join_presorted"];
 
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     if !ZONES.iter().any(|z| file.rel_path.ends_with(z)) {

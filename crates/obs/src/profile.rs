@@ -10,9 +10,7 @@
 //!
 //! Profiling is off by default, and the session folds nothing while
 //! [`Profile::enabled`] is false. Attribution is wall-clock on the
-//! dispatching thread — time the parallel sweep join spends in
-//! worker threads lands as self time of the join operator, which is the
-//! per-operator share we want.
+//! statement's thread, which runs every operator.
 
 use crate::lock::Named;
 use std::collections::HashMap;

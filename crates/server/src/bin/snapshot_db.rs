@@ -80,11 +80,6 @@ fn main() {
                 local_flag = Some("--verify");
                 options.verify_indexed = true;
             }
-            "--parallelism" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                // 0 = auto-detect: one worker per hardware thread.
-                Some(n) => options.parallelism = engine::resolve_parallelism(n),
-                None => die_usage("--parallelism requires a worker count (0 = auto)"),
-            },
             "--slow-ms" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) => options.slow_query_ms = Some(n),
                 None => die_usage("--slow-ms requires a threshold in milliseconds"),
@@ -154,9 +149,6 @@ fn main() {
                     .map(|ms| ms.to_string())
                     .unwrap_or_else(|| "off".into());
                 set("slow_query_ms", v);
-            }
-            if options.parallelism != defaults.parallelism {
-                set("parallelism", options.parallelism.to_string());
             }
             Backend::Remote {
                 client,
@@ -273,25 +265,21 @@ enum Flow {
 }
 
 const USAGE: &str = "usage: snapshot_db [--db DIR | --connect HOST:PORT] [--script FILE]
-                   [--sync POLICY] [--checkpoint-every N] [--parallelism N]
-                   [--no-index] [--verify] [--slow-ms N] [--timeout-ms N]
+                   [--sync POLICY] [--checkpoint-every N] [--no-index]
+                   [--verify] [--slow-ms N] [--timeout-ms N]
                    [--continue-on-error] [--quiet]
   --db DIR              open a durable database in DIR (created if missing):
                         statements are write-ahead-logged and the catalog is
                         checkpointed, so the database survives restarts
   --connect HOST:PORT   run against a snapshot_server over TCP instead of an
                         embedded database — same statements, same meta
-                        commands; --timeout-ms/--slow-ms/--parallelism are
-                        forwarded as session options
+                        commands; --timeout-ms/--slow-ms are forwarded as
+                        session options
   --script FILE         execute a .sql script (meta commands allowed) and exit
   --sync POLICY         WAL sync policy: 'always' (fsync per statement, the
                         default) or 'checkpoint' (fsync only at checkpoints)
   --checkpoint-every N  auto-checkpoint after N logged statements
                         (default 64; 0 disables auto-checkpointing)
-  --parallelism N       worker threads for parallel operators (temporal joins
-                        run slab-parallel when N > 1; 0 = one per hardware
-                        thread; default 1 = sequential). `.parallel` reader
-                        sessions inherit the setting
   --no-index            execute queries on the naive route only
   --verify              re-run every indexed query naively and fail on divergence
   --slow-ms N           log statements taking >= N ms to the slow-query log

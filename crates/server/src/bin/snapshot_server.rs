@@ -21,7 +21,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: snapshot_server [--db DIR] [--listen HOST:PORT]
                        [--max-connections N] [--read-timeout-ms N]
-                       [--timeout-ms N] [--parallelism N] [--slow-ms N]
+                       [--timeout-ms N] [--slow-ms N]
                        [--sync POLICY] [--checkpoint-every N] [--quiet]
   --db DIR              serve a durable database in DIR (created if missing);
                         omitted = a process-lifetime in-memory database
@@ -32,8 +32,6 @@ const USAGE: &str = "usage: snapshot_server [--db DIR] [--listen HOST:PORT]
   --timeout-ms N        default statement timeout for every connection
                         (0 = none; clients override per session via SET
                         statement_timeout or snapshot_db --timeout-ms)
-  --parallelism N       default worker threads per connection for parallel
-                        operators (0 = one per hardware thread; default 1)
   --slow-ms N           default slow-query log threshold for every connection
   --sync POLICY         WAL sync policy: 'always' (default) or 'checkpoint'
   --checkpoint-every N  auto-checkpoint after N logged statements
@@ -79,10 +77,6 @@ fn main() {
             "--timeout-ms" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) => config.options.statement_timeout_ms = (n > 0).then_some(n),
                 None => die_usage("--timeout-ms requires a limit in milliseconds"),
-            },
-            "--parallelism" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => config.options.parallelism = engine::resolve_parallelism(n),
-                None => die_usage("--parallelism requires a worker count (0 = auto)"),
             },
             "--slow-ms" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) => config.options.slow_query_ms = Some(n),

@@ -171,8 +171,8 @@ impl Client {
 
     /// Set a session option by name — exactly what SQL `SET name = value`
     /// does (`Session::set_option` on the server): `statement_timeout`,
-    /// `parallelism`, `max_rows_scanned`, `max_result_rows`,
-    /// `slow_query_ms`, `slow_log_capacity`; the value is a number or `off`.
+    /// `max_rows_scanned`, `max_result_rows`, `slow_query_ms`,
+    /// `slow_log_capacity`; the value is a number or `off`.
     pub fn set_option(&mut self, name: &str, value: &str) -> Result<QueryResponse, RemoteError> {
         write_frame(
             &mut self.stream,

@@ -98,7 +98,7 @@ pub enum Frame {
     /// Set a session option without going through SQL.
     SetOption {
         /// Option name (the `SET` names: `statement_timeout`,
-        /// `parallelism`, `max_rows_scanned`, …).
+        /// `max_rows_scanned`, …).
         name: String,
         /// Option value (a number, or `off`).
         value: String,

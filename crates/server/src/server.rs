@@ -45,7 +45,7 @@ pub struct ServerConfig {
     pub read_timeout: Option<Duration>,
     /// The option template every accepted connection's session starts
     /// from — this is how server-wide defaults (`--timeout-ms`,
-    /// `--parallelism`, …) propagate to every connection; clients
+    /// `--slow-ms`, …) propagate to every connection; clients
     /// override per connection via `SET` / [`Frame::SetOption`].
     pub options: SessionOptions,
     /// How long shutdown waits for in-flight statements to drain before
@@ -322,7 +322,7 @@ fn serve_connection(
     }
 
     // The connection's session: the server-wide option template applies
-    // (statement timeout, parallelism, …); the client overrides per
+    // (statement timeout, slow-query threshold, …); the client overrides per
     // connection from here on.
     let mut session = shared.session_with_options(config.options);
     session.set_remote_addr(&peer);

@@ -41,7 +41,7 @@ use crate::database::{
 };
 use crate::shared::{CommitReport, SharedDatabase};
 use algebra::Plan;
-use engine::{eval_expr, Engine, EngineConfig, ExecContext, ExecStats, NodeStats, Prepared};
+use engine::{eval_expr, Engine, ExecContext, ExecStats, NodeStats, Prepared};
 use index::MaintenanceStats;
 use rewrite::{infer_domain, RewriteOptions, SnapshotCompiler};
 use snapshot_obs::{self as obs, Histogram, Obs, StatementError};
@@ -156,12 +156,6 @@ pub struct SessionOptions {
     /// on divergence — the end-to-end check that version-based index
     /// invalidation works (used by the test suite and `.verify on`).
     pub verify_indexed: bool,
-    /// Worker threads for parallel operators — currently the
-    /// slab-partitioned endpoint-sweep temporal join. `1` (the default)
-    /// keeps execution sequential; above `1`, interval-overlap joins that
-    /// would take the sequential sweep take the parallel one instead
-    /// (same bag, verified by the differential tests and `.verify on`).
-    pub parallelism: usize,
     /// Rewriting options for `SEQ VT` compilation.
     pub rewrite: RewriteOptions,
     /// Publish per-statement engine operator counters and phase timings to
@@ -199,7 +193,6 @@ impl Default for SessionOptions {
         SessionOptions {
             use_indexes: true,
             verify_indexed: false,
-            parallelism: default_parallelism(),
             rewrite: RewriteOptions::default(),
             collect_metrics: true,
             slow_query_ms: None,
@@ -208,23 +201,6 @@ impl Default for SessionOptions {
             max_result_rows: None,
         }
     }
-}
-
-/// The default worker count for new sessions: `1` (sequential), unless
-/// the `SNAPSHOT_PARALLELISM` environment variable overrides it — the CI
-/// hook that runs the *entire* test suite over the parallel join route
-/// without touching any call site. `0` means one worker per hardware
-/// thread, the same convention as the shell's `--parallelism 0`. Read
-/// once per process.
-fn default_parallelism() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("SNAPSHOT_PARALLELISM")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(engine::resolve_parallelism)
-            .unwrap_or(1)
-    })
 }
 
 /// Conflict-retry counters for implicit (autocommit) statements on a
@@ -546,9 +522,9 @@ impl Session {
         &self.options
     }
 
-    /// The session options, mutably (`.verify on`, pinned join routes,
-    /// parallelism — queries pick the change up immediately, the engine is
-    /// derived from the options per statement).
+    /// The session options, mutably (`.verify on`, pinned join routes —
+    /// queries pick the change up immediately, the engine is derived from
+    /// the options per statement).
     pub fn options_mut(&mut self) -> &mut SessionOptions {
         &mut self.options
     }
@@ -853,10 +829,9 @@ impl Session {
     /// `off`. `off` clears `statement_timeout` (alias
     /// `statement_timeout_ms`), `max_rows_scanned`, `max_result_rows` and
     /// `slow_query_ms`; `0` clears the first three too, while
-    /// `slow_query_ms = 0` logs every statement. `parallelism = 0` means
-    /// one worker per hardware thread. `slow_log_capacity` resizes the
-    /// database's slow-query ring (shared by all its sessions) and takes a
-    /// positive number.
+    /// `slow_query_ms = 0` logs every statement. `slow_log_capacity`
+    /// resizes the database's slow-query ring (shared by all its sessions)
+    /// and takes a positive number.
     pub fn set_option(&mut self, name: &str, value: &str) -> Result<(), String> {
         let parsed = if value.eq_ignore_ascii_case("off") {
             None
@@ -873,11 +848,6 @@ impl Session {
             "max_rows_scanned" => options.max_rows_scanned = parsed.filter(|&n| n > 0),
             "max_result_rows" => options.max_result_rows = parsed.filter(|&n| n > 0),
             "slow_query_ms" => options.slow_query_ms = parsed,
-            "parallelism" => {
-                let n = parsed
-                    .ok_or("parallelism must be a number (0 = one worker per hardware thread)")?;
-                options.parallelism = engine::resolve_parallelism(n as usize);
-            }
             "slow_log_capacity" => {
                 let n = parsed
                     .filter(|&n| n > 0)
@@ -1240,11 +1210,10 @@ impl Session {
     /// operators an accelerated route short-circuited read
     /// `(never executed)`.
     ///
-    /// The engine is derived from the session options per statement, so a
-    /// parallelism change applies to the very next one, and runs under the
-    /// session's resource account and cancellation token, so operators
-    /// bill their work to `snapshot_stat_progress` and observe kills,
-    /// timeouts, and resource limits at batch boundaries.
+    /// The engine runs under the session's resource account and
+    /// cancellation token, so operators bill their work to
+    /// `snapshot_stat_progress` and observe kills, timeouts, and resource
+    /// limits at batch boundaries.
     fn run_query(
         &mut self,
         stmt: &Statement,
@@ -1271,10 +1240,7 @@ impl Session {
         } = self;
         activity.set_phase(obs::Phase::Execute);
         let obs = Some(Arc::clone(&telemetry.obs));
-        let engine = Engine::with_config(EngineConfig {
-            parallelism: options.parallelism,
-        })
-        .with_context(ExecContext::new(
+        let engine = Engine::new().with_context(ExecContext::new(
             activity.account(),
             activity.token(),
             obs.clone(),
@@ -1287,9 +1253,8 @@ impl Session {
             .execute_analyzed(&plan, catalog, indexes, &mut record.stats, &mut nodes)
             .and_then(|executed| {
                 if options.use_indexes && options.verify_indexed {
-                    // The cross-check runs sequentially on purpose:
-                    // divergence then implicates either index
-                    // invalidation or the parallel route, never both.
+                    // A divergence implicates index invalidation: the
+                    // naive route consults no index.
                     let detached = ExecContext::new(Default::default(), Default::default(), obs);
                     let naive = Engine::new()
                         .with_context(detached)

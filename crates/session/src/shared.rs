@@ -160,7 +160,7 @@ impl SharedDatabase {
     /// older than this build's format (a format-1 log or checkpoint) is
     /// checkpointed once its tail has replayed, which rewrites both in this
     /// build's formats. An empty or missing directory starts an empty durable
-    /// database. The replay runs with `options`' routes and parallelism,
+    /// database. The replay runs with `options`' routes,
     /// but a replayed statement arms none of their limits and reports
     /// nothing: recovery never depends on client policy.
     pub fn open_durable(

@@ -185,19 +185,13 @@ fn concurrent_statement_is_visible_and_killable() {
     assert!(rows.is_empty(), "dropped session deregistered");
 }
 
-/// Satellite: a timeout that fires mid-parallel-sweep (parallelism 4)
-/// aborts all slab workers, and the next statement agrees across the
+/// A timeout that fires inside the indexed endpoint sweep stops it, the
+/// sweep still counts its call, and the next statement agrees across the
 /// indexed, naive, and oracle routes.
 #[test]
-fn timeout_mid_parallel_sweep_leaves_session_consistent() {
+fn timeout_mid_sweep_leaves_session_consistent() {
     let n = 2000usize;
-    let mut session = Session::with_options(
-        Database::new(),
-        SessionOptions {
-            parallelism: 4,
-            ..SessionOptions::default()
-        },
-    );
+    let mut session = Session::default();
     session
         .execute("CREATE TABLE act_par (x INT, ts INT, te INT) PERIOD (ts, te)")
         .unwrap();
@@ -205,7 +199,8 @@ fn timeout_mid_parallel_sweep_leaves_session_consistent() {
 
     session.execute("SET statement_timeout = 5").unwrap();
     // A snapshot self-join over all-overlapping periods: ~n^2 join pairs
-    // through the slab-parallel endpoint sweep — far more than 5 ms.
+    // through the indexed endpoint sweep — far more than 5 ms.
+    let sweeps = counter(&session, "engine_indexsweepjoin_invocations_total");
     let err = session
         .execute("SEQ VT (SELECT count(*) AS c FROM act_par a JOIN act_par b ON a.x <> b.x)")
         .unwrap_err();
@@ -218,6 +213,11 @@ fn timeout_mid_parallel_sweep_leaves_session_consistent() {
         counter(&session, "statement_timeouts_total"),
         1,
         "timeout counted"
+    );
+    assert_eq!(
+        counter(&session, "engine_indexsweepjoin_invocations_total") - sweeps,
+        1,
+        "the timeout landed in the sweep"
     );
 
     // Next statement: timeout off, indexed == naive (cross-check) ==

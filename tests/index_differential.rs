@@ -119,96 +119,201 @@ fn indexed_pipeline_matches_naive_and_oracle() {
     }
 }
 
-/// Every join algorithm, indexed or not, sequential or with a worker pool,
-/// produces the same bag on a raw interval-overlap join (no rewriting
-/// involved), and records the route it took under its established
-/// `ExecStats` name.
+/// Per join hint: the operator it records without and with indexes, when
+/// the condition carries an equality conjunct and when it is a pure
+/// overlap (no equality to hash on: `Hash` falls back to the nested loop,
+/// `Auto` sweeps only over indexes).
+const JOIN_ROUTES: [(JoinAlgo, [&str; 2], [&str; 2]); 4] = [
+    (
+        JoinAlgo::NestedLoop,
+        ["NestedLoopJoin"; 2],
+        ["NestedLoopJoin"; 2],
+    ),
+    (JoinAlgo::Hash, ["HashJoin"; 2], ["NestedLoopJoin"; 2]),
+    (
+        JoinAlgo::Sweep,
+        ["SweepJoin", "IndexSweepJoin"],
+        ["SweepJoin", "IndexSweepJoin"],
+    ),
+    (
+        JoinAlgo::Auto,
+        ["HashJoin"; 2],
+        ["NestedLoopJoin", "IndexSweepJoin"],
+    ),
+];
+
+/// Runs the join `plan_for(hint)` builds under every hint, indexed and
+/// not, asserting that each records its route from [`JOIN_ROUTES`] and
+/// returns the same bag; returns that bag, sorted.
+fn join_routes_agree(
+    catalog: &Catalog,
+    plan_for: impl Fn(JoinAlgo) -> Plan,
+    equi: bool,
+    label: &str,
+) -> Vec<Row> {
+    const JOIN_OPS: [&str; 4] = ["NestedLoopJoin", "HashJoin", "SweepJoin", "IndexSweepJoin"];
+    let indexes = IndexCatalog::build_all(catalog);
+    let mut reference: Option<Vec<Row>> = None;
+    for (algo, equi_ops, overlap_ops) in JOIN_ROUTES {
+        let plan = plan_for(algo);
+        let ops = if equi { equi_ops } else { overlap_ops };
+        for (use_index, want) in [false, true].into_iter().zip(ops) {
+            let (out, stats) = run_with_stats(
+                &Engine::new(),
+                &plan,
+                catalog,
+                use_index.then_some(&indexes),
+            );
+            let recorded: Vec<&str> = JOIN_OPS
+                .into_iter()
+                .filter(|op| stats.get(op).is_some())
+                .collect();
+            let route = format!("{label}, {algo:?}, use_index={use_index}");
+            assert_eq!(recorded, [want], "{route}");
+            let mut rows = out.rows().to_vec();
+            rows.sort_unstable();
+            match &reference {
+                None => reference = Some(rows),
+                Some(want) => assert_eq!(want, &rows, "{route}"),
+            }
+        }
+    }
+    reference.unwrap()
+}
+
+/// Every join hint, indexed or not, produces the same bag on a raw
+/// interval-overlap join (no rewriting involved) over the random catalogs
+/// (equality plus overlap, the rewriter's pattern), and records the route
+/// it took under its established `ExecStats` name.
 #[test]
 fn join_algos_bag_equivalent() {
     for seed in 0..6 {
         let (catalog, _domain) = random_catalog(seed);
-        let indexes = IndexCatalog::build_all(&catalog);
         let schema = catalog.get("r").unwrap().schema().clone();
         let arity = schema.arity();
         let (lts, lte) = (arity - 2, arity - 1);
         let (rts_g, rte_g) = (2 * arity - 2, 2 * arity - 1);
-        // skill-equality plus interval overlap, the rewriter's pattern.
         let cond = Expr::col(1)
             .eq(Expr::col(arity + 1))
             .and(Expr::col(lts).lt(Expr::col(rte_g)))
             .and(Expr::col(rts_g).lt(Expr::col(lte)));
-
-        const JOIN_OPS: [&str; 6] = [
-            "NestedLoopJoin",
-            "HashJoin",
-            "SweepJoin",
-            "IndexSweepJoin",
-            "ParallelSweepJoin",
-            "ParallelSweepSlabs",
-        ];
-        let mut reference: Option<Vec<Row>> = None;
-        // Per hint: the operators recorded at parallelism 1 without and
-        // with indexes, and at parallelism 3 (either way).
-        for (algo, naive_ops, indexed_ops, parallel_ops) in [
-            (
-                JoinAlgo::NestedLoop,
-                &["NestedLoopJoin"][..],
-                &["NestedLoopJoin"][..],
-                &["NestedLoopJoin"][..],
-            ),
-            (JoinAlgo::Hash, &["HashJoin"], &["HashJoin"], &["HashJoin"]),
-            (
-                JoinAlgo::Sweep,
-                &["SweepJoin"],
-                &["IndexSweepJoin"],
-                &["ParallelSweepJoin", "ParallelSweepSlabs"],
-            ),
-            // Equality keys present: Auto hashes, indexed or not.
-            (JoinAlgo::Auto, &["HashJoin"], &["HashJoin"], &["HashJoin"]),
-        ] {
-            let plan = Plan::scan("r", schema.clone()).join_with(
+        let plan_for = |algo| {
+            Plan::scan("r", schema.clone()).join_with(
                 Plan::scan("s", schema.clone()),
                 cond.clone(),
                 algo,
-            );
-            for (parallelism, use_index) in [(1, false), (1, true), (3, false), (3, true)] {
-                let (out, stats) = run_with_stats(
-                    &Engine::with_parallelism(parallelism),
-                    &plan,
-                    &catalog,
-                    use_index.then_some(&indexes),
-                );
-                let recorded: Vec<&str> = JOIN_OPS
-                    .into_iter()
-                    .filter(|op| stats.get(op).is_some())
-                    .collect();
-                let want = match (parallelism, use_index) {
-                    (1, false) => naive_ops,
-                    (1, true) => indexed_ops,
-                    _ => parallel_ops,
-                };
-                let route = format!(
-                    "seed {seed}, {algo:?}, parallelism {parallelism}, use_index={use_index}"
-                );
-                assert_eq!(recorded, want, "{route}");
-                let mut rows = out.rows().to_vec();
-                rows.sort_unstable();
-                match &reference {
-                    None => reference = Some(rows),
-                    Some(want) => assert_eq!(want, &rows, "{route}"),
-                }
-            }
-        }
+            )
+        };
+        let rows = join_routes_agree(&catalog, plan_for, true, &format!("seed {seed}"));
         assert!(
-            !reference.unwrap().is_empty(),
+            !rows.is_empty(),
             "seed {seed}: join produced no rows — the test would be vacuous"
         );
     }
 }
 
+/// Sweep adversaries (pure overlap): whole-domain spans, duplicates,
+/// straddlers, shared and adjacent endpoints, clusters across gaps, an
+/// empty side. Every join hint, indexed or not, returns the same bag and
+/// records its route; the `SEQ VT` join under every hint, indexed or not,
+/// also equals the point-wise oracle. (The name predates the removal of
+/// the slab-parallel sweep, whose slab boundaries these inputs first
+/// attacked; they now exercise the one sequential sweep.)
+#[test]
+fn parallel_sweep_survives_slab_boundary_adversaries() {
+    type Intervals = Vec<(i64, i64)>;
+    let adversaries: Vec<(&str, Intervals, Intervals)> = vec![
+        (
+            "all rows span the whole domain (2 distinct endpoints)",
+            vec![(0, 100); 8],
+            vec![(0, 100); 5],
+        ),
+        (
+            "duplicates plus straddlers at every scale",
+            vec![
+                (0, 100),
+                (0, 100),
+                (10, 90),
+                (10, 90),
+                (49, 51),
+                (49, 51),
+                (0, 1),
+                (99, 100),
+                (25, 75),
+            ],
+            vec![
+                (0, 100),
+                (50, 51),
+                (50, 51),
+                (20, 80),
+                (20, 80),
+                (0, 50),
+                (50, 100),
+            ],
+        ),
+        (
+            "clusters with huge gaps",
+            vec![(0, 3), (1, 4), (2, 5), (1_000, 1_003), (1_001, 1_004)],
+            vec![(2, 4), (1_000, 1_001), (1_002, 1_005), (500, 600)],
+        ),
+        ("one side empty", vec![(0, 10), (5, 15)], vec![]),
+        (
+            "single shared endpoint pair, maximal duplication",
+            vec![(7, 8); 6],
+            vec![(7, 8); 7],
+        ),
+        (
+            "adjacent endpoints: one side ends where the other begins",
+            vec![(0, 5), (5, 10), (10, 15)],
+            vec![(5, 10), (0, 5), (15, 20)],
+        ),
+    ];
+    let domain = TimeDomain::new(0, 1_010);
+    for (name, r_rows, s_rows) in adversaries {
+        let mut catalog = Catalog::new();
+        catalog.register("r", interval_table(&r_rows));
+        catalog.register("s", interval_table(&s_rows));
+        join_routes_agree(
+            &catalog,
+            |algo| overlap_join_plan(&catalog, algo),
+            false,
+            name,
+        );
+
+        let sql = "SEQ VT (SELECT r.id, s.id AS sid FROM r, s)";
+        let bound = bind_statement(&parse_statement(sql).unwrap(), &catalog).unwrap();
+        let BoundStatement::Snapshot { plan, .. } = &bound else {
+            panic!()
+        };
+        let oracle = PointwiseOracle::new(domain)
+            .eval_rows(plan, &catalog)
+            .unwrap();
+        let indexes = IndexCatalog::build_all(&catalog);
+        for algo in JOIN_ALGOS {
+            let options = RewriteOptions {
+                temporal_join_algo: algo,
+                ..RewriteOptions::default()
+            };
+            let compiled = SnapshotCompiler::with_options(domain, options)
+                .compile_statement(&bound, &catalog)
+                .unwrap();
+            for use_index in [false, true] {
+                let (out, _) = run_with_stats(
+                    &Engine::new(),
+                    &compiled,
+                    &catalog,
+                    use_index.then_some(&indexes),
+                );
+                let mut rows = out.rows().to_vec();
+                rows.sort_unstable();
+                assert_eq!(rows, oracle, "{name}: {algo:?}, use_index={use_index}");
+            }
+        }
+    }
+}
+
 /// A grouped or global `SEQ VT` aggregate over a join reads the join's
-/// matched pairs on every route: each hint at parallelism 1 and 3, indexed
-/// and not, returns row for row what `temporal_aggregate` returns over the
+/// matched pairs on every route: each hint, indexed and not, returns row for row what `temporal_aggregate` returns over the
 /// rows the naive engine builds for the join (and the oracle's encoding),
 /// and the join still reports as one `Join` node of that many rows under
 /// its route's name.
@@ -224,13 +329,7 @@ fn aggregate_over_a_join_matches_the_aggregate_over_its_rows_on_every_route() {
         "SEQ VT (SELECT x.k, sum(x.v) AS total FROM \
          (SELECT r.i0 + s.i0 AS k, r.i0 * 2 AS v FROM r JOIN s ON r.s0 = s.s0) x GROUP BY x.k)",
     ];
-    const ROUTES: [&str; 5] = [
-        "NestedLoopJoin",
-        "HashJoin",
-        "SweepJoin",
-        "IndexSweepJoin",
-        "ParallelSweepJoin",
-    ];
+    const ROUTES: [&str; 4] = ["NestedLoopJoin", "HashJoin", "SweepJoin", "IndexSweepJoin"];
     for seed in 0..4 {
         let (catalog, domain) = random_catalog(seed);
         let indexes = IndexCatalog::build_all(&catalog);
@@ -277,13 +376,10 @@ fn aggregate_over_a_join_matches_the_aggregate_over_its_rows_on_every_route() {
                 let mut sorted = want.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, oracle, "seed {seed}, {sql}");
-                for (parallelism, use_index) in [(1, false), (1, true), (3, false), (3, true)] {
-                    let route = format!(
-                        "seed {seed}, {sql}, {algo:?}, parallelism {parallelism}, \
-                         use_index={use_index}"
-                    );
+                for use_index in [false, true] {
+                    let route = format!("seed {seed}, {sql}, {algo:?}, use_index={use_index}");
                     let (out, stats) = run_with_stats(
-                        &Engine::with_parallelism(parallelism),
+                        &Engine::new(),
                         &plan,
                         &catalog,
                         use_index.then_some(&indexes),
@@ -481,7 +577,7 @@ fn mixed_numeric_equi_join_keys_agree_on_every_route() {
                 .unwrap();
             for use_index in [false, true] {
                 let (out, _) = run_with_stats(
-                    &Engine::with_parallelism(2),
+                    &Engine::new(),
                     &compiled,
                     &catalog,
                     use_index.then_some(&indexes),
@@ -512,60 +608,6 @@ fn mixed_numeric_equi_join_keys_agree_on_every_route() {
     assert_eq!(hashed, looped);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel sweep join: the slab-partitioned route must be bag-equivalent to
-// the sequential sweep and the point-wise oracle at every parallelism level,
-// including adversarial slab-boundary data.
-// ---------------------------------------------------------------------------
-
-/// Parallelism levels to exercise. `SNAPSHOT_PARALLELISM` pins a single
-/// level, which is how CI runs the differential suite once sequentially
-/// and once with a worker pool; the default sweeps several.
-fn parallelism_levels() -> Vec<usize> {
-    match std::env::var("SNAPSHOT_PARALLELISM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        // Shared convention: 0 = one worker per hardware thread.
-        Some(n) => vec![snapshot_semantics::engine::resolve_parallelism(n)],
-        None => vec![1, 2, 3, 4, 8],
-    }
-}
-
-/// The full SQL pipeline with the `Sweep` rewrite hint equals the
-/// point-wise oracle at every parallelism level.
-#[test]
-fn parallel_pipeline_matches_sequential_and_oracle() {
-    for seed in 0..3 {
-        let (catalog, domain) = random_catalog(seed);
-        let indexes = IndexCatalog::build_all(&catalog);
-        for sql in QUERIES {
-            let stmt = parse_statement(sql).unwrap();
-            let bound = bind_statement(&stmt, &catalog).unwrap();
-            let BoundStatement::Snapshot { plan, .. } = &bound else {
-                panic!()
-            };
-            let oracle = PointwiseOracle::new(domain)
-                .eval_rows(plan, &catalog)
-                .unwrap();
-            let compiler = SnapshotCompiler::with_options(
-                domain,
-                RewriteOptions {
-                    temporal_join_algo: JoinAlgo::Sweep,
-                    ..RewriteOptions::default()
-                },
-            );
-            let compiled = compiler.compile_statement(&bound, &catalog).unwrap();
-            for p in parallelism_levels() {
-                let out = run_indexed(&Engine::with_parallelism(p), &compiled, &catalog, &indexes);
-                let mut rows = out.rows().to_vec();
-                rows.sort_unstable();
-                assert_eq!(rows, oracle, "seed {seed}, {sql}, parallelism {p}");
-            }
-        }
-    }
-}
-
 /// A period table over explicit `(id, ts, te)` rows (period trailing, the
 /// engine's temporal-operator convention).
 fn interval_table(rows: &[(i64, i64)]) -> Table {
@@ -591,171 +633,6 @@ fn overlap_join_plan(catalog: &Catalog, algo: JoinAlgo) -> Plan {
         .lt(Expr::col(rte_g))
         .and(Expr::col(rts_g).lt(Expr::col(lte)));
     Plan::scan("r", schema).join_with(Plan::scan("s", s_schema), cond, algo)
-}
-
-/// Slab-boundary adversaries: every interval straddling every cut,
-/// duplicates, gaps that leave slabs empty, and more workers than
-/// distinct endpoints — the parallel join must stay bag-identical to the
-/// sequential sweep and the nested loop on all of them.
-#[test]
-fn parallel_sweep_survives_slab_boundary_adversaries() {
-    type Intervals = Vec<(i64, i64)>;
-    let cases: Vec<(&str, Intervals, Intervals)> = vec![
-        (
-            "all rows span the whole domain (2 distinct endpoints)",
-            vec![(0, 100); 8],
-            vec![(0, 100); 5],
-        ),
-        (
-            "duplicates plus straddlers at every scale",
-            vec![
-                (0, 100),
-                (0, 100),
-                (10, 90),
-                (10, 90),
-                (49, 51),
-                (49, 51),
-                (0, 1),
-                (99, 100),
-                (25, 75),
-            ],
-            vec![
-                (0, 100),
-                (50, 51),
-                (50, 51),
-                (20, 80),
-                (20, 80),
-                (0, 50),
-                (50, 100),
-            ],
-        ),
-        (
-            "clusters with huge gaps (empty slabs between)",
-            vec![(0, 3), (1, 4), (2, 5), (1_000, 1_003), (1_001, 1_004)],
-            vec![(2, 4), (1_000, 1_001), (1_002, 1_005), (500, 600)],
-        ),
-        ("one side empty", vec![(0, 10), (5, 15)], vec![]),
-        (
-            "single shared endpoint pair, maximal duplication",
-            vec![(7, 8); 6],
-            vec![(7, 8); 7],
-        ),
-    ];
-    for (name, r_rows, s_rows) in cases {
-        let mut catalog = Catalog::new();
-        catalog.register("r", interval_table(&r_rows));
-        catalog.register("s", interval_table(&s_rows));
-        let indexes = IndexCatalog::build_all(&catalog);
-        let reference = {
-            let plan = overlap_join_plan(&catalog, JoinAlgo::NestedLoop);
-            let mut rows = Engine::new()
-                .execute(&plan, &catalog)
-                .unwrap()
-                .rows()
-                .to_vec();
-            rows.sort_unstable();
-            rows
-        };
-        let plan = overlap_join_plan(&catalog, JoinAlgo::Sweep);
-        let sequential = {
-            let mut rows = run_indexed(&Engine::new(), &plan, &catalog, &indexes)
-                .rows()
-                .to_vec();
-            rows.sort_unstable();
-            rows
-        };
-        assert_eq!(reference, sequential, "{name}: sequential sweep");
-        // P far beyond the distinct endpoint count included.
-        for p in [2usize, 3, 4, 8, 16, 64] {
-            for use_index in [false, true] {
-                let (out, stats) = run_with_stats(
-                    &Engine::with_parallelism(p),
-                    &plan,
-                    &catalog,
-                    use_index.then_some(&indexes),
-                );
-                let mut rows = out.rows().to_vec();
-                rows.sort_unstable();
-                assert_eq!(
-                    reference, rows,
-                    "{name}: parallelism {p}, use_index={use_index}"
-                );
-                assert!(
-                    stats.get("ParallelSweepJoin").is_some(),
-                    "{name}: parallel route must be taken ({stats:?})"
-                );
-            }
-        }
-    }
-}
-
-/// A pinned `Sweep` runs slab-parallel exactly when the engine's
-/// parallelism is above 1, indexed or not — and so does a session's, whose
-/// default parallelism may come from `SNAPSHOT_PARALLELISM`: the session
-/// half asserts on the configured value, not on the environment.
-#[test]
-fn explicit_sweep_runs_slab_parallel_exactly_above_parallelism_one() {
-    use snapshot_semantics::session::{Database, Session, SessionOptions};
-    let mut catalog = Catalog::new();
-    catalog.register("r", interval_table(&[(0, 10), (5, 15), (20, 30)]));
-    catalog.register("s", interval_table(&[(3, 8), (12, 25), (40, 50)]));
-    let indexes = IndexCatalog::build_all(&catalog);
-    let plan = overlap_join_plan(&catalog, JoinAlgo::Sweep);
-    let reference = Engine::new()
-        .execute(&plan, &catalog)
-        .unwrap()
-        .canonicalized();
-    assert_eq!(reference.len(), 4);
-    for parallelism in 0..=4 {
-        for use_index in [false, true] {
-            let (out, stats) = run_with_stats(
-                &Engine::with_parallelism(parallelism),
-                &plan,
-                &catalog,
-                use_index.then_some(&indexes),
-            );
-            let route = format!("parallelism {parallelism}, use_index={use_index}: {stats:?}");
-            assert_eq!(out.canonicalized(), reference, "{route}");
-            let sequential = if use_index {
-                "IndexSweepJoin"
-            } else {
-                "SweepJoin"
-            };
-            let parallel = parallelism > 1;
-            assert_eq!(
-                stats.get("ParallelSweepJoin").is_some(),
-                parallel,
-                "{route}"
-            );
-            assert_eq!(stats.get(sequential).is_some(), !parallel, "{route}");
-        }
-    }
-
-    let mut options = SessionOptions::default();
-    options.rewrite.temporal_join_algo = JoinAlgo::Sweep;
-    let mut session = Session::with_options(Database::from_catalog(catalog), options);
-    let counter = session
-        .obs()
-        .metrics
-        .counter("engine_parallelsweepjoin_invocations_total");
-    // The session's default first, then explicit settings either side of 1.
-    for set in [None, Some("1"), Some("3")] {
-        if let Some(n) = set {
-            session.set_option("parallelism", n).unwrap();
-        }
-        let before = counter.get();
-        let result = session
-            .execute("SEQ VT (SELECT r.id, s.id AS sid FROM r JOIN s ON r.id <= s.id)")
-            .unwrap();
-        assert!(!result.rows().unwrap().is_empty());
-        let parallel = session.options().parallelism > 1;
-        assert_eq!(
-            counter.get() - before,
-            u64::from(parallel),
-            "parallelism {}",
-            session.options().parallelism
-        );
-    }
 }
 
 /// A period table `r (k INT, x DOUBLE, name TEXT, ts, te)` for the lending
@@ -812,7 +689,7 @@ fn lending_catalog(seed: u64) -> (Catalog, TimeDomain) {
 
 /// `AS OF` / `BETWEEN` reads whose index stab lends its rows to the
 /// `Filter` and `Project` above it equal the naive route row for row and
-/// the point-wise oracle's snapshots, at parallelism 1 and 4, for `WHERE`
+/// the point-wise oracle's snapshots, for `WHERE`
 /// predicates of every shape (`=`, `<>`, `LIKE`, `IS NULL`, `AND`/`OR`,
 /// mixed `INT`/`DOUBLE`, always false, always true) under bare and
 /// computed projections; and the stab is what `ExecStats` reports.
@@ -889,70 +766,25 @@ fn lent_stab_routes_match_naive_and_oracle() {
                     let bound = bind_statement(&parse_statement(&sql).unwrap(), &catalog).unwrap();
                     let compiled = compiler.compile_statement(&bound, &catalog).unwrap();
                     let naive = Engine::new().execute(&compiled, &catalog).unwrap();
-                    for p in [1, 4] {
-                        let (indexed, stats) = run_with_stats(
-                            &Engine::with_parallelism(p),
-                            &compiled,
-                            &catalog,
-                            Some(&indexes),
-                        );
-                        assert_eq!(
-                            indexed.rows(),
-                            naive.rows(),
-                            "indexed vs naive: seed {seed}, {sql}, parallelism {p}"
-                        );
-                        assert_eq!(
-                            stats.get(op),
-                            Some((1, stabbed as u64)),
-                            "seed {seed}, {sql}: {stats:?}"
-                        );
-                        assert_eq!(stats.get("NaiveTimeslice"), None, "{sql}");
-                        assert_eq!(stats.get("NaiveTimeRange"), None, "{sql}");
-                    }
+                    let (indexed, stats) =
+                        run_with_stats(&Engine::new(), &compiled, &catalog, Some(&indexes));
+                    assert_eq!(
+                        indexed.rows(),
+                        naive.rows(),
+                        "indexed vs naive: seed {seed}, {sql}"
+                    );
+                    assert_eq!(
+                        stats.get(op),
+                        Some((1, stabbed as u64)),
+                        "seed {seed}, {sql}: {stats:?}"
+                    );
+                    assert_eq!(stats.get("NaiveTimeslice"), None, "{sql}");
+                    assert_eq!(stats.get("NaiveTimeRange"), None, "{sql}");
                     let mut got = naive.rows().to_vec();
                     got.sort_unstable();
                     assert_eq!(got, want, "vs oracle: seed {seed}, {sql}");
                 }
             }
         }
-    }
-}
-
-use proptest::prelude::*;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Property: for random interval multisets and a random worker count,
-    /// the parallel sweep join is bag-identical to the sequential sweep.
-    #[test]
-    fn prop_parallel_join_equals_sequential(
-        r_rows in proptest::collection::vec((0i64..40, 1i64..15), 0..50),
-        s_rows in proptest::collection::vec((0i64..40, 1i64..15), 0..50),
-        parallelism in 1usize..12,
-    ) {
-        let to_intervals = |v: &[(i64, i64)]| -> Vec<(i64, i64)> {
-            v.iter().map(|&(b, len)| (b, b + len)).collect()
-        };
-        let mut catalog = Catalog::new();
-        catalog.register("r", interval_table(&to_intervals(&r_rows)));
-        catalog.register("s", interval_table(&to_intervals(&s_rows)));
-        let indexes = IndexCatalog::build_all(&catalog);
-        let plan = overlap_join_plan(&catalog, JoinAlgo::Sweep);
-        let sequential = {
-            let mut rows = run_indexed(&Engine::new(), &plan, &catalog, &indexes)
-                .rows()
-                .to_vec();
-            rows.sort_unstable();
-            rows
-        };
-        let parallel = {
-            let mut rows = run_indexed(&Engine::with_parallelism(parallelism), &plan, &catalog, &indexes)
-                .rows()
-                .to_vec();
-            rows.sort_unstable();
-            rows
-        };
-        prop_assert_eq!(sequential, parallel);
     }
 }

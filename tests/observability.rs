@@ -105,21 +105,6 @@ fn explain_analyze_matches_actual_cardinalities_on_smoke_queries() {
     run_smoke_differential(&mut Session::default());
 }
 
-/// The same differential with the parallel-sweep join route active
-/// (parallelism 4): slab-parallel operators must report true
-/// cardinalities in their actuals, not per-worker partials.
-#[test]
-fn explain_analyze_matches_actual_cardinalities_at_parallelism_4() {
-    let mut session = Session::with_options(
-        snapshot_session::Database::new(),
-        SessionOptions {
-            parallelism: 4,
-            ..SessionOptions::default()
-        },
-    );
-    run_smoke_differential(&mut session);
-}
-
 /// The same differential on a shared (MVCC) session — EXPLAIN ANALYZE
 /// runs against a pinned snapshot like any other read.
 #[test]

@@ -388,9 +388,11 @@ fn server_timeout_default_propagates_and_is_overridable() {
 
 /// SQL `SET` and the `SetOption` frame run one function: every option
 /// name, spelled either way, answers the same and leaves the same state —
-/// as `.timeout` / `.slow` report it, as the resource limits and the join
-/// route show it, and in the database's slow-log ring — and a bad name
-/// or value gets the same error on both paths.
+/// as `.timeout` / `.slow` report it, as the resource limits and a join
+/// show it, and in the database's slow-log ring — and a bad name or value
+/// gets the same error on both paths. There is no `parallelism` option:
+/// every value is refused as an unknown name, and an overlap join after
+/// the largest of them still answers.
 #[test]
 fn sql_set_and_set_option_frame_take_the_same_names() {
     let shared = SharedDatabase::in_memory();
@@ -413,22 +415,16 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
             let resp = client.query(sql).expect("connection alive");
             resp.error.map(|e| e.to_string())
         };
-        let parallel_joins = obs
-            .metrics
-            .counter("engine_parallelsweepjoin_invocations_total");
-        let before = parallel_joins.get();
-        // A pure overlap self-join over indexed scans: the sweep, run
-        // slab-parallel exactly when the session's parallelism is above 1.
+        // A pure overlap self-join over indexed scans: the sweep.
         let join = outcome(
             client,
             "SEQ VT (SELECT a.name FROM works a JOIN works b ON a.name < b.name);",
         );
         format!(
-            "{} | {} | scan: {:?} | join: {join:?}, slab-parallel: {} | ring: {}",
+            "{} | {} | scan: {:?} | join: {join:?} | ring: {}",
             meta(client, "timeout"),
             meta(client, "slow"),
             outcome(client, "SELECT name FROM works;"),
-            parallel_joins.get() > before,
             obs.slow_log.capacity(),
         )
     }
@@ -446,13 +442,14 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
         ("max_rows_scanned", "off"),
         ("max_result_rows", "2"),
         ("max_result_rows", "0"),
-        ("parallelism", "1"),
-        ("parallelism", "3"),
         ("slow_log_capacity", "7"),
         ("slow_log_capacity", default_ring.as_str()),
         // Refused on both paths, with one message.
         ("no_such_option", "1"),
         ("statement_timeout", "soon"),
+        ("parallelism", "1"),
+        ("parallelism", "3"),
+        ("parallelism", "4611686018427387904"),
         ("parallelism", "off"),
         ("slow_log_capacity", "0"),
     ];
@@ -470,6 +467,13 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
         );
         let error = sql.error.map(|e| e.to_string());
         assert_eq!(error, frame.error.map(|e| e.to_string()), "{case}");
+        if name == "parallelism" {
+            assert_eq!(
+                error.as_deref(),
+                Some("unknown session option 'parallelism'"),
+                "{case}"
+            );
+        }
         refused += usize::from(error.is_some());
         assert_eq!(
             state(&mut by_sql, &obs),
@@ -477,7 +481,7 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
             "{case}"
         );
     }
-    assert_eq!(refused, 4, "only the last four cases are refused");
+    assert_eq!(refused, 7, "only the last seven cases are refused");
     assert_eq!(
         by_sql
             .set_option("no_such_option", "1")
@@ -487,6 +491,17 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
             .as_deref(),
         Some("unknown session option 'no_such_option'")
     );
+    run_ok(
+        &mut by_sql,
+        "CREATE TABLE a (x INT, ts INT, te INT) PERIOD (ts, te);
+         INSERT INTO a VALUES (1, 0, 10), (2, 0, 10);
+         CREATE TABLE b (y INT, ts INT, te INT) PERIOD (ts, te);
+         INSERT INTO b VALUES (3, 5, 15), (4, 5, 15);",
+    );
+    for client in [&mut by_sql, &mut by_frame] {
+        let results = run_ok(client, "SEQ VT (SELECT x, y FROM a JOIN b ON a.x <> b.y);");
+        assert_eq!(first_rows(&results).len(), 4);
+    }
 
     by_sql.close().expect("clean close");
     stop(by_frame, server);

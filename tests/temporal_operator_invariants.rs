@@ -779,7 +779,7 @@ proptest! {
     /// `join(l, r, θ).project(es).filter(p)` is one `Join` node and returns
     /// the bag of the step-by-step evaluation — every pair satisfying θ on
     /// the concatenation, then `es` over it, then `p` over that — on every
-    /// join route, sequential and with four workers, naive and indexed. θ
+    /// join route, naive and indexed. θ
     /// carries an equality on a key with NULLs, the overlap pattern, and a
     /// residual (`l.v <= r.v` or a random predicate); `p` reads two computed
     /// outputs and the intersected begin, once each.
@@ -833,8 +833,8 @@ proptest! {
                 .unwrap()
                 .filter(p.clone());
             prop_assert!(matches!(plan.node, PlanNode::Join { .. }), "{}", plan);
-            for (workers, indexed) in [(1, false), (1, true), (4, false), (4, true)] {
-                let out = Engine::with_parallelism(workers)
+            for indexed in [false, true] {
+                let out = Engine::new()
                     .execute_analyzed(
                         &plan,
                         &catalog,
@@ -847,7 +847,7 @@ proptest! {
                 got.sort_unstable();
                 prop_assert_eq!(
                     &got, &two_step,
-                    "{:?}, {} workers, indexed={}\n{}", algo, workers, indexed, plan
+                    "{:?}, indexed={}\n{}", algo, indexed, plan
                 );
             }
         }
@@ -875,10 +875,9 @@ proptest! {
 
     /// (h) A `TemporalAggregate` over a `Join` reads the join's matched
     /// pairs and builds no join row, on every join route — each hint,
-    /// sequential and with three workers, naive and indexed — and returns,
-    /// row for row, what `temporal_aggregate` returns over the rows the
-    /// naive engine builds for the join, which is the point-wise oracle's
-    /// unique encoding.
+    /// naive and indexed — and returns, row for row, what
+    /// `temporal_aggregate` returns over the rows the naive engine builds
+    /// for the join, which is the point-wise oracle's unique encoding.
     #[test]
     fn aggregate_over_a_join_equals_the_aggregate_over_its_rows(
         r in arb_edge_bag(), s in arb_edge_bag(),
@@ -914,8 +913,8 @@ proptest! {
                 )
                 .unwrap();
                 prop_assert_eq!(&want, &oracle, "{}", sql);
-                for (workers, indexed) in [(1, false), (1, true), (3, false), (3, true)] {
-                    let out = Engine::with_parallelism(workers)
+                for indexed in [false, true] {
+                    let out = Engine::new()
                         .execute_analyzed(
                             &plan,
                             &catalog,
@@ -926,7 +925,7 @@ proptest! {
                         .unwrap();
                     prop_assert_eq!(
                         out.rows(), &want[..],
-                        "{:?}, {} workers, indexed={}\n{}", algo, workers, indexed, sql
+                        "{:?}, indexed={}\n{}", algo, indexed, sql
                     );
                 }
             }
