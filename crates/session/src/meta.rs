@@ -326,14 +326,17 @@ fn explain(session: &mut Session, sql: &str) -> Result<String, String> {
     if sql.is_empty() {
         return Err("usage: .explain SELECT ...".to_string());
     }
-    let plan = session.compile(sql.trim_end_matches(';'))?;
+    let result = session
+        .execute(&format!("EXPLAIN {}", sql.trim_end_matches(';')))
+        .map_err(|e| e.to_string())?;
+    let mut out: String = (result.rows().into_iter())
+        .flat_map(|plan| plan.rows())
+        .map(|line| format!("{}\n", line.get(0)))
+        .collect();
     // Compilation cost, split by phase (parse/bind/rewrite) — run the
     // query itself (or EXPLAIN ANALYZE) for execution timings.
-    Ok(format!(
-        "{}  ({})\n",
-        plan.explain(),
-        session.last_phase_timings().render()
-    ))
+    let _ = writeln!(out, "  ({})", session.last_phase_timings().render());
+    Ok(out)
 }
 
 /// `.activity` — list the live sessions of this database: who is running
@@ -541,6 +544,25 @@ mod tests {
 
         let out = run("slow off", &mut session, &shared);
         assert_eq!(out, "slow-query log: off\n");
+    }
+
+    /// `.explain` prints what the `EXPLAIN` statement answers, a plan line
+    /// per row, then the compilation phases; it executes nothing.
+    #[test]
+    fn explain_prints_the_plan_and_its_compilation_phases() {
+        let (shared, mut session) = setup();
+        session
+            .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
+            .unwrap();
+        let query = "explain SEQ VT (SELECT count(*) AS c FROM t);";
+        let out = run(query, &mut session, &shared);
+        let (plan, phases) = out.trim_end().rsplit_once('\n').unwrap();
+        assert!(plan.starts_with("TemporalAggregate"), "{out}");
+        assert!(phases.starts_with("  (parse "), "{out}");
+        assert!(!phases.contains("execute"), "nothing ran: {out}");
+        let insert = "explain INSERT INTO t VALUES (1, 0, 5)";
+        assert!(run_meta(insert, &mut session, &shared).is_err());
+        assert_eq!(session.read_view().catalog().get("t").unwrap().len(), 0);
     }
 
     #[test]

@@ -547,10 +547,10 @@ impl Session {
         self.records.last().map(|r| r.phases).unwrap_or_default()
     }
 
-    /// The records of the statements the last [`Session::execute`],
-    /// [`Session::run_script`] (or [`Session::execute_script`]) or
-    /// [`Session::compile`] call ran, in order (a statement that failed
-    /// leaves one too, and ends the script's).
+    /// The records of the statements the last [`Session::execute`] or
+    /// [`Session::run_script`] (or [`Session::execute_script`]) call ran,
+    /// in order (a statement that failed leaves one too, and ends the
+    /// script's).
     pub fn last_statements(&self) -> &[StatementRecord] {
         &self.records
     }
@@ -668,26 +668,6 @@ impl Session {
         stmt: &SqlStatement,
     ) -> Result<StatementResult, StatementError> {
         self.apply_inner(stmt, None, 0)
-    }
-
-    /// Compiles a query statement to its physical plan without executing it
-    /// (the `.explain` entry point), against this session's read view. The
-    /// compilation cost is recorded phase by phase in
-    /// [`Session::last_phase_timings`] (parse/bind/rewrite; the other
-    /// phases stay zero — nothing executed).
-    pub fn compile(&mut self, sql: &str) -> Result<Plan, String> {
-        self.records.clear();
-        let started = Instant::now();
-        let stmt = parse_sql_statement(sql)?;
-        let mut record = StatementRecord::default();
-        record.phases.parse_ns = started.elapsed().as_nanos() as u64;
-        let SqlStatement::Query(q) = stmt else {
-            return Err("only query statements have plans to explain".into());
-        };
-        let view = self.read_view();
-        let plan = compile_query(&self.options, view.catalog(), &q, &mut record, None);
-        self.records.push(record);
-        plan
     }
 
     /// Routes one statement: transaction control, query, or mutation —

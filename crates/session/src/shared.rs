@@ -50,8 +50,6 @@ struct Inner {
     fsyncs: Arc<Counter>,
     checkpoints: Arc<Counter>,
     checkpoint_seconds: Arc<Histogram>,
-    checkpoint_reused: Arc<Counter>,
-    checkpoint_encoded: Arc<Counter>,
     /// Auto-checkpoints that failed after their commit was already logged
     /// and published (the commit stands; the next commit retries).
     checkpoint_failures: Arc<Counter>,
@@ -77,8 +75,6 @@ impl Inner {
     fn checkpointed(&self, r: &CheckpointReport) {
         self.fsynced(r.fsync);
         self.checkpoints.inc();
-        self.checkpoint_reused.add(r.reuse.reused as u64);
-        self.checkpoint_encoded.add(r.reuse.encoded as u64);
         self.checkpoint_seconds.observe_duration(r.elapsed);
     }
 }
@@ -136,8 +132,6 @@ impl SharedDatabase {
                 fsyncs: m.counter("wal_fsyncs_total"),
                 checkpoints: m.counter("wal_checkpoints_total"),
                 checkpoint_seconds: m.histogram("wal_checkpoint_seconds"),
-                checkpoint_reused: m.counter("wal_checkpoint_reused_tables_total"),
-                checkpoint_encoded: m.counter("wal_checkpoint_encoded_tables_total"),
                 checkpoint_failures: m.counter("wal_checkpoint_failures_total"),
                 telemetry,
             }),

@@ -29,7 +29,6 @@
 
 use crate::codec::{decode_catalog, encode_table, Reader, Writer};
 use crate::crc::crc32;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -61,84 +60,27 @@ pub fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("checkpoint.{seq}"))
 }
 
-/// How an *incremental* checkpoint split its tables: every table is in the
-/// written file, but only the changed ones were re-serialized.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointReuse {
-    /// Tables whose cached encoding was spliced in unchanged (their
-    /// version epoch matched the previous checkpoint's).
-    pub reused: usize,
-    /// Tables serialized fresh (new, mutated, or first checkpoint).
-    pub encoded: usize,
-}
-
-/// Per-table encoding cache backing incremental checkpoints.
-///
-/// Checkpoints always contain the *full* catalog (recovery stays
-/// single-file), but re-serializing an unchanged multi-million-row table on
-/// every checkpoint is wasted work. The cache keeps each table's encoded
-/// block keyed by its [`storage::Table::version`] epoch: version epochs are
-/// drawn from one process-wide counter and refreshed by every mutation, so
-/// an epoch match proves the cached bytes still describe the table
-/// exactly, and the block is spliced into the new checkpoint verbatim. The
-/// produced bytes are identical to a from-scratch encoding.
-#[derive(Debug, Default)]
-pub struct TableEncodeCache {
-    entries: BTreeMap<String, (u64, Vec<u8>)>,
-}
-
-impl TableEncodeCache {
-    /// An empty cache (the first checkpoint through it encodes everything).
-    pub fn new() -> Self {
-        TableEncodeCache::default()
-    }
-
-    /// Encodes `catalog` into `w` — table count, then each table's name and
-    /// [`encode_table`] block in name order — reusing cached blocks for
-    /// tables whose version epoch is unchanged, and refreshing the cache
-    /// with every block written. Entries for dropped tables are evicted.
-    pub fn encode_catalog(&mut self, w: &mut Writer, catalog: &Catalog) -> CheckpointReuse {
-        let tables: Vec<(&str, &Table)> = catalog
-            .table_names()
-            .filter_map(|name| catalog.get(name).map(|t| (name, t)))
-            .collect();
-        w.put_u32(tables.len() as u32);
-        let mut reuse = CheckpointReuse::default();
-        for (name, table) in tables {
-            match self.entries.get(name) {
-                Some((version, block)) if *version == table.version() => {
-                    w.put_raw(block);
-                    reuse.reused += 1;
-                }
-                _ => {
-                    let mut block = Writer::new();
-                    block.put_str(name);
-                    encode_table(&mut block, table);
-                    let block = block.into_bytes();
-                    w.put_raw(&block);
-                    self.entries
-                        .insert(name.to_string(), (table.version(), block));
-                    reuse.encoded += 1;
-                }
-            }
-        }
-        self.entries.retain(|name, _| catalog.get(name).is_some());
-        reuse
+/// Encodes `catalog` into `w` as a checkpoint body holds it: the table
+/// count, then each table's name and [`encode_table`] block in name order.
+pub(crate) fn encode_catalog(w: &mut Writer, catalog: &Catalog) {
+    let tables: Vec<(&str, &Table)> = catalog
+        .table_names()
+        .filter_map(|name| catalog.get(name).map(|t| (name, t)))
+        .collect();
+    w.put_u32(tables.len() as u32);
+    for (name, table) in tables {
+        w.put_str(name);
+        encode_table(w, table);
     }
 }
 
-/// Serializes a checkpoint into its file bytes, through `cache`.
-fn encode(
-    seq: u64,
-    covered_lsn: u64,
-    catalog: &Catalog,
-    cache: &mut TableEncodeCache,
-) -> (Vec<u8>, CheckpointReuse) {
+/// Serializes a checkpoint into its file bytes.
+fn encode(seq: u64, covered_lsn: u64, catalog: &Catalog) -> Vec<u8> {
     let mut body = Writer::new();
     body.put_u64(seq);
     body.put_u64(covered_lsn);
-    let reuse = cache.encode_catalog(&mut body, catalog);
-    (framed(FORMAT_VERSION, &body.into_bytes()), reuse)
+    encode_catalog(&mut body, catalog);
+    framed(FORMAT_VERSION, &body.into_bytes())
 }
 
 /// The file bytes of a checkpoint in `format` whose body is `body`.
@@ -201,30 +143,17 @@ fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
     })
 }
 
-/// Writes checkpoint `seq` atomically (temp file + `fsync` + rename +
-/// directory `fsync`) and returns its final path. Every table is encoded
-/// fresh; the incremental path is [`write_checkpoint_with`].
+/// Writes checkpoint `seq` of `catalog` atomically (temp file + `fsync` +
+/// rename + directory `fsync`) and returns its final path; an error at any
+/// step means the checkpoint may not survive a crash. Every table is
+/// encoded afresh from the catalog it is given.
 pub fn write_checkpoint(
     dir: &Path,
     seq: u64,
     covered_lsn: u64,
     catalog: &Catalog,
 ) -> Result<PathBuf, String> {
-    write_checkpoint_with(dir, seq, covered_lsn, catalog, &mut TableEncodeCache::new())
-        .map(|(path, _)| path)
-}
-
-/// [`write_checkpoint`] through a persistent [`TableEncodeCache`]: tables
-/// whose version epoch is unchanged since the cache last saw them are
-/// spliced in from their cached encoding instead of being re-serialized.
-pub fn write_checkpoint_with(
-    dir: &Path,
-    seq: u64,
-    covered_lsn: u64,
-    catalog: &Catalog,
-    cache: &mut TableEncodeCache,
-) -> Result<(PathBuf, CheckpointReuse), String> {
-    let (bytes, reuse) = encode(seq, covered_lsn, catalog, cache);
+    let bytes = encode(seq, covered_lsn, catalog);
     let final_path = checkpoint_path(dir, seq);
     let tmp_path = dir.join(format!("checkpoint.{seq}.tmp"));
     let mut tmp = fs::File::create(&tmp_path)
@@ -235,12 +164,21 @@ pub fn write_checkpoint_with(
     drop(tmp);
     fs::rename(&tmp_path, &final_path)
         .map_err(|e| format!("cannot rename checkpoint into place: {e}"))?;
-    // Persist the rename itself (directory metadata). Directories cannot
-    // be fsynced on all platforms; treat failure as best-effort there.
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+    sync_dir(dir)?;
+    Ok(final_path)
+}
+
+/// Forces `dir`'s metadata — a rename into it — to stable storage. Until
+/// it returns `Ok`, a renamed checkpoint may vanish in a crash, so nothing
+/// may rely on it (the WAL must not be reset behind it). On unix a failure
+/// to open or `fsync` the directory is an error; other platforms cannot
+/// open a directory as a file, and there the step is best-effort.
+fn sync_dir(dir: &Path) -> Result<(), String> {
+    let synced = fs::File::open(dir).and_then(|d| d.sync_all());
+    match synced {
+        Err(e) if cfg!(unix) => Err(format!("cannot fsync directory '{}': {e}", dir.display())),
+        _ => Ok(()),
     }
-    Ok((final_path, reuse))
 }
 
 /// Reads and validates one checkpoint file.
@@ -388,65 +326,6 @@ mod tests {
         assert_eq!(load_newest(&dir).unwrap().seq, 1);
     }
 
-    #[test]
-    fn incremental_checkpoints_reuse_unchanged_tables_byte_identically() {
-        let dir = tmp_dir("incremental");
-        let mut catalog = sample_catalog();
-        let mut other = Table::new(Schema::of(&[("x", SqlType::Int)]));
-        other.push(row![1]);
-        catalog.register("other", other);
-
-        // First checkpoint through the cache: everything encodes fresh.
-        let mut cache = TableEncodeCache::new();
-        let (_, reuse) = write_checkpoint_with(&dir, 1, 5, &catalog, &mut cache).unwrap();
-        assert_eq!(
-            reuse,
-            CheckpointReuse {
-                reused: 0,
-                encoded: 2
-            }
-        );
-
-        // Mutate only "other": "works" is spliced from the cache, and the
-        // file is byte-identical to a from-scratch encoding.
-        catalog.get_mut("other").unwrap().push(row![2]);
-        let (p2, reuse) = write_checkpoint_with(&dir, 2, 9, &catalog, &mut cache).unwrap();
-        assert_eq!(
-            reuse,
-            CheckpointReuse {
-                reused: 1,
-                encoded: 1
-            }
-        );
-        let fresh_dir = tmp_dir("incremental_fresh");
-        let fresh = write_checkpoint(&fresh_dir, 2, 9, &catalog).unwrap();
-        assert_eq!(fs::read(&p2).unwrap(), fs::read(&fresh).unwrap());
-        let cp = read_checkpoint(&p2).unwrap();
-        assert_eq!(cp.catalog.get("works"), catalog.get("works"));
-        assert_eq!(cp.catalog.get("other"), catalog.get("other"));
-
-        // Unchanged catalog: everything reuses. Dropped tables evict.
-        let (_, reuse) = write_checkpoint_with(&dir, 3, 9, &catalog, &mut cache).unwrap();
-        assert_eq!(
-            reuse,
-            CheckpointReuse {
-                reused: 2,
-                encoded: 0
-            }
-        );
-        catalog.remove("other");
-        let (p4, reuse) = write_checkpoint_with(&dir, 4, 9, &catalog, &mut cache).unwrap();
-        assert_eq!(
-            reuse,
-            CheckpointReuse {
-                reused: 1,
-                encoded: 0
-            }
-        );
-        let cp = read_checkpoint(&p4).unwrap();
-        assert!(cp.catalog.get("other").is_none());
-    }
-
     /// Tracks the largest single allocation each thread asks for, so the
     /// fuzz test below can bound what corrupt bytes make the decoder
     /// allocate.
@@ -487,10 +366,10 @@ mod tests {
     #[global_allocator]
     static ALLOCATOR: Tracking = Tracking;
 
-    /// A catalog whose first table's first column holds runs of strings,
-    /// so the first column block's row count, arity and first run length
-    /// sit at known offsets.
-    fn fuzz_catalog() -> Catalog {
+    /// A catalog of two tables: `a_works`, `rows` period rows whose first
+    /// column holds runs of strings `run` rows long and whose `pay` is NULL
+    /// on every `nulls`-th row, and `other`, one `BOOL` row per flag.
+    fn generated_catalog(rows: i64, run: i64, nulls: i64, flags: &[bool]) -> Catalog {
         let mut t = Table::with_period(
             Schema::of(&[
                 ("name", SqlType::Str),
@@ -501,23 +380,31 @@ mod tests {
             2,
             3,
         );
-        t.extend((0..300i64).map(|i| {
-            let pay = if i % 3 == 0 {
+        t.extend((0..rows).map(|i| {
+            let pay = if i % nulls == 0 {
                 Value::Null
             } else {
                 Value::Double(i as f64 / 4.0)
             };
             Row::new(vec![
-                Value::str(["Ann", "Joe"][(i / 100) as usize % 2]),
+                Value::str(["Ann", "Joe"][(i / run) as usize % 2]),
                 pay,
                 Value::Int(i),
                 Value::Int(i + 5),
             ])
         }));
+        let mut other = Table::new(Schema::of(&[("x", SqlType::Bool)]));
+        other.extend(flags.iter().map(|&b| Row::new(vec![Value::Bool(b)])));
         let mut c = Catalog::new();
         c.register("a_works", t);
-        c.register("other", Table::new(Schema::of(&[("x", SqlType::Bool)])));
+        c.register("other", other);
         c
+    }
+
+    /// The fuzz test's catalog: its first column block's row count, arity
+    /// and first run length sit at known offsets.
+    fn fuzz_catalog() -> Catalog {
+        generated_catalog(300, 100, 3, &[])
     }
 
     /// The length of the varint at the start of `bytes`.
@@ -595,7 +482,7 @@ mod tests {
                 let v1 = include_bytes!("../../../tests/fixtures/ckpt_v1_epoch_max/checkpoint.1");
                 (1, v1[HEADER_LEN..].to_vec())
             } else {
-                let file = encode(1, 0, &fuzz_catalog(), &mut TableEncodeCache::new()).0;
+                let file = encode(1, 0, &fuzz_catalog());
                 (FORMAT_VERSION, file[HEADER_LEN..].to_vec())
             };
             prop_assert!(read_bytes(&dir, &framed(format, &body)).0.is_ok());
@@ -649,6 +536,38 @@ mod tests {
                 prop_assert!(read.is_err(), "mutation {} at {} decoded", mutation, at);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A checkpoint is a function of the catalog it is given: writing
+        /// the same catalog twice gives the same file, and encoding the
+        /// catalog a checkpoint decodes to gives that file again.
+        #[test]
+        fn prop_checkpoint_bytes_are_a_function_of_the_catalog(
+            rows in 0i64..700,
+            run in 1i64..300,
+            nulls in 1i64..5,
+            flags in proptest::collection::vec((0u8..2).prop_map(|b| b == 1), 0..40),
+        ) {
+            let dir = tmp_dir("deterministic");
+            let catalog = generated_catalog(rows, run, nulls, &flags);
+            let path = write_checkpoint(&dir, 7, 11, &catalog).unwrap();
+            let first = fs::read(&path).unwrap();
+            write_checkpoint(&dir, 7, 11, &catalog).unwrap();
+            prop_assert_eq!(&fs::read(&path).unwrap(), &first);
+            let cp = read_checkpoint(&path).unwrap();
+            prop_assert_eq!(&encode(cp.seq, cp.covered_lsn, &cp.catalog), &first);
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn syncing_a_missing_directory_is_an_error() {
+        let dir = tmp_dir("sync_dir").join("missing");
+        let err = sync_dir(&dir).unwrap_err();
+        assert!(err.contains("missing"), "{err}");
     }
 
     #[test]

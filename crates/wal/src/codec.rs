@@ -880,7 +880,7 @@ mod tests {
     /// A catalog as a checkpoint body holds it.
     fn encoded_catalog(catalog: &Catalog) -> Vec<u8> {
         let mut w = Writer::new();
-        crate::checkpoint::TableEncodeCache::new().encode_catalog(&mut w, catalog);
+        crate::checkpoint::encode_catalog(&mut w, catalog);
         w.into_bytes()
     }
 

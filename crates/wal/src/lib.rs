@@ -14,7 +14,8 @@
 //!   the wire protocol ships results in and a checkpoint stores tables in,
 //! * [`log`] — the WAL ([`Wal`]), one frame per commit unit: append with a
 //!   configurable [`SyncPolicy`], scan-with-truncation of torn tails,
-//! * [`checkpoint`] — atomic (temp file + rename) catalog snapshots with
+//! * [`checkpoint`] — atomic (temp file + rename + directory `fsync`)
+//!   snapshots of the whole catalog, every table encoded afresh, with
 //!   newest-valid-wins recovery and pruning,
 //! * [`persistence`] — [`Persistence`] ties both together for a database
 //!   directory: open → recover (checkpoint catalog + WAL tail to replay),
@@ -33,10 +34,7 @@ pub mod dump;
 pub mod log;
 pub mod persistence;
 
-pub use checkpoint::{
-    list_checkpoints, read_checkpoint, write_checkpoint, write_checkpoint_with, Checkpoint,
-    CheckpointReuse, TableEncodeCache,
-};
+pub use checkpoint::{list_checkpoints, read_checkpoint, write_checkpoint, Checkpoint};
 pub use crc::crc32;
 pub use dump::dump_sql;
 pub use log::{AppendReport, SyncPolicy, Wal, WalRecord, WalScan};

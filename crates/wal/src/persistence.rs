@@ -15,7 +15,7 @@
 //! ordinary execution pipeline. The session layer owns that pipeline, so
 //! this type never parses SQL — it only stores and returns it.
 
-use crate::checkpoint::{self, CheckpointReuse, TableEncodeCache};
+use crate::checkpoint;
 use crate::log::{AppendReport, SyncPolicy, Wal, WalRecord};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -29,8 +29,6 @@ pub struct CheckpointReport {
     pub seq: u64,
     /// End-to-end latency: sync + encode + reset + prune.
     pub elapsed: Duration,
-    /// How its tables split between cache reuse and fresh serialization.
-    pub reuse: CheckpointReuse,
     /// The latency of the WAL `fsync` it forced, if the log was dirty.
     pub fsync: Option<Duration>,
 }
@@ -100,9 +98,6 @@ pub struct Persistence {
     /// left in place, they would count toward the prune quota and evict
     /// the *valid* spare that fallback recovery depends on.
     invalid_checkpoints: Vec<u64>,
-    /// Per-table encoding cache for incremental checkpoints (tables with
-    /// an unchanged version epoch reuse their previous on-disk bytes).
-    encode_cache: TableEncodeCache,
     /// Exclusive advisory lock on `DIR/lock`, held for this value's
     /// lifetime: two processes appending to one `wal.log` with independent
     /// LSN counters would corrupt the log, so the second opener is
@@ -195,7 +190,6 @@ impl Persistence {
             since_checkpoint: replay.iter().map(|r| r.stmts.len()).sum(),
             poisoned: None,
             invalid_checkpoints: cp_scan.invalid_newer,
-            encode_cache: TableEncodeCache::new(),
             _lock: lock,
         };
         Ok((
@@ -290,13 +284,9 @@ impl Persistence {
         let fsync = self.wal.sync()?;
         let seq = self.next_checkpoint_seq;
         let covered_lsn = self.next_lsn - 1;
-        let (_, reuse) = checkpoint::write_checkpoint_with(
-            &self.dir,
-            seq,
-            covered_lsn,
-            catalog,
-            &mut self.encode_cache,
-        )?;
+        // Returns once the rename is durable (the directory is fsynced): on
+        // an error the WAL is left whole and stays the recovery source.
+        checkpoint::write_checkpoint(&self.dir, seq, covered_lsn, catalog)?;
         self.next_checkpoint_seq = seq + 1;
         self.since_checkpoint = 0;
         // Known-invalid checkpoints are superseded now; remove them so
@@ -317,7 +307,6 @@ impl Persistence {
         Ok(CheckpointReport {
             seq,
             elapsed: started.elapsed(),
-            reuse,
             fsync,
         })
     }
@@ -651,22 +640,6 @@ mod tests {
             "the committed unit survives; the torn one is gone entirely"
         );
         assert_eq!(rec.truncated_bytes, 12);
-    }
-
-    #[test]
-    fn incremental_checkpoint_reuse_is_observable() {
-        let dir = tmp_dir("ckpt_reuse");
-        let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
-        let reuse = p.checkpoint(&catalog_with(3)).unwrap().reuse;
-        assert_eq!(reuse.encoded, 1);
-        assert_eq!(reuse.reused, 0);
-        // A rebuilt look-alike table carries a *different* epoch, so it
-        // must encode fresh — only an identical epoch may reuse.
-        let c = catalog_with(5);
-        assert_eq!(p.checkpoint(&c).unwrap().reuse.encoded, 1);
-        let reuse = p.checkpoint(&c).unwrap().reuse;
-        assert_eq!(reuse.reused, 1);
-        assert_eq!(reuse.encoded, 0);
     }
 
     #[test]

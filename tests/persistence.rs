@@ -922,9 +922,12 @@ fn shared_database_recovers_concurrent_commits() {
     assert_eq!(names, vec!["A1", "A2", "A3", "B1"]);
 }
 
+/// A checkpoint holds the whole committed catalog: after two of them, one
+/// of the tables untouched in between, a reopen replays nothing and
+/// recovers it bit-exact.
 #[test]
-fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
-    let dir = scratch_dir("incr_ckpt");
+fn two_checkpoints_then_a_reopen_replays_nothing_and_recovers_exactly() {
+    let dir = scratch_dir("two_ckpts");
     let (mut s, _) = open(&dir, 0);
     s.execute(SETUP[0]).unwrap();
     s.execute("CREATE TABLE stable (x INT)").unwrap();
@@ -932,20 +935,11 @@ fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
         .unwrap();
     s.execute("INSERT INTO works VALUES ('Ann', 'SP', 3, 10)")
         .unwrap();
-    // How the checkpoints split their tables (encoded, reused), read off
-    // the database's counters.
-    let split = |s: &Session| {
-        let encoded = counter(s, "wal_checkpoint_encoded_tables_total");
-        (encoded, counter(s, "wal_checkpoint_reused_tables_total"))
-    };
     s.checkpoint().unwrap();
-    assert_eq!(split(&s), (2, 0));
-
-    // Touch only `works`: `stable` must be spliced from the cache.
+    // Touch only `works` before the second checkpoint.
     s.execute("INSERT INTO works VALUES ('Joe', 'NS', 8, 16)")
         .unwrap();
     s.checkpoint().unwrap();
-    assert_eq!(split(&s), (3, 1));
     let reference = s.read_view().catalog().clone();
     drop(s);
 
@@ -954,9 +948,9 @@ fn incremental_checkpoints_skip_unchanged_tables_and_recover_exactly() {
     assert_catalogs_equal(
         s.read_view().catalog(),
         &reference,
-        "incremental checkpoint recovers bit-exact",
+        "the second checkpoint recovers bit-exact",
     );
-    assert_indexes_sound(&mut s, "after incremental-checkpoint recovery");
+    assert_indexes_sound(&mut s, "after recovery from the second checkpoint");
 }
 
 /// A failed *auto*-checkpoint runs after its commit was logged and

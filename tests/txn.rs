@@ -666,9 +666,12 @@ fn first_coalesce_after_dml_commits_matches_the_naive_route() {
         .unwrap();
     let result = s.execute(QUERY).unwrap();
 
-    let plan = s.compile(QUERY).unwrap();
+    let (plan, _) = s.last_statements()[0]
+        .executed
+        .as_ref()
+        .expect("the query ran a plan");
     let naive = Engine::new()
-        .execute(&plan, shared.snapshot().catalog())
+        .execute(plan, shared.snapshot().catalog())
         .unwrap();
     assert_eq!(result.rows().unwrap().rows(), naive.rows());
     assert_eq!(naive.len(), 5, "Ann's [3, 10) and [10, 14) coalesce");
