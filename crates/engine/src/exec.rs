@@ -595,13 +595,11 @@ impl Engine {
         }
         let (op, ids, table) = match (&plan.node, lent_stab(plan, env)?) {
             (PlanNode::Timeslice { at, .. }, Some((idx, t))) => {
-                ("IndexTimeslice", idx.tree().stab(*at), t)
+                ("IndexTimeslice", idx.stab(*at), t)
             }
-            (PlanNode::TimeRange { range, .. }, Some((idx, t))) => (
-                "IndexTimeRange",
-                idx.tree().overlapping(range.0, range.1),
-                t,
-            ),
+            (PlanNode::TimeRange { range, .. }, Some((idx, t))) => {
+                ("IndexTimeRange", idx.overlapping(range.0, range.1), t)
+            }
             _ => unreachable!("only what `lent_stab` answers is lent"),
         };
         self.ctx.account.add_index_probes(1);

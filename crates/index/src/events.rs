@@ -1,15 +1,14 @@
-//! Endpoint event lists: the sweep-line backbone.
+//! The begin-ordered event list: the sweep-line backbone.
 //!
-//! An [`EventList`] stores a period relation's rows twice, once ordered by
-//! interval begin and once by interval end. Every sweep-line algorithm in
-//! this subsystem (sort-merge temporal join, timeslice pre-filtering,
-//! coalescing) starts from one of these orders; building them once per
-//! table and reusing them replaces the per-operator `O(n log n)` sorts of
-//! the naive paths with `O(n)` merges.
+//! An [`EventList`] stores a period relation's row ids ordered by interval
+//! begin. Every sweep-line algorithm in this subsystem (sort-merge temporal
+//! join, timeslice pre-filtering) and the interval tree's build start from
+//! this order; building it once per table and reusing it replaces the
+//! per-operator `O(n log n)` sorts of the naive paths with `O(n)` merges.
 
 use storage::Row;
 
-/// Sorted endpoint views of a multiset of period rows.
+/// The begin-sorted endpoint view of a multiset of period rows.
 ///
 /// Row ids are positions in the original row slice; intervals are the
 /// half-open `[begin, end)` values of the period columns.
@@ -17,18 +16,16 @@ use storage::Row;
 pub struct EventList {
     /// `(begin, row id)`, ascending.
     by_begin: Vec<(i64, u32)>,
-    /// `(end, row id)`, ascending.
-    by_end: Vec<(i64, u32)>,
 }
 
 impl EventList {
-    /// Builds the event list for `rows`, reading the period from columns
-    /// `ts`/`te`.
+    /// Builds the event list for `rows`, reading the period begin from
+    /// column `ts`.
     ///
     /// # Panics
-    /// Panics when a row's period columns are not integers, or when the
+    /// Panics when a row's begin column is not an integer, or when the
     /// relation has more than `u32::MAX` rows.
-    pub fn build(rows: &[Row], ts: usize, te: usize) -> EventList {
+    pub fn build(rows: &[Row], ts: usize) -> EventList {
         assert!(
             u32::try_from(rows.len()).is_ok(),
             "EventList supports at most u32::MAX rows"
@@ -38,47 +35,41 @@ impl EventList {
             .enumerate()
             .map(|(i, r)| (r.int(ts), i as u32))
             .collect();
-        let mut by_end: Vec<(i64, u32)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.int(te), i as u32))
-            .collect();
         by_begin.sort_unstable();
-        by_end.sort_unstable();
-        EventList { by_begin, by_end }
+        EventList { by_begin }
     }
 
-    /// The event list for `rows` given that `rows[0..old_len]` is exactly
-    /// the multiset this list was built over, in the same order: the new
-    /// rows' events are sorted (`O(k log k)`) and merged with the existing
-    /// orders (`O(n + k)`), replacing the full `O(n log n)` re-sort of
-    /// [`EventList::build`].
+    /// The event list for `rows` given that this list was built over a
+    /// table of `old_len` rows that has since been edited in place: the
+    /// rows at `replaced` (ascending, each below `old_len`) were rewritten
+    /// and `rows[old_len..]` appended. The untouched entries keep their
+    /// order; only the `k` edited rows' events are sorted (`O(k log k)`)
+    /// and merged in (`O(n log k + k)`), replacing the `O(n log n)` re-sort
+    /// of [`EventList::build`]. A pure append is the edit with no
+    /// replaced positions.
     ///
     /// # Panics
-    /// Panics when `old_len` disagrees with the indexed length, the period
-    /// columns are not integers, or the result exceeds `u32::MAX` rows.
-    pub fn extended(&self, rows: &[Row], ts: usize, te: usize, old_len: usize) -> EventList {
-        assert_eq!(old_len, self.len(), "extended from a different prefix");
+    /// Panics when `old_len` disagrees with the indexed length, the begin
+    /// column is not an integer, or the result exceeds `u32::MAX` rows.
+    pub fn edited(&self, rows: &[Row], ts: usize, old_len: usize, replaced: &[usize]) -> EventList {
+        assert_eq!(old_len, self.len(), "edited from a different table");
         assert!(
             u32::try_from(rows.len()).is_ok(),
             "EventList supports at most u32::MAX rows"
         );
-        let fresh = &rows[old_len..];
-        let mut new_begin: Vec<(i64, u32)> = fresh
+        let mut fresh: Vec<(i64, u32)> = replaced
             .iter()
-            .enumerate()
-            .map(|(i, r)| (r.int(ts), (old_len + i) as u32))
+            .copied()
+            .chain(old_len..rows.len())
+            .map(|i| (rows[i].int(ts), i as u32))
             .collect();
-        let mut new_end: Vec<(i64, u32)> = fresh
+        fresh.sort_unstable();
+        let kept = self
+            .by_begin
             .iter()
-            .enumerate()
-            .map(|(i, r)| (r.int(te), (old_len + i) as u32))
-            .collect();
-        new_begin.sort_unstable();
-        new_end.sort_unstable();
+            .filter(|&&(_, id)| replaced.binary_search(&(id as usize)).is_err());
         EventList {
-            by_begin: merge_sorted(&self.by_begin, &new_begin),
-            by_end: merge_sorted(&self.by_end, &new_end),
+            by_begin: merge_sorted(kept, &fresh),
         }
     }
 
@@ -97,33 +88,24 @@ impl EventList {
         &self.by_begin
     }
 
-    /// `(end, row id)` pairs, ascending by end (ties by row id).
-    pub fn by_end(&self) -> &[(i64, u32)] {
-        &self.by_end
-    }
-
     /// Row ids in begin order — the input order of every sweep.
     pub fn begin_order(&self) -> impl Iterator<Item = usize> + '_ {
         self.by_begin.iter().map(|&(_, id)| id as usize)
     }
 }
 
-/// Linear merge of two `(key, id)` lists sorted ascending (ties broken by
-/// id, which the inputs already respect because new ids are larger).
-fn merge_sorted(a: &[(i64, u32)], b: &[(i64, u32)]) -> Vec<(i64, u32)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
+/// Linear merge of two `(key, id)` sequences sorted ascending by
+/// `(key, id)`; ids are distinct, so ties on the key break by id.
+fn merge_sorted<'a>(a: impl Iterator<Item = &'a (i64, u32)>, b: &[(i64, u32)]) -> Vec<(i64, u32)> {
+    let mut out = Vec::with_capacity(a.size_hint().0 + b.len());
+    let mut b = b.iter().peekable();
+    for &x in a {
+        while let Some(&y) = b.next_if(|&&y| y < x) {
+            out.push(y);
         }
+        out.push(x);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    out.extend(b);
     out
 }
 
@@ -143,20 +125,19 @@ mod tests {
 
     #[test]
     fn orders_are_sorted() {
-        let ev = EventList::build(&rows(), 1, 2);
+        let ev = EventList::build(&rows(), 1);
         assert_eq!(ev.len(), 4);
         assert_eq!(
             ev.by_begin(),
             &[(0, 2), (3, 0), (8, 1), (8, 3)],
             "begin order with ties by row id"
         );
-        assert_eq!(ev.by_end(), &[(4, 2), (9, 3), (10, 0), (16, 1)]);
         assert_eq!(ev.begin_order().collect::<Vec<_>>(), vec![2, 0, 1, 3]);
     }
 
     #[test]
     fn empty() {
-        let ev = EventList::build(&[], 0, 1);
+        let ev = EventList::build(&[], 0);
         assert!(ev.is_empty());
         assert_eq!(ev.begin_order().count(), 0);
     }
@@ -164,14 +145,21 @@ mod tests {
     #[test]
     fn extended_matches_full_build() {
         let mut all = rows();
-        let ev_prefix = EventList::build(&all, 1, 2);
+        let ev_prefix = EventList::build(&all, 1);
         all.push(row!["e", 1, 20]);
         all.push(row!["f", 8, 12]);
         all.push(row!["g", 0, 1]);
-        let merged = ev_prefix.extended(&all, 1, 2, 4);
-        assert_eq!(merged, EventList::build(&all, 1, 2));
+        let merged = ev_prefix.edited(&all, 1, 4, &[]);
+        assert_eq!(merged, EventList::build(&all, 1));
 
-        // Extending by nothing is the identity.
-        assert_eq!(ev_prefix.extended(&rows(), 1, 2, 4), ev_prefix);
+        // Editing nothing is the identity.
+        assert_eq!(ev_prefix.edited(&rows(), 1, 4, &[]), ev_prefix);
+
+        // Rewritten begins move; a tie on the begin still breaks by id.
+        all[1] = row!["b", 0, 16];
+        all[3] = row!["d", 9, 10];
+        all.push(row!["h", 8, 9]);
+        let edited = merged.edited(&all, 1, 7, &[1, 3]);
+        assert_eq!(edited, EventList::build(&all, 1));
     }
 }

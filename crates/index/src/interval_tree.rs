@@ -9,8 +9,10 @@
 //!   nested-loop probes.
 //!
 //! The tree is built once over the intervals of a stored table (ids are row
-//! positions) and is immutable afterwards; maintenance is rebuild-on-change,
-//! coordinated by [`crate::IndexCatalog`] via table versions.
+//! positions) and is immutable afterwards: a [`crate::TableIndex`] keeps it
+//! as the *base* of later versions, answering for the rows edited since
+//! from a linearly stabbed tail, and rebuilds it once that tail grows past
+//! an eighth of the base.
 
 /// A static interval tree. Ids are the positions the intervals were built
 /// from.
@@ -329,7 +331,7 @@ mod tests {
             .iter()
             .map(|&(b, e)| storage::row![b, e])
             .collect();
-        let events = crate::EventList::build(&rows, 0, 1);
+        let events = crate::EventList::build(&rows, 0);
         assert_eq!(
             shuffled,
             IntervalTree::from_begin_order(events.by_begin(), |id| intervals[id].1)

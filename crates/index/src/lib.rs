@@ -9,8 +9,8 @@
 //! over derived rows (join and window outputs), not over a stored table,
 //! so it stays one sorted pass in the engine.
 //!
-//! * [`EventList`] — begin- and end-sorted event lists, the sweep-line
-//!   backbone ([`events`]),
+//! * [`EventList`] — the begin-sorted event list, the sweep-line backbone
+//!   ([`events`]),
 //! * [`IntervalTree`] — a static centered interval tree for `O(log n + k)`
 //!   timeslice stabbing and overlap probes ([`interval_tree`]),
 //! * [`try_sweep_join_presorted`] / [`sweep_join_presorted`] — the
@@ -23,13 +23,17 @@
 //! the engine falls back to the naive operators whenever an index is
 //! missing or stale, so both routes stay live and comparable (the
 //! differential tests and the `baseline` oracle validate them against each
-//! other). Maintenance is version-driven: [`IndexCatalog::ensure`] repairs
-//! a stale entry by *extending* it when the table's append history
-//! proves only appends happened since the indexed version
-//! ([`TableIndex::extend_appended`] — event lists merge in
-//! `O(n + k log k)` instead of re-sorting; the static interval tree is
-//! rebuilt from the merged begin order, sorting nothing of its own), and
-//! by a full rebuild otherwise (deletes, updates, replaced tables).
+//! other). Maintenance is version-driven and proportional to what a commit
+//! wrote: when the table's edit history ([`storage::Table::edited_since`])
+//! shows that only in-place updates and appends happened since the indexed
+//! version, [`IndexCatalog::ensure`] *edits* the index
+//! ([`TableIndex::edited`]): the begin order merges the written rows in
+//! without re-sorting the untouched ones, and the written positions join a
+//! linearly stabbed tail beside the shared base tree, which is rebuilt
+//! from the merged order once the tail passes an eighth of it. A pure
+//! append is the edit with nothing replaced. Deletes and sorts (positions
+//! move), replaced tables, updates of more than an eighth of the rows, and
+//! indexes older than the trimmed history are rebuilt in full.
 
 pub mod events;
 pub mod interval_tree;

@@ -16,22 +16,34 @@ struct IndexMetrics {
     incremental_build_seconds: Arc<Histogram>,
 }
 
+/// An edited index re-bases once its tail holds more than
+/// `base.len() / REBASE_SHARE` positions.
+const REBASE_SHARE: usize = 8;
+
 /// The full index bundle of one stored period table:
 ///
-/// * an [`EventList`] — sorted begin/end event lists, the sweep-line
+/// * an [`EventList`] — the begin-sorted event list, the sweep-line
 ///   backbone reused by the sort-merge temporal join,
-/// * an [`IntervalTree`] — `O(log n + k)` timeslice stabbing and overlap
-///   probes, built from the event list's begin order.
+/// * a *base* [`IntervalTree`] — `O(log n + k)` timeslice stabbing and
+///   overlap probes over the table as it was at some version, built from
+///   that version's begin order and shared by every later index edited
+///   from it,
+/// * a *tail* — the positions replaced or appended since the base, with
+///   their current endpoints, stabbed linearly; the base's answers for
+///   those positions are stale and filtered out.
 ///
 /// An index is a snapshot of the table at one [`Table::version`];
 /// [`TableIndex::is_fresh`] detects staleness and [`IndexCatalog::ensure`]
-/// repairs it.
+/// repairs it. Every answer equals that of [`TableIndex::build`] over the
+/// same table, whatever the split between base and tail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableIndex {
     version: u64,
     period: (usize, usize),
     events: EventList,
-    tree: IntervalTree,
+    base: Arc<IntervalTree>,
+    /// `(id, begin, end)`, ascending by id.
+    tail: Vec<(u32, i64, i64)>,
 }
 
 impl TableIndex {
@@ -39,38 +51,69 @@ impl TableIndex {
     /// non-temporal tables (nothing to index).
     pub fn build(table: &Table) -> Option<TableIndex> {
         let (ts, te) = table.period()?;
-        let events = EventList::build(table.rows(), ts, te);
-        Some(TableIndex::over(table, (ts, te), events))
+        let events = EventList::build(table.rows(), ts);
+        Some(TableIndex::rebased(table, (ts, te), events))
     }
 
-    /// The bundle around a finished event list: the tree takes its begin
-    /// order.
-    fn over(table: &Table, (ts, te): (usize, usize), events: EventList) -> TableIndex {
+    /// The bundle around a finished event list, with an empty tail: the
+    /// base tree takes the list's begin order.
+    fn rebased(table: &Table, (ts, te): (usize, usize), events: EventList) -> TableIndex {
         let rows = table.rows();
-        let tree = IntervalTree::from_begin_order(events.by_begin(), |id| rows[id].int(te));
+        let base = IntervalTree::from_begin_order(events.by_begin(), |id| rows[id].int(te));
         TableIndex {
             version: table.version(),
             period: (ts, te),
             events,
-            tree,
+            base: Arc::new(base),
+            tail: Vec::new(),
         }
     }
 
-    /// Incremental maintenance: the index for `table` given that this index
-    /// covers exactly `table.rows()[0..old_len]` (i.e. only appends happened
-    /// since it was built — the caller establishes this via
-    /// [`Table::appended_since`]). The endpoint event lists *merge* the new
-    /// rows' events into the existing sorted orders instead of re-sorting
-    /// everything; the static interval tree is rebuilt from the merged begin
-    /// order. Returns `None` when the table's period moved or `old_len` is
-    /// inconsistent — callers then fall back to [`TableIndex::build`].
-    pub fn extend_appended(&self, table: &Table, old_len: usize) -> Option<TableIndex> {
+    /// Edit-proportional maintenance: the index for `table` given that
+    /// this index covers a version at which the table had `old_len` rows,
+    /// and that since then only the rows at `replaced` (ascending, each
+    /// below `old_len`) were rewritten in place and `rows[old_len..]`
+    /// appended — what [`Table::edited_since`] reports. The begin order
+    /// merges the edited rows in ([`EventList::edited`]) and the tail takes
+    /// their current endpoints, sharing the base tree; once the tail holds
+    /// more than an eighth of the base, the tree is re-based on the merged
+    /// begin order (sorting nothing). Returns `None` when the table's
+    /// period moved or `old_len` is inconsistent — callers then fall back
+    /// to [`TableIndex::build`].
+    pub fn edited(&self, table: &Table, old_len: usize, replaced: &[usize]) -> Option<TableIndex> {
         let (ts, te) = table.period()?;
         if (ts, te) != self.period || old_len != self.events.len() || old_len > table.len() {
             return None;
         }
-        let events = self.events.extended(table.rows(), ts, te, old_len);
-        Some(TableIndex::over(table, (ts, te), events))
+        let rows = table.rows();
+        let events = self.events.edited(rows, ts, old_len, replaced);
+        let mut ids: Vec<usize> = self.tail.iter().map(|&(id, ..)| id as usize).collect();
+        // Two ascending runs: the stable sort merges them in linear time.
+        ids.extend_from_slice(replaced);
+        ids.sort();
+        ids.dedup();
+        ids.extend(old_len..rows.len());
+        if ids.len() * REBASE_SHARE > self.base.len() {
+            return Some(TableIndex::rebased(table, self.period, events));
+        }
+        let tail = ids
+            .into_iter()
+            .map(|id| (id as u32, rows[id].int(ts), rows[id].int(te)))
+            .collect();
+        Some(TableIndex {
+            version: table.version(),
+            period: self.period,
+            events,
+            base: Arc::clone(&self.base),
+            tail,
+        })
+    }
+
+    /// [`TableIndex::edited`] after pure appends: this index covers
+    /// exactly `table.rows()[0..old_len]` (the caller establishes this via
+    /// [`Table::edited_since`]).
+    pub fn extend_appended(&self, table: &Table, old_len: usize) -> Option<TableIndex> {
+        self.edited(table, old_len, &[])
     }
 
     /// Whether the index still matches the table contents (version-based:
@@ -89,43 +132,75 @@ impl TableIndex {
         self.period
     }
 
-    /// The endpoint event lists.
+    /// The begin-sorted event list.
     pub fn events(&self) -> &EventList {
         &self.events
     }
 
-    /// The interval tree.
-    pub fn tree(&self) -> &IntervalTree {
-        &self.tree
+    /// Ids of all rows valid at `t`, ascending: a base-tree stab merged
+    /// with the tail's. `O(log n + k + tail)`.
+    pub fn stab(&self, t: i64) -> Vec<usize> {
+        self.with_tail(self.base.stab(t), |b, e| b <= t && t < e)
+    }
+
+    /// Ids of all rows whose interval overlaps the half-open query
+    /// `[b, e)`, ascending: a base-tree overlap probe merged with the
+    /// tail's.
+    ///
+    /// # Panics
+    /// Panics when the query interval is empty.
+    pub fn overlapping(&self, b: i64, e: i64) -> Vec<usize> {
+        self.with_tail(self.base.overlapping(b, e), |tb, te| tb < e && b < te)
+    }
+
+    /// The base's ascending answer `from_base` with every tail position
+    /// swapped for its current endpoints, which `hit` tests.
+    fn with_tail(&self, from_base: Vec<usize>, hit: impl Fn(i64, i64) -> bool) -> Vec<usize> {
+        if self.tail.is_empty() {
+            return from_base;
+        }
+        let mut out = Vec::with_capacity(from_base.len());
+        let mut base = from_base.into_iter().peekable();
+        for &(id, b, e) in &self.tail {
+            let id = id as usize;
+            while let Some(earlier) = base.next_if(|&h| h < id) {
+                out.push(earlier);
+            }
+            // The base's answer for a replaced position is stale.
+            base.next_if_eq(&id);
+            if hit(b, e) {
+                out.push(id);
+            }
+        }
+        out.extend(base);
+        out
     }
 
     /// The timeslice at `t`: clones of all rows valid at `t`, in table
-    /// order. `O(log n + k)` via interval-tree stabbing. The engine stabs
-    /// [`TableIndex::tree`] itself and lends the rows instead of cloning
-    /// them; this (and [`TableIndex::overlapping_rows`]) is the
-    /// benchmark's micro-measure of the stab.
+    /// order, via [`TableIndex::stab`]. The engine stabs the index itself
+    /// and lends the rows instead of cloning them; this (and
+    /// [`TableIndex::overlapping_rows`]) is the benchmark's micro-measure
+    /// of the stab.
     pub fn timeslice_rows(&self, table: &Table, t: i64) -> Vec<Row> {
         debug_assert!(self.is_fresh(table));
         let rows = table.rows();
-        self.tree
-            .stab(t)
+        self.stab(t)
             .into_iter()
             .map(|id| rows[id].clone())
             .collect()
     }
 
     /// All rows whose validity interval overlaps the half-open query
-    /// `[b, e)`, in table order. `O(log n + k)` via interval-tree overlap
-    /// probing — the physical backbone of range-restricted
-    /// (`SEQ VT BETWEEN`) evaluation.
+    /// `[b, e)`, in table order, via [`TableIndex::overlapping`] — the
+    /// physical backbone of range-restricted (`SEQ VT BETWEEN`)
+    /// evaluation.
     ///
     /// # Panics
     /// Panics when the query interval is empty.
     pub fn overlapping_rows(&self, table: &Table, b: i64, e: i64) -> Vec<Row> {
         debug_assert!(self.is_fresh(table));
         let rows = table.rows();
-        self.tree
-            .overlapping(b, e)
+        self.overlapping(b, e)
             .into_iter()
             .map(|id| rows[id].clone())
             .collect()
@@ -133,13 +208,16 @@ impl TableIndex {
 }
 
 /// How [`IndexCatalog::ensure`] has repaired stale entries across one
-/// database — the split between full rebuilds and the append-only
-/// incremental fast path, as its metrics registry counts them.
+/// database — the split between full builds and edits applied to a base,
+/// as its metrics registry counts them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
-    /// Indexes built from scratch (first build, or structural mutation).
+    /// Indexes built from scratch (first build, a mutation that moved
+    /// positions, a replaced table, a history trimmed past the index) and
+    /// re-bases of an edited index.
     pub full_builds: u64,
-    /// Indexes extended in place after pure appends.
+    /// Edits (in-place updates and appends) applied to a base in
+    /// proportion to the rows they wrote.
     pub incremental_builds: u64,
 }
 
@@ -228,12 +306,15 @@ impl IndexCatalog {
     /// Index maintenance: repairs the entry when missing or stale, then
     /// returns it (`None` for non-temporal tables).
     ///
-    /// When the table's [`Table::appended_since`] history shows that only
-    /// appends happened since the indexed version, the existing index is
-    /// *extended* ([`TableIndex::extend_appended`] — sorted structures
-    /// merge instead of re-sorting); deletes, updates, and replaced tables
-    /// fall back to a full [`TableIndex::build`]. The split is observable
-    /// via [`MaintenanceStats::read`].
+    /// When the table's [`Table::edited_since`] history reaches back to
+    /// the indexed version, the existing index is *edited*
+    /// ([`TableIndex::edited`] — the begin order merges the written rows
+    /// in, the tail takes their endpoints, and past an eighth of the base
+    /// the tree re-bases). Deletes, sorts, replaced tables, updates of
+    /// more than an eighth of the rows and indexes older than the trimmed
+    /// history fall back to a full [`TableIndex::build`]. The split is
+    /// observable via [`MaintenanceStats::read`]: an edit that keeps its
+    /// base counts as incremental, a build or a re-base as full.
     pub fn ensure(&mut self, name: &str, table: &Table) -> Option<&TableIndex> {
         let stale = self
             .indexes
@@ -242,19 +323,17 @@ impl IndexCatalog {
             .unwrap_or(true);
         if stale {
             let started = std::time::Instant::now();
-            let incremental = self.indexes.get(name).and_then(|idx| {
-                table
-                    .appended_since(idx.version())
-                    .and_then(|old_len| idx.extend_appended(table, old_len))
+            let old = self.indexes.get(name);
+            let edited = old.and_then(|idx| {
+                let (old_len, replaced) = table.edited_since(idx.version())?;
+                idx.edited(table, old_len, &replaced)
             });
-            let (built, was_incremental) = match incremental {
-                Some(idx) => (Some(idx), true),
-                None => (TableIndex::build(table), false),
-            };
-            match built {
+            let incremental = matches!((old, &edited),
+                (Some(old), Some(new)) if Arc::ptr_eq(&old.base, &new.base));
+            match edited.or_else(|| TableIndex::build(table)) {
                 Some(idx) => {
                     if let Some(m) = self.metrics.as_deref() {
-                        let (count, seconds) = if was_incremental {
+                        let (count, seconds) = if incremental {
                             (&m.incremental_builds, &m.incremental_build_seconds)
                         } else {
                             (&m.full_builds, &m.full_build_seconds)
@@ -262,15 +341,14 @@ impl IndexCatalog {
                         count.inc();
                         seconds.observe_duration(started.elapsed());
                     }
-                    self.indexes
-                        .insert(name.to_string(), std::sync::Arc::new(idx));
+                    self.indexes.insert(name.to_string(), Arc::new(idx));
                 }
                 None => {
                     self.indexes.remove(name);
                 }
             }
         }
-        self.indexes.get(name).map(std::sync::Arc::as_ref)
+        self.indexes.get(name).map(Arc::as_ref)
     }
 
     /// Repairs the entries of `names` against `catalog` ([`IndexCatalog::ensure`]);
@@ -403,21 +481,57 @@ mod tests {
         assert_eq!(begins, sorted);
     }
 
+    /// `works_table` padded with `n` short periods, so that a few edits
+    /// stay within an eighth of the base.
+    fn padded_works_table(n: i64) -> Table {
+        let mut t = works_table();
+        t.extend((0..n).map(|i| row!["Pad", "NS", i, i + 2]));
+        t
+    }
+
+    /// The repaired `idx` answers exactly like a fresh build over `t`: the
+    /// begin order, a stab at every endpoint and its neighbours, and an
+    /// overlap probe between every pair of such points.
+    fn assert_answers_like_a_build(idx: &TableIndex, t: &Table) {
+        let fresh = TableIndex::build(t).unwrap();
+        assert!(idx.is_fresh(t));
+        assert!(
+            idx.events().begin_order().eq(fresh.events().begin_order()),
+            "begin order"
+        );
+        let mut points: Vec<i64> = t
+            .rows()
+            .iter()
+            .flat_map(|r| [r.int(2), r.int(3)])
+            .flat_map(|p| [p - 1, p, p + 1])
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        for &at in &points {
+            assert_eq!(idx.stab(at), fresh.stab(at), "stab at {at}");
+        }
+        for (i, &b) in points.iter().enumerate() {
+            for &e in &points[i + 1..] {
+                assert_eq!(idx.overlapping(b, e), fresh.overlapping(b, e));
+            }
+        }
+    }
+
     #[test]
     fn append_only_mutations_take_the_incremental_path() {
-        let mut t = works_table();
+        let mut t = padded_works_table(28);
         let metrics = MetricsRegistry::new();
         let mut reg = IndexCatalog::recording_into(&metrics);
         reg.register("works", TableIndex::build(&t).unwrap());
         let maintenance = || MaintenanceStats::read(&metrics);
         assert_eq!(maintenance(), MaintenanceStats::default());
 
-        // Pure appends: the repaired index must equal a full rebuild, via
-        // the incremental path.
+        // Pure appends: the repaired index must answer like a full
+        // rebuild, via the incremental path.
         t.push(row!["Eve", "SP", 0, 2]);
         t.extend(vec![row!["Zed", "NS", 1, 3], row!["Pam", "SP", 2, 19]]);
         let repaired = reg.ensure("works", &t).unwrap().clone();
-        assert_eq!(repaired, TableIndex::build(&t).unwrap());
+        assert_answers_like_a_build(&repaired, &t);
         assert_eq!(repaired.version(), t.version());
         assert_eq!(
             maintenance(),
@@ -427,8 +541,8 @@ mod tests {
             }
         );
 
-        // The incremental index answers probes exactly like a fresh one.
-        for at in -1..21 {
+        // The incremental index answers probes exactly like a scan.
+        for at in -1..31 {
             let via_index = repaired.timeslice_rows(&t, at);
             let via_scan: Vec<Row> = t
                 .rows()
@@ -447,6 +561,56 @@ mod tests {
             MaintenanceStats {
                 full_builds: 1,
                 incremental_builds: 1
+            }
+        );
+    }
+
+    #[test]
+    fn in_place_updates_edit_the_index_and_rebase_past_an_eighth() {
+        let mut t = padded_works_table(28);
+        let metrics = MetricsRegistry::new();
+        let mut reg = IndexCatalog::recording_into(&metrics);
+        reg.ensure("works", &t);
+        let maintenance = || MaintenanceStats::read(&metrics);
+        let set_end = |t: &mut Table, name: &str, te: i64| {
+            t.update_where(
+                |r| r.get(0) == &storage::Value::str(name),
+                |r| {
+                    let mut vals = r.values().to_vec();
+                    vals[3] = storage::Value::Int(te);
+                    Ok(Row::new(vals))
+                },
+            )
+            .unwrap()
+        };
+
+        // Closing a period in place edits the index; so does closing it
+        // again, and the second close is the one the index answers by.
+        set_end(&mut t, "Joe", 12);
+        assert_answers_like_a_build(reg.ensure("works", &t).unwrap(), &t);
+        set_end(&mut t, "Joe", 9);
+        t.push(row!["Eve", "SP", 0, 2]);
+        assert_answers_like_a_build(reg.ensure("works", &t).unwrap(), &t);
+        assert_eq!(
+            maintenance(),
+            MaintenanceStats {
+                full_builds: 1,
+                incremental_builds: 2
+            }
+        );
+
+        // Tail {Joe, Eve, Sam, Ann x2} is five positions over a 32-row
+        // base: past an eighth, so the tree re-bases (a full build).
+        set_end(&mut t, "Sam", 11);
+        assert_eq!(set_end(&mut t, "Ann", 30), 2);
+        let rebased = reg.ensure("works", &t).unwrap();
+        assert_answers_like_a_build(rebased, &t);
+        assert_eq!(rebased, &TableIndex::build(&t).unwrap());
+        assert_eq!(
+            maintenance(),
+            MaintenanceStats {
+                full_builds: 2,
+                incremental_builds: 2
             }
         );
     }

@@ -111,8 +111,9 @@ impl SnapshotCompiler {
     /// pushed to the leaves (timeslices commute with every snapshot
     /// operator, Theorem 6.3, applied point-wise across the window): each
     /// base-table access keeps only the rows whose validity interval
-    /// overlaps the window — an `O(log n + k)` interval-tree probe
-    /// (`IntervalTree::overlapping`) when the table is indexed — with their
+    /// overlaps the window — an `O(log n + k)` interval-tree probe merged
+    /// with the index's tail of recently edited rows
+    /// (`TableIndex::overlapping`) when the table is indexed — with their
     /// periods clipped to it, and the ordinary `REWR` rewriting runs on
     /// top. Gap rows of global aggregation span the window instead of the
     /// full time domain.

@@ -6,8 +6,9 @@
 //! goes through [`storage::Table`]'s version-bumping API, so indexes
 //! invalidate automatically. An owned database has one session, which
 //! repairs the scanned tables' indexes in place right before each indexed
-//! query ([`Database::refresh_indexes`]) — taking the append-only
-//! incremental path whenever the table's checkpoint history allows it.
+//! query ([`Database::refresh_indexes`]) — editing each index in
+//! proportion to the rows written whenever the table's edit history
+//! allows it.
 //! Once promoted into a [`crate::SharedDatabase`], the registry belongs to
 //! the transaction manager, which builds every index up front and repairs
 //! them as it publishes; its readers never repair.
@@ -114,9 +115,9 @@ impl Database {
         &self.indexes
     }
 
-    /// How index maintenance repaired stale entries so far (full rebuilds
-    /// vs. append-only incremental extensions), across this database and
-    /// its clones (they share one metrics registry).
+    /// How index maintenance repaired stale entries so far (full builds
+    /// and re-bases vs. edits), across this database and its clones (they
+    /// share one metrics registry).
     pub fn index_maintenance(&self) -> MaintenanceStats {
         MaintenanceStats::read(&self.telemetry.obs.metrics)
     }
@@ -187,8 +188,8 @@ impl Database {
         snapshot_txn::publish_write_set(working, write_set, &mut self.catalog, &mut self.indexes);
     }
 
-    /// Repairs the indexes of the named tables in place (incremental when
-    /// only appends happened, full rebuild otherwise). Non-temporal and
+    /// Repairs the indexes of the named tables in place (an edit when only
+    /// appends and in-place updates happened, full rebuild otherwise). Non-temporal and
     /// unknown names are left without an entry.
     pub fn refresh_indexes(&mut self, tables: &[String]) {
         self.indexes

@@ -8,7 +8,8 @@
 //! * [`Database`] — the in-memory value: owns the [`storage::Catalog`] and
 //!   the [`index::IndexCatalog`], with validated mutation entry points; every
 //!   mutation bumps [`storage::Table::version`], so indexes invalidate
-//!   automatically and are repaired (incrementally after pure appends) by
+//!   automatically and are repaired (edited after appends and in-place
+//!   updates) by
 //!   the registry's owner: an owned database right before its session's
 //!   next indexed query, a [`SharedDatabase`] when it publishes tables,
 //! * [`Session`] — the `execute(sql) -> StatementResult` pipeline: DDL

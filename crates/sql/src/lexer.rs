@@ -10,6 +10,10 @@ pub enum Token {
     Ident(String),
     /// Integer literal.
     Int(i64),
+    /// The integer literal `9223372036854775808` directly after a `-`: the
+    /// magnitude of `i64::MIN`, which only that minus can negate into
+    /// range (anywhere else the parser refuses it as out of range).
+    IntMinMagnitude,
     /// Float literal.
     Double(f64),
     /// String literal (single-quoted, `''` escapes a quote).
@@ -60,12 +64,22 @@ impl fmt::Display for Token {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
             Token::Int(i) => write!(f, "{i}"),
+            Token::IntMinMagnitude => write!(f, "{INT_MIN_MAGNITUDE}"),
             Token::Double(d) => write!(f, "{d}"),
             Token::Str(s) => write!(f, "'{s}'"),
             Token::Symbol(s) => write!(f, "{s:?}"),
             Token::Eof => write!(f, "<eof>"),
         }
     }
+}
+
+/// The decimal text of `i64::MIN`'s magnitude, 2^63.
+pub(crate) const INT_MIN_MAGNITUDE: &str = "9223372036854775808";
+
+/// The value of the integer literal `text`, or the error naming it.
+pub(crate) fn int_literal(text: &str) -> Result<i64, String> {
+    text.parse()
+        .map_err(|e| format!("bad number '{text}': {e}"))
 }
 
 /// Tokenizes `input`, lower-casing identifiers/keywords.
@@ -196,11 +210,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, String> {
                         text.parse()
                             .map_err(|e| format!("bad number '{text}': {e}"))?,
                     ));
+                } else if text == INT_MIN_MAGNITUDE
+                    && out.last() == Some(&Token::Symbol(Sym::Minus))
+                {
+                    out.push(Token::IntMinMagnitude);
                 } else {
-                    out.push(Token::Int(
-                        text.parse()
-                            .map_err(|e| format!("bad number '{text}': {e}"))?,
-                    ));
+                    out.push(Token::Int(int_literal(&text)?));
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
@@ -249,6 +264,25 @@ mod tests {
                 Token::Eof
             ]
         );
+    }
+
+    #[test]
+    fn the_magnitude_of_int_min_lexes_only_after_a_minus() {
+        let toks = tokenize("-9223372036854775808").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Symbol(Sym::Minus),
+                Token::IntMinMagnitude,
+                Token::Eof
+            ]
+        );
+        let err = tokenize("9223372036854775808").unwrap_err();
+        assert_eq!(
+            err,
+            "bad number '9223372036854775808': number too large to fit in target type"
+        );
+        assert!(tokenize("-9223372036854775809").is_err());
     }
 
     #[test]

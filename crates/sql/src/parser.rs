@@ -1,7 +1,7 @@
 //! Recursive-descent parser.
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Sym, Token};
+use crate::lexer::{int_literal, tokenize, Sym, Token, INT_MIN_MAGNITUDE};
 use algebra::BinOp;
 use storage::{SqlType, Value};
 
@@ -250,6 +250,7 @@ impl Parser {
         let negated = self.eat_symbol(Sym::Minus);
         let value = match self.bump() {
             Token::Int(i) => (if negated { -i } else { i }).to_string(),
+            Token::IntMinMagnitude if negated => i64::MIN.to_string(),
             Token::Double(d) => (if negated { -d } else { d }).to_string(),
             Token::Str(s) if !negated => s,
             Token::Ident(s) if !negated => s,
@@ -566,6 +567,7 @@ impl Parser {
         let negated = self.eat_symbol(Sym::Minus);
         match self.bump() {
             Token::Int(i) => Ok(if negated { -i } else { i }),
+            Token::IntMinMagnitude if negated => Ok(i64::MIN),
             other => Err(format!("expected an integer time point, found '{other}'")),
         }
     }
@@ -747,6 +749,10 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<AstExpr, String> {
         if self.eat_symbol(Sym::Minus) {
+            if self.peek() == &Token::IntMinMagnitude {
+                self.bump();
+                return Ok(AstExpr::Lit(Value::Int(i64::MIN)));
+            }
             let inner = self.parse_unary()?;
             return Ok(AstExpr::Binary {
                 op: BinOp::Sub,
@@ -760,6 +766,8 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<AstExpr, String> {
         match self.bump() {
             Token::Int(i) => Ok(AstExpr::Lit(Value::Int(i))),
+            // Out of range without the minus `parse_unary` folds in.
+            Token::IntMinMagnitude => Err(int_literal(INT_MIN_MAGNITUDE).unwrap_err()),
             Token::Double(d) => Ok(AstExpr::Lit(Value::Double(d))),
             Token::Str(s) => Ok(AstExpr::Lit(Value::str(s))),
             Token::Symbol(Sym::LParen) => {
@@ -1201,6 +1209,45 @@ mod tests {
         assert!(parse_statement("SELECT * FROM t WHERE x LIKE y").is_err());
         assert!(parse_statement("SELECT * FROM t extra garbage !!").is_err());
         assert!(parse_statement("SEQ VT SELECT 1").is_err());
+    }
+
+    #[test]
+    fn the_smallest_int_is_written_only_under_a_minus() {
+        const MIN: &str = "-9223372036854775808";
+        let stmt = parse_statement(&format!("SELECT {MIN} FROM t")).unwrap();
+        let QueryExpr::Select(sel) = stmt.query else {
+            panic!()
+        };
+        assert!(matches!(
+            &sel.items[0],
+            SelectItem::Expr {
+                expr: AstExpr::Lit(Value::Int(i64::MIN)),
+                ..
+            }
+        ));
+        let stmt =
+            parse_statement(&format!("SEQ VT BETWEEN {MIN} AND 0 (SELECT 1 FROM t)")).unwrap();
+        let QueryExpr::SeqVt(_, window) = stmt.query else {
+            panic!("expected SEQ VT");
+        };
+        assert_eq!(window, SeqWindow::Between(i64::MIN, 0));
+        assert_eq!(
+            parse_sql_statement(&format!("SET max_rows_scanned = {MIN}")).unwrap(),
+            SqlStatement::Set {
+                name: "max_rows_scanned".into(),
+                value: MIN.into()
+            }
+        );
+        // Anywhere but directly under a minus, the magnitude is refused
+        // as before.
+        let refused = "bad number '9223372036854775808': number too large to fit in target type";
+        for sql in [
+            "SELECT 9223372036854775808 FROM t",
+            "SELECT 1 -9223372036854775808 FROM t",
+            "SEQ VT AS OF 9223372036854775808 (SELECT 1 FROM t)",
+        ] {
+            assert_eq!(parse_statement(sql).unwrap_err(), refused, "{sql}");
+        }
     }
 
     #[test]

@@ -16,10 +16,15 @@ fn next_version() -> u64 {
     VERSION_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
-/// How many append states a table keeps (see
-/// [`Table::appended_since`]): an index older than this many append batches
-/// falls back to a full rebuild.
-const MAX_APPEND_STATES: usize = 64;
+/// How many states a table's edit history keeps (see
+/// [`Table::edited_since`]): an index older than this many edits falls
+/// back to a full rebuild.
+const MAX_EDIT_STATES: usize = 64;
+
+/// The history keeps at most `len / REPLACED_SHARE` replaced positions in
+/// total, dropping its oldest states first; an `UPDATE` rewriting more
+/// than that share of the rows therefore leaves no older state behind.
+const REPLACED_SHARE: usize = 8;
 
 /// A stored relation: a schema, a multiset of rows (duplicates are separate
 /// rows, as in SQL), and an optional *period specification* naming the two
@@ -35,13 +40,15 @@ pub struct Table {
     rows: Vec<Row>,
     period: Option<(usize, usize)>,
     version: u64,
-    /// Recent `(version, len)` states reachable from the current state by
-    /// *removing appended rows only*: entry `(v, l)` means "at version `v`
-    /// this table was exactly `rows[0..l]`". Appends push a state;
-    /// structural mutations (sort, delete, update) clear the history. This
-    /// is what lets index maintenance extend an index incrementally instead
-    /// of rebuilding — see [`Table::appended_since`].
-    appends: Vec<(u64, usize)>,
+    /// Recent `(version, len, replaced)` states reachable from the current
+    /// state by *in-place edits only*: entry `(v, l, r)` means "at version
+    /// `v` this table had `l` rows, and the edits since replaced positions
+    /// `r` of them before the next state" (the current state's `r` is
+    /// empty). Appends and `update_where` push a state; deletes and
+    /// sorting, which move positions, clear the history. This is what
+    /// lets index maintenance repair an index in proportion to the rows
+    /// written instead of rebuilding it — see [`Table::edited_since`].
+    edits: Vec<(u64, usize, Vec<usize>)>,
     /// `(min begin, max end)` over the rows of a period table — derived
     /// state, kept current by every mutation (see [`Table::period_extent`]);
     /// [`NO_PERIODS`] while there is nothing to cover.
@@ -80,7 +87,7 @@ impl Table {
             rows: Vec::new(),
             period: None,
             version,
-            appends: vec![(version, 0)],
+            edits: vec![(version, 0, Vec::new())],
             extent: NO_PERIODS,
         }
     }
@@ -126,7 +133,7 @@ impl Table {
             rows: Vec::new(),
             period: Some((begin, end)),
             version,
-            appends: vec![(version, 0)],
+            edits: vec![(version, 0, Vec::new())],
             extent: NO_PERIODS,
         }
     }
@@ -215,23 +222,33 @@ impl Table {
         Ok((ib, ie))
     }
 
-    /// Refreshes the version after an append batch, recording the new
-    /// state so indexes can catch up incrementally.
-    fn bump_append(&mut self) {
+    /// Refreshes the version after an in-place edit that rewrote the rows
+    /// at `replaced` (and appended whatever lies past the previous
+    /// length), recording the new state so indexes can catch up in
+    /// proportion to the edit. The oldest states go first once the history
+    /// holds more than `MAX_EDIT_STATES` states or more than
+    /// `len / REPLACED_SHARE` replaced positions.
+    fn bump_edit(&mut self, replaced: Vec<usize>) {
         self.version = next_version();
-        self.appends.push((self.version, self.rows.len()));
-        if self.appends.len() > MAX_APPEND_STATES {
-            let excess = self.appends.len() - MAX_APPEND_STATES;
-            self.appends.drain(..excess);
+        if let Some(last) = self.edits.last_mut() {
+            last.2 = replaced;
         }
+        self.edits.push((self.version, self.rows.len(), Vec::new()));
+        let mut drop = self.edits.len().saturating_sub(MAX_EDIT_STATES);
+        let mut kept: usize = self.edits[drop..].iter().map(|e| e.2.len()).sum();
+        while kept * REPLACED_SHARE > self.rows.len() {
+            kept -= self.edits[drop].2.len();
+            drop += 1;
+        }
+        self.edits.drain(..drop);
     }
 
-    /// Refreshes the version after a structural mutation (anything that is
-    /// not a pure append): the append history restarts here.
+    /// Refreshes the version after a mutation that moves positions (a
+    /// delete or a sort): the edit history restarts here.
     fn bump_structural(&mut self) {
         self.version = next_version();
-        self.appends.clear();
-        self.appends.push((self.version, self.rows.len()));
+        self.edits.clear();
+        self.edits.push((self.version, self.rows.len(), Vec::new()));
     }
 
     /// Appends a row.
@@ -244,7 +261,7 @@ impl Table {
             Err(e) => panic!("{e}"),
         }
         self.rows.push(row);
-        self.bump_append();
+        self.bump_edit(Vec::new());
     }
 
     /// Bulk-extends the table (one version bump for the whole batch).
@@ -279,7 +296,7 @@ impl Table {
         }
         self.extent = extent;
         if self.rows.len() > before {
-            self.bump_append();
+            self.bump_edit(Vec::new());
         }
         refused
     }
@@ -329,27 +346,37 @@ impl Table {
             extent = widen(extent, period);
         }
         let updated = replacements.len();
+        let mut replaced = Vec::with_capacity(updated);
         for (i, new_row) in replacements {
             self.rows[i] = new_row;
+            replaced.push(i);
         }
         if updated > 0 {
             self.extent = extent;
-            self.bump_structural();
+            self.bump_edit(replaced);
         }
         Ok(updated)
     }
 
-    /// When the table state at `version` was exactly the current
-    /// `rows[0..l]` and only appends happened since, returns `Some(l)`;
-    /// otherwise `None` (structural change, unknown version, or history
-    /// trimmed past `MAX_APPEND_STATES` append batches). Versions are
-    /// globally unique, so a hit can never be a look-alike from another
-    /// table or a diverged clone.
-    pub fn appended_since(&self, version: u64) -> Option<usize> {
-        self.appends
+    /// When the table state at `version` reaches the current one by
+    /// in-place edits only, returns `Some((len, replaced))`: the table had
+    /// `len` rows at `version`, and `replaced` (ascending, each once) are
+    /// the positions below `len` rewritten since; every row past `len` was
+    /// appended since. `None` when positions moved since (a delete or a
+    /// sort), for unknown versions, and once the history is trimmed past
+    /// that version. Versions are globally unique, so a hit can never be a
+    /// look-alike from another table or a diverged clone.
+    pub fn edited_since(&self, version: u64) -> Option<(usize, Vec<usize>)> {
+        let at = self.edits.iter().position(|e| e.0 == version)?;
+        let len = self.edits[at].1;
+        let mut replaced: Vec<usize> = self.edits[at..]
             .iter()
-            .find(|&&(v, _)| v == version)
-            .map(|&(_, len)| len)
+            .flat_map(|e| e.2.iter().copied())
+            .filter(|&p| p < len)
+            .collect();
+        replaced.sort_unstable();
+        replaced.dedup();
+        Some((len, replaced))
     }
 
     /// The validity interval of a row (requires a period table).
@@ -585,26 +612,74 @@ mod tests {
         t.push(row!["Joe", "NS", 8, 16]);
         t.extend(vec![row!["Sam", "SP", 8, 16], row!["Eve", "SP", 0, 2]]);
         // From v1 (one row), only appends happened.
-        assert_eq!(t.appended_since(v1), Some(1));
-        assert_eq!(t.appended_since(t.version()), Some(4));
+        assert_eq!(t.edited_since(v1), Some((1, vec![])));
+        assert_eq!(t.edited_since(t.version()), Some((4, vec![])));
         // Unknown versions (e.g. from another table) never match.
         let other = Table::with_period(works_schema(), 2, 3);
-        assert_eq!(t.appended_since(other.version()), None);
+        assert_eq!(t.edited_since(other.version()), None);
 
-        // A structural mutation invalidates the history...
+        // A delete moves positions and invalidates the history...
         t.delete_where(|r| r.get(0) == &Value::str("Eve"));
-        assert_eq!(t.appended_since(v1), None);
+        assert_eq!(t.edited_since(v1), None);
         // ...but the post-mutation state is recorded again.
         let v2 = t.version();
         t.push(row!["Zed", "NS", 1, 3]);
-        assert_eq!(t.appended_since(v2), Some(3));
+        assert_eq!(t.edited_since(v2), Some((3, vec![])));
 
-        // Divergent clones do not see each other's append states.
+        // Divergent clones do not see each other's states.
         let (mut a, mut b) = (t.clone(), t.clone());
         a.push(row!["A1", "SP", 2, 4]);
         b.push(row!["B1", "SP", 2, 4]);
-        assert_eq!(b.appended_since(a.version()), None);
-        assert_eq!(a.appended_since(b.version()), None);
+        assert_eq!(b.edited_since(a.version()), None);
+        assert_eq!(a.edited_since(b.version()), None);
+    }
+
+    /// Rewrites the end of every row named `name`.
+    fn close(t: &mut Table, name: &str, te: i64) -> usize {
+        t.update_where(
+            |r| r.get(0) == &Value::str(name),
+            |r| {
+                let mut vals = r.values().to_vec();
+                vals[3] = Value::Int(te);
+                Ok(Row::new(vals))
+            },
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn edit_history_records_replaced_positions() {
+        let mut t = Table::with_period(works_schema(), 2, 3);
+        t.extend((0..40).map(|i| row![format!("r{i}"), "SP", i, 100]));
+        let v0 = t.version();
+        assert_eq!(close(&mut t, "r5", 50), 1);
+        t.push(row!["new", "NS", 1, 2]);
+        assert_eq!(close(&mut t, "r2", 40), 1);
+        assert_eq!(close(&mut t, "r5", 60), 1);
+        // Positions replaced since v0, each once; the append shows as the
+        // length at v0.
+        assert_eq!(t.edited_since(v0), Some((40, vec![2, 5])));
+        // A position appended since v0 is not reported as replaced.
+        let v1 = t.version();
+        assert_eq!(t.edited_since(v1), Some((41, vec![])));
+        assert_eq!(close(&mut t, "new", 3), 1);
+        assert_eq!(t.edited_since(v0), Some((40, vec![2, 5])));
+        assert_eq!(t.edited_since(v1), Some((41, vec![40])));
+
+        // At most len / REPLACED_SHARE replaced positions stay reachable:
+        // five of 41 rows fit, a sixth drops the oldest states.
+        assert_eq!(close(&mut t, "r7", 70), 1);
+        assert_eq!(t.edited_since(v0), Some((40, vec![2, 5, 7])));
+        assert_eq!(close(&mut t, "r9", 90), 1);
+        assert_eq!(t.edited_since(v0), None, "trimmed oldest first");
+        assert_eq!(t.edited_since(v1), Some((41, vec![7, 9, 40])));
+
+        // An update of more than an eighth of the rows keeps no older
+        // state, as a delete would.
+        let v2 = t.version();
+        assert_eq!(t.update_where(|r| r.int(2) < 6, |r| Ok(r.clone())), Ok(7));
+        assert_eq!(t.edited_since(v2), None);
+        assert_eq!(t.edited_since(t.version()), Some((41, vec![])));
     }
 
     #[test]

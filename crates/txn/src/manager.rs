@@ -129,8 +129,9 @@ pub fn validate_first_committer_wins(
 /// Publishes a validated transaction's write set from its `working`
 /// catalog into `catalog`/`indexes`: written tables swap in by `Arc`
 /// handle (no row copying), dropped ones leave with their index, and the
-/// published tables' indexes are repaired (incremental when the writes
-/// were pure appends) so the next reader finds them fresh. Shared by the
+/// published tables' indexes are repaired (edited in proportion to the
+/// rows written when the writes were appends and in-place updates) so the
+/// next reader finds them fresh. Shared by the
 /// owned-database commit path and [`TxnManager::commit_with`], which
 /// applies it to a private copy of the committed state so the index
 /// builds hold no state lock.
@@ -232,7 +233,7 @@ impl TxnManager {
             });
         }
         let started = Instant::now();
-        let _commit = self.commit_lock.lock();
+        let commit = self.commit_lock.lock();
         let wait = started.elapsed();
         self.commit_wait_seconds.observe_duration(wait);
         // Validate against the committed state *now*. The commit lock
@@ -250,10 +251,15 @@ impl TxnManager {
         let durable = durability(&statements)?;
         let started = Instant::now();
         let written = write_set.iter().map(String::as_str);
-        let commit_seq = self.publish(|c, i| publish_write_set(&working, written, c, i));
+        let (commit_seq, superseded) =
+            self.publish(|c, i| publish_write_set(&working, written, c, i));
         let publish = started.elapsed();
         self.publish_seconds.observe_duration(publish);
         self.commits.inc();
+        // Free the superseded state (the old versions of the written
+        // tables, unless a snapshot pins them) once the next writer can go.
+        drop(commit);
+        drop((superseded, working));
         Ok(CommitOutcome {
             commit_seq,
             published: write_set.len(),
@@ -271,17 +277,20 @@ impl TxnManager {
     /// `txn.state` — with no state lock held while it builds indexes.
     /// **Swap:** the write side is taken only to install the copy's
     /// handles and bump `commit_seq`. Returns the commit sequence number
-    /// after the swap.
-    fn publish(&self, apply: impl FnOnce(&mut Catalog, &mut IndexCatalog)) -> u64 {
+    /// after the swap and the swapped-out state, for the caller to drop
+    /// once it has released the commit lock: freeing a superseded table
+    /// version costs time in proportion to its rows.
+    fn publish(
+        &self,
+        apply: impl FnOnce(&mut Catalog, &mut IndexCatalog),
+    ) -> (u64, (Catalog, IndexCatalog)) {
         let (mut catalog, mut indexes) = self.with_committed(|c, i| (c.clone(), i.clone()));
         apply(&mut catalog, &mut indexes);
-        // Declared last, the guard drops first: the swapped-out maps (and
-        // any version no snapshot pins) are freed after the lock is gone.
         let mut state = self.state.write();
         std::mem::swap(&mut state.catalog, &mut catalog);
         std::mem::swap(&mut state.indexes, &mut indexes);
         state.commit_seq += 1;
-        state.commit_seq
+        (state.commit_seq, (catalog, indexes))
     }
 
     /// Rolls a transaction back. The committed state was never touched, so
@@ -330,15 +339,17 @@ impl TxnManager {
     where
         I: IntoIterator<Item = (String, Table)>,
     {
-        let _commit = self.commit_lock.lock();
+        let commit = self.commit_lock.lock();
         let mut names = Vec::new();
-        let commit_seq = self.publish(|catalog, indexes| {
+        let (commit_seq, superseded) = self.publish(|catalog, indexes| {
             for (name, table) in tables {
                 catalog.register(name.clone(), table);
                 names.push(name);
             }
             indexes.refresh(catalog, names.iter().map(String::as_str));
         });
+        drop(commit);
+        drop(superseded);
         CommitOutcome {
             commit_seq,
             published: names.len(),

@@ -51,8 +51,8 @@ impl CatalogSnapshot {
     }
 
     /// Repairs the pinned indexes of the named tables against the pinned
-    /// catalog (incremental after pure appends, full rebuild otherwise —
-    /// see [`IndexCatalog::ensure`]). Unknown names lose their entry;
+    /// catalog (an edit after appends and in-place updates, a full
+    /// rebuild otherwise — see [`IndexCatalog::ensure`]). Unknown names lose their entry;
     /// non-temporal ones have none.
     pub fn refresh_indexes(&mut self, tables: &[String]) {
         self.indexes

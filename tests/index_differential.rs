@@ -3,12 +3,13 @@
 //! bag-equivalent to the naive engine paths and to the point-wise oracle
 //! on randomized databases and the datagen workloads.
 
+use proptest::prelude::*;
 use snapshot_semantics::algebra::{Expr, JoinAlgo, Plan, PlanNode};
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::datagen::random::{random_period_table, RandomTableSpec};
 use snapshot_semantics::engine::coalesce::never;
 use snapshot_semantics::engine::{temporal, Engine, ExecStats, NodeStats};
-use snapshot_semantics::index::IndexCatalog;
+use snapshot_semantics::index::{IndexCatalog, MaintenanceStats, TableIndex};
 use snapshot_semantics::rewrite::{RewriteOptions, SnapshotCompiler};
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{row, Catalog, Row, Schema, SqlType, Table, Value};
@@ -785,6 +786,221 @@ fn lent_stab_routes_match_naive_and_oracle() {
                     assert_eq!(got, want, "vs oracle: seed {seed}, {sql}");
                 }
             }
+        }
+    }
+}
+
+// ---- edit-proportional index repair ----------------------------------------
+
+/// One mutation of the table under repair.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Appends `(k, begin, length)` rows.
+    Append(Vec<(i64, i64, i64)>),
+    /// Rewrites `field` (0 payload, 1 begin, 2 end) of the rows at the
+    /// given positions (taken modulo the length), in place.
+    Update(Vec<usize>, usize, i64),
+    /// Deletes the row at the position (modulo the length).
+    Delete(usize),
+    Canonicalize,
+    /// Sets a clone of the table aside.
+    Fork,
+    /// Continues with the clone set aside; the table diverged since goes
+    /// aside instead.
+    Swap,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let append =
+        || proptest::collection::vec((0i64..4, 0i64..40, 1i64..10), 1..4).prop_map(Step::Append);
+    // Positions from a narrow range, so the same row is often rewritten
+    // twice, in one step or across steps.
+    let update = || {
+        (
+            proptest::collection::vec(0usize..12, 1..3),
+            0usize..3,
+            0i64..48,
+        )
+            .prop_map(|(at, field, value)| Step::Update(at, field, value))
+    };
+    prop_oneof![
+        append(),
+        append(),
+        append(),
+        update(),
+        update(),
+        update(),
+        update(),
+        (0usize..64).prop_map(Step::Delete),
+        Just(Step::Canonicalize),
+        Just(Step::Fork),
+        Just(Step::Swap),
+    ]
+}
+
+fn apply(step: &Step, table: &mut Table, aside: &mut Option<Table>) {
+    let period_row = |k: i64, b: i64, e: i64| row![k, b, e];
+    match step {
+        Step::Append(rows) => table.extend(rows.iter().map(|&(k, b, l)| period_row(k, b, b + l))),
+        Step::Update(at, field, value) => {
+            let len = table.len().max(1);
+            let at: Vec<usize> = at.iter().map(|p| p % len).collect();
+            let mut pos = 0;
+            table
+                .update_where(
+                    |_| {
+                        pos += 1;
+                        at.contains(&(pos - 1))
+                    },
+                    |r| {
+                        let (k, b, e) = (r.int(0), r.int(1), r.int(2));
+                        Ok(match field {
+                            0 => period_row(*value, b, e),
+                            1 => period_row(k, (e - 1 - value % 6).max(0).min(e - 1), e),
+                            _ => period_row(k, b, b + 1 + value % 9),
+                        })
+                    },
+                )
+                .unwrap();
+        }
+        Step::Delete(at) => {
+            let target = at % table.len().max(1);
+            let mut pos = 0;
+            table.delete_where(|_| {
+                pos += 1;
+                pos - 1 == target
+            });
+        }
+        Step::Canonicalize => table.canonicalize(),
+        Step::Fork => *aside = Some(table.clone()),
+        Step::Swap => {
+            if let Some(other) = aside.as_mut() {
+                std::mem::swap(table, other);
+            }
+        }
+    }
+}
+
+/// What the registry should hold for the table: the version it covers,
+/// the length its base tree was built over, and the positions in its tail.
+struct Expected {
+    version: u64,
+    base_len: usize,
+    tail: std::collections::BTreeSet<usize>,
+}
+
+impl Expected {
+    fn built(table: &Table) -> Self {
+        Expected {
+            version: table.version(),
+            base_len: table.len(),
+            tail: Default::default(),
+        }
+    }
+
+    /// The repair `ensure` should make: `Some(true)` an edit to the base,
+    /// `Some(false)` a build or re-base, `None` nothing (still fresh).
+    fn repair(&mut self, table: &Table) -> Option<bool> {
+        if self.version == table.version() {
+            return None;
+        }
+        let Some((old_len, replaced)) = table.edited_since(self.version) else {
+            *self = Expected::built(table);
+            return Some(false);
+        };
+        self.tail.extend(replaced);
+        self.tail.extend(old_len..table.len());
+        if self.tail.len() * 8 > self.base_len {
+            *self = Expected::built(table);
+            return Some(false);
+        }
+        self.version = table.version();
+        Some(true)
+    }
+}
+
+/// Stabs at every endpoint and its neighbours, overlap probes from every
+/// endpoint, and the begin order: `index` against a fresh build and a scan.
+fn assert_repaired_like_a_build(index: &TableIndex, table: &Table) {
+    let fresh = TableIndex::build(table).unwrap();
+    assert!(index.is_fresh(table));
+    assert!(
+        index
+            .events()
+            .begin_order()
+            .eq(fresh.events().begin_order()),
+        "begin order"
+    );
+    let rows = table.rows();
+    let scan = |hit: &dyn Fn(i64, i64) -> bool| -> Vec<usize> {
+        (0..rows.len())
+            .filter(|&i| hit(rows[i].int(1), rows[i].int(2)))
+            .collect()
+    };
+    let mut points: Vec<i64> = rows
+        .iter()
+        .flat_map(|r| [r.int(1), r.int(2)])
+        .flat_map(|p| [p - 1, p, p + 1])
+        .collect();
+    points.sort_unstable();
+    points.dedup();
+    for &t in &points {
+        let stab = index.stab(t);
+        assert_eq!(stab, fresh.stab(t), "stab at {t} vs build");
+        assert_eq!(stab, scan(&|b, e| b <= t && t < e), "stab at {t} vs scan");
+        for w in [1, 4, 13] {
+            let overlap = index.overlapping(t, t + w);
+            assert_eq!(overlap, fresh.overlapping(t, t + w), "[{t}, +{w}) vs build");
+            assert_eq!(
+                overlap,
+                scan(&|b, e| b < t + w && t < e),
+                "[{t}, +{w}) vs scan"
+            );
+        }
+    }
+    assert_eq!(
+        index.timeslice_rows(table, 7),
+        fresh.timeslice_rows(table, 7)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// However a table is appended to, updated in place, deleted from,
+    /// sorted or forked, the index `IndexCatalog::ensure` repairs answers
+    /// exactly as a fresh build and a scan, and the maintenance counters
+    /// split edits from builds and re-bases as the tail-size rule says.
+    #[test]
+    fn a_repaired_index_answers_exactly_as_a_fresh_build(
+        initial in proptest::collection::vec((0i64..4, 0i64..40, 1i64..10), 8..64),
+        steps in proptest::collection::vec((arb_step(), 0u8..3), 1..48),
+    ) {
+        let mut table = Table::with_period(
+            Schema::of(&[("k", SqlType::Int), ("ts", SqlType::Int), ("te", SqlType::Int)]),
+            1,
+            2,
+        );
+        apply(&Step::Append(initial), &mut table, &mut None);
+        let metrics = snapshot_obs::MetricsRegistry::new();
+        let mut reg = IndexCatalog::recording_into(&metrics);
+        reg.ensure("t", &table);
+        let mut expected = Expected::built(&table);
+        let mut counted = MaintenanceStats { full_builds: 1, incremental_builds: 0 };
+        let mut aside = None;
+        for (step, ensure) in &steps {
+            apply(step, &mut table, &mut aside);
+            if *ensure == 0 {
+                continue;
+            }
+            match expected.repair(&table) {
+                Some(true) => counted.incremental_builds += 1,
+                Some(false) => counted.full_builds += 1,
+                None => {}
+            }
+            let index = reg.ensure("t", &table).unwrap();
+            assert_repaired_like_a_build(index, &table);
+            prop_assert_eq!(MaintenanceStats::read(&metrics), counted, "after {:?}", step);
         }
     }
 }

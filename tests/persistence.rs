@@ -1112,6 +1112,51 @@ fn dump_is_reloadable_and_faithful() {
     );
 }
 
+/// `i64::MIN` has a literal only under a minus (its magnitude overflows
+/// `i64`): a dump holding it as a value and as a period begin reloads,
+/// and a time point can name it.
+#[test]
+fn dump_round_trips_the_smallest_int() {
+    const AS_OF_MIN: &str = "SEQ VT AS OF -9223372036854775808 (SELECT name, v FROM works)";
+    let mut s = Session::new(Database::new());
+    s.execute_script(
+        "CREATE TABLE works (name TEXT, v INT, ts INT, te INT) PERIOD (ts, te);
+         INSERT INTO works VALUES ('Ann', 0, 3, 10), ('Joe', 7, 0, 16);
+         UPDATE works SET v = v - 9223372036854775807 - 1 WHERE name = 'Ann';
+         UPDATE works SET ts = ts - 9223372036854775807 - 1 WHERE name = 'Joe';",
+    )
+    .unwrap();
+    let dump = dump_sql(s.database().catalog());
+    assert!(
+        dump.contains("('Ann', -9223372036854775808, 3, 10)"),
+        "{dump}"
+    );
+    assert!(
+        dump.contains("('Joe', 7, -9223372036854775808, 16)"),
+        "{dump}"
+    );
+    let mut restored = Session::new(Database::new());
+    restored.execute_script(&dump).unwrap();
+    assert_catalogs_equal(
+        restored.database().catalog(),
+        s.database().catalog(),
+        "dump round-trip",
+    );
+    for session in [&mut s, &mut restored] {
+        let result = session.execute(AS_OF_MIN).unwrap();
+        assert_eq!(
+            result.rows().unwrap().rows(),
+            &[Row::new(vec![Value::str("Joe"), Value::Int(7)])]
+        );
+    }
+    let err = restored.execute("SELECT 9223372036854775808").unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("bad number '9223372036854775808': number too large"),
+        "{err}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Property tests (offline proptest shim: deterministic seeded cases).
 // ---------------------------------------------------------------------

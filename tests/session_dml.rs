@@ -154,12 +154,22 @@ const SNAPSHOT_QUERIES: &[&str] = &[
 fn index_staleness_differential_across_mutations() {
     let mut s = fresh_session(true);
     setup(&mut s);
+    // Padding, so that each batch below writes less than an eighth of
+    // the indexed rows and edits the index instead of re-basing it.
+    let pad = |table: &str, n: i64| {
+        let rows: Vec<String> = (0..n)
+            .map(|i| format!("('Pad', 'PD', {}, {})", i % 20, i % 20 + 3))
+            .collect();
+        format!("INSERT INTO {table} VALUES {};", rows.join(", "))
+    };
+    s.execute_script(&(pad("works", 32) + &pad("assign", 16)))
+        .unwrap();
 
     let batches: &[&str] = &[
-        // Pure appends (incremental index maintenance).
+        // Pure appends (edit path).
         "INSERT INTO works VALUES ('Eve', 'SP', 0, 2), ('Pam', 'SP', 12, 19);
          INSERT INTO assign VALUES ('M4', 'WE', 2, 9);",
-        // Non-sequenced update (full rebuild).
+        // Non-sequenced update, in place (edit path).
         "UPDATE works SET skill = 'WE' WHERE name = 'Sam';",
         // Delete (full rebuild).
         "DELETE FROM works WHERE te <= 2;",
@@ -174,7 +184,9 @@ fn index_staleness_differential_across_mutations() {
     for sql in SNAPSHOT_QUERIES {
         assert_eq!(session_rows(&mut s, sql), oracle_rows(&s, sql), "{sql}");
     }
+    let mut moved = Vec::new();
     for batch in batches {
+        let before = s.database().index_maintenance();
         s.execute_script(batch).unwrap();
         for sql in SNAPSHOT_QUERIES {
             assert_eq!(
@@ -183,18 +195,22 @@ fn index_staleness_differential_across_mutations() {
                 "after '{batch}': {sql}"
             );
         }
+        let after = s.database().index_maintenance();
+        moved.push((
+            after.full_builds - before.full_builds,
+            after.incremental_builds - before.incremental_builds,
+        ));
     }
 
-    // The appends-only batch exercised the incremental maintenance path,
-    // the others the full rebuilds.
-    let stats = s.database().index_maintenance();
-    assert!(
-        stats.incremental_builds >= 2,
-        "append batches must extend indexes incrementally: {stats:?}"
-    );
-    assert!(
-        stats.full_builds >= 4,
-        "initial builds plus update/delete rebuilds: {stats:?}"
+    // `(full, incremental)` builds per batch: appends and the in-place
+    // update edit the indexes they wrote, a delete rebuilds its table's.
+    assert_eq!(moved[0], (0, 2), "appends edit both indexes");
+    assert_eq!(moved[1], (0, 1), "an in-place update edits its index");
+    assert_eq!(moved[2], (1, 0), "a delete rebuilds");
+    assert_eq!(
+        moved[3],
+        (1, 1),
+        "works' append edits, assign's delete rebuilds"
     );
 }
 

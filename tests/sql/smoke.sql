@@ -117,12 +117,13 @@ SEQ VT (SELECT g, sum(v) AS total, avg(v) AS mean FROM sums GROUP BY g);
 SEQ VT AS OF 2 (SELECT g, sum(v) AS total, avg(v) AS mean FROM sums GROUP BY g);
 DROP TABLE sums;
 
--- Mutate: appends take the incremental index path...
+-- Mutate: appends edit the index in proportion to the rows written (on a
+-- table this small the edit re-bases: it wrote more than an eighth)...
 INSERT INTO works VALUES ('Eve', 'SP', 0, 2), ('Pam', 'SP', 12, 19);
 .index
 SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP');
 
--- ...and non-sequenced DELETE/UPDATE force a full rebuild.
+-- ...so does an in-place UPDATE; a DELETE moves positions and rebuilds.
 UPDATE works SET skill = 'NS' WHERE name = 'Sam';
 DELETE FROM works WHERE te <= 2;
 .index

@@ -328,7 +328,8 @@ proptest! {
     }
 
     /// (b) Coalesce output is exactly sorted and a fixpoint; (c) an index
-    /// extended by an append equals the index built over the whole table.
+    /// extended by an append answers every stab, overlap probe and begin
+    /// order exactly as the index built over the whole table.
     #[test]
     fn coalesce_is_sorted_idempotent_and_extension_equals_a_build(
         rows in arb_bag(),
@@ -342,7 +343,14 @@ proptest! {
         let before = TableIndex::build(&table).unwrap();
         table.extend(new.iter().cloned());
         let extended = before.extend_appended(&table, old.len()).unwrap();
-        prop_assert_eq!(extended, TableIndex::build(&table).unwrap());
+        let built = TableIndex::build(&table).unwrap();
+        prop_assert!(extended.events().begin_order().eq(built.events().begin_order()));
+        for t in -1..=SPAN + 1 {
+            prop_assert_eq!(extended.stab(t), built.stab(t), "stab at {}", t);
+            for w in [1, 3, 8] {
+                prop_assert_eq!(extended.overlapping(t, t + w), built.overlapping(t, t + w));
+            }
+        }
     }
 
     /// (d) The fused operators' output order is a function of the input
