@@ -138,13 +138,25 @@ impl IntervalTree {
 
     /// Ids of all intervals containing time point `t`, ascending.
     pub fn stab(&self, t: i64) -> Vec<usize> {
+        self.stab_where(t, |_| true)
+    }
+
+    /// [`IntervalTree::stab`] keeping only the ids `keep` accepts: the
+    /// others are dropped during the walk, before the sort.
+    pub(crate) fn stab_where(&self, t: i64, keep: impl Fn(u32) -> bool) -> Vec<usize> {
         let mut out = Vec::new();
-        self.stab_into(self.root, t, &mut out);
+        self.stab_into(self.root, t, &keep, &mut out);
         out.sort_unstable();
         out
     }
 
-    fn stab_into(&self, node: Option<u32>, t: i64, out: &mut Vec<usize>) {
+    fn stab_into(
+        &self,
+        node: Option<u32>,
+        t: i64,
+        keep: &impl Fn(u32) -> bool,
+        out: &mut Vec<usize>,
+    ) {
         let Some(idx) = node else { return };
         let n = &self.nodes[idx as usize];
         if t < n.center {
@@ -153,21 +165,29 @@ impl IntervalTree {
                 if b > t {
                     break;
                 }
-                out.push(id as usize);
+                if keep(id) {
+                    out.push(id as usize);
+                }
             }
-            self.stab_into(n.left, t, out);
+            self.stab_into(n.left, t, keep, out);
         } else if t > n.center {
             // Stored intervals have begin <= center < t; match iff end > t.
             for &(e, id) in n.by_end.iter().rev() {
                 if e <= t {
                     break;
                 }
-                out.push(id as usize);
+                if keep(id) {
+                    out.push(id as usize);
+                }
             }
-            self.stab_into(n.right, t, out);
+            self.stab_into(n.right, t, keep, out);
         } else {
             // t == center: every stored interval contains it.
-            out.extend(n.by_begin.iter().map(|&(_, id)| id as usize));
+            out.extend(
+                n.by_begin
+                    .iter()
+                    .filter_map(|&(_, id)| keep(id).then_some(id as usize)),
+            );
             // Left descendants end at or before center (no match); right
             // descendants begin after center (no match).
         }
@@ -179,14 +199,35 @@ impl IntervalTree {
     /// # Panics
     /// Panics when the query interval is empty.
     pub fn overlapping(&self, b: i64, e: i64) -> Vec<usize> {
+        self.overlapping_where(b, e, |_| true)
+    }
+
+    /// [`IntervalTree::overlapping`] keeping only the ids `keep` accepts:
+    /// the others are dropped during the walk, before the sort.
+    ///
+    /// # Panics
+    /// Panics when the query interval is empty.
+    pub(crate) fn overlapping_where(
+        &self,
+        b: i64,
+        e: i64,
+        keep: impl Fn(u32) -> bool,
+    ) -> Vec<usize> {
         assert!(b < e, "empty query interval [{b}, {e})");
         let mut out = Vec::new();
-        self.overlap_into(self.root, b, e, &mut out);
+        self.overlap_into(self.root, b, e, &keep, &mut out);
         out.sort_unstable();
         out
     }
 
-    fn overlap_into(&self, node: Option<u32>, qb: i64, qe: i64, out: &mut Vec<usize>) {
+    fn overlap_into(
+        &self,
+        node: Option<u32>,
+        qb: i64,
+        qe: i64,
+        keep: &impl Fn(u32) -> bool,
+        out: &mut Vec<usize>,
+    ) {
         let Some(idx) = node else { return };
         let n = &self.nodes[idx as usize];
         if qe <= n.center {
@@ -196,23 +237,31 @@ impl IntervalTree {
                 if b >= qe {
                     break;
                 }
-                out.push(id as usize);
+                if keep(id) {
+                    out.push(id as usize);
+                }
             }
-            self.overlap_into(n.left, qb, qe, out);
+            self.overlap_into(n.left, qb, qe, keep, out);
         } else if qb > n.center {
             // Stored have begin <= center < qb; match iff end > qb.
             for &(e, id) in n.by_end.iter().rev() {
                 if e <= qb {
                     break;
                 }
-                out.push(id as usize);
+                if keep(id) {
+                    out.push(id as usize);
+                }
             }
-            self.overlap_into(n.right, qb, qe, out);
+            self.overlap_into(n.right, qb, qe, keep, out);
         } else {
             // qb <= center < qe: every stored interval overlaps the query.
-            out.extend(n.by_begin.iter().map(|&(_, id)| id as usize));
-            self.overlap_into(n.left, qb, qe, out);
-            self.overlap_into(n.right, qb, qe, out);
+            out.extend(
+                n.by_begin
+                    .iter()
+                    .filter_map(|&(_, id)| keep(id).then_some(id as usize)),
+            );
+            self.overlap_into(n.left, qb, qe, keep, out);
+            self.overlap_into(n.right, qb, qe, keep, out);
         }
     }
 }

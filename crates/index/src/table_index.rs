@@ -30,7 +30,7 @@ const REBASE_SHARE: usize = 8;
 ///   from it,
 /// * a *tail* — the positions replaced or appended since the base, with
 ///   their current endpoints, stabbed linearly; the base's answers for
-///   those positions are stale and filtered out.
+///   those positions are stale and skipped during its walk.
 ///
 /// An index is a snapshot of the table at one [`Table::version`];
 /// [`TableIndex::is_fresh`] detects staleness and [`IndexCatalog::ensure`]
@@ -44,6 +44,10 @@ pub struct TableIndex {
     base: Arc<IntervalTree>,
     /// `(id, begin, end)`, ascending by id.
     tail: Vec<(u32, i64, i64)>,
+    /// One bit per base position (bit `id % 64` of word `id / 64`), set
+    /// for the tail's: the base's entries for them are stale. Empty while
+    /// the tail is.
+    stale: Vec<u64>,
 }
 
 impl TableIndex {
@@ -66,6 +70,7 @@ impl TableIndex {
             events,
             base: Arc::new(base),
             tail: Vec::new(),
+            stale: Vec::new(),
         }
     }
 
@@ -96,6 +101,10 @@ impl TableIndex {
         if ids.len() * REBASE_SHARE > self.base.len() {
             return Some(TableIndex::rebased(table, self.period, events));
         }
+        let mut stale = vec![0u64; self.base.len().div_ceil(64)];
+        for &id in ids.iter().filter(|&&id| id < self.base.len()) {
+            stale[id / 64] |= 1 << (id % 64);
+        }
         let tail = ids
             .into_iter()
             .map(|id| (id as u32, rows[id].int(ts), rows[id].int(te)))
@@ -106,6 +115,7 @@ impl TableIndex {
             events,
             base: Arc::clone(&self.base),
             tail,
+            stale,
         })
     }
 
@@ -140,7 +150,11 @@ impl TableIndex {
     /// Ids of all rows valid at `t`, ascending: a base-tree stab merged
     /// with the tail's. `O(log n + k + tail)`.
     pub fn stab(&self, t: i64) -> Vec<usize> {
-        self.with_tail(self.base.stab(t), |b, e| b <= t && t < e)
+        if self.tail.is_empty() {
+            return self.base.stab(t);
+        }
+        let from_base = self.base.stab_where(t, |id| self.fresh_in_base(id));
+        self.with_tail(from_base, |b, e| b <= t && t < e)
     }
 
     /// Ids of all rows whose interval overlaps the half-open query
@@ -150,25 +164,36 @@ impl TableIndex {
     /// # Panics
     /// Panics when the query interval is empty.
     pub fn overlapping(&self, b: i64, e: i64) -> Vec<usize> {
-        self.with_tail(self.base.overlapping(b, e), |tb, te| tb < e && b < te)
+        if self.tail.is_empty() {
+            return self.base.overlapping(b, e);
+        }
+        let from_base = self
+            .base
+            .overlapping_where(b, e, |id| self.fresh_in_base(id));
+        self.with_tail(from_base, |tb, te| tb < e && b < te)
     }
 
-    /// The base's ascending answer `from_base` with every tail position
-    /// swapped for its current endpoints, which `hit` tests.
+    /// Whether the base's entry for position `id` is current: `id` is not
+    /// in the tail.
+    fn fresh_in_base(&self, id: u32) -> bool {
+        let id = id as usize;
+        self.stale
+            .get(id / 64)
+            .is_none_or(|word| word >> (id % 64) & 1 == 0)
+    }
+
+    /// The base's ascending answer `from_base`, which holds no tail
+    /// position, merged with the tail positions whose current endpoints
+    /// `hit` accepts.
     fn with_tail(&self, from_base: Vec<usize>, hit: impl Fn(i64, i64) -> bool) -> Vec<usize> {
-        if self.tail.is_empty() {
-            return from_base;
-        }
-        let mut out = Vec::with_capacity(from_base.len());
+        let mut out = Vec::with_capacity(from_base.len() + self.tail.len());
         let mut base = from_base.into_iter().peekable();
         for &(id, b, e) in &self.tail {
-            let id = id as usize;
-            while let Some(earlier) = base.next_if(|&h| h < id) {
-                out.push(earlier);
-            }
-            // The base's answer for a replaced position is stale.
-            base.next_if_eq(&id);
             if hit(b, e) {
+                let id = id as usize;
+                while let Some(earlier) = base.next_if(|&h| h < id) {
+                    out.push(earlier);
+                }
                 out.push(id);
             }
         }

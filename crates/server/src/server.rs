@@ -424,10 +424,17 @@ fn executor_loop(
             Msg::Frame(Frame::Query { sql }) => {
                 // Each result is streamed as its statement completes; a
                 // failed write means the client is gone and stops the script.
+                // The last streamed table is freed after `Ready` is out:
+                // freeing a large result costs time the client would wait.
                 let mut alive = true;
+                let mut streamed = None;
                 let outcome = session.run_script(&sql, |result| {
                     let written = match result {
-                        StatementResult::Rows(table) => write_rowset(stream, &table),
+                        StatementResult::Rows(table) => {
+                            let written = write_rowset(stream, &table);
+                            streamed = Some(table);
+                            written
+                        }
                         other => write_frame(
                             stream,
                             &Frame::Done {
@@ -462,6 +469,7 @@ fn executor_loop(
                 ) {
                     return;
                 }
+                drop(streamed);
             }
             Msg::Frame(Frame::Meta { command }) => {
                 // `.trace` prints the records the local shell's session

@@ -16,8 +16,8 @@
 //! fsync), written under the commit lock *after* conflict validation and
 //! *before* publication, so the log contains exactly the committed
 //! history in commit order and a unit that fails to log aborts cleanly.
-//! Recovery replays it through an ordinary session, a unit of several
-//! statements as one transaction; a torn unit never reaches it.
+//! Recovery replays it through an ordinary session, the whole tail as one
+//! transaction; a torn unit never reaches it.
 
 use crate::database::{Database, Telemetry};
 use crate::session::{Session, SessionOptions};
@@ -146,17 +146,24 @@ impl SharedDatabase {
     /// Opens a *durable* shared database on a directory, recovering
     /// whatever it holds: the newest valid checkpoint is loaded and the
     /// WAL tail beyond it is replayed through an ordinary session — the
-    /// same parse → bind → execute pipeline as live traffic, a unit of
-    /// several statements as one transaction (a torn or corrupt tail was
-    /// truncated to the longest valid prefix of whole units by the
-    /// persistence layer) — then the log is attached, so every later
-    /// commit is written ahead of publication. A directory holding a file
-    /// older than this build's format (a format-1 log or checkpoint) is
-    /// checkpointed once its tail has replayed, which rewrites both in this
-    /// build's formats. An empty or missing directory starts an empty durable
-    /// database. The replay runs with `options`' routes,
-    /// but a replayed statement arms none of their limits and reports
-    /// nothing: recovery never depends on client policy.
+    /// same parse → bind → execute pipeline as live traffic — as **one**
+    /// transaction: `BEGIN`, every statement of every unit in log order,
+    /// `COMMIT` (none when the tail is empty). The units apply in the order
+    /// they committed to one working catalog, so the state equals a
+    /// unit-by-unit replay, but each written table is copied once and
+    /// published once with one index repair, and a recovery counts as one
+    /// commit in `txn_commits_total`. A replay error fails the open and
+    /// publishes nothing. (A torn or corrupt tail was truncated to the
+    /// longest valid prefix of whole units by the persistence layer, which
+    /// also folds a format-1 log's `BEGIN` … `COMMIT` runs into units.)
+    /// Then the log is attached, so every later commit is written ahead of
+    /// publication. A directory holding a file older than this build's
+    /// format (a format-1 log or checkpoint) is checkpointed once its tail
+    /// has replayed, which rewrites both in this build's formats. An empty
+    /// or missing directory starts an empty durable database. The replay
+    /// runs with `options`' routes, but a replayed statement arms none of
+    /// their limits and reports nothing: recovery never depends on client
+    /// policy.
     pub fn open_durable(
         dir: &Path,
         options: SessionOptions,
@@ -171,25 +178,26 @@ impl SharedDatabase {
         let mut session = shared.session_with_options(options);
         // Units were validated when first executed; a replay failure
         // means the directory does not match this binary's dialect (or was
-        // tampered with) — surface it.
-        for unit in &recovery.replay {
-            let parsed: Result<Vec<_>, _> =
-                unit.stmts.iter().map(|s| parse_sql_statement(s)).collect();
-            let mut stmts =
-                parsed.map_err(|e| format!("WAL replay: cannot parse lsn {}: {e}", unit.lsn))?;
-            if stmts.len() > 1 {
-                stmts.insert(0, SqlStatement::Begin);
-                stmts.push(SqlStatement::Commit);
+        // tampered with) — surface it. Nobody else can hold a snapshot yet,
+        // so the whole tail is one transaction.
+        let mut replay = |stmt: &SqlStatement, lsn: u64| {
+            session
+                .execute_statement(stmt)
+                .map(drop)
+                .map_err(|e| format!("WAL replay failed at lsn {lsn}: {e}"))
+        };
+        let tail = &recovery.replay;
+        if let (Some(first), Some(last)) = (tail.first(), tail.last()) {
+            replay(&SqlStatement::Begin, first.lsn)?;
+            for unit in tail {
+                for sql in &unit.stmts {
+                    let stmt = parse_sql_statement(sql)
+                        .map_err(|e| format!("WAL replay: cannot parse lsn {}: {e}", unit.lsn))?;
+                    replay(&stmt, unit.lsn)?;
+                }
             }
-            for stmt in &stmts {
-                session
-                    .execute_statement(stmt)
-                    .map_err(|e| format!("WAL replay failed at lsn {}: {e}", unit.lsn))?;
-            }
+            replay(&SqlStatement::Commit, last.lsn)?;
         }
-        // A format-1 log's replay may end inside a transaction whose `COMMIT`
-        // marker was torn off; it dies with the session, and the upgrade
-        // checkpoint below drops its records from the log.
         drop(session);
         *shared.inner.persistence.lock() = Some(persistence);
         if recovery.outdated {

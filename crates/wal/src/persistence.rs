@@ -12,8 +12,9 @@
 //! validates (older ones are fallbacks), scan the WAL (truncating a torn
 //! tail — a unit is one frame, so a torn unit goes whole), and hand back
 //! the units with `lsn > covered_lsn` for the caller to replay through the
-//! ordinary execution pipeline. The session layer owns that pipeline, so
-//! this type never parses SQL — it only stores and returns it.
+//! ordinary execution pipeline (a format-1 log's marker-bracketed
+//! transactions folded into units first). The session layer owns that
+//! pipeline, so this type never parses SQL — it only stores and returns it.
 
 use crate::checkpoint;
 use crate::log::{AppendReport, SyncPolicy, Wal, WalRecord};
@@ -60,8 +61,11 @@ pub struct Recovery {
     /// Sequence number of the loaded checkpoint.
     pub checkpoint_seq: Option<u64>,
     /// WAL units not covered by the checkpoint, in log order — the
-    /// caller must replay these through its statement pipeline, a unit of
-    /// several statements as one transaction.
+    /// caller must replay these through its statement pipeline, in order
+    /// and all-or-nothing (`SharedDatabase::open_durable` runs the whole
+    /// tail as one transaction). No unit holds a transaction-control
+    /// statement: a format-1 log's `BEGIN` … `COMMIT` runs arrive folded
+    /// into units, and a run whose `COMMIT` is missing is not here.
     pub replay: Vec<WalRecord>,
     /// Bytes of torn/corrupt WAL tail that were truncated away.
     pub truncated_bytes: u64,
@@ -177,6 +181,14 @@ impl Persistence {
             ));
         }
         let last_lsn = replay.last().map(|r| r.lsn).unwrap_or(covered_lsn);
+        let since_checkpoint = replay.iter().map(|r| r.stmts.len()).sum();
+        let replay = if scan.format == 1 {
+            fold_format_1(replay).map_err(|e| {
+                format!("format-1 WAL in '{}': {e}; refusing to open", dir.display())
+            })?
+        } else {
+            replay
+        };
         let next_checkpoint_seq = checkpoint::list_checkpoints(dir)
             .last()
             .map(|&s| s + 1)
@@ -187,7 +199,7 @@ impl Persistence {
             wal,
             next_lsn: last_lsn + 1,
             next_checkpoint_seq,
-            since_checkpoint: replay.iter().map(|r| r.stmts.len()).sum(),
+            since_checkpoint,
             poisoned: None,
             invalid_checkpoints: cp_scan.invalid_newer,
             _lock: lock,
@@ -310,6 +322,44 @@ impl Persistence {
             fsync,
         })
     }
+}
+
+/// Folds a format-1 tail into commit units. Format 1 logged one statement
+/// per record and bracketed a transaction with `BEGIN` and `COMMIT` marker
+/// records: each bracketed run becomes one unit of the statements between
+/// its markers, under its `COMMIT` marker's LSN, and a trailing run whose
+/// `COMMIT` never reached the log is dropped — that transaction never
+/// committed. Any other marker (a `ROLLBACK`, a `BEGIN` inside a run, a
+/// `COMMIT` outside one) is refused: no format-1 writer logged one.
+fn fold_format_1(records: Vec<WalRecord>) -> Result<Vec<WalRecord>, String> {
+    let mut units = Vec::with_capacity(records.len());
+    let mut open: Option<Vec<String>> = None;
+    for WalRecord { lsn, stmts } in records {
+        for sql in stmts {
+            // Transaction control is a lone keyword, optionally followed
+            // by TRANSACTION or WORK; the first word names the marker.
+            let word = sql.split_whitespace().next().unwrap_or("");
+            let word = word.trim_end_matches(';').to_ascii_uppercase();
+            match (word.as_str(), open.as_mut()) {
+                ("BEGIN", None) => open = Some(Vec::new()),
+                ("COMMIT", Some(_)) => {
+                    let stmts = open.take().unwrap_or_default();
+                    if !stmts.is_empty() {
+                        units.push(WalRecord { lsn, stmts });
+                    }
+                }
+                ("BEGIN" | "COMMIT" | "ROLLBACK", _) => {
+                    return Err(format!("unexpected '{sql}' record at lsn {lsn}"))
+                }
+                (_, Some(run)) => run.push(sql),
+                (_, None) => units.push(WalRecord {
+                    lsn,
+                    stmts: vec![sql],
+                }),
+            }
+        }
+    }
+    Ok(units)
 }
 
 #[cfg(test)]
@@ -658,5 +708,82 @@ mod tests {
             vec![2]
         );
         assert_eq!(p.next_lsn(), 3);
+    }
+
+    /// Writes `dir/wal.log` in format 1: one `[lsn][sql]` frame per
+    /// record, LSNs from 1.
+    fn write_format_1_log(dir: &Path, records: &[&str]) {
+        std::fs::create_dir_all(dir).unwrap();
+        let mut bytes = b"SNAPWAL\x01".to_vec();
+        for (lsn, sql) in (1u64..).zip(records) {
+            let mut payload = crate::codec::Writer::new();
+            payload.put_u64(lsn);
+            payload.put_str(sql);
+            let payload = payload.into_bytes();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crate::crc::crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        std::fs::write(dir.join("wal.log"), bytes).unwrap();
+    }
+
+    /// A format-1 `BEGIN` … `COMMIT` run reads as one unit of the
+    /// statements between its markers; a trailing run whose `COMMIT` is
+    /// missing never committed and is dropped, though its LSNs stay used.
+    #[test]
+    fn a_format_1_transaction_reads_as_one_unit_and_a_torn_run_is_dropped() {
+        let dir = tmp_dir("format_1_fold");
+        write_format_1_log(
+            &dir,
+            &[
+                "CREATE TABLE t (x INT)",
+                "BEGIN",
+                "INSERT INTO t VALUES (1)",
+                "DELETE FROM t WHERE x = 0",
+                "COMMIT",
+                "INSERT INTO t VALUES (2)",
+                "BEGIN",
+                "INSERT INTO t VALUES (3)",
+            ],
+        );
+        let (p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+        assert!(rec.outdated);
+        assert_eq!(
+            rec.replay,
+            vec![
+                WalRecord {
+                    lsn: 1,
+                    stmts: stmts(&["CREATE TABLE t (x INT)"])
+                },
+                WalRecord {
+                    lsn: 5,
+                    stmts: stmts(&["INSERT INTO t VALUES (1)", "DELETE FROM t WHERE x = 0"])
+                },
+                WalRecord {
+                    lsn: 6,
+                    stmts: stmts(&["INSERT INTO t VALUES (2)"])
+                },
+            ]
+        );
+        assert_eq!(p.next_lsn(), 9, "the dropped run's LSNs are not reused");
+    }
+
+    /// A marker no format-1 writer logged is refused, not guessed at.
+    #[test]
+    fn a_format_1_log_with_a_stray_marker_is_refused() {
+        for (name, records) in [
+            (
+                "rollback",
+                &["BEGIN", "INSERT INTO t VALUES (1)", "ROLLBACK"][..],
+            ),
+            ("nested", &["BEGIN", "BEGIN", "COMMIT"][..]),
+            ("unopened", &["INSERT INTO t VALUES (1)", "COMMIT"][..]),
+        ] {
+            let dir = tmp_dir(&format!("format_1_{name}"));
+            write_format_1_log(&dir, records);
+            let err = Persistence::open(&dir, PersistenceOptions::default()).unwrap_err();
+            assert!(err.contains("unexpected"), "{name}: {err}");
+            assert!(err.contains("refusing to open"), "{name}: {err}");
+        }
     }
 }

@@ -17,6 +17,7 @@
 //! checkpoint counters, so the tests run in parallel.
 
 use snapshot_semantics::baseline::PointwiseOracle;
+use snapshot_semantics::index::TableIndex;
 use snapshot_semantics::rewrite::infer_domain;
 use snapshot_semantics::session::{
     Database, PersistenceOptions, RecoveryReport, Session, SessionOptions, SharedDatabase,
@@ -469,6 +470,85 @@ fn crash_before_the_commit_marker_discards_the_whole_transaction() {
     assert_eq!(report.truncated_bytes, 0);
     assert_eq!(report.replayed, 3);
     assert_eq!(s.read_view().catalog().get("works").unwrap().len(), 2);
+}
+
+/// A WAL tail mixing every kind of commit unit — an autocommit `INSERT`,
+/// an explicit transaction, a `DELETE`, a `CREATE` then an `INSERT …
+/// SELECT` from a table an earlier unit wrote, a `DROP` then a re-`CREATE`
+/// under the same name — replays as one transaction: the recovered dump
+/// equals the live database's before the kill, the open counts one commit
+/// (a unit-by-unit replay counts one per unit), and every recovered index
+/// answers like a fresh build.
+#[test]
+fn a_mixed_tail_replays_as_one_transaction() {
+    let dir = scratch_dir("one_txn_tail");
+    let rows = |n: i64| {
+        (0..n)
+            .map(|i| format!("('r{i}', 'SP', {}, {})", i % 7, 10 + i % 5))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let before = {
+        let (mut s, _) = open(&dir, 0);
+        // A checkpointed base, padded so the tail's edits stay under an
+        // eighth of each table and repair its index in place.
+        s.execute(SETUP[0]).unwrap();
+        s.execute(&format!("INSERT INTO works VALUES {}", rows(64)))
+            .unwrap();
+        s.execute("CREATE TABLE old (x INT, ts INT, te INT) PERIOD (ts, te)")
+            .unwrap();
+        s.execute("INSERT INTO old VALUES (1, 0, 4)").unwrap();
+        s.checkpoint().unwrap();
+        for script in [
+            "INSERT INTO works VALUES ('Ann', 'NS', 3, 9)",
+            "BEGIN; INSERT INTO works VALUES ('Joe', 'WE', 8, 16); \
+             UPDATE works SET te = 12 WHERE name = 'r3'; COMMIT",
+            "DELETE FROM works WHERE name = 'r5'",
+            "CREATE TABLE skills (skill TEXT, ts INT, te INT) PERIOD (ts, te)",
+            "INSERT INTO skills SELECT skill, ts, te FROM works WHERE ts < 2",
+            "DROP TABLE old",
+            "CREATE TABLE old (y TEXT, ts INT, te INT) PERIOD (ts, te)",
+            "INSERT INTO old VALUES ('back', 2, 6)",
+        ] {
+            s.execute_script(script).unwrap();
+        }
+        dump_sql(s.read_view().catalog())
+    };
+    let units = {
+        let (_, recovery) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
+        recovery.replay.len()
+    };
+    assert_eq!(units, 8, "one unit per autocommit statement or transaction");
+
+    let (mut s, report) = open(&dir, 0);
+    assert_eq!(report.replayed, 9);
+    assert_eq!(dump_sql(s.read_view().catalog()), before);
+    assert_eq!(
+        counter(&s, "txn_commits_total"),
+        1,
+        "one commit for the tail"
+    );
+    let view = s.read_view();
+    for name in view.catalog().table_names() {
+        let table = view.catalog().get(name).unwrap();
+        let built = TableIndex::build(table).unwrap();
+        let recovered = view
+            .indexes()
+            .get_fresh(name, table)
+            .unwrap_or_else(|| panic!("'{name}' has no fresh index after recovery"));
+        assert_eq!(recovered.events().by_begin(), built.events().by_begin());
+        for t in -1..=17 {
+            assert_eq!(recovered.stab(t), built.stab(t), "'{name}' stab {t}");
+            for width in [1, 4, 13] {
+                assert_eq!(
+                    recovered.overlapping(t, t + width),
+                    built.overlapping(t, t + width),
+                    "'{name}' overlap [{t}, +{width})"
+                );
+            }
+        }
+    }
+    assert_indexes_sound(&mut s, "after the one-transaction replay");
 }
 
 /// The byte offsets at which `wal.log`'s frames end, walked by their
