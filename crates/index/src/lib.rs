@@ -24,16 +24,16 @@
 //! missing or stale, so both routes stay live and comparable (the
 //! differential tests and the `baseline` oracle validate them against each
 //! other). Maintenance is version-driven and proportional to what a commit
-//! wrote: when the table's edit history ([`storage::Table::edited_since`])
-//! shows that only in-place updates and appends happened since the indexed
-//! version, [`IndexCatalog::ensure`] *edits* the index
+//! wrote: when the table is a copy of the indexed version on which only
+//! in-place updates and appends happened ([`storage::Table::edited_since`]),
+//! [`IndexCatalog::ensure`] *edits* the index
 //! ([`TableIndex::edited`]): the begin order merges the written rows in
 //! without re-sorting the untouched ones, and the written positions join a
 //! linearly stabbed tail beside the shared base tree, which is rebuilt
 //! from the merged order once the tail passes an eighth of it. A pure
 //! append is the edit with nothing replaced. Deletes and sorts (positions
-//! move), replaced tables, updates of more than an eighth of the rows, and
-//! indexes older than the trimmed history are rebuilt in full.
+//! move), replaced tables, and tables written in place rather than on a
+//! copy (an owned database's autocommit writes) are rebuilt in full.
 
 pub mod events;
 pub mod interval_tree;

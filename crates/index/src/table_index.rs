@@ -238,8 +238,8 @@ impl TableIndex {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Indexes built from scratch (first build, a mutation that moved
-    /// positions, a replaced table, a history trimmed past the index) and
-    /// re-bases of an edited index.
+    /// positions, a replaced table, a table that is no copy of the indexed
+    /// version) and re-bases of an edited index.
     pub full_builds: u64,
     /// Edits (in-place updates and appends) applied to a base in
     /// proportion to the rows they wrote.
@@ -331,13 +331,13 @@ impl IndexCatalog {
     /// Index maintenance: repairs the entry when missing or stale, then
     /// returns it (`None` for non-temporal tables).
     ///
-    /// When the table's [`Table::edited_since`] history reaches back to
-    /// the indexed version, the existing index is *edited*
-    /// ([`TableIndex::edited`] — the begin order merges the written rows
-    /// in, the tail takes their endpoints, and past an eighth of the base
-    /// the tree re-bases). Deletes, sorts, replaced tables, updates of
-    /// more than an eighth of the rows and indexes older than the trimmed
-    /// history fall back to a full [`TableIndex::build`]. The split is
+    /// When the table is a copy of the indexed version that moved no
+    /// position ([`Table::edited_since`]; a commit writes such a copy),
+    /// the existing index is *edited* ([`TableIndex::edited`] — the begin
+    /// order merges the written rows in, the tail takes their endpoints,
+    /// and past an eighth of the base the tree re-bases). Deletes, sorts,
+    /// replaced tables and tables written in place, not on a copy, fall
+    /// back to a full [`TableIndex::build`]. The split is
     /// observable via [`MaintenanceStats::read`]: an edit that keeps its
     /// base counts as incremental, a build or a re-base as full.
     pub fn ensure(&mut self, name: &str, table: &Table) -> Option<&TableIndex> {
@@ -351,7 +351,7 @@ impl IndexCatalog {
             let old = self.indexes.get(name);
             let edited = old.and_then(|idx| {
                 let (old_len, replaced) = table.edited_since(idx.version())?;
-                idx.edited(table, old_len, &replaced)
+                idx.edited(table, old_len, replaced)
             });
             let incremental = matches!((old, &edited),
                 (Some(old), Some(new)) if Arc::ptr_eq(&old.base, &new.base));
@@ -551,8 +551,10 @@ mod tests {
         let maintenance = || MaintenanceStats::read(&metrics);
         assert_eq!(maintenance(), MaintenanceStats::default());
 
-        // Pure appends: the repaired index must answer like a full
-        // rebuild, via the incremental path.
+        // Writes land on a copy, which records what it wrote (as a
+        // commit's copy-on-write does). Pure appends: the repaired index
+        // must answer like a full rebuild, via the incremental path.
+        t = t.clone();
         t.push(row!["Eve", "SP", 0, 2]);
         t.extend(vec![row!["Zed", "NS", 1, 3], row!["Pam", "SP", 2, 19]]);
         let repaired = reg.ensure("works", &t).unwrap().clone();
@@ -611,8 +613,11 @@ mod tests {
 
         // Closing a period in place edits the index; so does closing it
         // again, and the second close is the one the index answers by.
+        // Each repair covers one copy of the table, as each commit does.
+        t = t.clone();
         set_end(&mut t, "Joe", 12);
         assert_answers_like_a_build(reg.ensure("works", &t).unwrap(), &t);
+        t = t.clone();
         set_end(&mut t, "Joe", 9);
         t.push(row!["Eve", "SP", 0, 2]);
         assert_answers_like_a_build(reg.ensure("works", &t).unwrap(), &t);
@@ -626,6 +631,7 @@ mod tests {
 
         // Tail {Joe, Eve, Sam, Ann x2} is five positions over a 32-row
         // base: past an eighth, so the tree re-bases (a full build).
+        t = t.clone();
         set_end(&mut t, "Sam", 11);
         assert_eq!(set_end(&mut t, "Ann", 30), 2);
         let rebased = reg.ensure("works", &t).unwrap();

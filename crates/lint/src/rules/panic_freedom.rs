@@ -1,13 +1,15 @@
 //! Rule `panic_freedom`: recovery and wire-protocol code must be total.
 //!
 //! The WAL decode path runs against whatever bytes survived a crash, the
-//! recovery driver replays whatever statements that yields, and the
-//! server's frame parser runs against whatever bytes a client sent. A
-//! panic in any of them turns "corrupt input" into "database won't start"
-//! or "connection thread dies without a response". Inside the zone files, any
-//! non-test use of `.unwrap()` / `.expect(..)`, the panicking macros, or
-//! `[...]` indexing on a value is a finding; fallible alternatives
-//! (`get`, `strip_prefix`, `try_into`, pattern matching) always exist.
+//! recovery driver replays whatever statements that yields, the server's
+//! frame parser runs against whatever bytes a client sent, and the
+//! client's result reader against whatever frames a server sent. A panic
+//! in any of them turns "corrupt input" into "database won't start",
+//! "connection thread dies without a response" or "client dies". Inside
+//! the zone files, any non-test use of `.unwrap()` / `.expect(..)`, the
+//! panicking macros, or `[...]` indexing on a value is a finding;
+//! fallible alternatives (`get`, `strip_prefix`, `try_into`, pattern
+//! matching) always exist.
 //!
 //! `unwrap_or`, `unwrap_or_else`, `unwrap_or_default` are distinct
 //! identifiers and therefore (correctly) not matched.
@@ -28,6 +30,7 @@ const ZONES: &[&str] = &[
     "crates/wal/src/dump.rs",
     "crates/session/src/shared.rs",
     "crates/server/src/protocol.rs",
+    "crates/server/src/client.rs",
 ];
 
 /// Keywords that legitimately precede `[` (array literals, not indexing).

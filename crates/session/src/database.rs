@@ -6,9 +6,9 @@
 //! goes through [`storage::Table`]'s version-bumping API, so indexes
 //! invalidate automatically. An owned database has one session, which
 //! repairs the scanned tables' indexes in place right before each indexed
-//! query ([`Database::refresh_indexes`]) — editing each index in
-//! proportion to the rows written whenever the table's edit history
-//! allows it.
+//! query ([`Database::refresh_indexes`]); its autocommit writes land on
+//! the table itself, not on a copy, so that repair is a rebuild (only a
+//! committed transaction's copy lets it edit the index instead).
 //! Once promoted into a [`crate::SharedDatabase`], the registry belongs to
 //! the transaction manager, which builds every index up front and repairs
 //! them as it publishes; its readers never repair.
@@ -188,9 +188,9 @@ impl Database {
         snapshot_txn::publish_write_set(working, write_set, &mut self.catalog, &mut self.indexes);
     }
 
-    /// Repairs the indexes of the named tables in place (an edit when only
-    /// appends and in-place updates happened, full rebuild otherwise). Non-temporal and
-    /// unknown names are left without an entry.
+    /// Repairs the indexes of the named tables in place (an edit for a
+    /// copy that only appended and updated in place, a full rebuild
+    /// otherwise). Non-temporal and unknown names get no entry.
     pub fn refresh_indexes(&mut self, tables: &[String]) {
         self.indexes
             .refresh(&self.catalog, tables.iter().map(String::as_str));

@@ -54,7 +54,11 @@ impl Catalog {
 
     /// Looks up a table mutably (DML entry point of the session layer).
     /// When the table is shared with a snapshot, this *unshares* it first
-    /// (clones the rows), so pinned snapshots never observe the mutation.
+    /// (clones the rows), so pinned snapshots never observe the mutation;
+    /// the copy records what it writes from then on
+    /// ([`Table::edited_since`]), which is how a commit's index repair
+    /// learns the rows it wrote. A table nobody shares is written in place
+    /// and records nothing.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.tables.get_mut(name).map(Arc::make_mut)
     }

@@ -16,16 +16,6 @@ fn next_version() -> u64 {
     VERSION_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
-/// How many states a table's edit history keeps (see
-/// [`Table::edited_since`]): an index older than this many edits falls
-/// back to a full rebuild.
-const MAX_EDIT_STATES: usize = 64;
-
-/// The history keeps at most `len / REPLACED_SHARE` replaced positions in
-/// total, dropping its oldest states first; an `UPDATE` rewriting more
-/// than that share of the rows therefore leaves no older state behind.
-const REPLACED_SHARE: usize = 8;
-
 /// A stored relation: a schema, a multiset of rows (duplicates are separate
 /// rows, as in SQL), and an optional *period specification* naming the two
 /// integer columns that hold each tuple's validity interval `[begin, end)`.
@@ -34,21 +24,22 @@ const REPLACED_SHARE: usize = 8;
 /// unique [`Table::version`] epoch — the maintenance hook the `index` crate
 /// uses to detect stale table indexes without storing back-pointers in the
 /// storage layer.
-#[derive(Debug, Clone, Eq)]
+///
+/// A clone is a private copy that remembers what it was copied from, so
+/// that the `index` crate can repair the original's index in proportion
+/// to the rows the copy wrote (see [`Table::edited_since`]).
+#[derive(Debug, Eq)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     period: Option<(usize, usize)>,
     version: u64,
-    /// Recent `(version, len, replaced)` states reachable from the current
-    /// state by *in-place edits only*: entry `(v, l, r)` means "at version
-    /// `v` this table had `l` rows, and the edits since replaced positions
-    /// `r` of them before the next state" (the current state's `r` is
-    /// empty). Appends and `update_where` push a state; deletes and
-    /// sorting, which move positions, clear the history. This is what
-    /// lets index maintenance repair an index in proportion to the rows
-    /// written instead of rebuilding it — see [`Table::edited_since`].
-    edits: Vec<(u64, usize, Vec<usize>)>,
+    /// The write record of a copy: `(v, l, r)` means "cloned from a table
+    /// at version `v` that had `l` rows; since then the positions `r`
+    /// (ascending, each below `l`) were rewritten in place and the rows
+    /// past `l` appended". Started only by [`Clone`]; ended (`None`) by a
+    /// delete or a sort, which move positions.
+    written: Option<(u64, usize, Vec<usize>)>,
     /// `(min begin, max end)` over the rows of a period table — derived
     /// state, kept current by every mutation (see [`Table::period_extent`]);
     /// [`NO_PERIODS`] while there is nothing to cover.
@@ -69,9 +60,22 @@ fn period_of(period: Option<(usize, usize)>, row: &Row) -> (i64, i64) {
     period.map_or(NO_PERIODS, |(b, e)| (row.int(b), row.int(e)))
 }
 
-// Equality ignores the version counter (and the derived extent): two tables
-// with the same schema, rows, and period are the same relation regardless
-// of mutation history.
+// A copy starts its write record at the original's version: whatever the
+// original recorded describes how *it* was copied, not this copy.
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        Table {
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            written: Some((self.version, self.rows.len(), Vec::new())),
+            ..*self
+        }
+    }
+}
+
+// Equality ignores the version counter, the write record and the derived
+// extent: two tables with the same schema, rows, and period are the same
+// relation regardless of mutation history.
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema && self.rows == other.rows && self.period == other.period
@@ -81,13 +85,12 @@ impl PartialEq for Table {
 impl Table {
     /// Creates an empty, non-temporal table.
     pub fn new(schema: Schema) -> Self {
-        let version = next_version();
         Table {
             schema,
             rows: Vec::new(),
             period: None,
-            version,
-            edits: vec![(version, 0, Vec::new())],
+            version: next_version(),
+            written: None,
             extent: NO_PERIODS,
         }
     }
@@ -127,14 +130,9 @@ impl Table {
             SqlType::Int,
             "period end column must be INT"
         );
-        let version = next_version();
         Table {
-            schema,
-            rows: Vec::new(),
             period: Some((begin, end)),
-            version,
-            edits: vec![(version, 0, Vec::new())],
-            extent: NO_PERIODS,
+            ..Table::new(schema)
         }
     }
 
@@ -222,35 +220,6 @@ impl Table {
         Ok((ib, ie))
     }
 
-    /// Refreshes the version after an in-place edit that rewrote the rows
-    /// at `replaced` (and appended whatever lies past the previous
-    /// length), recording the new state so indexes can catch up in
-    /// proportion to the edit. The oldest states go first once the history
-    /// holds more than `MAX_EDIT_STATES` states or more than
-    /// `len / REPLACED_SHARE` replaced positions.
-    fn bump_edit(&mut self, replaced: Vec<usize>) {
-        self.version = next_version();
-        if let Some(last) = self.edits.last_mut() {
-            last.2 = replaced;
-        }
-        self.edits.push((self.version, self.rows.len(), Vec::new()));
-        let mut drop = self.edits.len().saturating_sub(MAX_EDIT_STATES);
-        let mut kept: usize = self.edits[drop..].iter().map(|e| e.2.len()).sum();
-        while kept * REPLACED_SHARE > self.rows.len() {
-            kept -= self.edits[drop].2.len();
-            drop += 1;
-        }
-        self.edits.drain(..drop);
-    }
-
-    /// Refreshes the version after a mutation that moves positions (a
-    /// delete or a sort): the edit history restarts here.
-    fn bump_structural(&mut self) {
-        self.version = next_version();
-        self.edits.clear();
-        self.edits.push((self.version, self.rows.len(), Vec::new()));
-    }
-
     /// Appends a row.
     ///
     /// # Panics
@@ -261,7 +230,7 @@ impl Table {
             Err(e) => panic!("{e}"),
         }
         self.rows.push(row);
-        self.bump_edit(Vec::new());
+        self.version = next_version();
     }
 
     /// Bulk-extends the table (one version bump for the whole batch).
@@ -296,7 +265,7 @@ impl Table {
         }
         self.extent = extent;
         if self.rows.len() > before {
-            self.bump_edit(Vec::new());
+            self.version = next_version();
         }
         refused
     }
@@ -316,7 +285,8 @@ impl Table {
         self.extent = extent;
         let removed = before - self.rows.len();
         if removed > 0 {
-            self.bump_structural();
+            self.version = next_version();
+            self.written = None;
         }
         removed
     }
@@ -346,37 +316,42 @@ impl Table {
             extent = widen(extent, period);
         }
         let updated = replacements.len();
-        let mut replaced = Vec::with_capacity(updated);
+        if updated == 0 {
+            return Ok(0);
+        }
+        if let Some((_, len, replaced)) = &mut self.written {
+            // Two ascending runs: merge them, keeping each position once.
+            let mut merged = Vec::with_capacity(replaced.len() + updated);
+            let mut earlier = replaced.iter().copied().peekable();
+            for &(i, _) in replacements.iter().take_while(|(i, _)| i < len) {
+                merged.extend(std::iter::from_fn(|| earlier.next_if(|&p| p < i)));
+                earlier.next_if_eq(&i);
+                merged.push(i);
+            }
+            merged.extend(earlier);
+            *replaced = merged;
+        }
         for (i, new_row) in replacements {
             self.rows[i] = new_row;
-            replaced.push(i);
         }
-        if updated > 0 {
-            self.extent = extent;
-            self.bump_edit(replaced);
-        }
+        self.extent = extent;
+        self.version = next_version();
         Ok(updated)
     }
 
-    /// When the table state at `version` reaches the current one by
-    /// in-place edits only, returns `Some((len, replaced))`: the table had
-    /// `len` rows at `version`, and `replaced` (ascending, each once) are
-    /// the positions below `len` rewritten since; every row past `len` was
-    /// appended since. `None` when positions moved since (a delete or a
-    /// sort), for unknown versions, and once the history is trimmed past
-    /// that version. Versions are globally unique, so a hit can never be a
-    /// look-alike from another table or a diverged clone.
-    pub fn edited_since(&self, version: u64) -> Option<(usize, Vec<usize>)> {
-        let at = self.edits.iter().position(|e| e.0 == version)?;
-        let len = self.edits[at].1;
-        let mut replaced: Vec<usize> = self.edits[at..]
-            .iter()
-            .flat_map(|e| e.2.iter().copied())
-            .filter(|&p| p < len)
-            .collect();
-        replaced.sort_unstable();
-        replaced.dedup();
-        Some((len, replaced))
+    /// What this copy wrote since it was cloned from the table at
+    /// `version`: `Some((len, replaced))` when the original had `len` rows
+    /// and since then only the positions `replaced` (ascending, each once,
+    /// all below `len`) were rewritten in place and the rows past `len`
+    /// appended. `None` for any other version, for a table that is no
+    /// copy, and once a delete or a sort moved positions. Versions are
+    /// globally unique, so a hit can never be a look-alike from another
+    /// table or a diverged clone.
+    pub fn edited_since(&self, version: u64) -> Option<(usize, &[usize])> {
+        match &self.written {
+            Some((from, len, replaced)) if *from == version => Some((*len, replaced)),
+            _ => None,
+        }
     }
 
     /// The validity interval of a row (requires a period table).
@@ -393,7 +368,8 @@ impl Table {
     /// implementation layer.
     pub fn canonicalize(&mut self) {
         self.rows.sort_unstable();
-        self.bump_structural();
+        self.version = next_version();
+        self.written = None;
     }
 
     /// A canonically sorted copy.
@@ -609,22 +585,34 @@ mod tests {
         let mut t = Table::with_period(works_schema(), 2, 3);
         t.push(row!["Ann", "SP", 3, 10]);
         let v1 = t.version();
-        t.push(row!["Joe", "NS", 8, 16]);
-        t.extend(vec![row!["Sam", "SP", 8, 16], row!["Eve", "SP", 0, 2]]);
-        // From v1 (one row), only appends happened.
-        assert_eq!(t.edited_since(v1), Some((1, vec![])));
-        assert_eq!(t.edited_since(t.version()), Some((4, vec![])));
+        assert_eq!(
+            t.edited_since(v1),
+            None,
+            "a table built in place is no copy"
+        );
+        let mut copy = t.clone();
+        assert_eq!(copy.edited_since(v1), Some((1, &[][..])));
+        copy.push(row!["Joe", "NS", 8, 16]);
+        copy.extend(vec![row!["Sam", "SP", 8, 16], row!["Eve", "SP", 0, 2]]);
+        // From v1 (one row), only appends happened; the record answers
+        // for the version copied from only.
+        assert_eq!(copy.edited_since(v1), Some((1, &[][..])));
+        assert_eq!(copy.edited_since(copy.version()), None);
         // Unknown versions (e.g. from another table) never match.
         let other = Table::with_period(works_schema(), 2, 3);
-        assert_eq!(t.edited_since(other.version()), None);
+        assert_eq!(copy.edited_since(other.version()), None);
 
-        // A delete moves positions and invalidates the history...
-        t.delete_where(|r| r.get(0) == &Value::str("Eve"));
-        assert_eq!(t.edited_since(v1), None);
-        // ...but the post-mutation state is recorded again.
-        let v2 = t.version();
-        t.push(row!["Zed", "NS", 1, 3]);
-        assert_eq!(t.edited_since(v2), Some((3, vec![])));
+        // A copy of the copy starts a record of its own: it does not
+        // inherit the one that says how its original was copied.
+        let v2 = copy.version();
+        let mut again = copy.clone();
+        assert_eq!(again.edited_since(v1), None);
+        again.push(row!["Zed", "NS", 1, 3]);
+        assert_eq!(again.edited_since(v2), Some((4, &[][..])));
+
+        // A delete moves positions and ends the record.
+        copy.delete_where(|r| r.get(0) == &Value::str("Eve"));
+        assert_eq!(copy.edited_since(v1), None);
 
         // Divergent clones do not see each other's states.
         let (mut a, mut b) = (t.clone(), t.clone());
@@ -632,6 +620,7 @@ mod tests {
         b.push(row!["B1", "SP", 2, 4]);
         assert_eq!(b.edited_since(a.version()), None);
         assert_eq!(a.edited_since(b.version()), None);
+        assert_eq!(a.edited_since(v1), b.edited_since(v1));
     }
 
     /// Rewrites the end of every row named `name`.
@@ -652,34 +641,29 @@ mod tests {
         let mut t = Table::with_period(works_schema(), 2, 3);
         t.extend((0..40).map(|i| row![format!("r{i}"), "SP", i, 100]));
         let v0 = t.version();
+        let mut t = t.clone();
         assert_eq!(close(&mut t, "r5", 50), 1);
         t.push(row!["new", "NS", 1, 2]);
         assert_eq!(close(&mut t, "r2", 40), 1);
         assert_eq!(close(&mut t, "r5", 60), 1);
-        // Positions replaced since v0, each once; the append shows as the
-        // length at v0.
-        assert_eq!(t.edited_since(v0), Some((40, vec![2, 5])));
+        // Positions replaced since v0, each once and ascending; the
+        // append shows as the length at v0.
+        assert_eq!(t.edited_since(v0), Some((40, &[2, 5][..])));
         // A position appended since v0 is not reported as replaced.
-        let v1 = t.version();
-        assert_eq!(t.edited_since(v1), Some((41, vec![])));
         assert_eq!(close(&mut t, "new", 3), 1);
-        assert_eq!(t.edited_since(v0), Some((40, vec![2, 5])));
-        assert_eq!(t.edited_since(v1), Some((41, vec![40])));
+        assert_eq!(t.edited_since(v0), Some((40, &[2, 5][..])));
 
-        // At most len / REPLACED_SHARE replaced positions stay reachable:
-        // five of 41 rows fit, a sixth drops the oldest states.
-        assert_eq!(close(&mut t, "r7", 70), 1);
-        assert_eq!(t.edited_since(v0), Some((40, vec![2, 5, 7])));
-        assert_eq!(close(&mut t, "r9", 90), 1);
-        assert_eq!(t.edited_since(v0), None, "trimmed oldest first");
-        assert_eq!(t.edited_since(v1), Some((41, vec![7, 9, 40])));
-
-        // An update of more than an eighth of the rows keeps no older
-        // state, as a delete would.
-        let v2 = t.version();
+        // However many rows an update rewrites, it merges into the record.
         assert_eq!(t.update_where(|r| r.int(2) < 6, |r| Ok(r.clone())), Ok(7));
-        assert_eq!(t.edited_since(v2), None);
-        assert_eq!(t.edited_since(t.version()), Some((41, vec![])));
+        assert_eq!(t.edited_since(v0), Some((40, &[0, 1, 2, 3, 4, 5][..])));
+        assert_eq!(close(&mut t, "r39", 70), 1);
+        assert_eq!(t.edited_since(v0), Some((40, &[0, 1, 2, 3, 4, 5, 39][..])));
+
+        // A no-op update keeps the record; a sort ends it.
+        assert_eq!(close(&mut t, "nobody", 1), 0);
+        assert_eq!(t.edited_since(v0).map(|(_, r)| r.len()), Some(7));
+        t.canonicalize();
+        assert_eq!(t.edited_since(v0), None);
     }
 
     #[test]

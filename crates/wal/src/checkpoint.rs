@@ -434,7 +434,7 @@ mod tests {
         (read, LARGEST.with(Cell::get))
     }
 
-    /// The body offsets a structural mutation edits: for format 2 the
+    /// The body offsets a structural mutation edits. For format 2: the
     /// first table's block count, and its first block's row count, arity
     /// and first run length (the string column's); for the format-1
     /// fixture, its one table's row count, which precedes the one row's

@@ -45,21 +45,22 @@ fn main() -> Result<(), String> {
     }
 
     // 4. Mutate and re-query: the table version bumps, the index registry
-    //    notices, and the next query repairs the index from the rows the
-    //    insert wrote.
+    //    notices, and the next query rebuilds the index.
     session.execute("INSERT INTO works VALUES ('Eve', 'SP', 0, 6)")?;
     let result = session.execute(q_onduty)?;
     println!("after INSERT:\n{}", result.rows().unwrap().canonicalized());
 
-    // A non-sequenced UPDATE rewrites its row in place — repaired the same
-    // way as the insert (a DELETE, which moves rows, would rebuild).
+    // A non-sequenced UPDATE rewrites its row in place; the next query
+    // rebuilds the index again.
     session.execute("UPDATE works SET te = 12 WHERE name = 'Sam'")?;
     let result = session.execute(q_onduty)?;
     println!("after UPDATE:\n{}", result.rows().unwrap().canonicalized());
 
-    // Each repair here wrote one row of four or five: more than an eighth
-    // of the indexed rows, so the edit re-bases the interval tree, which
-    // counts as a full build. On a large table it would be an edit.
+    // One build for the first query and one after each write. This owned
+    // session writes its table in place, not on a copy that records what
+    // it wrote, so every repair is a full build. A shared database (what
+    // `snapshot_db` opens) commits each write on a copy and edits the
+    // index in proportion to the rows written.
     let stats = session.database().index_maintenance();
     println!(
         "index maintenance: {} full build(s), {} edit(s)",

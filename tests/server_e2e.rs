@@ -9,9 +9,9 @@
 //! mid-result leaves no ghost rows in `snapshot_stat_activity`, a
 //! multi-batch result arrives in the executor's row order with every byte
 //! accounted, bare `.profile` returns exactly the folded stacks while
-//! `.trace` is refused, a server that sends a malformed result gets an
-//! `Err` from the client, not a panic, and a script that fails means the
-//! same over the wire as in process.
+//! `.trace` is refused, a server that sends a malformed result or frames
+//! out of order gets an `Err` from the client, not a panic, and a script
+//! that fails means the same over the wire as in process.
 //!
 //! Every test serves a database of its own, with its own activity table
 //! and metrics, so the tests run in parallel.
@@ -1171,9 +1171,9 @@ fn client_dropped_mid_result_fails_the_stream_and_deregisters_once() {
 }
 
 /// A scripted stand-in for the server: handshakes, reads one request and
-/// answers it with `response`, then holds the socket until the client
-/// lets go. Returns the address to connect to.
-fn fake_server(response: Vec<Frame>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+/// answers it with `response`, then hangs up at once (`hang_up`) or holds
+/// the socket until the client lets go. Returns the address to connect to.
+fn fake_server(response: Vec<Frame>, hang_up: bool) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let thread = std::thread::spawn(move || {
@@ -1195,6 +1195,10 @@ fn fake_server(response: Vec<Frame>) -> (SocketAddr, std::thread::JoinHandle<()>
         let _ = response
             .iter()
             .try_for_each(|frame| write_frame(&mut stream, frame).map(drop));
+        if hang_up {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
         while read_frame(&mut stream).is_ok() {}
     });
     (addr, thread)
@@ -1248,12 +1252,64 @@ fn malformed_results_are_connection_errors_not_panics() {
         let rows = response.len() as u64 - 1;
         response.push(Frame::RowEnd { rows });
         response.push(Frame::Ready { in_txn: false });
-        let (addr, fake) = fake_server(response);
+        let (addr, fake) = fake_server(response, false);
         let mut client = Client::connect(addr).expect("handshake with the fake");
         match client.query("SELECT 1;") {
             Err(RemoteError::Connection(_)) => {}
             other => panic!("{what}: expected a connection error, got {other:?}"),
         }
+        drop(client);
+        fake.join().expect("fake server thread");
+    }
+}
+
+/// Frames that are each well formed but come in an order the protocol
+/// forbids cannot panic `Client` either: a `RowBatch` before any
+/// `RowHeader`, a batch whose arity disagrees with its header, a `RowEnd`
+/// whose count disagrees with the batches, and a socket closed in the
+/// middle of a result each make `query` return `Err`.
+#[test]
+fn bad_result_sequences_are_errors_not_panics() {
+    let header = || Frame::RowHeader {
+        schema: Schema::of(&[
+            ("x", SqlType::Int),
+            ("ts", SqlType::Int),
+            ("te", SqlType::Int),
+        ]),
+        period: Some((1, 2)),
+    };
+    let batch = |values: &[i64]| Frame::RowBatch {
+        rows: vec![Row::new(values.iter().map(|&v| Value::Int(v)).collect())],
+    };
+    let ready = || Frame::Ready { in_txn: false };
+    let end = |rows| Frame::RowEnd { rows };
+    let scripts: Vec<(&str, Vec<Frame>, bool)> = vec![
+        (
+            "RowBatch before any RowHeader",
+            vec![batch(&[7, 1, 5]), end(1), ready()],
+            false,
+        ),
+        (
+            "RowBatch arity disagrees with its RowHeader",
+            vec![header(), batch(&[7, 1]), end(1), ready()],
+            false,
+        ),
+        (
+            "RowEnd count disagrees with the batches",
+            vec![header(), batch(&[7, 1, 5]), end(2), ready()],
+            false,
+        ),
+        (
+            "socket closed mid-result",
+            vec![header(), batch(&[7, 1, 5])],
+            true,
+        ),
+    ];
+    for (what, response, hang_up) in scripts {
+        let (addr, fake) = fake_server(response, hang_up);
+        let mut client = Client::connect(addr).expect("handshake with the fake");
+        let outcome = client.query("SELECT 1;");
+        assert!(outcome.is_err(), "{what}: expected Err, got {outcome:?}");
         drop(client);
         fake.join().expect("fake server thread");
     }
