@@ -33,7 +33,7 @@
 //! from the merged order once the tail passes an eighth of it. A pure
 //! append is the edit with nothing replaced. Deletes and sorts (positions
 //! move), replaced tables, and tables written in place rather than on a
-//! copy (an owned database's autocommit writes) are rebuilt in full.
+//! copy since their index was built are rebuilt in full.
 
 pub mod events;
 pub mod interval_tree;

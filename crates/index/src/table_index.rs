@@ -269,10 +269,10 @@ impl MaintenanceStats {
 /// cheap — an MVCC snapshot pins the index registry together with the
 /// catalog and keeps serving index-accelerated reads no matter how the
 /// committed registry evolves. Only the registry's owner repairs it
-/// ([`IndexCatalog::ensure`], [`IndexCatalog::refresh`]): a shared
-/// database's transaction manager when it publishes tables, an owned
-/// database before its session's reads. Readers of a pinned clone never
-/// do; a stale entry just sends them down the naive route.
+/// ([`IndexCatalog::ensure`], [`IndexCatalog::refresh`]) when a write
+/// publishes tables into it: a shared database's transaction manager, or
+/// an owned database's session as it commits. Readers never do; a stale
+/// entry just sends them down the naive route.
 #[derive(Debug, Clone, Default)]
 pub struct IndexCatalog {
     indexes: std::collections::BTreeMap<String, std::sync::Arc<TableIndex>>,

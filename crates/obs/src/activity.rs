@@ -377,8 +377,6 @@ pub enum Phase {
     Bind,
     /// `SEQ VT` rewrite / plan compilation.
     Rewrite,
-    /// Index repair (owned databases only).
-    Index,
     /// Plan execution.
     Execute,
     /// Commit (validate, WAL, publish).
@@ -392,9 +390,8 @@ impl Phase {
             Phase::Parse => 1,
             Phase::Bind => 2,
             Phase::Rewrite => 3,
-            Phase::Index => 4,
-            Phase::Execute => 5,
-            Phase::Commit => 6,
+            Phase::Execute => 4,
+            Phase::Commit => 5,
         }
     }
 
@@ -403,9 +400,8 @@ impl Phase {
             1 => Phase::Parse,
             2 => Phase::Bind,
             3 => Phase::Rewrite,
-            4 => Phase::Index,
-            5 => Phase::Execute,
-            6 => Phase::Commit,
+            4 => Phase::Execute,
+            5 => Phase::Commit,
             _ => Phase::Idle,
         }
     }
@@ -417,7 +413,6 @@ impl Phase {
             Phase::Parse => "parse",
             Phase::Bind => "bind",
             Phase::Rewrite => "rewrite",
-            Phase::Index => "index",
             Phase::Execute => "execute",
             Phase::Commit => "commit",
         }

@@ -36,7 +36,9 @@ pub struct SlowQuery {
     pub bind_ms: f64,
     /// Rewrite phase, milliseconds.
     pub rewrite_ms: f64,
-    /// Index-maintenance phase, milliseconds.
+    /// Index-maintenance phase, milliseconds: always 0, since no statement
+    /// repairs an index (the commit that publishes a table does); kept as
+    /// a column of `snapshot_stat_slow_queries`.
     pub index_ms: f64,
     /// Execute phase, milliseconds.
     pub execute_ms: f64,

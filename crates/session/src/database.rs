@@ -1,17 +1,19 @@
 //! The database: the storage catalog and the index registry under one
-//! owner, with validated mutation entry points.
+//! owner, plus the validated catalog-level mutations every statement runs.
 //!
 //! The storage layer stays index-agnostic and the index layer stays
-//! storage-agnostic (PR 1); this type is where the two meet. Every mutation
-//! goes through [`storage::Table`]'s version-bumping API, so indexes
-//! invalidate automatically. An owned database has one session, which
-//! repairs the scanned tables' indexes in place right before each indexed
-//! query ([`Database::refresh_indexes`]); its autocommit writes land on
-//! the table itself, not on a copy, so that repair is a rebuild (only a
-//! committed transaction's copy lets it edit the index instead).
-//! Once promoted into a [`crate::SharedDatabase`], the registry belongs to
-//! the transaction manager, which builds every index up front and repairs
-//! them as it publishes; its readers never repair.
+//! storage-agnostic; this type is where the two meet. It is a plain value:
+//! statements write a transaction's working catalog through the `*_in`
+//! functions below, and a commit publishes the written tables into the
+//! registry's owner, which repairs their indexes as it publishes (an edit
+//! for a copy that only appended and updated in place, a rebuild
+//! otherwise). An owned [`Database`] is that owner for its one session,
+//! which builds every index when it adopts the database; once promoted
+//! into a [`crate::SharedDatabase`], the registry belongs to the
+//! transaction manager. Either way a reader never repairs. A write made
+//! directly through [`Database::insert_rows`] or
+//! [`Database::update_where`] bumps the table's version, so its index
+//! reads as stale and the engine takes the naive route past it.
 
 use index::{IndexCatalog, MaintenanceStats};
 use snapshot_obs::{Counter, Histogram, Obs};
@@ -24,17 +26,17 @@ use storage::{Catalog, Row, Schema, SqlType, Table, Value};
 pub(crate) struct Telemetry {
     pub(crate) obs: Arc<Obs>,
     /// Per-phase latency, in [`crate::PhaseTimings`] order.
-    pub(crate) phases: [Arc<Histogram>; 6],
+    pub(crate) phases: [Arc<Histogram>; 5],
     /// Implicit-transaction conflict retries across all sessions (each
     /// session's [`crate::RetryStats`] stays the precise view).
     pub(crate) retries: Arc<Counter>,
     pub(crate) retry_give_ups: Arc<Counter>,
 }
 
-/// An in-memory database: named tables plus their (lazily maintained)
-/// indexes. Tables are copy-on-write, so `clone()` is an independent fork
-/// that is cheap until either side mutates; a clone shares the original's
-/// observability state (one [`Obs`], see [`crate::Session::obs`]).
+/// An in-memory database: named tables plus their indexes. Tables are
+/// copy-on-write, so `clone()` is an independent fork that is cheap until
+/// either side mutates; a clone shares the original's observability state
+/// (one [`Obs`], see [`crate::Session::obs`]).
 ///
 /// Durability is not a property of this type: a database directory is
 /// opened with [`crate::SharedDatabase::open_durable`], which logs every
@@ -64,9 +66,9 @@ impl Database {
         (self.catalog, self.indexes, self.telemetry)
     }
 
-    /// A database over an existing catalog (indexes are built on the first
-    /// indexed query, or all at once by [`crate::SharedDatabase::new`]),
-    /// with observability state of its own.
+    /// A database over an existing catalog (its indexes are built when a
+    /// [`crate::Session`] adopts it or [`crate::SharedDatabase::new`]
+    /// promotes it), with observability state of its own.
     pub fn from_catalog(catalog: Catalog) -> Self {
         let obs = Obs::default();
         let m = &obs.metrics;
@@ -75,7 +77,6 @@ impl Database {
                 m.histogram("session_parse_seconds"),
                 m.histogram("session_bind_seconds"),
                 m.histogram("session_rewrite_seconds"),
-                m.histogram("session_index_seconds"),
                 m.histogram("session_execute_seconds"),
                 m.histogram("session_commit_seconds"),
             ],
@@ -95,21 +96,6 @@ impl Database {
         &self.catalog
     }
 
-    /// The catalog, mutably — the session layer's unified mutation entry
-    /// point (validation lives in the catalog-level ops below).
-    pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
-    /// Post-mutation bookkeeping for direct (autocommit) writes: a
-    /// dropped table's index leaves the registry; everything else repairs
-    /// lazily through the version epochs.
-    pub(crate) fn note_write(&mut self, name: &str) {
-        if self.catalog.get(name).is_none() {
-            self.indexes.remove(name);
-        }
-    }
-
     /// The index registry.
     pub fn indexes(&self) -> &IndexCatalog {
         &self.indexes
@@ -122,26 +108,11 @@ impl Database {
         MaintenanceStats::read(&self.telemetry.obs.metrics)
     }
 
-    /// Creates a table. `period` names the two INT columns holding each
-    /// tuple's validity interval; without it the table is non-temporal.
-    pub fn create_table(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        period: Option<(usize, usize)>,
-    ) -> Result<(), String> {
-        create_table_in(&mut self.catalog, name, schema, period)
-    }
-
-    /// Drops a table, returning whether it existed.
-    pub fn drop_table(&mut self, name: &str) -> bool {
-        self.indexes.remove(name);
-        self.catalog.remove(name).is_some()
-    }
-
     /// Registers (or replaces) tables wholesale — the bulk-load entry
     /// point (`.load` in the shell). Any index on a replaced entry reads as
-    /// stale through the version epoch.
+    /// stale through the version epoch; an owned session's
+    /// [`crate::Session::register_tables`] builds the loaded tables'
+    /// indexes.
     pub fn register_tables<I>(&mut self, tables: I)
     where
         I: IntoIterator<Item = (String, Table)>,
@@ -156,15 +127,6 @@ impl Database {
     /// period. Validation is atomic: on any error nothing is inserted.
     pub fn insert_rows(&mut self, name: &str, rows: Vec<Row>) -> Result<usize, String> {
         insert_rows_in(&mut self.catalog, name, rows)
-    }
-
-    /// Deletes every row of `name` matching `pred`.
-    pub fn delete_where<P: FnMut(&Row) -> bool>(
-        &mut self,
-        name: &str,
-        pred: P,
-    ) -> Result<usize, String> {
-        delete_where_in(&mut self.catalog, name, pred)
     }
 
     /// Replaces every row of `name` matching `pred` with `update(row)`
@@ -188,12 +150,11 @@ impl Database {
         snapshot_txn::publish_write_set(working, write_set, &mut self.catalog, &mut self.indexes);
     }
 
-    /// Repairs the indexes of the named tables in place (an edit for a
-    /// copy that only appended and updated in place, a full rebuild
-    /// otherwise). Non-temporal and unknown names get no entry.
-    pub fn refresh_indexes(&mut self, tables: &[String]) {
+    /// Brings every period table's index up to date: what an owned
+    /// session runs when it adopts the database and after a bulk load.
+    pub(crate) fn build_indexes(&mut self) {
         self.indexes
-            .refresh(&self.catalog, tables.iter().map(String::as_str));
+            .refresh(&self.catalog, self.catalog.table_names());
     }
 }
 
@@ -250,9 +211,9 @@ pub fn conform_row(schema: &Schema, row: Row) -> Result<Row, String> {
     Ok(Row::new(values))
 }
 
-/// Creates a table inside `catalog` — the validation lives at catalog
-/// level so the same code serves [`Database::create_table`] and a
-/// transaction's private working catalog.
+/// Creates a table inside `catalog` (a transaction's private working
+/// catalog). `period` names the two INT columns holding each tuple's
+/// validity interval; without it the table is non-temporal.
 pub(crate) fn create_table_in(
     catalog: &mut Catalog,
     name: &str,
@@ -377,56 +338,55 @@ mod tests {
 
     #[test]
     fn create_insert_drop() {
-        let mut db = Database::new();
-        db.create_table("works", works_schema(), Some((2, 3)))
-            .unwrap();
-        assert!(db
-            .create_table("works", works_schema(), None)
+        let mut catalog = Catalog::new();
+        create_table_in(&mut catalog, "works", works_schema(), Some((2, 3))).unwrap();
+        assert!(create_table_in(&mut catalog, "works", works_schema(), None)
             .unwrap_err()
             .contains("already exists"));
         assert_eq!(
-            db.insert_rows("works", vec![row!["Ann", "SP", 3, 10]])
-                .unwrap(),
+            insert_rows_in(&mut catalog, "works", vec![row!["Ann", "SP", 3, 10]]).unwrap(),
             1
         );
-        assert_eq!(db.catalog().get("works").unwrap().len(), 1);
-        assert!(db.drop_table("works"));
-        assert!(!db.drop_table("works"));
+        assert_eq!(catalog.get("works").unwrap().len(), 1);
+        let ann = |r: &Row| r.get(0) == &Value::str("Ann");
+        assert_eq!(delete_where_in(&mut catalog, "works", ann).unwrap(), 1);
+        assert_eq!(catalog.get("works").unwrap().len(), 0);
+        assert!(catalog.remove("works").is_some());
+        assert!(catalog.remove("works").is_none());
     }
 
     #[test]
     fn create_table_validates_period() {
-        let mut db = Database::new();
-        assert!(db
-            .create_table("t", works_schema(), Some((0, 3)))
-            .unwrap_err()
-            .contains("must be INT"));
-        assert!(db
-            .create_table("t", works_schema(), Some((2, 2)))
-            .unwrap_err()
-            .contains("distinct"));
+        let mut catalog = Catalog::new();
+        assert!(
+            create_table_in(&mut catalog, "t", works_schema(), Some((0, 3)))
+                .unwrap_err()
+                .contains("must be INT")
+        );
+        assert!(
+            create_table_in(&mut catalog, "t", works_schema(), Some((2, 2)))
+                .unwrap_err()
+                .contains("distinct")
+        );
         let dup = Schema::of(&[("x", SqlType::Int), ("x", SqlType::Int)]);
-        assert!(db
-            .create_table("t", dup, None)
+        assert!(create_table_in(&mut catalog, "t", dup, None)
             .unwrap_err()
             .contains("duplicate column"));
     }
 
     #[test]
     fn insert_is_atomic_and_conforms_types() {
-        let mut db = Database::new();
+        let mut catalog = Catalog::new();
         let schema = Schema::of(&[("x", SqlType::Int), ("d", SqlType::Double)]);
-        db.create_table("t", schema, None).unwrap();
+        create_table_in(&mut catalog, "t", schema, None).unwrap();
         // Second row fails the type check: nothing is inserted.
-        let err = db
-            .insert_rows("t", vec![row![1, 2], row!["oops", 3]])
-            .unwrap_err();
+        let err = insert_rows_in(&mut catalog, "t", vec![row![1, 2], row!["oops", 3]]).unwrap_err();
         assert!(err.contains("does not fit"));
-        assert_eq!(db.catalog().get("t").unwrap().len(), 0);
+        assert_eq!(catalog.get("t").unwrap().len(), 0);
         // Int widens into DOUBLE.
-        db.insert_rows("t", vec![row![1, 2]]).unwrap();
+        insert_rows_in(&mut catalog, "t", vec![row![1, 2]]).unwrap();
         assert_eq!(
-            db.catalog().get("t").unwrap().rows()[0].get(1),
+            catalog.get("t").unwrap().rows()[0].get(1),
             &Value::Double(2.0)
         );
     }

@@ -6,12 +6,11 @@
 //! "live" part on top of every other layer of the reproduction:
 //!
 //! * [`Database`] — the in-memory value: owns the [`storage::Catalog`] and
-//!   the [`index::IndexCatalog`], with validated mutation entry points; every
-//!   mutation bumps [`storage::Table::version`], so indexes invalidate
-//!   automatically and are repaired (edited after appends and in-place
-//!   updates) by
-//!   the registry's owner: an owned database right before its session's
-//!   next indexed query, a [`SharedDatabase`] when it publishes tables,
+//!   the [`index::IndexCatalog`]; every mutation bumps
+//!   [`storage::Table::version`], so indexes invalidate automatically, and
+//!   they are repaired (edited after appends and in-place updates) when a
+//!   commit publishes the written tables — into an owned database or a
+//!   [`SharedDatabase`] alike — never by a reader,
 //! * [`Session`] — the `execute(sql) -> StatementResult` pipeline: DDL
 //!   (`CREATE TABLE ... PERIOD (b, e)`, `DROP TABLE`), non-sequenced DML
 //!   (`INSERT ... VALUES`/`... SELECT`, `DELETE`, `UPDATE`), and queries —

@@ -55,9 +55,9 @@ Meta commands:
   .help              this help
   .tables            list tables (rows, period, index state)
   .load employees N  load the synthetic Employees dataset (~N employees)
-  .index [t]         build the index of table t (all tables when omitted)
-                     on an owned database; a shared database's indexes
-                     are built when tables are published, so it reports 0
+  .index [t]         report index builds for table t (all tables when
+                     omitted): 0, since every index is built when its
+                     table is published (the commit repairs it)
   .parallel N SQL    run a query on N concurrent reader sessions and check
                      they all agree (the shared-database demo)
   .explain SQL       show the compiled physical plan of a query (use the
@@ -286,7 +286,7 @@ fn load_dataset(
     }
 }
 
-fn refresh_index(session: &mut Session, table: Option<&str>) -> Result<String, String> {
+fn refresh_index(session: &Session, table: Option<&str>) -> Result<String, String> {
     let before = session.index_maintenance();
     let started = Instant::now();
     let lowered = table.map(str::to_lowercase);

@@ -1,24 +1,29 @@
 //! Sessions: the statement-level execution pipeline.
 //!
 //! [`Session::execute`] runs one SQL statement end-to-end: parse → (for
-//! queries) bind and `REWR`-compile → (on an owned database) repair the
-//! indexes of the scanned tables → execute, or (for DDL/DML) validate and
-//! apply the mutation through the storage layer's version-bumping API.
+//! queries) bind and `REWR`-compile → execute, or (for DDL/DML) validate
+//! and apply the mutation to a transaction's working catalog through the
+//! storage layer's version-bumping API, then commit it.
 //! This is the paper's middleware picture (Section 9) made operational:
 //! the `SEQ VT` language feature over a *live* database instead of a
 //! preloaded one.
 //!
-//! A session runs against one of two backends:
+//! Every write — bare or transactional — runs inside a transaction: a bare
+//! DDL/DML statement is an implicit single-statement one (autocommit, with
+//! conflict retries). Its commit publishes the written tables and repairs
+//! their indexes, so a read never repairs one. A session runs
+//! against one of two backends, which differ only in where a transaction
+//! begins and where it commits:
 //!
 //! * **owned** — the session exclusively owns an in-memory [`Database`]
-//!   ([`Session::new`]); bare statements apply directly (autocommit).
+//!   ([`Session::new`]), builds its indexes when it adopts it, and commits
+//!   into it.
 //! * **shared** — the session is one of many over a
-//!   [`crate::SharedDatabase`]; reads pin an MVCC snapshot (whose indexes
-//!   the transaction manager keeps fresh — a reader never repairs), and
-//!   every write — bare or transactional — publishes through the transaction
-//!   manager's serialized, first-committer-wins commit path. A durable
-//!   database ([`crate::SharedDatabase::open_durable`]) is always shared:
-//!   that commit path is where the write-ahead log sits.
+//!   [`crate::SharedDatabase`]; reads pin an MVCC snapshot, and commits go
+//!   through the transaction manager's serialized, first-committer-wins
+//!   commit path. A durable database
+//!   ([`crate::SharedDatabase::open_durable`]) is always shared: that
+//!   commit path is where the write-ahead log sits.
 //!
 //! `BEGIN` / `COMMIT` / `ROLLBACK` work on both backends: statements
 //! inside a transaction run against a private copy-on-write snapshot
@@ -147,10 +152,10 @@ impl fmt::Display for StatementResult {
 /// Session configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionOptions {
-    /// Route queries through the index registry (on by default). A shared
-    /// database's indexes are fresh whenever a table is published; an
-    /// owned database repairs the scanned tables' indexes in place before
-    /// each indexed query.
+    /// Route queries through the index registry (on by default). Indexes
+    /// are fresh whenever a table is published, on both backends; a table
+    /// written since (inside the open transaction, or directly through
+    /// [`Session::database_mut`]) reads on the naive route.
     pub use_indexes: bool,
     /// After every indexed query, re-execute on the naive route and fail
     /// on divergence — the end-to-end check that version-based index
@@ -241,8 +246,9 @@ pub struct PhaseTimings {
     pub bind_ns: u64,
     /// `SEQ VT` rewrite and physical-plan compilation.
     pub rewrite_ns: u64,
-    /// Index repair of the scanned tables (owned databases only: a shared
-    /// database's indexes are fresh when its tables are published).
+    /// Not recorded: no statement repairs an index (the commit that
+    /// publishes a table does). Always 0; kept because the frozen
+    /// benchmark's trace reads it.
     pub index_ns: u64,
     /// Plan execution (including any `.verify on` cross-check).
     pub execute_ns: u64,
@@ -251,16 +257,15 @@ pub struct PhaseTimings {
 }
 
 /// The phases of [`PhaseTimings`], in pipeline order.
-const PHASES: [&str; 6] = ["parse", "bind", "rewrite", "index", "execute", "commit"];
+const PHASES: [&str; 5] = ["parse", "bind", "rewrite", "execute", "commit"];
 
 impl PhaseTimings {
     /// Each phase's nanoseconds, in [`PHASES`] order.
-    fn by_phase(&self) -> [u64; 6] {
+    fn by_phase(&self) -> [u64; 5] {
         [
             self.parse_ns,
             self.bind_ns,
             self.rewrite_ns,
-            self.index_ns,
             self.execute_ns,
             self.commit_ns,
         ]
@@ -287,7 +292,7 @@ impl PhaseTimings {
     /// Feeds the non-zero phases into the database's per-phase latency
     /// histograms (`session_<phase>_seconds`, in [`PHASES`] order), once
     /// per statement when [`SessionOptions::collect_metrics`] is on.
-    fn publish(&self, hists: &[Arc<Histogram>; 6]) {
+    fn publish(&self, hists: &[Arc<Histogram>; 5]) {
         for (hist, ns) in hists.iter().zip(self.by_phase()) {
             if ns > 0 {
                 hist.observe(ns as f64 / 1e9);
@@ -404,8 +409,11 @@ impl Session {
         Session::with_options(db, SessionOptions::default())
     }
 
-    /// A session over an exclusively owned database, with explicit options.
-    pub fn with_options(db: Database, options: SessionOptions) -> Self {
+    /// A session over an exclusively owned database, with explicit
+    /// options. Every period table's index is built here, as
+    /// [`crate::SharedDatabase::new`] builds them.
+    pub fn with_options(mut db: Database, options: SessionOptions) -> Self {
+        db.build_indexes();
         Session::over(Backend::Owned(Box::new(db)), "owned", options)
     }
 
@@ -454,8 +462,7 @@ impl Session {
         self.activity.set_remote_addr(addr);
     }
 
-    /// The underlying database (owned backends only: direct inspection,
-    /// bulk loads through [`Database`]).
+    /// The underlying database (owned backends only: direct inspection).
     ///
     /// # Panics
     /// Panics on a session over a [`SharedDatabase`] — there is no
@@ -470,7 +477,9 @@ impl Session {
         }
     }
 
-    /// The underlying database, mutably (owned backends only).
+    /// The underlying database, mutably (owned backends only). A write
+    /// made through it bypasses the commit path, so the written table's
+    /// index stays stale and its reads take the naive route.
     ///
     /// # Panics
     /// Panics on a session over a [`SharedDatabase`] (see
@@ -488,20 +497,16 @@ impl Session {
 
     /// A consistent snapshot of what this session's next read would see:
     /// the open transaction's working state (its pinned snapshot plus its
-    /// own writes), or the current committed/owned state. Cheap — tables
-    /// are `Arc`-shared, not copied. The indexes are the owned database's
-    /// own registry, or on a shared one the pinned snapshot's.
+    /// own writes, over the pinned indexes), or the current committed/owned
+    /// state. Cheap — tables are `Arc`-shared, not copied.
     pub fn read_view(&self) -> CatalogSnapshot {
         let (catalog, indexes, commit_seq) = match (&self.txn, &self.backend) {
-            (None, Backend::Shared(shared)) => return shared.snapshot(),
-            (Some(txn), Backend::Shared(_)) => {
+            (Some(txn), _) => {
                 let pinned = txn.snapshot();
                 (txn.catalog(), pinned.indexes(), pinned.commit_seq())
             }
-            (txn, Backend::Owned(db)) => {
-                let catalog = txn.as_ref().map_or(db.catalog(), Transaction::catalog);
-                (catalog, db.indexes(), 0)
-            }
+            (None, Backend::Shared(shared)) => return shared.snapshot(),
+            (None, Backend::Owned(db)) => (db.catalog(), db.indexes(), 0),
         };
         CatalogSnapshot::new(catalog.clone(), indexes.clone(), commit_seq)
     }
@@ -540,9 +545,9 @@ impl Session {
     }
 
     /// Per-phase wall-clock breakdown of the most recent statement —
-    /// parse, bind, rewrite, index refresh, execute, commit — replacing
-    /// the single total the shell used to report. Reset by every
-    /// statement; phases a statement never entered stay zero.
+    /// parse, bind, rewrite, execute, commit — replacing the single total
+    /// the shell used to report. Reset by every statement; phases a
+    /// statement never entered stay zero.
     pub fn last_phase_timings(&self) -> PhaseTimings {
         self.records.last().map(|r| r.phases).unwrap_or_default()
     }
@@ -557,8 +562,9 @@ impl Session {
 
     /// Registers a batch of tables wholesale — the bulk-load entry point
     /// (`.load` in the shell), routed to the owned database or the shared
-    /// install path. Refused inside a transaction (bulk loads have no
-    /// statement form, so they cannot join a commit unit).
+    /// install path; either builds the loaded tables' indexes. Refused
+    /// inside a transaction (bulk loads have no statement form, so they
+    /// cannot join a commit unit).
     pub fn register_tables<I>(&mut self, tables: I) -> Result<(), String>
     where
         I: IntoIterator<Item = (String, Table)>,
@@ -569,6 +575,7 @@ impl Session {
         match &mut self.backend {
             Backend::Owned(db) => {
                 db.register_tables(tables);
+                db.build_indexes();
                 Ok(())
             }
             Backend::Shared(shared) => shared.register_tables(tables),
@@ -590,22 +597,16 @@ impl Session {
         MaintenanceStats::read(&self.telemetry.obs.metrics)
     }
 
-    /// Repairs the indexes of `table` (all tables when `None`) of an owned
-    /// database, in place. A shared database's indexes are fresh whenever
-    /// a table is published, so there this only checks the name.
-    pub fn refresh_indexes(&mut self, table: Option<&str>) -> Result<(), String> {
-        let view = self.read_view();
-        let names: Vec<String> = match table {
-            Some(name) if view.catalog().get(name).is_none() => {
-                return Err(format!("unknown table '{name}'"))
+    /// What `.index` runs: checks that `table` (when given) exists. There
+    /// is nothing to repair — a table's index is fresh when the table is
+    /// published, on both backends.
+    pub fn refresh_indexes(&self, table: Option<&str>) -> Result<(), String> {
+        match table {
+            Some(name) if self.read_view().catalog().get(name).is_none() => {
+                Err(format!("unknown table '{name}'"))
             }
-            Some(name) => vec![name.to_string()],
-            None => view.catalog().table_names().map(String::from).collect(),
-        };
-        if let Backend::Owned(db) = &mut self.backend {
-            db.refresh_indexes(&names);
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Parses and executes one statement. On a durable database (see
@@ -746,7 +747,7 @@ impl Session {
             parse_ms: p.parse_ns as f64 / 1e6,
             bind_ms: p.bind_ns as f64 / 1e6,
             rewrite_ms: p.rewrite_ns as f64 / 1e6,
-            index_ms: p.index_ns as f64 / 1e6,
+            index_ms: 0.0, // no statement repairs an index
             execute_ms: p.execute_ns as f64 / 1e6,
             commit_ms: p.commit_ns as f64 / 1e6,
             rows,
@@ -800,7 +801,8 @@ impl Session {
                     value: value.to_string(),
                 })
             }
-            _ => self.apply_mutation(stmt, text),
+            _ if self.txn.is_some() => self.mutate_buffered(stmt, text),
+            _ => self.autocommit(stmt, text),
         }
     }
 
@@ -846,7 +848,16 @@ impl Session {
                 "a transaction is already open (nested transactions are not supported)".into(),
             );
         }
-        self.txn = Some(match &self.backend {
+        self.txn = Some(self.pin());
+        Ok(StatementResult::Began)
+    }
+
+    /// Opens a transaction over the current committed state — the owned
+    /// database's catalog and indexes, or a snapshot the shared database's
+    /// transaction manager pins: where `BEGIN` and an autocommit statement
+    /// begin.
+    fn pin(&mut self) -> Transaction {
+        match &self.backend {
             Backend::Owned(db) => {
                 self.next_owned_txn_id += 1;
                 Transaction::begin(
@@ -855,8 +866,7 @@ impl Session {
                 )
             }
             Backend::Shared(shared) => shared.begin(),
-        });
-        Ok(StatementResult::Began)
+        }
     }
 
     /// Commits the open transaction — validate, log the commit unit,
@@ -903,50 +913,12 @@ impl Session {
         true
     }
 
-    /// The catalog the next mutation targets: the open transaction's
-    /// working catalog, or the owned database's. (Shared bare mutations
-    /// are wrapped in an implicit transaction before this is consulted.)
-    fn target_catalog(&self) -> &Catalog {
-        if let Some(txn) = &self.txn {
-            return txn.catalog();
-        }
-        match &self.backend {
-            Backend::Owned(db) => db.catalog(),
-            Backend::Shared(_) => unreachable!("shared mutations run inside a transaction"),
-        }
-    }
-
-    /// See [`Session::target_catalog`].
-    fn target_catalog_mut(&mut self) -> &mut Catalog {
-        if let Some(txn) = self.txn.as_mut() {
-            return txn.catalog_mut();
-        }
-        match &mut self.backend {
-            Backend::Owned(db) => db.catalog_mut(),
-            Backend::Shared(_) => unreachable!("shared mutations run inside a transaction"),
-        }
-    }
-
-    /// Executes a DDL/DML statement: against the open transaction if one
-    /// is open; otherwise directly on an owned database (autocommit) or
-    /// wrapped in an implicit single-statement transaction on a shared
-    /// one (with conflict retries — see [`Session::shared_autocommit`]).
-    fn apply_mutation(
-        &mut self,
-        stmt: &SqlStatement,
-        text: Option<&str>,
-    ) -> Result<StatementResult, StatementError> {
-        if self.txn.is_some() {
-            return self.mutate_buffered(stmt, text);
-        }
-        if matches!(self.backend, Backend::Shared(_)) {
-            return self.shared_autocommit(stmt, text);
-        }
-        let (result, written) = self.mutate(stmt)?;
-        if let (Some(table), Backend::Owned(db)) = (written, &mut self.backend) {
-            db.note_write(&table);
-        }
-        Ok(result)
+    /// The open transaction, which every mutation runs inside: an explicit
+    /// one, or [`Session::autocommit`]'s implicit one.
+    fn open_txn(&mut self) -> &mut Transaction {
+        self.txn
+            .as_mut()
+            .expect("mutations run inside a transaction")
     }
 
     /// Applies one mutation inside the open transaction, recording the
@@ -962,7 +934,7 @@ impl Session {
         text: Option<&str>,
     ) -> Result<StatementResult, StatementError> {
         let (result, written) = self.mutate(stmt)?;
-        let txn = self.txn.as_mut().expect("caller opened the transaction");
+        let txn = self.open_txn();
         if let Some(table) = written {
             txn.record_write(&table);
             if let Some(text) = text {
@@ -972,8 +944,8 @@ impl Session {
         Ok(result)
     }
 
-    /// A bare mutation on a shared database: wrapped in an implicit
-    /// single-statement transaction, with a bounded conflict-retry loop.
+    /// A bare mutation: wrapped in an implicit single-statement
+    /// transaction, with a bounded conflict-retry loop.
     /// Losing a first-committer-wins race is not a statement error — the
     /// statement is valid, it merely raced — so instead of surfacing the
     /// raw conflict the session re-runs it against a *fresh* snapshot
@@ -983,18 +955,14 @@ impl Session {
     /// exponential backoff. Explicit `BEGIN`…`COMMIT` transactions are
     /// *not* retried: the session cannot re-run statements it no longer
     /// has, and the user asked to manage the transaction themselves.
-    fn shared_autocommit(
+    fn autocommit(
         &mut self,
         stmt: &SqlStatement,
         text: Option<&str>,
     ) -> Result<StatementResult, StatementError> {
         let mut attempts = 0u32;
         loop {
-            let txn = match &self.backend {
-                Backend::Shared(shared) => shared.begin(),
-                Backend::Owned(_) => unreachable!("caller checked the backend"),
-            };
-            self.txn = Some(txn);
+            self.txn = Some(self.pin());
             let outcome = self
                 .mutate_buffered(stmt, text)
                 .and_then(|result| self.commit_open().map(|_| result));
@@ -1023,10 +991,10 @@ impl Session {
         }
     }
 
-    /// Applies one mutation to the target catalog. Returns the result plus
-    /// the table name *actually written* (`None` when the statement turned
-    /// out to be a no-op — those never enter a write set, so they can
-    /// never conflict).
+    /// Applies one mutation to the open transaction's working catalog.
+    /// Returns the result plus the table name *actually written* (`None`
+    /// when the statement turned out to be a no-op — those never enter a
+    /// write set, so they can never conflict).
     fn mutate(
         &mut self,
         stmt: &SqlStatement,
@@ -1038,7 +1006,7 @@ impl Session {
                 period,
             } => {
                 let (schema, period) = build_schema(columns, period.as_ref())?;
-                create_table_in(self.target_catalog_mut(), name, schema, period)?;
+                create_table_in(self.open_txn().catalog_mut(), name, schema, period)?;
                 Ok((
                     StatementResult::Created {
                         table: name.clone(),
@@ -1047,7 +1015,7 @@ impl Session {
                 ))
             }
             SqlStatement::DropTable { name, if_exists } => {
-                let existed = self.target_catalog_mut().remove(name).is_some();
+                let existed = self.open_txn().catalog_mut().remove(name).is_some();
                 if !existed && !if_exists {
                     return Err(format!("unknown table '{name}'").into());
                 }
@@ -1061,16 +1029,15 @@ impl Session {
             }
             SqlStatement::Insert { table, source } => {
                 let (rows, sources) = self.eval_insert_source(source)?;
-                if let Some(txn) = self.txn.as_mut() {
-                    // The inserted rows depend on the *source* tables'
-                    // pinned state; record them as replay dependencies so
-                    // commit validation refuses to log a statement whose
-                    // WAL replay would read a different source.
-                    for name in &sources {
-                        txn.record_read(name);
-                    }
+                let txn = self.open_txn();
+                // The inserted rows depend on the *source* tables' pinned
+                // state; record them as replay dependencies so commit
+                // validation refuses to log a statement whose WAL replay
+                // would read a different source.
+                for name in &sources {
+                    txn.record_read(name);
                 }
-                let n = insert_rows_in(self.target_catalog_mut(), table, rows)?;
+                let n = insert_rows_in(txn.catalog_mut(), table, rows)?;
                 Ok((
                     StatementResult::Inserted {
                         table: table.clone(),
@@ -1083,11 +1050,11 @@ impl Session {
                 table,
                 where_clause,
             } => {
-                let (_, pred) = bind_where_in(self.target_catalog(), table, where_clause.as_ref())?;
+                let catalog = self.open_txn().catalog_mut();
+                let (_, pred) = bind_where_in(catalog, table, where_clause.as_ref())?;
                 let pred = pred.as_ref().map(Prepared::new);
-                let rows = delete_where_in(self.target_catalog_mut(), table, |r| {
-                    pred.as_ref().is_none_or(|p| p.holds(r))
-                })?;
+                let rows =
+                    delete_where_in(catalog, table, |r| pred.as_ref().is_none_or(|p| p.holds(r)))?;
                 Ok((
                     StatementResult::Deleted {
                         table: table.clone(),
@@ -1101,8 +1068,8 @@ impl Session {
                 assignments,
                 where_clause,
             } => {
-                let (schema, pred) =
-                    bind_where_in(self.target_catalog(), table, where_clause.as_ref())?;
+                let catalog = self.open_txn().catalog_mut();
+                let (schema, pred) = bind_where_in(catalog, table, where_clause.as_ref())?;
                 let mut bound: Vec<(usize, algebra::Expr)> = Vec::with_capacity(assignments.len());
                 for (col, ast) in assignments {
                     let idx = schema.resolve(None, col)?;
@@ -1116,13 +1083,8 @@ impl Session {
                 // replacement to the schema; `Table::update_where` folds in
                 // the arity/period check and applies atomically (any error
                 // leaves the table untouched).
-                let stored_schema = self
-                    .target_catalog()
-                    .get(table)
-                    .expect("bound above")
-                    .schema()
-                    .clone();
-                let rows = update_where_in(self.target_catalog_mut(), table, matches, |r| {
+                let stored_schema = catalog.get(table).expect("bound above").schema().clone();
+                let rows = update_where_in(catalog, table, matches, |r| {
                     let mut values = r.values().to_vec();
                     for (idx, e) in &assign {
                         values[*idx] = e.value(r);
@@ -1181,9 +1143,9 @@ impl Session {
     }
 
     /// The one read route: compiles `stmt` against this session's
-    /// [`Session::read_view`], repairs the indexes of the tables the plan
-    /// scans when the database is owned, and executes it, keeping the plan
-    /// and its actuals in the statement's record (stopped or not). With
+    /// [`Session::read_view`] and executes it over that view's indexes
+    /// (which it never repairs), keeping the plan and its actuals in the
+    /// statement's record (stopped or not). With
     /// `explain_analyze` the result is not the rows but the plan as a
     /// one-column table of text lines, every operator line carrying its
     /// actual row count, call count, and inclusive wall-clock time;
@@ -1199,18 +1161,11 @@ impl Session {
         stmt: &Statement,
         explain_analyze: bool,
     ) -> Result<Table, StatementError> {
-        let mut view = self.read_view();
+        let view = self.read_view();
         let (options, record, activity) = (&self.options, &mut self.record, Some(&self.activity));
         let plan = compile_query(options, view.catalog(), stmt, record, activity)?;
         // Boxed before it runs: `NodeStats` is keyed by node address.
         let plan = Box::new(plan);
-        if let (Backend::Owned(db), true) = (&mut self.backend, self.options.use_indexes) {
-            self.activity.set_phase(obs::Phase::Index);
-            let started = Instant::now();
-            db.refresh_indexes(&plan.referenced_tables());
-            view = self.read_view();
-            self.record.phases.index_ns += started.elapsed().as_nanos() as u64;
-        }
         let Session {
             options,
             record,

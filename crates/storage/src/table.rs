@@ -1,6 +1,6 @@
 //! Tables: multisets of rows, optionally with a period specification.
 
-use crate::{Row, Schema, SqlType, Value};
+use crate::{Row, Schema, SqlType};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use timeline::Interval;
@@ -429,21 +429,6 @@ impl Table {
         out.push_str(&format!("\n({} rows)\n", self.rows.len()));
         out
     }
-
-    /// Helper for building tables in tests and examples: rows of plain
-    /// values with a trailing `[begin, end)` period.
-    pub fn period_table_from(
-        schema: Schema,
-        begin: usize,
-        end: usize,
-        rows: Vec<Vec<Value>>,
-    ) -> Table {
-        let mut t = Table::with_period(schema, begin, end);
-        for r in rows {
-            t.push(Row::new(r));
-        }
-        t
-    }
 }
 
 impl fmt::Display for Table {
@@ -455,7 +440,7 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row;
+    use crate::{row, Value};
 
     fn works_schema() -> Schema {
         Schema::of(&[

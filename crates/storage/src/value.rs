@@ -56,14 +56,6 @@ impl Value {
         }
     }
 
-    /// The boolean content, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string content, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -255,6 +255,7 @@ pub fn prune(dir: &Path, keep_newest: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use proptest::prelude::*;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
@@ -262,14 +263,6 @@ mod tests {
 
     /// Magic, format version, CRC and body length: what precedes the body.
     const HEADER_LEN: usize = 8 + 4 + 4 + 8;
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("snapshot_ckpt_test_{}_{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn sample_catalog() -> Catalog {
         let mut t = Table::with_period(
@@ -290,7 +283,7 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip() {
-        let dir = tmp_dir("roundtrip");
+        let dir = TestDir::new("ckpt_roundtrip");
         let catalog = sample_catalog();
         let path = write_checkpoint(&dir, 3, 17, &catalog).unwrap();
         let cp = read_checkpoint(&path).unwrap();
@@ -306,7 +299,7 @@ mod tests {
 
     #[test]
     fn newest_valid_wins_and_corrupt_newest_falls_back() {
-        let dir = tmp_dir("fallback");
+        let dir = TestDir::new("ckpt_fallback");
         let catalog = sample_catalog();
         write_checkpoint(&dir, 1, 5, &catalog).unwrap();
         write_checkpoint(&dir, 2, 9, &catalog).unwrap();
@@ -477,7 +470,7 @@ mod tests {
             bit in 0u8..8,
             big in 0usize..5,
         ) {
-            let dir = tmp_dir("fuzz");
+            let dir = TestDir::new("ckpt_fuzz");
             let (format, body) = if format_1 == 0 {
                 let v1 = include_bytes!("../../../tests/fixtures/ckpt_v1_epoch_max/checkpoint.1");
                 (1, v1[HEADER_LEN..].to_vec())
@@ -551,7 +544,7 @@ mod tests {
             nulls in 1i64..5,
             flags in proptest::collection::vec((0u8..2).prop_map(|b| b == 1), 0..40),
         ) {
-            let dir = tmp_dir("deterministic");
+            let dir = TestDir::new("ckpt_deterministic");
             let catalog = generated_catalog(rows, run, nulls, &flags);
             let path = write_checkpoint(&dir, 7, 11, &catalog).unwrap();
             let first = fs::read(&path).unwrap();
@@ -565,14 +558,15 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn syncing_a_missing_directory_is_an_error() {
-        let dir = tmp_dir("sync_dir").join("missing");
+        let scratch = TestDir::new("ckpt_sync_dir");
+        let dir = scratch.join("missing");
         let err = sync_dir(&dir).unwrap_err();
         assert!(err.contains("missing"), "{err}");
     }
 
     #[test]
     fn tmp_files_are_ignored_and_prune_keeps_newest() {
-        let dir = tmp_dir("prune");
+        let dir = TestDir::new("ckpt_prune");
         let catalog = sample_catalog();
         for seq in 1..=4 {
             write_checkpoint(&dir, seq, seq * 10, &catalog).unwrap();

@@ -113,9 +113,7 @@ mod tests {
         use crate::{write_checkpoint, Persistence, PersistenceOptions};
         use storage::{row, Catalog, Schema, SqlType, Table};
 
-        let dir = std::env::temp_dir().join(format!("snapshot_crc_golden_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir::TestDir::new("crc_golden");
         let u32_at =
             |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
 
@@ -155,7 +153,6 @@ mod tests {
             frames += 1;
         }
         assert_eq!(frames, 1, "the unit is one frame");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest! {

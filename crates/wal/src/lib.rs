@@ -39,3 +39,44 @@ pub use crc::crc32;
 pub use dump::dump_sql;
 pub use log::{AppendReport, SyncPolicy, Wal, WalRecord, WalScan};
 pub use persistence::{CheckpointReport, Persistence, PersistenceOptions, Recovery};
+
+/// A scratch directory for this crate's unit tests.
+#[cfg(test)]
+pub(crate) mod test_dir {
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fresh directory, removed with everything in it when the guard
+    /// drops — also while a failed assertion unwinds. Declare it before
+    /// whatever writes into it.
+    pub(crate) struct TestDir(PathBuf);
+
+    impl TestDir {
+        /// Makes `snapshot_wal_test_<name>_<pid>_<n>` in the temp directory.
+        pub(crate) fn new(name: &str) -> TestDir {
+            static COUNTER: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "snapshot_wal_test_{name}_{}_{}",
+                std::process::id(),
+                COUNTER.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create a test directory");
+            TestDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

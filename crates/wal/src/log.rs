@@ -352,13 +352,14 @@ fn decode_unit(payload: &[u8]) -> Option<WalRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use proptest::prelude::*;
 
-    fn tmp_path(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("snapshot_wal_test_{}_{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
+    /// A fresh log path, inside the guard that removes its directory.
+    fn tmp_path(name: &str) -> (TestDir, PathBuf) {
+        let dir = TestDir::new(&format!("log_{name}"));
+        let path = dir.join("wal.log");
+        (dir, path)
     }
 
     fn unit(stmts: &[&str]) -> Vec<String> {
@@ -382,7 +383,7 @@ mod tests {
 
     #[test]
     fn append_and_rescan() {
-        let path = tmp_path("append");
+        let (_dir, path) = tmp_path("append");
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, scan) = Wal::open(&path, SyncPolicy::Always).unwrap();
@@ -410,7 +411,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated() {
-        let path = tmp_path("torn");
+        let (_dir, path) = tmp_path("torn");
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path, SyncPolicy::Always).unwrap();
@@ -431,7 +432,7 @@ mod tests {
 
     #[test]
     fn bit_flip_truncates_from_the_flip() {
-        let path = tmp_path("flip");
+        let (_dir, path) = tmp_path("flip");
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path, SyncPolicy::Always).unwrap();
@@ -451,7 +452,7 @@ mod tests {
 
     #[test]
     fn foreign_file_is_refused() {
-        let path = tmp_path("foreign");
+        let (_dir, path) = tmp_path("foreign");
         std::fs::write(&path, b"PK\x03\x04 definitely not a wal").unwrap();
         assert!(Wal::open(&path, SyncPolicy::Always)
             .unwrap_err()
@@ -477,7 +478,7 @@ mod tests {
 
     #[test]
     fn batch_append_is_one_contiguous_unit() {
-        let path = tmp_path("batch");
+        let (_dir, path) = tmp_path("batch");
         let _ = std::fs::remove_file(&path);
         {
             let (mut wal, _) = Wal::open(&path, SyncPolicy::Always).unwrap();
@@ -502,7 +503,7 @@ mod tests {
 
     #[test]
     fn oversized_batch_statement_is_refused_before_writing() {
-        let path = tmp_path("batch_oversized");
+        let (_dir, path) = tmp_path("batch_oversized");
         let _ = std::fs::remove_file(&path);
         let (mut wal, _) = Wal::open(&path, SyncPolicy::Always).unwrap();
         wal.append(1, &unit(&["INSERT INTO t VALUES (0)"])).unwrap();
@@ -522,7 +523,7 @@ mod tests {
 
     #[test]
     fn reset_empties_the_log_but_monotonic_lsns_continue() {
-        let path = tmp_path("reset");
+        let (_dir, path) = tmp_path("reset");
         let _ = std::fs::remove_file(&path);
         let (mut wal, _) = Wal::open(&path, SyncPolicy::OnCheckpoint).unwrap();
         wal.append(1, &unit(&["INSERT INTO t VALUES (1)"])).unwrap();
@@ -538,7 +539,7 @@ mod tests {
     /// empty log in this build's format.
     #[test]
     fn a_format_1_log_reads_as_units_of_one_and_a_reset_upgrades_it() {
-        let path = tmp_path("format_1");
+        let (_dir, path) = tmp_path("format_1");
         let mut bytes = b"SNAPWAL\x01".to_vec();
         for (lsn, sql) in [
             (4u64, "BEGIN"),
@@ -595,7 +596,7 @@ mod tests {
                 .iter()
                 .map(|u| u.iter().map(|&i| TEXTS[i].to_string()).collect())
                 .collect();
-            let path = tmp_path("hostile");
+            let (_dir, path) = tmp_path("hostile");
             let _ = std::fs::remove_file(&path);
             {
                 let (mut wal, _) = Wal::open(&path, SyncPolicy::OnCheckpoint).unwrap();

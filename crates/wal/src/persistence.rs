@@ -365,16 +365,8 @@ fn fold_format_1(records: Vec<WalRecord>) -> Result<Vec<WalRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use storage::{row, Schema, SqlType, Table};
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "snapshot_persist_test_{}_{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     /// A bare statement: a single-statement commit unit.
     fn log_one(p: &mut Persistence, sql: &str) -> Result<(), String> {
@@ -393,7 +385,7 @@ mod tests {
 
     #[test]
     fn empty_directory_recovers_to_nothing() {
-        let dir = tmp_dir("empty");
+        let dir = TestDir::new("persist_empty");
         let (p, rec) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
         assert!(rec.catalog.is_none());
         assert!(rec.replay.is_empty());
@@ -403,7 +395,7 @@ mod tests {
 
     #[test]
     fn wal_only_then_checkpoint_then_tail() {
-        let dir = tmp_dir("phases");
+        let dir = TestDir::new("persist_phases");
         // Phase 1: WAL only.
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
@@ -436,7 +428,7 @@ mod tests {
 
     #[test]
     fn auto_checkpoint_threshold() {
-        let dir = tmp_dir("threshold");
+        let dir = TestDir::new("persist_threshold");
         let opts = PersistenceOptions {
             checkpoint_every: 2,
             ..PersistenceOptions::default()
@@ -453,7 +445,7 @@ mod tests {
             checkpoint_every: 0,
             ..PersistenceOptions::default()
         };
-        let dir = tmp_dir("threshold_zero");
+        let dir = TestDir::new("persist_threshold_zero");
         let (mut p, _) = Persistence::open(&dir, zero).unwrap();
         for i in 0..100 {
             log_one(&mut p, &format!("INSERT INTO t VALUES ({i})")).unwrap();
@@ -463,7 +455,7 @@ mod tests {
 
     #[test]
     fn crash_between_checkpoint_and_wal_reset_is_harmless() {
-        let dir = tmp_dir("crash_window");
+        let dir = TestDir::new("persist_crash_window");
         let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
         log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
         log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
@@ -491,7 +483,7 @@ mod tests {
 
     #[test]
     fn gapped_wal_after_lost_checkpoint_is_refused() {
-        let dir = tmp_dir("gap");
+        let dir = TestDir::new("persist_gap");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
@@ -511,7 +503,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_checkpoint_with_empty_wal_is_refused() {
-        let dir = tmp_dir("corrupt_empty_wal");
+        let dir = TestDir::new("persist_corrupt_empty_wal");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
@@ -528,7 +520,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_checkpoint_with_bridging_wal_falls_back() {
-        let dir = tmp_dir("corrupt_bridged");
+        let dir = TestDir::new("persist_corrupt_bridged");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
@@ -556,7 +548,7 @@ mod tests {
 
     #[test]
     fn second_opener_of_a_locked_directory_is_refused() {
-        let dir = tmp_dir("lock");
+        let dir = TestDir::new("persist_lock");
         let first = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
         let err = Persistence::open(&dir, PersistenceOptions::default()).unwrap_err();
         assert!(err.contains("locked by another process"), "{err}");
@@ -567,7 +559,7 @@ mod tests {
 
     #[test]
     fn oversized_statement_is_refused_before_writing_and_leaves_the_log_usable() {
-        let dir = tmp_dir("oversized");
+        let dir = TestDir::new("persist_oversized");
         let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
         log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
         // A statement too large to frame is refused up front: nothing is
@@ -597,7 +589,7 @@ mod tests {
 
     #[test]
     fn transaction_units_are_framed_and_singletons_stay_bare() {
-        let dir = tmp_dir("txn_frame");
+        let dir = TestDir::new("persist_txn_frame");
         let txn = stmts(&["INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)"]);
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
@@ -626,7 +618,7 @@ mod tests {
     /// unit — never a part of it — and frees its LSN for the next one.
     #[test]
     fn a_torn_unit_is_discarded_whole_at_every_cut() {
-        let dir = tmp_dir("torn_unit");
+        let dir = TestDir::new("persist_torn_unit");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             log_one(&mut p, "CREATE TABLE t (x INT)").unwrap();
@@ -664,7 +656,7 @@ mod tests {
 
     #[test]
     fn tearing_inside_a_transaction_body_discards_back_to_its_begin() {
-        let dir = tmp_dir("torn_body");
+        let dir = TestDir::new("persist_torn_body");
         let first = stmts(&["INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)"]);
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
@@ -694,7 +686,7 @@ mod tests {
 
     #[test]
     fn lsns_stay_monotonic_across_checkpoints_and_restarts() {
-        let dir = tmp_dir("monotonic");
+        let dir = TestDir::new("persist_monotonic");
         {
             let (mut p, _) = Persistence::open(&dir, PersistenceOptions::default()).unwrap();
             log_one(&mut p, "INSERT INTO t VALUES (0)").unwrap();
@@ -732,7 +724,7 @@ mod tests {
     /// missing never committed and is dropped, though its LSNs stay used.
     #[test]
     fn a_format_1_transaction_reads_as_one_unit_and_a_torn_run_is_dropped() {
-        let dir = tmp_dir("format_1_fold");
+        let dir = TestDir::new("persist_format_1_fold");
         write_format_1_log(
             &dir,
             &[
@@ -779,7 +771,7 @@ mod tests {
             ("nested", &["BEGIN", "BEGIN", "COMMIT"][..]),
             ("unopened", &["INSERT INTO t VALUES (1)", "COMMIT"][..]),
         ] {
-            let dir = tmp_dir(&format!("format_1_{name}"));
+            let dir = TestDir::new(&format!("persist_format_1_{name}"));
             write_format_1_log(&dir, records);
             let err = Persistence::open(&dir, PersistenceOptions::default()).unwrap_err();
             assert!(err.contains("unexpected"), "{name}: {err}");

@@ -8,12 +8,14 @@
 //! The activity registry and the cancellation counters belong to the
 //! database a test builds, so the tests run in parallel.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::ScratchDir;
 use snapshot_session::{
     CancelKind, Database, PersistenceOptions, Session, SessionOptions, SharedDatabase,
     StatementError, StatementResult, SyncPolicy,
 };
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use storage::Value;
 
@@ -41,18 +43,6 @@ fn cancelled_as(err: &StatementError, expect: CancelKind) -> bool {
 
 fn counter(s: &Session, name: &str) -> u64 {
     s.obs().metrics.get_counter(name).map_or(0, |c| c.get())
-}
-
-/// A fresh, empty scratch directory, unique per call.
-fn scratch_dir(name: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "snapshot_activity_{}_{name}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// One multi-row INSERT of `n` rows whose periods all overlap — the
@@ -310,7 +300,7 @@ fn killing_idle_or_unknown_sessions_is_a_noop() {
 /// session — and the cancellation is stamped into the slow-query log.
 #[test]
 fn timeout_in_explicit_transaction_rolls_back_cleanly() {
-    let dir = scratch_dir("txn_timeout");
+    let dir = ScratchDir::new("activity_txn_timeout");
     let options = SessionOptions {
         slow_query_ms: Some(0), // log everything, incl. cancellations
         ..SessionOptions::default()
@@ -389,7 +379,6 @@ fn timeout_in_explicit_transaction_rolls_back_cleanly() {
             .unwrap(),
     );
     assert_eq!(int(&rows[0][0]), 2500, "committed rows recovered");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite: resource limits (`max_rows_scanned`, `max_result_rows`)

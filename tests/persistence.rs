@@ -16,6 +16,10 @@
 //! driver. Each opened directory is a database of its own, with its own
 //! checkpoint counters, so the tests run in parallel.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::ScratchDir;
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::index::TableIndex;
 use snapshot_semantics::rewrite::infer_domain;
@@ -30,19 +34,6 @@ use snapshot_semantics::wal::checkpoint::{
 };
 use snapshot_semantics::wal::{dump_sql, write_checkpoint, Persistence};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A fresh, empty scratch directory, unique per call.
-fn scratch_dir(name: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "snapshot_persistence_{}_{name}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn durable_options() -> SessionOptions {
     SessionOptions {
@@ -132,7 +123,7 @@ fn reference_catalog(statements: &[&str]) -> Catalog {
 
 #[test]
 fn empty_wal_recovers_to_empty_database() {
-    let dir = scratch_dir("empty");
+    let dir = ScratchDir::new("persistence_empty");
     {
         let (_s, report) = open(&dir, 0);
         assert_eq!(report.replayed, 0);
@@ -146,7 +137,7 @@ fn empty_wal_recovers_to_empty_database() {
 
 #[test]
 fn checkpoint_only_recovery() {
-    let dir = scratch_dir("ckpt_only");
+    let dir = ScratchDir::new("persistence_ckpt_only");
     {
         let (mut s, _) = open(&dir, 0);
         for sql in SETUP {
@@ -217,7 +208,7 @@ fn shared_readers_never_build_an_index() {
     let promoted = SharedDatabase::new(Database::from_catalog(catalog));
     three_reads_build_nothing(&promoted, "promoted");
 
-    let dir = scratch_dir("readers_never_build");
+    let dir = ScratchDir::new("persistence_readers_never_build");
     {
         let (shared, _) =
             SharedDatabase::open_durable(&dir, SessionOptions::default(), Default::default())
@@ -240,7 +231,7 @@ fn shared_readers_never_build_an_index() {
 
 #[test]
 fn wal_only_recovery() {
-    let dir = scratch_dir("wal_only");
+    let dir = ScratchDir::new("persistence_wal_only");
     {
         let (mut s, _) = open(&dir, 0); // auto-checkpoint disabled
         for sql in SETUP {
@@ -265,7 +256,7 @@ fn wal_only_recovery() {
 /// the gap rows of a global snapshot count span `[Tmin, Tmax)`.
 #[test]
 fn time_domain_is_the_same_before_a_kill_and_after_recovery() {
-    let dir = scratch_dir("domain");
+    let dir = ScratchDir::new("persistence_domain");
     let query = "SEQ VT (SELECT count(*) AS c FROM works WHERE skill = 'SP')";
     let before = {
         let (mut s, _) = open(&dir, 0);
@@ -299,7 +290,7 @@ fn time_domain_is_the_same_before_a_kill_and_after_recovery() {
 
 #[test]
 fn torn_final_record_recovers_to_prefix() {
-    let dir = scratch_dir("torn");
+    let dir = ScratchDir::new("persistence_torn");
     {
         let (mut s, _) = open(&dir, 0);
         for sql in SETUP {
@@ -331,7 +322,7 @@ fn torn_final_record_recovers_to_prefix() {
 
 #[test]
 fn bit_flipped_crc_recovers_to_prefix() {
-    let dir = scratch_dir("bitflip");
+    let dir = ScratchDir::new("persistence_bitflip");
     {
         let (mut s, _) = open(&dir, 0);
         for sql in SETUP {
@@ -356,7 +347,7 @@ fn bit_flipped_crc_recovers_to_prefix() {
 
 #[test]
 fn failed_statements_are_not_logged() {
-    let dir = scratch_dir("failed");
+    let dir = ScratchDir::new("persistence_failed");
     {
         let (mut s, _) = open(&dir, 0);
         for sql in &SETUP[..2] {
@@ -380,7 +371,7 @@ fn failed_statements_are_not_logged() {
 /// The statement stream of the CI smoke script, meta commands stripped.
 #[test]
 fn transaction_commit_units_replay_atomically_after_restart() {
-    let dir = scratch_dir("txn_unit");
+    let dir = ScratchDir::new("persistence_txn_unit");
     {
         let (mut s, _) = open(&dir, 0);
         s.execute(SETUP[0]).unwrap();
@@ -403,7 +394,7 @@ fn transaction_commit_units_replay_atomically_after_restart() {
 
 #[test]
 fn rolled_back_transactions_never_reach_the_wal() {
-    let dir = scratch_dir("txn_rollback");
+    let dir = ScratchDir::new("persistence_txn_rollback");
     {
         let (mut s, _) = open(&dir, 0);
         s.execute(SETUP[0]).unwrap();
@@ -430,7 +421,7 @@ fn rolled_back_transactions_never_reach_the_wal() {
 
 #[test]
 fn crash_before_the_commit_marker_discards_the_whole_transaction() {
-    let dir = scratch_dir("txn_torn");
+    let dir = ScratchDir::new("persistence_txn_torn");
     let reference = {
         let (mut s, _) = open(&dir, 0);
         s.execute(SETUP[0]).unwrap();
@@ -512,7 +503,7 @@ fn assert_index_is_a_build(s: &Session, name: &str) {
 /// answers like a fresh build.
 #[test]
 fn a_mixed_tail_replays_as_one_transaction() {
-    let dir = scratch_dir("one_txn_tail");
+    let dir = ScratchDir::new("persistence_one_txn_tail");
     let rows = |n: i64| {
         (0..n)
             .map(|i| format!("('r{i}', 'SP', {}, {})", i % 7, 10 + i % 5))
@@ -597,7 +588,7 @@ fn index_builds(s: &Session) -> [u64; 2] {
 #[test]
 fn a_long_recovery_tail_edits_the_index_once() {
     const ROWS: i64 = 20_000;
-    let dir = scratch_dir("long_tail");
+    let dir = ScratchDir::new("persistence_long_tail");
     {
         let (shared, _) = SharedDatabase::open_durable(
             &dir,
@@ -672,7 +663,7 @@ fn wal_frame_ends(dir: &std::path::Path) -> Vec<usize> {
 /// blocks alike, with no marker records around a transaction.
 #[test]
 fn wal_holds_exactly_one_frame_per_commit_unit() {
-    let dir = scratch_dir("one_frame");
+    let dir = ScratchDir::new("persistence_one_frame");
     let (mut s, _) = open(&dir, 0);
     let script = [
         SETUP[0],
@@ -707,7 +698,7 @@ fn wal_holds_exactly_one_frame_per_commit_unit() {
 /// the state before that unit, and the log stays appendable.
 #[test]
 fn a_torn_last_unit_recovers_to_the_state_before_it_at_every_cut() {
-    let dir = scratch_dir("torn_every_cut");
+    let dir = ScratchDir::new("persistence_torn_every_cut");
     let committed = [SETUP[0], "INSERT INTO works VALUES ('Ann', 'SP', 3, 10)"];
     {
         let (mut s, _) = open(&dir, 0);
@@ -750,7 +741,7 @@ fn a_torn_last_unit_recovers_to_the_state_before_it_at_every_cut() {
 /// neither counts a transaction's bracketing.
 #[test]
 fn recovery_counts_statements_and_the_next_checkpoint_comes_on_time() {
-    let dir = scratch_dir("stmt_counts");
+    let dir = ScratchDir::new("persistence_stmt_counts");
     {
         let (mut s, _) = open(&dir, 0);
         for sql in [
@@ -769,7 +760,7 @@ fn recovery_counts_statements_and_the_next_checkpoint_comes_on_time() {
     // A tail of k = 5 statements, 4 of them in two 2-statement units,
     // under checkpoint_every = 8: the 3rd statement after the restart is
     // the one that checkpoints.
-    let dir = scratch_dir("stmt_counts_checkpoint");
+    let dir = ScratchDir::new("persistence_stmt_counts_checkpoint");
     {
         let (mut s, _) = open(&dir, 8);
         s.execute(SETUP[0]).unwrap();
@@ -799,8 +790,8 @@ fn recovery_counts_statements_and_the_next_checkpoint_comes_on_time() {
 
 /// A directory whose WAL tail ends in an `INSERT ... SELECT` that scans and
 /// emits several rows of a multi-row table.
-fn insert_select_tail(name: &str) -> PathBuf {
-    let dir = scratch_dir(name);
+fn insert_select_tail(name: &str) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("persistence_{name}"));
     let (mut s, _) = open(&dir, 0);
     for sql in [
         "CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)",
@@ -860,12 +851,11 @@ fn newest_checkpoint_format(dir: &std::path::Path) -> u32 {
 
 /// A scratch copy of the checked-in directory `tests/fixtures/<name>`
 /// (recovery rewrites the directory it opens).
-fn copy_fixture(name: &str) -> PathBuf {
+fn copy_fixture(name: &str) -> ScratchDir {
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
-    let dir = scratch_dir(name);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new(&format!("persistence_{name}"));
     for entry in std::fs::read_dir(&fixture).unwrap() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
@@ -971,7 +961,7 @@ fn a_table_20000_columns_wide_survives_checkpoint_and_restart() {
         );
         t
     };
-    let dir = scratch_dir("wide20k");
+    let dir = ScratchDir::new("persistence_wide20k");
     {
         let (mut s, _) = open(&dir, 0);
         s.register_tables([("wide".to_string(), wide())]).unwrap();
@@ -987,7 +977,7 @@ fn noop_statements_inside_transactions_are_not_logged() {
     // not in the write set (it cannot conflict) — so its text must not be
     // logged either: replaying it after a concurrent commit could suddenly
     // match and corrupt recovery.
-    let dir = scratch_dir("txn_noop");
+    let dir = ScratchDir::new("persistence_txn_noop");
     {
         let (mut s, _) = open(&dir, 0);
         s.execute(SETUP[0]).unwrap();
@@ -1009,7 +999,7 @@ fn noop_statements_inside_transactions_are_not_logged() {
 
 #[test]
 fn checkpoint_during_an_open_transaction_captures_committed_state_only() {
-    let dir = scratch_dir("ckpt_vs_txn");
+    let dir = ScratchDir::new("persistence_ckpt_vs_txn");
     {
         let (shared, _) = SharedDatabase::open_durable(
             &dir,
@@ -1050,7 +1040,7 @@ fn checkpoint_during_an_open_transaction_captures_committed_state_only() {
 
 #[test]
 fn shared_database_recovers_concurrent_commits() {
-    let dir = scratch_dir("shared_durable");
+    let dir = ScratchDir::new("persistence_shared_durable");
     {
         let (shared, _) = SharedDatabase::open_durable(
             &dir,
@@ -1110,7 +1100,7 @@ fn shared_database_recovers_concurrent_commits() {
 /// recovers it bit-exact.
 #[test]
 fn two_checkpoints_then_a_reopen_replays_nothing_and_recovers_exactly() {
-    let dir = scratch_dir("two_ckpts");
+    let dir = ScratchDir::new("persistence_two_ckpts");
     let (mut s, _) = open(&dir, 0);
     s.execute(SETUP[0]).unwrap();
     s.execute("CREATE TABLE stable (x INT)").unwrap();
@@ -1142,7 +1132,7 @@ fn two_checkpoints_then_a_reopen_replays_nothing_and_recovers_exactly() {
 /// failure is counted, and the next commit retries the checkpoint.
 #[test]
 fn failed_auto_checkpoint_does_not_fail_the_commit() {
-    let dir = scratch_dir("auto_ckpt_fail");
+    let dir = ScratchDir::new("persistence_auto_ckpt_fail");
     let (mut s, _) = open(&dir, 2);
     s.execute("CREATE TABLE t (x INT)").unwrap();
     assert_eq!(s.checkpoint().unwrap(), Some(1));
@@ -1194,7 +1184,7 @@ fn every_commit_unit_shape_survives_a_kill_under_every_sync_policy() {
     for (shape, statements) in [("bare statements", SETUP), ("BEGIN…COMMIT unit", &unit[..])] {
         for sync in [SyncPolicy::Always, SyncPolicy::OnCheckpoint] {
             let ctx = format!("{shape}, {sync:?}");
-            let dir = scratch_dir("unit_shapes");
+            let dir = ScratchDir::new("persistence_unit_shapes");
             {
                 let (mut s, _) = open_with(&dir, sync, 0);
                 for sql in statements {
@@ -1210,7 +1200,6 @@ fn every_commit_unit_shape_survives_a_kill_under_every_sync_policy() {
                 &ctx,
             );
             assert_indexes_sound(&mut s, &ctx);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -1245,7 +1234,7 @@ fn kill_and_restart_matches_uninterrupted_run_on_every_prefix() {
         let prefix: Vec<&str> = statements[..k].iter().map(String::as_str).collect();
         let want = reference_catalog(&prefix);
 
-        let dir = scratch_dir("prefix");
+        let dir = ScratchDir::new("persistence_prefix");
         {
             let (mut s, _) = open(&dir, 3);
             for sql in &prefix {
@@ -1271,7 +1260,6 @@ fn kill_and_restart_matches_uninterrupted_run_on_every_prefix() {
             &format!("prefix {k} after torn write"),
         );
         assert_indexes_sound(&mut s, &format!("prefix {k} after torn write"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -1499,8 +1487,7 @@ proptest! {
     #[test]
     fn codec_roundtrip_of_random_catalogs(seed in 1u64..u64::MAX) {
         let catalog = random_catalog(seed);
-        let dir = scratch_dir("codec_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("persistence_codec_roundtrip");
         let path = write_checkpoint(&dir, 1, 0, &catalog).unwrap();
         let decoded = read_checkpoint(&path).unwrap().catalog;
         prop_assert_eq!(
@@ -1512,7 +1499,6 @@ proptest! {
             prop_assert_eq!(a, b, "{}: content", name);
             prop_assert_eq!(a.period_extent(), b.period_extent(), "{}: extent", name);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Replaying a random statement batch after a restart yields a
@@ -1531,7 +1517,7 @@ proptest! {
         let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
         let want = reference_catalog(&refs);
 
-        let dir = scratch_dir("proptest");
+        let dir = ScratchDir::new("persistence_proptest");
         {
             let (mut s, _) = open(&dir, 4);
             for sql in &statements {
@@ -1552,6 +1538,5 @@ proptest! {
             want_rows.sort_unstable();
             prop_assert_eq!(&got, &want_rows, "{} diverged from oracle", query);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,6 +16,10 @@
 //! Every test serves a database of its own, with its own activity table
 //! and metrics, so the tests run in parallel.
 
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::ScratchDir;
 use snapshot_semantics::baseline::PointwiseOracle;
 use snapshot_semantics::rewrite::infer_domain;
 use snapshot_semantics::server::protocol::{
@@ -29,8 +33,6 @@ use snapshot_semantics::session::{PersistenceOptions, SessionOptions, SharedData
 use snapshot_semantics::sql::{bind_statement, parse_statement, BoundStatement};
 use snapshot_semantics::storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,18 +66,6 @@ fn stop(client: Client, server: std::thread::JoinHandle<Result<u64, String>>) ->
         .join()
         .expect("server thread")
         .expect("clean shutdown")
-}
-
-/// A fresh, empty scratch directory, unique per call.
-fn scratch_dir(name: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "snapshot_server_{}_{name}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// One multi-row INSERT of `n` rows whose periods all overlap — the
@@ -681,7 +671,7 @@ fn statement_stats_over_the_wire_account_every_operation() {
 /// exactly the committed rows.
 #[test]
 fn graceful_shutdown_leaves_a_recoverable_database() {
-    let dir = scratch_dir("graceful");
+    let dir = ScratchDir::new("server_graceful");
     let persistence = PersistenceOptions {
         sync: SyncPolicy::Always,
         checkpoint_every: 0, // recovery must come from the WAL tail
@@ -712,7 +702,6 @@ fn graceful_shutdown_leaves_a_recoverable_database() {
         report.truncated_bytes == 0,
         "graceful shutdown leaves no torn tail"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite regression: a socket killed mid-query cancels the in-flight

@@ -349,19 +349,26 @@ fn errors_are_reported_and_atomic() {
         .contains("boolean"));
 }
 
-/// The session's lazily maintained indexes are actually used, and
-/// `use_indexes: false` bypasses them.
+/// The session's indexes are actually used, and `use_indexes: false`
+/// bypasses them.
 #[test]
 fn session_routes_through_indexes() {
     let mut s = fresh_session(false);
     setup(&mut s);
-    assert!(s.database().indexes().is_empty(), "indexes build lazily");
-    s.execute(SNAPSHOT_QUERIES[0]).unwrap();
+    let fresh = |s: &Session| {
+        let view = s.read_view();
+        ["works", "assign"].map(|name| {
+            let table = view.catalog().get(name).unwrap();
+            view.indexes().get_fresh(name, table).is_some()
+        })
+    };
     assert_eq!(
-        s.database().indexes().len(),
-        1,
-        "the scanned table got indexed"
+        fresh(&s),
+        [true, true],
+        "the written tables' indexes are fresh right after setup"
     );
+    s.execute(SNAPSHOT_QUERIES[0]).unwrap();
+    assert_eq!(s.database().indexes().len(), 2, "a read adds no index");
 
     let mut naive = Session::with_options(
         Database::from_catalog(s.database().catalog().clone()),
@@ -377,8 +384,100 @@ fn session_routes_through_indexes() {
             "{sql}"
         );
     }
+    let as_of = "SEQ VT AS OF 9 (SELECT name FROM works)";
+    assert_eq!(session_rows(&mut s, as_of), session_rows(&mut naive, as_of));
+    let indexed_routes = |s: &Session| {
+        ["indextimeslice", "indextimerange", "indexsweepjoin"]
+            .map(|op| (s.obs().metrics).get_counter(&format!("engine_{op}_invocations_total")))
+            .iter()
+            .flatten()
+            .map(|c| c.get())
+            .sum::<u64>()
+    };
     assert!(
-        naive.database().indexes().is_empty(),
-        "the naive session never builds indexes"
+        indexed_routes(&s) > 0,
+        "the indexed session stabs its index"
     );
+    assert_eq!(
+        indexed_routes(&naive),
+        0,
+        "the naive session never takes an indexed route"
+    );
+}
+
+/// An owned session and a shared one take one statement path: a bare
+/// write commits as an implicit transaction whose publish repairs the
+/// written table's index, and no read repairs one. So after every
+/// statement of one script the two give equal results and equal index
+/// maintenance, no statement reports an index phase, and outside a
+/// transaction every period table's index is fresh.
+#[test]
+fn owned_and_shared_sessions_take_one_statement_path() {
+    let values = |ids: std::ops::Range<i64>| {
+        let rows: Vec<String> = ids
+            .map(|i| format!("({i}, {}, {})", i % 40, i % 40 + 10))
+            .collect();
+        format!("INSERT INTO reg VALUES {}", rows.join(", "))
+    };
+    let create = "CREATE TABLE reg (id INT, ts INT, te INT) PERIOD (ts, te)";
+    let as_of = "SEQ VT AS OF 12 (SELECT count(*) AS c FROM reg)";
+    let (load, one, reload) = (values(0..200), values(200..201), values(0..50));
+    let steps: Vec<&str> = vec![
+        create,
+        &load,
+        as_of,
+        &one,
+        as_of,
+        "UPDATE reg SET te = ts + 1 WHERE id < 2",
+        as_of,
+        "INSERT INTO reg SELECT id + 1000, ts, te FROM reg WHERE id < 3",
+        as_of,
+        "DELETE FROM reg WHERE id >= 1000",
+        as_of,
+        "BEGIN",
+        "INSERT INTO reg VALUES (300, 11, 14)",
+        "UPDATE reg SET te = 13 WHERE id = 300",
+        as_of,
+        "COMMIT",
+        as_of,
+        "BEGIN",
+        "UPDATE reg SET te = ts + 2 WHERE id < 4",
+        as_of,
+        "ROLLBACK",
+        as_of,
+        "DROP TABLE reg",
+        create,
+        &reload,
+        as_of,
+    ];
+    let mut owned = Session::new(Database::new());
+    let mut shared = SharedDatabase::in_memory().session();
+    let mut edited = false;
+    for step in steps {
+        let mut outcome = Vec::new();
+        for s in [&mut owned, &mut shared] {
+            let before = s.index_maintenance();
+            let result = s.execute(step).unwrap();
+            let after = s.index_maintenance();
+            let moved = (
+                after.full_builds - before.full_builds,
+                after.incremental_builds - before.incremental_builds,
+            );
+            assert_eq!(s.last_phase_timings().index_ns, 0, "{step}");
+            if !s.in_transaction() {
+                let view = s.read_view();
+                for name in view.catalog().table_names() {
+                    let table = view.catalog().get(name).unwrap();
+                    assert!(
+                        view.indexes().get_fresh(name, table).is_some(),
+                        "after '{step}': {name} has no fresh index"
+                    );
+                }
+            }
+            outcome.push((result, moved));
+        }
+        assert_eq!(outcome[0], outcome[1], "owned vs shared after '{step}'");
+        edited |= outcome[0].1 .1 > 0;
+    }
+    assert!(edited, "some write edits its index on both sessions");
 }
