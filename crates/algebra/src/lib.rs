@@ -20,6 +20,8 @@
 //! last two columns** of their input and output. The rewriter establishes
 //! and maintains this invariant.
 
+#![forbid(unsafe_code)]
+
 mod expr;
 mod plan;
 mod snapshot_plan;

@@ -22,6 +22,8 @@
 //! that is how the harness fills in the "Bug" column of Table 3 and the
 //! matrix of Table 1 experimentally.
 
+#![forbid(unsafe_code)]
+
 pub mod bugs;
 pub mod native;
 pub mod pointwise;

@@ -9,6 +9,8 @@
 //! *shapes* reported in Section 10: who wins per query class, the bug
 //! column, and the linear scaling of multiset coalescing.
 
+#![forbid(unsafe_code)]
+
 use bench_harness::{run_approach, run_oracle, timed, Approach, TextTable};
 use engine::coalesce::{never, try_coalesce_rows};
 use rewrite::RewriteOptions;

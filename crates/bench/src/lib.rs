@@ -13,6 +13,8 @@
 //! * **Oracle** — the point-wise ground truth, used to fill the bug columns
 //!   experimentally (small scales only).
 
+#![forbid(unsafe_code)]
+
 use algebra::JoinAlgo;
 use baseline::{BaselineKind, NativeEvaluator, PointwiseOracle};
 use engine::{Engine, ExecStats, NodeStats};

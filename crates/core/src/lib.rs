@@ -31,6 +31,8 @@
 //! * [`repr`] — executable checks for the representation-system conditions
 //!   (Definition 4.5).
 
+#![forbid(unsafe_code)]
+
 pub mod krelation;
 pub mod period_relation;
 pub mod period_semiring;

@@ -18,6 +18,8 @@
 //! module also exports the workload queries of Section 10.1 in this
 //! repository's SQL dialect.
 
+#![forbid(unsafe_code)]
+
 pub mod employees;
 pub mod random;
 pub mod tpcbih;

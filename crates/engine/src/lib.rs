@@ -22,6 +22,8 @@
 //! the substrate simple lets the benchmark harness compare approaches
 //! rather than runtimes-of-substrates.
 
+#![forbid(unsafe_code)]
+
 pub mod coalesce;
 mod eval;
 mod exec;

@@ -35,6 +35,8 @@
 //! move), replaced tables, and tables written in place rather than on a
 //! copy since their index was built are rebuilt in full.
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod interval_tree;
 pub mod join;

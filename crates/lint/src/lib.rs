@@ -16,6 +16,8 @@
 //! wrong. The escape hatch is part of the design: an allow comment is a
 //! reviewable artifact, a silent false negative is not.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod rules;
 

@@ -3,6 +3,8 @@
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error. CI runs this as
 //! a required gate (see `.github/workflows/ci.yml` and `docs/lint.md`).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

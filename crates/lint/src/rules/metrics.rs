@@ -52,7 +52,7 @@ const PREFIXES: &[&str] = &[
 
 /// Suffixes that make a backticked doc token "metric-shaped" for the
 /// citation check.
-const CITATION_SUFFIXES: &[&str] = &["_total", "_seconds", "_info", "_active"];
+const CITATION_SUFFIXES: &[&str] = &["_total", "_seconds", "_info", "_active", "_bytes"];
 
 /// The registry implementation: the one place non-literal names are fine
 /// (its internals forward already-validated names).

@@ -49,6 +49,8 @@
 //! split, executed plan and commit split — is kept by the session that ran
 //! it, not here (the shell's `.trace` renders it).
 
+#![forbid(unsafe_code)]
+
 pub mod activity;
 pub mod lock;
 pub mod metrics;

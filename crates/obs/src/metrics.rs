@@ -33,6 +33,12 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
+
+    /// Raise the count to `v` if it is lower: for a counter that mirrors
+    /// a count kept outside the program, such as the kernel's page faults.
+    pub fn raise_to(&self, v: u64) {
+        self.value.fetch_max(v, Ordering::Relaxed);
+    }
 }
 
 /// A signed instantaneous value (e.g. live sessions, pinned snapshots).
@@ -380,10 +386,12 @@ impl MetricsRegistry {
     }
 
     /// Refresh the process-level metrics: the `snapshot_build_info` info
-    /// gauge (crate version + build profile in its labels) and the
-    /// `snapshot_uptime_seconds` gauge. Render points (the shell's
-    /// `.metrics`, the stat virtual tables) call this just before reading
-    /// so the exposition is current.
+    /// gauge (crate version + build profile in its labels), the
+    /// `snapshot_uptime_seconds` gauge and, on Linux, the process's minor
+    /// page faults (`snapshot_minor_faults_total`) and peak resident set
+    /// (`snapshot_peak_rss_bytes`). Render points (the shell's `.metrics`,
+    /// the stat virtual tables) call this just before reading so the
+    /// exposition is current.
     pub fn refresh_process_metrics(&self) {
         self.info(
             "snapshot_build_info",
@@ -401,6 +409,15 @@ impl MetricsRegistry {
         );
         self.gauge("snapshot_uptime_seconds")
             .set(process_start().elapsed().as_secs() as i64);
+        #[cfg(target_os = "linux")]
+        {
+            if let Some(faults) = minor_faults() {
+                self.counter("snapshot_minor_faults_total").raise_to(faults);
+            }
+            if let Some(bytes) = peak_rss_bytes() {
+                self.gauge("snapshot_peak_rss_bytes").set(bytes);
+            }
+        }
     }
 
     /// Render every metric in Prometheus text exposition format: a
@@ -456,6 +473,25 @@ impl MetricsRegistry {
 pub fn process_start() -> Instant {
     static START: OnceLock<Instant> = OnceLock::new();
     *START.get_or_init(Instant::now)
+}
+
+/// This process's minor page faults so far: field 10 of `/proc/self/stat`.
+#[cfg(target_os = "linux")]
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 2, the command name, may hold spaces: count from its `)`.
+    let after_comm = stat.get(stat.rfind(')')? + 2..)?;
+    after_comm.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// This process's peak resident set in bytes: `VmHWM` (in KiB) in
+/// `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn peak_rss_bytes() -> Option<i64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: i64 = kib.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    kib.checked_mul(1024)
 }
 
 #[cfg(test)]
@@ -602,5 +638,29 @@ mod tests {
         assert!(text.contains("snapshot_build_info{version=\""));
         assert!(text.contains("# TYPE snapshot_uptime_seconds gauge"));
         assert!(reg.gauge("snapshot_uptime_seconds").get() >= 0);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn process_metrics_read_page_faults_and_peak_rss_on_linux() {
+        let reg = MetricsRegistry::new();
+        reg.refresh_process_metrics();
+        let text = reg.render_text();
+        assert!(text.contains("# TYPE snapshot_minor_faults_total counter"));
+        assert!(text.contains("# TYPE snapshot_peak_rss_bytes gauge"));
+        let faults = reg.counter("snapshot_minor_faults_total").get();
+        assert!(faults > 0);
+        assert!(reg.gauge("snapshot_peak_rss_bytes").get() > 0);
+        // A refresh never lowers the counter.
+        reg.refresh_process_metrics();
+        assert!(reg.counter("snapshot_minor_faults_total").get() >= faults);
+    }
+
+    #[test]
+    fn raise_to_only_raises() {
+        let c = Counter::default();
+        c.raise_to(5);
+        c.raise_to(3);
+        assert_eq!(c.get(), 5);
     }
 }

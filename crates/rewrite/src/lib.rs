@@ -23,6 +23,8 @@
 //! engine tables and the logical model of `snapshot_core`, used by the
 //! equivalence tests (the commuting diagram of Theorem 8.1).
 
+#![forbid(unsafe_code)]
+
 pub mod periodenc;
 mod rewriter;
 

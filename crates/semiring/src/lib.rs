@@ -28,6 +28,8 @@
 //! The trait therefore threads an associated [`CommutativeSemiring::Ctx`]
 //! through `zero`/`one`; plain semirings use `Ctx = ()`.
 
+#![forbid(unsafe_code)]
+
 mod boolean;
 mod hom;
 pub mod laws;

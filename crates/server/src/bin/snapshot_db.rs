@@ -23,6 +23,8 @@
 //! over the binary wire protocol instead of an embedded database — same
 //! statements, same meta commands.
 
+#![forbid(unsafe_code)]
+
 use snapshot_server::{Client, RemoteResult};
 use snapshot_session::meta::{run_meta, MetaFlow};
 use snapshot_session::{
@@ -156,6 +158,8 @@ fn main() {
             }
         }
         None => {
+            // Statements run in this process: reuse what they free.
+            snapshot_server::keep_freed_memory();
             // The shell always runs over a SharedDatabase: the single-user
             // REPL is simply the one-session case of the multi-session
             // object, and `.parallel` can fan reader sessions out over the

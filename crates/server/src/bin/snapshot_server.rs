@@ -14,6 +14,8 @@
 //! server drains or cancels in-flight statements, checkpoints, and exits
 //! with status 0.
 
+#![forbid(unsafe_code)]
+
 use snapshot_server::{Server, ServerConfig};
 use snapshot_session::{PersistenceOptions, SharedDatabase, SyncPolicy};
 use std::path::Path;

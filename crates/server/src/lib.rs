@@ -22,6 +22,11 @@
 //! local-embedded by default, remote with `--connect HOST:PORT`).
 //!
 //! See `docs/protocol.md` for the wire format specification.
+//!
+//! [`keep_freed_memory`] holds the one `unsafe` block in product code (a
+//! `mallopt` call); everything else here is safe code.
+
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod protocol;
@@ -29,4 +34,4 @@ pub mod server;
 
 pub use client::{Client, QueryResponse, RemoteError, RemoteResult};
 pub use protocol::{Frame, ReadError, MAX_FRAME, PROTOCOL_VERSION};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{keep_freed_memory, Server, ServerConfig, ServerHandle};

@@ -137,14 +137,69 @@ pub struct Server {
     state: Arc<ServerState>,
 }
 
+/// Keep the memory a statement frees in the process for the next
+/// statement, instead of handing it back to the kernel.
+///
+/// By default glibc returns the free top of a heap once it passes
+/// 128 KiB, and serves blocks of 128 KiB or more from a mapping of their
+/// own, unmapped again on `free` (a threshold glibc raises as it sees such
+/// blocks freed). A statement with a big result frees megabytes of such
+/// memory, and the next statement faults every page of it back in.
+///
+/// Setting the two thresholds below turns glibc's dynamic adjustment off:
+/// from then on every block at or above the mmap threshold gets a mapping
+/// of its own and is unmapped on `free`, however often a block of that
+/// size recurs. What the policy bounds is the memory each glibc arena
+/// keeps beyond what is in use: up to the trim threshold of free heap top
+/// per arena, plus freed blocks below the mmap threshold, which stay in
+/// the arena for reuse. It sets an allocator policy for the whole
+/// process, so the binaries and [`Server::bind`] call it, and the
+/// [`crate::Client`] library never does. On targets other than Linux with
+/// glibc it does nothing. CHANGES.md has the measurements that sized it.
+#[allow(unsafe_code)]
+pub fn keep_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::os::raw::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        // `<malloc.h>` parameter numbers.
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        // Free heap top an arena keeps instead of trimming: the most
+        // memory an arena holds beyond what is in use. Sized by the
+        // steady-state minor faults per statement of the big-result
+        // classes (`join-1`, `join-2`, `diff-2`, `agg-1`) served on the
+        // benchmark's 2 000-employee data: the smallest power of two that
+        // takes all four to about 0 (at 4 MiB `agg-1` still faults).
+        const TRIM_THRESHOLD: c_int = 8 << 20;
+        // Blocks at least this large always get a mapping of their own,
+        // unmapped on free; freed smaller ones stay in the arena. Same
+        // measurement: below 1 MiB `agg-1` still faults.
+        const MMAP_THRESHOLD: c_int = 1 << 20;
+        // SAFETY: `mallopt` takes two integers by value and only writes
+        // the allocator's own tuning parameters, under the allocator's
+        // lock; glibc allows calling it at any time from any thread. Its
+        // status is ignored: a refused value leaves glibc's defaults,
+        // which are correct, only slower.
+        unsafe {
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD);
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
+        }
+    }
+}
+
 impl Server {
     /// Bind a server over `shared` on `addr` (use port 0 for an
-    /// OS-assigned port, then [`Server::local_addr`]).
+    /// OS-assigned port, then [`Server::local_addr`]). Also sets the
+    /// process's allocator to [`keep_freed_memory`].
     pub fn bind<A: ToSocketAddrs>(
         shared: SharedDatabase,
         addr: A,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
+        keep_freed_memory();
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let metrics = &shared.obs().metrics;

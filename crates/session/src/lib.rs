@@ -30,6 +30,8 @@
 //! valid checkpoint, replays the WAL tail through the same pipeline, and
 //! truncates torn tails instead of failing.
 
+#![forbid(unsafe_code)]
+
 pub mod database;
 pub mod meta;
 pub mod session;

@@ -29,6 +29,8 @@
 //! [`parse_script`] for the full dialect and [`parse_statement`] for
 //! queries alone.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod binder;
 pub mod lexer;

@@ -15,6 +15,8 @@
 //! * [`Table`] — a multiset of rows plus an optional period specification,
 //! * [`Catalog`] — the named-table namespace queries are bound against.
 
+#![forbid(unsafe_code)]
+
 mod catalog;
 mod row;
 mod schema;

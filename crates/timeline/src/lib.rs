@@ -13,6 +13,8 @@
 //! maximum `Tmax` for a database. All temporal annotations of a database are
 //! interpreted relative to one domain.
 
+#![forbid(unsafe_code)]
+
 mod interval;
 mod point;
 

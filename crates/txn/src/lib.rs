@@ -33,6 +33,8 @@
 //! — the WAL sees only committable units, and a unit that fails to reach
 //! the log aborts cleanly.
 
+#![forbid(unsafe_code)]
+
 pub mod manager;
 pub mod snapshot;
 pub mod transaction;

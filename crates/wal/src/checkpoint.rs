@@ -332,6 +332,7 @@ mod tests {
         let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
     }
 
+    #[allow(unsafe_code)]
     // SAFETY: every call forwards to `System` unchanged; `note` only
     // touches a const-initialised thread-local `Cell`, which never
     // allocates.

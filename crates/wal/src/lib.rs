@@ -27,6 +27,9 @@
 //! parses SQL, it only stores and returns statement text, so recovery runs
 //! through the exact same parse → bind → execute pipeline as live traffic.
 
+// `deny`, not `forbid`: the checkpoint tests' tracking allocator allows it.
+#![deny(unsafe_code)]
+
 pub mod checkpoint;
 pub mod codec;
 pub mod crc;

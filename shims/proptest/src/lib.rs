@@ -10,6 +10,8 @@
 //! number of deterministically seeded cases (seeded from the test's name,
 //! so failures are reproducible run-to-run).
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,6 +7,8 @@
 //! xoshiro256++ seeded via splitmix64 — high-quality enough for synthetic
 //! data generation, and stable across runs and platforms.
 
+#![forbid(unsafe_code)]
+
 /// Low-level entropy source.
 pub trait RngCore {
     /// The next 64 random bits.

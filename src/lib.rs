@@ -32,6 +32,8 @@
 //!   interval preservation, alignment-based native evaluation),
 //! * [`datagen`] — synthetic Employees / TPC-BiH-style datasets.
 
+#![forbid(unsafe_code)]
+
 pub use algebra;
 pub use baseline;
 pub use datagen;
