@@ -16,6 +16,9 @@ use timeline::TimeDomain;
 /// Exclusive upper bound of the time domain (days).
 pub const DOMAIN_END: i64 = 12_000;
 
+/// Employees at `scale = 1.0`, the dataset's full size.
+pub const FULL_SCALE_EMPLOYEES: usize = 300_000;
+
 /// The time domain of the generated database.
 pub fn domain() -> TimeDomain {
     TimeDomain::new(0, DOMAIN_END)
@@ -26,7 +29,7 @@ pub fn domain() -> TimeDomain {
 /// Deterministic for a given `(scale, seed)`.
 pub fn generate(scale: f64, seed: u64) -> Catalog {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_employees = ((300_000.0 * scale) as usize).max(10);
+    let n_employees = ((FULL_SCALE_EMPLOYEES as f64 * scale) as usize).max(10);
     let n_departments = 9usize;
 
     let mut employees = Table::with_period(

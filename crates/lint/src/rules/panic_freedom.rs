@@ -2,7 +2,8 @@
 //!
 //! The WAL decode path runs against whatever bytes survived a crash, the
 //! recovery driver replays whatever statements that yields, the server's
-//! frame parser runs against whatever bytes a client sent, and the
+//! frame parser runs against whatever bytes a client sent, the SQL lexer
+//! against every byte of every query and replayed statement, and the
 //! client's result reader against whatever frames a server sent. A panic
 //! in any of them turns "corrupt input" into "database won't start",
 //! "connection thread dies without a response" or "client dies". Inside
@@ -31,6 +32,7 @@ const ZONES: &[&str] = &[
     "crates/session/src/shared.rs",
     "crates/server/src/protocol.rs",
     "crates/server/src/client.rs",
+    "crates/sql/src/lexer.rs",
 ];
 
 /// Keywords that legitimately precede `[` (array literals, not indexing).

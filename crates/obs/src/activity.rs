@@ -32,7 +32,6 @@
 
 use crate::lock::Named;
 use crate::metrics::{process_start, Counter, MetricsRegistry};
-use crate::stmtstats::fingerprint;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -520,17 +519,18 @@ impl ActivityHandle {
         Arc::clone(&self.entry.token)
     }
 
-    /// Statement start: record the text, reset the counters, and arm the
-    /// token with the session's timeout and resource limits.
+    /// Statement start: record the text and its fingerprint, reset the
+    /// counters, and arm the token with the session's timeout and
+    /// resource limits.
     pub fn begin_statement(
         &self,
         text: &str,
+        fingerprint: &str,
         timeout_ms: Option<u64>,
         max_rows_scanned: Option<u64>,
         max_result_rows: Option<u64>,
     ) {
-        let fp = fingerprint(text);
-        *self.entry.statement.lock() = Some((text.to_string(), fp));
+        *self.entry.statement.lock() = Some((text.to_string(), fingerprint.to_string()));
         self.entry
             .statement_started_ns
             .store(now_ns(), Ordering::Relaxed);
@@ -695,7 +695,13 @@ mod tests {
         assert_eq!(me.phase, Phase::Idle);
         assert!(me.statement.is_none());
         assert!(me.elapsed_ms.is_none());
-        h.begin_statement("SELECT x FROM t WHERE y = 7", None, None, None);
+        h.begin_statement(
+            "SELECT x FROM t WHERE y = 7",
+            "select x from t where y = ?",
+            None,
+            None,
+            None,
+        );
         h.set_phase(Phase::Execute);
         let snap = activity.snapshot();
         let me = snap.iter().find(|s| s.session_id == id).expect("listed");
@@ -775,7 +781,7 @@ mod tests {
         let id = h.session_id();
         assert!(!activity.cancel(id), "idle session: no-op");
         assert!(!activity.cancel(u64::MAX), "unknown session: no-op");
-        h.begin_statement("SELECT 1", None, None, None);
+        h.begin_statement("SELECT 1", "select ?", None, None, None);
         assert!(activity.cancel(id), "active session: cancelled");
         let err = h.token().check(&h.account()).unwrap_err();
         let killed =
@@ -783,7 +789,7 @@ mod tests {
         assert!(killed, "{err:?}");
         h.end_statement();
         // The kill must not leak into the next statement.
-        h.begin_statement("SELECT 2", None, None, None);
+        h.begin_statement("SELECT 2", "select ?", None, None, None);
         assert!(h.token().check(&h.account()).is_ok());
         h.end_statement();
     }
@@ -796,10 +802,10 @@ mod tests {
         let activity = activity();
         let h = activity.register("shared");
         let (token, account) = (h.token(), h.account());
-        h.begin_statement("SELECT 1", None, None, None);
+        h.begin_statement("SELECT 1", "select ?", None, None, None);
         let stale = token.epoch();
         h.end_statement();
-        h.begin_statement("SELECT 2", None, None, None);
+        h.begin_statement("SELECT 2", "select ?", None, None, None);
         assert!(!token.kill(stale), "the statement it aimed at is gone");
         assert!(token.check(&account).is_ok());
         assert!(token.kill(token.epoch()), "the live statement is killable");
@@ -809,7 +815,7 @@ mod tests {
         assert!(killed, "{err:?}");
         // Timeouts and limits still trip the current epoch.
         h.end_statement();
-        h.begin_statement("SELECT 3", None, Some(1), None);
+        h.begin_statement("SELECT 3", "select ?", None, Some(1), None);
         account.add_rows_scanned(2);
         assert!(token.check(&account).is_err());
         h.end_statement();

@@ -20,8 +20,8 @@
 //!   its database is built, so the registry lock is never touched per
 //!   event.
 //! * [`stmtstats`] — pg_stat_statements-style statement statistics:
-//!   normalized query [`fingerprint`]s with per-fingerprint calls, rows,
-//!   and total/mean/p95 latency in a bounded LRU.
+//!   calls, rows, and total/mean/p95 latency per fingerprint (which the
+//!   SQL parser builds; no SQL is read here) in a bounded LRU.
 //! * [`slowlog`] — a bounded ring of statements that crossed the session's
 //!   slow-query threshold, with phase splits and operator actuals.
 //! * [`profile`] — the operator-level executor profiler: the session folds
@@ -68,7 +68,7 @@ pub use metrics::{
 };
 pub use profile::{PathStat, Profile};
 pub use slowlog::{SlowLog, SlowQuery, SLOW_LOG_CAPACITY};
-pub use stmtstats::{fingerprint, StatementStat, StatementStats, FINGERPRINT_CAPACITY};
+pub use stmtstats::{StatementStat, StatementStats, FINGERPRINT_CAPACITY};
 
 /// One database's observability state (see the crate docs' *Ownership*).
 #[derive(Debug)]

@@ -1,14 +1,16 @@
 //! Statement fingerprint statistics (pg_stat_statements-style).
 //!
 //! Every executed statement is folded to a *fingerprint* — literals
-//! stripped, whitespace runs collapsed, case folded — and accumulated in
-//! its database's bounded collector ([`StatementStats`], owned by the
-//! database's [`crate::Obs`]) keyed by fingerprint: calls, rows
-//! returned, total wall time, and a latency [`Histogram`] for p95
-//! extraction. The collector is a least-recently-used map capped at
-//! [`FINGERPRINT_CAPACITY`] distinct fingerprints so a pathological
-//! workload of unique statement *shapes* (not unique literals — those
-//! share a fingerprint) cannot grow it without bound.
+//! stripped, whitespace runs collapsed, case folded; the SQL parser
+//! builds it from the statement's tokens and the session hands it in —
+//! and accumulated in its database's bounded collector
+//! ([`StatementStats`], owned by the database's [`crate::Obs`]) keyed by
+//! fingerprint: calls, rows returned, total wall time, and a latency
+//! [`Histogram`] for p95 extraction. The collector is a
+//! least-recently-used map capped at [`FINGERPRINT_CAPACITY`] distinct
+//! fingerprints so a pathological workload of unique statement *shapes*
+//! (not unique literals — those share a fingerprint) cannot grow it
+//! without bound.
 //!
 //! The session layer calls [`StatementStats::record`] after each
 //! successful statement; the `snapshot_stat_statements` virtual table and
@@ -23,67 +25,6 @@ use std::sync::Arc;
 
 /// Maximum number of distinct fingerprints retained (LRU eviction beyond).
 pub const FINGERPRINT_CAPACITY: usize = 256;
-
-/// Normalize a SQL statement into its fingerprint: string and numeric
-/// literals become `?`, whitespace runs collapse to one space, letters
-/// fold to lower case, and any trailing `;` is dropped. Digits that are
-/// part of an identifier (`t1`, `x_2`) survive.
-pub fn fingerprint(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '\'' {
-            // String literal; '' is the escaped quote.
-            while let Some(c2) = chars.next() {
-                if c2 == '\'' {
-                    if chars.peek() == Some(&'\'') {
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            out.push('?');
-        } else if c.is_ascii_digit()
-            && !out
-                .chars()
-                .last()
-                .is_some_and(|p| p.is_ascii_alphanumeric() || p == '_' || p == '?')
-        {
-            // Numeric literal: digits, fraction, optional exponent.
-            while chars
-                .peek()
-                .is_some_and(|&c2| c2.is_ascii_digit() || c2 == '.')
-            {
-                chars.next();
-            }
-            if chars.peek().is_some_and(|&c2| c2 == 'e' || c2 == 'E') {
-                let mut ahead = chars.clone();
-                ahead.next();
-                if ahead.peek().is_some_and(|&c2| c2 == '+' || c2 == '-') {
-                    ahead.next();
-                }
-                if ahead.peek().is_some_and(char::is_ascii_digit) {
-                    chars.next();
-                    if chars.peek().is_some_and(|&c2| c2 == '+' || c2 == '-') {
-                        chars.next();
-                    }
-                    while chars.peek().is_some_and(char::is_ascii_digit) {
-                        chars.next();
-                    }
-                }
-            }
-            out.push('?');
-        } else if c.is_whitespace() {
-            if !out.is_empty() && !out.ends_with(' ') {
-                out.push(' ');
-            }
-        } else {
-            out.push(c.to_ascii_lowercase());
-        }
-    }
-    out.trim().trim_end_matches(';').trim_end().to_string()
-}
 
 /// One fingerprint's accumulated statistics, as read back by
 /// [`StatementStats::snapshot`].
@@ -139,18 +80,14 @@ impl StatementStats {
         }
     }
 
-    /// Record one executed statement: `rows` is the result cardinality for
-    /// queries (`None` for DML/DDL), `seconds` the statement's total wall
-    /// time.
-    pub fn record(&self, sql: &str, rows: Option<u64>, seconds: f64) {
-        let fp = fingerprint(sql);
-        if fp.is_empty() {
-            return;
-        }
+    /// Record one executed statement under its `fingerprint`: `rows` is
+    /// the result cardinality for queries (`None` for DML/DDL), `seconds`
+    /// the statement's total wall time.
+    pub fn record(&self, fingerprint: &str, rows: Option<u64>, seconds: f64) {
         let mut c = self.collector.lock();
         c.clock += 1;
         let now = c.clock;
-        if !c.map.contains_key(&fp) && c.map.len() >= FINGERPRINT_CAPACITY {
+        if !c.map.contains_key(fingerprint) && c.map.len() >= FINGERPRINT_CAPACITY {
             if let Some(victim) = c
                 .map
                 .iter()
@@ -161,13 +98,16 @@ impl StatementStats {
                 self.evictions.inc();
             }
         }
-        let e = c.map.entry(fp).or_insert_with(|| Entry {
-            calls: 0,
-            rows: 0,
-            total_seconds: 0.0,
-            hist: Histogram::new(default_latency_bounds()),
-            last_used: now,
-        });
+        let e = c
+            .map
+            .entry(fingerprint.to_string())
+            .or_insert_with(|| Entry {
+                calls: 0,
+                rows: 0,
+                total_seconds: 0.0,
+                hist: Histogram::new(default_latency_bounds()),
+                last_used: now,
+            });
         e.calls += 1;
         e.rows += rows.unwrap_or(0);
         e.total_seconds += seconds;
@@ -206,52 +146,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fingerprint_strips_literals_and_folds() {
-        assert_eq!(
-            fingerprint("SELECT * FROM t WHERE x = 42 AND name = 'Ann';"),
-            "select * from t where x = ? and name = ?"
-        );
-        assert_eq!(
-            fingerprint("INSERT INTO works VALUES ('Joe', 'NS', 8, 16)"),
-            "insert into works values (?, ?, ?, ?)"
-        );
-        // Same shape, different literals -> same fingerprint.
-        assert_eq!(
-            fingerprint("SELECT x FROM t WHERE ts < 10"),
-            fingerprint("select   x from t\nwhere ts < 99")
-        );
-    }
-
-    #[test]
-    fn fingerprint_keeps_identifier_digits() {
-        assert_eq!(fingerprint("SELECT x1 FROM t2"), "select x1 from t2");
-        assert_eq!(fingerprint("SELECT a_1 FROM t"), "select a_1 from t");
-        // But a number after whitespace or punctuation is a literal.
-        assert_eq!(
-            fingerprint("SEQ VT AS OF 9 (SELECT x FROM t)"),
-            "seq vt as of ? (select x from t)"
-        );
-        assert_eq!(fingerprint("VALUES (1.5e3, 2)"), "values (?, ?)");
-    }
-
-    #[test]
-    fn fingerprint_handles_escaped_quotes() {
-        assert_eq!(
-            fingerprint("SELECT * FROM t WHERE s = 'it''s'"),
-            "select * from t where s = ?"
-        );
-    }
-
-    #[test]
     fn collector_accumulates_and_is_bounded() {
         let metrics = MetricsRegistry::new();
         let stats = StatementStats::new(&metrics);
-        stats.record("SELECT x FROM stmtstats_t WHERE y = 1", Some(3), 0.010);
-        stats.record("SELECT x FROM stmtstats_t WHERE y = 2", Some(5), 0.030);
+        let fp = "select x from stmtstats_t where y = ?";
+        stats.record(fp, Some(3), 0.010);
+        stats.record(fp, Some(5), 0.030);
         let snap = stats.snapshot();
         let s = snap
             .iter()
-            .find(|s| s.fingerprint == "select x from stmtstats_t where y = ?")
+            .find(|s| s.fingerprint == fp)
             .expect("fingerprint present");
         assert_eq!(s.calls, 2);
         assert_eq!(s.rows, 8);
@@ -263,14 +167,12 @@ mod tests {
         // the hot (recently touched) fingerprint survives, and every
         // eviction is counted.
         for i in 0..(2 * FINGERPRINT_CAPACITY) {
-            stats.record(&format!("SELECT c{i} FROM stmtstats_t"), None, 0.001);
-            stats.record("SELECT x FROM stmtstats_t WHERE y = 3", Some(1), 0.001);
+            stats.record(&format!("select c{i} from stmtstats_t"), None, 0.001);
+            stats.record(fp, Some(1), 0.001);
         }
         let snap = stats.snapshot();
         assert_eq!(snap.len(), FINGERPRINT_CAPACITY);
-        assert!(snap
-            .iter()
-            .any(|s| s.fingerprint == "select x from stmtstats_t where y = ?"));
+        assert!(snap.iter().any(|s| s.fingerprint == fp));
         assert_eq!(
             metrics.counter("stmt_stats_evictions_total").get(),
             (2 * FINGERPRINT_CAPACITY + 1 - FINGERPRINT_CAPACITY) as u64,

@@ -15,8 +15,9 @@
 //!
 //! Usage: `snapshot_db [--db DIR | --connect HOST:PORT] [--script FILE]
 //! [--sync POLICY] [--checkpoint-every N] [--no-index] [--verify]
-//! [--quiet]`. Without `--script`, reads statements from stdin (a
-//! statement runs once a line ends with `;`). Lines starting with `.` are
+//! [--quiet]`. Without `--script`, reads statements from stdin (the
+//! buffer runs once a line leaves it ending in a `;` outside any string
+//! literal, as the SQL lexer reads it). Lines starting with `.` are
 //! meta commands — see `.help`. With `--db DIR`, the database is durable:
 //! statements are write-ahead-logged into `DIR` and survive restarts.
 //! With `--connect HOST:PORT`, the shell runs against a `snapshot_server`
@@ -26,7 +27,7 @@
 #![forbid(unsafe_code)]
 
 use snapshot_server::{Client, RemoteResult};
-use snapshot_session::meta::{run_meta, MetaFlow};
+use snapshot_session::meta::{file_argument, run_meta, MetaFlow};
 use snapshot_session::{
     PersistenceOptions, Session, SessionOptions, SharedDatabase, StatementResult, SyncPolicy,
 };
@@ -368,7 +369,9 @@ impl Shell {
         }
         self.pending.push_str(line);
         self.pending.push('\n');
-        if trimmed.ends_with(';') {
+        // Only a line with a `;` can end the buffer (it did not end
+        // before), so a long statement is not lexed once per line.
+        if line.contains(';') && sql::ends_statement(&self.pending) {
             return self.flush_pending();
         }
         Flow::Continue
@@ -493,23 +496,16 @@ impl Shell {
                 }
             }
             Backend::Remote { client, in_txn } => {
-                let mut words = meta.split_whitespace();
-                let cmd = words.next().unwrap_or("");
+                let cmd = meta.split_whitespace().next().unwrap_or("");
                 if matches!(cmd, "quit" | "exit") {
                     return Flow::Quit;
                 }
-                // FILE-writing commands write server-side; the remote
-                // shell instead fetches the bare (text-returning) form and
-                // writes the file here, next to the user.
-                let file_arg = matches!(cmd, "dump" | "metrics" | "profile")
-                    .then(|| words.next().filter(|w| !matches!(*w, "on" | "off")))
-                    .flatten()
-                    .map(str::to_string);
-                let request = match &file_arg {
-                    Some(_) => cmd.to_string(),
-                    None => meta.to_string(),
-                };
-                match client.meta(&request) {
+                // A server writes no file: the remote shell fetches the
+                // bare (text-returning) form and writes FILE here, next
+                // to the user.
+                let file_arg = file_argument(meta);
+                let request = if file_arg.is_some() { cmd } else { meta };
+                match client.meta(request) {
                     Ok(resp) => {
                         *in_txn = resp.in_txn;
                         if let Some(e) = resp.error {
@@ -524,7 +520,7 @@ impl Shell {
                             })
                             .collect::<String>();
                         match file_arg {
-                            Some(path) => match std::fs::write(&path, &output) {
+                            Some(path) => match std::fs::write(path, &output) {
                                 Ok(()) => {
                                     println!("wrote {} byte(s) to {path}", output.len());
                                     Flow::Continue

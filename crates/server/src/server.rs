@@ -24,7 +24,7 @@
 
 use crate::protocol::{read_frame, write_frame, write_rowset, Frame, ReadError, PROTOCOL_VERSION};
 use snapshot_obs as obs;
-use snapshot_session::meta::{run_meta, MetaFlow};
+use snapshot_session::meta::{file_argument, run_meta, MetaFlow};
 use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementError, StatementResult};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -528,9 +528,11 @@ fn executor_loop(
             }
             Msg::Frame(Frame::Meta { command }) => {
                 // `.trace` prints the records the local shell's session
-                // keeps; no frame carries them back to a remote shell.
+                // keeps; no frame carries them back to a remote shell. A
+                // peer writes no file here: FILE is the client's to write.
                 let outcome = match command.split_whitespace().next() {
                     Some("trace") => Err(".trace works in a local shell only".to_string()),
+                    _ if file_argument(&command).is_some() => Err("a server writes no FILE".into()),
                     _ => run_meta(&command, session, shared),
                 };
                 match outcome {

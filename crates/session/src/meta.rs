@@ -9,9 +9,10 @@
 //! text, the server ships it back in a frame.
 //!
 //! Commands that take a `FILE` argument (`.dump FILE`, `.metrics FILE`,
-//! `.profile FILE`) write the file from the process that runs them — the
-//! server, for remote sessions. The remote shell rewrites those to the
-//! bare (text-returning) form and writes the file client-side instead.
+//! `.profile FILE`, see [`file_argument`]) write the file from the process
+//! that runs them. A server refuses them, so no peer writes a file on the
+//! server's host; the remote shell sends the bare (text-returning) form
+//! and writes the file client-side instead.
 
 use crate::session::Session;
 use crate::shared::SharedDatabase;
@@ -54,7 +55,7 @@ pub const HELP: &str = "statements end with ';' and may span lines. Transactions
 Meta commands:
   .help              this help
   .tables            list tables (rows, period, index state)
-  .load employees N  load the synthetic Employees dataset (~N employees)
+  .load employees N  load the synthetic Employees dataset (N: 1..=300000)
   .index [t]         report index builds for table t (all tables when
                      omitted): 0, since every index is built when its
                      table is published (the commit repairs it)
@@ -91,6 +92,17 @@ ordinary SELECTs, e.g.
   .dump [FILE]       write the catalog as a re-loadable SQL script
                      (to stdout when FILE is omitted)
   .quit              exit";
+
+/// The `FILE` argument of `.dump FILE`, `.metrics FILE` or `.profile FILE`
+/// (not `.profile on|off`); `meta` is the line without its leading dot.
+pub fn file_argument(meta: &str) -> Option<&str> {
+    let mut words = meta.split_whitespace();
+    match (words.next()?, words.next()?) {
+        ("profile", "on" | "off") => None,
+        ("dump" | "metrics" | "profile", file) => Some(file),
+        _ => None,
+    }
+}
 
 /// Execute one meta command (`meta` is the line without its leading dot).
 ///
@@ -199,23 +211,21 @@ fn parallel(session: &mut Session, shared: &SharedDatabase, rest: &str) -> Resul
     if n == 0 || n > 64 {
         return Err("reader count must be between 1 and 64".into());
     }
-    let sql = sql.trim().trim_end_matches(';').to_string();
     // Refuse non-queries *before* executing anything: running a DML
     // statement N times in parallel is never what ".parallel" means.
-    match sql::parse_sql_statement(&sql) {
+    match sql::parse_sql_statement(sql) {
         Ok(sql::SqlStatement::Query(_)) => {}
         Ok(_) => return Err("only query statements can run in parallel".into()),
         Err(e) => return Err(e),
     }
     let reference = session
-        .execute(&sql)?
+        .execute(sql)?
         .rows()
         .ok_or("only query statements can run in parallel")?
         .canonicalized();
     let started = Instant::now();
     let options = *session.options();
     let results: Vec<Result<storage::Table, String>> = std::thread::scope(|scope| {
-        let sql = &sql;
         let handles: Vec<_> = (0..n)
             .map(|_| {
                 let shared = shared.clone();
@@ -260,11 +270,11 @@ fn load_dataset(
 ) -> Result<String, String> {
     match which {
         Some("employees") => {
-            let n: f64 = size
-                .unwrap_or("600")
-                .parse()
-                .map_err(|_| "usage: .load employees N".to_string())?;
-            let scale = n / 300_000.0;
+            let full = datagen::employees::FULL_SCALE_EMPLOYEES;
+            let n = (size.unwrap_or("600").parse().ok())
+                .filter(|n| (1..=full).contains(n))
+                .ok_or_else(|| format!("usage: .load employees N (N from 1 to {full})"))?;
+            let scale = n as f64 / full as f64;
             let started = Instant::now();
             let catalog = datagen::employees::generate(scale, 42);
             let total = catalog.total_rows();
@@ -327,7 +337,7 @@ fn explain(session: &mut Session, sql: &str) -> Result<String, String> {
         return Err("usage: .explain SELECT ...".to_string());
     }
     let result = session
-        .execute(&format!("EXPLAIN {}", sql.trim_end_matches(';')))
+        .execute(&format!("EXPLAIN {sql}"))
         .map_err(|e| e.to_string())?;
     let mut out: String = (result.rows().into_iter())
         .flat_map(|plan| plan.rows())
@@ -563,6 +573,37 @@ mod tests {
         let insert = "explain INSERT INTO t VALUES (1, 0, 5)";
         assert!(run_meta(insert, &mut session, &shared).is_err());
         assert_eq!(session.read_view().catalog().get("t").unwrap().len(), 0);
+    }
+
+    /// `.load employees N` takes a whole number of employees up to the
+    /// generator's full scale and refuses anything else before generating.
+    #[test]
+    fn load_refuses_all_but_a_whole_number_up_to_full_scale() {
+        let (shared, mut session) = setup();
+        for n in ["0", "-1", "NaN", "inf", "1e15", "300001", "2.5"] {
+            let refused = run_meta(&format!("load employees {n}"), &mut session, &shared);
+            assert!(refused.is_err(), "{n}: {refused:?}");
+        }
+        assert_eq!(session.read_view().catalog().table_names().count(), 0);
+        let out = run("load employees 10", &mut session, &shared);
+        assert!(out.starts_with("loaded employees (~10 employees)"), "{out}");
+    }
+
+    #[test]
+    fn file_arguments_are_those_of_dump_metrics_and_profile() {
+        assert_eq!(file_argument("dump /tmp/x.sql"), Some("/tmp/x.sql"));
+        assert_eq!(file_argument("metrics on"), Some("on"));
+        assert_eq!(file_argument("profile out.folded"), Some("out.folded"));
+        for bare in [
+            "dump",
+            "metrics",
+            "profile",
+            "profile on",
+            "profile off",
+            "load employees 9",
+        ] {
+            assert_eq!(file_argument(bare), None, "{bare}");
+        }
     }
 
     #[test]

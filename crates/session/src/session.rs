@@ -52,8 +52,8 @@ use rewrite::{infer_domain, RewriteOptions, SnapshotCompiler};
 use snapshot_obs::{self as obs, Histogram, Obs, StatementError};
 use snapshot_txn::{CatalogSnapshot, Transaction};
 use sql::{
-    bind_scalar_expr, bind_statement, parse_sql_statement, split_script, AstExpr, ColumnDef,
-    InsertSource, SqlStatement, Statement,
+    bind_scalar_expr, bind_statement, parse_script, AstExpr, ColumnDef, InsertSource,
+    ParsedStatement, SqlStatement, Statement,
 };
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
@@ -614,13 +614,15 @@ impl Session {
     /// is a single-statement commit unit, in the write-ahead log before it
     /// is visible and before this returns; statements inside a transaction
     /// are buffered and logged as one atomic commit unit (single fsync) at
-    /// `COMMIT`.
+    /// `COMMIT`. `sql` holds one statement (a trailing `;` is optional);
+    /// its text and fingerprint are [`sql::parse_script`]'s.
     pub fn execute(&mut self, sql: &str) -> Result<StatementResult, StatementError> {
         self.records.clear();
         let started = Instant::now();
-        let stmt = parse_sql_statement(sql)?;
+        let [stmt] = <[ParsedStatement; 1]>::try_from(parse_script(sql)?)
+            .map_err(|stmts| format!("expected one statement, found {}", stmts.len()))?;
         let parse_ns = started.elapsed().as_nanos() as u64;
-        self.apply_inner(&stmt, Some(sql), parse_ns)
+        self.apply_inner(&stmt.statement, Some(&stmt), parse_ns)
     }
 
     /// Parses and executes a `;`-separated script, stopping at the first
@@ -635,26 +637,25 @@ impl Session {
     }
 
     /// Runs a `;`-separated script: the one script loop. The whole script
-    /// is parsed first, so a syntax error anywhere runs nothing; then each
-    /// statement runs in order and hands its result to `each`. The first
-    /// error, or `each` returning `false`, stops the script. On a durable
-    /// database each bare DDL/DML statement is its own commit unit (inside
-    /// transactions, the unit is the transaction).
+    /// is parsed first ([`sql::parse_script`], which also gives each
+    /// statement its text and fingerprint), so a syntax error anywhere
+    /// runs nothing; then each statement runs in order and hands its
+    /// result to `each`. The first error, or `each` returning `false`,
+    /// stops the script. On a durable database each bare DDL/DML
+    /// statement is its own commit unit (inside transactions, the unit is
+    /// the transaction).
     pub fn run_script(
         &mut self,
         sql: &str,
         mut each: impl FnMut(StatementResult) -> bool,
     ) -> Result<(), StatementError> {
         self.records.clear();
-        let pieces = split_script(sql);
-        let mut stmts = Vec::with_capacity(pieces.len());
-        for piece in &pieces {
-            let started = Instant::now();
-            let stmt = parse_sql_statement(piece)?;
-            stmts.push((stmt, started.elapsed().as_nanos() as u64));
-        }
-        for ((stmt, parse_ns), piece) in stmts.iter().zip(&pieces) {
-            if !each(self.apply_inner(stmt, Some(piece), *parse_ns)?) {
+        let started = Instant::now();
+        let stmts = parse_script(sql)?;
+        // One parse for the whole script: its statements share it evenly.
+        let parse_ns = started.elapsed().as_nanos() as u64 / stmts.len().max(1) as u64;
+        for stmt in &stmts {
+            if !each(self.apply_inner(&stmt.statement, Some(stmt), parse_ns)?) {
                 break;
             }
         }
@@ -674,25 +675,28 @@ impl Session {
     /// Routes one statement: transaction control, query, or mutation —
     /// bracketed by live-activity registration ([`snapshot_obs::activity`]),
     /// followed by the cancellation unwind if the statement died
-    /// [`StatementError::Cancelled`], then reported and kept. A statement
-    /// without text is a replayed one, already committed history: it arms
-    /// no client limit, reports nothing and leaves no record.
+    /// [`StatementError::Cancelled`], then reported and kept. A client
+    /// statement comes with its `source` (text and fingerprint); one
+    /// without is a replayed one, already committed history: it arms no
+    /// client limit, reports nothing and leaves no record.
     fn apply_inner(
         &mut self,
         stmt: &SqlStatement,
-        text: Option<&str>,
+        source: Option<&ParsedStatement>,
         parse_ns: u64,
     ) -> Result<StatementResult, StatementError> {
         self.record = StatementRecord::default();
         self.record.phases.parse_ns = parse_ns;
-        let limits = text.map(|_| &self.options);
+        let limits = source.map(|_| &self.options);
+        let replayed = "<replayed statement>";
         self.activity.begin_statement(
-            text.unwrap_or("<replayed statement>"),
+            source.map_or(replayed, |s| &s.text),
+            source.map_or(replayed, |s| &s.fingerprint),
             limits.and_then(|o| o.statement_timeout_ms),
             limits.and_then(|o| o.max_rows_scanned),
             limits.and_then(|o| o.max_result_rows),
         );
-        let result = self.dispatch(stmt, text);
+        let result = self.dispatch(stmt, source.map(|s| s.text.as_str()));
         if let Err(StatementError::Cancelled { kind, .. }) = &result {
             // The WAL never saw an explicit transaction's writes: they are
             // logged at COMMIT.
@@ -701,8 +705,8 @@ impl Session {
         }
         self.activity.set_in_txn(self.txn.is_some());
         self.activity.end_statement();
-        if let Some(text) = text {
-            self.report(text, &result);
+        if let Some(source) = source {
+            self.report(source, &result);
             self.records.push(std::mem::take(&mut self.record));
         }
         result
@@ -714,7 +718,7 @@ impl Session {
     /// `.verify` cross-check's), phases and statistics on success, and a
     /// slow-log entry on success past the threshold or on a cancellation
     /// while the log is armed.
-    fn report(&self, text: &str, result: &Result<StatementResult, StatementError>) {
+    fn report(&self, source: &ParsedStatement, result: &Result<StatementResult, StatementError>) {
         let (t, record, options) = (&*self.telemetry, &self.record, &self.options);
         if let Some((plan, nodes)) = &record.executed {
             if options.collect_metrics {
@@ -730,7 +734,7 @@ impl Session {
             p.publish(&t.phases);
             t.obs
                 .statements
-                .record(text, rows(r), p.total_ns() as f64 / 1e9);
+                .record(&source.fingerprint, rows(r), p.total_ns() as f64 / 1e9);
         }
         let threshold = options.slow_query_ms;
         let (rows, cancelled) = match result {
@@ -742,7 +746,7 @@ impl Session {
         };
         t.obs.slow_log.record(obs::SlowQuery {
             seq: 0, // assigned by the log
-            statement: clean_statement(text),
+            statement: source.text.clone(),
             total_ms,
             parse_ms: p.parse_ns as f64 / 1e6,
             bind_ms: p.bind_ns as f64 / 1e6,
@@ -938,7 +942,7 @@ impl Session {
         if let Some(table) = written {
             txn.record_write(&table);
             if let Some(text) = text {
-                txn.push_statement(clean_statement(text));
+                txn.push_statement(text.to_string());
             }
         }
         Ok(result)
@@ -1350,12 +1354,6 @@ fn bind_where_in(
         })
         .transpose()?;
     Ok((schema, pred))
-}
-
-/// The canonical statement text for the write-ahead log and the slow-query
-/// log: trimmed, no trailing `;`.
-fn clean_statement(text: &str) -> String {
-    text.trim().trim_end_matches(';').trim_end().to_string()
 }
 
 /// Sleeps before a conflict retry: an exponential base doubling per

@@ -28,6 +28,10 @@
 //! `SEQ VT BETWEEN t1 AND t2 (...)`). Use [`parse_sql_statement`] /
 //! [`parse_script`] for the full dialect and [`parse_statement`] for
 //! queries alone.
+//! The lexer is the one scanner of SQL text: [`parse_script`] returns each
+//! statement with its text and [`fingerprint`], taken from one
+//! tokenization's spans, for the session to hand to the log and the
+//! statistics; [`split_script`] and [`ends_statement`] read the same tokens.
 
 #![forbid(unsafe_code)]
 
@@ -41,4 +45,7 @@ pub use ast::{
     SeqWindow, SqlStatement, Statement,
 };
 pub use binder::{bind_scalar_expr, bind_statement, BoundStatement};
-pub use parser::{parse_script, parse_sql_statement, parse_statement, split_script};
+pub use lexer::{ends_statement, fingerprint};
+pub use parser::{
+    parse_script, parse_sql_statement, parse_statement, split_script, ParsedStatement,
+};

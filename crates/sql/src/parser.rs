@@ -1,15 +1,16 @@
 //! Recursive-descent parser.
 
 use crate::ast::*;
-use crate::lexer::{int_literal, tokenize, Sym, Token, INT_MIN_MAGNITUDE};
+use crate::lexer::{
+    fingerprint_tokens, int_literal, tokenize, Spanned, Sym, Token, INT_MIN_MAGNITUDE,
+};
 use algebra::BinOp;
 use storage::{SqlType, Value};
 
 /// Parses one *query* statement (a query with an optional top-level
 /// `ORDER BY` and optional trailing `;`).
 pub fn parse_statement(input: &str) -> Result<Statement, String> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let stmt = p.parse_query_statement()?;
     let _ = p.eat_symbol(Sym::Semicolon);
     p.expect_eof()?;
@@ -20,93 +21,45 @@ pub fn parse_statement(input: &str) -> Result<Statement, String> {
 /// DDL/DML commands (`CREATE TABLE`, `DROP TABLE`, `INSERT`, `DELETE`,
 /// `UPDATE`). A trailing `;` is optional.
 pub fn parse_sql_statement(input: &str) -> Result<SqlStatement, String> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let stmt = p.parse_sql_statement()?;
     let _ = p.eat_symbol(Sym::Semicolon);
     p.expect_eof()?;
     Ok(stmt)
 }
 
-/// Splits a `;`-separated script into the *source text* of its
-/// statements, without parsing them. Semicolons inside single-quoted
-/// strings (with `''` escapes) and `--` line comments do not split;
-/// comment-only and empty pieces are dropped; each returned piece is
-/// trimmed and carries no trailing `;`.
-///
-/// This is the statement-granular view the durability layer needs: the
-/// write-ahead log records each executed statement's exact text, so the
-/// splitter must agree with the lexer on where statements end. It is
-/// purely lexical — a piece may still fail to parse.
-pub fn split_script(input: &str) -> Vec<String> {
-    let mut pieces = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let (mut start, mut i) = (0usize, 0usize);
-    let mut push = |piece: &[char]| {
-        let text: String = piece.iter().collect();
-        // Strip comment-only and blank lines at the edges (interior
-        // comments are part of the statement text and parse fine); drop
-        // pieces with no statement text at all.
-        let blank = |l: &&str| {
-            let l = l.trim();
-            l.is_empty() || l.starts_with("--")
-        };
-        let lines: Vec<&str> = text.lines().collect();
-        let (Some(first), Some(last)) = (
-            lines.iter().position(|l| !blank(l)),
-            lines.iter().rposition(|l| !blank(l)),
-        ) else {
-            return;
-        };
-        pieces.push(lines[first..=last].join("\n").trim().to_string());
-    };
-    while i < chars.len() {
-        match chars[i] {
-            ';' => {
-                push(&chars[start..i]);
-                i += 1;
-                start = i;
-            }
-            '\'' => {
-                // A string literal: skip to its end; `''` escapes a quote.
-                i += 1;
-                while i < chars.len() {
-                    if chars[i] == '\'' {
-                        if chars.get(i + 1) == Some(&'\'') {
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            '-' if chars.get(i + 1) == Some(&'-') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    push(&chars[start..]);
-    pieces
+/// One statement of a script, as [`parse_script`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParsedStatement {
+    /// The parsed statement.
+    pub statement: SqlStatement,
+    /// Its source text, first token to last (no `;`), as the write-ahead
+    /// log, the activity view and the slow-query log record it.
+    pub text: String,
+    /// Its fingerprint (see [`crate::lexer::fingerprint`]), built from the
+    /// same tokens.
+    pub fingerprint: String,
 }
 
-/// Parses a `;`-separated script into its statements. Empty statements
-/// (stray semicolons) are skipped; the final `;` is optional.
-pub fn parse_script(input: &str) -> Result<Vec<SqlStatement>, String> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+/// Parses a `;`-separated script into its statements, each with its text
+/// and fingerprint, over one tokenization. Empty statements (stray
+/// semicolons, comments) are skipped; the final `;` is optional.
+pub fn parse_script(input: &str) -> Result<Vec<ParsedStatement>, String> {
+    let mut p = Parser::new(input)?;
     let mut out = Vec::new();
     loop {
         while p.eat_symbol(Sym::Semicolon) {}
         if p.peek() == &Token::Eof {
             return Ok(out);
         }
-        out.push(p.parse_sql_statement()?);
+        let first = p.pos;
+        let statement = p.parse_sql_statement()?;
+        let tokens = &p.tokens[first..p.pos];
+        out.push(ParsedStatement {
+            statement,
+            text: source_text(input, tokens).to_string(),
+            fingerprint: fingerprint_tokens(input, tokens),
+        });
         if !p.eat_symbol(Sym::Semicolon) {
             p.expect_eof()?;
             return Ok(out);
@@ -114,22 +67,60 @@ pub fn parse_script(input: &str) -> Result<Vec<SqlStatement>, String> {
     }
 }
 
+/// Splits a `;`-separated script into the source text of its statements,
+/// without parsing them: the `;` tokens of the lexer are the boundaries,
+/// and each piece runs from its first token to its last, as
+/// [`ParsedStatement::text`] does. Pieces with no token (stray
+/// semicolons, comments) are dropped. A script that does not lex is one
+/// piece, so running it reports the lexer's error. A piece may still fail
+/// to parse.
+pub fn split_script(input: &str) -> Vec<String> {
+    let Ok(tokens) = tokenize(input) else {
+        return vec![input.trim().to_string()];
+    };
+    tokens
+        .split(|t| matches!(t.token, Token::Symbol(Sym::Semicolon) | Token::Eof))
+        .filter(|piece| !piece.is_empty())
+        .map(|piece| source_text(input, piece).to_string())
+        .collect()
+}
+
+/// The source text of `tokens`, lexed from `input`: from the first one's
+/// start to the last one's end.
+fn source_text<'a>(input: &'a str, tokens: &[Spanned]) -> &'a str {
+    match (tokens.first(), tokens.last()) {
+        (Some(first), Some(last)) => input
+            .get(first.span.start..last.span.end)
+            .unwrap_or_default(),
+        _ => "",
+    }
+}
+
 struct Parser {
-    tokens: Vec<Token>,
+    tokens: Vec<Spanned>,
     pos: usize,
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Self, String> {
+        Ok(Parser {
+            tokens: tokenize(input)?,
+            pos: 0,
+        })
+    }
+
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+        &self.tokens[self.pos].token
     }
 
     fn peek2(&self) -> &Token {
-        self.tokens.get(self.pos + 1).unwrap_or(&Token::Eof)
+        self.tokens
+            .get(self.pos + 1)
+            .map_or(&Token::Eof, |t| &t.token)
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+        let t = self.tokens[self.pos].token.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -485,7 +476,7 @@ impl Parser {
         }
         // alias.* ?
         if let (Token::Ident(t), Token::Symbol(Sym::Dot)) = (self.peek(), self.peek2()) {
-            if self.tokens.get(self.pos + 2) == Some(&Token::Symbol(Sym::Star)) {
+            if self.tokens.get(self.pos + 2).map(|t| &t.token) == Some(&Token::Symbol(Sym::Star)) {
                 let t = t.clone();
                 self.bump();
                 self.bump();
@@ -1044,9 +1035,14 @@ mod tests {
             "CREATE TABLE t (x INT);\n-- a comment\nINSERT INTO t VALUES (1);;\nSELECT x FROM t;";
         let stmts = parse_script(script).unwrap();
         assert_eq!(stmts.len(), 3);
-        assert!(matches!(stmts[0], SqlStatement::CreateTable { .. }));
-        assert!(matches!(stmts[1], SqlStatement::Insert { .. }));
-        assert!(matches!(stmts[2], SqlStatement::Query(_)));
+        assert!(matches!(
+            stmts[0].statement,
+            SqlStatement::CreateTable { .. }
+        ));
+        assert!(matches!(stmts[1].statement, SqlStatement::Insert { .. }));
+        assert!(matches!(stmts[2].statement, SqlStatement::Query(_)));
+        assert_eq!(stmts[1].text, "INSERT INTO t VALUES (1)");
+        assert_eq!(stmts[1].fingerprint, "insert into t values (?)");
 
         // Missing semicolon between statements is an error.
         assert!(parse_script("SELECT 1 FROM t SELECT 2 FROM t").is_err());
@@ -1127,14 +1123,27 @@ mod tests {
         );
         assert!(split_script("  \n-- nothing\n").is_empty());
 
-        // The split agrees with the parser: piece-wise parsing equals
-        // whole-script parsing.
+        // The split agrees with the parser: the pieces are the texts it
+        // reports, and piece-wise parsing equals whole-script parsing.
         let whole = parse_script(script).unwrap();
-        let piecewise: Vec<SqlStatement> = split_script(script)
+        let texts: Vec<&str> = whole.iter().map(|s| s.text.as_str()).collect();
+        assert_eq!(pieces, texts);
+        let piecewise: Vec<SqlStatement> = pieces
             .iter()
             .map(|s| parse_sql_statement(s).unwrap())
             .collect();
-        assert_eq!(whole, piecewise);
+        let statements: Vec<SqlStatement> = whole.into_iter().map(|s| s.statement).collect();
+        assert_eq!(statements, piecewise);
+
+        // A `--` inside a string literal is string text, not a comment,
+        // wherever its line starts.
+        let script = "INSERT INTO t VALUES ('a\n-- b');\n-- c\nSELECT x FROM t -- d\n;";
+        assert_eq!(
+            split_script(script),
+            ["INSERT INTO t VALUES ('a\n-- b')", "SELECT x FROM t"]
+        );
+        // A script that does not lex is one piece.
+        assert_eq!(split_script(" SELECT 'a; "), ["SELECT 'a;"]);
     }
 
     #[test]

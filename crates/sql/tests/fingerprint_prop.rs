@@ -1,4 +1,4 @@
-//! Property tests for the statement fingerprint normalizer.
+//! Property tests for the statement fingerprint the SQL lexer builds.
 //!
 //! Strategy: generate a statement *shape* — a token sequence of keywords,
 //! identifiers, and literal slots — then render it twice with independent
@@ -9,7 +9,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use snapshot_obs::fingerprint;
+
+/// The fingerprint of `sql`, which every rendering here lexes.
+fn fingerprint(sql: &str) -> String {
+    sql::fingerprint(sql).unwrap_or_else(|e| panic!("{sql:?} does not lex: {e}"))
+}
 
 /// One token of a statement shape, plus its canonical (normalized) text.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +24,7 @@ enum Token {
     Ident(String),
     /// An integer literal slot.
     Int,
-    /// A float literal slot (fraction, optional exponent).
+    /// A float literal slot, in any form the dialect lexes (`1.5`, `.5`).
     Float,
     /// A string literal slot (may contain `''` escapes).
     Str,
@@ -102,11 +106,11 @@ fn render(tokens: &[Token], noise: &Noise) -> String {
             }
             Token::Int => out.push_str(&format!("{}", r % 100_000)),
             Token::Float => {
-                let frac = format!("{}.{}", r % 1000, (r >> 10) % 100);
+                let (whole, frac) = (r % 1000, (r >> 10) % 100);
                 match r % 3 {
-                    0 => out.push_str(&frac),
-                    1 => out.push_str(&format!("{frac}e{}", (r >> 20) % 30)),
-                    _ => out.push_str(&format!("{frac}E-{}", (r >> 20) % 30)),
+                    0 => out.push_str(&format!("{whole}.{frac}")),
+                    1 => out.push_str(&format!(".{frac}")),
+                    _ => out.push_str(&format!("{whole}.0{frac}")),
                 }
             }
             Token::Str => {
@@ -170,4 +174,20 @@ proptest! {
             prop_assert_eq!(fp_a, fp_b);
         }
     }
+}
+
+/// The dialect has no exponent: `1.5e3` is the literal `1.5` followed by
+/// the identifier `e3`, which the parser reads as `1.5 AS e3`. The
+/// fingerprint says the same.
+#[test]
+fn an_exponent_fingerprints_as_the_parser_reads_it() {
+    let sql = "SELECT 1.5e3 FROM t";
+    assert_eq!(fingerprint(sql), "select ? e3 from t");
+    let sql::QueryExpr::Select(select) = sql::parse_statement(sql).unwrap().query else {
+        panic!("expected a SELECT");
+    };
+    assert!(matches!(
+        &select.items[..],
+        [sql::SelectItem::Expr { alias: Some(a), .. }] if a == "e3"
+    ));
 }

@@ -90,6 +90,16 @@ fn run_ok(client: &mut Client, sql: &str) -> Vec<RemoteResult> {
     resp.results
 }
 
+/// The text a meta command returns, or its error.
+fn meta(client: &mut Client, command: &str) -> Result<String, String> {
+    let resp = client.meta(command).expect("connection alive");
+    match (resp.error, &resp.results[..]) {
+        (Some(e), _) => Err(e.to_string()),
+        (None, [RemoteResult::Done(text)]) => Ok(text.clone()),
+        (None, other) => panic!(".{command}: {other:?}"),
+    }
+}
+
 /// The first result set of a response.
 fn first_rows(results: &[RemoteResult]) -> &Table {
     results
@@ -508,15 +518,6 @@ fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
     let (addr, _handle, server) = start_server(shared, ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     run_ok(&mut client, SETUP);
-    // The text a meta command returns, or its error.
-    fn meta(client: &mut Client, command: &str) -> Result<String, String> {
-        let resp = client.meta(command).expect("connection alive");
-        match (resp.error, &resp.results[..]) {
-            (Some(e), _) => Err(e.to_string()),
-            (None, [RemoteResult::Done(text)]) => Ok(text.clone()),
-            (None, other) => panic!(".{command}: {other:?}"),
-        }
-    }
     assert_eq!(meta(&mut client, "profile"), Ok(String::new()));
     meta(&mut client, "profile on").unwrap();
     run_ok(&mut client, "SEQ VT (SELECT count(*) AS c FROM works);");
@@ -534,6 +535,59 @@ fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
         Err(".trace works in a local shell only".to_string())
     );
 
+    stop(client, server);
+}
+
+/// A peer cannot make the server write a file: `.dump`, `.metrics` and
+/// `.profile` with a FILE argument are refused and write nothing, while
+/// their bare forms (what the remote shell writes client-side), `.index`
+/// and `.checkpoint` answer. `.load` refuses an employee count outside
+/// 1..=300000 before generating anything.
+#[test]
+fn meta_file_arguments_are_refused_and_the_bare_forms_answer() {
+    let out = ScratchDir::new("server_meta_out");
+    let dir = ScratchDir::new("server_meta_db");
+    let (shared, _) =
+        SharedDatabase::open_durable(&dir, SessionOptions::default(), Default::default()).unwrap();
+    let (addr, _handle, server) = start_server(shared, ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    run_ok(&mut client, SETUP);
+    for cmd in ["dump", "metrics", "profile"] {
+        let path = out.join(format!("{cmd}.out"));
+        let refused = meta(&mut client, &format!("{cmd} {}", path.display()));
+        assert!(refused.is_err(), ".{cmd} FILE: {refused:?}");
+        assert!(!path.exists(), ".{cmd} FILE wrote {}", path.display());
+    }
+    let dump = meta(&mut client, "dump").unwrap();
+    assert!(dump.contains("CREATE TABLE works"), "{dump}");
+    assert!(meta(&mut client, "metrics").unwrap().contains("snapshot_"));
+    meta(&mut client, "profile on").unwrap();
+    meta(&mut client, "profile off").unwrap();
+    meta(&mut client, "index").unwrap();
+    meta(&mut client, "checkpoint").unwrap();
+    for n in ["0", "-1", "NaN", "inf", "1e15", "300001"] {
+        let refused = meta(&mut client, &format!("load employees {n}"));
+        assert!(refused.is_err(), ".load employees {n}: {refused:?}");
+    }
+    assert_eq!(std::fs::read_dir(&*out).unwrap().count(), 0);
+    stop(client, server);
+}
+
+/// A line of a string literal that starts with `--` is string text, not
+/// a comment: the script runs whole over the wire and the value arrives
+/// as written.
+#[test]
+fn a_dash_dash_line_inside_a_string_is_text_over_the_wire() {
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let results = run_ok(
+        &mut client,
+        "CREATE TABLE notes (s TEXT);\nINSERT INTO notes VALUES ('a\n-- b');\n-- done\n\
+         SELECT s FROM notes;",
+    );
+    let notes = first_rows(&results);
+    assert_eq!(notes.rows(), [Row::new(vec![Value::str("a\n-- b")])]);
     stop(client, server);
 }
 
