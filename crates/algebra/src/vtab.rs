@@ -85,13 +85,16 @@ pub fn virtual_table_schema(name: &str) -> Option<Schema> {
             ("mean_time_ms", SqlType::Double),
             ("p95_time_ms", SqlType::Double),
         ],
-        // One row per catalog table visible to the session's snapshot.
+        // One row per catalog table visible to the session's snapshot;
+        // `schema` is its column list and period, `(x INT, ts INT, te INT)
+        // PERIOD (ts, te)`.
         "snapshot_stat_tables" => &[
             ("name", SqlType::Str),
             ("rows", SqlType::Int),
             ("columns", SqlType::Int),
             ("temporal", SqlType::Bool),
             ("version", SqlType::Int),
+            ("schema", SqlType::Str),
         ],
         // One row per registered temporal index.
         "snapshot_stat_indexes" => &[

@@ -70,12 +70,18 @@ pub fn virtual_table_rows(
             .table_names()
             .map(|name| {
                 let t = catalog.get(name).expect("listed table present");
+                let mut schema = t.schema().to_string();
+                if let Some((b, e)) = t.period() {
+                    let column = |i| &t.schema().column(i).name;
+                    schema = format!("{schema} PERIOD ({}, {})", column(b), column(e));
+                }
                 Row::new(vec![
                     Value::str(name),
                     Value::Int(t.len() as i64),
                     Value::Int(t.schema().arity() as i64),
                     Value::Bool(t.period().is_some()),
                     Value::Int(t.version() as i64),
+                    Value::str(&schema),
                 ])
             })
             .collect()),
@@ -240,6 +246,10 @@ mod tests {
         assert_eq!(r.values()[1], Value::Int(1));
         assert_eq!(r.values()[2], Value::Int(3));
         assert_eq!(r.values()[3], Value::Bool(true));
+        assert_eq!(
+            r.values()[5],
+            Value::str("(x INT, ts INT, te INT) PERIOD (ts, te)")
+        );
     }
 
     #[test]

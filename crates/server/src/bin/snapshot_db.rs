@@ -18,16 +18,18 @@
 //! [--quiet]`. Without `--script`, reads statements from stdin (the
 //! buffer runs once a line leaves it ending in a `;` outside any string
 //! literal, as the SQL lexer reads it). Lines starting with `.` are
-//! meta commands — see `.help`. With `--db DIR`, the database is durable:
-//! statements are write-ahead-logged into `DIR` and survive restarts.
-//! With `--connect HOST:PORT`, the shell runs against a `snapshot_server`
-//! over the binary wire protocol instead of an embedded database — same
-//! statements, same meta commands.
+//! meta commands — see `.help`: a command that duplicates SQL runs as
+//! that SQL. With `--db DIR`, the database is durable: statements are
+//! write-ahead-logged into `DIR` and survive restarts. With
+//! `--connect HOST:PORT`, the shell runs against a `snapshot_server` over
+//! the binary wire protocol instead of an embedded database — same
+//! statements, same meta commands but the local-shell tools (`.load`,
+//! `.parallel`, `.trace`).
 
 #![forbid(unsafe_code)]
 
 use snapshot_server::{Client, RemoteResult};
-use snapshot_session::meta::{file_argument, run_meta, MetaFlow};
+use snapshot_session::meta::{self, file_argument, HELP};
 use snapshot_session::{
     PersistenceOptions, Session, SessionOptions, SharedDatabase, StatementResult, SyncPolicy,
 };
@@ -42,7 +44,6 @@ fn main() {
     let mut options = SessionOptions::default();
     let mut persistence = PersistenceOptions::default();
     let mut durability_flag: Option<&str> = None;
-    let mut local_flag: Option<&str> = None;
     let mut quiet = false;
     let mut continue_on_error = false;
     let mut args = std::env::args().skip(1);
@@ -75,14 +76,8 @@ fn main() {
                     None => die_usage("--checkpoint-every requires a statement count"),
                 }
             }
-            "--no-index" => {
-                local_flag = Some("--no-index");
-                options.use_indexes = false;
-            }
-            "--verify" => {
-                local_flag = Some("--verify");
-                options.verify_indexed = true;
-            }
+            "--no-index" => options.use_indexes = false,
+            "--verify" => options.verify_indexed = true,
             "--slow-ms" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) => options.slow_query_ms = Some(n),
                 None => die_usage("--slow-ms requires a threshold in milliseconds"),
@@ -107,11 +102,10 @@ fn main() {
         if db_dir.is_some() {
             die_usage("--connect and --db are mutually exclusive");
         }
-        if let Some(flag) = local_flag {
-            die_usage(&format!(
-                "{flag} configures the embedded engine and cannot be used with --connect \
-                 (use .verify on / SET over the wire instead)"
-            ));
+        if !options.use_indexes {
+            die_usage(
+                "--no-index configures the embedded engine and cannot be used with --connect",
+            );
         }
     }
 
@@ -152,6 +146,9 @@ fn main() {
                     .map(|ms| ms.to_string())
                     .unwrap_or_else(|| "off".into());
                 set("slow_query_ms", v);
+            }
+            if options.verify_indexed {
+                set("verify_indexed", "on".into());
             }
             Backend::Remote {
                 client,
@@ -278,8 +275,9 @@ const USAGE: &str = "usage: snapshot_db [--db DIR | --connect HOST:PORT] [--scri
                         checkpointed, so the database survives restarts
   --connect HOST:PORT   run against a snapshot_server over TCP instead of an
                         embedded database — same statements, same meta
-                        commands; --timeout-ms/--slow-ms are forwarded as
-                        session options
+                        commands but .load, .parallel and .trace (local
+                        tools); --timeout-ms/--slow-ms/--verify are
+                        forwarded as session options
   --script FILE         execute a .sql script (meta commands allowed) and exit
   --sync POLICY         WAL sync policy: 'always' (fsync per statement, the
                         default) or 'checkpoint' (fsync only at checkpoints)
@@ -287,11 +285,12 @@ const USAGE: &str = "usage: snapshot_db [--db DIR | --connect HOST:PORT] [--scri
                         (default 64; 0 disables auto-checkpointing)
   --no-index            execute queries on the naive route only
   --verify              re-run every indexed query naively and fail on divergence
+                        (also per session via SET verify_indexed = on)
   --slow-ms N           log statements taking >= N ms to the slow-query log
                         (queryable as snapshot_stat_slow_queries)
   --timeout-ms N        cancel statements still executing after N ms
                         (cooperative; also per session via SET
-                        statement_timeout = N, or .timeout)
+                        statement_timeout = N)
   --continue-on-error   in script mode, report statement errors and carry
                         on instead of exiting with status 1
   --quiet               print summaries and timings but not result tables
@@ -364,7 +363,7 @@ impl Shell {
                 return Flow::Continue;
             }
             if let Some(meta) = trimmed.strip_prefix('.') {
-                return self.run_meta(meta);
+                return self.meta_command(meta);
             }
         }
         self.pending.push_str(line);
@@ -474,68 +473,87 @@ impl Shell {
         }
     }
 
-    fn run_meta(&mut self, meta: &str) -> Flow {
-        match &mut self.backend {
-            Backend::Local { session, shared } => {
-                match run_meta(meta, session, shared) {
-                    Ok(outcome) => {
-                        if outcome.flow == MetaFlow::Quit {
-                            return Flow::Quit;
-                        }
-                        print!("{}", outcome.output);
-                        // The library only acknowledges `.trace`; the shell
-                        // keeps the switch and prints the records.
-                        match meta.trim() {
-                            "trace on" => self.trace = true,
-                            "trace off" => self.trace = false,
-                            _ => {}
-                        }
-                        Flow::Continue
-                    }
-                    Err(e) => self.fail(&e),
-                }
+    /// Runs one meta command: a command that duplicates SQL runs as that
+    /// SQL, as the buffer of a typed statement does; the others print
+    /// their text, or write it to their FILE on this host.
+    fn meta_command(&mut self, meta: &str) -> Flow {
+        let (word, args) = meta.split_once(char::is_whitespace).unwrap_or((meta, ""));
+        match word {
+            "quit" | "exit" => return Flow::Quit,
+            "help" => {
+                println!("{HELP}");
+                return Flow::Continue;
             }
-            Backend::Remote { client, in_txn } => {
-                let cmd = meta.split_whitespace().next().unwrap_or("");
-                if matches!(cmd, "quit" | "exit") {
-                    return Flow::Quit;
-                }
-                // A server writes no file: the remote shell fetches the
-                // bare (text-returning) form and writes FILE here, next
-                // to the user.
-                let file_arg = file_argument(meta);
-                let request = if file_arg.is_some() { cmd } else { meta };
-                match client.meta(request) {
-                    Ok(resp) => {
-                        *in_txn = resp.in_txn;
-                        if let Some(e) = resp.error {
-                            return self.fail(&e.to_string());
-                        }
-                        let output = resp
+            _ => {}
+        }
+        let own_session = match &self.backend {
+            Backend::Local { session, .. } => session.session_id(),
+            Backend::Remote { client, .. } => client.session_id,
+        };
+        match meta::expand(meta, own_session) {
+            Some(Ok(sql)) => {
+                self.pending = sql;
+                return self.flush_pending();
+            }
+            Some(Err(e)) => return self.fail(&e),
+            None => {}
+        }
+        // The bare form answers the text that the shell writes to FILE.
+        let file = file_argument(meta);
+        let bare = if file.is_some() { word } else { meta };
+        let output = match &mut self.backend {
+            Backend::Local { session, shared } => match word {
+                "load" => meta::load(session, args),
+                "parallel" => meta::parallel(session, shared, args),
+                "trace" => match args.trim() {
+                    "on" => {
+                        self.trace = true;
+                        Ok("trace: on (each statement's record printed after it runs)\n".into())
+                    }
+                    "off" => {
+                        self.trace = false;
+                        Ok("trace: off\n".into())
+                    }
+                    _ => Err("usage: .trace on|off".into()),
+                },
+                _ => meta::run(bare, session),
+            },
+            Backend::Remote { .. } if matches!(word, "load" | "parallel" | "trace") => {
+                Err(format!(
+                    ".{word} is a tool of the local shell: run it in snapshot_db without --connect"
+                ))
+            }
+            Backend::Remote { client, in_txn } => match client.meta(bare) {
+                Ok(resp) => {
+                    *in_txn = resp.in_txn;
+                    match resp.error {
+                        Some(e) => Err(e.to_string()),
+                        None => Ok(resp
                             .results
                             .iter()
                             .map(|r| match r {
                                 RemoteResult::Done(s) => s.as_str(),
                                 RemoteResult::Rows(_) => "",
                             })
-                            .collect::<String>();
-                        match file_arg {
-                            Some(path) => match std::fs::write(path, &output) {
-                                Ok(()) => {
-                                    println!("wrote {} byte(s) to {path}", output.len());
-                                    Flow::Continue
-                                }
-                                Err(e) => self.fail(&format!("cannot write '{path}': {e}")),
-                            },
-                            None => {
-                                print!("{output}");
-                                Flow::Continue
-                            }
-                        }
+                            .collect()),
                     }
-                    Err(e) => die(&format!("connection lost: {e}")),
                 }
+                Err(e) => die(&format!("connection lost: {e}")),
+            },
+        };
+        match (output, file) {
+            (Ok(text), Some(path)) => match std::fs::write(path, &text) {
+                Ok(()) => {
+                    println!("wrote {} byte(s) to {path}", text.len());
+                    Flow::Continue
+                }
+                Err(e) => self.fail(&format!("cannot write '{path}': {e}")),
+            },
+            (Ok(text), None) => {
+                print!("{text}");
+                Flow::Continue
             }
+            (Err(e), _) => self.fail(&e),
         }
     }
 }

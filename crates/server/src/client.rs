@@ -157,8 +157,9 @@ impl Client {
         self.collect_response()
     }
 
-    /// Run a shell meta command (e.g. `.tables`, `.metrics`) remotely and
-    /// return its rendered output.
+    /// Run one of the five meta commands a server answers (`checkpoint`,
+    /// `dump`, `index [t]`, `metrics`, `profile [on|off]`, without the
+    /// dot) and return its text; the server refuses every other word.
     pub fn meta(&mut self, command: &str) -> Result<QueryResponse, RemoteError> {
         write_frame(
             &mut self.stream,
@@ -172,7 +173,8 @@ impl Client {
     /// Set a session option by name — exactly what SQL `SET name = value`
     /// does (`Session::set_option` on the server): `statement_timeout`,
     /// `max_rows_scanned`, `max_result_rows`, `slow_query_ms`,
-    /// `slow_log_capacity`; the value is a number or `off`.
+    /// `slow_log_capacity`, `verify_indexed`; the value is a number or
+    /// `off` (`on` or `off` for `verify_indexed`).
     pub fn set_option(&mut self, name: &str, value: &str) -> Result<QueryResponse, RemoteError> {
         write_frame(
             &mut self.stream,

@@ -24,12 +24,13 @@
 
 use crate::protocol::{read_frame, write_frame, write_rowset, Frame, ReadError, PROTOCOL_VERSION};
 use snapshot_obs as obs;
-use snapshot_session::meta::{file_argument, run_meta, MetaFlow};
+use snapshot_session::meta;
 use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementError, StatementResult};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -83,6 +84,16 @@ struct ConnReg {
 }
 
 impl ServerState {
+    fn new(metrics: &obs::MetricsRegistry) -> Self {
+        ServerState {
+            shutting_down: AtomicBool::new(false),
+            conns: obs::Named::new("server.conns", Vec::new()),
+            connections_active: metrics.gauge("server_connections_active"),
+            bytes_in: metrics.counter("server_bytes_received_total"),
+            bytes_out: metrics.counter("server_bytes_sent_total"),
+        }
+    }
+
     fn live_connections(&self) -> usize {
         self.conns.lock().len()
     }
@@ -202,14 +213,7 @@ impl Server {
         keep_freed_memory();
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let metrics = &shared.obs().metrics;
-        let state = Arc::new(ServerState {
-            shutting_down: AtomicBool::new(false),
-            conns: obs::Named::new("server.conns", Vec::new()),
-            connections_active: metrics.gauge("server_connections_active"),
-            bytes_in: metrics.counter("server_bytes_received_total"),
-            bytes_out: metrics.counter("server_bytes_sent_total"),
-        });
+        let state = Arc::new(ServerState::new(&shared.obs().metrics));
         Ok(Server {
             shared,
             listener,
@@ -340,7 +344,7 @@ fn serve_connection(
         Ok(p) => p.to_string(),
         Err(_) => "unknown".to_string(),
     };
-    let (bytes_in, bytes_out) = (&state.bytes_in, &state.bytes_out);
+    let (bytes_in, bytes_out) = (Arc::clone(&state.bytes_in), Arc::clone(&state.bytes_out));
 
     // Handshake: the first frame must be a version-matched Hello.
     match read_frame(&mut stream) {
@@ -379,39 +383,35 @@ fn serve_connection(
     // The connection's session: the server-wide option template applies
     // (statement timeout, slow-query threshold, …); the client overrides per
     // connection from here on.
-    let mut session = shared.session_with_options(config.options);
+    let session = shared.session_with_options(config.options);
     session.set_remote_addr(&peer);
     let session_id = session.session_id();
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let registry_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let (Ok(reader_stream), Ok(registry_stream)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
     };
     state.register(session_id, registry_stream);
+    let mut conn = Connection {
+        stream,
+        reader: None,
+        session: Some(session),
+        state,
+        session_id,
+    };
 
-    if write_frame(
-        &mut stream,
-        &Frame::Welcome {
-            protocol_version: PROTOCOL_VERSION,
-            server: format!("snapshot_server/{}", env!("CARGO_PKG_VERSION")),
-            session_id,
-        },
-    )
-    .map(|n| bytes_out.add(n as u64))
-    .is_err()
-    {
-        state.deregister(session_id);
-        return;
+    let welcome = Frame::Welcome {
+        protocol_version: PROTOCOL_VERSION,
+        server: format!("snapshot_server/{}", env!("CARGO_PKG_VERSION")),
+        session_id,
+    };
+    match write_frame(&mut conn.stream, &welcome) {
+        Ok(n) => bytes_out.add(n as u64),
+        Err(_) => return,
     }
 
     // Reader thread: decodes request frames while the executor may be
     // busy, so a dead socket cancels the in-flight statement immediately.
     let (tx, rx): (Sender<Msg>, Receiver<Msg>) = channel();
-    let reader = std::thread::spawn({
-        let bytes_in = Arc::clone(bytes_in);
+    conn.reader = Some(std::thread::spawn({
         let obs = Arc::clone(shared.obs());
         let mut reader_stream = reader_stream;
         move || loop {
@@ -438,25 +438,46 @@ fn serve_connection(
                 }
             }
         }
-    });
+    }));
 
-    executor_loop(&mut stream, &mut session, &shared, &server, rx, bytes_out);
+    if let Connection {
+        stream,
+        session: Some(session),
+        ..
+    } = &mut conn
+    {
+        executor_loop(stream, session, &server, rx, &bytes_out);
+    }
+}
 
-    // Teardown, in order: close the socket (unblocks the reader if it is
-    // still alive), join the reader, then drop the session — its
-    // ActivityHandle deregisters the activity row exactly once, here and
-    // nowhere else.
-    let _ = stream.shutdown(Shutdown::Both);
-    let _ = reader.join();
-    drop(session);
-    state.deregister(session_id);
+/// A registered connection. Dropping it tears the connection down, also
+/// when its executor unwinds: close the socket (which unblocks the reader
+/// if it is still alive), join the reader, drop the session (its
+/// `ActivityHandle` deregisters the activity row exactly once, here and
+/// nowhere else), then free the connection's slot.
+struct Connection {
+    stream: TcpStream,
+    reader: Option<JoinHandle<()>>,
+    session: Option<Session>,
+    state: Arc<ServerState>,
+    session_id: u64,
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+        drop(self.session.take());
+        self.state.deregister(self.session_id);
+    }
 }
 
 /// The executor: one request off the channel, one response sequence back.
 fn executor_loop(
     stream: &mut TcpStream,
     session: &mut Session,
-    shared: &SharedDatabase,
     server: &ServerHandle,
     rx: Receiver<Msg>,
     bytes_out: &Arc<obs::Counter>,
@@ -475,7 +496,7 @@ fn executor_loop(
             Ok(m) => m,
             Err(_) => return, // reader gone without a Disconnect: bail
         };
-        match msg {
+        let response = match msg {
             Msg::Frame(Frame::Query { sql }) => {
                 // Each result is streamed as its statement completes; a
                 // failed write means the client is gone and stops the script.
@@ -525,62 +546,33 @@ fn executor_loop(
                     return;
                 }
                 drop(streamed);
+                continue;
             }
-            Msg::Frame(Frame::Meta { command }) => {
-                // `.trace` prints the records the local shell's session
-                // keeps; no frame carries them back to a remote shell. A
-                // peer writes no file here: FILE is the client's to write.
-                let outcome = match command.split_whitespace().next() {
-                    Some("trace") => Err(".trace works in a local shell only".to_string()),
-                    _ if file_argument(&command).is_some() => Err("a server writes no FILE".into()),
-                    _ => run_meta(&command, session, shared),
-                };
-                match outcome {
-                    Ok(outcome) => {
-                        if !send(
-                            stream,
-                            &Frame::Done {
-                                summary: outcome.output,
-                            },
-                        ) {
-                            return;
-                        }
-                        if outcome.flow == MetaFlow::Quit {
-                            let _ = send(stream, &Frame::Goodbye);
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        if !send(stream, &Frame::Error { message: e }) {
-                            return;
-                        }
+            // Five words with no SQL form: the shells send every command
+            // that duplicates SQL as that SQL, and keep their tools
+            // (`.load`, `.parallel`, `.trace`) and FILEs local. The words
+            // are named here so that what a peer may run is decided by
+            // the server, not by what `meta::run` grows to answer.
+            Msg::Frame(Frame::Meta { command }) => match command.split_whitespace().next() {
+                Some("checkpoint" | "dump" | "index" | "metrics" | "profile") => {
+                    match meta::run(&command, session) {
+                        Ok(summary) => Frame::Done { summary },
+                        Err(message) => Frame::Error { message },
                     }
                 }
-                if !send(
-                    stream,
-                    &Frame::Ready {
-                        in_txn: session.in_transaction(),
-                    },
-                ) {
-                    return;
-                }
-            }
+                _ => Frame::Error {
+                    message: format!(
+                        "a server answers .checkpoint, .dump, .index, .metrics and .profile \
+                         only, not '.{command}'"
+                    ),
+                },
+            },
             Msg::Frame(Frame::SetOption { name, value }) => {
-                let response = match session.set_option(&name, &value) {
+                match session.set_option(&name, &value) {
                     Ok(()) => Frame::Done {
                         summary: format!("SET {name} = {value}"),
                     },
-                    Err(e) => Frame::Error { message: e },
-                };
-                if !send(stream, &response)
-                    || !send(
-                        stream,
-                        &Frame::Ready {
-                            in_txn: session.in_transaction(),
-                        },
-                    )
-                {
-                    return;
+                    Err(message) => Frame::Error { message },
                 }
             }
             Msg::Frame(Frame::Close) => {
@@ -592,22 +584,10 @@ fn executor_loop(
                 server.shutdown();
                 return;
             }
-            Msg::Frame(other) => {
-                // Hello after the handshake, or a server-side frame.
-                if !send(
-                    stream,
-                    &Frame::Error {
-                        message: format!("unexpected frame {other:?}"),
-                    },
-                ) || !send(
-                    stream,
-                    &Frame::Ready {
-                        in_txn: session.in_transaction(),
-                    },
-                ) {
-                    return;
-                }
-            }
+            // Hello after the handshake, or a server-side frame.
+            Msg::Frame(other) => Frame::Error {
+                message: format!("unexpected frame {other:?}"),
+            },
             Msg::Disconnect => return,
             Msg::Corrupt(e) => {
                 let _ = send(
@@ -619,6 +599,56 @@ fn executor_loop(
                 let _ = send(stream, &Frame::Goodbye);
                 return;
             }
+        };
+        let ready = Frame::Ready {
+            in_txn: session.in_transaction(),
+        };
+        if !send(stream, &response) || !send(stream, &ready) {
+            return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A connection whose executor panics is torn down by the unwind: its
+    /// slot and its activity row are freed, its reader is joined, and the
+    /// peer reads EOF.
+    #[test]
+    fn a_panic_in_a_connection_frees_its_slot_and_closes_its_socket() {
+        let shared = SharedDatabase::in_memory();
+        let state = Arc::new(ServerState::new(&shared.obs().metrics));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let session = shared.session();
+        let session_id = session.session_id();
+        state.register(session_id, stream.try_clone().unwrap());
+        let mut reader_stream = stream.try_clone().unwrap();
+        let reader = std::thread::spawn(move || {
+            let _ = reader_stream.read(&mut [0; 1]);
+        });
+        assert_eq!(state.live_connections(), 1);
+
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _conn = Connection {
+                stream,
+                reader: Some(reader),
+                session: Some(session),
+                state: Arc::clone(&state),
+                session_id,
+            };
+            panic!("the executor panics");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(state.live_connections(), 0);
+        assert!(shared.obs().activity.snapshot().is_empty());
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(peer.read(&mut [0; 1]).unwrap(), 0, "the peer reads EOF");
     }
 }

@@ -18,8 +18,9 @@
 //!   Theorem 6.3), and `SEQ VT BETWEEN t1 AND t2 (...)` (range-restricted
 //!   compilation over interval-tree overlap probes),
 //! * [`meta`] — the shell meta commands (`.tables`, `.kill`, `.dump`, …)
-//!   as a library, shared by the `snapshot_db` shell and the network
-//!   server (both live in the `snapshot_server` crate).
+//!   as a library: the SQL of those that duplicate SQL, and the text of
+//!   the rest, shared by the `snapshot_db` shell and the network server
+//!   (both live in the `snapshot_server` crate).
 //!
 //! A database is durable when opened on a database directory
 //! ([`SharedDatabase::open_durable`]): every commit — a bare DDL/DML

@@ -1,97 +1,68 @@
 //! Shell meta commands (`.tables`, `.kill`, `.dump`, …) as a library.
 //!
-//! The `snapshot_db` shell historically implemented these inline and
-//! printed straight to stdout. The network server needs the exact same
-//! verbs executed *server-side* against a connection's session (so
-//! `snapshot_db --connect` behaves like the local shell), which means the
-//! implementation must produce its output as a value instead of printing
-//! it. [`run_meta`] is that implementation; the shell prints the returned
-//! text, the server ships it back in a frame.
+//! A command that duplicates SQL is that SQL: [`expand`] turns it into
+//! statement text, which a shell runs as it runs a typed statement (the
+//! local shell through `Session::run_script`, the remote shell in a
+//! `Query` frame), so it prints the same on both backends. The commands
+//! with no SQL form produce their output as a value: [`run`] answers the
+//! five a server answers too (`.checkpoint`, `.dump`, `.index`,
+//! `.metrics`, `.profile`), and [`load`] and [`parallel`] are the local
+//! shell's own tools.
 //!
-//! Commands that take a `FILE` argument (`.dump FILE`, `.metrics FILE`,
-//! `.profile FILE`, see [`file_argument`]) write the file from the process
-//! that runs them. A server refuses them, so no peer writes a file on the
-//! server's host; the remote shell sends the bare (text-returning) form
-//! and writes the file client-side instead.
+//! The `FILE` argument of `.dump FILE`, `.metrics FILE` and
+//! `.profile FILE` (see [`file_argument`]) is the shell's to write, from
+//! the bare form's text, on the shell's own host: [`run`] writes no file.
 
 use crate::session::Session;
 use crate::shared::SharedDatabase;
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// What the surrounding loop should do after a meta command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaFlow {
-    /// Keep reading input.
-    Continue,
-    /// `.quit` — end the session.
-    Quit,
-}
-
-/// A successfully executed meta command: its printed output (newline
-/// terminated unless empty) and the resulting control flow.
-#[derive(Debug)]
-pub struct MetaOutcome {
-    /// What the shell would have printed to stdout.
-    pub output: String,
-    /// Whether the session goes on.
-    pub flow: MetaFlow,
-}
-
-impl MetaOutcome {
-    fn text(output: String) -> Self {
-        MetaOutcome {
-            output,
-            flow: MetaFlow::Continue,
-        }
-    }
-}
 
 /// The `.help` text, shared by the local shell and remote sessions.
 pub const HELP: &str = "statements end with ';' and may span lines. Transactions:
   BEGIN; ... COMMIT;  run statements against a private snapshot, publish
                       atomically (snapshot isolation, one WAL fsync);
                       ROLLBACK discards — the prompt shows * while open.
-Meta commands:
-  .help              this help
-  .tables            list tables (rows, period, index state)
-  .load employees N  load the synthetic Employees dataset (N: 1..=300000)
+Session options: SET name = value writes one, SHOW name reads it back.
+
+Meta commands that are SQL (the shell runs the statement, the same way
+with or without --connect):
+  .tables            SELECT name, schema, rows FROM snapshot_stat_tables
+  .explain SQL       EXPLAIN SQL: the compiled physical plan of one query
+                     (EXPLAIN ANALYZE SQL also runs it, with actuals)
+  .activity          the live sessions, from snapshot_stat_activity; the
+                     this_shell column marks the shell's own
+  .kill ID           SELECT snapshot_cancel(ID): cooperatively cancel
+                     session ID's running statement (idle = no-op)
+  .timeout [N|off]   SET statement_timeout: cancel statements still
+                     executing after N ms; bare: SHOW statement_timeout
+  .slow [N|off]      SET slow_query_ms: log statements taking >= N ms to
+                     snapshot_stat_slow_queries; bare: SHOW slow_query_ms
+  .verify on|off     SET verify_indexed: cross-check indexed queries
+                     against the naive route
+Meta commands a server answers too (FILE is written by the shell):
+  .checkpoint        write a checkpoint now (durable databases only)
+  .dump [FILE]       the catalog as a re-loadable SQL script
   .index [t]         report index builds for table t (all tables when
                      omitted): 0, since every index is built when its
                      table is published (the commit repairs it)
-  .parallel N SQL    run a query on N concurrent reader sessions and check
-                     they all agree (the shared-database demo)
-  .explain SQL       show the compiled physical plan of a query (use the
-                     EXPLAIN ANALYZE SQL statement for actual row counts
-                     and per-operator timings)
-  .verify on|off     cross-check indexed queries against the naive route
-  .metrics [FILE]    dump the database's metrics registry (Prometheus
-                     text format) to stdout or FILE
-  .trace on|off      after every statement print its phases, executed plan
-                     with actuals and commit split (local only)
-  .activity          list live sessions (id, state, phase, statement,
-                     elapsed, rows) — the snapshot_stat_activity view
-  .kill ID           cooperatively cancel session ID's running statement
-                     (same as SELECT snapshot_cancel(ID); idle = no-op)
-  .timeout [N|off]   cancel statements still executing after N ms; bare
-                     .timeout shows the state (also: SET statement_timeout)
-  .slow [N|off]      log statements taking >= N ms (with phase split and
-                     operator actuals) to the slow-query log, queryable as
-                     snapshot_stat_slow_queries; bare .slow shows the state
-                     (also: SET slow_query_ms)
+  .metrics [FILE]    the database's metrics registry (Prometheus text)
   .profile [on|off|FILE]
                      operator-level profiler: 'on' starts (resets) folded
                      stack collection, 'off' stops it, bare .profile prints
-                     the folded stacks (flamegraph format), FILE writes them
+                     the folded stacks (flamegraph format)
+Tools of the local shell (refused with --connect):
+  .load employees N  load the synthetic Employees dataset (N: 1..=300000)
+  .parallel N SQL    run a query on N concurrent reader sessions and check
+                     they all agree (the shared-database demo)
+  .trace on|off      after every statement print its phases, executed plan
+                     with actuals and commit split
+  .help              this help
+  .quit              exit
 
 Introspection: the snapshot_stat_* virtual tables (activity, progress,
 metrics, statements, tables, indexes, transactions, slow_queries) answer
 ordinary SELECTs, e.g.
-  SELECT * FROM snapshot_stat_statements ORDER BY total_time_ms DESC;
-  .checkpoint        write a checkpoint now (durable databases only)
-  .dump [FILE]       write the catalog as a re-loadable SQL script
-                     (to stdout when FILE is omitted)
-  .quit              exit";
+  SELECT * FROM snapshot_stat_statements ORDER BY total_time_ms DESC;";
 
 /// The `FILE` argument of `.dump FILE`, `.metrics FILE` or `.profile FILE`
 /// (not `.profile on|off`); `meta` is the line without its leading dot.
@@ -104,105 +75,145 @@ pub fn file_argument(meta: &str) -> Option<&str> {
     }
 }
 
-/// Execute one meta command (`meta` is the line without its leading dot).
-///
-/// `session` is the command's target session and `shared` the database
-/// handle behind it (`.parallel` opens reader sessions over it, each with
-/// a copy of `session`'s options).
-pub fn run_meta(
-    meta: &str,
-    session: &mut Session,
-    shared: &SharedDatabase,
-) -> Result<MetaOutcome, String> {
-    let mut words = meta.split_whitespace();
-    let cmd = words.next().unwrap_or("");
-    let out = match cmd {
-        "help" => format!("{HELP}\n"),
-        "quit" | "exit" => {
-            return Ok(MetaOutcome {
-                output: String::new(),
-                flow: MetaFlow::Quit,
-            })
-        }
-        "tables" => show_tables(session),
-        "load" => load_dataset(session, words.next(), words.next())?,
-        "index" => refresh_index(session, words.next())?,
-        "parallel" => {
-            let rest = meta.strip_prefix("parallel").unwrap_or("").trim();
-            parallel(session, shared, rest)?
-        }
-        "explain" => {
-            let rest = meta.strip_prefix("explain").unwrap_or("").trim();
-            explain(session, rest)?
-        }
-        "checkpoint" => checkpoint(session)?,
-        "dump" => dump(session, words.next())?,
-        "metrics" => metrics(session, words.next())?,
-        "activity" => activity(session),
-        "kill" => kill(session, words.next())?,
-        "timeout" => timeout(session, words.next())?,
-        "slow" => slow(session, words.next())?,
-        "profile" => profile(session, words.next())?,
-        // The shell keeps the switch: it prints each statement's record
-        // (`Session::last_statements`) after running a buffer.
-        "trace" => match words.next() {
-            Some("on") => "trace: on (each statement's record printed after it runs)\n".to_string(),
-            Some("off") => "trace: off\n".to_string(),
-            _ => return Err("usage: .trace on|off".to_string()),
-        },
-        "verify" => match words.next() {
-            Some("on") => {
-                session.options_mut().verify_indexed = true;
-                "verify: on (indexed queries are cross-checked)\n".to_string()
-            }
-            Some("off") => {
-                session.options_mut().verify_indexed = false;
-                "verify: off\n".to_string()
-            }
-            _ => return Err("usage: .verify on|off".to_string()),
-        },
-        other => return Err(format!("unknown meta command '.{other}' (try .help)")),
+/// The SQL text of a meta command that duplicates SQL (`meta` is the line
+/// without its leading dot): `None` for a command with no SQL form, an
+/// error for bad arguments. The statement of `.explain` is the only user
+/// text it carries; every other command formats only the arguments it
+/// parsed (a number, `on` or `off`). `own_session` is the caller's
+/// session id, which `.activity` marks.
+pub fn expand(meta: &str, own_session: u64) -> Option<Result<String, String>> {
+    let (word, rest) = meta.split_once(char::is_whitespace).unwrap_or((meta, ""));
+    let mut args = rest.split_whitespace();
+    let (arg, extra) = (args.next(), args.next());
+    let option = |name: &str, usage: &str| match (arg, extra) {
+        (None, _) => Ok(format!("SHOW {name}")),
+        (Some("off"), None) => Ok(format!("SET {name} = off")),
+        (Some(n), None) => (n.parse::<u64>())
+            .map(|n| format!("SET {name} = {n}"))
+            .map_err(|_| usage.to_string()),
+        _ => Err(usage.to_string()),
     };
-    Ok(MetaOutcome::text(out))
+    Some(match word {
+        "tables" => Ok("SELECT name, schema, rows FROM snapshot_stat_tables ORDER BY name".into()),
+        "explain" => match sql::split_script(rest).as_slice() {
+            [] => Err("usage: .explain SELECT ...".to_string()),
+            [statement] => Ok(format!("EXPLAIN {statement}")),
+            more => Err(format!("expected one statement, found {}", more.len())),
+        },
+        "activity" => Ok(format!(
+            "SELECT session_id, session_id = {own_session} AS this_shell, backend, state, \
+             phase, elapsed_ms, rows_emitted, remote_addr, statement \
+             FROM snapshot_stat_activity ORDER BY session_id"
+        )),
+        "kill" => match (arg.map(str::parse::<u64>), extra) {
+            (Some(Ok(id)), None) => Ok(format!("SELECT snapshot_cancel({id})")),
+            _ => Err("usage: .kill <session-id> (see .activity)".to_string()),
+        },
+        "timeout" => option("statement_timeout", "usage: .timeout [N|off]"),
+        "slow" => option("slow_query_ms", "usage: .slow [N|off]"),
+        "verify" => match (arg, extra) {
+            (Some(v @ ("on" | "off")), None) => Ok(format!("SET verify_indexed = {v}")),
+            _ => Err("usage: .verify on|off".to_string()),
+        },
+        _ => return None,
+    })
 }
 
-fn show_tables(session: &Session) -> String {
-    let view = session.read_view();
-    let names: Vec<String> = view.catalog().table_names().map(String::from).collect();
-    if names.is_empty() {
-        return "(no tables)\n".to_string();
+/// Runs one of the meta commands with no SQL form that a server answers
+/// too, in its bare form: `.checkpoint`, `.dump`, `.index [t]`,
+/// `.metrics` and `.profile [on|off]`.
+pub fn run(meta: &str, session: &mut Session) -> Result<String, String> {
+    let mut words = meta.split_whitespace();
+    let started = Instant::now();
+    let ms = || started.elapsed().as_secs_f64() * 1e3;
+    match (words.next().unwrap_or(""), words.next(), words.next()) {
+        ("checkpoint", None, _) => match session.checkpoint()? {
+            Some(seq) => Ok(format!("checkpoint #{seq} written [{:.3} ms]\n", ms())),
+            None => Err("not a durable database (start with --db DIR)".to_string()),
+        },
+        ("dump", None, _) => Ok(snapshot_wal::dump_sql(session.read_view().catalog())),
+        ("index", table, None) => {
+            let before = session.index_maintenance();
+            session.refresh_indexes(table.map(str::to_lowercase).as_deref())?;
+            let after = session.index_maintenance();
+            Ok(format!(
+                "indexes: {} full build(s), {} incremental [{:.3} ms]\n",
+                after.full_builds - before.full_builds,
+                after.incremental_builds - before.incremental_builds,
+                ms()
+            ))
+        }
+        ("metrics", None, _) => {
+            let registry = &session.obs().metrics;
+            registry.refresh_process_metrics();
+            Ok(registry.render_text())
+        }
+        ("profile", switch @ (None | Some("on" | "off")), None) => {
+            let profile = &session.obs().profile;
+            Ok(match switch {
+                Some("on") => {
+                    profile.set_enabled(true);
+                    "profile: on (folded operator stacks; .profile prints, .profile FILE saves)\n"
+                        .to_string()
+                }
+                Some(_) => {
+                    profile.set_enabled(false);
+                    "profile: off\n".to_string()
+                }
+                // Exactly the folded stacks, empty or not: what a shell
+                // writes into `.profile FILE`.
+                None => profile.render_folded(),
+            })
+        }
+        _ if file_argument(meta).is_some() => {
+            Err("FILE is written by the shell: send the bare form".to_string())
+        }
+        _ => Err(format!("unknown meta command '.{meta}' (try .help)")),
     }
-    let mut out = String::new();
-    for name in names {
-        let t = view.catalog().get(&name).unwrap();
-        let period = match t.period() {
-            Some((b, e)) => format!(
-                " PERIOD ({}, {})",
-                t.schema().column(b).name,
-                t.schema().column(e).name
-            ),
-            None => String::new(),
-        };
-        let index = match view.indexes().get_fresh(&name, t) {
-            Some(_) => " [indexed]",
-            None => "",
-        };
-        let _ = writeln!(
-            out,
-            "{name} {}{period} — {} rows{index}",
-            t.schema(),
-            t.len()
-        );
+}
+
+/// `.load employees N` — generates the synthetic Employees dataset at N
+/// employees (1 to the generator's full scale) and registers it;
+/// `args` are the words after `load`.
+pub fn load(session: &mut Session, args: &str) -> Result<String, String> {
+    let full = datagen::employees::FULL_SCALE_EMPLOYEES;
+    let usage = || format!("usage: .load employees N (N from 1 to {full})");
+    let mut words = args.split_whitespace();
+    if words.next() != Some("employees") {
+        return Err(usage());
     }
-    out
+    let n = (words.next().unwrap_or("600").parse().ok())
+        .filter(|n| (1..=full).contains(n))
+        .ok_or_else(usage)?;
+    let scale = n as f64 / full as f64;
+    let started = Instant::now();
+    let catalog = datagen::employees::generate(scale, 42);
+    let total = catalog.total_rows();
+    let names: Vec<String> = catalog.table_names().map(String::from).collect();
+    // One batch registration: on a durable database this checkpoints once
+    // for the whole load (bulk loads have no statement form to log).
+    let tables = names
+        .iter()
+        .map(|name| (name.clone(), catalog.get(name).unwrap().clone()));
+    session.register_tables(tables)?;
+    Ok(format!(
+        "loaded employees (~{n} employees): {} tables, {total} rows [{:.1} ms]\n",
+        names.len(),
+        started.elapsed().as_secs_f64() * 1e3
+    ))
 }
 
 /// `.parallel N SQL` — runs the query once per each of N concurrent
 /// reader sessions over the shared database and checks that all of them
 /// (and the target session) agree: the multi-session object, demonstrated
-/// from the shell.
-fn parallel(session: &mut Session, shared: &SharedDatabase, rest: &str) -> Result<String, String> {
-    let (n_word, sql) = rest
+/// from the shell. `args` are the words after `parallel`.
+pub fn parallel(
+    session: &mut Session,
+    shared: &SharedDatabase,
+    args: &str,
+) -> Result<String, String> {
+    let (n_word, sql) = args
+        .trim()
         .split_once(char::is_whitespace)
         .ok_or("usage: .parallel N SELECT ...")?;
     let n: usize = n_word
@@ -263,229 +274,11 @@ fn parallel(session: &mut Session, shared: &SharedDatabase, rest: &str) -> Resul
     ))
 }
 
-fn load_dataset(
-    session: &mut Session,
-    which: Option<&str>,
-    size: Option<&str>,
-) -> Result<String, String> {
-    match which {
-        Some("employees") => {
-            let full = datagen::employees::FULL_SCALE_EMPLOYEES;
-            let n = (size.unwrap_or("600").parse().ok())
-                .filter(|n| (1..=full).contains(n))
-                .ok_or_else(|| format!("usage: .load employees N (N from 1 to {full})"))?;
-            let scale = n as f64 / full as f64;
-            let started = Instant::now();
-            let catalog = datagen::employees::generate(scale, 42);
-            let total = catalog.total_rows();
-            let names: Vec<String> = catalog.table_names().map(String::from).collect();
-            // One batch registration: on a durable database this
-            // checkpoints once for the whole load (bulk loads have no
-            // statement form to log).
-            let tables = names
-                .iter()
-                .map(|name| (name.clone(), catalog.get(name).unwrap().clone()));
-            session.register_tables(tables)?;
-            Ok(format!(
-                "loaded employees (~{n} employees): {} tables, {total} rows [{:.1} ms]\n",
-                names.len(),
-                started.elapsed().as_secs_f64() * 1e3
-            ))
-        }
-        _ => Err("usage: .load employees N".to_string()),
-    }
-}
-
-fn refresh_index(session: &Session, table: Option<&str>) -> Result<String, String> {
-    let before = session.index_maintenance();
-    let started = Instant::now();
-    let lowered = table.map(str::to_lowercase);
-    session.refresh_indexes(lowered.as_deref())?;
-    let after = session.index_maintenance();
-    Ok(format!(
-        "indexes: {} full build(s), {} incremental [{:.3} ms]\n",
-        after.full_builds - before.full_builds,
-        after.incremental_builds - before.incremental_builds,
-        started.elapsed().as_secs_f64() * 1e3
-    ))
-}
-
-fn checkpoint(session: &mut Session) -> Result<String, String> {
-    let started = Instant::now();
-    match session.checkpoint()? {
-        Some(seq) => Ok(format!(
-            "checkpoint #{seq} written [{:.3} ms]\n",
-            started.elapsed().as_secs_f64() * 1e3
-        )),
-        None => Err("not a durable database (start with --db DIR)".to_string()),
-    }
-}
-
-fn dump(session: &Session, file: Option<&str>) -> Result<String, String> {
-    let sql = snapshot_wal::dump_sql(session.read_view().catalog());
-    match file {
-        Some(path) => {
-            std::fs::write(path, &sql).map_err(|e| format!("cannot write '{path}': {e}"))?;
-            Ok(format!("dumped {} byte(s) to {path}\n", sql.len()))
-        }
-        None => Ok(sql),
-    }
-}
-
-fn explain(session: &mut Session, sql: &str) -> Result<String, String> {
-    if sql.is_empty() {
-        return Err("usage: .explain SELECT ...".to_string());
-    }
-    let result = session
-        .execute(&format!("EXPLAIN {sql}"))
-        .map_err(|e| e.to_string())?;
-    let mut out: String = (result.rows().into_iter())
-        .flat_map(|plan| plan.rows())
-        .map(|line| format!("{}\n", line.get(0)))
-        .collect();
-    // Compilation cost, split by phase (parse/bind/rewrite) — run the
-    // query itself (or EXPLAIN ANALYZE) for execution timings.
-    let _ = writeln!(out, "  ({})", session.last_phase_timings().render());
-    Ok(out)
-}
-
-/// `.activity` — list the live sessions of this database: who is running
-/// what, since when, and how much work it has done (the shell rendering of
-/// `snapshot_stat_activity`). The command's own session is marked.
-fn activity(session: &Session) -> String {
-    let own = session.session_id();
-    let mut out = String::new();
-    for s in session.obs().activity.snapshot() {
-        let marker = if s.session_id == own {
-            " (this shell)"
-        } else {
-            ""
-        };
-        let elapsed = s
-            .elapsed_ms
-            .map(|ms| format!("{ms:.1} ms"))
-            .unwrap_or_else(|| "-".into());
-        let statement = s.statement.as_deref().unwrap_or("-");
-        let peer = s
-            .remote_addr
-            .as_deref()
-            .map(|a| format!(" peer={a}"))
-            .unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "session {} [{} {}]{}{} phase={} elapsed={} rows={} — {}",
-            s.session_id,
-            s.backend,
-            s.state,
-            marker,
-            peer,
-            s.phase.as_str(),
-            elapsed,
-            s.usage.rows_emitted,
-            statement,
-        );
-    }
-    out
-}
-
-/// `.kill <id>` — cooperatively cancel the running statement of another
-/// session of the same database (same as `SELECT snapshot_cancel(<id>)`).
-fn kill(session: &Session, id: Option<&str>) -> Result<String, String> {
-    let id: u64 = id
-        .and_then(|w| w.parse().ok())
-        .ok_or("usage: .kill <session-id> (see .activity)")?;
-    if session.obs().activity.cancel(id) {
-        Ok(format!("session {id}: cancellation signalled\n"))
-    } else {
-        Ok(format!(
-            "session {id}: idle or unknown — nothing to cancel\n"
-        ))
-    }
-}
-
-/// `.timeout [N|off]` — set (as `SET statement_timeout` does), clear, or
-/// show the session's statement timeout.
-fn timeout(session: &mut Session, arg: Option<&str>) -> Result<String, String> {
-    if let Some(value) = arg {
-        session.set_option("statement_timeout", value)?;
-    }
-    Ok(match session.options().statement_timeout_ms {
-        Some(ms) => format!("statement timeout: {ms} ms\n"),
-        None => "statement timeout: off\n".to_string(),
-    })
-}
-
-/// `.slow [N|off]` — set (as `SET slow_query_ms` does), clear, or show the
-/// session's slow-query threshold; bare `.slow` also counts the log.
-fn slow(session: &mut Session, arg: Option<&str>) -> Result<String, String> {
-    if let Some(value) = arg {
-        session.set_option("slow_query_ms", value)?;
-    }
-    let mut out = match session.options().slow_query_ms {
-        Some(ms) => format!("slow-query log: on (threshold {ms} ms)\n"),
-        None => "slow-query log: off\n".to_string(),
-    };
-    if arg.is_none() {
-        let logged = session.obs().slow_log.entries().len();
-        let _ = writeln!(
-            out,
-            "{logged} entr(ies) logged — SELECT * FROM snapshot_stat_slow_queries;"
-        );
-    }
-    Ok(out)
-}
-
-/// `.profile [on|off|FILE]` — control the database's operator-level
-/// profiler and print or save its folded-stack output.
-fn profile(session: &Session, arg: Option<&str>) -> Result<String, String> {
-    let profile = &session.obs().profile;
-    match arg {
-        Some("on") => {
-            profile.set_enabled(true);
-            Ok(
-                "profile: on (folded operator stacks; .profile prints, .profile FILE saves)\n"
-                    .to_string(),
-            )
-        }
-        Some("off") => {
-            profile.set_enabled(false);
-            Ok("profile: off\n".to_string())
-        }
-        // Exactly the folded stacks, empty or not: a remote shell writes
-        // what bare `.profile` returns into its FILE.
-        arg => {
-            let text = profile.render_folded();
-            match arg {
-                Some(path) => {
-                    std::fs::write(path, &text)
-                        .map_err(|e| format!("cannot write '{path}': {e}"))?;
-                    Ok(format!("wrote {} byte(s) to {path}\n", text.len()))
-                }
-                None => Ok(text),
-            }
-        }
-    }
-}
-
-/// `.metrics [FILE]` — dump the database's registry in Prometheus text
-/// exposition format, to stdout or a file.
-fn metrics(session: &Session, file: Option<&str>) -> Result<String, String> {
-    let registry = &session.obs().metrics;
-    registry.refresh_process_metrics();
-    let text = registry.render_text();
-    match file {
-        Some(path) => {
-            std::fs::write(path, &text).map_err(|e| format!("cannot write '{path}': {e}"))?;
-            Ok(format!("wrote {} byte(s) to {path}\n", text.len()))
-        }
-        None => Ok(text),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shared::SharedDatabase;
+    use crate::StatementResult;
 
     fn setup() -> (SharedDatabase, Session) {
         let shared = SharedDatabase::in_memory();
@@ -493,55 +286,85 @@ mod tests {
         (shared, session)
     }
 
-    fn run(meta: &str, session: &mut Session, shared: &SharedDatabase) -> String {
-        run_meta(meta, session, shared).unwrap().output
+    /// The SQL `meta` stands for.
+    fn sql_of(meta: &str, session: &Session) -> String {
+        expand(meta, session.session_id()).unwrap().unwrap()
+    }
+
+    /// Runs `meta`'s SQL as the shell runs a typed statement: the result
+    /// tables of the script, in order.
+    fn rows_of(meta: &str, session: &mut Session) -> Vec<storage::Table> {
+        let sql = sql_of(meta, session);
+        let results = session.execute_script(&sql).unwrap();
+        results
+            .iter()
+            .filter_map(StatementResult::rows)
+            .cloned()
+            .collect()
+    }
+
+    fn cell(table: &storage::Table, row: usize, column: &str) -> storage::Value {
+        let i = table.schema().resolve(None, column).unwrap();
+        table.rows()[row].get(i).clone()
     }
 
     #[test]
     fn tables_timeout_and_kill_render_like_the_shell() {
-        let (shared, mut session) = setup();
-        assert_eq!(run("tables", &mut session, &shared), "(no tables)\n");
+        let (_shared, mut session) = setup();
+        assert!(rows_of("tables", &mut session)[0].is_empty());
         session
             .execute("CREATE TABLE works (name TEXT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
-        let out = run("tables", &mut session, &shared);
-        assert!(out.contains("works"), "{out}");
-        assert!(out.contains("PERIOD (ts, te)"), "{out}");
+        let tables = &rows_of("tables", &mut session)[0];
+        assert_eq!(cell(tables, 0, "name"), storage::Value::str("works"));
+        let schema = "(name TEXT, ts INT, te INT) PERIOD (ts, te)";
+        assert_eq!(cell(tables, 0, "schema"), storage::Value::str(schema));
 
-        let out = run("timeout 250", &mut session, &shared);
-        assert_eq!(out, "statement timeout: 250 ms\n");
+        assert_eq!(
+            sql_of("timeout 250", &session),
+            "SET statement_timeout = 250"
+        );
+        session
+            .execute_script(&sql_of("timeout 250", &session))
+            .unwrap();
         assert_eq!(session.options().statement_timeout_ms, Some(250));
-        let out = run("timeout off", &mut session, &shared);
-        assert_eq!(out, "statement timeout: off\n");
+        let shown = &rows_of("timeout", &mut session)[0];
+        assert_eq!(
+            cell(shown, 0, "statement_timeout"),
+            storage::Value::str("250")
+        );
+        session
+            .execute_script(&sql_of("timeout off", &session))
+            .unwrap();
         assert_eq!(session.options().statement_timeout_ms, None);
-        assert!(run_meta("timeout soon", &mut session, &shared).is_err());
+        assert!(expand("timeout soon", 1).unwrap().is_err());
 
-        let out = run("kill 999999999", &mut session, &shared);
-        assert!(out.contains("idle or unknown"), "{out}");
+        let killed = &rows_of("kill 999999999", &mut session)[0];
+        assert_eq!(cell(killed, 0, "cancelled"), storage::Value::Bool(false));
     }
 
-    /// `SET` and the meta commands share one option set: `.timeout` and
-    /// `.slow` report what `SET` left, and `.parallel` readers start from
-    /// the live session's options — here `slow_query_ms = 0`, which puts
-    /// the reference run and every reader into the slow-query log.
+    /// `SET` and the meta commands share one option set: bare `.timeout`
+    /// and `.slow` read what `SET` left, and `.parallel` readers start
+    /// from the live session's options — here `slow_query_ms = 0`, which
+    /// puts the reference run and every reader into the slow-query log.
     #[test]
     fn meta_commands_see_what_set_left() {
         let (shared, mut session) = setup();
         session.execute("SET statement_timeout = 250").unwrap();
-        let out = run("timeout", &mut session, &shared);
-        assert_eq!(out, "statement timeout: 250 ms\n");
-        session.execute("SET slow_query_ms = 0").unwrap();
-        let out = run("slow", &mut session, &shared);
-        assert!(
-            out.starts_with("slow-query log: on (threshold 0 ms)\n"),
-            "{out}"
+        let shown = &rows_of("timeout", &mut session)[0];
+        assert_eq!(
+            cell(shown, 0, "statement_timeout"),
+            storage::Value::str("250")
         );
+        session.execute("SET slow_query_ms = 0").unwrap();
+        let shown = &rows_of("slow", &mut session)[0];
+        assert_eq!(cell(shown, 0, "slow_query_ms"), storage::Value::str("0"));
 
         session
             .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
         session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
-        let out = run("parallel 3 SELECT x FROM t", &mut session, &shared);
+        let out = parallel(&mut session, &shared, "3 SELECT x FROM t").unwrap();
         assert!(out.starts_with("3 concurrent reader(s) agree"), "{out}");
         let logged = shared
             .obs()
@@ -552,26 +375,41 @@ mod tests {
             .count();
         assert_eq!(logged, 1 + 3, "the reference run and every reader");
 
-        let out = run("slow off", &mut session, &shared);
-        assert_eq!(out, "slow-query log: off\n");
+        assert_eq!(sql_of("slow off", &session), "SET slow_query_ms = off");
+        assert_eq!(sql_of("verify on", &session), "SET verify_indexed = on");
+        session
+            .execute_script(&sql_of("verify on", &session))
+            .unwrap();
+        assert!(session.options().verify_indexed);
     }
 
-    /// `.explain` prints what the `EXPLAIN` statement answers, a plan line
-    /// per row, then the compilation phases; it executes nothing.
+    /// `.explain` is `EXPLAIN` of one statement: the plan, a line per row,
+    /// with its compilation phases in the statement's record; it executes
+    /// nothing, and text holding more than one statement is refused.
     #[test]
     fn explain_prints_the_plan_and_its_compilation_phases() {
-        let (shared, mut session) = setup();
+        let (_shared, mut session) = setup();
         session
             .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
         let query = "explain SEQ VT (SELECT count(*) AS c FROM t);";
-        let out = run(query, &mut session, &shared);
-        let (plan, phases) = out.trim_end().rsplit_once('\n').unwrap();
-        assert!(plan.starts_with("TemporalAggregate"), "{out}");
-        assert!(phases.starts_with("  (parse "), "{out}");
-        assert!(!phases.contains("execute"), "nothing ran: {out}");
-        let insert = "explain INSERT INTO t VALUES (1, 0, 5)";
-        assert!(run_meta(insert, &mut session, &shared).is_err());
+        assert_eq!(
+            sql_of(query, &session),
+            "EXPLAIN SEQ VT (SELECT count(*) AS c FROM t)"
+        );
+        let plan = &rows_of(query, &mut session)[0];
+        let first = cell(plan, 0, "query plan").to_string();
+        assert!(first.starts_with("TemporalAggregate"), "{first}");
+        let phases = session.last_phase_timings().render();
+        assert!(phases.starts_with("parse "), "{phases}");
+        assert!(!phases.contains("execute"), "nothing ran: {phases}");
+        let insert = sql_of("explain INSERT INTO t VALUES (1, 0, 5)", &session);
+        assert!(session.execute_script(&insert).is_err());
+        assert_eq!(
+            expand("explain SELECT x FROM t; DROP TABLE t", 1),
+            Some(Err("expected one statement, found 2".to_string()))
+        );
+        assert!(expand("explain", 1).unwrap().is_err());
         assert_eq!(session.read_view().catalog().get("t").unwrap().len(), 0);
     }
 
@@ -579,13 +417,14 @@ mod tests {
     /// generator's full scale and refuses anything else before generating.
     #[test]
     fn load_refuses_all_but_a_whole_number_up_to_full_scale() {
-        let (shared, mut session) = setup();
+        let (_shared, mut session) = setup();
         for n in ["0", "-1", "NaN", "inf", "1e15", "300001", "2.5"] {
-            let refused = run_meta(&format!("load employees {n}"), &mut session, &shared);
+            let refused = load(&mut session, &format!("employees {n}"));
             assert!(refused.is_err(), "{n}: {refused:?}");
         }
+        assert!(load(&mut session, "departments 10").is_err());
         assert_eq!(session.read_view().catalog().table_names().count(), 0);
-        let out = run("load employees 10", &mut session, &shared);
+        let out = load(&mut session, "employees 10").unwrap();
         assert!(out.starts_with("loaded employees (~10 employees)"), "{out}");
     }
 
@@ -606,13 +445,45 @@ mod tests {
         }
     }
 
+    /// Arguments are parsed before any SQL is formatted: a bad one is a
+    /// usage error, and the words with no SQL form expand to nothing.
+    /// `run` refuses what it does not answer, FILE forms included.
     #[test]
-    fn quit_signals_and_unknown_commands_error() {
-        let (shared, mut session) = setup();
-        let outcome = run_meta("quit", &mut session, &shared).unwrap();
-        assert_eq!(outcome.flow, MetaFlow::Quit);
-        assert!(run_meta("nonsense", &mut session, &shared).is_err());
-        assert!(run_meta("verify sideways", &mut session, &shared).is_err());
+    fn unknown_commands_and_bad_arguments_error() {
+        let (_shared, mut session) = setup();
+        for bad in [
+            "kill 1); DROP TABLE t; --",
+            "kill",
+            "kill 1 2",
+            "kill -1",
+            "timeout 1 2",
+            "slow soon",
+            "verify sideways",
+            "verify",
+        ] {
+            assert!(expand(bad, 1).unwrap().is_err(), "{bad}");
+        }
+        // What is formatted is the parsed number, not the text typed.
+        let parsed = expand("timeout +0250", 1).unwrap();
+        assert_eq!(parsed.as_deref(), Ok("SET statement_timeout = 250"));
+        for word in [
+            "help",
+            "quit",
+            "checkpoint",
+            "dump",
+            "load employees 9",
+            "trace on",
+        ] {
+            assert_eq!(expand(word, 1), None, "{word}");
+        }
+        for refused in [
+            "nonsense",
+            "dump out.sql",
+            "profile out.folded",
+            "load employees 9",
+        ] {
+            assert!(run(refused, &mut session).is_err(), "{refused}");
+        }
     }
 
     #[test]
@@ -622,9 +493,15 @@ mod tests {
             .execute("CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te)")
             .unwrap();
         session.execute("INSERT INTO t VALUES (1, 0, 5)").unwrap();
-        let out = run("activity", &mut session, &shared);
-        assert!(out.contains("(this shell)"), "{out}");
-        let dumped = run("dump", &mut session, &shared);
+        let _other = shared.session();
+        let activity = &rows_of("activity", &mut session)[0];
+        assert_eq!(activity.len(), 2);
+        let own: Vec<_> = (0..activity.len())
+            .filter(|&i| cell(activity, i, "this_shell") == storage::Value::Bool(true))
+            .map(|i| cell(activity, i, "session_id"))
+            .collect();
+        assert_eq!(own, [storage::Value::Int(session.session_id() as i64)]);
+        let dumped = run("dump", &mut session).unwrap();
         assert!(dumped.contains("CREATE TABLE t"), "{dumped}");
         assert!(dumped.contains("INSERT INTO t"), "{dumped}");
     }

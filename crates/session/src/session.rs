@@ -159,7 +159,8 @@ pub struct SessionOptions {
     pub use_indexes: bool,
     /// After every indexed query, re-execute on the naive route and fail
     /// on divergence — the end-to-end check that version-based index
-    /// invalidation works (used by the test suite and `.verify on`).
+    /// invalidation works (used by the test suite, `--verify` and
+    /// `SET verify_indexed = on`).
     pub verify_indexed: bool,
     /// Rewriting options for `SEQ VT` compilation.
     pub rewrite: RewriteOptions,
@@ -527,7 +528,7 @@ impl Session {
         &self.options
     }
 
-    /// The session options, mutably (`.verify on`, pinned join routes —
+    /// The session options, mutably (pinned join routes, `use_indexes` —
     /// queries pick the change up immediately, the engine is derived from
     /// the options per statement).
     pub fn options_mut(&mut self) -> &mut SessionOptions {
@@ -805,44 +806,79 @@ impl Session {
                     value: value.to_string(),
                 })
             }
+            SqlStatement::Show { name } => Ok(StatementResult::Rows(self.show_option(name)?)),
             _ if self.txn.is_some() => self.mutate_buffered(stmt, text),
             _ => self.autocommit(stmt, text),
         }
     }
 
     /// Sets one option by name — what SQL `SET <name> = <value>` and the
-    /// wire protocol's `SetOption` frame both run. Values are a number or
-    /// `off`. `off` clears `statement_timeout` (alias
+    /// wire protocol's `SetOption` frame both run (`SessionOption` holds
+    /// the names). Values are a number or `off`, and `on` or `off` for
+    /// `verify_indexed`. `off` clears `statement_timeout` (alias
     /// `statement_timeout_ms`), `max_rows_scanned`, `max_result_rows` and
     /// `slow_query_ms`; `0` clears the first three too, while
     /// `slow_query_ms = 0` logs every statement. `slow_log_capacity`
     /// resizes the database's slow-query ring (shared by all its sessions)
     /// and takes a positive number.
     pub fn set_option(&mut self, name: &str, value: &str) -> Result<(), String> {
-        let parsed = if value.eq_ignore_ascii_case("off") {
-            None
-        } else {
-            Some(value.parse::<u64>().map_err(|_| {
+        let option = SessionOption::named(name)?;
+        let off = value.eq_ignore_ascii_case("off");
+        let number = || {
+            if off {
+                return Ok(None);
+            }
+            value.parse::<u64>().map(Some).map_err(|_| {
                 format!("invalid value '{value}' for '{name}' (expected a number or 'off')")
-            })?)
+            })
         };
         let options = &mut self.options;
-        match name {
-            "statement_timeout" | "statement_timeout_ms" => {
-                options.statement_timeout_ms = parsed.filter(|&ms| ms > 0);
+        match option {
+            SessionOption::StatementTimeout => {
+                options.statement_timeout_ms = number()?.filter(|&ms| ms > 0);
             }
-            "max_rows_scanned" => options.max_rows_scanned = parsed.filter(|&n| n > 0),
-            "max_result_rows" => options.max_result_rows = parsed.filter(|&n| n > 0),
-            "slow_query_ms" => options.slow_query_ms = parsed,
-            "slow_log_capacity" => {
-                let n = parsed
+            SessionOption::MaxRowsScanned => {
+                options.max_rows_scanned = number()?.filter(|&n| n > 0);
+            }
+            SessionOption::MaxResultRows => options.max_result_rows = number()?.filter(|&n| n > 0),
+            SessionOption::SlowQueryMs => options.slow_query_ms = number()?,
+            SessionOption::SlowLogCapacity => {
+                let n = number()?
                     .filter(|&n| n > 0)
                     .ok_or("slow_log_capacity must be a positive number")?;
                 self.telemetry.obs.slow_log.set_capacity(n as usize);
             }
-            other => return Err(format!("unknown session option '{other}'")),
+            SessionOption::VerifyIndexed if off || value.eq_ignore_ascii_case("on") => {
+                options.verify_indexed = !off;
+            }
+            SessionOption::VerifyIndexed => {
+                return Err(format!(
+                    "invalid value '{value}' for '{name}' (expected 'on' or 'off')"
+                ))
+            }
         }
         Ok(())
+    }
+
+    /// `SHOW <name>`: the option's value as `SET` takes it (a number, `on`
+    /// or `off`), as a one-row table whose one column is `name`.
+    fn show_option(&self, name: &str) -> Result<Table, String> {
+        let options = &self.options;
+        let number = |n: Option<u64>| n.map_or("off".to_string(), |n| n.to_string());
+        let value = match SessionOption::named(name)? {
+            SessionOption::StatementTimeout => number(options.statement_timeout_ms),
+            SessionOption::MaxRowsScanned => number(options.max_rows_scanned),
+            SessionOption::MaxResultRows => number(options.max_result_rows),
+            SessionOption::SlowQueryMs => number(options.slow_query_ms),
+            SessionOption::SlowLogCapacity => self.telemetry.obs.slow_log.capacity().to_string(),
+            SessionOption::VerifyIndexed => {
+                (if options.verify_indexed { "on" } else { "off" }).to_string()
+            }
+        };
+        let schema = Schema::new(vec![Column::new(name.to_string(), SqlType::Str)]);
+        let mut table = Table::new(schema);
+        table.push(Row::new(vec![Value::str(&value)]));
+        Ok(table)
     }
 
     /// `BEGIN`: pin a snapshot and open a transaction over it.
@@ -1108,7 +1144,8 @@ impl Session {
             | SqlStatement::Begin
             | SqlStatement::Commit
             | SqlStatement::Rollback
-            | SqlStatement::Set { .. } => {
+            | SqlStatement::Set { .. }
+            | SqlStatement::Show { .. } => {
                 unreachable!("routed by apply_inner")
             }
         }
@@ -1222,6 +1259,32 @@ impl Session {
             return Ok(plan_text_table(&text));
         }
         Ok(executed)
+    }
+}
+
+/// A session option, by the names `SET` writes ([`Session::set_option`])
+/// and `SHOW` reads: the one table of option names.
+#[derive(Debug, Clone, Copy)]
+enum SessionOption {
+    StatementTimeout,
+    MaxRowsScanned,
+    MaxResultRows,
+    SlowQueryMs,
+    SlowLogCapacity,
+    VerifyIndexed,
+}
+
+impl SessionOption {
+    fn named(name: &str) -> Result<Self, String> {
+        Ok(match name {
+            "statement_timeout" | "statement_timeout_ms" => SessionOption::StatementTimeout,
+            "max_rows_scanned" => SessionOption::MaxRowsScanned,
+            "max_result_rows" => SessionOption::MaxResultRows,
+            "slow_query_ms" => SessionOption::SlowQueryMs,
+            "slow_log_capacity" => SessionOption::SlowLogCapacity,
+            "verify_indexed" => SessionOption::VerifyIndexed,
+            other => return Err(format!("unknown session option '{other}'")),
+        })
     }
 }
 
@@ -1379,4 +1442,41 @@ fn conflict_backoff(attempt: u32) {
     x ^= x >> 31;
     let jitter = x % base_us;
     std::thread::sleep(std::time::Duration::from_micros(base_us / 2 + jitter));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `SHOW` reads back every name `SET` takes, as the value it left, and
+    /// an unknown name gets `SET`'s error from both.
+    #[test]
+    fn show_reads_back_every_name_set_takes() {
+        let mut session = SharedDatabase::in_memory().session();
+        let cases = [
+            ("statement_timeout", "250", "250"),
+            ("statement_timeout_ms", "0", "off"),
+            ("max_rows_scanned", "10", "10"),
+            ("max_result_rows", "off", "off"),
+            ("slow_query_ms", "0", "0"),
+            ("slow_log_capacity", "7", "7"),
+            ("verify_indexed", "on", "on"),
+            ("verify_indexed", "OFF", "off"),
+        ];
+        for (name, value, shown) in cases {
+            session.execute(&format!("SET {name} = {value}")).unwrap();
+            let result = session.execute(&format!("SHOW {name}")).unwrap();
+            let table = result.rows().unwrap();
+            assert_eq!(table.schema().column(0).name, name);
+            let want = [Row::new(vec![Value::str(shown)])];
+            assert_eq!(table.rows(), want, "{name} = {value}");
+        }
+        let set = session.execute("SET no_such_option = 1").unwrap_err();
+        let show = session.execute("SHOW no_such_option").unwrap_err();
+        assert_eq!(set.to_string(), "unknown session option 'no_such_option'");
+        assert_eq!(show.to_string(), set.to_string());
+        let refused = session.execute("SET verify_indexed = 1").unwrap_err();
+        let expected = "invalid value '1' for 'verify_indexed' (expected 'on' or 'off')";
+        assert_eq!(refused.to_string(), expected);
+    }
 }

@@ -78,6 +78,12 @@ pub enum SqlStatement {
         /// Raw option value (number, identifier, or string literal).
         value: String,
     },
+    /// `SHOW <name>` — reads a session option back, by the names `SET`
+    /// takes.
+    Show {
+        /// Option name (lower-cased by the lexer).
+        name: String,
+    },
 }
 
 /// One column of a `CREATE TABLE` statement.

@@ -73,6 +73,28 @@ pub enum Sym {
     Semicolon,
 }
 
+impl fmt::Display for Sym {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Sym::LParen => "(",
+            Sym::RParen => ")",
+            Sym::Comma => ",",
+            Sym::Dot => ".",
+            Sym::Star => "*",
+            Sym::Eq => "=",
+            Sym::Neq => "<>",
+            Sym::Lt => "<",
+            Sym::Leq => "<=",
+            Sym::Gt => ">",
+            Sym::Geq => ">=",
+            Sym::Plus => "+",
+            Sym::Minus => "-",
+            Sym::Slash => "/",
+            Sym::Semicolon => ";",
+        })
+    }
+}
+
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -81,7 +103,7 @@ impl fmt::Display for Token {
             Token::IntMinMagnitude => write!(f, "{INT_MIN_MAGNITUDE}"),
             Token::Double(d) => write!(f, "{d}"),
             Token::Str(s) => write!(f, "'{s}'"),
-            Token::Symbol(s) => write!(f, "{s:?}"),
+            Token::Symbol(s) => write!(f, "{s}"),
             Token::Eof => write!(f, "<eof>"),
         }
     }

@@ -161,7 +161,7 @@ impl Parser {
         if self.eat_symbol(s) {
             Ok(())
         } else {
-            Err(format!("expected {s:?}, found '{}'", self.peek()))
+            Err(format!("expected '{s}', found '{}'", self.peek()))
         }
     }
 
@@ -226,6 +226,10 @@ impl Parser {
         }
         if self.at_keyword("set") {
             return self.parse_set();
+        }
+        if self.eat_keyword("show") {
+            let name = self.expect_ident()?;
+            return Ok(SqlStatement::Show { name });
         }
         Ok(SqlStatement::Query(self.parse_query_statement()?))
     }
@@ -1102,6 +1106,14 @@ mod tests {
         assert!(parse_sql_statement("SET statement_timeout =").is_err());
         assert!(parse_sql_statement("SET x = 1 2").is_err());
         assert!(parse_sql_statement("SET x = -off").is_err());
+        assert_eq!(
+            parse_sql_statement("show Statement_Timeout;").unwrap(),
+            SqlStatement::Show {
+                name: "statement_timeout".into()
+            }
+        );
+        assert!(parse_sql_statement("SHOW").is_err());
+        assert!(parse_sql_statement("SHOW x y").is_err());
     }
 
     #[test]
@@ -1218,6 +1230,23 @@ mod tests {
         assert!(parse_statement("SELECT * FROM t WHERE x LIKE y").is_err());
         assert!(parse_statement("SELECT * FROM t extra garbage !!").is_err());
         assert!(parse_statement("SEQ VT SELECT 1").is_err());
+    }
+
+    /// Punctuation is named by its text, as every other token is.
+    #[test]
+    fn punctuation_is_named_by_its_text() {
+        assert_eq!(
+            parse_sql_statement("SELECT (1;").unwrap_err(),
+            "expected ')', found ';'"
+        );
+        assert_eq!(
+            parse_sql_statement("INSERT INTO t VALUES 1").unwrap_err(),
+            "expected '(', found '1'"
+        );
+        assert_eq!(
+            parse_sql_statement("SELECT x FROM t WHERE x <> 1 )").unwrap_err(),
+            "unexpected trailing input at ')'"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! mid-result leaves no ghost rows in `snapshot_stat_activity`, a
 //! multi-batch result arrives in the executor's row order with every byte
 //! accounted, bare `.profile` returns exactly the folded stacks while
-//! `.trace` is refused, a server that sends a malformed result or frames
+//! every `Meta` word but five is refused, a server that sends a malformed result or frames
 //! out of order gets an `Err` from the client, not a panic, and a script
 //! that fails means the same over the wire as in process.
 //!
@@ -388,8 +388,8 @@ fn server_timeout_default_propagates_and_is_overridable() {
 
 /// SQL `SET` and the `SetOption` frame run one function: every option
 /// name, spelled either way, answers the same and leaves the same state —
-/// as `.timeout` / `.slow` report it, as the resource limits and a join
-/// show it, and in the database's slow-log ring — and a bad name or value
+/// as `SHOW` reads it, as the resource limits and a join show it, and in
+/// the database's slow-log ring — and a bad name or value
 /// gets the same error on both paths. There is no `parallelism` option:
 /// every value is refused as an unknown name, and an overlap join after
 /// the largest of them still answers.
@@ -403,13 +403,9 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
     run_ok(&mut by_sql, SETUP);
 
     fn state(client: &mut Client, obs: &snapshot_obs::Obs) -> String {
-        let meta = |client: &mut Client, command: &str| match &client
-            .meta(command)
-            .expect("connection alive")
-            .results[..]
-        {
-            [RemoteResult::Done(text)] => text.lines().next().unwrap_or("").to_string(),
-            other => panic!(".{command}: {other:?}"),
+        let show = |client: &mut Client, name: &str| {
+            let results = run_ok(client, &format!("SHOW {name};"));
+            first_rows(&results).rows()[0].get(0).to_string()
         };
         let outcome = |client: &mut Client, sql: &str| {
             let resp = client.query(sql).expect("connection alive");
@@ -421,9 +417,11 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
             "SEQ VT (SELECT a.name FROM works a JOIN works b ON a.name < b.name);",
         );
         format!(
-            "{} | {} | scan: {:?} | join: {join:?} | ring: {}",
-            meta(client, "timeout"),
-            meta(client, "slow"),
+            "{} | {} | {} | {} | scan: {:?} | join: {join:?} | ring: {}",
+            show(client, "statement_timeout"),
+            show(client, "slow_query_ms"),
+            show(client, "slow_log_capacity"),
+            show(client, "verify_indexed"),
             outcome(client, "SELECT name FROM works;"),
             obs.slow_log.capacity(),
         )
@@ -444,8 +442,11 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
         ("max_result_rows", "0"),
         ("slow_log_capacity", "7"),
         ("slow_log_capacity", default_ring.as_str()),
+        ("verify_indexed", "on"),
+        ("verify_indexed", "off"),
         // Refused on both paths, with one message.
         ("no_such_option", "1"),
+        ("verify_indexed", "1"),
         ("statement_timeout", "soon"),
         ("parallelism", "1"),
         ("parallelism", "3"),
@@ -481,7 +482,7 @@ fn sql_set_and_set_option_frame_take_the_same_names() {
             "{case}"
         );
     }
-    assert_eq!(refused, 7, "only the last seven cases are refused");
+    assert_eq!(refused, 8, "only the last eight cases are refused");
     assert_eq!(
         by_sql
             .set_option("no_such_option", "1")
@@ -532,7 +533,11 @@ fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
     );
     assert_eq!(
         meta(&mut client, "trace on"),
-        Err(".trace works in a local shell only".to_string())
+        Err(
+            "a server answers .checkpoint, .dump, .index, .metrics and .profile only, \
+             not '.trace on'"
+                .to_string()
+        )
     );
 
     stop(client, server);
@@ -541,8 +546,7 @@ fn remote_profile_is_the_folded_stacks_and_trace_is_refused() {
 /// A peer cannot make the server write a file: `.dump`, `.metrics` and
 /// `.profile` with a FILE argument are refused and write nothing, while
 /// their bare forms (what the remote shell writes client-side), `.index`
-/// and `.checkpoint` answer. `.load` refuses an employee count outside
-/// 1..=300000 before generating anything.
+/// and `.checkpoint` answer.
 #[test]
 fn meta_file_arguments_are_refused_and_the_bare_forms_answer() {
     let out = ScratchDir::new("server_meta_out");
@@ -565,11 +569,63 @@ fn meta_file_arguments_are_refused_and_the_bare_forms_answer() {
     meta(&mut client, "profile off").unwrap();
     meta(&mut client, "index").unwrap();
     meta(&mut client, "checkpoint").unwrap();
-    for n in ["0", "-1", "NaN", "inf", "1e15", "300001"] {
-        let refused = meta(&mut client, &format!("load employees {n}"));
-        assert!(refused.is_err(), ".load employees {n}: {refused:?}");
-    }
     assert_eq!(std::fs::read_dir(&*out).unwrap().count(), 0);
+    stop(client, server);
+}
+
+/// The server answers `Meta` for five words only. Every other word — the
+/// commands that are SQL (a shell sends their SQL), the local shell's
+/// tools, `help`, `quit` and unknown words — gets `Error` then `Ready`:
+/// it starts no thread, generates no data, and leaves the connection
+/// answering.
+#[test]
+fn meta_words_other_than_the_five_are_refused() {
+    let (addr, _handle, server) =
+        start_server(SharedDatabase::in_memory(), ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    run_ok(&mut client, SETUP);
+    let catalog = |client: &mut Client| {
+        let results = run_ok(
+            client,
+            "SELECT name, rows, version FROM snapshot_stat_tables;",
+        );
+        first_rows(&results).rows().to_vec()
+    };
+    let before = catalog(&mut client);
+    for word in [
+        "help",
+        "quit",
+        "tables",
+        "load employees 10",
+        "parallel 2 SELECT 1",
+        "explain SELECT name FROM works",
+        "activity",
+        "kill 1",
+        "timeout",
+        "slow",
+        "verify on",
+        "trace on",
+        "no_such_word",
+    ] {
+        let resp = client.meta(word).expect("connection alive");
+        assert!(resp.results.is_empty(), ".{word}: {:?}", resp.results);
+        let error = resp.error.map(|e| e.to_string()).unwrap_or_default();
+        assert!(
+            error.ends_with(&format!("not '.{word}'")),
+            ".{word}: {error}"
+        );
+        let results = run_ok(&mut client, "SELECT count(*) AS c FROM works;");
+        assert_eq!(
+            first_rows(&results).rows()[0].get(0),
+            &Value::Int(4),
+            "after .{word}"
+        );
+    }
+    assert_eq!(
+        catalog(&mut client),
+        before,
+        "nothing was loaded or written"
+    );
     stop(client, server);
 }
 
