@@ -12,7 +12,8 @@
 //! cooperative: a client sends the Shutdown frame (`snapshot_db`'s
 //! `.quit` does *not* — use the `shutdown_server` client call), the
 //! server drains or cancels in-flight statements, checkpoints, and exits
-//! with status 0.
+//! with status 0. Only a client connected from a loopback address may
+//! send it; any other gets an error and keeps its connection.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +29,9 @@ const USAGE: &str = "usage: snapshot_server [--db DIR] [--listen HOST:PORT]
   --db DIR              serve a durable database in DIR (created if missing);
                         omitted = a process-lifetime in-memory database
   --listen HOST:PORT    bind address (default 127.0.0.1:5433; port 0 = any
-                        free port, printed on startup)
+                        free port, printed on startup); whatever it is, only
+                        a client connected over loopback may shut the
+                        server down (the protocol has no authentication)
   --max-connections N   refuse connections beyond N concurrent (default 64)
   --read-timeout-ms N   close connections idle for N ms (default: no limit)
   --timeout-ms N        default statement timeout for every connection

@@ -199,11 +199,13 @@ impl Client {
     }
 
     /// Ask the server to shut down gracefully, then close this connection.
+    /// A server refuses a peer that is not on loopback with an error.
     pub fn shutdown_server(mut self) -> Result<(), RemoteError> {
         write_frame(&mut self.stream, &Frame::Shutdown)?;
         loop {
             match read_frame(&mut self.reader) {
                 Ok((Frame::Goodbye, _)) | Err(ReadError::Eof) => return Ok(()),
+                Ok((Frame::Error { message }, _)) => return Err(RemoteError::Server(message)),
                 Ok(_) => continue,
                 Err(ReadError::Io(_)) => return Ok(()), // racing the server's exit
                 Err(e) => return Err(e.into()),

@@ -17,7 +17,9 @@
 //! checkpoint stores a table. A result arrives sorted by (key, begin,
 //! end), so its columns are runs of equal strings and slowly rising
 //! integers, which a column block stores as runs and deltas (protocol
-//! version 2). A frame longer than
+//! version 2); a string column whose few distinct values recur away from
+//! their equal neighbours is stored as a dictionary of them (version 3).
+//! A frame longer than
 //! [`MAX_FRAME`] is refused before allocation (a corrupt or hostile
 //! length prefix must not OOM the peer), a CRC mismatch is refused before
 //! decoding, a row batch claiming more rows than
@@ -46,7 +48,9 @@
 //!      connection stays usable);
 //! 3. client: [`Frame::Close`] — server: [`Frame::Goodbye`], then both
 //!    sides drop the socket. [`Frame::Shutdown`] additionally asks the
-//!    whole server to shut down gracefully after the goodbye.
+//!    whole server to shut down gracefully after the goodbye; a server
+//!    honours it from a loopback peer only, and answers any other peer
+//!    with [`Frame::Error`] and [`Frame::Ready`], its connection open.
 
 use snapshot_wal::codec::{blocks, decode_columns, decode_row_header, encode_columns};
 use snapshot_wal::codec::{encode_row_header, header_period, Reader, Writer};
@@ -58,8 +62,8 @@ pub use snapshot_wal::codec::ROW_BATCH;
 
 /// Protocol version spoken by this build; the handshake refuses a client
 /// whose version differs. (1 → 2: [`Frame::RowBatch`] became a column
-/// block.)
-pub const PROTOCOL_VERSION: u32 = 2;
+/// block; 2 → 3: a column block may hold a string dictionary.)
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Hard ceiling on one frame's payload size (matches the WAL's own
 /// guard): a corrupt length prefix must not trigger an absurd allocation.
@@ -106,7 +110,8 @@ pub enum Frame {
     /// Clean close; the server answers [`Frame::Goodbye`].
     Close,
     /// Ask the server to shut down gracefully (stop accepting, cancel
-    /// in-flight statements, checkpoint, exit 0).
+    /// in-flight statements, checkpoint, exit 0). Honoured from a
+    /// loopback peer only; any other gets [`Frame::Error`].
     Shutdown,
     /// A non-row statement result or meta-command output.
     Done {

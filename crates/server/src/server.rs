@@ -20,13 +20,16 @@
 //! in-flight statements a grace window to drain, cancel the stragglers
 //! through their cancel tokens, close every socket, join every thread,
 //! checkpoint the database, and return — the `snapshot_server` binary
-//! then exits 0.
+//! then exits 0. A peer starts it with [`Frame::Shutdown`] only from a
+//! loopback address (`may_shut_down`): the protocol has no
+//! authentication, so any other peer gets an error and keeps its
+//! connection.
 
 use crate::protocol::{read_frame, write_frame, write_rowset, Frame, ReadError, PROTOCOL_VERSION};
 use snapshot_obs as obs;
 use snapshot_session::meta;
 use snapshot_session::{Session, SessionOptions, SharedDatabase, StatementError, StatementResult};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -110,7 +113,7 @@ impl ServerState {
 }
 
 /// A handle for stopping a running server from another thread (or from a
-/// connection that sent [`Frame::Shutdown`]).
+/// loopback connection that sent [`Frame::Shutdown`]).
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     state: Arc<ServerState>,
@@ -340,10 +343,9 @@ fn serve_connection(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(config.read_timeout);
-    let peer = match stream.peer_addr() {
-        Ok(p) => p.to_string(),
-        Err(_) => "unknown".to_string(),
-    };
+    let peer = stream.peer_addr().ok();
+    let may_stop = peer.is_some_and(|p| may_shut_down(p.ip()));
+    let peer = peer.map_or_else(|| "unknown".to_string(), |p| p.to_string());
     let (bytes_in, bytes_out) = (Arc::clone(&state.bytes_in), Arc::clone(&state.bytes_out));
 
     // Handshake: the first frame must be a version-matched Hello.
@@ -418,7 +420,11 @@ fn serve_connection(
             match read_frame(&mut reader_stream) {
                 Ok((frame, n)) => {
                     bytes_in.add(n as u64);
-                    let closing = matches!(frame, Frame::Close | Frame::Shutdown);
+                    let closing = match frame {
+                        Frame::Close => true,
+                        Frame::Shutdown => may_stop,
+                        _ => false,
+                    };
                     if tx.send(Msg::Frame(frame)).is_err() || closing {
                         return;
                     }
@@ -446,7 +452,8 @@ fn serve_connection(
         ..
     } = &mut conn
     {
-        executor_loop(stream, session, &server, rx, &bytes_out);
+        let server = may_stop.then_some(&server);
+        executor_loop(stream, session, server, rx, &bytes_out);
     }
 }
 
@@ -474,11 +481,20 @@ impl Drop for Connection {
     }
 }
 
+/// Whether a peer at `ip` may stop the server with [`Frame::Shutdown`]:
+/// only one on this machine, since the protocol has no authentication. An
+/// IPv4 address mapped into IPv6 counts as the address it maps.
+fn may_shut_down(ip: IpAddr) -> bool {
+    ip.to_canonical().is_loopback()
+}
+
 /// The executor: one request off the channel, one response sequence back.
+/// `server` is the handle a [`Frame::Shutdown`] stops, present only when
+/// the peer [`may_shut_down`] it.
 fn executor_loop(
     stream: &mut TcpStream,
     session: &mut Session,
-    server: &ServerHandle,
+    server: Option<&ServerHandle>,
     rx: Receiver<Msg>,
     bytes_out: &Arc<obs::Counter>,
 ) {
@@ -579,11 +595,16 @@ fn executor_loop(
                 let _ = send(stream, &Frame::Goodbye);
                 return;
             }
-            Msg::Frame(Frame::Shutdown) => {
-                let _ = send(stream, &Frame::Goodbye);
-                server.shutdown();
-                return;
-            }
+            Msg::Frame(Frame::Shutdown) => match server {
+                Some(server) => {
+                    let _ = send(stream, &Frame::Goodbye);
+                    server.shutdown();
+                    return;
+                }
+                None => Frame::Error {
+                    message: "only a loopback peer may shut the server down".into(),
+                },
+            },
             // Hello after the handshake, or a server-side frame.
             Msg::Frame(other) => Frame::Error {
                 message: format!("unexpected frame {other:?}"),
@@ -650,5 +671,62 @@ mod tests {
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         assert_eq!(peer.read(&mut [0; 1]).unwrap(), 0, "the peer reads EOF");
+    }
+
+    #[test]
+    fn only_a_loopback_peer_may_shut_the_server_down() {
+        for (ip, may) in [
+            ("127.0.0.1", true),
+            ("127.45.0.9", true),
+            ("::1", true),
+            ("::ffff:127.0.0.1", true),
+            ("10.0.0.7", false),
+            ("192.168.1.20", false),
+            ("0.0.0.0", false),
+            ("fe80::1", false),
+            ("2001:db8::1", false),
+            ("::ffff:10.0.0.7", false),
+        ] {
+            let ip: IpAddr = ip.parse().unwrap();
+            assert_eq!(may_shut_down(ip), may, "{ip}");
+        }
+    }
+
+    /// A `Shutdown` from a peer that may not stop the server is answered
+    /// with `Error` then `Ready`, and the connection goes on serving.
+    #[test]
+    fn a_refused_shutdown_leaves_the_connection_open() {
+        let shared = SharedDatabase::in_memory();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        let (tx, rx) = channel();
+        for frame in [
+            Frame::Shutdown,
+            Frame::Query {
+                sql: "CREATE TABLE t (x INT)".into(),
+            },
+            Frame::Close,
+        ] {
+            tx.send(Msg::Frame(frame)).unwrap();
+        }
+        let mut session = shared.session();
+        let bytes_out = shared.obs().metrics.counter("test_bytes_out");
+        executor_loop(&mut stream, &mut session, None, rx, &bytes_out);
+        drop(stream);
+        let mut frames = Vec::new();
+        while let Ok((frame, _)) = read_frame(&mut peer) {
+            frames.push(frame);
+        }
+        assert!(
+            matches!(&frames[0], Frame::Error { message } if message.contains("loopback")),
+            "{frames:?}"
+        );
+        assert_eq!(frames[1], Frame::Ready { in_txn: false });
+        assert!(
+            matches!(&frames[2], Frame::Done { summary } if summary.contains("CREATE TABLE")),
+            "{frames:?}"
+        );
+        assert_eq!(frames.last(), Some(&Frame::Goodbye));
     }
 }

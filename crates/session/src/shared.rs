@@ -50,6 +50,7 @@ struct Inner {
     fsyncs: Arc<Counter>,
     checkpoints: Arc<Counter>,
     checkpoint_seconds: Arc<Histogram>,
+    checkpoint_bytes: Arc<Counter>,
     /// Auto-checkpoints that failed after their commit was already logged
     /// and published (the commit stands; the next commit retries).
     checkpoint_failures: Arc<Counter>,
@@ -76,6 +77,7 @@ impl Inner {
         self.fsynced(r.fsync);
         self.checkpoints.inc();
         self.checkpoint_seconds.observe_duration(r.elapsed);
+        self.checkpoint_bytes.add(r.bytes);
     }
 }
 
@@ -132,6 +134,7 @@ impl SharedDatabase {
                 fsyncs: m.counter("wal_fsyncs_total"),
                 checkpoints: m.counter("wal_checkpoints_total"),
                 checkpoint_seconds: m.histogram("wal_checkpoint_seconds"),
+                checkpoint_bytes: m.counter("wal_checkpoint_bytes_total"),
                 checkpoint_failures: m.counter("wal_checkpoint_failures_total"),
                 telemetry,
             }),

@@ -16,10 +16,14 @@
 //! ([`crate::codec`]): the row header is a `RowHeader` frame's body and
 //! each column block a `RowBatch` frame's body, [`crate::codec::block_rows`]
 //! rows to a block. Nothing about a table's history is stored: a loaded
-//! table is built afresh and draws fresh version epochs. Format 1 (rows
-//! value by value, after each table's version epoch and append history) is
-//! still read, and a directory whose newest checkpoint is in it is
-//! checkpointed at once on open, which leaves format 2 behind.
+//! table is built afresh and draws fresh version epochs.
+//!
+//! Format history: 1 stored rows value by value, after each table's
+//! version epoch and append history; 2 stored column blocks; 3 lets a
+//! block write a string column as a dictionary of its distinct strings
+//! (column kind 3). Formats 1 and 2 are still read — 2 by the same decoder
+//! as 3 — and a directory whose newest checkpoint is in either is
+//! checkpointed at once on open, which leaves format 3 behind.
 //!
 //! Checkpoints are written atomically: encode to `checkpoint.N.tmp`,
 //! `fsync`, rename over the final name, `fsync` the directory. A crash at
@@ -38,8 +42,9 @@ use storage::{Catalog, Table};
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"SNAPCKPT";
 
 /// On-disk format version (1 → 2: tables as row sets of column blocks,
-/// without version epochs or append histories).
-pub const FORMAT_VERSION: u32 = 2;
+/// without version epochs or append histories; 2 → 3: a block's string
+/// column may be dictionary-coded).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A decoded checkpoint.
 #[derive(Debug)]
@@ -257,8 +262,6 @@ mod tests {
     use super::*;
     use crate::test_dir::TestDir;
     use proptest::prelude::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
     use storage::{row, Row, Schema, SqlType, Table, Value};
 
     /// Magic, format version, CRC and body length: what precedes the body.
@@ -319,60 +322,22 @@ mod tests {
         assert_eq!(load_newest(&dir).unwrap().seq, 1);
     }
 
-    /// Tracks the largest single allocation each thread asks for, so the
-    /// fuzz test below can bound what corrupt bytes make the decoder
-    /// allocate.
-    struct Tracking;
-
-    thread_local! {
-        static LARGEST: Cell<usize> = const { Cell::new(0) };
-    }
-
-    fn note(size: usize) {
-        let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
-    }
-
-    #[allow(unsafe_code)]
-    // SAFETY: every call forwards to `System` unchanged; `note` only
-    // touches a const-initialised thread-local `Cell`, which never
-    // allocates.
-    unsafe impl GlobalAlloc for Tracking {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            note(new_size);
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-    }
-
-    #[global_allocator]
-    static ALLOCATOR: Tracking = Tracking;
-
-    /// A catalog of two tables: `a_works`, `rows` period rows whose first
-    /// column holds runs of strings `run` rows long and whose `pay` is NULL
-    /// on every `nulls`-th row, and `other`, one `BOOL` row per flag.
+    /// A catalog of two tables: `a_works`, `rows` period rows whose
+    /// `status` cycles through three strings (a dictionary-coded column,
+    /// past a row or two), whose `name` holds runs of strings `run` rows
+    /// long and whose `pay` is NULL on every `nulls`-th row, and `other`,
+    /// one `BOOL` row per flag.
     fn generated_catalog(rows: i64, run: i64, nulls: i64, flags: &[bool]) -> Catalog {
         let mut t = Table::with_period(
             Schema::of(&[
+                ("status", SqlType::Str),
                 ("name", SqlType::Str),
                 ("pay", SqlType::Double),
                 ("ts", SqlType::Int),
                 ("te", SqlType::Int),
             ]),
-            2,
             3,
+            4,
         );
         t.extend((0..rows).map(|i| {
             let pay = if i % nulls == 0 {
@@ -381,6 +346,7 @@ mod tests {
                 Value::Double(i as f64 / 4.0)
             };
             Row::new(vec![
+                Value::str(["draft", "active", "retired"][i as usize % 3]),
                 Value::str(["Ann", "Joe"][(i / run) as usize % 2]),
                 pay,
                 Value::Int(i),
@@ -395,8 +361,9 @@ mod tests {
         c
     }
 
-    /// The fuzz test's catalog: its first column block's row count, arity
-    /// and first run length sit at known offsets.
+    /// The fuzz test's catalog: its first column block's row count and
+    /// arity, its dictionary's entry count and first index, and the first
+    /// run length of its run-length string column sit at known offsets.
     fn fuzz_catalog() -> Catalog {
         generated_catalog(300, 100, 3, &[])
     }
@@ -423,19 +390,20 @@ mod tests {
     fn read_bytes(dir: &Path, bytes: &[u8]) -> (Result<Checkpoint, String>, usize) {
         let path = checkpoint_path(dir, 1);
         fs::write(&path, bytes).unwrap();
-        LARGEST.with(|m| m.set(0));
-        let read = read_checkpoint(&path);
-        (read, LARGEST.with(Cell::get))
+        crate::test_alloc::largest_allocation(|| read_checkpoint(&path))
     }
 
-    /// The body offsets a structural mutation edits. For format 2: the
-    /// first table's block count, and its first block's row count, arity
-    /// and first run length (the string column's); for the format-1
-    /// fixture, its one table's row count, which precedes the one row's
-    /// three tagged `INT`s.
-    fn offsets(format: u32, body: &[u8]) -> [usize; 4] {
+    /// The body offsets a structural mutation edits, each with the value
+    /// it adds the mutation's amount to. For format 3: the first table's
+    /// block count, and in its first block the row count, the arity, the
+    /// dictionary's entry count, its first index (from the last valid
+    /// index, so every amount puts it outside) and the first run length of
+    /// the `name` column; each but the index from its own value. For the
+    /// format-1 fixture: its one table's row count, which precedes the one
+    /// row's three tagged `INT`s.
+    fn offsets(format: u32, body: &[u8]) -> [(usize, u64); 6] {
         if format == 1 {
-            return [body.len() - 3 * 9 - 8; 4];
+            return [(body.len() - 3 * 9 - 8, 0); 6];
         }
         let works = fuzz_catalog();
         let works = works.get("a_works").unwrap();
@@ -447,10 +415,27 @@ mod tests {
         );
         // seq, covered LSN, table count, the name, the header.
         let blocks = 8 + 8 + 4 + 4 + "a_works".len() + header.into_bytes().len();
-        let count = blocks + varint_len(&body[blocks..]);
-        let arity = count + varint_len(&body[count..]);
-        let run = arity + varint_len(&body[arity..]) + 1;
-        [blocks, count, arity, run]
+        // Walk the first block, noting where each field starts.
+        let mut r = Reader::new(&body[blocks..]);
+        let at = |r: &Reader| body.len() - r.remaining();
+        let field = |r: &mut Reader| (at(r), r.get_varint().unwrap());
+        let (block_count, count, arity) = (field(&mut r), field(&mut r), field(&mut r));
+        assert_eq!(r.get_u8().unwrap(), 3, "`status` is dictionary-coded");
+        let entries = field(&mut r);
+        for _ in 0..entries.1 {
+            for _ in 0..r.get_varint().unwrap() {
+                r.get_u8().unwrap();
+            }
+        }
+        let mut rows = r.get_varint().unwrap();
+        let index = (at(&r), entries.1 - 1);
+        r.get_u8().unwrap();
+        while rows < count.1 {
+            rows += r.get_varint().unwrap();
+            r.get_u8().unwrap();
+        }
+        assert_eq!(r.get_u8().unwrap(), 1, "`name` is run-length coded");
+        [block_count, count, arity, entries, index, field(&mut r)]
     }
 
     proptest! {
@@ -463,10 +448,12 @@ mod tests {
         /// may then decode to another valid catalog, every other mutation
         /// must be an error. The same runs over a format-1 file, whose
         /// structural mutation inflates its row count.
+        /// Mutations 4–9 are structural: they add an amount to a field
+        /// [`offsets`] names.
         #[test]
         fn prop_corrupt_checkpoint_files_are_refused(
             format_1 in 0u8..4,
-            mutation in 0usize..9,
+            mutation in 0usize..11,
             at in 0usize..1 << 20,
             bit in 0u8..8,
             big in 0usize..5,
@@ -499,16 +486,15 @@ mod tests {
                     let file = framed(format, &body);
                     file[..at % file.len()].to_vec()
                 }
-                4..=7 if format == 1 => {
+                4..=9 if format == 1 => {
                     let mut body = body.clone();
-                    let rows = offsets(format, &body)[0];
+                    let (rows, _) = offsets(format, &body)[0];
                     body[rows..rows + 8].copy_from_slice(&big.saturating_add(1).to_le_bytes());
                     framed(format, &body)
                 }
-                4..=7 => {
-                    let at = offsets(format, &body)[mutation - 4];
-                    let was = Reader::new(&body[at..]).get_varint().unwrap();
-                    framed(format, &with_varint(&body, at, was.saturating_add(big)))
+                4..=9 => {
+                    let (at, from) = offsets(format, &body)[mutation - 4];
+                    framed(format, &with_varint(&body, at, from.saturating_add(big)))
                 }
                 _ => {
                     let mut file = framed(format, &body);

@@ -12,12 +12,18 @@
 //!
 //! Rows travel and rest as *column blocks* ([`encode_columns`] /
 //! [`decode_columns`]): one batch of rows written column by column —
-//! delta-coded integers, run-length strings and NULLs. A row set is a
+//! delta-coded integers, run-length or dictionary-coded strings, and
+//! run-length NULLs. A row set is a
 //! header ([`encode_row_header`]: schema and period pair) followed by
 //! blocks of [`block_rows`] rows each; the wire protocol's `RowHeader` /
 //! `RowBatch` frames carry exactly these bodies, and a checkpoint stores
 //! each table the same way ([`encode_table`]). This module is the only
 //! place that knows those layouts.
+//!
+//! Format history of a column block (checkpoint format and protocol
+//! version alike): 2 introduced column blocks with kinds 0–2; 3 added kind
+//! 3, a per-block string dictionary. One decoder reads both, since a
+//! format-2 block is a format-3 block that never uses kind 3.
 
 use std::sync::Arc;
 use storage::{Catalog, Column, Row, Schema, SqlType, Table, Value};
@@ -288,6 +294,23 @@ const COL_INT: u8 = 0;
 const COL_STR: u8 = 1;
 /// Anything else: runs of [`encode_value`]s.
 const COL_ANY: u8 = 2;
+/// Every value is a `Str`: the block's distinct strings once, then runs of
+/// indexes into them.
+const COL_DICT: u8 = 3;
+
+/// Most entries [`encode_columns`] puts in one column's dictionary, so
+/// the entry count and every index are one byte; a column with more
+/// distinct strings is written as [`COL_STR`] runs.
+const MAX_DICT_ENTRIES: usize = 127;
+
+/// Slots of the table a column's dictionary entries are found through
+/// (see [`dictionary_index`]): twice [`MAX_DICT_ENTRIES`], rounded up.
+const DICT_SLOTS: usize = 256;
+
+/// The bytes [`Writer::put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
 
 /// Zig-zag: small magnitudes of either sign become small unsigned numbers.
 fn zigzag(d: i64) -> u64 {
@@ -310,7 +333,10 @@ fn unzigzag(z: u64) -> i64 {
 /// * all `Int` → `count` zig-zag varints, each the wrapping difference
 ///   from the value above it (the first from 0);
 /// * all `Str` → runs `[run: varint] [len: varint] [bytes]` of equal
-///   neighbours;
+///   neighbours (kind 1), or, when that is smaller and the column holds at
+///   most 127 distinct strings, a dictionary (kind 3): `[entries: varint]`,
+///   each entry `[len: varint] [bytes]`, then runs `[run: varint] [index:
+///   varint]`;
 /// * otherwise → runs `[run: varint] [encode_value]`, where only NULLs are
 ///   gathered into runs longer than 1.
 ///
@@ -335,17 +361,7 @@ pub fn encode_columns(w: &mut Writer, rows: &[Row]) {
                 prev = i;
             }
         } else if column().all(|v| matches!(v, Value::Str(_))) {
-            w.put_u8(COL_STR);
-            let mut strs = column().filter_map(Value::as_str).peekable();
-            while let Some(s) = strs.next() {
-                let mut run = 1u64;
-                while strs.next_if(|next| *next == s).is_some() {
-                    run += 1;
-                }
-                w.put_varint(run);
-                w.put_varint(s.len() as u64);
-                w.put_raw(s.as_bytes());
-            }
+            encode_strs(w, column().filter_map(Value::as_str));
         } else {
             w.put_u8(COL_ANY);
             let mut values = column().peekable();
@@ -361,12 +377,122 @@ pub fn encode_columns(w: &mut Writer, rows: &[Row]) {
     }
 }
 
+/// Encodes an all-`Str` column. One pass over its runs looks each run up
+/// once in the column's dictionary and counts the bytes kind 1 would take;
+/// kind 3 is written when that pass met at most [`MAX_DICT_ENTRIES`]
+/// distinct strings and the dictionary is smaller, and kind 1, in a pass of
+/// its own, otherwise.
+fn encode_strs<'s>(w: &mut Writer, strs: impl Iterator<Item = &'s str> + Clone) {
+    let mut entries: Vec<&str> = Vec::new();
+    let mut slots = [0u8; DICT_SLOTS];
+    let mut runs: Vec<(u64, u8)> = Vec::new();
+    // Kind 1's bytes but the run lengths, which both kinds write alike.
+    let mut as_runs = 0;
+    let mut column = strs.clone().peekable();
+    while let Some(s) = column.next() {
+        let mut run = 1u64;
+        while column.next_if(|next| *next == s).is_some() {
+            run += 1;
+        }
+        as_runs += varint_len(s.len() as u64) + s.len();
+        match dictionary_index(&mut slots, &mut entries, s) {
+            Some(index) => runs.push((run, index)),
+            None => return encode_str_runs(w, strs),
+        }
+    }
+    // Kind 3's bytes but the run lengths: the entry count, the entries,
+    // and an index byte per run.
+    let as_dictionary = 1
+        + entries
+            .iter()
+            .map(|e| varint_len(e.len() as u64) + e.len())
+            .sum::<usize>()
+        + runs.len();
+    if as_dictionary >= as_runs {
+        return encode_str_runs(w, strs);
+    }
+    w.put_u8(COL_DICT);
+    w.put_u8(entries.len() as u8);
+    for e in &entries {
+        w.put_varint(e.len() as u64);
+        w.put_raw(e.as_bytes());
+    }
+    for (run, index) in runs {
+        w.put_varint(run);
+        w.put_u8(index);
+    }
+}
+
+/// Encodes an all-`Str` column as kind 1: its runs of equal strings.
+fn encode_str_runs<'s>(w: &mut Writer, strs: impl Iterator<Item = &'s str>) {
+    w.put_u8(COL_STR);
+    let mut strs = strs.peekable();
+    while let Some(s) = strs.next() {
+        let mut run = 1u64;
+        while strs.next_if(|next| *next == s).is_some() {
+            run += 1;
+        }
+        w.put_varint(run);
+        w.put_varint(s.len() as u64);
+        w.put_raw(s.as_bytes());
+    }
+}
+
+/// The index of `s` among a column's dictionary `entries`, which it joins
+/// when it is new and the dictionary has room; `None` when it is new and
+/// the dictionary is full. `slots` finds it: an open-addressed table of
+/// entry index + 1 (0 is empty) by a hash of the bytes, each candidate
+/// compared by pointer first, then by bytes. At most half its slots fill,
+/// so a probe soon meets an empty one; strings crafted to collide cost a
+/// scan of at most [`MAX_DICT_ENTRIES`] entries, as a linear search would.
+fn dictionary_index<'s>(
+    slots: &mut [u8; DICT_SLOTS],
+    entries: &mut Vec<&'s str>,
+    s: &'s str,
+) -> Option<u8> {
+    let mut slot = slot_of(s);
+    loop {
+        let at = slots.get_mut(slot % DICT_SLOTS)?;
+        match *at {
+            0 if entries.len() < MAX_DICT_ENTRIES => {
+                entries.push(s);
+                *at = entries.len() as u8;
+                return Some(*at - 1);
+            }
+            0 => return None,
+            i => match entries.get(usize::from(i - 1)) {
+                Some(e) if std::ptr::eq(*e, s) || *e == s => return Some(i - 1),
+                _ => slot += 1,
+            },
+        }
+    }
+}
+
+/// `s`'s first slot in a dictionary's table: a multiplicative hash of its
+/// length and its bytes, eight at a time, whose top eight bits pick one of
+/// the [`DICT_SLOTS`].
+fn slot_of(s: &str) -> usize {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = (s.len() as u64).wrapping_mul(K);
+    for chunk in s.as_bytes().chunks(8) {
+        let word = match <[u8; 8]>::try_from(chunk) {
+            Ok(word) => u64::from_le_bytes(word),
+            Err(_) => chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)),
+        };
+        h = (h ^ word).wrapping_mul(K);
+    }
+    (h >> 56) as usize
+}
+
 /// Decodes a column block written by [`encode_columns`]. Total: a count
 /// above [`MAX_BLOCK_ROWS`], `count × arity` above [`MAX_BLOCK_VALUES`], an
 /// arity the remaining bytes cannot hold (a column costs at least its kind
 /// byte), an empty or overlong run, an unknown kind, an overflowing varint
 /// or invalid UTF-8 are errors, all found before the allocation they would
-/// size. The strings of one run share one `Arc<str>`.
+/// size; so are a dictionary claiming more entries than bytes left, rows
+/// with an empty dictionary and an index outside the dictionary. The
+/// strings of one run share one `Arc<str>`, and so do the rows of one
+/// dictionary entry.
 pub fn decode_columns(r: &mut Reader) -> Result<Vec<Row>, String> {
     let count = r.get_len()?;
     if count > MAX_BLOCK_ROWS {
@@ -403,10 +529,45 @@ pub fn decode_columns(r: &mut Reader) -> Result<Vec<Row>, String> {
                 Ok(Value::Str(Arc::from(r.get_utf8(len)?)))
             })?,
             COL_ANY => fill_runs(r, &mut rows, decode_value)?,
+            COL_DICT => {
+                let entries = decode_dictionary(r, count)?;
+                fill_runs(r, &mut rows, |r| {
+                    let index = r.get_len()?;
+                    entries.get(index).cloned().ok_or_else(|| {
+                        format!(
+                            "dictionary index {index} outside its {} entries",
+                            entries.len()
+                        )
+                    })
+                })?
+            }
             other => return Err(format!("invalid column kind {other}")),
         }
     }
     Ok(rows)
+}
+
+/// Reads a kind-3 column's dictionary for a block of `count` rows: each
+/// entry's `Arc<str>` is built once, for its rows to clone. An entry costs
+/// at least its length byte, so a count above the bytes left is refused
+/// before the entries are allocated.
+fn decode_dictionary(r: &mut Reader, count: usize) -> Result<Vec<Value>, String> {
+    let n = r.get_len()?;
+    if n > r.remaining() {
+        return Err(format!(
+            "dictionary claims {n} entries in {} bytes",
+            r.remaining()
+        ));
+    }
+    if n == 0 && count > 0 {
+        return Err(format!("{count} row(s) with an empty dictionary"));
+    }
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = r.get_len()?;
+        entries.push(Value::Str(Arc::from(r.get_utf8(len)?)));
+    }
+    Ok(entries)
 }
 
 /// Appends one run-length column to `rows`: `[run: varint] [value]` until
@@ -534,7 +695,8 @@ pub fn encode_table(w: &mut Writer, table: &Table) {
     }
 }
 
-/// Decodes a table written by [`encode_table`] (checkpoint `format` 2), or
+/// Decodes a table written by [`encode_table`] (checkpoint `format` 2 or
+/// 3, which differ only in the column kinds a block may use), or
 /// by format 1 (schema, `u64` period pair, version epoch and append
 /// history — read and dropped — then the rows value by value). Either way
 /// the table is built afresh, so it draws fresh version epochs.
@@ -710,11 +872,127 @@ mod tests {
                 let mut w = Writer::new();
                 w.put_varint(v);
                 let bytes = w.into_bytes();
-                prop_assert!(bytes.len() <= 10);
+                prop_assert_eq!(bytes.len(), varint_len(v));
                 let mut r = Reader::new(&bytes);
                 prop_assert_eq!(r.get_varint().unwrap(), v);
                 prop_assert!(r.is_empty());
             }
+        }
+
+        /// String columns drawn from a small alphabet (few distinct
+        /// strings: a dictionary) and from a large one (many: runs), each
+        /// string a shared or a fresh `Arc`, beside an `Int` column and a
+        /// column of strings and NULLs: each all-`Str` column is written
+        /// in the kind the layouts' sizes call for, the block comes back
+        /// as it went in, and the rows of one dictionary entry share one
+        /// `Arc`.
+        #[test]
+        fn prop_string_columns_take_the_smaller_kind_and_round_trip(
+            count in 1usize..300,
+            small in 1usize..8,
+            large in 60usize..400,
+            cells in proptest::collection::vec((0usize..1000, 0usize..1000, 0u8..2), 300),
+        ) {
+            let pool = |n: usize| -> Vec<Value> {
+                let stems = ["", "a", "žluť", "object_type_"];
+                (0..n).map(|k| Value::str(format!("{}{k}", stems[k % 4]))).collect()
+            };
+            let (small_pool, large_pool) = (pool(small), pool(large));
+            let pick = |pool: &[Value], k: usize, shared: u8| {
+                let v = &pool[k % pool.len()];
+                if shared == 1 { v.clone() } else { Value::str(v.as_str().unwrap_or("")) }
+            };
+            let rows: Vec<Row> = cells[..count]
+                .iter()
+                .map(|&(a, b, shared)| {
+                    let mixed = if b % 3 == 0 { Value::Null } else { pick(&small_pool, b, shared) };
+                    Row::new(vec![
+                        pick(&small_pool, a, shared),
+                        Value::Int(a as i64 - 500),
+                        mixed,
+                        pick(&large_pool, a * 7 + b, shared),
+                    ])
+                })
+                .collect();
+            prop_assert_eq!(&decoded_columns(&encoded_columns(&rows)).unwrap(), &rows);
+            for c in [0, 3] {
+                let column: Vec<Row> = rows.iter().map(|r| Row::new(vec![r.get(c).clone()])).collect();
+                let strs: Vec<&str> = column.iter().filter_map(|r| r.get(0).as_str()).collect();
+                let bytes = encoded_columns(&column);
+                let kind = bytes[varint_len(count as u64) + 1];
+                prop_assert_eq!(kind, expected_str_kind(&strs), "column {}", c);
+                let back = decoded_columns(&bytes).unwrap();
+                prop_assert_eq!(&back, &column);
+                if kind == COL_DICT {
+                    let mut first: Vec<(&str, &Arc<str>)> = Vec::new();
+                    for row in &back {
+                        let Value::Str(arc) = row.get(0) else { unreachable!() };
+                        match first.iter().find(|(s, _)| **s == **arc) {
+                            Some((_, seen)) => prop_assert!(Arc::ptr_eq(seen, arc)),
+                            None => first.push((arc, arc)),
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A valid dictionary block with one field edited — an entry count
+        /// past the bytes left, an index outside the entries, a run of 0
+        /// or past the rows, an entry of invalid UTF-8, rows with an empty
+        /// dictionary — is refused, before any allocation past the block
+        /// ceilings.
+        #[test]
+        fn prop_edited_dictionary_blocks_are_refused(
+            n in 2usize..6,
+            picks in proptest::collection::vec(0usize..6, 4..120),
+            edit in 0usize..6,
+            big in 0usize..6,
+        ) {
+            let names: Vec<String> = (0..n).map(|k| format!("status_{k}")).collect();
+            let strs: Vec<&str> = picks.iter().map(|&k| names[k % n].as_str()).collect();
+            let runs: Vec<(u64, u64)> = strs
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run.len() as u64, names.iter().position(|e| e == run[0]).unwrap() as u64))
+                .collect();
+            let entries: Vec<Vec<u8>> = names.iter().map(|e| e.clone().into_bytes()).collect();
+            let count = strs.len() as u64;
+            let valid = dict_block(count, n as u64, &entries, &runs);
+            let want: Vec<Row> = strs.iter().map(|s| row![*s]).collect();
+            prop_assert_eq!(decoded_columns(&valid).unwrap(), want);
+
+            let big = [1, 2, 127, 1 << 16, 1 << 22, u64::MAX][big];
+            let (mut entries, mut runs) = (entries, runs);
+            let (edited, refusal) = match edit {
+                0 => {
+                    let n = (valid.len() as u64).saturating_add(big);
+                    (dict_block(count, n, &entries, &runs), "dictionary claims")
+                }
+                1 => {
+                    runs[0].1 = (n as u64).saturating_add(big - 1);
+                    (dict_block(count, n as u64, &entries, &runs), "dictionary index")
+                }
+                2 => {
+                    runs[0].0 = 0;
+                    (dict_block(count, n as u64, &entries, &runs), "run of 0")
+                }
+                3 => {
+                    runs[0].0 = count.saturating_add(big);
+                    (dict_block(count, n as u64, &entries, &runs), "row(s) left")
+                }
+                4 => {
+                    entries[0][0] = 0xFF;
+                    (dict_block(count, n as u64, &entries, &runs), "UTF-8")
+                }
+                _ => (dict_block(count, 0, &[], &runs), "empty dictionary"),
+            };
+            let (decoded, largest) = crate::test_alloc::largest_allocation(|| {
+                decode_columns(&mut Reader::new(&edited))
+            });
+            let err = decoded.unwrap_err();
+            prop_assert!(err.contains(refusal), "edit {}: {}", edit, err);
+            let bound = (edited.len() * std::mem::size_of::<Value>())
+                .max(MAX_BLOCK_ROWS * std::mem::size_of::<Row>());
+            prop_assert!(largest <= bound, "allocated {} bytes for {}", largest, edited.len());
         }
 
         /// Garbage never panics the block decoder, whatever it claims.
@@ -724,6 +1002,91 @@ mod tests {
         ) {
             let _ = decode_columns(&mut Reader::new(&bytes));
         }
+    }
+
+    /// The kind [`encode_columns`] must write for an all-`Str` column,
+    /// from the two layouts' sizes: kind 3 when the dictionary has at most
+    /// [`MAX_DICT_ENTRIES`] entries and is smaller than kind 1's runs.
+    fn expected_str_kind(strs: &[&str]) -> u8 {
+        let len = |v: usize| varint_len(v as u64);
+        let runs: Vec<(usize, &str)> = strs
+            .chunk_by(|a, b| a == b)
+            .map(|r| (r.len(), r[0]))
+            .collect();
+        let mut entries: Vec<&str> = Vec::new();
+        for &(_, s) in &runs {
+            if !entries.contains(&s) {
+                entries.push(s);
+            }
+        }
+        let as_runs: usize = runs
+            .iter()
+            .map(|&(n, s)| len(n) + len(s.len()) + s.len())
+            .sum();
+        let as_dict = len(entries.len())
+            + entries
+                .iter()
+                .map(|e| len(e.len()) + e.len())
+                .sum::<usize>()
+            + runs.iter().map(|&(n, _)| len(n) + 1).sum::<usize>();
+        if entries.len() <= MAX_DICT_ENTRIES && as_dict < as_runs {
+            COL_DICT
+        } else {
+            COL_STR
+        }
+    }
+
+    /// A one-column dictionary block from its fields: `count` rows, an
+    /// entry count of `n`, the `entries`, and the `(run, index)` runs.
+    fn dict_block(count: u64, n: u64, entries: &[Vec<u8>], runs: &[(u64, u64)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(count);
+        w.put_varint(1);
+        w.put_u8(COL_DICT);
+        w.put_varint(n);
+        for e in entries {
+            w.put_varint(e.len() as u64);
+            w.put_raw(e);
+        }
+        for &(run, index) in runs {
+            w.put_varint(run);
+            w.put_varint(index);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_dictionary_is_written_when_smaller_and_within_its_cap() {
+        // 256 rows of a status that changes every row: a dictionary of four
+        // entries and one-byte runs and indexes.
+        let statuses = ["draft", "active", "deprecated", "retired"];
+        let rows: Vec<Row> = (0..256).map(|i| row![statuses[i * 3 % 4]]).collect();
+        let bytes = encoded_columns(&rows);
+        // count (2) + arity + kind + entries + 4 × (len, bytes) + 256 × (run, index)
+        assert_eq!(bytes.len(), 2 + 1 + 1 + 1 + (4 + 5 + 6 + 10 + 7) + 256 * 2);
+        assert_eq!(bytes[3], COL_DICT);
+        assert_eq!(decoded_columns(&bytes).unwrap(), rows);
+        // 127 distinct strings, each twice apart: a dictionary; 128: runs.
+        for (distinct, kind) in [(127, COL_DICT), (128, COL_STR)] {
+            let rows: Vec<Row> = (0..2 * distinct)
+                .map(|i| row![format!("entity_type_def_{}", i % distinct)])
+                .collect();
+            let bytes = encoded_columns(&rows);
+            assert_eq!(bytes[3], kind, "{distinct} distinct strings");
+            assert_eq!(decoded_columns(&bytes).unwrap(), rows);
+        }
+        // Equal sizes keep kind 1: runs of 100, 100, 56 cost 3 × (1 + 1 + 3)
+        // either way (1 + 2 × (1 + 3) + 3 × (1 + 1) as a dictionary).
+        let rows: Vec<Row> = (0..256)
+            .map(|i| row![["Ann", "Joe"][i / 100 % 2]])
+            .collect();
+        let bytes = encoded_columns(&rows);
+        assert_eq!((bytes[3], bytes.len()), (COL_STR, 4 + 15));
+        // Empty strings are entries like any other.
+        let rows: Vec<Row> = (0..40).map(|i| row![["", "x", "yy"][i % 3]]).collect();
+        let bytes = encoded_columns(&rows);
+        assert_eq!(bytes[2], COL_DICT);
+        assert_eq!(decoded_columns(&bytes).unwrap(), rows);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! parses SQL, it only stores and returns statement text, so recovery runs
 //! through the exact same parse → bind → execute pipeline as live traffic.
 
-// `deny`, not `forbid`: the checkpoint tests' tracking allocator allows it.
+// `deny`, not `forbid`: the unit tests' tracking allocator allows it.
 #![deny(unsafe_code)]
 
 pub mod checkpoint;
@@ -81,5 +81,60 @@ pub(crate) mod test_dir {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
+    }
+}
+
+/// The unit tests' global allocator: it tracks the largest single
+/// allocation each thread asks for, so a fuzz test can bound what corrupt
+/// bytes make a decoder allocate.
+#[cfg(test)]
+pub(crate) mod test_alloc {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    struct Tracking;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+    }
+
+    #[allow(unsafe_code)]
+    // SAFETY: every call forwards to `System` unchanged; `note` only
+    // touches a const-initialised thread-local `Cell`, which never
+    // allocates.
+    unsafe impl GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Tracking = Tracking;
+
+    /// Runs `f`, returning what it returns and the largest single
+    /// allocation it made on this thread.
+    pub(crate) fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|m| m.set(0));
+        let out = f();
+        (out, LARGEST.with(Cell::get))
     }
 }

@@ -32,6 +32,8 @@ pub struct CheckpointReport {
     pub elapsed: Duration,
     /// The latency of the WAL `fsync` it forced, if the log was dirty.
     pub fsync: Option<Duration>,
+    /// The length of the checkpoint file written.
+    pub bytes: u64,
 }
 
 /// Durability configuration.
@@ -298,7 +300,10 @@ impl Persistence {
         let covered_lsn = self.next_lsn - 1;
         // Returns once the rename is durable (the directory is fsynced): on
         // an error the WAL is left whole and stays the recovery source.
-        checkpoint::write_checkpoint(&self.dir, seq, covered_lsn, catalog)?;
+        let path = checkpoint::write_checkpoint(&self.dir, seq, covered_lsn, catalog)?;
+        // The file is durable by now: a failure to read its length only
+        // leaves it uncounted.
+        let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
         self.next_checkpoint_seq = seq + 1;
         self.since_checkpoint = 0;
         // Known-invalid checkpoints are superseded now; remove them so
@@ -320,6 +325,7 @@ impl Persistence {
             seq,
             elapsed: started.elapsed(),
             fsync,
+            bytes,
         })
     }
 }

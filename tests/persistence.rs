@@ -943,6 +943,99 @@ fn a_checkpoint_saved_at_the_last_epoch_loads_under_fresh_epochs() {
     assert_eq!(newest_checkpoint_format(&dir), FORMAT_VERSION);
 }
 
+/// The files of `dir` but its lock, by name, with their bytes.
+fn directory_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name() != "lock")
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A directory whose one checkpoint is in format 2
+/// (`tests/fixtures/ckpt_v2`, see its README) opens to the state of its
+/// script, is rewritten as format 3 — smaller, since its type and status
+/// columns become dictionaries — and a second open changes nothing.
+#[test]
+fn a_format_2_directory_opens_to_its_state_and_is_rewritten_once() {
+    let dir = copy_fixture("ckpt_v2");
+    let v2 = read_checkpoint(&checkpoint_path(&dir, 1)).unwrap();
+    assert_eq!(v2.format, 2);
+    let v2_len = std::fs::metadata(checkpoint_path(&dir, 1)).unwrap().len();
+    let statements = script_statements("tests/fixtures/ckpt_v2.sql");
+    let statements: Vec<&str> = statements.iter().map(String::as_str).collect();
+    let want = reference_catalog(&statements);
+    {
+        let (mut s, report) = open(&dir, 0);
+        assert_eq!((report.checkpoint_seq, report.replayed), (Some(1), 0));
+        assert_catalogs_equal(s.read_view().catalog(), &want, "format-2 open");
+        assert_indexes_sound(&mut s, "format-2 open");
+    }
+    assert_eq!(list_checkpoints(&dir), vec![1, 2]);
+    assert_eq!(newest_checkpoint_format(&dir), FORMAT_VERSION);
+    let v3_len = std::fs::metadata(checkpoint_path(&dir, 2)).unwrap().len();
+    assert!(
+        v3_len < v2_len,
+        "format 3 {v3_len} bytes, format 2 {v2_len}"
+    );
+    let upgraded = directory_files(&dir);
+    let (s, report) = open(&dir, 0);
+    assert_eq!((report.checkpoint_seq, report.replayed), (Some(2), 0));
+    assert_catalogs_equal(s.read_view().catalog(), &want, "second open");
+    assert!(
+        directory_files(&dir) == upgraded,
+        "the second open rewrote files"
+    );
+}
+
+/// `wal_checkpoint_bytes_total` adds up the checkpoint files written. On
+/// a registry-shaped table — two low-cardinality `TEXT` columns whose
+/// strings recur away from their equal neighbours — a row costs under 12
+/// checkpoint bytes, because those columns are stored as dictionaries.
+#[test]
+fn checkpoint_bytes_are_counted_as_the_files_written() {
+    let dir = ScratchDir::new("persistence_checkpoint_bytes");
+    let (mut s, _) = open(&dir, 0);
+    s.execute(
+        "CREATE TABLE registry (id INT, object_type TEXT, status TEXT, ts INT, te INT) \
+         PERIOD (ts, te)",
+    )
+    .unwrap();
+    let types = [
+        "attribute_def",
+        "entity_type_def",
+        "verb_contract",
+        "view_def",
+    ];
+    let statuses = ["draft", "active", "deprecated", "retired"];
+    let rows = 1_000;
+    let values: Vec<String> = (0..rows)
+        .map(|i| {
+            let (t, st) = (types[i % 4], statuses[i * 7 / 3 % 4]);
+            format!("({i}, '{t}', '{st}', {}, {})", i % 50, i % 50 + 1 + i % 7)
+        })
+        .collect();
+    s.execute(&format!(
+        "INSERT INTO registry VALUES {}",
+        values.join(", ")
+    ))
+    .unwrap();
+    s.checkpoint().unwrap();
+    let size = |seq| std::fs::metadata(checkpoint_path(&dir, seq)).unwrap().len();
+    assert_eq!(counter(&s, "wal_checkpoint_bytes_total"), size(1));
+    assert!(size(1) < 12 * rows as u64, "{} bytes", size(1));
+    s.execute("UPDATE registry SET status = 'retired' WHERE id < 10")
+        .unwrap();
+    s.checkpoint().unwrap();
+    assert_eq!(counter(&s, "wal_checkpoint_bytes_total"), size(1) + size(2));
+}
+
 /// A table 20 000 columns wide is stored in blocks of fewer than 256 rows
 /// (a 256-row block of it would hold more values than a block may), so it
 /// survives its checkpoint and a restart.
