@@ -47,7 +47,7 @@ impl PointwiseOracle {
                     continue;
                 };
                 let mut snap = Table::new(table.schema().clone());
-                for row in table.rows() {
+                for row in table.iter() {
                     if row.int(b) <= t.value() && t.value() < row.int(e) {
                         snap.push(row.clone());
                     }

@@ -20,6 +20,13 @@ impl Columns for Row {
     }
 }
 
+impl<C: Columns + ?Sized> Columns for &C {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        (**self).col(i)
+    }
+}
+
 /// A join candidate `(left, right)` viewed as `left ++ right` without
 /// building it: column `i` is `left[i]`, or `right[i - left.arity()]`.
 #[derive(Debug, Clone, Copy)]

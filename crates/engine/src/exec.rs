@@ -2,6 +2,7 @@
 
 use crate::coalesce::try_coalesce_rows;
 use crate::eval::{conjuncts, eval_expr, Pair, Prepared};
+use crate::hash::{key_hash, seed, PrehashedMap};
 use crate::sliding::SlidingAgg;
 use crate::split::split_rows;
 use crate::temporal::{
@@ -10,10 +11,8 @@ use crate::temporal::{
 use algebra::{BinOp, Expr, JoinAlgo, Plan, PlanNode};
 use index::{try_sweep_join_presorted, IndexCatalog, TableIndex};
 use snapshot_obs::{self as obs, StatementError};
-use std::borrow::Cow;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
-use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::{Catalog, Row, Table, Value};
@@ -246,29 +245,133 @@ pub struct Engine {
     ctx: ExecContext,
 }
 
-/// Rows handed up the plan: a scan lends the catalog's (or the plan's)
-/// slice, every other operator owns what it built. Read-only consumers
-/// take the slice; consuming ones call `into_owned` (or [`retain`]).
-type Rows<'a> = Cow<'a, [Row]>;
+/// Rows handed up the plan: a scan lends the catalog's rows, every other
+/// operator owns what it built, except that a stab or a filter lends what
+/// its input lent. Read-only consumers take the rows through
+/// [`with_rows!`] (or [`Rows::iter`]); consuming ones call
+/// [`Rows::into_owned`] (or [`retain`]).
+enum Rows<'a> {
+    /// One slice: a table without sealed blocks, or a plan's `Values`.
+    Slice(&'a [Row]),
+    /// References in table order: a sealed table, a stab's hits, a
+    /// filter's survivors among lent rows.
+    Lent(Vec<&'a Row>),
+    Owned(Vec<Row>),
+}
 
-/// The rows of `rows` that satisfy `keep`: moved when owned, cloned — the
-/// survivors only — when lent.
-fn retain(
-    mut rows: Rows<'_>,
-    ctx: &ExecContext,
-    mut keep: impl FnMut(&Row) -> bool,
-) -> Result<Vec<Row>, StatementError> {
-    let mut out = Vec::new();
-    for n in 0..rows.len() {
-        ctx.row_considered(n + 1)?;
-        if keep(&rows[n]) {
-            out.push(match &mut rows {
-                Cow::Borrowed(lent) => lent[n].clone(),
-                Cow::Owned(own) => std::mem::take(&mut own[n]),
-            });
+/// The rows of a [`Rows`] as a slice of `Row`s or of `&Row`s, without
+/// re-referencing an owned input.
+enum View<'s> {
+    Rows(&'s [Row]),
+    Refs(&'s [&'s Row]),
+}
+
+/// `$body` with `$rows` bound to the rows of the [`Rows`] `$input` as a
+/// slice of `Row`s or of `&Row`s, whichever it holds: the kernels are
+/// generic over [`Borrow<Row>`], so each runs over either.
+macro_rules! with_rows {
+    ($input:expr, |$rows:ident| $body:expr) => {
+        match $input.view() {
+            View::Rows($rows) => $body,
+            View::Refs($rows) => $body,
+        }
+    };
+}
+
+impl<'a> Rows<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Slice(rows) => rows.len(),
+            Rows::Lent(rows) => rows.len(),
+            Rows::Owned(rows) => rows.len(),
         }
     }
-    Ok(out)
+
+    fn view(&self) -> View<'_> {
+        match self {
+            Rows::Slice(rows) => View::Rows(rows),
+            Rows::Lent(rows) => View::Refs(rows),
+            Rows::Owned(rows) => View::Rows(rows),
+        }
+    }
+
+    /// The rows in order.
+    fn iter(&self) -> impl Iterator<Item = &Row> {
+        let (rows, refs): (&[Row], &[&Row]) = match self.view() {
+            View::Rows(rows) => (rows, &[]),
+            View::Refs(refs) => (&[], refs),
+        };
+        rows.iter().chain(refs.iter().copied())
+    }
+
+    /// The rows, cloned where lent.
+    fn into_owned(self) -> Vec<Row> {
+        match self {
+            Rows::Slice(rows) => rows.to_vec(),
+            Rows::Lent(rows) => rows.into_iter().cloned().collect(),
+            Rows::Owned(rows) => rows,
+        }
+    }
+}
+
+impl From<Vec<Row>> for Rows<'_> {
+    fn from(rows: Vec<Row>) -> Self {
+        Rows::Owned(rows)
+    }
+}
+
+impl FromIterator<Row> for Rows<'_> {
+    fn from_iter<I: IntoIterator<Item = Row>>(rows: I) -> Self {
+        Rows::Owned(rows.into_iter().collect())
+    }
+}
+
+/// What a node hands up, counted as rows (a join's: matched pairs).
+trait Produced {
+    fn count(&self) -> usize;
+}
+
+impl Produced for Rows<'_> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+}
+
+impl<T> Produced for Vec<T> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+}
+
+/// The rows of `rows` that satisfy `keep`: moved when owned, lent — the
+/// survivors only — when lent.
+fn retain<'a>(
+    rows: Rows<'a>,
+    ctx: &ExecContext,
+    mut keep: impl FnMut(&Row) -> bool,
+) -> Result<Rows<'a>, StatementError> {
+    let (slice, refs) = match rows {
+        Rows::Owned(rows) => {
+            let mut out = Vec::new();
+            for (n, row) in rows.into_iter().enumerate() {
+                ctx.row_considered(n + 1)?;
+                if keep(&row) {
+                    out.push(row);
+                }
+            }
+            return Ok(Rows::Owned(out));
+        }
+        Rows::Slice(rows) => (rows, Vec::new()),
+        Rows::Lent(refs) => (&[][..], refs),
+    };
+    let mut out = Vec::new();
+    for (n, row) in slice.iter().chain(refs).enumerate() {
+        ctx.row_considered(n + 1)?;
+        if keep(row) {
+            out.push(row);
+        }
+    }
+    Ok(Rows::Lent(out))
 }
 
 /// What one execution runs against and reports into; `run` threads a
@@ -333,7 +436,7 @@ impl Engine {
             stats,
             nodes,
         };
-        let rows = self.run(plan, env).map(Cow::into_owned);
+        let rows = self.run(plan, env).map(Rows::into_owned);
         let mut table = Table::new(plan.schema.clone());
         table.extend(rows?);
         Ok(table)
@@ -343,14 +446,14 @@ impl Engine {
     /// error that stopped it, which counts only the call and time in
     /// [`NodeStats`]; then re-checks so a budget trips at the node that
     /// crossed it.
-    fn leave<T: Deref<Target = [E]>, E>(
+    fn leave<T: Produced>(
         &self,
         plan: &Plan,
         env: &mut ExecEnv<'_>,
         started: Instant,
         out: Result<T, StatementError>,
     ) -> Result<T, StatementError> {
-        let rows = out.as_ref().map_or(0, |out| out.len());
+        let rows = out.as_ref().map_or(0, Produced::count);
         env.nodes.record(plan, rows, started.elapsed());
         let out = out?;
         env.stats.record(op_name(&plan.node), rows);
@@ -376,7 +479,7 @@ impl Engine {
     /// `plan`'s node: `eval` ([`Engine::eval`], or [`Engine::lent`] for an
     /// operator that reads its input's rows as references), timed from
     /// its start to [`Engine::leave`].
-    fn node<'a, T: Deref<Target = [E]>, E>(
+    fn node<'a, T: Produced>(
         &self,
         plan: &'a Plan,
         env: &mut ExecEnv<'a>,
@@ -390,9 +493,7 @@ impl Engine {
     /// `plan`'s own operator over its inputs' rows.
     fn eval<'a>(&self, plan: &'a Plan, env: &mut ExecEnv<'a>) -> Result<Rows<'a>, StatementError> {
         if lent_stab(plan, env)?.is_some() {
-            // Nothing above lends: own the survivors.
-            let rows = self.lent(plan, env)?;
-            return Ok(rows.into_iter().cloned().collect::<Vec<_>>().into());
+            return Ok(Rows::Lent(self.lent(plan, env)?));
         }
         Ok(match &plan.node {
             PlanNode::Scan { table } => {
@@ -405,28 +506,24 @@ impl Engine {
                     )
                     .into());
                 }
-                Cow::Borrowed(t.rows())
+                match t.as_slice() {
+                    Some(rows) => Rows::Slice(rows),
+                    None => Rows::Lent(t.iter().collect()),
+                }
             }
             PlanNode::VirtualScan { table } => {
                 let obs = self.ctx.obs.as_deref().ok_or("no database to introspect")?;
                 crate::vtab::virtual_table_rows(table, env.catalog, env.indexes, obs)?.into()
             }
-            PlanNode::Values { rows } => Cow::Borrowed(&rows[..]),
+            PlanNode::Values { rows } => Rows::Slice(rows),
             PlanNode::Filter { input, predicate } => {
                 let predicate = Prepared::new(predicate);
-                retain(self.run(input, env)?, &self.ctx, |r| predicate.holds(r))?.into()
+                retain(self.run(input, env)?, &self.ctx, |r| predicate.holds(r))?
             }
             PlanNode::Project { input, exprs } => {
                 let exprs: Vec<Prepared> = exprs.iter().map(Prepared::new).collect();
                 let row = |r: &Row| exprs.iter().map(|e| e.value(r)).collect();
-                if lent_stab(input, env)?.is_some() {
-                    self.node(input, env, Self::lent)?
-                        .into_iter()
-                        .map(row)
-                        .collect()
-                } else {
-                    self.run(input, env)?.iter().map(row).collect()
-                }
+                self.run(input, env)?.iter().map(row).collect()
             }
             PlanNode::Join {
                 left,
@@ -440,8 +537,11 @@ impl Engine {
                 // A surviving pair allocates once: its output row.
                 let output: Vec<Prepared> = output.iter().map(Prepared::new).collect();
                 let row = |pair: Pair| Some(output.iter().map(|e| e.value(&pair)).collect::<Row>());
-                self.join((left, &l), (right, &r), condition, *algo, env, row)?
-                    .into()
+                let (plans, algo) = ((&**left, &**right), *algo);
+                with_rows!(l, |l| with_rows!(r, |r| {
+                    self.join(plans, (l, r), condition, algo, env, row)
+                }))?
+                .into()
             }
             PlanNode::Union { left, right } => {
                 let mut l = self.run(left, env)?.into_owned();
@@ -451,7 +551,7 @@ impl Engine {
             PlanNode::ExceptAll { left, right } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                except_all(l, &r, &self.ctx)?.into()
+                with_rows!(r, |r| except_all(l, r, &self.ctx))?
             }
             PlanNode::Aggregate {
                 input,
@@ -460,7 +560,10 @@ impl Engine {
             } => {
                 let input_rows = self.run(input, env)?;
                 let arg_types = agg_arg_types(aggs, &input.schema)?;
-                hash_aggregate(&input_rows, group_cols, aggs, &arg_types, &self.ctx)?.into()
+                with_rows!(input_rows, |rows| {
+                    hash_aggregate(rows, group_cols, aggs, &arg_types, &self.ctx)
+                })?
+                .into()
             }
             PlanNode::Distinct { input } => {
                 let input_rows = self.run(input, env)?;
@@ -490,12 +593,10 @@ impl Engine {
             PlanNode::Timeslice { input, at } => {
                 let at = *at;
                 self.period_filter(input, env, "NaiveTimeslice", |ts, te| ts <= at && at < te)?
-                    .into()
             }
             PlanNode::TimeRange { input, range } => {
                 let (b, e) = *range;
                 self.period_filter(input, env, "NaiveTimeRange", |ts, te| ts < e && b < te)?
-                    .into()
             }
             PlanNode::Split {
                 left,
@@ -504,7 +605,11 @@ impl Engine {
             } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                split_rows(&l, &r, group_cols, left.schema.arity()).into()
+                let arity = left.schema.arity();
+                with_rows!(l, |l| with_rows!(r, |r| {
+                    split_rows(l, r, group_cols, arity)
+                }))
+                .into()
             }
             PlanNode::TemporalAggregate {
                 input,
@@ -514,15 +619,9 @@ impl Engine {
                 domain,
             } => {
                 let arg_types = agg_arg_types(aggs, &input.schema)?;
+                let spec = (&group_cols[..], &aggs[..], &arg_types[..]);
                 let (gap, check) = (*add_gap_neutral, || self.ctx.check());
-                if let PlanNode::Join {
-                    left,
-                    right,
-                    condition,
-                    algo,
-                    output,
-                } = &input.node
-                {
+                if let PlanNode::Join { left, right, .. } = &input.node {
                     // The aggregate reads the matched pairs; the join is
                     // still a node, but builds no row.
                     let started = Instant::now();
@@ -530,25 +629,35 @@ impl Engine {
                         .ctx
                         .check()
                         .and_then(|()| Ok((self.run(left, env)?, self.run(right, env)?)));
-                    let pairs = sides.as_ref().map_err(Clone::clone).and_then(|(l, r)| {
-                        self.join((left, l), (right, r), condition, *algo, env, Some)
-                    });
-                    let pairs = self.leave(input, env, started, pairs)?;
-                    let spec = (&group_cols[..], &aggs[..], &arg_types[..]);
-                    temporal_aggregate_over(&pairs, output, spec, gap, *domain, check)?.into()
+                    let (l, r) = match sides {
+                        Ok(sides) => sides,
+                        Err(e) => return self.leave(input, env, started, Err(e)).map(Rows::Owned),
+                    };
+                    let over = (gap, *domain, check);
+                    with_rows!(l, |l| with_rows!(r, |r| {
+                        self.aggregate_join(input, (l, r), env, started, spec, over)
+                    }))?
+                    .into()
                 } else {
                     let rows = self.run(input, env)?;
                     let arity = input.schema.arity();
-                    temporal_aggregate(
-                        &rows, arity, group_cols, aggs, &arg_types, gap, *domain, check,
-                    )?
+                    let domain = *domain;
+                    with_rows!(rows, |rows| {
+                        temporal_aggregate(
+                            rows, arity, group_cols, aggs, &arg_types, gap, domain, check,
+                        )
+                    })?
                     .into()
                 }
             }
             PlanNode::TemporalExceptAll { left, right } => {
                 let l = self.run(left, env)?;
                 let r = self.run(right, env)?;
-                temporal_except_all(&l, &r, left.schema.arity(), || self.ctx.check())?.into()
+                let (arity, check) = (left.schema.arity(), || self.ctx.check());
+                with_rows!(l, |l| with_rows!(r, |r| {
+                    temporal_except_all(l, r, arity, check)
+                }))?
+                .into()
             }
         })
     }
@@ -562,7 +671,7 @@ impl Engine {
         env: &mut ExecEnv<'a>,
         op: &'static str,
         keep: impl Fn(i64, i64) -> bool,
-    ) -> Result<Vec<Row>, StatementError> {
+    ) -> Result<Rows<'a>, StatementError> {
         let n = input.schema.arity();
         let rows = retain(self.run(input, env)?, &self.ctx, |r| {
             keep(r.int(n - 2), r.int(n - 1))
@@ -604,18 +713,46 @@ impl Engine {
         };
         self.ctx.account.add_index_probes(1);
         env.stats.record(op, ids.len());
-        let rows = table.rows();
-        Ok(ids.into_iter().map(|id| &rows[id]).collect())
+        Ok(ids.into_iter().map(|id| table.row(id)).collect())
+    }
+
+    /// A `TemporalAggregate` over `join`, a `Join` node whose inputs ran
+    /// into `sides`: the join, timed from `started` as its own node, hands
+    /// the matched pairs to the aggregate, which reads them through the
+    /// join's `output`.
+    #[allow(clippy::type_complexity)]
+    fn aggregate_join<L: Borrow<Row>, R: Borrow<Row>>(
+        &self,
+        join: &Plan,
+        sides: (&[L], &[R]),
+        env: &mut ExecEnv<'_>,
+        started: Instant,
+        spec: (&[usize], &[algebra::AggExpr], &[storage::SqlType]),
+        (gap, domain, check): (bool, (i64, i64), impl FnMut() -> Result<(), StatementError>),
+    ) -> Result<Vec<Row>, StatementError> {
+        let PlanNode::Join {
+            left,
+            right,
+            condition,
+            algo,
+            output,
+        } = &join.node
+        else {
+            unreachable!("only a join's pairs are aggregated")
+        };
+        let pairs = self.join((left, right), sides, condition, *algo, env, Some);
+        let pairs = self.leave(join, env, started, pairs)?;
+        temporal_aggregate_over(&pairs, output, spec, gap, domain, check)
     }
 
     /// Joins two materialized inputs; each side is `(plan, rows)` — the
     /// plan carries the schema and reveals an indexed scan. A pair that
     /// satisfies `condition` yields what `emit` makes of it: the join's
     /// output row, or the pair itself for an aggregate that reads it.
-    fn join<'r, T>(
+    fn join<'r, L: Borrow<Row>, R: Borrow<Row>, T>(
         &self,
-        (left_plan, left): (&Plan, &'r [Row]),
-        (right_plan, right): (&Plan, &'r [Row]),
+        (left_plan, right_plan): (&Plan, &Plan),
+        (left, right): (&'r [L], &'r [R]),
         condition: &Expr,
         algo: JoinAlgo,
         env: &mut ExecEnv<'_>,
@@ -756,11 +893,19 @@ fn lent_stab<'a>(
 /// indexed scan reuses the table's begin-sorted event list (scan output
 /// preserves table row order, so the index row ids address the
 /// materialized rows directly); other inputs are sorted on the fly.
-fn begin_sorted<'r>(rows: &'r [Row], index: Option<&TableIndex>, ts: usize) -> Vec<&'r Row> {
+fn begin_sorted<'r, R: Borrow<Row>>(
+    rows: &'r [R],
+    index: Option<&TableIndex>,
+    ts: usize,
+) -> Vec<&'r Row> {
     match index {
-        Some(idx) => idx.events().begin_order().map(|i| &rows[i]).collect(),
+        Some(idx) => idx
+            .events()
+            .begin_order()
+            .map(|i| rows[i].borrow())
+            .collect(),
         None => {
-            let mut v: Vec<&Row> = rows.iter().collect();
+            let mut v: Vec<&Row> = rows.iter().map(Borrow::borrow).collect();
             v.sort_by_key(|r| r.int(ts));
             v
         }
@@ -848,54 +993,10 @@ fn overlap_pattern(
     (has_l_lt_r && has_r_lt_l).then_some((lts, lte, rts_g - l_arity, rte_g - l_arity))
 }
 
-/// Identity [`Hasher`]: the map's keys already are [`key_hash`] mixes.
-#[derive(Default)]
-struct Prehashed(u64);
-
-impl Hasher for Prehashed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("Prehashed maps are keyed by u64 only")
-    }
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
-
-/// Hashes the key columns of `row` where they sit; `None` for a NULL key,
-/// which never joins. Values equal under SQL comparison hash alike — an
-/// integral `Double` as the `Int` it equals (the cast saturates, so doubles
-/// beyond `i64` merely collide); unequal ones may collide too, but which
-/// ones depends on `seed`, so colliding keys cannot be prepared offline.
-fn key_hash(row: &Row, cols: &[usize], seed: u64) -> Option<u64> {
-    let mut h = seed;
-    // lint:allow(cancellation) bounded by join-key arity
-    for &c in cols {
-        h = match row.get(c) {
-            Value::Null => return None,
-            Value::Bool(b) => h ^ *b as u64,
-            Value::Int(i) => h ^ *i as u64,
-            Value::Double(d) if d.fract() == 0.0 => h ^ *d as i64 as u64,
-            Value::Double(d) => h ^ d.to_bits(),
-            Value::Str(s) => s.bytes().fold(h ^ 0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3) // FNV-1a
-            }),
-        };
-        // splitmix64's finalizer: the map takes bucket and tag bits from
-        // both ends of the word, so every input bit has to reach both.
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-    }
-    Some(h)
-}
-
 /// Every pair of `left` × `right` goes to `matched`.
-fn nested_loop_join<'r, T>(
-    left: &'r [Row],
-    right: &'r [Row],
+fn nested_loop_join<'r, L: Borrow<Row>, R: Borrow<Row>, T>(
+    left: &'r [L],
+    right: &'r [R],
     ctx: &ExecContext,
     matched: impl Fn(&'r Row, &'r Row) -> Option<T>,
 ) -> Result<Vec<T>, StatementError> {
@@ -905,7 +1006,7 @@ fn nested_loop_join<'r, T>(
         for r in right {
             pairs += 1;
             ctx.pair_considered(pairs)?;
-            out.extend(matched(l, r));
+            out.extend(matched(l.borrow(), r.borrow()));
         }
     }
     ctx.pairs_done(pairs);
@@ -916,34 +1017,42 @@ fn nested_loop_join<'r, T>(
 /// nominates candidates: every pair whose key hashes agree goes to
 /// `matched`, which judges the whole condition — the equalities included —
 /// under SQL comparison.
-fn hash_join<'r, T>(
-    left: &'r [Row],
-    right: &'r [Row],
+fn hash_join<'r, L: Borrow<Row>, R: Borrow<Row>, T>(
+    left: &'r [L],
+    right: &'r [R],
     keys: &[(usize, usize)],
     ctx: &ExecContext,
     matched: impl Fn(&'r Row, &'r Row) -> Option<T>,
 ) -> Result<Vec<T>, StatementError> {
     let (l_keys, r_keys): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
     // Build on the smaller side; probe with the larger.
-    let build_left = left.len() <= right.len();
-    let ((build, build_keys), (probe, probe_keys)) = if build_left {
-        ((left, l_keys), (right, r_keys))
+    if left.len() <= right.len() {
+        hash_probe((left, &l_keys), (right, &r_keys), ctx, matched)
     } else {
-        ((right, r_keys), (left, l_keys))
-    };
+        hash_probe((right, &r_keys), (left, &l_keys), ctx, |r, l| matched(l, r))
+    }
+}
 
+/// [`hash_join`] with the hash table on `build`: `matched` takes each
+/// candidate as `(build row, probe row)`.
+fn hash_probe<'r, B: Borrow<Row>, P: Borrow<Row>, T>(
+    (build, build_keys): (&'r [B], &[usize]),
+    (probe, probe_keys): (&'r [P], &[usize]),
+    ctx: &ExecContext,
+    matched: impl Fn(&'r Row, &'r Row) -> Option<T>,
+) -> Result<Vec<T>, StatementError> {
     // `heads[hash]` is the first build row with that hash, `next[row]` the
     // one after it; rows go in last to first, so chains run in input order.
     const END: usize = usize::MAX;
-    let seed = RandomState::new().hash_one(0u64);
-    let mut heads: HashMap<u64, usize, BuildHasherDefault<Prehashed>> =
+    let seed = seed();
+    let mut heads: PrehashedMap<usize> =
         HashMap::with_capacity_and_hasher(build.len(), Default::default());
     let mut next = vec![END; build.len()];
     for (n, row) in build.iter().enumerate().rev() {
         // The build side can be arbitrarily large; poll the token at
         // the same cadence as the probe phase's pair counting.
         ctx.row_considered(build.len() - n)?;
-        if let Some(hash) = key_hash(row, &build_keys, seed) {
+        if let Some(hash) = key_hash(row.borrow(), build_keys, seed) {
             next[n] = heads.insert(hash, n).unwrap_or(END);
         }
     }
@@ -951,18 +1060,15 @@ fn hash_join<'r, T>(
     let mut out = Vec::new();
     let mut pairs = 0u64;
     for row in probe {
-        let Some(hash) = key_hash(row, &probe_keys, seed) else {
+        let row = row.borrow();
+        let Some(hash) = key_hash(row, probe_keys, seed) else {
             continue;
         };
         let mut m = heads.get(&hash).copied().unwrap_or(END);
         while m != END {
             pairs += 1;
             ctx.pair_considered(pairs)?;
-            out.extend(if build_left {
-                matched(&build[m], row)
-            } else {
-                matched(row, &build[m])
-            });
+            out.extend(matched(build[m].borrow(), row));
             m = next[m];
         }
     }
@@ -970,15 +1076,15 @@ fn hash_join<'r, T>(
     Ok(out)
 }
 
-fn except_all(
-    left: Rows<'_>,
-    right: &[Row],
+fn except_all<'a, R: Borrow<Row>>(
+    left: Rows<'a>,
+    right: &[R],
     ctx: &ExecContext,
-) -> Result<Vec<Row>, StatementError> {
+) -> Result<Rows<'a>, StatementError> {
     let mut counts: HashMap<&Row, usize> = HashMap::with_capacity(right.len());
     for (n, r) in right.iter().enumerate() {
         ctx.row_considered(n + 1)?;
-        *counts.entry(r).or_insert(0) += 1;
+        *counts.entry(r.borrow()).or_insert(0) += 1;
     }
     retain(left, ctx, |l| match counts.get_mut(l) {
         Some(c) if *c > 0 => {
@@ -989,8 +1095,8 @@ fn except_all(
     })
 }
 
-fn hash_aggregate(
-    rows: &[Row],
+fn hash_aggregate<R: Borrow<Row>>(
+    rows: &[R],
     group_cols: &[usize],
     aggs: &[algebra::AggExpr],
     arg_types: &[storage::SqlType],
@@ -1005,6 +1111,7 @@ fn hash_aggregate(
     let mut groups: BTreeMap<Vec<Value>, Vec<SlidingAgg>> = BTreeMap::new();
     for (n, r) in rows.iter().enumerate() {
         ctx.row_considered(n + 1)?;
+        let r = r.borrow();
         let key: Vec<Value> = group_cols.iter().map(|&i| r.get(i).clone()).collect();
         let state = groups.entry(key).or_insert_with(new_state);
         for (a, s) in aggs.iter().zip(state.iter_mut()) {

@@ -27,6 +27,7 @@
 pub mod coalesce;
 mod eval;
 mod exec;
+mod hash;
 pub mod sliding;
 pub mod split;
 pub mod temporal;

@@ -7,6 +7,7 @@
 //! difference be evaluated per-interval instead of per-time-point
 //! (Sections 7–8).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use storage::{Row, Value};
 
@@ -14,14 +15,24 @@ use storage::{Row, Value};
 ///
 /// Both inputs carry the period in their last two columns; `group_cols`
 /// are data-column positions meaningful in both schemas (union-compatible
-/// inputs). Returns the refined version of `left`.
-pub fn split_rows(left: &[Row], right: &[Row], group_cols: &[usize], arity: usize) -> Vec<Row> {
+/// inputs). Returns the refined version of `left`. Either side is a slice
+/// of rows or of row references.
+pub fn split_rows<L: Borrow<Row>, R: Borrow<Row>>(
+    left: &[L],
+    right: &[R],
+    group_cols: &[usize],
+    arity: usize,
+) -> Vec<Row> {
     let (ts, te) = (arity - 2, arity - 1);
     let key_of = |r: &Row| -> Vec<Value> { group_cols.iter().map(|&i| r.get(i).clone()).collect() };
 
     // Endpoint sets per group, from both inputs (EP_G of Def. 8.3).
     let mut endpoints: HashMap<Vec<Value>, Vec<i64>> = HashMap::new();
-    for r in left.iter().chain(right.iter()) {
+    let (l, r) = (
+        left.iter().map(Borrow::borrow),
+        right.iter().map(Borrow::borrow),
+    );
+    for r in l.chain(r) {
         let ep = endpoints.entry(key_of(r)).or_default();
         ep.push(r.int(ts));
         ep.push(r.int(te));
@@ -33,6 +44,7 @@ pub fn split_rows(left: &[Row], right: &[Row], group_cols: &[usize], arity: usiz
 
     let mut out = Vec::with_capacity(left.len());
     for r in left {
+        let r = r.borrow();
         let ep = &endpoints[&key_of(r)];
         let (b, e) = (r.int(ts), r.int(te));
         // Walk the endpoints inside (b, e) and cut the row at each.

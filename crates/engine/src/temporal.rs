@@ -22,9 +22,10 @@
 
 use crate::coalesce::{sort_nearly_sorted, Poll};
 use crate::eval::{eval_expr, Columns, Prepared};
+use crate::hash::{group_hash, seed, PrehashedMap};
 use crate::sliding::SlidingAgg;
 use algebra::{AggExpr, AggFunc, Expr};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use storage::{Row, SqlType, Value};
 
 /// Walks the elementary segments between consecutive distinct times of
@@ -78,10 +79,11 @@ fn order_word(v: &Value) -> Option<u128> {
 /// still produce output — `count` reports 0 and other functions NULL,
 /// closing the aggregation gap (AG bug). `check` is polled once per 1 024
 /// input rows, then segments, and its error aborts the pass; outside a
-/// statement pass [`crate::coalesce::never`].
+/// statement pass [`crate::coalesce::never`]. `rows` are rows or row
+/// references.
 #[allow(clippy::too_many_arguments)]
-pub fn temporal_aggregate<E>(
-    rows: &[Row],
+pub fn temporal_aggregate<C: Columns, E>(
+    rows: &[C],
     arity: usize,
     group_cols: &[usize],
     aggs: &[AggExpr],
@@ -120,20 +122,45 @@ pub(crate) fn temporal_aggregate_over<C: Columns, E>(
     let period = [arity - 2, arity - 1].map(|j| Prepared::new(&columns[j]));
 
     // One pass lends item `n`'s group key and arguments at `lent[n * r..]`
-    // (evaluated once unless a bare column) and evaluates its period.
+    // (evaluated once unless a bare column), evaluates its period, and
+    // files it under its group: each distinct key takes an id as the items
+    // arrive (a seeded hash nominates, `Value`'s `Eq` decides) and chains
+    // its items through `next`.
     let r = reads.len();
     let mut lent: Vec<Cow<Value>> = Vec::with_capacity(items.len() * r);
     let mut periods: Vec<[i64; 2]> = Vec::with_capacity(items.len());
-    for item in items {
+    const NONE: usize = usize::MAX;
+    let seed = seed();
+    // Per hash, its newest distinct key; per distinct key, the next older
+    // one with the same hash, one item of it, and its newest item.
+    let mut heads: PrehashedMap<usize> = PrehashedMap::default();
+    let (mut older, mut first, mut newest) = (Vec::new(), Vec::new(), Vec::new());
+    let mut next = Vec::with_capacity(items.len());
+    for (n, item) in items.iter().enumerate() {
         poll.check(1)?;
         lent.extend(reads.iter().map(|e| e.lend(item)));
         let endpoint = |p: &Prepared| p.value(item).as_int().expect("INT period");
         periods.push(period.each_ref().map(endpoint));
+        let key = |n: usize| &lent[n * r..][..g];
+        let hash = group_hash(key(n).iter().map(|v| &**v), seed);
+        let mut d = heads.get(&hash).copied().unwrap_or(NONE);
+        while d != NONE && key(first[d]) != key(n) {
+            d = older[d];
+        }
+        if d == NONE {
+            d = first.len();
+            older.push(heads.insert(hash, d).unwrap_or(NONE));
+            first.push(n);
+            newest.push(NONE);
+        }
+        next.push(newest[d]);
+        newest[d] = n;
     }
     let key = |n: usize| &lent[n * r..][..g];
     let args = |n: usize| &lent[n * r + g..][..k];
-    let mut sorted: Vec<usize> = (0..items.len()).collect();
-    sorted.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+    // Only the distinct keys are sorted.
+    let mut groups: Vec<usize> = (0..first.len()).collect();
+    groups.sort_unstable_by(|&a, &b| key(first[a]).cmp(key(first[b])));
 
     /// Marks the two domain-bound events of a global aggregation.
     const ANCHOR: usize = usize::MAX;
@@ -151,14 +178,24 @@ pub(crate) fn temporal_aggregate_over<C: Columns, E>(
     let mut values: Vec<Value> = Vec::new();
     let mut order: Vec<u128> = Vec::new();
     let mut out = Vec::new();
-    let mut runs = sorted.chunk_by(|&a, &b| key(a).eq(key(b)));
+    // A group's items, gathered from its chain.
+    let mut run: Vec<usize> = Vec::new();
+    let mut groups = groups.into_iter().map(|d| newest[d]);
     // No input at all: the whole domain is one gap.
-    let mut empty = (add_gap_neutral && sorted.is_empty()).then_some(&[][..]);
-    while let Some(run) = runs.next().or_else(|| empty.take()) {
+    let mut empty = add_gap_neutral && items.is_empty();
+    while let Some(mut n) = groups
+        .next()
+        .or_else(|| std::mem::take(&mut empty).then_some(NONE))
+    {
+        run.clear();
+        while n != NONE {
+            run.push(n);
+            n = next[n];
+        }
         events.clear();
         segments.clear();
         values.clear();
-        for &n in run {
+        for &n in &run {
             events.push((periods[n][0], 2 * n));
             events.push((periods[n][1], 2 * n + 1));
         }
@@ -250,9 +287,10 @@ pub(crate) fn temporal_aggregate_over<C: Columns, E>(
 /// stays the same, emits that many copies — the monus of `N^T` (Theorem
 /// 7.1) on the interval refinement instead of per time point, coalesced
 /// and in canonical order. `check` is polled like [`temporal_aggregate`]'s.
-pub fn temporal_except_all<E>(
-    left: &[Row],
-    right: &[Row],
+/// Either side is a slice of rows or of row references.
+pub fn temporal_except_all<L: Borrow<Row>, R: Borrow<Row>, E>(
+    left: &[L],
+    right: &[R],
     arity: usize,
     check: impl FnMut() -> Result<(), E>,
 ) -> Result<Vec<Row>, E> {
@@ -260,7 +298,8 @@ pub fn temporal_except_all<E>(
     let mut poll = Poll { check, rows: 0 };
     // Each side sorted, then both merged into one list by value-equivalence
     // key, each entry with what it adds to (left, right) multiplicity.
-    let (mut l, mut r): (Vec<&Row>, Vec<&Row>) = (left.iter().collect(), right.iter().collect());
+    let mut l: Vec<&Row> = left.iter().map(Borrow::borrow).collect();
+    let mut r: Vec<&Row> = right.iter().map(Borrow::borrow).collect();
     sort_nearly_sorted(&mut l, Ord::cmp, &mut poll)?;
     sort_nearly_sorted(&mut r, Ord::cmp, &mut poll)?;
     let mut sorted: Vec<(&Row, [i64; 2])> = Vec::with_capacity(l.len() + r.len());

@@ -6,7 +6,7 @@
 //! this order; building it once per table and reusing it replaces the
 //! per-operator `O(n log n)` sorts of the naive paths with `O(n)` merges.
 
-use storage::Row;
+use storage::{Row, Table};
 
 /// The begin-sorted endpoint view of a multiset of period rows.
 ///
@@ -19,30 +19,29 @@ pub struct EventList {
 }
 
 impl EventList {
-    /// Builds the event list for `rows`, reading the period begin from
-    /// column `ts`.
+    /// Builds the event list for `rows` (a slice, or a [`Table::iter`]),
+    /// reading the period begin from column `ts`.
     ///
     /// # Panics
     /// Panics when a row's begin column is not an integer, or when the
     /// relation has more than `u32::MAX` rows.
-    pub fn build(rows: &[Row], ts: usize) -> EventList {
-        assert!(
-            u32::try_from(rows.len()).is_ok(),
-            "EventList supports at most u32::MAX rows"
-        );
+    pub fn build<'r>(rows: impl IntoIterator<Item = &'r Row>, ts: usize) -> EventList {
         let mut by_begin: Vec<(i64, u32)> = rows
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, r)| (r.int(ts), i as u32))
+            .map(|(i, r)| {
+                let id = u32::try_from(i).expect("EventList supports at most u32::MAX rows");
+                (r.int(ts), id)
+            })
             .collect();
         by_begin.sort_unstable();
         EventList { by_begin }
     }
 
-    /// The event list for `rows` given that this list was built over a
+    /// The event list for `table` given that this list was built over a
     /// table of `old_len` rows that has since been edited in place: the
     /// rows at `replaced` (ascending, each below `old_len`) were rewritten
-    /// and `rows[old_len..]` appended. The untouched entries keep their
+    /// and the rows past `old_len` appended. The untouched entries keep their
     /// order; only the `k` edited rows' events are sorted (`O(k log k)`)
     /// and merged in (`O(n log k + k)`), replacing the `O(n log n)` re-sort
     /// of [`EventList::build`]. A pure append is the edit with no
@@ -51,17 +50,23 @@ impl EventList {
     /// # Panics
     /// Panics when `old_len` disagrees with the indexed length, the begin
     /// column is not an integer, or the result exceeds `u32::MAX` rows.
-    pub fn edited(&self, rows: &[Row], ts: usize, old_len: usize, replaced: &[usize]) -> EventList {
+    pub fn edited(
+        &self,
+        table: &Table,
+        ts: usize,
+        old_len: usize,
+        replaced: &[usize],
+    ) -> EventList {
         assert_eq!(old_len, self.len(), "edited from a different table");
         assert!(
-            u32::try_from(rows.len()).is_ok(),
+            u32::try_from(table.len()).is_ok(),
             "EventList supports at most u32::MAX rows"
         );
         let mut fresh: Vec<(i64, u32)> = replaced
             .iter()
             .copied()
-            .chain(old_len..rows.len())
-            .map(|i| (rows[i].int(ts), i as u32))
+            .chain(old_len..table.len())
+            .map(|i| (table.row(i).int(ts), i as u32))
             .collect();
         fresh.sort_unstable();
         let kept = self
@@ -112,7 +117,7 @@ fn merge_sorted<'a>(a: impl Iterator<Item = &'a (i64, u32)>, b: &[(i64, u32)]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storage::row;
+    use storage::{row, Schema, SqlType};
 
     fn rows() -> Vec<Row> {
         vec![
@@ -139,7 +144,20 @@ mod tests {
     fn empty() {
         let ev = EventList::build(&[], 0);
         assert!(ev.is_empty());
+        let ev = EventList::build(table(&[]).iter(), 1);
+        assert!(ev.is_empty());
         assert_eq!(ev.begin_order().count(), 0);
+    }
+
+    fn table(rows: &[Row]) -> Table {
+        let schema = Schema::of(&[
+            ("n", SqlType::Str),
+            ("ts", SqlType::Int),
+            ("te", SqlType::Int),
+        ]);
+        let mut t = Table::with_period(schema, 1, 2);
+        t.extend(rows.iter().cloned());
+        t
     }
 
     #[test]
@@ -149,17 +167,17 @@ mod tests {
         all.push(row!["e", 1, 20]);
         all.push(row!["f", 8, 12]);
         all.push(row!["g", 0, 1]);
-        let merged = ev_prefix.edited(&all, 1, 4, &[]);
+        let merged = ev_prefix.edited(&table(&all), 1, 4, &[]);
         assert_eq!(merged, EventList::build(&all, 1));
 
         // Editing nothing is the identity.
-        assert_eq!(ev_prefix.edited(&rows(), 1, 4, &[]), ev_prefix);
+        assert_eq!(ev_prefix.edited(&table(&rows()), 1, 4, &[]), ev_prefix);
 
         // Rewritten begins move; a tie on the begin still breaks by id.
         all[1] = row!["b", 0, 16];
         all[3] = row!["d", 9, 10];
         all.push(row!["h", 8, 9]);
-        let edited = merged.edited(&all, 1, 7, &[1, 3]);
+        let edited = merged.edited(&table(&all), 1, 7, &[1, 3]);
         assert_eq!(edited, EventList::build(&all, 1));
     }
 }

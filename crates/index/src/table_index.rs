@@ -55,15 +55,14 @@ impl TableIndex {
     /// non-temporal tables (nothing to index).
     pub fn build(table: &Table) -> Option<TableIndex> {
         let (ts, te) = table.period()?;
-        let events = EventList::build(table.rows(), ts);
+        let events = EventList::build(table.iter(), ts);
         Some(TableIndex::rebased(table, (ts, te), events))
     }
 
     /// The bundle around a finished event list, with an empty tail: the
     /// base tree takes the list's begin order.
     fn rebased(table: &Table, (ts, te): (usize, usize), events: EventList) -> TableIndex {
-        let rows = table.rows();
-        let base = IntervalTree::from_begin_order(events.by_begin(), |id| rows[id].int(te));
+        let base = IntervalTree::from_begin_order(events.by_begin(), |id| table.row(id).int(te));
         TableIndex {
             version: table.version(),
             period: (ts, te),
@@ -90,14 +89,13 @@ impl TableIndex {
         if (ts, te) != self.period || old_len != self.events.len() || old_len > table.len() {
             return None;
         }
-        let rows = table.rows();
-        let events = self.events.edited(rows, ts, old_len, replaced);
+        let events = self.events.edited(table, ts, old_len, replaced);
         let mut ids: Vec<usize> = self.tail.iter().map(|&(id, ..)| id as usize).collect();
         // Two ascending runs: the stable sort merges them in linear time.
         ids.extend_from_slice(replaced);
         ids.sort();
         ids.dedup();
-        ids.extend(old_len..rows.len());
+        ids.extend(old_len..table.len());
         if ids.len() * REBASE_SHARE > self.base.len() {
             return Some(TableIndex::rebased(table, self.period, events));
         }
@@ -107,7 +105,10 @@ impl TableIndex {
         }
         let tail = ids
             .into_iter()
-            .map(|id| (id as u32, rows[id].int(ts), rows[id].int(te)))
+            .map(|id| {
+                let row = table.row(id);
+                (id as u32, row.int(ts), row.int(te))
+            })
             .collect();
         Some(TableIndex {
             version: table.version(),
@@ -120,7 +121,7 @@ impl TableIndex {
     }
 
     /// [`TableIndex::edited`] after pure appends: this index covers
-    /// exactly `table.rows()[0..old_len]` (the caller establishes this via
+    /// exactly the first `old_len` rows of `table` (the caller establishes this via
     /// [`Table::edited_since`]).
     pub fn extend_appended(&self, table: &Table, old_len: usize) -> Option<TableIndex> {
         self.edited(table, old_len, &[])
@@ -208,10 +209,9 @@ impl TableIndex {
     /// of the stab.
     pub fn timeslice_rows(&self, table: &Table, t: i64) -> Vec<Row> {
         debug_assert!(self.is_fresh(table));
-        let rows = table.rows();
         self.stab(t)
             .into_iter()
-            .map(|id| rows[id].clone())
+            .map(|id| table.row(id).clone())
             .collect()
     }
 
@@ -224,10 +224,9 @@ impl TableIndex {
     /// Panics when the query interval is empty.
     pub fn overlapping_rows(&self, table: &Table, b: i64, e: i64) -> Vec<Row> {
         debug_assert!(self.is_fresh(table));
-        let rows = table.rows();
         self.overlapping(b, e)
             .into_iter()
-            .map(|id| rows[id].clone())
+            .map(|id| table.row(id).clone())
             .collect()
     }
 }

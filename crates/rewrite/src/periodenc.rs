@@ -17,16 +17,20 @@ use timeline::{Interval, TimeDomain};
 /// `PERIODENC⁻¹`: reads a period table (period = last two columns) into the
 /// logical model. Tuples are the data-column prefixes of the rows.
 pub fn decode_table(table: &Table, domain: TimeDomain) -> PeriodRelation<Row, Natural> {
-    decode_rows(table.rows(), table.schema().arity(), domain)
+    decode_rows(table.iter(), table.schema().arity(), domain)
 }
 
 /// `PERIODENC⁻¹` over raw rows with the given arity.
-pub fn decode_rows(rows: &[Row], arity: usize, domain: TimeDomain) -> PeriodRelation<Row, Natural> {
+pub fn decode_rows<'r>(
+    rows: impl IntoIterator<Item = &'r Row>,
+    arity: usize,
+    domain: TimeDomain,
+) -> PeriodRelation<Row, Natural> {
     assert!(arity >= 2);
     let data = arity - 2;
     PeriodRelation::from_facts(
         domain,
-        rows.iter().map(|r| {
+        rows.into_iter().map(|r| {
             let tuple = Row::new(r.values()[..data].to_vec());
             let iv = Interval::new(r.int(data), r.int(data + 1));
             (tuple, iv, Natural(1))

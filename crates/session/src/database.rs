@@ -288,7 +288,7 @@ pub(crate) fn delete_where_in<P: FnMut(&Row) -> bool>(
     let table = catalog
         .get(name)
         .ok_or_else(|| format!("unknown table '{name}'"))?;
-    if !table.rows().iter().any(&mut pred) {
+    if !table.iter().any(&mut pred) {
         return Ok(0);
     }
     Ok(catalog
@@ -303,23 +303,14 @@ pub(crate) fn delete_where_in<P: FnMut(&Row) -> bool>(
 pub(crate) fn update_where_in<P, U>(
     catalog: &mut Catalog,
     name: &str,
-    mut pred: P,
+    pred: P,
     update: U,
 ) -> Result<usize, String>
 where
     P: FnMut(&Row) -> bool,
     U: FnMut(&Row) -> Result<Row, String>,
 {
-    let table = catalog
-        .get(name)
-        .ok_or_else(|| format!("unknown table '{name}'"))?;
-    if !table.rows().iter().any(&mut pred) {
-        return Ok(0);
-    }
-    catalog
-        .get_mut(name)
-        .expect("checked above")
-        .update_where(pred, update)
+    catalog.update_where(name, pred, update)
 }
 
 #[cfg(test)]

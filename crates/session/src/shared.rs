@@ -54,6 +54,9 @@ struct Inner {
     /// Auto-checkpoints that failed after their commit was already logged
     /// and published (the commit stands; the next commit retries).
     checkpoint_failures: Arc<Counter>,
+    /// Rows the commits' table copies duplicated
+    /// ([`CommitOutcome::copied_rows`]).
+    copied_rows: Arc<Counter>,
 }
 
 impl Inner {
@@ -136,6 +139,7 @@ impl SharedDatabase {
                 checkpoint_seconds: m.histogram("wal_checkpoint_seconds"),
                 checkpoint_bytes: m.counter("wal_checkpoint_bytes_total"),
                 checkpoint_failures: m.counter("wal_checkpoint_failures_total"),
+                copied_rows: m.counter("txn_copied_rows_total"),
                 telemetry,
             }),
         }
@@ -272,6 +276,7 @@ impl SharedDatabase {
                     }),
                     None => Ok(None),
                 })?;
+        inner.copied_rows.add(outcome.copied_rows as u64);
         Ok(CommitReport {
             outcome,
             checkpoint: self.auto_checkpoint(),

@@ -54,13 +54,41 @@ impl Catalog {
 
     /// Looks up a table mutably (DML entry point of the session layer).
     /// When the table is shared with a snapshot, this *unshares* it first
-    /// (clones the rows), so pinned snapshots never observe the mutation;
-    /// the copy records what it writes from then on
+    /// (clones it: its open tail is copied, its sealed blocks are shared
+    /// until a write unshares them), so pinned snapshots never observe the
+    /// mutation; the copy records what it writes from then on
     /// ([`Table::edited_since`]), which is how a commit's index repair
     /// learns the rows it wrote. A table nobody shares is written in place
     /// and records nothing.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Table> {
         self.tables.get_mut(name).map(Arc::make_mut)
+    }
+
+    /// [`Table::update_where`] on the table `name`, which is unshared (see
+    /// [`Catalog::get_mut`]) only when some row matches: the rows are read
+    /// once, through the shared table, and only the replacements are
+    /// written.
+    pub fn update_where<P, U>(&mut self, name: &str, pred: P, update: U) -> Result<usize, String>
+    where
+        P: FnMut(&crate::Row) -> bool,
+        U: FnMut(&crate::Row) -> Result<crate::Row, String>,
+    {
+        let rewrite = self.require(name)?.rewrite(pred, update)?;
+        if rewrite.replacements.is_empty() {
+            return Ok(0);
+        }
+        Ok(self.get_mut(name).expect("found above").apply(rewrite))
+    }
+
+    /// Seals the table `name` ([`Table::seal`]) when its open tail holds at
+    /// least one whole block; a table with nothing to seal is left alone,
+    /// shared or not.
+    pub fn seal(&mut self, name: &str) {
+        if let Some(table) = self.tables.get_mut(name) {
+            if table.open_rows() >= crate::BLOCK_ROWS {
+                Arc::make_mut(table).seal();
+            }
+        }
     }
 
     /// Looks up a table, with a useful error.

@@ -13,6 +13,7 @@
 //! * [`Schema`]/[`Column`]/[`SqlType`] — named, typed, optionally
 //!   table-qualified columns,
 //! * [`Table`] — a multiset of rows plus an optional period specification,
+//!   its rows in blocks of [`BLOCK_ROWS`] that copies share once sealed,
 //! * [`Catalog`] — the named-table namespace queries are bound against.
 
 #![forbid(unsafe_code)]
@@ -26,5 +27,5 @@ mod value;
 pub use catalog::Catalog;
 pub use row::Row;
 pub use schema::{Column, Schema, SqlType};
-pub use table::Table;
+pub use table::{Table, BLOCK_ROWS};
 pub use value::Value;

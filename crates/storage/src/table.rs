@@ -3,6 +3,7 @@
 use crate::{Row, Schema, SqlType};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use timeline::Interval;
 
 /// Process-wide version epoch source: every table construction and every
@@ -16,6 +17,11 @@ fn next_version() -> u64 {
     VERSION_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Rows per sealed block of a [`Table`] (see [`Table::seal`]); also the
+/// rows per column block a row set is cut into on the wire and in a
+/// checkpoint.
+pub const BLOCK_ROWS: usize = 256;
+
 /// A stored relation: a schema, a multiset of rows (duplicates are separate
 /// rows, as in SQL), and an optional *period specification* naming the two
 /// integer columns that hold each tuple's validity interval `[begin, end)`.
@@ -28,10 +34,26 @@ fn next_version() -> u64 {
 /// A clone is a private copy that remembers what it was copied from, so
 /// that the `index` crate can repair the original's index in proportion
 /// to the rows the copy wrote (see [`Table::edited_since`]).
+///
+/// **Layout.** The rows are a run of *sealed* blocks of exactly
+/// [`BLOCK_ROWS`] rows, each behind an [`Arc`], followed by an open tail.
+/// Only [`Table::seal`] cuts blocks (a shared database seals what it
+/// publishes); every other table keeps all its rows in the tail. A clone
+/// shares the sealed blocks and copies the tail, and a write unshares only
+/// the blocks it rewrites. Row ids are positions whatever the layout: row
+/// `i` is row `i % BLOCK_ROWS` of block `i / BLOCK_ROWS`, or of the tail
+/// past the last block. A delete or a sort moves positions and flattens
+/// the table back into its tail.
 #[derive(Debug, Eq)]
 pub struct Table {
     schema: Schema,
+    /// Sealed blocks of [`BLOCK_ROWS`] rows each, shared by copies.
+    sealed: Vec<Arc<[Row]>>,
+    /// The open tail: the rows past the sealed blocks.
     rows: Vec<Row>,
+    /// What [`Table::rows`] hands out for a table with sealed blocks: the
+    /// rows flattened, built on first call and cleared by any mutation.
+    flat: OnceLock<Vec<Row>>,
     period: Option<(usize, usize)>,
     version: u64,
     /// The write record of a copy: `(v, l, r)` means "cloned from a table
@@ -40,9 +62,19 @@ pub struct Table {
     /// past `l` appended". Started only by [`Clone`]; ended (`None`) by a
     /// delete or a sort, which move positions.
     written: Option<(u64, usize, Vec<usize>)>,
+    /// Rows this copy duplicated since it was cloned (see
+    /// [`Table::copied_rows`]).
+    copied: usize,
     /// `(min begin, max end)` over the rows of a period table — derived
     /// state, kept current by every mutation (see [`Table::period_extent`]);
     /// [`NO_PERIODS`] while there is nothing to cover.
+    extent: (i64, i64),
+}
+
+/// What an update writes (see [`Table::rewrite`]): replacement rows by
+/// ascending position, and the table's extent once they are in.
+pub(crate) struct Rewrite {
+    pub(crate) replacements: Vec<(usize, Row)>,
     extent: (i64, i64),
 }
 
@@ -61,24 +93,31 @@ fn period_of(period: Option<(usize, usize)>, row: &Row) -> (i64, i64) {
 }
 
 // A copy starts its write record at the original's version: whatever the
-// original recorded describes how *it* was copied, not this copy.
+// original recorded describes how *it* was copied, not this copy. It shares
+// the sealed blocks and duplicates the tail only.
 impl Clone for Table {
     fn clone(&self) -> Self {
         Table {
             schema: self.schema.clone(),
+            sealed: self.sealed.clone(),
             rows: self.rows.clone(),
-            written: Some((self.version, self.rows.len(), Vec::new())),
+            flat: OnceLock::new(),
+            written: Some((self.version, self.len(), Vec::new())),
+            copied: self.rows.len(),
             ..*self
         }
     }
 }
 
-// Equality ignores the version counter, the write record and the derived
-// extent: two tables with the same schema, rows, and period are the same
-// relation regardless of mutation history.
+// Equality ignores the version counter, the write record, the layout and
+// the derived extent: two tables with the same schema, rows (in order), and
+// period are the same relation regardless of mutation history.
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.rows == other.rows && self.period == other.period
+        self.schema == other.schema
+            && self.period == other.period
+            && self.len() == other.len()
+            && self.iter().eq(other.iter())
     }
 }
 
@@ -87,10 +126,13 @@ impl Table {
     pub fn new(schema: Schema) -> Self {
         Table {
             schema,
+            sealed: Vec::new(),
             rows: Vec::new(),
+            flat: OnceLock::new(),
             period: None,
             version: next_version(),
             written: None,
+            copied: 0,
             extent: NO_PERIODS,
         }
     }
@@ -141,9 +183,111 @@ impl Table {
         &self.schema
     }
 
-    /// The rows (multiset: duplicates appear repeatedly).
+    /// The rows (multiset: duplicates appear repeatedly) as one slice. Free
+    /// on a table without sealed blocks; a sealed table flattens its rows
+    /// into a copy on first call, kept until it is next mutated. Read a
+    /// sealed table through [`Table::iter`], [`Table::row`] or
+    /// [`Table::chunks`] instead.
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        match self.as_slice() {
+            Some(rows) => rows,
+            None => self.flat.get_or_init(|| self.iter().cloned().collect()),
+        }
+    }
+
+    /// The rows as one slice, when the table has no sealed blocks.
+    pub fn as_slice(&self) -> Option<&[Row]> {
+        self.sealed.is_empty().then_some(&self.rows[..])
+    }
+
+    /// Whether [`Table::rows`] has flattened this table's sealed blocks
+    /// into a copy that no mutation has cleared since.
+    pub fn rows_cached(&self) -> bool {
+        self.flat.get().is_some()
+    }
+
+    /// Row `i` (its position; see the layout note on [`Table`]).
+    ///
+    /// # Panics
+    /// Panics when `i` is not below [`Table::len`].
+    #[inline]
+    pub fn row(&self, i: usize) -> &Row {
+        match self.sealed.get(i / BLOCK_ROWS) {
+            Some(block) => &block[i % BLOCK_ROWS],
+            None => &self.rows[i - self.sealed.len() * BLOCK_ROWS],
+        }
+    }
+
+    /// The rows in table order.
+    pub fn iter(&self) -> impl Iterator<Item = &Row> + Clone {
+        self.chunks().flatten()
+    }
+
+    /// The rows as contiguous runs in table order: each sealed block, then
+    /// the open tail (which may be empty).
+    pub fn chunks(&self) -> impl Iterator<Item = &[Row]> + Clone {
+        let tail = std::iter::once(&self.rows[..]);
+        self.sealed.iter().map(|block| &block[..]).chain(tail)
+    }
+
+    /// Cuts the open tail into sealed blocks of [`BLOCK_ROWS`] rows, leaving
+    /// only a remainder shorter than one block open, so that clones share
+    /// every full block. Moves only the rows appended since the last seal;
+    /// the content, the row ids and the version stay as they are.
+    pub fn seal(&mut self) {
+        let whole = self.rows.len() / BLOCK_ROWS * BLOCK_ROWS;
+        let mut cut = self.rows.drain(..whole);
+        while cut.len() > 0 {
+            self.sealed.push(cut.by_ref().take(BLOCK_ROWS).collect());
+        }
+    }
+
+    /// Rows in the open tail, past the sealed blocks.
+    pub(crate) fn open_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Rows this table duplicated since it was cloned or built: a clone's
+    /// tail, copied by the clone, plus every shared sealed block a write
+    /// unshared and every shared row a delete or sort copied out.
+    pub fn copied_rows(&self) -> usize {
+        self.copied
+    }
+
+    /// The rows of every sealed block moved (when this table holds the
+    /// block alone) or copied into the tail, ahead of the rows already
+    /// there: the layout of a table that was never sealed. Positions stay.
+    fn flatten(&mut self) {
+        if self.sealed.is_empty() {
+            return;
+        }
+        let mut rows = Vec::with_capacity(self.len());
+        for mut block in std::mem::take(&mut self.sealed) {
+            match Arc::get_mut(&mut block) {
+                Some(own) => rows.extend(own.iter_mut().map(std::mem::take)),
+                None => {
+                    self.copied += block.len();
+                    rows.extend_from_slice(&block);
+                }
+            }
+        }
+        rows.append(&mut self.rows);
+        self.rows = rows;
+        self.flat.take();
+    }
+
+    /// Row `i`, writable: its sealed block is unshared first (copied when
+    /// another table holds it too).
+    fn row_mut(&mut self, i: usize) -> &mut Row {
+        let sealed = self.sealed.len() * BLOCK_ROWS;
+        if i >= sealed {
+            return &mut self.rows[i - sealed];
+        }
+        let block = &mut self.sealed[i / BLOCK_ROWS];
+        if Arc::get_mut(block).is_none() {
+            self.copied += block.len();
+        }
+        &mut Arc::make_mut(block)[i % BLOCK_ROWS]
     }
 
     /// The period column indices, when this is a period table.
@@ -175,12 +319,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.sealed.len() * BLOCK_ROWS + self.rows.len()
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Validates a row against the schema (arity, and `begin < end` for
@@ -230,6 +374,7 @@ impl Table {
             Err(e) => panic!("{e}"),
         }
         self.rows.push(row);
+        self.flat.take();
         self.version = next_version();
     }
 
@@ -265,6 +410,7 @@ impl Table {
         }
         self.extent = extent;
         if self.rows.len() > before {
+            self.flat.take();
             self.version = next_version();
         }
         refused
@@ -272,7 +418,10 @@ impl Table {
 
     /// Deletes every row matching `pred`, returning how many were removed.
     /// A no-op delete leaves the version (and thus any index) untouched.
+    /// Positions move, so the table is flattened into its open tail first,
+    /// copying whatever sealed block it shares.
     pub fn delete_where<P: FnMut(&Row) -> bool>(&mut self, mut pred: P) -> usize {
+        self.flatten();
         let before = self.rows.len();
         let (period, mut extent) = (self.period, NO_PERIODS);
         self.rows.retain(|r| {
@@ -296,15 +445,27 @@ impl Table {
     /// own validation (e.g. type conformance) into the single pass.
     /// Validation is atomic: if `update` errors or any replacement row is
     /// invalid (arity, period), the table is left untouched and an error is
-    /// returned. A no-op update leaves the version untouched.
-    pub fn update_where<P, U>(&mut self, mut pred: P, mut update: U) -> Result<usize, String>
+    /// returned. A no-op update leaves the version untouched. Only the
+    /// sealed blocks holding a replaced row are unshared.
+    pub fn update_where<P, U>(&mut self, pred: P, update: U) -> Result<usize, String>
+    where
+        P: FnMut(&Row) -> bool,
+        U: FnMut(&Row) -> Result<Row, String>,
+    {
+        let rewrite = self.rewrite(pred, update)?;
+        Ok(self.apply(rewrite))
+    }
+
+    /// The pass of [`Table::update_where`] that reads: the replacement rows
+    /// by position, validated, and the extent after them.
+    pub(crate) fn rewrite<P, U>(&self, mut pred: P, mut update: U) -> Result<Rewrite, String>
     where
         P: FnMut(&Row) -> bool,
         U: FnMut(&Row) -> Result<Row, String>,
     {
         let mut replacements: Vec<(usize, Row)> = Vec::new();
         let mut extent = NO_PERIODS;
-        for (i, row) in self.rows.iter().enumerate() {
+        for (i, row) in self.iter().enumerate() {
             let period = if pred(row) {
                 let new_row = update(row)?;
                 let period = self.checked_period(&new_row)?;
@@ -315,9 +476,22 @@ impl Table {
             };
             extent = widen(extent, period);
         }
+        Ok(Rewrite {
+            replacements,
+            extent,
+        })
+    }
+
+    /// The pass of [`Table::update_where`] that writes what
+    /// [`Table::rewrite`] found, returning how many rows it replaced.
+    pub(crate) fn apply(&mut self, rewrite: Rewrite) -> usize {
+        let Rewrite {
+            replacements,
+            extent,
+        } = rewrite;
         let updated = replacements.len();
         if updated == 0 {
-            return Ok(0);
+            return 0;
         }
         if let Some((_, len, replaced)) = &mut self.written {
             // Two ascending runs: merge them, keeping each position once.
@@ -332,11 +506,12 @@ impl Table {
             *replaced = merged;
         }
         for (i, new_row) in replacements {
-            self.rows[i] = new_row;
+            *self.row_mut(i) = new_row;
         }
+        self.flat.take();
         self.extent = extent;
         self.version = next_version();
-        Ok(updated)
+        updated
     }
 
     /// What this copy wrote since it was cloned from the table at
@@ -365,8 +540,9 @@ impl Table {
     /// Sorts rows into the canonical order, making the physical encoding of
     /// the multiset deterministic. Together with coalesced annotations this
     /// realizes the *unique encoding* requirement of Definition 4.5 at the
-    /// implementation layer.
+    /// implementation layer. Like a delete, it flattens the table first.
     pub fn canonicalize(&mut self) {
+        self.flatten();
         self.rows.sort_unstable();
         self.version = next_version();
         self.written = None;
@@ -389,7 +565,6 @@ impl Table {
             .collect();
         let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
         let rendered: Vec<Vec<String>> = self
-            .rows
             .iter()
             .map(|r| r.values().iter().map(|v| v.to_string()).collect())
             .collect();
@@ -426,7 +601,7 @@ impl Table {
             out.push('\n');
         }
         out.push_str(&sep);
-        out.push_str(&format!("\n({} rows)\n", self.rows.len()));
+        out.push_str(&format!("\n({} rows)\n", self.len()));
         out
     }
 }

@@ -39,6 +39,11 @@ pub struct CommitOutcome<D = ()> {
     pub durable: D,
     /// Publication, index repair included.
     pub publish: Duration,
+    /// Rows the published tables duplicated when the transaction first
+    /// wrote them and as it wrote ([`Table::copied_rows`]): open tails
+    /// copied, sealed blocks unshared, shared rows a delete or sort copied
+    /// out.
+    pub copied_rows: usize,
 }
 
 /// The shared transaction manager over one committed catalog.
@@ -70,6 +75,11 @@ pub struct CommitOutcome<D = ()> {
 ///   publication, still under the commit lock — the write-ahead log
 ///   receives only committable units, in commit order, and a unit that
 ///   fails to log aborts the commit with the committed state untouched.
+/// * **Published tables are sealed.** Every table the manager publishes —
+///   at construction, in [`TxnManager::install_tables`] and in
+///   [`TxnManager::commit_with`] — is cut into shared blocks
+///   ([`Table::seal`]), so the next writer's copy duplicates only an open
+///   tail shorter than a block and the blocks it rewrites.
 /// * **Indexes are fresh when published.** The manager owns the committed
 ///   index registry and is its only writer: it builds every period
 ///   table's index when it is constructed, and each publication
@@ -157,7 +167,11 @@ impl TxnManager {
     /// A manager over an initial catalog, recording into its database's
     /// `metrics`. Brings every period table's entry in `indexes` up to
     /// date first, so the first snapshot is already fully indexed.
-    pub fn new(catalog: Catalog, mut indexes: IndexCatalog, metrics: &MetricsRegistry) -> Self {
+    pub fn new(mut catalog: Catalog, mut indexes: IndexCatalog, metrics: &MetricsRegistry) -> Self {
+        let names: Vec<String> = catalog.table_names().map(String::from).collect();
+        for name in &names {
+            catalog.seal(name);
+        }
         indexes.refresh(&catalog, catalog.table_names());
         TxnManager {
             state: obs::NamedRw::new(
@@ -216,7 +230,7 @@ impl TxnManager {
     /// [`StatementError::Failed`] (not retryable).
     pub fn commit_with<F, D>(
         &self,
-        txn: Transaction,
+        mut txn: Transaction,
         durability: F,
     ) -> Result<CommitOutcome<D>, StatementError>
     where
@@ -232,6 +246,18 @@ impl TxnManager {
                 ..CommitOutcome::default()
             });
         }
+        // Sealing moves only the rows the transaction appended, and touches
+        // nothing committed: done before the lock.
+        let written: Vec<String> = txn.write_set().map(String::from).collect();
+        let catalog = txn.catalog_mut();
+        for name in &written {
+            catalog.seal(name);
+        }
+        let copied_rows = written
+            .iter()
+            .filter_map(|name| catalog.get(name))
+            .map(Table::copied_rows)
+            .sum();
         let started = Instant::now();
         let commit = self.commit_lock.lock();
         let wait = started.elapsed();
@@ -267,6 +293,7 @@ impl TxnManager {
             validate,
             durable,
             publish,
+            copied_rows,
         })
     }
 
@@ -342,7 +369,8 @@ impl TxnManager {
         let commit = self.commit_lock.lock();
         let mut names = Vec::new();
         let (commit_seq, superseded) = self.publish(|catalog, indexes| {
-            for (name, table) in tables {
+            for (name, mut table) in tables {
+                table.seal();
                 catalog.register(name.clone(), table);
                 names.push(name);
             }

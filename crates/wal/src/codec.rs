@@ -272,8 +272,9 @@ pub const MAX_BLOCK_ROWS: usize = 1 << 16;
 pub const MAX_BLOCK_VALUES: usize = 1 << 22;
 
 /// Rows per column block of a row set, unless its rows are too wide for
-/// that many (see [`block_rows`]).
-pub const ROW_BATCH: usize = 256;
+/// that many (see [`block_rows`]): a table's sealed block, so that a block
+/// of a sealed table is one of its column blocks.
+pub const ROW_BATCH: usize = storage::BLOCK_ROWS;
 
 /// Rows per column block for rows of `arity` columns: [`ROW_BATCH`], or as
 /// many as fit [`MAX_BLOCK_VALUES`] (at least one). Every writer of blocks
@@ -282,9 +283,15 @@ pub fn block_rows(arity: usize) -> usize {
     (MAX_BLOCK_VALUES / arity.max(1)).clamp(1, ROW_BATCH)
 }
 
-/// `table`'s rows cut into column blocks by [`block_rows`].
-pub fn blocks(table: &Table) -> std::slice::Chunks<'_, Row> {
-    table.rows().chunks(block_rows(table.schema().arity()))
+/// `table`'s rows cut into column blocks by [`block_rows`]: each of its
+/// contiguous runs ([`Table::chunks`]: the sealed blocks, then the open
+/// tail) in turn. Up to `MAX_BLOCK_VALUES / ROW_BATCH` columns a column
+/// block is a whole sealed block, so the cuts fall where they fall in the
+/// table's rows as one slice, sealed or not; wider rows are also cut at
+/// each sealed block's end.
+pub fn blocks(table: &Table) -> impl Iterator<Item = &[Row]> + Clone {
+    let rows = block_rows(table.schema().arity());
+    table.chunks().flat_map(move |run| run.chunks(rows))
 }
 
 // Column kinds of a column block (part of the wire format).
@@ -689,7 +696,7 @@ pub fn decode_row_header(r: &mut Reader) -> Result<(Schema, Option<(u32, u32)>),
 pub fn encode_table(w: &mut Writer, table: &Table) {
     encode_row_header(w, table.schema(), header_period(table));
     let blocks = blocks(table);
-    w.put_varint(blocks.len() as u64);
+    w.put_varint(blocks.clone().count() as u64);
     for block in blocks {
         encode_columns(w, block);
     }
@@ -699,14 +706,19 @@ pub fn encode_table(w: &mut Writer, table: &Table) {
 /// 3, which differ only in the column kinds a block may use), or
 /// by format 1 (schema, `u64` period pair, version epoch and append
 /// history — read and dropped — then the rows value by value). Either way
-/// the table is built afresh, so it draws fresh version epochs.
+/// the table is built afresh, so it draws fresh version epochs; a format-2
+/// or 3 table comes back sealed ([`Table::seal`]).
 pub fn decode_table(r: &mut Reader, format: u32) -> Result<Table, String> {
     if format == 1 {
         return decode_table_v1(r);
     }
     let (schema, period) = decode_row_header(r)?;
     let arity = schema.arity();
-    let mut rows = Vec::new();
+    let mut table = table_of(
+        schema,
+        period.map(|(b, e)| (b as usize, e as usize)),
+        Vec::new(),
+    )?;
     for _ in 0..r.get_len()? {
         let block = decode_columns(r)?;
         if block.is_empty() || block.len() > block_rows(arity) {
@@ -716,9 +728,13 @@ pub fn decode_table(r: &mut Reader, format: u32) -> Result<Table, String> {
                 block_rows(arity)
             ));
         }
-        rows.extend(block);
+        table.try_extend(block)?;
+        // A checkpoint's tables are for a shared database, which seals
+        // them anyway: sealed block by block, no row set is ever held
+        // whole in one allocation.
+        table.seal();
     }
-    table_of(schema, period.map(|(b, e)| (b as usize, e as usize)), rows)
+    Ok(table)
 }
 
 /// A table of `schema` and `period` holding `rows`, every one checked.

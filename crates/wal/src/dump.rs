@@ -10,10 +10,11 @@
 //! everything else round-trips exactly, including negative numbers,
 //! quotes inside strings, and the full `f64` precision of finite doubles.
 
-use storage::{Catalog, Table, Value};
+use storage::{Catalog, Table, Value, BLOCK_ROWS};
 
-/// Rows per generated `INSERT` statement.
-const BATCH: usize = 256;
+/// Rows per generated `INSERT` statement: a table's block, so that every
+/// statement renders one contiguous run of rows.
+const BATCH: usize = BLOCK_ROWS;
 
 /// Renders `catalog` as a SQL script that recreates it (see module docs).
 pub fn dump_sql(catalog: &Catalog) -> String {
@@ -50,7 +51,7 @@ fn dump_table(out: &mut String, name: &str, table: &Table) {
     }
     out.push_str(";\n");
 
-    for batch in table.rows().chunks(BATCH) {
+    for batch in table.chunks().flat_map(|run| run.chunks(BATCH)) {
         let mut lossy = false;
         let rendered: Vec<String> = batch
             .iter()

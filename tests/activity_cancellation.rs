@@ -593,7 +593,7 @@ fn tripped_token_aborts_inside_the_normalisation_kernels() {
     let err = global(&spaced, cancel_at(3)).unwrap_err();
     assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
     assert_eq!(polls.get(), 3, "the sweep polled twice before");
-    let err = temporal_except_all(&spaced, &[], 3, cancel_at(2)).unwrap_err();
+    let err = temporal_except_all(&spaced, &[] as &[Row], 3, cancel_at(2)).unwrap_err();
     assert!(cancelled_as(&err, CancelKind::Killed), "{err:?}");
     assert_eq!(polls.get(), 2, "the sweep polled once before");
 }

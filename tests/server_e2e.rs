@@ -1479,3 +1479,76 @@ fn a_script_means_the_same_over_the_wire_and_in_process() {
     drop(raw);
     stop(Client::connect(addr).expect("connect"), server);
 }
+
+/// A shared database seals the tables it publishes, and a sealed table is
+/// read through its blocks: no served statement of an employees class (the
+/// fetches, joins, aggregates and differences) or of a registry kind
+/// (census, audit, publish, register) flattens one into the copy that
+/// `Table::rows` keeps. Each statement's snapshot is pinned before it runs,
+/// so a table a write superseded is checked too.
+#[test]
+fn served_statements_never_flatten_a_sealed_table() {
+    use snapshot_semantics::datagen::employees;
+
+    let shared = SharedDatabase::in_memory();
+    let data = employees::generate(600.0 / employees::FULL_SCALE_EMPLOYEES as f64, 42);
+    let tables = data
+        .table_names()
+        .map(|n| (n.to_string(), data.get(n).unwrap().clone()));
+    shared.register_tables(tables).unwrap();
+    let (addr, _handle, server) = start_server(shared.clone(), ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+
+    let registry: Vec<String> = (0..600)
+        .map(|i| {
+            format!(
+                "({i}, 'type{}', 'active', 1, {}, {i}, 100000)",
+                i % 13,
+                i / 8
+            )
+        })
+        .collect();
+    let mut statements: Vec<String> = vec![
+        "CREATE TABLE reg (object_id INT, object_type TEXT, status TEXT, version INT, \
+         set_id INT, ts INT, te INT) PERIOD (ts, te)"
+            .into(),
+        format!("INSERT INTO reg VALUES {}", registry.join(", ")),
+        "SEQ VT (SELECT status, count(*) AS n FROM reg GROUP BY status)".into(),
+        "SEQ VT AS OF 300 (SELECT object_id, status, version, set_id FROM reg \
+         WHERE object_type = 'type3')"
+            .into(),
+        "INSERT INTO reg VALUES (8, 'type8', 'draft', 2, 90, 1000, 100000), \
+         (9, 'type9', 'draft', 2, 90, 1000, 100000)"
+            .into(),
+        "UPDATE reg SET te = 1000 WHERE object_id BETWEEN 8 AND 9 AND te = 100000 AND ts < 1000"
+            .into(),
+        "INSERT INTO reg VALUES (600, 'type2', 'draft', 1, 91, 1001, 100000)".into(),
+        "SEQ VT (SELECT dept_no, count(*) FROM dept_emp GROUP BY dept_no)".into(),
+        "SEQ VT AS OF 5000 (SELECT emp_no, salary FROM salaries)".into(),
+        "SEQ VT BETWEEN 4000 AND 4500 (SELECT emp_no, salary FROM salaries)".into(),
+    ];
+    statements.extend(employees::queries().into_iter().map(|(_, q)| q.to_string()));
+
+    let mut sealed = std::collections::BTreeSet::new();
+    for sql in &statements {
+        let before = shared.snapshot();
+        run_ok(&mut client, sql);
+        for snapshot in [before, shared.snapshot()] {
+            let catalog = snapshot.catalog();
+            for name in catalog.table_names() {
+                let table = catalog.get(name).unwrap();
+                assert!(!table.rows_cached(), "{sql}\nflattened table '{name}'");
+                if table.as_slice().is_none() {
+                    sealed.insert(name.to_string());
+                }
+            }
+        }
+    }
+    for name in ["reg", "salaries", "dept_emp", "titles", "employees"] {
+        assert!(
+            sealed.contains(name),
+            "'{name}' was never sealed: {sealed:?}"
+        );
+    }
+    stop(client, server);
+}

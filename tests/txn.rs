@@ -764,3 +764,55 @@ fn rollbacks_and_cancelled_transactions_are_counted() {
     s.execute("SET max_rows_scanned = off").unwrap();
     assert_eq!(rollbacks(&mut s), Value::Double(2.0));
 }
+
+/// A write copies the blocks it touches, not the table. A shared database
+/// seals the tables it publishes into shared blocks of 256 rows, so a
+/// transaction's copy of a 20 000-row table duplicates its open tail (under
+/// 256 rows) and, for an `UPDATE`, the block holding the rewritten row —
+/// what `txn_copied_rows_total` counts. A `DELETE` moves positions and
+/// still copies the whole table.
+#[test]
+fn a_write_copies_the_blocks_it_touches_not_the_table() {
+    let db = SharedDatabase::in_memory();
+    let schema = Schema::of(&[
+        ("id", SqlType::Int),
+        ("ts", SqlType::Int),
+        ("te", SqlType::Int),
+    ]);
+    let mut table = Table::with_period(schema, 1, 2);
+    table.extend((0..20_000).map(|i| row![i, i, i + 10]));
+    db.register_tables([("r".to_string(), table)]).unwrap();
+    let copied = || {
+        db.obs()
+            .metrics
+            .get_counter("txn_copied_rows_total")
+            .map_or(0, |c| c.get())
+    };
+    let mut s = db.session();
+    let mut step = |sql: &str| {
+        let before = copied();
+        s.execute(sql).unwrap();
+        copied() - before
+    };
+    let insert = step("INSERT INTO r VALUES (-1, 1, 2)");
+    assert!(insert <= 255, "a one-row INSERT copied {insert} rows");
+    let update = step("UPDATE r SET te = 12 WHERE id = 5");
+    assert!(
+        (256..=511).contains(&update),
+        "a one-row UPDATE copied {update} rows"
+    );
+    let delete = step("DELETE FROM r WHERE id = 7");
+    assert!(delete >= 20_000, "a DELETE copied {delete} rows");
+
+    let snapshot = db.snapshot();
+    let r = snapshot.catalog().get("r").unwrap();
+    assert_eq!(r.len(), 20_000);
+    assert!(r.as_slice().is_none(), "published again, sealed again");
+    assert_eq!(
+        r.iter()
+            .filter(|row| row.int(0) == 5)
+            .map(|row| row.int(2))
+            .collect::<Vec<_>>(),
+        vec![12]
+    );
+}
