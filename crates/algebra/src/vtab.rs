@@ -116,7 +116,6 @@ pub fn virtual_table_schema(name: &str) -> Option<Schema> {
             ("parse_ms", SqlType::Double),
             ("bind_ms", SqlType::Double),
             ("rewrite_ms", SqlType::Double),
-            ("index_ms", SqlType::Double),
             ("execute_ms", SqlType::Double),
             ("commit_ms", SqlType::Double),
             ("rows", SqlType::Int),

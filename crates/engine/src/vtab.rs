@@ -181,7 +181,6 @@ pub fn virtual_table_rows(
                     Value::Double(q.parse_ms),
                     Value::Double(q.bind_ms),
                     Value::Double(q.rewrite_ms),
-                    Value::Double(q.index_ms),
                     Value::Double(q.execute_ms),
                     Value::Double(q.commit_ms),
                     opt_u64(q.rows),

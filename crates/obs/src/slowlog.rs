@@ -36,10 +36,6 @@ pub struct SlowQuery {
     pub bind_ms: f64,
     /// Rewrite phase, milliseconds.
     pub rewrite_ms: f64,
-    /// Index-maintenance phase, milliseconds: always 0, since no statement
-    /// repairs an index (the commit that publishes a table does); kept as
-    /// a column of `snapshot_stat_slow_queries`.
-    pub index_ms: f64,
     /// Execute phase, milliseconds.
     pub execute_ms: f64,
     /// Commit phase, milliseconds.
@@ -132,7 +128,6 @@ mod tests {
             parse_ms: 0.01,
             bind_ms: 0.02,
             rewrite_ms: 0.03,
-            index_ms: 0.0,
             execute_ms: total_ms - 0.06,
             commit_ms: 0.0,
             rows: Some(7),

@@ -1,5 +1,5 @@
 //! `snapshot_db` — a line-oriented shell over [`snapshot_session`],
-//! embedded or remote.
+//! embedded or remote, and the server that the remote shell talks to.
 //!
 //! Statements in, pretty tables and timings out:
 //!
@@ -13,37 +13,41 @@
 //! ...
 //! ```
 //!
-//! Usage: `snapshot_db [--db DIR | --connect HOST:PORT] [--script FILE]
-//! [--sync POLICY] [--checkpoint-every N] [--no-index] [--verify]
-//! [--quiet]`. Without `--script`, reads statements from stdin (the
-//! buffer runs once a line leaves it ending in a `;` outside any string
-//! literal, as the SQL lexer reads it). Lines starting with `.` are
-//! meta commands — see `.help`: a command that duplicates SQL runs as
-//! that SQL. With `--db DIR`, the database is durable: statements are
+//! Without `--script`, reads statements from stdin (the buffer runs once
+//! a line leaves it ending in a `;` outside any string literal, as the
+//! SQL lexer reads it). Lines starting with `.` are meta commands — see
+//! `.help`: a command that duplicates SQL runs as that SQL. With
+//! `--db DIR`, the database is durable: statements are
 //! write-ahead-logged into `DIR` and survive restarts. With
-//! `--connect HOST:PORT`, the shell runs against a `snapshot_server` over
-//! the binary wire protocol instead of an embedded database — same
+//! `--listen HOST:PORT`, the database is opened the same way and served
+//! over TCP instead of a shell, until a loopback client sends the
+//! Shutdown frame ([`snapshot_server::Client::shutdown_server`]). With
+//! `--connect HOST:PORT`, the shell runs against such a server over the
+//! binary wire protocol instead of an embedded database — same
 //! statements, same meta commands but the local-shell tools (`.load`,
 //! `.parallel`, `.trace`).
 
 #![forbid(unsafe_code)]
 
-use snapshot_server::{Client, RemoteResult};
+use snapshot_server::{Client, RemoteResult, Server, ServerConfig};
 use snapshot_session::meta::{self, file_argument, HELP};
 use snapshot_session::{
     PersistenceOptions, Session, SessionOptions, SharedDatabase, StatementResult, SyncPolicy,
 };
 use std::io::{BufRead, Write};
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let mut script: Option<String> = None;
     let mut db_dir: Option<String> = None;
     let mut connect: Option<String> = None;
+    let mut listen: Option<String> = None;
     let mut options = SessionOptions::default();
     let mut persistence = PersistenceOptions::default();
+    let mut server = ServerConfig::default();
     let mut durability_flag: Option<&str> = None;
+    let mut server_flag: Option<&str> = None;
     let mut quiet = false;
     let mut continue_on_error = false;
     let mut args = std::env::args().skip(1);
@@ -61,6 +65,24 @@ fn main() {
                 Some(addr) => connect = Some(addr),
                 None => die_usage("--connect requires a HOST:PORT address"),
             },
+            "--listen" => match args.next() {
+                Some(addr) => listen = Some(addr),
+                None => die_usage("--listen requires a HOST:PORT address"),
+            },
+            "--max-connections" => {
+                server_flag = Some("--max-connections");
+                match args.next().and_then(|n| n.parse::<usize>().ok()) {
+                    Some(n) if n > 0 => server.max_connections = n,
+                    _ => die_usage("--max-connections requires a count > 0"),
+                }
+            }
+            "--read-timeout-ms" => {
+                server_flag = Some("--read-timeout-ms");
+                match args.next().and_then(|n| n.parse::<u64>().ok()) {
+                    Some(n) if n > 0 => server.read_timeout = Some(Duration::from_millis(n)),
+                    _ => die_usage("--read-timeout-ms requires a limit in milliseconds > 0"),
+                }
+            }
             "--sync" => {
                 durability_flag = Some("--sync");
                 match args.next().as_deref() {
@@ -98,6 +120,20 @@ fn main() {
     if let (Some(flag), None) = (durability_flag, &db_dir) {
         die_usage(&format!("{flag} has no effect without --db DIR"));
     }
+    if let (Some(flag), None) = (server_flag, &listen) {
+        die_usage(&format!("{flag} has no effect without --listen HOST:PORT"));
+    }
+    if listen.is_some() {
+        for (flag, given) in [
+            ("--connect", connect.is_some()),
+            ("--script", script.is_some()),
+            ("--continue-on-error", continue_on_error),
+        ] {
+            if given {
+                die_usage(&format!("--listen and {flag} are mutually exclusive"));
+            }
+        }
+    }
     if connect.is_some() {
         if db_dir.is_some() {
             die_usage("--connect and --db are mutually exclusive");
@@ -110,88 +146,23 @@ fn main() {
     }
 
     let backend = match &connect {
-        Some(addr) => {
-            let mut client = match Client::connect(addr.as_str()) {
-                Ok(c) => c,
-                Err(e) => die(&format!("cannot connect to '{addr}': {e}")),
-            };
-            if !quiet {
-                println!(
-                    "connected to {addr} ({}, session {})",
-                    client.server, client.session_id
-                );
-            }
-            // Propagate the shell's option flags to the server-side
-            // session: the server applied its own defaults at accept time,
-            // these are this connection's overrides.
-            let defaults = SessionOptions::default();
-            let mut set = |name: &str, value: String| match client.set_option(name, &value) {
-                Ok(resp) => {
-                    if let Some(e) = resp.error {
-                        die(&format!("cannot set {name}: {e}"));
-                    }
-                }
-                Err(e) => die(&format!("cannot set {name}: {e}")),
-            };
-            if options.statement_timeout_ms != defaults.statement_timeout_ms {
-                let v = options
-                    .statement_timeout_ms
-                    .map(|ms| ms.to_string())
-                    .unwrap_or_else(|| "off".into());
-                set("statement_timeout", v);
-            }
-            if options.slow_query_ms != defaults.slow_query_ms {
-                let v = options
-                    .slow_query_ms
-                    .map(|ms| ms.to_string())
-                    .unwrap_or_else(|| "off".into());
-                set("slow_query_ms", v);
-            }
-            if options.verify_indexed {
-                set("verify_indexed", "on".into());
-            }
-            Backend::Remote {
-                client,
-                in_txn: false,
-            }
-        }
+        Some(addr) => Backend::Remote {
+            client: connect_remote(addr, &options, quiet),
+            in_txn: false,
+        },
         None => {
             // Statements run in this process: reuse what they free.
             snapshot_server::keep_freed_memory();
+            let shared = open_database(db_dir.as_deref(), options, persistence, quiet);
+            if let Some(addr) = &listen {
+                server.options = options;
+                let what = db_dir.as_deref().unwrap_or("an in-memory database");
+                serve(shared, addr, server, what, quiet);
+            }
             // The shell always runs over a SharedDatabase: the single-user
             // REPL is simply the one-session case of the multi-session
             // object, and `.parallel` can fan reader sessions out over the
             // same handle.
-            let shared = match &db_dir {
-                Some(dir) => {
-                    match SharedDatabase::open_durable(Path::new(dir), options, persistence) {
-                        Ok((shared, report)) => {
-                            if !quiet {
-                                let view = shared.snapshot();
-                                let tables = view.catalog().table_names().count();
-                                let rows = view.catalog().total_rows();
-                                let source = match report.checkpoint_seq {
-                                    Some(seq) => format!("checkpoint #{seq}"),
-                                    None => "no checkpoint".to_string(),
-                                };
-                                let torn = if report.truncated_bytes > 0 {
-                                    format!(", {} torn byte(s) truncated", report.truncated_bytes)
-                                } else {
-                                    String::new()
-                                };
-                                println!(
-                                    "opened {dir}: {source} + {} replayed statement(s){torn} \
-                                     — {tables} table(s), {rows} row(s)",
-                                    report.replayed
-                                );
-                            }
-                            shared
-                        }
-                        Err(e) => die(&format!("cannot open database '{dir}': {e}")),
-                    }
-                }
-                None => SharedDatabase::in_memory(),
-            };
             Backend::Local {
                 session: Box::new(shared.session_with_options(options)),
                 shared,
@@ -256,6 +227,99 @@ fn main() {
     std::process::exit(status);
 }
 
+/// Connects the remote shell and propagates its option flags to the
+/// server-side session as SQL `SET`: the server applied its own template
+/// at accept time, these are this connection's overrides.
+fn connect_remote(addr: &str, options: &SessionOptions, quiet: bool) -> Client {
+    let mut client = match Client::connect(addr) {
+        Ok(c) => c,
+        Err(e) => die(&format!("cannot connect to '{addr}': {e}")),
+    };
+    if !quiet {
+        println!(
+            "connected to {addr} ({}, session {})",
+            client.server, client.session_id
+        );
+    }
+    let mut set = |name: &str, value: String| {
+        let outcome = client.query(&format!("SET {name} = {value};"));
+        if let Some(e) = outcome.map_or_else(Some, |resp| resp.error) {
+            die(&format!("cannot set {name}: {e}"));
+        }
+    };
+    let limit = |ms: Option<u64>| ms.map_or_else(|| "off".to_string(), |ms| ms.to_string());
+    let defaults = SessionOptions::default();
+    if options.statement_timeout_ms != defaults.statement_timeout_ms {
+        set("statement_timeout", limit(options.statement_timeout_ms));
+    }
+    if options.slow_query_ms != defaults.slow_query_ms {
+        set("slow_query_ms", limit(options.slow_query_ms));
+    }
+    if options.verify_indexed {
+        set("verify_indexed", "on".into());
+    }
+    client
+}
+
+/// Opens the database the shell and the server run over: durable in
+/// `dir` (recovered, with a one-line report unless `quiet`), or in memory.
+fn open_database(
+    dir: Option<&str>,
+    options: SessionOptions,
+    persistence: PersistenceOptions,
+    quiet: bool,
+) -> SharedDatabase {
+    let Some(dir) = dir else {
+        return SharedDatabase::in_memory();
+    };
+    // Recovery replays through a session built from `options`, but a
+    // replayed statement arms none of its limits and reports to none of
+    // its sinks.
+    let (shared, report) = match SharedDatabase::open_durable(Path::new(dir), options, persistence)
+    {
+        Ok(opened) => opened,
+        Err(e) => die(&format!("cannot open database '{dir}': {e}")),
+    };
+    if !quiet {
+        let view = shared.snapshot();
+        let tables = view.catalog().table_names().count();
+        let rows = view.catalog().total_rows();
+        let source = match report.checkpoint_seq {
+            Some(seq) => format!("checkpoint #{seq}"),
+            None => "no checkpoint".to_string(),
+        };
+        let torn = if report.truncated_bytes > 0 {
+            format!(", {} torn byte(s) truncated", report.truncated_bytes)
+        } else {
+            String::new()
+        };
+        println!(
+            "opened {dir}: {source} + {} replayed statement(s){torn} \
+             — {tables} table(s), {rows} row(s)",
+            report.replayed
+        );
+    }
+    shared
+}
+
+/// Serves `shared` (`what`) on `addr` until a loopback client sends the
+/// Shutdown frame, then exits: 0 after a graceful shutdown, 1 on an error.
+fn serve(shared: SharedDatabase, addr: &str, config: ServerConfig, what: &str, quiet: bool) -> ! {
+    let max = config.max_connections;
+    let server = match Server::bind(shared, addr, config) {
+        Ok(s) => s,
+        Err(e) => die(&format!("cannot listen on '{addr}': {e}")),
+    };
+    if !quiet {
+        let addr = server.local_addr();
+        eprintln!("snapshot_db: serving {what} on {addr} (max {max} connections)");
+    }
+    match server.run() {
+        Ok(_) => std::process::exit(0),
+        Err(e) => die(&format!("snapshot_db: {e}")),
+    }
+}
+
 /// What a processed line means for the surrounding loop. Interactive
 /// sessions report errors and continue (never `Fail`); script mode turns
 /// every error into `Fail` (exit status 1) while `.quit` stays a success.
@@ -266,18 +330,25 @@ enum Flow {
     Fail,
 }
 
-const USAGE: &str = "usage: snapshot_db [--db DIR | --connect HOST:PORT] [--script FILE]
-                   [--sync POLICY] [--checkpoint-every N] [--no-index]
-                   [--verify] [--slow-ms N] [--timeout-ms N]
+const USAGE: &str = "usage: snapshot_db [--db DIR] [--connect HOST:PORT | --listen HOST:PORT]
+                   [--script FILE] [--sync POLICY] [--checkpoint-every N]
+                   [--no-index] [--verify] [--slow-ms N] [--timeout-ms N]
+                   [--max-connections N] [--read-timeout-ms N]
                    [--continue-on-error] [--quiet]
   --db DIR              open a durable database in DIR (created if missing):
                         statements are write-ahead-logged and the catalog is
                         checkpointed, so the database survives restarts
-  --connect HOST:PORT   run against a snapshot_server over TCP instead of an
-                        embedded database — same statements, same meta
-                        commands but .load, .parallel and .trace (local
-                        tools); --timeout-ms/--slow-ms/--verify are
-                        forwarded as session options
+  --connect HOST:PORT   run against a server (snapshot_db --listen) over TCP
+                        instead of an embedded database — same statements,
+                        same meta commands but .load, .parallel and .trace
+                        (local tools); --timeout-ms/--slow-ms/--verify are
+                        forwarded as SQL SET
+  --listen HOST:PORT    serve the database over TCP instead of a shell (port
+                        0 = any free port, printed), until a loopback client
+                        sends Shutdown; the option flags are every
+                        connection's defaults
+  --max-connections N   with --listen: refuse connections beyond N (default 64)
+  --read-timeout-ms N   with --listen: close connections idle for N ms
   --script FILE         execute a .sql script (meta commands allowed) and exit
   --sync POLICY         WAL sync policy: 'always' (fsync per statement, the
                         default) or 'checkpoint' (fsync only at checkpoints)
@@ -294,6 +365,7 @@ const USAGE: &str = "usage: snapshot_db [--db DIR | --connect HOST:PORT] [--scri
   --continue-on-error   in script mode, report statement errors and carry
                         on instead of exiting with status 1
   --quiet               print summaries and timings but not result tables
+                        (and no banners)
   --help, -h            print this usage";
 
 fn die(msg: &str) -> ! {

@@ -71,7 +71,8 @@ pub struct QueryResponse {
 /// Size of the client's read buffer: several whole [`Frame::RowBatch`]es.
 const READ_BUFFER: usize = 64 << 10;
 
-/// A connection to a `snapshot_server`, post-handshake.
+/// A connection to a server (`snapshot_db --listen`, or [`crate::Server`]
+/// in process), post-handshake.
 #[derive(Debug)]
 pub struct Client {
     /// The write half.
@@ -165,22 +166,6 @@ impl Client {
             &mut self.stream,
             &Frame::Meta {
                 command: command.to_string(),
-            },
-        )?;
-        self.collect_response()
-    }
-
-    /// Set a session option by name — exactly what SQL `SET name = value`
-    /// does (`Session::set_option` on the server): `statement_timeout`,
-    /// `max_rows_scanned`, `max_result_rows`, `slow_query_ms`,
-    /// `slow_log_capacity`, `verify_indexed`; the value is a number or
-    /// `off` (`on` or `off` for `verify_indexed`).
-    pub fn set_option(&mut self, name: &str, value: &str) -> Result<QueryResponse, RemoteError> {
-        write_frame(
-            &mut self.stream,
-            &Frame::SetOption {
-                name: name.to_string(),
-                value: value.to_string(),
             },
         )?;
         self.collect_response()

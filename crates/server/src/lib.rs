@@ -18,8 +18,9 @@
 //!   remote shell (`snapshot_db --connect`), the integration tests, and
 //!   the load bench are built on.
 //!
-//! Binaries: `snapshot_server` (the daemon) and `snapshot_db` (the shell,
-//! local-embedded by default, remote with `--connect HOST:PORT`).
+//! Binary: `snapshot_db` — the shell, local-embedded by default, remote
+//! with `--connect HOST:PORT`; with `--listen HOST:PORT` it opens the
+//! database as the shell does and serves it through [`Server`] instead.
 //!
 //! See `docs/protocol.md` for the wire format specification.
 //!

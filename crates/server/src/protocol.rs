@@ -37,9 +37,8 @@
 //!
 //! 1. client: [`Frame::Hello`] — server: [`Frame::Welcome`] (or
 //!    [`Frame::Error`] + close on a version mismatch).
-//! 2. client: one of [`Frame::Query`] / [`Frame::Meta`] /
-//!    [`Frame::SetOption`] — server: a response sequence terminated by
-//!    [`Frame::Ready`]:
+//! 2. client: [`Frame::Query`] or [`Frame::Meta`] — server: a response
+//!    sequence terminated by [`Frame::Ready`]:
 //!    * per result-set: [`Frame::RowHeader`], zero or more
 //!      [`Frame::RowBatch`]es, [`Frame::RowEnd`];
 //!    * per non-row statement: [`Frame::Done`];
@@ -62,8 +61,10 @@ pub use snapshot_wal::codec::ROW_BATCH;
 
 /// Protocol version spoken by this build; the handshake refuses a client
 /// whose version differs. (1 → 2: [`Frame::RowBatch`] became a column
-/// block; 2 → 3: a column block may hold a string dictionary.)
-pub const PROTOCOL_VERSION: u32 = 3;
+/// block; 2 → 3: a column block may hold a string dictionary; 3 → 4:
+/// the frame that set a session option left — SQL `SET` does that — and
+/// its tag `0x04` decodes as an unknown frame.)
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard ceiling on one frame's payload size (matches the WAL's own
 /// guard): a corrupt length prefix must not trigger an absurd allocation.
@@ -98,14 +99,6 @@ pub enum Frame {
     Meta {
         /// e.g. `"tables"`, `"kill 7"`, `"timeout 250"`.
         command: String,
-    },
-    /// Set a session option without going through SQL.
-    SetOption {
-        /// Option name (the `SET` names: `statement_timeout`,
-        /// `max_rows_scanned`, …).
-        name: String,
-        /// Option value (a number, or `off`).
-        value: String,
     },
     /// Clean close; the server answers [`Frame::Goodbye`].
     Close,
@@ -162,7 +155,6 @@ pub enum Frame {
 const TAG_HELLO: u8 = 0x01;
 const TAG_QUERY: u8 = 0x02;
 const TAG_META: u8 = 0x03;
-const TAG_SET_OPTION: u8 = 0x04;
 const TAG_CLOSE: u8 = 0x05;
 const TAG_SHUTDOWN: u8 = 0x06;
 const TAG_WELCOME: u8 = 0x10;
@@ -229,11 +221,6 @@ impl Frame {
                 w.put_u8(TAG_META);
                 w.put_str(command);
             }
-            Frame::SetOption { name, value } => {
-                w.put_u8(TAG_SET_OPTION);
-                w.put_str(name);
-                w.put_str(value);
-            }
             Frame::Close => w.put_u8(TAG_CLOSE),
             Frame::Shutdown => w.put_u8(TAG_SHUTDOWN),
             Frame::Done { summary } => {
@@ -277,10 +264,6 @@ impl Frame {
             TAG_QUERY => Frame::Query { sql: r.get_str()? },
             TAG_META => Frame::Meta {
                 command: r.get_str()?,
-            },
-            TAG_SET_OPTION => Frame::SetOption {
-                name: r.get_str()?,
-                value: r.get_str()?,
             },
             TAG_CLOSE => Frame::Close,
             TAG_SHUTDOWN => Frame::Shutdown,
@@ -528,10 +511,6 @@ mod tests {
             Frame::Meta {
                 command: "tables".into(),
             },
-            Frame::SetOption {
-                name: "statement_timeout".into(),
-                value: "250".into(),
-            },
             Frame::Close,
             Frame::Shutdown,
             Frame::Done {
@@ -755,6 +734,20 @@ mod tests {
         }
     }
 
+    /// Tag 4 set a session option until version 4 and is not reused: a
+    /// peer that still sends it gets a decode error, not some other frame.
+    #[test]
+    fn the_retired_option_tag_is_an_unknown_frame() {
+        let mut w = Writer::new();
+        w.put_u8(0x04);
+        w.put_str("statement_timeout");
+        w.put_str("250");
+        assert_eq!(
+            Frame::decode(&w.into_bytes()),
+            Err("unknown frame tag 0x04".to_string())
+        );
+    }
+
     #[test]
     fn absurd_length_prefix_is_refused_before_allocation() {
         let mut wire = Vec::new();
@@ -787,7 +780,7 @@ mod tests {
                 1 => Frame::Welcome { protocol_version: n as u32, server: text.clone(), session_id: n },
                 2 => Frame::Query { sql: text.clone() },
                 3 => Frame::Meta { command: text.clone() },
-                4 => Frame::SetOption { name: text.clone(), value: n.to_string() },
+                4 => Frame::Done { summary: text.clone() },
                 5 => Frame::RowBatch {
                     rows: ints
                         .iter()

@@ -19,8 +19,8 @@
 //! Graceful shutdown ([`ServerHandle::shutdown`]): stop accepting, give
 //! in-flight statements a grace window to drain, cancel the stragglers
 //! through their cancel tokens, close every socket, join every thread,
-//! checkpoint the database, and return — the `snapshot_server` binary
-//! then exits 0. A peer starts it with [`Frame::Shutdown`] only from a
+//! checkpoint the database, and return — `snapshot_db --listen` then
+//! exits 0. A peer starts it with [`Frame::Shutdown`] only from a
 //! loopback address (`may_shut_down`): the protocol has no
 //! authentication, so any other peer gets an error and keeps its
 //! connection.
@@ -50,7 +50,7 @@ pub struct ServerConfig {
     /// The option template every accepted connection's session starts
     /// from — this is how server-wide defaults (`--timeout-ms`,
     /// `--slow-ms`, …) propagate to every connection; clients
-    /// override per connection via `SET` / [`Frame::SetOption`].
+    /// override per connection via SQL `SET`.
     pub options: SessionOptions,
     /// How long shutdown waits for in-flight statements to drain before
     /// cancelling them through their tokens.
@@ -583,14 +583,6 @@ fn executor_loop(
                     ),
                 },
             },
-            Msg::Frame(Frame::SetOption { name, value }) => {
-                match session.set_option(&name, &value) {
-                    Ok(()) => Frame::Done {
-                        summary: format!("SET {name} = {value}"),
-                    },
-                    Err(message) => Frame::Error { message },
-                }
-            }
             Msg::Frame(Frame::Close) => {
                 let _ = send(stream, &Frame::Goodbye);
                 return;

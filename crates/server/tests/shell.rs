@@ -4,11 +4,18 @@
 //! back. A meta command that duplicates SQL runs as that SQL on both
 //! backends, splicing no user text into it but `.explain`'s one
 //! statement; over `--connect` the local-shell tools are refused and
-//! `--verify` is forwarded.
+//! `--verify` is forwarded. With `--listen` the same program opens the
+//! database as the shell does and serves it until a loopback client
+//! shuts it down; beside the shell's own flags it is refused.
 
-use snapshot_server::{Server, ServerConfig};
-use snapshot_session::SharedDatabase;
-use std::process::Command;
+#[path = "../../../tests/support/scratch.rs"]
+mod scratch;
+
+use scratch::ScratchDir;
+use snapshot_server::{Client, RemoteResult, Server, ServerConfig};
+use snapshot_session::{PersistenceOptions, SessionOptions, SharedDatabase};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 
 #[test]
 fn the_shell_ends_statements_where_the_lexer_does() {
@@ -154,4 +161,97 @@ fn over_connect_the_local_tools_are_refused_and_verify_is_forwarded() {
         );
     });
     assert_eq!(shared.snapshot().catalog().table_names().count(), 0);
+}
+
+/// A `snapshot_db --listen` child, killed if a failed assertion unwinds
+/// before the test has stopped it.
+struct Listening(Child);
+
+impl Drop for Listening {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn listen_serves_the_durable_database_until_a_loopback_shutdown() {
+    let dir = ScratchDir::new("listen");
+    let db = dir.join("db");
+    let child = Command::new(env!("CARGO_BIN_EXE_snapshot_db"))
+        .arg("--db")
+        .arg(&db)
+        .args(["--listen", "127.0.0.1:0", "--timeout-ms", "60000"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut server = Listening(child);
+    // The banner names the bound address: port 0 took any free one.
+    let mut stderr = BufReader::new(server.0.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let addr = banner
+        .strip_prefix(&format!("snapshot_db: serving {} on ", db.display()))
+        .and_then(|rest| rest.strip_suffix(" (max 64 connections)\n"))
+        .unwrap_or_else(|| panic!("no serving banner: {banner:?}"))
+        .to_string();
+
+    let mut client = Client::connect(addr.as_str()).unwrap();
+    let resp = client
+        .query(
+            "CREATE TABLE t (x INT, ts INT, te INT) PERIOD (ts, te);
+             INSERT INTO t VALUES (7, 1, 5);
+             SHOW statement_timeout;",
+        )
+        .unwrap();
+    assert!(resp.error.is_none(), "{:?}", resp.error);
+    let Some(RemoteResult::Rows(shown)) = resp.results.last() else {
+        panic!("SHOW answers a table: {:?}", resp.results);
+    };
+    assert_eq!(
+        shown.rows()[0].get(0).to_string(),
+        "60000",
+        "--timeout-ms is every connection's template"
+    );
+    client.shutdown_server().unwrap();
+    let status = server.0.wait().unwrap();
+    assert_eq!(status.code(), Some(0));
+
+    let (reopened, _) = SharedDatabase::open_durable(
+        &db,
+        SessionOptions::default(),
+        PersistenceOptions::default(),
+    )
+    .unwrap();
+    let snapshot = reopened.snapshot();
+    let rows = snapshot.catalog().get("t").expect("t was recovered").rows();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].get(0).to_string(), "7");
+}
+
+#[test]
+fn listen_is_refused_beside_the_shell_flags() {
+    for flags in [
+        &["--connect", "127.0.0.1:1"][..],
+        &["--script", "never_read.sql"],
+        &["--continue-on-error"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_snapshot_db"))
+            .args(["--listen", "127.0.0.1:0"])
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        let mut lines = stderr.lines();
+        assert_eq!(
+            lines.next(),
+            Some(format!("--listen and {} are mutually exclusive", flags[0]).as_str())
+        );
+        assert!(lines
+            .next()
+            .unwrap_or_default()
+            .starts_with("usage: snapshot_db "));
+    }
 }

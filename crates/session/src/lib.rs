@@ -20,7 +20,7 @@
 //! * [`meta`] — the shell meta commands (`.tables`, `.kill`, `.dump`, …)
 //!   as a library: the SQL of those that duplicate SQL, and the text of
 //!   the rest, shared by the `snapshot_db` shell and the network server
-//!   (both live in the `snapshot_server` crate).
+//!   (both in the `snapshot_server` crate).
 //!
 //! A database is durable when opened on a database directory
 //! ([`SharedDatabase::open_durable`]): every commit — a bare DDL/DML

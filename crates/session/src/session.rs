@@ -349,9 +349,9 @@ impl StatementRecord {
                     (1, "txn.commit", Some(total)),
                     (2, "txn.wait", Some(t.wait)),
                     (2, "txn.validate", Some(t.validate)),
+                    (2, "txn.publish", Some(t.publish)),
                     (2, "wal.append", append),
                     (3, "wal.fsync", t.durable.and_then(|a| a.fsync)),
-                    (2, "txn.publish", Some(t.publish)),
                     (1, "wal.checkpoint", c.checkpoint),
                 ];
                 for (depth, name, took) in split {
@@ -752,7 +752,6 @@ impl Session {
             parse_ms: p.parse_ns as f64 / 1e6,
             bind_ms: p.bind_ns as f64 / 1e6,
             rewrite_ms: p.rewrite_ns as f64 / 1e6,
-            index_ms: 0.0, // no statement repairs an index
             execute_ms: p.execute_ns as f64 / 1e6,
             commit_ms: p.commit_ns as f64 / 1e6,
             rows,
@@ -812,16 +811,15 @@ impl Session {
         }
     }
 
-    /// Sets one option by name — what SQL `SET <name> = <value>` and the
-    /// wire protocol's `SetOption` frame both run (`SessionOption` holds
-    /// the names). Values are a number or `off`, and `on` or `off` for
-    /// `verify_indexed`. `off` clears `statement_timeout` (alias
-    /// `statement_timeout_ms`), `max_rows_scanned`, `max_result_rows` and
-    /// `slow_query_ms`; `0` clears the first three too, while
+    /// Sets one option by name — what SQL `SET <name> = <value>` runs
+    /// (`SessionOption` holds the names). Values are a number or `off`,
+    /// and `on` or `off` for `verify_indexed`. `off` clears
+    /// `statement_timeout` (alias `statement_timeout_ms`),
+    /// `max_rows_scanned`, `max_result_rows` and `slow_query_ms`; `0` clears the first three too, while
     /// `slow_query_ms = 0` logs every statement. `slow_log_capacity`
     /// resizes the database's slow-query ring (shared by all its sessions)
     /// and takes a positive number.
-    pub fn set_option(&mut self, name: &str, value: &str) -> Result<(), String> {
+    fn set_option(&mut self, name: &str, value: &str) -> Result<(), String> {
         let option = SessionOption::named(name)?;
         let off = value.eq_ignore_ascii_case("off");
         let number = || {

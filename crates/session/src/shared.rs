@@ -14,8 +14,11 @@
 //! one durable write path and the one recovery driver: the write-ahead
 //! log receives each transaction as one commit unit (one frame, one
 //! fsync), written under the commit lock *after* conflict validation and
-//! *before* publication, so the log contains exactly the committed
-//! history in commit order and a unit that fails to log aborts cleanly.
+//! after its publication is prepared (written tables installed and their
+//! indexes repaired on a private copy), *before* that copy is swapped in.
+//! So the log contains exactly the committed history in commit order, a
+//! logged unit's publication has nothing left that can fail, and a unit
+//! that fails to log aborts cleanly.
 //! Recovery replays it through an ordinary session, the whole tail as one
 //! transaction; a torn unit never reaches it.
 
@@ -262,8 +265,9 @@ impl SharedDatabase {
         self.inner.txns.rollback(txn);
     }
 
-    /// Commits a transaction: validate first-committer-wins, append the
-    /// commit unit to the WAL (one fsync), publish, auto-checkpoint.
+    /// Commits a transaction: validate first-committer-wins, prepare the
+    /// publication, append the commit unit to the WAL (one fsync), swap
+    /// the prepared state in, auto-checkpoint.
     pub(crate) fn commit(&self, txn: Transaction) -> Result<CommitReport, StatementError> {
         let inner = &*self.inner;
         let outcome =

@@ -29,9 +29,10 @@
 //! touches the write-ahead log directly. The session layer
 //! (`snapshot_session`) drives statements into transactions and passes a
 //! durability callback into [`TxnManager::commit_with`], which is invoked
-//! under the commit lock, after conflict validation and before publication
-//! — the WAL sees only committable units, and a unit that fails to reach
-//! the log aborts cleanly.
+//! under the commit lock, after conflict validation and after the
+//! publication is prepared (index repair included), before it is swapped
+//! in — the WAL sees only committable units whose publication cannot fail
+//! half-way, and a unit that fails to reach the log aborts cleanly.
 
 #![forbid(unsafe_code)]
 

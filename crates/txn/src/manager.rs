@@ -10,15 +10,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use storage::{Catalog, Table};
 
-/// The committed state: what a new snapshot pins. Every period table's
-/// index in `indexes` is fresh (see [`TxnManager`]).
-#[derive(Debug)]
-struct Committed {
-    catalog: Catalog,
-    indexes: IndexCatalog,
-    commit_seq: u64,
-}
-
 /// What a successful commit published, and where its time went: the
 /// split the commit-path histograms observe, plus the report `D` of the
 /// durability callback (see [`TxnManager::commit_with`]). A read-only
@@ -37,7 +28,8 @@ pub struct CommitOutcome<D = ()> {
     pub validate: Duration,
     /// What the durability callback returned.
     pub durable: D,
-    /// Publication, index repair included.
+    /// Publication: preparing the new committed state (index repair
+    /// included) before the durability callback, and swapping it in after.
     pub publish: Duration,
     /// Rows the published tables duplicated when the transaction first
     /// wrote them and as it wrote ([`Table::copied_rows`]): open tails
@@ -71,10 +63,13 @@ pub struct CommitOutcome<D = ()> {
 ///   `INSERT ... SELECT` sources) do join validation, so the logical WAL
 ///   replays every logged statement deterministically.
 /// * **Durability slots in between.** The callback passed to
-///   [`TxnManager::commit_with`] runs after validation and before
-///   publication, still under the commit lock — the write-ahead log
-///   receives only committable units, in commit order, and a unit that
-///   fails to log aborts the commit with the committed state untouched.
+///   [`TxnManager::commit_with`] runs under the commit lock after
+///   validation and after the new committed state is *prepared* (written
+///   tables installed in a private copy, their indexes repaired), just
+///   before that copy is swapped in — the write-ahead log receives only
+///   committable units whose publication cannot fail half-way, in commit
+///   order, and a unit that fails to log aborts the commit: the prepared
+///   copy is dropped and the committed state is untouched.
 /// * **Published tables are sealed.** Every table the manager publishes —
 ///   at construction, in [`TxnManager::install_tables`] and in
 ///   [`TxnManager::commit_with`] — is cut into shared blocks
@@ -90,13 +85,15 @@ pub struct CommitOutcome<D = ()> {
 ///   stale by version — on the naive routes until it commits.
 #[derive(Debug)]
 pub struct TxnManager {
-    // Poisoning only happens when a thread panicked mid-operation; the
-    // committed state is swapped atomically (publication builds the new
-    // handles before touching the guard), so the data is still consistent —
-    // the `obs::lock` types recover the guard instead of cascading panics
-    // through every session, and enforce `docs/lock_order.md` in debug.
-    state: obs::NamedRw<Committed>,
-    /// Held for the whole validate → log → publish sequence.
+    // The committed state: what a new snapshot pins; every period table's
+    // index in it is fresh. Poisoning only happens when a thread panicked
+    // mid-operation; the committed state is swapped atomically
+    // (publication prepares the new state before touching the guard), so
+    // the data is still consistent — the `obs::lock` types recover the
+    // guard instead of cascading panics through every session, and
+    // enforce `docs/lock_order.md` in debug.
+    state: obs::NamedRw<CatalogSnapshot>,
+    /// Held for the whole validate → prepare → log → swap sequence.
     commit_lock: obs::Named<()>,
     next_txn_id: AtomicU64,
     // Telemetry in the database's registry; the histograms split the
@@ -144,7 +141,7 @@ pub fn validate_first_committer_wins(
 /// next reader finds them fresh. Shared by the
 /// owned-database commit path and [`TxnManager::commit_with`], which
 /// applies it to a private copy of the committed state so the index
-/// builds hold no state lock.
+/// builds hold no state lock and finish before the commit is logged.
 pub fn publish_write_set<'a>(
     working: &Catalog,
     write_set: impl Iterator<Item = &'a str>,
@@ -174,14 +171,7 @@ impl TxnManager {
         }
         indexes.refresh(&catalog, catalog.table_names());
         TxnManager {
-            state: obs::NamedRw::new(
-                "txn.state",
-                Committed {
-                    catalog,
-                    indexes,
-                    commit_seq: 0,
-                },
-            ),
+            state: obs::NamedRw::new("txn.state", CatalogSnapshot::new(catalog, indexes, 0)),
             commit_lock: obs::Named::new("txn.commit", ()),
             next_txn_id: AtomicU64::new(1),
             snapshots: metrics.counter("txn_snapshots_total"),
@@ -198,13 +188,7 @@ impl TxnManager {
     /// Pins a snapshot of the current committed state.
     pub fn snapshot(&self) -> CatalogSnapshot {
         let started = Instant::now();
-        let state = self.state.read();
-        let snap = CatalogSnapshot::new(
-            state.catalog.clone(),
-            state.indexes.clone(),
-            state.commit_seq,
-        );
-        drop(state);
+        let snap = self.state.read().clone();
         self.snapshots.inc();
         self.snapshot_seconds.observe_duration(started.elapsed());
         snap
@@ -218,15 +202,17 @@ impl TxnManager {
 
     /// The current commit sequence number.
     pub fn commit_seq(&self) -> u64 {
-        self.state.read().commit_seq
+        self.state.read().commit_seq()
     }
 
-    /// Commits a transaction: validate (first-committer-wins), make
-    /// durable, publish. `durability` receives the buffered statement
-    /// texts and is called only for validated, non-read-only commits; what
-    /// it returns comes back as [`CommitOutcome::durable`] (`D::default()`
-    /// for a read-only commit). An `Err` from it aborts the commit with
-    /// the committed state untouched and surfaces as
+    /// Commits a transaction: validate (first-committer-wins), prepare
+    /// the publication (index repair included), make durable, swap the
+    /// prepared state in. `durability` receives the buffered statement
+    /// texts and is called only for validated, non-read-only commits whose
+    /// publication is prepared; what it returns comes back as
+    /// [`CommitOutcome::durable`] (`D::default()` for a read-only commit).
+    /// An `Err` from it aborts the commit — the prepared state is dropped,
+    /// the committed state untouched — and surfaces as
     /// [`StatementError::Failed`] (not retryable).
     pub fn commit_with<F, D>(
         &self,
@@ -266,7 +252,7 @@ impl TxnManager {
         // keeps it stable through publication; concurrent `begin`s only
         // read.
         let started = Instant::now();
-        let verdict = validate_first_committer_wins(&txn, &self.state.read().catalog);
+        let verdict = validate_first_committer_wins(&txn, self.state.read().catalog());
         let validate = started.elapsed();
         self.validate_seconds.observe_duration(validate);
         if let Err(e) = verdict {
@@ -274,12 +260,15 @@ impl TxnManager {
             return Err(e);
         }
         let (_, working, write_set, statements) = txn.into_parts();
-        let durable = durability(&statements)?;
         let started = Instant::now();
         let written = write_set.iter().map(String::as_str);
-        let (commit_seq, superseded) =
-            self.publish(|c, i| publish_write_set(&working, written, c, i));
-        let publish = started.elapsed();
+        let prepared = self.prepare(|c, i| publish_write_set(&working, written, c, i));
+        let prepare = started.elapsed();
+        let durable = durability(&statements)?;
+        let started = Instant::now();
+        let commit_seq = prepared.commit_seq();
+        let superseded = self.swap(prepared);
+        let publish = prepare + started.elapsed();
         self.publish_seconds.observe_duration(publish);
         self.commits.inc();
         // Free the superseded state (the old versions of the written
@@ -297,27 +286,28 @@ impl TxnManager {
         })
     }
 
-    /// Publication in two steps; the caller holds the commit lock, so the
-    /// committed state cannot move between them. **Prepare:** `apply` runs
-    /// on a private copy of the committed catalog and index registry — the
-    /// `O(#tables)` handle copy a snapshot makes, under the read side of
-    /// `txn.state` — with no state lock held while it builds indexes.
-    /// **Swap:** the write side is taken only to install the copy's
-    /// handles and bump `commit_seq`. Returns the commit sequence number
-    /// after the swap and the swapped-out state, for the caller to drop
-    /// once it has released the commit lock: freeing a superseded table
-    /// version costs time in proportion to its rows.
-    fn publish(
-        &self,
-        apply: impl FnOnce(&mut Catalog, &mut IndexCatalog),
-    ) -> (u64, (Catalog, IndexCatalog)) {
-        let (mut catalog, mut indexes) = self.with_committed(|c, i| (c.clone(), i.clone()));
+    /// The first step of publication: `apply` runs on a private copy of
+    /// the committed catalog and index registry — the `O(#tables)` handle
+    /// copy a snapshot makes, under the read side of `txn.state` — with no
+    /// state lock held while it builds indexes. Returns the next committed
+    /// state, one commit sequence number on. The caller holds the commit
+    /// lock, so the committed state cannot move before [`Self::swap`].
+    fn prepare(&self, apply: impl FnOnce(&mut Catalog, &mut IndexCatalog)) -> CatalogSnapshot {
+        let state = self.state.read();
+        let (mut catalog, mut indexes) = (state.catalog().clone(), state.indexes().clone());
+        let commit_seq = state.commit_seq() + 1;
+        drop(state);
         apply(&mut catalog, &mut indexes);
-        let mut state = self.state.write();
-        std::mem::swap(&mut state.catalog, &mut catalog);
-        std::mem::swap(&mut state.indexes, &mut indexes);
-        state.commit_seq += 1;
-        (state.commit_seq, (catalog, indexes))
+        CatalogSnapshot::new(catalog, indexes, commit_seq)
+    }
+
+    /// The second step of publication: the write side of `txn.state` is
+    /// taken only to install the prepared state. Returns the swapped-out
+    /// state, for the caller to drop once it has released the commit lock:
+    /// freeing a superseded table version costs time in proportion to its
+    /// rows.
+    fn swap(&self, prepared: CatalogSnapshot) -> CatalogSnapshot {
+        std::mem::replace(&mut *self.state.write(), prepared)
     }
 
     /// Rolls a transaction back. The committed state was never touched, so
@@ -336,7 +326,7 @@ impl TxnManager {
     /// outlives the call).
     pub fn with_committed<R>(&self, f: impl FnOnce(&Catalog, &IndexCatalog) -> R) -> R {
         let state = self.state.read();
-        f(&state.catalog, &state.indexes)
+        f(state.catalog(), state.indexes())
     }
 
     /// Runs `f` over the committed catalog with the *commit path locked
@@ -353,7 +343,7 @@ impl TxnManager {
     pub fn with_committed_serialized<R>(&self, f: impl FnOnce(&Catalog, &IndexCatalog) -> R) -> R {
         let _commit = self.commit_lock.lock();
         let state = self.state.read();
-        f(&state.catalog, &state.indexes)
+        f(state.catalog(), state.indexes())
     }
 
     /// Installs tables wholesale into the committed state (the bulk-load
@@ -368,7 +358,7 @@ impl TxnManager {
     {
         let commit = self.commit_lock.lock();
         let mut names = Vec::new();
-        let (commit_seq, superseded) = self.publish(|catalog, indexes| {
+        let prepared = self.prepare(|catalog, indexes| {
             for (name, mut table) in tables {
                 table.seal();
                 catalog.register(name.clone(), table);
@@ -376,6 +366,8 @@ impl TxnManager {
             }
             indexes.refresh(catalog, names.iter().map(String::as_str));
         });
+        let commit_seq = prepared.commit_seq();
+        let superseded = self.swap(prepared);
         drop(commit);
         drop(superseded);
         CommitOutcome {
@@ -543,6 +535,34 @@ mod tests {
         assert_eq!(err, StatementError::Failed("disk on fire".into()));
         assert_eq!(mgr.snapshot().catalog().get("works").unwrap().len(), 2);
         assert_eq!(mgr.commit_seq(), 0);
+    }
+
+    /// A commit prepares its publication before it logs: when the
+    /// durability callback runs, the written period table's index repair
+    /// is already counted, so a panic in the repair cannot leave a logged
+    /// unit that was never published.
+    #[test]
+    fn index_repair_is_done_before_the_commit_is_logged() {
+        let metrics = MetricsRegistry::new();
+        let mut catalog = Catalog::new();
+        catalog.register("works", works_table());
+        let mgr = TxnManager::new(catalog, IndexCatalog::recording_into(&metrics), &metrics);
+        let repairs = || {
+            let stats = index::MaintenanceStats::read(&metrics);
+            stats.full_builds + stats.incremental_builds
+        };
+        let built = repairs();
+        let mut txn = mgr.begin();
+        txn.catalog_mut()
+            .get_mut("works")
+            .unwrap()
+            .push(row!["X", 1, 2]);
+        txn.record_write("works");
+        txn.push_statement("INSERT INTO works VALUES ('X', 1, 2)".into());
+        let outcome = mgr.commit_with(txn, |_| Ok(repairs())).unwrap();
+        assert_eq!(outcome.durable, built + 1, "repaired before durability");
+        assert_eq!(repairs(), built + 1, "and only once");
+        assert_eq!(mgr.snapshot().catalog().get("works").unwrap().len(), 3);
     }
 
     #[test]

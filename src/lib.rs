@@ -27,7 +27,8 @@
 //!   `ROLLBACK`; durable when opened on a database directory),
 //! * [`server`] — the network subsystem: a threaded TCP server speaking a
 //!   length-prefixed CRC32-framed binary protocol, the `Client` library
-//!   type, and the `snapshot_server` / `snapshot_db` binaries,
+//!   type, and the `snapshot_db` binary (the shell, local or remote, and
+//!   with `--listen` the server),
 //! * [`baseline`] — comparator implementations (point-wise oracle, ATSQL
 //!   interval preservation, alignment-based native evaluation),
 //! * [`datagen`] — synthetic Employees / TPC-BiH-style datasets.

@@ -451,7 +451,7 @@ fn a_cancelled_statements_slow_log_entry_counts_its_parse() {
         .expect("the cancellation is logged");
     assert_eq!(q.statement, "SELECT x FROM act_parse");
     assert!(q.parse_ms > 0.0, "parse time kept: {q:?}");
-    let phases = q.parse_ms + q.bind_ms + q.rewrite_ms + q.index_ms + q.execute_ms + q.commit_ms;
+    let phases = q.parse_ms + q.bind_ms + q.rewrite_ms + q.execute_ms + q.commit_ms;
     assert!(
         (q.total_ms - phases).abs() < 1e-9,
         "total {} ms is the sum of its phases, {phases} ms",

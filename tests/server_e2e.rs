@@ -3,8 +3,8 @@
 //! snapshots while a writer churns, cancellation crosses connections
 //! (`snapshot_cancel` from one client kills another's statement), the
 //! server-wide statement-timeout default propagates to every connection
-//! (and per-connection overrides clear it), SQL `SET` and the `SetOption`
-//! frame take the same names to the same effect, graceful shutdown leaves a
+//! (and per-connection overrides clear it), SQL `SET` takes every option
+//! name and `SHOW` reads back what it left, graceful shutdown leaves a
 //! recoverable WAL-consistent database, a socket killed mid-query or
 //! mid-result leaves no ghost rows in `snapshot_stat_activity`, a
 //! multi-batch result arrives in the executor's row order with every byte
@@ -365,7 +365,7 @@ fn server_timeout_default_propagates_and_is_overridable() {
     assert_eq!(rows[0].values()[0], Value::Int(800 * 799));
 
     // A *new* connection still gets the server default (the override was
-    // per-connection) — and the SetOption frame route works too.
+    // per-connection) — and a limit of 0 clears it too.
     let mut fresh = Client::connect(addr).expect("connect");
     let resp = fresh.query(slow).expect("connection alive");
     assert!(
@@ -374,7 +374,7 @@ fn server_timeout_default_propagates_and_is_overridable() {
         resp.error
     );
     let resp = fresh
-        .set_option("statement_timeout", "off")
+        .query("SET statement_timeout = 0;")
         .expect("connection alive");
     assert!(resp.error.is_none());
     let resp = fresh
@@ -386,126 +386,132 @@ fn server_timeout_default_propagates_and_is_overridable() {
     stop(fresh, server);
 }
 
-/// SQL `SET` and the `SetOption` frame run one function: every option
-/// name, spelled either way, answers the same and leaves the same state —
-/// as `SHOW` reads it, as the resource limits and a join show it, and in
-/// the database's slow-log ring — and a bad name or value
-/// gets the same error on both paths. There is no `parallelism` option:
-/// every value is refused as an unknown name, and an overlap join after
-/// the largest of them still answers.
+/// SQL `SET` takes every option name over the wire: an accepted value
+/// answers `SET name = value` and `SHOW` reads back what it left — as do
+/// the resource limits, a scan shows them, and the database's slow-log
+/// ring — while a bad name or value is refused with its message and
+/// changes nothing that `SHOW`, a scan, a join or the ring shows. There is
+/// no `parallelism` option: every value is refused as an unknown name,
+/// and an overlap join after the largest of them still answers.
 #[test]
-fn sql_set_and_set_option_frame_take_the_same_names() {
+fn sql_set_takes_every_option_name_and_refuses_bad_values() {
     let shared = SharedDatabase::in_memory();
     let obs = Arc::clone(shared.obs());
     let (addr, _handle, server) = start_server(shared, ServerConfig::default());
-    let mut by_sql = Client::connect(addr).expect("connect");
-    let mut by_frame = Client::connect(addr).expect("connect");
-    run_ok(&mut by_sql, SETUP);
+    let mut client = Client::connect(addr).expect("connect");
+    run_ok(&mut client, SETUP);
 
+    fn show(client: &mut Client, name: &str) -> String {
+        let results = run_ok(client, &format!("SHOW {name};"));
+        first_rows(&results).rows()[0].get(0).to_string()
+    }
+    fn outcome(client: &mut Client, sql: &str) -> Option<String> {
+        let resp = client.query(sql).expect("connection alive");
+        resp.error.map(|e| e.to_string())
+    }
     fn state(client: &mut Client, obs: &snapshot_obs::Obs) -> String {
-        let show = |client: &mut Client, name: &str| {
-            let results = run_ok(client, &format!("SHOW {name};"));
-            first_rows(&results).rows()[0].get(0).to_string()
-        };
-        let outcome = |client: &mut Client, sql: &str| {
-            let resp = client.query(sql).expect("connection alive");
-            resp.error.map(|e| e.to_string())
-        };
+        let ring = show(client, "slow_log_capacity");
+        assert_eq!(ring, obs.slow_log.capacity().to_string(), "one ring");
         // A pure overlap self-join over indexed scans: the sweep.
         let join = outcome(
             client,
             "SEQ VT (SELECT a.name FROM works a JOIN works b ON a.name < b.name);",
         );
         format!(
-            "{} | {} | {} | {} | scan: {:?} | join: {join:?} | ring: {}",
+            "{} | {} | {ring} | {} | scan: {:?} | join: {join:?}",
             show(client, "statement_timeout"),
             show(client, "slow_query_ms"),
-            show(client, "slow_log_capacity"),
             show(client, "verify_indexed"),
             outcome(client, "SELECT name FROM works;"),
-            obs.slow_log.capacity(),
         )
     }
 
     let default_ring = snapshot_obs::SLOW_LOG_CAPACITY.to_string();
+    let default_ring = default_ring.as_str();
+    let unknown_parallelism = Err("unknown session option 'parallelism'");
     let cases = [
-        ("statement_timeout", "60000"),
-        ("statement_timeout_ms", "0"),
-        ("statement_timeout", "250"),
-        ("statement_timeout", "off"),
-        ("slow_query_ms", "60000"),
-        ("slow_query_ms", "0"),
-        ("slow_query_ms", "off"),
-        ("max_rows_scanned", "2"),
-        ("max_rows_scanned", "off"),
-        ("max_result_rows", "2"),
-        ("max_result_rows", "0"),
-        ("slow_log_capacity", "7"),
-        ("slow_log_capacity", default_ring.as_str()),
-        ("verify_indexed", "on"),
-        ("verify_indexed", "off"),
-        // Refused on both paths, with one message.
-        ("no_such_option", "1"),
-        ("verify_indexed", "1"),
-        ("statement_timeout", "soon"),
-        ("parallelism", "1"),
-        ("parallelism", "3"),
-        ("parallelism", "4611686018427387904"),
-        ("parallelism", "off"),
-        ("slow_log_capacity", "0"),
+        ("statement_timeout", "60000", Ok("60000")),
+        ("statement_timeout_ms", "0", Ok("off")),
+        ("statement_timeout", "250", Ok("250")),
+        ("statement_timeout", "off", Ok("off")),
+        ("slow_query_ms", "60000", Ok("60000")),
+        ("slow_query_ms", "0", Ok("0")),
+        ("slow_query_ms", "off", Ok("off")),
+        ("max_rows_scanned", "2", Ok("2")),
+        ("max_rows_scanned", "off", Ok("off")),
+        ("max_result_rows", "2", Ok("2")),
+        ("max_result_rows", "0", Ok("off")),
+        ("slow_log_capacity", "7", Ok("7")),
+        ("slow_log_capacity", default_ring, Ok(default_ring)),
+        ("verify_indexed", "on", Ok("on")),
+        ("verify_indexed", "off", Ok("off")),
+        (
+            "no_such_option",
+            "1",
+            Err("unknown session option 'no_such_option'"),
+        ),
+        (
+            "verify_indexed",
+            "1",
+            Err("invalid value '1' for 'verify_indexed' (expected 'on' or 'off')"),
+        ),
+        (
+            "statement_timeout",
+            "soon",
+            Err("invalid value 'soon' for 'statement_timeout' (expected a number or 'off')"),
+        ),
+        ("parallelism", "1", unknown_parallelism),
+        ("parallelism", "3", unknown_parallelism),
+        ("parallelism", "4611686018427387904", unknown_parallelism),
+        ("parallelism", "off", unknown_parallelism),
+        (
+            "slow_log_capacity",
+            "0",
+            Err("slow_log_capacity must be a positive number"),
+        ),
     ];
-    let mut refused = 0;
-    for (name, value) in cases {
-        let sql = by_sql
-            .query(&format!("SET {name} = {value};"))
-            .expect("connection alive");
-        let frame = by_frame.set_option(name, value).expect("connection alive");
+    for (name, value, expected) in cases {
         let case = format!("{name} = {value}");
-        assert_eq!(
-            format!("{:?}", sql.results),
-            format!("{:?}", frame.results),
-            "{case}"
-        );
-        let error = sql.error.map(|e| e.to_string());
-        assert_eq!(error, frame.error.map(|e| e.to_string()), "{case}");
-        if name == "parallelism" {
-            assert_eq!(
-                error.as_deref(),
-                Some("unknown session option 'parallelism'"),
-                "{case}"
-            );
+        let before = state(&mut client, &obs);
+        let resp = client
+            .query(&format!("SET {case};"))
+            .expect("connection alive");
+        let error = resp.error.map(|e| e.to_string());
+        match expected {
+            Ok(shown) => {
+                assert_eq!(error, None, "{case}");
+                assert_eq!(
+                    format!("{:?}", resp.results),
+                    format!("{:?}", [RemoteResult::Done(format!("SET {case}"))]),
+                    "{case}"
+                );
+                assert_eq!(show(&mut client, name), shown, "{case}");
+                if value == "2" {
+                    let scan = outcome(&mut client, "SELECT name FROM works;");
+                    let limit = format!("{name} (2) exceeded");
+                    assert!(scan.is_some_and(|e| e.contains(&limit)), "{case}");
+                }
+            }
+            Err(message) => {
+                assert_eq!(error.as_deref(), Some(message), "{case}");
+                assert!(resp.results.is_empty(), "{case}");
+                assert_eq!(state(&mut client, &obs), before, "{case} changes nothing");
+            }
         }
-        refused += usize::from(error.is_some());
-        assert_eq!(
-            state(&mut by_sql, &obs),
-            state(&mut by_frame, &obs),
-            "{case}"
-        );
     }
-    assert_eq!(refused, 8, "only the last eight cases are refused");
-    assert_eq!(
-        by_sql
-            .set_option("no_such_option", "1")
-            .expect("connection alive")
-            .error
-            .map(|e| e.to_string())
-            .as_deref(),
-        Some("unknown session option 'no_such_option'")
-    );
     run_ok(
-        &mut by_sql,
+        &mut client,
         "CREATE TABLE a (x INT, ts INT, te INT) PERIOD (ts, te);
          INSERT INTO a VALUES (1, 0, 10), (2, 0, 10);
          CREATE TABLE b (y INT, ts INT, te INT) PERIOD (ts, te);
          INSERT INTO b VALUES (3, 5, 15), (4, 5, 15);",
     );
-    for client in [&mut by_sql, &mut by_frame] {
-        let results = run_ok(client, "SEQ VT (SELECT x, y FROM a JOIN b ON a.x <> b.y);");
-        assert_eq!(first_rows(&results).len(), 4);
-    }
-
-    by_sql.close().expect("clean close");
-    stop(by_frame, server);
+    let results = run_ok(
+        &mut client,
+        "SEQ VT (SELECT x, y FROM a JOIN b ON a.x <> b.y);",
+    );
+    assert_eq!(first_rows(&results).len(), 4);
+    stop(client, server);
 }
 
 /// Over the wire, bare `.profile` returns exactly the folded stacks —
@@ -953,9 +959,10 @@ fn two_databases_in_one_process_share_no_observability_state() {
     assert_eq!(count, Value::Int(2001 * 2000), "A's statement completed");
 
     // Statistics, slow log, profile and slow-log capacity stay in A.
-    for (name, value) in [("slow_query_ms", "0"), ("slow_log_capacity", "1")] {
-        in_a.set_option(name, value).expect("connection alive");
-    }
+    run_ok(
+        &mut in_a,
+        "SET slow_query_ms = 0; SET slow_log_capacity = 1;",
+    );
     in_a.meta("profile on").expect("connection alive");
     run_ok(&mut in_a, "SEQ VT (SELECT count(*) AS c FROM iso_a);");
     // The one-entry ring still holds the query above when read first.
